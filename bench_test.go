@@ -386,3 +386,29 @@ func BenchmarkGeneratorChoice(b *testing.B) {
 		b.ReportMetric(g.Spread*100, "speedup-spread-%")
 	}
 }
+
+// cellFixedConfig is the 1 + 1-record cell whose cost is everything but
+// stepping: System construction, stream set-up and result assembly.
+func cellFixedConfig(d Design, cores int) Config {
+	cfg := DefaultRunConfig("OLTP Oracle", d)
+	cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = cores, 1, 1
+	return cfg
+}
+
+// BenchmarkCellFixed reports the per-cell fixed cost (time and bytes) the
+// service's many-small-cell sweeps pay before their first record.
+func BenchmarkCellFixed(b *testing.B) {
+	for _, d := range []Design{DesignBaseline, DesignPIF32K, DesignSHIFT} {
+		for _, cores := range []int{4, 16} {
+			cfg := cellFixedConfig(d, cores)
+			b.Run(fmt.Sprintf("%s/%dcores", d, cores), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -14,6 +14,7 @@ package bpred
 import (
 	"fmt"
 
+	"shift/internal/freelist"
 	"shift/internal/trace"
 )
 
@@ -94,14 +95,27 @@ func NewGShare(entries int) (*GShare, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("bpred: gshare entries %d not a positive power of two", entries)
 	}
+	g := allocGShare(entries)
+	g.reset()
+	return g, nil
+}
+
+// allocGShare sizes the tables for `entries` counters (a power of two);
+// reset gives them their untrained content.
+func allocGShare(entries int) *GShare {
 	g := &GShare{bits: make([]uint64, (entries+31)/32), mask: uint64(entries - 1)}
 	for n := entries; n > 1; n >>= 1 {
 		g.histLen++
 	}
+	return g
+}
+
+// reset returns the predictor to its untrained state.
+func (g *GShare) reset() {
 	for i := range g.bits {
 		g.bits[i] = 0x5555555555555555 // every counter 1: weakly not-taken
 	}
-	return g, nil
+	g.history = 0
 }
 
 func (g *GShare) index(pc trace.Addr) uint64 {
@@ -173,24 +187,37 @@ type Hybrid struct {
 	mispredicts int64
 }
 
+// freeHybrids holds released predictors by entry count; see
+// Hybrid.Release.
+var freeHybrids freelist.Keyed[int, Hybrid]
+
 // NewHybrid builds the Table I predictor: 16K gshare, 16K bimodal, 16K
-// chooser when entries=16384.
+// chooser when entries=16384. It reuses the tables of a released
+// predictor of that size when one is held. Training is per record and
+// leaves no trail of what it wrote, so the reset refills the whole
+// tables (12 KB at Table I's size).
 func NewHybrid(entries int) (*Hybrid, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("bpred: hybrid entries %d not a positive power of two", entries)
 	}
-	gs, err := NewGShare(entries)
-	if err != nil {
-		return nil, err
+	h := freeHybrids.Get(entries)
+	if h == nil {
+		h = &Hybrid{gshare: allocGShare(entries), bc: make([]uint64, (entries+15)/16), mask: uint64(entries - 1)}
 	}
-	h := &Hybrid{gshare: gs, bc: make([]uint64, (entries+15)/16), mask: uint64(entries - 1)}
+	h.gshare.reset()
 	// Every entry: bimodal=1 (weakly not-taken), chooser=2 (weakly
 	// prefer gshare) → nibble 0b1001.
 	for i := range h.bc {
 		h.bc[i] = 0x9999999999999999
 	}
+	h.predictions, h.mispredicts = 0, 0
 	return h, nil
 }
+
+// Release hands h's tables back for a later NewHybrid of the same size.
+// The caller must hold the only reference to h and must not use it
+// again.
+func (h *Hybrid) Release() { freeHybrids.Put(int(h.mask)+1, h) }
 
 // MustNewHybrid panics on config errors.
 func MustNewHybrid(entries int) *Hybrid {

@@ -44,7 +44,9 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
+	"shift/internal/freelist"
 	"shift/internal/trace"
 )
 
@@ -194,6 +196,11 @@ type Cache struct {
 	idxMask  uint64
 	idxShift uint
 
+	// dirty holds one bit per set, set by fill — the only operation that
+	// makes an empty set non-empty — so reset rewrites just those sets
+	// and probes, hits and refreshes pay nothing for it.
+	dirty []uint64
+
 	lruClock   uint64
 	stats      Stats
 	pinLo      trace.BlockAddr
@@ -201,11 +208,34 @@ type Cache struct {
 	pinEnabled bool
 }
 
-// New builds a cache.
+// freeCaches holds released caches by geometry; see Release.
+var freeCaches freelist.Keyed[Config, Cache]
+
+// New builds an empty cache, reusing the tables of a released cache of
+// the same geometry when one is held (see Release). Either way the
+// result is a fresh cache: reset restores exactly what the previous
+// owner wrote, and a first construction is a reset of zeroed memory
+// with every set marked as written.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := freeCaches.Get(cfg)
+	if c == nil {
+		c = alloc(cfg)
+	}
+	c.reset()
+	return c, nil
+}
+
+// Release hands c's tables back for a later New of the same geometry.
+// The caller must hold the only reference to c and must not use it
+// again. Releasing is optional: an unreleased cache is simply collected.
+func (c *Cache) Release() { freeCaches.Put(c.cfg, c) }
+
+// alloc sizes a cache's tables, zeroed and with every set marked dirty
+// so that the reset New applies next writes the empty state everywhere.
+func alloc(cfg Config) *Cache {
 	nsets := cfg.Sets()
 	nlines := nsets * cfg.Assoc
 	c := &Cache{
@@ -217,6 +247,10 @@ func New(cfg Config) (*Cache, error) {
 		lines:   make([]line, nlines),
 		tags:    make([]uint64, nlines),
 		vlru:    make([]uint64, nlines),
+		dirty:   make([]uint64, (nsets+63)/64),
+	}
+	for si := 0; si < nsets; si++ {
+		c.dirty[si>>6] |= 1 << (si & 63)
 	}
 	setBits := uint(0)
 	for 1<<setBits < nsets {
@@ -235,54 +269,88 @@ func New(cfg Config) (*Cache, error) {
 	if !c.listed {
 		c.wayMask = c.assoc - 1
 		c.scanTags = make([]uint32, nlines)
-		for i := range c.scanTags {
-			c.scanTags[i] = invalidTag32
+		return c
+	}
+	c.head = make([]int32, nsets)
+	c.tail = make([]int32, nsets)
+	c.free = make([]int32, nsets)
+	// ≤25% load: probe chains and backward-shift deletion clusters stay
+	// near length one, and the table is still tiny relative to the line
+	// metadata it indexes.
+	size := 1
+	for size < 4*nlines {
+		size <<= 1
+	}
+	c.idx = make([]idxSlot, size)
+	c.idxMask = uint64(size - 1)
+	shift := uint(64)
+	for s := size; s > 1; s >>= 1 {
+		shift--
+	}
+	c.idxShift = shift
+	return c
+}
+
+// reset returns c to the empty state by rewriting only the sets marked
+// dirty — those filled since the last reset, or all of them on freshly
+// allocated memory — so its cost follows what the previous owner
+// touched rather than the capacity modelled.
+func (c *Cache) reset() {
+	touched := false
+	for wi, w := range c.dirty {
+		if w == 0 {
+			continue
+		}
+		touched = true
+		c.dirty[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			c.resetSet(wi<<6 | bits.TrailingZeros64(w))
 		}
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	if touched {
+		// Only listed caches carry an index, and in practice they are
+		// the single-set prefetch buffers: clearing the whole table
+		// costs about what rewriting the one dirty set does.
+		for i := range c.idx {
+			c.idx[i] = idxSlot{li: noLine}
+		}
 	}
-	for i := range c.lines {
-		c.lines[i] = line{pointer: NoPointer, prev: noLine, next: noLine}
-	}
-	if c.listed {
-		c.head = make([]int32, nsets)
-		c.tail = make([]int32, nsets)
-		c.free = make([]int32, nsets)
-		for si := 0; si < nsets; si++ {
-			c.head[si], c.tail[si] = noLine, noLine
-			base := int32(si) * c.assoc
-			c.free[si] = base
-			for w := int32(0); w < c.assoc; w++ {
-				li := base + w
-				if w+1 < c.assoc {
-					c.lines[li].next = li + 1
-				} else {
-					c.lines[li].next = noLine
-				}
+	c.lruClock = 0
+	c.stats = Stats{}
+	c.pinLo, c.pinHi, c.pinEnabled = 0, 0, false
+}
+
+// resetSet empties set si. An unlisted set rewrites only the ways whose
+// tag is not the invalid marker: valid lines, and on freshly allocated
+// memory every way (a zero tag). Invalid ways of a used set already
+// hold the empty state (remove writes it, promote only permutes ways).
+// A listed set is rewritten whole, because its free chain threads every
+// way in order.
+func (c *Cache) resetSet(si int) {
+	base := int32(si) * c.assoc
+	if !c.listed {
+		for li := base; li < base+c.assoc; li++ {
+			if c.tags[li] != invalidTag {
+				c.clearWay(li)
 			}
 		}
+		return
 	}
-	if c.listed {
-		// ≤25% load: probe chains and backward-shift deletion clusters
-		// stay near length one, and the table is still tiny relative to
-		// the line metadata it indexes.
-		size := 1
-		for size < 4*nlines {
-			size <<= 1
-		}
-		c.idx = make([]idxSlot, size)
-		for i := range c.idx {
-			c.idx[i].li = noLine
-		}
-		c.idxMask = uint64(size - 1)
-		shift := uint(64)
-		for s := size; s > 1; s >>= 1 {
-			shift--
-		}
-		c.idxShift = shift
+	for li := base; li < base+c.assoc; li++ {
+		c.tags[li] = invalidTag
+		c.vlru[li] = 0
+		c.lines[li] = line{pointer: NoPointer, prev: noLine, next: li + 1}
 	}
-	return c, nil
+	c.lines[base+c.assoc-1].next = noLine
+	c.head[si], c.tail[si], c.free[si] = noLine, noLine, base
+}
+
+// clearWay writes the empty state of an unlisted cache's way.
+func (c *Cache) clearWay(li int32) {
+	c.tags[li] = invalidTag
+	c.scanTags[li] = invalidTag32
+	c.vlru[li] = 0
+	c.lines[li] = line{pointer: NoPointer, prev: noLine, next: noLine}
 }
 
 // MustNew is New that panics on config errors; for tests and fixed configs.
@@ -329,8 +397,8 @@ func (c *Cache) idxFind(key uint64) int32 {
 	}
 }
 
-// idxInsert records key→li. The table is sized to ≥2× the line count, so
-// load stays below 50% and probe chains stay short.
+// idxInsert records key→li. The table is sized to ≥4× the line count
+// (see alloc), so load stays at or below 25% and probe chains stay short.
 func (c *Cache) idxInsert(key uint64, li int32) {
 	i := c.idxHome(key)
 	for c.idx[i].li != noLine {
@@ -681,6 +749,7 @@ func (c *Cache) fill(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool
 	if c.inPinRange(b) {
 		fl |= vlruPinned
 	}
+	c.dirty[si>>6] |= 1 << (si & 63)
 	c.vlru[li] = c.lruClock<<vlruStampShift | fl
 	c.lines[li].pointer = NoPointer
 	c.tags[li] = uint64(b)
@@ -743,24 +812,20 @@ func (c *Cache) scanVictim(si uint64) int32 {
 	return best
 }
 
-// remove invalidates line li of set si: detach from the recency list and
-// the index, clear the metadata, and push the way onto the free list.
+// remove invalidates line li of set si: clear the metadata and, in a
+// listed cache, detach the line from the index and the recency list and
+// push the way onto the free list.
 func (c *Cache) remove(si uint64, li int32) {
-	if c.idx != nil {
-		c.idxDelete(c.tags[li])
-	}
-	c.tags[li] = invalidTag
-	if c.scanTags != nil {
-		c.scanTags[li] = invalidTag32
-	}
-	c.vlru[li] = 0
-	if c.listed {
-		c.listDetach(si, li)
-		c.lines[li] = line{pointer: NoPointer, prev: noLine, next: c.free[si]}
-		c.free[si] = li
+	if !c.listed {
+		c.clearWay(li)
 		return
 	}
-	c.lines[li] = line{pointer: NoPointer, prev: noLine, next: noLine}
+	c.idxDelete(c.tags[li])
+	c.tags[li] = invalidTag
+	c.vlru[li] = 0
+	c.listDetach(si, li)
+	c.lines[li] = line{pointer: NoPointer, prev: noLine, next: c.free[si]}
+	c.free[si] = li
 }
 
 // Invalidate removes b if present, returning whether it was present.
@@ -1005,6 +1070,11 @@ func (c *Cache) CopyStateFrom(src *Cache) {
 	}
 	if c.idx != nil {
 		copy(c.idx, src.idx)
+	}
+	// c's own dirty sets stay marked: a set src holds empty is merely
+	// reset again.
+	for i, w := range src.dirty {
+		c.dirty[i] |= w
 	}
 	c.lruClock = src.lruClock
 	c.stats = src.stats

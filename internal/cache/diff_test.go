@@ -209,3 +209,96 @@ func TestSetLRUOrderAgreesWithStamps(t *testing.T) {
 		}
 	}
 }
+
+// recycleConfigs are the three cache shapes a simulated System hands
+// back and takes out again: the 2-way L1-I, a 16-way tag-pointer LLC
+// bank, and the 128-way indexed prefetch buffer.
+func recycleConfigs() map[string]Config {
+	return map[string]Config{
+		"l1i":     {SizeBytes: 32 << 10, Assoc: 2, BlockBytes: 64},
+		"llcbank": {SizeBytes: 512 << 10, Assoc: 16, BlockBytes: 64, TagPointers: true, IndexShift: 4},
+		"pbuf":    {SizeBytes: 128 * 64, Assoc: 128, BlockBytes: 64},
+	}
+}
+
+// copyReference is CopyStateFrom for the naive implementation.
+func copyReference(dst, src *Reference) {
+	for si := range src.sets {
+		copy(dst.sets[si], src.sets[si])
+	}
+	dst.lruClock, dst.stats = src.lruClock, src.stats
+	dst.pinLo, dst.pinHi, dst.pinEnabled = src.pinLo, src.pinHi, src.pinEnabled
+}
+
+// TestDifferentialAcrossRecycling extends the differential test over
+// the cache's whole life: random operations (pinning, pointers,
+// invalidations, extractions, and bulk state copies into and out of the
+// cache), hand back, New with the same Config. Whatever New returns —
+// in all but the first round usually a recycled cache — must be
+// indistinguishable from one built on fresh memory, and must then track
+// the Reference through the next random sequence.
+func TestDifferentialAcrossRecycling(t *testing.T) {
+	for name, cfg := range recycleConfigs() {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			pristine := alloc(cfg)
+			pristine.reset()
+			fresh := pristine.Fingerprint()
+
+			rng := trace.NewRNG(2013)
+			released := map[*Cache]bool{}
+			recycled := 0
+			lines := cfg.Sets() * cfg.Assoc
+			for round := 0; round < 12; round++ {
+				opt, side := MustNew(cfg), MustNew(cfg)
+				ref, sideRef := MustNewReference(cfg), MustNewReference(cfg)
+				for _, c := range []*Cache{opt, side} {
+					if released[c] {
+						recycled++
+					}
+					if err := c.CheckLRUInvariant(); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					if c.Fingerprint() != fresh || c.ValidCount() != 0 || c.Stats() != (Stats{}) {
+						t.Fatalf("round %d: New returned a cache that differs from a fresh one", round)
+					}
+				}
+				// Alternate a footprint that overflows a few sets (evictions,
+				// full index clusters) with one spread over the whole cache
+				// (most sets touched once or never).
+				blocks := lines * 3
+				if round%2 == 1 {
+					blocks = cfg.Assoc * 8
+				}
+				if round%3 == 0 {
+					lo := trace.BlockAddr(rng.Intn(blocks / 2))
+					hi := lo + trace.BlockAddr(rng.Intn(blocks/4)+1)
+					opt.PinRange(lo, hi)
+					ref.PinRange(lo, hi)
+				}
+				for op := 0; op < 3000; op++ {
+					switch r := rng.Intn(400); {
+					case r == 0:
+						opt.CopyStateFrom(side)
+						copyReference(ref, sideRef)
+					case r == 1:
+						side.CopyStateFrom(opt)
+						copyReference(sideRef, ref)
+					case r < 100:
+						diffOp(t, rng, side, sideRef, blocks)
+					default:
+						diffOp(t, rng, opt, ref, blocks)
+					}
+				}
+				diffState(t, cfg, opt, ref)
+				diffState(t, cfg, side, sideRef)
+				opt.Release()
+				side.Release()
+				released[opt], released[side] = true, true
+			}
+			if recycled == 0 {
+				t.Error("New never returned a released cache: recycling is not exercised")
+			}
+		})
+	}
+}

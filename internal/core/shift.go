@@ -205,6 +205,17 @@ func NewSharedHistory(cfg Config, backend LLCBackend) (*SharedHistory, error) {
 	return sh, nil
 }
 
+// Release hands the history (and, for the dedicated variant, index)
+// storage back for the next NewSharedHistory of the same sizes (see
+// history.Buffer.Release). The caller must not use sh, or any Replayer
+// made from it, again.
+func (sh *SharedHistory) Release() {
+	sh.buf.Release()
+	if sh.index != nil {
+		sh.index.Release()
+	}
+}
+
 // MustNewSharedHistory panics on config errors.
 func MustNewSharedHistory(cfg Config, backend LLCBackend) *SharedHistory {
 	sh, err := NewSharedHistory(cfg, backend)

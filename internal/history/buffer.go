@@ -1,6 +1,10 @@
 package history
 
-import "fmt"
+import (
+	"fmt"
+
+	"shift/internal/freelist"
+)
 
 // Buffer is the circular history buffer of spatial region records
 // (Section 4.1: "The history buffer, logically organized as a circular
@@ -15,13 +19,29 @@ type Buffer struct {
 	next    uint64 // absolute position of the next write
 }
 
-// NewBuffer allocates a history buffer with the given record capacity.
+// freeBuffers holds released buffers by capacity; see Buffer.Release.
+var freeBuffers freelist.Keyed[int, Buffer]
+
+// NewBuffer returns an empty history buffer with the given record
+// capacity, reusing the storage of a released buffer of that capacity
+// when one is held. Rewinding the write pointer is the whole reset:
+// Valid already hides every record at or past it.
 func NewBuffer(capacity int) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("history: buffer capacity %d <= 0", capacity)
 	}
-	return &Buffer{records: make([]Region, capacity)}, nil
+	b := freeBuffers.Get(capacity)
+	if b == nil {
+		b = &Buffer{records: make([]Region, capacity)}
+	}
+	b.next = 0
+	return b, nil
 }
+
+// Release hands b's storage back for a later NewBuffer of the same
+// capacity. The caller must hold the only reference to b and must not
+// use it again.
+func (b *Buffer) Release() { freeBuffers.Put(len(b.records), b) }
 
 // MustNewBuffer panics on config errors.
 func MustNewBuffer(capacity int) *Buffer {

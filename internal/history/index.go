@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 
+	"shift/internal/freelist"
 	"shift/internal/trace"
 )
 
@@ -19,6 +20,10 @@ type IndexTable struct {
 	sets    [][]idxEntry
 	clock   uint64
 	entries int
+	// epoch is the table's current life: an entry is valid only while
+	// its epoch matches, so emptying the table for its next owner is one
+	// increment instead of a walk over every set.
+	epoch uint64
 	// setMask accelerates the set index when the set count is a power
 	// of two (all paper design points): trigger&setMask ≡ trigger%sets,
 	// sparing an integer division on the simulator's hot path. Zero
@@ -33,11 +38,18 @@ type idxEntry struct {
 	trigger trace.BlockAddr
 	pos     uint64
 	lru     uint64
-	valid   bool
+	epoch   uint64 // valid iff equal to the table's
 }
 
-// NewIndexTable builds a table with `entries` total entries and the given
-// associativity.
+// tableShape is the geometry released tables are kept by.
+type tableShape struct{ entries, assoc int }
+
+// freeTables holds released tables by shape; see IndexTable.Release.
+var freeTables freelist.Keyed[tableShape, IndexTable]
+
+// NewIndexTable returns an empty table with `entries` total entries and
+// the given associativity, reusing the storage of a released table of
+// that shape when one is held.
 func NewIndexTable(entries, assoc int) (*IndexTable, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("history: index entries %d <= 0", entries)
@@ -45,17 +57,28 @@ func NewIndexTable(entries, assoc int) (*IndexTable, error) {
 	if assoc <= 0 || entries%assoc != 0 {
 		return nil, fmt.Errorf("history: index assoc %d does not divide entries %d", assoc, entries)
 	}
-	nsets := entries / assoc
-	t := &IndexTable{assoc: assoc, entries: entries, sets: make([][]idxEntry, nsets)}
-	if nsets&(nsets-1) == 0 {
-		t.setMask = uint64(nsets - 1)
+	t := freeTables.Get(tableShape{entries, assoc})
+	if t == nil {
+		nsets := entries / assoc
+		t = &IndexTable{assoc: assoc, entries: entries, sets: make([][]idxEntry, nsets)}
+		if nsets&(nsets-1) == 0 {
+			t.setMask = uint64(nsets - 1)
+		}
+		backing := make([]idxEntry, entries)
+		for i := range t.sets {
+			t.sets[i] = backing[i*assoc : (i+1)*assoc]
+		}
 	}
-	backing := make([]idxEntry, entries)
-	for i := range t.sets {
-		t.sets[i] = backing[i*assoc : (i+1)*assoc]
-	}
+	// Zeroed entries carry epoch 0, so the first life starts at 1.
+	t.epoch++
+	t.clock, t.lookups, t.hits = 0, 0, 0
 	return t, nil
 }
+
+// Release hands t's storage back for a later NewIndexTable of the same
+// shape. The caller must hold the only reference to t and must not use
+// it again.
+func (t *IndexTable) Release() { freeTables.Put(tableShape{t.entries, t.assoc}, t) }
 
 // MustNewIndexTable panics on config errors.
 func MustNewIndexTable(entries, assoc int) *IndexTable {
@@ -81,7 +104,7 @@ func (t *IndexTable) Lookup(trigger trace.BlockAddr) (pos uint64, ok bool) {
 	t.lookups++
 	set := t.set(trigger)
 	for i := range set {
-		if set[i].valid && set[i].trigger == trigger {
+		if set[i].epoch == t.epoch && set[i].trigger == trigger {
 			t.clock++
 			set[i].lru = t.clock
 			t.hits++
@@ -99,18 +122,19 @@ func (t *IndexTable) Update(trigger trace.BlockAddr, pos uint64) {
 	victim := 0
 	var victimLRU uint64 = ^uint64(0)
 	for i := range set {
-		if set[i].valid && set[i].trigger == trigger {
+		valid := set[i].epoch == t.epoch
+		if valid && set[i].trigger == trigger {
 			set[i].pos = pos
 			set[i].lru = t.clock
 			return
 		}
-		if !set[i].valid {
+		if !valid {
 			victim, victimLRU = i, 0
 		} else if set[i].lru < victimLRU {
 			victim, victimLRU = i, set[i].lru
 		}
 	}
-	set[victim] = idxEntry{trigger: trigger, pos: pos, lru: t.clock, valid: true}
+	set[victim] = idxEntry{trigger: trigger, pos: pos, lru: t.clock, epoch: t.epoch}
 }
 
 // Len returns the number of valid entries.
@@ -118,7 +142,7 @@ func (t *IndexTable) Len() int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].valid {
+			if set[i].epoch == t.epoch {
 				n++
 			}
 		}

@@ -113,6 +113,14 @@ func New(cfg Config) (*PIF, error) {
 	return p, nil
 }
 
+// Release hands the history and index storage back for the next New of
+// the same sizes (see history.Buffer.Release). The caller must not use
+// p again.
+func (p *PIF) Release() {
+	p.buf.Release()
+	p.index.Release()
+}
+
 // MustNew panics on config errors.
 func MustNew(cfg Config) *PIF {
 	p, err := New(cfg)

@@ -129,7 +129,11 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 				// Followers alias the lead's predictors so their result
 				// accounting (accuracy counters) reads the state the
 				// shared evaluation advanced — identical, record for
-				// record, to what a local predictor would have held.
+				// record, to what a local predictor would have held. Their
+				// own, untouched predictors go straight back.
+				for _, h := range sys.bp {
+					h.Release()
+				}
 				sys.bp = systems[0].bp
 				for c := range sys.hot {
 					sys.hot[c].bp = sys.bp[c]
@@ -242,6 +246,7 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 			// confidence level (it never touches the schedule).
 			out[m] = sys.SampledResults(specs[m].Sampling)
 		}
+		releaseAll(systems)
 		return out, nil
 	}
 
@@ -273,7 +278,16 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 		}
 		out[m] = sys.Results()
 	}
+	releaseAll(systems)
 	return out, nil
+}
+
+// releaseAll hands every member's tables back once the batch has
+// succeeded and its results are extracted (see System.release).
+func releaseAll(systems []*System) {
+	for _, sys := range systems {
+		sys.release()
+	}
 }
 
 // runLockstep advances every system by up to `records` rounds in blocks

@@ -131,18 +131,7 @@ func (m *measurement) add(d *measurement) {
 
 func (s *System) snapshot() measurement {
 	n := s.cfg.Cores
-	m := measurement{
-		cycles:      make([]int64, n),
-		instrs:      make([]int64, n),
-		fetchStall:  make([]int64, n),
-		branchStall: make([]int64, n),
-		records:     make([]int64, n),
-		l1:          make([]cache.Stats, n),
-		fetch:       make([]FetchStats, n),
-		pf:          make([]prefetch.Stats, n),
-		bpPred:      make([]int64, n),
-		bpMiss:      make([]int64, n),
-	}
+	m := newMeasurement(n)
 	for i := 0; i < n; i++ {
 		m.cycles[i] = s.clocks[i].Now()
 		m.instrs[i] = s.clocks[i].Instructions()

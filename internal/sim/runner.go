@@ -133,10 +133,17 @@ func Run(spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	var res Result
 	if spec.Sampling.Enabled() {
-		return sys.RunSampled(spec.WarmupRecords, spec.MeasureRecords, spec.Sampling)
+		res, err = sys.RunSampled(spec.WarmupRecords, spec.MeasureRecords, spec.Sampling)
+	} else {
+		res, err = sys.RunMeasured(spec.WarmupRecords, spec.MeasureRecords)
 	}
-	return sys.RunMeasured(spec.WarmupRecords, spec.MeasureRecords)
+	if err != nil {
+		return Result{}, err
+	}
+	sys.release()
+	return res, nil
 }
 
 // checkSupply rejects, up front, streams that declare (via

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"shift/internal/bpred"
 	"shift/internal/cache"
@@ -49,7 +50,8 @@ type System struct {
 	// dataStep[n] caches float64(n) * DataMPKI / 1000 for small retire
 	// counts, sparing the per-record floating divide. Entries are
 	// computed with exactly the expression they replace, so accumulation
-	// is bit-identical.
+	// is bit-identical. The table is read-only and shared by every
+	// System of the same DataMPKI (see dataStepTable).
 	dataStep []float64
 	records  []int64
 	fetch    []FetchStats
@@ -193,10 +195,7 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 			s.fastViews[i] = cr
 		}
 	}
-	s.dataStep = make([]float64, 4096)
-	for i := range s.dataStep {
-		s.dataStep[i] = float64(i) * cfg.DataMPKI / 1000
-	}
+	s.dataStep = dataStepTable(cfg.DataMPKI)
 	n := cfg.Cores
 	s.done = make([]bool, n)
 	s.clocks = make([]*cpu.Clock, n)
@@ -277,6 +276,59 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	s.adaptive = cfg.Prefetcher.AdaptiveGenerator && len(s.shared) > 0
 	s.base = s.snapshot()
 	return s, nil
+}
+
+// dataStepTables memoises dataStepTable per DataMPKI (a Table I constant
+// in every public configuration).
+var dataStepTables sync.Map // float64 → []float64
+
+// dataStepTable returns the read-only System.dataStep table for mpki.
+func dataStepTable(mpki float64) []float64 {
+	if t, ok := dataStepTables.Load(mpki); ok {
+		return t.([]float64)
+	}
+	t := make([]float64, 4096)
+	for i := range t {
+		t[i] = float64(i) * mpki / 1000
+	}
+	shared, _ := dataStepTables.LoadOrStore(mpki, t)
+	return shared.([]float64)
+}
+
+// release hands the System's big tables — caches, predictors, histories
+// and index tables — back to their packages' free lists, from which the
+// next New of the same geometry takes them and resets only what this
+// System wrote. Only Run and RunBatch call it, on Systems they built
+// and that never escaped, on the success path after the results are
+// extracted: a System that returned an error or panicked mid-step (and
+// may still be stepping, when the engine's watchdog abandoned it) is
+// left to the collector, and a System a caller built with New is the
+// caller's for good. The System is unusable afterwards.
+func (s *System) release() {
+	for _, c := range s.l1i {
+		c.Release()
+	}
+	for _, c := range s.pb {
+		c.Release()
+	}
+	for _, c := range s.llc {
+		c.Release()
+	}
+	if s.bpBuf == nil || s.bpLead {
+		// A batch follower's predictors are the lead's (see RunBatch).
+		for _, h := range s.bp {
+			h.Release()
+		}
+	}
+	for _, p := range s.pf {
+		if r, ok := p.(interface{ Release() }); ok {
+			r.Release()
+		}
+	}
+	for _, sh := range s.shared {
+		sh.Release()
+	}
+	*s = System{}
 }
 
 // buildPrefetchers instantiates the configured design point.

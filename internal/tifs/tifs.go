@@ -82,6 +82,14 @@ func New(cfg Config) (*TIFS, error) {
 	}, nil
 }
 
+// Release hands the history and index storage back for the next New of
+// the same sizes (see history.Buffer.Release). The caller must not use
+// t again.
+func (t *TIFS) Release() {
+	t.buf.Release()
+	t.index.Release()
+}
+
 // MustNew panics on config errors.
 func MustNew(cfg Config) *TIFS {
 	t, err := New(cfg)

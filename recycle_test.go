@@ -1,0 +1,303 @@
+package shift
+
+import (
+	"errors"
+	"io"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"shift/internal/sim"
+	"shift/internal/trace"
+	"shift/internal/workload"
+)
+
+// The tests below pin the System lifecycle (ARCHITECTURE.md "System
+// lifecycle"): a finished cell's tables are recycled, a failed cell's
+// never are, and a recycled table is indistinguishable from a new one —
+// whatever ran before, a cell's result is the one a fresh process gives.
+
+// g12Designs are the six designs of the benchmark's grid: the baseline
+// plus the figures' comparison set.
+var g12Designs = append([]Design{DesignBaseline}, FigureDesigns()...)
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// freshResult runs cfg with the free lists emptied first: the result a
+// fresh process would compute.
+func freshResult(t *testing.T, cfg Config) RunResult {
+	t.Helper()
+	emptyFreeLists()
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// failingSource hands out the readers of a real workload, except that
+// core 1's fails — by panicking or by running dry — after `after`
+// records, in the middle of the run.
+type failingSource struct {
+	w      *workload.Workload
+	after  int64
+	panics bool
+}
+
+func (s failingSource) NewCoreReader(core int) (trace.Reader, error) {
+	r := s.w.NewCoreReader(core)
+	if core != 1 {
+		return r, nil
+	}
+	return &failingReader{Reader: r, left: s.after, panics: s.panics}, nil
+}
+
+type failingReader struct {
+	trace.Reader
+	left   int64
+	panics bool
+}
+
+func (r *failingReader) Next() (trace.Record, error) {
+	if r.left--; r.left < 0 {
+		if r.panics {
+			panic("recycle test: reader panicked mid-run")
+		}
+		return trace.Record{}, io.EOF
+	}
+	return r.Reader.Next()
+}
+
+// TestFailedCellIsNotRecycled is the containment rule: a System whose
+// run panicked (the engine recovers and the process lives on) or
+// returned an error is dropped to the collector, never handed back —
+// and the cells that follow compute exactly what a fresh process would.
+func TestFailedCellIsNotRecycled(t *testing.T) {
+	clean := func(d Design) Config {
+		cfg := DefaultRunConfig("OLTP Oracle", d)
+		cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = 4, 500, 500
+		return cfg
+	}
+	want := make(map[Design]RunResult)
+	for _, d := range g12Designs {
+		want[d] = freshResult(t, clean(d))
+	}
+	freshBytes := allocatedBy(func() { freshResult(t, clean(DesignSHIFT)) })
+
+	wp, err := workload.ByName("OLTP Oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Cached(wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, panics := range []bool{true, false} {
+		e := NewEngine(1, nil)
+		e.runCell = func(cfg Config) (RunResult, error) {
+			spec, err := cfg.spec()
+			if err != nil {
+				return RunResult{}, err
+			}
+			spec.Source = failingSource{w: w, after: 700, panics: panics}
+			res, err := sim.Run(spec)
+			return fromSim(res, cfg.Workload), err
+		}
+		emptyFreeLists()
+		_, err := e.RunOne(clean(DesignSHIFT))
+		var pe *PanicError
+		var se *sim.StreamShortError
+		switch {
+		case panics && !errors.As(err, &pe):
+			t.Fatalf("panicking reader: error %v, want *PanicError", err)
+		case !panics && !errors.As(err, &se):
+			t.Fatalf("dry reader: error %v, want *sim.StreamShortError", err)
+		}
+		// Had the failed System's tables been handed back, this cell —
+		// the same shape — would have built on them and allocated a
+		// sliver of what a construction on empty free lists does.
+		var got RunResult
+		bytes := allocatedBy(func() { got, err = Run(clean(DesignSHIFT)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes < freshBytes/2 {
+			t.Errorf("panics=%v: the cell after the failed one allocated %d B, a fresh construction %d B: the failed System was recycled",
+				panics, bytes, freshBytes)
+		}
+		if !reflect.DeepEqual(got, want[DesignSHIFT]) {
+			t.Errorf("panics=%v: SHIFT after the failed cell differs from a fresh process's result", panics)
+		}
+		for _, d := range g12Designs {
+			got, err := Run(clean(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[d]) {
+				t.Errorf("panics=%v: %s after the failed cell differs from a fresh process's result", panics, d)
+			}
+		}
+	}
+}
+
+// TestResultsIndependentOfRecycling is the order-independence property:
+// for every design, exact and sampled, per cell (Run) and batched
+// (RunBatch), plus a consolidated mix and a phase-sequenced spec source,
+// the result computed after a shuffled prefix of differently shaped
+// cells — other core counts, history sizes and designs, whose tables now
+// fill the free lists — equals the result computed with the free lists
+// emptied. The engine runs four cells at a time, so under -race this
+// also exercises concurrent hand-back and take-out.
+func TestResultsIndependentOfRecycling(t *testing.T) {
+	mixID, err := LoadSpec([]byte(`
+name: recycle-mix
+mix:
+  - name: oltp
+    cores: 2
+    workload: {base: "OLTP DB2"}
+  - name: search
+    cores: 2
+    workload: {base: "Web Search", scale: 0.5}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phasedID, err := LoadSpec([]byte(`
+name: recycle-phases
+seed: 7
+phases:
+  - records: 700
+    workload: {base: "Web Search", footprint_bytes: 262144}
+  - records: 700
+    workload: {base: "DSS Qry 2", scale: 0.25}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(workloadName string, d Design, cores int) Config {
+		cfg := DefaultRunConfig(workloadName, d)
+		cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = cores, 400, 2000
+		return cfg
+	}
+	sampling := Sampling{Period: 4, IntervalRecords: 100}
+
+	// The cells under test, and what a fresh process computes for each.
+	var targets []Cell
+	for d := DesignBaseline; d <= DesignTIFS; d++ {
+		exact := shape("OLTP Oracle", d, 4)
+		sampled := exact
+		sampled.Sampling = sampling
+		targets = append(targets, cell(exact), cell(sampled, "sampled"))
+	}
+	targets = append(targets, cell(shape(mixID, DesignSHIFT, 4)), cell(shape(phasedID, DesignPIF32K, 4)))
+	want := make([]RunResult, len(targets))
+	for i, c := range targets {
+		want[i] = freshResult(t, c.Config)
+	}
+
+	// Differently shaped cells to run first.
+	var prefix []Cell
+	for i, cores := range []int{2, 8, 16} {
+		for d := DesignBaseline; d <= DesignTIFS; d++ {
+			cfg := shape("Web Search", d, cores)
+			cfg.HistEntries = []int{0, 1024, 4096}[(i+int(d))%3]
+			cfg.Seed = int64(cores)
+			prefix = append(prefix, cell(cfg))
+		}
+	}
+
+	for _, batching := range []bool{false, true} {
+		for seed := int64(1); seed <= 2; seed++ {
+			rand.New(rand.NewSource(seed)).Shuffle(len(prefix), func(i, j int) {
+				prefix[i], prefix[j] = prefix[j], prefix[i]
+			})
+			e := NewEngine(4, nil)
+			e.SetBatching(batching)
+			got, err := e.RunAll(append(append([]Cell(nil), prefix...), targets...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = got[len(prefix):]
+			for i := range targets {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("batching=%v seed %d: %s differs from the result on emptied free lists",
+						batching, seed, targets[i].Label)
+				}
+			}
+			if st := e.Stats(); batching && st.Batched == 0 {
+				t.Error("batching on, but no cell ran through RunBatch")
+			}
+		}
+	}
+}
+
+// TestEmptyFreeListsEmpties checks the test hook the two tests above
+// lean on: after it, a construction allocates what the modelled
+// hardware holds; without it, next to nothing.
+func TestEmptyFreeListsEmpties(t *testing.T) {
+	cfg := cellFixedConfig(DesignSHIFT, 4)
+	run := func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	emptyFreeLists()
+	if fresh := allocatedBy(run); fresh < 4<<20 {
+		t.Errorf("a cell on emptied free lists allocated %d B, want the whole hierarchy (> 4 MB)", fresh)
+	}
+}
+
+// syncPoolKeepsPuts reports whether sync.Pool returns what was just put:
+// under the race detector it drops a quarter of all Puts on purpose.
+func syncPoolKeepsPuts() bool {
+	var p sync.Pool
+	dropped := 0
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			dropped++
+		}
+	}
+	return dropped <= 2
+}
+
+// TestCellFixedBytesBounded keeps an O(capacity) make from creeping back
+// onto the per-cell path: in steady state a 1 + 1-record cell of any
+// G12 design allocates at most 1/8 of what the cheapest design
+// (Baseline) allocated before Systems were recycled — 4.3 MB at 4
+// cores, 4.8 MB at 16 (PIF_32K: 7.6 and 17.9 MB).
+func TestCellFixedBytesBounded(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector): steady-state bytes are not meaningful")
+	}
+	for cores, parentBytes := range map[int]uint64{4: 4_300_000, 16: 4_800_000} {
+		for _, d := range g12Designs {
+			cfg := cellFixedConfig(d, cores)
+			run := func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // fill the free lists with this shape
+			const cells = 8
+			per := allocatedBy(func() {
+				for i := 0; i < cells; i++ {
+					run()
+				}
+			}) / cells
+			if limit := parentBytes / 8; per > limit {
+				t.Errorf("%s, %d cores: a steady-state 1 + 1-record cell allocates %d B, limit %d B", d, cores, per, limit)
+			}
+		}
+	}
+}
