@@ -8,11 +8,12 @@ import (
 
 // RunBatch executes several configurations that share one trace stream
 // (equal StreamKeys — same workload, core count, and warmup/measure
-// window) in a single pass: the per-core record streams are generated
-// once and fanned out to every member's system in lockstep, and the
-// design-independent per-record work (trace generation, branch
-// prediction) is paid once per record instead of once per member per
-// record. Each member observes exactly the per-core record order of a
+// window) in a single pass: the first member generates the per-core
+// record streams and every other member steps off its log in lockstep,
+// so the design-independent per-record work (trace generation, branch
+// prediction, background data traffic, the L1-I probe) is paid once per
+// record instead of once per member per record wherever the members are
+// configured alike. Each member observes exactly the per-core record order of a
 // standalone Run, so out[i] is bit-identical to Run(cfgs[i]).
 //
 // Configurations whose StreamKeys differ are rejected. The experiment

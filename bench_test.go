@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // The benchmarks below regenerate every figure and table of the paper's
@@ -363,6 +364,43 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	if simulated > 0 {
 		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(simulated), "allocs/record")
 	}
+}
+
+// BenchmarkBatchMembers is the in-repo twin of the benchmark ledger's
+// sim.batch_speedup: the six designs of a paper grid (Figures 7-9) over
+// one 16-core workload, as one RunBatch (the timed, allocation-counted
+// part) and, alternating with it, as six standalone Runs. Both are
+// reported in ns per record-step per member, with their ratio: what a
+// follower saves by replaying the lead's log instead of decoding,
+// predicting and probing for itself.
+func BenchmarkBatchMembers(b *testing.B) {
+	designs := []Design{DesignBaseline, DesignNextLine, DesignPIF2K, DesignPIF32K, DesignZeroLatSHIFT, DesignSHIFT}
+	cfgs := make([]Config, len(designs))
+	for i, d := range designs {
+		cfgs[i] = DefaultRunConfig("OLTP Oracle", d)
+		cfgs[i].WarmupRecords, cfgs[i].MeasureRecords = 10000, 10000
+	}
+	steps := float64(len(cfgs)) * float64(cfgs[0].Cores) * float64(cfgs[0].WarmupRecords+cfgs[0].MeasureRecords)
+	b.ReportAllocs()
+	var perCell time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		start := time.Now()
+		for _, c := range cfgs {
+			if _, err := Run(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perCell += time.Since(start)
+		b.StartTimer()
+		if _, err := RunBatch(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch := b.Elapsed()
+	b.ReportMetric(float64(perCell.Nanoseconds())/(float64(b.N)*steps), "percell-ns/member-step")
+	b.ReportMetric(float64(batch.Nanoseconds())/(float64(b.N)*steps), "batch-ns/member-step")
+	b.ReportMetric(float64(perCell)/float64(batch), "x-vs-percell")
 }
 
 // Example of regenerating a figure programmatically; also exercises the

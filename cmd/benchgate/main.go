@@ -21,7 +21,7 @@
 //	# Gate the engine's scheduling wins, in-process (host-portable
 //	# ratios, not absolute times). The parallel gate needs real
 //	# hardware parallelism and is loudly skipped below -require-cpus:
-//	go run ./cmd/benchgate -new bench_new.txt -min-batched-speedup 1.10 -min-parallel-speedup 1.3
+//	go run ./cmd/benchgate -new bench_new.txt -min-batched-speedup 1.25 -min-parallel-speedup 1.3
 //
 //	# Gate the sampled execution mode: the sampled Figure-7 sweep must
 //	# beat exact by the floor, at bounded worst-case Throughput error

@@ -962,7 +962,10 @@ type Stats struct {
 	// cells re-run on the next recovery; the jobs still completed).
 	JournalErrors int64
 	// LatencyCount and LatencySum aggregate submit-to-finish latencies
-	// (seconds) over every job that reached a terminal state.
+	// (seconds) over every job that reached a terminal state. A job's
+	// latency is recorded just after its terminal event, so a reader
+	// woken by that event can see the counters before the job is in
+	// them.
 	LatencyCount int64
 	// LatencySum is the sum of those latencies in seconds.
 	LatencySum float64

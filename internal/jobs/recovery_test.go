@@ -177,7 +177,9 @@ func TestJournalRecovery(t *testing.T) {
 	waitTerminal(t, jNew)
 	// Recovered jobs are excluded from the latency percentiles: only
 	// the fresh job counts (its latency would otherwise span the
-	// simulated outage).
+	// simulated outage). A job's latency is recorded just after its
+	// terminal event, so wait for the count as for Recovering above.
+	waitFor(t, func() bool { return m2.Stats().LatencyCount > 0 })
 	if n := m2.Stats().LatencyCount; n != 1 {
 		t.Fatalf("LatencyCount = %d, want 1 (only the fresh job)", n)
 	}

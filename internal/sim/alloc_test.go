@@ -98,3 +98,33 @@ func TestStepZeroAllocSteadyStateBaselines(t *testing.T) {
 	testZeroAllocs(t, PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 2})
 	testZeroAllocs(t, PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()})
 }
+
+// TestStepZeroAllocSteadyStateBatch extends the contract to a RunBatch:
+// a lockstep block — the lead publishing its log, then one shared-L1
+// follower per prefetcher implementation replaying it — allocates
+// nothing, in detailed and in functional stepping.
+func TestStepZeroAllocSteadyStateBatch(t *testing.T) {
+	specs := batchDesigns()[:7]
+	b, err := newBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2000
+	for _, functional := range []bool{false, true} {
+		for _, sys := range b.systems {
+			sys.setFunctional(functional)
+		}
+		if _, err := b.runLockstep(30000); err != nil {
+			t.Fatal(err)
+		}
+		per := testing.AllocsPerRun(1, func() {
+			if _, err := b.runLockstep(rounds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per != 0 {
+			t.Errorf("functional=%v: %.6f allocs/record in a steady-state batch block, want 0",
+				functional, per/float64(rounds*len(specs)*specs[0].Config.Cores))
+		}
+	}
+}

@@ -3,33 +3,206 @@ package sim
 import (
 	"fmt"
 
+	"shift/internal/cache"
 	"shift/internal/trace"
-	"shift/internal/workload"
 )
 
 // batchBlockRounds is the lockstep granularity of RunBatch: each member
 // system runs this many rounds back to back before the next member
 // takes the same block. Coarse blocks keep one system's simulation
 // state hot in cache for cores×rounds records at a time (instead of
-// thrashing K working sets against each other every record) while the
-// shared stream's consumer views stay within one block of each other,
-// bounding the live chunk window.
+// thrashing K working sets against each other every record) and bounds
+// the lead log, which holds one block.
 const batchBlockRounds = 8192
+
+// Lead-log word layout, low to high: the L1-I hit bit, the mispredict bit
+// (meaningful only to a follower that shares the lead's predictor, and
+// only in detailed stepping), the 3-bit trace.Kind, the 16-bit retire
+// count, the 34-bit block address and, on an L1-I miss, the mirror way
+// the block went into (see l1Mirror) in the 9 bits that remain.
+const (
+	logHit         uint64 = 1 << 0
+	logMispredict  uint64 = 1 << 1
+	logKindShift          = 2
+	logInstrsShift        = 5
+	logBlockShift         = 21
+	logWayShift           = 55
+	logMaxWays            = 1 << (64 - logWayShift)
+)
+
+// packLog packs one record and what the lead decided about it.
+func packLog(rec trace.Record, mispredict, l1Hit bool, way int) uint64 {
+	w := uint64(way)<<logWayShift | uint64(rec.Block)<<logBlockShift |
+		uint64(rec.Instrs)<<logInstrsShift | uint64(rec.Kind)<<logKindShift
+	if mispredict {
+		w |= logMispredict
+	}
+	if l1Hit {
+		w |= logHit
+	}
+	return w
+}
+
+// logWay is the mirror way a miss word names.
+func logWay(w uint64) int { return int(w >> logWayShift) }
+
+// unpackLog recovers the record of a log word.
+func unpackLog(w uint64) trace.Record {
+	return trace.Record{
+		Block:  trace.BlockAddr(w >> logBlockShift & uint64(trace.MaxBlockAddr)),
+		Instrs: uint16(w >> logInstrsShift),
+		Kind:   trace.Kind(w >> logKindShift & 7),
+	}
+}
+
+// leadLog is what the lead of a RunBatch publishes, one lockstep block
+// at a time, for its followers to read in place of a stream: words holds
+// the block's records in the order the lead stepped them (round-robin
+// over the cores in detailed rounds, core after core in a functional
+// block) and data each record's data-traffic aggregate (message count <<
+// 32 | hop sum) at the same index. Followers step in the lead's order, so
+// both arrays are written once and read once per follower, front to back.
+type leadLog struct {
+	words []uint64
+	data  []uint64
+}
+
+// l1Mirror is a tag-only copy of one of the lead's L1-Is: sets × ways of
+// block+1, zero for an empty way. The lead decides every hit and every
+// victim, so all a shared-L1 follower needs of an instruction cache is
+// membership, for its prefetch filter; which way of the cache holds a
+// block, and how recently it was used, are unobservable to it. The lead
+// keeps a mirror of its own beside the cache: on a miss the way holding
+// the displaced block — or an empty one — takes the new block, which
+// keeps the mirror's sets equal to the cache's as sets, and the way goes
+// into the log word, so that a follower's mirror takes the miss with one
+// store.
+type l1Mirror struct {
+	tags  []uint64
+	ways  int
+	shift uint
+	mask  uint64
+}
+
+// newL1Mirrors returns n empty mirrors of geometry cfg over one backing
+// array.
+func newL1Mirrors(cfg cache.Config, n int) []l1Mirror {
+	per := cfg.Sets() * cfg.Assoc
+	tags := make([]uint64, n*per)
+	ms := make([]l1Mirror, n)
+	for i := range ms {
+		ms[i] = l1Mirror{tags: tags[i*per : (i+1)*per], ways: cfg.Assoc, shift: cfg.IndexShift, mask: uint64(cfg.Sets() - 1)}
+	}
+	return ms
+}
+
+// set returns the ways of b's set.
+func (m *l1Mirror) set(b trace.BlockAddr) []uint64 {
+	base := int(uint64(b)>>m.shift&m.mask) * m.ways
+	return m.tags[base : base+m.ways]
+}
+
+// contains reports whether the lead's L1-I holds b.
+func (m *l1Mirror) contains(b trace.BlockAddr) bool {
+	for _, t := range m.set(b) {
+		if t == uint64(b)+1 {
+			return true
+		}
+	}
+	return false
+}
+
+// fill is the lead's side of a miss: b takes the way of the line the
+// cache's fill displaced, or an empty one. It returns the way.
+func (m *l1Mirror) fill(b trace.BlockAddr, ev cache.Evicted, evicted bool) int {
+	victim := uint64(0)
+	if evicted {
+		victim = uint64(ev.Block) + 1
+	}
+	set := m.set(b)
+	way := -1
+	for i, t := range set {
+		if t == victim {
+			way = i
+		}
+	}
+	if way < 0 {
+		panic("sim: L1-I mirror diverged from the cache")
+	}
+	set[way] = uint64(b) + 1
+	return way
+}
+
+// put is a follower's side of a miss: b goes into the way the lead logged.
+func (m *l1Mirror) put(b trace.BlockAddr, way int) {
+	m.set(b)[way] = uint64(b) + 1
+}
+
+// batch is one RunBatch in flight: the lead (systems[0]), its followers,
+// and the sampled schedule all of them walk (nil for an exact batch).
+type batch struct {
+	systems []*System
+	segs    []segment
+}
+
+// newBatch validates the specs, opens the record streams once — for the
+// lead — and builds every member.
+func newBatch(specs []RunSpec) (*batch, error) {
+	for i := range specs {
+		if err := specs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sim: batch spec %d: %w", i, err)
+		}
+	}
+	if err := checkStreamCompatible(specs); err != nil {
+		return nil, err
+	}
+	readers, err := specs[0].openReaders()
+	if err != nil {
+		return nil, err
+	}
+	b := &batch{systems: make([]*System, len(specs))}
+	// The log holds one lockstep block, and no block is longer than the
+	// longest stretch the schedule hands runLockstep.
+	longest := max(specs[0].WarmupRecords, specs[0].MeasureRecords)
+	if p := specs[0].Sampling.Normalized(); p.Enabled() {
+		b.segs = p.segments(specs[0].WarmupRecords, specs[0].MeasureRecords)
+		longest = 0
+		for _, seg := range b.segs {
+			longest = max(longest, seg.rounds)
+		}
+	}
+	n := int(min(batchBlockRounds, longest)) * specs[0].Config.Cores
+	lg := &leadLog{words: make([]uint64, n), data: make([]uint64, n)}
+	lead, err := build(specs[0].systemConfig(), readers, lg, nil)
+	if err != nil {
+		return nil, err
+	}
+	b.systems[0] = lead
+	for m := 1; m < len(specs); m++ {
+		if b.systems[m], err = build(specs[m].systemConfig(), nil, lg, lead); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
 
 // RunBatch executes several specs that consume the same trace stream in
 // a single pass: every spec must agree on the workload(s), the core
 // count, the warmup/measure window, and the sampling policy, while the
 // system configuration (design point, seed, mode, history sizes, core
-// type...) is free to vary. The per-core record streams are generated once (chunked
-// producers, one zero-copy consumer view per member) and each member's
-// system steps off them in block-lockstep, so each member observes
-// exactly the per-core record order of a standalone Run — results are
-// bit-identical to running every spec through Run, record for record.
+// type...) is free to vary. Only the first member — the lead — opens and
+// decodes the per-core record streams; it steps them exactly as a
+// standalone Run would and publishes what it read and decided into the
+// lead log, and every other member steps off that log in block-lockstep,
+// so each member observes exactly the per-core record order of a
+// standalone Run — results are bit-identical to running every spec
+// through Run, record for record.
 //
-// When every member configures the same branch predictor, its per
-// record work is also shared: the predictor is a pure function of the
-// common record stream, so the first member evaluates it and the rest
-// replay the recorded outcomes (and report the identical statistics).
+// Beyond the decoding, a follower replays whatever else is a pure
+// function of the common record stream and configured as on the lead:
+// the branch predictor's outcomes, the background data traffic and the
+// L1-I's hits and victims (see the System.log field doc); it reports the
+// lead's statistics for what it shares.
 //
 // A batch of one degenerates to Run. An incompatible batch returns an
 // error naming the first mismatched spec.
@@ -44,162 +217,24 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 		}
 		return []Result{r}, nil
 	}
-	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sim: batch spec %d: %w", i, err)
-		}
-	}
-	if err := checkStreamCompatible(specs); err != nil {
+	b, err := newBatch(specs)
+	if err != nil {
 		return nil, err
 	}
-
-	k := len(specs)
-	cores := specs[0].Config.Cores
-	readerSets := make([][]trace.Reader, k)
-	for m := range readerSets {
-		readerSets[m] = make([]trace.Reader, cores)
-	}
-	fanOut := func(cs *workload.CoreStream, core int) {
-		for m := 0; m < k; m++ {
-			readerSets[m][core] = cs.View(m)
-		}
-	}
-	if src := specs[0].Source; src != nil {
-		for c := 0; c < cores; c++ {
-			r, err := src.NewCoreReader(c)
-			if err != nil {
-				return nil, fmt.Errorf("sim: source reader for core %d: %w", c, err)
-			}
-			fanOut(workload.NewStream(r, k), c)
-		}
-	} else if len(specs[0].Groups) == 0 {
-		w, err := workload.Cached(specs[0].Workload)
-		if err != nil {
-			return nil, err
-		}
-		for c := 0; c < cores; c++ {
-			fanOut(w.NewCoreStream(c, k), c)
-		}
-	} else {
-		for gi, g := range specs[0].Groups {
-			w, err := workload.Cached(specs[0].GroupWorkloads[gi])
-			if err != nil {
-				return nil, fmt.Errorf("group %q: %w", g.Name, err)
-			}
-			for _, c := range g.Cores {
-				if c < 0 || c >= cores {
-					return nil, fmt.Errorf("group %q core %d out of range", g.Name, c)
-				}
-				fanOut(w.NewCoreStream(c, k), c)
-			}
-		}
-		for c, r := range readerSets[0] {
-			if r == nil {
-				return nil, fmt.Errorf("core %d not assigned to any group", c)
-			}
-		}
-	}
-
-	systems := make([]*System, k)
-	for m := range systems {
-		cfg := specs[m].Config
-		if len(specs[m].Groups) > 0 && cfg.Prefetcher.Kind == KindSHIFT {
-			cfg.Prefetcher.Groups = specs[m].Groups
-		}
-		sys, err := New(cfg, readerSets[m])
-		if err != nil {
-			return nil, err
-		}
-		systems[m] = sys
-	}
-
-	// Shared branch prediction: only when every member runs the same
-	// predictor configuration (always true for the public experiment
-	// grids, where the predictor is a Table I constant).
-	shareBP := specs[0].Config.BranchPredictorEntries > 0
-	for m := 1; m < k && shareBP; m++ {
-		shareBP = specs[m].Config.BranchPredictorEntries == specs[0].Config.BranchPredictorEntries
-	}
-	if shareBP {
-		buf := make([]uint8, batchBlockRounds*cores)
-		for m, sys := range systems {
-			sys.bpBuf = buf
-			sys.bpLead = m == 0
-			if m > 0 {
-				// Followers alias the lead's predictors so their result
-				// accounting (accuracy counters) reads the state the
-				// shared evaluation advanced — identical, record for
-				// record, to what a local predictor would have held. Their
-				// own, untouched predictors go straight back.
-				for _, h := range sys.bp {
-					h.Release()
-				}
-				sys.bp = systems[0].bp
-				for c := range sys.hot {
-					sys.hot[c].bp = sys.bp[c]
-				}
-			}
-		}
-	}
-
-	// Shared background data traffic: valid when every member draws the
-	// identical data-side sequence — same per-core RNG seeds and data
-	// rate, the same mesh, and no miss elimination anywhere (ElimProb
-	// consumes the same RNG, which would shift the draw sequence
-	// per-design).
-	refCfg := specs[0].Config
-	shareData := refCfg.ElimProb == 0
-	for m := 1; m < k && shareData; m++ {
-		c := specs[m].Config
-		shareData = c.Seed == refCfg.Seed && c.DataMPKI == refCfg.DataMPKI &&
-			c.ElimProb == 0 && c.Mesh == refCfg.Mesh
-	}
-	if shareData {
-		buf := make([]uint64, batchBlockRounds*cores)
-		for m, sys := range systems {
-			sys.dsBuf = buf
-			sys.dsLead = m == 0
-		}
-	}
-
+	systems := b.systems
 	warm, meas := specs[0].WarmupRecords, specs[0].MeasureRecords
-	for _, sys := range systems {
-		if err := sys.checkSupply(warm + meas); err != nil {
-			return nil, err
-		}
+	if err := systems[0].checkSupply(warm + meas); err != nil {
+		return nil, err
 	}
-	if p := specs[0].Sampling.Normalized(); p.Enabled() {
-		// Shared L1-I stepping for the functional segments: valid
-		// whenever every member runs the identical instruction-cache
-		// geometry (the cache's evolution is a pure function of the
-		// shared record stream, so all members' L1-Is hold identical
-		// content at every aligned round). The lead probes, followers
-		// replay the hit bit, and each functional segment ends with a
-		// bulk state copy into the followers.
-		shareL1 := true
-		for m := 1; m < k && shareL1; m++ {
-			shareL1 = specs[m].Config.L1I == specs[0].Config.L1I
-		}
-		if shareL1 {
-			blkBuf := make([]uint64, batchBlockRounds*cores)
-			missBuf := make([]uint64, batchBlockRounds*cores)
-			missCnt := make([]int32, cores)
-			rounds := make([]int32, cores)
-			for m, sys := range systems {
-				sys.fnBlkBuf = blkBuf
-				sys.l1Lead = m == 0
-				sys.fnMissBuf = missBuf
-				sys.fnMissCnt = missCnt
-				sys.fnRounds = rounds
-			}
-		}
+	k, cores := len(specs), specs[0].Config.Cores
+	out := make([]Result, k)
+	if b.segs != nil {
 		// Sampled batch: every member walks the identical deterministic
-		// segment schedule (validated equal by checkStreamCompatible),
-		// so the lockstep replay buffers stay aligned across stepping
-		// modes and each member's result is bit-identical to its
-		// standalone RunSampled.
+		// segment schedule (validated equal by checkStreamCompatible), so
+		// each member's result is bit-identical to its standalone
+		// RunSampled.
 		var done int64
-		for _, seg := range p.segments(warm, meas) {
+		for _, seg := range b.segs {
 			for _, sys := range systems {
 				sys.applySegment(seg)
 			}
@@ -208,19 +243,9 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 					sys.BeginInterval()
 				}
 			}
-			ran, err := runLockstep(systems, seg.rounds)
+			ran, err := b.runLockstep(seg.rounds)
 			if err != nil {
 				return nil, err
-			}
-			if seg.functional && shareL1 {
-				// Catch the followers' instruction caches up with the
-				// stepping the lead performed on everyone's behalf.
-				lead := systems[0]
-				for _, sys := range systems[1:] {
-					for c := range sys.l1i {
-						sys.l1i[c].CopyStateFrom(lead.l1i[c])
-					}
-				}
 			}
 			done += ran
 			if ran < seg.rounds {
@@ -236,7 +261,6 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 				}
 			}
 		}
-		out := make([]Result, k)
 		for m, sys := range systems {
 			sys.setFunctional(false)
 			if err := sys.checkConsumed(make([]int64, cores), warm+meas); err != nil {
@@ -246,12 +270,12 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 			// confidence level (it never touches the schedule).
 			out[m] = sys.SampledResults(specs[m].Sampling)
 		}
-		releaseAll(systems)
+		b.release()
 		return out, nil
 	}
 
 	if warm > 0 {
-		ran, err := runLockstep(systems, warm)
+		ran, err := b.runLockstep(warm)
 		if err != nil {
 			return nil, err
 		}
@@ -262,14 +286,13 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 	for _, sys := range systems {
 		sys.MarkMeasurement()
 	}
-	ran, err := runLockstep(systems, meas)
+	ran, err := b.runLockstep(meas)
 	if err != nil {
 		return nil, err
 	}
 	if ran < meas {
 		return nil, &StreamShortError{Phase: "measure", Core: -1, Need: meas, Have: ran}
 	}
-	out := make([]Result, k)
 	for m, sys := range systems {
 		// Catch a single dry stream the round loop papered over (see
 		// System.checkConsumed); batch systems start at zero consumed.
@@ -278,45 +301,30 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 		}
 		out[m] = sys.Results()
 	}
-	releaseAll(systems)
+	b.release()
 	return out, nil
 }
 
-// releaseAll hands every member's tables back once the batch has
-// succeeded and its results are extracted (see System.release).
-func releaseAll(systems []*System) {
-	for _, sys := range systems {
+// release hands every member's tables back once the batch has succeeded
+// and its results are extracted (see System.release).
+func (b *batch) release() {
+	for _, sys := range b.systems {
 		sys.release()
 	}
 }
 
 // runLockstep advances every system by up to `records` rounds in blocks
-// of batchBlockRounds — the lead runs a block (recording shared
-// outcomes), then each follower replays the same block — and returns
-// the rounds completed. Streams never end for the synthetic workload
-// views, but if the lead ever stops early the followers are capped to
-// the same round so the batch stays aligned, and the shortfall is
-// visible to the caller.
-func runLockstep(systems []*System, records int64) (int64, error) {
+// of batchBlockRounds and returns the rounds completed. The blocking is
+// the one standalone functional stepping applies to itself (see
+// runRoundsFunctional); no block outgrows the log, which holds the
+// smaller of batchBlockRounds and the longest stretch of the schedule.
+// If the lead's streams run dry the shortfall is visible to the caller.
+func (b *batch) runLockstep(records int64) (int64, error) {
 	for off := int64(0); off < records; {
-		n := records - off
-		if n > batchBlockRounds {
-			n = batchBlockRounds
-		}
-		systems[0].bpPos, systems[0].dsPos, systems[0].l1Pos, systems[0].missPos = 0, 0, 0, 0
-		ran, err := systems[0].runRounds(n)
+		n := min(records-off, batchBlockRounds)
+		ran, err := b.runBlock(n)
 		if err != nil {
 			return off, err
-		}
-		for _, sys := range systems[1:] {
-			sys.bpPos, sys.dsPos, sys.l1Pos, sys.missPos = 0, 0, 0, 0
-			fran, err := sys.runRounds(ran)
-			if err != nil {
-				return off, err
-			}
-			if fran != ran {
-				return off, fmt.Errorf("sim: batch member diverged: %d rounds vs lead's %d", fran, ran)
-			}
 		}
 		off += ran
 		if ran < n {
@@ -324,6 +332,45 @@ func runLockstep(systems []*System, records int64) (int64, error) {
 		}
 	}
 	return records, nil
+}
+
+// runBlock runs one lockstep block of up to n rounds: the lead steps it,
+// publishing the log, then each follower replays the same rounds. Once a
+// stream of the lead's has run dry the batch is bound to fail — on the
+// rounds it fell short by or on the lead's checkConsumed — with the error
+// the lead's standalone twin reports, so the followers, which could not
+// tell whose record a short block is missing, are not stepped again.
+func (b *batch) runBlock(n int64) (int64, error) {
+	lead := b.systems[0]
+	lead.logPos = 0
+	ran, err := lead.runRounds(n)
+	if err != nil {
+		return 0, err
+	}
+	for _, dry := range lead.done {
+		if dry {
+			return ran, nil
+		}
+	}
+	for _, sys := range b.systems[1:] {
+		sys.logPos = 0
+		fran, err := sys.runRounds(n)
+		if err != nil {
+			return 0, err
+		}
+		if fran != n {
+			return 0, fmt.Errorf("sim: batch member diverged: %d rounds vs lead's %d", fran, n)
+		}
+		if sys.functional && sys.replayL1 {
+			// A follower does not apply a functional block's misses to
+			// its mirrors one by one (see warmFollower); the lead's stand at
+			// the end of this very block.
+			for c := range sys.mirrors {
+				copy(sys.mirrors[c].tags, lead.mirrors[c].tags)
+			}
+		}
+	}
+	return n, nil
 }
 
 // checkStreamCompatible verifies that every spec consumes the same

@@ -79,57 +79,71 @@ func (r RunSpec) Validate() error {
 	return nil
 }
 
-// Run executes the spec: build workloads and readers, construct the
-// system, run warmup, measure, and return the results.
-func Run(spec RunSpec) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
+// systemConfig is the configuration the spec's System is built with: a
+// consolidated SHIFT system keeps one shared history per group, so the
+// histories align with the traces.
+func (r RunSpec) systemConfig() Config {
+	cfg := r.Config
+	if len(r.Groups) > 0 && cfg.Prefetcher.Kind == KindSHIFT {
+		cfg.Prefetcher.Groups = r.Groups
 	}
-	cfg := spec.Config
-	readers := make([]trace.Reader, cfg.Cores)
+	return cfg
+}
 
-	if spec.Source != nil {
+// openReaders opens the spec's per-core record streams from their start.
+func (r RunSpec) openReaders() ([]trace.Reader, error) {
+	readers := make([]trace.Reader, r.Config.Cores)
+	if r.Source != nil {
 		for i := range readers {
-			r, err := spec.Source.NewCoreReader(i)
+			rd, err := r.Source.NewCoreReader(i)
 			if err != nil {
-				return Result{}, fmt.Errorf("sim: source reader for core %d: %w", i, err)
+				return nil, fmt.Errorf("sim: source reader for core %d: %w", i, err)
 			}
-			readers[i] = r
+			readers[i] = rd
 		}
-	} else if len(spec.Groups) == 0 {
-		w, err := workload.Cached(spec.Workload)
+		return readers, nil
+	}
+	if len(r.Groups) == 0 {
+		w, err := workload.Cached(r.Workload)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		for i := range readers {
 			readers[i] = w.NewCoreReader(i)
 		}
-	} else {
-		// Consolidated: per-group workloads; the prefetcher spec (for
-		// SHIFT) gets the same groups so histories align with traces.
-		if cfg.Prefetcher.Kind == KindSHIFT {
-			cfg.Prefetcher.Groups = spec.Groups
+		return readers, nil
+	}
+	for gi, g := range r.Groups {
+		w, err := workload.Cached(r.GroupWorkloads[gi])
+		if err != nil {
+			return nil, fmt.Errorf("group %q: %w", g.Name, err)
 		}
-		for gi, g := range spec.Groups {
-			w, err := workload.Cached(spec.GroupWorkloads[gi])
-			if err != nil {
-				return Result{}, fmt.Errorf("group %q: %w", g.Name, err)
+		for _, c := range g.Cores {
+			if c < 0 || c >= len(readers) {
+				return nil, fmt.Errorf("group %q core %d out of range", g.Name, c)
 			}
-			for _, c := range g.Cores {
-				if c < 0 || c >= cfg.Cores {
-					return Result{}, fmt.Errorf("group %q core %d out of range", g.Name, c)
-				}
-				readers[c] = w.NewCoreReader(c)
-			}
-		}
-		for i, r := range readers {
-			if r == nil {
-				return Result{}, fmt.Errorf("core %d not assigned to any group", i)
-			}
+			readers[c] = w.NewCoreReader(c)
 		}
 	}
+	for i, rd := range readers {
+		if rd == nil {
+			return nil, fmt.Errorf("core %d not assigned to any group", i)
+		}
+	}
+	return readers, nil
+}
 
-	sys, err := New(cfg, readers)
+// Run executes the spec: open the record streams, construct the system,
+// run warmup, measure, and return the results.
+func Run(spec RunSpec) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
+	readers, err := spec.openReaders()
+	if err != nil {
+		return Result{}, err
+	}
+	sys, err := New(spec.systemConfig(), readers)
 	if err != nil {
 		return Result{}, err
 	}

@@ -368,95 +368,47 @@ func (s *System) SampledResults(p Sampling) Result {
 	return r
 }
 
-// packWarm packs one functional record for the follower replay buffer:
-// block address, control-flow kind, and the L1-I hit bit.
-func packWarm(blk trace.BlockAddr, kind trace.Kind, hit bool) uint64 {
-	w := uint64(blk)<<4 | uint64(kind)<<1
-	if hit {
-		w |= 1
-	}
-	return w
-}
-
 // warmCore runs up to n functional steps of core coreID back to back —
 // the tight inner loop of the fast-forward path, with the per-core
-// invariants (reader, predictor, caches, warm hook, replay cursors)
-// hoisted out of the record loop. It returns the number of records
-// stepped (fewer than n only when the core's trace is exhausted).
+// invariants (reader, predictor, caches, warm hook, log stretch) hoisted
+// out of the record loop. It returns the number of records stepped (fewer
+// than n only when the core's trace is exhausted).
 //
-// In a shared-L1 batch the lead decodes each record, performs the
-// common L1-I probe (content is a pure function of the shared record
-// stream, so every member's cache would evolve identically), and
-// publishes (block, kind, hit) into fnBlkBuf; a follower core that
-// must see every record replays that buffer without touching its
-// stream view or an instruction cache at all — the batch runner
-// bulk-copies the lead's cache state over at the segment boundary.
+// A RunBatch lead publishes each record and its L1-I outcome into the
+// lead log here as Step does; a follower runs warmFollower instead.
 func (s *System) warmCore(coreID int, n int64) (int64, error) {
 	if s.done[coreID] {
 		return 0, nil
 	}
-	h := &s.hot[coreID]
-	// The predictor is a pure function of the record stream, so its
-	// state keeps evolving; the outcome drives no timing. In a shared-
-	// predictor batch the lead's evaluation advances the predictors
-	// every follower aliases, so followers skip the redundant
-	// evaluation; no outcomes are recorded or consumed, which keeps the
-	// replay cursors aligned with the detailed segments.
-	bp := h.bp
-	if s.bpBuf != nil && !s.bpLead {
-		bp = nil
-	}
-	var (
-		warm    = h.warm
-		blkPos  = s.l1Pos
-		warmCnt = s.llcWarmCnt[coreID]
-		mask    = s.llcMask
-	)
-
-	if s.fnBlkBuf != nil && !s.l1Lead {
-		// Follower replay: everything needed is in the lead's buffer.
-		for r := int64(0); r < n; r++ {
-			w := s.fnBlkBuf[blkPos]
-			blkPos++
-			blk := trace.BlockAddr(w >> 4)
-			l1Hit := w&1 != 0
-			if bp != nil {
-				bp.PredictUpdate(blk.Addr(), trace.Kind(w>>1&7) != trace.KindSeq)
-			}
-			if !l1Hit {
-				if warmCnt++; warmCnt&mask == 0 {
-					s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk, false)
-				}
-			}
-			if warm != nil {
-				warm.WarmAccess(blk, l1Hit)
-			}
-		}
-		if sv := s.fastViews[coreID]; sv != nil {
-			sv.Skip(n)
-		}
-		s.records[coreID] += n
-		s.l1Pos = blkPos
-		s.llcWarmCnt[coreID] = warmCnt
+	if s.log != nil && !s.lead {
+		s.warmFollower(coreID, n)
 		return n, nil
 	}
-
+	h := &s.hot[coreID]
 	var (
-		cr      = s.fastReaders[coreID]
-		sv      = s.fastViews[coreID]
-		l1      = h.l1i
-		lead    = s.fnBlkBuf != nil
-		missPos = s.missPos
-		missCnt = int32(0)
+		// The predictor is a pure function of the record stream, so its
+		// state keeps evolving; the outcome drives no timing.
+		bp     = h.bp
+		cr     = s.fastReaders[coreID]
+		l1     = h.l1i
+		mirror = h.mirror
+		warm   = h.warm
+		// everyRecord is false when the warm hook only reacts to misses.
+		everyRecord = s.fnNeedsRecords(coreID)
+		warmCnt     = s.llcWarmCnt[coreID]
+		mask        = s.llcMask
+		// words is the lead's stretch of the log.
+		words []uint64
 	)
+	if s.lead {
+		words = s.log.words[s.logPos : s.logPos+int(n)]
+	}
 	var ran int64
 	for ; ran < n; ran++ {
 		var rec trace.Record
 		var err error
 		if cr != nil {
 			rec, err = cr.Next()
-		} else if sv != nil {
-			rec, err = sv.Next()
 		} else {
 			rec, err = s.readers[coreID].Next()
 		}
@@ -475,18 +427,13 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 		// content is a pure function of the record stream (prefetches
 		// fill a separate buffer), so functional and detailed stepping
 		// leave bit-identical instruction caches.
-		l1Hit, _, _, _ := l1.LookupInsert(rec.Block, false)
-		if lead {
-			s.fnBlkBuf[blkPos] = packWarm(rec.Block, rec.Kind, l1Hit)
-			blkPos++
-			if !l1Hit {
-				// Also publish the compact miss list, which followers
-				// whose warming is miss-driven replay instead of
-				// walking every record (see runFunctionalFollower).
-				s.fnMissBuf[missPos] = uint64(rec.Block)
-				missPos++
-				missCnt++
+		l1Hit, _, ev, evicted := l1.LookupInsert(rec.Block, false)
+		if words != nil {
+			way := 0
+			if !l1Hit && mirror != nil {
+				way = mirror.fill(rec.Block, ev, evicted)
 			}
+			words[ran] = packLog(rec, false, l1Hit, way)
 		}
 
 		if !l1Hit {
@@ -509,18 +456,59 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 		}
 
 		// History generation — the slow-warming design state.
-		if warm != nil {
+		if warm != nil && (everyRecord || !l1Hit) {
 			warm.WarmAccess(rec.Block, l1Hit)
 		}
 	}
 	s.records[coreID] += ran
-	s.l1Pos = blkPos
-	s.missPos = missPos
-	if lead && missCnt > 0 {
-		s.fnMissCnt[coreID] += missCnt
-	}
+	s.logPos += int(ran)
 	s.llcWarmCnt[coreID] = warmCnt
 	return ran, nil
+}
+
+// warmFollower is warmCore for a RunBatch follower: the next n words of
+// the lead log stand in for the stream, and for whatever else of the
+// lead's work this member replays (see the System.log field doc). The
+// predictors a follower aliases were advanced by the lead's evaluation.
+// Nothing reads its L1-I mirror while timing stands still, so it does not
+// apply the block's misses to it; the batch runner copies the lead's
+// mirror over once the block is done.
+func (s *System) warmFollower(coreID int, n int64) {
+	h := &s.hot[coreID]
+	bp := h.bp
+	if s.replayBP {
+		bp = nil
+	}
+	var (
+		l1          = h.l1i
+		replayL1    = s.replayL1
+		warm        = h.warm
+		everyRecord = s.fnNeedsRecords(coreID)
+		warmCnt     = s.llcWarmCnt[coreID]
+		mask        = s.llcMask
+	)
+	for _, w := range s.log.words[s.logPos : s.logPos+int(n)] {
+		rec := unpackLog(w)
+		if bp != nil {
+			bp.PredictUpdate(rec.Block.Addr(), rec.Kind != trace.KindSeq)
+		}
+		l1Hit := w&logHit != 0
+		if !replayL1 {
+			l1Hit, _, _, _ = l1.LookupInsert(rec.Block, false)
+		}
+		// LLC warming and history generation exactly as in warmCore.
+		if !l1Hit {
+			if warmCnt++; warmCnt&mask == 0 {
+				s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block, false)
+			}
+		}
+		if warm != nil && (everyRecord || !l1Hit) {
+			warm.WarmAccess(rec.Block, l1Hit)
+		}
+	}
+	s.records[coreID] += n
+	s.logPos += int(n)
+	s.llcWarmCnt[coreID] = warmCnt
 }
 
 // runRoundsFunctional advances up to n lockstep rounds on the
@@ -538,32 +526,17 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 // full rounds completed (the minimum over cores when a stream runs
 // dry).
 func (s *System) runRoundsFunctional(n int64) (int64, error) {
-	if s.fnMissBuf != nil && !s.l1Lead {
-		return s.runFunctionalFollower(n)
-	}
 	var done int64
 	for off := int64(0); off < n; {
 		blk := n - off
 		if blk > batchBlockRounds {
 			blk = batchBlockRounds
 		}
-		if s.fnMissBuf != nil {
-			// Lead of a shared-L1 batch: reset the per-core miss
-			// bookkeeping the followers replay. The batch runner blocks
-			// segments at batchBlockRounds, so one call is one block.
-			for c := range s.fnMissCnt {
-				s.fnMissCnt[c] = 0
-				s.fnRounds[c] = 0
-			}
-		}
 		min := blk
 		for c := 0; c < s.cfg.Cores; c++ {
 			ran, err := s.warmCore(c, blk)
 			if err != nil {
 				return done, err
-			}
-			if s.fnRounds != nil {
-				s.fnRounds[c] = int32(ran)
 			}
 			if ran < min {
 				min = ran
@@ -579,11 +552,11 @@ func (s *System) runRoundsFunctional(n int64) (int64, error) {
 	return done, nil
 }
 
-// fnNeedsRecords reports whether core c's functional warming must see
-// every record rather than just the miss list: PIF compacts the full
+// fnNeedsRecords reports whether core c's functional warming hook must
+// see every record rather than just the misses: PIF compacts the full
 // access stream on every core, and SHIFT's current generator core
 // records it into the shared history; miss-stream warmers (TIFS) and
-// cores with no warming state only react to misses.
+// SHIFT's other cores only react to misses.
 func (s *System) fnNeedsRecords(c int) bool {
 	switch w := s.hot[c].warm.(type) {
 	case nil:
@@ -594,76 +567,6 @@ func (s *System) fnNeedsRecords(c int) bool {
 		return false
 	default:
 		// PIF — and any future warmer — conservatively sees everything.
-		_ = w
 		return true
 	}
-}
-
-// runFunctionalFollower is the shared-L1 batch follower's fast-forward
-// block: the lead already decoded every record, stepped the common
-// L1-I, and published per-core hit bits, miss blocks, and per-core
-// round/miss counts, so a follower core whose warming is miss-driven
-// replays just the misses (LLC warming plus the miss-stream hook) and
-// bulk-skips its stream view, while cores that must see every record
-// (PIF; SHIFT's generator) step record by record off the published hit
-// bits. State evolution is identical to the standalone functional path
-// — the same (core, round) order, the same inputs — only the decoding
-// and probing that sharing makes redundant are gone.
-func (s *System) runFunctionalFollower(n int64) (int64, error) {
-	if n > batchBlockRounds {
-		// The batch runner blocks lockstep segments at batchBlockRounds,
-		// so a follower call never exceeds one block.
-		return 0, fmt.Errorf("sim: follower functional block of %d rounds exceeds %d", n, batchBlockRounds)
-	}
-	// A member that evaluates its own branch predictor (the batch could
-	// not share predictors) must keep it evolving over every record:
-	// the miss-only shortcut would silently freeze it across the gap.
-	ownBP := s.bp != nil && s.bpBuf == nil
-	min := n
-	for c := 0; c < s.cfg.Cores; c++ {
-		rounds := int64(s.fnRounds[c])
-		cnt := int(s.fnMissCnt[c])
-		if ownBP || s.fnNeedsRecords(c) {
-			ran, err := s.warmCore(c, rounds)
-			if err != nil {
-				return 0, err
-			}
-			// warmCore consumed the hit bits but not the miss list;
-			// skip this core's entries to stay aligned.
-			s.missPos += cnt
-			if ran < min {
-				min = ran
-			}
-			continue
-		}
-		h := &s.hot[c]
-		for i := 0; i < cnt; i++ {
-			blk := trace.BlockAddr(s.fnMissBuf[s.missPos])
-			s.missPos++
-			if s.llcWarmCnt[c]++; s.llcWarmCnt[c]&s.llcMask == 0 {
-				s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk, false)
-			}
-			if h.warm != nil {
-				h.warm.WarmAccess(blk, false)
-			}
-		}
-		s.l1Pos += int(rounds)
-		s.records[c] += rounds
-		if sv := s.fastViews[c]; sv != nil {
-			sv.Skip(rounds)
-		} else {
-			// Non-view readers (not produced by the batch fan-out, but
-			// kept correct): decode and discard.
-			for r := int64(0); r < rounds; r++ {
-				if _, err := s.readers[c].Next(); err != nil {
-					break
-				}
-			}
-		}
-		if rounds < min {
-			min = rounds
-		}
-	}
-	s.rounds += min
-	return min, nil
 }

@@ -304,23 +304,13 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 // be bit-identical to its standalone sampled Run — including the
 // per-interval error bounds.
 func TestRunBatchSampledMatchesRun(t *testing.T) {
-	specs := batchDesigns()
-	for i := range specs {
-		specs[i].Sampling = testSampling()
-	}
-	batched, err := RunBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, spec := range specs {
-		solo, err := Run(spec)
-		if err != nil {
-			t.Fatalf("spec %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(batched[i], solo) {
-			t.Errorf("spec %d (%s): sampled batched result differs from sampled Run",
-				i, spec.Config.Prefetcher.Name())
-		}
+	for name, specs := range map[string][]RunSpec{"mixed": batchDesigns(), "unequal-l1": unequalL1Designs()} {
+		t.Run(name, func(t *testing.T) {
+			for i := range specs {
+				specs[i].Sampling = testSampling()
+			}
+			checkBatchMatchesRun(t, specs)
+		})
 	}
 }
 
@@ -340,19 +330,7 @@ func TestRunBatchSampledMixedPredictors(t *testing.T) {
 	for i := range specs {
 		specs[i].Sampling = testSampling()
 	}
-	batched, err := RunBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, spec := range specs {
-		solo, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batched[i], solo) {
-			t.Errorf("spec %d: mixed-predictor sampled batch diverged from Run", i)
-		}
-	}
+	checkBatchMatchesRun(t, specs)
 }
 
 // TestRunBatchRejectsMixedSampling: cells with different sampling

@@ -21,14 +21,13 @@ import (
 type System struct {
 	cfg Config
 
+	// readers are the per-core record streams; nil on a RunBatch
+	// follower, which reads the lead's log instead (see leadLog).
 	readers []trace.Reader
 	// fastReaders[i] is readers[i] when it is a concrete synthetic-
 	// workload reader, letting the per-record Next call skip interface
-	// dispatch (nil entries fall back to the interface); fastViews is
-	// the same devirtualization for the batched path's shared-stream
-	// views.
+	// dispatch (nil entries fall back to the interface).
 	fastReaders []*workload.CoreReader
-	fastViews   []*workload.StreamView
 	done        []bool
 
 	// tiles[coreID] is the core's mesh tile (coreID mod tile count).
@@ -68,55 +67,37 @@ type System struct {
 	adaptive   bool
 	adaptEvery int64
 
-	// Shared branch prediction for batched runs (RunBatch). Every batch
-	// member consumes an identical record stream, so the hybrid
-	// predictor — a pure function of that stream — evolves identically
-	// in all of them. When bpBuf is non-nil the lead member (bpLead)
-	// evaluates its predictor per record and writes the outcome at
-	// bpPos; followers, whose bp slices alias the lead's predictors for
-	// result accounting, consume the outcome instead of re-evaluating.
-	// The batch runner resets bpPos on every member at each lockstep
-	// block, which keeps the cursors aligned across members.
-	bpBuf  []uint8
-	bpLead bool
-	bpPos  int
-
-	// Shared record decoding and L1-I stepping for the functional
-	// segments of sampled batches. The instruction cache's content is a
-	// pure function of the shared record stream (demand insert on every
-	// miss; prefetches fill a separate buffer), so during functional
-	// fast-forwarding the lead member decodes each record, probes its
-	// L1-I once, and publishes (block, kind, hit) into fnBlkBuf at
-	// l1Pos; followers replay the buffer instead of walking their
-	// stream views or maintaining their own caches, and the batch
-	// runner bulk-copies the lead's cache state into every follower at
-	// each functional segment boundary (cache.CopyStateFrom) —
-	// bit-identical to per-member stepping, minus K-1 decodes and
-	// probes per record. Detailed segments never touch these cursors:
-	// every member steps its own L1-I there.
-	fnBlkBuf []uint64
-	l1Lead   bool
-	l1Pos    int
-
-	// Miss-list replay for the shared-L1 fast-forward: the lead appends
-	// every missed block to fnMissBuf (fnMissCnt/fnRounds hold the
-	// per-core miss and round counts of the current lockstep block), so
-	// followers whose warming is miss-driven replay the misses and skip
-	// record decoding entirely; missPos is each member's cursor.
-	fnMissBuf []uint64
-	fnMissCnt []int32
-	fnRounds  []int32
-	missPos   int
-
-	// Shared background data traffic for batched runs. With equal seeds
-	// and data rates and no miss elimination, the data-side accumulator
-	// and its RNG draws are functions of the shared record stream alone,
-	// so the lead packs each record's (message count, hop sum) into
-	// dsBuf and followers replay the aggregate (integer sums —
-	// bit-identical accounting) instead of re-drawing it.
-	dsBuf  []uint64
-	dsLead bool
-	dsPos  int
+	// RunBatch membership (all zero on a standalone System). Every member
+	// consumes the identical record stream, so whatever is a pure function
+	// of that stream is computed once: the lead member (lead) steps its
+	// readers and publishes each record into log; a follower reads the log
+	// instead of a stream and replays, per facet, what the lead already
+	// decided:
+	//
+	//   - replayBP: the branch outcome, when its predictor configuration
+	//     equals the lead's. Its bp slice aliases the lead's predictors
+	//     for result accounting.
+	//   - replayData: the data-traffic aggregate, when it would draw the
+	//     lead's sequence.
+	//   - replayL1: the L1-I outcome, when its instruction-cache geometry
+	//     equals the lead's. Its l1i slice aliases the lead's caches for
+	//     result accounting, and all it keeps of an instruction cache are
+	//     the tag mirrors its prefetch filter reads (see l1Mirror; the
+	//     lead keeps mirrors too, to tell followers where each miss goes).
+	//
+	// A facet whose condition fails is stepped by the follower itself, on
+	// structures of its own, off the same log. Detailed and functional
+	// stepping use the log alike: a follower steps the (core, round) order
+	// the lead did, so logPos — the next record's slot — simply counts up
+	// through a lockstep block, and the batch runner rewinds it at the
+	// next.
+	log        *leadLog
+	lead       bool
+	replayBP   bool
+	replayData bool
+	replayL1   bool
+	mirrors    []l1Mirror
+	logPos     int
 
 	base measurement // snapshot at measurement start
 
@@ -153,6 +134,10 @@ type coreHot struct {
 	// warm is the design's functional-warming hook (nil when the design
 	// has no history to keep warm); see warmCore in sampling.go.
 	warm prefetch.Warmer
+	// mirror is the core's L1-I tag mirror on a RunBatch lead and on its
+	// shared-L1 followers, where it stands in for l1i (nil otherwise);
+	// see l1Mirror.
+	mirror *l1Mirror
 }
 
 // buildHot populates the hot aliases; must run after buildPrefetchers.
@@ -172,6 +157,9 @@ func (s *System) buildHot() {
 		h.rep, _ = s.pf[i].(*core.Replayer)
 		h.warm, _ = s.pf[i].(prefetch.Warmer)
 		h.fetch = &s.fetch[i]
+		if s.mirrors != nil {
+			h.mirror = &s.mirrors[i]
+		}
 	}
 }
 
@@ -184,22 +172,24 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	if len(readers) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d readers for %d cores", len(readers), cfg.Cores)
 	}
-	s := &System{cfg: cfg, readers: readers}
-	s.fastReaders = make([]*workload.CoreReader, len(readers))
-	s.fastViews = make([]*workload.StreamView, len(readers))
+	return build(cfg, readers, nil, nil)
+}
+
+// build constructs a System: standalone (lg nil), the lead of a RunBatch
+// (lg set, lead nil) or one of its followers (both set, readers nil). A
+// follower decides here, from its configuration and the lead's alone,
+// which facets of the lead's work it replays (see the System.log field
+// doc), and builds no predictor or instruction cache it would not step.
+func build(cfg Config, readers []trace.Reader, lg *leadLog, lead *System) (*System, error) {
+	n := cfg.Cores
+	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && lead == nil}
+	s.fastReaders = make([]*workload.CoreReader, n)
 	for i, r := range readers {
-		switch cr := r.(type) {
-		case *workload.CoreReader:
-			s.fastReaders[i] = cr
-		case *workload.StreamView:
-			s.fastViews[i] = cr
-		}
+		s.fastReaders[i], _ = r.(*workload.CoreReader)
 	}
 	s.dataStep = dataStepTable(cfg.DataMPKI)
-	n := cfg.Cores
 	s.done = make([]bool, n)
 	s.clocks = make([]*cpu.Clock, n)
-	s.l1i = make([]*cache.Cache, n)
 	s.pb = make([]*cache.Cache, n)
 	s.l1mshr = make([]*cache.MSHRs, n)
 	s.rng = make([]*trace.RNG, n)
@@ -207,16 +197,41 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	s.records = make([]int64, n)
 	s.fetch = make([]FetchStats, n)
 	s.llcWarmCnt = make([]uint32, n)
-	if cfg.BranchPredictorEntries > 0 {
+	if lead != nil {
+		lc := &lead.cfg
+		s.replayBP = cfg.BranchPredictorEntries > 0 && cfg.BranchPredictorEntries == lc.BranchPredictorEntries
+		// The data-side draws are the lead's only with its seeds, rate and
+		// mesh, and with no miss elimination on either side (ElimProb
+		// consumes the same RNG, which would shift the draw sequence).
+		s.replayData = cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed &&
+			cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
+		s.replayL1 = lead.mirrors != nil && cfg.L1I == lc.L1I
+	}
+	// A log word has room for logMaxWays mirror ways; the lead of a wider
+	// L1-I keeps no mirror and its followers step caches of their own.
+	if s.replayL1 || s.lead && cfg.L1I.Assoc <= logMaxWays {
+		s.mirrors = newL1Mirrors(cfg.L1I, n)
+	}
+	switch {
+	case s.replayBP:
+		s.bp = lead.bp
+	case cfg.BranchPredictorEntries > 0:
 		s.bp = make([]*bpred.Hybrid, n)
+	}
+	if s.replayL1 {
+		s.l1i = lead.l1i
+	} else {
+		s.l1i = make([]*cache.Cache, n)
 	}
 	for i := 0; i < n; i++ {
 		s.clocks[i] = cpu.NewClock(cfg.CoreType)
-		l1, err := cache.New(cfg.L1I)
-		if err != nil {
-			return nil, err
+		if !s.replayL1 {
+			l1, err := cache.New(cfg.L1I)
+			if err != nil {
+				return nil, err
+			}
+			s.l1i[i] = l1
 		}
-		s.l1i[i] = l1
 		// Fully-associative prefetch buffer: prefetched blocks wait here
 		// and move into the L1-I on first demand use, so mispredicted
 		// prefetches never pollute the instruction cache (the
@@ -234,7 +249,7 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 		s.pb[i] = pbuf
 		s.l1mshr[i] = cache.NewMSHRs(cfg.L1MSHRs)
 		s.rng[i] = trace.NewRNG(cfg.Seed*7919 + int64(i))
-		if s.bp != nil {
+		if s.bp != nil && !s.replayBP {
 			h, err := bpred.NewHybrid(cfg.BranchPredictorEntries)
 			if err != nil {
 				return nil, err
@@ -305,6 +320,13 @@ func dataStepTable(mpki float64) []float64 {
 // left to the collector, and a System a caller built with New is the
 // caller's for good. The System is unusable afterwards.
 func (s *System) release() {
+	// What a batch follower aliases is the lead's to hand back.
+	if s.replayBP {
+		s.bp = nil
+	}
+	if s.replayL1 {
+		s.l1i = nil
+	}
 	for _, c := range s.l1i {
 		c.Release()
 	}
@@ -314,11 +336,8 @@ func (s *System) release() {
 	for _, c := range s.llc {
 		c.Release()
 	}
-	if s.bpBuf == nil || s.bpLead {
-		// A batch follower's predictors are the lead's (see RunBatch).
-		for _, h := range s.bp {
-			h.Release()
-		}
+	for _, h := range s.bp {
+		h.Release()
 	}
 	for _, p := range s.pf {
 		if r, ok := p.(interface{ Release() }); ok {
@@ -441,58 +460,54 @@ func (s *System) llcFetch(cls noc.MsgClass, coreID int, blk trace.BlockAddr) int
 }
 
 // Step advances core coreID by one trace record. It reports false when
-// the core's trace is exhausted.
+// the core's trace is exhausted. A RunBatch follower takes the record —
+// and whichever of the branch outcome, the L1-I outcome and the data
+// traffic it shares with the lead — from the lead log instead of a stream
+// and structures of its own (see the System.log field doc); the lead
+// publishes them as it goes.
 func (s *System) Step(coreID int) (bool, error) {
 	if s.done[coreID] {
 		return false, nil
 	}
+	h := &s.hot[coreID]
+	lg := s.log
+	follower := lg != nil && !s.lead
 	var rec trace.Record
-	var err error
-	if cr := s.fastReaders[coreID]; cr != nil {
-		rec, err = cr.Next()
-	} else if sv := s.fastViews[coreID]; sv != nil {
-		rec, err = sv.Next()
+	var w uint64
+	if follower {
+		w = lg.words[s.logPos]
+		rec = unpackLog(w)
 	} else {
-		rec, err = s.readers[coreID].Next()
-	}
-	if err == io.EOF {
-		s.done[coreID] = true
-		return false, nil
-	}
-	if err != nil {
-		return false, err
+		var err error
+		if cr := s.fastReaders[coreID]; cr != nil {
+			rec, err = cr.Next()
+		} else {
+			rec, err = s.readers[coreID].Next()
+		}
+		if err == io.EOF {
+			s.done[coreID] = true
+			return false, nil
+		}
+		if err != nil {
+			return false, err
+		}
 	}
 	s.records[coreID]++
-	h := &s.hot[coreID]
 	clk := h.clk
 
 	// Branch direction modelling: every record that does not fall
-	// through ends in a taken control transfer. In a batched run the
-	// outcome is computed once by the lead member and replayed by the
-	// followers (see the bpBuf field doc); the predictor's inputs and
-	// state are functions of the shared record stream alone, so the
-	// replayed outcome is exactly what a local evaluation would return.
-	if h.bp != nil {
-		var mis bool
-		if s.bpBuf != nil && !s.bpLead {
-			mis = s.bpBuf[s.bpPos] != 0
-			s.bpPos++
-		} else {
-			pc := rec.Block.Addr()
-			taken := rec.Kind != trace.KindSeq
-			mis = h.bp.PredictUpdate(pc, taken) != taken
-			if s.bpBuf != nil {
-				out := uint8(0)
-				if mis {
-					out = 1
-				}
-				s.bpBuf[s.bpPos] = out
-				s.bpPos++
-			}
-		}
-		if mis {
-			clk.Mispredict()
-		}
+	// through ends in a taken control transfer. The predictor's inputs and
+	// state are functions of the record stream alone, so the outcome a
+	// follower replays is exactly what a local evaluation would return.
+	var mis bool
+	if s.replayBP {
+		mis = w&logMispredict != 0
+	} else if h.bp != nil {
+		taken := rec.Kind != trace.KindSeq
+		mis = h.bp.PredictUpdate(rec.Block.Addr(), taken) != taken
+	}
+	if mis {
+		clk.Mispredict()
 	}
 
 	now := clk.Now()
@@ -502,8 +517,27 @@ func (s *System) Step(coreID int) (bool, error) {
 	// The L1 fill that follows every L1 miss is folded into the lookup
 	// probe; the demand fill is unconditional on a miss, so inserting
 	// before the prefetch-buffer/LLC legs below is equivalent (the L1 is
-	// not touched again until the next record).
-	hit, _, _, _ := h.l1i.LookupInsert(blk, false)
+	// not touched again until the next record). The L1-I's content is a
+	// function of the record stream alone (prefetches fill a separate
+	// buffer), so a shared-L1 follower replays the lead's hit bit and
+	// applies the miss to its tag mirror, in the way the lead's took it.
+	var hit bool
+	if s.replayL1 {
+		if hit = w&logHit != 0; !hit {
+			h.mirror.put(blk, logWay(w))
+		}
+	} else {
+		var ev cache.Evicted
+		var evicted bool
+		hit, _, ev, evicted = h.l1i.LookupInsert(blk, false)
+		if s.lead {
+			way := 0
+			if !hit && h.mirror != nil {
+				way = h.mirror.fill(blk, ev, evicted)
+			}
+			lg.words[s.logPos] = packLog(rec, mis, hit, way)
+		}
+	}
 	wasPf := false
 	var stall int64
 	if !hit {
@@ -556,14 +590,14 @@ func (s *System) Step(coreID int) (bool, error) {
 	// with it the exact record at which the accumulator crosses 1.0,
 	// shifting the RNG stream and breaking bit-identical output. dataStep
 	// caches that exact expression per retire count.
-	// Batch followers replay the lead's recorded (count, hop sum)
-	// instead: the accumulator and the draws are functions of the shared
-	// record stream alone (see the dsBuf field doc).
-	if s.dsBuf != nil && !s.dsLead {
-		if d := s.dsBuf[s.dsPos]; d != 0 {
+	// With equal seeds and data rates and no miss elimination the
+	// accumulator and the draws are functions of the record stream alone,
+	// so a follower replays the lead's (message count, hop sum) instead —
+	// integer sums, bit-identical accounting.
+	if s.replayData {
+		if d := lg.data[s.logPos]; d != 0 {
 			s.mesh.AccountN(noc.DemandData, int64(d>>32), int64(d&0xFFFFFFFF))
 		}
-		s.dsPos++
 	} else {
 		if int(rec.Instrs) < len(s.dataStep) {
 			s.dataAcc[coreID] += s.dataStep[rec.Instrs]
@@ -579,11 +613,11 @@ func (s *System) Step(coreID int) (bool, error) {
 			msgs++
 			hopSum += int64(2 * hops)
 		}
-		if s.dsBuf != nil {
-			s.dsBuf[s.dsPos] = uint64(msgs)<<32 | uint64(hopSum)
-			s.dsPos++
+		if s.lead {
+			lg.data[s.logPos] = uint64(msgs)<<32 | uint64(hopSum)
 		}
 	}
+	s.logPos++
 	h.mshr.Expire(clk.Now())
 	return true, nil
 }
@@ -592,7 +626,13 @@ func (s *System) Step(coreID int) (bool, error) {
 // already cached, buffered, or in flight.
 func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 	blk := r.Block
-	if h.l1i.Contains(blk) || h.pb.Contains(blk) {
+	var inL1 bool
+	if s.replayL1 {
+		inL1 = h.mirror.contains(blk)
+	} else {
+		inL1 = h.l1i.Contains(blk)
+	}
+	if inL1 || h.pb.Contains(blk) {
 		return
 	}
 	if _, ok := h.mshr.Lookup(blk); ok {
