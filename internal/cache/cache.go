@@ -27,11 +27,14 @@
 //     backward-shift deletion) plus intrusive recency/free lists, so
 //     probes, LRU victim selection, and fills are all O(1);
 //   - lower-associativity caches (the 2-way L1s, the 16-way LLC banks)
-//     scan a dense compressed tag array — 4 bytes per way, one cache
-//     line for a whole 16-way set — with move-to-front transposition so
-//     hot blocks match on the first compare, and pick victims by
-//     scanning a packed per-way word (validity + flags + stamp in 8
-//     bytes) instead of fat line structs;
+//     are two parallel arrays and nothing else: a dense compressed tag
+//     array — 4 bytes per way, one cache line for a whole 16-way set —
+//     scanned with move-to-front transposition so hot blocks match on
+//     the first compare, and a packed per-way word (validity + flags +
+//     stamp in 8 bytes) that hits update and victim scans read. That is
+//     12 host bytes per modelled line (16 with the tag-extension
+//     pointer), and the full block address of a way is rebuilt from its
+//     compressed tag and set index where it is needed;
 //   - the probe helpers are written to stay inside the compiler's
 //     inlining budget, so the hot operations perform no function calls
 //     for the lookup itself.
@@ -66,13 +69,13 @@ const indexMinAssoc = 24
 // noLine marks "no line" in list links and index slots.
 const noLine int32 = -1
 
-// invalidTag marks an invalid way in the tags array. Block addresses are
-// 34 bits (trace.BlockAddrBits), so all-ones never collides with a real
-// tag.
+// invalidTag marks an invalid way in a listed cache's tags array. Block
+// addresses are 34 bits (trace.BlockAddrBits), so all-ones never
+// collides with a real tag.
 const invalidTag = ^uint64(0)
 
 // invalidTag32 is the compressed-scan-tag equivalent; compressed tags
-// are at most 31 bits (enforced in New), so all-ones is never real.
+// are at most 31 bits (enforced in alloc), so all-ones is never real.
 const invalidTag32 = ^uint32(0)
 
 // Config sizes a cache.
@@ -115,16 +118,10 @@ func (c Config) Validate() error {
 // Sets returns the number of sets implied by the config.
 func (c Config) Sets() int { return c.SizeBytes / (c.Assoc * c.BlockBytes) }
 
-// Line is one cache line's cold metadata: the tag lives in Cache.tags,
-// and the hot state (valid/prefetched/referenced/pinned bits plus the
-// recency stamp) is folded into the packed Cache.vlru word, so a cache
-// hit updates a single word instead of a fat struct.
+// line links one way of a listed cache into its set's recency list
+// while valid (prev = toward MRU, next = toward LRU); while invalid,
+// next links the set's free list.
 type line struct {
-	// pointer is the tag-extension index pointer (NoPointer if unset).
-	pointer uint32
-	// prev/next link the line into its set's recency list while valid
-	// (prev = toward MRU, next = toward LRU); while invalid, next links
-	// the set's free list (listed caches only).
 	prev, next int32
 }
 
@@ -155,18 +152,27 @@ type Stats struct {
 
 // Cache is a set-associative cache with LRU replacement.
 type Cache struct {
-	cfg   Config
-	lines []line   // nsets * assoc, set-major: per-line metadata
-	tags  []uint64 // parallel to lines: block address, or invalidTag
-	// vlru packs each way's hot state (validity, flag bits, recency
-	// stamp — see the vlru* constants) into one word, so hits and
-	// victim scans read 8 bytes per way instead of a line struct.
+	cfg Config
+	// vlru packs each way's state (validity, flag bits, recency stamp —
+	// see the vlru* constants) into one word, nsets * assoc of them,
+	// set-major, so a hit is a single read-modify-write and a victim
+	// scan reads 8 bytes per way.
 	vlru []uint64
 	// scanTags holds the compressed per-way tags of unlisted caches: the
 	// set-index bits are implied by the way's position, so the remaining
-	// bits fit 32 and a 16-way set's tags fit one cache line, halving
-	// the memory touched per probe. nil when the cache is indexed.
+	// bits fit 32 and a 16-way set's tags fit one cache line. It is the
+	// only record of which block a way holds (see blockAt). nil when the
+	// cache is listed.
 	scanTags []uint32
+	// ptrs holds each way's tag-extension index pointer; nil unless
+	// Config.TagPointers. A way's pointer is written by fill, so the
+	// pointer of an invalid way is never read.
+	ptrs []uint32
+	// lines and tags (block address, or invalidTag) exist only in listed
+	// caches, whose list links and hash index address ways by position
+	// and by full address.
+	lines []line
+	tags  []uint64
 	// tagDropHi supports compressTag: the set-index bits [IndexShift,
 	// tagDropHi) are dropped and the halves rejoined.
 	tagDropHi uint
@@ -175,14 +181,12 @@ type Cache struct {
 	// listed is true for high-associativity caches, which maintain the
 	// recency/free lists below; low-associativity caches pick victims by
 	// scanning recency stamps instead, which is cheaper than list upkeep
-	// on every touch.
-	listed bool
-	// mtf enables move-to-front way transposition on unlisted scans:
-	// repeated probes of hot blocks terminate on the first compare. It
-	// measurably pays even at 2 ways (the L1 lookup runs once per
+	// on every touch, and move a hit way to the front of its set so
+	// repeated probes of hot blocks terminate on the first compare (it
+	// measurably pays even at 2 ways: the L1 lookup runs once per
 	// simulated record, and hot blocks stick at way 0). wayMask is
-	// assoc-1 (unlisted associativity is a power of two; see New).
-	mtf     bool
+	// assoc-1 (unlisted associativity is a power of two; see alloc).
+	listed  bool
 	wayMask int32
 
 	// head/tail are the MRU/LRU ends of each set's recency list; free is
@@ -243,9 +247,6 @@ func alloc(cfg Config) *Cache {
 		setMask: uint64(nsets - 1),
 		assoc:   int32(cfg.Assoc),
 		listed:  cfg.Assoc >= indexMinAssoc,
-		mtf:     cfg.Assoc < indexMinAssoc,
-		lines:   make([]line, nlines),
-		tags:    make([]uint64, nlines),
 		vlru:    make([]uint64, nlines),
 		dirty:   make([]uint64, (nsets+63)/64),
 	}
@@ -264,13 +265,17 @@ func alloc(cfg Config) *Cache {
 		// Exotic geometries fall back to the indexed/listed layout; all
 		// Table I caches use their natural layout.
 		c.listed = true
-		c.mtf = false
+	}
+	if cfg.TagPointers {
+		c.ptrs = make([]uint32, nlines)
 	}
 	if !c.listed {
 		c.wayMask = c.assoc - 1
 		c.scanTags = make([]uint32, nlines)
 		return c
 	}
+	c.lines = make([]line, nlines)
+	c.tags = make([]uint64, nlines)
 	c.head = make([]int32, nsets)
 	c.tail = make([]int32, nsets)
 	c.free = make([]int32, nsets)
@@ -330,7 +335,7 @@ func (c *Cache) resetSet(si int) {
 	base := int32(si) * c.assoc
 	if !c.listed {
 		for li := base; li < base+c.assoc; li++ {
-			if c.tags[li] != invalidTag {
+			if c.scanTags[li] != invalidTag32 {
 				c.clearWay(li)
 			}
 		}
@@ -339,7 +344,7 @@ func (c *Cache) resetSet(si int) {
 	for li := base; li < base+c.assoc; li++ {
 		c.tags[li] = invalidTag
 		c.vlru[li] = 0
-		c.lines[li] = line{pointer: NoPointer, prev: noLine, next: li + 1}
+		c.lines[li] = line{prev: noLine, next: li + 1}
 	}
 	c.lines[base+c.assoc-1].next = noLine
 	c.head[si], c.tail[si], c.free[si] = noLine, noLine, base
@@ -347,10 +352,8 @@ func (c *Cache) resetSet(si int) {
 
 // clearWay writes the empty state of an unlisted cache's way.
 func (c *Cache) clearWay(li int32) {
-	c.tags[li] = invalidTag
 	c.scanTags[li] = invalidTag32
 	c.vlru[li] = 0
-	c.lines[li] = line{pointer: NoPointer, prev: noLine, next: noLine}
 }
 
 // MustNew is New that panics on config errors; for tests and fixed configs.
@@ -460,6 +463,18 @@ func (c *Cache) compressTag(b trace.BlockAddr) uint32 {
 	return uint32(uint64(b)>>c.tagDropHi<<c.cfg.IndexShift | lo)
 }
 
+// blockAt returns the block address held by valid way li of set si. An
+// unlisted cache stores only the compressed tag, so the address is put
+// back together from it and the set index — compressTag's inverse.
+func (c *Cache) blockAt(si uint64, li int32) trace.BlockAddr {
+	if c.listed {
+		return trace.BlockAddr(c.tags[li])
+	}
+	t := uint64(c.scanTags[li])
+	lo := t & (1<<c.cfg.IndexShift - 1)
+	return trace.BlockAddr(t>>c.cfg.IndexShift<<c.tagDropHi | si<<c.cfg.IndexShift | lo)
+}
+
 // scan is the pure linear probe of b's set (no transposition — callers
 // apply move-to-front via mtfAdjust). Tags are dense — 4 compressed
 // bytes per way, one cache line for a 16-way set — so it is a plain
@@ -480,7 +495,7 @@ func (c *Cache) scan(b trace.BlockAddr) int32 {
 
 // mtfAdjust applies the unlisted move-to-front transposition after a
 // successful scan. Callers invoke it only on a hit (li != noLine) of an
-// unlisted cache, where mtf is always enabled.
+// unlisted cache.
 func (c *Cache) mtfAdjust(li int32) int32 {
 	base := li &^ c.wayMask
 	if li == base {
@@ -498,11 +513,10 @@ func (c *Cache) mtfAdjust(li int32) int32 {
 //
 //go:noinline
 func (c *Cache) promote(base, li int32) int32 {
-	c.tags[base], c.tags[li] = c.tags[li], c.tags[base]
-	c.lines[base], c.lines[li] = c.lines[li], c.lines[base]
+	c.scanTags[base], c.scanTags[li] = c.scanTags[li], c.scanTags[base]
 	c.vlru[base], c.vlru[li] = c.vlru[li], c.vlru[base]
-	if c.scanTags != nil {
-		c.scanTags[base], c.scanTags[li] = c.scanTags[li], c.scanTags[base]
+	if c.ptrs != nil {
+		c.ptrs[base], c.ptrs[li] = c.ptrs[li], c.ptrs[base]
 	}
 	return base
 }
@@ -751,16 +765,15 @@ func (c *Cache) fill(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool
 	}
 	c.dirty[si>>6] |= 1 << (si & 63)
 	c.vlru[li] = c.lruClock<<vlruStampShift | fl
-	c.lines[li].pointer = NoPointer
-	c.tags[li] = uint64(b)
-	if c.scanTags != nil {
-		c.scanTags[li] = c.compressTag(b)
+	if c.ptrs != nil {
+		c.ptrs[li] = NoPointer
 	}
 	if c.listed {
+		c.tags[li] = uint64(b)
 		c.listPushFront(si, li)
-	}
-	if c.idx != nil {
 		c.idxInsert(uint64(b), li)
+	} else {
+		c.scanTags[li] = c.compressTag(b)
 	}
 	c.stats.Inserts++
 	if prefetch {
@@ -773,12 +786,12 @@ func (c *Cache) fill(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool
 func (c *Cache) evict(si uint64, li int32) (ev Evicted, evicted bool) {
 	v := c.vlru[li]
 	ev = Evicted{
-		Block:          trace.BlockAddr(c.tags[li]),
+		Block:          c.blockAt(si, li),
 		PrefetchUnused: v&vlruPrefetched != 0 && v&vlruReferenced == 0,
 		Pointer:        NoPointer,
 	}
-	if c.cfg.TagPointers {
-		ev.Pointer = c.lines[li].pointer
+	if c.ptrs != nil {
+		ev.Pointer = c.ptrs[li]
 	}
 	c.stats.Evictions++
 	if ev.PrefetchUnused {
@@ -786,8 +799,6 @@ func (c *Cache) evict(si uint64, li int32) (ev Evicted, evicted bool) {
 	}
 	if c.listed {
 		c.listDetach(si, li)
-	}
-	if c.idx != nil {
 		c.idxDelete(c.tags[li])
 	}
 	return ev, true
@@ -824,7 +835,7 @@ func (c *Cache) remove(si uint64, li int32) {
 	c.tags[li] = invalidTag
 	c.vlru[li] = 0
 	c.listDetach(si, li)
-	c.lines[li] = line{pointer: NoPointer, prev: noLine, next: c.free[si]}
+	c.lines[li] = line{prev: noLine, next: c.free[si]}
 	c.free[si] = li
 }
 
@@ -842,28 +853,28 @@ func (c *Cache) Invalidate(b trace.BlockAddr) bool {
 // It returns false if b is absent (the paper: the index update is dropped
 // when the trigger block is not LLC-resident).
 func (c *Cache) SetPointer(b trace.BlockAddr, ptr uint32) bool {
-	if !c.cfg.TagPointers {
+	if c.ptrs == nil {
 		return false
 	}
 	li := c.find(b)
 	if li == noLine {
 		return false
 	}
-	c.lines[li].pointer = ptr
+	c.ptrs[li] = ptr
 	return true
 }
 
 // Pointer reads the tag-extension index pointer of b. ok is false if b is
 // absent or has no pointer set.
 func (c *Cache) Pointer(b trace.BlockAddr) (ptr uint32, ok bool) {
-	if !c.cfg.TagPointers {
+	if c.ptrs == nil {
 		return NoPointer, false
 	}
 	li := c.find(b)
-	if li == noLine || c.lines[li].pointer == NoPointer {
+	if li == noLine || c.ptrs[li] == NoPointer {
 		return NoPointer, false
 	}
-	return c.lines[li].pointer, true
+	return c.ptrs[li], true
 }
 
 // PinnedCount returns the number of currently pinned, valid lines.
@@ -914,7 +925,7 @@ func (c *Cache) SetLRUOrder(si int) []trace.BlockAddr {
 			return out
 		}
 		taken[bestW] = true
-		out = append(out, trace.BlockAddr(c.tags[base+bestW]))
+		out = append(out, c.blockAt(uint64(si), base+bestW))
 	}
 }
 
@@ -931,14 +942,16 @@ func (c *Cache) CheckLRUInvariant() error {
 		seenStamp := make(map[uint64]bool, c.assoc)
 		for li := base; li < base+c.assoc; li++ {
 			v := c.vlru[li]
-			if (v != 0) != (c.tags[li] != invalidTag) {
+			tagged := c.listed && c.tags[li] != invalidTag || !c.listed && c.scanTags[li] != invalidTag32
+			if (v != 0) != tagged {
 				return fmt.Errorf("cache: set %d line %d tag/valid mismatch", si, li-base)
 			}
 			if v == 0 {
 				continue
 			}
-			if c.scanTags != nil && c.scanTags[li] != c.compressTag(trace.BlockAddr(c.tags[li])) {
-				return fmt.Errorf("cache: set %d line %d stale compressed tag", si, li-base)
+			b := c.blockAt(uint64(si), li)
+			if c.setIndex(b) != uint64(si) || !c.listed && c.compressTag(b) != c.scanTags[li] {
+				return fmt.Errorf("cache: set %d line %d holds block %d of another set", si, li-base, b)
 			}
 			valid++
 			stamp := v >> vlruStampShift
@@ -946,7 +959,7 @@ func (c *Cache) CheckLRUInvariant() error {
 				return fmt.Errorf("cache: set %d has zero or duplicate LRU stamp %d", si, stamp)
 			}
 			seenStamp[stamp] = true
-			if v&vlruPinned != 0 && !c.inPinRange(trace.BlockAddr(c.tags[li])) {
+			if v&vlruPinned != 0 && !c.inPinRange(b) {
 				return fmt.Errorf("cache: set %d line %d pinned outside pin range", si, li-base)
 			}
 		}
@@ -1040,7 +1053,11 @@ func (c *Cache) Fingerprint() uint64 {
 			if c.vlru[li] == 0 {
 				continue
 			}
-			setH += fpMix(c.tags[li] ^ fpMix(c.vlru[li]^fpMix(uint64(c.lines[li].pointer))))
+			ptr := NoPointer
+			if c.ptrs != nil {
+				ptr = c.ptrs[li]
+			}
+			setH += fpMix(uint64(c.blockAt(uint64(si), int32(li))) ^ fpMix(c.vlru[li]^fpMix(uint64(ptr))))
 		}
 		h = (h ^ setH) * prime
 	}
@@ -1057,20 +1074,17 @@ func (c *Cache) CopyStateFrom(src *Cache) {
 	if c.cfg != src.cfg {
 		panic("cache: CopyStateFrom across different configurations")
 	}
+	// Equal configurations have the same arrays; one a layout lacks is
+	// nil on both sides and copies nothing.
+	copy(c.vlru, src.vlru)
+	copy(c.scanTags, src.scanTags)
+	copy(c.ptrs, src.ptrs)
 	copy(c.lines, src.lines)
 	copy(c.tags, src.tags)
-	copy(c.vlru, src.vlru)
-	if c.scanTags != nil {
-		copy(c.scanTags, src.scanTags)
-	}
-	if c.listed {
-		copy(c.head, src.head)
-		copy(c.tail, src.tail)
-		copy(c.free, src.free)
-	}
-	if c.idx != nil {
-		copy(c.idx, src.idx)
-	}
+	copy(c.head, src.head)
+	copy(c.tail, src.tail)
+	copy(c.free, src.free)
+	copy(c.idx, src.idx)
 	// c's own dirty sets stay marked: a set src holds empty is merely
 	// reset again.
 	for i, w := range src.dirty {

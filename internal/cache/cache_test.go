@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -322,4 +323,40 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	MustNew(Config{})
+}
+
+// TestHostBytesPerModelledLine is the footprint gate of the cache
+// layout: what the Table I caches cost the host per line they model. An
+// unlisted cache is a 4-byte compressed tag and an 8-byte state word per
+// way, plus 4 for the tag-extension pointer where configured; the Cache
+// header and one dirty bit per set are the only other memory. The
+// listed prefetch buffer (links, full tag and state word per way, four
+// 16-byte index slots per way) must not cost more than it did.
+func TestHostBytesPerModelledLine(t *testing.T) {
+	plain := recycleConfigs()["llcbank"]
+	plain.TagPointers = false
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		perLine int
+	}{
+		{"l1i", recycleConfigs()["l1i"], 12},
+		{"llcbank", plain, 12},
+		{"llcbank+pointers", recycleConfigs()["llcbank"], 16},
+		{"pbuf", recycleConfigs()["pbuf"], 12 + 8 + 8 + 4*16},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		alloc(tc.cfg)
+		runtime.ReadMemStats(&after)
+		lines := tc.cfg.Sets() * tc.cfg.Assoc
+		// 512: the Cache struct and the smallest arrays, each rounded up
+		// to its allocation size class.
+		limit := uint64(lines*tc.perLine + tc.cfg.Sets()/8 + 512)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d lines, %d B, %.2f B/line", tc.name, lines, got, float64(got)/float64(lines))
+		if got > limit {
+			t.Errorf("%s: %d lines allocate %d B, limit %d (%d B/line)", tc.name, lines, got, limit, tc.perLine)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"reflect"
 	"sort"
 	"testing"
@@ -29,11 +30,55 @@ func diffConfigs() []Config {
 	}
 }
 
+// addrSpace draws the block addresses of a differential run; pinSpan
+// is how long a pinned range may be to hold a few of them.
+type addrSpace struct {
+	draw    func(rng *trace.RNG) trace.BlockAddr
+	pinSpan int
+}
+
+// denseSpace draws from [0, blocks): every set is reached, and the
+// address bits above the set index stay near zero.
+func denseSpace(blocks int) addrSpace {
+	return addrSpace{func(rng *trace.RNG) trace.BlockAddr { return trace.BlockAddr(rng.Intn(blocks)) }, blocks / 4}
+}
+
+// wideSpace draws addresses that use all 34 bits — the Reference keeps
+// them whole, an unlisted Cache only a compressed tag it must put back
+// together with the set index for Evicted.Block and SetLRUOrder. Four
+// sets (the first two, the middle, the last) each see about three times
+// the blocks they have ways: random high parts plus the all-ones one,
+// over both extremes of the bits below the set index. A pinned range
+// reaches at most the same high part in the next set.
+func wideSpace(cfg Config, rng *trace.RNG) addrSpace {
+	tagShift := cfg.IndexShift + uint(bits.Len(uint(cfg.Sets()-1)))
+	maxHi := uint64(trace.MaxBlockAddr) >> tagShift
+	his := []uint64{maxHi}
+	for len(his) < 3*cfg.Assoc/2 {
+		his = append(his, rng.Uint64()&maxHi)
+	}
+	sets := []uint64{0, 1 % uint64(cfg.Sets()), uint64(cfg.Sets() / 2), uint64(cfg.Sets() - 1)}
+	return addrSpace{func(rng *trace.RNG) trace.BlockAddr {
+		lo := uint64(rng.Intn(2)) * (1<<cfg.IndexShift - 1)
+		return trace.BlockAddr(his[rng.Intn(len(his))]<<tagShift | sets[rng.Intn(len(sets))]<<cfg.IndexShift | lo)
+	}, 2 << cfg.IndexShift}
+}
+
+// pinSome pins, in both implementations, a short range from a drawn
+// address on (as virtualized SHIFT pins its history range in every LLC
+// bank): a few ways of a set at most, so fills still evict.
+func pinSome(rng *trace.RNG, opt *Cache, ref *Reference, space addrSpace) {
+	lo := space.draw(rng)
+	hi := lo + trace.BlockAddr(rng.Intn(space.pinSpan)+1)
+	opt.PinRange(lo, hi)
+	ref.PinRange(lo, hi)
+}
+
 // diffOp applies one random operation to both implementations and fails
 // on any observable divergence.
-func diffOp(t *testing.T, rng *trace.RNG, opt *Cache, ref *Reference, blocks int) {
+func diffOp(t *testing.T, rng *trace.RNG, opt *Cache, ref *Reference, space addrSpace) {
 	t.Helper()
-	b := trace.BlockAddr(rng.Intn(blocks))
+	b := space.draw(rng)
 	switch rng.Intn(8) {
 	case 0:
 		oh, op := opt.Lookup(b)
@@ -117,17 +162,17 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				opt, ref := MustNew(cfg), MustNewReference(cfg)
 				rng := trace.NewRNG(seed)
-				// Half the seeds exercise the pin range (as virtualized
-				// SHIFT pins its history range in every LLC bank).
-				blocks := cfg.Sets() * cfg.Assoc * 3
+				// Half the seeds draw dense addresses, half wide ones; half
+				// of each exercise the pin range.
+				draw := denseSpace(cfg.Sets() * cfg.Assoc * 3)
+				if seed > 4 {
+					draw = wideSpace(cfg, rng)
+				}
 				if seed%2 == 0 {
-					lo := trace.BlockAddr(rng.Intn(blocks / 2))
-					hi := lo + trace.BlockAddr(rng.Intn(blocks/4)+1)
-					opt.PinRange(lo, hi)
-					ref.PinRange(lo, hi)
+					pinSome(rng, opt, ref, draw)
 				}
 				for op := 0; op < 4000; op++ {
-					diffOp(t, rng, opt, ref, blocks)
+					diffOp(t, rng, opt, ref, draw)
 					if op%256 == 0 {
 						diffState(t, cfg, opt, ref)
 					}
@@ -263,18 +308,19 @@ func TestDifferentialAcrossRecycling(t *testing.T) {
 						t.Fatalf("round %d: New returned a cache that differs from a fresh one", round)
 					}
 				}
-				// Alternate a footprint that overflows a few sets (evictions,
-				// full index clusters) with one spread over the whole cache
-				// (most sets touched once or never).
-				blocks := lines * 3
-				if round%2 == 1 {
-					blocks = cfg.Assoc * 8
+				// Rotate a footprint spread over the whole cache (most sets
+				// touched once or never), one that overflows a few sets
+				// (evictions, full index clusters), and one that does so with
+				// full-width addresses.
+				draw := denseSpace(lines * 3)
+				switch round % 3 {
+				case 1:
+					draw = denseSpace(cfg.Assoc * 8)
+				case 2:
+					draw = wideSpace(cfg, rng)
 				}
-				if round%3 == 0 {
-					lo := trace.BlockAddr(rng.Intn(blocks / 2))
-					hi := lo + trace.BlockAddr(rng.Intn(blocks/4)+1)
-					opt.PinRange(lo, hi)
-					ref.PinRange(lo, hi)
+				if round%2 == 0 {
+					pinSome(rng, opt, ref, draw)
 				}
 				for op := 0; op < 3000; op++ {
 					switch r := rng.Intn(400); {
@@ -285,9 +331,9 @@ func TestDifferentialAcrossRecycling(t *testing.T) {
 						side.CopyStateFrom(opt)
 						copyReference(sideRef, ref)
 					case r < 100:
-						diffOp(t, rng, side, sideRef, blocks)
+						diffOp(t, rng, side, sideRef, draw)
 					default:
-						diffOp(t, rng, opt, ref, blocks)
+						diffOp(t, rng, opt, ref, draw)
 					}
 				}
 				diffState(t, cfg, opt, ref)

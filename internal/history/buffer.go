@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shift/internal/freelist"
+	"shift/internal/trace"
 )
 
 // Buffer is the circular history buffer of spatial region records
@@ -14,9 +15,24 @@ import (
 // Positions are absolute (monotonically increasing), so a stale index
 // pointer to an overwritten entry is detected rather than silently
 // replaying unrelated records.
+//
+// A record is held the way the paper stores it, as one word: the trigger
+// block address above the bit vector (34 + 15 bits at MaxRegionSpan), so
+// a 32K-record history is 256 KB of host memory.
 type Buffer struct {
-	records []Region
+	records []uint64
 	next    uint64 // absolute position of the next write
+}
+
+// vecBits is the width of the vector field of a packed record: all of
+// Region.Vec, so packing loses nothing of a record whose trigger is a
+// block address.
+const vecBits = 16
+
+func pack(r Region) uint64 { return uint64(r.Trigger)<<vecBits | uint64(r.Vec) }
+
+func unpack(w uint64) Region {
+	return Region{Trigger: trace.BlockAddr(w >> vecBits), Vec: uint16(w)}
 }
 
 // freeBuffers holds released buffers by capacity; see Buffer.Release.
@@ -32,7 +48,7 @@ func NewBuffer(capacity int) (*Buffer, error) {
 	}
 	b := freeBuffers.Get(capacity)
 	if b == nil {
-		b = &Buffer{records: make([]Region, capacity)}
+		b = &Buffer{records: make([]uint64, capacity)}
 	}
 	b.next = 0
 	return b, nil
@@ -62,7 +78,7 @@ func (b *Buffer) WritePos() uint64 { return b.next }
 // Append stores r and returns its absolute position.
 func (b *Buffer) Append(r Region) uint64 {
 	pos := b.next
-	b.records[pos%uint64(len(b.records))] = r
+	b.records[pos%uint64(len(b.records))] = pack(r)
 	b.next++
 	return pos
 }
@@ -81,7 +97,7 @@ func (b *Buffer) Read(pos uint64) (Region, bool) {
 	if !b.Valid(pos) {
 		return Region{}, false
 	}
-	return b.records[pos%uint64(len(b.records))], true
+	return unpack(b.records[pos%uint64(len(b.records))]), true
 }
 
 // ReadSeq appends up to n consecutive records starting at pos to dst,

@@ -195,6 +195,33 @@ func TestBufferReadSeq(t *testing.T) {
 	}
 }
 
+// TestBufferRoundTrip: a record is stored as one packed word, and every
+// record a Builder can complete — any vector of any span from 2 to
+// MaxRegionSpan (all of them are 15-bit values; the 16th bit is carried
+// too), behind any 34-bit trigger — must come back from Read and ReadSeq
+// exactly as it was appended.
+func TestBufferRoundTrip(t *testing.T) {
+	triggers := []trace.BlockAddr{0, 1, 0x2AAAAAAAA, 0x155555555, trace.MaxBlockAddr - MaxRegionSpan, trace.MaxBlockAddr}
+	b := MustNewBuffer(1 << 16)
+	want := make([]Region, 0, b.Cap())
+	for vec := 0; vec < b.Cap(); vec++ {
+		r := Region{Trigger: triggers[vec%len(triggers)], Vec: uint16(vec)}
+		want = append(want, r)
+		if got, ok := b.Read(b.Append(r)); !ok || got != r {
+			t.Fatalf("Read after Append(%v) = %v, %v", r, got, ok)
+		}
+	}
+	got, next := b.ReadSeq(nil, 0, b.Cap()+1)
+	if next != uint64(b.Cap()) || len(got) != len(want) {
+		t.Fatalf("ReadSeq returned %d records up to %d, want %d", len(got), next, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: ReadSeq gave %v, appended %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestBufferValidityProperty(t *testing.T) {
 	f := func(appends uint16, probe uint16) bool {
 		b := MustNewBuffer(16)

@@ -15,14 +15,18 @@ import (
 // It is organized as a set-associative, LRU-replaced structure so that
 // the capacity-limited design points of the paper (PIF's 8K-entry and
 // 512-entry index tables) behave like the hardware they model.
+//
+// Recency is positional: a set's live entries are its first ones, in
+// MRU→LRU order, so a touch moves the entry to the front, the victim is
+// always the last way, and an entry is two words — a 4-way set is one
+// 64-byte host cache line.
 type IndexTable struct {
-	assoc   int
-	sets    [][]idxEntry
-	clock   uint64
-	entries int
-	// epoch is the table's current life: an entry is valid only while
-	// its epoch matches, so emptying the table for its next owner is one
-	// increment instead of a walk over every set.
+	assoc int
+	tab   []idxEntry // nsets * assoc, set-major
+	nsets uint64
+	// epoch is the table's current life: an entry is live only while the
+	// epoch in its key matches, so emptying the table for its next owner
+	// is one increment instead of a walk over every set.
 	epoch uint64
 	// setMask accelerates the set index when the set count is a power
 	// of two (all paper design points): trigger&setMask ≡ trigger%sets,
@@ -34,12 +38,16 @@ type IndexTable struct {
 	hits    int64
 }
 
+// idxEntry is one way: key is the trigger block address above the epoch
+// it was written in (one compare decides tag match and liveness), pos
+// the history position.
 type idxEntry struct {
-	trigger trace.BlockAddr
-	pos     uint64
-	lru     uint64
-	epoch   uint64 // valid iff equal to the table's
+	key uint64
+	pos uint64
 }
+
+// epochBits is what a key has left below a block address.
+const epochBits = 64 - trace.BlockAddrBits
 
 // tableShape is the geometry released tables are kept by.
 type tableShape struct{ entries, assoc int }
@@ -60,25 +68,25 @@ func NewIndexTable(entries, assoc int) (*IndexTable, error) {
 	t := freeTables.Get(tableShape{entries, assoc})
 	if t == nil {
 		nsets := entries / assoc
-		t = &IndexTable{assoc: assoc, entries: entries, sets: make([][]idxEntry, nsets)}
+		t = &IndexTable{assoc: assoc, nsets: uint64(nsets), tab: make([]idxEntry, entries)}
 		if nsets&(nsets-1) == 0 {
 			t.setMask = uint64(nsets - 1)
 		}
-		backing := make([]idxEntry, entries)
-		for i := range t.sets {
-			t.sets[i] = backing[i*assoc : (i+1)*assoc]
-		}
 	}
-	// Zeroed entries carry epoch 0, so the first life starts at 1.
-	t.epoch++
-	t.clock, t.lookups, t.hits = 0, 0, 0
+	// Zeroed entries carry epoch 0, so the first life starts at 1 — and
+	// so does the one after the epoch field is used up.
+	if t.epoch++; t.epoch == 1<<epochBits {
+		clear(t.tab)
+		t.epoch = 1
+	}
+	t.lookups, t.hits = 0, 0
 	return t, nil
 }
 
 // Release hands t's storage back for a later NewIndexTable of the same
 // shape. The caller must hold the only reference to t and must not use
 // it again.
-func (t *IndexTable) Release() { freeTables.Put(tableShape{t.entries, t.assoc}, t) }
+func (t *IndexTable) Release() { freeTables.Put(tableShape{len(t.tab), t.assoc}, t) }
 
 // MustNewIndexTable panics on config errors.
 func MustNewIndexTable(entries, assoc int) *IndexTable {
@@ -90,25 +98,37 @@ func MustNewIndexTable(entries, assoc int) *IndexTable {
 }
 
 // Cap returns the total entry capacity.
-func (t *IndexTable) Cap() int { return t.entries }
+func (t *IndexTable) Cap() int { return len(t.tab) }
 
-func (t *IndexTable) set(trigger trace.BlockAddr) []idxEntry {
-	if t.setMask != 0 || len(t.sets) == 1 {
-		return t.sets[uint64(trigger)&t.setMask]
+// set returns trigger's set and the key a live entry for it carries.
+func (t *IndexTable) set(trigger trace.BlockAddr) ([]idxEntry, uint64) {
+	si := uint64(trigger) & t.setMask
+	if t.setMask == 0 && t.nsets > 1 {
+		si = uint64(trigger) % t.nsets
 	}
-	return t.sets[uint64(trigger)%uint64(len(t.sets))]
+	base := int(si) * t.assoc
+	return t.tab[base : base+t.assoc], uint64(trigger)<<epochBits | t.epoch
+}
+
+// touch makes e the MRU entry of set, moving the i entries ahead of way
+// i one way back; whatever way i held is overwritten.
+func touch(set []idxEntry, i int, e idxEntry) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = e
 }
 
 // Lookup returns the stored history position for trigger.
 func (t *IndexTable) Lookup(trigger trace.BlockAddr) (pos uint64, ok bool) {
 	t.lookups++
-	set := t.set(trigger)
+	set, key := t.set(trigger)
 	for i := range set {
-		if set[i].epoch == t.epoch && set[i].trigger == trigger {
-			t.clock++
-			set[i].lru = t.clock
+		if set[i].key == key {
 			t.hits++
-			return set[i].pos, true
+			pos = set[i].pos
+			touch(set, i, set[i])
+			return pos, true
 		}
 	}
 	return 0, false
@@ -117,34 +137,23 @@ func (t *IndexTable) Lookup(trigger trace.BlockAddr) (pos uint64, ok bool) {
 // Update points trigger at pos, allocating (and possibly evicting LRU)
 // as needed.
 func (t *IndexTable) Update(trigger trace.BlockAddr, pos uint64) {
-	set := t.set(trigger)
-	t.clock++
-	victim := 0
-	var victimLRU uint64 = ^uint64(0)
+	set, key := t.set(trigger)
+	way := len(set) - 1 // a miss overwrites the last way: dead, or the LRU
 	for i := range set {
-		valid := set[i].epoch == t.epoch
-		if valid && set[i].trigger == trigger {
-			set[i].pos = pos
-			set[i].lru = t.clock
-			return
-		}
-		if !valid {
-			victim, victimLRU = i, 0
-		} else if set[i].lru < victimLRU {
-			victim, victimLRU = i, set[i].lru
+		if set[i].key == key {
+			way = i
+			break
 		}
 	}
-	set[victim] = idxEntry{trigger: trigger, pos: pos, lru: t.clock, epoch: t.epoch}
+	touch(set, way, idxEntry{key: key, pos: pos})
 }
 
 // Len returns the number of valid entries.
 func (t *IndexTable) Len() int {
 	n := 0
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].epoch == t.epoch {
-				n++
-			}
+	for _, e := range t.tab {
+		if e.key&(1<<epochBits-1) == t.epoch {
+			n++
 		}
 	}
 	return n

@@ -74,7 +74,8 @@ const (
 
 // Event is one entry of a job's append-only event log, consumed by the
 // streaming endpoint: one EventCell per finished cell as it lands,
-// then exactly one EventEnd.
+// then exactly one EventEnd. The log is derived on demand from the
+// job's state (see Job.EventsSince), never stored.
 type Event struct {
 	// Type is EventCell or EventEnd.
 	Type string
@@ -120,8 +121,6 @@ type Job struct {
 	// the latency percentiles (a latency spanning a process restart
 	// measures the outage, not the scheduler).
 	recovered bool
-	// eventWindow caps the in-memory event log (see EventsSince).
-	eventWindow int
 
 	mu        sync.Mutex
 	state     State
@@ -136,18 +135,33 @@ type Job struct {
 	running   int
 	started   time.Time
 	finished  time.Time
-	events    []Event
-	// eventsBase is the absolute index of events[0]: how many events
-	// the window has discarded. EventsSince positions are absolute, so
-	// trimming never shifts a follower's cursor.
-	eventsBase int
-	// order records the completion order of finished cells — one index
-	// per cell event ever appended. Four bytes per cell (versus a full
-	// buffered Event with its embedded RunResult) is what lets the
-	// window discard old events yet rebuild any trimmed prefix exactly:
-	// the payloads are recovered from the per-cell result slots.
+	// order records the completion order of finished cells, and with
+	// the per-cell slots above is the whole event log: event p is cell
+	// order[p]'s, and the end event follows the last of them once the
+	// job is terminal.
 	order   []int32
 	changed chan struct{}
+}
+
+// newJob returns a queued job over a copy of cells.
+func newJob(id string, cells []shift.Cell, created time.Time, client string) *Job {
+	j := &Job{
+		id:        id,
+		cells:     append([]shift.Cell(nil), cells...),
+		keys:      make([]string, len(cells)),
+		created:   created,
+		client:    client,
+		state:     StateQueued,
+		cellState: make([]cellState, len(cells)),
+		attempts:  make([]int, len(cells)),
+		results:   make([]shift.RunResult, len(cells)),
+		cellErrs:  make([]string, len(cells)),
+		changed:   make(chan struct{}),
+	}
+	for i := range j.cells {
+		j.keys[i] = j.cells[i].Config.Key()
+	}
+	return j
 }
 
 // ID returns the job's registry identifier.
@@ -215,47 +229,43 @@ func (j *Job) Snapshot() Status {
 	return st
 }
 
-// EventsSince returns the events appended at or after absolute index
-// n, whether the job has reached a terminal state, and a channel
-// closed on the next change — so a streaming consumer can replay the
-// log from the beginning and then follow it live without polling.
+// EventsSince returns the events at or after absolute index n, whether
+// the job has reached a terminal state, and a channel closed on the
+// next change — so a streaming consumer can replay the log from the
+// beginning and then follow it live without polling.
 //
-// The in-memory log is a bounded window (Config.EventWindow): once a
-// huge grid has emitted more events than the window holds, the oldest
-// are discarded — each carries a full RunResult, so an unbounded log
-// would balloon RSS with the grid size. Positions stay absolute, so a
-// live follower's cursor is never shifted by trimming, and a cursor
-// that points into the discarded prefix is served by rebuilding those
-// events from the per-cell completion-order index and result slots —
-// byte-identical to the originals, in the original order. The stream
-// contract (one event per finished cell in completion order, then
-// exactly one end event, each delivered exactly once to a cursor-
-// advancing follower) therefore holds for every subscriber, however
-// late or slow.
+// No event is stored: a finished cell's result is already in its slot,
+// so event p is built from cell order[p] when asked for, and the end
+// event is position len(order) of a terminal job. A finished cell's
+// slot never changes again, so every subscriber, however late or slow,
+// sees the same events at the same positions: one per finished cell in
+// completion order, then exactly one end event, each delivered exactly
+// once to a cursor-advancing follower.
 func (j *Job) EventsSince(n int) (evs []Event, terminal bool, changed <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if n < 0 {
 		n = 0
 	}
-	if n < j.eventsBase {
-		// Rebuild the trimmed positions [n, eventsBase). Every trimmed
-		// event is a cell event (the end event is always the newest, so
-		// it is never trimmed) and order[p] is the cell that completed
-		// at position p.
-		evs = make([]Event, 0, j.eventsBase-n+len(j.events))
-		for _, idx := range j.order[n:j.eventsBase] {
+	terminal = j.state.Terminal()
+	count := len(j.order) - n
+	if terminal {
+		count++ // the end event
+	}
+	if count > 0 {
+		evs = make([]Event, 0, count)
+		for _, idx := range j.order[n:] {
 			evs = append(evs, j.cellEventLocked(int(idx)))
 		}
-		evs = append(evs, j.events...)
-	} else if k := n - j.eventsBase; k < len(j.events) {
-		evs = append([]Event(nil), j.events[k:]...)
+		if terminal {
+			evs = append(evs, Event{Type: EventEnd, State: j.state})
+		}
 	}
-	return evs, j.state.Terminal(), j.changed
+	return evs, terminal, j.changed
 }
 
-// cellEventLocked reconstructs finished cell i's event from its result
-// slot. Called with mu held.
+// cellEventLocked builds finished cell i's event from its result slot.
+// Called with mu held.
 func (j *Job) cellEventLocked(i int) Event {
 	ev := Event{Type: EventCell, Index: i, Label: j.cells[i].Label, Key: j.keys[i]}
 	if j.cellState[i] == cellFailed {
@@ -266,20 +276,19 @@ func (j *Job) cellEventLocked(i int) Event {
 	return ev
 }
 
-// appendEventLocked appends one event and trims the window to the most
-// recent eventWindow events. Cell events are also recorded in the
-// completion-order index so a trimmed prefix stays reconstructible.
-// Called with mu held.
-func (j *Job) appendEventLocked(ev Event) {
-	if ev.Type == EventCell {
-		j.order = append(j.order, int32(ev.Index))
+// finishCellLocked records cell i's outcome in its slot and in the
+// completion order — which publishes its event. Called with mu held.
+func (j *Job) finishCellLocked(i int, r shift.RunResult, err error) {
+	if err != nil {
+		j.cellState[i] = cellFailed
+		j.failed++
+		j.cellErrs[i] = err.Error()
+	} else {
+		j.cellState[i] = cellDone
+		j.completed++
+		j.results[i] = r
 	}
-	j.events = append(j.events, ev)
-	if j.eventWindow > 0 && len(j.events) > j.eventWindow {
-		drop := len(j.events) - j.eventWindow
-		j.events = append([]Event(nil), j.events[drop:]...)
-		j.eventsBase += drop
-	}
+	j.order = append(j.order, int32(i))
 }
 
 // broadcast wakes every EventsSince follower. Called with mu held.
@@ -305,27 +314,15 @@ func (j *Job) startCell(i int, now time.Time) bool {
 	return true
 }
 
-// completeCell records cell i's outcome, appends its event, and
-// finalizes the job if it was the last outstanding cell. It returns
+// completeCell records cell i's outcome, which publishes its event,
+// and finalizes the job if it was the last outstanding cell. It returns
 // whether the job just reached a terminal state and, if so, its
 // submit-to-finish latency in seconds.
 func (j *Job) completeCell(i int, r shift.RunResult, err error, now time.Time) (finished bool, latency float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.running--
-	ev := Event{Type: EventCell, Index: i, Label: j.cells[i].Label, Key: j.keys[i]}
-	if err != nil {
-		j.cellState[i] = cellFailed
-		j.failed++
-		j.cellErrs[i] = err.Error()
-		ev.Err = err.Error()
-	} else {
-		j.cellState[i] = cellDone
-		j.completed++
-		j.results[i] = r
-		ev.Result = r
-	}
-	j.appendEventLocked(ev)
+	j.finishCellLocked(i, r, err)
 	finished, latency = j.maybeFinalize(now)
 	j.broadcast()
 	return finished, latency
@@ -348,7 +345,6 @@ func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 		j.state = StateDone
 	}
 	j.finished = now
-	j.appendEventLocked(Event{Type: EventEnd, State: j.state})
 	return true, now.Sub(j.created).Seconds()
 }
 
@@ -432,11 +428,6 @@ type Config struct {
 	// simulation makes the recomputed result bit-identical. nil treats
 	// every completed cell as a miss.
 	Lookup func(key string) (shift.RunResult, bool)
-	// EventWindow caps each job's in-memory event log: the most recent
-	// EventWindow events are kept verbatim and older ones are
-	// reconstructed on demand from cell state (see Job.EventsSince).
-	// 0 = 256; negative = unbounded.
-	EventWindow int
 	// Now supplies the clock (nil = time.Now; tests inject a fake).
 	Now func() time.Time
 }
@@ -517,11 +508,6 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.EventWindow == 0 {
-		cfg.EventWindow = 256
-	} else if cfg.EventWindow < 0 {
-		cfg.EventWindow = 0 // unbounded
-	}
 	if cfg.Run == nil {
 		panic("jobs: Config.Run is required")
 	}
@@ -587,23 +573,7 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	j := &Job{
-		id:          fmt.Sprintf("j-%06d", m.nextID),
-		cells:       append([]shift.Cell(nil), cells...),
-		keys:        make([]string, len(cells)),
-		created:     now,
-		client:      client,
-		eventWindow: m.cfg.EventWindow,
-		state:       StateQueued,
-		cellState:   make([]cellState, len(cells)),
-		attempts:    make([]int, len(cells)),
-		results:     make([]shift.RunResult, len(cells)),
-		cellErrs:    make([]string, len(cells)),
-		changed:     make(chan struct{}),
-	}
-	for i := range j.cells {
-		j.keys[i] = j.cells[i].Config.Key()
-	}
+	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client)
 	if m.cfg.Journal != nil {
 		j.wire = entryCells(j.cells)
 		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire}

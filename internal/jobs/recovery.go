@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -86,25 +87,8 @@ func (m *Manager) applyEntry(e Entry) {
 			}
 			cells[i] = shift.Cell{Label: ec.Label, Config: ec.Config}
 		}
-		j := &Job{
-			id:          e.Job,
-			cells:       cells,
-			keys:        make([]string, len(cells)),
-			created:     e.Created,
-			client:      e.Client,
-			wire:        e.Cells,
-			recovered:   true,
-			eventWindow: m.cfg.EventWindow,
-			state:       StateQueued,
-			cellState:   make([]cellState, len(cells)),
-			attempts:    make([]int, len(cells)),
-			results:     make([]shift.RunResult, len(cells)),
-			cellErrs:    make([]string, len(cells)),
-			changed:     make(chan struct{}),
-		}
-		for i := range cells {
-			j.keys[i] = cells[i].Config.Key()
-		}
+		j := newJob(e.Job, cells, e.Created, e.Client)
+		j.wire, j.recovered = e.Cells, true
 		m.jobs[e.Job] = j
 		// New IDs must never collide with journaled ones.
 		var n int64
@@ -122,11 +106,7 @@ func (m *Manager) applyEntry(e Entry) {
 		if e.Err != "" {
 			// The failure was deterministic (transient errors are retried,
 			// not journaled as terminal): replay it rather than re-run it.
-			j.cellState[e.Cell] = cellFailed
-			j.failed++
-			j.cellErrs[e.Cell] = e.Err
-			j.appendEventLocked(Event{Type: EventCell, Index: e.Cell,
-				Label: j.cells[e.Cell].Label, Key: j.keys[e.Cell], Err: e.Err})
+			j.finishCellLocked(e.Cell, shift.RunResult{}, errors.New(e.Err))
 			return
 		}
 		// A completed cell's result lives content-addressed in the
@@ -135,11 +115,7 @@ func (m *Manager) applyEntry(e Entry) {
 		// bit-identical.
 		if m.cfg.Lookup != nil {
 			if r, ok := m.cfg.Lookup(j.keys[e.Cell]); ok {
-				j.cellState[e.Cell] = cellDone
-				j.completed++
-				j.results[e.Cell] = r
-				j.appendEventLocked(Event{Type: EventCell, Index: e.Cell,
-					Label: j.cells[e.Cell].Label, Key: j.keys[e.Cell], Result: r})
+				j.finishCellLocked(e.Cell, r, nil)
 				m.recovery.CellsRestored++
 				return
 			}

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"shift"
 )
@@ -428,96 +431,212 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// TestEventWindowBounded: a job emitting more events than the window
-// keeps memory bounded while EventsSince still serves every event —
-// the trimmed prefix synthesized, absolute cursors unshifted.
-func TestEventWindowBounded(t *testing.T) {
-	store := newMemStore()
-	m, err := Open(Config{Workers: 2, Burst: 1024, EventWindow: 4,
-		Run: storingRunner(store, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	cells := make([]shift.Cell, 32)
-	for i := range cells {
-		cells[i] = testCell(fmt.Sprintf("w-%d", i), int64(i+1))
-	}
-	j, err := m.Submit(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A live follower with an advancing cursor sees every event exactly
-	// once despite trimming.
-	seen := make(map[int]bool)
-	n := 0
-	sawEnd := false
-	deadline := time.After(10 * time.Second)
-	for !sawEnd {
-		evs, terminal, changed := j.EventsSince(n)
-		for _, ev := range evs {
-			switch ev.Type {
-			case EventCell:
-				if seen[ev.Index] {
-					t.Fatalf("cell %d delivered twice", ev.Index)
-				}
-				seen[ev.Index] = true
-			case EventEnd:
-				sawEnd = true
-			}
+// followLive tracks j's event log with an advancing cursor until the
+// job is terminal (or 5 s pass), closing attached after its first read.
+func followLive(j *Job, attached chan<- struct{}) []Event {
+	deadline := time.After(5 * time.Second)
+	var all []Event
+	for {
+		evs, terminal, changed := j.EventsSince(len(all))
+		if attached != nil {
+			close(attached)
+			attached = nil
 		}
-		n += len(evs)
-		if terminal && sawEnd {
-			break
+		all = append(all, evs...)
+		if terminal {
+			return all
 		}
 		select {
 		case <-changed:
 		case <-deadline:
-			t.Fatal("follower timed out")
+			return all
 		}
 	}
-	if len(seen) != len(cells) {
-		t.Fatalf("follower saw %d cells, want %d", len(seen), len(cells))
-	}
+}
 
-	// The retained window is bounded.
-	j.mu.Lock()
-	retained := len(j.events)
-	base := j.eventsBase
-	j.mu.Unlock()
-	if retained > 4 {
-		t.Fatalf("window holds %d events, bound is 4", retained)
-	}
-	if base == 0 {
-		t.Fatal("window never trimmed")
-	}
-
-	// A late subscriber replaying from zero gets one event per cell
-	// (synthesized prefix + window) and exactly one end event.
-	evs, terminal, _ := j.EventsSince(0)
-	if !terminal {
-		t.Fatal("job not terminal for late subscriber")
-	}
-	if len(evs) != len(cells)+1 {
-		t.Fatalf("late subscriber got %d events, want %d", len(evs), len(cells)+1)
-	}
-	cellSeen := make(map[int]bool)
-	for i, ev := range evs {
-		if ev.Type == EventEnd {
-			if i != len(evs)-1 {
-				t.Fatal("end event not last")
+// TestEventsRebuiltEqualLive: no event is stored, so what a follower
+// that tracked the job live was handed must be exactly what any later
+// follower is handed for the same positions — from cursor 0, from every
+// cursor mid-job, and from past the end event — whatever the cells went
+// through on the way.
+func TestEventsRebuiltEqualLive(t *testing.T) {
+	cells := []shift.Cell{testCell("a", 1), testCell("bad", 2), testCell("c", 3), testCell("d", 500)}
+	fail := map[string]bool{"bad": true}
+	// Each scenario returns a job no cell of which has finished under
+	// this manager yet, and what lets it run to its terminal state.
+	scenarios := map[string]func(t *testing.T) (*Job, func()){
+		"failed cell": func(t *testing.T) (*Job, func()) {
+			b := newBlockingRunner()
+			b.fail = fail
+			m := New(Config{Workers: 2, Run: b.run})
+			t.Cleanup(m.Close)
+			j, err := m.Submit(cells)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			return j, func() {
+				for range cells {
+					b.release <- struct{}{}
+				}
+			}
+		},
+		"cancelled with dropped cells": func(t *testing.T) (*Job, func()) {
+			b := newBlockingRunner()
+			m := New(Config{Workers: 1, Run: b.run})
+			t.Cleanup(m.Close)
+			j, err := m.Submit(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.awaitStart(t)
+			return j, func() {
+				m.Cancel(j.ID())
+				b.release <- struct{}{}
+			}
+		},
+		"transiently retried cell": func(t *testing.T) (*Job, func()) {
+			r := newFlakyRunner(&shift.TimeoutError{Timeout: time.Millisecond, Cells: 1},
+				map[string]int{"a": 2, "bad": 100})
+			gate := make(chan struct{})
+			m := New(Config{Workers: 2, Retries: 3, Transient: shift.IsTransient,
+				Run: func(cfg shift.Config) (shift.RunResult, error) {
+					<-gate
+					return r.run(cfg)
+				}})
+			t.Cleanup(m.Close)
+			j, err := m.Submit(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, func() { close(gate) }
+		},
+		"recovered from the journal": func(t *testing.T) (*Job, func()) {
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			store := newMemStore()
+			b := newBlockingRunner()
+			m1, err := Open(Config{Workers: 1, Journal: openJournal(t, path), Lookup: store.Lookup,
+				Run: func(cfg shift.Config) (shift.RunResult, error) {
+					<-b.release
+					return storingRunner(store, fail)(cfg)
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j1, err := m1.Submit(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.release <- struct{}{}
+			b.release <- struct{}{}
+			waitFor(t, func() bool { st := j1.Snapshot(); return st.Completed == 1 && st.Failed == 1 })
+			m1.Close()              // the crash: two cells journaled, two not
+			b.release <- struct{}{} // let the abandoned worker go
+
+			gate := make(chan struct{})
+			m2, err := Open(Config{Workers: 2, Journal: openJournal(t, path), Lookup: store.Lookup,
+				Run: func(cfg shift.Config) (shift.RunResult, error) {
+					<-gate
+					return storingRunner(store, fail)(cfg)
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m2.Close)
+			j, ok := m2.Get(j1.ID())
+			if !ok {
+				t.Fatal("job lost across the restart")
+			}
+			return j, func() { close(gate) }
+		},
+	}
+	for name, setup := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			j, finish := setup(t)
+			attached, done := make(chan struct{}), make(chan []Event, 1)
+			go func() { done <- followLive(j, attached) }()
+			<-attached
+			finish()
+			live := <-done
+
+			st := j.Snapshot()
+			if !st.State.Terminal() {
+				t.Fatalf("job stuck in state %v", st.State)
+			}
+			if want := st.Completed + st.Failed + 1; len(live) != want {
+				t.Fatalf("live follower saw %d events, want %d (one per finished cell, then end)", len(live), want)
+			}
+			if end := live[len(live)-1]; end.Type != EventEnd || end.State != st.State {
+				t.Fatalf("last live event = %+v, want end/%v", end, st.State)
+			}
+			for n := -1; n <= len(live)+1; n++ {
+				want := live
+				if n > 0 {
+					want = live[min(n, len(live)):]
+				}
+				got, terminal, _ := j.EventsSince(n)
+				if !terminal {
+					t.Fatalf("cursor %d: terminal job reported as running", n)
+				}
+				if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("cursor %d: rebuilt events\n%+v\ndiffer from those seen live\n%+v", n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTerminalJobBytes is the footprint gate of "job events are
+// derived": a finished job holds each result once. Nothing in a Job may
+// hold an Event, and the heap a finished cell retains — its Cell, key,
+// result and bookkeeping — stays under one result plus one event (the
+// stored log this replaced retained a second copy: over 900 B a cell).
+func TestTerminalJobBytes(t *testing.T) {
+	event := reflect.TypeOf(Event{})
+	jt := reflect.TypeOf(Job{})
+	for i := 0; i < jt.NumField(); i++ {
+		ft := jt.Field(i).Type
+		for ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Array {
+			ft = ft.Elem()
 		}
-		if cellSeen[ev.Index] {
-			t.Fatalf("late replay duplicated cell %d", ev.Index)
-		}
-		cellSeen[ev.Index] = true
-		if ev.Result.MPKI == 0 && ev.Err == "" {
-			t.Fatalf("late replay event %d carries no payload", i)
+		if ft == event {
+			t.Errorf("Job.%s holds events: the log is derived, not stored", jt.Field(i).Name)
 		}
 	}
+
+	const jobCount, cellsPerJob = 64, 128
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	m := New(Config{Workers: 2, MaxQueue: jobCount * cellsPerJob,
+		Run: func(cfg shift.Config) (shift.RunResult, error) {
+			return shift.RunResult{MPKI: float64(cfg.MeasureRecords)}, nil
+		}})
+	defer m.Close()
+	var submitted []*Job
+	for i := 0; i < jobCount; i++ {
+		cells := make([]shift.Cell, cellsPerJob)
+		for c := range cells {
+			cells[c] = testCell(fmt.Sprintf("w-%d-%d", i, c), int64(c+1))
+		}
+		j, err := m.Submit(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, j)
+	}
+	for _, j := range submitted {
+		waitTerminal(t, j)
+	}
+	perCell := (heap() - before) / (jobCount * cellsPerJob)
+	t.Logf("a finished cell retains %d B", perCell)
+	if limit := uint64(unsafe.Sizeof(shift.RunResult{}) + unsafe.Sizeof(Event{})); perCell > limit {
+		t.Errorf("a finished cell retains %d B, limit %d B (one result + one event)", perCell, limit)
+	}
+	runtime.KeepAlive(submitted)
 }
 
 // TestSubmitJournalFailureRejects: a journal that cannot append makes

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"shift/internal/core"
 	"shift/internal/sim"
 	"shift/internal/trace"
 	"shift/internal/workload"
@@ -240,9 +241,38 @@ phases:
 	}
 }
 
-// TestEmptyFreeListsEmpties checks the test hook the two tests above
+// hostBytes returns what the storage cfg models costs the host: 16 B a
+// line of LLC (compressed tag, state word, tag-extension pointer), 12 B
+// a line of L1-I, 8 B a history record and 16 B an index entry
+// (internal/cache's TestHostBytesPerModelledLine; history.Buffer and
+// IndexTable).
+func hostBytes(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	rs, err := cfg.spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := rs.Config
+	tables := func(histEntries, indexEntries int) int { return histEntries*8 + indexEntries*16 }
+	n := sc.Mesh.Tiles()*(sc.LLCBankBytes/trace.BlockBytes)*16 +
+		sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
+	switch p := sc.Prefetcher; p.Kind {
+	case sim.KindPIF:
+		n += sc.Cores * tables(p.PIF.HistEntries, p.PIF.IndexEntries)
+	case sim.KindSHIFT:
+		if p.SHIFT.Variant == core.Virtualized {
+			n += tables(p.SHIFT.HistEntries, 0) // the index is the LLC's pointers
+		} else {
+			n += tables(p.SHIFT.HistEntries, p.SHIFT.HistEntries)
+		}
+	}
+	return uint64(n)
+}
+
+// TestEmptyFreeListsEmpties checks the test hook the tests around it
 // lean on: after it, a construction allocates what the modelled
-// hardware holds; without it, next to nothing.
+// hardware holds (without it, next to nothing: see
+// TestCellFixedBytesBounded).
 func TestEmptyFreeListsEmpties(t *testing.T) {
 	cfg := cellFixedConfig(DesignSHIFT, 4)
 	run := func() {
@@ -252,8 +282,33 @@ func TestEmptyFreeListsEmpties(t *testing.T) {
 	}
 	run()
 	emptyFreeLists()
-	if fresh := allocatedBy(run); fresh < 4<<20 {
-		t.Errorf("a cell on emptied free lists allocated %d B, want the whole hierarchy (> 4 MB)", fresh)
+	if floor := hostBytes(t, cfg); allocatedBy(run) < floor {
+		t.Errorf("a cell on emptied free lists allocated less than the hierarchy it models (%d B)", floor)
+	}
+}
+
+// TestSystemFootprint is the footprint gate of a whole System: on
+// emptied free lists a 16-core cell of each G12 design allocates the
+// storage it models at the host bytes per line, record and entry that
+// hostBytes prices, plus at most half a megabyte for everything else
+// (sixteen cores' predictors, prefetch buffers, MSHRs and stream
+// chunks). A duplicate array anywhere in the hierarchy breaks it.
+func TestSystemFootprint(t *testing.T) {
+	for _, d := range g12Designs {
+		cfg := cellFixedConfig(d, 16)
+		run := func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // build the workload graph, which outlives the cell
+		emptyFreeLists()
+		modelled := hostBytes(t, cfg)
+		got, limit := allocatedBy(run), modelled+512<<10
+		t.Logf("%s: %d B allocated, %d B of modelled storage", d, got, modelled)
+		if got > limit {
+			t.Errorf("%s: a 16-core System allocates %d B, limit %d B (%d B of modelled storage)", d, got, limit, modelled)
+		}
 	}
 }
 
