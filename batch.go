@@ -17,8 +17,13 @@ import (
 // standalone Run, so out[i] is bit-identical to Run(cfgs[i]).
 //
 // Configurations whose StreamKeys differ are rejected. The experiment
-// engine calls this automatically for grid cells sharing a stream;
-// call it directly when running a hand-built design comparison.
+// engine calls this for every cell it simulates, grouping grid cells
+// that share a stream; call it directly when running a hand-built design
+// comparison.
+//
+// A batch of one is Run: the one member reads its streams directly (with
+// no follower there is no log to publish), and a bad configuration fails
+// with its own error, not labelled with a batch position.
 func RunBatch(cfgs []Config) ([]RunResult, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -27,7 +32,10 @@ func RunBatch(cfgs []Config) ([]RunResult, error) {
 	for i := range cfgs {
 		spec, err := cfgs[i].spec()
 		if err != nil {
-			return nil, fmt.Errorf("shift: batch config %d: %w", i, err)
+			if len(cfgs) > 1 {
+				err = fmt.Errorf("shift: batch config %d: %w", i, err)
+			}
+			return nil, err
 		}
 		specs[i] = spec
 	}

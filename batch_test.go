@@ -48,29 +48,55 @@ func TestStreamKey(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRun is the public batched ≡ unbatched
-// differential: one batch holding every design point of a workload must
-// return results bit-identical to per-cell Run.
+// TestRunBatchMatchesRun is the public one-path differential: for every
+// catalog design, over an exact and a sampled window, the four ways in
+// can only differ in how many members share the stream — Run(c), the
+// batch of one RunBatch([c]), c's slot in the batch of all seven, and
+// Engine.RunOne(c) must return bit-identical results.
 func TestRunBatchMatchesRun(t *testing.T) {
-	o := engineTestOptions()
-	designs := []Design{DesignBaseline, DesignNextLine, DesignPIF2K, DesignPIF32K,
-		DesignZeroLatSHIFT, DesignSHIFT, DesignTIFS}
-	cfgs := make([]Config, len(designs))
-	for i, d := range designs {
-		cfgs[i] = o.config("Web Search", d)
-	}
-	batched, err := RunBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		solo, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batched[i], solo) {
-			t.Errorf("%s: batched result differs from Run", designs[i])
-		}
+	for _, tc := range []struct {
+		name     string
+		sampling Sampling
+	}{
+		{"exact", Sampling{}},
+		{"sampled", Sampling{Period: 4, IntervalRecords: 300}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := engineTestOptions()
+			o.Sampling = tc.sampling
+			var cfgs []Config
+			for d := DesignBaseline; d <= DesignTIFS; d++ {
+				cfgs = append(cfgs, o.config("Web Search", d))
+			}
+			all, err := RunBatch(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				solo, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if solo.Sampled != tc.sampling.Enabled() {
+					t.Fatalf("%s: Sampled = %v", cfg.Design, solo.Sampled)
+				}
+				one, err := RunBatch([]Config{cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaEngine, err := NewEngine(1, nil).RunOne(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, got := range map[string]RunResult{
+					"RunBatch of one": one[0], "its slot in the batch of all": all[i], "Engine.RunOne": viaEngine,
+				} {
+					if !reflect.DeepEqual(got, solo) {
+						t.Errorf("%s: %s differs from Run", cfg.Design, how)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -95,8 +121,9 @@ func TestRunBatchRejectsMixedStreams(t *testing.T) {
 
 // TestEngineBatchesStreams checks the engine's batch scheduling and its
 // observability: a Figure-7-shaped grid is executed as one batch per
-// workload, the counters record it, and the output matches both the
-// unbatched engine and the parallel batched engine bit for bit.
+// workload, the counters record it, the output matches the parallel
+// engine bit for bit, and cells alone on their streams — batches of one —
+// are simulated but not counted as batched.
 func TestEngineBatchesStreams(t *testing.T) {
 	o := engineTestOptions()
 	var cells []Cell
@@ -123,18 +150,16 @@ func TestEngineBatchesStreams(t *testing.T) {
 		t.Errorf("Simulated = %d, want %d", st.Simulated, len(cells))
 	}
 
-	unbatchedEng := NewEngine(1, nil)
-	unbatchedEng.noBatch = true
-	unbatched, err := unbatchedEng.RunAll(cells)
-	if err != nil {
+	var alone []Cell
+	for _, w := range o.Workloads {
+		alone = append(alone, cell(o.config(w, DesignSHIFT)))
+	}
+	aloneEng := NewEngine(1, nil)
+	if _, err := aloneEng.RunAll(alone); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batched, unbatched) {
-		t.Error("batched engine output differs from unbatched")
-	}
-	ust := unbatchedEng.Stats()
-	if ust.Batched != 0 || ust.StreamsShared != 0 {
-		t.Errorf("unbatched engine recorded batching: %+v", ust)
+	if st := aloneEng.Stats(); st.Simulated != int64(len(alone)) || st.Batched != 0 || st.StreamsShared != 0 {
+		t.Errorf("one cell per stream: %+v, want %d simulated and none batched", st, len(alone))
 	}
 
 	parallelEng := NewEngine(4, nil)
@@ -144,25 +169,6 @@ func TestEngineBatchesStreams(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batched, parallel) {
 		t.Error("parallel batched output differs from serial batched")
-	}
-}
-
-// TestOptionsDisableBatching checks the user-facing switch: figure
-// output is identical with batching forced off.
-func TestOptionsDisableBatching(t *testing.T) {
-	on := engineTestOptions()
-	off := engineTestOptions()
-	off.DisableBatching = true
-	a, err := RunFigure7(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFigure7(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("DisableBatching changed Figure 7 output")
 	}
 }
 

@@ -89,18 +89,33 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 }
 
+// oneAtATime is the Executor that spends none of what a batch shares: it
+// runs the members of every batch one Run after the other.
+type oneAtATime struct{}
+
+func (oneAtATime) ExecBatch(cfgs []Config) ([]RunResult, error) {
+	out := make([]RunResult, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if out[i], err = Run(cfg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // BenchmarkFigure7Sweep measures the Figure 7 grid on the experiment
-// engine in three configurations: the default batched serial schedule
-// (all designs of a workload simulated in one pass off a shared
-// stream), the unbatched serial schedule (per-cell execution — the
-// pre-batching baseline, kept for the committed batched-speedup
-// record), and a 4-worker batched pool. The engine merges results by
-// cell and batching shares only design-independent work, so all three
-// produce identical numeric output (asserted against the first run);
-// cmd/benchgate turns serial vs unbatched into the batched-speedup
-// gate and serial vs parallel4 into the parallel-speedup gate (the
-// latter needs >= 4 CPUs to mean anything — the grid holds one batch
-// per workload).
+// engine in three configurations: the serial schedule (all designs of a
+// workload simulated in one pass off a shared stream), the same grid with
+// its cells run one Run at a time (what the sweep cost before batching,
+// kept for the committed batched-speedup record — a test-side Executor,
+// the engine has no switch for it), and a 4-worker pool. The engine
+// merges results by cell and batching shares only design-independent
+// work, so all three produce identical numeric output (asserted against
+// the first run); cmd/benchgate turns serial vs unbatched into the
+// batched-speedup gate and serial vs parallel4 into the parallel-speedup
+// gate (the latter needs >= 4 CPUs to mean anything — the grid holds one
+// batch per workload).
 // Compare with: go test -bench BenchmarkFigure7Sweep -benchtime 3x
 func BenchmarkFigure7Sweep(b *testing.B) {
 	reference, err := RunFigure7(benchOptions())
@@ -108,19 +123,19 @@ func BenchmarkFigure7Sweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		par     int
-		noBatch bool
+		name string
+		par  int
+		exec Executor
 	}{
-		{"serial", 1, false},
-		{"unbatched", 1, true},
-		{"parallel4", 4, false},
+		{"serial", 1, nil},
+		{"unbatched", 1, oneAtATime{}},
+		{"parallel4", 4, nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			o := benchOptions()
-			o.Parallelism = bc.par
-			o.DisableBatching = bc.noBatch
 			for i := 0; i < b.N; i++ {
+				o.Engine = NewEngine(bc.par, nil)
+				o.Engine.SetExecutor(bc.exec)
 				fig, err := RunFigure7(o)
 				if err != nil {
 					b.Fatal(err)

@@ -355,11 +355,11 @@ func TestEnginePanicContainment(t *testing.T) {
 	cfgGood := o.config("OLTP Oracle", DesignBaseline)
 	cache := NewResultCache()
 	e := NewEngine(2, cache)
-	e.runCell = func(cfg Config) (RunResult, error) {
-		if cfg.Workload == "Web Search" {
+	e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+		if cfgs[0].Workload == "Web Search" {
 			panic("chaos: injected panic")
 		}
-		return Run(cfg)
+		return RunBatch(cfgs)
 	}
 
 	_, err := e.RunAll([]Cell{cell(cfgBad), cell(cfgGood)})
@@ -384,18 +384,21 @@ func TestEnginePanicContainment(t *testing.T) {
 	}
 }
 
-// TestEngineBatchPanicFallsBackPerCell panics the shared-stream batch
-// path: the engine must fall back to per-cell execution, isolating the
-// failure, and — since per-cell runs the real simulator here — the grid
-// then completes with correct results.
+// TestEngineBatchPanicFallsBackPerCell panics every batch of two or
+// more: the engine must re-run the members one by one, as batches of one
+// through the same seam, and — since those run the real simulator here —
+// the grid then completes with correct results.
 func TestEngineBatchPanicFallsBackPerCell(t *testing.T) {
 	o := engineTestOptions()
 	o.Workloads = []string{"Web Search"}
 	cells := chaosCells(o) // one workload, three designs: one batch
 	cache := NewResultCache()
 	e := NewEngine(2, cache)
-	e.runBatch = func([]Config) ([]RunResult, error) {
-		panic("chaos: batch panic")
+	e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+		if len(cfgs) > 1 {
+			panic("chaos: batch panic")
+		}
+		return RunBatch(cfgs)
 	}
 
 	want, err := NewEngine(2, NewResultCache()).RunAll(cells)
@@ -414,6 +417,47 @@ func TestEngineBatchPanicFallsBackPerCell(t *testing.T) {
 	}
 }
 
+// TestEngineBatchPanicIsolatesMember panics whatever batch holds one
+// design: the batch of three fails, then that member alone; the other two
+// succeed, with the results of an undisturbed engine, and seed the store.
+func TestEngineBatchPanicIsolatesMember(t *testing.T) {
+	o := engineTestOptions()
+	o.Workloads = []string{"Web Search"}
+	cells := chaosCells(o)
+	bad := cells[1].Config.Design
+	cache := NewResultCache()
+	e := NewEngine(2, cache)
+	e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+		for _, cfg := range cfgs {
+			if cfg.Design == bad {
+				panic("chaos: member panic")
+			}
+		}
+		return RunBatch(cfgs)
+	}
+
+	_, err := e.RunAll(cells)
+	var pe *PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "cell "+cells[1].Label+":") {
+		t.Fatalf("error %v, want cell %s's *PanicError", err, cells[1].Label)
+	}
+	for _, i := range []int{0, 2} {
+		want, err := Run(cells[i].Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := cache.Lookup(cells[i].Config.Key()); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: not completed with Run's result beside the panicking member", cells[i].Label)
+		}
+	}
+	if _, ok := cache.Lookup(cells[1].Config.Key()); ok {
+		t.Error("the panicking member seeded the store")
+	}
+	if got := e.Stats().Panicked; got != 2 {
+		t.Errorf("Stats().Panicked = %d, want 2 (the batch, then the member alone)", got)
+	}
+}
+
 // TestEngineWatchdogTimesOutStuckCell wedges one cell forever: the
 // watchdog must fail it with a transient TimeoutError while the rest of
 // the grid completes, and the stuck cell's worker slot is freed.
@@ -427,11 +471,11 @@ func TestEngineWatchdogTimesOutStuckCell(t *testing.T) {
 	cache := NewResultCache()
 	e := NewEngine(1, cache) // one slot: a leaked slot would wedge the grid
 	e.SetCellTimeout(100 * time.Millisecond)
-	e.runCell = func(cfg Config) (RunResult, error) {
-		if cfg.Workload == "Web Search" {
+	e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+		if cfgs[0].Workload == "Web Search" {
 			<-block
 		}
-		return RunResult{MPKI: 1}, nil
+		return []RunResult{{MPKI: 1}}, nil
 	}
 
 	_, err := e.RunAll([]Cell{cell(cfgStuck), cell(cfgGood)})

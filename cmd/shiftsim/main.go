@@ -12,7 +12,6 @@
 //	shiftsim -experiment all -parallel 8      # 8 engine workers (same output)
 //	shiftsim -experiment fig8 -cache=false    # disable cell memoization
 //	shiftsim -experiment fig7 -v              # engine summary (batched cells etc.)
-//	shiftsim -experiment fig7 -no-batch       # disable stream batching (same output)
 //	shiftsim -experiment fig7 -sample 10      # interval sampling, 1-in-10 detailed
 //	shiftsim -experiment all -cache-dir ~/.shiftcache   # persist cells across runs
 //	shiftsim -experiment fig8 -cpuprofile cpu.out -memprofile mem.out
@@ -53,7 +52,6 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "experiment-engine workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		useCache   = flag.Bool("cache", true, "memoize per-cell results across experiments (shared baselines are simulated once)")
 		cacheDir   = flag.String("cache-dir", "", "persist per-cell results under this directory (tiered memory-over-disk store; a repeated sweep across process restarts simulates nothing)")
-		noBatch    = flag.Bool("no-batch", false, "disable shared-stream batching of grid cells (diagnostics; output is identical)")
 		sample     = flag.Int64("sample", 0, "sampling period: simulate 1 interval in N in detail and fast-forward the rest with functional warming (0 or 1 = exact, the default; sampled results carry error bounds and are approximations)")
 		sampleIntv = flag.Int64("sample-interval", 0, "measured interval length in records per core for -sample (0 = default 500)")
 		sampleWarm = flag.Float64("sample-warm", 0, "fraction of each interval re-simulated in detail before measuring for -sample (0 = default 0.25)")
@@ -161,10 +159,8 @@ func main() {
 	}
 	// One engine across all experiments of the invocation, so cells
 	// shared between figures are deduplicated and the -v summary covers
-	// the whole run. With Engine set, the engine's own SetBatching —
-	// not Options.DisableBatching — governs batching.
+	// the whole run.
 	engine := shift.NewEngine(opts.Parallelism, opts.Cache)
-	engine.SetBatching(!*noBatch)
 	opts.Engine = engine
 
 	for _, name := range names {

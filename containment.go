@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the engine's failure-containment layer: panics inside
-// cell or batch execution are recovered into typed per-cell errors
+// batch execution are recovered into typed per-cell errors
 // (PanicError), and an optional per-cell watchdog converts stuck cells
 // into typed timeouts (TimeoutError) instead of wedging a worker slot.
 // Both preserve RunAll's determinism contract — a failing cell yields
@@ -75,69 +75,28 @@ func IsTransient(err error) bool {
 // safe to call concurrently with RunAll.
 func (e *Engine) SetCellTimeout(d time.Duration) { e.cellTimeout = d }
 
-// guardCell runs one cell's simulation with panics recovered into
-// PanicError.
-func (e *Engine) guardCell(cfg Config) (r RunResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.panicked.Add(1)
-			err = &PanicError{Value: fmt.Sprint(p), Stack: debug.Stack()}
+// exec executes one batch — a grid's stream-sharing cells, or a single
+// cell as a batch of one — under the containment layer: panics are always
+// recovered into a PanicError, and when the watchdog is armed the batch
+// has len(cfgs)×cellTimeout to finish (K cells legitimately take K times
+// one cell). Either error fails the batch as a whole; the engine then
+// re-runs a batch of two or more member by member, through this same
+// function, which isolates the member at fault.
+func (e *Engine) exec(cfgs []Config) ([]RunResult, error) {
+	guarded := func() (rs []RunResult, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				e.panicked.Add(1)
+				err = &PanicError{Value: fmt.Sprint(p), Stack: debug.Stack()}
+			}
+		}()
+		if e.runBatch != nil {
+			return e.runBatch(cfgs)
 		}
-	}()
-	if e.runCell != nil {
-		return e.runCell(cfg)
+		return RunBatch(cfgs)
 	}
-	return Run(cfg)
-}
-
-// guardBatch runs one shared-stream batch with panics recovered into
-// PanicError (the engine then falls back to per-cell execution, which
-// isolates the panicking member).
-func (e *Engine) guardBatch(cfgs []Config) (rs []RunResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.panicked.Add(1)
-			err = &PanicError{Value: fmt.Sprint(p), Stack: debug.Stack()}
-		}
-	}()
-	if e.runBatch != nil {
-		return e.runBatch(cfgs)
-	}
-	return RunBatch(cfgs)
-}
-
-// execCell executes one cell under the containment layer: panic
-// recovery always, the watchdog when armed.
-func (e *Engine) execCell(cfg Config) (RunResult, error) {
 	if e.cellTimeout <= 0 {
-		return e.guardCell(cfg)
-	}
-	type outcome struct {
-		r   RunResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, err := e.guardCell(cfg)
-		ch <- outcome{r, err}
-	}()
-	t := time.NewTimer(e.cellTimeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.r, o.err
-	case <-t.C:
-		e.timedOut.Add(1)
-		return RunResult{}, &TimeoutError{Timeout: e.cellTimeout, Cells: 1}
-	}
-}
-
-// execBatch executes one shared-stream batch under the containment
-// layer. The batch budget scales with its size: K cells legitimately
-// take K times one cell.
-func (e *Engine) execBatch(cfgs []Config) ([]RunResult, error) {
-	if e.cellTimeout <= 0 {
-		return e.guardBatch(cfgs)
+		return guarded()
 	}
 	type outcome struct {
 		rs  []RunResult
@@ -145,7 +104,7 @@ func (e *Engine) execBatch(cfgs []Config) ([]RunResult, error) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		rs, err := e.guardBatch(cfgs)
+		rs, err := guarded()
 		ch <- outcome{rs, err}
 	}()
 	budget := e.cellTimeout * time.Duration(len(cfgs))

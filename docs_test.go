@@ -215,3 +215,94 @@ func TestMarkdownLinks(t *testing.T) {
 		}
 	}
 }
+
+// testFuncs returns the names of the Test functions in dir's _test.go
+// files.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestWorkflowRunPatternsMatchTests keeps CI's by-name steps honest:
+// every alternative of every `go test -run` pattern in the workflow must
+// match at least one Test function in the packages that step names, so
+// renaming or deleting a test cannot silently turn a CI step into one
+// that runs nothing and passes. Patterns meant to match nothing (`^$`,
+// `NONE`, in front of -bench and -fuzz) and steps over `./...` are not
+// checked.
+func TestWorkflowRunPatternsMatchTests(t *testing.T) {
+	const workflow = ".github/workflows/ci.yml"
+	body, err := os.ReadFile(workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trailing backslash continues a command on the next line.
+	text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(body), " ")
+	checked := 0
+	for _, line := range strings.Split(text, "\n") {
+		// The patterns are single-quoted and hold no spaces, so splitting
+		// on spaces and dropping the quotes is all the shell there is.
+		fields := strings.Fields(strings.TrimPrefix(strings.TrimSpace(line), "run: "))
+		if len(fields) < 2 || fields[0] != "go" || fields[1] != "test" {
+			continue
+		}
+		for i, f := range fields {
+			fields[i] = strings.Trim(f, "'")
+		}
+		var pattern string
+		var dirs []string
+		for i := 2; i < len(fields); i++ {
+			switch f := fields[i]; {
+			case f == "-run" && i+1 < len(fields):
+				i++
+				pattern = fields[i]
+			case strings.HasPrefix(f, "-run="):
+				pattern = strings.TrimPrefix(f, "-run=")
+			case f == "." || strings.HasPrefix(f, "./") && !strings.HasSuffix(f, "..."):
+				dirs = append(dirs, f)
+			}
+		}
+		if pattern == "" || pattern == "^$" || pattern == "NONE" || len(dirs) == 0 {
+			continue
+		}
+		var names []string
+		for _, dir := range dirs {
+			names = append(names, testFuncs(t, dir)...)
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("%s: -run alternative %q: %v", workflow, alt, err)
+				continue
+			}
+			matched := false
+			for _, name := range names {
+				matched = matched || re.MatchString(name)
+			}
+			if !matched {
+				t.Errorf("%s: `%s`: -run alternative %q matches no Test function in %s",
+					workflow, strings.Join(fields, " "), alt, strings.Join(dirs, " "))
+			}
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Errorf("checked only %d -run alternatives; the workflow names more — has its format changed?", checked)
+	}
+}

@@ -45,16 +45,19 @@ func cell(cfg Config, labelParts ...string) Cell {
 // sharing cells, e.g. the per-workload baselines common to most
 // figures) skip already-computed work.
 //
-// Cells that consume the same trace stream (equal Config.StreamKeys —
-// the common shape of a figure grid, where every design of a workload
-// reads the identical per-core record stream) are partitioned into
-// batches and scheduled as units on the pool: each batch runs through
-// RunBatch, generating its stream once and fanning it out to every
-// member, and resolves all of its cells' in-flight claims when it
-// completes. A batch occupies one worker slot (its members execute in
-// lockstep on one goroutine), so Parallelism keeps meaning "concurrent
-// worker threads". Batching never changes results — only which work is
-// shared — and falls back to per-cell execution if a batch cannot run.
+// The unit of execution is the batch: cells that consume the same trace
+// stream (equal Config.StreamKeys — the common shape of a figure grid,
+// where every design of a workload reads the identical per-core record
+// stream) are partitioned into batches and scheduled as units on the
+// pool. Each batch runs through RunBatch, generating its stream once and
+// fanning it out to every member, and resolves all of its cells'
+// in-flight claims when it completes; a cell that shares its stream with
+// no other is a batch of one, through the same path. A batch occupies
+// one worker slot (its members execute in lockstep on one goroutine), so
+// Parallelism keeps meaning "concurrent worker threads". Batching never
+// changes results — only which work is shared — and a batch that fails
+// is re-run member by member, each a batch of one, which isolates the
+// failing member and reproduces every other member's exact result.
 //
 // An Engine is safe for concurrent use: RunAll may be called from many
 // goroutines (the shiftd service shares one Engine across all
@@ -82,30 +85,27 @@ type Engine struct {
 	simulated atomic.Int64
 	deduped   atomic.Int64
 
-	// batched counts cells executed through the shared-stream batch
-	// path; streamsShared counts the trace-stream generations that path
-	// avoided (K-1 per batch of K). noBatch forces per-cell execution
-	// (Options.DisableBatching — diagnostics and A/B benchmarking).
+	// batched counts cells executed in batches of two or more;
+	// streamsShared counts the trace-stream generations those batches
+	// avoided (K-1 per batch of K).
 	batched       atomic.Int64
 	streamsShared atomic.Int64
-	noBatch       bool
 
 	// sampledCells counts cells simulated in sampled mode (interval
 	// sampling with functional warming) rather than exactly.
 	sampledCells atomic.Int64
 
-	// Containment (containment.go): panics inside cell/batch execution
-	// are recovered into typed PanicErrors, and when cellTimeout is
-	// armed (SetCellTimeout) a per-cell watchdog converts stuck cells
-	// into typed TimeoutErrors instead of wedging a worker slot.
+	// Containment (containment.go): panics inside batch execution are
+	// recovered into typed PanicErrors, and when cellTimeout is armed
+	// (SetCellTimeout) a watchdog converts stuck cells into typed
+	// TimeoutErrors instead of wedging a worker slot.
 	cellTimeout time.Duration
 	panicked    atomic.Int64
 	timedOut    atomic.Int64
 
-	// runCell/runBatch are test seams for the chaos suite: when set
-	// (per engine, never globally) they replace Run/RunBatch so tests
-	// can inject panicking or wedged simulations.
-	runCell  func(Config) (RunResult, error)
+	// runBatch, when set (per engine, never globally), replaces RunBatch
+	// as what exec runs: an installed Executor's ExecBatch, or the chaos
+	// suite's panicking or wedged simulations.
 	runBatch func([]Config) ([]RunResult, error)
 }
 
@@ -125,33 +125,27 @@ func NewEngine(parallelism int, rs ResultStore) *Engine {
 	}
 }
 
-// SetBatching enables or disables the shared-stream batch path.
-// Batching is on by default and never changes results — only how much
-// per-record work is shared — so disabling it is for diagnostics and
-// A/B measurement. Not safe to call concurrently with RunAll.
-func (e *Engine) SetBatching(on bool) { e.noBatch = !on }
-
-// Executor is the engine's cell-execution strategy: how one cell, or
-// one shared-stream batch, actually gets simulated once the engine has
-// decided it must run (store miss, not already in flight). The default
-// strategy is in-process Run/RunBatch; a cluster coordinator installs
-// itself here to route batches to remote workers instead.
+// Executor is the engine's execution strategy: how a batch — the
+// stream-sharing cells of a grid, or one cell as a batch of one —
+// actually gets simulated once the engine has decided it must run (store
+// miss, not already in flight). The default strategy is in-process
+// RunBatch; a cluster coordinator installs itself here to route batches
+// to remote workers instead.
 //
-// The determinism contract transfers whole: ExecCell must return a
-// result bit-identical to Run(cfg), and ExecBatch to RunBatch(cfgs) —
-// the simulator is a pure function of its Config, so any executor that
-// ultimately runs the same simulator (locally, on a worker, or on a
-// retry after a worker died) satisfies this by construction. Everything
-// else the engine does — store memoization, in-flight deduplication,
-// stream-key batching, cell-keyed merge — is unchanged, which is what
-// keeps a clustered sweep byte-identical to a single-host one.
+// The determinism contract transfers whole: ExecBatch must return
+// results bit-identical to RunBatch(cfgs) — the simulator is a pure
+// function of its Config, so any executor that ultimately runs the same
+// simulator (locally, on a worker, or on a retry after a worker died)
+// satisfies this by construction. Everything else the engine does —
+// store memoization, in-flight deduplication, stream-key batching,
+// cell-keyed merge — is unchanged, which is what keeps a clustered sweep
+// byte-identical to a single-host one.
 type Executor interface {
-	// ExecCell runs one cell's simulation.
-	ExecCell(cfg Config) (RunResult, error)
 	// ExecBatch runs one shared-stream batch (equal StreamKeys),
 	// returning results positionally. An error fails the whole batch;
-	// the engine then falls back to per-cell ExecCell calls, which
-	// reproduce exact per-cell errors.
+	// the engine then re-runs each member of a batch of two or more as a
+	// batch of one, and a batch of one must fail with the member's own
+	// error, as Run(cfgs[0]) would report it.
 	ExecBatch(cfgs []Config) ([]RunResult, error)
 }
 
@@ -161,23 +155,65 @@ type Executor interface {
 // still frees wedged worker slots. Not safe to call concurrently with
 // RunAll.
 func (e *Engine) SetExecutor(x Executor) {
-	if x == nil {
-		e.runCell, e.runBatch = nil, nil
-		return
+	e.runBatch = nil
+	if x != nil {
+		e.runBatch = x.ExecBatch
 	}
-	e.runCell, e.runBatch = x.ExecCell, x.ExecBatch
 }
 
-// simulate runs one cell's simulation under the engine-wide
-// concurrency bound and counts it.
-func (e *Engine) simulate(cfg Config) (RunResult, error) {
+// simulate executes cfgs — one stream-sharing batch — under a single
+// worker slot of the engine-wide concurrency bound and returns each
+// member's result or error. The members run as one batch; if that
+// fails and there is more than one, each is re-run as a batch of one
+// through the same exec, which isolates the failing member and
+// reproduces its exact error — the simulator is deterministic, so
+// partially-simulated batch work is safely recomputed.
+func (e *Engine) simulate(cfgs []Config) ([]RunResult, []error) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
-	e.simulated.Add(1)
-	if cfg.Sampling.Enabled() {
-		e.sampledCells.Add(1)
+	rs, errs := make([]RunResult, len(cfgs)), make([]error, len(cfgs))
+	e.isolate(cfgs, rs, errs)
+	return rs, errs
+}
+
+// isolate is simulate's recursion, inside the worker slot.
+func (e *Engine) isolate(cfgs []Config, rs []RunResult, errs []error) {
+	out, err := e.exec(cfgs)
+	if err != nil && len(cfgs) > 1 {
+		for i := range cfgs {
+			e.isolate(cfgs[i:i+1], rs[i:i+1], errs[i:i+1])
+		}
+		return
 	}
-	return e.execCell(cfg)
+	// The one place cells are counted. A failed batch of two or more is
+	// not: its members are, one by one, above.
+	n := int64(len(cfgs))
+	e.simulated.Add(n)
+	if cfgs[0].Sampling.Enabled() {
+		e.sampledCells.Add(n)
+	}
+	if n > 1 {
+		e.batched.Add(n)
+		e.streamsShared.Add(n - 1)
+	}
+	if err != nil {
+		errs[0] = err
+		return
+	}
+	copy(rs, out)
+}
+
+// settle publishes one simulated cell's outcome: an error is annotated
+// with the cell's label, a result seeds the store, and either resolves
+// the cell's in-flight claim.
+func (e *Engine) settle(key string, c Cell, call *store.Call[RunResult], r RunResult, err error) (RunResult, error) {
+	if err != nil {
+		err = fmt.Errorf("cell %s: %w", c.Label, err)
+	} else if e.store != nil {
+		e.store.Store(key, r)
+	}
+	e.flight.Resolve(key, call, r, err)
+	return r, err
 }
 
 // engine builds the driver-facing engine from experiment options.
@@ -185,9 +221,7 @@ func (o Options) engine() *Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	e := NewEngine(o.Parallelism, o.Cache)
-	e.noBatch = o.DisableBatching
-	return e
+	return NewEngine(o.Parallelism, o.Cache)
 }
 
 // EngineStats is a point-in-time snapshot of an engine's work counters,
@@ -205,8 +239,9 @@ type EngineStats struct {
 	Deduped int64
 	// Inflight is the number of cells being simulated right now.
 	Inflight int
-	// Batched counts cells executed through the shared-stream batch
-	// path (batches of two or more cells with equal StreamKeys).
+	// Batched counts cells executed in batches of two or more cells
+	// with equal StreamKeys (a cell alone on its stream runs as a batch of
+	// one and is not counted here).
 	Batched int64
 	// StreamsShared counts trace-stream generations avoided by
 	// batching: a batch of K cells generates its stream once instead of
@@ -401,60 +436,18 @@ func batchOwned(cells []Cell, owned []int) [][]int {
 	return batches
 }
 
-// runOwnedBatch executes one stream-sharing batch of owned cells under
-// a single worker slot: the batched fast path generates the shared
-// stream once and simulates every member off it; if the batch cannot
-// run (or batching is disabled, or the batch is a single cell) the
-// members run individually, which preserves exact per-cell errors. Each
-// member's result is stored and its in-flight claim resolved here, in
-// the worker; per-cell errors land in errs for RunAll's deterministic
-// lowest-index selection.
+// runOwnedBatch executes one stream-sharing batch of owned cells (see
+// simulate). Each member's result is stored and its in-flight claim
+// resolved here, in the worker; per-cell errors land in errs for
+// RunAll's deterministic lowest-index selection.
 func (e *Engine) runOwnedBatch(cells []Cell, keys []string, owned []int, ownedCalls []*store.Call[RunResult], members []int, errs []error, results []RunResult) {
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
-
-	if len(members) >= 2 && !e.noBatch {
-		cfgs := make([]Config, len(members))
-		for mi, j := range members {
-			cfgs[mi] = cells[owned[j]].Config
-		}
-		rs, err := e.execBatch(cfgs)
-		if err == nil {
-			e.simulated.Add(int64(len(members)))
-			e.batched.Add(int64(len(members)))
-			e.streamsShared.Add(int64(len(members) - 1))
-			if cfgs[0].Sampling.Enabled() {
-				e.sampledCells.Add(int64(len(members)))
-			}
-			for mi, j := range members {
-				results[j] = rs[mi]
-				if e.store != nil {
-					e.store.Store(keys[owned[j]], rs[mi])
-				}
-				e.flight.Resolve(keys[owned[j]], ownedCalls[j], rs[mi], nil)
-			}
-			return
-		}
-		// Fall through: per-cell execution reproduces the exact error
-		// (and result) of every member — the simulator is deterministic,
-		// so partially-simulated batch work is safely recomputed.
+	cfgs := make([]Config, len(members))
+	for mi, j := range members {
+		cfgs[mi] = cells[owned[j]].Config
 	}
-
-	for _, j := range members {
-		c := cells[owned[j]]
-		e.simulated.Add(1)
-		if c.Config.Sampling.Enabled() {
-			e.sampledCells.Add(1)
-		}
-		r, err := e.execCell(c.Config)
-		if err != nil {
-			err = fmt.Errorf("cell %s: %w", c.Label, err)
-			errs[j] = err
-		} else if e.store != nil {
-			e.store.Store(keys[owned[j]], r)
-		}
-		results[j] = r
-		e.flight.Resolve(keys[owned[j]], ownedCalls[j], r, err)
+	rs, rerrs := e.simulate(cfgs)
+	for mi, j := range members {
+		results[j], errs[j] = e.settle(keys[owned[j]], cells[owned[j]], ownedCalls[j], rs[mi], rerrs[mi])
 	}
 }
 
@@ -475,14 +468,8 @@ func (e *Engine) runShared(key string, c Cell) (RunResult, error) {
 			}
 			return r, err
 		}
-		r, err := e.simulate(c.Config)
-		if err != nil {
-			err = fmt.Errorf("cell %s: %w", c.Label, err)
-		} else if e.store != nil {
-			e.store.Store(key, r)
-		}
-		e.flight.Resolve(key, call, r, err)
-		return r, err
+		rs, errs := e.simulate([]Config{c.Config})
+		return e.settle(key, c, call, rs[0], errs[0])
 	}
 }
 

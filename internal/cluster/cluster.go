@@ -439,31 +439,23 @@ func (c *Coordinator) Probe() {
 	wg.Wait()
 }
 
-// ExecCell implements shift.Executor for a single cell: a one-cell
-// batch through the same routing, failover, and fallback machinery.
-func (c *Coordinator) ExecCell(cfg shift.Config) (shift.RunResult, error) {
-	rs, err := c.exec([]shift.Config{cfg})
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			// Definitive single-cell failure: surface the worker's raw
-			// simulation error so the engine's "cell <label>:" wrap
-			// reproduces the exact single-host message.
-			if msg, ok := be.Cells[0]; ok {
-				return shift.RunResult{}, errors.New(msg)
-			}
-		}
-		return shift.RunResult{}, err
-	}
-	return rs[0], nil
-}
-
-// ExecBatch implements shift.Executor for a shared-stream batch. A
-// definitive per-cell failure surfaces as a BatchError, on which the
-// engine falls back to per-cell ExecCell calls that reproduce each
-// member's exact error.
+// ExecBatch implements shift.Executor: a shared-stream batch — or a
+// single cell, as a batch of one — through the routing, failover, and
+// fallback machinery. A definitive per-cell failure surfaces as a
+// BatchError, on which the engine re-runs each member as a batch of one;
+// a batch of one fails with its member's exact error.
 func (c *Coordinator) ExecBatch(cfgs []shift.Config) ([]shift.RunResult, error) {
-	return c.exec(cfgs)
+	rs, err := c.exec(cfgs)
+	var be *BatchError
+	if len(cfgs) == 1 && errors.As(err, &be) {
+		// Definitive single-cell failure: surface the worker's raw
+		// simulation error so the engine's "cell <label>:" wrap
+		// reproduces the exact single-host message.
+		if msg, ok := be.Cells[0]; ok {
+			return nil, errors.New(msg)
+		}
+	}
+	return rs, err
 }
 
 // jitter returns a full-jitter backoff delay for the k-th re-route:
@@ -520,13 +512,6 @@ func (c *Coordinator) exec(cfgs []shift.Config) ([]shift.RunResult, error) {
 	// Graceful degradation: no worker reachable — run in-process, which
 	// is trivially byte-identical to the single-host engine.
 	c.fallback.Add(int64(len(cfgs)))
-	if len(cfgs) == 1 {
-		r, err := shift.Run(cfgs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []shift.RunResult{r}, nil
-	}
 	return shift.RunBatch(cfgs)
 }
 

@@ -420,7 +420,7 @@ func TestClusterErrorParity(t *testing.T) {
 
 // TestBatchErrorClassification pins the two failure classes at the
 // coordinator API: definitive per-cell failures surface as BatchError
-// from ExecBatch (and as the raw error from ExecCell), with no
+// from ExecBatch (and, for a batch of one, as the raw error), with no
 // re-route and the worker still healthy.
 func TestBatchErrorClassification(t *testing.T) {
 	srv, w, _ := newTestWorker(t)
@@ -440,8 +440,8 @@ func TestBatchErrorClassification(t *testing.T) {
 		t.Fatalf("BatchError cells %+v, want exactly cell 1", be.Cells)
 	}
 	_, wantErr := shift.Run(bad)
-	if _, cellErr := coord.ExecCell(bad); cellErr == nil || cellErr.Error() != wantErr.Error() {
-		t.Fatalf("ExecCell error %v, want %v", cellErr, wantErr)
+	if _, cellErr := coord.ExecBatch([]shift.Config{bad}); cellErr == nil || cellErr.Error() != wantErr.Error() {
+		t.Fatalf("ExecBatch of one: error %v, want %v", cellErr, wantErr)
 	}
 	st := coord.Stats()
 	if st.BatchesRerouted != 0 || st.DispatchErrors != 0 {

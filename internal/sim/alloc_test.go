@@ -112,7 +112,7 @@ func TestStepZeroAllocSteadyStateBatch(t *testing.T) {
 	const rounds = 2000
 	for _, functional := range []bool{false, true} {
 		for _, sys := range b.systems {
-			sys.setFunctional(functional)
+			sys.applySegment(segment{functional: functional})
 		}
 		if _, err := b.runLockstep(30000); err != nil {
 			t.Fatal(err)

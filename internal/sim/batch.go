@@ -138,19 +138,27 @@ func (m *l1Mirror) put(b trace.BlockAddr, way int) {
 	m.set(b)[way] = uint64(b) + 1
 }
 
-// batch is one RunBatch in flight: the lead (systems[0]), its followers,
-// and the sampled schedule all of them walk (nil for an exact batch).
+// batch is the unit of execution: the systems that consume one record
+// stream — the lead (systems[0]) and the followers that read its log, none
+// for a single run — and the schedule all of them walk.
 type batch struct {
 	systems []*System
 	segs    []segment
 }
 
 // newBatch validates the specs, opens the record streams once — for the
-// lead — and builds every member.
+// lead — and builds every member. Followers are what the lead log and the
+// lead's L1-I mirrors exist for, so a batch of one builds neither: its one
+// member is the System New would return.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sim: batch spec %d: %w", i, err)
+			// A batch of one is a Run: there is no other member to tell the
+			// failing one from, and the caller wants the member's own error.
+			if len(specs) > 1 {
+				err = fmt.Errorf("sim: batch spec %d: %w", i, err)
+			}
+			return nil, err
 		}
 	}
 	if err := checkStreamCompatible(specs); err != nil {
@@ -160,19 +168,21 @@ func newBatch(specs []RunSpec) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &batch{systems: make([]*System, len(specs))}
-	// The log holds one lockstep block, and no block is longer than the
-	// longest stretch the schedule hands runLockstep.
-	longest := max(specs[0].WarmupRecords, specs[0].MeasureRecords)
-	if p := specs[0].Sampling.Normalized(); p.Enabled() {
-		b.segs = p.segments(specs[0].WarmupRecords, specs[0].MeasureRecords)
-		longest = 0
+	b := &batch{
+		systems: make([]*System, len(specs)),
+		segs:    specs[0].Sampling.segments(specs[0].WarmupRecords, specs[0].MeasureRecords),
+	}
+	var lg *leadLog
+	if len(specs) > 1 {
+		// The log holds one lockstep block, and no block is longer than
+		// the longest stretch the schedule hands runLockstep.
+		longest := int64(0)
 		for _, seg := range b.segs {
 			longest = max(longest, seg.rounds)
 		}
+		n := int(min(batchBlockRounds, longest)) * specs[0].Config.Cores
+		lg = &leadLog{words: make([]uint64, n), data: make([]uint64, n)}
 	}
-	n := int(min(batchBlockRounds, longest)) * specs[0].Config.Cores
-	lg := &leadLog{words: make([]uint64, n), data: make([]uint64, n)}
 	lead, err := build(specs[0].systemConfig(), readers, lg, nil)
 	if err != nil {
 		return nil, err
@@ -204,121 +214,101 @@ func newBatch(specs []RunSpec) (*batch, error) {
 // L1-I's hits and victims (see the System.log field doc); it reports the
 // lead's statistics for what it shares.
 //
-// A batch of one degenerates to Run. An incompatible batch returns an
-// error naming the first mismatched spec.
+// A batch of one is Run (which is written as one). An incompatible batch
+// returns an error naming the first mismatched spec.
 func RunBatch(specs []RunSpec) ([]Result, error) {
-	switch len(specs) {
-	case 0:
+	if len(specs) == 0 {
 		return nil, nil
-	case 1:
-		r, err := Run(specs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []Result{r}, nil
 	}
 	b, err := newBatch(specs)
 	if err != nil {
 		return nil, err
 	}
-	systems := b.systems
-	warm, meas := specs[0].WarmupRecords, specs[0].MeasureRecords
-	if err := systems[0].checkSupply(warm + meas); err != nil {
+	if err := b.walk(specs[0].WarmupRecords, specs[0].MeasureRecords); err != nil {
 		return nil, err
 	}
-	k, cores := len(specs), specs[0].Config.Cores
-	out := make([]Result, k)
-	if b.segs != nil {
-		// Sampled batch: every member walks the identical deterministic
-		// segment schedule (validated equal by checkStreamCompatible), so
-		// each member's result is bit-identical to its standalone
-		// RunSampled.
-		var done int64
-		for _, seg := range b.segs {
-			for _, sys := range systems {
-				sys.applySegment(seg)
-			}
-			if seg.measured {
-				for _, sys := range systems {
-					sys.BeginInterval()
-				}
-			}
-			ran, err := b.runLockstep(seg.rounds)
-			if err != nil {
-				return nil, err
-			}
-			done += ran
-			if ran < seg.rounds {
-				phase := "measure"
-				if done <= warm {
-					phase = "warmup"
-				}
-				return nil, &StreamShortError{Phase: phase, Core: -1, Need: warm + meas, Have: done}
-			}
-			if seg.measured {
-				for _, sys := range systems {
-					sys.EndInterval()
-				}
-			}
-		}
-		for m, sys := range systems {
-			sys.setFunctional(false)
-			if err := sys.checkConsumed(make([]int64, cores), warm+meas); err != nil {
-				return nil, err
-			}
-			// Per-member policy: members may differ in the reporting
-			// confidence level (it never touches the schedule).
-			out[m] = sys.SampledResults(specs[m].Sampling)
-		}
-		b.release()
-		return out, nil
+	out := make([]Result, len(specs))
+	for m, sys := range b.systems {
+		// Per-member policy: members may differ in the reporting
+		// confidence level (it never touches the schedule).
+		out[m] = sys.result(specs[m].Sampling)
+		// The batch has succeeded and the result is extracted: hand the
+		// member's tables back (see System.release).
+		sys.release()
 	}
-
-	if warm > 0 {
-		ran, err := b.runLockstep(warm)
-		if err != nil {
-			return nil, err
-		}
-		if ran < warm {
-			return nil, &StreamShortError{Phase: "warmup", Core: -1, Need: warm, Have: ran}
-		}
-	}
-	for _, sys := range systems {
-		sys.MarkMeasurement()
-	}
-	ran, err := b.runLockstep(meas)
-	if err != nil {
-		return nil, err
-	}
-	if ran < meas {
-		return nil, &StreamShortError{Phase: "measure", Core: -1, Need: meas, Have: ran}
-	}
-	for m, sys := range systems {
-		// Catch a single dry stream the round loop papered over (see
-		// System.checkConsumed); batch systems start at zero consumed.
-		if err := sys.checkConsumed(make([]int64, cores), warm+meas); err != nil {
-			return nil, err
-		}
-		out[m] = sys.Results()
-	}
-	b.release()
 	return out, nil
 }
 
-// release hands every member's tables back once the batch has succeeded
-// and its results are extracted (see System.release).
-func (b *batch) release() {
-	for _, sys := range b.systems {
-		sys.release()
+// walk is the one execution path: it takes the batch's systems through
+// the schedule over a window of warm+meas records per core — exact or
+// sampled, one member or many, built here or by a caller — segment by
+// segment, bracketing each measured one with Begin/EndInterval, and
+// verifies that the streams supplied the whole window. Every member walks
+// the identical deterministic schedule (validated equal by
+// checkStreamCompatible), so each member's result is bit-identical to
+// its standalone run.
+func (b *batch) walk(warm, meas int64) error {
+	lead := b.systems[0]
+	if err := lead.checkSupply(warm + meas); err != nil {
+		return err
 	}
+	bases := make([][]int64, len(b.systems))
+	for m, sys := range b.systems {
+		bases[m] = sys.consumedBase()
+		sys.sampleAgg, sys.mpkiSamples, sys.tputSamples = measurement{}, nil, nil
+	}
+	// Whatever the outcome, a caller-built System is left stepping in
+	// detail.
+	defer func() {
+		for _, sys := range b.systems {
+			sys.applySegment(segment{})
+		}
+	}()
+	var done int64
+	for _, seg := range b.segs {
+		for _, sys := range b.systems {
+			sys.applySegment(seg)
+			if seg.measured {
+				sys.BeginInterval()
+			}
+		}
+		ran, err := b.runLockstep(seg.rounds)
+		if err != nil {
+			return err
+		}
+		if done += ran; ran < seg.rounds {
+			// Counts are per phase, as StreamShortError documents; a stream
+			// dry at the very start of the measure window, or of a run
+			// without warmup, ran short in "measure".
+			if done < warm {
+				return &StreamShortError{Phase: "warmup", Core: -1, Need: warm, Have: done}
+			}
+			return &StreamShortError{Phase: "measure", Core: -1, Need: meas, Have: done - warm}
+		}
+		if seg.measured {
+			for _, sys := range b.systems {
+				sys.EndInterval()
+			}
+		}
+	}
+	for m, sys := range b.systems {
+		// Catch a single dry stream the round loop papered over (see
+		// System.checkConsumed).
+		if err := sys.checkConsumed(bases[m], warm+meas); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runLockstep advances every system by up to `records` rounds in blocks
-// of batchBlockRounds and returns the rounds completed. The blocking is
-// the one standalone functional stepping applies to itself (see
-// runRoundsFunctional); no block outgrows the log, which holds the
-// smaller of batchBlockRounds and the longest stretch of the schedule.
-// If the lead's streams run dry the shortfall is visible to the caller.
+// of batchBlockRounds and returns the rounds completed. A batch of one is
+// blocked like any other, which is what keeps functional stepping —
+// core-major within a block (see runRoundsFunctional) — in one global
+// order however many members there are; no block outgrows the log, which
+// holds the smaller of batchBlockRounds and the longest stretch of the
+// schedule. If the lead's streams run dry the shortfall is visible to the
+// caller.
 func (b *batch) runLockstep(records int64) (int64, error) {
 	for off := int64(0); off < records; {
 		n := min(records-off, batchBlockRounds)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -222,22 +223,114 @@ func TestRunBatchGroups(t *testing.T) {
 	checkBatchMatchesRun(t, specs)
 }
 
-// TestRunBatchSingleAndEmpty covers the degenerate batch sizes.
+// TestRunBatchSingleAndEmpty covers the degenerate batch sizes: none, and
+// the batch of one — the member a batch of two would lead, and the System
+// a caller builds with New and walks with RunMeasured/RunSampled, must
+// all report the same Result, and an invalid single spec its own error.
 func TestRunBatchSingleAndEmpty(t *testing.T) {
 	if rs, err := RunBatch(nil); err != nil || rs != nil {
 		t.Fatalf("empty batch: %v, %v", rs, err)
 	}
+	for _, p := range []Sampling{{}, testSampling()} {
+		spec := testSpec(testConfig())
+		spec.Sampling = p
+		rs, err := RunBatch([]RunSpec{spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := RunBatch([]RunSpec{spec, spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers, err := spec.openReaders()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := New(spec.Config, readers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := sys.RunSampled(spec.WarmupRecords, spec.MeasureRecords, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (rs[0].Sampled != nil) != p.Enabled() {
+			t.Errorf("sampling %+v: SampleStats attached = %v", p, rs[0].Sampled != nil)
+		}
+		if !reflect.DeepEqual(rs[0], two[0]) || !reflect.DeepEqual(rs[0], two[1]) {
+			t.Errorf("sampling %+v: single-spec batch differs from the members of a batch of two", p)
+		}
+		if !reflect.DeepEqual(rs[0], own) {
+			t.Errorf("sampling %+v: single-spec batch differs from a caller-built System's walk", p)
+		}
+	}
+	invalid := testSpec(testConfig())
+	invalid.MeasureRecords = 0
+	_, err := RunBatch([]RunSpec{invalid})
+	if want := invalid.Validate(); err == nil || err.Error() != want.Error() {
+		t.Errorf("invalid single spec: error %v, want its own %v", err, want)
+	}
+}
+
+// TestBatchOfOneBuildsNoLog: the lead log and the lead's L1-I mirrors
+// exist for followers to read. A batch of one has none, so it is the
+// System New returns — and a Run allocates no more than building and
+// walking that System by hand does, where a log of one lockstep block
+// would add 16 B a record-step.
+func TestBatchOfOneBuildsNoLog(t *testing.T) {
 	spec := testSpec(testConfig())
-	rs, err := RunBatch([]RunSpec{spec})
+	spec.WarmupRecords, spec.MeasureRecords = batchBlockRounds, batchBlockRounds
+	b, err := newBatch([]RunSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := Run(spec)
+	if sys := b.systems[0]; sys.log != nil || sys.lead || sys.mirrors != nil || sys.hot[0].mirror != nil {
+		t.Errorf("a batch of one built log %v, lead %v, mirrors %v", sys.log != nil, sys.lead, sys.mirrors != nil)
+	}
+	two, err := newBatch([]RunSpec{spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rs[0], solo) {
-		t.Error("single-spec batch differs from Run")
+	logBytes := uint64(16 * len(two.systems[0].log.words))
+	if two.systems[0].mirrors == nil || logBytes == 0 {
+		t.Fatal("a batch of two built no log or no mirrors: the check above proves nothing")
+	}
+
+	byHand := func() {
+		readers, err := spec.openReaders()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := New(spec.Config, readers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunMeasured(spec.WarmupRecords, spec.MeasureRecords); err != nil {
+			t.Fatal(err)
+		}
+		sys.release()
+	}
+	run := func() {
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Least of three: under the race detector sync.Pool drops Puts at
+	// random, and a dropped table is allocated again.
+	least := func(f func()) uint64 {
+		f() // fill the free lists with this shape
+		best := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	if hand, got := least(byHand), least(run); got > hand+logBytes/4 {
+		t.Errorf("a Run allocates %d B, the same System built by hand %d B (a lead log would be %d B)", got, hand, logBytes)
 	}
 }
 
@@ -266,16 +359,11 @@ func TestRunBatchRejectsMismatchedStreams(t *testing.T) {
 	}
 }
 
-// eachBlock walks b's schedule — its sampled segments, or the warmup and
-// measure windows of an exact batch — one lockstep block at a time and
-// calls check after every block.
-func eachBlock(t *testing.T, b *batch, warm, meas int64, check func()) {
+// eachBlock walks b's schedule one lockstep block at a time and calls
+// check after every block.
+func eachBlock(t *testing.T, b *batch, check func()) {
 	t.Helper()
-	segs := b.segs
-	if segs == nil {
-		segs = []segment{{rounds: warm}, {rounds: meas}}
-	}
-	for _, seg := range segs {
+	for _, seg := range b.segs {
 		for _, sys := range b.systems {
 			sys.applySegment(seg)
 		}
@@ -315,7 +403,7 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 			lead := b.systems[0]
 			sets := lead.cfg.L1I.Sets()
 			blocks := 0
-			eachBlock(t, b, specs[0].WarmupRecords, specs[0].MeasureRecords, func() {
+			eachBlock(t, b, func() {
 				blocks++
 				for m, sys := range b.systems {
 					if len(sys.mirrors) != len(lead.l1i) {
@@ -423,6 +511,13 @@ func (o opaqueSource) NewCoreReader(c int) (trace.Reader, error) {
 	return &opaqueReader{r: r}, err
 }
 
+// drySource is a Source whose every stream is dry at record 0.
+type drySource struct{}
+
+func (drySource) NewCoreReader(int) (trace.Reader, error) {
+	return &opaqueReader{r: trace.NewSliceReader(nil)}, nil
+}
+
 // TestRunBatchStreamShortMatchesRun: a bounded Source that runs dry in
 // the middle of a lockstep block — every core or a single one, in the
 // warmup or the measured window, exact or sampled — fails a batch with
@@ -443,18 +538,30 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 		name    string
 		src     workload.Source
 		sampled bool
+		warm    int64
+		// want is the error: counts are per phase (records into the
+		// phase, of the phase's length), except for the one-core case —
+		// found by checkConsumed once the other cores finished — whose
+		// counts are the core's, over the whole window.
+		want StreamShortError
 	}{
-		{"measure", source(12000), false},
-		{"warmup", source(3000), false},
-		{"one-core", source(50000, 50000, 12000, 50000), false},
-		{"sampled-measure", source(12000), true},
-		{"sampled-warmup", source(3000), true},
+		{"measure", source(12000), false, 10000, StreamShortError{"measure", -1, 15000, 2000}},
+		{"warmup", source(3000), false, 10000, StreamShortError{"warmup", -1, 10000, 3000}},
+		{"one-core", source(50000, 50000, 12000, 50000), false, 10000, StreamShortError{"measure", 2, 25000, 12000}},
+		{"sampled-measure", source(12000), true, 10000, StreamShortError{"measure", -1, 15000, 2000}},
+		{"sampled-warmup", source(3000), true, 10000, StreamShortError{"warmup", -1, 10000, 3000}},
+		// Dry exactly where the measure window starts: nothing of it ran.
+		{"measure-start", source(10000), false, 10000, StreamShortError{"measure", -1, 15000, 0}},
+		{"sampled-measure-start", source(10000), true, 10000, StreamShortError{"measure", -1, 15000, 0}},
+		// No warmup: a stream dry at record 0 ran short in "measure".
+		{"no-warmup", drySource{}, false, 0, StreamShortError{"measure", -1, 15000, 0}},
+		{"sampled-no-warmup", drySource{}, true, 0, StreamShortError{"measure", -1, 15000, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			specs := batchDesigns()[:7]
 			for i := range specs {
 				specs[i].Source = tc.src
-				specs[i].WarmupRecords, specs[i].MeasureRecords = 10000, 15000
+				specs[i].WarmupRecords, specs[i].MeasureRecords = tc.warm, 15000
 				if tc.sampled {
 					specs[i].Sampling = testSampling()
 				}
@@ -468,6 +575,9 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 			}
 			if *batched != *solo {
 				t.Fatalf("batched %+v, standalone %+v", *batched, *solo)
+			}
+			if *solo != tc.want {
+				t.Fatalf("got %+v, want %+v", *solo, tc.want)
 			}
 		})
 	}

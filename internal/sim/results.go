@@ -236,11 +236,27 @@ func subPf(a, b prefetch.Stats) prefetch.Stats {
 	}
 }
 
+// MarkMeasurement snapshots all counters; Results reports deltas from
+// this point (warmup exclusion, as in the paper's SimFlex methodology).
+// It is how a hand-stepped System (New, Run, MarkMeasurement, Run,
+// Results) opens its one measured interval; a schedule's intervals open
+// the same way (BeginInterval).
+func (s *System) MarkMeasurement() { s.intervalStart = s.snapshot() }
+
+// sinceMark is the counter delta of the open interval: since the last
+// MarkMeasurement, or since construction when there was none.
+func (s *System) sinceMark() measurement {
+	d := s.snapshot()
+	if s.intervalStart.cycles != nil {
+		d.sub(&s.intervalStart)
+	}
+	return d
+}
+
 // Results computes the measurement-window deltas since MarkMeasurement.
 func (s *System) Results() Result {
-	cur := s.snapshot()
-	cur.sub(&s.base)
-	return s.resultFromDelta(&cur)
+	d := s.sinceMark()
+	return s.resultFromDelta(&d)
 }
 
 // resultFromDelta summarizes one window delta (an exact run's whole

@@ -134,30 +134,16 @@ func (r RunSpec) openReaders() ([]trace.Reader, error) {
 }
 
 // Run executes the spec: open the record streams, construct the system,
-// run warmup, measure, and return the results.
+// walk the warmup→measure schedule, and return the results. A run is a
+// batch of one — RunBatch with a single member, which has no follower
+// and therefore builds no lead log — so an invalid spec fails with its
+// own error, unlabelled.
 func Run(spec RunSpec) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
-	readers, err := spec.openReaders()
+	rs, err := RunBatch([]RunSpec{spec})
 	if err != nil {
 		return Result{}, err
 	}
-	sys, err := New(spec.systemConfig(), readers)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	if spec.Sampling.Enabled() {
-		res, err = sys.RunSampled(spec.WarmupRecords, spec.MeasureRecords, spec.Sampling)
-	} else {
-		res, err = sys.RunMeasured(spec.WarmupRecords, spec.MeasureRecords)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	sys.release()
-	return res, nil
+	return rs[0], nil
 }
 
 // checkSupply rejects, up front, streams that declare (via
@@ -195,88 +181,31 @@ func (s *System) checkConsumed(base []int64, need int64) error {
 }
 
 // RunMeasured executes the exact methodology on an already-constructed
-// system: warmup, measurement mark, measure window, Results. Unlike Run
-// (which it backs) it works with custom trace readers; a stream that
-// cannot supply the full window fails with a *StreamShortError instead
-// of silently measuring fewer records.
+// system: RunSampled under the disabled policy, whose schedule is the
+// detailed warmup and the whole measure window as its one interval.
 func (s *System) RunMeasured(warmup, measure int64) (Result, error) {
+	return s.RunSampled(warmup, measure, Sampling{})
+}
+
+// RunSampled walks, on an already-constructed system, the deterministic
+// schedule p lays out over the warmup+measure window (see
+// Sampling.segments) — the walk every Run and RunBatch member takes.
+// Unlike Run it works with custom trace readers; a stream that cannot
+// supply the full window fails with a *StreamShortError instead of
+// silently measuring fewer records.
+func (s *System) RunSampled(warmup, measure int64, p Sampling) (Result, error) {
 	if measure <= 0 {
 		return Result{}, fmt.Errorf("sim: MeasureRecords %d <= 0", measure)
 	}
-	if err := s.checkSupply(warmup + measure); err != nil {
-		return Result{}, err
-	}
-	base := s.consumedBase()
-	if warmup > 0 {
-		ran, err := s.runRounds(warmup)
-		if err != nil {
-			return Result{}, err
-		}
-		if ran < warmup {
-			return Result{}, &StreamShortError{Phase: "warmup", Core: -1, Need: warmup, Have: ran}
-		}
-	}
-	s.MarkMeasurement()
-	ran, err := s.runRounds(measure)
-	if err != nil {
-		return Result{}, err
-	}
-	if ran < measure {
-		return Result{}, &StreamShortError{Phase: "measure", Core: -1, Need: measure, Have: ran}
-	}
-	if err := s.checkConsumed(base, warmup+measure); err != nil {
-		return Result{}, err
-	}
-	return s.Results(), nil
-}
-
-// RunSampled executes the sampled methodology on an already-constructed
-// system: the deterministic schedule of functional fast-forwarding and
-// detailed intervals that p lays out over the warmup+measure window
-// (see Sampling). Short streams fail with a *StreamShortError exactly
-// like RunMeasured.
-func (s *System) RunSampled(warmup, measure int64, p Sampling) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	if !p.Enabled() {
-		return s.RunMeasured(warmup, measure)
-	}
-	if p.withDefaults().Intervals(measure) < 2 {
+	if p.Enabled() && p.Intervals(measure) < 2 {
 		return Result{}, fmt.Errorf("sim: MeasureRecords %d fits fewer than two sampling intervals", measure)
 	}
-	if err := s.checkSupply(warmup + measure); err != nil {
+	b := batch{systems: []*System{s}, segs: p.segments(warmup, measure)}
+	if err := b.walk(warmup, measure); err != nil {
 		return Result{}, err
 	}
-	base := s.consumedBase()
-	var done int64
-	need := warmup + measure
-	for _, seg := range p.segments(warmup, measure) {
-		s.applySegment(seg)
-		if seg.measured {
-			s.BeginInterval()
-		}
-		ran, err := s.runRounds(seg.rounds)
-		if err != nil {
-			s.setFunctional(false)
-			return Result{}, err
-		}
-		done += ran
-		if ran < seg.rounds {
-			s.setFunctional(false)
-			phase := "measure"
-			if done <= warmup {
-				phase = "warmup"
-			}
-			return Result{}, &StreamShortError{Phase: phase, Core: -1, Need: need, Have: done}
-		}
-		if seg.measured {
-			s.EndInterval()
-		}
-	}
-	s.setFunctional(false)
-	if err := s.checkConsumed(base, need); err != nil {
-		return Result{}, err
-	}
-	return s.SampledResults(p), nil
+	return s.result(p), nil
 }

@@ -223,7 +223,14 @@ func appendFunctional(segs []segment, rounds int64) []segment {
 // rounds, and the measured interval — with any trailing remainder
 // fast-forwarded functionally, so a sampled run consumes exactly the
 // records its exact counterpart would.
+//
+// A disabled policy is the same schedule with one full-length interval
+// and nothing skipped: the warmup in detail, unmeasured, then the whole
+// measurement window as the one measured interval — exact simulation.
 func (p Sampling) segments(warmup, measure int64) []segment {
+	if !p.Enabled() {
+		return []segment{{rounds: warmup}, {rounds: measure, measured: true}}
+	}
 	p = p.withDefaults()
 	var segs []segment
 	chunk := p.chunkRounds()
@@ -303,9 +310,6 @@ type SampleStats struct {
 	MPKI, Throughput MetricEstimate
 }
 
-// setFunctional switches the stepping mode used by runRounds.
-func (s *System) setFunctional(on bool) { s.functional = on }
-
 // applySegment arms the stepping mode and the functional LLC-warming
 // stride for one schedule segment.
 func (s *System) applySegment(seg segment) {
@@ -313,16 +317,15 @@ func (s *System) applySegment(seg segment) {
 	s.llcMask = seg.llcMask
 }
 
-// BeginInterval snapshots all counters at the start of a measured
-// interval; EndInterval turns the delta into one per-interval sample.
-func (s *System) BeginInterval() { s.intervalStart = s.snapshot() }
+// BeginInterval opens a measured interval of the schedule at the current
+// counters; EndInterval turns the delta into one per-interval sample.
+func (s *System) BeginInterval() { s.MarkMeasurement() }
 
 // EndInterval closes the interval opened by BeginInterval: the counter
 // delta joins the run's aggregate measurement and contributes one
 // sample per tracked metric.
 func (s *System) EndInterval() {
-	d := s.snapshot()
-	d.sub(&s.intervalStart)
+	d := s.sinceMark()
 	if s.sampleAgg.cycles == nil {
 		s.sampleAgg = d
 	} else {
@@ -345,25 +348,20 @@ func (s *System) EndInterval() {
 	s.tputSamples = append(s.tputSamples, tput)
 }
 
-// SampledResults aggregates the measured intervals into a Result and
-// attaches the per-metric error bounds.
-func (s *System) SampledResults(p Sampling) Result {
-	var r Result
-	if s.sampleAgg.cycles == nil {
-		// No interval completed; report an empty (but well-formed)
-		// measurement rather than dereferencing a missing aggregate.
-		empty := newMeasurement(s.cfg.Cores)
-		r = s.resultFromDelta(&empty)
-	} else {
-		r = s.resultFromDelta(&s.sampleAgg)
-	}
-	p = p.withDefaults()
-	z := p.z()
-	r.Sampled = &SampleStats{
-		Intervals:  len(s.mpkiSamples),
-		Confidence: p.Confidence,
-		MPKI:       estimate(s.mpkiSamples, z),
-		Throughput: estimate(s.tputSamples, z),
+// result aggregates the schedule's measured intervals into a Result —
+// for an exact run that is the one interval, the measurement window —
+// and, when p samples, attaches the per-metric error bounds.
+func (s *System) result(p Sampling) Result {
+	r := s.resultFromDelta(&s.sampleAgg)
+	if p.Enabled() {
+		p = p.withDefaults()
+		z := p.z()
+		r.Sampled = &SampleStats{
+			Intervals:  len(s.mpkiSamples),
+			Confidence: p.Confidence,
+			MPKI:       estimate(s.mpkiSamples, z),
+			Throughput: estimate(s.tputSamples, z),
+		}
 	}
 	return r
 }
@@ -511,44 +509,29 @@ func (s *System) warmFollower(coreID int, n int64) {
 	s.llcWarmCnt[coreID] = warmCnt
 }
 
-// runRoundsFunctional advances up to n lockstep rounds on the
-// functional path, core-major within blocks of batchBlockRounds: cores
-// barely interact while timing stands still (the L1-I and history are
-// per-core), so stepping each core through a whole block back to back
-// keeps its stream chunk, instruction cache, and history builder hot
-// instead of thrashing every core's state on every round — a large
-// constant-factor win on the fast-forward path. The block structure
-// matches the batch runner's lockstep blocks exactly, so the few
-// cross-core touch points (shared-LLC warming order, the generator's
-// index-pointer updates) happen in the identical global order
-// standalone and batched — which keeps sampled batch members
+// runRoundsFunctional advances one lockstep block of up to n rounds on
+// the functional path, core-major: cores barely interact while timing
+// stands still (the L1-I and history are per-core), so stepping each core
+// through the whole block back to back keeps its stream chunk,
+// instruction cache, and history builder hot instead of thrashing every
+// core's state on every round — a large constant-factor win on the
+// fast-forward path. The blocks are runLockstep's, for one member as for
+// many, so the few cross-core touch points (shared-LLC warming order,
+// the generator's index-pointer updates) happen in the identical global
+// order standalone and batched — which keeps sampled batch members
 // bit-identical to their standalone runs. It returns the number of
 // full rounds completed (the minimum over cores when a stream runs
 // dry).
 func (s *System) runRoundsFunctional(n int64) (int64, error) {
-	var done int64
-	for off := int64(0); off < n; {
-		blk := n - off
-		if blk > batchBlockRounds {
-			blk = batchBlockRounds
+	done := n
+	for c := 0; c < s.cfg.Cores; c++ {
+		ran, err := s.warmCore(c, n)
+		if err != nil {
+			return 0, err
 		}
-		min := blk
-		for c := 0; c < s.cfg.Cores; c++ {
-			ran, err := s.warmCore(c, blk)
-			if err != nil {
-				return done, err
-			}
-			if ran < min {
-				min = ran
-			}
-		}
-		s.rounds += min
-		done += min
-		off += blk
-		if min < blk {
-			return done, nil
-		}
+		done = min(done, ran)
 	}
+	s.rounds += done
 	return done, nil
 }
 

@@ -211,7 +211,7 @@ func warmSystems(t *testing.T, cfg Config, rounds int64) (detailed, functional *
 		t.Fatal(err)
 	}
 	functional = build()
-	functional.setFunctional(true)
+	functional.applySegment(segment{functional: true})
 	if err := functional.Run(rounds); err != nil {
 		t.Fatal(err)
 	}

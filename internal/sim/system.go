@@ -99,13 +99,13 @@ type System struct {
 	mirrors    []l1Mirror
 	logPos     int
 
-	base measurement // snapshot at measurement start
-
-	// Sampled-execution state (see sampling.go): functional selects the
-	// fast-forward stepping path in runRounds; intervalStart/sampleAgg
-	// and the per-interval metric samples feed SampledResults;
-	// llcWarmCnt[core] counts functional L1 misses for the strided LLC
-	// warming.
+	// Schedule state (see Sampling.segments and batch.walk): functional
+	// selects the fast-forward stepping path in runRounds and llcMask its
+	// LLC-warming stride; intervalStart is the snapshot the open interval
+	// is measured from (nil slices — all zero — until the first mark);
+	// sampleAgg sums the closed intervals' deltas and the per-interval
+	// metric samples feed result; llcWarmCnt[core] counts functional L1
+	// misses for the strided LLC warming.
 	functional    bool
 	llcMask       uint32
 	intervalStart measurement
@@ -289,7 +289,6 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, lead *System) (*Syst
 		s.adaptEvery = defaultAdaptWindow
 	}
 	s.adaptive = cfg.Prefetcher.AdaptiveGenerator && len(s.shared) > 0
-	s.base = s.snapshot()
 	return s, nil
 }
 
@@ -650,17 +649,17 @@ func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 // Run advances every core by up to `records` records in lockstep
 // (round-robin, one record per core per round), preserving the recency
 // relationships a real concurrent system would have between the history
-// generator and the replaying cores.
+// generator and the replaying cores. It steps a hand-built System as a
+// batch of one, in the lockstep blocks every schedule runs in.
 func (s *System) Run(records int64) error {
-	_, err := s.runRounds(records)
+	_, err := (&batch{systems: []*System{s}}).runLockstep(records)
 	return err
 }
 
-// runRounds advances up to n lockstep rounds, returning the number
-// completed (fewer only when every core's trace is exhausted). It is
-// the shared inner loop of Run and the batch runner's block-lockstep
-// schedule. On the functional fast-forward path the rounds run
-// core-major instead (see runRoundsFunctional).
+// runRounds advances one lockstep block of up to n rounds, returning the
+// number completed (fewer only when every core's trace is exhausted). On
+// the functional fast-forward path the rounds run core-major instead (see
+// runRoundsFunctional).
 func (s *System) runRounds(n int64) (int64, error) {
 	if s.functional {
 		return s.runRoundsFunctional(n)
@@ -700,10 +699,6 @@ func (s *System) runRound() (bool, error) {
 	}
 	return true, nil
 }
-
-// MarkMeasurement snapshots all counters; Results reports deltas from
-// this point (warmup exclusion, as in the paper's SimFlex methodology).
-func (s *System) MarkMeasurement() { s.base = s.snapshot() }
 
 // Mesh exposes the interconnect (read-only use: traffic inspection).
 func (s *System) Mesh() *noc.Mesh { return s.mesh }

@@ -43,15 +43,6 @@ type Options struct {
 	// backend works: NewResultCache() for in-process reuse,
 	// NewTieredStore(dir) to persist cells across process restarts.
 	Cache ResultStore
-	// DisableBatching forces the engine to simulate grid cells one by
-	// one instead of batching cells that share a trace stream (equal
-	// Config.StreamKeys) into a single generation pass. Output is
-	// identical either way — batching only changes how much per-record
-	// work is shared — so this exists for diagnostics and for A/B
-	// benchmarking the batched path (bench_test.go's unbatched case).
-	// Ignored when Engine is set (the engine's own construction
-	// governs).
-	DisableBatching bool
 	// Engine, when non-nil, submits every cell to this shared engine
 	// instead of constructing one from Parallelism and Cache — sharing
 	// its store and its in-flight deduplication across concurrent

@@ -104,14 +104,14 @@ func TestFailedCellIsNotRecycled(t *testing.T) {
 	}
 	for _, panics := range []bool{true, false} {
 		e := NewEngine(1, nil)
-		e.runCell = func(cfg Config) (RunResult, error) {
-			spec, err := cfg.spec()
+		e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+			spec, err := cfgs[0].spec()
 			if err != nil {
-				return RunResult{}, err
+				return nil, err
 			}
 			spec.Source = failingSource{w: w, after: 700, panics: panics}
 			res, err := sim.Run(spec)
-			return fromSim(res, cfg.Workload), err
+			return []RunResult{fromSim(res, cfgs[0].Workload)}, err
 		}
 		emptyFreeLists()
 		_, err := e.RunOne(clean(DesignSHIFT))
@@ -151,12 +151,12 @@ func TestFailedCellIsNotRecycled(t *testing.T) {
 }
 
 // TestResultsIndependentOfRecycling is the order-independence property:
-// for every design, exact and sampled, per cell (Run) and batched
-// (RunBatch), plus a consolidated mix and a phase-sequenced spec source,
+// for every design, exact and sampled, in a batch (the engine's grid) and
+// alone (Run), plus a consolidated mix and a phase-sequenced spec source,
 // the result computed after a shuffled prefix of differently shaped
 // cells — other core counts, history sizes and designs, whose tables now
 // fill the free lists — equals the result computed with the free lists
-// emptied. The engine runs four cells at a time, so under -race this
+// emptied. The engine runs four batches at a time, so under -race this
 // also exercises concurrent hand-back and take-out.
 func TestResultsIndependentOfRecycling(t *testing.T) {
 	mixID, err := LoadSpec([]byte(`
@@ -216,27 +216,30 @@ phases:
 		}
 	}
 
-	for _, batching := range []bool{false, true} {
-		for seed := int64(1); seed <= 2; seed++ {
-			rand.New(rand.NewSource(seed)).Shuffle(len(prefix), func(i, j int) {
-				prefix[i], prefix[j] = prefix[j], prefix[i]
-			})
-			e := NewEngine(4, nil)
-			e.SetBatching(batching)
-			got, err := e.RunAll(append(append([]Cell(nil), prefix...), targets...))
+	for seed := int64(1); seed <= 2; seed++ {
+		rand.New(rand.NewSource(seed)).Shuffle(len(prefix), func(i, j int) {
+			prefix[i], prefix[j] = prefix[j], prefix[i]
+		})
+		e := NewEngine(4, nil)
+		got, err := e.RunAll(append(append([]Cell(nil), prefix...), targets...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = got[len(prefix):]
+		for i, c := range targets {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("seed %d: %s in the grid differs from the result on emptied free lists", seed, c.Label)
+			}
+			alone, err := Run(c.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = got[len(prefix):]
-			for i := range targets {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("batching=%v seed %d: %s differs from the result on emptied free lists",
-						batching, seed, targets[i].Label)
-				}
+			if !reflect.DeepEqual(alone, want[i]) {
+				t.Errorf("seed %d: %s run alone differs from the result on emptied free lists", seed, c.Label)
 			}
-			if st := e.Stats(); batching && st.Batched == 0 {
-				t.Error("batching on, but no cell ran through RunBatch")
-			}
+		}
+		if st := e.Stats(); st.Batched == 0 {
+			t.Error("no target ran in a batch of two or more")
 		}
 	}
 }

@@ -45,8 +45,10 @@
 // batch: RunBatch generates the per-core record stream once and fans
 // it out to every member, sharing the design-independent per-record
 // work. Batching never changes results (each member sees exactly the
-// record order of a standalone Run) and is on by default
-// (Options.DisableBatching turns it off for diagnostics).
+// record order of a standalone Run), and there is no other way to run:
+// a cell alone on its stream — and Run itself — is a batch of one, one
+// member walking the same warmup→measure schedule with no follower to
+// publish a log for.
 //
 // # Sampled execution
 //
@@ -470,15 +472,11 @@ func fromSim(r sim.Result, workloadName string) RunResult {
 	return out
 }
 
-// Run executes one simulation.
+// Run executes one simulation: a RunBatch of one.
 func Run(cfg Config) (RunResult, error) {
-	spec, err := cfg.spec()
+	rs, err := RunBatch([]Config{cfg})
 	if err != nil {
 		return RunResult{}, err
 	}
-	res, err := sim.Run(spec)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return fromSim(res, cfg.Workload), nil
+	return rs[0], nil
 }
