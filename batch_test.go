@@ -7,9 +7,10 @@ import (
 )
 
 // TestStreamKey pins the stream partition: designs, seeds, modes, and
-// history sizes share a stream; workloads, core counts, and window
-// lengths split it. Zero and default window/core values must coincide
-// (the key normalizes exactly like Config.spec).
+// history sizes share a stream; workloads, core counts, window lengths
+// and sampling schedules split it. Zero and default window/core values
+// must coincide (the key normalizes exactly like Config.spec). Stream,
+// the comparable identity, and StreamKey, its hash, partition alike.
 func TestStreamKey(t *testing.T) {
 	base := DefaultRunConfig("Web Search", DesignSHIFT)
 	same := []func(*Config){
@@ -24,7 +25,7 @@ func TestStreamKey(t *testing.T) {
 	for i, mut := range same {
 		c := base
 		mut(&c)
-		if c.StreamKey() != base.StreamKey() {
+		if c.StreamKey() != base.StreamKey() || c.Stream() != base.Stream() {
 			t.Errorf("stream-preserving mutation %d changed the key", i)
 		}
 	}
@@ -33,17 +34,33 @@ func TestStreamKey(t *testing.T) {
 		func(c *Config) { c.Cores = 8 },
 		func(c *Config) { c.WarmupRecords = 1000 },
 		func(c *Config) { c.MeasureRecords = 1000 },
+		func(c *Config) { c.Sampling = Sampling{Period: 4} },
 	}
 	for i, mut := range diff {
 		c := base
 		mut(&c)
-		if c.StreamKey() == base.StreamKey() {
+		if c.StreamKey() == base.StreamKey() || c.Stream() == base.Stream() {
 			t.Errorf("stream-changing mutation %d kept the key", i)
 		}
 	}
+	// A sampling policy's spelling and its confidence level do not split
+	// a stream; its schedule does.
+	sampled, spelled, confident, other := base, base, base, base
+	sampled.Sampling = Sampling{Period: 4}
+	spelled.Sampling = Sampling{Period: 4, IntervalRecords: 500, WarmupFraction: 0.25, Confidence: 0.95}
+	confident.Sampling = Sampling{Period: 4, Confidence: 0.99}
+	other.Sampling = Sampling{Period: 4, IntervalRecords: 300}
+	for i, c := range []Config{spelled, confident} {
+		if c.StreamKey() != sampled.StreamKey() || c.Stream() != sampled.Stream() {
+			t.Errorf("sampled variant %d split the stream", i)
+		}
+	}
+	if other.StreamKey() == sampled.StreamKey() || other.Stream() == sampled.Stream() {
+		t.Error("a different interval length kept the key")
+	}
 	// Defaults: zero values normalize to the explicit defaults.
 	zero := Config{Workload: "Web Search", Design: DesignSHIFT}
-	if zero.StreamKey() != base.StreamKey() {
+	if zero.StreamKey() != base.StreamKey() || zero.Stream() != base.Stream() {
 		t.Error("zero-value windows do not normalize to the default stream key")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -326,7 +327,7 @@ func TestJobStreamLive(t *testing.T) {
 func TestJobAdmission429(t *testing.T) {
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{Rate: 1, Burst: 2, Run: engine.RunOne})
+	jm := jobs.New(jobs.Config{Rate: 1, Burst: 2, RunBatch: engine.RunEach})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	ts := httptest.NewServer(srv.handler())
@@ -521,7 +522,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestBodyLimit413(t *testing.T) {
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{Run: engine.RunOne})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 256)
 	ts := httptest.NewServer(srv.handler())
@@ -584,4 +585,98 @@ func TestWriteRunError(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Errorf("expired request context: status %d, want 504", rec.Code)
 	}
+}
+
+// TestJobRunsStreamSharingCellsAsOneBatch is the batch queue end to end,
+// wired as main() wires it: a job of two workloads × six designs is two
+// batches — each generates its stream once — every result equals
+// shift.Run of the resolved cell bit for bit, and the counters say so:
+// over the cold job batched == simulated == store_misses == cells with
+// no store hit, job_batches 2 and job_batch_cells 12; the same job again
+// simulates nothing and hits the store once per cell. A member that
+// panics fails alone.
+func TestJobRunsStreamSharingCellsAsOneBatch(t *testing.T) {
+	ts, srv := newTestServer(t)
+	designs := []string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT"}
+	var cells []map[string]any
+	var specs []cellSpec
+	for _, d := range designs {
+		for _, w := range []string{"Web Search", "OLTP Oracle"} {
+			cells = append(cells, map[string]any{"workload": w, "design": d, "warmup_records": 500, "measure_records": 500})
+			specs = append(specs, cellSpec{Workload: w, Design: d, WarmupRecords: 500, MeasureRecords: 500})
+		}
+	}
+	n := int64(len(cells))
+
+	before := getStats(t, ts.URL)
+	sub := submitJob(t, ts.URL, cells)
+	st := awaitJobState(t, ts.URL, sub.ID, "done")
+	cold := getStats(t, ts.URL)
+	for i, spec := range specs {
+		cfg, err := spec.config(srv.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := shift.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Results[i]; got == nil || got.Key != cfg.Key() || got.Result != want {
+			t.Errorf("cell %d (%s/%s): the job's result differs from shift.Run's", i, spec.Workload, spec.Design)
+		}
+	}
+	if d := cold.Simulated - before.Simulated; d != n || cold.Batched-before.Batched != n ||
+		cold.StoreMisses-before.StoreMisses != n || cold.StoreHits != before.StoreHits ||
+		cold.StreamsShared-before.StreamsShared != n-2 {
+		t.Errorf("cold job: simulated %d, batched %d, store misses %d, store hits %d, streams shared %d; want %d, %d, %d, 0, %d",
+			d, cold.Batched-before.Batched, cold.StoreMisses-before.StoreMisses, cold.StoreHits-before.StoreHits,
+			cold.StreamsShared-before.StreamsShared, n, n, n, n-2)
+	}
+	if cold.JobBatches-before.JobBatches != 2 || cold.JobBatchCells-before.JobBatchCells != n {
+		t.Errorf("cold job: job_batches %d, job_batch_cells %d; want 2, %d",
+			cold.JobBatches-before.JobBatches, cold.JobBatchCells-before.JobBatchCells, n)
+	}
+
+	again := submitJob(t, ts.URL, cells)
+	hot := awaitJobState(t, ts.URL, again.ID, "done")
+	after := getStats(t, ts.URL)
+	if after.Simulated != cold.Simulated || after.StoreHits-cold.StoreHits != n || after.StoreMisses != cold.StoreMisses {
+		t.Errorf("hot job: simulated %d, store hits %d, store misses %d; want 0, %d, 0",
+			after.Simulated-cold.Simulated, after.StoreHits-cold.StoreHits, after.StoreMisses-cold.StoreMisses, n)
+	}
+	if !reflect.DeepEqual(hot.Results, st.Results) {
+		t.Error("the replayed job's results differ from the cold job's")
+	}
+	metrics := getBody(t, ts.URL+"/v1/metrics", http.StatusOK)
+	for _, want := range []string{"shiftd_job_batches_total 4", "shiftd_job_batch_cells_total 24"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics body missing %q", want)
+		}
+	}
+
+	// One member panics in whatever batch holds it: the batch of six, then
+	// the member alone. Its five batch-mates complete.
+	srv.engine.SetExecutor(panicOn{"TIFS"})
+	var six []map[string]any
+	for _, d := range append(designs[:5:5], "TIFS") {
+		six = append(six, map[string]any{"workload": "DSS Qry 2", "design": d, "warmup_records": 500, "measure_records": 500})
+	}
+	failed := awaitJobState(t, ts.URL, submitJob(t, ts.URL, six).ID, "failed")
+	if failed.Completed != 5 || failed.Failed != 1 || !strings.Contains(failed.CellErrors[5], "panicked") {
+		t.Errorf("job with a panicking member = %d completed, %d failed, errors %v; want 5, 1, cell 5 panicked",
+			failed.Completed, failed.Failed, failed.CellErrors)
+	}
+}
+
+// panicOn is an Executor that panics on any batch holding the named
+// design and otherwise runs the batch in process.
+type panicOn struct{ design string }
+
+func (p panicOn) ExecBatch(cfgs []shift.Config) ([]shift.RunResult, error) {
+	for _, cfg := range cfgs {
+		if cfg.Design.String() == p.design {
+			panic("test: member panic")
+		}
+	}
+	return shift.RunBatch(cfgs)
 }

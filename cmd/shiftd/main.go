@@ -54,10 +54,13 @@
 // Asynchronous jobs go through per-client token-bucket admission
 // (-job-rate/-job-burst; one token per cell; rejections answer 429 with
 // Retry-After) into a bounded shortest-job-first queue (-job-queue,
-// -job-workers) that prefers cheap sampled cells over exact ones. Job
-// cells execute on the same engine as synchronous requests, so a
-// drained job's results are bit-identical to /v1/grid for the same
-// cells.
+// -job-workers) that prefers cheap sampled cells over exact ones. The
+// queue schedules batches: a job's cells that consume one record stream
+// (the designs of one workload) are one queue entry, occupy one worker
+// and generate their stream once, while the bound, the tokens and every
+// outcome stay per cell. Job cells execute on the same engine as
+// synchronous requests, so a drained job's results are bit-identical to
+// /v1/grid for the same cells.
 //
 // The service degrades instead of failing: disk-store corruption is
 // quarantined and self-heals on the next store, IO failures retry with
@@ -181,7 +184,7 @@ func main() {
 		MaxQueue:  *jobQueue,
 		Rate:      *jobRate,
 		Burst:     *jobBurst,
-		Run:       engine.RunOne,
+		RunBatch:  engine.RunEach,
 		Retries:   *jobRetries,
 		Transient: shift.IsTransient,
 	}

@@ -1054,6 +1054,12 @@ type statsResponse struct {
 	// StreamsShared counts trace-stream generations avoided by
 	// batching (K-1 per batch of K cells).
 	StreamsShared int64 `json:"streams_shared"`
+	// JobBatches counts the batches the job workers have started — a
+	// job's cells that consume one record stream run as one batch — and
+	// JobBatchCells the cells in them: equal counters mean no job shared
+	// a stream.
+	JobBatches    int64 `json:"job_batches"`
+	JobBatchCells int64 `json:"job_batch_cells"`
 	// SampledCells counts cells simulated in sampled mode (interval
 	// sampling with functional warming) rather than exactly.
 	SampledCells int64 `json:"sampled_cells"`
@@ -1214,6 +1220,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Inflight:          es.Inflight,
 		Batched:           es.Batched,
 		StreamsShared:     es.StreamsShared,
+		JobBatches:        js.Batches,
+		JobBatchCells:     js.BatchCells,
 		SampledCells:      es.SampledCells,
 		CellsPanicked:     es.Panicked,
 		CellsTimedOut:     es.TimedOut,
@@ -1270,6 +1278,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	metric("shiftd_cells_inflight", "gauge", "Simulations running right now.", float64(es.Inflight))
 	metric("shiftd_cells_batched_total", "counter", "Cells executed through the shared-stream batch path.", float64(es.Batched))
 	metric("shiftd_streams_shared_total", "counter", "Trace-stream generations avoided by batching.", float64(es.StreamsShared))
+	metric("shiftd_job_batches_total", "counter", "Batches (a job's cells sharing one record stream) started by job workers.", float64(js.Batches))
+	metric("shiftd_job_batch_cells_total", "counter", "Job cells in the batches started by job workers.", float64(js.BatchCells))
 	metric("shiftd_cells_sampled_total", "counter", "Cells simulated in sampled mode.", float64(es.SampledCells))
 	metric("shiftd_cells_panicked_total", "counter", "Simulation panics recovered into per-cell errors.", float64(es.Panicked))
 	metric("shiftd_cells_timed_out_total", "counter", "Cells abandoned by the watchdog with a timeout error.", float64(es.TimedOut))

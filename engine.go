@@ -46,7 +46,7 @@ func cell(cfg Config, labelParts ...string) Cell {
 // figures) skip already-computed work.
 //
 // The unit of execution is the batch: cells that consume the same trace
-// stream (equal Config.StreamKeys — the common shape of a figure grid,
+// stream (equal Config.Streams — the common shape of a figure grid,
 // where every design of a workload reads the identical per-core record
 // stream) are partitioned into batches and scheduled as units on the
 // pool. Each batch runs through RunBatch, generating its stream once and
@@ -240,7 +240,7 @@ type EngineStats struct {
 	// Inflight is the number of cells being simulated right now.
 	Inflight int
 	// Batched counts cells executed in batches of two or more cells
-	// with equal StreamKeys (a cell alone on its stream runs as a batch of
+	// on one stream (a cell alone on its stream runs as a batch of
 	// one and is not counted here).
 	Batched int64
 	// StreamsShared counts trace-stream generations avoided by
@@ -301,10 +301,40 @@ func (e *Engine) lookup(key string) (RunResult, bool) {
 // are simulated once and fanned out; cells present in the store are not
 // re-simulated; cells already being simulated by a concurrent RunAll
 // are waited on, not recomputed. On failure RunAll returns the error of
-// the lowest-index failing cell, annotated with its label.
+// the lowest-index failing cell, annotated with its label — exactly the
+// error a serial loop would have stopped on, whether the cell was
+// simulated here or by a concurrent caller.
 func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
+	out, errs := e.runCells(cells)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// RunEach is RunAll for a caller that wants every cell's outcome, not
+// the grid's: out[i] is cfgs[i]'s result or errs[i] its error, so one
+// failing cell costs the others nothing. shiftd's job scheduler runs a
+// job's stream-sharing cells through it as one grid — one store lookup a
+// cell, one batch for those that must be simulated — and journals and
+// publishes each cell on its own.
+func (e *Engine) RunEach(cfgs []Config) ([]RunResult, []error) {
+	cells := make([]Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		cells[i] = cell(cfg)
+	}
+	return e.runCells(cells)
+}
+
+// runCells executes every cell and returns, in cell order, each cell's
+// result or its error annotated with its label (a duplicate reports its
+// first occurrence's).
+func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	keys := make([]string, len(cells))
 	byKey := make(map[string]RunResult, len(cells))
+	errByKey := make(map[string]error)
 	seen := make(map[string]bool, len(cells))
 	// Partition first occurrences of unique uncached configs into cells
 	// this call owns (it will simulate them and publish the results) and
@@ -345,13 +375,8 @@ func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
 	// entries, so the shared slices need no locking.
 	//
 	// Workers report no error to the pool: exp.Map's early exit skips
-	// indices above the lowest failure, and batch indices do not order
-	// like cell indices (a later batch can hold an earlier cell), so a
-	// skip could drop the error of the globally lowest-index failing
-	// cell and make the returned error depend on Parallelism. Failing
-	// grids are rare (config validation) and their cells cheap, so
-	// every batch always runs and the selection below stays exactly the
-	// serial-loop error.
+	// indices above the lowest failure, and every cell is owed its own
+	// outcome, so every batch always runs.
 	batches := batchOwned(cells, owned)
 	ownedErrs := make([]error, len(owned))
 	ownedResults := make([]RunResult, len(owned))
@@ -374,57 +399,33 @@ func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
 	// Collect results simulated by concurrent RunAll calls. A waiter
 	// whose owner abandoned the cell (errCellSkipped) computes it
 	// itself — another caller's bad grid must not fail this one.
-	waitErrs := make([]error, len(waits))
-	for wi, w := range waits {
+	for _, w := range waits {
 		r, err := w.call.Wait()
 		if errors.Is(err, errCellSkipped) {
 			r, err = e.runShared(keys[w.idx], cells[w.idx])
 		}
-		if err != nil {
-			waitErrs[wi] = err
-			continue
-		}
-		byKey[keys[w.idx]] = r
+		byKey[keys[w.idx]], errByKey[keys[w.idx]] = r, err
 	}
-
-	// Surface the error of the lowest-index failing cell — exactly the
-	// error a serial loop would have stopped on, whether the cell was
-	// simulated here or by a concurrent caller.
-	failIdx, failErr := len(cells), error(nil)
-	for j, err := range ownedErrs {
-		if err != nil && owned[j] < failIdx {
-			failIdx, failErr = owned[j], err
-		}
-	}
-	for wi, err := range waitErrs {
-		if err != nil && waits[wi].idx < failIdx {
-			failIdx, failErr = waits[wi].idx, err
-		}
-	}
-	if failErr != nil {
-		return nil, failErr
-	}
-
 	for j := range owned {
-		byKey[keys[owned[j]]] = ownedResults[j]
+		byKey[keys[owned[j]]], errByKey[keys[owned[j]]] = ownedResults[j], ownedErrs[j]
 	}
-	out := make([]RunResult, len(cells))
+	out, errs := make([]RunResult, len(cells)), make([]error, len(cells))
 	for i := range cells {
-		out[i] = byKey[keys[i]]
+		out[i], errs[i] = byKey[keys[i]], errByKey[keys[i]]
 	}
-	return out, nil
+	return out, errs
 }
 
 // batchOwned partitions the owned cells (positions into `owned`) into
 // batches of cells consuming the same trace stream, keyed by
-// Config.StreamKey. Batch order follows the first appearance of each
+// Config.Stream. Batch order follows the first appearance of each
 // stream and members stay in ascending cell order, so the schedule is
 // deterministic for a given grid.
 func batchOwned(cells []Cell, owned []int) [][]int {
-	idx := make(map[string]int, len(owned))
+	idx := make(map[StreamID]int, len(owned))
 	var batches [][]int
 	for j, i := range owned {
-		sk := cells[i].Config.StreamKey()
+		sk := cells[i].Config.Stream()
 		bi, ok := idx[sk]
 		if !ok {
 			bi = len(batches)

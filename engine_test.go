@@ -1,8 +1,10 @@
 package shift
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -208,5 +210,75 @@ func TestFigure7ParallelSpeedup(t *testing.T) {
 	t.Logf("serial %v, parallel(4) %v, speedup %.2fx", serialDur, parallelDur, speedup)
 	if speedup < 2.0 {
 		t.Errorf("parallel speedup %.2fx < 2x (serial %v, parallel %v)", speedup, serialDur, parallelDur)
+	}
+}
+
+// TestRunEachPerCellOutcomes: RunEach is RunAll with every cell's own
+// outcome. A grid of one workload's six designs — the shape of a job's
+// batch — with one design repeated, one member whose configuration is
+// invalid and one whose simulation panics costs exactly those two cells:
+// every other cell returns Run's result, the duplicate its twin's, and the
+// store is consulted once per distinct cell.
+func TestRunEachPerCellOutcomes(t *testing.T) {
+	o := engineTestOptions()
+	var cfgs []Config
+	for _, d := range g12Designs {
+		cfgs = append(cfgs, o.config("Web Search", d))
+	}
+	cfgs = append(cfgs, cfgs[2], o.config("Web Search", Design(99)))
+	const panics, duplicate, invalid = 4, 6, 7
+	cache := NewResultCache()
+	e := NewEngine(1, cache)
+	e.runBatch = func(batch []Config) ([]RunResult, error) {
+		for _, cfg := range batch {
+			if cfg.Design == cfgs[panics].Design {
+				panic("member panic")
+			}
+		}
+		return RunBatch(batch)
+	}
+	rs, errs := e.RunEach(cfgs)
+	if len(rs) != len(cfgs) || len(errs) != len(cfgs) {
+		t.Fatalf("%d results, %d errors for %d cells", len(rs), len(errs), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		switch i {
+		case panics:
+			var pe *PanicError
+			if !errors.As(errs[i], &pe) {
+				t.Errorf("cell %d: error %v, want *PanicError", i, errs[i])
+			}
+		case invalid:
+			if errs[i] == nil || !strings.Contains(errs[i].Error(), "cell "+cell(cfg).Label+":") {
+				t.Errorf("cell %d: error %v, want the invalid design's, labelled", i, errs[i])
+			}
+		default:
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if errs[i] != nil || !reflect.DeepEqual(rs[i], want) {
+				t.Errorf("cell %d (%s): error %v or a result other than Run's beside the failing members", i, cfg.Design, errs[i])
+			}
+		}
+	}
+	if !reflect.DeepEqual(rs[duplicate], rs[2]) {
+		t.Error("the duplicate cell's result differs from its twin's")
+	}
+	if hits, misses := cache.Stats(); hits != 0 || misses != int64(len(cfgs)-1) {
+		t.Errorf("store lookups: %d hits, %d misses; want 0 and one per distinct cell (%d)", hits, misses, len(cfgs)-1)
+	}
+
+	// Everything that succeeded is stored: the same grid again simulates
+	// only the two failing cells.
+	before := e.Stats().Simulated
+	if _, errs := e.RunEach(cfgs); errs[panics] == nil || errs[invalid] == nil {
+		t.Error("the failing cells succeeded on the second pass")
+	}
+	if hits, _ := cache.Stats(); hits != int64(len(cfgs)-3) {
+		t.Errorf("second pass: %d store hits, want %d", hits, len(cfgs)-3)
+	}
+	if got := e.Stats().Simulated - before; got != 2 {
+		t.Errorf("second pass simulated %d cells, want the 2 failing ones", got)
 	}
 }

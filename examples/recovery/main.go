@@ -25,16 +25,22 @@ import (
 )
 
 // cells is the job: three same-cost cells, so the single worker runs
-// them in submission order.
+// them in submission order — and of three workloads, so each is a
+// queue entry of its own (the cells of one workload would share its
+// record stream and run, finish and journal together as one batch).
 func cells() []shift.Cell {
-	mk := func(d shift.Design) shift.Cell {
-		cfg := shift.DefaultRunConfig("Web Search", d)
+	mk := func(w string, d shift.Design) shift.Cell {
+		cfg := shift.DefaultRunConfig(w, d)
 		cfg.Cores = 4
 		cfg.WarmupRecords = 8000
 		cfg.MeasureRecords = 8000
-		return shift.Cell{Label: "Web Search/" + d.String(), Config: cfg}
+		return shift.Cell{Label: w + "/" + d.String(), Config: cfg}
 	}
-	return []shift.Cell{mk(shift.DesignBaseline), mk(shift.DesignSHIFT), mk(shift.DesignTIFS)}
+	return []shift.Cell{
+		mk("Web Search", shift.DesignBaseline),
+		mk("OLTP Oracle", shift.DesignSHIFT),
+		mk("DSS Qry 2", shift.DesignTIFS),
+	}
 }
 
 func main() {
@@ -118,10 +124,10 @@ func main() {
 		log.Fatal(err)
 	}
 	m2, err := jobs.Open(jobs.Config{
-		Workers: 2,
-		Journal: journal2,
-		Lookup:  store.Lookup,
-		Run:     engine2.RunOne,
+		Workers:  2,
+		Journal:  journal2,
+		Lookup:   store.Lookup,
+		RunBatch: engine2.RunEach,
 	})
 	if err != nil {
 		log.Fatal(err)

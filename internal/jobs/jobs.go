@@ -1,17 +1,23 @@
 // Package jobs is the asynchronous job subsystem behind shiftd's
 // /v1/jobs API: a job registry, per-client token-bucket admission
-// control, and a bounded shortest-job-first cell scheduler.
+// control, and a bounded shortest-job-first batch scheduler.
 //
 // A job is an ordered list of simulation cells (the same shape as a
-// synchronous /v1/grid request). Submitted jobs enqueue one schedulable
-// unit per cell into a single process-wide priority queue ordered by
-// estimated cost (EstimateCost), so cheap sampled probe cells overtake
+// synchronous /v1/grid request). The queue schedules the engine's unit,
+// the batch: a submitted job's cells are partitioned by the record
+// stream they consume (shift.Config.Stream — the six designs of one
+// workload are one batch) and each part is one schedulable unit in a
+// single process-wide priority queue ordered by estimated cost (the sum
+// of its cells' EstimateCost), so cheap sampled probes overtake
 // expensive exact confirmations regardless of arrival order — the
-// SJF-style batch formation of BLIS-like inference schedulers. Workers
-// pop cells and execute them through the caller-supplied run function
-// (shiftd passes Engine.RunOne, so job cells share the engine's store,
-// in-flight deduplication, and concurrency bound with every
-// synchronous request).
+// SJF-style batch formation of BLIS-like inference schedulers. A worker
+// pops a batch and executes its cells together through the
+// caller-supplied run function (shiftd passes Engine.RunEach, so job
+// cells share the engine's store, in-flight deduplication, and
+// concurrency bound with every synchronous request, and a batch
+// generates its stream once). Admission, the queue bound and the queue
+// depth still count cells, and every cell still has its own outcome: its
+// own journal record, its own event, its own retry.
 //
 // Completion fan-in is cell-keyed, never completion-ordered: each
 // result lands in its cell's slot, so a drained job's result list is
@@ -33,6 +39,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shift"
@@ -121,6 +128,15 @@ type Job struct {
 	// the latency percentiles (a latency spanning a process restart
 	// measures the outage, not the scheduler).
 	recovered bool
+
+	// journaling orders the job's cell completions against journal
+	// compaction: a worker holds it from the OpCell appends of the cells a
+	// batch settles to the completion that makes them visible to a
+	// snapshot, and a compaction holds every job's from its snapshot to the
+	// rewrite. So a snapshot never misses a cell whose record the rewrite
+	// then drops.
+	// Taken before mu, and after Manager.mu.
+	journaling sync.Mutex
 
 	mu        sync.Mutex
 	state     State
@@ -297,32 +313,39 @@ func (j *Job) broadcast() {
 	j.changed = make(chan struct{})
 }
 
-// startCell transitions cell i to running, or reports false if it is
-// no longer runnable (dropped by cancellation, or the job is closed).
-func (j *Job) startCell(i int, now time.Time) bool {
+// startCells transitions the still-runnable cells of a popped batch to
+// running and returns them; a cell dropped by cancellation is left out.
+func (j *Job) startCells(cells []int, now time.Time) []int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.cancelled || j.cellState[i] != cellQueued {
-		return false
+	started := cells[:0]
+	for _, i := range cells {
+		if j.cellState[i] == cellQueued {
+			j.cellState[i] = cellRunning
+			j.running++
+			started = append(started, i)
+		}
 	}
-	j.cellState[i] = cellRunning
-	j.running++
-	if j.state == StateQueued {
+	if len(started) > 0 && j.state == StateQueued {
 		j.state = StateRunning
 		j.started = now
 	}
-	return true
+	return started
 }
 
-// completeCell records cell i's outcome, which publishes its event,
-// and finalizes the job if it was the last outstanding cell. It returns
-// whether the job just reached a terminal state and, if so, its
-// submit-to-finish latency in seconds.
-func (j *Job) completeCell(i int, r shift.RunResult, err error, now time.Time) (finished bool, latency float64) {
+// completeCells records the outcome of each of cells (rs and errs are
+// index-aligned with it), which publishes their events — one wake-up for
+// the followers, however many cells a batch settles — and finalizes the
+// job if they were the last outstanding. It returns whether the job just
+// reached a terminal state and, if so, its submit-to-finish latency in
+// seconds.
+func (j *Job) completeCells(cells []int, rs []shift.RunResult, errs []error, now time.Time) (finished bool, latency float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.running--
-	j.finishCellLocked(i, r, err)
+	j.running -= len(cells)
+	for k, i := range cells {
+		j.finishCellLocked(i, rs[k], errs[k])
+	}
 	finished, latency = j.maybeFinalize(now)
 	j.broadcast()
 	return finished, latency
@@ -387,10 +410,10 @@ var ErrDraining = errors.New("jobs: draining")
 
 // Config parameterizes a Manager.
 type Config struct {
-	// Workers is the number of scheduler goroutines executing cells
+	// Workers is the number of scheduler goroutines executing batches
 	// (0 = runtime.GOMAXPROCS). The engine's own semaphore still bounds
 	// concurrent simulations process-wide, so Workers only caps how
-	// many job cells compete for engine slots at once.
+	// many job batches compete for engine slots at once.
 	Workers int
 	// MaxQueue bounds the number of queued (not yet running) cells
 	// across all jobs (0 = 1024). Submissions that would exceed it
@@ -402,13 +425,21 @@ type Config struct {
 	// Burst is the per-client bucket capacity; a job with more cells
 	// than Burst can never be admitted (0 = 64).
 	Burst float64
-	// Run executes one cell (required). shiftd passes Engine.RunOne so
-	// job cells share the engine with synchronous requests.
+	// RunBatch executes the cells of one batch — one record stream — and
+	// returns each cell's result or error, index-aligned (required).
+	// shiftd passes Engine.RunEach, so job cells share the engine with
+	// synchronous requests.
+	RunBatch func([]shift.Config) ([]shift.RunResult, []error)
+	// Run is the per-cell form of RunBatch, read only when RunBatch is
+	// nil: Open wraps it into a RunBatch that runs a batch's cells one
+	// after another. It remains for the repository benchmark
+	// (benchmark/layers.go), whose files a change that claims a gain may
+	// not touch.
 	Run func(shift.Config) (shift.RunResult, error)
 	// Retries is the number of extra attempts granted to a cell whose
 	// run fails with an error Transient classifies as retryable: the
-	// cell is re-enqueued (at its original cost priority) instead of
-	// failing the job. 0 disables retry.
+	// cell is re-enqueued alone, as a batch of one, instead of failing
+	// the job. 0 disables retry.
 	Retries int
 	// Transient classifies a cell error as retryable (shiftd passes
 	// shift.IsTransient, so watchdog timeouts retry but deterministic
@@ -440,8 +471,8 @@ type Manager struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	heap     cellHeap
-	stale    int // heap entries for cells no longer runnable (cancelled)
+	heap     batchHeap
+	queued   int // cells in the heap still runnable (not dropped by a cancel)
 	seq      int64
 	nextID   int64
 	jobs     map[string]*Job
@@ -459,7 +490,9 @@ type Manager struct {
 	rejected    int64
 	cancelled   int64
 	retried     int64
-	journalErrs int64
+	batches     int64 // batches workers have started
+	batchCells  int64 // cells in them
+	journalErrs atomic.Int64
 
 	// Completed-job latencies, a bounded ring feeding the percentile
 	// stats; count/sum cover every completed job regardless of ring
@@ -508,8 +541,18 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Run == nil {
-		panic("jobs: Config.Run is required")
+	if cfg.RunBatch == nil {
+		if cfg.Run == nil {
+			panic("jobs: Config.RunBatch is required")
+		}
+		run := cfg.Run
+		cfg.RunBatch = func(cfgs []shift.Config) ([]shift.RunResult, []error) {
+			rs, errs := make([]shift.RunResult, len(cfgs)), make([]error, len(cfgs))
+			for i, c := range cfgs {
+				rs[i], errs[i] = run(c)
+			}
+			return rs, errs
+		}
 	}
 	m := &Manager{
 		cfg:     cfg,
@@ -568,7 +611,7 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		m.rejected++
 		return nil, ErrDraining
 	}
-	if len(m.heap)-m.stale+len(cells) > m.cfg.MaxQueue {
+	if m.queued+len(cells) > m.cfg.MaxQueue {
 		m.rejected++
 		return nil, ErrQueueFull
 	}
@@ -579,18 +622,45 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire}
 		if err := m.cfg.Journal.Append(e); err != nil {
 			m.nextID--
-			m.journalErrs++
+			m.journalErrs.Add(1)
 			return nil, fmt.Errorf("jobs: journal submit: %w", err)
 		}
 	}
 	m.jobs[j.id] = j
-	for i := range j.cells {
-		m.seq++
-		heap.Push(&m.heap, cellItem{job: j, cell: i, cost: EstimateCost(j.cells[i].Config), seq: m.seq})
+	all := make([]int, len(j.cells))
+	for i := range all {
+		all[i] = i
 	}
+	m.enqueueLocked(j, all)
 	m.admitted++
 	m.cond.Broadcast()
 	return j, nil
+}
+
+// enqueueLocked partitions the given cells of j by the record stream they
+// consume and pushes one batch per stream, in order of first appearance,
+// at the summed estimated cost of its cells. Called with mu held.
+func (m *Manager) enqueueLocked(j *Job, cells []int) {
+	at := make(map[shift.StreamID]int, 1)
+	var items []batchItem
+	for _, i := range cells {
+		cfg := j.cells[i].Config
+		sk := cfg.Stream()
+		bi, ok := at[sk]
+		if !ok {
+			bi = len(items)
+			at[sk] = bi
+			items = append(items, batchItem{job: j})
+		}
+		items[bi].cells = append(items[bi].cells, i)
+		items[bi].cost += EstimateCost(cfg)
+	}
+	for _, it := range items {
+		m.seq++
+		it.seq = m.seq
+		heap.Push(&m.heap, it)
+	}
+	m.queued += len(cells)
 }
 
 // Get returns the job with the given id.
@@ -621,7 +691,9 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stale += dropped
+	if !m.closed {
+		m.queued -= dropped
+	}
 	if tookEffect {
 		m.cancelled++
 	}
@@ -643,7 +715,7 @@ func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.heap = nil
-	m.stale = 0
+	m.queued = 0
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	if m.cfg.Journal != nil {
@@ -698,17 +770,22 @@ func (m *Manager) Checkpoint() {
 	m.checkpointLocked()
 }
 
-// checkpointLocked compacts the journal. Called with mu held. Cell
-// completions appended by workers between the snapshot's assembly and
-// the rewrite can be dropped (workers append without mu); replay is
-// idempotent and re-runs those cells, so the cost is recomputation,
-// never a lost job.
+// checkpointLocked compacts the journal. Called with mu held, which
+// keeps submissions out; every job's journaling lock, held from the
+// snapshot to the rewrite, keeps cell completions out (see
+// Job.journaling), so the rewrite drops no record the snapshot lacks.
 func (m *Manager) checkpointLocked() {
 	if m.cfg.Journal == nil {
 		return
 	}
+	for _, j := range m.jobs {
+		j.journaling.Lock()
+	}
 	if err := m.cfg.Journal.Compact(m.snapshotEntriesLocked()); err != nil {
-		m.journalErrs++
+		m.journalErrs.Add(1)
+	}
+	for _, j := range m.jobs {
+		j.journaling.Unlock()
 	}
 }
 
@@ -765,15 +842,13 @@ func (j *Job) snapEntry() Entry {
 
 // journalAppend appends one entry, counting (never propagating) the
 // failure: the job still completes in memory, and recovery re-runs
-// whatever the journal missed. Must not be called with mu held.
+// whatever the journal missed.
 func (m *Manager) journalAppend(e Entry) {
 	if m.cfg.Journal == nil {
 		return
 	}
 	if err := m.cfg.Journal.Append(e); err != nil {
-		m.mu.Lock()
-		m.journalErrs++
-		m.mu.Unlock()
+		m.journalErrs.Add(1)
 	}
 }
 
@@ -803,10 +878,10 @@ func (m *Manager) jobFinishedLocked(j *Job, lat float64) {
 	m.recordLatencyLocked(lat)
 }
 
-// worker pops the cheapest runnable cell and executes it, forever.
-// While the manager drains, workers idle instead of popping — the heap
-// is preserved for the journal checkpoint — and running cells finish
-// normally.
+// worker pops the cheapest batch and executes its runnable cells
+// together, forever. While the manager drains, workers idle instead of
+// popping — the heap is preserved for the journal checkpoint — and
+// running cells finish normally.
 func (m *Manager) worker() {
 	for {
 		m.mu.Lock()
@@ -817,36 +892,45 @@ func (m *Manager) worker() {
 			m.mu.Unlock()
 			return
 		}
-		it := heap.Pop(&m.heap).(cellItem)
-		started := it.job.startCell(it.cell, m.cfg.Now())
-		if !started {
-			m.stale--
+		it := heap.Pop(&m.heap).(batchItem)
+		j := it.job
+		cells := j.startCells(it.cells, m.cfg.Now())
+		if len(cells) == 0 {
 			m.mu.Unlock()
 			continue
 		}
-		m.running++
+		m.queued -= len(cells)
+		m.running += len(cells)
+		m.batches++
+		m.batchCells += int64(len(cells))
 		m.mu.Unlock()
-		r, err := m.cfg.Run(it.job.cells[it.cell].Config)
-		if err != nil && m.retryable(err) && m.requeue(it.job, it.cell) {
-			continue
+		cfgs := make([]shift.Config, len(cells))
+		for k, i := range cells {
+			cfgs[k] = j.cells[i].Config
 		}
-		// Journal the outcome before publishing it: once a follower has
-		// seen the completion event, a restart must not forget it. The
-		// result itself is already in the store (the engine seeded it
-		// during Run), so the journal carries only the index and error.
-		e := Entry{Op: OpCell, Job: it.job.id, Cell: it.cell}
-		if err != nil {
-			e.Err = err.Error()
+		rs, errs := m.cfg.RunBatch(cfgs)
+		// Every member has its own outcome: a transient failure goes back on
+		// the queue alone, everything else is journaled cell by cell and
+		// published together.
+		settled := 0
+		for k, i := range cells {
+			if errs[k] != nil && m.retryable(errs[k]) && m.requeue(j, i) {
+				continue
+			}
+			cells[settled], rs[settled], errs[settled] = i, rs[k], errs[k]
+			settled++
 		}
-		m.journalAppend(e)
-		finished, lat := it.job.completeCell(it.cell, r, err, m.cfg.Now())
+		finished, lat := false, 0.0
+		if settled > 0 {
+			finished, lat = m.completeCells(j, cells[:settled], rs, errs)
+		}
 		if finished {
-			m.journalEnd(it.job)
+			m.journalEnd(j)
 		}
 		m.mu.Lock()
-		m.running--
+		m.running -= settled
 		if finished {
-			m.jobFinishedLocked(it.job, lat)
+			m.jobFinishedLocked(j, lat)
 		}
 		m.maybeCompactLocked()
 		if m.running == 0 {
@@ -856,19 +940,40 @@ func (m *Manager) worker() {
 	}
 }
 
+// completeCells journals the outcome of each of cells — rs and errs are
+// index-aligned with it — and then publishes them. Journal first: once a
+// follower has seen a completion event, a restart must not forget it. The
+// results themselves are already in the store (the engine seeded them
+// during the run), so the journal carries only the index and error. Both
+// happen under the job's journaling lock, so a compaction sees a cell
+// either before its record is appended or after it is complete, never in
+// between. Must not be called with mu held.
+func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error) (finished bool, latency float64) {
+	j.journaling.Lock()
+	defer j.journaling.Unlock()
+	for k, i := range cells {
+		e := Entry{Op: OpCell, Job: j.id, Cell: i}
+		if errs[k] != nil {
+			e.Err = errs[k].Error()
+		}
+		m.journalAppend(e)
+	}
+	return j.completeCells(cells, rs, errs, m.cfg.Now())
+}
+
 // retryable reports whether the retry policy is on and classifies err
 // as transient.
 func (m *Manager) retryable(err error) bool {
 	return m.cfg.Retries > 0 && m.cfg.Transient != nil && m.cfg.Transient(err)
 }
 
-// requeue puts a transiently-failed running cell back on the queue,
-// consuming one of its retry attempts. It refuses — so the failure is
-// recorded normally — when the cell's attempts are exhausted, the job
-// was cancelled, or the manager is closed. Requeue is allowed during a
-// drain: the cell re-enters the heap, is checkpointed as unresolved,
-// and re-runs after restart. Locks nest Manager.mu → Job.mu, the same
-// order the worker's pop-then-start path uses.
+// requeue puts a transiently-failed running cell back on the queue, as
+// a batch of one, consuming one of its retry attempts. It refuses — so
+// the failure is recorded normally — when the cell's attempts are
+// exhausted, the job was cancelled, or the manager is closed. Requeue is
+// allowed during a drain: the cell re-enters the heap, is checkpointed
+// as unresolved, and re-runs after restart. Locks nest Manager.mu →
+// Job.mu, the same order the worker's pop-then-start path uses.
 func (m *Manager) requeue(j *Job, i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -884,8 +989,7 @@ func (m *Manager) requeue(j *Job, i int) bool {
 	j.cellState[i] = cellQueued
 	j.running--
 	j.mu.Unlock()
-	m.seq++
-	heap.Push(&m.heap, cellItem{job: j, cell: i, cost: EstimateCost(j.cells[i].Config), seq: m.seq})
+	m.enqueueLocked(j, []int{i})
 	m.retried++
 	m.running--
 	m.cond.Broadcast()
@@ -911,6 +1015,11 @@ type Stats struct {
 	// QueueDepth is the number of queued runnable cells (stale entries
 	// for cancelled cells excluded).
 	QueueDepth int
+	// Batches counts the batches workers have started — a job's cells
+	// that share a record stream run as one — and BatchCells the cells
+	// in them, so BatchCells/Batches is the mean number of cells a
+	// stream generation served.
+	Batches, BatchCells int64
 	// Admitted counts jobs accepted into the queue.
 	Admitted int64
 	// Rejected counts submissions refused by admission control or the
@@ -949,7 +1058,9 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Stats{
-		QueueDepth:    len(m.heap) - m.stale,
+		QueueDepth:    m.queued,
+		Batches:       m.batches,
+		BatchCells:    m.batchCells,
 		Admitted:      m.admitted,
 		Rejected:      m.rejected,
 		Cancelled:     m.cancelled,
@@ -957,7 +1068,7 @@ func (m *Manager) Stats() Stats {
 		Running:       m.running,
 		Draining:      m.draining,
 		Recovering:    m.recoveredPending,
-		JournalErrors: m.journalErrs,
+		JournalErrors: m.journalErrs.Load(),
 		LatencyCount:  m.latCount,
 		LatencySum:    m.latSum,
 	}

@@ -145,6 +145,12 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 	m := New(Config{Workers: 1, Run: r.run})
 	defer m.Close()
 
+	// The one worker is held inside another job's cell until the fresh
+	// job's snapshot has been checked: it cannot have started it.
+	if _, err := m.Submit([]shift.Cell{testCell("plug", 100)}); err != nil {
+		t.Fatal(err)
+	}
+	r.awaitStart(t)
 	j, err := m.Submit([]shift.Cell{testCell("a", 1000), testCell("b", 2000)})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +158,9 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 	if st := j.Snapshot(); st.State != StateQueued || st.Cells != 2 {
 		t.Fatalf("fresh snapshot = %+v, want queued with 2 cells", st)
 	}
-	r.release <- struct{}{}
-	r.release <- struct{}{}
+	for i := 0; i < 3; i++ {
+		r.release <- struct{}{}
+	}
 	evs := waitTerminal(t, j)
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3 (2 cells + end): %+v", len(evs), evs)

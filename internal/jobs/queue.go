@@ -1,28 +1,31 @@
 package jobs
 
-// cellItem is one schedulable cell in the priority queue: a (job, cell
-// index) pair with its estimated cost and a submission sequence number
-// for deterministic FIFO tie-breaking among equal-cost cells.
-type cellItem struct {
-	job  *Job
-	cell int
-	cost float64
-	seq  int64
+// batchItem is one schedulable unit in the priority queue: the cells of
+// one job that consume one record stream (equal shift.Config.Stream),
+// which a worker hands to Config.RunBatch together — or one cell, when it
+// shares its stream with no other or comes back for a retry — with their
+// estimated cost and a submission sequence number for deterministic FIFO
+// tie-breaking among equal-cost items.
+type batchItem struct {
+	job   *Job
+	cells []int
+	cost  float64
+	seq   int64
 }
 
-// cellHeap is a min-heap over (cost, seq): the scheduler always pops
-// the cheapest estimated cell first (shortest-job-first), and among
+// batchHeap is a min-heap over (cost, seq): the scheduler always pops
+// the cheapest estimated batch first (shortest-job-first), and among
 // equal costs the earliest-submitted — so sampled probe cells overtake
 // exact confirmations while equal work stays first-come-first-served.
 // It implements container/heap.Interface.
-type cellHeap []cellItem
+type batchHeap []batchItem
 
-// Len reports the number of queued cells (including stale entries for
+// Len reports the number of queued batches (including stale entries for
 // cancelled jobs, reaped lazily on pop).
-func (h cellHeap) Len() int { return len(h) }
+func (h batchHeap) Len() int { return len(h) }
 
 // Less orders by estimated cost, then submission order.
-func (h cellHeap) Less(i, j int) bool {
+func (h batchHeap) Less(i, j int) bool {
 	if h[i].cost != h[j].cost {
 		return h[i].cost < h[j].cost
 	}
@@ -30,16 +33,17 @@ func (h cellHeap) Less(i, j int) bool {
 }
 
 // Swap exchanges two entries.
-func (h cellHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h batchHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 // Push appends x (heap.Interface contract).
-func (h *cellHeap) Push(x any) { *h = append(*h, x.(cellItem)) }
+func (h *batchHeap) Push(x any) { *h = append(*h, x.(batchItem)) }
 
 // Pop removes and returns the last entry (heap.Interface contract).
-func (h *cellHeap) Pop() any {
+func (h *batchHeap) Pop() any {
 	old := *h
 	n := len(old)
 	it := old[n-1]
+	old[n-1] = batchItem{}
 	*h = old[:n-1]
 	return it
 }

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -162,16 +161,18 @@ func (m *Manager) finishRecovery() {
 		}
 		m.recovery.JobsRecovered++
 		m.recoveredPending++
-		// Re-enqueue the unresolved cells. Recovery ignores the MaxQueue
-		// bound: these cells were admitted before the restart, and
-		// refusing them now would strand their jobs.
+		// Re-enqueue the unresolved cells, partitioned into batches afresh:
+		// what is left of a half-finished batch runs as one batch again.
+		// Recovery ignores the MaxQueue bound: these cells were admitted
+		// before the restart, and refusing them now would strand their
+		// jobs.
+		var unresolved []int
 		for i, cs := range j.cellState {
-			if cs != cellQueued {
-				continue
+			if cs == cellQueued {
+				unresolved = append(unresolved, i)
 			}
-			m.seq++
-			heap.Push(&m.heap, cellItem{job: j, cell: i, cost: EstimateCost(j.cells[i].Config), seq: m.seq})
-			m.recovery.CellsRequeued++
 		}
+		m.enqueueLocked(j, unresolved)
+		m.recovery.CellsRequeued += len(unresolved)
 	}
 }

@@ -510,6 +510,28 @@ func TestEventsRebuiltEqualLive(t *testing.T) {
 			}
 			return j, func() { close(gate) }
 		},
+		// Six cells of one stream finish in one RunBatch call, so their
+		// events land back to back (one of them a failure).
+		"one batch of six": func(t *testing.T) (*Job, func()) {
+			r := newBatchRecorder(true)
+			r.outcome = func(_ int, m member) error {
+				if m.seed == 4 {
+					return errors.New("boom")
+				}
+				return nil
+			}
+			m := New(Config{Workers: 2, RunBatch: r.run})
+			t.Cleanup(m.Close)
+			var six []shift.Cell
+			for seed := int64(1); seed <= 6; seed++ {
+				six = append(six, streamCell("a", seed))
+			}
+			j, err := m.Submit(six)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, func() { r.gate <- struct{}{} }
+		},
 		"recovered from the journal": func(t *testing.T) (*Job, func()) {
 			path := filepath.Join(t.TempDir(), "jobs.wal")
 			store := newMemStore()

@@ -105,23 +105,12 @@ func TestStepZeroAllocSteadyStateBaselines(t *testing.T) {
 // nothing, in detailed and in functional stepping.
 func TestStepZeroAllocSteadyStateBatch(t *testing.T) {
 	specs := batchDesigns()[:7]
-	b, err := newBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := enterAll(t, specs)
 	const rounds = 2000
 	for _, functional := range []bool{false, true} {
-		for _, sys := range b.systems {
-			sys.applySegment(segment{functional: functional})
-		}
-		if _, err := b.runLockstep(30000); err != nil {
-			t.Fatal(err)
-		}
-		per := testing.AllocsPerRun(1, func() {
-			if _, err := b.runLockstep(rounds); err != nil {
-				t.Fatal(err)
-			}
-		})
+		lockstep(t, b, cutBlocks([]segment{{rounds: 30000, functional: functional}}), nil)
+		block := cutBlocks([]segment{{rounds: rounds, functional: functional}})
+		per := testing.AllocsPerRun(1, func() { lockstep(t, b, block, nil) })
 		if per != 0 {
 			t.Errorf("functional=%v: %.6f allocs/record in a steady-state batch block, want 0",
 				functional, per/float64(rounds*len(specs)*specs[0].Config.Cores))

@@ -8,11 +8,11 @@ import (
 )
 
 // batchBlockRounds is the lockstep granularity of RunBatch: each member
-// system runs this many rounds back to back before the next member
-// takes the same block. Coarse blocks keep one system's simulation
-// state hot in cache for cores×rounds records at a time (instead of
-// thrashing K working sets against each other every record) and bounds
-// the lead log, which holds one block.
+// system runs up to this many rounds back to back before the next member
+// takes the same block (see cutBlocks). Coarse blocks keep one system's
+// simulation state hot in cache for cores×rounds records at a time
+// (instead of thrashing K working sets against each other every record)
+// and bound the lead log, which holds one block.
 const batchBlockRounds = 8192
 
 // Lead-log word layout, low to high: the L1-I hit bit, the mispredict bit
@@ -56,15 +56,62 @@ func unpackLog(w uint64) trace.Record {
 }
 
 // leadLog is what the lead of a RunBatch publishes, one lockstep block
-// at a time, for its followers to read in place of a stream: words holds
-// the block's records in the order the lead stepped them (round-robin
-// over the cores in detailed rounds, core after core in a functional
-// block) and data each record's data-traffic aggregate (message count <<
-// 32 | hop sum) at the same index. Followers step in the lead's order, so
-// both arrays are written once and read once per follower, front to back.
+// at a time, for its followers to read in place of a stream — and all a
+// follower ever sees of the lead: it holds no pointer into the lead's
+// System, which in a schedule of one block is gone before the first
+// follower is built.
+//
+// words holds the block's records in the order the lead stepped them
+// (round-robin over the cores in detailed rounds, core after core in a
+// functional piece) and data each record's data-traffic aggregate (message
+// count << 32 | hop sum) at the same index. Followers step in the lead's
+// order, so both arrays are written once and read once per follower, front
+// to back.
+//
+// marks holds the block's interval marks: at every Begin/EndInterval the
+// lead appends its shared-facet counters, one coreMark per core, and a
+// follower reaching the same boundary takes the facets it replays from
+// there (see System.shareMark). mirrors are the lead's L1-I tag mirrors
+// (nil when a log word cannot name its ways), which stand at the end of
+// the block the lead last stepped, and cfg is the lead's configuration,
+// against which a follower decides what it replays.
 type leadLog struct {
-	words []uint64
-	data  []uint64
+	words   []uint64
+	data    []uint64
+	marks   []coreMark
+	mirrors []l1Mirror
+	cfg     Config
+}
+
+// coreMark is one core's entry of an interval mark: the counters of the
+// structures a follower may not own — the L1-I and the branch predictor —
+// as the lead read them at the boundary.
+type coreMark struct {
+	l1             cache.Stats
+	bpPred, bpMiss int64
+}
+
+// shareMark is the batch side of a counter snapshot. The lead appends the
+// snapshot's shared-facet counters to the log as the block's next interval
+// mark; a follower takes the next mark and overwrites, for each facet it
+// replays, the counters it has no structure to read from.
+func (s *System) shareMark(m *measurement) {
+	lg, n := s.log, s.cfg.Cores
+	if s.lead {
+		for i := 0; i < n; i++ {
+			lg.marks = append(lg.marks, coreMark{m.l1[i], m.bpPred[i], m.bpMiss[i]})
+		}
+		return
+	}
+	for i, k := range lg.marks[s.markPos : s.markPos+n] {
+		if s.replayL1 {
+			m.l1[i] = k.l1
+		}
+		if s.replayBP {
+			m.bpPred[i], m.bpMiss[i] = k.bpPred, k.bpMiss
+		}
+	}
+	s.markPos += n
 }
 
 // l1Mirror is a tag-only copy of one of the lead's L1-Is: sets × ways of
@@ -138,18 +185,78 @@ func (m *l1Mirror) put(b trace.BlockAddr, way int) {
 	m.set(b)[way] = uint64(b) + 1
 }
 
-// batch is the unit of execution: the systems that consume one record
-// stream — the lead (systems[0]) and the followers that read its log, none
-// for a single run — and the schedule all of them walk.
-type batch struct {
-	systems []*System
-	segs    []segment
+// piece is one stretch of the schedule a member steps without a pause: up
+// to batchBlockRounds rounds of one segment (rounds is the piece's share of
+// it), with begin and end marking the pieces that open and close a measured
+// segment's interval. The pieces of a schedule are the same however many
+// members walk it, which is what keeps functional stepping — core-major
+// within a piece (see runRoundsFunctional) — in one global order standalone
+// and batched.
+type piece struct {
+	segment
+	begin, end bool
 }
 
-// newBatch validates the specs, opens the record streams once — for the
-// lead — and builds every member. Followers are what the lead log and the
-// lead's L1-I mirrors exist for, so a batch of one builds neither: its one
-// member is the System New would return.
+// cutBlocks lays a schedule out in lockstep blocks: consecutive pieces
+// that one member steps, start to finish, before the next member takes the
+// same block. A block holds as many pieces as fit the lead log —
+// batchBlockRounds rounds — across segment boundaries, so a window that
+// short is a single block; and it ends with a functional stretch, because a
+// follower does not track the L1-I through functional pieces and takes the
+// lead's mirrors, as they stand when the lead's block is done, before it
+// steps in detail again (see batch.runBlock).
+func cutBlocks(segs []segment) [][]piece {
+	var blocks [][]piece
+	var open []piece
+	var rounds int64
+	for _, seg := range segs {
+		for off := int64(0); off < seg.rounds; off += batchBlockRounds {
+			p := piece{segment: seg, begin: seg.measured && off == 0}
+			p.rounds = min(seg.rounds-off, batchBlockRounds)
+			p.end = seg.measured && off+p.rounds == seg.rounds
+			if n := len(open); n > 0 && (rounds+p.rounds > batchBlockRounds || open[n-1].functional && !p.functional) {
+				blocks = append(blocks, open)
+				open, rounds = nil, 0
+			}
+			open = append(open, p)
+			rounds += p.rounds
+		}
+	}
+	if open != nil {
+		blocks = append(blocks, open)
+	}
+	return blocks
+}
+
+// blockRounds is the length of a block in lockstep rounds.
+func blockRounds(blk []piece) int64 {
+	var n int64
+	for _, p := range blk {
+		n += p.rounds
+	}
+	return n
+}
+
+// batch is the unit of execution: the members that consume one record
+// stream — the lead (member 0) and the followers that read its log, none
+// for a single run — and the blocks all of them walk. systems[m] is member
+// m's System while it is alive: walk builds it from specs[m] when the
+// member enters its first block and, after its last, extracts out[m] and
+// hands its tables back. A caller-built System (RunSampled) walks as a
+// batch without specs: it is in place from the start and stays the
+// caller's.
+type batch struct {
+	specs   []RunSpec
+	out     []Result
+	systems []*System
+	blocks  [][]piece
+	log     *leadLog
+}
+
+// newBatch validates the specs and lays out the schedule; walk builds the
+// members. Followers are what the lead log and the lead's L1-I mirrors
+// exist for, so a batch of one has neither: its one member is the System
+// New would return.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
@@ -164,33 +271,26 @@ func newBatch(specs []RunSpec) (*batch, error) {
 	if err := checkStreamCompatible(specs); err != nil {
 		return nil, err
 	}
-	readers, err := specs[0].openReaders()
-	if err != nil {
-		return nil, err
-	}
 	b := &batch{
+		specs:   specs,
+		out:     make([]Result, len(specs)),
 		systems: make([]*System, len(specs)),
-		segs:    specs[0].Sampling.segments(specs[0].WarmupRecords, specs[0].MeasureRecords),
+		blocks:  cutBlocks(specs[0].Sampling.segments(specs[0].WarmupRecords, specs[0].MeasureRecords)),
 	}
-	var lg *leadLog
 	if len(specs) > 1 {
-		// The log holds one lockstep block, and no block is longer than
-		// the longest stretch the schedule hands runLockstep.
-		longest := int64(0)
-		for _, seg := range b.segs {
-			longest = max(longest, seg.rounds)
+		// The log holds one lockstep block.
+		var longest int64
+		for _, blk := range b.blocks {
+			longest = max(longest, blockRounds(blk))
 		}
-		n := int(min(batchBlockRounds, longest)) * specs[0].Config.Cores
-		lg = &leadLog{words: make([]uint64, n), data: make([]uint64, n)}
-	}
-	lead, err := build(specs[0].systemConfig(), readers, lg, nil)
-	if err != nil {
-		return nil, err
-	}
-	b.systems[0] = lead
-	for m := 1; m < len(specs); m++ {
-		if b.systems[m], err = build(specs[m].systemConfig(), nil, lg, lead); err != nil {
-			return nil, err
+		cfg := specs[0].systemConfig()
+		n := int(longest) * cfg.Cores
+		b.log = &leadLog{words: make([]uint64, n), data: make([]uint64, n), cfg: cfg}
+		// A log word has room for logMaxWays mirror ways; the lead of a
+		// wider L1-I keeps no mirror and its followers step caches of
+		// their own.
+		if cfg.L1I.Assoc <= logMaxWays {
+			b.log.mirrors = newL1Mirrors(cfg.L1I, cfg.Cores)
 		}
 	}
 	return b, nil
@@ -214,6 +314,12 @@ func newBatch(specs []RunSpec) (*batch, error) {
 // L1-I's hits and victims (see the System.log field doc); it reports the
 // lead's statistics for what it shares.
 //
+// A member's System lives from its first block to its last. A window that
+// fits one block therefore runs member after member, each built on the
+// tables the one before handed back — one System resident, whatever the
+// size of the batch; a longer window keeps every member alive between its
+// blocks.
+//
 // A batch of one is Run (which is written as one). An incompatible batch
 // returns an error naming the first mismatched spec.
 func RunBatch(specs []RunSpec) ([]Result, error) {
@@ -227,140 +333,158 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 	if err := b.walk(specs[0].WarmupRecords, specs[0].MeasureRecords); err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(specs))
-	for m, sys := range b.systems {
-		// Per-member policy: members may differ in the reporting
-		// confidence level (it never touches the schedule).
-		out[m] = sys.result(specs[m].Sampling)
-		// The batch has succeeded and the result is extracted: hand the
-		// member's tables back (see System.release).
-		sys.release()
-	}
-	return out, nil
+	return b.out, nil
 }
 
-// walk is the one execution path: it takes the batch's systems through
+// enter readies member m for its first block: a member of a RunBatch is
+// built here — the lead over the record streams, opened once, a follower
+// over the log alone.
+func (b *batch) enter(m int) error {
+	if b.specs != nil {
+		var readers []trace.Reader
+		if m == 0 {
+			var err error
+			if readers, err = b.specs[0].openReaders(); err != nil {
+				return err
+			}
+		}
+		sys, err := build(b.specs[m].systemConfig(), readers, b.log)
+		if err != nil {
+			return err
+		}
+		b.systems[m] = sys
+	}
+	sys := b.systems[m]
+	sys.sampleAgg, sys.mpkiSamples, sys.tputSamples = measurement{}, nil, nil
+	return nil
+}
+
+// leave retires member m after its last block: the member of a RunBatch
+// has succeeded, so its result is extracted — under its own policy, for
+// members may differ in the reporting confidence level, which never
+// touches the schedule — and its tables are handed back (see
+// System.release) for the next member, or the next batch, to build on.
+func (b *batch) leave(m int) {
+	if b.specs == nil {
+		return
+	}
+	sys := b.systems[m]
+	b.out[m] = sys.result(b.specs[m].Sampling)
+	sys.release()
+	b.systems[m] = nil
+}
+
+// walk is the one execution path: it takes the batch's members through
 // the schedule over a window of warm+meas records per core — exact or
-// sampled, one member or many, built here or by a caller — segment by
-// segment, bracketing each measured one with Begin/EndInterval, and
-// verifies that the streams supplied the whole window. Every member walks
-// the identical deterministic schedule (validated equal by
-// checkStreamCompatible), so each member's result is bit-identical to
-// its standalone run.
+// sampled, one member or many, built here or by a caller — block by block
+// and, within a block, member by member, and verifies that the streams
+// supplied the whole window. Every member walks the identical
+// deterministic schedule (validated equal by checkStreamCompatible), so
+// each member's result is bit-identical to its standalone run.
 func (b *batch) walk(warm, meas int64) error {
-	lead := b.systems[0]
-	if err := lead.checkSupply(warm + meas); err != nil {
-		return err
-	}
-	bases := make([][]int64, len(b.systems))
-	for m, sys := range b.systems {
-		bases[m] = sys.consumedBase()
-		sys.sampleAgg, sys.mpkiSamples, sys.tputSamples = measurement{}, nil, nil
-	}
 	// Whatever the outcome, a caller-built System is left stepping in
 	// detail.
 	defer func() {
 		for _, sys := range b.systems {
-			sys.applySegment(segment{})
+			if sys != nil {
+				sys.applySegment(segment{})
+			}
 		}
 	}()
+	members := len(b.systems)
+	bases := make([][]int64, members)
 	var done int64
-	for _, seg := range b.segs {
-		for _, sys := range b.systems {
-			sys.applySegment(seg)
-			if seg.measured {
-				sys.BeginInterval()
+	for bi, blk := range b.blocks {
+		for m := 0; m < members; m++ {
+			if bi == 0 {
+				if err := b.enter(m); err != nil {
+					return err
+				}
+				if m == 0 {
+					if err := b.systems[0].checkSupply(warm + meas); err != nil {
+						return err
+					}
+				}
+				bases[m] = b.systems[m].consumedBase()
 			}
-		}
-		ran, err := b.runLockstep(seg.rounds)
-		if err != nil {
-			return err
-		}
-		if done += ran; ran < seg.rounds {
-			// Counts are per phase, as StreamShortError documents; a stream
-			// dry at the very start of the measure window, or of a run
-			// without warmup, ran short in "measure".
-			if done < warm {
-				return &StreamShortError{Phase: "warmup", Core: -1, Need: warm, Have: done}
+			ran, err := b.runBlock(m, blk)
+			if err != nil {
+				return err
 			}
-			return &StreamShortError{Phase: "measure", Core: -1, Need: meas, Have: done - warm}
-		}
-		if seg.measured {
-			for _, sys := range b.systems {
-				sys.EndInterval()
+			if m == 0 {
+				if done += ran; ran < blockRounds(blk) {
+					// Counts are per phase, as StreamShortError documents; a
+					// stream dry at the very start of the measure window, or
+					// of a run without warmup, ran short in "measure".
+					if done < warm {
+						return &StreamShortError{Phase: "warmup", Core: -1, Need: warm, Have: done}
+					}
+					return &StreamShortError{Phase: "measure", Core: -1, Need: meas, Have: done - warm}
+				}
+				// Once a stream of the lead's has run dry the batch is bound
+				// to fail — on the rounds it falls short by or on the lead's
+				// checkConsumed — with the error the lead's standalone twin
+				// reports, so the followers, which could not tell whose
+				// record a short block is missing, are not stepped again.
+				for _, dry := range b.systems[0].done {
+					if dry {
+						members = 1
+					}
+				}
 			}
-		}
-	}
-	for m, sys := range b.systems {
-		// Catch a single dry stream the round loop papered over (see
-		// System.checkConsumed).
-		if err := sys.checkConsumed(bases[m], warm+meas); err != nil {
-			return err
+			if bi == len(b.blocks)-1 {
+				// Catch a single dry stream the round loop papered over (see
+				// System.checkConsumed).
+				if err := b.systems[m].checkConsumed(bases[m], warm+meas); err != nil {
+					return err
+				}
+				b.leave(m)
+			}
 		}
 	}
 	return nil
 }
 
-// runLockstep advances every system by up to `records` rounds in blocks
-// of batchBlockRounds and returns the rounds completed. A batch of one is
-// blocked like any other, which is what keeps functional stepping —
-// core-major within a block (see runRoundsFunctional) — in one global
-// order however many members there are; no block outgrows the log, which
-// holds the smaller of batchBlockRounds and the longest stretch of the
-// schedule. If the lead's streams run dry the shortfall is visible to the
-// caller.
-func (b *batch) runLockstep(records int64) (int64, error) {
-	for off := int64(0); off < records; {
-		n := min(records-off, batchBlockRounds)
-		ran, err := b.runBlock(n)
-		if err != nil {
-			return off, err
-		}
-		off += ran
-		if ran < n {
-			return off, nil
-		}
+// runBlock takes member m through one lockstep block and returns the
+// rounds completed: fewer than the block's only when the lead's streams
+// ran dry. The lead publishes the log from its start, a follower replays
+// it from its start; each opens and closes the measured intervals whose
+// boundaries fall inside the block.
+func (b *batch) runBlock(m int, blk []piece) (int64, error) {
+	sys := b.systems[m]
+	sys.logPos, sys.markPos = 0, 0
+	if sys.lead {
+		b.log.marks = b.log.marks[:0]
 	}
-	return records, nil
-}
-
-// runBlock runs one lockstep block of up to n rounds: the lead steps it,
-// publishing the log, then each follower replays the same rounds. Once a
-// stream of the lead's has run dry the batch is bound to fail — on the
-// rounds it fell short by or on the lead's checkConsumed — with the error
-// the lead's standalone twin reports, so the followers, which could not
-// tell whose record a short block is missing, are not stepped again.
-func (b *batch) runBlock(n int64) (int64, error) {
-	lead := b.systems[0]
-	lead.logPos = 0
-	ran, err := lead.runRounds(n)
-	if err != nil {
-		return 0, err
-	}
-	for _, dry := range lead.done {
-		if dry {
-			return ran, nil
+	var ran int64
+	for _, p := range blk {
+		sys.applySegment(p.segment)
+		if p.begin {
+			sys.BeginInterval()
 		}
-	}
-	for _, sys := range b.systems[1:] {
-		sys.logPos = 0
-		fran, err := sys.runRounds(n)
+		n, err := sys.runRounds(p.rounds)
 		if err != nil {
 			return 0, err
 		}
-		if fran != n {
-			return 0, fmt.Errorf("sim: batch member diverged: %d rounds vs lead's %d", fran, n)
-		}
-		if sys.functional && sys.replayL1 {
-			// A follower does not apply a functional block's misses to
-			// its mirrors one by one (see warmFollower); the lead's stand at
-			// the end of this very block.
-			for c := range sys.mirrors {
-				copy(sys.mirrors[c].tags, lead.mirrors[c].tags)
+		if ran += n; n < p.rounds {
+			if m > 0 {
+				return 0, fmt.Errorf("sim: batch member diverged: %d rounds vs lead's %d", n, p.rounds)
 			}
+			return ran, nil
+		}
+		if p.end {
+			sys.EndInterval()
 		}
 	}
-	return n, nil
+	if m > 0 && sys.replayL1 && blk[len(blk)-1].functional {
+		// A follower does not apply a functional piece's misses to its
+		// mirrors one by one (see warmFollower); the lead's stand at the
+		// end of this very block.
+		for c := range sys.mirrors {
+			copy(sys.mirrors[c].tags, b.log.mirrors[c].tags)
+		}
+	}
+	return ran, nil
 }
 
 // checkStreamCompatible verifies that every spec consumes the same

@@ -104,8 +104,95 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		{"mixed", all},
 		{"unequal-l1", unequalL1Designs()},
 		{"wide-l1", wideL1Designs()},
+		// A 500 + 500 window is one lockstep block: the members run one
+		// after another, each on the tables the one before handed back.
+		{"one-block", windowed(all, 500, 500, Sampling{})},
+		{"one-block-unequal-l1", windowed(unequalL1Designs(), 500, 500, Sampling{})},
+		// Blocks that span segments: a detailed warmup, its measured
+		// interval and the functional gap behind them share a block, and
+		// the last block is a whole chunk.
+		{"sampled-spanning", windowed(all, 700, 9000, Sampling{Period: 3, IntervalRecords: 1000})},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkBatchMatchesRun(t, tc.specs) })
+	}
+}
+
+// windowed returns specs over a window of warm + meas records under p.
+func windowed(specs []RunSpec, warm, meas int64, p Sampling) []RunSpec {
+	out := append([]RunSpec(nil), specs...)
+	for i := range out {
+		out[i].WarmupRecords, out[i].MeasureRecords, out[i].Sampling = warm, meas, p
+	}
+	return out
+}
+
+// TestCutBlocks pins the block rule: pieces are a segment cut at
+// batchBlockRounds, whatever the blocks; a block takes pieces across
+// segment boundaries up to batchBlockRounds rounds, and none steps in
+// detail after a functional piece.
+func TestCutBlocks(t *testing.T) {
+	shape := func(blocks [][]piece) [][]int64 {
+		var out [][]int64
+		for _, blk := range blocks {
+			var rs []int64
+			for _, p := range blk {
+				rs = append(rs, p.rounds)
+			}
+			out = append(out, rs)
+		}
+		return out
+	}
+	const B = batchBlockRounds
+	for _, tc := range []struct {
+		name       string
+		p          Sampling
+		warm, meas int64
+		want       [][]int64
+	}{
+		{"one-block", Sampling{}, 500, 500, [][]int64{{500, 500}}},
+		{"no-warmup", Sampling{}, 0, 500, [][]int64{{500}}},
+		{"exact", Sampling{}, B + 10, 2*B + 20, [][]int64{{B}, {10}, {B}, {B}, {20}}},
+		{"exact-tail-joins", Sampling{}, B + 10, 20, [][]int64{{B}, {10, 20}}},
+		// Period 3 × 1000: head = 700 + gap 1750, then warm 250, interval
+		// 1000, gap 1750, ... ; the detailed pair and the gap behind it
+		// share a block, which ends where the next detailed warmup begins.
+		{"sampled", Sampling{Period: 3, IntervalRecords: 1000}, 700, 9000,
+			[][]int64{{2450}, {250, 1000, 1750}, {250, 1000, 1750}, {250, 1000}}},
+	} {
+		segs := tc.p.segments(tc.warm, tc.meas)
+		blocks := cutBlocks(segs)
+		if got := shape(blocks); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: blocks %v, want %v", tc.name, got, tc.want)
+		}
+		// The pieces, in order, are each segment cut at B; Begin and End
+		// bracket exactly the measured segments.
+		var pieces []piece
+		for _, blk := range blocks {
+			if n := blockRounds(blk); n > B {
+				t.Errorf("%s: a block of %d rounds outgrows the log", tc.name, n)
+			}
+			for i, p := range blk {
+				if i > 0 && blk[i-1].functional && !p.functional {
+					t.Errorf("%s: a block steps in detail after a functional piece", tc.name)
+				}
+			}
+			pieces = append(pieces, blk...)
+		}
+		i := 0
+		for _, seg := range segs {
+			for off := int64(0); off < seg.rounds; off += B {
+				want := piece{segment: seg, begin: seg.measured && off == 0}
+				want.rounds = min(seg.rounds-off, B)
+				want.end = seg.measured && off+want.rounds == seg.rounds
+				if i >= len(pieces) || pieces[i] != want {
+					t.Fatalf("%s: piece %d differs from its segment's cut", tc.name, i)
+				}
+				i++
+			}
+		}
+		if i != len(pieces) {
+			t.Errorf("%s: %d pieces for a schedule of %d", tc.name, len(pieces), i)
+		}
 	}
 }
 
@@ -280,18 +367,12 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 func TestBatchOfOneBuildsNoLog(t *testing.T) {
 	spec := testSpec(testConfig())
 	spec.WarmupRecords, spec.MeasureRecords = batchBlockRounds, batchBlockRounds
-	b, err := newBatch([]RunSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys := b.systems[0]; sys.log != nil || sys.lead || sys.mirrors != nil || sys.hot[0].mirror != nil {
+	b := enterAll(t, []RunSpec{spec})
+	if sys := b.systems[0]; b.log != nil || sys.log != nil || sys.lead || sys.mirrors != nil || sys.hot[0].mirror != nil {
 		t.Errorf("a batch of one built log %v, lead %v, mirrors %v", sys.log != nil, sys.lead, sys.mirrors != nil)
 	}
-	two, err := newBatch([]RunSpec{spec, spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logBytes := uint64(16 * len(two.systems[0].log.words))
+	two := enterAll(t, []RunSpec{spec, spec})
+	logBytes := uint64(16 * len(two.log.words))
 	if two.systems[0].mirrors == nil || logBytes == 0 {
 		t.Fatal("a batch of two built no log or no mirrors: the check above proves nothing")
 	}
@@ -359,20 +440,34 @@ func TestRunBatchRejectsMismatchedStreams(t *testing.T) {
 	}
 }
 
-// eachBlock walks b's schedule one lockstep block at a time and calls
-// check after every block.
-func eachBlock(t *testing.T, b *batch, check func()) {
+// enterAll lays specs out as a batch and builds every member, as walk
+// has by the end of a first block that is not also the last.
+func enterAll(t *testing.T, specs []RunSpec) *batch {
 	t.Helper()
-	for _, seg := range b.segs {
-		for _, sys := range b.systems {
-			sys.applySegment(seg)
+	b, err := newBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range b.systems {
+		if err := b.enter(m); err != nil {
+			t.Fatal(err)
 		}
-		for off := int64(0); off < seg.rounds; off += batchBlockRounds {
-			n := min(seg.rounds-off, batchBlockRounds)
-			ran, err := b.runLockstep(n)
-			if err != nil || ran != n {
-				t.Fatalf("block of %d rounds: ran %d, err %v", n, ran, err)
+	}
+	return b
+}
+
+// lockstep takes b's members, all alive, through blocks one lockstep
+// block at a time — the lead, then each follower — and calls check (if
+// any) after every block.
+func lockstep(t *testing.T, b *batch, blocks [][]piece, check func()) {
+	t.Helper()
+	for _, blk := range blocks {
+		for m := range b.systems {
+			if ran, err := b.runBlock(m, blk); err != nil || ran != blockRounds(blk) {
+				t.Fatalf("member %d, block of %d rounds: ran %d, err %v", m, blockRounds(blk), ran, err)
 			}
+		}
+		if check != nil {
 			check()
 		}
 	}
@@ -396,14 +491,11 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 					specs[i].Sampling = testSampling()
 				}
 			}
-			b, err := newBatch(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := enterAll(t, specs)
 			lead := b.systems[0]
 			sets := lead.cfg.L1I.Sets()
 			blocks := 0
-			eachBlock(t, b, func() {
+			lockstep(t, b, b.blocks, func() {
 				blocks++
 				for m, sys := range b.systems {
 					if len(sys.mirrors) != len(lead.l1i) {
@@ -438,8 +530,8 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 
 // TestBatchFollowerSharing pins what a follower builds: with the lead's
 // configuration it has no stream, no instruction cache and no predictor
-// of its own — its l1i and bp slots are the lead's — and each facet
-// whose configuration differs from the lead's is its own again, without
+// at all — it aliases nothing of the lead's — and each facet whose
+// configuration differs from the lead's is its own again, without
 // disturbing the others.
 func TestBatchFollowerSharing(t *testing.T) {
 	base := testSpec(testConfig())
@@ -451,13 +543,10 @@ func TestBatchFollowerSharing(t *testing.T) {
 	bp.Config.BranchPredictorEntries = 4096
 	seed := base
 	seed.Config.Seed = 42
-	b, err := newBatch([]RunSpec{base, same, l1, bp, seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := enterAll(t, []RunSpec{base, same, l1, bp, seed})
 	lead := b.systems[0]
-	if !lead.lead || lead.readers == nil || lead.replayL1 {
-		t.Fatal("lead does not read its own streams and step its own L1-I")
+	if !lead.lead || lead.readers == nil || lead.replayL1 || lead.l1i == nil || lead.bp == nil {
+		t.Fatal("lead does not read its own streams and step its own L1-I and predictor")
 	}
 	for m, want := range []struct{ l1, bp, data bool }{
 		{true, true, true},
@@ -469,12 +558,12 @@ func TestBatchFollowerSharing(t *testing.T) {
 		if f.readers != nil {
 			t.Errorf("follower %d holds readers of its own", m+1)
 		}
-		for c := range f.l1i {
-			if got := f.l1i[c] == lead.l1i[c]; got != want.l1 {
-				t.Errorf("follower %d core %d: L1-I aliases the lead's = %v, want %v", m+1, c, got, want.l1)
-			}
-			if got := f.bp[c] == lead.bp[c]; got != want.bp {
-				t.Errorf("follower %d core %d: predictor aliases the lead's = %v, want %v", m+1, c, got, want.bp)
+		if (f.l1i == nil) != want.l1 || (f.bp == nil) != want.bp {
+			t.Errorf("follower %d: builds no L1-I %v, no predictor %v, want %v %v", m+1, f.l1i == nil, f.bp == nil, want.l1, want.bp)
+		}
+		for c := range lead.l1i {
+			if f.l1i != nil && f.l1i[c] == lead.l1i[c] || f.bp != nil && f.bp[c] == lead.bp[c] || f.hot[c].l1i == lead.l1i[c] || f.hot[c].bp == lead.bp[c] {
+				t.Errorf("follower %d core %d aliases a structure of the lead's", m+1, c)
 			}
 		}
 		if f.replayL1 != want.l1 || f.replayBP != want.bp || f.replayData != want.data {
@@ -490,13 +579,10 @@ func TestBatchFollowerSharing(t *testing.T) {
 // TestBatchWideL1NotShared: an L1-I of more ways than a log word can name
 // is stepped by every member for itself, equal geometry or not.
 func TestBatchWideL1NotShared(t *testing.T) {
-	b, err := newBatch(wideL1Designs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := enterAll(t, wideL1Designs())
 	lead := b.systems[0]
 	for m, sys := range b.systems {
-		if sys.replayL1 || sys.mirrors != nil || m > 0 && sys.l1i[0] == lead.l1i[0] {
+		if sys.replayL1 || sys.mirrors != nil || sys.l1i == nil || m > 0 && sys.l1i[0] == lead.l1i[0] {
 			t.Errorf("member %d shares a %d-way L1-I", m, sys.cfg.L1I.Assoc)
 		}
 	}
@@ -607,4 +693,70 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLeadLog covers the two record formats of the lead log. A record
+// word uses all 64 bits, so every word is a record and what the lead
+// decided about it: unpacking and repacking is the identity and every
+// field comes back in range. An interval mark carries whatever counters
+// the lead read, for any number of cores: followers of every facet
+// combination, taking the block's marks in order, get exactly the lead's
+// counters for the facets they replay and keep their own for the rest.
+func FuzzLeadLog(f *testing.F) {
+	f.Add(uint64(0), int64(0), int64(0), uint8(1))
+	f.Add(^uint64(0), int64(-1), int64(1)<<62, uint8(16))
+	f.Add(packLog(trace.Record{Block: workload.AppBaseBlock, Instrs: 7, Kind: trace.KindCall}, true, false, 3), int64(12345), int64(678), uint8(4))
+	f.Fuzz(func(t *testing.T, w uint64, a, b int64, cores uint8) {
+		rec := unpackLog(w)
+		if rec.Block > trace.MaxBlockAddr || logWay(w) >= logMaxWays {
+			t.Fatalf("word %#x: block %#x, way %d out of range", w, rec.Block, logWay(w))
+		}
+		if got := packLog(rec, w&logMispredict != 0, w&logHit != 0, logWay(w)); got != w {
+			t.Fatalf("word %#x repacks to %#x", w, got)
+		}
+
+		n := int(cores%16) + 1
+		lg := &leadLog{}
+		lead := &System{cfg: Config{Cores: n}, log: lg, lead: true}
+		// Two marks, as a block with one measured interval holds.
+		marks := [2]measurement{newMeasurement(n), newMeasurement(n)}
+		for k := range marks {
+			for i := 0; i < n; i++ {
+				v := a + int64(k)*b + int64(i)
+				marks[k].l1[i] = cache.Stats{Hits: v, Misses: v ^ b, Inserts: -v, Evictions: b, PrefetchDiscards: v + b}
+				marks[k].bpPred[i], marks[k].bpMiss[i] = v-b, b-v
+			}
+			lead.shareMark(&marks[k])
+		}
+		if len(lg.marks) != 2*n {
+			t.Fatalf("%d cores, two marks: the log holds %d entries", n, len(lg.marks))
+		}
+		for facets := 0; facets < 4; facets++ {
+			fol := &System{cfg: Config{Cores: n}, log: lg, replayL1: facets&1 != 0, replayBP: facets&2 != 0}
+			for k := range marks {
+				own := newMeasurement(n)
+				for i := 0; i < n; i++ {
+					own.l1[i].Hits, own.bpPred[i], own.bpMiss[i] = 1, 2, 3
+				}
+				want := newMeasurement(n)
+				copy(want.l1, own.l1)
+				copy(want.bpPred, own.bpPred)
+				copy(want.bpMiss, own.bpMiss)
+				if fol.replayL1 {
+					copy(want.l1, marks[k].l1)
+				}
+				if fol.replayBP {
+					copy(want.bpPred, marks[k].bpPred)
+					copy(want.bpMiss, marks[k].bpMiss)
+				}
+				fol.shareMark(&own)
+				if !reflect.DeepEqual(own, want) {
+					t.Fatalf("facets %02b, mark %d: follower took %+v, want %+v", facets, k, own, want)
+				}
+			}
+			if fol.markPos != len(lg.marks) {
+				t.Fatalf("facets %02b: cursor at %d of %d", facets, fol.markPos, len(lg.marks))
+			}
+		}
+	})
 }

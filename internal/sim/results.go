@@ -138,7 +138,9 @@ func (s *System) snapshot() measurement {
 		m.fetchStall[i] = s.clocks[i].FetchStallCycles()
 		m.branchStall[i] = s.clocks[i].BranchStallCycles()
 		m.records[i] = s.records[i]
-		m.l1[i] = s.l1i[i].Stats()
+		if s.l1i != nil {
+			m.l1[i] = s.l1i[i].Stats()
+		}
 		m.fetch[i] = s.fetch[i]
 		if sr, ok := s.pf[i].(prefetch.StatsReporter); ok {
 			m.pf[i] = sr.PrefetchStats()
@@ -151,6 +153,9 @@ func (s *System) snapshot() measurement {
 	for c := 0; c < noc.NumClasses; c++ {
 		m.traffic[c] = s.mesh.Traffic(noc.MsgClass(c))
 		m.hops[c] = s.mesh.HopCount(noc.MsgClass(c))
+	}
+	if s.log != nil {
+		s.shareMark(&m)
 	}
 	return m
 }

@@ -203,7 +203,7 @@ func (s *System) RunSampled(warmup, measure int64, p Sampling) (Result, error) {
 	if p.Enabled() && p.Intervals(measure) < 2 {
 		return Result{}, fmt.Errorf("sim: MeasureRecords %d fits fewer than two sampling intervals", measure)
 	}
-	b := batch{systems: []*System{s}, segs: p.segments(warmup, measure)}
+	b := batch{systems: []*System{s}, blocks: cutBlocks(p.segments(warmup, measure))}
 	if err := b.walk(warmup, measure); err != nil {
 		return Result{}, err
 	}

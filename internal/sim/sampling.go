@@ -466,18 +466,15 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 
 // warmFollower is warmCore for a RunBatch follower: the next n words of
 // the lead log stand in for the stream, and for whatever else of the
-// lead's work this member replays (see the System.log field doc). The
-// predictors a follower aliases were advanced by the lead's evaluation.
-// Nothing reads its L1-I mirror while timing stands still, so it does not
-// apply the block's misses to it; the batch runner copies the lead's
-// mirror over once the block is done.
+// lead's work this member replays (see the System.log field doc): it has
+// no predictor to advance when it replays the lead's. Nothing reads its
+// L1-I mirror while timing stands still, so it does not apply the piece's
+// misses to it; the batch runner copies the lead's mirror over once the
+// block is done.
 func (s *System) warmFollower(coreID int, n int64) {
 	h := &s.hot[coreID]
-	bp := h.bp
-	if s.replayBP {
-		bp = nil
-	}
 	var (
+		bp          = h.bp
 		l1          = h.l1i
 		replayL1    = s.replayL1
 		warm        = h.warm
@@ -509,13 +506,13 @@ func (s *System) warmFollower(coreID int, n int64) {
 	s.llcWarmCnt[coreID] = warmCnt
 }
 
-// runRoundsFunctional advances one lockstep block of up to n rounds on
-// the functional path, core-major: cores barely interact while timing
+// runRoundsFunctional advances one piece of up to n rounds on the
+// functional path, core-major: cores barely interact while timing
 // stands still (the L1-I and history are per-core), so stepping each core
-// through the whole block back to back keeps its stream chunk,
+// through the whole piece back to back keeps its stream chunk,
 // instruction cache, and history builder hot instead of thrashing every
 // core's state on every round — a large constant-factor win on the
-// fast-forward path. The blocks are runLockstep's, for one member as for
+// fast-forward path. The pieces are cutBlocks', for one member as for
 // many, so the few cross-core touch points (shared-LLC warming order,
 // the generator's index-pointer updates) happen in the identical global
 // order standalone and batched — which keeps sampled batch members

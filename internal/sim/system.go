@@ -75,22 +75,23 @@ type System struct {
 	// decided:
 	//
 	//   - replayBP: the branch outcome, when its predictor configuration
-	//     equals the lead's. Its bp slice aliases the lead's predictors
-	//     for result accounting.
+	//     equals the lead's. It builds no predictor (bp is nil).
 	//   - replayData: the data-traffic aggregate, when it would draw the
 	//     lead's sequence.
 	//   - replayL1: the L1-I outcome, when its instruction-cache geometry
-	//     equals the lead's. Its l1i slice aliases the lead's caches for
-	//     result accounting, and all it keeps of an instruction cache are
-	//     the tag mirrors its prefetch filter reads (see l1Mirror; the
-	//     lead keeps mirrors too, to tell followers where each miss goes).
+	//     equals the lead's. It builds no instruction cache (l1i is nil):
+	//     all it keeps of one are the tag mirrors its prefetch filter reads
+	//     (see l1Mirror; the lead's, which tell followers where each miss
+	//     goes, are the log's).
 	//
-	// A facet whose condition fails is stepped by the follower itself, on
-	// structures of its own, off the same log. Detailed and functional
-	// stepping use the log alike: a follower steps the (core, round) order
-	// the lead did, so logPos — the next record's slot — simply counts up
-	// through a lockstep block, and the batch runner rewinds it at the
-	// next.
+	// The counters of a predictor or an L1-I it does not have reach a
+	// follower's results as interval marks (see shareMark); the log is all
+	// it knows of the lead. A facet whose condition fails is stepped by the
+	// follower itself, on structures of its own, off the same log. Detailed
+	// and functional stepping use the log alike: a follower steps the
+	// (core, round) order the lead did, so logPos — the next record's slot
+	// — and markPos — the next interval mark's — simply count up through a
+	// lockstep block, and the batch runner rewinds them at the next.
 	log        *leadLog
 	lead       bool
 	replayBP   bool
@@ -98,6 +99,7 @@ type System struct {
 	replayL1   bool
 	mirrors    []l1Mirror
 	logPos     int
+	markPos    int
 
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
@@ -149,7 +151,9 @@ func (s *System) buildHot() {
 		if s.bp != nil {
 			h.bp = s.bp[i]
 		}
-		h.l1i = s.l1i[i]
+		if s.l1i != nil {
+			h.l1i = s.l1i[i]
+		}
 		h.pb = s.pb[i]
 		h.mshr = s.l1mshr[i]
 		h.rng = s.rng[i]
@@ -172,17 +176,17 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	if len(readers) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d readers for %d cores", len(readers), cfg.Cores)
 	}
-	return build(cfg, readers, nil, nil)
+	return build(cfg, readers, nil)
 }
 
 // build constructs a System: standalone (lg nil), the lead of a RunBatch
-// (lg set, lead nil) or one of its followers (both set, readers nil). A
+// (lg and readers set) or one of its followers (lg set, no readers). A
 // follower decides here, from its configuration and the lead's alone,
 // which facets of the lead's work it replays (see the System.log field
 // doc), and builds no predictor or instruction cache it would not step.
-func build(cfg Config, readers []trace.Reader, lg *leadLog, lead *System) (*System, error) {
+func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 	n := cfg.Cores
-	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && lead == nil}
+	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && readers != nil}
 	s.fastReaders = make([]*workload.CoreReader, n)
 	for i, r := range readers {
 		s.fastReaders[i], _ = r.(*workload.CoreReader)
@@ -197,30 +201,26 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, lead *System) (*Syst
 	s.records = make([]int64, n)
 	s.fetch = make([]FetchStats, n)
 	s.llcWarmCnt = make([]uint32, n)
-	if lead != nil {
-		lc := &lead.cfg
+	if lg != nil && !s.lead {
+		lc := &lg.cfg
 		s.replayBP = cfg.BranchPredictorEntries > 0 && cfg.BranchPredictorEntries == lc.BranchPredictorEntries
 		// The data-side draws are the lead's only with its seeds, rate and
 		// mesh, and with no miss elimination on either side (ElimProb
 		// consumes the same RNG, which would shift the draw sequence).
 		s.replayData = cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed &&
 			cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
-		s.replayL1 = lead.mirrors != nil && cfg.L1I == lc.L1I
-	}
-	// A log word has room for logMaxWays mirror ways; the lead of a wider
-	// L1-I keeps no mirror and its followers step caches of their own.
-	if s.replayL1 || s.lead && cfg.L1I.Assoc <= logMaxWays {
-		s.mirrors = newL1Mirrors(cfg.L1I, n)
+		s.replayL1 = lg.mirrors != nil && cfg.L1I == lc.L1I
 	}
 	switch {
-	case s.replayBP:
-		s.bp = lead.bp
-	case cfg.BranchPredictorEntries > 0:
+	case s.lead:
+		s.mirrors = lg.mirrors
+	case s.replayL1:
+		s.mirrors = newL1Mirrors(cfg.L1I, n)
+	}
+	if cfg.BranchPredictorEntries > 0 && !s.replayBP {
 		s.bp = make([]*bpred.Hybrid, n)
 	}
-	if s.replayL1 {
-		s.l1i = lead.l1i
-	} else {
+	if !s.replayL1 {
 		s.l1i = make([]*cache.Cache, n)
 	}
 	for i := 0; i < n; i++ {
@@ -249,7 +249,7 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, lead *System) (*Syst
 		s.pb[i] = pbuf
 		s.l1mshr[i] = cache.NewMSHRs(cfg.L1MSHRs)
 		s.rng[i] = trace.NewRNG(cfg.Seed*7919 + int64(i))
-		if s.bp != nil && !s.replayBP {
+		if s.bp != nil {
 			h, err := bpred.NewHybrid(cfg.BranchPredictorEntries)
 			if err != nil {
 				return nil, err
@@ -319,13 +319,6 @@ func dataStepTable(mpki float64) []float64 {
 // left to the collector, and a System a caller built with New is the
 // caller's for good. The System is unusable afterwards.
 func (s *System) release() {
-	// What a batch follower aliases is the lead's to hand back.
-	if s.replayBP {
-		s.bp = nil
-	}
-	if s.replayL1 {
-		s.l1i = nil
-	}
 	for _, c := range s.l1i {
 		c.Release()
 	}
@@ -650,14 +643,19 @@ func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 // (round-robin, one record per core per round), preserving the recency
 // relationships a real concurrent system would have between the history
 // generator and the replaying cores. It steps a hand-built System as a
-// batch of one, in the lockstep blocks every schedule runs in.
+// batch of one, in the pieces every schedule runs in.
 func (s *System) Run(records int64) error {
-	_, err := (&batch{systems: []*System{s}}).runLockstep(records)
-	return err
+	b := batch{systems: []*System{s}}
+	for _, blk := range cutBlocks([]segment{{rounds: records, functional: s.functional, llcMask: s.llcMask}}) {
+		if ran, err := b.runBlock(0, blk); err != nil || ran < blockRounds(blk) {
+			return err
+		}
+	}
+	return nil
 }
 
-// runRounds advances one lockstep block of up to n rounds, returning the
-// number completed (fewer only when every core's trace is exhausted). On
+// runRounds advances one piece of the schedule, up to n rounds, returning
+// the number completed (fewer only when every core's trace is exhausted). On
 // the functional fast-forward path the rounds run core-major instead (see
 // runRoundsFunctional).
 func (s *System) runRounds(n int64) (int64, error) {

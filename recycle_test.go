@@ -315,6 +315,47 @@ func TestSystemFootprint(t *testing.T) {
 	}
 }
 
+// TestOneBlockBatchFootprint is the footprint gate of a batch whose
+// window fits one lockstep block — the shape of a job's cells in the
+// service (a workload's six designs over 500 + 500 records on 4 cores):
+// the members run one after another, each on the tables the one before
+// handed back, so on emptied free lists the whole batch allocates the
+// cache hierarchy once, each design's own history and index tables (a
+// table is recycled only into a table of its size) and at most half a
+// megabyte for everything else (the log, six members' mirrors, prefetch
+// buffers and MSHRs). Members kept alive side by side allocate a
+// hierarchy each — six LLCs for one, three times this limit.
+func TestOneBlockBatchFootprint(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a dropped table is allocated again")
+	}
+	var cfgs []Config
+	for _, d := range g12Designs {
+		cfg := DefaultRunConfig("OLTP Oracle", d)
+		cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = 4, 500, 500
+		cfgs = append(cfgs, cfg)
+	}
+	// Baseline models the hierarchy and nothing else.
+	hierarchy := hostBytes(t, cfgs[0])
+	limit, sum := hierarchy+512<<10, uint64(0)
+	for _, cfg := range cfgs {
+		limit += hostBytes(t, cfg) - hierarchy
+		sum += hostBytes(t, cfg)
+	}
+	run := func() {
+		if _, err := RunBatch(cfgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // build the workload graph, which outlives the batch
+	emptyFreeLists()
+	got := allocatedBy(run)
+	t.Logf("%d B allocated; one hierarchy is %d B, the six members' modelled storage %d B", got, hierarchy, sum)
+	if got > limit {
+		t.Errorf("a one-block batch of %d allocates %d B, limit %d B: its members were alive together", len(cfgs), got, limit)
+	}
+}
+
 // syncPoolKeepsPuts reports whether sync.Pool returns what was just put:
 // under the race detector it drops a quarter of all Puts on purpose.
 func syncPoolKeepsPuts() bool {

@@ -9,6 +9,7 @@ import (
 
 	"shift/internal/area"
 	"shift/internal/core"
+	"shift/internal/sim"
 	"shift/internal/stats"
 )
 
@@ -44,36 +45,55 @@ func (c Config) Key() string {
 	return hex.EncodeToString(h[:16])
 }
 
-// StreamKey returns a stable content hash of the configuration's trace
+// StreamID identifies, as a comparable value, the record stream a Config
+// consumes and the schedule it is consumed on: the configuration's trace
 // -stream inputs — the workload, the core count, and the warmup/measure
-// window lengths — plus the sampling policy, which fixes the lockstep
-// schedule every batch member must share. Everything else — design
-// point, seed, core type, history sizes, simulation mode, miss
-// elimination — only changes how records are consumed, never which
-// records are generated or on what schedule, so two Configs with equal
-// StreamKeys read bit-identical per-core record streams in lockstep.
-// The engine uses this key to partition a grid into batches that
-// RunBatch executes off a single generated stream; sampled and exact
-// cells of one workload therefore batch separately (their stepping
-// schedules are incompatible) while each group still shares its stream
-// internally.
+// window lengths, zero values resolved to their defaults — plus the
+// sampling policy, which fixes the lockstep schedule every batch member
+// must share. Everything else — design point, seed, core type, history
+// sizes, simulation mode, miss elimination — only changes how records are
+// consumed, never which records are generated or on what schedule, so two
+// Configs with equal StreamIDs read bit-identical per-core record streams
+// in lockstep. The engine and shiftd's job queue partition cells into the
+// batches RunBatch executes off a single generated stream by it; sampled
+// and exact cells of one workload therefore batch separately (their
+// stepping schedules are incompatible) while each group still shares its
+// stream internally.
+type StreamID struct {
+	workload   string
+	cores      int
+	warm, meas int64
+	// sampling is normalized and without its Confidence, which shapes
+	// only how the error bounds are reported, never the lockstep
+	// schedule: cells differing only in confidence still batch together.
+	sampling sim.Sampling
+}
+
+// Stream returns the identity of the record stream and schedule c
+// consumes (see StreamID).
+func (c Config) Stream() StreamID {
+	id := StreamID{c.Workload, c.Cores, c.WarmupRecords, c.MeasureRecords, c.Sampling.internal().Normalized()}
+	if id.cores == 0 {
+		id.cores = 16
+	}
+	if id.warm == 0 {
+		id.warm = 60000
+	}
+	if id.meas == 0 {
+		id.meas = 60000
+	}
+	id.sampling.Confidence = 0
+	return id
+}
+
+// StreamKey returns Stream as a stable content hash: equal for exactly
+// the Configs whose StreamIDs are equal, and a string, for whatever routes
+// or labels by stream (a cluster coordinator picks a batch's worker by
+// it).
 func (c Config) StreamKey() string {
-	cores := c.Cores
-	if cores == 0 {
-		cores = 16
-	}
-	warm, meas := c.WarmupRecords, c.MeasureRecords
-	if warm == 0 {
-		warm = 60000
-	}
-	if meas == 0 {
-		meas = 60000
-	}
-	id := fmt.Sprintf("s1|%q|%d|%d|%d", c.Workload, cores, warm, meas)
-	if p := c.Sampling.internal().Normalized(); p.Enabled() {
-		// Confidence is deliberately absent: it shapes only how the
-		// error bounds are reported, never the lockstep schedule, so
-		// cells differing only in confidence still batch together.
+	s := c.Stream()
+	id := fmt.Sprintf("s1|%q|%d|%d|%d", s.workload, s.cores, s.warm, s.meas)
+	if p := s.sampling; p.Enabled() {
 		id += fmt.Sprintf("|sampled|%d|%d|%g",
 			p.Period, p.IntervalRecords, p.WarmupFraction)
 	}
