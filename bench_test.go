@@ -108,14 +108,14 @@ func (oneAtATime) ExecBatch(cfgs []Config) ([]RunResult, error) {
 // engine in three configurations: the serial schedule (all designs of a
 // workload simulated in one pass off a shared stream), the same grid with
 // its cells run one Run at a time (what the sweep cost before batching,
-// kept for the committed batched-speedup record — a test-side Executor,
-// the engine has no switch for it), and a 4-worker pool. The engine
-// merges results by cell and batching shares only design-independent
-// work, so all three produce identical numeric output (asserted against
-// the first run); cmd/benchgate turns serial vs unbatched into the
-// batched-speedup gate and serial vs parallel4 into the parallel-speedup
-// gate (the latter needs >= 4 CPUs to mean anything — the grid holds one
-// batch per workload).
+// kept for comparison — a test-side Executor, the engine has no switch
+// for it), and a 4-worker pool. The engine merges results by cell and
+// batching shares only design-independent work, so all three produce
+// identical numeric output (asserted against the first run). Serial vs
+// unbatched is the batched speedup and serial vs parallel4 the parallel
+// speedup (the latter needs >= 4 CPUs to mean anything — the grid holds
+// one batch per workload); the repository benchmark's ledger records
+// them as sim.batch_speedup and engine.parallel_speedup.
 // Compare with: go test -bench BenchmarkFigure7Sweep -benchtime 3x
 func BenchmarkFigure7Sweep(b *testing.B) {
 	reference, err := RunFigure7(benchOptions())
@@ -160,11 +160,9 @@ func BenchmarkFigure7Sweep(b *testing.B) {
 // (IPC-class) deviation across the grid's cells, and max-mpki-rel-err
 // the worst MPKI deviation (informational — the effective-miss process
 // is bursty at interval granularity, which is why sampled results
-// carry confidence intervals; see ARCHITECTURE.md).
-//
-// cmd/benchgate turns exact vs sampled ns/op into the committed
-// sampled_speedup and the max-rel-err metric into sampled_max_rel_err
-// (CI gates: >= 5.0x and <= 0.02).
+// carry confidence intervals; see ARCHITECTURE.md). The repository
+// benchmark's ledger records the ratio as sim.sampled_speedup, and
+// TestSampledAccuracy asserts the 2% Throughput bound.
 func BenchmarkSampledFigure7(b *testing.B) {
 	exactOpts := QuickOptions()
 	exactOpts.Workloads = []string{"OLTP Oracle", "Web Search"}

@@ -291,14 +291,20 @@ func TestTieredStoreServesFromMemoryUnderDiskFailure(t *testing.T) {
 	if h.BreakerTrips == 0 {
 		t.Error("breaker trip not counted")
 	}
-	opsBefore := fault.Ops()
+	opsBefore, memOnlyBefore := fault.Ops(), h.MemOnlyOps
 	ts.Lookup("absent")
 	ts.Store("while-open", RunResult{MPKI: 3})
+	// Counting is a backend operation too (over a remote peer, a
+	// request): the last known disk count or the memory tier's, whichever
+	// is larger, stands in.
+	if n := ts.Len(); n != 3 {
+		t.Errorf("Len() while the breaker was open = %d, want the memory tier's 3", n)
+	}
 	if fault.Ops() != opsBefore {
 		t.Error("disk tier still reached while the breaker was open")
 	}
-	if ts.Health().MemOnlyOps == 0 {
-		t.Error("memory-only operations not counted")
+	if got := ts.Health().MemOnlyOps - memOnlyBefore; got != 3 {
+		t.Errorf("MemOnlyOps grew by %d over a lookup, a store and a count, want 3", got)
 	}
 	if r, ok := ts.Lookup("while-open"); !ok || r.MPKI != 3 {
 		t.Error("memory tier dropped a write made while the breaker was open")
@@ -342,6 +348,57 @@ func TestTieredBreakerRecoversHalfOpen(t *testing.T) {
 	ts.Store("post-recovery", RunResult{MPKI: 9})
 	if b, ok, _ := fault.Get("post-recovery"); !ok || len(b) == 0 {
 		t.Error("write-through did not resume after recovery")
+	}
+}
+
+// TestTieredLenNeverVotesHealthy polls Len — what every /v1/stats and
+// /v1/metrics scrape does — against a tier whose reads and writes fail
+// while its count (a counter read over a directory) keeps succeeding:
+// the polls must neither keep the breaker from tripping nor, after the
+// cooldown, take the half-open probe and close it over a failing disk.
+func TestTieredLenNeverVotesHealthy(t *testing.T) {
+	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
+	ts := newTieredStore(newDiskStoreStack(fault, nil))
+	now := time.Unix(0, 0)
+	ts.breaker = store.NewBreaker(store.BreakerConfig{Cooldown: time.Minute, Now: func() time.Time { return now }})
+	ts.Store("k", RunResult{MPKI: 1})
+	fault.SetPlan(store.FaultPlan{GetErrorRate: 1, PutErrorRate: 1})
+
+	// Two polls per failing lookup would hold failures at a third of the
+	// window, under the 8-of-16 threshold, if a count recorded a success.
+	for i := 0; i < 8; i++ {
+		ts.Lookup("absent")
+		ts.Len()
+		ts.Len()
+	}
+	if got := ts.breaker.State(); got != store.BreakerOpen {
+		t.Fatalf("breaker = %q after eight failed lookups between polls, want open", got)
+	}
+
+	now = now.Add(2 * time.Minute)
+	opsBefore := fault.Ops()
+	if n := ts.Len(); n != 1 {
+		t.Errorf("Len() past the cooldown = %d, want the last known 1", n)
+	}
+	if fault.Ops() != opsBefore {
+		t.Error("a poll past the cooldown reached the backend")
+	}
+	if got := ts.breaker.State(); got == store.BreakerClosed {
+		t.Fatal("a poll past the cooldown closed the breaker over a failing disk")
+	}
+	trips := ts.breaker.Trips()
+	ts.Store("probe", RunResult{MPKI: 2})
+	if got := ts.breaker.State(); got != store.BreakerOpen || ts.breaker.Trips() != trips+1 {
+		t.Errorf("breaker = %q with %d trips after a failing half-open store, want open with %d", got, ts.breaker.Trips(), trips+1)
+	}
+
+	// A count that fails is still evidence against the tier.
+	ts.breaker = store.NewBreaker(store.BreakerConfig{Window: 4, Threshold: 2})
+	fault.FailNextLens(6)
+	ts.Len()
+	ts.Len()
+	if got := ts.breaker.State(); got != store.BreakerOpen {
+		t.Errorf("breaker = %q after two failed counts, want open", got)
 	}
 }
 

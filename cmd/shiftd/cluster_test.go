@@ -118,7 +118,7 @@ func TestCoordinatorShardsGridAcrossWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var cl clusterResponse
+	var cl clusterView
 	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestStatsAndMetricsCarryClusterCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st statsView
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

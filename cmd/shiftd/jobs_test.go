@@ -367,7 +367,7 @@ func TestJobAdmission429(t *testing.T) {
 		t.Fatalf("over-burst job = %d, want 400", code)
 	}
 
-	var stats statsResponse
+	var stats statsView
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

@@ -221,9 +221,6 @@ func main() {
 	srv.drainRetryAfter = int((*grace + time.Second - 1) / time.Second)
 	if bt := tiered.BlobTier(); bt != nil {
 		srv.blobs = store.NewBlobHandler(bt)
-		if rem, ok := bt.(*store.Remote); ok {
-			srv.remoteErrs = rem.Errors
-		}
 	}
 	if *worker {
 		srv.worker = cluster.NewWorker(engine)

@@ -150,7 +150,11 @@ func TestDegradedReasons(t *testing.T) {
 		},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			got := degradedReasons(tt.es, tt.js, tt.health, tt.hasHealth, tt.workers)
+			sn := &snapshot{engine: tt.es, jobs: tt.js, health: tt.health, workers: tt.workers}
+			if tt.hasHealth {
+				sn.blocks |= healthBlock
+			}
+			got := degradedReasons(sn)
 			if len(got) != tt.want {
 				t.Fatalf("degradedReasons = %v, want %d reasons", got, tt.want)
 			}
@@ -174,7 +178,7 @@ func TestStatsCarriesResilienceCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st statsView
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -47,14 +47,14 @@ func serveDurable(engine *shift.Engine, rs shift.ResultStore, jm *jobs.Manager) 
 }
 
 // getStats decodes GET /v1/stats.
-func getStats(t *testing.T, url string) statsResponse {
+func getStats(t *testing.T, url string) statsView {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st statsView
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestClusterMembershipSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc clusterResponse
+	var doc clusterView
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}

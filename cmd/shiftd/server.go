@@ -18,7 +18,6 @@ import (
 	"shift"
 	"shift/internal/cluster"
 	"shift/internal/jobs"
-	"shift/internal/store"
 	"shift/internal/validate"
 )
 
@@ -40,13 +39,10 @@ type server struct {
 	// cluster role (see main). cluster is the coordinator (batches from
 	// this process shard across workers; /v1/cluster is served); worker
 	// serves POST /v1/batch on the shared engine; blobs exports the
-	// store's raw blob tier under /v1/blobs; remoteErrs reports the
-	// remote-store failure count when the store's persistent tier is a
-	// remote peer.
-	cluster    *cluster.Coordinator
-	worker     *cluster.Worker
-	blobs      http.Handler
-	remoteErrs func() int64
+	// store's raw blob tier under /v1/blobs.
+	cluster *cluster.Coordinator
+	worker  *cluster.Worker
+	blobs   http.Handler
 
 	// persistJoin durably records a first-time cluster join (set when
 	// the coordinator runs with -state-dir, so membership learned via
@@ -261,12 +257,12 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	}
 	d, err := shift.ParseDesign(c.Design)
 	if err != nil {
-		return shift.Config{}, err
+		return shift.Config{}, fmt.Errorf("\"design\": %w", err)
 	}
 	ct := base.CoreType
 	if c.CoreType != "" {
 		if ct, err = shift.ParseCoreType(c.CoreType); err != nil {
-			return shift.Config{}, err
+			return shift.Config{}, fmt.Errorf("\"core_type\": %w", err)
 		}
 	}
 	cfg := shift.Config{
@@ -859,39 +855,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// clusterResponse is the GET /v1/cluster reply: the coordinator's
-// membership view with per-worker health, plus the routing counters.
-type clusterResponse struct {
-	// Workers is the per-worker health snapshot, address-ordered.
-	Workers []cluster.MemberStatus `json:"workers"`
-	// WorkersUp/WorkersSuspect/WorkersDown count workers by state.
-	WorkersUp      int `json:"workers_up"`
-	WorkersSuspect int `json:"workers_suspect"`
-	WorkersDown    int `json:"workers_down"`
-	// BatchesRouted/BatchesRerouted/BatchesHedged count dispatched
-	// batches by path; FallbackCells counts cells degraded to
-	// in-process execution; DispatchErrors counts transport failures.
-	BatchesRouted   int64 `json:"batches_routed"`
-	BatchesRerouted int64 `json:"batches_rerouted"`
-	BatchesHedged   int64 `json:"batches_hedged"`
-	FallbackCells   int64 `json:"fallback_cells"`
-	DispatchErrors  int64 `json:"dispatch_errors"`
-}
-
-// handleCluster serves GET /v1/cluster (coordinator only).
+// handleCluster serves GET /v1/cluster (coordinator only): the
+// /v1/stats cluster object — worker-health and routing counters — plus
+// the membership view with per-worker health under "workers".
 func (s *server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	st := s.cluster.Stats()
-	writeJSON(w, http.StatusOK, clusterResponse{
-		Workers:         s.cluster.Members(),
-		WorkersUp:       st.WorkersUp,
-		WorkersSuspect:  st.WorkersSuspect,
-		WorkersDown:     st.WorkersDown,
-		BatchesRouted:   st.BatchesRouted,
-		BatchesRerouted: st.BatchesRerouted,
-		BatchesHedged:   st.BatchesHedged,
-		FallbackCells:   st.CellsFallback,
-		DispatchErrors:  st.DispatchErrors,
-	})
+	sn := &snapshot{cluster: s.cluster.Stats(), blocks: clusterBlock}
+	doc := sn.statsDoc()["cluster"].(map[string]any)
+	doc["workers"] = s.cluster.Members()
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // joinRequest is the POST /v1/cluster/join body: a worker announcing
@@ -919,417 +890,38 @@ func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"workers": s.cluster.Members()})
 }
 
-// storeHealth reports the result store's failure-domain health when the
-// store exposes it (TieredStore and DiskStore do; the in-memory cache
-// has no failure domain and reports nothing).
-func (s *server) storeHealth() (shift.StoreHealth, bool) {
-	if hr, ok := s.store.(shift.HealthReporter); ok {
-		return hr.Health(), true
-	}
-	return shift.StoreHealth{}, false
-}
-
-// readyzResponse is the GET /v1/readyz reply.
-type readyzResponse struct {
-	// Status is the lifecycle phase: "ready" (200), "recovering" (200:
-	// journal replay re-admitted jobs that are still re-running, the
-	// service is fully usable), "degraded" (503: serving but impaired),
-	// or "draining" (503: graceful shutdown in progress, running cells
-	// finishing, submissions refused).
-	Status string `json:"status"`
-	// Reasons lists each active degradation, one human-readable line
-	// per condition (degraded only).
-	Reasons []string `json:"reasons,omitempty"`
-	// Recovering is the number of recovered jobs still working toward a
-	// terminal state ("recovering" only).
-	Recovering int `json:"recovering,omitempty"`
-}
-
-// degradedReasons evaluates the readiness conditions: the store's
-// circuit breaker not closed (persistence is being bypassed),
-// quarantined corrupt blobs on disk (operator attention needed), a
-// saturated worker pool with job cells still queued (new work will
-// wait), and unhealthy cluster workers (nil workers = not
-// coordinating): each suspect or down worker gets its own reason with
-// the last observed error, and a cluster with no routable worker at
-// all reports the in-process degradation explicitly. Pure —
-// handleReadyz feeds it live snapshots, tests feed it fixtures.
-func degradedReasons(es shift.EngineStats, js jobs.Stats, health shift.StoreHealth, hasHealth bool, workers []cluster.MemberStatus) []string {
-	var reasons []string
-	if hasHealth {
-		switch health.BreakerState {
-		case store.BreakerOpen:
-			reasons = append(reasons, fmt.Sprintf(
-				"store circuit breaker open (%d trips): disk persistence suspended, serving memory-only", health.BreakerTrips))
-		case store.BreakerHalfOpen:
-			reasons = append(reasons, fmt.Sprintf(
-				"store circuit breaker half-open (%d trips): probing disk recovery", health.BreakerTrips))
-		}
-		if health.Quarantined > 0 {
-			reasons = append(reasons, fmt.Sprintf(
-				"%d corrupt result blobs quarantined: inspect the store's quarantine/ directory", health.Quarantined))
-		}
-	}
-	if es.Capacity > 0 && es.Inflight >= es.Capacity && js.QueueDepth > 0 {
-		reasons = append(reasons, fmt.Sprintf(
-			"worker pool saturated: %d/%d slots busy, %d job cells queued", es.Inflight, es.Capacity, js.QueueDepth))
-	}
-	routable := 0
-	for _, m := range workers {
-		switch m.State {
-		case "up":
-			routable++
-		default:
-			reason := fmt.Sprintf("cluster worker %s %s (%d consecutive failures)", m.Addr, m.State, m.Fails)
-			if m.LastErr != "" {
-				reason += ": " + m.LastErr
-			}
-			reasons = append(reasons, reason)
-			if m.State == "suspect" {
-				routable++
-			}
-		}
-	}
-	if len(workers) > 0 && routable == 0 {
-		reasons = append(reasons, fmt.Sprintf(
-			"all %d cluster workers down: batches executing in-process", len(workers)))
-	}
-	return reasons
-}
-
-// handleReadyz serves GET /v1/readyz: 200 "ready" when the service is
-// operating at full fidelity, 503 "draining" once graceful shutdown
-// has begun (stop routing here; running cells are finishing), 503
-// "degraded" with explicit reasons when it is still serving but
-// impaired — the store breaker is open (results are not being
-// persisted), corrupt blobs sit in quarantine, or the worker pool is
-// saturated with queued work — and 200 "recovering" while jobs
-// re-admitted by the journal replay are still re-running (fully
-// serving; the counter lets operators watch the backlog clear). Load
-// balancers can stop routing to a degraded replica while /v1/healthz
-// stays green.
+// handleReadyz serves GET /v1/readyz from a readiness snapshot: the
+// statuses are readyzResponse's, the degradations degradedReasons'.
+// Load balancers can stop routing to a degraded or draining replica
+// while /v1/healthz stays green.
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	js := s.jobs.Stats()
-	if js.Draining {
+	sn := s.readiness()
+	if sn.jobs.Draining {
 		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{Status: "draining"})
 		return
 	}
-	health, hasHealth := s.storeHealth()
-	var workers []cluster.MemberStatus
-	if s.cluster != nil {
-		workers = s.cluster.Members()
-	}
-	reasons := degradedReasons(s.engine.Stats(), js, health, hasHealth, workers)
-	if len(reasons) > 0 {
+	if reasons := degradedReasons(sn); len(reasons) > 0 {
 		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{Status: "degraded", Reasons: reasons})
 		return
 	}
-	if js.Recovering > 0 {
-		writeJSON(w, http.StatusOK, readyzResponse{Status: "recovering", Recovering: js.Recovering})
+	if sn.jobs.Recovering > 0 {
+		writeJSON(w, http.StatusOK, readyzResponse{Status: "recovering", Recovering: sn.jobs.Recovering})
 		return
 	}
 	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready"})
 }
 
-// statsResponse is the GET /v1/stats reply.
-type statsResponse struct {
-	// UptimeSeconds is time since process start.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Requests counts HTTP requests served (all endpoints).
-	Requests int64 `json:"requests"`
-	// StoreHits/StoreMisses/StoreCells describe the result store.
-	StoreHits   int64 `json:"store_hits"`
-	StoreMisses int64 `json:"store_misses"`
-	StoreCells  int   `json:"store_cells"`
-	// Simulated counts cells actually simulated since start.
-	Simulated int64 `json:"simulated"`
-	// Deduped counts cells that piggybacked on a concurrent identical
-	// in-flight simulation.
-	Deduped int64 `json:"deduped"`
-	// Inflight is the number of simulations running right now.
-	Inflight int `json:"inflight"`
-	// Batched counts cells executed through the engine's shared-stream
-	// batch path (all designs of a workload off one generated stream).
-	Batched int64 `json:"batched"`
-	// StreamsShared counts trace-stream generations avoided by
-	// batching (K-1 per batch of K cells).
-	StreamsShared int64 `json:"streams_shared"`
-	// JobBatches counts the batches the job workers have started — a
-	// job's cells that consume one record stream run as one batch — and
-	// JobBatchCells the cells in them: equal counters mean no job shared
-	// a stream.
-	JobBatches    int64 `json:"job_batches"`
-	JobBatchCells int64 `json:"job_batch_cells"`
-	// SampledCells counts cells simulated in sampled mode (interval
-	// sampling with functional warming) rather than exactly.
-	SampledCells int64 `json:"sampled_cells"`
-	// CellsPanicked counts simulation panics the engine recovered into
-	// per-cell errors.
-	CellsPanicked int64 `json:"cells_panicked"`
-	// CellsTimedOut counts cells the watchdog abandoned with a timeout
-	// error (-cell-timeout).
-	CellsTimedOut int64 `json:"cells_timed_out"`
-	// StoreErrors counts disk-store IO failures (after retries).
-	StoreErrors int64 `json:"store_errors"`
-	// StoreQuarantined counts corrupt blobs moved aside into the
-	// store's quarantine directory.
-	StoreQuarantined int64 `json:"store_quarantined"`
-	// StoreBreakerState is the store circuit breaker's state: "closed",
-	// "open", or "half-open" (empty for stores without a breaker).
-	StoreBreakerState string `json:"store_breaker_state,omitempty"`
-	// StoreBreakerTrips counts closed-to-open breaker transitions.
-	StoreBreakerTrips int64 `json:"store_breaker_trips"`
-	// StoreMemOnlyOps counts lookups/stores served memory-only while
-	// the breaker held the disk tier out of the path.
-	StoreMemOnlyOps int64 `json:"store_mem_only_ops"`
-	// QueueDepth is the number of job cells waiting to run.
-	QueueDepth int `json:"queue_depth"`
-	// JobsAdmitted/JobsRejected/JobsCancelled count async job
-	// submissions by admission outcome and cancellations that took
-	// effect.
-	JobsAdmitted  int64 `json:"jobs_admitted"`
-	JobsRejected  int64 `json:"jobs_rejected"`
-	JobsCancelled int64 `json:"jobs_cancelled"`
-	// JobCellsRetried counts transiently-failed job cells re-enqueued
-	// by the retry policy (-job-retries).
-	JobCellsRetried int64 `json:"job_cells_retried"`
-	// JobLatencyP50/P90/P99 are submit-to-finish latency percentiles
-	// in seconds over recently completed jobs.
-	JobLatencyP50 float64 `json:"job_latency_p50_seconds"`
-	JobLatencyP90 float64 `json:"job_latency_p90_seconds"`
-	JobLatencyP99 float64 `json:"job_latency_p99_seconds"`
-	// Draining reports that graceful shutdown has begun; JobsRecovering
-	// counts recovered jobs still working toward a terminal state.
-	Draining       bool `json:"draining,omitempty"`
-	JobsRecovering int  `json:"jobs_recovering,omitempty"`
-	// Journal describes the write-ahead job journal (-state-dir only).
-	Journal *journalStatsResponse `json:"journal,omitempty"`
-	// Recovery reports what the journal replay at startup reconstructed
-	// (-state-dir only).
-	Recovery *recoveryStatsResponse `json:"recovery,omitempty"`
-	// RemoteStoreErrors counts failed operations against the remote
-	// blob store (transport errors and bad statuses), when the store's
-	// persistent tier is a remote peer (-store-url).
-	RemoteStoreErrors int64 `json:"remote_store_errors,omitempty"`
-	// Cluster carries the coordinator's routing and worker-health
-	// counters; absent when this process is not coordinating.
-	Cluster *clusterStatsResponse `json:"cluster,omitempty"`
-}
-
-// journalStatsResponse is the "journal" block of GET /v1/stats: the
-// write-ahead job journal's footprint and write-failure count.
-type journalStatsResponse struct {
-	// Records and Bytes describe the journal's current contents.
-	Records int   `json:"records"`
-	Bytes   int64 `json:"bytes"`
-	// Compactions counts snapshot rewrites since the process started.
-	Compactions int64 `json:"compactions"`
-	// Errors counts journal writes that failed; the affected cells
-	// re-run on the next recovery.
-	Errors int64 `json:"errors"`
-}
-
-// recoveryStatsResponse is the "recovery" block of GET /v1/stats: what
-// the journal replay at startup reconstructed.
-type recoveryStatsResponse struct {
-	// JobsRecovered and JobsTerminal count replayed jobs re-admitted
-	// into the queue versus reconstructed already-terminal.
-	JobsRecovered int `json:"jobs_recovered"`
-	JobsTerminal  int `json:"jobs_terminal"`
-	// CellsRestored counts completed cells resolved from the result
-	// store without re-simulation; CellsRequeued, cells re-enqueued for
-	// execution.
-	CellsRestored int `json:"cells_restored"`
-	CellsRequeued int `json:"cells_requeued"`
-	// TornTailRecords and TornTailBytes report the partial append
-	// discarded from the journal at open (the record in flight when the
-	// previous process died).
-	TornTailRecords int   `json:"torn_tail_records"`
-	TornTailBytes   int64 `json:"torn_tail_bytes"`
-}
-
-// clusterStatsResponse is the "cluster" block of GET /v1/stats.
-type clusterStatsResponse struct {
-	// WorkersUp/WorkersSuspect/WorkersDown count workers by health
-	// state.
-	WorkersUp      int `json:"workers_up"`
-	WorkersSuspect int `json:"workers_suspect"`
-	WorkersDown    int `json:"workers_down"`
-	// BatchesRouted counts batches executed on a worker;
-	// BatchesRerouted, attempts re-routed after a transport failure;
-	// BatchesHedged, speculative duplicates sent to stragglers'
-	// backups; FallbackCells, cells degraded to in-process execution;
-	// DispatchErrors, transport-level dispatch failures.
-	BatchesRouted   int64 `json:"batches_routed"`
-	BatchesRerouted int64 `json:"batches_rerouted"`
-	BatchesHedged   int64 `json:"batches_hedged"`
-	FallbackCells   int64 `json:"fallback_cells"`
-	DispatchErrors  int64 `json:"dispatch_errors"`
-}
-
-// handleStats serves GET /v1/stats.
+// handleStats serves GET /v1/stats: every row of the counter table
+// (counters.go) under its path, as JSON.
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	es := s.engine.Stats()
-	js := s.jobs.Stats()
-	health, _ := s.storeHealth()
-	var cl *clusterStatsResponse
-	if s.cluster != nil {
-		st := s.cluster.Stats()
-		cl = &clusterStatsResponse{
-			WorkersUp:       st.WorkersUp,
-			WorkersSuspect:  st.WorkersSuspect,
-			WorkersDown:     st.WorkersDown,
-			BatchesRouted:   st.BatchesRouted,
-			BatchesRerouted: st.BatchesRerouted,
-			BatchesHedged:   st.BatchesHedged,
-			FallbackCells:   st.CellsFallback,
-			DispatchErrors:  st.DispatchErrors,
-		}
-	}
-	var remoteErrs int64
-	if s.remoteErrs != nil {
-		remoteErrs = s.remoteErrs()
-	}
-	var journal *journalStatsResponse
-	var recovery *recoveryStatsResponse
-	if jst, ok := s.jobs.JournalStats(); ok {
-		journal = &journalStatsResponse{
-			Records:     jst.Records,
-			Bytes:       jst.Bytes,
-			Compactions: jst.Compactions,
-			Errors:      js.JournalErrors,
-		}
-		rec := s.jobs.Recovery()
-		recovery = &recoveryStatsResponse{
-			JobsRecovered:   rec.JobsRecovered,
-			JobsTerminal:    rec.JobsTerminal,
-			CellsRestored:   rec.CellsRestored,
-			CellsRequeued:   rec.CellsRequeued,
-			TornTailRecords: rec.TailRecords,
-			TornTailBytes:   rec.TailBytes,
-		}
-	}
-	writeJSON(w, http.StatusOK, statsResponse{
-		UptimeSeconds:     time.Since(s.started).Seconds(),
-		Requests:          s.requests.Load(),
-		StoreHits:         es.StoreHits,
-		StoreMisses:       es.StoreMisses,
-		StoreCells:        es.StoreCells,
-		Simulated:         es.Simulated,
-		Deduped:           es.Deduped,
-		Inflight:          es.Inflight,
-		Batched:           es.Batched,
-		StreamsShared:     es.StreamsShared,
-		JobBatches:        js.Batches,
-		JobBatchCells:     js.BatchCells,
-		SampledCells:      es.SampledCells,
-		CellsPanicked:     es.Panicked,
-		CellsTimedOut:     es.TimedOut,
-		StoreErrors:       health.Errors,
-		StoreQuarantined:  health.Quarantined,
-		StoreBreakerState: health.BreakerState,
-		StoreBreakerTrips: health.BreakerTrips,
-		StoreMemOnlyOps:   health.MemOnlyOps,
-		QueueDepth:        js.QueueDepth,
-		JobsAdmitted:      js.Admitted,
-		JobsRejected:      js.Rejected,
-		JobsCancelled:     js.Cancelled,
-		JobCellsRetried:   js.Retried,
-		JobLatencyP50:     js.LatencyP50,
-		JobLatencyP90:     js.LatencyP90,
-		JobLatencyP99:     js.LatencyP99,
-		Draining:          js.Draining,
-		JobsRecovering:    js.Recovering,
-		Journal:           journal,
-		Recovery:          recovery,
-		RemoteStoreErrors: remoteErrs,
-		Cluster:           cl,
-	})
+	writeJSON(w, http.StatusOK, s.snapshot().statsDoc())
 }
 
-// handleMetrics serves GET /v1/metrics in Prometheus text exposition
-// format (version 0.0.4): the job-queue and admission counters, the
-// job-latency summary, and the engine/store counters /v1/stats exposes
-// as JSON.
+// handleMetrics serves GET /v1/metrics: the same rows in Prometheus
+// text exposition format (version 0.0.4).
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	es := s.engine.Stats()
-	js := s.jobs.Stats()
-	var b strings.Builder
-	metric := func(name, typ, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
-	metric("shiftd_uptime_seconds", "gauge", "Seconds since process start.", time.Since(s.started).Seconds())
-	metric("shiftd_requests_total", "counter", "HTTP requests served (all endpoints).", float64(s.requests.Load()))
-	metric("shiftd_jobs_queue_depth", "gauge", "Job cells waiting to run.", float64(js.QueueDepth))
-	metric("shiftd_jobs_admitted_total", "counter", "Jobs accepted into the queue.", float64(js.Admitted))
-	metric("shiftd_jobs_rejected_total", "counter", "Job submissions refused by admission control or the queue bound.", float64(js.Rejected))
-	metric("shiftd_jobs_cancelled_total", "counter", "Jobs whose cancellation took effect.", float64(js.Cancelled))
-	fmt.Fprintf(&b, "# HELP shiftd_job_latency_seconds Job submit-to-finish latency.\n# TYPE shiftd_job_latency_seconds summary\n")
-	fmt.Fprintf(&b, "shiftd_job_latency_seconds{quantile=\"0.5\"} %g\n", js.LatencyP50)
-	fmt.Fprintf(&b, "shiftd_job_latency_seconds{quantile=\"0.9\"} %g\n", js.LatencyP90)
-	fmt.Fprintf(&b, "shiftd_job_latency_seconds{quantile=\"0.99\"} %g\n", js.LatencyP99)
-	fmt.Fprintf(&b, "shiftd_job_latency_seconds_sum %g\n", js.LatencySum)
-	fmt.Fprintf(&b, "shiftd_job_latency_seconds_count %d\n", js.LatencyCount)
-	metric("shiftd_store_hits_total", "counter", "Result-store lookup hits.", float64(es.StoreHits))
-	metric("shiftd_store_misses_total", "counter", "Result-store lookup misses.", float64(es.StoreMisses))
-	metric("shiftd_store_cells", "gauge", "Results currently stored.", float64(es.StoreCells))
-	metric("shiftd_cells_simulated_total", "counter", "Cells actually simulated.", float64(es.Simulated))
-	metric("shiftd_cells_deduped_total", "counter", "Cells served by a concurrent in-flight simulation.", float64(es.Deduped))
-	metric("shiftd_cells_inflight", "gauge", "Simulations running right now.", float64(es.Inflight))
-	metric("shiftd_cells_batched_total", "counter", "Cells executed through the shared-stream batch path.", float64(es.Batched))
-	metric("shiftd_streams_shared_total", "counter", "Trace-stream generations avoided by batching.", float64(es.StreamsShared))
-	metric("shiftd_job_batches_total", "counter", "Batches (a job's cells sharing one record stream) started by job workers.", float64(js.Batches))
-	metric("shiftd_job_batch_cells_total", "counter", "Job cells in the batches started by job workers.", float64(js.BatchCells))
-	metric("shiftd_cells_sampled_total", "counter", "Cells simulated in sampled mode.", float64(es.SampledCells))
-	metric("shiftd_cells_panicked_total", "counter", "Simulation panics recovered into per-cell errors.", float64(es.Panicked))
-	metric("shiftd_cells_timed_out_total", "counter", "Cells abandoned by the watchdog with a timeout error.", float64(es.TimedOut))
-	metric("shiftd_job_cells_retried_total", "counter", "Transiently-failed job cells re-enqueued by the retry policy.", float64(js.Retried))
-	metric("shiftd_draining", "gauge", "1 while graceful shutdown is draining running cells, 0 otherwise.", boolGauge(js.Draining))
-	metric("shiftd_jobs_recovering", "gauge", "Recovered jobs still working toward a terminal state.", float64(js.Recovering))
-	if jst, ok := s.jobs.JournalStats(); ok {
-		rec := s.jobs.Recovery()
-		metric("shiftd_journal_records", "gauge", "Records currently in the write-ahead job journal.", float64(jst.Records))
-		metric("shiftd_journal_bytes", "gauge", "Size of the write-ahead job journal in bytes.", float64(jst.Bytes))
-		metric("shiftd_journal_compactions_total", "counter", "Journal snapshot rewrites since process start.", float64(jst.Compactions))
-		metric("shiftd_journal_errors_total", "counter", "Journal writes that failed (affected cells re-run on recovery).", float64(js.JournalErrors))
-		metric("shiftd_recovery_jobs_recovered", "gauge", "Incomplete jobs re-admitted by the journal replay at startup.", float64(rec.JobsRecovered))
-		metric("shiftd_recovery_jobs_terminal", "gauge", "Jobs replayed directly to a terminal state at startup.", float64(rec.JobsTerminal))
-		metric("shiftd_recovery_cells_restored", "gauge", "Journaled completed cells restored from the result store without re-simulation.", float64(rec.CellsRestored))
-		metric("shiftd_recovery_cells_requeued", "gauge", "Cells re-enqueued for execution by the journal replay.", float64(rec.CellsRequeued))
-		metric("shiftd_recovery_torn_tail_records", "gauge", "Torn journal records discarded at startup.", float64(rec.TailRecords))
-	}
-	if health, ok := s.storeHealth(); ok {
-		metric("shift_store_errors_total", "counter", "Disk-store IO failures after retries.", float64(health.Errors))
-		metric("shiftd_store_quarantined", "gauge", "Corrupt blobs moved into the quarantine directory.", float64(health.Quarantined))
-		metric("shiftd_store_breaker_open", "gauge", "1 while the store circuit breaker is open, 0 otherwise.",
-			boolGauge(health.BreakerState == store.BreakerOpen))
-		metric("shiftd_store_breaker_trips_total", "counter", "Closed-to-open store breaker transitions.", float64(health.BreakerTrips))
-		metric("shiftd_store_mem_only_total", "counter", "Store operations served memory-only while the breaker was open.", float64(health.MemOnlyOps))
-	}
-	if s.remoteErrs != nil {
-		metric("shiftd_remote_store_errors_total", "counter", "Failed operations against the remote blob store.", float64(s.remoteErrs()))
-	}
-	if s.cluster != nil {
-		st := s.cluster.Stats()
-		metric("shiftd_cluster_workers_up", "gauge", "Cluster workers in the up state.", float64(st.WorkersUp))
-		metric("shiftd_cluster_workers_suspect", "gauge", "Cluster workers in the suspect state.", float64(st.WorkersSuspect))
-		metric("shiftd_cluster_workers_down", "gauge", "Cluster workers in the down state.", float64(st.WorkersDown))
-		metric("shiftd_cluster_batches_routed_total", "counter", "Batches executed on a cluster worker.", float64(st.BatchesRouted))
-		metric("shiftd_cluster_batches_rerouted_total", "counter", "Batch attempts re-routed after a worker failure.", float64(st.BatchesRerouted))
-		metric("shiftd_cluster_batches_hedged_total", "counter", "Speculative duplicate dispatches to stragglers' backups.", float64(st.BatchesHedged))
-		metric("shiftd_cluster_fallback_cells_total", "counter", "Cells degraded to in-process execution.", float64(st.CellsFallback))
-		metric("shiftd_cluster_dispatch_errors_total", "counter", "Transport-level batch dispatch failures.", float64(st.DispatchErrors))
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
-}
-
-// boolGauge renders a condition as a 0/1 Prometheus gauge value.
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	io.WriteString(w, s.snapshot().exposition())
 }
 
 // await runs fn on its own goroutine and waits for its result or for

@@ -304,7 +304,7 @@ func TestConcurrentRunsSingleFlight(t *testing.T) {
 	}
 
 	// /v1/stats reflects all of the above.
-	var stats statsResponse
+	var stats statsView
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestRunEndpointSampled(t *testing.T) {
 		t.Error("served sampled result differs from library result")
 	}
 
-	var st statsResponse
+	var st statsView
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

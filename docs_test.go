@@ -302,7 +302,10 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 			checked++
 		}
 	}
-	if checked < 20 {
-		t.Errorf("checked only %d -run alternatives; the workflow names more — has its format changed?", checked)
+	// Exact on purpose: the workflow names three footprint and three docs
+	// gates, so a format drift that hides one from the parse above fails
+	// here; a step added by name raises the count with it.
+	if checked != 6 {
+		t.Errorf("checked %d -run alternatives, want the workflow's 6 (three footprint gates, three docs gates) — has its format changed?", checked)
 	}
 }

@@ -266,20 +266,25 @@ type EngineStats struct {
 	Capacity int
 }
 
-// Stats returns a snapshot of the engine's counters. Safe to call
-// concurrently with RunAll.
+// Load returns EngineStats' Inflight and Capacity alone — the two read
+// without asking the attached store, whose backend may be stalled.
+func (e *Engine) Load() (inflight, capacity int) {
+	return e.flight.Len(), cap(e.sem)
+}
+
+// Stats returns a snapshot of the engine's counters, the attached
+// store's among them. Safe to call concurrently with RunAll.
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
 		Simulated:     e.simulated.Load(),
 		Deduped:       e.deduped.Load(),
-		Inflight:      e.flight.Len(),
 		Batched:       e.batched.Load(),
 		StreamsShared: e.streamsShared.Load(),
 		SampledCells:  e.sampledCells.Load(),
 		Panicked:      e.panicked.Load(),
 		TimedOut:      e.timedOut.Load(),
-		Capacity:      cap(e.sem),
 	}
+	s.Inflight, s.Capacity = e.Load()
 	if e.store != nil {
 		s.StoreHits, s.StoreMisses = e.store.Stats()
 		s.StoreCells = e.store.Len()

@@ -4,7 +4,7 @@ import "shift"
 
 // functionalCostFraction is the estimated per-record cost of functional
 // fast-forwarding relative to detailed simulation. The measured sampled
-// Figure-7 sweep runs ~5x faster at period 40 (BENCH_5.json), which
+// Figure-7 sweep runs ~5x faster at period 40 (BenchmarkSampledFigure7), which
 // puts the functional path at roughly a tenth of the detailed path per
 // record; the exact value only shifts SJF ordering between sampled
 // policies, never the sampled-before-exact preference.

@@ -1053,10 +1053,10 @@ type Stats struct {
 	LatencyP50, LatencyP90, LatencyP99 float64
 }
 
-// Stats returns a snapshot of the manager's counters.
+// Stats returns a snapshot of the manager's counters. The latency ring
+// is copied under the scheduler lock and sorted after releasing it.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := Stats{
 		QueueDepth:    m.queued,
 		Batches:       m.batches,
@@ -1072,9 +1072,12 @@ func (m *Manager) Stats() Stats {
 		LatencyCount:  m.latCount,
 		LatencySum:    m.latSum,
 	}
-	s.LatencyP50 = percentile(m.latencies, 0.50)
-	s.LatencyP90 = percentile(m.latencies, 0.90)
-	s.LatencyP99 = percentile(m.latencies, 0.99)
+	sorted := append([]float64(nil), m.latencies...)
+	m.mu.Unlock()
+	sort.Float64s(sorted)
+	s.LatencyP50 = percentile(sorted, 0.50)
+	s.LatencyP90 = percentile(sorted, 0.90)
+	s.LatencyP99 = percentile(sorted, 0.99)
 	return s
 }
 
@@ -1095,20 +1098,12 @@ func (m *Manager) JournalStats() (st JournalStats, ok bool) {
 	return m.cfg.Journal.Stats(), true
 }
 
-// percentile returns the nearest-rank q-percentile of samples (0 when
-// empty).
-func percentile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
+// percentile returns the nearest-rank q-percentile of sorted samples (0
+// when empty).
+func percentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
 	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

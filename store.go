@@ -66,8 +66,13 @@ type StoreHealth struct {
 	BreakerTrips int64
 	// MemOnlyOps counts operations absorbed by the memory tier while
 	// the breaker was open (lookups served as misses, writes not
-	// persisted).
+	// persisted, counts answered from the last known value).
 	MemOnlyOps int64
+	// Remote reports a persistent tier on a cluster peer (NewRemoteStore).
+	Remote bool
+	// RemoteErrors counts the failed operations against that peer
+	// (transport errors and bad statuses, every retry included).
+	RemoteErrors int64
 }
 
 // HealthReporter is the optional ResultStore extension for stores that
@@ -235,21 +240,29 @@ func (s *DiskStore) storeErr(key string, r RunResult) error {
 }
 
 // Len returns the number of cells this handle has observed: those on
-// disk at open plus its own writes (cheap; no directory walk). When the
-// backend cannot be counted right now, Len returns the last known
-// count — never a misleading zero that reads like an empty store — and
-// the failure lands in Errors.
+// disk at open plus its own writes — a counter read over a directory
+// (no walk), a retried request over a remote peer. When the backend
+// cannot be counted right now, Len returns the last known count — never
+// a misleading zero that reads like an empty store — and the failure
+// lands in Errors.
 func (s *DiskStore) Len() int {
+	n, _ := s.lenErr()
+	return n
+}
+
+// lenErr is Len with the absorbed error exposed, so TieredStore can
+// feed its circuit breaker.
+func (s *DiskStore) lenErr() (int, error) {
 	if s == nil {
-		return 0
+		return 0, nil
 	}
 	n, err := s.blobs.Len()
 	if err != nil {
 		s.errors.Add(1)
-		return int(s.lastLen.Load())
+		return int(s.lastLen.Load()), err
 	}
 	s.lastLen.Store(int64(n))
-	return n
+	return n, nil
 }
 
 // Stats returns the cumulative Lookup hit/miss counts.
@@ -290,7 +303,11 @@ func (s *DiskStore) Quarantined() int64 {
 // no breaker of its own (that belongs to TieredStore, which has a
 // memory tier to degrade to), so the breaker fields are zero.
 func (s *DiskStore) Health() StoreHealth {
-	return StoreHealth{Errors: s.Errors(), Quarantined: s.Quarantined()}
+	h := StoreHealth{Errors: s.Errors(), Quarantined: s.Quarantined()}
+	if rem, ok := s.BlobTier().(*store.Remote); ok {
+		h.Remote, h.RemoteErrors = true, rem.Errors()
+	}
+	return h
 }
 
 // TieredStore layers an in-memory ResultCache over a DiskStore: Lookup
@@ -410,16 +427,25 @@ func (s *TieredStore) Store(key string, r RunResult) {
 
 // Len returns the number of stored cells: the disk tier's count, which
 // is authoritative (memory holds a subset), unless disk writes have
-// failed, in which case the memory tier may be larger.
+// failed, in which case the memory tier may be larger. Over a remote
+// peer a count is a request, so unless the breaker is closed the disk
+// tier's last known count stands in. A count is evidence against the
+// tier, never for it: a failed one feeds the breaker, a successful one
+// (over a directory, a counter read that cannot fail) records nothing
+// and is never the half-open probe, however often a dashboard polls.
 func (s *TieredStore) Len() int {
 	if s == nil {
 		return 0
 	}
-	n := s.disk.Len()
-	if m := s.mem.Len(); m > n {
-		n = m
+	if s.breaker.State() != store.BreakerClosed {
+		s.memOnly.Add(1)
+		return max(int(s.disk.lastLen.Load()), s.mem.Len())
 	}
-	return n
+	n, err := s.disk.lenErr()
+	if err != nil {
+		s.breaker.Record(true)
+	}
+	return max(n, s.mem.Len())
 }
 
 // Stats returns the tiered hit/miss counts: a hit in either tier is a
