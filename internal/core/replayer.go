@@ -79,6 +79,16 @@ func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
 	return r.out
 }
 
+// WarmNeeds implements prefetch.Warmer: the generator core compacts the
+// full access stream into the shared history, every other core keeps
+// nothing that functional stepping warms.
+func (r *Replayer) WarmNeeds() prefetch.WarmNeed {
+	if r.IsGenerator() {
+		return prefetch.WarmRecords
+	}
+	return prefetch.WarmNone
+}
+
 // WarmAccess implements prefetch.Warmer: during functional warming only
 // the recording side of OnAccess runs — the generator core keeps
 // appending region records to the shared history (with the variant's

@@ -179,6 +179,9 @@ func (p *PIF) OnAccess(a prefetch.Access) []prefetch.Request {
 	return p.out
 }
 
+// WarmNeeds implements prefetch.Warmer: PIF compacts every access.
+func (p *PIF) WarmNeeds() prefetch.WarmNeed { return prefetch.WarmRecords }
+
 // WarmAccess implements prefetch.Warmer: during functional warming only
 // the recording side of OnAccess runs — the core keeps compacting its
 // access stream into history records and index updates, while replay

@@ -116,6 +116,22 @@ type StatsReporter interface {
 	PrefetchStats() Stats
 }
 
+// WarmNeed is what a Warmer has to be shown of a functionally stepped
+// stretch of accesses.
+type WarmNeed uint8
+
+const (
+	// WarmNone: nothing. The instance keeps no state that functional
+	// stepping could warm (a SHIFT core that is not the history
+	// generator).
+	WarmNone WarmNeed = iota
+	// WarmMisses: the L1-I misses only (TIFS records the miss stream).
+	WarmMisses
+	// WarmRecords: every access (PIF and SHIFT's generator core compact
+	// the full access stream).
+	WarmRecords
+)
+
 // Warmer is implemented by prefetchers whose history must keep learning
 // while the simulator fast-forwards between detailed intervals of a
 // sampled run (SMARTS-style functional warming). WarmAccess applies the
@@ -128,6 +144,13 @@ type StatsReporter interface {
 // Like OnAccess, WarmAccess is on the hot path of its (functional) loop
 // and must be allocation-free in steady state.
 type Warmer interface {
+	// WarmNeeds declares which accesses WarmAccess must be called for.
+	// The simulator asks once per functional stretch of a core, not per
+	// access, and calls WarmAccess for no others: an instance that needs
+	// none costs a functional stretch nothing. The answer may change
+	// between stretches (SHIFT's generator role rotates) but not within
+	// one.
+	WarmNeeds() WarmNeed
 	// WarmAccess observes one retire-order access during functional
 	// warming. l1Hit is the L1-I outcome of the access; prefetch-buffer
 	// coverage is not modelled while warming (the buffer is a small

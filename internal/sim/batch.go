@@ -18,8 +18,9 @@ const batchBlockRounds = 8192
 // Lead-log word layout, low to high: the L1-I hit bit, the mispredict bit
 // (meaningful only to a follower that shares the lead's predictor, and
 // only in detailed stepping), the 3-bit trace.Kind, the 16-bit retire
-// count, the 34-bit block address and, on an L1-I miss, the mirror way
-// the block went into (see l1Mirror) in the 9 bits that remain.
+// count, the 34-bit block address and, on an L1-I miss, the way of the
+// lead's instruction cache the block went into (see cache.ICache) in the 9
+// bits that remain.
 const (
 	logHit         uint64 = 1 << 0
 	logMispredict  uint64 = 1 << 1
@@ -30,7 +31,9 @@ const (
 	logMaxWays            = 1 << (64 - logWayShift)
 )
 
-// packLog packs one record and what the lead decided about it.
+// packLog packs one record and what the lead decided about it. A way past
+// logMaxWays loses its high bits: no follower reads the ways of so wide an
+// L1-I (see newBatch).
 func packLog(rec trace.Record, mispredict, l1Hit bool, way int) uint64 {
 	w := uint64(way)<<logWayShift | uint64(rec.Block)<<logBlockShift |
 		uint64(rec.Instrs)<<logInstrsShift | uint64(rec.Kind)<<logKindShift
@@ -43,13 +46,18 @@ func packLog(rec trace.Record, mispredict, l1Hit bool, way int) uint64 {
 	return w
 }
 
-// logWay is the mirror way a miss word names.
+// logWay is the L1-I way a miss word names.
 func logWay(w uint64) int { return int(w >> logWayShift) }
+
+// logBlock is the block address of a log word's record.
+func logBlock(w uint64) trace.BlockAddr {
+	return trace.BlockAddr(w >> logBlockShift & uint64(trace.MaxBlockAddr))
+}
 
 // unpackLog recovers the record of a log word.
 func unpackLog(w uint64) trace.Record {
 	return trace.Record{
-		Block:  trace.BlockAddr(w >> logBlockShift & uint64(trace.MaxBlockAddr)),
+		Block:  logBlock(w),
 		Instrs: uint16(w >> logInstrsShift),
 		Kind:   trace.Kind(w >> logKindShift & 7),
 	}
@@ -71,16 +79,51 @@ func unpackLog(w uint64) trace.Record {
 // marks holds the block's interval marks: at every Begin/EndInterval the
 // lead appends its shared-facet counters, one coreMark per core, and a
 // follower reaching the same boundary takes the facets it replays from
-// there (see System.shareMark). mirrors are the lead's L1-I tag mirrors
-// (nil when a log word cannot name its ways), which stand at the end of
-// the block the lead last stepped, and cfg is the lead's configuration,
-// against which a follower decides what it replays.
+// there (see System.shareMark).
+//
+// probes holds the block's LLC probe lists, one per core per functional
+// piece in stepping order: a count, then that many offsets into the core's
+// stretch of words — the L1-I misses at which functional stepping warms
+// the LLC (every one near a detailed interval, every llcFarStride-th far
+// from it). Which misses those are follows from the L1-I outcome alone, so
+// the lead decides it once, and a follower with nothing else to do in a
+// stretch walks the list instead of the words (see System.consume).
+//
+// mirrors are the lead's instruction caches — the log's, so that they
+// outlive a lead that is gone after one block: what a shared-L1 follower
+// mirrors miss by miss in detailed stepping and copies the tags of after
+// a functional stretch. They are nil when a log word cannot name their
+// ways. cfg is the lead's configuration, against which a follower decides
+// what it replays.
 type leadLog struct {
 	words   []uint64
 	data    []uint64
 	marks   []coreMark
-	mirrors []l1Mirror
+	probes  []uint16
+	mirrors []*cache.ICache
 	cfg     Config
+}
+
+// openProbes starts a probe list; the lead appends the offsets to
+// lg.probes and closes the list with closeProbes(at).
+func (lg *leadLog) openProbes() (at int) {
+	lg.probes = append(lg.probes, 0)
+	return len(lg.probes) - 1
+}
+
+// closeProbes writes the count of the list opened at index at and returns
+// the list.
+func (lg *leadLog) closeProbes(at int) []uint16 {
+	list := lg.probes[at+1:]
+	lg.probes[at] = uint16(len(list))
+	return list
+}
+
+// probesAt returns the list that starts at index at and the index of the
+// one behind it.
+func (lg *leadLog) probesAt(at int) (list []uint16, next int) {
+	next = at + 1 + int(lg.probes[at])
+	return lg.probes[at+1 : next], next
 }
 
 // coreMark is one core's entry of an interval mark: the counters of the
@@ -114,77 +157,6 @@ func (s *System) shareMark(m *measurement) {
 	s.markPos += n
 }
 
-// l1Mirror is a tag-only copy of one of the lead's L1-Is: sets × ways of
-// block+1, zero for an empty way. The lead decides every hit and every
-// victim, so all a shared-L1 follower needs of an instruction cache is
-// membership, for its prefetch filter; which way of the cache holds a
-// block, and how recently it was used, are unobservable to it. The lead
-// keeps a mirror of its own beside the cache: on a miss the way holding
-// the displaced block — or an empty one — takes the new block, which
-// keeps the mirror's sets equal to the cache's as sets, and the way goes
-// into the log word, so that a follower's mirror takes the miss with one
-// store.
-type l1Mirror struct {
-	tags  []uint64
-	ways  int
-	shift uint
-	mask  uint64
-}
-
-// newL1Mirrors returns n empty mirrors of geometry cfg over one backing
-// array.
-func newL1Mirrors(cfg cache.Config, n int) []l1Mirror {
-	per := cfg.Sets() * cfg.Assoc
-	tags := make([]uint64, n*per)
-	ms := make([]l1Mirror, n)
-	for i := range ms {
-		ms[i] = l1Mirror{tags: tags[i*per : (i+1)*per], ways: cfg.Assoc, shift: cfg.IndexShift, mask: uint64(cfg.Sets() - 1)}
-	}
-	return ms
-}
-
-// set returns the ways of b's set.
-func (m *l1Mirror) set(b trace.BlockAddr) []uint64 {
-	base := int(uint64(b)>>m.shift&m.mask) * m.ways
-	return m.tags[base : base+m.ways]
-}
-
-// contains reports whether the lead's L1-I holds b.
-func (m *l1Mirror) contains(b trace.BlockAddr) bool {
-	for _, t := range m.set(b) {
-		if t == uint64(b)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-// fill is the lead's side of a miss: b takes the way of the line the
-// cache's fill displaced, or an empty one. It returns the way.
-func (m *l1Mirror) fill(b trace.BlockAddr, ev cache.Evicted, evicted bool) int {
-	victim := uint64(0)
-	if evicted {
-		victim = uint64(ev.Block) + 1
-	}
-	set := m.set(b)
-	way := -1
-	for i, t := range set {
-		if t == victim {
-			way = i
-		}
-	}
-	if way < 0 {
-		panic("sim: L1-I mirror diverged from the cache")
-	}
-	set[way] = uint64(b) + 1
-	return way
-}
-
-// put is a follower's side of a miss: b goes into the way the lead logged.
-func (m *l1Mirror) put(b trace.BlockAddr, way int) {
-	m.set(b)[way] = uint64(b) + 1
-}
-
 // piece is one stretch of the schedule a member steps without a pause: up
 // to batchBlockRounds rounds of one segment (rounds is the piece's share of
 // it), with begin and end marking the pieces that open and close a measured
@@ -203,8 +175,8 @@ type piece struct {
 // batchBlockRounds rounds — across segment boundaries, so a window that
 // short is a single block; and it ends with a functional stretch, because a
 // follower does not track the L1-I through functional pieces and takes the
-// lead's mirrors, as they stand when the lead's block is done, before it
-// steps in detail again (see batch.runBlock).
+// tags of the lead's, as they stand when the lead's block is done, before
+// it steps in detail again (see batch.runBlock).
 func cutBlocks(segs []segment) [][]piece {
 	var blocks [][]piece
 	var open []piece
@@ -254,9 +226,8 @@ type batch struct {
 }
 
 // newBatch validates the specs and lays out the schedule; walk builds the
-// members. Followers are what the lead log and the lead's L1-I mirrors
-// exist for, so a batch of one has neither: its one member is the System
-// New would return.
+// members. Followers are what the lead log exists for, so a batch of one
+// has none: its one member is the System New would return.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
@@ -285,12 +256,21 @@ func newBatch(specs []RunSpec) (*batch, error) {
 		}
 		cfg := specs[0].systemConfig()
 		n := int(longest) * cfg.Cores
-		b.log = &leadLog{words: make([]uint64, n), data: make([]uint64, n), cfg: cfg}
-		// A log word has room for logMaxWays mirror ways; the lead of a
-		// wider L1-I keeps no mirror and its followers step caches of
-		// their own.
+		// Room for a probe per four records: a stretch that warms the LLC
+		// on every L1-I miss of a stream that mostly misses outgrows it,
+		// once, by append.
+		b.log = &leadLog{words: make([]uint64, n), data: make([]uint64, n), probes: make([]uint16, 0, n/4), cfg: cfg}
+		// A log word has room for logMaxWays L1-I ways; the instruction
+		// caches of a wider lead are its own and its followers step caches
+		// of theirs.
 		if cfg.L1I.Assoc <= logMaxWays {
-			b.log.mirrors = newL1Mirrors(cfg.L1I, cfg.Cores)
+			b.log.mirrors = make([]*cache.ICache, cfg.Cores)
+			for c := range b.log.mirrors {
+				var err error
+				if b.log.mirrors[c], err = cache.NewICache(cfg.L1I); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	return b, nil
@@ -442,6 +422,11 @@ func (b *batch) walk(warm, meas int64) error {
 			}
 		}
 	}
+	if b.log != nil {
+		for _, l1 := range b.log.mirrors {
+			l1.Release()
+		}
+	}
 	return nil
 }
 
@@ -452,9 +437,9 @@ func (b *batch) walk(warm, meas int64) error {
 // boundaries fall inside the block.
 func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	sys := b.systems[m]
-	sys.logPos, sys.markPos = 0, 0
+	sys.logPos, sys.markPos, sys.probePos = 0, 0, 0
 	if sys.lead {
-		b.log.marks = b.log.marks[:0]
+		b.log.marks, b.log.probes = b.log.marks[:0], b.log.probes[:0]
 	}
 	var ran int64
 	for _, p := range blk {
@@ -478,10 +463,10 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	}
 	if m > 0 && sys.replayL1 && blk[len(blk)-1].functional {
 		// A follower does not apply a functional piece's misses to its
-		// mirrors one by one (see warmFollower); the lead's stand at the
-		// end of this very block.
-		for c := range sys.mirrors {
-			copy(sys.mirrors[c].tags, b.log.mirrors[c].tags)
+		// L1-I replicas one by one (see System.consume); the lead's caches
+		// stand at the end of this very block.
+		for c, l1 := range sys.l1i {
+			l1.CopyTagsFrom(b.log.mirrors[c])
 		}
 	}
 	return ran, nil

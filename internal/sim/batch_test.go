@@ -4,7 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"shift/internal/cache"
@@ -359,22 +359,22 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchOfOneBuildsNoLog: the lead log and the lead's L1-I mirrors
-// exist for followers to read. A batch of one has none, so it is the
-// System New returns — and a Run allocates no more than building and
-// walking that System by hand does, where a log of one lockstep block
+// TestBatchOfOneBuildsNoLog: the lead log exists for followers to read. A
+// batch of one has none, so it is the System New returns — its
+// instruction caches its own — and a Run allocates no more than building
+// and walking that System by hand does, where a log of one lockstep block
 // would add 16 B a record-step.
 func TestBatchOfOneBuildsNoLog(t *testing.T) {
 	spec := testSpec(testConfig())
 	spec.WarmupRecords, spec.MeasureRecords = batchBlockRounds, batchBlockRounds
 	b := enterAll(t, []RunSpec{spec})
-	if sys := b.systems[0]; b.log != nil || sys.log != nil || sys.lead || sys.mirrors != nil || sys.hot[0].mirror != nil {
-		t.Errorf("a batch of one built log %v, lead %v, mirrors %v", sys.log != nil, sys.lead, sys.mirrors != nil)
+	if sys := b.systems[0]; b.log != nil || sys.log != nil || sys.lead || sys.l1i[0].Replica() {
+		t.Errorf("a batch of one built log %v, lead %v, L1-I replicas %v", sys.log != nil, sys.lead, sys.l1i[0].Replica())
 	}
 	two := enterAll(t, []RunSpec{spec, spec})
 	logBytes := uint64(16 * len(two.log.words))
-	if two.systems[0].mirrors == nil || logBytes == 0 {
-		t.Fatal("a batch of two built no log or no mirrors: the check above proves nothing")
+	if lead, fol := two.systems[0], two.systems[1]; two.log.mirrors == nil || lead.l1i[0] != two.log.mirrors[0] || !fol.l1i[0].Replica() || logBytes == 0 {
+		t.Fatal("a batch of two built no log, or its lead does not step the log's L1-Is, or its follower keeps more than tags: the check above proves nothing")
 	}
 
 	byHand := func() {
@@ -474,10 +474,10 @@ func lockstep(t *testing.T, b *batch, blocks [][]piece, check func()) {
 }
 
 // TestFollowerMirrorTracksLeadL1: at every lockstep block boundary, in
-// detailed and functional stepping alike, the lead's tag mirror and each
-// shared-L1 follower's hold exactly the blocks of the lead's instruction
-// cache, set by set — which is what lets a follower's prefetch filter
-// stand in for Cache.Contains.
+// detailed and functional stepping alike, each shared-L1 follower's
+// replicas hold exactly the blocks of the lead's instruction caches, set
+// by set and way by way — which is what lets a follower's prefetch filter
+// answer as the lead's cache would.
 func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 	for _, sampled := range []bool{false, true} {
 		name := "exact"
@@ -497,28 +497,27 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 			blocks := 0
 			lockstep(t, b, b.blocks, func() {
 				blocks++
-				for m, sys := range b.systems {
-					if len(sys.mirrors) != len(lead.l1i) {
-						t.Fatalf("member %d keeps %d mirrors for %d cores", m, len(sys.mirrors), len(lead.l1i))
+				resident := 0
+				for m, sys := range b.systems[1:] {
+					if len(sys.l1i) != len(lead.l1i) {
+						t.Fatalf("member %d keeps %d replicas for %d cores", m+1, len(sys.l1i), len(lead.l1i))
 					}
-					for c := range sys.mirrors {
-						mir := &sys.mirrors[c]
+					for c, repl := range sys.l1i {
+						if !repl.Replica() || lead.l1i[c].Replica() {
+							t.Fatalf("member %d core %d: replica %v of a lead's replica %v", m+1, c, repl.Replica(), lead.l1i[c].Replica())
+						}
 						for si := 0; si < sets; si++ {
-							var got []trace.BlockAddr
-							for _, tag := range mir.tags[si*mir.ways : (si+1)*mir.ways] {
-								if tag != 0 {
-									got = append(got, trace.BlockAddr(tag-1))
-								}
-							}
-							want := lead.l1i[c].SetLRUOrder(si)
-							sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-							sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+							got, want := repl.SetBlocks(si), lead.l1i[c].SetBlocks(si)
+							resident += len(want)
 							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("block %d member %d core %d set %d: mirror holds %v, lead's L1-I %v",
-									blocks, m, c, si, got, want)
+								t.Fatalf("block %d member %d core %d set %d: replica holds %v, lead's L1-I %v",
+									blocks, m+1, c, si, got, want)
 							}
 						}
 					}
+				}
+				if resident == 0 {
+					t.Fatalf("block %d: the lead's L1-Is are empty", blocks)
 				}
 			})
 			if blocks < 4 {
@@ -529,10 +528,10 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 }
 
 // TestBatchFollowerSharing pins what a follower builds: with the lead's
-// configuration it has no stream, no instruction cache and no predictor
-// at all — it aliases nothing of the lead's — and each facet whose
-// configuration differs from the lead's is its own again, without
-// disturbing the others.
+// configuration it has no stream, no predictor at all and of an
+// instruction cache the tags alone — it aliases nothing of the lead's —
+// and each facet whose configuration differs from the lead's is its own
+// again, without disturbing the others.
 func TestBatchFollowerSharing(t *testing.T) {
 	base := testSpec(testConfig())
 	same := base
@@ -545,7 +544,7 @@ func TestBatchFollowerSharing(t *testing.T) {
 	seed.Config.Seed = 42
 	b := enterAll(t, []RunSpec{base, same, l1, bp, seed})
 	lead := b.systems[0]
-	if !lead.lead || lead.readers == nil || lead.replayL1 || lead.l1i == nil || lead.bp == nil {
+	if !lead.lead || lead.readers == nil || lead.replayL1 || lead.l1i[0].Replica() || lead.bp == nil {
 		t.Fatal("lead does not read its own streams and step its own L1-I and predictor")
 	}
 	for m, want := range []struct{ l1, bp, data bool }{
@@ -558,20 +557,20 @@ func TestBatchFollowerSharing(t *testing.T) {
 		if f.readers != nil {
 			t.Errorf("follower %d holds readers of its own", m+1)
 		}
-		if (f.l1i == nil) != want.l1 || (f.bp == nil) != want.bp {
-			t.Errorf("follower %d: builds no L1-I %v, no predictor %v, want %v %v", m+1, f.l1i == nil, f.bp == nil, want.l1, want.bp)
+		if f.l1i[0].Replica() != want.l1 || (f.bp == nil) != want.bp {
+			t.Errorf("follower %d: keeps L1-I tags only %v, no predictor %v, want %v %v", m+1, f.l1i[0].Replica(), f.bp == nil, want.l1, want.bp)
 		}
 		for c := range lead.l1i {
-			if f.l1i != nil && f.l1i[c] == lead.l1i[c] || f.bp != nil && f.bp[c] == lead.bp[c] || f.hot[c].l1i == lead.l1i[c] || f.hot[c].bp == lead.bp[c] {
+			if f.l1i[c] == lead.l1i[c] || f.bp != nil && f.bp[c] == lead.bp[c] || f.hot[c].l1i != f.l1i[c] || f.hot[c].bp == lead.bp[c] {
 				t.Errorf("follower %d core %d aliases a structure of the lead's", m+1, c)
+			}
+			if f.l1i[c].Replica() != want.l1 {
+				t.Errorf("follower %d core %d: L1-I tags only = %v, want %v", m+1, c, f.l1i[c].Replica(), want.l1)
 			}
 		}
 		if f.replayL1 != want.l1 || f.replayBP != want.bp || f.replayData != want.data {
 			t.Errorf("follower %d: replays L1 %v predictor %v data %v, want %v %v %v",
 				m+1, f.replayL1, f.replayBP, f.replayData, want.l1, want.bp, want.data)
-		}
-		if (f.mirrors != nil) != want.l1 {
-			t.Errorf("follower %d: keeps mirrors = %v, want %v", m+1, f.mirrors != nil, want.l1)
 		}
 	}
 }
@@ -582,7 +581,7 @@ func TestBatchWideL1NotShared(t *testing.T) {
 	b := enterAll(t, wideL1Designs())
 	lead := b.systems[0]
 	for m, sys := range b.systems {
-		if sys.replayL1 || sys.mirrors != nil || sys.l1i == nil || m > 0 && sys.l1i[0] == lead.l1i[0] {
+		if sys.replayL1 || b.log.mirrors != nil || sys.l1i[0].Replica() || m > 0 && sys.l1i[0] == lead.l1i[0] {
 			t.Errorf("member %d shares a %d-way L1-I", m, sys.cfg.L1I.Assoc)
 		}
 	}
@@ -671,7 +670,7 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 
 // TestLeadLogWordRoundTrip packs records at the limits of every field —
 // a 34-bit block, a 16-bit retire count, every trace.Kind, the first and
-// last mirror way — with both flag bits in every combination.
+// last L1-I way — with both flag bits in every combination.
 func TestLeadLogWordRoundTrip(t *testing.T) {
 	for _, blk := range []trace.BlockAddr{0, 1, workload.AppBaseBlock, trace.MaxBlockAddr} {
 		for _, instrs := range []uint16{1, 2, 0x8000, 0xFFFF} {
@@ -695,10 +694,13 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzLeadLog covers the two record formats of the lead log. A record
+// FuzzLeadLog covers the three record formats of the lead log. A record
 // word uses all 64 bits, so every word is a record and what the lead
 // decided about it: unpacking and repacking is the identity and every
-// field comes back in range. An interval mark carries whatever counters
+// field comes back in range. Probe lists of any lengths — empty, a
+// whole stretch long — written back to back come back one by one, each
+// with its own offsets, and the cursor ends where the writer did. An
+// interval mark carries whatever counters
 // the lead read, for any number of cores: followers of every facet
 // combination, taking the block's marks in order, get exactly the lead's
 // counters for the facets they replay and keep their own for the rest.
@@ -717,6 +719,36 @@ func FuzzLeadLog(f *testing.F) {
 
 		n := int(cores%16) + 1
 		lg := &leadLog{}
+
+		// One list per core, as a functional piece leaves them: lengths and
+		// offsets drawn from the inputs, the last a full stretch's.
+		rng := trace.NewRNG(a ^ b)
+		lists := make([][]uint16, n)
+		for c := range lists {
+			k := rng.Intn(64) * rng.Intn(3)
+			if c == n-1 {
+				k = batchBlockRounds
+			}
+			at := lg.openProbes()
+			for i := 0; i < k; i++ {
+				off := uint16(rng.Intn(batchBlockRounds))
+				lists[c] = append(lists[c], off)
+				lg.probes = append(lg.probes, off)
+			}
+			if got := lg.closeProbes(at); !slices.Equal(got, lists[c]) {
+				t.Fatalf("core %d: the writer closed a list of %d offsets as one of %d", c, len(lists[c]), len(got))
+			}
+		}
+		pos := 0
+		for c, want := range lists {
+			var got []uint16
+			if got, pos = lg.probesAt(pos); !slices.Equal(got, want) {
+				t.Fatalf("core %d: a list of %d offsets came back as %d: %v, want %v", c, len(want), len(got), got, want)
+			}
+		}
+		if pos != len(lg.probes) {
+			t.Fatalf("probe cursor at %d of %d after the last list", pos, len(lg.probes))
+		}
 		lead := &System{cfg: Config{Cores: n}, log: lg, lead: true}
 		// Two marks, as a block with one measured interval holds.
 		marks := [2]measurement{newMeasurement(n), newMeasurement(n)}

@@ -1,0 +1,80 @@
+package sim
+
+import (
+	"testing"
+	"time"
+
+	"shift/internal/core"
+	"shift/internal/pif"
+	"shift/internal/workload"
+)
+
+// The functional-path benchmarks are the in-repo counterpart of the
+// benchmark ledger's sim.warm_ns_per_rec.* rows, split the way a batch
+// splits the work: what the lead of a batch pays per fast-forwarded
+// record (stream generation, predictor, L1-I, the log, and its own LLC
+// probes) and what each follower adds on top, by design. One iteration is
+// one functional gap of the sweep_sampled workload — Period 40 × 500
+// records at WarmupFraction 0.3: 16278 far-zone rounds, 3072 near-zone —
+// on the 16-core Table I system over "OLTP Oracle", continuing the stream
+// from iteration to iteration. Run them with -cpu 1.
+
+// benchFunctional times member (0: the lead, 1: the follower) of a
+// Baseline-led batch of two through b.N gaps.
+func benchFunctional(b *testing.B, follower PrefetcherSpec, member int) {
+	p, err := workload.ByName("OLTP Oracle")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A window whose blocks are full-length, so the log holds one.
+	lead := RunSpec{Config: DefaultConfig(), Workload: p, WarmupRecords: batchBlockRounds, MeasureRecords: batchBlockRounds}
+	fol := lead
+	fol.Config.Prefetcher = follower
+	bt, err := newBatch([]RunSpec{lead, fol})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for m := range bt.systems {
+		if err := bt.enter(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const gapRounds = 40*500 - 500 - 150
+	gap := cutBlocks(appendFunctional(nil, gapRounds))
+	var timed time.Duration
+	walk := func() {
+		for _, blk := range gap {
+			for m := range bt.systems {
+				start := time.Now()
+				if ran, err := bt.runBlock(m, blk); err != nil || ran != blockRounds(blk) {
+					b.Fatalf("member %d: ran %d of %d rounds, err %v", m, ran, blockRounds(blk), err)
+				}
+				if m == member {
+					timed += time.Since(start)
+				}
+			}
+		}
+	}
+	walk() // fill the caches and grow the reusable buffers
+	timed = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
+	}
+	b.ReportMetric(float64(timed.Nanoseconds())/(float64(b.N)*gapRounds*float64(lead.Config.Cores)), "ns/record")
+}
+
+func BenchmarkFunctionalLead(b *testing.B) {
+	benchFunctional(b, PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}, 0)
+}
+
+func BenchmarkFunctionalFollower(b *testing.B) {
+	for _, d := range []PrefetcherSpec{
+		{Kind: KindNextLine, NextLineDegree: 1},
+		{Kind: KindPIF, PIF: pif.Config32K()},
+		{Kind: KindSHIFT, SHIFT: core.DefaultConfig()},
+	} {
+		b.Run(d.Name(), func(b *testing.B) { benchFunctional(b, d, 1) })
+	}
+}

@@ -138,9 +138,7 @@ func (s *System) snapshot() measurement {
 		m.fetchStall[i] = s.clocks[i].FetchStallCycles()
 		m.branchStall[i] = s.clocks[i].BranchStallCycles()
 		m.records[i] = s.records[i]
-		if s.l1i != nil {
-			m.l1[i] = s.l1i[i].Stats()
-		}
+		m.l1[i] = s.l1i[i].Stats()
 		m.fetch[i] = s.fetch[i]
 		if sr, ok := s.pf[i].(prefetch.StatsReporter); ok {
 			m.pf[i] = sr.PrefetchStats()

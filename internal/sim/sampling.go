@@ -5,8 +5,9 @@ import (
 	"io"
 	"math"
 
-	"shift/internal/core"
-	"shift/internal/tifs"
+	"shift/internal/bpred"
+	"shift/internal/cache"
+	"shift/internal/prefetch"
 	"shift/internal/trace"
 )
 
@@ -24,7 +25,10 @@ import (
 // the schedule round for round).
 //
 // The functional stepping path (System.warmCore) keeps the
-// slow-warming state learning while the clock stands still:
+// slow-warming state learning while the clock stands still, in two
+// stages per core and piece. The stream-pure stage (produce) runs once
+// per record stream — on a standalone System, or on the lead of a
+// RunBatch for all its members:
 //
 //   - the branch predictor keeps evolving (a pure function of the
 //     record stream);
@@ -33,9 +37,19 @@ import (
 //     function of the record stream — prefetches fill a separate
 //     buffer, never the L1-I — so functional and detailed stepping
 //     leave bit-identical instruction caches);
+//   - each record and its L1-I outcome become a log word, and the misses
+//     that warm the LLC (a pure function of the L1-I outcome and the
+//     zone, see llcFarStride) a probe list.
+//
+// The member's own stage (consume) runs once per member, off the words
+// and the list:
+//
+//   - the LLC banks take the listed demand probes;
 //   - prefetcher history generation keeps appending through the
 //     design's prefetch.Warmer hook (region compaction, history and
-//     index writes).
+//     index writes), for the accesses the design declares it needs — a
+//     core that needs none walks the probe list alone, a thirteenth of
+//     the records far from an interval.
 //
 // Everything that is timing, traffic, or replay bookkeeping is
 // skipped: cycle accounting, exposed-stall computation, MSHR
@@ -366,43 +380,68 @@ func (s *System) result(p Sampling) Result {
 	return r
 }
 
-// warmCore runs up to n functional steps of core coreID back to back —
-// the tight inner loop of the fast-forward path, with the per-core
-// invariants (reader, predictor, caches, warm hook, log stretch) hoisted
-// out of the record loop. It returns the number of records stepped (fewer
-// than n only when the core's trace is exhausted).
-//
-// A RunBatch lead publishes each record and its L1-I outcome into the
-// lead log here as Step does; a follower runs warmFollower instead.
+// warmCore runs up to n functional steps of core coreID back to back, in
+// two stages with the piece's stretch of log words between them. The
+// member that reads the stream — a standalone System or the lead of a
+// RunBatch — produces the stretch: it does, once, everything that is a
+// function of the record stream alone. Every member then consumes it:
+// the LLC warming and history generation that are its own. A follower
+// consumes what the lead produced. It returns the number of records
+// stepped (fewer than n only when the core's trace is exhausted).
 func (s *System) warmCore(coreID int, n int64) (int64, error) {
 	if s.done[coreID] {
 		return 0, nil
 	}
-	if s.log != nil && !s.lead {
-		s.warmFollower(coreID, n)
-		return n, nil
+	var (
+		words  []uint64
+		probes []uint16
+		err    error
+	)
+	switch lg := s.log; {
+	case lg == nil:
+		if int64(len(s.own.words)) < n {
+			s.own.words = make([]uint64, n)
+		}
+		words, s.own.probes, err = s.produce(coreID, s.own.words[:n], s.own.probes[:0])
+		probes = s.own.probes
+	case s.lead:
+		at := lg.openProbes()
+		words, lg.probes, err = s.produce(coreID, lg.words[s.logPos:s.logPos+int(n)], lg.probes)
+		probes = lg.closeProbes(at)
+	default:
+		words = lg.words[s.logPos : s.logPos+int(n)]
+		probes, s.probePos = lg.probesAt(s.probePos)
 	}
+	if err != nil {
+		return 0, err
+	}
+	s.consume(coreID, words, probes)
+	s.records[coreID] += int64(len(words))
+	s.logPos += len(words)
+	return int64(len(words)), nil
+}
+
+// produce is the stream-pure stage of a functional stretch of core coreID:
+// for each of up to len(words) records it reads the record, advances the
+// branch predictor (a pure function of the record stream, so its state
+// keeps evolving; the outcome drives no timing) and performs the identical
+// demand probe of the L1-I the detailed path performs — L1-I content is a
+// pure function of the record stream (prefetches fill a separate buffer),
+// so functional and detailed stepping leave bit-identical instruction
+// caches — and packs record and outcome into the next word, as Step does
+// for a lead. It appends to probes the offsets of the misses that warm
+// the LLC (see consume) and returns the words written, fewer than
+// len(words) only when the core's trace is exhausted, and the list.
+func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64, []uint16, error) {
 	h := &s.hot[coreID]
 	var (
-		// The predictor is a pure function of the record stream, so its
-		// state keeps evolving; the outcome drives no timing.
-		bp     = h.bp
-		cr     = s.fastReaders[coreID]
-		l1     = h.l1i
-		mirror = h.mirror
-		warm   = h.warm
-		// everyRecord is false when the warm hook only reacts to misses.
-		everyRecord = s.fnNeedsRecords(coreID)
-		warmCnt     = s.llcWarmCnt[coreID]
-		mask        = s.llcMask
-		// words is the lead's stretch of the log.
-		words []uint64
+		bp      = h.bp
+		cr      = s.fastReaders[coreID]
+		l1      = h.l1i
+		warmCnt = s.llcWarmCnt[coreID]
+		mask    = s.llcMask
 	)
-	if s.lead {
-		words = s.log.words[s.logPos : s.logPos+int(n)]
-	}
-	var ran int64
-	for ; ran < n; ran++ {
+	for i := range words {
 		var rec trace.Record
 		var err error
 		if cr != nil {
@@ -412,98 +451,112 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 		}
 		if err == io.EOF {
 			s.done[coreID] = true
+			words = words[:i]
 			break
 		}
 		if err != nil {
-			return ran, err
+			return words[:i], probes, err
 		}
 		if bp != nil {
 			bp.PredictUpdate(rec.Block.Addr(), rec.Kind != trace.KindSeq)
 		}
-
-		// The identical demand probe the detailed path performs: L1-I
-		// content is a pure function of the record stream (prefetches
-		// fill a separate buffer), so functional and detailed stepping
-		// leave bit-identical instruction caches.
-		l1Hit, _, ev, evicted := l1.LookupInsert(rec.Block, false)
-		if words != nil {
-			way := 0
-			if !l1Hit && mirror != nil {
-				way = mirror.fill(rec.Block, ev, evicted)
-			}
-			words[ran] = packLog(rec, false, l1Hit, way)
-		}
-
-		if !l1Hit {
-			// Keep the LLC banks demand-warm, without any latency or
-			// traffic modelling: bank contents — and, for virtualized
-			// SHIFT, the index pointers riding on resident tags — track
-			// the access stream instead of freezing for the whole gap.
-			// Far from the next detailed interval a strided probe
-			// suffices: the banks hold megabytes, so content freshness
-			// is governed by the insertion horizon, not the per-miss
-			// insertion rate; the llcNearRounds before each interval
-			// warm on every miss so the interval opens on a fresh recent
-			// working set. The prefetch buffer is left untouched
-			// (frozen): it is a small timing structure whose steady-
-			// state pressure the detailed warmup prefix restores, and
-			// freezing preserves its age distribution.
+		hit, way := l1.LookupInsert(rec.Block)
+		words[i] = packLog(rec, false, hit, way)
+		if !hit {
 			if warmCnt++; warmCnt&mask == 0 {
-				s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block, false)
+				probes = append(probes, uint16(i))
 			}
-		}
-
-		// History generation — the slow-warming design state.
-		if warm != nil && (everyRecord || !l1Hit) {
-			warm.WarmAccess(rec.Block, l1Hit)
 		}
 	}
-	s.records[coreID] += ran
-	s.logPos += int(ran)
 	s.llcWarmCnt[coreID] = warmCnt
-	return ran, nil
+	return words, probes, nil
 }
 
-// warmFollower is warmCore for a RunBatch follower: the next n words of
-// the lead log stand in for the stream, and for whatever else of the
-// lead's work this member replays (see the System.log field doc): it has
-// no predictor to advance when it replays the lead's. Nothing reads its
-// L1-I mirror while timing stands still, so it does not apply the piece's
-// misses to it; the batch runner copies the lead's mirror over once the
-// block is done.
-func (s *System) warmFollower(coreID int, n int64) {
-	h := &s.hot[coreID]
+// consume is the member's own stage of a functional stretch of core
+// coreID: words are the stretch's records with the producer's L1-I
+// outcome, probes the offsets of the misses that warm the LLC.
+//
+// LLC warming keeps the banks demand-warm, without any latency or traffic
+// modelling: bank contents — and, for virtualized SHIFT, the index
+// pointers riding on resident tags — track the access stream instead of
+// freezing for the whole gap. Far from the next detailed interval a
+// strided probe suffices: the banks hold megabytes, so content freshness
+// is governed by the insertion horizon, not the per-miss insertion rate;
+// the llcNearRounds before each interval warm on every miss so the
+// interval opens on a fresh recent working set. The prefetch buffer is
+// left untouched (frozen): it is a small timing structure whose steady-
+// state pressure the detailed warmup prefix restores, and freezing
+// preserves its age distribution.
+//
+// History generation — the slow-warming design state — goes through the
+// design's Warmer, for the accesses it asks for. It is asked here, once
+// per stretch: what a SHIFT core needs changes when the generator role
+// rotates, and that happens in detailed rounds only (see runRound).
+//
+// A core with nothing but the probes to apply — no Warmer that needs
+// anything and, on a follower, no predictor or instruction cache of its
+// own — walks the probe list and never looks at the other words. Any
+// other core walks the words, in which the probes fall in their place, so
+// a bank sees its core's probes and history writes in one order either
+// way. A follower that steps an instruction cache of its own decides its
+// own misses, and with them its own probes.
+func (s *System) consume(coreID int, words []uint64, probes []uint16) {
+	bp, l1, need := s.consumeWork(coreID)
+	if bp == nil && l1 == nil && need == prefetch.WarmNone {
+		for _, at := range probes {
+			blk := logBlock(words[at])
+			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk, false)
+		}
+		return
+	}
 	var (
-		bp          = h.bp
-		l1          = h.l1i
-		replayL1    = s.replayL1
-		warm        = h.warm
-		everyRecord = s.fnNeedsRecords(coreID)
-		warmCnt     = s.llcWarmCnt[coreID]
-		mask        = s.llcMask
+		warm    = s.hot[coreID].warm
+		every   = need == prefetch.WarmRecords
+		warmCnt = s.llcWarmCnt[coreID]
+		mask    = s.llcMask
+		next    = 0 // the next of probes
 	)
-	for _, w := range s.log.words[s.logPos : s.logPos+int(n)] {
+	for i, w := range words {
 		rec := unpackLog(w)
 		if bp != nil {
 			bp.PredictUpdate(rec.Block.Addr(), rec.Kind != trace.KindSeq)
 		}
-		l1Hit := w&logHit != 0
-		if !replayL1 {
-			l1Hit, _, _, _ = l1.LookupInsert(rec.Block, false)
-		}
-		// LLC warming and history generation exactly as in warmCore.
-		if !l1Hit {
-			if warmCnt++; warmCnt&mask == 0 {
-				s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block, false)
+		hit, probe := w&logHit != 0, false
+		if l1 != nil {
+			if hit, _ = l1.LookupInsert(rec.Block); !hit {
+				warmCnt++
+				probe = warmCnt&mask == 0
 			}
+		} else if next < len(probes) && int(probes[next]) == i {
+			probe = true
+			next++
 		}
-		if warm != nil && (everyRecord || !l1Hit) {
-			warm.WarmAccess(rec.Block, l1Hit)
+		if probe {
+			s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block, false)
+		}
+		if need != prefetch.WarmNone && (every || !hit) {
+			warm.WarmAccess(rec.Block, hit)
 		}
 	}
-	s.records[coreID] += n
-	s.logPos += int(n)
 	s.llcWarmCnt[coreID] = warmCnt
+}
+
+// consumeWork is what consume owes a stretch of core coreID beyond its
+// probes: the predictor and the instruction cache to advance — a
+// follower's own; the producer's are done — and the accesses the design's
+// Warmer asks for.
+func (s *System) consumeWork(coreID int) (bp *bpred.Hybrid, l1 *cache.ICache, need prefetch.WarmNeed) {
+	h := &s.hot[coreID]
+	if s.log != nil && !s.lead {
+		bp = h.bp
+		if !s.replayL1 {
+			l1 = h.l1i
+		}
+	}
+	if h.warm != nil {
+		need = h.warm.WarmNeeds()
+	}
+	return bp, l1, need
 }
 
 // runRoundsFunctional advances one piece of up to n rounds on the
@@ -530,23 +583,4 @@ func (s *System) runRoundsFunctional(n int64) (int64, error) {
 	}
 	s.rounds += done
 	return done, nil
-}
-
-// fnNeedsRecords reports whether core c's functional warming hook must
-// see every record rather than just the misses: PIF compacts the full
-// access stream on every core, and SHIFT's current generator core
-// records it into the shared history; miss-stream warmers (TIFS) and
-// SHIFT's other cores only react to misses.
-func (s *System) fnNeedsRecords(c int) bool {
-	switch w := s.hot[c].warm.(type) {
-	case nil:
-		return false
-	case *core.Replayer:
-		return w.IsGenerator()
-	case *tifs.TIFS:
-		return false
-	default:
-		// PIF — and any future warmer — conservatively sees everything.
-		return true
-	}
 }

@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
 
+	"shift/internal/cache"
 	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/pif"
+	"shift/internal/prefetch"
 	"shift/internal/tifs"
 	"shift/internal/trace"
 	"shift/internal/workload"
@@ -299,18 +303,86 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 	}
 }
 
+// consumePathDesigns is a batch in which every way through System.consume
+// has a member: behind a Baseline lead (which walks its own probe lists),
+// virtualized SHIFT (the generator core walks the words, the other cores
+// the lists), TIFS (walks the words for the misses), PIF (for every
+// record), NextLine (lists only), a follower with a smaller L1-I (steps
+// it, and decides its own probes, off the words) and one with a
+// predictor of its own (walks the words to advance it).
+func consumePathDesigns() []RunSpec {
+	all := batchDesigns()
+	specs := []RunSpec{all[0], all[5], all[6], all[3], all[1], all[2], all[0]}
+	specs[5].Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
+	specs[6].Config.BranchPredictorEntries = 4096
+	return specs
+}
+
+// TestConsumePathsCovered keeps consumePathDesigns honest: each kind of
+// work consume can owe a core is owed to some core of some member.
+func TestConsumePathsCovered(t *testing.T) {
+	b := enterAll(t, consumePathDesigns())
+	seen := map[string]bool{}
+	for m, sys := range b.systems {
+		for c := range sys.hot {
+			bp, l1, need := sys.consumeWork(c)
+			if m == 0 && (bp != nil || l1 != nil) {
+				t.Fatal("the lead owes itself the stage it produced")
+			}
+			switch {
+			case l1 != nil:
+				seen["own-l1"] = true
+			case bp != nil:
+				seen["own-bp"] = true
+			case need == prefetch.WarmRecords:
+				seen["records"] = true
+			case need == prefetch.WarmMisses:
+				seen["misses"] = true
+			case m > 0:
+				seen["list"] = true
+			default:
+				seen["lead-list"] = true
+			}
+		}
+	}
+	for _, path := range []string{"lead-list", "list", "misses", "records", "own-l1", "own-bp"} {
+		if !seen[path] {
+			t.Errorf("no core of any member consumes by path %q", path)
+		}
+	}
+	// Fifteen of SHIFT's sixteen cores — three of four here — walk lists.
+	lists := 0
+	for c := range b.systems[1].hot {
+		if bp, l1, need := b.systems[1].consumeWork(c); bp == nil && l1 == nil && need == prefetch.WarmNone {
+			lists++
+		}
+	}
+	if want := len(b.systems[1].hot) - 1; lists != want {
+		t.Errorf("%d cores of the SHIFT follower walk probe lists, want %d (all but the generator)", lists, want)
+	}
+}
+
 // TestRunBatchSampledMatchesRun mirrors TestRunBatchMatchesRun for the
 // sampled mode: every design simulated in one sampled batched pass must
 // be bit-identical to its standalone sampled Run — including the
-// per-interval error bounds.
+// per-interval error bounds — whichever way its cores consume the
+// functional stretches, with gaps that have a far zone (strided probes)
+// and gaps that are all near zone (a probe per miss).
 func TestRunBatchSampledMatchesRun(t *testing.T) {
-	for name, specs := range map[string][]RunSpec{"mixed": batchDesigns(), "unequal-l1": unequalL1Designs()} {
-		t.Run(name, func(t *testing.T) {
-			for i := range specs {
-				specs[i].Sampling = testSampling()
-			}
-			checkBatchMatchesRun(t, specs)
-		})
+	nearOnly := Sampling{Period: 3, IntervalRecords: 1000}
+	if segs := nearOnly.segments(700, 9000); segs[0].llcMask != 0 || segs[0].rounds > llcNearRounds {
+		t.Fatalf("a %d-round head is not all near zone", segs[0].rounds)
+	}
+	for _, tc := range []struct {
+		name  string
+		specs []RunSpec
+	}{
+		{"mixed", windowed(batchDesigns(), 20000, 30000, testSampling())},
+		{"unequal-l1", windowed(unequalL1Designs(), 20000, 30000, testSampling())},
+		{"consume-paths", windowed(consumePathDesigns(), 20000, 30000, testSampling())},
+		{"consume-paths-near-only", windowed(consumePathDesigns(), 700, 9000, nearOnly)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBatchMatchesRun(t, tc.specs) })
 	}
 }
 
@@ -537,5 +609,134 @@ func TestRunSampledStreamShort(t *testing.T) {
 	short = nil
 	if !errors.As(err, &short) || short.Phase != "measure" {
 		t.Fatalf("got %v (%+v), want runtime StreamShortError in measure", err, short)
+	}
+}
+
+// TestLLCStateSharedOnlyUntilDetailed settles whether a batch could warm
+// one LLC for all its members (ROADMAP item 1, "warm once per batch"):
+// among members with equal LLC geometry and no LLC-resident history, the
+// banks are bit-identical for as long as every member has only stepped
+// functionally — the probes are the log's, the same for all — and differ
+// from the first detailed segment on, in every later block: each design's
+// prefetch fills insert their own blocks, and its demand misses reach the
+// banks in an order its own timing decides. The functional stretch that
+// could be shared is the head of the schedule and nothing after it.
+func TestLLCStateSharedOnlyUntilDetailed(t *testing.T) {
+	all := batchDesigns()
+	specs := windowed([]RunSpec{all[0], all[1], all[3]}, 20000, 30000, testSampling())
+	b := enterAll(t, specs)
+	detailed, block := false, 0
+	shared, diverged := 0, 0
+	lockstep(t, b, b.blocks, func() {
+		for _, p := range b.blocks[block] {
+			detailed = detailed || !p.functional
+		}
+		block++
+		lead := b.systems[0]
+		for m, sys := range b.systems[1:] {
+			differ := 0
+			for bank := range sys.llc {
+				if sys.llc[bank].Fingerprint() != lead.llc[bank].Fingerprint() {
+					differ++
+				}
+			}
+			switch {
+			case !detailed && differ != 0:
+				t.Errorf("block %d, before any detailed segment: %d LLC banks of %s differ from the lead's",
+					block, differ, specs[m+1].Config.Prefetcher.Name())
+			case detailed && differ == 0:
+				t.Errorf("block %d, after a detailed segment: every LLC bank of %s equals the lead's",
+					block, specs[m+1].Config.Prefetcher.Name())
+			case detailed:
+				diverged++
+			default:
+				shared++
+			}
+		}
+	})
+	if shared == 0 || diverged == 0 {
+		t.Fatalf("%d comparisons before the first detailed segment, %d after: the schedule shows only one side", shared, diverged)
+	}
+}
+
+// sampledResultDigests pins the sampled results themselves: the FNV-1a
+// hash of the JSON of each member's Result for batchDesigns over
+// 20000 + 30000 records under testSampling, as computed before the
+// functional path was split into a producing and a consuming stage. The
+// Run ≡ RunBatch differentials cannot see a change that moves both sides
+// alike — standalone and batched stepping share that path — and the
+// command goldens hold no sampled run.
+var sampledResultDigests = []uint64{
+	0x58a4ddc18cf23ea8, // Baseline
+	0x8e270098c174c0f3, // NextLine
+	0xc2ae87c106280cb0, // PIF_2K
+	0xd5c8bea3d2c8b283, // PIF_32K
+	0xee85e4bcb0c692e1, // ZeroLat-SHIFT
+	0xdcc503f9c25432bc, // SHIFT
+	0x5ef8060d53c76239, // TIFS
+	0x507bddd0671254af, // Baseline, seed 42, ElimProb 0.5
+	0xbac3db014d58e1d3, // SHIFT, prediction mode
+}
+
+func TestSampledResultsPinned(t *testing.T) {
+	specs := windowed(batchDesigns(), 20000, 30000, testSampling())
+	rs, err := RunBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		buf, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf)
+		if got := h.Sum64(); got != sampledResultDigests[i] {
+			t.Errorf("member %d (%s): sampled result digest %#016x, pinned %#016x", i, specs[i].Config.Prefetcher.Name(), got, sampledResultDigests[i])
+		}
+	}
+}
+
+// TestWarmNeedsDeclared pins what each design's Warmer asks to be shown
+// of a functional stretch: designs without history have no Warmer at all,
+// PIF compacts every access, TIFS logs the misses, and of SHIFT's cores
+// exactly the generator — whichever core holds the role — records.
+func TestWarmNeedsDeclared(t *testing.T) {
+	needs := func(spec PrefetcherSpec) (*System, []prefetch.WarmNeed) {
+		sys := buildSteadySystem(t, spec)
+		out := make([]prefetch.WarmNeed, len(sys.hot))
+		for c := range out {
+			_, _, out[c] = sys.consumeWork(c)
+		}
+		return sys, out
+	}
+	all := func(n prefetch.WarmNeed) []prefetch.WarmNeed { return []prefetch.WarmNeed{n, n, n, n} }
+	for _, tc := range []struct {
+		spec PrefetcherSpec
+		want []prefetch.WarmNeed
+	}{
+		{PrefetcherSpec{Kind: KindNone}, all(prefetch.WarmNone)},
+		{PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}, all(prefetch.WarmNone)},
+		{PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}, all(prefetch.WarmRecords)},
+		{PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()}, all(prefetch.WarmMisses)},
+		{PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)},
+			[]prefetch.WarmNeed{prefetch.WarmRecords, prefetch.WarmNone, prefetch.WarmNone, prefetch.WarmNone}},
+	} {
+		sys, got := needs(tc.spec)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: cores need %v, want %v", tc.spec.Name(), got, tc.want)
+		}
+		if len(sys.shared) == 1 {
+			sys.shared[0].SetGenerator(2)
+			for c := range sys.hot {
+				want := prefetch.WarmNone
+				if c == 2 {
+					want = prefetch.WarmRecords
+				}
+				if _, _, need := sys.consumeWork(c); need != want {
+					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", tc.spec.Name(), c, need, want)
+				}
+			}
+		}
 	}
 }

@@ -33,9 +33,12 @@ type System struct {
 	// tiles[coreID] is the core's mesh tile (coreID mod tile count).
 	tiles []int
 
-	clocks  []*cpu.Clock
-	bp      []*bpred.Hybrid
-	l1i     []*cache.Cache
+	clocks []*cpu.Clock
+	bp     []*bpred.Hybrid
+	// l1i are the per-core instruction caches: on the lead of a RunBatch
+	// the log's (leadLog.mirrors), on a follower that replays the lead's
+	// L1-I tags-only replicas.
+	l1i     []*cache.ICache
 	pb      []*cache.Cache // per-core prefetch buffers
 	l1mshr  []*cache.MSHRs
 	llc     []*cache.Cache
@@ -79,10 +82,13 @@ type System struct {
 	//   - replayData: the data-traffic aggregate, when it would draw the
 	//     lead's sequence.
 	//   - replayL1: the L1-I outcome, when its instruction-cache geometry
-	//     equals the lead's. It builds no instruction cache (l1i is nil):
-	//     all it keeps of one are the tag mirrors its prefetch filter reads
-	//     (see l1Mirror; the lead's, which tell followers where each miss
-	//     goes, are the log's).
+	//     equals the lead's. All it keeps of an instruction cache are the
+	//     tags its prefetch filter reads (l1i are replicas; see
+	//     cache.ICache): in detailed stepping each miss word names the way
+	//     the block went into, and after a functional stretch it copies the
+	//     tags of the lead's caches, which are the log's. With the L1-I
+	//     outcome it shares the lead's choice of functional LLC probes (the
+	//     log's probe lists).
 	//
 	// The counters of a predictor or an L1-I it does not have reach a
 	// follower's results as interval marks (see shareMark); the log is all
@@ -90,16 +96,24 @@ type System struct {
 	// follower itself, on structures of its own, off the same log. Detailed
 	// and functional stepping use the log alike: a follower steps the
 	// (core, round) order the lead did, so logPos — the next record's slot
-	// — and markPos — the next interval mark's — simply count up through a
-	// lockstep block, and the batch runner rewinds them at the next.
+	// — markPos — the next interval mark's — and probePos — the next probe
+	// list's — simply count up through a lockstep block, and the batch
+	// runner rewinds them at the next.
 	log        *leadLog
 	lead       bool
 	replayBP   bool
 	replayData bool
 	replayL1   bool
-	mirrors    []l1Mirror
 	logPos     int
 	markPos    int
+	probePos   int
+	// own is where a System without a log keeps a functional stretch
+	// between producing and consuming it (see warmCore): one piece of
+	// words and its probe list, built at the first functional piece.
+	own struct {
+		words  []uint64
+		probes []uint16
+	}
 
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
@@ -107,7 +121,8 @@ type System struct {
 	// is measured from (nil slices — all zero — until the first mark);
 	// sampleAgg sums the closed intervals' deltas and the per-interval
 	// metric samples feed result; llcWarmCnt[core] counts functional L1
-	// misses for the strided LLC warming.
+	// misses for the strided LLC warming, on the member that decides the
+	// L1-I outcome.
 	functional    bool
 	llcMask       uint32
 	intervalStart measurement
@@ -124,7 +139,7 @@ type System struct {
 type coreHot struct {
 	clk  *cpu.Clock
 	bp   *bpred.Hybrid // nil when branch modelling is off
-	l1i  *cache.Cache
+	l1i  *cache.ICache
 	pb   *cache.Cache
 	mshr *cache.MSHRs
 	rng  *trace.RNG
@@ -134,12 +149,8 @@ type coreHot struct {
 	rep   *core.Replayer
 	fetch *FetchStats
 	// warm is the design's functional-warming hook (nil when the design
-	// has no history to keep warm); see warmCore in sampling.go.
+	// has no history to keep warm); see consume in sampling.go.
 	warm prefetch.Warmer
-	// mirror is the core's L1-I tag mirror on a RunBatch lead and on its
-	// shared-L1 followers, where it stands in for l1i (nil otherwise);
-	// see l1Mirror.
-	mirror *l1Mirror
 }
 
 // buildHot populates the hot aliases; must run after buildPrefetchers.
@@ -151,9 +162,7 @@ func (s *System) buildHot() {
 		if s.bp != nil {
 			h.bp = s.bp[i]
 		}
-		if s.l1i != nil {
-			h.l1i = s.l1i[i]
-		}
+		h.l1i = s.l1i[i]
 		h.pb = s.pb[i]
 		h.mshr = s.l1mshr[i]
 		h.rng = s.rng[i]
@@ -161,9 +170,6 @@ func (s *System) buildHot() {
 		h.rep, _ = s.pf[i].(*core.Replayer)
 		h.warm, _ = s.pf[i].(prefetch.Warmer)
 		h.fetch = &s.fetch[i]
-		if s.mirrors != nil {
-			h.mirror = &s.mirrors[i]
-		}
 	}
 }
 
@@ -183,7 +189,8 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 // (lg and readers set) or one of its followers (lg set, no readers). A
 // follower decides here, from its configuration and the lead's alone,
 // which facets of the lead's work it replays (see the System.log field
-// doc), and builds no predictor or instruction cache it would not step.
+// doc), and builds no predictor it would not step and of an instruction
+// cache it would not step the tags alone.
 func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 	n := cfg.Cores
 	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && readers != nil}
@@ -211,22 +218,22 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 			cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
 		s.replayL1 = lg.mirrors != nil && cfg.L1I == lc.L1I
 	}
-	switch {
-	case s.lead:
-		s.mirrors = lg.mirrors
-	case s.replayL1:
-		s.mirrors = newL1Mirrors(cfg.L1I, n)
-	}
 	if cfg.BranchPredictorEntries > 0 && !s.replayBP {
 		s.bp = make([]*bpred.Hybrid, n)
 	}
-	if !s.replayL1 {
-		s.l1i = make([]*cache.Cache, n)
+	newL1 := cache.NewICache
+	if s.replayL1 {
+		newL1 = cache.NewICacheReplica
+	}
+	if s.logOwnsL1() {
+		s.l1i = lg.mirrors
+	} else {
+		s.l1i = make([]*cache.ICache, n)
 	}
 	for i := 0; i < n; i++ {
 		s.clocks[i] = cpu.NewClock(cfg.CoreType)
-		if !s.replayL1 {
-			l1, err := cache.New(cfg.L1I)
+		if s.l1i[i] == nil {
+			l1, err := newL1(cfg.L1I)
 			if err != nil {
 				return nil, err
 			}
@@ -292,6 +299,11 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 	return s, nil
 }
 
+// logOwnsL1 reports whether the instruction caches s steps are the log's:
+// those of a lead whose ways a log word can name (see leadLog.mirrors).
+// Any other System builds, and releases, its own.
+func (s *System) logOwnsL1() bool { return s.lead && s.log.mirrors != nil }
+
 // dataStepTables memoises dataStepTable per DataMPKI (a Table I constant
 // in every public configuration).
 var dataStepTables sync.Map // float64 → []float64
@@ -319,8 +331,10 @@ func dataStepTable(mpki float64) []float64 {
 // left to the collector, and a System a caller built with New is the
 // caller's for good. The System is unusable afterwards.
 func (s *System) release() {
-	for _, c := range s.l1i {
-		c.Release()
+	if !s.logOwnsL1() {
+		for _, c := range s.l1i {
+			c.Release()
+		}
 	}
 	for _, c := range s.pb {
 		c.Release()
@@ -512,21 +526,16 @@ func (s *System) Step(coreID int) (bool, error) {
 	// not touched again until the next record). The L1-I's content is a
 	// function of the record stream alone (prefetches fill a separate
 	// buffer), so a shared-L1 follower replays the lead's hit bit and
-	// applies the miss to its tag mirror, in the way the lead's took it.
+	// applies the miss to its replica, in the way the lead's cache took it.
 	var hit bool
 	if s.replayL1 {
 		if hit = w&logHit != 0; !hit {
-			h.mirror.put(blk, logWay(w))
+			h.l1i.Put(blk, logWay(w))
 		}
 	} else {
-		var ev cache.Evicted
-		var evicted bool
-		hit, _, ev, evicted = h.l1i.LookupInsert(blk, false)
+		var way int
+		hit, way = h.l1i.LookupInsert(blk)
 		if s.lead {
-			way := 0
-			if !hit && h.mirror != nil {
-				way = h.mirror.fill(blk, ev, evicted)
-			}
 			lg.words[s.logPos] = packLog(rec, mis, hit, way)
 		}
 	}
@@ -618,13 +627,7 @@ func (s *System) Step(coreID int) (bool, error) {
 // already cached, buffered, or in flight.
 func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 	blk := r.Block
-	var inL1 bool
-	if s.replayL1 {
-		inL1 = h.mirror.contains(blk)
-	} else {
-		inL1 = h.l1i.Contains(blk)
-	}
-	if inL1 || h.pb.Contains(blk) {
+	if h.l1i.Contains(blk) || h.pb.Contains(blk) {
 		return
 	}
 	if _, ok := h.mshr.Lookup(blk); ok {

@@ -153,6 +153,9 @@ func (t *TIFS) OnAccess(a prefetch.Access) []prefetch.Request {
 	return t.out
 }
 
+// WarmNeeds implements prefetch.Warmer: TIFS records the miss stream.
+func (t *TIFS) WarmNeeds() prefetch.WarmNeed { return prefetch.WarmMisses }
+
 // WarmAccess implements prefetch.Warmer: during functional warming only
 // the recording side of OnAccess runs. TIFS records the *miss* stream,
 // which depends on cache content; functional warming models the L1-I

@@ -137,13 +137,10 @@ func (r *CoreReader) Next() (trace.Record, error) {
 	switch {
 	case r.osDepth == 0 && r.rng.Bool(p.TrapRate):
 		kind = trace.KindTrap
-		top.pos++ // resume at the next block after the handler returns
-		if top.pos >= int32(f.blocks) {
-			// The interrupted frame was on its last block: let it finish
-			// by popping after the handler. Push handler first, then the
-			// pop happens naturally when this frame is re-entered and
-			// pos >= blocks: guard in the re-entry path below.
-		}
+		// Resume at the next block after the handler returns; a frame
+		// interrupted on its last block is popped when it is re-entered
+		// (see trimDeadFrames).
+		top.pos++
 		h := r.w.handlers[r.rng.Intn(len(r.w.handlers))]
 		r.pushOSSeq(h)
 	case !inOS && siteIdx >= 0 && r.appDepth() < p.CallDepth:
@@ -173,8 +170,14 @@ func (r *CoreReader) Next() (trace.Record, error) {
 
 	// Clean up any frames that were left positioned past their end by a
 	// trap or skip: they return immediately on re-entry. (Handled lazily
-	// here so a single Next() emits exactly one record.)
-	r.trimDeadFrames()
+	// here so a single Next() emits exactly one record.) The top frame is
+	// nearly always live, so the test is inlined and the loop called only
+	// when there is a frame to pop.
+	if n := len(r.stack); n > 0 {
+		if t := r.stack[n-1]; t.pos >= int32(r.fn(t.fi).blocks) {
+			r.trimDeadFrames()
+		}
+	}
 
 	rec := trace.Record{Block: blk, Instrs: r.instrs(kind), Kind: kind}
 	r.records++
@@ -198,20 +201,20 @@ func (r *CoreReader) trimDeadFrames() {
 // instrs models the number of instructions retired during a block visit.
 // A 64-byte block holds 16 4-byte instructions; a visit cut short by a
 // control transfer retires fewer, while loop-heavy code (high LoopWeight)
-// re-executes within the block and retires more.
+// re-executes within the block and retires more. The draws are
+// RNG.Intn(12) and Intn(40) spelled with constant divisors — the same
+// values without a hardware divide (at most 16 + 47 retire, far inside
+// the record's 16 bits).
 func (r *CoreReader) instrs(kind trace.Kind) uint16 {
 	base := 0
 	switch kind {
 	case trace.KindSeq:
 		base = 16
 	default:
-		base = 4 + r.rng.Intn(12) // cut short at a uniform point
+		base = 4 + int(r.rng.Uint64()%12) // cut short at a uniform point
 	}
 	if lw := r.w.params.LoopWeight; lw > 0 && r.rng.Bool(lw) {
-		base += 8 + r.rng.Intn(40) // loop iterations resident in the block
-	}
-	if base > 0xFFFF {
-		base = 0xFFFF
+		base += 8 + int(r.rng.Uint64()%40) // loop iterations resident in the block
 	}
 	return uint16(base)
 }
