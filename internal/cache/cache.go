@@ -1,48 +1,47 @@
-// Package cache implements the set-associative caches of the simulated CMP:
-// the per-core 32KB 2-way L1 instruction caches and the 16-bank, 16-way
-// NUCA LLC of Table I.
+// Package cache implements the caches of the simulated CMP (Table I):
+// the per-core 32KB 2-way L1 instruction caches, the per-core 128-entry
+// prefetch buffers, the 16-bank, 16-way NUCA LLC, and the MSHR files.
 //
-// Beyond a plain LRU cache, it provides the two mechanisms virtualized
-// SHIFT needs from the LLC (paper Section 4.2):
+// Each structure the simulator steps is a type built for the only
+// operations the simulator performs on it, and stores each fact once:
 //
-//   - pinned (non-evictable) address ranges, implemented as the paper
-//     describes ("trivial logic that compares a block's address to the
-//     address range reserved for the history");
-//   - a per-line tag extension holding an index pointer into the history
-//     buffer, returned on demand lookups and lost when the line is evicted.
+//   - ICache, the L1-I: demand accesses that fill on a miss. A tag and a
+//     recency stamp per way, ways that never move (a batch follower
+//     keeps the tags alone, as a replica told which way each miss took).
+//   - LLCBank, one LLC bank: demand fills, the pinned address range and
+//     the per-line index pointer virtualized SHIFT needs (paper Section
+//     4.2). Recency is positional — each set is an MRU→LRU stack of
+//     block words — which is exactly stamp-LRU with pins because the LLC
+//     never invalidates a line.
+//   - PrefetchBuffer: blocks enter once, after a probe missed, and leave
+//     on their first demand use, so nothing refreshes their recency and
+//     LRU is insertion order — a hash index and a FIFO.
+//   - MSHRs: in-flight fills for the timing model.
 //
-// Prefetch bookkeeping (a prefetched bit and a referenced bit per line)
-// supports the covered/overpredicted accounting of the paper's Figure 7.
+// Cache is the general set-associative LRU cache the three replaced
+// (prefetched/referenced/pinned flags, tag pointers, invalidation,
+// statistics and victims, state copies). The simulator no longer builds
+// one; it stays for the repository benchmark's cache rows until those
+// time the structures above. Reference is the naive linear-scan
+// specification: differential tests drive Cache, ICache, LLCBank and
+// PrefetchBuffer against it with randomized operation sequences and
+// require identical observable behavior.
 //
-// # Performance
+// # Cache's layout
 //
-// Every figure of the evaluation is a grid of simulations whose cost is
-// dominated by per-record cache probes, so the hot operations (Lookup,
-// Insert, Contains, Invalidate and the combined LookupInsert/Extract) are
-// O(1) expected and allocation-free in steady state:
+// Cache comes in two layouts, chosen by associativity:
 //
-//   - very-high-associativity caches (the 128-way fully-associative
-//     prefetch buffers, probed up to three times per simulated record)
-//     carry a block→line hash index (open addressing, linear probing,
-//     backward-shift deletion) plus intrusive recency/free lists, so
-//     probes, LRU victim selection, and fills are all O(1);
-//   - lower-associativity caches (the 2-way L1s, the 16-way LLC banks)
-//     are two parallel arrays and nothing else: a dense compressed tag
-//     array — 4 bytes per way, one cache line for a whole 16-way set —
-//     scanned with move-to-front transposition so hot blocks match on
-//     the first compare, and a packed per-way word (validity + flags +
-//     stamp in 8 bytes) that hits update and victim scans read. That is
-//     12 host bytes per modelled line (16 with the tag-extension
+//   - very-high-associativity caches carry a block→line hash index (open
+//     addressing, linear probing, backward-shift deletion) plus
+//     intrusive recency/free lists, so probes, LRU victim selection, and
+//     fills are all O(1);
+//   - lower-associativity caches are two parallel arrays and nothing
+//     else: a dense compressed tag array — 4 bytes per way — scanned with
+//     move-to-front transposition, and a packed per-way word (validity +
+//     flags + stamp in 8 bytes) that hits update and victim scans read.
+//     That is 12 host bytes per modelled line (16 with the tag-extension
 //     pointer), and the full block address of a way is rebuilt from its
-//     compressed tag and set index where it is needed;
-//   - the probe helpers are written to stay inside the compiler's
-//     inlining budget, so the hot operations perform no function calls
-//     for the lookup itself.
-//
-// The package retains the original linear-scan implementation as
-// Reference (reference.go); a differential test drives both with
-// randomized operation sequences and requires identical observable
-// behavior.
+//     compressed tag and set index where it is needed.
 package cache
 
 import (

@@ -326,32 +326,45 @@ func TestNewRejectsBadConfig(t *testing.T) {
 }
 
 // TestHostBytesPerModelledLine is the footprint gate of the cache
-// layout: what the Table I caches cost the host per line they model. An
-// unlisted cache is a 4-byte compressed tag and an 8-byte state word per
-// way, plus 4 for the tag-extension pointer where configured; the Cache
-// header and one dirty bit per set are the only other memory. The
-// listed prefetch buffer (links, full tag and state word per way, four
-// 16-byte index slots per way) must not cost more than it did.
+// layouts: what the Table I caches cost the host per line they model, on
+// fresh memory (on geometries no other test releases: a 128-byte block
+// for the banks, which they do not read, and 126 entries for the buffer,
+// whose index is sized as for 128). An unlisted Cache is a
+// 4-byte compressed tag and an 8-byte state word per way, plus 4 for the
+// tag-extension pointer where configured, and one dirty bit per set; the
+// listed one (links, full tag and state word per way, four 16-byte index
+// slots per way) must not cost more than it did. The simulator's own
+// structures: an LLCBank is its 8-byte stack word per way, 12 with the
+// pointers, and a dirty bit per set; a PrefetchBuffer four index slots of
+// an 8-byte key and a 2-byte line per line, the line's key and two 2-byte
+// links — 52 bytes, at most 56.
 func TestHostBytesPerModelledLine(t *testing.T) {
 	plain := recycleConfigs()["llcbank"]
 	plain.TagPointers = false
+	bank := Config{SizeBytes: 1 << 20, Assoc: 16, BlockBytes: 128, IndexShift: 4}
+	bankPointers := bank
+	bankPointers.TagPointers = true
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
+		build   func(Config)
 		perLine int
 	}{
-		{"l1i", recycleConfigs()["l1i"], 12},
-		{"llcbank", plain, 12},
-		{"llcbank+pointers", recycleConfigs()["llcbank"], 16},
-		{"pbuf", recycleConfigs()["pbuf"], 12 + 8 + 8 + 4*16},
+		{"Cache l1i", recycleConfigs()["l1i"], func(c Config) { alloc(c) }, 12},
+		{"Cache llcbank", plain, func(c Config) { alloc(c) }, 12},
+		{"Cache llcbank+pointers", recycleConfigs()["llcbank"], func(c Config) { alloc(c) }, 16},
+		{"Cache pbuf", recycleConfigs()["pbuf"], func(c Config) { alloc(c) }, 12 + 8 + 8 + 4*16},
+		{"LLCBank", bank, func(c Config) { NewLLCBank(c) }, 8},
+		{"LLCBank+pointers", bankPointers, func(c Config) { NewLLCBank(c) }, 12},
+		{"PrefetchBuffer", Config{SizeBytes: 126 * 64, Assoc: 126, BlockBytes: 64}, func(c Config) { NewPrefetchBuffer(c.Assoc) }, 56},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		alloc(tc.cfg)
+		tc.build(tc.cfg)
 		runtime.ReadMemStats(&after)
 		lines := tc.cfg.Sets() * tc.cfg.Assoc
-		// 512: the Cache struct and the smallest arrays, each rounded up
-		// to its allocation size class.
+		// 512: the struct and the smallest arrays, each rounded up to its
+		// allocation size class.
 		limit := uint64(lines*tc.perLine + tc.cfg.Sets()/8 + 512)
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s: %d lines, %d B, %.2f B/line", tc.name, lines, got, float64(got)/float64(lines))

@@ -255,9 +255,9 @@ func TestSetLRUOrderAgreesWithStamps(t *testing.T) {
 	}
 }
 
-// recycleConfigs are the three cache shapes a simulated System hands
-// back and takes out again: the 2-way L1-I, a 16-way tag-pointer LLC
-// bank, and the 128-way indexed prefetch buffer.
+// recycleConfigs are the three Table I cache shapes as a Cache: the
+// 2-way L1-I, a 16-way tag-pointer LLC bank, and the 128-way indexed
+// prefetch buffer.
 func recycleConfigs() map[string]Config {
 	return map[string]Config{
 		"l1i":     {SizeBytes: 32 << 10, Assoc: 2, BlockBytes: 64},

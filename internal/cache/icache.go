@@ -9,8 +9,8 @@ import (
 
 // ICache is the L1 instruction cache: a set-associative LRU cache that
 // only ever sees demand accesses that fill on a miss. It needs none of
-// what Cache carries for the LLC and the prefetch buffers — prefetch
-// and pin flags, tag-extension pointers, invalidation, an index — so it
+// what Cache carries — prefetch and pin flags, tag-extension pointers,
+// invalidation, an index — so it
 // is two arrays and nothing else: one tag (block+1, zero for an empty
 // way) and one recency stamp per way, 12 host bytes per modelled line.
 //

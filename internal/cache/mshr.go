@@ -10,7 +10,11 @@ import "shift/internal/trace"
 // Capacity mirrors Table I (32 MSHRs for the L1s, 64 for L2 banks); when
 // full, the oldest completed entry is retired first, and if none has
 // completed, the new request must wait for the earliest completion
-// (modelled by returning that cycle as the earliest issue time).
+// (modelled by returning that cycle as the earliest issue time). The
+// simulator does not use that cycle: sim's issuePrefetch times a fill
+// from its issue cycle and discards what Allocate returns, so a full
+// file delays no prefetch there — a known modelling gap, kept because
+// closing it would move every figure (ARCHITECTURE.md, "Cache layout").
 //
 // The file is a dense ring of in-flight entries (two parallel arrays,
 // swap-remove compaction) with a cached minimum completion cycle:

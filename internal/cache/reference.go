@@ -4,8 +4,9 @@ import "shift/internal/trace"
 
 // Reference is the retained naive implementation of the Cache contract:
 // linear tag scans, full-set victim scans, no hash index, no recency
-// lists. It is the executable specification the optimized Cache is
-// differentially tested against (see diff_test.go) and is deliberately
+// lists. It is the executable specification Cache, ICache, LLCBank and
+// PrefetchBuffer are differentially tested against (diff_test.go,
+// icache_test.go, llcbank_test.go, pbuf_test.go) and is deliberately
 // kept simple — do not optimize it.
 //
 // Observable behavior (operation results, Stats, membership, LRU order,

@@ -96,14 +96,8 @@ func stripCellPrefix(msg, label string) string {
 // or error (the simulator is deterministic, so the re-execution is
 // mostly store hits).
 func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	r.Body = http.MaxBytesReader(rw, r.Body, 16<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, fmt.Sprintf("decoding batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Cells) == 0 {
-		http.Error(rw, "empty batch", http.StatusBadRequest)
+	req, ok := decodeBatch(rw, r)
+	if !ok {
 		return
 	}
 	w.batches.Add(1)
@@ -137,6 +131,26 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 		// coordinator sees a truncated body and retries elsewhere.
 		return
 	}
+}
+
+// maxBatchBody bounds the bytes HandleBatch reads of a request body.
+const maxBatchBody = 16 << 20
+
+// decodeBatch is HandleBatch's side of the trust boundary: it reads at
+// most maxBatchBody bytes of r's body (and the one that proves a longer
+// body too long) and decodes a non-empty batch from them. A body that
+// does not decode, or holds no cell, is answered here — 400 with an error
+// line — and ok is false.
+func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		http.Error(rw, fmt.Sprintf("decoding batch: %v", err), http.StatusBadRequest)
+		return req, false
+	}
+	if len(req.Cells) == 0 {
+		http.Error(rw, "empty batch", http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
 }
 
 // BatchError reports a batch whose worker answered definitively — the

@@ -9,6 +9,57 @@ import (
 	"shift/internal/workload"
 )
 
+// BenchmarkDetailedStep is the in-repo counterpart of the ledger's
+// sim.step_ns_per_rec.* rows: ns per record of detailed stepping, one
+// lockstep block (8192 rounds) per iteration, on the sweep_exact geometry
+// — the 16-core Table I system over "OLTP Oracle", one System alone —
+// after three blocks of warm-up, continuing the stream from iteration to
+// iteration. Run it with -cpu 1.
+func BenchmarkDetailedStep(b *testing.B) {
+	virtualized := core.DefaultConfig()
+	zeroLat := virtualized
+	zeroLat.Variant = core.Dedicated
+	for _, d := range []PrefetcherSpec{
+		{Kind: KindNone},
+		{Kind: KindNextLine, NextLineDegree: 1},
+		{Kind: KindPIF, PIF: pif.Config2K()},
+		{Kind: KindPIF, PIF: pif.Config32K()},
+		{Kind: KindSHIFT, SHIFT: zeroLat},
+		{Kind: KindSHIFT, SHIFT: virtualized},
+	} {
+		b.Run(d.Name(), func(b *testing.B) {
+			p, err := workload.ByName("OLTP Oracle")
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Prefetcher = d
+			bt, err := newBatch([]RunSpec{{Config: cfg, Workload: p, WarmupRecords: batchBlockRounds, MeasureRecords: batchBlockRounds}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := bt.enter(0); err != nil {
+				b.Fatal(err)
+			}
+			blk := cutBlocks([]segment{{rounds: batchBlockRounds}})[0]
+			step := func() {
+				if ran, err := bt.runBlock(0, blk); err != nil || ran != batchBlockRounds {
+					b.Fatalf("ran %d of %d rounds, err %v", ran, batchBlockRounds, err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batchBlockRounds*float64(cfg.Cores)), "ns/record")
+		})
+	}
+}
+
 // The functional-path benchmarks are the in-repo counterpart of the
 // benchmark ledger's sim.warm_ns_per_rec.* rows, split the way a batch
 // splits the work: what the lead of a batch pays per fast-forwarded

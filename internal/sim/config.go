@@ -218,8 +218,8 @@ func (c Config) Validate() error {
 	if c.L1MSHRs <= 0 {
 		return fmt.Errorf("sim: L1MSHRs %d <= 0", c.L1MSHRs)
 	}
-	if c.PrefetchBufferEntries < 0 {
-		return fmt.Errorf("sim: PrefetchBufferEntries %d < 0", c.PrefetchBufferEntries)
+	if c.PrefetchBufferEntries < 0 || c.PrefetchBufferEntries > cache.MaxPrefetchBufferEntries {
+		return fmt.Errorf("sim: PrefetchBufferEntries %d out of [0,%d]", c.PrefetchBufferEntries, cache.MaxPrefetchBufferEntries)
 	}
 	if c.L2HitCycles < 0 || c.MemCycles < 0 {
 		return fmt.Errorf("sim: negative latency")

@@ -505,7 +505,7 @@ func (s *System) consume(coreID int, words []uint64, probes []uint16) {
 	if bp == nil && l1 == nil && need == prefetch.WarmNone {
 		for _, at := range probes {
 			blk := logBlock(words[at])
-			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk, false)
+			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
 		}
 		return
 	}
@@ -532,7 +532,7 @@ func (s *System) consume(coreID int, words []uint64, probes []uint16) {
 			next++
 		}
 		if probe {
-			s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block, false)
+			s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block)
 		}
 		if need != prefetch.WarmNone && (every || !hit) {
 			warm.WarmAccess(rec.Block, hit)

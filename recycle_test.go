@@ -244,11 +244,12 @@ phases:
 	}
 }
 
-// hostBytes returns what the storage cfg models costs the host: 16 B a
-// line of LLC (compressed tag, state word, tag-extension pointer), 12 B
-// a line of L1-I (tag, recency stamp), 8 B a history record and 16 B an
-// index entry (internal/cache's TestHostBytesPerModelledLine and
-// TestICacheHostBytes; history.Buffer and IndexTable).
+// hostBytes returns what the storage cfg models costs the host: 8 B a
+// line of LLC (its stack word) and 4 more for virtualized SHIFT (the
+// tag-extension pointer), 12 B a line of L1-I (tag, recency stamp), 8 B a
+// history record and 16 B an index entry (internal/cache's
+// TestHostBytesPerModelledLine and TestICacheHostBytes; history.Buffer
+// and IndexTable).
 func hostBytes(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	rs, err := cfg.spec()
@@ -257,14 +258,14 @@ func hostBytes(t *testing.T, cfg Config) uint64 {
 	}
 	sc := rs.Config
 	tables := func(histEntries, indexEntries int) int { return histEntries*8 + indexEntries*16 }
-	n := sc.Mesh.Tiles()*(sc.LLCBankBytes/trace.BlockBytes)*16 +
-		sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
+	llcLines := sc.Mesh.Tiles() * (sc.LLCBankBytes / trace.BlockBytes)
+	n := llcLines*8 + sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
 	switch p := sc.Prefetcher; p.Kind {
 	case sim.KindPIF:
 		n += sc.Cores * tables(p.PIF.HistEntries, p.PIF.IndexEntries)
 	case sim.KindSHIFT:
 		if p.SHIFT.Variant == core.Virtualized {
-			n += tables(p.SHIFT.HistEntries, 0) // the index is the LLC's pointers
+			n += llcLines*4 + tables(p.SHIFT.HistEntries, 0) // the index is the LLC's pointers
 		} else {
 			n += tables(p.SHIFT.HistEntries, p.SHIFT.HistEntries)
 		}
@@ -293,9 +294,9 @@ func TestEmptyFreeListsEmpties(t *testing.T) {
 // TestSystemFootprint is the footprint gate of a whole System: on
 // emptied free lists a 16-core cell of each G12 design allocates the
 // storage it models at the host bytes per line, record and entry that
-// hostBytes prices, plus at most 480 KB for everything else (sixteen
-// cores' predictors, prefetch buffers, MSHRs and stream chunks: 428 KB
-// for Baseline, 453 KB for PIF_32K). A duplicate array anywhere in the
+// hostBytes prices, plus at most 400 KB for everything else (sixteen
+// cores' predictors, prefetch buffers, MSHRs and stream chunks: 346 KB
+// for Baseline, 373 KB for PIF_32K). A duplicate array anywhere in the
 // hierarchy breaks it.
 func TestSystemFootprint(t *testing.T) {
 	for _, d := range g12Designs {
@@ -308,7 +309,7 @@ func TestSystemFootprint(t *testing.T) {
 		run() // build the workload graph, which outlives the cell
 		emptyFreeLists()
 		modelled := hostBytes(t, cfg)
-		got, limit := allocatedBy(run), modelled+480<<10
+		got, limit := allocatedBy(run), modelled+400<<10
 		t.Logf("%s: %d B allocated, %d B of modelled storage", d, got, modelled)
 		if got > limit {
 			t.Errorf("%s: a 16-core System allocates %d B, limit %d B (%d B of modelled storage)", d, got, limit, modelled)
@@ -322,12 +323,13 @@ func TestSystemFootprint(t *testing.T) {
 // the members run one after another, each on the tables the one before
 // handed back, so on emptied free lists the whole batch allocates the
 // cache hierarchy once, each design's own history and index tables (a
-// table is recycled only into a table of its size) and at most a quarter
+// table is recycled only into a table of its size; SHIFT's are its LLC
+// pointers, which it adds to the banks handed on) and at most a quarter
 // of a megabyte for everything else (the log, prefetch buffers and MSHRs;
 // the five followers' L1-I replicas are one set of tables handed on, and
-// the lead keeps no second copy of its tags). It allocates 4.63 MB, 0.47
-// MB under the limit. Members kept alive side by side allocate a
-// hierarchy each — six LLCs for one, three times this limit.
+// the lead keeps no second copy of its tags). It allocates 4.09 MB, 0.49
+// MB under the 4.58 MB limit. Members kept alive side by side allocate a
+// hierarchy each — six LLCs for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
 	if !syncPoolKeepsPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector): a dropped table is allocated again")
