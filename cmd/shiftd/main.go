@@ -12,6 +12,7 @@
 //	shiftd -job-rate 4 -job-burst 256       # looser admission for trusted clients
 //	shiftd -worker -addr :8081              # cluster worker: serves batches + blobs
 //	shiftd -peers http://w1:8081,http://w2:8082   # coordinator: shard sweeps across workers
+//	shiftd -debug-addr 127.0.0.1:6060       # profiles on a listener of their own
 //
 // Endpoints (all under /v1; see the README for request/response
 // samples):
@@ -139,6 +140,7 @@ func main() {
 		storeURL    = flag.String("store-url", "", "shared remote blob store base URL (a peer's /v1/blobs); mutually exclusive with -cache-dir")
 		joinURL     = flag.String("join", "", "coordinator base URL to announce this worker to at startup")
 		advertise   = flag.String("advertise", "", "base URL peers reach this process at (with -join; default http://localhost<addr>)")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof profiles and runtime/trace execution traces under /debug/pprof/ on this separate listen address (empty = off, nothing listens)")
 	)
 	flag.Parse()
 
@@ -263,6 +265,14 @@ func main() {
 	}
 	if *joinURL != "" {
 		go announceJoin(*joinURL, *advertise, *addr)
+	}
+	if *debugAddr != "" {
+		dbg, bound, err := serveDebug(*debugAddr)
+		if err != nil {
+			log.Fatalf("shiftd: -debug-addr: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("shiftd: profiles on http://%s/debug/pprof/", bound)
 	}
 	hs := &http.Server{
 		Addr:              *addr,

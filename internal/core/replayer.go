@@ -70,12 +70,7 @@ func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
 	}
 
 	// Record: only the history generator core writes the shared history.
-	if r.IsGenerator() {
-		if r.sh.record(r.coreID, a.Block) {
-			r.stats.RecordsWritten++
-			r.stats.IndexUpdates++
-		}
-	}
+	r.WarmAccess(a.Block, a.Hit)
 	return r.out
 }
 
@@ -96,12 +91,25 @@ func (r *Replayer) WarmNeeds() prefetch.WarmNeed {
 // prefetch issue are skipped. Non-generator cores do nothing: SHIFT's
 // only slow-warming per-workload state is the shared history itself.
 func (r *Replayer) WarmAccess(blk trace.BlockAddr, _ bool) {
-	if r.IsGenerator() {
-		if r.sh.record(r.coreID, blk) {
-			r.stats.RecordsWritten++
-			r.stats.IndexUpdates++
-		}
+	if !r.IsGenerator() {
+		return
 	}
+	if rec, done := r.sh.builder.Add(blk); done {
+		r.WarmRecord(rec)
+	}
+}
+
+// WarmBuilder implements prefetch.RecordWarmer: the shared history's
+// builder, which compacts the generator core's accesses and restarts when
+// the role rotates (see SharedHistory.SetGenerator).
+func (r *Replayer) WarmBuilder() *history.Builder { return r.sh.builder }
+
+// WarmRecord implements prefetch.RecordWarmer: the generator core writes
+// the record to the shared history, with its index update and CBB flush.
+func (r *Replayer) WarmRecord(rec history.Region) {
+	r.sh.append(r.coreID, rec)
+	r.stats.RecordsWritten++
+	r.stats.IndexUpdates++
 }
 
 // allocate claims a stream, performs the initial history read, and emits
@@ -182,5 +190,5 @@ func (r *Replayer) emitWindow(si int, current trace.BlockAddr, delay int64) {
 var (
 	_ prefetch.Prefetcher    = (*Replayer)(nil)
 	_ prefetch.StatsReporter = (*Replayer)(nil)
-	_ prefetch.Warmer        = (*Replayer)(nil)
+	_ prefetch.RecordWarmer  = (*Replayer)(nil)
 )

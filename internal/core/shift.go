@@ -241,7 +241,7 @@ func (sh *SharedHistory) SetGenerator(coreID int) {
 		return
 	}
 	sh.generator = coreID
-	sh.builder = history.MustNewBuilder(sh.cfg.SAB.Span)
+	sh.builder.Reset()
 	sh.cbbCount = 0
 	sh.rotations++
 }
@@ -256,13 +256,10 @@ func (sh *SharedHistory) hbBlockFor(pos uint64) trace.BlockAddr {
 	return sh.cfg.HBBase + trace.BlockAddr(slot/uint64(sh.cfg.RecordsPerBlock()))
 }
 
-// record consumes one retired block access of the generator core. It
-// reports whether a completed region record was appended to the history.
-func (sh *SharedHistory) record(coreID int, blk trace.BlockAddr) bool {
-	rec, done := sh.builder.Add(blk)
-	if !done {
-		return false
-	}
+// append writes one completed region record of the generator core to the
+// history: the record itself, then the variant's index update and, once a
+// cache block's worth has accumulated, the CBB flush.
+func (sh *SharedHistory) append(coreID int, rec history.Region) {
 	pos := sh.buf.Append(rec)
 	sh.recordsWritten++
 	switch sh.cfg.Variant {
@@ -286,7 +283,6 @@ func (sh *SharedHistory) record(coreID int, blk trace.BlockAddr) bool {
 			sh.cbbCount = 0
 		}
 	}
-	return true
 }
 
 // lookup finds the history position to replay from for a missed block.

@@ -120,6 +120,25 @@ func TestBuilderBackwardAccessCloses(t *testing.T) {
 	}
 }
 
+// TestBuilderReset: a reset builder is a fresh one — equal by value, so
+// it completes the same records from the same accesses — whatever region
+// it had open.
+func TestBuilderReset(t *testing.T) {
+	for span := 2; span <= MaxRegionSpan; span++ {
+		b := MustNewBuilder(span)
+		for off := 0; off < span; off++ {
+			b.Add(trace.MaxBlockAddr - trace.BlockAddr(off))
+		}
+		b.Reset()
+		if *b != *MustNewBuilder(span) {
+			t.Fatalf("span %d: Reset left %+v", span, *b)
+		}
+		if _, done := b.Add(7); done {
+			t.Fatalf("span %d: the first access after Reset completed a record", span)
+		}
+	}
+}
+
 func TestBuilderSpanValidation(t *testing.T) {
 	if _, err := NewBuilder(1); err == nil {
 		t.Error("span 1 accepted")

@@ -162,3 +162,6 @@ func (b *Builder) Flush() (Region, bool) {
 	b.open = false
 	return b.cur, true
 }
+
+// Reset drops the in-progress region: the next access is a trigger.
+func (b *Builder) Reset() { b.cur, b.open = Region{}, false }

@@ -59,21 +59,22 @@ func (c SABConfig) Validate() error {
 // striding over fat record structs. cov bit i means block Trigger+i is
 // covered (bit 0, the trigger itself, is always set).
 //
-// lo/hi conservatively bound the union of the queued regions'
-// [Trigger, Trigger+span) ranges (empty when hi == 0). The bound only
-// grows while the stream lives (dropping records does not shrink it)
-// and resets on Alloc, which keeps maintenance off the per-record path
-// while staying a safe overapproximation. find consults it before
-// scanning the queue, so the coverage probe skips streams that cannot
-// possibly cover the block — the common case on the simulator hot path.
+// filter has bit (b mod 64) set for every block b a queued record covers
+// — the union of the records' coverage bitmaps, each rotated to its
+// trigger's residue — and is kept exact: records joining the queue are
+// ORed in, and whenever records leave it the filter is recomputed from
+// the at most Capacity that remain. find tests it before scanning the
+// queue, so the coverage probe passes over, with one AND, a stream that
+// cannot cover the block — the common case on the simulator hot path — and
+// a dead stream, whose filter is zero.
 type stream struct {
 	trig    []uint64
 	cov     []uint32
+	filter  uint64
 	pfIdx   int
 	nextPos uint64
 	lastUse uint64
 	live    bool
-	lo, hi  trace.BlockAddr
 }
 
 // SAB is one core's stream address buffer file.
@@ -123,9 +124,10 @@ func (s *SAB) Covers(blk trace.BlockAddr) bool {
 
 // find locates the first (stream, region) covering blk.
 func (s *SAB) find(blk trace.BlockAddr) (si, ri int, ok bool) {
+	bit := uint64(1) << (blk & 63)
 	for si := range s.streams {
 		st := &s.streams[si]
-		if !st.live || blk < st.lo || blk >= st.hi {
+		if st.filter&bit == 0 {
 			continue
 		}
 		cov := st.cov[:len(st.trig)] // hoist the bounds proof out of the scan
@@ -146,18 +148,21 @@ func (s *SAB) covMask(r Region) uint32 {
 	return vec<<1 | 1
 }
 
-// grow widens st's coverage bound to include the queued records in
-// [from, len).
-func (s *SAB) grow(st *stream, from int) {
-	span := trace.BlockAddr(s.cfg.Span)
-	for _, t := range st.trig[from:] {
-		tb := trace.BlockAddr(t)
-		if st.hi == 0 || tb < st.lo {
-			st.lo = tb
-		}
-		if end := tb + span; end > st.hi {
-			st.hi = end
-		}
+// residues is the filter bits of a record: its coverage bitmap rotated
+// so that bit i, block trigger+i, lands on bit (trigger+i) mod 64.
+func residues(trig uint64, cov uint32) uint64 {
+	return bits.RotateLeft64(uint64(cov), int(trig&63))
+}
+
+// drop removes the n oldest queued records of st and recomputes its
+// filter from the rest.
+func (st *stream) drop(n int) {
+	st.trig = append(st.trig[:0], st.trig[n:]...)
+	st.cov = append(st.cov[:0], st.cov[n:]...)
+	st.pfIdx = max(st.pfIdx-n, 0)
+	st.filter = 0
+	for i, t := range st.trig {
+		st.filter |= residues(t, st.cov[i])
 	}
 }
 
@@ -175,12 +180,7 @@ func (s *SAB) Advance(blk trace.BlockAddr) (si, needed int, ok bool) {
 	}
 	st := &s.streams[si]
 	if ri > 0 {
-		st.trig = append(st.trig[:0], st.trig[ri:]...)
-		st.cov = append(st.cov[:0], st.cov[ri:]...)
-		st.pfIdx -= ri
-		if st.pfIdx < 0 {
-			st.pfIdx = 0
-		}
+		st.drop(ri)
 	}
 	s.clock++
 	st.lastUse = s.clock
@@ -218,11 +218,11 @@ func (s *SAB) Alloc() int {
 	st := &s.streams[victim]
 	st.trig = st.trig[:0]
 	st.cov = st.cov[:0]
+	st.filter = 0
 	st.pfIdx = 0
 	st.nextPos = 0
 	st.lastUse = s.clock
 	st.live = true
-	st.lo, st.hi = 0, 0
 	s.allocs++
 	return victim
 }
@@ -237,19 +237,14 @@ func (s *SAB) FillRegions(si int, recs []Region, nextPos uint64) {
 	if !st.live {
 		return
 	}
-	from := len(st.trig)
 	for _, r := range recs {
+		cov := s.covMask(r)
 		st.trig = append(st.trig, uint64(r.Trigger))
-		st.cov = append(st.cov, s.covMask(r))
+		st.cov = append(st.cov, cov)
+		st.filter |= residues(uint64(r.Trigger), cov)
 	}
-	s.grow(st, from)
 	if over := len(st.trig) - s.cfg.Capacity; over > 0 {
-		st.trig = append(st.trig[:0], st.trig[over:]...)
-		st.cov = append(st.cov[:0], st.cov[over:]...)
-		st.pfIdx -= over
-		if st.pfIdx < 0 {
-			st.pfIdx = 0
-		}
+		st.drop(over)
 	}
 	st.nextPos = nextPos
 }
@@ -304,22 +299,13 @@ func (s *SAB) LiveStreams() int {
 	return n
 }
 
-// Reset invalidates all streams (used at workload switches).
-func (s *SAB) Reset() {
-	for i := range s.streams {
-		st := &s.streams[i]
-		st.trig = st.trig[:0]
-		st.cov = st.cov[:0]
-		*st = stream{trig: st.trig, cov: st.cov}
-	}
-}
-
 // Stats returns (allocations, advances, stream evictions).
 func (s *SAB) Stats() (allocs, advances, evictions int64) {
 	return s.allocs, s.advances, s.evictions
 }
 
-// CheckInvariants verifies stream bounds; used by property tests.
+// CheckInvariants verifies stream bounds and filters; used by property
+// tests.
 func (s *SAB) CheckInvariants() error {
 	if len(s.streams) != s.cfg.Streams {
 		return fmt.Errorf("history: stream count %d != %d", len(s.streams), s.cfg.Streams)
@@ -335,14 +321,15 @@ func (s *SAB) CheckInvariants() error {
 		if !st.live && len(st.trig) > 0 {
 			return fmt.Errorf("history: dead stream %d holds records", i)
 		}
-		for ri := range st.trig {
-			t := trace.BlockAddr(st.trig[ri])
-			if t < st.lo || t+trace.BlockAddr(s.cfg.Span) > st.hi {
-				return fmt.Errorf("history: stream %d region %d outside coverage bound [%d,%d)", i, ri, st.lo, st.hi)
-			}
+		var filter uint64
+		for ri, t := range st.trig {
 			if st.cov[ri]&1 == 0 {
 				return fmt.Errorf("history: stream %d region %d missing trigger coverage bit", i, ri)
 			}
+			filter |= residues(t, st.cov[ri])
+		}
+		if st.filter != filter {
+			return fmt.Errorf("history: stream %d filter %#x, its records cover %#x", i, st.filter, filter)
 		}
 	}
 	return nil

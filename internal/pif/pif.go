@@ -171,10 +171,7 @@ func (p *PIF) OnAccess(a prefetch.Access) []prefetch.Request {
 
 	// Record: PIF records every core's own access stream.
 	if rec, done := p.builder.Add(a.Block); done {
-		pos := p.buf.Append(rec)
-		p.index.Update(rec.Trigger, pos)
-		p.stats.RecordsWritten++
-		p.stats.IndexUpdates++
+		p.WarmRecord(rec)
 	}
 	return p.out
 }
@@ -190,11 +187,20 @@ func (p *PIF) WarmNeeds() prefetch.WarmNeed { return prefetch.WarmRecords }
 // warmed history is identical to what detailed stepping would build.
 func (p *PIF) WarmAccess(blk trace.BlockAddr, _ bool) {
 	if rec, done := p.builder.Add(blk); done {
-		pos := p.buf.Append(rec)
-		p.index.Update(rec.Trigger, pos)
-		p.stats.RecordsWritten++
-		p.stats.IndexUpdates++
+		p.WarmRecord(rec)
 	}
+}
+
+// WarmBuilder implements prefetch.RecordWarmer.
+func (p *PIF) WarmBuilder() *history.Builder { return p.builder }
+
+// WarmRecord implements prefetch.RecordWarmer: the record joins the
+// private history and its trigger's index entry points at it.
+func (p *PIF) WarmRecord(rec history.Region) {
+	pos := p.buf.Append(rec)
+	p.index.Update(rec.Trigger, pos)
+	p.stats.RecordsWritten++
+	p.stats.IndexUpdates++
 }
 
 // History exposes the private history buffer (read-only use: the
@@ -236,5 +242,5 @@ func (c Config) StorageBits() int64 {
 var (
 	_ prefetch.Prefetcher    = (*PIF)(nil)
 	_ prefetch.StatsReporter = (*PIF)(nil)
-	_ prefetch.Warmer        = (*PIF)(nil)
+	_ prefetch.RecordWarmer  = (*PIF)(nil)
 )

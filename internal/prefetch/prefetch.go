@@ -11,6 +11,7 @@ package prefetch
 import (
 	"fmt"
 
+	"shift/internal/history"
 	"shift/internal/trace"
 )
 
@@ -142,7 +143,10 @@ const (
 // detailed simulation would have left it.
 //
 // Like OnAccess, WarmAccess is on the hot path of its (functional) loop
-// and must be allocation-free in steady state.
+// and must be allocation-free in steady state. A Warmer whose history is
+// spatial region records is also a RecordWarmer, through which the
+// simulator can hand it the records of a stretch compacted once for
+// several instances.
 type Warmer interface {
 	// WarmNeeds declares which accesses WarmAccess must be called for.
 	// The simulator asks once per functional stretch of a core, not per
@@ -158,6 +162,27 @@ type Warmer interface {
 	// generators keyed on the effective miss stream see the raw L1 miss
 	// stream instead.
 	WarmAccess(blk trace.BlockAddr, l1Hit bool)
+}
+
+// RecordWarmer is a WarmRecords Warmer that compacts the access stream
+// into spatial region records (PIF, SHIFT's generator core): WarmAccess is
+// WarmBuilder().Add followed by WarmRecord of whatever record that
+// completes. The history a stretch leaves is therefore a function of the
+// builder's state and the stretch's accesses alone, and a simulator that
+// holds the stretch compacted by a builder in an equal state — compared by
+// value, span included — may apply those records through WarmRecord and
+// set the builder to that one's end state, in place of calling WarmAccess
+// access by access.
+type RecordWarmer interface {
+	Warmer
+	// WarmBuilder returns the builder WarmAccess compacts with. It may be
+	// a different one, or reset, after the instance's role changes
+	// (SHIFT's generator rotation), so callers fetch it per stretch.
+	WarmBuilder() *history.Builder
+	// WarmRecord applies one completed record: the history and index
+	// writes, with whatever side effects they have (virtualized SHIFT's
+	// LLC pointer updates and history-block flushes).
+	WarmRecord(r history.Region)
 }
 
 // Null is the no-prefetch baseline.

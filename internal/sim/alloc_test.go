@@ -102,18 +102,25 @@ func TestStepZeroAllocSteadyStateBaselines(t *testing.T) {
 // TestStepZeroAllocSteadyStateBatch extends the contract to a RunBatch:
 // a lockstep block — the lead publishing its log, then one shared-L1
 // follower per prefetcher implementation replaying it — allocates
-// nothing, in detailed and in functional stepping.
+// nothing, in detailed and in functional stepping; nor does one of a
+// sampled batch, whose lead also compacts the stream into the region
+// lists its PIF and SHIFT followers apply.
 func TestStepZeroAllocSteadyStateBatch(t *testing.T) {
-	specs := batchDesigns()[:7]
-	b := enterAll(t, specs)
-	const rounds = 2000
-	for _, functional := range []bool{false, true} {
-		lockstep(t, b, cutBlocks([]segment{{rounds: 30000, functional: functional}}), nil)
-		block := cutBlocks([]segment{{rounds: rounds, functional: functional}})
-		per := testing.AllocsPerRun(1, func() { lockstep(t, b, block, nil) })
-		if per != 0 {
-			t.Errorf("functional=%v: %.6f allocs/record in a steady-state batch block, want 0",
-				functional, per/float64(rounds*len(specs)*specs[0].Config.Cores))
+	for _, p := range []Sampling{{}, testSampling()} {
+		specs := windowed(batchDesigns()[:7], 20000, 30000, p)
+		b := enterAll(t, specs)
+		if (b.log.builders != nil) != p.Enabled() {
+			t.Fatalf("sampling %+v: region lists published %v", p, b.log.builders != nil)
+		}
+		const rounds = 2000
+		for _, functional := range []bool{false, true} {
+			lockstep(t, b, cutBlocks([]segment{{rounds: 30000, functional: functional}}), nil)
+			block := cutBlocks([]segment{{rounds: rounds, functional: functional}})
+			per := testing.AllocsPerRun(1, func() { lockstep(t, b, block, nil) })
+			if per != 0 {
+				t.Errorf("sampling %+v, functional=%v: %.6f allocs/record in a steady-state batch block, want 0",
+					p, functional, per/float64(rounds*len(specs)*specs[0].Config.Cores))
+			}
 		}
 	}
 }

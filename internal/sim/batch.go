@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"shift/internal/cache"
+	"shift/internal/history"
 	"shift/internal/trace"
 )
 
@@ -63,6 +65,29 @@ func unpackLog(w uint64) trace.Record {
 	}
 }
 
+// Region-word layout, low to high: a completed region record's 34-bit
+// trigger and 15-bit vector, and the 13-bit offset in its functional
+// stretch of the access that completed it (a stretch is at most
+// batchBlockRounds records).
+const (
+	regionVecShift = trace.BlockAddrBits
+	regionAtShift  = regionVecShift + history.MaxRegionSpan - 1
+)
+
+// packRegion packs record r, completed at offset at of its stretch.
+func packRegion(r history.Region, at int) uint64 {
+	return uint64(r.Trigger) | uint64(r.Vec)<<regionVecShift | uint64(at)<<regionAtShift
+}
+
+// unpackRegion recovers the record of a region word and its offset.
+func unpackRegion(w uint64) (history.Region, int) {
+	r := history.Region{
+		Trigger: trace.BlockAddr(w & uint64(trace.MaxBlockAddr)),
+		Vec:     uint16(w >> regionVecShift & (1<<(history.MaxRegionSpan-1) - 1)),
+	}
+	return r, int(w >> regionAtShift)
+}
+
 // leadLog is what the lead of a RunBatch publishes, one lockstep block
 // at a time, for its followers to read in place of a stream — and all a
 // follower ever sees of the lead: it holds no pointer into the lead's
@@ -71,10 +96,11 @@ func unpackLog(w uint64) trace.Record {
 //
 // words holds the block's records in the order the lead stepped them
 // (round-robin over the cores in detailed rounds, core after core in a
-// functional piece) and data each record's data-traffic aggregate (message
-// count << 32 | hop sum) at the same index. Followers step in the lead's
-// order, so both arrays are written once and read once per follower, front
-// to back.
+// functional piece) and data each detailed record's data-traffic
+// aggregate (message count << 32 | hop sum) at the same index — a
+// functional stretch's slots hold its region list, if any (see builders).
+// Followers step in the lead's order, so both arrays are written once and
+// read once per follower, front to back.
 //
 // marks holds the block's interval marks: at every Begin/EndInterval the
 // lead appends its shared-facet counters, one coreMark per core, and a
@@ -89,6 +115,21 @@ func unpackLog(w uint64) trace.Record {
 // the lead decides it once, and a follower with nothing else to do in a
 // stretch walks the list instead of the words (see System.consume).
 //
+// builders and regions carry the compaction of each core's stream into
+// spatial region records, for the members whose Warmer compacts (see
+// prefetch.RecordWarmer). builders[c] is a history.Builder at
+// history.DefaultRegionSpan that the lead advances on every record of core
+// c it steps, detailed or functional. For every core's functional stretch
+// it writes one word per record the stretch completes (see packRegion)
+// into data, from the stretch's first slot — functional stepping models no
+// data traffic, and n records complete at most n regions, so they always
+// fit there — and appends the stretch's regionList to regions, in the
+// probe lists' order. A member whose builder stands where the log's stood
+// at a stretch's start applies the stretch's records instead of compacting
+// its words again (see System.consume). Both are nil unless the schedule
+// has a functional piece and some follower compacts at that span (see
+// newBatch).
+//
 // mirrors are the lead's instruction caches — the log's, so that they
 // outlive a lead that is gone after one block: what a shared-L1 follower
 // mirrors miss by miss in detailed stepping and copies the tags of after
@@ -96,12 +137,14 @@ func unpackLog(w uint64) trace.Record {
 // ways. cfg is the lead's configuration, against which a follower decides
 // what it replays.
 type leadLog struct {
-	words   []uint64
-	data    []uint64
-	marks   []coreMark
-	probes  []uint16
-	mirrors []*cache.ICache
-	cfg     Config
+	words    []uint64
+	data     []uint64
+	marks    []coreMark
+	probes   []uint16
+	builders []history.Builder
+	regions  []regionList
+	mirrors  []*cache.ICache
+	cfg      Config
 }
 
 // openProbes starts a probe list; the lead appends the offsets to
@@ -124,6 +167,16 @@ func (lg *leadLog) closeProbes(at int) []uint16 {
 func (lg *leadLog) probesAt(at int) (list []uint16, next int) {
 	next = at + 1 + int(lg.probes[at])
 	return lg.probes[at+1 : next], next
+}
+
+// regionList is one core's region list of a functional stretch: the log
+// builder's state before and after the stretch, and the records it
+// completed in between, in the stretch's data slots. The zero list — a
+// System without region lists — has a start state no member's builder is
+// in.
+type regionList struct {
+	start, end history.Builder
+	recs       []uint64
 }
 
 // coreMark is one core's entry of an interval mark: the counters of the
@@ -260,6 +313,13 @@ func newBatch(specs []RunSpec) (*batch, error) {
 		// on every L1-I miss of a stream that mostly misses outgrows it,
 		// once, by append.
 		b.log = &leadLog{words: make([]uint64, n), data: make([]uint64, n), probes: make([]uint16, 0, n/4), cfg: cfg}
+		if k := regionLists(specs, b.blocks); k > 0 {
+			b.log.builders = make([]history.Builder, cfg.Cores)
+			for c := range b.log.builders {
+				b.log.builders[c] = *history.MustNewBuilder(history.DefaultRegionSpan)
+			}
+			b.log.regions = make([]regionList, 0, k*cfg.Cores)
+		}
 		// A log word has room for logMaxWays L1-I ways; the instruction
 		// caches of a wider lead are its own and its followers step caches
 		// of theirs.
@@ -274,6 +334,30 @@ func newBatch(specs []RunSpec) (*batch, error) {
 		}
 	}
 	return b, nil
+}
+
+// regionLists is how many region lists a core's stretches take in the
+// fullest block of a batch of specs over blocks — one per functional piece
+// — or 0 when the lead publishes none: only functional pieces read them,
+// and only a follower whose Warmer compacts at the log's span can use
+// them.
+func regionLists(specs []RunSpec, blocks [][]piece) int {
+	if !slices.ContainsFunc(specs[1:], func(s RunSpec) bool {
+		return s.Config.Prefetcher.regionSpan() == history.DefaultRegionSpan
+	}) {
+		return 0
+	}
+	most := 0
+	for _, blk := range blocks {
+		n := 0
+		for _, p := range blk {
+			if p.functional {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	return most
 }
 
 // RunBatch executes several specs that consume the same trace stream in
@@ -437,9 +521,9 @@ func (b *batch) walk(warm, meas int64) error {
 // boundaries fall inside the block.
 func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	sys := b.systems[m]
-	sys.logPos, sys.markPos, sys.probePos = 0, 0, 0
+	sys.logPos, sys.markPos, sys.probePos, sys.regionPos = 0, 0, 0, 0
 	if sys.lead {
-		b.log.marks, b.log.probes = b.log.marks[:0], b.log.probes[:0]
+		b.log.marks, b.log.probes, b.log.regions = b.log.marks[:0], b.log.probes[:0], b.log.regions[:0]
 	}
 	var ran int64
 	for _, p := range blk {

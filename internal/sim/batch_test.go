@@ -9,6 +9,7 @@ import (
 
 	"shift/internal/cache"
 	"shift/internal/core"
+	"shift/internal/history"
 	"shift/internal/pif"
 	"shift/internal/tifs"
 	"shift/internal/trace"
@@ -694,16 +695,20 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzLeadLog covers the three record formats of the lead log. A record
+// FuzzLeadLog covers the four record formats of the lead log. A record
 // word uses all 64 bits, so every word is a record and what the lead
 // decided about it: unpacking and repacking is the identity and every
 // field comes back in range. Probe lists of any lengths — empty, a
 // whole stretch long — written back to back come back one by one, each
-// with its own offsets, and the cursor ends where the writer did. An
-// interval mark carries whatever counters
-// the lead read, for any number of cores: followers of every facet
-// combination, taking the block's marks in order, get exactly the lead's
-// counters for the facets they replay and keep their own for the rest.
+// with its own offsets, and the cursor ends where the writer did. Region
+// words at the limits of every field — trigger, vector, offset — and drawn
+// from the inputs come back as packed, and region lists of any lengths, up
+// to a full stretch's with a record per access, written back to back into
+// their stretches' data slots come back intact. An interval mark carries
+// whatever counters the lead read, for any number of cores: followers of
+// every facet combination, taking the block's marks in order, get exactly
+// the lead's counters for the facets they replay and keep their own for
+// the rest.
 func FuzzLeadLog(f *testing.F) {
 	f.Add(uint64(0), int64(0), int64(0), uint8(1))
 	f.Add(^uint64(0), int64(-1), int64(1)<<62, uint8(16))
@@ -748,6 +753,61 @@ func FuzzLeadLog(f *testing.F) {
 		}
 		if pos != len(lg.probes) {
 			t.Fatalf("probe cursor at %d of %d after the last list", pos, len(lg.probes))
+		}
+
+		regionTrip := func(r history.Region, at int) {
+			if gr, gat := unpackRegion(packRegion(r, at)); gr != r || gat != at {
+				t.Fatalf("region %v at %d came back %v at %d", r, at, gr, gat)
+			}
+		}
+		for _, trig := range []trace.BlockAddr{0, trace.MaxBlockAddr, trace.BlockAddr(w) & trace.MaxBlockAddr} {
+			for _, vec := range []uint16{0, 1<<(history.MaxRegionSpan-1) - 1, uint16(a) & (1<<(history.MaxRegionSpan-1) - 1)} {
+				for _, at := range []int{0, batchBlockRounds - 1, int(uint64(b) % batchBlockRounds)} {
+					regionTrip(history.Region{Trigger: trig, Vec: vec}, at)
+				}
+			}
+		}
+		// One list per core, each over a builder of its own span stepped
+		// through blocks drawn from the inputs, the last a full stretch's
+		// with a record completed on every access, written as produce
+		// writes them: the records into the stretch's data slots, back to
+		// back with the next stretch's. Each comes back intact, after all
+		// are written.
+		lg.data = make([]uint64, 0, n*64+batchBlockRounds)
+		wants := make([][]uint64, n)
+		for c := range wants {
+			bld := history.MustNewBuilder(2 + rng.Intn(history.MaxRegionSpan-1))
+			base := trace.MaxBlockAddr - 63 - trace.BlockAddr(rng.Intn(1<<20))
+			for i := rng.Intn(4); i > 0; i-- {
+				bld.Add(base + trace.BlockAddr(rng.Intn(64)))
+			}
+			stretch := 1 + rng.Intn(64)
+			if c == n-1 {
+				stretch = batchBlockRounds
+			}
+			first := len(lg.data)
+			lg.data = lg.data[:first+stretch]
+			list := regionList{start: *bld, recs: lg.data[first : first : first+stretch]}
+			for at := 0; at < stretch; at++ {
+				blk := base + trace.BlockAddr(rng.Intn(64))
+				if c == n-1 {
+					blk = trace.BlockAddr(at * history.MaxRegionSpan)
+				}
+				if r, done := bld.Add(blk); done {
+					list.recs = append(list.recs, packRegion(r, at))
+				}
+			}
+			list.end = *bld
+			lg.regions = append(lg.regions, list)
+			wants[c] = slices.Clone(list.recs)
+		}
+		if got := len(wants[n-1]); got < batchBlockRounds-1 {
+			t.Fatalf("a stretch of %d accesses, each outside the last's region, completed %d records", batchBlockRounds, got)
+		}
+		for c, want := range wants {
+			if got := lg.regions[c].recs; !slices.Equal(got, want) {
+				t.Fatalf("core %d: a list of %d records came back as %d", c, len(want), len(got))
+			}
 		}
 		lead := &System{cfg: Config{Cores: n}, log: lg, lead: true}
 		// Two marks, as a block with one measured interval holds.

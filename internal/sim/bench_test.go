@@ -63,12 +63,13 @@ func BenchmarkDetailedStep(b *testing.B) {
 // The functional-path benchmarks are the in-repo counterpart of the
 // benchmark ledger's sim.warm_ns_per_rec.* rows, split the way a batch
 // splits the work: what the lead of a batch pays per fast-forwarded
-// record (stream generation, predictor, L1-I, the log, and its own LLC
-// probes) and what each follower adds on top, by design. One iteration is
-// one functional gap of the sweep_sampled workload — Period 40 × 500
-// records at WarmupFraction 0.3: 16278 far-zone rounds, 3072 near-zone —
-// on the 16-core Table I system over "OLTP Oracle", continuing the stream
-// from iteration to iteration. Run them with -cpu 1.
+// record (stream generation, predictor, L1-I, the log with its region
+// lists, and its own LLC probes) and what each follower adds on top, by
+// design. One iteration is one functional gap of the sweep_sampled
+// workload — Period 40 × 500 records at WarmupFraction 0.3: 16278
+// far-zone rounds, 3072 near-zone — on the 16-core Table I system over
+// "OLTP Oracle", continuing the stream from iteration to iteration. Run
+// them with -cpu 1.
 
 // benchFunctional times member (0: the lead, 1: the follower) of a
 // Baseline-led batch of two through b.N gaps.
@@ -77,8 +78,11 @@ func benchFunctional(b *testing.B, follower PrefetcherSpec, member int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A window whose blocks are full-length, so the log holds one.
-	lead := RunSpec{Config: DefaultConfig(), Workload: p, WarmupRecords: batchBlockRounds, MeasureRecords: batchBlockRounds}
+	// The sweep_sampled window and policy: its blocks are full-length, so
+	// the log holds one, and it has functional pieces, so a lead with
+	// followers that compact publishes region lists.
+	lead := RunSpec{Config: DefaultConfig(), Workload: p, WarmupRecords: 20000, MeasureRecords: 200000,
+		Sampling: Sampling{Period: 40, IntervalRecords: 500, WarmupFraction: 0.3}}
 	fol := lead
 	fol.Config.Prefetcher = follower
 	bt, err := newBatch([]RunSpec{lead, fol})
@@ -116,8 +120,11 @@ func benchFunctional(b *testing.B, follower PrefetcherSpec, member int) {
 	b.ReportMetric(float64(timed.Nanoseconds())/(float64(b.N)*gapRounds*float64(lead.Config.Cores)), "ns/record")
 }
 
+// BenchmarkFunctionalLead times a lead whose follower compacts, as the
+// leads of the sweep_sampled grid are: it also advances the log's region
+// builders and writes the region lists.
 func BenchmarkFunctionalLead(b *testing.B) {
-	benchFunctional(b, PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}, 0)
+	benchFunctional(b, PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()}, 0)
 }
 
 func BenchmarkFunctionalFollower(b *testing.B) {

@@ -126,6 +126,19 @@ func (p PrefetcherSpec) Name() string {
 	}
 }
 
+// regionSpan is the span at which the design's Warmer compacts the access
+// stream into spatial region records (see prefetch.RecordWarmer), 0 for a
+// design that compacts none.
+func (p PrefetcherSpec) regionSpan() int {
+	switch p.Kind {
+	case KindPIF:
+		return p.PIF.SAB.Span
+	case KindSHIFT:
+		return p.SHIFT.SAB.Span
+	}
+	return 0
+}
+
 // Config describes one simulated system (Table I defaults via
 // DefaultConfig).
 type Config struct {

@@ -7,6 +7,7 @@ import (
 
 	"shift/internal/bpred"
 	"shift/internal/cache"
+	"shift/internal/history"
 	"shift/internal/prefetch"
 	"shift/internal/trace"
 )
@@ -39,17 +40,21 @@ import (
 //     leave bit-identical instruction caches);
 //   - each record and its L1-I outcome become a log word, and the misses
 //     that warm the LLC (a pure function of the L1-I outcome and the
-//     zone, see llcFarStride) a probe list.
+//     zone, see llcFarStride) a probe list;
+//   - on the lead of a batch with members that compact, the records are
+//     compacted into spatial region records (a pure function of the
+//     record stream and the builder's state), a region list.
 //
 // The member's own stage (consume) runs once per member, off the words
-// and the list:
+// and the lists:
 //
 //   - the LLC banks take the listed demand probes;
 //   - prefetcher history generation keeps appending through the
 //     design's prefetch.Warmer hook (region compaction, history and
 //     index writes), for the accesses the design declares it needs — a
 //     core that needs none walks the probe list alone, a thirteenth of
-//     the records far from an interval.
+//     the records far from an interval, and a core whose builder stands
+//     where the log's does walks the region list beside it.
 //
 // Everything that is timing, traffic, or replay bookkeeping is
 // skipped: cycle accounting, exposed-stall computation, MSHR
@@ -393,9 +398,10 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 		return 0, nil
 	}
 	var (
-		words  []uint64
-		probes []uint16
-		err    error
+		words   []uint64
+		probes  []uint16
+		regions regionList
+		err     error
 	)
 	switch lg := s.log; {
 	case lg == nil:
@@ -415,7 +421,11 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.consume(coreID, words, probes)
+	if lg := s.log; lg != nil && lg.builders != nil {
+		regions = lg.regions[s.regionPos]
+		s.regionPos++
+	}
+	s.consume(coreID, words, probes, regions)
 	s.records[coreID] += int64(len(words))
 	s.logPos += len(words)
 	return int64(len(words)), nil
@@ -431,7 +441,9 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 // caches — and packs record and outcome into the next word, as Step does
 // for a lead. It appends to probes the offsets of the misses that warm
 // the LLC (see consume) and returns the words written, fewer than
-// len(words) only when the core's trace is exhausted, and the list.
+// len(words) only when the core's trace is exhausted, and the list. A lead
+// whose log carries region lists also advances the log's builder over
+// every record and writes the stretch's region list (see leadLog.builders).
 func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64, []uint16, error) {
 	h := &s.hot[coreID]
 	var (
@@ -440,7 +452,14 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 		l1      = h.l1i
 		warmCnt = s.llcWarmCnt[coreID]
 		mask    = s.llcMask
+		lg      = s.log
+		bld     *history.Builder
+		list    regionList
 	)
+	if lg != nil && lg.builders != nil {
+		bld = &lg.builders[coreID]
+		list = regionList{start: *bld, recs: lg.data[s.logPos : s.logPos : s.logPos+len(words)]}
+	}
 	for i := range words {
 		var rec trace.Record
 		var err error
@@ -467,14 +486,25 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 				probes = append(probes, uint16(i))
 			}
 		}
+		if bld != nil {
+			if r, done := bld.Add(rec.Block); done {
+				list.recs = append(list.recs, packRegion(r, i))
+			}
+		}
 	}
 	s.llcWarmCnt[coreID] = warmCnt
+	if bld != nil {
+		list.end = *bld
+		lg.regions = append(lg.regions, list)
+	}
 	return words, probes, nil
 }
 
 // consume is the member's own stage of a functional stretch of core
 // coreID: words are the stretch's records with the producer's L1-I
-// outcome, probes the offsets of the misses that warm the LLC.
+// outcome, probes the offsets of the misses that warm the LLC and regions
+// the stretch compacted by the log's builder (the zero list on a System
+// without one).
 //
 // LLC warming keeps the banks demand-warm, without any latency or traffic
 // modelling: bank contents — and, for virtualized SHIFT, the index
@@ -495,18 +525,28 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 //
 // A core with nothing but the probes to apply — no Warmer that needs
 // anything and, on a follower, no predictor or instruction cache of its
-// own — walks the probe list and never looks at the other words. Any
-// other core walks the words, in which the probes fall in their place, so
-// a bank sees its core's probes and history writes in one order either
-// way. A follower that steps an instruction cache of its own decides its
-// own misses, and with them its own probes.
-func (s *System) consume(coreID int, words []uint64, probes []uint16) {
-	bp, l1, need := s.consumeWork(coreID)
-	if bp == nil && l1 == nil && need == prefetch.WarmNone {
-		for _, at := range probes {
-			blk := logBlock(words[at])
-			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
-		}
+// own — walks the probe list and never looks at the other words. So does
+// a core whose one other task is compaction, when its builder is in the
+// state the log's was in at the stretch's start — the whole precondition:
+// compaction is a function of the builder's state and the accesses, so
+// the stretch's region records are exactly what its own builder would
+// complete. It applies them, merged with the probes by offset, and takes
+// the log builder's end state. Any other core — a builder at another span,
+// a SHIFT generator whose role rotated (SetGenerator resets the builder),
+// a System without region lists — walks the words, in which the probes
+// and its own builder's records fall in their place, so a bank sees its
+// core's probes and history writes in one order either way. A follower
+// that steps an instruction cache of its own decides its own misses, and
+// with them its own probes.
+func (s *System) consume(coreID int, words []uint64, probes []uint16, regions regionList) {
+	bp, l1, need, rw := s.consumeWork(coreID, regions.start)
+	switch {
+	case rw != nil:
+		s.consumeListed(words, probes, regions.recs, rw)
+		*rw.WarmBuilder() = regions.end
+		return
+	case bp == nil && l1 == nil && need == prefetch.WarmNone:
+		s.consumeListed(words, probes, nil, nil)
 		return
 	}
 	var (
@@ -541,11 +581,32 @@ func (s *System) consume(coreID int, words []uint64, probes []uint16) {
 	s.llcWarmCnt[coreID] = warmCnt
 }
 
+// consumeListed applies a stretch's LLC probes and, through rw, its region
+// records, in one order by offset: at an offset that has both, the probe
+// first, as the words walk orders them.
+func (s *System) consumeListed(words []uint64, probes []uint16, recs []uint64, rw prefetch.RecordWarmer) {
+	next := 0
+	for _, w := range recs {
+		r, at := unpackRegion(w)
+		for ; next < len(probes) && int(probes[next]) <= at; next++ {
+			blk := logBlock(words[probes[next]])
+			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
+		}
+		rw.WarmRecord(r)
+	}
+	for _, at := range probes[next:] {
+		blk := logBlock(words[at])
+		s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
+	}
+}
+
 // consumeWork is what consume owes a stretch of core coreID beyond its
 // probes: the predictor and the instruction cache to advance — a
 // follower's own; the producer's are done — and the accesses the design's
-// Warmer asks for.
-func (s *System) consumeWork(coreID int) (bp *bpred.Hybrid, l1 *cache.ICache, need prefetch.WarmNeed) {
+// Warmer asks for. rw is that Warmer when the core owes nothing but
+// compaction and its builder equals start, the log builder's state at the
+// stretch's start: the stretch's region records are then the core's own.
+func (s *System) consumeWork(coreID int, start history.Builder) (bp *bpred.Hybrid, l1 *cache.ICache, need prefetch.WarmNeed, rw prefetch.RecordWarmer) {
 	h := &s.hot[coreID]
 	if s.log != nil && !s.lead {
 		bp = h.bp
@@ -556,7 +617,10 @@ func (s *System) consumeWork(coreID int) (bp *bpred.Hybrid, l1 *cache.ICache, ne
 	if h.warm != nil {
 		need = h.warm.WarmNeeds()
 	}
-	return bp, l1, need
+	if bp == nil && l1 == nil && need == prefetch.WarmRecords && h.rec != nil && *h.rec.WarmBuilder() == start {
+		rw = h.rec
+	}
+	return bp, l1, need, rw
 }
 
 // runRoundsFunctional advances one piece of up to n rounds on the

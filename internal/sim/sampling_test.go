@@ -304,61 +304,140 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 }
 
 // consumePathDesigns is a batch in which every way through System.consume
-// has a member: behind a Baseline lead (which walks its own probe lists),
-// virtualized SHIFT (the generator core walks the words, the other cores
-// the lists), TIFS (walks the words for the misses), PIF (for every
-// record), NextLine (lists only), a follower with a smaller L1-I (steps
-// it, and decides its own probes, off the words) and one with a
-// predictor of its own (walks the words to advance it).
+// has a member: behind a PIF lead (which applies the region lists it
+// publishes), a Baseline and a NextLine follower (probe lists only),
+// virtualized SHIFT (the generator core applies the region lists, the
+// other cores walk the probe lists), TIFS (walks the words for the
+// misses), PIF (applies the region lists), a follower with a smaller L1-I
+// (steps it, and decides its own probes, off the words), one with a
+// predictor of its own (walks the words to advance it), a PIF that
+// compacts at span 16 (walks the words: the log compacts at span 8) and an
+// adaptive SHIFT whose generator rotates within the schedule: the new
+// generator's builder restarts, and it walks the words until the builder
+// is back in the log builder's state — which the two reach at the first
+// access that closes both their regions, often before the next functional
+// stretch (TestRotatedGeneratorWalksWords rotates right before one).
 func consumePathDesigns() []RunSpec {
 	all := batchDesigns()
-	specs := []RunSpec{all[0], all[5], all[6], all[3], all[1], all[2], all[0]}
-	specs[5].Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
-	specs[6].Config.BranchPredictorEntries = 4096
+	specs := []RunSpec{all[2], all[0], all[5], all[6], all[3], all[1], all[2], all[0], all[3], all[5]}
+	specs[6].Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
+	specs[7].Config.BranchPredictorEntries = 4096
+	specs[8].Config.Prefetcher.PIF.SAB.Span = 16
+	specs[9].Config.Prefetcher.AdaptiveGenerator = true
+	specs[9].Config.Prefetcher.AdaptWindow = 250
 	return specs
 }
 
+// consumePath names the way core c of sys consumes a functional stretch
+// whose log builder starts in state start.
+func consumePath(sys *System, c int, start history.Builder) string {
+	bp, l1, need, rw := sys.consumeWork(c, start)
+	switch {
+	case l1 != nil:
+		return "own-l1"
+	case bp != nil:
+		return "own-bp"
+	case rw != nil:
+		return "regions"
+	case need == prefetch.WarmRecords:
+		return "records"
+	case need == prefetch.WarmMisses:
+		return "misses"
+	}
+	return "list"
+}
+
 // TestConsumePathsCovered keeps consumePathDesigns honest: each kind of
-// work consume can owe a core is owed to some core of some member.
+// work consume can owe a core is owed to some core of some member. It
+// walks the sampled schedule and, at every lockstep block boundary —
+// where each member's builders stand where they will at its next
+// functional stretch, unless a rotation intervenes — names every core's
+// path against the log's builders.
 func TestConsumePathsCovered(t *testing.T) {
-	b := enterAll(t, consumePathDesigns())
+	specs := windowed(consumePathDesigns(), 20000, 30000, testSampling())
+	b := enterAll(t, specs)
+	if b.log.builders == nil {
+		t.Fatal("a sampled batch with compacting followers publishes no region lists")
+	}
 	seen := map[string]bool{}
-	for m, sys := range b.systems {
-		for c := range sys.hot {
-			bp, l1, need := sys.consumeWork(c)
-			if m == 0 && (bp != nil || l1 != nil) {
-				t.Fatal("the lead owes itself the stage it produced")
-			}
-			switch {
-			case l1 != nil:
-				seen["own-l1"] = true
-			case bp != nil:
-				seen["own-bp"] = true
-			case need == prefetch.WarmRecords:
-				seen["records"] = true
-			case need == prefetch.WarmMisses:
-				seen["misses"] = true
-			case m > 0:
-				seen["list"] = true
-			default:
-				seen["lead-list"] = true
+	paths := make([]map[string]int, len(specs)) // member -> path -> core-boundaries
+	for m := range paths {
+		paths[m] = map[string]int{}
+	}
+	boundaries := 0
+	lockstep(t, b, b.blocks, func() {
+		boundaries++
+		for m, sys := range b.systems {
+			for c := range sys.hot {
+				path := consumePath(sys, c, b.log.builders[c])
+				if m == 0 {
+					if path != "regions" {
+						t.Fatalf("lead core %d consumes by %q: the PIF lead applies its own region lists", c, path)
+					}
+					path = "lead-" + path
+				}
+				seen[path] = true
+				paths[m][path]++
 			}
 		}
-	}
-	for _, path := range []string{"lead-list", "list", "misses", "records", "own-l1", "own-bp"} {
+	})
+	for _, path := range []string{"lead-regions", "list", "regions", "misses", "records", "own-l1", "own-bp"} {
 		if !seen[path] {
 			t.Errorf("no core of any member consumes by path %q", path)
 		}
 	}
-	// Fifteen of SHIFT's sixteen cores — three of four here — walk lists.
-	lists := 0
-	for c := range b.systems[1].hot {
-		if bp, l1, need := b.systems[1].consumeWork(c); bp == nil && l1 == nil && need == prefetch.WarmNone {
-			lists++
+	cores := len(b.systems[0].hot)
+	all := cores * boundaries
+	// Every core of the PIF follower applies the lists; of SHIFT's cores the
+	// generator does and the other fifteen — three here — walk probe lists.
+	if got := paths[4]["regions"]; got != all {
+		t.Errorf("the PIF follower's cores apply region lists at %d of %d core-boundaries", got, all)
+	}
+	if got, want := paths[2], (map[string]int{"regions": boundaries, "list": all - boundaries}); !reflect.DeepEqual(got, want) {
+		t.Errorf("SHIFT's cores consume by %v, want %v (the generator applies the lists)", got, want)
+	}
+	// The span-16 PIF never can.
+	if got := paths[8]["records"]; got != all {
+		t.Errorf("the span-16 PIF's cores walk the words at %d of %d core-boundaries", got, all)
+	}
+	// The differentials over this batch see a rotation.
+	if b.systems[9].shared[0].Rotations() == 0 {
+		t.Error("the adaptive SHIFT's generator never rotated")
+	}
+}
+
+// TestRotatedGeneratorWalksWords forces SHIFT's generator role to another
+// core mid-run, right before a functional stretch, in a batch member and in
+// the same design run alone. The new generator's builder restarts, so it
+// walks that stretch's words instead of applying the log's region list —
+// before the rotation, and once its builder is back in the log builder's
+// state, it applies the lists — and the two runs stay bit-identical.
+func TestRotatedGeneratorWalksWords(t *testing.T) {
+	all := batchDesigns()
+	specs := windowed([]RunSpec{all[0], all[5]}, 20000, 30000, testSampling())
+	batched, solo := enterAll(t, specs), enterAll(t, specs[1:])
+	if !batched.blocks[1][0].functional {
+		t.Fatal("the schedule's second block does not open with a functional piece")
+	}
+	fol := batched.systems[1]
+	for bi, blk := range batched.blocks {
+		lockstep(t, batched, [][]piece{blk}, nil)
+		lockstep(t, solo, [][]piece{blk}, nil)
+		gen := fol.shared[0].Generator()
+		if path := consumePath(fol, gen, batched.log.builders[gen]); path != "regions" {
+			t.Fatalf("after block %d, generator core %d consumes by %q, want the region lists", bi, gen, path)
+		}
+		if bi == 0 {
+			fol.shared[0].SetGenerator(2)
+			solo.systems[0].shared[0].SetGenerator(2)
+			if path := consumePath(fol, 2, batched.log.builders[2]); path != "records" {
+				t.Fatalf("generator rotated to core 2 consumes block 1 by %q, want the words", path)
+			}
 		}
 	}
-	if want := len(b.systems[1].hot) - 1; lists != want {
-		t.Errorf("%d cores of the SHIFT follower walk probe lists, want %d (all but the generator)", lists, want)
+	p := specs[1].Sampling
+	if got, want := fol.result(p), solo.systems[0].result(p); !reflect.DeepEqual(got, want) {
+		t.Error("a batch member whose generator rotated mid-run differs from the same run alone")
 	}
 }
 
@@ -706,7 +785,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 		sys := buildSteadySystem(t, spec)
 		out := make([]prefetch.WarmNeed, len(sys.hot))
 		for c := range out {
-			_, _, out[c] = sys.consumeWork(c)
+			_, _, out[c], _ = sys.consumeWork(c, history.Builder{})
 		}
 		return sys, out
 	}
@@ -733,7 +812,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 				if c == 2 {
 					want = prefetch.WarmRecords
 				}
-				if _, _, need := sys.consumeWork(c); need != want {
+				if _, _, need, _ := sys.consumeWork(c, history.Builder{}); need != want {
 					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", tc.spec.Name(), c, need, want)
 				}
 			}

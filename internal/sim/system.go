@@ -96,9 +96,9 @@ type System struct {
 	// follower itself, on structures of its own, off the same log. Detailed
 	// and functional stepping use the log alike: a follower steps the
 	// (core, round) order the lead did, so logPos — the next record's slot
-	// — markPos — the next interval mark's — and probePos — the next probe
-	// list's — simply count up through a lockstep block, and the batch
-	// runner rewinds them at the next.
+	// — markPos — the next interval mark's — and probePos and regionPos —
+	// the next probe and region lists' — simply count up through a lockstep
+	// block, and the batch runner rewinds them at the next.
 	log        *leadLog
 	lead       bool
 	replayBP   bool
@@ -107,6 +107,7 @@ type System struct {
 	logPos     int
 	markPos    int
 	probePos   int
+	regionPos  int
 	// own is where a System without a log keeps a functional stretch
 	// between producing and consuming it (see warmCore): one piece of
 	// words and its probe list, built at the first functional piece.
@@ -149,8 +150,10 @@ type coreHot struct {
 	rep   *core.Replayer
 	fetch *FetchStats
 	// warm is the design's functional-warming hook (nil when the design
-	// has no history to keep warm); see consume in sampling.go.
+	// has no history to keep warm) and rec the same hook when it compacts
+	// region records; see consume in sampling.go.
 	warm prefetch.Warmer
+	rec  prefetch.RecordWarmer
 }
 
 // buildHot populates the hot aliases; must run after buildPrefetchers.
@@ -169,6 +172,7 @@ func (s *System) buildHot() {
 		h.pf = s.pf[i]
 		h.rep, _ = s.pf[i].(*core.Replayer)
 		h.warm, _ = s.pf[i].(prefetch.Warmer)
+		h.rec, _ = s.pf[i].(prefetch.RecordWarmer)
 		h.fetch = &s.fetch[i]
 	}
 }
@@ -537,6 +541,9 @@ func (s *System) Step(coreID int) (bool, error) {
 		hit, way = h.l1i.LookupInsert(blk)
 		if s.lead {
 			lg.words[s.logPos] = packLog(rec, mis, hit, way)
+			if lg.builders != nil {
+				lg.builders[coreID].Add(blk)
+			}
 		}
 	}
 	wasPf := false
