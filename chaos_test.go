@@ -62,7 +62,7 @@ func TestChaosGridCompletesUnderStoreFaults(t *testing.T) {
 	}
 
 	fault := store.NewFault(store.NewMem(), chaosPlan(42))
-	ds := newDiskStoreStack(fault, nil)
+	ds := newBlobStore(fault, false)
 	chaotic := NewEngine(4, ds)
 	for round := 1; round <= 3; round++ {
 		got, err := chaotic.RunAll(cells)
@@ -76,8 +76,8 @@ func TestChaosGridCompletesUnderStoreFaults(t *testing.T) {
 	if fault.Injected() == 0 {
 		t.Fatal("no faults injected — the chaos schedule proved nothing")
 	}
-	if ds.Errors() == 0 {
-		t.Error("injected IO failures never surfaced in DiskStore.Errors()")
+	if ds.Health().Errors == 0 {
+		t.Error("injected IO failures never surfaced in Health().Errors")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestChaosFigureOutputByteIdentical(t *testing.T) {
 
 	fault := store.NewFault(store.NewMem(), chaosPlan(7))
 	faulty := o
-	faulty.Engine = NewEngine(4, newDiskStoreStack(fault, nil))
+	faulty.Engine = NewEngine(4, newBlobStore(fault, false))
 	got, err := RunExperiment("7", faulty)
 	if err != nil {
 		t.Fatalf("figure failed under store faults: %v", err)
@@ -139,11 +139,11 @@ func TestChaosDiskCorruptionQuarantineAndSelfHeal(t *testing.T) {
 	if _, ok := ds.Lookup(key); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
-	if got := ds.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", got)
+	if got := ds.Health().Quarantined; got != 1 {
+		t.Fatalf("Health().Quarantined = %d, want 1", got)
 	}
-	if ds.Errors() == 0 {
-		t.Error("corruption never surfaced in Errors()")
+	if ds.Health().Errors == 0 {
+		t.Error("corruption never surfaced in Health().Errors")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", key+".json")); err != nil {
 		t.Errorf("quarantined bytes not preserved: %v", err)
@@ -165,8 +165,8 @@ func TestChaosDiskCorruptionQuarantineAndSelfHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ds2.Quarantined(); got != 1 {
-		t.Errorf("reopened Quarantined() = %d, want 1", got)
+	if got := ds2.Health().Quarantined; got != 1 {
+		t.Errorf("reopened Health().Quarantined = %d, want 1", got)
 	}
 	if got := ds2.Len(); got != 1 {
 		t.Errorf("reopened Len() = %d, want 1 (quarantine excluded)", got)
@@ -204,8 +204,8 @@ func TestChaosLegacyBlobReadCompat(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, r) {
 		t.Fatalf("legacy blob lookup = (%+v, %t), want served unverified", got, ok)
 	}
-	if ds.Errors() != 0 {
-		t.Errorf("legacy blob counted as an error: Errors() = %d", ds.Errors())
+	if ds.Health().Errors != 0 {
+		t.Errorf("legacy blob counted as an error: Health().Errors = %d", ds.Health().Errors)
 	}
 
 	ds.Store(key, r)
@@ -223,10 +223,10 @@ func TestChaosLegacyBlobReadCompat(t *testing.T) {
 
 // TestChaosLenReturnsLastKnownCount is the Len satellite: a transient
 // walk failure must return the last known count — never a misleading
-// zero — and land in Errors().
+// zero — and land in Health().Errors.
 func TestChaosLenReturnsLastKnownCount(t *testing.T) {
 	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
-	ds := newDiskStoreStack(fault, nil)
+	ds := newBlobStore(fault, false)
 	for i, key := range []string{"cell-a", "cell-b", "cell-c"} {
 		ds.Store(key, RunResult{MPKI: float64(i)})
 	}
@@ -235,14 +235,14 @@ func TestChaosLenReturnsLastKnownCount(t *testing.T) {
 	}
 
 	// Three scripted failures exhaust the retry layer's attempts, so the
-	// walk error reaches DiskStore.
+	// walk error reaches the BlobStore.
 	fault.FailNextLens(3)
-	errsBefore := ds.Errors()
+	errsBefore := ds.Health().Errors
 	if got := ds.Len(); got != 3 {
 		t.Fatalf("Len() under walk failure = %d, want last known 3", got)
 	}
-	if ds.Errors() != errsBefore+1 {
-		t.Errorf("walk failure not counted: Errors() = %d, want %d", ds.Errors(), errsBefore+1)
+	if ds.Health().Errors != errsBefore+1 {
+		t.Errorf("walk failure not counted: Health().Errors = %d, want %d", ds.Health().Errors, errsBefore+1)
 	}
 
 	// Recovery resumes live counts.
@@ -252,13 +252,13 @@ func TestChaosLenReturnsLastKnownCount(t *testing.T) {
 	}
 }
 
-// TestTieredStoreServesFromMemoryUnderDiskFailure is the TieredStore
-// satellite: with the disk tier hard-failing, hot cells keep serving
+// TestTieredStoreServesFromMemoryUnderDiskFailure: with the blob tier
+// of a tiered BlobStore hard-failing, hot cells keep serving
 // from memory, new results keep landing, and the counters prove the
 // fallback happened.
 func TestTieredStoreServesFromMemoryUnderDiskFailure(t *testing.T) {
 	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
-	ts := newTieredStore(newDiskStoreStack(fault, nil))
+	ts := newBlobStore(fault, true)
 
 	ts.Store("hot", RunResult{MPKI: 1})
 	if _, ok := ts.Lookup("hot"); !ok {
@@ -275,8 +275,8 @@ func TestTieredStoreServesFromMemoryUnderDiskFailure(t *testing.T) {
 	if r, ok := ts.Lookup("fresh"); !ok || r.MPKI != 2 {
 		t.Error("new results not landing in memory while disk was failing")
 	}
-	if ts.Errors() == 0 {
-		t.Error("disk failures never surfaced in Errors()")
+	if ts.Health().Errors == 0 {
+		t.Error("disk failures never surfaced in Health().Errors")
 	}
 
 	// Sustained failure trips the breaker (default: 8 failures in the
@@ -316,7 +316,7 @@ func TestTieredStoreServesFromMemoryUnderDiskFailure(t *testing.T) {
 // probe half-open after it, and close once the disk is healthy again.
 func TestTieredBreakerRecoversHalfOpen(t *testing.T) {
 	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
-	ts := newTieredStore(newDiskStoreStack(fault, nil))
+	ts := newBlobStore(fault, true)
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	ts.breaker = store.NewBreaker(store.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Minute, Now: clock})
@@ -358,7 +358,7 @@ func TestTieredBreakerRecoversHalfOpen(t *testing.T) {
 // cooldown, take the half-open probe and close it over a failing disk.
 func TestTieredLenNeverVotesHealthy(t *testing.T) {
 	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
-	ts := newTieredStore(newDiskStoreStack(fault, nil))
+	ts := newBlobStore(fault, true)
 	now := time.Unix(0, 0)
 	ts.breaker = store.NewBreaker(store.BreakerConfig{Cooldown: time.Minute, Now: func() time.Time { return now }})
 	ts.Store("k", RunResult{MPKI: 1})
@@ -566,13 +566,13 @@ func TestEngineWatchdogTimesOutStuckCell(t *testing.T) {
 func TestChaosFaultStoreDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
 		fault := store.NewFault(store.NewMem(), chaosPlan(99))
-		ds := newDiskStoreStack(fault, nil)
+		ds := newBlobStore(fault, false)
 		for i := 0; i < 50; i++ {
 			key := strings.Repeat("k", 1+i%5) + string(rune('a'+i%7))
 			ds.Store(key, RunResult{MPKI: float64(i)})
 			ds.Lookup(key)
 		}
-		return fault.Injected(), ds.Errors()
+		return fault.Injected(), ds.Health().Errors
 	}
 	i1, e1 := run()
 	i2, e2 := run()

@@ -44,10 +44,7 @@ func newCoordinatorServer(t *testing.T, peers ...string) (*httptest.Server, *ser
 	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
-	coord, err := cluster.New(cluster.Config{Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := cluster.New(cluster.Config{Peers: peers})
 	t.Cleanup(coord.Close)
 	engine.SetExecutor(coord)
 	srv.cluster = coord

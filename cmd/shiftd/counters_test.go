@@ -242,10 +242,7 @@ func TestCounterTableLive(t *testing.T) {
 	jm, _ := openDurable(t, t.TempDir(), hs, jobs.Config{RunBatch: engine.RunEach})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, hs, testOpts(), jm, 1<<20)
-	coord, err := cluster.New(cluster.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := cluster.New(cluster.Config{})
 	t.Cleanup(coord.Close)
 	srv.cluster = coord
 	full := httptest.NewServer(srv.handler())

@@ -37,10 +37,10 @@
 // Cluster roles: a -worker process serves whole stream-key batches on
 // its engine and exports its raw blob tier; a coordinator (-peers, or
 // -coordinator with join-only membership) shards every sweep across the
-// workers by stream key (-route: affinity, round-robin, least-loaded),
-// probes their health (-cluster-heartbeat), re-routes batches off
-// failed workers with jittered backoff (-batch-retries), hedges
-// stragglers (-hedge-after), and degrades to in-process execution when
+// workers by stream-key affinity (rendezvous hashing), probes their
+// health (-cluster-heartbeat), re-routes batches off failed workers
+// with jittered backoff (-batch-retries), hedges stragglers
+// (-hedge-after), and degrades to in-process execution when
 // no worker is routable — results stay byte-identical to a single
 // host throughout. Point every node's -store-url at one shared blob
 // store (any peer's /v1/blobs) and the cluster converges on one
@@ -132,7 +132,6 @@ func main() {
 		worker      = flag.Bool("worker", false, "serve POST /v1/batch: execute batches for a cluster coordinator")
 		coordinator = flag.Bool("coordinator", false, "shard sweeps across cluster workers (implied by -peers; workers may also POST /v1/cluster/join)")
 		peers       = flag.String("peers", "", "comma-separated worker base URLs to coordinate across")
-		route       = flag.String("route", "affinity", "batch routing policy: affinity, round-robin, or least-loaded")
 		clusterBeat = flag.Duration("cluster-heartbeat", 2*time.Second, "worker health-probe period (0 = no background probing)")
 		batchTmo    = flag.Duration("batch-timeout", 2*time.Minute, "per-batch dispatch timeout")
 		batchRetry  = flag.Int("batch-retries", 0, "re-route attempts per batch after a worker failure (0 = every remaining worker, negative = none)")
@@ -153,7 +152,7 @@ func main() {
 	}
 	var (
 		rs       shift.ResultStore
-		tiered   *shift.TieredStore
+		tiered   *shift.BlobStore
 		storeDsc string
 	)
 	switch {
@@ -234,17 +233,13 @@ func main() {
 				peerList = append(peerList, p)
 			}
 		}
-		coord, err := cluster.New(cluster.Config{
+		coord := cluster.New(cluster.Config{
 			Peers:          peerList,
-			Route:          *route,
 			HeartbeatEvery: *clusterBeat,
 			BatchTimeout:   *batchTmo,
 			Retries:        *batchRetry,
 			HedgeAfter:     *hedgeAfter,
 		})
-		if err != nil {
-			log.Fatalf("shiftd: %v", err)
-		}
 		defer coord.Close()
 		engine.SetExecutor(coord)
 		srv.cluster = coord
@@ -261,7 +256,7 @@ func main() {
 			}
 			srv.persistJoin = persist
 		}
-		log.Printf("shiftd coordinating %d workers (route: %s)", len(peerList), *route)
+		log.Printf("shiftd coordinating %d workers", len(peerList))
 	}
 	if *joinURL != "" {
 		go announceJoin(*joinURL, *advertise, *addr)

@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pass 1: %d cells on disk, %d quarantined\n\n", store.Len(), store.Quarantined())
+	fmt.Printf("pass 1: %d cells on disk, %d quarantined\n\n", store.Len(), store.Health().Quarantined)
 
 	// Sabotage: flip one byte in the middle of every blob of one shard.
 	// The CRC-32C footer written with each blob makes this detectable.
@@ -70,8 +70,9 @@ func main() {
 	}
 
 	st := engine2.Stats()
+	h := store2.Health()
 	fmt.Printf("\npass 2: recomputed %d cell(s), quarantined %d, store errors %d\n",
-		st.Simulated, store2.Quarantined(), store2.Errors())
+		st.Simulated, h.Quarantined, h.Errors)
 	fmt.Printf("figure output byte-identical across the corruption: %t\n", before == after)
 	q, _ := filepath.Glob(filepath.Join(*dir, "quarantine", "*.json"))
 	fmt.Printf("quarantined bytes preserved for inspection: %v\n", q)

@@ -62,12 +62,9 @@ func main() {
 	defer srv2.Close()
 
 	// Round-robin guarantees the demo exercises both workers; the
-	// default affinity policy instead pins each workload family to one
+	// default affinity routing instead pins each workload family to one
 	// worker so its trace graphs and store entries stay hot there.
-	coord, err := cluster.New(cluster.Config{Peers: []string{srv1.URL, srv2.URL}, Route: "round-robin"})
-	if err != nil {
-		log.Fatal(err)
-	}
+	coord := cluster.New(cluster.Config{Peers: []string{srv1.URL, srv2.URL}, Router: &cluster.RoundRobinRouter{}})
 	defer coord.Close()
 	coordEng := shift.NewEngine(0, shift.NewResultCache())
 	coordEng.SetExecutor(coord)
@@ -106,10 +103,7 @@ func main() {
 	// store re-serve the first figure without simulating anything.
 	srv3, eng3 := newWorker(blobSrv.URL)
 	defer srv3.Close()
-	coord2, err := cluster.New(cluster.Config{Peers: []string{srv3.URL}})
-	if err != nil {
-		log.Fatal(err)
-	}
+	coord2 := cluster.New(cluster.Config{Peers: []string{srv3.URL}})
 	defer coord2.Close()
 	coordEng3 := shift.NewEngine(0, shift.NewResultCache())
 	coordEng3.SetExecutor(coord2)

@@ -3,15 +3,14 @@
 // engine's Executor hook: once the engine has decided a shared-stream
 // batch must actually run (store miss, not in flight), the coordinator
 // routes the whole batch to a worker over POST /v1/batch instead of
-// simulating it in-process. Routing is pluggable (stream-key affinity
-// via rendezvous hashing by default; round-robin and least-loaded
-// alternatives), worker health is tracked up/suspect/down from
-// dispatch outcomes and periodic heartbeat probes, transport failures
-// re-route the batch to the next worker in the failover order with
-// jittered backoff, stragglers are hedged to a second worker, and when
-// no worker is reachable the coordinator degrades to in-process
-// execution — a cluster of zero healthy workers behaves exactly like
-// single-host shiftd.
+// simulating it in-process. Routing is pluggable (Config.Router;
+// stream-key affinity via rendezvous hashing by default), worker health
+// is tracked up/suspect/down from dispatch outcomes and periodic
+// heartbeat probes, transport failures re-route the batch to the next
+// worker in the failover order with jittered backoff, stragglers are
+// hedged to a second worker, and when no worker is reachable the
+// coordinator degrades to in-process execution — a cluster of zero
+// healthy workers behaves exactly like single-host shiftd.
 //
 // Determinism is inherited, not engineered: the simulator is a pure
 // function of its Config, configs travel the wire as exact JSON (all
@@ -85,10 +84,6 @@ type Member struct {
 // Addr returns the worker's normalized base URL.
 func (m *Member) Addr() string { return m.addr }
 
-// Inflight returns the number of batches currently dispatched to this
-// worker (the load signal behind least-loaded routing).
-func (m *Member) Inflight() int64 { return m.inflight.Load() }
-
 // state snapshot under the member lock.
 func (m *Member) snapshot() MemberStatus {
 	m.mu.Lock()
@@ -148,10 +143,7 @@ type Config struct {
 	// Peers are the workers' base URLs ("host:port" or
 	// "http://host:port").
 	Peers []string
-	// Route names the routing policy ("affinity", "round-robin",
-	// "least-loaded"; empty = affinity). Ignored when Router is set.
-	Route string
-	// Router overrides the routing policy with a custom implementation.
+	// Router orders the workers for each batch (nil = AffinityRouter).
 	Router Router
 	// Client is the HTTP client for dispatches and probes (nil = a
 	// default client; per-request deadlines come from BatchTimeout).
@@ -210,13 +202,10 @@ type Coordinator struct {
 // New returns a coordinator over the configured peers. When
 // HeartbeatEvery is set, a background prober starts immediately; Close
 // stops it.
-func New(cfg Config) (*Coordinator, error) {
+func New(cfg Config) *Coordinator {
 	router := cfg.Router
 	if router == nil {
-		var err error
-		if router, err = NewRouter(cfg.Route); err != nil {
-			return nil, err
-		}
+		router = &AffinityRouter{}
 	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 1
@@ -251,7 +240,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatEvery > 0 {
 		go c.heartbeatLoop()
 	}
-	return c, nil
+	return c
 }
 
 // Close stops the background health prober. In-flight dispatches

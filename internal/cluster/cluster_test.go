@@ -64,10 +64,7 @@ func singleHostFigure7(t *testing.T) []byte {
 // routing through it.
 func newCoordinatorEngine(t *testing.T, cfg Config) (*Coordinator, *shift.Engine) {
 	t.Helper()
-	coord, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := New(cfg)
 	t.Cleanup(coord.Close)
 	eng := shift.NewEngine(4, shift.NewResultCache())
 	eng.SetExecutor(coord)
@@ -81,14 +78,17 @@ func newCoordinatorEngine(t *testing.T, cfg Config) (*Coordinator, *shift.Engine
 // rendezvous hashing maps this run's ephemeral ports).
 func TestGoldenFigure7CrossWorker(t *testing.T) {
 	want := singleHostFigure7(t)
-	for _, route := range []string{"affinity", "round-robin"} {
-		t.Run(route, func(t *testing.T) {
+	for _, route := range []struct {
+		name   string
+		router Router
+	}{{"affinity", nil}, {"round-robin", &RoundRobinRouter{}}} {
+		t.Run(route.name, func(t *testing.T) {
 			srv1, w1, _ := newTestWorker(t)
 			srv2, w2, _ := newTestWorker(t)
 			coord, eng := newCoordinatorEngine(t, Config{
-				Peers: []string{srv1.URL, srv2.URL},
-				Route: route,
-				Seed:  42,
+				Peers:  []string{srv1.URL, srv2.URL},
+				Router: route.router,
+				Seed:   42,
 			})
 			fig, err := shift.RunFigure7(tinyOptions(eng))
 			if err != nil {
@@ -107,7 +107,7 @@ func TestGoldenFigure7CrossWorker(t *testing.T) {
 			if w1.Cells()+w2.Cells() == 0 {
 				t.Fatal("workers executed no cells")
 			}
-			if route == "round-robin" && (w1.Batches() == 0 || w2.Batches() == 0) {
+			if route.router != nil && (w1.Batches() == 0 || w2.Batches() == 0) {
 				t.Fatalf("round-robin left a worker idle: %d / %d batches", w1.Batches(), w2.Batches())
 			}
 		})
@@ -242,7 +242,7 @@ func TestClusterRerouteMidSweep(t *testing.T) {
 	chaos.set(t, srv1.URL, &chaosRule{killAfter: 1})
 	coord, eng := newCoordinatorEngine(t, Config{
 		Peers:      []string{srv1.URL, srv2.URL},
-		Route:      "round-robin", // guarantees srv1 is picked for some batch
+		Router:     &RoundRobinRouter{}, // guarantees srv1 is picked for some batch
 		Client:     &http.Client{Transport: chaos},
 		RetryDelay: time.Millisecond,
 		Seed:       7,
@@ -356,10 +356,7 @@ func TestProbeHealthStateMachine(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	coord, err := New(Config{Peers: []string{srv.URL}, SuspectAfter: 1, DownAfter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := New(Config{Peers: []string{srv.URL}, SuspectAfter: 1, DownAfter: 3})
 	defer coord.Close()
 
 	state := func() string { return coord.Members()[0].State }
@@ -424,10 +421,7 @@ func TestClusterErrorParity(t *testing.T) {
 // re-route and the worker still healthy.
 func TestBatchErrorClassification(t *testing.T) {
 	srv, w, _ := newTestWorker(t)
-	coord, err := New(Config{Peers: []string{srv.URL}, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := New(Config{Peers: []string{srv.URL}, Seed: 7})
 	defer coord.Close()
 
 	bad := tinyConfig(shift.Design(99))

@@ -52,7 +52,7 @@ func TestClusterPersistsAcrossWorkerRestarts(t *testing.T) {
 	chaos.set(t, srv1.URL, &chaosRule{killAfter: 1})
 	coord1, eng1 := newCoordinatorEngine(t, Config{
 		Peers:      []string{srv1.URL, srv2.URL},
-		Route:      "round-robin",
+		Router:     &RoundRobinRouter{},
 		Client:     &http.Client{Transport: chaos},
 		RetryDelay: time.Millisecond,
 		Seed:       7,

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
@@ -17,21 +16,6 @@ import (
 type Router interface {
 	// Pick orders candidates for the batch with the given stream key.
 	Pick(streamKey string, candidates []*Member) []*Member
-}
-
-// NewRouter returns the named routing policy: "affinity" (stream-key
-// affinity via rendezvous hashing — the default), "round-robin", or
-// "least-loaded".
-func NewRouter(name string) (Router, error) {
-	switch name {
-	case "", "affinity":
-		return &AffinityRouter{}, nil
-	case "round-robin":
-		return &RoundRobinRouter{}, nil
-	case "least-loaded":
-		return &LeastLoadedRouter{}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown routing policy %q (valid: affinity, round-robin, least-loaded)", name)
 }
 
 // AffinityRouter routes by stream-key affinity using rendezvous
@@ -72,7 +56,8 @@ func (r *AffinityRouter) Pick(streamKey string, candidates []*Member) []*Member 
 // rotation. Simple and perfectly balanced, but stream-key locality is
 // lost: the same workload's batches land on different workers across
 // sweeps, so worker-side memoization and trace-stream reuse suffer.
-// Useful as a baseline and for perfectly homogeneous sweeps.
+// Useful as a baseline, and where a demo or test must reach every
+// worker.
 type RoundRobinRouter struct {
 	next atomic.Uint64
 }
@@ -90,25 +75,5 @@ func (r *RoundRobinRouter) Pick(_ string, candidates []*Member) []*Member {
 	out := make([]*Member, 0, len(ring))
 	out = append(out, ring[k:]...)
 	out = append(out, ring[:k]...)
-	return out
-}
-
-// LeastLoadedRouter orders workers by the coordinator's view of their
-// outstanding batches (fewest first, address-ordered on ties, so the
-// order is deterministic for a given load state). Good when batch
-// costs vary wildly; like round-robin it sacrifices stream-key
-// locality.
-type LeastLoadedRouter struct{}
-
-// Pick orders candidates by ascending in-flight batch count.
-func (*LeastLoadedRouter) Pick(_ string, candidates []*Member) []*Member {
-	out := append([]*Member(nil), candidates...)
-	sort.SliceStable(out, func(i, j int) bool {
-		li, lj := out[i].Inflight(), out[j].Inflight()
-		if li != lj {
-			return li < lj
-		}
-		return out[i].Addr() < out[j].Addr()
-	})
 	return out
 }

@@ -21,17 +21,6 @@ func addrs(ms []*Member) []string {
 	return out
 }
 
-func TestNewRouterUnknown(t *testing.T) {
-	if _, err := NewRouter("random"); err == nil {
-		t.Fatal("NewRouter(random) succeeded; want error")
-	}
-	for _, name := range []string{"", "affinity", "round-robin", "least-loaded"} {
-		if _, err := NewRouter(name); err != nil {
-			t.Fatalf("NewRouter(%q): %v", name, err)
-		}
-	}
-}
-
 // TestAffinityStableFailover checks the two rendezvous properties the
 // fabric relies on: the same stream key always orders the same
 // membership identically (stability), and removing the preferred
@@ -82,17 +71,5 @@ func TestRoundRobinRotates(t *testing.T) {
 	}
 	if r.Pick("x", nil) != nil {
 		t.Fatal("Pick with no candidates returned members")
-	}
-}
-
-func TestLeastLoadedOrders(t *testing.T) {
-	r := &LeastLoadedRouter{}
-	ms := members("http://a:1", "http://b:1", "http://c:1")
-	ms[0].inflight.Store(5)
-	ms[2].inflight.Store(1)
-	got := addrs(r.Pick("ignored", ms))
-	want := []string{"http://b:1", "http://c:1", "http://a:1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("least-loaded order %v, want %v", got, want)
 	}
 }

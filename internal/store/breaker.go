@@ -35,13 +35,15 @@ type BreakerConfig struct {
 }
 
 // Breaker is a circuit breaker over an error-prone resource (in this
-// tree, the disk tier of a TieredStore). It watches a sliding window of
-// operation outcomes; when failures within the window reach the
-// threshold it trips open and Allow rejects every operation — the
-// caller degrades (memory-only) instead of paying a failing disk's
+// tree, the blob tier of a tiered shift.BlobStore). It watches a
+// sliding window of operation outcomes; when failures within the window
+// reach the threshold it trips open and Allow rejects every operation —
+// the caller degrades (memory-only) instead of paying a failing tier's
 // latency on every cell. After the cooldown, one half-open probe is let
 // through: success closes the breaker, failure re-opens it for another
-// cooldown. All methods are safe for concurrent use.
+// cooldown. All methods are safe for concurrent use. A nil *Breaker
+// never trips: Allow always admits, Record does nothing, and State is
+// empty.
 type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
@@ -78,6 +80,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // elapses, then moves to half-open and admits exactly one probe; every
 // admitted operation's outcome must be reported via Record.
 func (b *Breaker) Allow() bool {
+	if b == nil {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -105,6 +110,9 @@ func (b *Breaker) Allow() bool {
 // closed state a failure may trip the breaker; in the half-open state
 // the probe's outcome closes (success) or re-opens (failure) it.
 func (b *Breaker) Record(failed bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -159,6 +167,9 @@ func (b *Breaker) reset() {
 // Allow, so a cooled-down breaker still reports open until the next
 // operation probes it.
 func (b *Breaker) State() string {
+	if b == nil {
+		return ""
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -167,6 +178,9 @@ func (b *Breaker) State() string {
 // Trips returns the number of closed→open (and half-open→open)
 // transitions since creation.
 func (b *Breaker) Trips() int64 {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips

@@ -42,7 +42,7 @@ type Disk struct {
 const tmpPrefix = "tmp-"
 
 // blobExt is the stored-file extension. The store is blob-agnostic, but
-// in practice blobs are JSON (see the root package's DiskStore), and the
+// in practice blobs are JSON (see the root package's BlobStore), and the
 // extension keeps the directory greppable and editor-friendly.
 const blobExt = ".json"
 

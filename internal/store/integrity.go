@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -103,22 +102,7 @@ func verifyFooter(blob []byte) (payload []byte, verified bool, err error) {
 // (nil, false, ErrCorrupt); a legacy blob without a footer is returned
 // unverified.
 func (s *Integrity) Get(key string) ([]byte, bool, error) {
-	return s.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get bounded by ctx, forwarded to the inner store when it is
-// context-aware (see CtxBlobs).
-func (s *Integrity) GetCtx(ctx context.Context, key string) ([]byte, bool, error) {
-	var (
-		blob []byte
-		ok   bool
-		err  error
-	)
-	if cb, aware := s.inner.(CtxBlobs); aware {
-		blob, ok, err = cb.GetCtx(ctx, key)
-	} else {
-		blob, ok, err = s.inner.Get(key)
-	}
+	blob, ok, err := s.inner.Get(key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -132,15 +116,6 @@ func (s *Integrity) GetCtx(ctx context.Context, key string) ([]byte, bool, error
 
 // Put stores blob under key with an integrity footer appended.
 func (s *Integrity) Put(key string, blob []byte) error {
-	return s.PutCtx(context.Background(), key, blob)
-}
-
-// PutCtx is Put bounded by ctx, forwarded to the inner store when it is
-// context-aware (see CtxBlobs).
-func (s *Integrity) PutCtx(ctx context.Context, key string, blob []byte) error {
-	if cb, aware := s.inner.(CtxBlobs); aware {
-		return cb.PutCtx(ctx, key, appendFooter(blob))
-	}
 	return s.inner.Put(key, appendFooter(blob))
 }
 
@@ -148,7 +123,7 @@ func (s *Integrity) PutCtx(ctx context.Context, key string, blob []byte) error {
 func (s *Integrity) Len() (int, error) { return s.inner.Len() }
 
 // Quarantine isolates the blob under key on the inner store (when it
-// supports quarantining) and counts the event. The root DiskStore calls
+// supports quarantining) and counts the event. The root BlobStore calls
 // this for corruption the footer cannot see — a blob whose bytes verify
 // but whose JSON payload no longer decodes (legacy blobs carry no
 // footer).

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,19 +25,6 @@ import (
 // corrupted on the remote disk, in the server process, or on the wire
 // itself fails the client-side CRC exactly as a local bit-flip would.
 
-// CtxBlobs is the optional context-aware extension of Blobs: a backend
-// whose operations can be abandoned mid-flight (a remote store's HTTP
-// requests, a retry wrapper's backoff sleeps). Wrappers forward the
-// context to their inner store when it implements CtxBlobs and fall
-// back to the context-free methods otherwise, so a stack mixing aware
-// and unaware layers still cancels at every layer that can.
-type CtxBlobs interface {
-	// GetCtx is Get bounded by ctx.
-	GetCtx(ctx context.Context, key string) (blob []byte, found bool, err error)
-	// PutCtx is Put bounded by ctx.
-	PutCtx(ctx context.Context, key string, blob []byte) error
-}
-
 // Remote is a Blobs client over HTTP: Get/Put/Len map to GET/PUT on a
 // peer's blob routes (see NewBlobHandler for the wire protocol). Every
 // transport or server failure is reported as an error — transient by
@@ -46,8 +32,7 @@ type CtxBlobs interface {
 // with backoff and a persistent outage trips the tiered store's
 // breaker into memory-only operation.
 //
-// Remote is safe for concurrent use. It implements CtxBlobs, so a
-// caller holding a request context can abandon an in-flight transfer.
+// Remote is safe for concurrent use.
 type Remote struct {
 	base   string // ".../v1/blobs", no trailing slash
 	client *http.Client
@@ -79,18 +64,13 @@ func (s *Remote) fail(op, key string, err error) error {
 
 // Get returns the blob stored under key on the remote peer.
 func (s *Remote) Get(key string) ([]byte, bool, error) {
-	return s.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get bounded by ctx.
-func (s *Remote) GetCtx(ctx context.Context, key string) ([]byte, bool, error) {
 	if !validBlobKey(key) {
 		// Validate before building a URL: a non-hex key could carry path
 		// segments ("../") that the HTTP layer resolves into a different
 		// route entirely. Deliberate, not transient — never retried.
 		return nil, false, s.fail("get", key, fmt.Errorf("malformed blob key: %w", fs.ErrInvalid))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/"+key, nil)
+	req, err := http.NewRequest(http.MethodGet, s.base+"/"+key, nil)
 	if err != nil {
 		return nil, false, s.fail("get", key, err)
 	}
@@ -115,15 +95,10 @@ func (s *Remote) GetCtx(ctx context.Context, key string) ([]byte, bool, error) {
 
 // Put stores blob under key on the remote peer.
 func (s *Remote) Put(key string, blob []byte) error {
-	return s.PutCtx(context.Background(), key, blob)
-}
-
-// PutCtx is Put bounded by ctx.
-func (s *Remote) PutCtx(ctx context.Context, key string, blob []byte) error {
 	if !validBlobKey(key) {
 		return s.fail("put", key, fmt.Errorf("malformed blob key: %w", fs.ErrInvalid))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, s.base+"/"+key, strings.NewReader(string(blob)))
+	req, err := http.NewRequest(http.MethodPut, s.base+"/"+key, strings.NewReader(string(blob)))
 	if err != nil {
 		return s.fail("put", key, err)
 	}

@@ -2,14 +2,11 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newBlobServer serves a fresh Mem over the blob wire protocol and
@@ -109,81 +106,5 @@ func TestRemoteEndToEndCRC(t *testing.T) {
 	}
 	if _, _, err := stack.Get(key); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted remote blob read: %v, want ErrCorrupt", err)
-	}
-}
-
-// alwaysFailing is a Blobs whose operations always fail with a
-// transient-looking error, for exercising the full retry schedule.
-type alwaysFailing struct{}
-
-func (alwaysFailing) Get(string) ([]byte, bool, error) { return nil, false, fmt.Errorf("flaky io") }
-func (alwaysFailing) Put(string, []byte) error         { return fmt.Errorf("flaky io") }
-func (alwaysFailing) Len() (int, error)                { return 0, fmt.Errorf("flaky io") }
-
-// TestRetryCancellationInterruptsBackoff is the regression test for
-// the backoff sleeps ignoring context cancellation: with a 10-second
-// base delay, a context cancelled after 20ms must abandon the schedule
-// immediately instead of sleeping out the full backoff.
-func TestRetryCancellationInterruptsBackoff(t *testing.T) {
-	r := WithRetry(alwaysFailing{}, RetryPolicy{Attempts: 3, BaseDelay: 10 * time.Second, Seed: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := r.GetCtx(ctx, "deadbeef")
-	elapsed := time.Since(start)
-	if elapsed > time.Second {
-		t.Fatalf("cancelled GetCtx took %v; the backoff sleep ignored cancellation", elapsed)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v does not carry the context error", err)
-	}
-	if !strings.Contains(err.Error(), "flaky io") {
-		t.Fatalf("error %v dropped the last operation failure", err)
-	}
-
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel2()
-	start = time.Now()
-	if err := r.PutCtx(ctx2, "deadbeef", []byte("x")); err == nil {
-		t.Fatal("cancelled PutCtx succeeded")
-	} else if time.Since(start) > time.Second {
-		t.Fatal("cancelled PutCtx slept out the backoff")
-	}
-}
-
-// blockingCtxBlobs blocks every operation until its context is done,
-// standing in for a remote peer that has stopped answering.
-type blockingCtxBlobs struct{}
-
-func (blockingCtxBlobs) Get(string) ([]byte, bool, error) { return nil, false, nil }
-func (blockingCtxBlobs) Put(string, []byte) error         { return nil }
-func (blockingCtxBlobs) Len() (int, error)                { return 0, nil }
-func (blockingCtxBlobs) GetCtx(ctx context.Context, _ string) ([]byte, bool, error) {
-	<-ctx.Done()
-	return nil, false, ctx.Err()
-}
-func (blockingCtxBlobs) PutCtx(ctx context.Context, _ string, _ []byte) error {
-	<-ctx.Done()
-	return ctx.Err()
-}
-
-// TestRetryForwardsContextToInner checks that a context-aware inner
-// store receives the caller's context: cancellation interrupts the
-// in-flight operation itself, and the resulting context error is not
-// retried (it is deliberate, not transient).
-func TestRetryForwardsContextToInner(t *testing.T) {
-	r := WithRetry(blockingCtxBlobs{}, RetryPolicy{Attempts: 3, BaseDelay: 10 * time.Second, Seed: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := r.GetCtx(ctx, "deadbeef")
-	if time.Since(start) > time.Second {
-		t.Fatal("cancellation did not reach the in-flight inner operation")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v, want the context error", err)
-	}
-	if r.Retries() != 0 {
-		t.Fatalf("context error was retried %d times; cancellation is not transient", r.Retries())
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -151,8 +152,8 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 }
 
 // TestRetryGivesUpAndSkipsNonTransient: an error storm longer than the
-// attempt budget surfaces the last error; ENOSPC and corruption are
-// never retried.
+// attempt budget surfaces the last error; ENOSPC, corruption and a
+// context error (a client timeout is deliberate) are never retried.
 func TestRetryGivesUpAndSkipsNonTransient(t *testing.T) {
 	mem := NewMem()
 	f := NewFault(mem, FaultPlan{})
@@ -193,7 +194,21 @@ func TestRetryGivesUpAndSkipsNonTransient(t *testing.T) {
 	if ri.Retries() != before {
 		t.Fatal("corruption was retried; it must fail fast")
 	}
+
+	for _, cerr := range []error{context.Canceled, context.DeadlineExceeded} {
+		rc := WithRetry(failingBlobs{cerr}, RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}})
+		if _, _, err := rc.Get("deadbeef"); !errors.Is(err, cerr) || rc.Retries() != 0 {
+			t.Fatalf("context error: got %v after %d retries, want it unretried", err, rc.Retries())
+		}
+	}
 }
+
+// failingBlobs is a Blobs whose every operation fails with err.
+type failingBlobs struct{ err error }
+
+func (f failingBlobs) Get(string) ([]byte, bool, error) { return nil, false, f.err }
+func (f failingBlobs) Put(string, []byte) error         { return f.err }
+func (f failingBlobs) Len() (int, error)                { return 0, f.err }
 
 // TestBreakerTripOpenHalfOpenRecover drives the full state machine with
 // a fake clock: errors trip it, the cooldown gates the half-open probe,
@@ -311,7 +326,7 @@ func TestFaultDeterminism(t *testing.T) {
 // must convert injected bit-rot reads into a quarantine event and a
 // clean miss. A torn read that truncates away the whole footer is the
 // one corruption this layer cannot see (it is indistinguishable from a
-// legacy blob); the root DiskStore catches it when the JSON payload
+// legacy blob); the root BlobStore catches it when the JSON payload
 // fails to decode — proven by the root package's chaos tests.
 func TestFaultCorruptReadsLandInQuarantine(t *testing.T) {
 	mem := NewMem()

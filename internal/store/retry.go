@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"math/rand"
 	"sync"
@@ -26,10 +25,8 @@ type RetryPolicy struct {
 	// Seed seeds the jitter source, making test schedules reproducible
 	// (0 = 1).
 	Seed int64
-	// Sleep performs the backoff wait (nil = a context-aware timer
-	// sleep; tests inject a recorder so retry tests take nanoseconds).
-	// An injected Sleep is not interruptible itself, but cancellation
-	// is still observed immediately after it returns.
+	// Sleep performs the backoff wait (nil = time.Sleep; tests inject a
+	// recorder so retry tests take nanoseconds).
 	Sleep func(time.Duration)
 }
 
@@ -39,13 +36,6 @@ type RetryPolicy struct {
 // clear in milliseconds), permission errors — fail immediately; only
 // the flaky-IO class (EIO under load, antivirus/file-lock collisions,
 // overloaded network filesystems) is worth paying latency for.
-//
-// Retry implements CtxBlobs: the context-aware operations abandon the
-// backoff schedule the moment the context is cancelled — a cancelled
-// request never pins its worker slot through the remaining sleeps —
-// and forward the context to the inner store when it is context-aware
-// too (a Remote peer), so an in-flight transfer is cancelled as well.
-// The context-free Get/Put/Len run the full schedule, as before.
 type Retry struct {
 	inner   Blobs
 	policy  RetryPolicy
@@ -64,6 +54,9 @@ func WithRetry(inner Blobs, policy RetryPolicy) *Retry {
 	}
 	if policy.Seed == 0 {
 		policy.Seed = 1
+	}
+	if policy.Sleep == nil {
+		policy.Sleep = time.Sleep
 	}
 	return &Retry{inner: inner, policy: policy, rng: rand.New(rand.NewSource(policy.Seed))}
 }
@@ -85,39 +78,23 @@ func transientIO(err error) bool {
 	return true
 }
 
-// backoff waits the jittered delay before retry attempt k (0-based),
-// returning early with the context's error if ctx is cancelled first.
-func (s *Retry) backoff(ctx context.Context, k int) error {
+// backoff waits the jittered delay before retry attempt k (0-based).
+func (s *Retry) backoff(k int) {
 	max := s.policy.BaseDelay << uint(k)
 	s.mu.Lock()
 	d := time.Duration(s.rng.Int63n(int64(max))) + 1
 	s.mu.Unlock()
-	if s.policy.Sleep != nil {
-		s.policy.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	s.policy.Sleep(d)
 }
 
 // do runs op up to Attempts times, backing off between transient
-// failures. Cancellation interrupts the backoff sleep immediately; the
-// returned error then carries both the last operation failure and the
-// context's error.
-func (s *Retry) do(ctx context.Context, op func() error) error {
+// failures.
+func (s *Retry) do(op func() error) error {
 	var err error
 	for k := 0; k < s.policy.Attempts; k++ {
 		if k > 0 {
 			s.retries.Add(1)
-			if cerr := s.backoff(ctx, k-1); cerr != nil {
-				return fmt.Errorf("store: retry abandoned: %w (last error: %w)", cerr, err)
-			}
+			s.backoff(k - 1)
 		}
 		if err = op(); !transientIO(err) {
 			return err
@@ -126,57 +103,25 @@ func (s *Retry) do(ctx context.Context, op func() error) error {
 	return err
 }
 
-// innerGet dispatches a read to the inner store, forwarding ctx when
-// the inner store is context-aware.
-func (s *Retry) innerGet(ctx context.Context, key string) ([]byte, bool, error) {
-	if cb, ok := s.inner.(CtxBlobs); ok {
-		return cb.GetCtx(ctx, key)
-	}
-	return s.inner.Get(key)
-}
-
-// innerPut dispatches a write to the inner store, forwarding ctx when
-// the inner store is context-aware.
-func (s *Retry) innerPut(ctx context.Context, key string, blob []byte) error {
-	if cb, ok := s.inner.(CtxBlobs); ok {
-		return cb.PutCtx(ctx, key, blob)
-	}
-	return s.inner.Put(key, blob)
-}
-
 // Get returns the blob stored under key, retrying transient read
-// errors through the full backoff schedule.
+// errors.
 func (s *Retry) Get(key string) (blob []byte, found bool, err error) {
-	return s.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get bounded by ctx: cancellation interrupts both the
-// backoff sleeps and (for a context-aware inner store) the read itself.
-func (s *Retry) GetCtx(ctx context.Context, key string) (blob []byte, found bool, err error) {
-	err = s.do(ctx, func() error {
+	err = s.do(func() error {
 		var e error
-		blob, found, e = s.innerGet(ctx, key)
+		blob, found, e = s.inner.Get(key)
 		return e
 	})
 	return blob, found, err
 }
 
-// Put stores blob under key, retrying transient write errors through
-// the full backoff schedule.
+// Put stores blob under key, retrying transient write errors.
 func (s *Retry) Put(key string, blob []byte) error {
-	return s.PutCtx(context.Background(), key, blob)
-}
-
-// PutCtx is Put bounded by ctx: cancellation interrupts both the
-// backoff sleeps and (for a context-aware inner store) the write
-// itself.
-func (s *Retry) PutCtx(ctx context.Context, key string, blob []byte) error {
-	return s.do(ctx, func() error { return s.innerPut(ctx, key, blob) })
+	return s.do(func() error { return s.inner.Put(key, blob) })
 }
 
 // Len returns the inner store's blob count, retrying transient errors.
 func (s *Retry) Len() (n int, err error) {
-	err = s.do(context.Background(), func() error {
+	err = s.do(func() error {
 		var e error
 		n, e = s.inner.Len()
 		return e

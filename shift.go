@@ -74,10 +74,11 @@
 // # Result stores and serving
 //
 // The engine's storage is pluggable (ResultStore): NewResultCache
-// keeps results in memory, NewDiskStore persists one JSON blob per
-// cell under a content-addressed directory (atomic writes; safe to
-// share between processes), and NewTieredStore layers the two — so a
-// sweep repeated across process restarts simulates nothing
+// keeps results in memory, and a BlobStore persists one JSON blob per
+// cell — NewDiskStore under a content-addressed directory (atomic
+// writes; safe to share between processes), NewTieredStore with a
+// memory tier in front, the remote constructors on a cluster peer — so
+// a sweep repeated across process restarts simulates nothing
 // (cmd/shiftsim -cache-dir):
 //
 //	st, err := shift.NewTieredStore("~/.shiftcache")

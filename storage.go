@@ -17,8 +17,8 @@ import (
 // Sections 4.2/5.1/5.6/6.2 (StorageReport, below), plus the
 // content-address scheme (Config.Key) and in-memory backend
 // (ResultCache) of the engine's result storage. The ResultStore
-// interface and its persistent backends (DiskStore, TieredStore) live
-// in store.go; Engine.RunAll in engine.go consumes them.
+// interface and its persistent backend (BlobStore) live in store.go;
+// Engine.RunAll in engine.go consumes them.
 
 // Key returns a stable content hash of the configuration. Two Configs
 // share a key iff they describe the same simulation, so the key
@@ -106,7 +106,7 @@ func (c Config) StreamKey() string {
 // repeated sweeps skip already-computed cells. It is safe for
 // concurrent use by the engine's workers; a nil *ResultCache is a valid
 // no-op store (every Lookup misses, Store discards). Contents die with
-// the process — use DiskStore or TieredStore to persist across runs.
+// the process — use a BlobStore to persist across runs.
 type ResultCache struct {
 	mu           sync.Mutex
 	m            map[string]RunResult

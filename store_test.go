@@ -1,14 +1,20 @@
 package shift
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+
+	"shift/internal/store"
 )
 
 // storeTestResult runs one small cell to get a realistic RunResult
 // (non-zero floats and counters) for round-trip tests.
-func storeTestResult(t *testing.T) (Config, RunResult) {
+func storeTestResult(t testing.TB) (Config, RunResult) {
 	t.Helper()
 	o := engineTestOptions()
 	cfg := o.config("Web Search", DesignSHIFT)
@@ -48,8 +54,8 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s2.Len())
 	}
-	if s.Errors() != 0 || s2.Errors() != 0 {
-		t.Errorf("healthy store reported errors: %d, %d", s.Errors(), s2.Errors())
+	if e, e2 := s.Health().Errors, s2.Health().Errors; e != 0 || e2 != 0 {
+		t.Errorf("healthy store reported errors: %d, %d", e, e2)
 	}
 }
 
@@ -77,13 +83,12 @@ func TestTieredStorePromotion(t *testing.T) {
 	if hits != 1 || misses != 0 {
 		t.Errorf("after disk hit: hits=%d misses=%d, want 1/0", hits, misses)
 	}
-	// The disk hit was promoted: the second lookup is a memory hit and
-	// the disk tier sees no further traffic.
-	diskHitsBefore, _ := tiered.disk.Stats()
+	// The disk hit was promoted: the second lookup is a memory hit.
+	memHitsBefore, _ := tiered.mem.Stats()
 	if _, ok := tiered.Lookup(cfg.Key()); !ok {
 		t.Fatal("promoted cell missed")
 	}
-	if diskHitsAfter, _ := tiered.disk.Stats(); diskHitsAfter != diskHitsBefore {
+	if memHitsAfter, _ := tiered.mem.Stats(); memHitsAfter != memHitsBefore+1 {
 		t.Error("second lookup went to disk instead of the memory tier")
 	}
 	if _, ok := tiered.Lookup("0123456789abcdef0123456789abcdef"); ok {
@@ -94,13 +99,171 @@ func TestTieredStorePromotion(t *testing.T) {
 	}
 }
 
+// TestBlobStoreContract pins what every BlobStore constructor promises:
+// a result survives the JSON encode/decode bit-identically, a second
+// handle on the same directory or peer (a restarted process) sees it, a
+// tiered handle serves it from memory after the first read, and every
+// Lookup counts once, as a hit or a miss — also while a failing blob
+// tier has the breaker open.
+func TestBlobStoreContract(t *testing.T) {
+	cfg, want := storeTestResult(t)
+	key := cfg.Key()
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDir := func(open func(string) (*BlobStore, error)) func(*testing.T) func() *BlobStore {
+		return func(t *testing.T) func() *BlobStore {
+			dir := t.TempDir()
+			return func() *BlobStore {
+				s, err := open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+		}
+	}
+	onPeer := func(open func(string, *http.Client) *BlobStore) func(*testing.T) func() *BlobStore {
+		return func(t *testing.T) func() *BlobStore {
+			peer := httptest.NewServer(store.NewBlobHandler(store.NewMem()))
+			t.Cleanup(peer.Close)
+			return func() *BlobStore { return open(peer.URL, nil) }
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		tiered  bool
+		backing func(*testing.T) func() *BlobStore // one backing store, a handle opener over it
+	}{
+		{"NewDiskStore", false, onDir(NewDiskStore)},
+		{"NewTieredStore", true, onDir(NewTieredStore)},
+		{"NewRemoteStore", false, onPeer(NewRemoteStore)},
+		{"NewTieredRemoteStore", true, onPeer(NewTieredRemoteStore)},
+		{"NewTieredStoreOver", true, func(*testing.T) func() *BlobStore {
+			mem := store.NewMem()
+			return func() *BlobStore { return NewTieredStoreOver(mem) }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			open := c.backing(t)
+			s := open()
+			if _, ok := s.Lookup(key); ok {
+				t.Fatal("hit in an empty store")
+			}
+			s.Store(key, want)
+			got, ok := s.Lookup(key)
+			gotJSON, _ := json.Marshal(got)
+			if !ok || got != want || !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("round trip mismatch:\ngot:  %+v\nwant: %+v", got, want)
+			}
+			s2 := open()
+			for i := 0; i < 2; i++ {
+				memHits, _ := s2.mem.Stats()
+				if got, ok := s2.Lookup(key); !ok || got != want {
+					t.Fatalf("second handle, lookup %d: ok=%v, want the stored result", i, ok)
+				}
+				// A tiered handle promoted the first read: the second is a
+				// memory hit.
+				if after, _ := s2.mem.Stats(); c.tiered && after != memHits+int64(i) {
+					t.Errorf("lookup %d: memory tier hits %d -> %d, want +%d", i, memHits, after, i)
+				}
+			}
+			if s2.Len() != 1 {
+				t.Errorf("Len = %d, want 1", s2.Len())
+			}
+			for i, st := range []*BlobStore{s, s2} {
+				if h := st.Health(); h.Errors != 0 || h.Quarantined != 0 {
+					t.Errorf("handle %d: healthy store reported %+v", i, h)
+				}
+			}
+			if hits, misses := s.Stats(); hits != 1 || misses != 1 {
+				t.Errorf("first handle: hits=%d misses=%d, want 1/1", hits, misses)
+			}
+			if hits, misses := s2.Stats(); hits != 2 || misses != 0 {
+				t.Errorf("second handle: hits=%d misses=%d, want 2/0", hits, misses)
+			}
+		})
+	}
+
+	for _, tiered := range []bool{false, true} {
+		fault := store.NewFault(store.NewMem(), store.FaultPlan{GetErrorRate: 1})
+		s := newBlobStore(fault, tiered)
+		const lookups = 21
+		for i := 0; i < lookups; i++ {
+			s.Lookup(key)
+		}
+		hits, misses := s.Stats()
+		if hits+misses != lookups {
+			t.Errorf("tiered=%v over a failing tier: hits+misses = %d+%d, want %d lookups", tiered, hits, misses, lookups)
+		}
+		if h := s.Health(); tiered && (h.BreakerState != store.BreakerOpen || h.MemOnlyOps == 0) {
+			t.Errorf("tiered store over a failing tier: %+v, want the breaker open and lookups absorbed", h)
+		}
+	}
+}
+
+// FuzzBlobLookup feeds arbitrary stored bytes — what a damaged disk or
+// a remote peer may hand back — to Lookup through an untiered and a
+// tiered BlobStore. It must never panic; a hit must re-store and read
+// back equal; a miss on present bytes must count exactly one error; and
+// the next Store must make the key read back (self-heal).
+func FuzzBlobLookup(f *testing.F) {
+	cfg, want := storeTestResult(f)
+	key := cfg.Key()
+	payload, err := json.Marshal(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mem := store.NewMem()
+	if err := store.WithIntegrity(mem).Put(key, payload); err != nil {
+		f.Fatal(err)
+	}
+	footered, _, _ := mem.Get(key)
+	flipped := bytes.Clone(footered)
+	flipped[len(payload)/2] ^= 0x01
+	for _, seed := range [][]byte{
+		footered,
+		payload, // legacy: no footer
+		footered[:len(footered)-4],
+		flipped,
+		[]byte("{}"),
+		[]byte("\x00\xffnot json"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, tiered := range []bool{false, true} {
+			mem := store.NewMem()
+			if err := mem.Put(key, raw); err != nil {
+				t.Fatal(err)
+			}
+			s := newBlobStore(mem, tiered)
+			got, ok := s.Lookup(key)
+			if ok {
+				s.Store(key, got)
+				if again, ok := newBlobStore(mem, tiered).Lookup(key); !ok || again != got {
+					t.Fatalf("tiered=%v: re-stored hit read back as (%+v, %v), want %+v", tiered, again, ok, got)
+				}
+				continue
+			}
+			if e := s.Health().Errors; e != 1 {
+				t.Fatalf("tiered=%v: a miss on present bytes counted %d errors, want 1", tiered, e)
+			}
+			s.Store(key, want)
+			if healed, ok := newBlobStore(mem, tiered).Lookup(key); !ok || healed != want {
+				t.Fatalf("tiered=%v: key did not self-heal: (%+v, %v)", tiered, healed, ok)
+			}
+		}
+	})
+}
+
 // TestNilStoresAreValid pins the documented nil-validity contract of
-// every ResultStore backend and of an engine without a store.
+// every ResultStore backend.
 func TestNilStoresAreValid(t *testing.T) {
 	for name, s := range map[string]ResultStore{
 		"ResultCache": (*ResultCache)(nil),
-		"DiskStore":   (*DiskStore)(nil),
-		"TieredStore": (*TieredStore)(nil),
+		"BlobStore":   (*BlobStore)(nil),
 	} {
 		if _, ok := s.Lookup("deadbeef"); ok {
 			t.Errorf("%s: nil store hit", name)
@@ -112,6 +275,10 @@ func TestNilStoresAreValid(t *testing.T) {
 		if h, m := s.Stats(); h != 0 || m != 0 {
 			t.Errorf("%s: nil store stats %d/%d", name, h, m)
 		}
+	}
+	var s *BlobStore
+	if s.Health() != (StoreHealth{}) || s.BlobTier() != nil {
+		t.Error("nil BlobStore reports health or a blob tier")
 	}
 }
 
