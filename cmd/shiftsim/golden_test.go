@@ -28,7 +28,7 @@ func goldenOpts() shift.Options {
 // small fixed-seed run. Regenerate with: go test ./cmd/shiftsim -run
 // TestGoldenOutput -update
 func TestGoldenOutput(t *testing.T) {
-	for _, name := range []string{"storage", "fig3", "fig9"} {
+	for _, name := range []string{"storage", "fig2", "fig3", "fig9", "fig10", "sensitivity", "generator"} {
 		t.Run(name, func(t *testing.T) {
 			o := goldenOpts()
 			o.Parallelism = 4 // golden output must not depend on the pool size
