@@ -89,13 +89,14 @@ func render[T fmt.Stringer](v T, err error) (string, error) {
 // ParseDesign resolves a design point by its figure-legend name
 // ("SHIFT", "PIF_32K", ...), matched case-insensitively.
 func ParseDesign(name string) (Design, error) {
-	for i, n := range designNames {
-		if strings.EqualFold(name, n) {
+	names := make([]string, len(designs))
+	for i, r := range designs {
+		if strings.EqualFold(name, r.name) {
 			return Design(i), nil
 		}
+		names[i] = r.name
 	}
-	return 0, fmt.Errorf("unknown design %q (want one of %s)",
-		name, strings.Join(designNames[:], ", "))
+	return 0, fmt.Errorf("unknown design %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // ParseCoreType resolves a core microarchitecture by its paper name

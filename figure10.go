@@ -6,7 +6,6 @@ import (
 
 	"shift/internal/core"
 	"shift/internal/exp"
-	"shift/internal/pif"
 	"shift/internal/sim"
 	"shift/internal/stats"
 	"shift/internal/workload"
@@ -75,37 +74,12 @@ func RunFigure10(o Options) (*Figure10, error) {
 	}
 
 	run := func(d Design) (map[string]float64, error) {
-		sc := sim.DefaultConfig()
-		sc.Cores = o.Cores
-		sc.CoreType = o.CoreType.internal()
-		sc.Seed = o.Seed
-		switch d {
-		case DesignBaseline:
-			sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindNone}
-		case DesignNextLine:
-			sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindNextLine, NextLineDegree: 1}
-		case DesignPIF2K, DesignPIF32K:
-			var pc pif.Config
-			if d == DesignPIF2K {
-				pc = pif.Config2K()
-			} else {
-				pc = pif.Config32K()
-			}
-			sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindPIF, PIF: pc}
-		case DesignZeroLatSHIFT, DesignSHIFT:
-			shc := core.DefaultConfig()
-			if d == DesignZeroLatSHIFT {
-				shc.Variant = core.Dedicated
-			}
-			sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: shc}
+		rs, err := o.runSpec(d)
+		if err != nil {
+			return nil, err
 		}
-		res, err := sim.Run(sim.RunSpec{
-			Config:         sc,
-			Groups:         groups,
-			GroupWorkloads: groupWl,
-			WarmupRecords:  o.WarmupRecords,
-			MeasureRecords: o.MeasureRecords,
-		})
+		rs.Groups, rs.GroupWorkloads = groups, groupWl
+		res, err := sim.Run(rs)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"shift/internal/core"
 	"shift/internal/exp"
-	"shift/internal/sim"
 	"shift/internal/stats"
 )
 
@@ -59,29 +58,8 @@ func RunGeneratorStudy(o Options) (*GeneratorStudy, error) {
 	// Generator choice is a sim-level knob, so the study runs its cells
 	// on the engine's generic worker pool.
 	points, err := exp.Map(o.expOptions(), len(gens), func(i int) (GeneratorPoint, error) {
-		shc := core.DefaultConfig()
-		shc.GeneratorCore = gens[i]
-		sc := sim.DefaultConfig()
-		sc.Cores = o.Cores
-		sc.CoreType = o.CoreType.internal()
-		sc.Seed = o.Seed
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: shc}
-		rs := sim.RunSpec{
-			Config:        sc,
-			WarmupRecords: o.WarmupRecords, MeasureRecords: o.MeasureRecords,
-		}
-		if err := resolveWorkloadInto(wname, &rs); err != nil {
-			return GeneratorPoint{}, err
-		}
-		res, err := sim.Run(rs)
-		if err != nil {
-			return GeneratorPoint{}, err
-		}
-		return GeneratorPoint{
-			GeneratorCore: gens[i],
-			Speedup:       res.Throughput / base.Throughput,
-			Covered:       1 - float64(res.Fetch.Misses)/float64(base.Misses),
-		}, nil
+		sp, cov, err := o.runSHIFTVariant(wname, base, func(c *core.Config) { c.GeneratorCore = gens[i] })
+		return GeneratorPoint{GeneratorCore: gens[i], Speedup: sp, Covered: cov}, err
 	})
 	if err != nil {
 		return nil, err

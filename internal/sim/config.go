@@ -66,24 +66,6 @@ const (
 	KindTIFS
 )
 
-// String names the kind.
-func (k PrefetcherKind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindNextLine:
-		return "nextline"
-	case KindPIF:
-		return "pif"
-	case KindSHIFT:
-		return "shift"
-	case KindTIFS:
-		return "tifs"
-	default:
-		return fmt.Sprintf("PrefetcherKind(%d)", int(k))
-	}
-}
-
 // PrefetcherSpec fully describes the prefetcher configuration of a run.
 type PrefetcherSpec struct {
 	// Kind selects the design.
@@ -122,7 +104,7 @@ func (p PrefetcherSpec) Name() string {
 	case KindSHIFT:
 		return p.SHIFT.Variant.String()
 	default:
-		return p.Kind.String()
+		return fmt.Sprintf("PrefetcherKind(%d)", int(p.Kind))
 	}
 }
 

@@ -89,8 +89,8 @@ func TestSpecNames(t *testing.T) {
 	if ModePrediction.String() != "prediction" || ModePrefetch.String() != "prefetch" {
 		t.Error("mode names")
 	}
-	if KindPIF.String() != "pif" {
-		t.Error("kind names")
+	if n := (PrefetcherSpec{Kind: PrefetcherKind(9)}).Name(); n != "PrefetcherKind(9)" {
+		t.Errorf("unknown kind named %q", n)
 	}
 }
 

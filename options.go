@@ -3,6 +3,8 @@ package shift
 import (
 	"fmt"
 
+	"shift/internal/core"
+	"shift/internal/sim"
 	"shift/internal/validate"
 	"shift/internal/workload"
 )
@@ -126,6 +128,31 @@ func (o Options) config(workloadName string, d Design) Config {
 		Seed:           o.Seed,
 		Sampling:       o.Sampling,
 	}
+}
+
+// runSpec is the sim.RunSpec of design d under these options, with no
+// workload: the skeleton of the cells a public Config cannot express.
+// The caller sets the workload and whatever its study varies.
+func (o Options) runSpec(d Design) (sim.RunSpec, error) {
+	return o.config("", d).skeleton()
+}
+
+// runSHIFTVariant runs SHIFT on workloadName with mut applied to its
+// configuration and returns its speedup and miss coverage over base.
+func (o Options) runSHIFTVariant(workloadName string, base RunResult, mut func(*core.Config)) (speedup, covered float64, err error) {
+	rs, err := o.runSpec(DesignSHIFT)
+	if err != nil {
+		return 0, 0, err
+	}
+	mut(&rs.Config.Prefetcher.SHIFT)
+	if err := resolveWorkloadInto(workloadName, &rs); err != nil {
+		return 0, 0, err
+	}
+	res, err := sim.Run(rs)
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.Throughput / base.Throughput, 1 - float64(res.Fetch.Misses)/float64(base.Misses), nil
 }
 
 // runBaseline runs the no-prefetch system for normalization (through

@@ -36,22 +36,6 @@ type PerfDensity struct {
 // llcBytesTotal is the Table I LLC: 512KB per core x 16.
 const llcBytesTotal = 16 * 512 * 1024
 
-// prefetcherAreaPerCore returns a design's per-core area cost in mm².
-func prefetcherAreaPerCore(d Design, cores int) float64 {
-	switch d {
-	case DesignPIF32K:
-		return area.PIFAreaPerCoreMM2(32768, 8192)
-	case DesignPIF2K:
-		return area.PIFAreaPerCoreMM2(2048, 512)
-	case DesignSHIFT, DesignZeroLatSHIFT:
-		// SHIFT's only area cost is the LLC tag extension, shared by all
-		// cores ("0.96mm2 in total").
-		return area.SHIFTTotalAreaMM2(llcBytesTotal) / float64(cores)
-	default:
-		return 0
-	}
-}
-
 // RunPerfDensity regenerates the PD study: for each core type it measures
 // the geometric-mean speedup of each design over the no-prefetch baseline
 // and combines it with the analytical area model. The speedup grids of
@@ -82,7 +66,7 @@ func RunPerfDensity(o Options) (*PerfDensity, error) {
 	for i, ct := range coreTypes {
 		fig := speedupFromResults(perType[i], designs, results[i*stride:(i+1)*stride])
 		for _, d := range designs {
-			pref := prefetcherAreaPerCore(d, o.Cores)
+			pref := d.areaPerCore(o.Cores)
 			dp := area.Evaluate(d.String(), ct.internal(), pref, fig.Geo[d.String()])
 			pd.Points = append(pd.Points, PDPoint{
 				CoreType:          ct.String(),

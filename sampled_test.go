@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"shift/internal/history"
 )
 
 // sampledTestPolicy is the policy the benchmarks gate (see
@@ -230,5 +232,56 @@ func TestSampledOptionsValidation(t *testing.T) {
 	o.Sampling = Sampling{Period: -2}
 	if _, err := RunFigure8(o); err == nil {
 		t.Error("negative period accepted")
+	}
+}
+
+// TestStudiesMatchFigure8 pins the studies that build their own SHIFT
+// cells (generator core, SAB sensitivity) to Figure 8: at the default
+// generator core and at each SAB field's default value the study runs
+// exactly Figure 8's SHIFT cell, so its speedup must equal Figure 8's bit
+// for bit — exact and sampled (both sides of the ratio sample, or
+// neither).
+func TestStudiesMatchFigure8(t *testing.T) {
+	def := history.DefaultSABConfig()
+	defaults := map[string]int{
+		"region span":  def.Span,
+		"lookahead":    def.Lookahead,
+		"SAB capacity": def.Capacity,
+		"streams":      def.Streams,
+	}
+	for _, sampling := range []Sampling{{}, {Period: 4, IntervalRecords: 200}} {
+		o := tinyOptions()
+		o.Sampling = sampling
+		fig8, err := RunFigure8(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fig8.Speedup[fig8.Workloads[0]][DesignSHIFT.String()]
+		gen, err := RunGeneratorStudy(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := gen.Points[0]; p.GeneratorCore != 0 || p.Speedup != want {
+			t.Errorf("sampling %+v: generator core %d speedup %v, Figure 8 SHIFT %v",
+				sampling, p.GeneratorCore, p.Speedup, want)
+		}
+		sens, err := RunSensitivity(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched := 0
+		for _, p := range sens.Points {
+			if p.Value != defaults[p.Parameter] {
+				continue
+			}
+			matched++
+			if p.Speedup != want {
+				t.Errorf("sampling %+v: %s %d speedup %v, Figure 8 SHIFT %v",
+					sampling, p.Parameter, p.Value, p.Speedup, want)
+			}
+		}
+		if matched != len(defaults) {
+			t.Errorf("sampling %+v: %d sweep points at a default value, want %d", sampling, matched, len(defaults))
+		}
 	}
 }

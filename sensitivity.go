@@ -7,7 +7,6 @@ import (
 	"shift/internal/core"
 	"shift/internal/exp"
 	"shift/internal/history"
-	"shift/internal/sim"
 	"shift/internal/stats"
 )
 
@@ -48,33 +47,6 @@ func RunSensitivity(o Options) (*Sensitivity, error) {
 		return nil, err
 	}
 
-	runPoint := func(param string, value int, mut func(*history.SABConfig)) (SensitivityPoint, error) {
-		shc := core.DefaultConfig()
-		mut(&shc.SAB)
-		sc := sim.DefaultConfig()
-		sc.Cores = o.Cores
-		sc.CoreType = o.CoreType.internal()
-		sc.Seed = o.Seed
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: shc}
-		rs := sim.RunSpec{
-			Config:        sc,
-			WarmupRecords: o.WarmupRecords, MeasureRecords: o.MeasureRecords,
-		}
-		if err := resolveWorkloadInto(wname, &rs); err != nil {
-			return SensitivityPoint{}, err
-		}
-		res, err := sim.Run(rs)
-		if err != nil {
-			return SensitivityPoint{}, err
-		}
-		return SensitivityPoint{
-			Parameter: param,
-			Value:     value,
-			Speedup:   res.Throughput / base.Throughput,
-			Coverage:  1 - float64(res.Fetch.Misses)/float64(base.Misses),
-		}, nil
-	}
-
 	// SAB mutations are not expressible as a public Config, so the sweep
 	// runs its point list on the engine's generic worker pool.
 	type sweepPoint struct {
@@ -96,7 +68,9 @@ func RunSensitivity(o Options) (*Sensitivity, error) {
 		points = append(points, sweepPoint{"streams", streams, func(c *history.SABConfig) { c.Streams = streams }})
 	}
 	results, err := exp.Map(o.expOptions(), len(points), func(i int) (SensitivityPoint, error) {
-		return runPoint(points[i].param, points[i].value, points[i].mut)
+		p := points[i]
+		sp, cov, err := o.runSHIFTVariant(wname, base, func(c *core.Config) { p.mut(&c.SAB) })
+		return SensitivityPoint{Parameter: p.param, Value: p.value, Speedup: sp, Coverage: cov}, err
 	})
 	if err != nil {
 		return nil, err

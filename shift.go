@@ -97,6 +97,7 @@ package shift
 import (
 	"fmt"
 
+	"shift/internal/area"
 	"shift/internal/core"
 	"shift/internal/cpu"
 	"shift/internal/noc"
@@ -160,14 +161,91 @@ const (
 	DesignTIFS
 )
 
-var designNames = [...]string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT", "TIFS"}
+// design is everything the package knows about one design point.
+type design struct {
+	// name is the figure-legend name (Design.String, ParseDesign).
+	name string
+	// spec builds the simulated prefetcher: histEntries > 0 overrides the
+	// history capacity (Figure 6), commonality starts replay on any
+	// uncovered access (the Section 3 study).
+	spec func(histEntries int, commonality bool) sim.PrefetcherSpec
+	// areaMM2 is the per-core area of the design's dedicated storage on a
+	// CMP of the given size (nil: none).
+	areaMM2 func(cores int) float64
+}
+
+// designs is the design table, one row per Design. A new design point is
+// a constant above and a row here; internal/sim keeps the per-kind code.
+var designs = [...]design{
+	DesignBaseline: {name: "Baseline", spec: func(int, bool) sim.PrefetcherSpec {
+		return sim.PrefetcherSpec{Kind: sim.KindNone}
+	}},
+	DesignNextLine: {name: "NextLine", spec: func(int, bool) sim.PrefetcherSpec {
+		return sim.PrefetcherSpec{Kind: sim.KindNextLine, NextLineDegree: 1}
+	}},
+	DesignPIF2K:        pifDesign("PIF_2K", pif.Config2K()),
+	DesignPIF32K:       pifDesign("PIF_32K", pif.Config32K()),
+	DesignZeroLatSHIFT: shiftDesign("ZeroLat-SHIFT", core.Dedicated),
+	DesignSHIFT:        shiftDesign("SHIFT", core.Virtualized),
+	DesignTIFS: {name: "TIFS", spec: func(histEntries int, _ bool) sim.PrefetcherSpec {
+		tc := tifs.DefaultConfig()
+		if histEntries > 0 {
+			tc.HistEntries = histEntries
+		}
+		return sim.PrefetcherSpec{Kind: sim.KindTIFS, TIFS: tc}
+	}},
+}
+
+// pifDesign is a per-core PIF row: pc unless the history capacity is
+// overridden, which rescales the 32K design.
+func pifDesign(name string, pc pif.Config) design {
+	return design{
+		name: name,
+		spec: func(histEntries int, _ bool) sim.PrefetcherSpec {
+			c := pc
+			if histEntries > 0 {
+				c = pif.WithHistEntries(histEntries)
+			}
+			return sim.PrefetcherSpec{Kind: sim.KindPIF, PIF: c}
+		},
+		areaMM2: func(int) float64 { return area.PIFAreaPerCoreMM2(pc.HistEntries, pc.IndexEntries) },
+	}
+}
+
+// shiftDesign is a SHIFT row with the given history placement. Its only
+// area cost is the LLC tag extension, shared by all cores ("0.96mm2 in
+// total").
+func shiftDesign(name string, v core.Variant) design {
+	return design{
+		name: name,
+		spec: func(histEntries int, commonality bool) sim.PrefetcherSpec {
+			sc := core.DefaultConfig()
+			sc.Variant = v
+			if histEntries > 0 {
+				sc.HistEntries = histEntries
+			}
+			sc.AllocOnAccess = commonality
+			return sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: sc}
+		},
+		areaMM2: func(cores int) float64 { return area.SHIFTTotalAreaMM2(llcBytesTotal) / float64(cores) },
+	}
+}
 
 // String names the design point as in the paper's figures.
 func (d Design) String() string {
-	if int(d) < len(designNames) {
-		return designNames[d]
+	if d >= 0 && int(d) < len(designs) {
+		return designs[d].name
 	}
 	return fmt.Sprintf("Design(%d)", int(d))
+}
+
+// areaPerCore is d's per-core prefetcher area in mm² on a CMP of the
+// given size (0 for designs without dedicated storage).
+func (d Design) areaPerCore(cores int) float64 {
+	if a := designs[d].areaMM2; a != nil {
+		return a(cores)
+	}
+	return 0
 }
 
 // FigureDesigns returns the comparison set of Figures 8 and 10.
@@ -268,38 +346,23 @@ func DefaultRunConfig(workloadName string, d Design) Config {
 	}
 }
 
-// shiftConfig builds the SHIFT configuration for a design point.
-func shiftConfig(d Design, histEntries int, commonality bool) core.Config {
-	sc := core.DefaultConfig()
-	if d == DesignZeroLatSHIFT {
-		sc.Variant = core.Dedicated
-	}
-	if histEntries > 0 {
-		sc.HistEntries = histEntries
-	}
-	sc.AllocOnAccess = commonality
-	return sc
-}
-
-// pifConfig builds the PIF configuration for a design point.
-func pifConfig(d Design, histEntries int) pif.Config {
-	var pc pif.Config
-	if d == DesignPIF2K {
-		pc = pif.Config2K()
-	} else {
-		pc = pif.Config32K()
-	}
-	if histEntries > 0 {
-		pc = pif.WithHistEntries(histEntries)
-	}
-	return pc
-}
-
 // spec translates the public Config into an internal sim.RunSpec. The
 // Workload field resolves either to a Table I catalog workload or — for
 // "spec:" IDs — to a registered compiled spec, whose single/mix/source
 // form maps onto the run spec's Workload/Groups/Source.
 func (c Config) spec() (sim.RunSpec, error) {
+	rs, err := c.skeleton()
+	if err != nil {
+		return sim.RunSpec{}, err
+	}
+	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
+		return sim.RunSpec{}, err
+	}
+	return rs, nil
+}
+
+// skeleton is spec without the workload.
+func (c Config) skeleton() (sim.RunSpec, error) {
 	sc := sim.DefaultConfig()
 	sc.CoreType = c.CoreType.internal()
 	if c.Cores > 0 {
@@ -310,27 +373,10 @@ func (c Config) spec() (sim.RunSpec, error) {
 	if c.PredictionOnly || c.CommonalityMode {
 		sc.Mode = sim.ModePrediction
 	}
-	switch c.Design {
-	case DesignBaseline:
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindNone}
-	case DesignNextLine:
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindNextLine, NextLineDegree: 1}
-	case DesignPIF2K, DesignPIF32K:
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindPIF, PIF: pifConfig(c.Design, c.HistEntries)}
-	case DesignZeroLatSHIFT, DesignSHIFT:
-		sc.Prefetcher = sim.PrefetcherSpec{
-			Kind:  sim.KindSHIFT,
-			SHIFT: shiftConfig(c.Design, c.HistEntries, c.CommonalityMode),
-		}
-	case DesignTIFS:
-		tc := tifs.DefaultConfig()
-		if c.HistEntries > 0 {
-			tc.HistEntries = c.HistEntries
-		}
-		sc.Prefetcher = sim.PrefetcherSpec{Kind: sim.KindTIFS, TIFS: tc}
-	default:
+	if c.Design < 0 || int(c.Design) >= len(designs) {
 		return sim.RunSpec{}, fmt.Errorf("shift: unknown design %d", c.Design)
 	}
+	sc.Prefetcher = designs[c.Design].spec(c.HistEntries, c.CommonalityMode)
 	warm, meas := c.WarmupRecords, c.MeasureRecords
 	if warm == 0 {
 		warm = 60000
@@ -338,16 +384,12 @@ func (c Config) spec() (sim.RunSpec, error) {
 	if meas == 0 {
 		meas = 60000
 	}
-	rs := sim.RunSpec{
+	return sim.RunSpec{
 		Config:         sc,
 		WarmupRecords:  warm,
 		MeasureRecords: meas,
 		Sampling:       c.Sampling.internal(),
-	}
-	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
-		return sim.RunSpec{}, err
-	}
-	return rs, nil
+	}, nil
 }
 
 // TrafficCounts breaks LLC/NoC traffic down by message class

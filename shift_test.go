@@ -42,8 +42,30 @@ func TestDesignAndCoreTypeNames(t *testing.T) {
 		DesignNextLine.String() != "NextLine" || DesignBaseline.String() != "Baseline" {
 		t.Error("design names do not match the paper's figures")
 	}
-	if Design(99).String() == "" {
-		t.Error("unknown design should format")
+	if got := Design(99).String(); got != "Design(99)" {
+		t.Errorf("unknown design formats as %q", got)
+	}
+	if _, err := (Config{Workload: "Web Search", Design: Design(99)}).spec(); err == nil ||
+		err.Error() != "shift: unknown design 99" {
+		t.Errorf("unknown design spec error: %v", err)
+	}
+	// Every row of the design table: its name parses back (any case), the
+	// simulator labels its runs with it (RunResult.Design), and exactly
+	// the designs with dedicated storage carry an area.
+	withArea := map[Design]bool{DesignPIF2K: true, DesignPIF32K: true, DesignZeroLatSHIFT: true, DesignSHIFT: true}
+	for i := range designs {
+		d := Design(i)
+		for _, name := range []string{d.String(), strings.ToLower(d.String()), strings.ToUpper(d.String())} {
+			if got, err := ParseDesign(name); err != nil || got != d {
+				t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, d)
+			}
+		}
+		if got := designs[i].spec(0, false).Name(); got != d.String() {
+			t.Errorf("%v: simulator labels it %q", d, got)
+		}
+		if got := d.areaPerCore(16); (got != 0) != withArea[d] {
+			t.Errorf("%v: area %v mm^2, want non-zero %v", d, got, withArea[d])
+		}
 	}
 	if LeanOoO.String() != "Lean-OoO" || FatOoO.String() != "Fat-OoO" || LeanIO.String() != "Lean-IO" {
 		t.Error("core type names")

@@ -9,6 +9,7 @@ import (
 
 	"shift/internal/area"
 	"shift/internal/core"
+	"shift/internal/pif"
 	"shift/internal/sim"
 	"shift/internal/stats"
 )
@@ -201,15 +202,16 @@ type StorageReport struct {
 func RunStorageReport() *StorageReport {
 	const cores = 16
 	shiftCfg := core.DefaultConfig()
+	pif32, pif2 := pif.Config32K(), pif.Config2K()
 	r := &StorageReport{
-		PIF32KPerCoreKB:   float64(area.PIFStorageBytes(32768, 8192)) / 1024,
-		PIF32KPerCoreMM2:  area.PIFAreaPerCoreMM2(32768, 8192),
-		PIF2KPerCoreKB:    float64(area.PIFStorageBytes(2048, 512)) / 1024,
+		PIF32KPerCoreKB:   float64(area.PIFStorageBytes(pif32.HistEntries, pif32.IndexEntries)) / 1024,
+		PIF32KPerCoreMM2:  DesignPIF32K.areaPerCore(cores),
+		PIF2KPerCoreKB:    float64(area.PIFStorageBytes(pif2.HistEntries, pif2.IndexEntries)) / 1024,
 		SHIFTHistoryKB:    float64(shiftCfg.HistoryFootprintBytes()) / 1024,
 		SHIFTHistoryLines: shiftCfg.HistoryBlocks(),
 		SHIFTIndexKB:      float64(area.SHIFTIndexBytes(llcBytesTotal)) / 1024,
 		SHIFTTotalMM2:     area.SHIFTTotalAreaMM2(llcBytesTotal),
-		VirtualizedPIFMB:  float64(area.VirtualizedPIFLLCBytes(32768, cores)) / (1024 * 1024),
+		VirtualizedPIFMB:  float64(area.VirtualizedPIFLLCBytes(pif32.HistEntries, cores)) / (1024 * 1024),
 		Cores:             cores,
 	}
 	r.PIF32KAggregateMM2 = r.PIF32KPerCoreMM2 * cores
