@@ -166,7 +166,6 @@ func BenchmarkFigure7Sweep(b *testing.B) {
 func BenchmarkSampledFigure7(b *testing.B) {
 	exactOpts := QuickOptions()
 	exactOpts.Workloads = []string{"OLTP Oracle", "Web Search"}
-	exactOpts.Parallelism = 1
 	exactOpts.MeasureRecords = 100000
 	sampledOpts := exactOpts
 	sampledOpts.Sampling = Sampling{Period: 40, IntervalRecords: 500, WarmupFraction: 0.3}

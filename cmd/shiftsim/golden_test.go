@@ -31,7 +31,7 @@ func TestGoldenOutput(t *testing.T) {
 	for _, name := range []string{"storage", "fig2", "fig3", "fig9", "fig10", "sensitivity", "generator"} {
 		t.Run(name, func(t *testing.T) {
 			o := goldenOpts()
-			o.Parallelism = 4 // golden output must not depend on the pool size
+			o.Engine = shift.NewEngine(4, nil) // golden output must not depend on the pool size
 			got, err := runOne(name, o, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -101,22 +101,22 @@ func main() {
 		opts.MeasureRecords = *measure
 	}
 	opts.Seed = *seed
-	opts.Parallelism = *parallel
 	opts.Sampling = shift.Sampling{
 		Period:          *sample,
 		IntervalRecords: *sampleIntv,
 		WarmupFraction:  *sampleWarm,
 		Confidence:      *sampleConf,
 	}
+	var store shift.ResultStore
 	switch {
 	case *cacheDir != "":
 		st, err := shift.NewTieredStore(*cacheDir)
 		if err != nil {
 			fail(err)
 		}
-		opts.Cache = st
+		store = st
 	case *useCache:
-		opts.Cache = shift.NewResultCache()
+		store = shift.NewResultCache()
 	}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
@@ -160,8 +160,7 @@ func main() {
 	// One engine across all experiments of the invocation, so cells
 	// shared between figures are deduplicated and the -v summary covers
 	// the whole run.
-	engine := shift.NewEngine(opts.Parallelism, opts.Cache)
-	opts.Engine = engine
+	opts.Engine = shift.NewEngine(*parallel, store)
 
 	for _, name := range names {
 		start := time.Now()
@@ -172,14 +171,14 @@ func main() {
 		fmt.Println(out)
 		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	if opts.Cache != nil {
-		if hits, misses := opts.Cache.Stats(); hits+misses > 0 {
+	if store != nil {
+		if hits, misses := store.Stats(); hits+misses > 0 {
 			fmt.Printf("[cell cache: %d hits, %d misses, %d cells stored]\n",
-				hits, misses, opts.Cache.Len())
+				hits, misses, store.Len())
 		}
 	}
 	if *verbose {
-		es := engine.Stats()
+		es := opts.Engine.Stats()
 		fmt.Printf("[engine: %d cells simulated (%d sampled), %d batched, %d stream generations avoided, %d deduped]\n",
 			es.Simulated, es.SampledCells, es.Batched, es.StreamsShared, es.Deduped)
 	}

@@ -76,45 +76,55 @@ func IsTransient(err error) bool {
 func (e *Engine) SetCellTimeout(d time.Duration) { e.cellTimeout = d }
 
 // exec executes one batch — a grid's stream-sharing cells, or a single
-// cell as a batch of one — under the containment layer: panics are always
-// recovered into a PanicError, and when the watchdog is armed the batch
-// has len(cfgs)×cellTimeout to finish (K cells legitimately take K times
-// one cell). Either error fails the batch as a whole; the engine then
-// re-runs a batch of two or more member by member, through this same
-// function, which isolates the member at fault.
+// cell as a batch of one — under the containment layer (contain). Either
+// containment error fails the batch as a whole; the engine then re-runs a
+// batch of two or more member by member, through this same function,
+// which isolates the member at fault.
 func (e *Engine) exec(cfgs []Config) ([]RunResult, error) {
-	guarded := func() (rs []RunResult, err error) {
+	return contain(e, len(cfgs), func() ([]RunResult, error) {
+		if e.runBatch != nil {
+			return e.runBatch(cfgs)
+		}
+		return RunBatch(cfgs)
+	})
+}
+
+// contain runs one simulation of the given number of cells — exec's
+// batch, or one of runSpecs' specs — under the containment layer: panics
+// are always recovered into a PanicError, and when the watchdog is armed
+// the run has cells×cellTimeout to finish (K cells legitimately take K
+// times one cell).
+func contain[T any](e *Engine, cells int, run func() (T, error)) (T, error) {
+	guarded := func() (v T, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				e.panicked.Add(1)
 				err = &PanicError{Value: fmt.Sprint(p), Stack: debug.Stack()}
 			}
 		}()
-		if e.runBatch != nil {
-			return e.runBatch(cfgs)
-		}
-		return RunBatch(cfgs)
+		return run()
 	}
 	if e.cellTimeout <= 0 {
 		return guarded()
 	}
 	type outcome struct {
-		rs  []RunResult
+		v   T
 		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		rs, err := guarded()
-		ch <- outcome{rs, err}
+		v, err := guarded()
+		ch <- outcome{v, err}
 	}()
-	budget := e.cellTimeout * time.Duration(len(cfgs))
+	budget := e.cellTimeout * time.Duration(cells)
 	t := time.NewTimer(budget)
 	defer t.Stop()
 	select {
 	case o := <-ch:
-		return o.rs, o.err
+		return o.v, o.err
 	case <-t.C:
 		e.timedOut.Add(1)
-		return nil, &TimeoutError{Timeout: budget, Cells: len(cfgs)}
+		var zero T
+		return zero, &TimeoutError{Timeout: budget, Cells: cells}
 	}
 }

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"shift/internal/exp"
+	"shift/internal/sim"
 	"shift/internal/store"
 )
 
@@ -53,8 +54,9 @@ func cell(cfg Config, labelParts ...string) Cell {
 // fanning it out to every member, and resolves all of its cells'
 // in-flight claims when it completes; a cell that shares its stream with
 // no other is a batch of one, through the same path. A batch occupies
-// one worker slot (its members execute in lockstep on one goroutine), so
-// Parallelism keeps meaning "concurrent worker threads". Batching never
+// one worker slot (its members execute in lockstep on one goroutine), as
+// does each cell a Config cannot express (runSpecs), so the parallelism
+// bound keeps meaning "concurrent worker threads". Batching never
 // changes results — only which work is shared — and a batch that fails
 // is re-run member by member, each a batch of one, which isolates the
 // failing member and reproduces every other member's exact result.
@@ -70,11 +72,10 @@ func cell(cfg Config, labelParts ...string) Cell {
 // results, only work. The parallelism bound caps simulations across
 // all concurrent callers combined, so operator limits hold under load.
 type Engine struct {
-	opts  exp.Options
 	store ResultStore
 
-	// sem bounds simulations ACROSS RunAll calls: exp.Map's pool only
-	// bounds one call, but a shared engine (shiftd) serves many callers
+	// sem bounds simulations ACROSS RunAll calls: each's goroutines only
+	// bound one call, but a shared engine (shiftd) serves many callers
 	// concurrently, and the operator's parallelism setting must cap the
 	// process, not each request. Every simulation site acquires a slot.
 	sem chan struct{}
@@ -118,11 +119,33 @@ func NewEngine(parallelism int, rs ResultStore) *Engine {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		opts:  exp.Options{Parallelism: parallelism},
-		store: rs,
-		sem:   make(chan struct{}, p),
+	return &Engine{store: rs, sem: make(chan struct{}, p)}
+}
+
+// each calls fn(0..n-1) on up to cap(e.sem) goroutines, which take the
+// indices in order; at a bound of 1 (or for one index) it loops on the
+// calling goroutine. fn must be safe for concurrent calls and takes its
+// own slot for whatever it simulates.
+func (e *Engine) each(n int, fn func(i int)) {
+	w := min(cap(e.sem), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for ; w > 0; w-- {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Executor is the engine's execution strategy: how a batch — the
@@ -185,22 +208,49 @@ func (e *Engine) isolate(cfgs []Config, rs []RunResult, errs []error) {
 		}
 		return
 	}
-	// The one place cells are counted. A failed batch of two or more is
-	// not: its members are, one by one, above.
-	n := int64(len(cfgs))
-	e.simulated.Add(n)
-	if cfgs[0].Sampling.Enabled() {
-		e.sampledCells.Add(n)
-	}
-	if n > 1 {
-		e.batched.Add(n)
-		e.streamsShared.Add(n - 1)
-	}
+	// A failed batch of two or more is not counted: its members are, one
+	// by one, above.
+	e.count(len(cfgs), cfgs[0].Sampling.Enabled())
 	if err != nil {
 		errs[0] = err
 		return
 	}
 	copy(rs, out)
+}
+
+// count is the one place simulated cells are counted: n cells run
+// together on one stream, sampled or exact.
+func (e *Engine) count(n int, sampled bool) {
+	e.simulated.Add(int64(n))
+	if sampled {
+		e.sampledCells.Add(int64(n))
+	}
+	if n > 1 {
+		e.batched.Add(int64(n))
+		e.streamsShared.Add(int64(n - 1))
+	}
+}
+
+// runSpecs runs cells a Config cannot express (core groups, SHIFT knobs
+// below the design table), each as a run of its own on the engine's pool:
+// it takes a worker slot, runs under exec's containment and counts as a
+// simulated cell. Spec cells have no content address, so they are neither
+// stored nor deduplicated. It returns the results in spec order, or the
+// error of the lowest-index failing spec.
+func (e *Engine) runSpecs(specs []sim.RunSpec) ([]sim.Result, error) {
+	out, errs := make([]sim.Result, len(specs)), make([]error, len(specs))
+	e.each(len(specs), func(i int) {
+		e.sem <- struct{}{}
+		defer func() { <-e.sem }()
+		out[i], errs[i] = contain(e, 1, func() (sim.Result, error) { return sim.Run(specs[i]) })
+		e.count(1, specs[i].Sampling.Enabled())
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // settle publishes one simulated cell's outcome: an error is annotated
@@ -216,12 +266,12 @@ func (e *Engine) settle(key string, c Cell, call *store.Call[RunResult], r RunRe
 	return r, err
 }
 
-// engine builds the driver-facing engine from experiment options.
+// engine is the driver-facing engine: Options.Engine, or a default one.
 func (o Options) engine() *Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return NewEngine(o.Parallelism, o.Cache)
+	return NewEngine(0, nil)
 }
 
 // EngineStats is a point-in-time snapshot of an engine's work counters,
@@ -378,21 +428,16 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	// worker — not after the barrier — so waiters never outlive the
 	// work they wait on. Workers write disjoint ownedErrs/ownedResults
 	// entries, so the shared slices need no locking.
-	//
-	// Workers report no error to the pool: exp.Map's early exit skips
-	// indices above the lowest failure, and every cell is owed its own
-	// outcome, so every batch always runs.
 	batches := batchOwned(cells, owned)
 	ownedErrs := make([]error, len(owned))
 	ownedResults := make([]RunResult, len(owned))
-	_, _ = exp.Map(e.opts, len(batches), func(bi int) (struct{}, error) {
+	e.each(len(batches), func(bi int) {
 		e.runOwnedBatch(cells, keys, owned, ownedCalls, batches[bi], ownedErrs, ownedResults)
-		return struct{}{}, nil
 	})
 	// Defensive: a claim left unresolved would hang concurrent waiters
 	// forever. Every worker resolves its cells on success and on
-	// failure, so this sweep is expected to find nothing; exp.Map has
-	// quiesced, so an unresolved call can no longer race with a worker.
+	// failure, so this sweep is expected to find nothing; each has
+	// returned, so an unresolved call can no longer race with a worker.
 	for j, c := range ownedCalls {
 		select {
 		case <-c.Done():
@@ -492,10 +537,4 @@ func (e *Engine) RunOne(cfg Config) (RunResult, error) {
 // run executes one configuration with the options' engine settings.
 func (o Options) run(cfg Config) (RunResult, error) {
 	return o.engine().RunOne(cfg)
-}
-
-// expOptions exposes the worker-pool bound to drivers whose cells are
-// not plain Configs (consolidation groups, SAB parameter mutations).
-func (o Options) expOptions() exp.Options {
-	return exp.Options{Parallelism: o.Parallelism}
 }

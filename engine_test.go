@@ -5,8 +5,13 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"shift/internal/sim"
+	"shift/internal/trace"
 )
 
 // engineTestOptions is a reduced Figure 7 scale: small enough for unit
@@ -26,9 +31,9 @@ func engineTestOptions() Options {
 // are merged by cell, never by completion order.
 func TestFigure7SerialParallelIdentical(t *testing.T) {
 	serial := engineTestOptions()
-	serial.Parallelism = 1
+	serial.Engine = NewEngine(1, nil)
 	parallel := engineTestOptions()
-	parallel.Parallelism = 8
+	parallel.Engine = NewEngine(8, nil)
 
 	fs, err := RunFigure7(serial)
 	if err != nil {
@@ -75,12 +80,13 @@ func TestEngineRunAllOrdersAndDedupes(t *testing.T) {
 func TestEngineCacheSkipsRecomputation(t *testing.T) {
 	o := engineTestOptions()
 	o.Workloads = []string{"Web Search"}
-	o.Cache = NewResultCache()
+	cache := NewResultCache()
+	o.Engine = NewEngine(0, cache)
 	first, err := RunFigure9(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := o.Cache.Len()
+	entries := cache.Len()
 	if entries == 0 {
 		t.Fatal("cache is empty after a cached run")
 	}
@@ -88,10 +94,10 @@ func TestEngineCacheSkipsRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Cache.Len() != entries {
-		t.Errorf("second run grew the cache: %d -> %d", entries, o.Cache.Len())
+	if cache.Len() != entries {
+		t.Errorf("second run grew the cache: %d -> %d", entries, cache.Len())
 	}
-	hits, _ := o.Cache.Stats()
+	hits, _ := cache.Stats()
 	if hits == 0 {
 		t.Error("second run recorded no cache hits")
 	}
@@ -103,7 +109,7 @@ func TestEngineCacheSkipsRecomputation(t *testing.T) {
 	if _, err := RunFigure7(o); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := o.Cache.Stats(); h <= hits {
+	if h, _ := cache.Stats(); h <= hits {
 		t.Error("Figure 7 did not reuse the shared baseline cell")
 	}
 }
@@ -170,7 +176,7 @@ func TestEngineErrorDeterminism(t *testing.T) {
 }
 
 // TestFigure7ParallelSpeedup measures the acceptance property on
-// multi-core hosts: the Figure 7 sweep at Parallelism 4 must beat the
+// multi-core hosts: the Figure 7 sweep on a 4-wide engine must beat the
 // serial sweep by >= 2x wall-clock while producing identical output.
 // The engine schedules whole stream-sharing batches (one per workload)
 // on the pool, so the grid spans four workloads to expose four units
@@ -186,9 +192,9 @@ func TestFigure7ParallelSpeedup(t *testing.T) {
 	}
 	serial := engineTestOptions()
 	serial.Workloads = []string{"OLTP Oracle", "Web Search", "DSS Qry 2", "Media Streaming"}
-	serial.Parallelism = 1
+	serial.Engine = NewEngine(1, nil)
 	parallel := serial
-	parallel.Parallelism = 4
+	parallel.Engine = NewEngine(4, nil)
 
 	t0 := time.Now()
 	fs, err := RunFigure7(serial)
@@ -280,5 +286,95 @@ func TestRunEachPerCellOutcomes(t *testing.T) {
 	}
 	if got := e.Stats().Simulated - before; got != 2 {
 		t.Errorf("second pass simulated %d cells, want the 2 failing ones", got)
+	}
+}
+
+// gatedSource is a record source whose first reader calls gate and then
+// fails: a spec cell that reaches the simulator and stops there.
+type gatedSource struct{ gate func() }
+
+func (s gatedSource) NewCoreReader(int) (trace.Reader, error) {
+	s.gate()
+	return nil, errors.New("gated source: no records")
+}
+
+// TestEngineBoundsEverySimulation: two concurrent RunAll callers over six
+// streams and a concurrent runSpecs caller share one 2-slot engine; at no
+// instant do more than two simulations run, whichever entry started them,
+// and every one of them counts.
+func TestEngineBoundsEverySimulation(t *testing.T) {
+	o := engineTestOptions()
+	e := NewEngine(2, nil)
+	var cur, peak atomic.Int64
+	gate := func() {
+		n := cur.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		cur.Add(-1)
+	}
+	e.runBatch = func(cfgs []Config) ([]RunResult, error) {
+		gate()
+		return make([]RunResult, len(cfgs)), nil
+	}
+	rs, err := o.runSpec(DesignSHIFT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Source = gatedSource{gate}
+
+	var wg sync.WaitGroup
+	for _, d := range []Design{DesignBaseline, DesignNextLine} {
+		var cells []Cell
+		for _, w := range Workloads()[:6] {
+			cells = append(cells, cell(o.config(w, d)))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.RunAll(cells); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := e.runSpecs([]sim.RunSpec{rs, rs, rs, rs}); err == nil {
+			t.Error("specs over a failing source succeeded")
+		}
+	}()
+	wg.Wait()
+	if p := peak.Load(); p != 2 {
+		t.Errorf("peak concurrent simulations %d, want the bound, 2", p)
+	}
+	if got := e.Stats().Simulated; got != 16 {
+		t.Errorf("Stats().Simulated = %d, want 12 cells and 4 specs", got)
+	}
+}
+
+// TestRunSpecsContainsPanics: a spec whose record source panics fails
+// with a PanicError ahead of a later failing spec, the panic is counted,
+// and the engine's one slot is free for the next cell.
+func TestRunSpecsContainsPanics(t *testing.T) {
+	o := engineTestOptions()
+	e := NewEngine(1, nil)
+	panics, err := o.runSpec(DesignBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := panics
+	panics.Source = gatedSource{func() { panic("source panic") }}
+	fails.Source = gatedSource{func() {}}
+	_, err = e.runSpecs([]sim.RunSpec{panics, fails})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "source panic" {
+		t.Fatalf("error %v, want the first spec's *PanicError", err)
+	}
+	if st := e.Stats(); st.Panicked != 1 || st.Simulated != 2 {
+		t.Errorf("Stats() = %+v, want 1 panicked of 2 simulated", st)
+	}
+	if _, err := e.RunOne(o.config("Web Search", DesignBaseline)); err != nil {
+		t.Fatalf("the engine stopped serving after a spec panicked: %v", err)
 	}
 }

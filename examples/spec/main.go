@@ -43,7 +43,7 @@ func main() {
 	// Figure 8 driver with the workload axis set to the spec ID.
 	o := shift.QuickOptions()
 	o.Workloads = []string{id}
-	o.Cache = shift.NewResultCache()
+	o.Engine = shift.NewEngine(0, shift.NewResultCache())
 	fig, err := shift.RunFigure8(o)
 	if err != nil {
 		log.Fatal(err)

@@ -64,8 +64,8 @@ func Experiments() []string {
 // RunExperiment runs the named experiment driver and returns its
 // rendered output. Names are matched case-insensitively and accept the
 // bare figure number ("7" ≡ "fig7"). The output is a pure function of
-// (name, Options): byte-identical run over run and across Parallelism
-// settings.
+// (name, Options): byte-identical run over run and across engine worker
+// bounds.
 func RunExperiment(name string, opts Options) (string, error) {
 	for _, e := range experiments {
 		if strings.EqualFold(name, e.name) || (e.alias != "" && name == e.alias) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"shift/internal/core"
-	"shift/internal/exp"
 	"shift/internal/sim"
 	"shift/internal/stats"
 	"shift/internal/workload"
@@ -36,17 +35,19 @@ type Figure10 struct {
 }
 
 // RunFigure10 regenerates Figure 10. Cores are split evenly across the
-// four consolidated workloads.
+// four consolidated workloads, so Options.Cores must be a multiple of
+// four.
 func RunFigure10(o Options) (*Figure10, error) {
 	o, err := o.normalize()
 	if err != nil {
 		return nil, err
 	}
 	names := ConsolidationWorkloads()
-	per := o.Cores / len(names)
-	if per < 1 {
-		return nil, fmt.Errorf("shift: %d cores cannot host %d consolidated workloads", o.Cores, len(names))
+	if o.Cores%len(names) != 0 {
+		return nil, fmt.Errorf("shift: Figure 10 splits the cores evenly across %d consolidated workloads, so it needs a multiple of %d cores, not %d",
+			len(names), len(names), o.Cores)
 	}
+	per := o.Cores / len(names)
 	groups := make([]core.Group, len(names))
 	groupWl := make([]workload.Params, len(names))
 	for i, n := range names {
@@ -73,44 +74,35 @@ func RunFigure10(o Options) (*Figure10, error) {
 		fig.Speedup[n] = make(map[string]float64)
 	}
 
-	run := func(d Design) (map[string]float64, error) {
+	// Consolidated runs are not expressible as a public Config (they
+	// carry core groups), so they run as specs on the engine: one cell
+	// per design point, baseline first.
+	points := append([]Design{DesignBaseline}, designs...)
+	specs := make([]sim.RunSpec, len(points))
+	for i, d := range points {
 		rs, err := o.runSpec(d)
 		if err != nil {
 			return nil, err
 		}
 		rs.Groups, rs.GroupWorkloads = groups, groupWl
-		res, err := sim.Run(rs)
-		if err != nil {
-			return nil, err
-		}
-		// Per-group throughput: sum of that group's cores' IPC.
-		out := make(map[string]float64, len(groups))
-		for gi, g := range groups {
-			var thr float64
-			for _, c := range g.Cores {
-				thr += res.PerCore[c].IPC
-			}
-			out[names[gi]] = thr
-		}
-		return out, nil
+		specs[i] = rs
 	}
-
-	// Consolidated runs are not expressible as a public Config (they
-	// carry core groups), so they use the engine's generic worker pool
-	// directly: one cell per design point, baseline first.
-	points := append([]Design{DesignBaseline}, designs...)
-	perDesign, err := exp.Map(o.expOptions(), len(points), func(i int) (map[string]float64, error) {
-		return run(points[i])
-	})
+	results, err := o.engine().runSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
-	base := perDesign[0]
+	// groupThroughput is the sum of one group's cores' IPC in result i.
+	groupThroughput := func(i, g int) float64 {
+		var thr float64
+		for _, c := range groups[g].Cores {
+			thr += results[i].PerCore[c].IPC
+		}
+		return thr
+	}
 	for di, d := range designs {
-		thr := perDesign[1+di]
 		var sp []float64
-		for _, n := range names {
-			v := thr[n] / base[n]
+		for gi, n := range names {
+			v := groupThroughput(1+di, gi) / groupThroughput(0, gi)
 			fig.Speedup[n][d.String()] = v
 			sp = append(sp, v)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"shift/internal/core"
-	"shift/internal/exp"
 	"shift/internal/stats"
 )
 
@@ -56,18 +55,17 @@ func RunGeneratorStudy(o Options) (*GeneratorStudy, error) {
 		}
 	}
 	// Generator choice is a sim-level knob, so the study runs its cells
-	// on the engine's generic worker pool.
-	points, err := exp.Map(o.expOptions(), len(gens), func(i int) (GeneratorPoint, error) {
-		sp, cov, err := o.runSHIFTVariant(wname, base, func(c *core.Config) { c.GeneratorCore = gens[i] })
-		return GeneratorPoint{GeneratorCore: gens[i], Speedup: sp, Covered: cov}, err
-	})
+	// as SHIFT variants on the engine.
+	muts := make([]func(*core.Config), len(gens))
+	for i, g := range gens {
+		muts[i] = func(c *core.Config) { c.GeneratorCore = g }
+	}
+	speedups, covered, err := o.shiftVariants(wname, base, muts)
 	if err != nil {
 		return nil, err
 	}
-	study.Points = points
-	speedups := make([]float64, len(points))
-	for i, p := range points {
-		speedups[i] = p.Speedup
+	for i, g := range gens {
+		study.Points = append(study.Points, GeneratorPoint{GeneratorCore: g, Speedup: speedups[i], Covered: covered[i]})
 	}
 	if m := stats.Mean(speedups); m > 0 {
 		study.Spread = (stats.Max(speedups) - stats.Min(speedups)) / m

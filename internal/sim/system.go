@@ -713,9 +713,6 @@ func (s *System) runRound() (bool, error) {
 	return true, nil
 }
 
-// Mesh exposes the interconnect (read-only use: traffic inspection).
-func (s *System) Mesh() *noc.Mesh { return s.mesh }
-
 // SharedHistories returns SHIFT's shared histories (nil otherwise).
 func (s *System) SharedHistories() []*core.SharedHistory { return s.shared }
 

@@ -33,23 +33,14 @@ type Options struct {
 	// with quantified error and is keyed separately in every result
 	// store.
 	Sampling Sampling
-	// Parallelism bounds the experiment engine's worker pool:
-	// 0 = runtime.GOMAXPROCS(0), 1 = serial, N>1 = N workers. Results
-	// are bit-identical regardless of the setting (cells are merged by
-	// key, never by completion order).
-	Parallelism int
-	// Cache, when non-nil, memoizes per-cell results content-addressed
-	// by Config hash, so repeated sweeps — and experiments sharing
-	// cells, such as the per-workload baselines — skip already-computed
-	// simulations. Memoization never changes results. Any ResultStore
-	// backend works: NewResultCache() for in-process reuse,
-	// NewTieredStore(dir) to persist cells across process restarts.
-	Cache ResultStore
-	// Engine, when non-nil, submits every cell to this shared engine
-	// instead of constructing one from Parallelism and Cache — sharing
-	// its store and its in-flight deduplication across concurrent
-	// drivers (how the shiftd service serves many clients from one
-	// engine). Parallelism and Cache are ignored when Engine is set.
+	// Engine runs every cell of the experiment; nil means a fresh
+	// NewEngine(0, nil) — GOMAXPROCS workers, no result store. Its
+	// worker bound never changes results (cells are merged by key, never
+	// by completion order); its store lets repeated sweeps — and
+	// experiments sharing cells, such as the per-workload baselines —
+	// skip already-computed simulations. Sharing one engine across
+	// drivers shares its store, its bound and its in-flight
+	// deduplication (how the shiftd service serves many clients).
 	Engine *Engine
 }
 
@@ -137,26 +128,36 @@ func (o Options) runSpec(d Design) (sim.RunSpec, error) {
 	return o.config("", d).skeleton()
 }
 
-// runSHIFTVariant runs SHIFT on workloadName with mut applied to its
-// configuration and returns its speedup and miss coverage over base.
-func (o Options) runSHIFTVariant(workloadName string, base RunResult, mut func(*core.Config)) (speedup, covered float64, err error) {
-	rs, err := o.runSpec(DesignSHIFT)
+// shiftVariants runs SHIFT on workloadName once per mutation of its
+// configuration, all on the options' engine, and returns each variant's
+// speedup and miss coverage over base.
+func (o Options) shiftVariants(workloadName string, base RunResult, muts []func(*core.Config)) (speedup, covered []float64, err error) {
+	specs := make([]sim.RunSpec, len(muts))
+	for i, mut := range muts {
+		rs, err := o.runSpec(DesignSHIFT)
+		if err != nil {
+			return nil, nil, err
+		}
+		mut(&rs.Config.Prefetcher.SHIFT)
+		if err := resolveWorkloadInto(workloadName, &rs); err != nil {
+			return nil, nil, err
+		}
+		specs[i] = rs
+	}
+	results, err := o.engine().runSpecs(specs)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	mut(&rs.Config.Prefetcher.SHIFT)
-	if err := resolveWorkloadInto(workloadName, &rs); err != nil {
-		return 0, 0, err
+	speedup, covered = make([]float64, len(results)), make([]float64, len(results))
+	for i, res := range results {
+		speedup[i] = res.Throughput / base.Throughput
+		covered[i] = 1 - float64(res.Fetch.Misses)/float64(base.Misses)
 	}
-	res, err := sim.Run(rs)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Throughput / base.Throughput, 1 - float64(res.Fetch.Misses)/float64(base.Misses), nil
+	return speedup, covered, nil
 }
 
 // runBaseline runs the no-prefetch system for normalization (through
-// the engine, so a shared Cache reuses baselines across experiments).
+// the engine, so a shared store reuses baselines across experiments).
 func (o Options) runBaseline(workloadName string) (RunResult, error) {
 	return o.run(o.config(workloadName, DesignBaseline))
 }

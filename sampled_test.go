@@ -21,7 +21,6 @@ func sampledTestPolicy() Sampling {
 func sampledAccuracyOptions() Options {
 	o := QuickOptions()
 	o.Workloads = []string{"Web Search"}
-	o.Parallelism = 1
 	o.MeasureRecords = 100000
 	return o
 }
@@ -240,7 +239,10 @@ func TestSampledOptionsValidation(t *testing.T) {
 // generator core and at each SAB field's default value the study runs
 // exactly Figure 8's SHIFT cell, so its speedup must equal Figure 8's bit
 // for bit — exact and sampled (both sides of the ratio sample, or
-// neither).
+// neither). Each study, and Figure 10, runs on an engine of its own,
+// which must count every one of its simulations: the baseline and four
+// generator choices, the baseline and fourteen sweep points, Figure 10's
+// six consolidated runs.
 func TestStudiesMatchFigure8(t *testing.T) {
 	def := history.DefaultSABConfig()
 	defaults := map[string]int{
@@ -252,12 +254,19 @@ func TestStudiesMatchFigure8(t *testing.T) {
 	for _, sampling := range []Sampling{{}, {Period: 4, IntervalRecords: 200}} {
 		o := tinyOptions()
 		o.Sampling = sampling
+		engines := map[string]*Engine{}
+		on := func(what string) Options {
+			oe := o
+			oe.Engine = NewEngine(1, nil)
+			engines[what] = oe.Engine
+			return oe
+		}
 		fig8, err := RunFigure8(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fig8.Speedup[fig8.Workloads[0]][DesignSHIFT.String()]
-		gen, err := RunGeneratorStudy(o)
+		gen, err := RunGeneratorStudy(on("generator study"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +274,7 @@ func TestStudiesMatchFigure8(t *testing.T) {
 			t.Errorf("sampling %+v: generator core %d speedup %v, Figure 8 SHIFT %v",
 				sampling, p.GeneratorCore, p.Speedup, want)
 		}
-		sens, err := RunSensitivity(o)
+		sens, err := RunSensitivity(on("sensitivity sweep"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,6 +291,19 @@ func TestStudiesMatchFigure8(t *testing.T) {
 		}
 		if matched != len(defaults) {
 			t.Errorf("sampling %+v: %d sweep points at a default value, want %d", sampling, matched, len(defaults))
+		}
+		if _, err := RunFigure10(on("Figure 10")); err != nil {
+			t.Fatal(err)
+		}
+		for what, cells := range map[string]int64{"generator study": 5, "sensitivity sweep": 15, "Figure 10": 6} {
+			wantSampled := int64(0)
+			if sampling.Enabled() {
+				wantSampled = cells
+			}
+			if st := engines[what].Stats(); st.Simulated != cells || st.SampledCells != wantSampled {
+				t.Errorf("sampling %+v: %s counted %d cells (%d sampled) on its engine, want %d (%d)",
+					sampling, what, st.Simulated, st.SampledCells, cells, wantSampled)
+			}
 		}
 	}
 }

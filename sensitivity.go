@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"shift/internal/core"
-	"shift/internal/exp"
 	"shift/internal/history"
 	"shift/internal/stats"
 )
@@ -48,34 +47,33 @@ func RunSensitivity(o Options) (*Sensitivity, error) {
 	}
 
 	// SAB mutations are not expressible as a public Config, so the sweep
-	// runs its point list on the engine's generic worker pool.
-	type sweepPoint struct {
-		param string
-		value int
-		mut   func(*history.SABConfig)
+	// runs its points as SHIFT variants on the engine.
+	var points []SensitivityPoint
+	var muts []func(*core.Config)
+	add := func(param string, value int, mut func(*history.SABConfig)) {
+		points = append(points, SensitivityPoint{Parameter: param, Value: value})
+		muts = append(muts, func(c *core.Config) { mut(&c.SAB) })
 	}
-	var points []sweepPoint
 	for _, span := range []int{4, 8, 16} {
-		points = append(points, sweepPoint{"region span", span, func(c *history.SABConfig) { c.Span = span }})
+		add("region span", span, func(c *history.SABConfig) { c.Span = span })
 	}
 	for _, la := range []int{1, 3, 5, 8} {
-		points = append(points, sweepPoint{"lookahead", la, func(c *history.SABConfig) { c.Lookahead = la }})
+		add("lookahead", la, func(c *history.SABConfig) { c.Lookahead = la })
 	}
 	for _, cap := range []int{6, 12, 24} {
-		points = append(points, sweepPoint{"SAB capacity", cap, func(c *history.SABConfig) { c.Capacity = cap }})
+		add("SAB capacity", cap, func(c *history.SABConfig) { c.Capacity = cap })
 	}
 	for _, streams := range []int{1, 2, 4, 8} {
-		points = append(points, sweepPoint{"streams", streams, func(c *history.SABConfig) { c.Streams = streams }})
+		add("streams", streams, func(c *history.SABConfig) { c.Streams = streams })
 	}
-	results, err := exp.Map(o.expOptions(), len(points), func(i int) (SensitivityPoint, error) {
-		p := points[i]
-		sp, cov, err := o.runSHIFTVariant(wname, base, func(c *core.Config) { p.mut(&c.SAB) })
-		return SensitivityPoint{Parameter: p.param, Value: p.value, Speedup: sp, Coverage: cov}, err
-	})
+	speedup, covered, err := o.shiftVariants(wname, base, muts)
 	if err != nil {
 		return nil, err
 	}
-	return &Sensitivity{Workload: WorkloadDisplayName(wname), Points: results}, nil
+	for i := range points {
+		points[i].Speedup, points[i].Coverage = speedup[i], covered[i]
+	}
+	return &Sensitivity{Workload: WorkloadDisplayName(wname), Points: points}, nil
 }
 
 // Best returns the best value found for a parameter.

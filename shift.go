@@ -28,15 +28,15 @@
 // experiment engine that executes the grid across a bounded worker
 // pool and merges results deterministically: results are keyed and
 // ordered by cell, never by completion time, so a parallel run is
-// bit-identical to a serial run for the same seed. Options.Parallelism
-// bounds the pool (0 = GOMAXPROCS, 1 = serial) and Options.Cache
-// attaches a ResultCache that memoizes cells content-addressed by
-// Config hash, letting repeated sweeps — and figures that share cells,
-// like the per-workload baselines — skip already-computed simulations:
+// bit-identical to a serial run for the same seed. Options.Engine
+// chooses the engine: NewEngine's bound sizes the pool (0 = GOMAXPROCS,
+// 1 = serial) and its store — a ResultCache, say — memoizes cells
+// content-addressed by Config hash, letting repeated sweeps — and
+// figures that share cells, like the per-workload baselines — skip
+// already-computed simulations:
 //
 //	o := shift.DefaultOptions()
-//	o.Parallelism = 8                // 8 engine workers, same output
-//	o.Cache = shift.NewResultCache() // reuse cells across figures
+//	o.Engine = shift.NewEngine(8, shift.NewResultCache()) // 8 workers, same output
 //	fig7, err := shift.RunFigure7(o)
 //	fig8, err := shift.RunFigure8(o) // baselines served from cache
 //
@@ -82,7 +82,7 @@
 // (cmd/shiftsim -cache-dir):
 //
 //	st, err := shift.NewTieredStore("~/.shiftcache")
-//	o.Cache = st // every figure cell now survives this process
+//	o.Engine = shift.NewEngine(0, st) // every figure cell now survives this process
 //
 // The engine is safe for concurrent use and deduplicates identical
 // in-flight cells across callers, which is what cmd/shiftd builds on:

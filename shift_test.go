@@ -280,11 +280,16 @@ func TestFigure10(t *testing.T) {
 	}
 }
 
+// TestFigure10RejectsTooFewCores: Figure 10 splits the cores evenly over
+// its four workloads, so too few cores and an uneven count (6 would leave
+// two cores in no group) are both rejected up front, naming the multiple.
 func TestFigure10RejectsTooFewCores(t *testing.T) {
-	o := tinyOptions()
-	o.Cores = 2
-	if _, err := RunFigure10(o); err == nil {
-		t.Error("2 cores for 4 workloads accepted")
+	for _, cores := range []int{2, 6} {
+		o := tinyOptions()
+		o.Cores = cores
+		if _, err := RunFigure10(o); err == nil || !strings.Contains(err.Error(), "multiple of 4") {
+			t.Errorf("%d cores for 4 workloads: error %v, want one naming the multiple of 4", cores, err)
+		}
 	}
 }
 

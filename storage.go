@@ -115,8 +115,8 @@ type ResultCache struct {
 }
 
 // NewResultCache returns an empty cache. Share one cache across
-// experiment runs (Options.Cache) to reuse cells between figures — most
-// figures re-run the same per-workload baselines.
+// experiment runs (through the Options.Engine built on it) to reuse cells
+// between figures — most figures re-run the same per-workload baselines.
 func NewResultCache() *ResultCache {
 	return &ResultCache{m: make(map[string]RunResult)}
 }

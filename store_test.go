@@ -378,10 +378,9 @@ func TestEngineSkippedCellWaiterFallback(t *testing.T) {
 	good := o.config("Web Search", DesignNextLine)
 	bad := good
 	bad.Workload = "No Such Workload"
-	// Parallelism 1 makes the grid's failure order deterministic: the
-	// bad cell (index 0) fails first and the good cell (index 1) is
-	// skipped — resolving its claim with errCellSkipped whenever the
-	// grid owned it.
+	// A bound of 1 runs the grid's cells in index order on the calling
+	// goroutine, so the bad cell (index 0) fails before the good cell
+	// (index 1) runs.
 	e := NewEngine(1, NewResultCache())
 	var wg sync.WaitGroup
 	const callers = 4
