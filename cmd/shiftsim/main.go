@@ -6,8 +6,8 @@
 //	shiftsim -experiment fig8                 # one experiment, full scale
 //	shiftsim -experiment all -quick           # everything, reduced scale
 //	shiftsim -experiment fig7 -workloads "OLTP Oracle,Web Search"
-//	shiftsim -experiment fig8 -spec burst.yaml       # declarative workload spec
-//	shiftsim -experiment fig7 -workloads "Web Search" -spec a.yaml,b.json
+//	shiftsim -experiment fig8 -spec burst.json       # declarative workload spec
+//	shiftsim -experiment fig7 -workloads "Web Search" -spec a.json,b.json
 //	shiftsim -experiment fig6 -sizes 1024,8192,32768
 //	shiftsim -experiment all -parallel 8      # 8 engine workers (same output)
 //	shiftsim -experiment fig8 -cache=false    # disable cell memoization
@@ -41,7 +41,7 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "fig8", "experiment to run (tableI, fig1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, pd, power, storage, sensitivity, generator, all)")
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all seven)")
-		specFiles  = flag.String("spec", "", "comma-separated workload spec files (YAML or JSON); each compiled spec is appended to the workload set")
+		specFiles  = flag.String("spec", "", "comma-separated workload spec files (JSON); each compiled spec is appended to the workload set")
 		cores      = flag.Int("cores", 16, "number of cores (1-16)")
 		warmup     = flag.Int64("warmup", 0, "warmup records per core (0 = scale default)")
 		measure    = flag.Int64("measure", 0, "measured records per core (0 = scale default)")

@@ -67,12 +67,12 @@ func IsTransient(err error) bool {
 // SetCellTimeout arms the per-cell watchdog: a cell taking longer than
 // d fails with a TimeoutError (a batch of K cells gets K*d). The
 // abandoned simulation finishes in the background — its goroutine is
-// not killable — and its eventual result still seeds the store, but
-// its worker slot is freed immediately, so one wedged cell cannot
-// starve the pool. 0 (the default) disables the watchdog; timeouts are
-// inherently racy, so deterministic sweeps should leave it off and
-// services should set it well above the slowest legitimate cell. Not
-// safe to call concurrently with RunAll.
+// not killable — and its eventual result is dropped (a retry simulates
+// the cell again), but its worker slot is freed immediately, so one
+// wedged cell cannot starve the pool. 0 (the default) disables the
+// watchdog; timeouts are inherently racy, so deterministic sweeps should
+// leave it off and services should set it well above the slowest
+// legitimate cell. Not safe to call concurrently with RunAll.
 func (e *Engine) SetCellTimeout(d time.Duration) { e.cellTimeout = d }
 
 // exec executes one batch — a grid's stream-sharing cells, or a single

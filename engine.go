@@ -1,7 +1,6 @@
 package shift
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,12 +10,6 @@ import (
 	"shift/internal/sim"
 	"shift/internal/store"
 )
-
-// errCellSkipped marks an in-flight claim abandoned un-simulated
-// because its owning RunAll failed on a different cell. Waiters treat
-// it as "nobody computed this" and take the cell over rather than
-// failing a perfectly simulable request.
-var errCellSkipped = errors.New("skipped: owning grid failed on another cell")
 
 // Cell is one independent unit of an experiment grid: a fully-specified
 // simulation (workload × design × config variant) that the engine can
@@ -434,27 +427,11 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	e.each(len(batches), func(bi int) {
 		e.runOwnedBatch(cells, keys, owned, ownedCalls, batches[bi], ownedErrs, ownedResults)
 	})
-	// Defensive: a claim left unresolved would hang concurrent waiters
-	// forever. Every worker resolves its cells on success and on
-	// failure, so this sweep is expected to find nothing; each has
-	// returned, so an unresolved call can no longer race with a worker.
-	for j, c := range ownedCalls {
-		select {
-		case <-c.Done():
-		default:
-			e.flight.Resolve(keys[owned[j]], c, RunResult{}, errCellSkipped)
-		}
-	}
-
-	// Collect results simulated by concurrent RunAll calls. A waiter
-	// whose owner abandoned the cell (errCellSkipped) computes it
-	// itself — another caller's bad grid must not fail this one.
+	// Collect results simulated by concurrent RunAll calls. Every batch
+	// runs and settle resolves every owned claim, so a waiter receives
+	// the cell's own outcome, never another cell's error.
 	for _, w := range waits {
-		r, err := w.call.Wait()
-		if errors.Is(err, errCellSkipped) {
-			r, err = e.runShared(keys[w.idx], cells[w.idx])
-		}
-		byKey[keys[w.idx]], errByKey[keys[w.idx]] = r, err
+		byKey[keys[w.idx]], errByKey[keys[w.idx]] = w.call.Wait()
 	}
 	for j := range owned {
 		byKey[keys[owned[j]]], errByKey[keys[owned[j]]] = ownedResults[j], ownedErrs[j]
@@ -499,28 +476,6 @@ func (e *Engine) runOwnedBatch(cells []Cell, keys []string, owned []int, ownedCa
 	rs, rerrs := e.simulate(cfgs)
 	for mi, j := range members {
 		results[j], errs[j] = e.settle(keys[owned[j]], cells[owned[j]], ownedCalls[j], rs[mi], rerrs[mi])
-	}
-}
-
-// runShared computes one cell through the store and the in-flight
-// table: store hit, wait on a live owner, or simulate here. It loops on
-// errCellSkipped so a chain of abandoned claims cannot starve the
-// caller — eventually it either finds a result or owns the claim.
-func (e *Engine) runShared(key string, c Cell) (RunResult, error) {
-	for {
-		if r, ok := e.lookup(key); ok {
-			return r, nil
-		}
-		call, owner := e.flight.Claim(key)
-		if !owner {
-			r, err := call.Wait()
-			if errors.Is(err, errCellSkipped) {
-				continue
-			}
-			return r, err
-		}
-		rs, errs := e.simulate([]Config{c.Config})
-		return e.settle(key, c, call, rs[0], errs[0])
 	}
 }
 

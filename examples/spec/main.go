@@ -29,7 +29,7 @@ import (
 func main() {
 	// Compile and register the spec document. The returned ID embeds a
 	// hash of the normalized content: equal documents give equal IDs.
-	id, err := shift.LoadSpecFile("examples/spec/burst.yaml")
+	id, err := shift.LoadSpecFile("examples/spec/burst.json")
 	if err != nil {
 		var fe *shift.FieldError
 		if errors.As(err, &fe) {
@@ -52,7 +52,7 @@ func main() {
 
 	// The same sweep through shiftd's async job API, submitted as inline
 	// spec cells. Requires a server at :8080 started with -quick.
-	doc, err := os.ReadFile("examples/spec/burst.yaml")
+	doc, err := os.ReadFile("examples/spec/burst.json")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,14 +63,11 @@ func main() {
 
 // viaJobAPI submits Baseline and SHIFT cells for the spec through
 // POST /v1/jobs, polls to completion, and prints the speedup.
-func viaJobAPI(yamlDoc []byte) error {
-	// The wire carries the spec as JSON; shiftd accepts the same content
-	// either way, and identical content resolves to the identical
-	// content-addressed ID the library half just ran.
-	spec, err := yamlToJSON(yamlDoc)
-	if err != nil {
-		return err
-	}
+func viaJobAPI(doc []byte) error {
+	// The wire carries the spec document's own bytes: identical content
+	// resolves to the identical content-addressed ID the library half
+	// just ran.
+	spec := json.RawMessage(doc)
 	body, err := json.Marshal(map[string]any{"cells": []map[string]any{
 		{"spec": spec, "design": "Baseline"},
 		{"spec": spec, "design": "SHIFT"},
@@ -134,27 +131,4 @@ type status struct {
 		Key    string          `json:"key"`
 		Result shift.RunResult `json:"result"`
 	} `json:"results"`
-}
-
-// yamlToJSON converts the example's own spec document to the JSON value
-// shape for the wire. The subset used here (block maps, sequences,
-// scalars) keeps the conversion trivial; shiftd performs full parsing
-// and validation server-side either way.
-func yamlToJSON(doc []byte) (map[string]any, error) {
-	// Rather than re-implement YAML here, lean on the library: compile
-	// the document and ship its canonical JSON form, which is the exact
-	// content the ID was derived from.
-	id, err := shift.LoadSpec(doc)
-	if err != nil {
-		return nil, err
-	}
-	canonical, err := shift.SpecCanonical(id)
-	if err != nil {
-		return nil, err
-	}
-	var m map[string]any
-	if err := json.Unmarshal(canonical, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 
 	"shift"
@@ -76,25 +75,10 @@ func (w *Worker) Batches() int64 { return w.batches.Load() }
 // Cells returns the number of cells received across all batches.
 func (w *Worker) Cells() int64 { return w.cells.Load() }
 
-// workerLabel is the default cell label the worker runs a routed config
-// under — the same "workload/design" derivation the engine uses for
-// grid cells, so worker-side diagnostics read like single-host ones.
-func workerLabel(cfg shift.Config) string {
-	return cfg.Workload + "/" + cfg.Design.String()
-}
-
-// stripCellPrefix removes the engine's "cell <label>: " error prefix so
-// the raw simulation error travels the wire and the coordinator's
-// engine can attach its own label exactly once.
-func stripCellPrefix(msg, label string) string {
-	return strings.TrimPrefix(msg, "cell "+label+": ")
-}
-
 // HandleBatch serves POST /v1/batch: decode the batch, execute it on
-// the local engine, answer per-cell. A batch with a failing cell is
-// re-executed cell by cell so every cell reports its own exact result
-// or error (the simulator is deterministic, so the re-execution is
-// mostly store hits).
+// the local engine, answer per-cell. The engine reports every cell's own
+// result or error (a failing batch is isolated member by member), so one
+// bad cell costs its neighbors nothing.
 func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	req, ok := decodeBatch(rw, r)
 	if !ok {
@@ -103,27 +87,19 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	w.batches.Add(1)
 	w.cells.Add(int64(len(req.Cells)))
 
-	cells := make([]shift.Cell, len(req.Cells))
+	results, errs := w.engine.RunEach(req.Cells)
+	resp := BatchResponse{Results: make([]BatchResult, len(req.Cells))}
 	for i, cfg := range req.Cells {
-		cells[i] = shift.Cell{Label: workerLabel(cfg), Config: cfg}
-	}
-	resp := BatchResponse{Results: make([]BatchResult, len(cells))}
-	results, err := w.engine.RunAll(cells)
-	for i := range cells {
-		resp.Results[i].Key = cells[i].Config.Key()
-		if err == nil {
-			res := results[i]
-			resp.Results[i].Result = &res
+		resp.Results[i].Key = cfg.Key()
+		if errs[i] != nil {
+			// Unwrap drops the engine's "cell <label>: " annotation —
+			// whichever caller's label it carries — so the raw simulation
+			// error travels the wire and the coordinator's engine attaches
+			// its own label exactly once.
+			resp.Results[i].Error = errors.Unwrap(errs[i]).Error()
 			continue
 		}
-		// Per-cell fallback: RunAll surfaced only the lowest-index
-		// failure; re-run each cell individually for its own outcome.
-		res, cerr := w.engine.RunOne(cells[i].Config)
-		if cerr != nil {
-			resp.Results[i].Error = stripCellPrefix(cerr.Error(), cells[i].Label)
-			continue
-		}
-		resp.Results[i].Result = &res
+		resp.Results[i].Result = &results[i]
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(rw).Encode(resp); err != nil {

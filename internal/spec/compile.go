@@ -233,14 +233,6 @@ func (c *Compiled) Clients() ([]Client, bool) {
 	return append([]Client(nil), c.clients...), true
 }
 
-// Phases returns the compiled phases of a phase-sequenced spec.
-func (c *Compiled) Phases() ([]workload.Phase, bool) {
-	if len(c.phases) == 0 {
-		return nil, false
-	}
-	return append([]workload.Phase(nil), c.phases...), true
-}
-
 // PinnedCores returns the core count a mix spec pins the configuration
 // to (the sum of client core counts), or 0 when the spec runs on any
 // core count.

@@ -10,24 +10,25 @@ import (
 	"shift/internal/validate"
 )
 
-// fuzzSeeds are representative documents: every spec form, both input
-// formats, and a few near-misses. The on-disk corpus under
+// fuzzSeeds are representative documents: every spec form and a few
+// near-misses, a non-JSON document among them. The on-disk corpus under
 // testdata/fuzz/FuzzSpec extends these.
 var fuzzSeeds = []string{
-	"name: a\nworkload: {base: Web Search}\n",
-	"name: b\nseed: 9\nworkload:\n  base: OLTP DB2\n  scale: 0.5\n  request_zipf: 0.7\n",
-	"name: c\nphases:\n  - records: 100\n    workload: {footprint_bytes: 16384}\n  - records: 200\n    workload: {base: DSS Qry 2}\n",
-	"name: d\nmix: [{name: x, cores: 2, workload: {}}, {cores: 14, workload: {base: \"Web Frontend\"}}]\n",
-	"name: e\ntrace: {paths: [a.trace, b.trace]}\n",
+	`{"name": "a", "workload": {"base": "Web Search"}}`,
+	`{"name": "b", "seed": 9, "workload": {"base": "OLTP DB2", "scale": 0.5, "request_zipf": 0.7}}`,
+	`{"name": "c", "phases": [{"records": 100, "workload": {"footprint_bytes": 16384}}, {"records": 200, "workload": {"base": "DSS Qry 2"}}]}`,
+	`{"name": "d", "mix": [{"name": "x", "cores": 2, "workload": {}}, {"cores": 14, "workload": {"base": "Web Frontend"}}]}`,
+	`{"name": "e", "trace": {"paths": ["a.trace", "b.trace"]}}`,
 	`{"name": "f", "seed": 3, "workload": {"base": "Media Streaming", "trap_rate": 0.01}}`,
-	"name: 'quoted: name'\nworkload: {}\n",
-	"name: g\nworkload: {footprint_bytes: 1024, request_types: 64}\n",
-	"name: h\nname: h\nworkload: {}\n",
-	"workload: {}\n",
+	`{"name": "quoted: name", "workload": {}}`,
+	`{"name": "g", "workload": {"footprint_bytes": 1024, "request_types": 64}}`,
+	`{"name": "h", "name": "h", "workload": {}}`,
+	`{"workload": {}}`,
 	`{"": 1}`,
-	"- just\n- a\n- list\n",
-	"name: \"\\u00e9\\tbad\"\nworkload: {}\n",
+	`["just", "a", "list"]`,
+	`{"name": "\u00e9\tbad", "workload": {}}`,
 	"{",
+	"name: i\nworkload: {base: Web Search}\n",
 }
 
 // fuzzTrace is the recording the fuzz opener serves for every path, so

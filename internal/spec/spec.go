@@ -1,10 +1,10 @@
 // Package spec implements declarative workload specifications: small
-// YAML or JSON documents that compile into the simulator's native
-// workload forms (workload.Params, core groups, workload.Source). A
-// spec composes the existing synthetic-workload primitives — catalog
-// bases, parameter overrides, footprint scaling, phase sequences,
-// multi-client mixes — and can replay externally recorded instruction
-// traces through the trace codec.
+// JSON documents that compile into the simulator's native workload
+// forms (workload.Params, core groups, workload.Source). A spec
+// composes the existing synthetic-workload primitives — catalog bases,
+// parameter overrides, footprint scaling, phase sequences, multi-client
+// mixes — and can replay externally recorded instruction traces through
+// the trace codec.
 //
 // The contract mirrors the rest of the simulator:
 //
@@ -170,26 +170,16 @@ type TraceSpec struct {
 	Paths []string `json:"paths,omitempty"`
 }
 
-// Parse decodes a spec document. It accepts strict JSON (first
-// significant byte '{') or the YAML subset documented in this package;
-// unknown fields and type mismatches are rejected with field-named
-// errors. Parse does not validate ranges — call Normalize (or Compile,
-// which normalizes) next.
+// Parse decodes a spec document: strict JSON whose root is an object.
+// Any other root, unknown fields and type mismatches are rejected with
+// field-named errors. Parse does not validate ranges — call Normalize
+// (or Compile, which normalizes) next.
 func Parse(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	var jsonDoc []byte
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		jsonDoc = trimmed
-	} else {
-		m, err := parseYAML(data)
-		if err != nil {
-			return nil, err
-		}
-		// The YAML layer produces exactly the JSON value shapes, so one
-		// strict decoding path serves both input formats.
-		jsonDoc, _ = json.Marshal(m)
+	if len(trimmed) == 0 || trimmed[0] != '{' {
+		return nil, validate.Fieldf("json", "a spec is a JSON object")
 	}
-	dec := json.NewDecoder(bytes.NewReader(jsonDoc))
+	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	s := &Spec{}
 	if err := dec.Decode(s); err != nil {

@@ -35,63 +35,18 @@ func fieldOf(t *testing.T, err error) string {
 	return fe.Field
 }
 
-func TestParseYAMLAndJSONAgree(t *testing.T) {
-	yamlDoc := `
-# comment
-name: tiny
-seed: 3
-workload:
-  base: Web Search
-  scale: 0.5
-  request_zipf: 0.7   # trailing comment
-`
-	jsonDoc := `{"name": "tiny", "seed": 3,
-		"workload": {"base": "Web Search", "scale": 0.5, "request_zipf": 0.7}}`
-	cy := mustLoad(t, yamlDoc, nil)
-	cj := mustLoad(t, jsonDoc, nil)
-	if cy.ID() != cj.ID() {
-		t.Errorf("YAML and JSON forms compile to different IDs: %s vs %s", cy.ID(), cj.ID())
-	}
-	if !bytes.Equal(cy.Canonical(), cj.Canonical()) {
-		t.Errorf("canonical forms differ:\n%s\n%s", cy.Canonical(), cj.Canonical())
-	}
-}
-
-func TestParseYAMLFlowAndBlockAgree(t *testing.T) {
-	block := `
-name: mix
-mix:
-  - name: a
-    cores: 2
-    workload:
-      base: OLTP DB2
-  - name: b
-    cores: 2
-    workload:
-      base: Web Search
-`
-	flow := `
-name: mix
-mix: [{name: a, cores: 2, workload: {base: "OLTP DB2"}}, {name: b, cores: 2, workload: {base: 'Web Search'}}]
-`
-	cb := mustLoad(t, block, nil)
-	cf := mustLoad(t, flow, nil)
-	if cb.ID() != cf.ID() {
-		t.Errorf("block and flow forms compile to different IDs: %s vs %s", cb.ID(), cf.ID())
-	}
-}
-
 func TestParseRejections(t *testing.T) {
 	cases := []struct {
 		name  string
 		doc   string
 		field string
 	}{
-		{"tab indent", "name: x\nworkload:\n\tbase: y\n", "yaml"},
-		{"duplicate key", "name: x\nname: y\nworkload: {}\n", "yaml"},
-		{"unclosed flow", "name: x\nmix: [{cores: 2}\n", "yaml"},
-		{"non-mapping root", "- a\n- b\n", "yaml"},
-		{"unknown field", "name: x\nworkloads: {}\n", "workloads"},
+		{"empty document", " \n", "json"},
+		{"non-JSON document", "name: x\nworkload:\n  base: Web Search\n", "json"},
+		{"string root", `"name: x"`, "json"},
+		{"non-mapping root", `["a", "b"]`, "json"},
+		{"unclosed object", `{"name": "x", "mix": [{"cores": 2}`, "json"},
+		{"unknown field", `{"name": "x", "workloads": {}}`, "workloads"},
 		{"unknown nested field", `{"name": "x", "workload": {"bass": "y"}}`, "bass"},
 		{"type mismatch", `{"name": "x", "seed": "soon"}`, "seed"},
 		{"trailing garbage", `{"name": "x", "workload": {}} {"again": 1}`, "json"},
@@ -117,36 +72,36 @@ func TestNormalizeRejections(t *testing.T) {
 		doc   string
 		field string
 	}{
-		{"missing name", "workload: {}\n", "name"},
-		{"long name", "name: " + strings.Repeat("n", 65) + "\nworkload: {}\n", "name"},
+		{"missing name", `{"workload": {}}`, "name"},
+		{"long name", `{"name": "` + strings.Repeat("n", 65) + `", "workload": {}}`, "name"},
 		{"padded name", `{"name": " x", "workload": {}}`, "name"},
 		{"control name", `{"name": "a\u0001b", "workload": {}}`, "name"},
-		{"no form", "name: x\n", "spec"},
-		{"two forms", "name: x\nworkload: {}\ntrace: {path: t}\n", "spec"},
-		{"bad base", "name: x\nworkload: {base: nope}\n", "workload.base"},
-		{"bad scale", "name: x\nworkload: {scale: 17}\n", "workload.scale"},
-		{"footprint low", "name: x\nworkload: {footprint_bytes: 512}\n", "workload.footprint_bytes"},
-		{"footprint high", "name: x\nworkload: {footprint_bytes: 134217728}\n", "workload.footprint_bytes"},
-		{"os footprint", "name: x\nworkload: {os_footprint_bytes: 128}\n", "workload.os_footprint_bytes"},
-		{"request types", "name: x\nworkload: {request_types: 0}\n", "workload.request_types"},
-		{"zipf", "name: x\nworkload: {request_zipf: 9}\n", "workload.request_zipf"},
-		{"blocks mean", "name: x\nworkload: {func_blocks_mean: 2000}\n", "workload.func_blocks_mean"},
-		{"call depth", "name: x\nworkload: {call_depth: 0}\n", "workload.call_depth"},
-		{"density", "name: x\nworkload: {call_site_density: 1.5}\n", "workload.call_site_density"},
-		{"vary", "name: x\nworkload: {vary_prob: -0.1}\n", "workload.vary_prob"},
-		{"skip", "name: x\nworkload: {skip_prob: 2}\n", "workload.skip_prob"},
-		{"bias", "name: x\nworkload: {core_bias: 2}\n", "workload.core_bias"},
-		{"trap", "name: x\nworkload: {trap_rate: 2}\n", "workload.trap_rate"},
-		{"sched", "name: x\nworkload: {sched_prob: 2}\n", "workload.sched_prob"},
-		{"loop", "name: x\nworkload: {loop_weight: 2}\n", "workload.loop_weight"},
-		{"too small for types", "name: x\nworkload: {footprint_bytes: 1024, request_types: 64}\n", "workload.request_types"},
-		{"phase records", "name: x\nphases: [{records: 0, workload: {}}]\n", "phases[0].records"},
-		{"phase workload", "name: x\nphases: [{records: 10, workload: {base: nope}}]\n", "phases[0].workload.base"},
-		{"mix cores", "name: x\nmix: [{cores: 0, workload: {}}]\n", "mix[0].cores"},
-		{"mix total", "name: x\nmix: [{cores: 9, workload: {}}, {cores: 9, workload: {}}]\n", "mix[1].cores"},
-		{"mix dup name", "name: x\nmix: [{name: a, cores: 1, workload: {}}, {name: a, cores: 1, workload: {}}]\n", "mix[1].name"},
-		{"trace both", "name: x\ntrace: {path: a, paths: [b]}\n", "trace.path"},
-		{"trace empty", "name: x\ntrace: {}\n", "trace.paths"},
+		{"no form", `{"name": "x"}`, "spec"},
+		{"two forms", `{"name": "x", "workload": {}, "trace": {"path": "t"}}`, "spec"},
+		{"bad base", `{"name": "x", "workload": {"base": "nope"}}`, "workload.base"},
+		{"bad scale", `{"name": "x", "workload": {"scale": 17}}`, "workload.scale"},
+		{"footprint low", `{"name": "x", "workload": {"footprint_bytes": 512}}`, "workload.footprint_bytes"},
+		{"footprint high", `{"name": "x", "workload": {"footprint_bytes": 134217728}}`, "workload.footprint_bytes"},
+		{"os footprint", `{"name": "x", "workload": {"os_footprint_bytes": 128}}`, "workload.os_footprint_bytes"},
+		{"request types", `{"name": "x", "workload": {"request_types": 0}}`, "workload.request_types"},
+		{"zipf", `{"name": "x", "workload": {"request_zipf": 9}}`, "workload.request_zipf"},
+		{"blocks mean", `{"name": "x", "workload": {"func_blocks_mean": 2000}}`, "workload.func_blocks_mean"},
+		{"call depth", `{"name": "x", "workload": {"call_depth": 0}}`, "workload.call_depth"},
+		{"density", `{"name": "x", "workload": {"call_site_density": 1.5}}`, "workload.call_site_density"},
+		{"vary", `{"name": "x", "workload": {"vary_prob": -0.1}}`, "workload.vary_prob"},
+		{"skip", `{"name": "x", "workload": {"skip_prob": 2}}`, "workload.skip_prob"},
+		{"bias", `{"name": "x", "workload": {"core_bias": 2}}`, "workload.core_bias"},
+		{"trap", `{"name": "x", "workload": {"trap_rate": 2}}`, "workload.trap_rate"},
+		{"sched", `{"name": "x", "workload": {"sched_prob": 2}}`, "workload.sched_prob"},
+		{"loop", `{"name": "x", "workload": {"loop_weight": 2}}`, "workload.loop_weight"},
+		{"too small for types", `{"name": "x", "workload": {"footprint_bytes": 1024, "request_types": 64}}`, "workload.request_types"},
+		{"phase records", `{"name": "x", "phases": [{"records": 0, "workload": {}}]}`, "phases[0].records"},
+		{"phase workload", `{"name": "x", "phases": [{"records": 10, "workload": {"base": "nope"}}]}`, "phases[0].workload.base"},
+		{"mix cores", `{"name": "x", "mix": [{"cores": 0, "workload": {}}]}`, "mix[0].cores"},
+		{"mix total", `{"name": "x", "mix": [{"cores": 9, "workload": {}}, {"cores": 9, "workload": {}}]}`, "mix[1].cores"},
+		{"mix dup name", `{"name": "x", "mix": [{"name": "a", "cores": 1, "workload": {}}, {"name": "a", "cores": 1, "workload": {}}]}`, "mix[1].name"},
+		{"trace both", `{"name": "x", "trace": {"path": "a", "paths": ["b"]}}`, "trace.path"},
+		{"trace empty", `{"name": "x", "trace": {}}`, "trace.paths"},
 		{"trace empty path", `{"name": "x", "trace": {"paths": [""]}}`, "trace.paths[0]"},
 	}
 	for _, tc := range cases {
@@ -171,9 +126,9 @@ func TestNormalizeRejections(t *testing.T) {
 // bytes, so the content hash is stable under round trips.
 func TestNormalizeFixedPoint(t *testing.T) {
 	docs := []string{
-		"name: a\nworkload: {base: Web Search}\n",
-		"name: b\nseed: 9\nphases: [{records: 100, workload: {scale: 0.5}}, {records: 200, workload: {base: OLTP DB2}}]\n",
-		"name: c\nmix: [{cores: 3, workload: {}}, {cores: 5, workload: {base: DSS Qry 2, seed: 42}}]\n",
+		`{"name": "a", "workload": {"base": "Web Search"}}`,
+		`{"name": "b", "seed": 9, "phases": [{"records": 100, "workload": {"scale": 0.5}}, {"records": 200, "workload": {"base": "OLTP DB2"}}]}`,
+		`{"name": "c", "mix": [{"cores": 3, "workload": {}}, {"cores": 5, "workload": {"base": "DSS Qry 2", "seed": 42}}]}`,
 		`{"name": "d", "trace": {"path": "t.trace"}}`,
 	}
 	for _, doc := range docs {
@@ -209,13 +164,13 @@ func marshal(s *Spec) ([]byte, error) { return json.Marshal(s) }
 
 // tinyWorkload is a spec fragment cheap enough to build block graphs
 // for in unit tests.
-const tinyWorkload = "{footprint_bytes: 16384, os_footprint_bytes: 1024, request_types: 4}"
+const tinyWorkload = `{"footprint_bytes": 16384, "os_footprint_bytes": 1024, "request_types": 4}`
 
 // TestSameSeedSameStream is the determinism property: two independent
 // compilations of the same document generate bit-identical record
 // streams, and a different seed generates a different stream.
 func TestSameSeedSameStream(t *testing.T) {
-	doc := "name: p\nseed: 5\nphases: [{records: 500, workload: " + tinyWorkload + "}, {records: 500, workload: {footprint_bytes: 32768, os_footprint_bytes: 1024, request_types: 4}}]\n"
+	doc := `{"name": "p", "seed": 5, "phases": [{"records": 500, "workload": ` + tinyWorkload + `}, {"records": 500, "workload": {"footprint_bytes": 32768, "os_footprint_bytes": 1024, "request_types": 4}}]}`
 
 	prefix := func(c *Compiled, core int) []trace.Record {
 		t.Helper()
@@ -249,7 +204,7 @@ func TestSameSeedSameStream(t *testing.T) {
 		}
 	}
 
-	c3 := mustLoad(t, strings.Replace(doc, "seed: 5", "seed: 6", 1), nil)
+	c3 := mustLoad(t, strings.Replace(doc, `"seed": 5`, `"seed": 6`, 1), nil)
 	if c3.ID() == c1.ID() {
 		t.Error("different seed, same ID")
 	}
@@ -309,7 +264,7 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 		"a.trace": encodeTrace(t, a),
 		"b.trace": encodeTrace(t, b),
 	})
-	doc := "name: r\ntrace: {paths: [a.trace, b.trace]}\n"
+	doc := `{"name": "r", "trace": {"paths": ["a.trace", "b.trace"]}}`
 	c := mustLoad(t, doc, open)
 
 	src, err := c.Source()
@@ -355,10 +310,10 @@ func TestTraceRejections(t *testing.T) {
 		name string
 		doc  string
 	}{
-		{"missing file", "name: r\ntrace: {path: nope.trace}\n"},
-		{"empty recording", "name: r\ntrace: {path: empty.trace}\n"},
-		{"bad magic", "name: r\ntrace: {path: junk.trace}\n"},
-		{"truncated header", "name: r\ntrace: {path: short.header}\n"},
+		{"missing file", `{"name": "r", "trace": {"path": "nope.trace"}}`},
+		{"empty recording", `{"name": "r", "trace": {"path": "empty.trace"}}`},
+		{"bad magic", `{"name": "r", "trace": {"path": "junk.trace"}}`},
+		{"truncated header", `{"name": "r", "trace": {"path": "short.header"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -374,7 +329,7 @@ func TestTraceRejections(t *testing.T) {
 }
 
 func TestCompileLeavesReceiverUntouched(t *testing.T) {
-	s, err := Parse([]byte("name: x\nworkload: {base: Web Search}\n"))
+	s, err := Parse([]byte(`{"name": "x", "workload": {"base": "Web Search"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +342,7 @@ func TestCompileLeavesReceiverUntouched(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	doc := "name: reg\nseed: 77\nworkload: {base: Web Search}\n"
+	doc := `{"name": "reg", "seed": 77, "workload": {"base": "Web Search"}}`
 	c1 := Register(mustLoad(t, doc, nil))
 	c2 := Register(mustLoad(t, doc, nil))
 	if c1 != c2 {
@@ -406,7 +361,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestMixAccessors(t *testing.T) {
-	c := mustLoad(t, "name: m\nmix: [{cores: 3, workload: {}}, {name: web, cores: 5, workload: {base: Web Search}}]\n", nil)
+	c := mustLoad(t, `{"name": "m", "mix": [{"cores": 3, "workload": {}}, {"name": "web", "cores": 5, "workload": {"base": "Web Search"}}]}`, nil)
 	clients, ok := c.Clients()
 	if !ok || len(clients) != 2 {
 		t.Fatalf("Clients = %v, %v", clients, ok)

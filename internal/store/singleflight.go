@@ -31,10 +31,6 @@ func (c *Call[V]) Wait() (V, error) {
 	return c.val, c.err
 }
 
-// Done returns a channel that is closed once the call has been
-// resolved, for non-blocking resolution checks.
-func (c *Call[V]) Done() <-chan struct{} { return c.done }
-
 // Claim registers interest in key. If no computation of key is in
 // flight the caller becomes the owner (owner=true) and MUST eventually
 // call Resolve with the returned Call, or every future claimant of key

@@ -51,9 +51,6 @@ func NewPhased(phases []Phase) (*Phased, error) {
 	return p, nil
 }
 
-// Phases returns a copy of the phase sequence.
-func (p *Phased) Phases() []Phase { return append([]Phase(nil), p.phases...) }
-
 // NewCoreReader implements Source.
 func (p *Phased) NewCoreReader(core int) (trace.Reader, error) {
 	rs := make([]*CoreReader, len(p.ws))
@@ -89,5 +86,4 @@ func (r *phasedReader) Next() (trace.Record, error) {
 var (
 	_ Source = (*Phased)(nil)
 	_ Source = (*Replay)(nil)
-	_ Source = generatedSource{}
 )

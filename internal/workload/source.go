@@ -26,19 +26,6 @@ type Source interface {
 	NewCoreReader(core int) (trace.Reader, error)
 }
 
-// AsSource adapts the workload's own per-core generators to the Source
-// interface (the method set differs: Workload.NewCoreReader returns the
-// concrete *CoreReader the simulator's hot path devirtualizes).
-func (w *Workload) AsSource() Source { return generatedSource{w} }
-
-// generatedSource wraps a Workload as a Source.
-type generatedSource struct{ w *Workload }
-
-// NewCoreReader implements Source.
-func (g generatedSource) NewCoreReader(core int) (trace.Reader, error) {
-	return g.w.NewCoreReader(core), nil
-}
-
 // Replay is a Source serving pre-recorded traces: core i replays
 // recording i%len(recordings), and its stream ends when the recording
 // does. Replay readers implement trace.Supplier, so a recording shorter
@@ -69,19 +56,4 @@ func (r *Replay) NewCoreReader(core int) (trace.Reader, error) {
 		return nil, fmt.Errorf("workload: replay core %d < 0", core)
 	}
 	return trace.NewSliceReader(r.traces[core%len(r.traces)]), nil
-}
-
-// Recordings returns the number of distinct per-core recordings.
-func (r *Replay) Recordings() int { return len(r.traces) }
-
-// MinSupply returns the length of the shortest recording — the largest
-// warmup+measure window a simulation over this source can run.
-func (r *Replay) MinSupply() int64 {
-	min := int64(len(r.traces[0]))
-	for _, t := range r.traces[1:] {
-		if n := int64(len(t)); n < min {
-			min = n
-		}
-	}
-	return min
 }

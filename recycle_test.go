@@ -159,28 +159,15 @@ func TestFailedCellIsNotRecycled(t *testing.T) {
 // emptied. The engine runs four batches at a time, so under -race this
 // also exercises concurrent hand-back and take-out.
 func TestResultsIndependentOfRecycling(t *testing.T) {
-	mixID, err := LoadSpec([]byte(`
-name: recycle-mix
-mix:
-  - name: oltp
-    cores: 2
-    workload: {base: "OLTP DB2"}
-  - name: search
-    cores: 2
-    workload: {base: "Web Search", scale: 0.5}
-`))
+	mixID, err := LoadSpec([]byte(`{"name": "recycle-mix", "mix": [
+		{"name": "oltp", "cores": 2, "workload": {"base": "OLTP DB2"}},
+		{"name": "search", "cores": 2, "workload": {"base": "Web Search", "scale": 0.5}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	phasedID, err := LoadSpec([]byte(`
-name: recycle-phases
-seed: 7
-phases:
-  - records: 700
-    workload: {base: "Web Search", footprint_bytes: 262144}
-  - records: 700
-    workload: {base: "DSS Qry 2", scale: 0.25}
-`))
+	phasedID, err := LoadSpec([]byte(`{"name": "recycle-phases", "seed": 7, "phases": [
+		{"records": 700, "workload": {"base": "Web Search", "footprint_bytes": 262144}},
+		{"records": 700, "workload": {"base": "DSS Qry 2", "scale": 0.25}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ type FieldError = validate.FieldError
 // stream ran dry mid-run; Core is the starved core or -1.
 type StreamShortError = sim.StreamShortError
 
-// LoadSpec compiles and registers a workload spec document (YAML or
-// JSON; see ARCHITECTURE.md "Workload specs"). It returns the spec's
+// LoadSpec compiles and registers a workload spec document (a JSON
+// object; see ARCHITECTURE.md "Workload specs"). It returns the spec's
 // content-addressed workload ID — "spec:<name>@<hash16>" — which is
 // usable anywhere a catalog workload name is: Config.Workload,
 // Options.Workloads, shiftsim -workloads, shiftd cells. Equal documents

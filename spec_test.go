@@ -1,6 +1,7 @@
 package shift
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -15,15 +16,17 @@ import (
 )
 
 // catalogSpecFiles maps each Table I workload to the testdata spec
-// document that reproduces it (same base parameters, same seed).
-var catalogSpecFiles = map[string]string{
-	"OLTP DB2":        "oltp_db2.yaml",
-	"OLTP Oracle":     "oltp_oracle.yaml",
-	"DSS Qry 2":       "dss_qry2.yaml",
-	"DSS Qry 17":      "dss_qry17.json",
-	"Media Streaming": "media_streaming.yaml",
-	"Web Frontend":    "web_frontend.yaml",
-	"Web Search":      "web_search.yaml",
+// document that reproduces it exactly (same base parameters, same seed)
+// and to the ID that document compiles to. The IDs pin the files'
+// content: an edit to any field changes its ID.
+var catalogSpecFiles = map[string]struct{ file, id string }{
+	"OLTP DB2":        {"oltp_db2.json", "spec:OLTP DB2@a4f3b254ef636ab6"},
+	"OLTP Oracle":     {"oltp_oracle.json", "spec:OLTP Oracle@f14ff4940b0d8b9c"},
+	"DSS Qry 2":       {"dss_qry2.json", "spec:DSS Qry 2@077ac6698cbca768"},
+	"DSS Qry 17":      {"dss_qry17.json", "spec:DSS Qry 17@086add6cddd1d687"},
+	"Media Streaming": {"media_streaming.json", "spec:Media Streaming@ed03a0a57371c261"},
+	"Web Frontend":    {"web_frontend.json", "spec:Web Frontend@baab8bce6000d278"},
+	"Web Search":      {"web_search.json", "spec:Web Search@7298ced67e5d1cbc"},
 }
 
 // equivConfig is the small shared run shape of the equivalence tests.
@@ -36,22 +39,22 @@ func equivConfig(workloadName string, d Design) Config {
 }
 
 // TestSpecCatalogEquivalence is the golden catalog-equivalence suite:
-// for every Table I workload, the testdata spec document compiles to a
-// workload whose runs are byte-identical to the catalog runs, while the
-// spec's Config.Key stays distinct from the catalog cell's (spec cells
-// must never alias catalog cache entries).
+// for every Table I workload, the testdata spec document compiles to its
+// pinned ID and to a workload whose runs are byte-identical to the
+// catalog runs, while the spec's Config.Key stays distinct from the
+// catalog cell's (spec cells must never alias catalog cache entries).
 func TestSpecCatalogEquivalence(t *testing.T) {
 	for _, name := range Workloads() {
-		file, ok := catalogSpecFiles[name]
+		want, ok := catalogSpecFiles[name]
 		if !ok {
 			t.Fatalf("no equivalence spec file for catalog workload %q", name)
 		}
-		id, err := LoadSpecFile(filepath.Join("testdata", "specs", file))
+		id, err := LoadSpecFile(filepath.Join("testdata", "specs", want.file))
 		if err != nil {
-			t.Fatalf("LoadSpecFile(%s): %v", file, err)
+			t.Fatalf("LoadSpecFile(%s): %v", want.file, err)
 		}
-		if !strings.HasPrefix(id, "spec:") {
-			t.Fatalf("LoadSpecFile(%s) = %q, want a spec: ID", file, id)
+		if id != want.id {
+			t.Fatalf("LoadSpecFile(%s) = %q, want %q", want.file, id, want.id)
 		}
 		if WorkloadDisplayName(id) != name {
 			t.Errorf("display name of %s = %q, want %q", id, WorkloadDisplayName(id), name)
@@ -81,7 +84,7 @@ func TestSpecCatalogEquivalence(t *testing.T) {
 // TestSpecFigure7RowMatchesCatalog proves a figure driver run over a
 // spec workload yields the identical figure row as the catalog path.
 func TestSpecFigure7RowMatchesCatalog(t *testing.T) {
-	id, err := LoadSpecFile(filepath.Join("testdata", "specs", "web_search.yaml"))
+	id, err := LoadSpecFile(filepath.Join("testdata", "specs", "web_search.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +114,9 @@ func TestSpecFigure7RowMatchesCatalog(t *testing.T) {
 // demands bit-identical results per seed, plus a changed ID (and
 // changed result) under a different seed.
 func TestSpecPhasedDeterminism(t *testing.T) {
-	doc := `
-name: burst-then-scan
-seed: 7
-phases:
-  - records: 3000
-    workload:
-      base: Web Search
-      footprint_bytes: 262144
-  - records: 3000
-    workload:
-      base: DSS Qry 2
-      scale: 0.25
-`
+	doc := `{"name": "burst-then-scan", "seed": 7, "phases": [
+		{"records": 3000, "workload": {"base": "Web Search", "footprint_bytes": 262144}},
+		{"records": 3000, "workload": {"base": "DSS Qry 2", "scale": 0.25}}]}`
 	id, err := LoadSpec([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +137,7 @@ phases:
 		t.Errorf("result workload = %q, want display name", r1.Workload)
 	}
 
-	id2, err := LoadSpec([]byte(strings.Replace(doc, "seed: 7", "seed: 8", 1)))
+	id2, err := LoadSpec([]byte(strings.Replace(doc, `"seed": 7`, `"seed": 8`, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +214,12 @@ func writeTraceFiles(t *testing.T, dir string, traces [][]trace.Record) []string
 // recordings (relative paths resolve against the document directory).
 func replaySpecFile(t *testing.T, dir string, paths []string) string {
 	t.Helper()
-	doc := "name: replayed\ntrace:\n  paths: [" + strings.Join(paths, ", ") + "]\n"
-	file := filepath.Join(dir, "replay.yaml")
-	if err := os.WriteFile(file, []byte(doc), 0o644); err != nil {
+	doc, err := json.Marshal(map[string]any{"name": "replayed", "trace": map[string]any{"paths": paths}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "replay.json")
+	if err := os.WriteFile(file, doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return file
@@ -320,10 +316,10 @@ func TestSpecTraceReplayShortStream(t *testing.T) {
 // trace-replay specs (shiftd must not read server-local files on behalf
 // of remote clients) while accepting generated-workload specs.
 func TestLoadSpecRestricted(t *testing.T) {
-	if _, err := LoadSpecRestricted([]byte("name: sneaky\ntrace:\n  path: /etc/hostname\n")); err == nil {
+	if _, err := LoadSpecRestricted([]byte(`{"name": "sneaky", "trace": {"path": "/etc/hostname"}}`)); err == nil {
 		t.Error("restricted loader accepted a trace-replay spec")
 	}
-	id, err := LoadSpecRestricted([]byte("name: plain\nworkload:\n  base: Web Search\n"))
+	id, err := LoadSpecRestricted([]byte(`{"name": "plain", "workload": {"base": "Web Search"}}`))
 	if err != nil {
 		t.Fatalf("restricted loader rejected a generated spec: %v", err)
 	}
@@ -335,16 +331,9 @@ func TestLoadSpecRestricted(t *testing.T) {
 // TestSpecMixPinsCores proves a mix spec pins the configured core count
 // at every entry point that accepts a workload identifier.
 func TestSpecMixPinsCores(t *testing.T) {
-	id, err := LoadSpec([]byte(`
-name: consolidated
-mix:
-  - name: oltp
-    cores: 2
-    workload: {base: "OLTP DB2"}
-  - name: search
-    cores: 2
-    workload: {base: "Web Search", scale: 0.5}
-`))
+	id, err := LoadSpec([]byte(`{"name": "consolidated", "mix": [
+		{"name": "oltp", "cores": 2, "workload": {"base": "OLTP DB2"}},
+		{"name": "search", "cores": 2, "workload": {"base": "Web Search", "scale": 0.5}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -370,9 +370,9 @@ func TestEngineSingleFlight(t *testing.T) {
 }
 
 // TestEngineSkippedCellWaiterFallback checks that one caller's bad
-// grid cannot poison another caller's good cell: when a failing RunAll
-// abandons claims it never simulated, a concurrent waiter on such a
-// cell computes it itself instead of inheriting the stranger's error.
+// grid cannot poison another caller's good cell: a failing RunAll still
+// simulates every cell it claimed, so a concurrent waiter on its good
+// cell receives that cell's result, never the stranger's error.
 func TestEngineSkippedCellWaiterFallback(t *testing.T) {
 	o := engineTestOptions()
 	good := o.config("Web Search", DesignNextLine)
