@@ -1,0 +1,44 @@
+package shift
+
+import "testing"
+
+// TestHotPathAllocs is the allocation budget of a replayed cell: every
+// cell a shiftd job serves from the store validates its workload name,
+// computes its key and passes through Engine.RunEach, so an allocation
+// on any of the three is paid per cell, in GC time as much as in the
+// allocation itself.
+func TestHotPathAllocs(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("race detector: allocation counts are not the production ones")
+	}
+	if n := testing.AllocsPerRun(100, func() { KnownWorkload("OLTP Oracle") }); n != 0 {
+		t.Errorf("KnownWorkload makes %.0f allocations, want 0", n)
+	}
+	cfg := DefaultRunConfig("OLTP Oracle", DesignSHIFT)
+	cfg.Sampling.Period = 5
+	if n := testing.AllocsPerRun(100, func() { _ = cfg.Key() }); n > 2 {
+		t.Errorf("Config.Key makes %.0f allocations, want at most 2", n)
+	}
+
+	cache := NewResultCache()
+	e := NewEngine(1, cache)
+	var cfgs []Config
+	for _, d := range g12Designs {
+		c := DefaultRunConfig("OLTP Oracle", d)
+		cache.Store(c.Key(), RunResult{Workload: c.Workload, Design: d.String()})
+		cfgs = append(cfgs, c)
+	}
+	// The all-hit grid of six, counted with Go 1.24: a label and a key per
+	// cell, the cell, key, result and error slices, and the first-index
+	// map. With fmt keys and key-indexed result maps it made 59.
+	const budget = 17
+	n := testing.AllocsPerRun(100, func() {
+		if _, errs := e.RunEach(cfgs); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	})
+	t.Logf("RunEach over %d all-hit cells: %.0f allocations", len(cfgs), n)
+	if n > budget {
+		t.Errorf("RunEach over %d all-hit cells makes %.0f allocations, budget %d", len(cfgs), n, budget)
+	}
+}

@@ -6,12 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,6 +321,84 @@ func TestJobStreamLive(t *testing.T) {
 	}
 	if len(events) != 2 || events[0].Type != "cell" || events[1].Type != "end" || events[1].State != "done" {
 		t.Fatalf("live stream events = %+v, want one cell then end/done", events)
+	}
+}
+
+// countingListener counts the Write calls on every connection it
+// accepts: each is one send on the socket.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestJobStreamFinishedJobOneWrite: the stream of a job that is already
+// terminal goes out in one socket write — header, events and end of the
+// response together, with no flush in between — and its body is the
+// NDJSON the events encode to: one cell line, then the end line.
+func TestJobStreamFinishedJobOneWrite(t *testing.T) {
+	want := shift.RunResult{Workload: "Web Search", Design: "SHIFT", Throughput: 1.25, MPKI: 3.5}
+	jm := jobs.New(jobs.Config{RunBatch: func(cfgs []shift.Config) ([]shift.RunResult, []error) {
+		return []shift.RunResult{want}, make([]error, 1)
+	}})
+	t.Cleanup(jm.Close)
+	rs := shift.NewResultCache()
+	srv := newServer(shift.NewEngine(1, rs), rs, testOpts(), jm, 1<<20)
+	var writes atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.handler())
+	ts.Listener = countingListener{ts.Listener, &writes}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	cfg := shift.DefaultRunConfig("Web Search", shift.DesignSHIFT)
+	j, err := jm.Submit([]shift.Cell{{Label: "one", Config: cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; ; {
+		evs, terminal, changed := j.EventsSince(n)
+		if n += len(evs); terminal {
+			break
+		}
+		<-changed
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + j.ID() + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := writes.Load(); got != 1 {
+		t.Errorf("the stream of a finished job took %d socket writes, want 1", got)
+	}
+	idx := 0
+	var wantBody bytes.Buffer
+	enc := json.NewEncoder(&wantBody)
+	enc.Encode(jobStreamEvent{Type: "cell", Index: &idx, Label: "one", Key: cfg.Key(), Result: &want})
+	enc.Encode(jobStreamEvent{Type: "end", State: "done"})
+	if !bytes.Equal(body, wantBody.Bytes()) {
+		t.Errorf("stream body:\n%s\nwant:\n%s", body, wantBody.Bytes())
 	}
 }
 

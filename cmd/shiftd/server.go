@@ -372,7 +372,7 @@ func (s *server) cellsFromSpecs(specs []cellSpec) ([]shift.Cell, error) {
 		}
 		label := spec.Label
 		if label == "" {
-			label = fmt.Sprintf("%s/%s", shift.WorkloadDisplayName(cfg.Workload), cfg.Design)
+			label = shift.WorkloadDisplayName(cfg.Workload) + "/" + cfg.Design.String()
 		}
 		cells[i] = shift.Cell{Label: label, Config: cfg}
 	}
@@ -629,6 +629,13 @@ type jobStreamEvent struct {
 // client disconnects. While no cell finishes, a "heartbeat" event is
 // emitted every streamHeartbeat period so the connection never goes
 // silent long enough for an idle-timeout proxy to cut it.
+//
+// The response is flushed only before the handler blocks: after the
+// ready events (or heartbeat) of a job still running, so a stream opened
+// before any cell has finished still sees its 200 at once. The last
+// events, up to the end event, are not flushed by hand: net/http sends
+// them with the end of the response, one write for a job already
+// finished.
 func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
@@ -638,11 +645,6 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	// Push the header out now: a client that opens the stream before any
-	// cell has finished must still see the 200 immediately.
-	if fl != nil {
-		fl.Flush()
-	}
 	enc := json.NewEncoder(w)
 	beat := s.streamHeartbeat
 	if beat <= 0 {
@@ -661,12 +663,8 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 				we.Index = &idx
 				we.Label = ev.Label
 				we.Key = ev.Key
-				if ev.Err != "" {
-					we.Error = ev.Err
-				} else {
-					res := ev.Result
-					we.Result = &res
-				}
+				we.Error = ev.Err
+				we.Result = ev.Result
 			case jobs.EventEnd:
 				we.State = string(ev.State)
 			}
@@ -676,14 +674,14 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		n += len(evs)
-		if len(evs) > 0 {
-			ticker.Reset(beat)
-			if fl != nil {
-				fl.Flush()
-			}
-		}
 		if terminal {
 			return
+		}
+		if len(evs) > 0 {
+			ticker.Reset(beat)
+		}
+		if fl != nil {
+			fl.Flush() // a no-op when nothing is buffered
 		}
 		select {
 		case <-r.Context().Done():
@@ -693,9 +691,6 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			if err := enc.Encode(jobStreamEvent{Type: "heartbeat"}); err != nil {
 				log.Printf("shiftd: streaming job %s: %v", j.ID(), err)
 				return
-			}
-			if fl != nil {
-				fl.Flush()
 			}
 		}
 	}

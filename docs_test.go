@@ -302,10 +302,10 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 			checked++
 		}
 	}
-	// Exact on purpose: the workflow names four footprint and three docs
+	// Exact on purpose: the workflow names five footprint and three docs
 	// gates, so a format drift that hides one from the parse above fails
 	// here; a step added by name raises the count with it.
-	if checked != 7 {
-		t.Errorf("checked %d -run alternatives, want the workflow's 7 (four footprint gates, three docs gates) — has its format changed?", checked)
+	if checked != 8 {
+		t.Errorf("checked %d -run alternatives, want the workflow's 8 (five footprint gates, three docs gates) — has its format changed?", checked)
 	}
 }

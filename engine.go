@@ -78,6 +78,9 @@ type Engine struct {
 	flight    store.Flight[RunResult]
 	simulated atomic.Int64
 	deduped   atomic.Int64
+	// specsRunning counts runSpecs cells holding a worker slot: they have
+	// no content address, so flight never sees them, but Inflight must.
+	specsRunning atomic.Int64
 
 	// batched counts cells executed in batches of two or more;
 	// streamsShared counts the trace-stream generations those batches
@@ -224,19 +227,29 @@ func (e *Engine) count(n int, sampled bool) {
 	}
 }
 
+// runSpec runs one cell a Config cannot express in a worker slot of its
+// own, under exec's containment. The cell counts toward Inflight while
+// it holds the slot and as one simulated cell once it is done.
+func (e *Engine) runSpec(rs sim.RunSpec) (sim.Result, error) {
+	e.sem <- struct{}{}
+	e.specsRunning.Add(1)
+	defer func() {
+		e.specsRunning.Add(-1)
+		<-e.sem
+	}()
+	defer e.count(1, rs.Sampling.Enabled())
+	return contain(e, 1, func() (sim.Result, error) { return sim.Run(rs) })
+}
+
 // runSpecs runs cells a Config cannot express (core groups, SHIFT knobs
-// below the design table), each as a run of its own on the engine's pool:
-// it takes a worker slot, runs under exec's containment and counts as a
-// simulated cell. Spec cells have no content address, so they are neither
-// stored nor deduplicated. It returns the results in spec order, or the
-// error of the lowest-index failing spec.
+// below the design table), each through runSpec on the engine's pool.
+// Spec cells have no content address, so they are neither stored nor
+// deduplicated. It returns the results in spec order, or the error of
+// the lowest-index failing spec.
 func (e *Engine) runSpecs(specs []sim.RunSpec) ([]sim.Result, error) {
 	out, errs := make([]sim.Result, len(specs)), make([]error, len(specs))
 	e.each(len(specs), func(i int) {
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		out[i], errs[i] = contain(e, 1, func() (sim.Result, error) { return sim.Run(specs[i]) })
-		e.count(1, specs[i].Sampling.Enabled())
+		out[i], errs[i] = e.runSpec(specs[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -280,7 +293,9 @@ type EngineStats struct {
 	// Deduped counts cells served by waiting on a concurrent in-flight
 	// simulation instead of re-running it.
 	Deduped int64
-	// Inflight is the number of cells being simulated right now.
+	// Inflight is the number of cells being simulated right now: the
+	// Config cells claimed in the in-flight table and the spec cells
+	// (runSpecs) holding a worker slot.
 	Inflight int
 	// Batched counts cells executed in batches of two or more cells
 	// on one stream (a cell alone on its stream runs as a batch of
@@ -312,7 +327,7 @@ type EngineStats struct {
 // Load returns EngineStats' Inflight and Capacity alone — the two read
 // without asking the attached store, whose backend may be stalled.
 func (e *Engine) Load() (inflight, capacity int) {
-	return e.flight.Len(), cap(e.sem)
+	return e.flight.Len() + int(e.specsRunning.Load()), cap(e.sem)
 }
 
 // Stats returns a snapshot of the engine's counters, the attached
@@ -380,10 +395,11 @@ func (e *Engine) RunEach(cfgs []Config) ([]RunResult, []error) {
 // result or its error annotated with its label (a duplicate reports its
 // first occurrence's).
 func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
+	out, errs := make([]RunResult, len(cells)), make([]error, len(cells))
 	keys := make([]string, len(cells))
-	byKey := make(map[string]RunResult, len(cells))
-	errByKey := make(map[string]error)
-	seen := make(map[string]bool, len(cells))
+	// first maps a key to the index of its first occurrence, whose slots
+	// of out and errs every duplicate copies at the end.
+	first := make(map[string]int, len(cells))
 	// Partition first occurrences of unique uncached configs into cells
 	// this call owns (it will simulate them and publish the results) and
 	// cells owned by a concurrent RunAll (it will wait for theirs).
@@ -397,12 +413,12 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	for i := range cells {
 		k := cells[i].Config.Key()
 		keys[i] = k
-		if seen[k] {
+		if _, ok := first[k]; ok {
 			continue
 		}
-		seen[k] = true
+		first[k] = i
 		if r, ok := e.lookup(k); ok {
-			byKey[k] = r
+			out[i] = r
 			continue
 		}
 		c, owner := e.flight.Claim(k)
@@ -419,26 +435,22 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	// simulate batch by batch. Each result is stored and published to
 	// concurrent waiters the moment its batch completes, inside the
 	// worker — not after the barrier — so waiters never outlive the
-	// work they wait on. Workers write disjoint ownedErrs/ownedResults
-	// entries, so the shared slices need no locking.
+	// work they wait on. Workers write the disjoint out/errs slots of
+	// their own cells, so the shared slices need no locking.
 	batches := batchOwned(cells, owned)
-	ownedErrs := make([]error, len(owned))
-	ownedResults := make([]RunResult, len(owned))
 	e.each(len(batches), func(bi int) {
-		e.runOwnedBatch(cells, keys, owned, ownedCalls, batches[bi], ownedErrs, ownedResults)
+		e.runOwnedBatch(cells, keys, owned, ownedCalls, batches[bi], out, errs)
 	})
 	// Collect results simulated by concurrent RunAll calls. Every batch
 	// runs and settle resolves every owned claim, so a waiter receives
 	// the cell's own outcome, never another cell's error.
 	for _, w := range waits {
-		byKey[keys[w.idx]], errByKey[keys[w.idx]] = w.call.Wait()
+		out[w.idx], errs[w.idx] = w.call.Wait()
 	}
-	for j := range owned {
-		byKey[keys[owned[j]]], errByKey[keys[owned[j]]] = ownedResults[j], ownedErrs[j]
-	}
-	out, errs := make([]RunResult, len(cells)), make([]error, len(cells))
-	for i := range cells {
-		out[i], errs[i] = byKey[keys[i]], errByKey[keys[i]]
+	for i, k := range keys {
+		if f := first[k]; f != i {
+			out[i], errs[i] = out[f], errs[f]
+		}
 	}
 	return out, errs
 }
@@ -466,16 +478,17 @@ func batchOwned(cells []Cell, owned []int) [][]int {
 
 // runOwnedBatch executes one stream-sharing batch of owned cells (see
 // simulate). Each member's result is stored and its in-flight claim
-// resolved here, in the worker; per-cell errors land in errs for
-// RunAll's deterministic lowest-index selection.
-func (e *Engine) runOwnedBatch(cells []Cell, keys []string, owned []int, ownedCalls []*store.Call[RunResult], members []int, errs []error, results []RunResult) {
+// resolved here, in the worker; its outcome lands in its cell's slot of
+// out and errs, for RunAll's deterministic lowest-index selection.
+func (e *Engine) runOwnedBatch(cells []Cell, keys []string, owned []int, ownedCalls []*store.Call[RunResult], members []int, out []RunResult, errs []error) {
 	cfgs := make([]Config, len(members))
 	for mi, j := range members {
 		cfgs[mi] = cells[owned[j]].Config
 	}
 	rs, rerrs := e.simulate(cfgs)
 	for mi, j := range members {
-		results[j], errs[j] = e.settle(keys[owned[j]], cells[owned[j]], ownedCalls[j], rs[mi], rerrs[mi])
+		i := owned[j]
+		out[i], errs[i] = e.settle(keys[i], cells[i], ownedCalls[j], rs[mi], rerrs[mi])
 	}
 }
 

@@ -353,6 +353,36 @@ func TestEngineBoundsEverySimulation(t *testing.T) {
 	}
 }
 
+// TestInflightCountsSpecCells: a spec cell counts toward Inflight — what
+// /v1/readyz reads saturation from — for as long as it holds its slot,
+// although it has no key in the in-flight table.
+func TestInflightCountsSpecCells(t *testing.T) {
+	e := NewEngine(1, nil)
+	rs, err := engineTestOptions().runSpec(DesignSHIFT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	rs.Source = gatedSource{func() {
+		close(started)
+		<-release
+	}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.runSpecs([]sim.RunSpec{rs})
+	}()
+	<-started
+	if st := e.Stats(); st.Inflight < 1 {
+		t.Errorf("Stats().Inflight = %d while a spec cell runs, want at least 1", st.Inflight)
+	}
+	close(release)
+	<-done
+	if st := e.Stats(); st.Inflight != 0 || st.Simulated != 1 {
+		t.Errorf("after the spec: Stats() = %+v, want 0 in flight, 1 simulated", st)
+	}
+}
+
 // TestRunSpecsContainsPanics: a spec whose record source panics fails
 // with a PanicError ahead of a later failing spec, the panic is counted,
 // and the engine's one slot is free for the next cell.

@@ -92,8 +92,11 @@ type Event struct {
 	Label string
 	// Key is the cell's content-address, shift.Config.Key (EventCell).
 	Key string
-	// Result is the cell's result (EventCell with empty Err).
-	Result shift.RunResult
+	// Result points at the cell's result slot (EventCell with empty Err,
+	// nil otherwise). A finished cell's slot never changes again, so the
+	// pointer is safe to read without the job's lock; it must not be
+	// written through.
+	Result *shift.RunResult
 	// Err is the cell's error message (EventCell of a failed cell).
 	Err string
 	// State is the job's terminal state (EventEnd).
@@ -287,7 +290,7 @@ func (j *Job) cellEventLocked(i int) Event {
 	if j.cellState[i] == cellFailed {
 		ev.Err = j.cellErrs[i]
 	} else {
-		ev.Result = j.results[i]
+		ev.Result = &j.results[i]
 	}
 	return ev
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -33,17 +34,55 @@ import (
 // sampled results under genuinely different policies, can therefore
 // never collide in any ResultStore backend, while exact cells keep
 // their historical ("v1") keys and existing disk stores stay valid.
+//
+// The hashed identity is the bytes fmt.Sprintf would render for
+// "v1|%q|%d|%d|%d|%d|%t|%t|%g|%d|%d|%d" over the fields below (plus
+// "|sampled|%d|%d|%g|%g" for a sampled policy), built with strconv's
+// appenders instead: the key is on every cell's path, and
+// TestConfigKeyMatchesFormat pins the two renderings byte for byte.
 func (c Config) Key() string {
-	id := fmt.Sprintf("v1|%q|%d|%d|%d|%d|%t|%t|%g|%d|%d|%d",
-		c.Workload, c.Design, c.CoreType, c.Cores, c.HistEntries,
-		c.PredictionOnly, c.CommonalityMode, c.ElimProb,
-		c.WarmupRecords, c.MeasureRecords, c.Seed)
+	var buf [160]byte
+	b := append(buf[:0], "v1|"...)
+	b = strconv.AppendQuote(b, c.Workload)
+	b = appendInts(b, int64(c.Design), int64(c.CoreType), int64(c.Cores), int64(c.HistEntries))
+	b = append(b, '|')
+	b = strconv.AppendBool(b, c.PredictionOnly)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, c.CommonalityMode)
+	b = appendFloats(b, c.ElimProb)
+	b = appendInts(b, c.WarmupRecords, c.MeasureRecords, c.Seed)
 	if p := c.Sampling.internal().Normalized(); p.Enabled() {
-		id += fmt.Sprintf("|sampled|%d|%d|%g|%g",
-			p.Period, p.IntervalRecords, p.WarmupFraction, p.Confidence)
+		b = append(b, "|sampled"...)
+		b = appendInts(b, p.Period, p.IntervalRecords)
+		b = appendFloats(b, p.WarmupFraction, p.Confidence)
 	}
-	h := sha256.Sum256([]byte(id))
-	return hex.EncodeToString(h[:16])
+	return hashKey(b)
+}
+
+// appendInts appends "|%d" for each v.
+func appendInts(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(append(b, '|'), v, 10)
+	}
+	return b
+}
+
+// appendFloats appends "|%g" for each v (strconv's shortest 'g' form is
+// fmt's %g, NaN, ±Inf and -0 included).
+func appendFloats(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = strconv.AppendFloat(append(b, '|'), v, 'g', -1, 64)
+	}
+	return b
+}
+
+// hashKey renders an identity as a content address: the hex of its
+// SHA-256's first 16 bytes.
+func hashKey(id []byte) string {
+	h := sha256.Sum256(id)
+	var dst [32]byte
+	hex.Encode(dst[:], h[:16])
+	return string(dst[:])
 }
 
 // StreamID identifies, as a comparable value, the record stream a Config
@@ -90,16 +129,20 @@ func (c Config) Stream() StreamID {
 // StreamKey returns Stream as a stable content hash: equal for exactly
 // the Configs whose StreamIDs are equal, and a string, for whatever routes
 // or labels by stream (a cluster coordinator picks a batch's worker by
-// it).
+// it). Its identity renders "s1|%q|%d|%d|%d" (plus "|sampled|%d|%d|%g")
+// the way Key does.
 func (c Config) StreamKey() string {
 	s := c.Stream()
-	id := fmt.Sprintf("s1|%q|%d|%d|%d", s.workload, s.cores, s.warm, s.meas)
+	var buf [128]byte
+	b := append(buf[:0], "s1|"...)
+	b = strconv.AppendQuote(b, s.workload)
+	b = appendInts(b, int64(s.cores), s.warm, s.meas)
 	if p := s.sampling; p.Enabled() {
-		id += fmt.Sprintf("|sampled|%d|%d|%g",
-			p.Period, p.IntervalRecords, p.WarmupFraction)
+		b = append(b, "|sampled"...)
+		b = appendInts(b, p.Period, p.IntervalRecords)
+		b = appendFloats(b, p.WarmupFraction)
 	}
-	h := sha256.Sum256([]byte(id))
-	return hex.EncodeToString(h[:16])
+	return hashKey(b)
 }
 
 // ResultCache is the in-memory ResultStore: a mutex-guarded map of
