@@ -216,6 +216,59 @@ func TestJobResultsMatchGrid(t *testing.T) {
 	}
 }
 
+// TestReplayedJobsShareResults: two jobs of equal cells hand out cell
+// events that point at one shared result per cell, and the sharing shows
+// nowhere on the wire: the two jobs' NDJSON streams are byte-identical,
+// and so are the "results" of their GET /v1/jobs/{id} bodies, to each
+// other and to /v1/grid's for the same cells. The cells share one record
+// stream, so each job is one batch and its events land in one order.
+func TestReplayedJobsShareResults(t *testing.T) {
+	ts, srv := newTestServer(t)
+	cells := []map[string]any{
+		{"workload": "OLTP Oracle", "design": "SHIFT", "warmup_records": 500, "measure_records": 500},
+		{"workload": "OLTP Oracle", "design": "Baseline", "warmup_records": 500, "measure_records": 500, "label": "base"},
+		{"workload": "OLTP Oracle", "design": "PIF_2K", "warmup_records": 500, "measure_records": 500},
+	}
+	var gridDoc map[string]json.RawMessage
+	if code := postJSON(t, ts.URL+"/v1/grid", map[string]any{"cells": cells}, &gridDoc); code != http.StatusOK {
+		t.Fatalf("grid status %d", code)
+	}
+	var streams, results []string
+	var events [][]jobs.Event
+	for k := 0; k < 2; k++ {
+		sub := submitJob(t, ts.URL, cells)
+		awaitJobState(t, ts.URL, sub.ID, "done")
+		j, _ := srv.jobs.Get(sub.ID)
+		evs, _, _ := j.EventsSince(0)
+		events = append(events, evs)
+		streams = append(streams, getBody(t, ts.URL+sub.StreamURL, http.StatusOK))
+		var jobDoc map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(getBody(t, ts.URL+sub.StatusURL, http.StatusOK)), &jobDoc); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, string(jobDoc["results"]))
+	}
+	if len(events[0]) != len(cells)+1 || len(events[1]) != len(cells)+1 {
+		t.Fatalf("events = %d and %d, want %d each", len(events[0]), len(events[1]), len(cells)+1)
+	}
+	for p, ev := range events[0][:len(cells)] {
+		other := events[1][p]
+		if ev.Result == nil || ev.Index != other.Index || ev.Result != other.Result {
+			t.Errorf("event %d: cell %d's result %p, the replay's cell %d's %p; want one shared result",
+				p, ev.Index, ev.Result, other.Index, other.Result)
+		}
+	}
+	if streams[0] != streams[1] {
+		t.Errorf("the replayed job's stream differs:\n%s\nwant\n%s", streams[1], streams[0])
+	}
+	for k, got := range results {
+		if got != string(gridDoc["results"]) {
+			t.Errorf("job %d results are not byte-identical to /v1/grid:\n--- grid ---\n%s\n--- job ---\n%s",
+				k, gridDoc["results"], got)
+		}
+	}
+}
+
 // newBlockedServer stands up a server whose job runner blocks until
 // released, for deterministic queue/cancel tests. The engine still
 // serves the synchronous endpoints.

@@ -92,8 +92,9 @@ type Event struct {
 	Label string
 	// Key is the cell's content-address, shift.Config.Key (EventCell).
 	Key string
-	// Result points at the cell's result slot (EventCell with empty Err,
-	// nil otherwise). A finished cell's slot never changes again, so the
+	// Result points at the cell's result (EventCell with empty Err, nil
+	// otherwise), which every finished cell of the manager with the same
+	// key and an equal result shares. It never changes again, so the
 	// pointer is safe to read without the job's lock; it must not be
 	// written through.
 	Result *shift.RunResult
@@ -116,9 +117,21 @@ const (
 
 // Job is one submitted asynchronous job. All exported methods are safe
 // for concurrent use.
+//
+// A terminal job keeps only what its status and events read: labels,
+// keys, cell states, the completion order and a pointer per finished
+// cell into the manager's shared results. cfgs and attempts are needed
+// only while a cell can still run, and maybeFinalize drops them.
 type Job struct {
-	id      string
-	cells   []shift.Cell
+	id     string
+	labels []string
+	// cfgs is read only while a cell runs or is enqueued: a worker reads
+	// it after startCells counts the cell as running, and a requeue
+	// enqueues the cell under mu, so the job cannot finalize and drop it
+	// under either reader.
+	cfgs []shift.Config
+	// keys[i] is cell i's content address. A finished cell's entry is the
+	// shared result's key string, so equal keys are held once.
 	keys    []string
 	created time.Time
 	client  string
@@ -145,8 +158,14 @@ type Job struct {
 	state     State
 	cancelled bool
 	cellState []cellState
-	attempts  []int // extra attempts consumed per cell (retry policy)
-	results   []shift.RunResult
+	// attempts counts the extra attempts consumed per cell (retry
+	// policy), allocated at the first requeue.
+	attempts []int
+	// results[i] is finished cell i's shared result, nil for a failed or
+	// dropped cell.
+	results []*shift.RunResult
+	// cellErrs holds failed cells' messages, allocated at the first
+	// failure: nil for a job no cell of which failed.
 	cellErrs  []string
 	completed int
 	failed    int
@@ -164,21 +183,22 @@ type Job struct {
 
 // newJob returns a queued job over a copy of cells.
 func newJob(id string, cells []shift.Cell, created time.Time, client string) *Job {
+	n := len(cells)
 	j := &Job{
 		id:        id,
-		cells:     append([]shift.Cell(nil), cells...),
-		keys:      make([]string, len(cells)),
+		labels:    make([]string, n),
+		cfgs:      make([]shift.Config, n),
+		keys:      make([]string, n),
 		created:   created,
 		client:    client,
 		state:     StateQueued,
-		cellState: make([]cellState, len(cells)),
-		attempts:  make([]int, len(cells)),
-		results:   make([]shift.RunResult, len(cells)),
-		cellErrs:  make([]string, len(cells)),
+		cellState: make([]cellState, n),
+		results:   make([]*shift.RunResult, n),
+		order:     make([]int32, 0, n),
 		changed:   make(chan struct{}),
 	}
-	for i := range j.cells {
-		j.keys[i] = j.cells[i].Config.Key()
+	for i, c := range cells {
+		j.labels[i], j.cfgs[i], j.keys[i] = c.Label, c.Config, c.Config.Key()
 	}
 	return j
 }
@@ -224,26 +244,30 @@ type Status struct {
 func (j *Job) Snapshot() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	n := len(j.cellState)
 	st := Status{
 		ID:              j.id,
 		State:           j.state,
 		CancelRequested: j.cancelled,
-		Cells:           len(j.cells),
+		Cells:           n,
 		Completed:       j.completed,
 		Failed:          j.failed,
 		Dropped:         j.dropped,
 		Created:         j.created,
 		Started:         j.started,
 		Finished:        j.finished,
-		Done:            make([]bool, len(j.cells)),
-		Labels:          make([]string, len(j.cells)),
+		Done:            make([]bool, n),
+		Labels:          append([]string(nil), j.labels...),
 		Keys:            append([]string(nil), j.keys...),
-		Results:         append([]shift.RunResult(nil), j.results...),
-		CellErrs:        append([]string(nil), j.cellErrs...),
+		Results:         make([]shift.RunResult, n),
+		CellErrs:        make([]string, n),
 	}
-	for i := range j.cells {
+	copy(st.CellErrs, j.cellErrs)
+	for i, r := range j.results {
 		st.Done[i] = j.cellState[i] == cellDone
-		st.Labels[i] = j.cells[i].Label
+		if r != nil {
+			st.Results[i] = *r
+		}
 	}
 	return st
 }
@@ -286,26 +310,28 @@ func (j *Job) EventsSince(n int) (evs []Event, terminal bool, changed <-chan str
 // cellEventLocked builds finished cell i's event from its result slot.
 // Called with mu held.
 func (j *Job) cellEventLocked(i int) Event {
-	ev := Event{Type: EventCell, Index: i, Label: j.cells[i].Label, Key: j.keys[i]}
+	ev := Event{Type: EventCell, Index: i, Label: j.labels[i], Key: j.keys[i], Result: j.results[i]}
 	if j.cellState[i] == cellFailed {
 		ev.Err = j.cellErrs[i]
-	} else {
-		ev.Result = &j.results[i]
 	}
 	return ev
 }
 
-// finishCellLocked records cell i's outcome in its slot and in the
-// completion order — which publishes its event. Called with mu held.
-func (j *Job) finishCellLocked(i int, r shift.RunResult, err error) {
+// finishCellLocked records cell i's outcome — its shared result s, or
+// err — in its slot and in the completion order, which publishes its
+// event. Called with mu held.
+func (j *Job) finishCellLocked(i int, s *sharedResult, err error) {
 	if err != nil {
 		j.cellState[i] = cellFailed
 		j.failed++
+		if j.cellErrs == nil {
+			j.cellErrs = make([]string, len(j.cellState))
+		}
 		j.cellErrs[i] = err.Error()
 	} else {
 		j.cellState[i] = cellDone
 		j.completed++
-		j.results[i] = r
+		j.results[i], j.keys[i] = &s.r, s.key
 	}
 	j.order = append(j.order, int32(i))
 }
@@ -336,18 +362,18 @@ func (j *Job) startCells(cells []int, now time.Time) []int {
 	return started
 }
 
-// completeCells records the outcome of each of cells (rs and errs are
-// index-aligned with it), which publishes their events — one wake-up for
-// the followers, however many cells a batch settles — and finalizes the
-// job if they were the last outstanding. It returns whether the job just
-// reached a terminal state and, if so, its submit-to-finish latency in
-// seconds.
-func (j *Job) completeCells(cells []int, rs []shift.RunResult, errs []error, now time.Time) (finished bool, latency float64) {
+// completeCells records the outcome of each of cells (shared and errs
+// are index-aligned with it), which publishes their events — one wake-up
+// for the followers, however many cells a batch settles — and finalizes
+// the job if they were the last outstanding. It returns whether the job
+// just reached a terminal state and, if so, its submit-to-finish latency
+// in seconds.
+func (j *Job) completeCells(cells []int, shared []*sharedResult, errs []error, now time.Time) (finished bool, latency float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.running -= len(cells)
 	for k, i := range cells {
-		j.finishCellLocked(i, rs[k], errs[k])
+		j.finishCellLocked(i, shared[k], errs[k])
 	}
 	finished, latency = j.maybeFinalize(now)
 	j.broadcast()
@@ -355,11 +381,12 @@ func (j *Job) completeCells(cells []int, rs []shift.RunResult, errs []error, now
 }
 
 // maybeFinalize moves the job to its terminal state once no cell is
-// queued or running. Called with mu held; returns whether it
-// finalized and the job latency in seconds.
+// queued or running, and drops the state only a runnable cell reads.
+// Called with mu held; returns whether it finalized and the job latency
+// in seconds.
 func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 	if j.state.Terminal() || j.running > 0 ||
-		j.completed+j.failed+j.dropped < len(j.cells) {
+		j.completed+j.failed+j.dropped < len(j.cellState) {
 		return false, 0
 	}
 	switch {
@@ -371,6 +398,7 @@ func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 		j.state = StateDone
 	}
 	j.finished = now
+	j.cfgs, j.attempts = nil, nil
 	return true, now.Sub(j.created).Seconds()
 }
 
@@ -466,22 +494,41 @@ type Config struct {
 	Now func() time.Time
 }
 
+// sharedResult is one finished result held once for every job cell that
+// produced it: the canonical key string and the result.
+type sharedResult struct {
+	key string
+	r   shift.RunResult
+}
+
 // Manager owns the job registry, the admission buckets, and the
 // SJF scheduler. All methods are safe for concurrent use.
 type Manager struct {
 	cfg     Config
 	buckets *Buckets
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	heap     batchHeap
-	queued   int // cells in the heap still runnable (not dropped by a cancel)
-	seq      int64
-	nextID   int64
-	jobs     map[string]*Job
-	closed   bool
-	draining bool
-	running  int // cells currently executing in workers
+	mu            sync.Mutex
+	cond          *sync.Cond
+	heap          batchHeap
+	queued        int // cells in the heap still runnable (not dropped by a cancel)
+	seq           int64
+	nextID        int64
+	jobs          map[string]*Job
+	retainedCells int // cells of the jobs in jobs
+	closed        bool
+	draining      bool
+	running       int // cells currently executing in workers
+
+	// shared maps a content address to the result every finished cell
+	// with that key points at, so a replayed cell holds a pointer instead
+	// of its own copy of the result and key. Entries are never removed:
+	// each is referenced by a retained job, and jobs are never removed
+	// either. A future job eviction must make this table weak, or it
+	// keeps every evicted job's results alive. It is a plain map because
+	// go.mod's Go version has neither unique nor weak. sharedMu is a
+	// leaf: nothing else is locked while it is held.
+	sharedMu sync.Mutex
+	shared   map[string]*sharedResult
 
 	// recoveredPending counts recovered non-terminal jobs that have not
 	// reached a terminal state since restart; shiftd reports the
@@ -561,6 +608,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		buckets: NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
 		jobs:    make(map[string]*Job),
+		shared:  make(map[string]*sharedResult),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Journal != nil {
@@ -621,7 +669,7 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 	m.nextID++
 	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client)
 	if m.cfg.Journal != nil {
-		j.wire = entryCells(j.cells)
+		j.wire = entryCells(cells)
 		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire}
 		if err := m.cfg.Journal.Append(e); err != nil {
 			m.nextID--
@@ -630,7 +678,8 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		}
 	}
 	m.jobs[j.id] = j
-	all := make([]int, len(j.cells))
+	m.retainedCells += len(cells)
+	all := make([]int, len(cells))
 	for i := range all {
 		all[i] = i
 	}
@@ -642,12 +691,13 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 
 // enqueueLocked partitions the given cells of j by the record stream they
 // consume and pushes one batch per stream, in order of first appearance,
-// at the summed estimated cost of its cells. Called with mu held.
+// at the summed estimated cost of its cells. Called with mu held and
+// while j cannot finalize, which would drop the configs it reads.
 func (m *Manager) enqueueLocked(j *Job, cells []int) {
 	at := make(map[shift.StreamID]int, 1)
 	var items []batchItem
 	for _, i := range cells {
-		cfg := j.cells[i].Config
+		cfg := j.cfgs[i]
 		sk := cfg.Stream()
 		bi, ok := at[sk]
 		if !ok {
@@ -821,12 +871,11 @@ func (m *Manager) snapshotEntriesLocked() []Entry {
 }
 
 // snapEntry folds the job's journaled history into one OpSnap record.
+// Every job of a journaled manager has its wire cells: Submit and
+// recovery set them.
 func (j *Job) snapEntry() Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wire == nil {
-		j.wire = entryCells(j.cells)
-	}
 	e := Entry{Op: OpSnap, Job: j.id, Client: j.client, Created: j.created,
 		Cells: j.wire, Cancelled: j.cancelled}
 	if j.state.Terminal() {
@@ -909,7 +958,7 @@ func (m *Manager) worker() {
 		m.mu.Unlock()
 		cfgs := make([]shift.Config, len(cells))
 		for k, i := range cells {
-			cfgs[k] = j.cells[i].Config
+			cfgs[k] = j.cfgs[i]
 		}
 		rs, errs := m.cfg.RunBatch(cfgs)
 		// Every member has its own outcome: a transient failure goes back on
@@ -944,14 +993,25 @@ func (m *Manager) worker() {
 }
 
 // completeCells journals the outcome of each of cells — rs and errs are
-// index-aligned with it — and then publishes them. Journal first: once a
-// follower has seen a completion event, a restart must not forget it. The
-// results themselves are already in the store (the engine seeded them
-// during the run), so the journal carries only the index and error. Both
-// happen under the job's journaling lock, so a compaction sees a cell
-// either before its record is appended or after it is complete, never in
+// index-aligned with it — and then publishes them, each successful cell
+// pointing at its shared result. Journal first: once a follower has seen
+// a completion event, a restart must not forget it. The results
+// themselves are already in the store (the engine seeded them during the
+// run), so the journal carries only the index and error. Both happen
+// under the job's journaling lock, so a compaction sees a cell either
+// before its record is appended or after it is complete, never in
 // between. Must not be called with mu held.
 func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error) (finished bool, latency float64) {
+	// A running cell's key changes only when the cell settles, here, so
+	// it is read without the job's lock.
+	shared := make([]*sharedResult, len(cells))
+	m.sharedMu.Lock()
+	for k, i := range cells {
+		if errs[k] == nil {
+			shared[k] = m.shareLocked(j.keys[i], &rs[k])
+		}
+	}
+	m.sharedMu.Unlock()
 	j.journaling.Lock()
 	defer j.journaling.Unlock()
 	for k, i := range cells {
@@ -961,7 +1021,33 @@ func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs 
 		}
 		m.journalAppend(e)
 	}
-	return j.completeCells(cells, rs, errs, m.cfg.Now())
+	return j.completeCells(cells, shared, errs, m.cfg.Now())
+}
+
+// shareLocked returns the shared entry for a result r under key: the
+// table's entry when its result is == r, else a fresh one — entered in
+// the table if the key has none yet. == never holds for a result with a
+// NaN, so such results are not shared, and an entry's bytes never change
+// whatever results later arrive under its key. (== does equate 0 and -0;
+// a result is a pure function of its key, so two under one key do not
+// differ in a zero's sign alone.) Called with sharedMu held.
+func (m *Manager) shareLocked(key string, r *shift.RunResult) *sharedResult {
+	s, ok := m.shared[key]
+	if ok && s.r == *r {
+		return s
+	}
+	fresh := &sharedResult{key: key, r: *r}
+	if !ok {
+		m.shared[key] = fresh
+	}
+	return fresh
+}
+
+// share is shareLocked for one result.
+func (m *Manager) share(key string, r shift.RunResult) *sharedResult {
+	m.sharedMu.Lock()
+	defer m.sharedMu.Unlock()
+	return m.shareLocked(key, &r)
 }
 
 // retryable reports whether the retry policy is on and classifies err
@@ -976,7 +1062,9 @@ func (m *Manager) retryable(err error) bool {
 // exhausted, the job was cancelled, or the manager is closed. Requeue is
 // allowed during a drain: the cell re-enters the heap, is checkpointed
 // as unresolved, and re-runs after restart. Locks nest Manager.mu →
-// Job.mu, the same order the worker's pop-then-start path uses.
+// Job.mu, the same order the worker's pop-then-start path uses; Job.mu
+// is held through the enqueue, so a Cancel cannot drop the cell and
+// finalize the job before its config is read.
 func (m *Manager) requeue(j *Job, i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -984,14 +1072,16 @@ func (m *Manager) requeue(j *Job, i int) bool {
 		return false
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.attempts == nil {
+		j.attempts = make([]int, len(j.cellState))
+	}
 	if j.cancelled || j.cellState[i] != cellRunning || j.attempts[i] >= m.cfg.Retries {
-		j.mu.Unlock()
 		return false
 	}
 	j.attempts[i]++
 	j.cellState[i] = cellQueued
 	j.running--
-	j.mu.Unlock()
 	m.enqueueLocked(j, []int{i})
 	m.retried++
 	m.running--
@@ -1043,6 +1133,11 @@ type Stats struct {
 	// JournalErrors counts journal writes that failed (the affected
 	// cells re-run on the next recovery; the jobs still completed).
 	JournalErrors int64
+	// Retained is the number of jobs the registry holds, RetainedCells
+	// their cells, and SharedResults the distinct results those cells
+	// point at, so RetainedCells/SharedResults is the registry's
+	// deduplication ratio.
+	Retained, RetainedCells, SharedResults int
 	// LatencyCount and LatencySum aggregate submit-to-finish latencies
 	// (seconds) over every job that reached a terminal state. A job's
 	// latency is recorded just after its terminal event, so a reader
@@ -1072,11 +1167,16 @@ func (m *Manager) Stats() Stats {
 		Draining:      m.draining,
 		Recovering:    m.recoveredPending,
 		JournalErrors: m.journalErrs.Load(),
+		Retained:      len(m.jobs),
+		RetainedCells: m.retainedCells,
 		LatencyCount:  m.latCount,
 		LatencySum:    m.latSum,
 	}
 	sorted := append([]float64(nil), m.latencies...)
 	m.mu.Unlock()
+	m.sharedMu.Lock()
+	s.SharedResults = len(m.shared)
+	m.sharedMu.Unlock()
 	sort.Float64s(sorted)
 	s.LatencyP50 = percentile(sorted, 0.50)
 	s.LatencyP90 = percentile(sorted, 0.90)

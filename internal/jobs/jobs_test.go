@@ -2,9 +2,13 @@ package jobs
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"shift"
 )
@@ -547,4 +551,120 @@ func TestCancelledJobIsNotRequeued(t *testing.T) {
 	if got := m.Stats().Retried; got != 0 {
 		t.Fatalf("Stats.Retried = %d, want 0: cancelled cells must not requeue", got)
 	}
+}
+
+// TestReplayedJobsShareResultsConcurrently: many equal jobs, submitted
+// from several goroutines at once, run on two workers and followed and
+// snapshotted while they run. Every finished cell of one key ends up
+// pointing at one result and one key string, equal to what the runner
+// returned, and the table holds one entry per distinct cell.
+func TestReplayedJobsShareResultsConcurrently(t *testing.T) {
+	const submitters, jobsEach, cellsPerJob = 4, 8, 12
+	m := New(Config{Workers: 2, Burst: 1024, MaxQueue: 1024,
+		Run: func(cfg shift.Config) (shift.RunResult, error) {
+			return shift.RunResult{Workload: cfg.Workload, MPKI: float64(cfg.MeasureRecords)}, nil
+		}})
+	defer m.Close()
+	cells := func() []shift.Cell {
+		cs := make([]shift.Cell, cellsPerJob)
+		for c := range cs {
+			cs[c] = testCell(fmt.Sprintf("w-%d", c%3), int64(c+1))
+		}
+		return cs
+	}
+	var wg sync.WaitGroup
+	followed := make(chan []Event, submitters*jobsEach)
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < jobsEach; k++ {
+				j, err := m.Submit(cells())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				j.Snapshot()
+				m.Stats()
+				followed <- followLive(j, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	close(followed)
+
+	results := map[int]*shift.RunResult{}
+	keys := map[int]string{}
+	n := 0
+	for evs := range followed {
+		n++
+		if len(evs) != cellsPerJob+1 || evs[cellsPerJob].State != StateDone {
+			t.Fatalf("job events = %+v, want %d cells then end/done", evs, cellsPerJob)
+		}
+		for _, ev := range evs[:cellsPerJob] {
+			want := shift.RunResult{Workload: fmt.Sprintf("w-%d", ev.Index%3), MPKI: float64(ev.Index + 1)}
+			if ev.Result == nil || *ev.Result != want {
+				t.Fatalf("cell %d result = %+v, want %+v", ev.Index, ev.Result, want)
+			}
+			if first, ok := results[ev.Index]; !ok {
+				results[ev.Index], keys[ev.Index] = ev.Result, ev.Key
+			} else if ev.Result != first || unsafe.StringData(ev.Key) != unsafe.StringData(keys[ev.Index]) {
+				t.Errorf("cell %d: a replayed job holds its own result or key, not the shared one", ev.Index)
+			}
+		}
+	}
+	st := m.Stats()
+	if n != submitters*jobsEach || st.Retained != n || st.RetainedCells != n*cellsPerJob || st.SharedResults != cellsPerJob {
+		t.Errorf("%d jobs followed; stats retained %d jobs, %d cells, %d shared results; want %d, %d, %d",
+			n, st.Retained, st.RetainedCells, st.SharedResults, submitters*jobsEach, submitters*jobsEach*cellsPerJob, cellsPerJob)
+	}
+}
+
+// TestUnequalResultsAreNotShared: a result that is not == the table's
+// entry for its key — a different value, or any NaN — gets an entry of
+// its own, so no finished cell's result ever changes under it.
+func TestUnequalResultsAreNotShared(t *testing.T) {
+	var calls atomic.Int64
+	m := New(Config{Workers: 1, Run: func(cfg shift.Config) (shift.RunResult, error) {
+		if cfg.Workload == "nan" {
+			return shift.RunResult{MPKI: math.NaN()}, nil
+		}
+		return shift.RunResult{MPKI: float64(calls.Add(1))}, nil
+	}})
+	defer m.Close()
+	var evs [][]Event
+	for k := 0; k < 3; k++ {
+		j, err := m.Submit([]shift.Cell{testCell("drift", 1), testCell("nan", 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, cellEvents(waitTerminal(t, j)))
+	}
+	for k, e := range evs {
+		if e[0].Result.MPKI != float64(k+1) || !math.IsNaN(e[1].Result.MPKI) {
+			t.Errorf("job %d results = %+v, %+v; want MPKI %d and NaN", k, *e[0].Result, *e[1].Result, k+1)
+		}
+		for _, prev := range evs[:k] {
+			if e[0].Result == prev[0].Result || e[1].Result == prev[1].Result {
+				t.Errorf("job %d shares a result that is not == its own", k)
+			}
+		}
+	}
+	if got := m.Stats().SharedResults; got != 2 {
+		t.Errorf("SharedResults = %d, want 2 (the first result of each key)", got)
+	}
+}
+
+// cellEvents returns a job's cell events indexed by cell.
+func cellEvents(evs []Event) []Event {
+	var cells []Event
+	for _, ev := range evs {
+		if ev.Type == EventCell {
+			for len(cells) <= ev.Index {
+				cells = append(cells, Event{})
+			}
+			cells[ev.Index] = ev
+		}
+	}
+	return cells
 }

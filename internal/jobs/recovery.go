@@ -89,6 +89,7 @@ func (m *Manager) applyEntry(e Entry) {
 		j := newJob(e.Job, cells, e.Created, e.Client)
 		j.wire, j.recovered = e.Cells, true
 		m.jobs[e.Job] = j
+		m.retainedCells += len(cells)
 		// New IDs must never collide with journaled ones.
 		var n int64
 		if _, err := fmt.Sscanf(e.Job, "j-%d", &n); err == nil && n > m.nextID {
@@ -96,7 +97,7 @@ func (m *Manager) applyEntry(e Entry) {
 		}
 	case OpCell:
 		j, ok := m.jobs[e.Job]
-		if !ok || e.Cell < 0 || e.Cell >= len(j.cells) {
+		if !ok || e.Cell < 0 || e.Cell >= len(j.cellState) {
 			return
 		}
 		if j.cellState[e.Cell] == cellDone || j.cellState[e.Cell] == cellFailed {
@@ -105,16 +106,16 @@ func (m *Manager) applyEntry(e Entry) {
 		if e.Err != "" {
 			// The failure was deterministic (transient errors are retried,
 			// not journaled as terminal): replay it rather than re-run it.
-			j.finishCellLocked(e.Cell, shift.RunResult{}, errors.New(e.Err))
+			j.finishCellLocked(e.Cell, nil, errors.New(e.Err))
 			return
 		}
 		// A completed cell's result lives content-addressed in the
-		// store; a hit restores it without re-simulation, a miss leaves
-		// the cell queued — deterministic simulation makes the re-run
-		// bit-identical.
+		// store; a hit restores it without re-simulation, shared like a
+		// live cell's, and a miss leaves the cell queued — deterministic
+		// simulation makes the re-run bit-identical.
 		if m.cfg.Lookup != nil {
 			if r, ok := m.cfg.Lookup(j.keys[e.Cell]); ok {
-				j.finishCellLocked(e.Cell, r, nil)
+				j.finishCellLocked(e.Cell, m.share(j.keys[e.Cell], r), nil)
 				m.recovery.CellsRestored++
 				return
 			}

@@ -606,24 +606,11 @@ func TestEventsRebuiltEqualLive(t *testing.T) {
 	}
 }
 
-// TestTerminalJobBytes is the footprint gate of "job events are
-// derived": a finished job holds each result once. Nothing in a Job may
-// hold an Event, and the heap a finished cell retains — its Cell, key,
-// result and bookkeeping — stays under one result plus one event (the
-// stored log this replaced retained a second copy: over 900 B a cell).
-func TestTerminalJobBytes(t *testing.T) {
-	event := reflect.TypeOf(Event{})
-	jt := reflect.TypeOf(Job{})
-	for i := 0; i < jt.NumField(); i++ {
-		ft := jt.Field(i).Type
-		for ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Array {
-			ft = ft.Elem()
-		}
-		if ft == event {
-			t.Errorf("Job.%s holds events: the log is derived, not stored", jt.Field(i).Name)
-		}
-	}
-
+// retainedPerCell runs 64 jobs of 128 cells, cell c of job i being
+// cell(i, c), to their terminal states on a fresh manager, and returns
+// the heap they and the manager retain per cell.
+func retainedPerCell(t *testing.T, cell func(i, c int) shift.Cell) uint64 {
+	t.Helper()
 	const jobCount, cellsPerJob = 64, 128
 	heap := func() uint64 {
 		runtime.GC()
@@ -641,7 +628,7 @@ func TestTerminalJobBytes(t *testing.T) {
 	for i := 0; i < jobCount; i++ {
 		cells := make([]shift.Cell, cellsPerJob)
 		for c := range cells {
-			cells[c] = testCell(fmt.Sprintf("w-%d-%d", i, c), int64(c+1))
+			cells[c] = cell(i, c)
 		}
 		j, err := m.Submit(cells)
 		if err != nil {
@@ -653,15 +640,55 @@ func TestTerminalJobBytes(t *testing.T) {
 		waitTerminal(t, j)
 	}
 	perCell := (heap() - before) / (jobCount * cellsPerJob)
-	t.Logf("a finished cell retains %d B", perCell)
-	// One result plus one event, as it was on amd64 when an Event held its
-	// result by value; an Event now points at the slot, and the limit
-	// stays where it was rather than tightening with the smaller type.
-	const limit = 664
-	if perCell > limit {
-		t.Errorf("a finished cell retains %d B, limit %d B (one result + one event)", perCell, limit)
-	}
+	runtime.KeepAlive(m)
 	runtime.KeepAlive(submitted)
+	return perCell
+}
+
+// TestTerminalJobBytes is the footprint gate of "job events are
+// derived" for distinct cells: a finished job holds each result once,
+// in the manager's shared table. Nothing in a Job may hold an Event, and
+// the heap a finished cell retains — its label, key, shared result, table
+// entry and bookkeeping — stays under 600 B (the stored log this replaced
+// retained a second copy: over 900 B a cell; a cell holding its own
+// Cell, key and result retained 581–599 B).
+func TestTerminalJobBytes(t *testing.T) {
+	event := reflect.TypeOf(Event{})
+	jt := reflect.TypeOf(Job{})
+	for i := 0; i < jt.NumField(); i++ {
+		ft := jt.Field(i).Type
+		for ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Array {
+			ft = ft.Elem()
+		}
+		if ft == event {
+			t.Errorf("Job.%s holds events: the log is derived, not stored", jt.Field(i).Name)
+		}
+	}
+	perCell := retainedPerCell(t, func(i, c int) shift.Cell {
+		return testCell(fmt.Sprintf("w-%d-%d", i, c), int64(c+1))
+	})
+	t.Logf("a finished distinct cell retains %d B", perCell)
+	const limit = 600
+	if perCell > limit {
+		t.Errorf("a finished distinct cell retains %d B, limit %d B", perCell, limit)
+	}
+}
+
+// TestReplayedCellBytes is the footprint gate of shared results: the
+// same 128-cell job submitted 64 times, labels and keys equal but each
+// job's strings its own (as from separate request bodies). A finished
+// replayed cell holds a pointer to the result and key its first
+// occurrence entered in the shared table, and no config, so it retains
+// at most 160 B (a cell holding its own Cell, key and result: 584–606 B).
+func TestReplayedCellBytes(t *testing.T) {
+	perCell := retainedPerCell(t, func(_, c int) shift.Cell {
+		return testCell(fmt.Sprintf("w-%d", c), int64(c+1))
+	})
+	t.Logf("a finished replayed cell retains %d B", perCell)
+	const limit = 160
+	if perCell > limit {
+		t.Errorf("a finished replayed cell retains %d B, limit %d B", perCell, limit)
+	}
 }
 
 // TestSubmitJournalFailureRejects: a journal that cannot append makes
@@ -700,5 +727,121 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRecoveredCellsShareResults: cells restored from the store at Open
+// go through the shared table like live ones, so two recovered jobs of
+// equal cells, and a fresh job of the same cells, point at one result per
+// key.
+func TestRecoveredCellsShareResults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	store := newMemStore()
+	cells := []shift.Cell{testCell("a", 1), testCell("b", 2), testCell("c", 3)}
+	m1, err := Open(Config{Workers: 1, Journal: openJournal(t, path),
+		Lookup: store.Lookup, Run: storingRunner(store, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for k := 0; k < 2; k++ {
+		j, err := m1.Submit(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		ids = append(ids, j.ID())
+	}
+	m1.Close()
+
+	m2, err := Open(Config{Workers: 1, Journal: openJournal(t, path),
+		Lookup: store.Lookup, Run: storingRunner(store, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if rec := m2.Recovery(); rec.CellsRestored != 2*len(cells) || rec.CellsRequeued != 0 {
+		t.Fatalf("recovery = %+v, want %d cells restored, none requeued", rec, 2*len(cells))
+	}
+	var jobs []*Job
+	for _, id := range ids {
+		j, ok := m2.Get(id)
+		if !ok {
+			t.Fatalf("job %s lost across the restart", id)
+		}
+		jobs = append(jobs, j)
+	}
+	fresh, err := m2.Submit(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, fresh)
+	jobs = append(jobs, fresh)
+	first := cellEvents(waitTerminal(t, jobs[0]))
+	for _, j := range jobs {
+		for i, ev := range cellEvents(waitTerminal(t, j)) {
+			if ev.Result == nil || ev.Result.MPKI != float64(i+1) || ev.Result != first[i].Result {
+				t.Errorf("job %s cell %d: result %v is not the shared %v", j.ID(), i, ev.Result, first[i].Result)
+			}
+		}
+	}
+	if got := m2.Stats().SharedResults; got != len(cells) {
+		t.Errorf("SharedResults = %d, want %d", got, len(cells))
+	}
+}
+
+// TestCompactionAfterTerminalKeepsCells: a terminal job has dropped its
+// configs, so a snapshot taken after jobs finish must journal their cells
+// from the submitted wire form. Reopened from that snapshot, every job
+// has the labels, keys, results, errors and states it had.
+func TestCompactionAfterTerminalKeepsCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	store := newMemStore()
+	fail := map[string]bool{"bad": true}
+	m1, err := Open(Config{Workers: 2, Journal: openJournal(t, path),
+		Lookup: store.Lookup, Run: storingRunner(store, fail)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before []Status
+	for _, cells := range [][]shift.Cell{
+		{testCell("a", 1), testCell("b", 2)},
+		{testCell("a", 1), testCell("bad", 3), testCell("c", 4)},
+		{{Label: "custom", Config: testCell("d", 5).Config}},
+	} {
+		j, err := m1.Submit(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		before = append(before, j.Snapshot())
+	}
+	// A job's end record is appended after its end event and before its
+	// latency is counted: wait for every one, so the snapshot is all.
+	waitFor(t, func() bool { return m1.Stats().LatencyCount == int64(len(before)) })
+	m1.Checkpoint()
+	if st, _ := m1.JournalStats(); st.Compactions != 1 || st.Records != len(before) {
+		t.Fatalf("journal after the checkpoint = %+v, want one record per job", st)
+	}
+	m1.Close()
+
+	m2, err := Open(Config{Workers: 1, Journal: openJournal(t, path),
+		Lookup: store.Lookup, Run: storingRunner(store, fail)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for _, want := range before {
+		j, ok := m2.Get(want.ID)
+		if !ok {
+			t.Fatalf("job %s lost in the compacted journal", want.ID)
+		}
+		got := j.Snapshot()
+		if got.State != want.State || got.Cells != want.Cells ||
+			!reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.Keys, want.Keys) ||
+			!reflect.DeepEqual(got.Results, want.Results) || !reflect.DeepEqual(got.CellErrs, want.CellErrs) ||
+			!reflect.DeepEqual(got.Done, want.Done) {
+			t.Errorf("job %s after the compacted restart:\n%+v\nwant\n%+v", want.ID, got, want)
+		}
 	}
 }
