@@ -4,9 +4,9 @@ import "testing"
 
 // TestHotPathAllocs is the allocation budget of a replayed cell: every
 // cell a shiftd job serves from the store validates its workload name,
-// computes its key and passes through Engine.RunEach, so an allocation
-// on any of the three is paid per cell, in GC time as much as in the
-// allocation itself.
+// computes its key once and passes through Engine.RunKeyed, so an
+// allocation on any of the three is paid per cell, in GC time as much as
+// in the allocation itself.
 func TestHotPathAllocs(t *testing.T) {
 	if !syncPoolKeepsPuts() {
 		t.Skip("race detector: allocation counts are not the production ones")
@@ -28,10 +28,11 @@ func TestHotPathAllocs(t *testing.T) {
 		cache.Store(c.Key(), RunResult{Workload: c.Workload, Design: d.String()})
 		cfgs = append(cfgs, c)
 	}
-	// The all-hit grid of six, counted with Go 1.24: a label and a key per
-	// cell, the cell, key, result and error slices, and the first-index
-	// map. With fmt keys and key-indexed result maps it made 59.
-	const budget = 17
+	// The all-hit grid of six, counted with Go 1.24: the keyed configs, a
+	// key per cell, and the result and error slices. With a label per cell,
+	// a key slice and a first-index map it made 17; with fmt keys and
+	// key-indexed result maps, 59.
+	const budget = 9
 	n := testing.AllocsPerRun(100, func() {
 		if _, errs := e.RunEach(cfgs); errs[0] != nil {
 			t.Fatal(errs[0])
@@ -40,5 +41,14 @@ func TestHotPathAllocs(t *testing.T) {
 	t.Logf("RunEach over %d all-hit cells: %.0f allocations", len(cfgs), n)
 	if n > budget {
 		t.Errorf("RunEach over %d all-hit cells makes %.0f allocations, budget %d", len(cfgs), n, budget)
+	}
+	// Keyed by the caller (shiftd's job registry), the grid hashes nothing
+	// and allocates its result and error slices alone.
+	ks := make([]KeyedConfig, len(cfgs))
+	for i, c := range cfgs {
+		ks[i] = KeyConfig(c)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.RunKeyed(ks) }); n > 2 {
+		t.Errorf("RunKeyed over %d all-hit cells makes %.0f allocations, want 2", len(ks), n)
 	}
 }

@@ -23,7 +23,7 @@ func newWorkerServer(t *testing.T) (*httptest.Server, *server) {
 	t.Helper()
 	rs := shift.NewTieredStoreOver(store.NewMem())
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	srv.worker = cluster.NewWorker(engine)
@@ -41,7 +41,7 @@ func newCoordinatorServer(t *testing.T, peers ...string) (*httptest.Server, *ser
 	t.Helper()
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	coord := cluster.New(cluster.Config{Peers: peers})

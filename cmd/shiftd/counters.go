@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"reflect"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -26,7 +27,32 @@ type snapshot struct {
 	health   shift.StoreHealth
 	cluster  cluster.Stats
 	workers  []cluster.MemberStatus
+	gc       gcStats
 	blocks   block // the optional blocks this process has
+}
+
+// gcStats is what the Go runtime reports of the collector's work: the
+// cycles so far, the heap the last one marked live, and the part of the
+// heap a cycle scans — the job registry's pointers among it.
+type gcStats struct {
+	cycles, liveBytes, scanBytes int64
+}
+
+// gcMetrics are the runtime/metrics names gcStats reads, in its order.
+var gcMetrics = []string{"/gc/cycles/total:gc-cycles", "/gc/heap/live:bytes", "/gc/scan/heap:bytes"}
+
+// readGC reads gcStats from runtime/metrics.
+func readGC() gcStats {
+	samples := make([]metrics.Sample, len(gcMetrics))
+	for i, name := range gcMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples)
+	return gcStats{
+		cycles:    int64(samples[0].Value.Uint64()),
+		liveBytes: int64(samples[1].Value.Uint64()),
+		scanBytes: int64(samples[2].Value.Uint64()),
+	}
 }
 
 // block names a group of rows only some configurations have. A row of
@@ -75,6 +101,7 @@ func (s *server) snapshot() *snapshot {
 	if s.cluster != nil {
 		sn.cluster = s.cluster.Stats()
 	}
+	sn.gc = readGC()
 	return sn
 }
 
@@ -135,6 +162,11 @@ var rows = []row{
 	{path: "jobs_retained", series: "shiftd_jobs_retained", kind: gauge, help: "Jobs held by the job registry (jobs are never evicted).", get: func(sn *snapshot) any { return sn.jobs.Retained }},
 	{path: "job_cells_retained", series: "shiftd_job_cells_retained", kind: gauge, help: "Cells of the jobs held by the job registry.", get: func(sn *snapshot) any { return sn.jobs.RetainedCells }},
 	{path: "job_shared_results", series: "shiftd_job_shared_results", kind: gauge, help: "Distinct results the registry's finished cells point at (job_cells_retained over this is the dedup ratio).", get: func(sn *snapshot) any { return sn.jobs.SharedResults }},
+
+	// The Go collector's work, which the job registry's pointers add to.
+	{path: "gc_cycles", series: "go_gc_cycles_total", kind: counter, help: "Garbage collection cycles completed since process start.", get: func(sn *snapshot) any { return sn.gc.cycles }},
+	{path: "heap_live_bytes", series: "go_heap_live_bytes", kind: gauge, help: "Heap bytes the last garbage collection cycle marked live.", get: func(sn *snapshot) any { return sn.gc.liveBytes }},
+	{path: "heap_scan_bytes", series: "go_heap_scan_bytes", kind: gauge, help: "Heap bytes a garbage collection cycle scans for pointers.", get: func(sn *snapshot) any { return sn.gc.scanBytes }},
 
 	// Lifecycle.
 	{path: "draining", series: "shiftd_draining", kind: gauge, omitZero: true, help: "1 while graceful shutdown is draining running cells, 0 otherwise.", get: func(sn *snapshot) any { return sn.jobs.Draining }},

@@ -93,6 +93,7 @@ func fullSnapshot() *snapshot {
 			WorkersUp: i(), WorkersSuspect: i(), WorkersDown: i(), BatchesRouted: next(), BatchesRerouted: next(),
 			BatchesHedged: next(), CellsFallback: next(), DispatchErrors: next(),
 		},
+		gc:     gcStats{cycles: next(), liveBytes: next(), scanBytes: next()},
 		blocks: journalBlock | healthBlock | remoteBlock | clusterBlock,
 	}
 }
@@ -240,7 +241,7 @@ func TestCounterTable(t *testing.T) {
 func TestCounterTableLive(t *testing.T) {
 	hs := &healthStore{ResultStore: shift.NewResultCache(), health: fullSnapshot().health}
 	engine := shift.NewEngine(0, hs)
-	jm, _ := openDurable(t, t.TempDir(), hs, jobs.Config{RunBatch: engine.RunEach})
+	jm, _ := openDurable(t, t.TempDir(), hs, jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, hs, testOpts(), jm, 1<<20)
 	coord := cluster.New(cluster.Config{})
@@ -414,7 +415,7 @@ func TestReadyzAnswersWhileRemoteStoreStalls(t *testing.T) {
 
 	rs := shift.NewTieredRemoteStore(peer.URL+"/v1/blobs", &http.Client{Timeout: 2 * time.Second})
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	ts := httptest.NewServer(newServer(engine, rs, testOpts(), jm, 1<<20).handler())
 	t.Cleanup(ts.Close)

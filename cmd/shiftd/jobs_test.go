@@ -408,7 +408,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 // NDJSON the events encode to: one cell line, then the end line.
 func TestJobStreamFinishedJobOneWrite(t *testing.T) {
 	want := shift.RunResult{Workload: "Web Search", Design: "SHIFT", Throughput: 1.25, MPKI: 3.5}
-	jm := jobs.New(jobs.Config{RunBatch: func(cfgs []shift.Config) ([]shift.RunResult, []error) {
+	jm := jobs.New(jobs.Config{RunBatch: func([]shift.KeyedConfig) ([]shift.RunResult, []error) {
 		return []shift.RunResult{want}, make([]error, 1)
 	}})
 	t.Cleanup(jm.Close)
@@ -461,7 +461,7 @@ func TestJobStreamFinishedJobOneWrite(t *testing.T) {
 func TestJobAdmission429(t *testing.T) {
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{Rate: 1, Burst: 2, RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{Rate: 1, Burst: 2, RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	ts := httptest.NewServer(srv.handler())
@@ -656,7 +656,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestBodyLimit413(t *testing.T) {
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 256)
 	ts := httptest.NewServer(srv.handler())

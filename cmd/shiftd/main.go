@@ -185,7 +185,7 @@ func main() {
 		MaxQueue:  *jobQueue,
 		Rate:      *jobRate,
 		Burst:     *jobBurst,
-		RunBatch:  engine.RunEach,
+		RunBatch:  engine.RunKeyed,
 		Retries:   *jobRetries,
 		Transient: shift.IsTransient,
 	}

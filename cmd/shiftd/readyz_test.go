@@ -29,7 +29,7 @@ func newHealthTestServer(t *testing.T, health shift.StoreHealth) (*httptest.Serv
 	t.Helper()
 	hs := &healthStore{ResultStore: shift.NewResultCache(), health: health}
 	engine := shift.NewEngine(0, hs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunEach})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, hs, testOpts(), jm, 1<<20)
 	ts := httptest.NewServer(srv.handler())

@@ -149,7 +149,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 
 	// Instance 2: a fresh engine over the same store and state dir.
 	engine2 := shift.NewEngine(0, rs)
-	jm2, _ := openDurable(t, dir, rs, jobs.Config{Workers: 2, RunBatch: engine2.RunEach})
+	jm2, _ := openDurable(t, dir, rs, jobs.Config{Workers: 2, RunBatch: engine2.RunKeyed})
 	t.Cleanup(func() { jm2.Close() })
 	ts2 := serveDurable(engine2, rs, jm2)
 	t.Cleanup(ts2.Close)
@@ -239,7 +239,7 @@ func TestRecoverySkipsStoredCells(t *testing.T) {
 	rs := shift.NewResultCache()
 
 	engine1 := shift.NewEngine(0, rs)
-	jm1, journal1 := openDurable(t, dir, rs, jobs.Config{Workers: 1, RunBatch: engine1.RunEach})
+	jm1, journal1 := openDurable(t, dir, rs, jobs.Config{Workers: 1, RunBatch: engine1.RunKeyed})
 	t.Cleanup(func() { jm1.Close() })
 	ts1 := serveDurable(engine1, rs, jm1)
 	sub := submitJob(t, ts1.URL, []map[string]any{
@@ -251,7 +251,7 @@ func TestRecoverySkipsStoredCells(t *testing.T) {
 	journal1.Close() // crash: no drain, no checkpoint
 
 	engine2 := shift.NewEngine(0, rs)
-	jm2, _ := openDurable(t, dir, rs, jobs.Config{Workers: 1, RunBatch: engine2.RunEach})
+	jm2, _ := openDurable(t, dir, rs, jobs.Config{Workers: 1, RunBatch: engine2.RunKeyed})
 	t.Cleanup(func() { jm2.Close() })
 	ts2 := serveDurable(engine2, rs, jm2)
 	t.Cleanup(ts2.Close)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,9 +116,41 @@ func knownWorkload(name string) bool { return shift.KnownWorkload(name) }
 // server's body-size limit, writing the error response itself (400 on
 // malformed JSON, 413 when the body exceeds the limit) and reporting
 // whether decoding succeeded.
+//
+// The answer is json.Decoder's: the first JSON value decoded, whatever
+// follows it ignored, a read error (the limit) reported only if the value
+// is still incomplete when it comes. The body is read into a recycled
+// buffer first and, in the common case of a body that is one well-formed
+// value, json.Unmarshal decodes it, which costs no decoder and no buffer
+// of its own; a grid's cells slice is sized from the body up front. Any
+// other body is replayed through a json.Decoder for the same answer.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyBuffers.Put(buf)
+	}()
+	_, rerr := buf.ReadFrom(r.Body)
+	body := buf.Bytes()
+	err := rerr
+	if rerr == nil {
+		if req, ok := dst.(*gridRequest); ok {
+			// Every cell names its design: the count is the cell count, or
+			// near it.
+			req.Cells = make([]cellSpec, 0, bytes.Count(body, []byte(`"design"`)))
+		}
+		err = json.Unmarshal(body, dst)
+	}
+	var syntax *json.SyntaxError
+	if rerr != nil || errors.As(err, &syntax) {
+		var rd io.Reader = bytes.NewReader(body)
+		if rerr != nil {
+			rd = io.MultiReader(rd, errReader{rerr})
+		}
+		err = json.NewDecoder(rd).Decode(dst)
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -128,6 +162,14 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 	}
 	return true
 }
+
+// bodyBuffers recycles the buffers decodeBody reads bodies into.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // clientKey identifies the client for admission control: the
 // X-Client-ID header when present, the remote IP otherwise.
@@ -372,11 +414,39 @@ func (s *server) cellsFromSpecs(specs []cellSpec) ([]shift.Cell, error) {
 		}
 		label := spec.Label
 		if label == "" {
-			label = shift.WorkloadDisplayName(cfg.Workload) + "/" + cfg.Design.String()
+			label = defaultLabel(cfg)
 		}
 		cells[i] = shift.Cell{Label: label, Config: cfg}
 	}
 	return cells, nil
+}
+
+// defaultLabels caches the label of a cell that names none, so a replayed
+// job builds none of its labels: one string per workload and design seen.
+var defaultLabels = struct {
+	sync.RWMutex
+	m map[labelKey]string
+}{m: map[labelKey]string{}}
+
+type labelKey struct {
+	workload string
+	design   shift.Design
+}
+
+// defaultLabel returns the label of a cell that names none:
+// "<workload display name>/<design>".
+func defaultLabel(cfg shift.Config) string {
+	k := labelKey{cfg.Workload, cfg.Design}
+	defaultLabels.RLock()
+	label, ok := defaultLabels.m[k]
+	defaultLabels.RUnlock()
+	if !ok {
+		label = shift.WorkloadDisplayName(cfg.Workload) + "/" + cfg.Design.String()
+		defaultLabels.Lock()
+		defaultLabels.m[k] = label
+		defaultLabels.Unlock()
+	}
+	return label
 }
 
 // handleGrid serves POST /v1/grid: a cell list in, results in cell
@@ -635,40 +705,35 @@ type jobStreamEvent struct {
 // before any cell has finished still sees its 200 at once. The last
 // events, up to the end event, are not flushed by hand: net/http sends
 // them with the end of the response, one write for a job already
-// finished.
+// finished. Such a stream never waits, so it starts no heartbeat ticker.
 func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	line := lineBuffers.Get().(*[]byte)
+	defer lineBuffers.Put(line)
 	beat := s.streamHeartbeat
 	if beat <= 0 {
 		beat = 15 * time.Second
 	}
-	ticker := time.NewTicker(beat)
-	defer ticker.Stop()
+	var ticker *time.Ticker
+	defer func() {
+		if ticker != nil {
+			ticker.Stop()
+		}
+	}()
+	var buf [8]jobs.Event
 	n := 0
 	for {
-		evs, terminal, changed := j.EventsSince(n)
+		evs, terminal, changed := j.AppendEventsSince(buf[:0], n)
 		for _, ev := range evs {
-			we := jobStreamEvent{Type: ev.Type}
-			switch ev.Type {
-			case jobs.EventCell:
-				idx := ev.Index
-				we.Index = &idx
-				we.Label = ev.Label
-				we.Key = ev.Key
-				we.Error = ev.Err
-				we.Result = ev.Result
-			case jobs.EventEnd:
-				we.State = string(ev.State)
-			}
-			if err := enc.Encode(we); err != nil {
+			if err := writeStreamEvent(w, enc, line, ev); err != nil {
 				log.Printf("shiftd: streaming job %s: %v", j.ID(), err)
 				return
 			}
@@ -677,7 +742,9 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		if terminal {
 			return
 		}
-		if len(evs) > 0 {
+		if ticker == nil {
+			ticker = time.NewTicker(beat)
+		} else if len(evs) > 0 {
 			ticker.Reset(beat)
 		}
 		if fl != nil {
@@ -694,6 +761,31 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// writeStreamEvent writes ev's NDJSON line: a successful cell's framed in
+// line around its result's bytes, any other through enc.
+func writeStreamEvent(w io.Writer, enc *json.Encoder, line *[]byte, ev jobs.Event) error {
+	if ev.Type == jobs.EventCell && ev.Err == "" {
+		b, err := appendCellLine((*line)[:0], ev.Index, ev.Label, ev.Key, ev.Result, ev.ResultJSON())
+		*line = b
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return err
+	}
+	we := jobStreamEvent{Type: ev.Type}
+	switch ev.Type {
+	case jobs.EventCell:
+		idx := ev.Index
+		we.Index = &idx
+		we.Label = ev.Label
+		we.Key = ev.Key
+		we.Error = ev.Err
+	case jobs.EventEnd:
+		we.State = string(ev.State)
+	}
+	return enc.Encode(we)
 }
 
 // handleFigure serves GET /v1/figures/{name}: the named experiment
@@ -964,14 +1056,24 @@ func writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 // header is committed cannot change the status, but they are logged
 // rather than dropped.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	// What a json.Encoder with a two-space indent writes, without the
+	// encoder's indent buffer growing from nothing on every response.
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		log.Printf("shiftd: encoding %d response: %v", code, err)
+		return
 	}
+	w.Write(append(b, '\n'))
 }
+
+// The Content-Type values, each one shared slice: assigned to a response
+// header, not Set into it, they cost no allocation.
+var (
+	jsonType   = []string{"application/json"}
+	ndjsonType = []string{"application/x-ndjson"}
+)
 
 // writeError writes a JSON error envelope.
 func writeError(w http.ResponseWriter, code int, err error) {

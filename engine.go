@@ -262,9 +262,9 @@ func (e *Engine) runSpecs(specs []sim.RunSpec) ([]sim.Result, error) {
 // settle publishes one simulated cell's outcome: an error is annotated
 // with the cell's label, a result seeds the store, and either resolves
 // the cell's in-flight claim.
-func (e *Engine) settle(key string, c Cell, call *store.Call[RunResult], r RunResult, err error) (RunResult, error) {
+func (e *Engine) settle(key, label string, call *store.Call[RunResult], r RunResult, err error) (RunResult, error) {
 	if err != nil {
-		err = fmt.Errorf("cell %s: %w", c.Label, err)
+		err = fmt.Errorf("cell %s: %w", label, err)
 	} else if e.store != nil {
 		e.store.Store(key, r)
 	}
@@ -359,6 +359,25 @@ func (e *Engine) lookup(key string) (RunResult, bool) {
 	return e.store.Lookup(key)
 }
 
+// KeyedConfig is a Config together with its content address
+// (Config.Key), computed once by KeyConfig. Its fields are unexported, so
+// a KeyedConfig's key is always the one its own Config hashes to: a caller
+// that needs the keys anyway (shiftd's job registry) hashes each cell
+// once and hands the engine both through RunKeyed.
+type KeyedConfig struct {
+	cfg Config
+	key string
+}
+
+// KeyConfig returns cfg together with cfg.Key().
+func KeyConfig(cfg Config) KeyedConfig { return KeyedConfig{cfg: cfg, key: cfg.Key()} }
+
+// Config returns the configuration.
+func (k KeyedConfig) Config() Config { return k.cfg }
+
+// Key returns the configuration's content address, Config().Key().
+func (k KeyedConfig) Key() string { return k.key }
+
 // RunAll executes every cell and returns the results in cell order:
 // out[i] is cells[i]'s result. Duplicate configurations within the grid
 // are simulated once and fanned out; cells present in the store are not
@@ -368,7 +387,11 @@ func (e *Engine) lookup(key string) (RunResult, bool) {
 // error a serial loop would have stopped on, whether the cell was
 // simulated here or by a concurrent caller.
 func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
-	out, errs := e.runCells(cells)
+	ks := make([]KeyedConfig, len(cells))
+	for i, c := range cells {
+		ks[i] = KeyConfig(c.Config)
+	}
+	out, errs := e.runCells(ks, cells)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -379,27 +402,68 @@ func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
 
 // RunEach is RunAll for a caller that wants every cell's outcome, not
 // the grid's: out[i] is cfgs[i]'s result or errs[i] its error, so one
-// failing cell costs the others nothing. shiftd's job scheduler runs a
-// job's stream-sharing cells through it as one grid — one store lookup a
-// cell, one batch for those that must be simulated — and journals and
-// publishes each cell on its own.
+// failing cell costs the others nothing. An error is labelled
+// "workload/design".
 func (e *Engine) RunEach(cfgs []Config) ([]RunResult, []error) {
-	cells := make([]Cell, len(cfgs))
+	ks := make([]KeyedConfig, len(cfgs))
 	for i, cfg := range cfgs {
-		cells[i] = cell(cfg)
+		ks[i] = KeyConfig(cfg)
 	}
-	return e.runCells(cells)
+	return e.runCells(ks, nil)
+}
+
+// RunKeyed is RunEach for configs whose keys the caller already holds, so
+// no cell is hashed again. shiftd's job scheduler runs a job's
+// stream-sharing cells through it as one grid — one store lookup a cell,
+// one batch for those that must be simulated — and journals and
+// publishes each cell on its own. It reads ks only until it returns.
+func (e *Engine) RunKeyed(ks []KeyedConfig) ([]RunResult, []error) {
+	return e.runCells(ks, nil)
+}
+
+// linearDedup is the grid size up to which runCells finds a cell's first
+// occurrence by scanning, not through a map.
+const linearDedup = 16
+
+// dedup finds the first cell of a grid with a given cell's key.
+type dedup struct {
+	ks    []KeyedConfig
+	first map[string]int // nil for grids of at most linearDedup cells
+}
+
+func newDedup(ks []KeyedConfig) dedup {
+	d := dedup{ks: ks}
+	if len(ks) > linearDedup {
+		d.first = make(map[string]int, len(ks))
+		for i := len(ks) - 1; i >= 0; i-- {
+			d.first[ks[i].key] = i
+		}
+	}
+	return d
+}
+
+// of returns the index of the first cell with cell i's key.
+func (d dedup) of(i int) int {
+	if d.first != nil {
+		return d.first[d.ks[i].key]
+	}
+	for f := 0; f < i; f++ {
+		if d.ks[f].key == d.ks[i].key {
+			return f
+		}
+	}
+	return i
 }
 
 // runCells executes every cell and returns, in cell order, each cell's
 // result or its error annotated with its label (a duplicate reports its
-// first occurrence's).
-func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
-	out, errs := make([]RunResult, len(cells)), make([]error, len(cells))
-	keys := make([]string, len(cells))
-	// first maps a key to the index of its first occurrence, whose slots
-	// of out and errs every duplicate copies at the end.
-	first := make(map[string]int, len(cells))
+// first occurrence's): cells[i].Label, or "workload/design" when cells is
+// nil.
+func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error) {
+	out, errs := make([]RunResult, len(ks)), make([]error, len(ks))
+	// Duplicates copy their first occurrence's slots of out and errs at
+	// the end.
+	first := newDedup(ks)
 	// Partition first occurrences of unique uncached configs into cells
 	// this call owns (it will simulate them and publish the results) and
 	// cells owned by a concurrent RunAll (it will wait for theirs).
@@ -410,13 +474,11 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	var owned []int
 	var ownedCalls []*store.Call[RunResult]
 	var waits []waiter
-	for i := range cells {
-		k := cells[i].Config.Key()
-		keys[i] = k
-		if _, ok := first[k]; ok {
+	for i := range ks {
+		if first.of(i) != i {
 			continue
 		}
-		first[k] = i
+		k := ks[i].key
 		if r, ok := e.lookup(k); ok {
 			out[i] = r
 			continue
@@ -437,18 +499,20 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 	// worker — not after the barrier — so waiters never outlive the
 	// work they wait on. Workers write the disjoint out/errs slots of
 	// their own cells, so the shared slices need no locking.
-	batches := batchOwned(cells, owned)
-	e.each(len(batches), func(bi int) {
-		e.runOwnedBatch(cells, keys, owned, ownedCalls, batches[bi], out, errs)
-	})
+	if len(owned) > 0 {
+		batches := batchOwned(ks, owned)
+		e.each(len(batches), func(bi int) {
+			e.runOwnedBatch(ks, cells, owned, ownedCalls, batches[bi], out, errs)
+		})
+	}
 	// Collect results simulated by concurrent RunAll calls. Every batch
 	// runs and settle resolves every owned claim, so a waiter receives
 	// the cell's own outcome, never another cell's error.
 	for _, w := range waits {
 		out[w.idx], errs[w.idx] = w.call.Wait()
 	}
-	for i, k := range keys {
-		if f := first[k]; f != i {
+	for i := range ks {
+		if f := first.of(i); f != i {
 			out[i], errs[i] = out[f], errs[f]
 		}
 	}
@@ -460,11 +524,11 @@ func (e *Engine) runCells(cells []Cell) ([]RunResult, []error) {
 // Config.Stream. Batch order follows the first appearance of each
 // stream and members stay in ascending cell order, so the schedule is
 // deterministic for a given grid.
-func batchOwned(cells []Cell, owned []int) [][]int {
+func batchOwned(ks []KeyedConfig, owned []int) [][]int {
 	idx := make(map[StreamID]int, len(owned))
 	var batches [][]int
 	for j, i := range owned {
-		sk := cells[i].Config.Stream()
+		sk := ks[i].cfg.Stream()
 		bi, ok := idx[sk]
 		if !ok {
 			bi = len(batches)
@@ -480,16 +544,29 @@ func batchOwned(cells []Cell, owned []int) [][]int {
 // simulate). Each member's result is stored and its in-flight claim
 // resolved here, in the worker; its outcome lands in its cell's slot of
 // out and errs, for RunAll's deterministic lowest-index selection.
-func (e *Engine) runOwnedBatch(cells []Cell, keys []string, owned []int, ownedCalls []*store.Call[RunResult], members []int, out []RunResult, errs []error) {
+func (e *Engine) runOwnedBatch(ks []KeyedConfig, cells []Cell, owned []int, ownedCalls []*store.Call[RunResult], members []int, out []RunResult, errs []error) {
 	cfgs := make([]Config, len(members))
 	for mi, j := range members {
-		cfgs[mi] = cells[owned[j]].Config
+		cfgs[mi] = ks[owned[j]].cfg
 	}
 	rs, rerrs := e.simulate(cfgs)
 	for mi, j := range members {
 		i := owned[j]
-		out[i], errs[i] = e.settle(keys[i], cells[i], ownedCalls[j], rs[mi], rerrs[mi])
+		var label string
+		if rerrs[mi] != nil {
+			label = labelOf(ks, cells, i)
+		}
+		out[i], errs[i] = e.settle(ks[i].key, label, ownedCalls[j], rs[mi], rerrs[mi])
 	}
+}
+
+// labelOf names cell i in an error: cells[i].Label, or "workload/design"
+// when runCells got no cells.
+func labelOf(ks []KeyedConfig, cells []Cell, i int) string {
+	if cells != nil {
+		return cells[i].Label
+	}
+	return cell(ks[i].cfg).Label
 }
 
 // RunOne executes a single configuration through the engine (hitting

@@ -127,7 +127,7 @@ func main() {
 		Workers:  2,
 		Journal:  journal2,
 		Lookup:   store.Lookup,
-		RunBatch: engine2.RunEach,
+		RunBatch: engine2.RunKeyed,
 	})
 	if err != nil {
 		log.Fatal(err)

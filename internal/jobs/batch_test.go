@@ -49,9 +49,13 @@ func newBatchRecorder(gated bool) *batchRecorder {
 	return b
 }
 
-func (b *batchRecorder) run(cfgs []shift.Config) ([]shift.RunResult, []error) {
-	ms := make([]member, len(cfgs))
-	for i, c := range cfgs {
+func (b *batchRecorder) run(ks []shift.KeyedConfig) ([]shift.RunResult, []error) {
+	ms := make([]member, len(ks))
+	for i, k := range ks {
+		c := k.Config()
+		if k.Key() != c.Key() {
+			panic("batchRecorder: a cell's key is not its config's")
+		}
 		ms[i] = member{c.Workload, c.Seed}
 	}
 	b.mu.Lock()
@@ -62,7 +66,7 @@ func (b *batchRecorder) run(cfgs []shift.Config) ([]shift.RunResult, []error) {
 	if b.gate != nil {
 		<-b.gate
 	}
-	rs, errs := make([]shift.RunResult, len(cfgs)), make([]error, len(cfgs))
+	rs, errs := make([]shift.RunResult, len(ks)), make([]error, len(ks))
 	for i, m := range ms {
 		if b.outcome != nil {
 			errs[i] = b.outcome(call, m)

@@ -12,7 +12,7 @@
 // expensive exact confirmations regardless of arrival order — the
 // SJF-style batch formation of BLIS-like inference schedulers. A worker
 // pops a batch and executes its cells together through the
-// caller-supplied run function (shiftd passes Engine.RunEach, so job
+// caller-supplied run function (shiftd passes Engine.RunKeyed, so job
 // cells share the engine's store, in-flight deduplication, and
 // concurrency bound with every synchronous request, and a batch
 // generates its stream once). Admission, the queue bound and the queue
@@ -32,12 +32,13 @@
 package jobs
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +103,23 @@ type Event struct {
 	Err string
 	// State is the job's terminal state (EventEnd).
 	State State
+
+	// shared is the entry Result points into.
+	shared *sharedResult
+}
+
+// ResultJSON returns Result's encoding/json bytes when the manager holds
+// them, nil otherwise. A result is encoded once, when a second cell
+// reuses it (a replay), so a result only one cell produced has none. The
+// bytes must not be modified.
+func (ev Event) ResultJSON() []byte {
+	if ev.shared == nil {
+		return nil
+	}
+	if b := ev.shared.encoded.Load(); b != nil {
+		return *b
+	}
+	return nil
 }
 
 // cell execution states (per cell, guarded by Job.mu).
@@ -118,32 +136,57 @@ const (
 // Job is one submitted asynchronous job. All exported methods are safe
 // for concurrent use.
 //
-// A terminal job keeps only what its status and events read: labels,
-// keys, cell states, the completion order and a pointer per finished
-// cell into the manager's shared results. cfgs and attempts are needed
-// only while a cell can still run, and maybeFinalize drops them.
+// A terminal job keeps only what its status and events read, flat: the
+// labels packed in one string, an index per finished cell into the
+// manager's shared results, the keys of the cells without one, the cell
+// states and the completion order. cells and attempts are needed only
+// while a cell can still run, and maybeFinalize drops them. The fields
+// that hold pointers come first: the collector scans an object only up to
+// its last pointer, and the registry keeps every finished job.
 type Job struct {
 	id     string
-	labels []string
-	// cfgs is read only while a cell runs or is enqueued: a worker reads
-	// it after startCells counts the cell as running, and a requeue
-	// enqueues the cell under mu, so the job cannot finalize and drop it
-	// under either reader.
-	cfgs []shift.Config
-	// keys[i] is cell i's content address. A finished cell's entry is the
-	// shared result's key string, so equal keys are held once.
-	keys    []string
-	created time.Time
-	client  string
+	client string
+	// labels holds the cells' labels back to back: cell i's ends at
+	// labelEnds[i] and starts where cell i-1's ends.
+	labels    string
+	labelEnds []uint32
+	// cells are the submitted configs with their keys. They are read only
+	// while a cell runs or is enqueued: a worker reads them after
+	// startCells counts the cell as running, and a requeue enqueues the
+	// cell under mu, so the job cannot finalize and drop them under either
+	// reader.
+	cells []shift.KeyedConfig
+	// shared is the manager's result table, into which res indexes.
+	shared *sharedTable
 	// wire is the journaled form of the cells (canonical Config JSON
 	// plus spec documents), kept so compaction snapshots and the
 	// original submit entry encode identically.
 	wire []EntryCell
-	// recovered marks a job rebuilt from the journal; its finalization
-	// decrements the manager's recovering count and is excluded from
-	// the latency percentiles (a latency spanning a process restart
-	// measures the outage, not the scheduler).
-	recovered bool
+
+	// mu guards the fields from state on.
+	state     State
+	cellState []cellState
+	// res[i] is finished cell i's entry in shared; it means nothing for a
+	// cell that is not done.
+	res []uint32
+	// keys holds, once the job is terminal, the keys of the cells with no
+	// entry in shared — failed or dropped ones — and is nil when every
+	// cell finished: a finished cell's key is its entry's.
+	keys []string
+	// cellErrs holds failed cells' messages, allocated at the first
+	// failure: nil for a job no cell of which failed.
+	cellErrs []string
+	// attempts counts the extra attempts consumed per cell (retry
+	// policy), allocated at the first requeue.
+	attempts []int
+	// order records the completion order of finished cells, and with
+	// the per-cell slots above is the whole event log: event p is cell
+	// order[p]'s, and the end event follows the last of them once the
+	// job is terminal.
+	order []int32
+	// changed is closed on the next change; a terminal job's is
+	// closedChan.
+	changed chan struct{}
 
 	// journaling orders the job's cell completions against journal
 	// compaction: a worker holds it from the OpCell appends of the cells a
@@ -153,58 +196,96 @@ type Job struct {
 	// then drops.
 	// Taken before mu, and after Manager.mu.
 	journaling sync.Mutex
+	mu         sync.Mutex
 
-	mu        sync.Mutex
-	state     State
 	cancelled bool
-	cellState []cellState
-	// attempts counts the extra attempts consumed per cell (retry
-	// policy), allocated at the first requeue.
-	attempts []int
-	// results[i] is finished cell i's shared result, nil for a failed or
-	// dropped cell.
-	results []*shift.RunResult
-	// cellErrs holds failed cells' messages, allocated at the first
-	// failure: nil for a job no cell of which failed.
-	cellErrs  []string
+	// recovered marks a job rebuilt from the journal; its finalization
+	// decrements the manager's recovering count and is excluded from
+	// the latency percentiles (a latency spanning a process restart
+	// measures the outage, not the scheduler).
+	recovered bool
 	completed int
 	failed    int
 	dropped   int
 	running   int
-	started   time.Time
-	finished  time.Time
-	// order records the completion order of finished cells, and with
-	// the per-cell slots above is the whole event log: event p is cell
-	// order[p]'s, and the end event follows the last of them once the
-	// job is terminal.
-	order   []int32
-	changed chan struct{}
+	// created, started and finished are wall-clock Unix nanoseconds (0:
+	// not yet), which hold no *time.Location for the collector to scan.
+	created, started, finished int64
 }
 
-// newJob returns a queued job over a copy of cells.
-func newJob(id string, cells []shift.Cell, created time.Time, client string) *Job {
+// closedChan is every terminal job's changed channel: nothing changes
+// again, so a follower that waits on it returns at once.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// newJob returns a queued job over a copy of cells, each keyed once,
+// whose finished cells will point into shared.
+func newJob(id string, cells []shift.Cell, created time.Time, client string, shared *sharedTable) *Job {
 	n := len(cells)
 	j := &Job{
 		id:        id,
-		labels:    make([]string, n),
-		cfgs:      make([]shift.Config, n),
-		keys:      make([]string, n),
-		created:   created,
 		client:    client,
+		labelEnds: make([]uint32, n),
+		cells:     make([]shift.KeyedConfig, n),
+		shared:    shared,
 		state:     StateQueued,
 		cellState: make([]cellState, n),
-		results:   make([]*shift.RunResult, n),
+		res:       make([]uint32, n),
 		order:     make([]int32, 0, n),
 		changed:   make(chan struct{}),
+		created:   created.UnixNano(),
 	}
+	size := 0
+	for _, c := range cells {
+		size += len(c.Label)
+	}
+	var labels strings.Builder
+	labels.Grow(size)
 	for i, c := range cells {
-		j.labels[i], j.cfgs[i], j.keys[i] = c.Label, c.Config, c.Config.Key()
+		labels.WriteString(c.Label)
+		j.labelEnds[i] = uint32(labels.Len())
+		j.cells[i] = shift.KeyConfig(c.Config)
 	}
+	j.labels = labels.String()
 	return j
 }
 
 // ID returns the job's registry identifier.
 func (j *Job) ID() string { return j.id }
+
+// label returns cell i's label. Labels never change, so no lock is held.
+func (j *Job) label(i int) string {
+	start := uint32(0)
+	if i > 0 {
+		start = j.labelEnds[i-1]
+	}
+	return j.labels[start:j.labelEnds[i]]
+}
+
+// keyLocked returns cell i's content address; entries is the shared
+// table's list when cell i is done. Called with mu held.
+func (j *Job) keyLocked(i int, entries []*sharedResult) string {
+	switch {
+	case j.cellState[i] == cellDone:
+		return entries[j.res[i]].key
+	case j.cells != nil:
+		return j.cells[i].Key()
+	default:
+		return j.keys[i]
+	}
+}
+
+// wallTime returns the time of wall-clock Unix nanoseconds ns, the zero
+// Time for 0.
+func wallTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
 
 // Status is a point-in-time snapshot of a job, safe to read without
 // further locking. Slices are index-aligned with the submitted cells.
@@ -253,20 +334,24 @@ func (j *Job) Snapshot() Status {
 		Completed:       j.completed,
 		Failed:          j.failed,
 		Dropped:         j.dropped,
-		Created:         j.created,
-		Started:         j.started,
-		Finished:        j.finished,
+		Created:         wallTime(j.created),
+		Started:         wallTime(j.started),
+		Finished:        wallTime(j.finished),
 		Done:            make([]bool, n),
-		Labels:          append([]string(nil), j.labels...),
-		Keys:            append([]string(nil), j.keys...),
+		Labels:          make([]string, n),
+		Keys:            make([]string, n),
 		Results:         make([]shift.RunResult, n),
 		CellErrs:        make([]string, n),
 	}
 	copy(st.CellErrs, j.cellErrs)
-	for i, r := range j.results {
-		st.Done[i] = j.cellState[i] == cellDone
-		if r != nil {
-			st.Results[i] = *r
+	var entries []*sharedResult
+	if j.completed > 0 {
+		entries = j.shared.entries()
+	}
+	for i, cs := range j.cellState {
+		st.Labels[i], st.Keys[i] = j.label(i), j.keyLocked(i, entries)
+		if st.Done[i] = cs == cellDone; st.Done[i] {
+			st.Results[i] = entries[j.res[i]].r
 		}
 	}
 	return st
@@ -285,35 +370,44 @@ func (j *Job) Snapshot() Status {
 // completion order, then exactly one end event, each delivered exactly
 // once to a cursor-advancing follower.
 func (j *Job) EventsSince(n int) (evs []Event, terminal bool, changed <-chan struct{}) {
+	return j.AppendEventsSince(nil, n)
+}
+
+// AppendEventsSince is EventsSince appending the events to dst, so a
+// follower can build them in a buffer it reuses.
+func (j *Job) AppendEventsSince(dst []Event, n int) (evs []Event, terminal bool, changed <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	terminal = j.state.Terminal()
-	count := len(j.order) - n
-	if terminal {
-		count++ // the end event
+	cells := max(len(j.order)-n, 0)
+	end := terminal && n <= len(j.order)
+	if cells == 0 && !end {
+		return dst, terminal, j.changed
 	}
-	if count > 0 {
-		evs = make([]Event, 0, count)
+	evs = slices.Grow(dst, cells+1)
+	if cells > 0 {
+		entries := j.shared.entries()
 		for _, idx := range j.order[n:] {
-			evs = append(evs, j.cellEventLocked(int(idx)))
+			evs = append(evs, j.cellEventLocked(int(idx), entries))
 		}
-		if terminal {
-			evs = append(evs, Event{Type: EventEnd, State: j.state})
-		}
+	}
+	if end {
+		evs = append(evs, Event{Type: EventEnd, State: j.state})
 	}
 	return evs, terminal, j.changed
 }
 
-// cellEventLocked builds finished cell i's event from its result slot.
-// Called with mu held.
-func (j *Job) cellEventLocked(i int) Event {
-	ev := Event{Type: EventCell, Index: i, Label: j.labels[i], Key: j.keys[i], Result: j.results[i]}
+// cellEventLocked builds finished cell i's event from its slot; entries
+// is the shared table's list. Called with mu held.
+func (j *Job) cellEventLocked(i int, entries []*sharedResult) Event {
+	ev := Event{Type: EventCell, Index: i, Label: j.label(i)}
 	if j.cellState[i] == cellFailed {
-		ev.Err = j.cellErrs[i]
+		ev.Key, ev.Err = j.keyLocked(i, entries), j.cellErrs[i]
+		return ev
 	}
+	s := entries[j.res[i]]
+	ev.Key, ev.Result, ev.shared = s.key, &s.r, s
 	return ev
 }
 
@@ -331,15 +425,20 @@ func (j *Job) finishCellLocked(i int, s *sharedResult, err error) {
 	} else {
 		j.cellState[i] = cellDone
 		j.completed++
-		j.results[i], j.keys[i] = &s.r, s.key
+		j.res[i] = s.idx
 	}
 	j.order = append(j.order, int32(i))
 }
 
-// broadcast wakes every EventsSince follower. Called with mu held.
+// broadcast wakes every EventsSince follower. A terminal job changes no
+// more, so it points at closedChan rather than holding a channel of its
+// own. Called with mu held.
 func (j *Job) broadcast() {
 	close(j.changed)
-	j.changed = make(chan struct{})
+	j.changed = closedChan
+	if !j.state.Terminal() {
+		j.changed = make(chan struct{})
+	}
 }
 
 // startCells transitions the still-runnable cells of a popped batch to
@@ -357,9 +456,27 @@ func (j *Job) startCells(cells []int, now time.Time) []int {
 	}
 	if len(started) > 0 && j.state == StateQueued {
 		j.state = StateRunning
-		j.started = now
+		j.started = now.UnixNano()
 	}
 	return started
+}
+
+// batchCells returns the keyed configs of cells, running cells of j: a
+// window of the job's own slice when they are a contiguous run (as a
+// batch of a whole job is), a copy otherwise. Read without mu (see
+// Job.cells).
+func (j *Job) batchCells(cells []int) []shift.KeyedConfig {
+	first, n := cells[0], len(cells)
+	for k, i := range cells {
+		if i != first+k {
+			ks := make([]shift.KeyedConfig, n)
+			for k, i := range cells {
+				ks[k] = j.cells[i]
+			}
+			return ks
+		}
+	}
+	return j.cells[first : first+n : first+n]
 }
 
 // completeCells records the outcome of each of cells (shared and errs
@@ -381,9 +498,9 @@ func (j *Job) completeCells(cells []int, shared []*sharedResult, errs []error, n
 }
 
 // maybeFinalize moves the job to its terminal state once no cell is
-// queued or running, and drops the state only a runnable cell reads.
-// Called with mu held; returns whether it finalized and the job latency
-// in seconds.
+// queued or running, and drops the state only a runnable cell reads,
+// keeping the keys of the cells that did not finish. Called with mu held;
+// returns whether it finalized and the job latency in seconds.
 func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 	if j.state.Terminal() || j.running > 0 ||
 		j.completed+j.failed+j.dropped < len(j.cellState) {
@@ -397,9 +514,17 @@ func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 	default:
 		j.state = StateDone
 	}
-	j.finished = now
-	j.cfgs, j.attempts = nil, nil
-	return true, now.Sub(j.created).Seconds()
+	j.finished = now.UnixNano()
+	if j.completed < len(j.cellState) {
+		j.keys = make([]string, len(j.cellState))
+		for i, cs := range j.cellState {
+			if cs != cellDone {
+				j.keys[i] = j.cells[i].Key()
+			}
+		}
+	}
+	j.cells, j.attempts = nil, nil
+	return true, float64(j.finished-j.created) / 1e9
 }
 
 // cancel requests cancellation: queued cells are dropped immediately,
@@ -457,10 +582,12 @@ type Config struct {
 	// than Burst can never be admitted (0 = 64).
 	Burst float64
 	// RunBatch executes the cells of one batch — one record stream — and
-	// returns each cell's result or error, index-aligned (required).
-	// shiftd passes Engine.RunEach, so job cells share the engine with
-	// synchronous requests.
-	RunBatch func([]shift.Config) ([]shift.RunResult, []error)
+	// returns each cell's result or error, index-aligned (required). Each
+	// cell comes with the key the manager computed at submission; RunBatch
+	// reads the slice only until it returns. shiftd passes
+	// Engine.RunKeyed, so job cells share the engine with synchronous
+	// requests and are hashed once.
+	RunBatch func([]shift.KeyedConfig) ([]shift.RunResult, []error)
 	// Run is the per-cell form of RunBatch, read only when RunBatch is
 	// nil: Open wraps it into a RunBatch that runs a batch's cells one
 	// after another. It remains for the repository benchmark
@@ -494,13 +621,6 @@ type Config struct {
 	Now func() time.Time
 }
 
-// sharedResult is one finished result held once for every job cell that
-// produced it: the canonical key string and the result.
-type sharedResult struct {
-	key string
-	r   shift.RunResult
-}
-
 // Manager owns the job registry, the admission buckets, and the
 // SJF scheduler. All methods are safe for concurrent use.
 type Manager struct {
@@ -519,16 +639,8 @@ type Manager struct {
 	draining      bool
 	running       int // cells currently executing in workers
 
-	// shared maps a content address to the result every finished cell
-	// with that key points at, so a replayed cell holds a pointer instead
-	// of its own copy of the result and key. Entries are never removed:
-	// each is referenced by a retained job, and jobs are never removed
-	// either. A future job eviction must make this table weak, or it
-	// keeps every evicted job's results alive. It is a plain map because
-	// go.mod's Go version has neither unique nor weak. sharedMu is a
-	// leaf: nothing else is locked while it is held.
-	sharedMu sync.Mutex
-	shared   map[string]*sharedResult
+	// shared holds every finished cell's result once per key.
+	shared sharedTable
 
 	// recoveredPending counts recovered non-terminal jobs that have not
 	// reached a terminal state since restart; shiftd reports the
@@ -596,10 +708,10 @@ func Open(cfg Config) (*Manager, error) {
 			panic("jobs: Config.RunBatch is required")
 		}
 		run := cfg.Run
-		cfg.RunBatch = func(cfgs []shift.Config) ([]shift.RunResult, []error) {
-			rs, errs := make([]shift.RunResult, len(cfgs)), make([]error, len(cfgs))
-			for i, c := range cfgs {
-				rs[i], errs[i] = run(c)
+		cfg.RunBatch = func(ks []shift.KeyedConfig) ([]shift.RunResult, []error) {
+			rs, errs := make([]shift.RunResult, len(ks)), make([]error, len(ks))
+			for i, k := range ks {
+				rs[i], errs[i] = run(k.Config())
 			}
 			return rs, errs
 		}
@@ -608,7 +720,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		buckets: NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
 		jobs:    make(map[string]*Job),
-		shared:  make(map[string]*sharedResult),
+		shared:  sharedTable{byKey: make(map[string]*sharedResult)},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Journal != nil {
@@ -667,7 +779,7 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client)
+	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client, &m.shared)
 	if m.cfg.Journal != nil {
 		j.wire = entryCells(cells)
 		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire}
@@ -691,13 +803,23 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 
 // enqueueLocked partitions the given cells of j by the record stream they
 // consume and pushes one batch per stream, in order of first appearance,
-// at the summed estimated cost of its cells. Called with mu held and
-// while j cannot finalize, which would drop the configs it reads.
+// at the summed estimated cost of its cells. The caller hands cells over:
+// when they all consume one stream (a job of one workload's designs),
+// they are the batch. Called with mu held and while j cannot finalize,
+// which would drop the configs it reads.
 func (m *Manager) enqueueLocked(j *Job, cells []int) {
+	if len(cells) == 0 {
+		return
+	}
+	m.queued += len(cells)
+	if it, ok := oneStream(j, cells); ok {
+		m.pushLocked(it)
+		return
+	}
 	at := make(map[shift.StreamID]int, 1)
 	var items []batchItem
 	for _, i := range cells {
-		cfg := j.cfgs[i]
+		cfg := j.cells[i].Config()
 		sk := cfg.Stream()
 		bi, ok := at[sk]
 		if !ok {
@@ -709,11 +831,30 @@ func (m *Manager) enqueueLocked(j *Job, cells []int) {
 		items[bi].cost += EstimateCost(cfg)
 	}
 	for _, it := range items {
-		m.seq++
-		it.seq = m.seq
-		heap.Push(&m.heap, it)
+		m.pushLocked(it)
 	}
-	m.queued += len(cells)
+}
+
+// oneStream returns cells as one batch when they all consume one stream.
+func oneStream(j *Job, cells []int) (batchItem, bool) {
+	it := batchItem{job: j, cells: cells}
+	sk := j.cells[cells[0]].Config().Stream()
+	for _, i := range cells {
+		cfg := j.cells[i].Config()
+		if cfg.Stream() != sk {
+			return batchItem{}, false
+		}
+		it.cost += EstimateCost(cfg)
+	}
+	return it, true
+}
+
+// pushLocked queues one batch behind every earlier one of equal cost.
+// Called with mu held.
+func (m *Manager) pushLocked(it batchItem) {
+	m.seq++
+	it.seq = m.seq
+	m.heap.push(it)
 }
 
 // Get returns the job with the given id.
@@ -876,7 +1017,7 @@ func (m *Manager) snapshotEntriesLocked() []Entry {
 func (j *Job) snapEntry() Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := Entry{Op: OpSnap, Job: j.id, Client: j.client, Created: j.created,
+	e := Entry{Op: OpSnap, Job: j.id, Client: j.client, Created: wallTime(j.created),
 		Cells: j.wire, Cancelled: j.cancelled}
 	if j.state.Terminal() {
 		e.State = j.state
@@ -935,6 +1076,7 @@ func (m *Manager) jobFinishedLocked(j *Job, lat float64) {
 // popping — the heap is preserved for the journal checkpoint — and
 // running cells finish normally.
 func (m *Manager) worker() {
+	var shared []*sharedResult // completeCells' scratch, reused batch to batch
 	for {
 		m.mu.Lock()
 		for (len(m.heap) == 0 || m.draining) && !m.closed {
@@ -944,7 +1086,7 @@ func (m *Manager) worker() {
 			m.mu.Unlock()
 			return
 		}
-		it := heap.Pop(&m.heap).(batchItem)
+		it := m.heap.pop()
 		j := it.job
 		cells := j.startCells(it.cells, m.cfg.Now())
 		if len(cells) == 0 {
@@ -956,11 +1098,7 @@ func (m *Manager) worker() {
 		m.batches++
 		m.batchCells += int64(len(cells))
 		m.mu.Unlock()
-		cfgs := make([]shift.Config, len(cells))
-		for k, i := range cells {
-			cfgs[k] = j.cfgs[i]
-		}
-		rs, errs := m.cfg.RunBatch(cfgs)
+		rs, errs := m.cfg.RunBatch(j.batchCells(cells))
 		// Every member has its own outcome: a transient failure goes back on
 		// the queue alone, everything else is journaled cell by cell and
 		// published together.
@@ -974,7 +1112,8 @@ func (m *Manager) worker() {
 		}
 		finished, lat := false, 0.0
 		if settled > 0 {
-			finished, lat = m.completeCells(j, cells[:settled], rs, errs)
+			shared = slices.Grow(shared[:0], settled)[:settled]
+			finished, lat = m.completeCells(j, cells[:settled], rs, errs, shared)
 		}
 		if finished {
 			m.journalEnd(j)
@@ -994,24 +1133,24 @@ func (m *Manager) worker() {
 
 // completeCells journals the outcome of each of cells — rs and errs are
 // index-aligned with it — and then publishes them, each successful cell
-// pointing at its shared result. Journal first: once a follower has seen
-// a completion event, a restart must not forget it. The results
-// themselves are already in the store (the engine seeded them during the
-// run), so the journal carries only the index and error. Both happen
-// under the job's journaling lock, so a compaction sees a cell either
-// before its record is appended or after it is complete, never in
-// between. Must not be called with mu held.
-func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error) (finished bool, latency float64) {
-	// A running cell's key changes only when the cell settles, here, so
-	// it is read without the job's lock.
-	shared := make([]*sharedResult, len(cells))
-	m.sharedMu.Lock()
+// pointing at its shared result (shared is scratch of the same length).
+// Journal first: once a follower has seen a completion event, a restart
+// must not forget it. The results themselves are already in the store
+// (the engine seeded them during the run), so the journal carries only
+// the index and error. Both happen under the job's journaling lock, so a
+// compaction sees a cell either before its record is appended or after
+// it is complete, never in between. Must not be called with mu held.
+func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error, shared []*sharedResult) (finished bool, latency float64) {
+	// A running cell's config is read without the job's lock (see
+	// Job.cells).
+	m.shared.mu.Lock()
 	for k, i := range cells {
+		shared[k] = nil
 		if errs[k] == nil {
-			shared[k] = m.shareLocked(j.keys[i], &rs[k])
+			shared[k] = m.shared.shareLocked(j.cells[i].Key(), &rs[k])
 		}
 	}
-	m.sharedMu.Unlock()
+	m.shared.mu.Unlock()
 	j.journaling.Lock()
 	defer j.journaling.Unlock()
 	for k, i := range cells {
@@ -1022,32 +1161,6 @@ func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs 
 		m.journalAppend(e)
 	}
 	return j.completeCells(cells, shared, errs, m.cfg.Now())
-}
-
-// shareLocked returns the shared entry for a result r under key: the
-// table's entry when its result is == r, else a fresh one — entered in
-// the table if the key has none yet. == never holds for a result with a
-// NaN, so such results are not shared, and an entry's bytes never change
-// whatever results later arrive under its key. (== does equate 0 and -0;
-// a result is a pure function of its key, so two under one key do not
-// differ in a zero's sign alone.) Called with sharedMu held.
-func (m *Manager) shareLocked(key string, r *shift.RunResult) *sharedResult {
-	s, ok := m.shared[key]
-	if ok && s.r == *r {
-		return s
-	}
-	fresh := &sharedResult{key: key, r: *r}
-	if !ok {
-		m.shared[key] = fresh
-	}
-	return fresh
-}
-
-// share is shareLocked for one result.
-func (m *Manager) share(key string, r shift.RunResult) *sharedResult {
-	m.sharedMu.Lock()
-	defer m.sharedMu.Unlock()
-	return m.shareLocked(key, &r)
 }
 
 // retryable reports whether the retry policy is on and classifies err
@@ -1174,9 +1287,7 @@ func (m *Manager) Stats() Stats {
 	}
 	sorted := append([]float64(nil), m.latencies...)
 	m.mu.Unlock()
-	m.sharedMu.Lock()
-	s.SharedResults = len(m.shared)
-	m.sharedMu.Unlock()
+	s.SharedResults = m.shared.len()
 	sort.Float64s(sorted)
 	s.LatencyP50 = percentile(sorted, 0.50)
 	s.LatencyP90 = percentile(sorted, 0.90)

@@ -1,9 +1,12 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -667,4 +670,72 @@ func cellEvents(evs []Event) []Event {
 		}
 	}
 	return cells
+}
+
+// TestSharedResultsCompareBits: a result shares only an entry whose
+// floats have its bits. == equates 0 and -0, which encode differently,
+// so a cell whose own result holds -0 must not be handed the 0 of the
+// entry its key has — once that entry caches its encoding, the wrong
+// sign would be frozen on the wire. Every float field of a RunResult is
+// compared so. And the encoding is cached only for an entry a second
+// cell reuses: a result one cell produced keeps no bytes.
+func TestSharedResultsCompareBits(t *testing.T) {
+	var zeros atomic.Int64
+	m := New(Config{Workers: 1, Run: func(cfg shift.Config) (shift.RunResult, error) {
+		if cfg.Workload == "zero" && zeros.Add(1) > 1 {
+			return shift.RunResult{MPKI: math.Copysign(0, -1)}, nil
+		}
+		return shift.RunResult{MPKI: float64(cfg.MeasureRecords)}, nil
+	}})
+	defer m.Close()
+	var submitted []*Job
+	for k := 0; k < 3; k++ {
+		j, err := m.Submit([]shift.Cell{testCell("zero", 0), testCell("one", 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		submitted = append(submitted, j)
+	}
+	// The events are rebuilt once every job is done, so the first job's
+	// "one" cell sees the encoding its replays cached.
+	var evs [][]Event
+	for _, j := range submitted {
+		evs = append(evs, cellEvents(waitTerminal(t, j)))
+	}
+	for k, e := range evs {
+		if got := math.Signbit(e[0].Result.MPKI); got != (k > 0) {
+			t.Errorf("job %d: the cell's result is %v, want the sign bit %v", k, e[0].Result.MPKI, k > 0)
+		}
+		if e[0].ResultJSON() != nil {
+			t.Errorf("job %d: a result no cell reused holds its encoding %s", k, e[0].ResultJSON())
+		}
+		want, _ := json.Marshal(e[1].Result)
+		if e[1].Result != evs[0][1].Result || !bytes.Equal(e[1].ResultJSON(), want) {
+			t.Errorf("job %d: the replayed cell's result %p (encoded %s), want the shared %p encoded %s",
+				k, e[1].Result, e[1].ResultJSON(), evs[0][1].Result, want)
+		}
+	}
+	if evs[1][0].Result == evs[0][0].Result || evs[2][0].Result == evs[0][0].Result {
+		t.Error("a result holding -0 shares the entry of 0")
+	}
+
+	var fields func(typ reflect.Type, index []int)
+	fields = func(typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			switch f.Type.Kind() {
+			case reflect.Struct:
+				fields(f.Type, idx)
+			case reflect.Float32, reflect.Float64:
+				var zero, negZero shift.RunResult
+				reflect.ValueOf(&negZero).Elem().FieldByIndex(idx).SetFloat(math.Copysign(0, -1))
+				if sameBits(&zero, &negZero) {
+					t.Errorf("RunResult.%s: -0 and 0 count as the same result", f.Name)
+				}
+			}
+		}
+	}
+	fields(reflect.TypeOf(shift.RunResult{}), nil)
 }

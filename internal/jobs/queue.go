@@ -1,5 +1,7 @@
 package jobs
 
+import "container/heap"
+
 // batchItem is one schedulable unit in the priority queue: the cells of
 // one job that consume one record stream (equal shift.Config.Stream),
 // which a worker hands to Config.RunBatch together — or one cell, when it
@@ -17,7 +19,8 @@ type batchItem struct {
 // the cheapest estimated batch first (shortest-job-first), and among
 // equal costs the earliest-submitted — so sampled probe cells overtake
 // exact confirmations while equal work stays first-come-first-served.
-// It implements container/heap.Interface.
+// It implements container/heap.Interface; push and pop are heap.Push and
+// heap.Pop without an item boxed in an interface on the way in or out.
 type batchHeap []batchItem
 
 // Len reports the number of queued batches (including stale entries for
@@ -45,5 +48,24 @@ func (h *batchHeap) Pop() any {
 	it := old[n-1]
 	old[n-1] = batchItem{}
 	*h = old[:n-1]
+	return it
+}
+
+// push adds it, as heap.Push would.
+func (h *batchHeap) push(it batchItem) {
+	*h = append(*h, it)
+	heap.Fix(h, len(*h)-1)
+}
+
+// pop removes and returns the cheapest item, as heap.Pop would.
+func (h *batchHeap) pop() batchItem {
+	old := *h
+	n := len(old) - 1
+	it := old[0]
+	old[0], old[n] = old[n], batchItem{}
+	*h = old[:n]
+	if n > 0 {
+		heap.Fix(h, 0)
+	}
 	return it
 }

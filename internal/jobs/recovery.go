@@ -86,7 +86,7 @@ func (m *Manager) applyEntry(e Entry) {
 			}
 			cells[i] = shift.Cell{Label: ec.Label, Config: ec.Config}
 		}
-		j := newJob(e.Job, cells, e.Created, e.Client)
+		j := newJob(e.Job, cells, e.Created, e.Client, &m.shared)
 		j.wire, j.recovered = e.Cells, true
 		m.jobs[e.Job] = j
 		m.retainedCells += len(cells)
@@ -114,8 +114,9 @@ func (m *Manager) applyEntry(e Entry) {
 		// live cell's, and a miss leaves the cell queued — deterministic
 		// simulation makes the re-run bit-identical.
 		if m.cfg.Lookup != nil {
-			if r, ok := m.cfg.Lookup(j.keys[e.Cell]); ok {
-				j.finishCellLocked(e.Cell, m.share(j.keys[e.Cell], r), nil)
+			key := j.cells[e.Cell].Key()
+			if r, ok := m.cfg.Lookup(key); ok {
+				j.finishCellLocked(e.Cell, m.shared.share(key, r), nil)
 				m.recovery.CellsRestored++
 				return
 			}
@@ -153,6 +154,7 @@ func (m *Manager) finishRecovery() {
 			}
 		}
 		if finished, _ := j.maybeFinalize(now); finished {
+			j.broadcast() // nobody follows it yet; it drops its channel
 			m.recovery.JobsTerminal++
 			continue
 		}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -613,7 +615,7 @@ func retainedPerCell(t *testing.T, cell func(i, c int) shift.Cell) uint64 {
 	t.Helper()
 	const jobCount, cellsPerJob = 64, 128
 	heap := func() uint64 {
-		runtime.GC()
+		settleHeap()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
@@ -643,6 +645,25 @@ func retainedPerCell(t *testing.T, cell func(i, c int) shift.Cell) uint64 {
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(submitted)
 	return perCell
+}
+
+// settleHeap collects until the heap stops shrinking. Manager.Close does
+// not wait for its workers, so an earlier test's manager stays reachable
+// until they are scheduled to exit; a baseline taken before then counts
+// its heap, which a later reading does not.
+func settleHeap() {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	for {
+		prev := ms.HeapAlloc
+		time.Sleep(time.Millisecond)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc >= prev {
+			return
+		}
+	}
 }
 
 // TestTerminalJobBytes is the footprint gate of "job events are
@@ -844,4 +865,61 @@ func TestCompactionAfterTerminalKeepsCells(t *testing.T) {
 			t.Errorf("job %s after the compacted restart:\n%+v\nwant\n%+v", want.ID, got, want)
 		}
 	}
+}
+
+// TestFinishedJobScanBytes is the collector's view of the job registry:
+// shiftd never evicts a job, and every GC cycle rescans what the finished
+// ones hold. 4,096 replays of one six-design job, each with label strings
+// of its own as from separate request bodies, may each leave at most
+// 900 B live and 400 B for the collector to scan (runtime/metrics
+// /gc/heap/live:bytes and /gc/scan/heap:bytes; ≈ 655 and 350 B). Labels
+// packed into one string, indices into the shared results instead of
+// pointers, timestamps without a *time.Location and one closed channel
+// for every finished job brought them from 1,020 and 685 B.
+func TestFinishedJobScanBytes(t *testing.T) {
+	const jobCount = 4096
+	designs := []shift.Design{shift.DesignBaseline, shift.DesignNextLine, shift.DesignPIF2K,
+		shift.DesignPIF32K, shift.DesignZeroLatSHIFT, shift.DesignSHIFT}
+	read := func() (live, scan uint64) {
+		settleHeap()
+		samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/scan/heap:bytes"}}
+		metrics.Read(samples)
+		return samples[0].Value.Uint64(), samples[1].Value.Uint64()
+	}
+	m := New(Config{Workers: 2, Run: func(cfg shift.Config) (shift.RunResult, error) {
+		return shift.RunResult{Workload: cfg.Workload, Design: cfg.Design.String(), Cores: cfg.Cores,
+			Throughput: 3.5, MPKI: float64(cfg.Design) + 0.25}, nil
+	}})
+	defer m.Close()
+	replay := func() {
+		cells := make([]shift.Cell, len(designs))
+		for i, d := range designs {
+			cfg := shift.DefaultRunConfig("OLTP Oracle", d)
+			cells[i] = shift.Cell{Label: fmt.Sprintf("%s/%s", "OLTP Oracle", d), Config: cfg}
+		}
+		j, err := m.Submit(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Not waitTerminal: its deadline timer would outlive the job.
+		for {
+			_, terminal, changed := j.EventsSince(math.MaxInt)
+			if terminal {
+				break
+			}
+			<-changed
+		}
+	}
+	replay() // the results every replay shares
+	liveBefore, scanBefore := read()
+	for k := 0; k < jobCount; k++ {
+		replay()
+	}
+	liveAfter, scanAfter := read()
+	live, scan := (liveAfter-liveBefore)/jobCount, (scanAfter-scanBefore)/jobCount
+	t.Logf("a finished replayed six-cell job: %d B live, %d B scannable", live, scan)
+	if live > 900 || scan > 400 {
+		t.Errorf("a finished replayed six-cell job keeps %d B live and %d B scannable, limits 900 and 400 B", live, scan)
+	}
+	runtime.KeepAlive(m)
 }
