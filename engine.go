@@ -421,49 +421,15 @@ func (e *Engine) RunKeyed(ks []KeyedConfig) ([]RunResult, []error) {
 	return e.runCells(ks, nil)
 }
 
-// linearDedup is the grid size up to which runCells finds a cell's first
-// occurrence by scanning, not through a map.
-const linearDedup = 16
-
-// dedup finds the first cell of a grid with a given cell's key.
-type dedup struct {
-	ks    []KeyedConfig
-	first map[string]int // nil for grids of at most linearDedup cells
-}
-
-func newDedup(ks []KeyedConfig) dedup {
-	d := dedup{ks: ks}
-	if len(ks) > linearDedup {
-		d.first = make(map[string]int, len(ks))
-		for i := len(ks) - 1; i >= 0; i-- {
-			d.first[ks[i].key] = i
-		}
-	}
-	return d
-}
-
-// of returns the index of the first cell with cell i's key.
-func (d dedup) of(i int) int {
-	if d.first != nil {
-		return d.first[d.ks[i].key]
-	}
-	for f := 0; f < i; f++ {
-		if d.ks[f].key == d.ks[i].key {
-			return f
-		}
-	}
-	return i
-}
-
 // runCells executes every cell and returns, in cell order, each cell's
 // result or its error annotated with its label (a duplicate reports its
 // first occurrence's): cells[i].Label, or "workload/design" when cells is
 // nil.
 func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error) {
 	out, errs := make([]RunResult, len(ks)), make([]error, len(ks))
-	// Duplicates copy their first occurrence's slots of out and errs at
-	// the end.
-	first := newDedup(ks)
+	// first maps a key to the index of its first occurrence, whose slots
+	// of out and errs every duplicate copies at the end.
+	first := make(map[string]int, len(ks))
 	// Partition first occurrences of unique uncached configs into cells
 	// this call owns (it will simulate them and publish the results) and
 	// cells owned by a concurrent RunAll (it will wait for theirs).
@@ -475,10 +441,11 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 	var ownedCalls []*store.Call[RunResult]
 	var waits []waiter
 	for i := range ks {
-		if first.of(i) != i {
+		k := ks[i].key
+		if _, ok := first[k]; ok {
 			continue
 		}
-		k := ks[i].key
+		first[k] = i
 		if r, ok := e.lookup(k); ok {
 			out[i] = r
 			continue
@@ -512,7 +479,7 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 		out[w.idx], errs[w.idx] = w.call.Wait()
 	}
 	for i := range ks {
-		if f := first.of(i); f != i {
+		if f := first[ks[i].key]; f != i {
 			out[i], errs[i] = out[f], errs[f]
 		}
 	}

@@ -804,28 +804,31 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 // enqueueLocked partitions the given cells of j by the record stream they
 // consume and pushes one batch per stream, in order of first appearance,
 // at the summed estimated cost of its cells. The caller hands cells over:
-// when they all consume one stream (a job of one workload's designs),
-// they are the batch. Called with mu held and while j cannot finalize,
-// which would drop the configs it reads.
+// the first stream's batch is filtered into cells in place, so a job of
+// one workload's designs pushes the caller's slice as its batch. A job
+// has few streams, so a cell finds its batch by scanning them. Called
+// with mu held and while j cannot finalize, which would drop the configs
+// it reads.
 func (m *Manager) enqueueLocked(j *Job, cells []int) {
 	if len(cells) == 0 {
 		return
 	}
 	m.queued += len(cells)
-	if it, ok := oneStream(j, cells); ok {
-		m.pushLocked(it)
-		return
-	}
-	at := make(map[shift.StreamID]int, 1)
+	var streams []shift.StreamID
 	var items []batchItem
 	for _, i := range cells {
 		cfg := j.cells[i].Config()
 		sk := cfg.Stream()
-		bi, ok := at[sk]
-		if !ok {
-			bi = len(items)
-			at[sk] = bi
+		bi := 0
+		for bi < len(streams) && streams[bi] != sk {
+			bi++
+		}
+		if bi == len(streams) {
+			streams = append(streams, sk)
 			items = append(items, batchItem{job: j})
+			if bi == 0 {
+				items[0].cells = cells[:0]
+			}
 		}
 		items[bi].cells = append(items[bi].cells, i)
 		items[bi].cost += EstimateCost(cfg)
@@ -833,20 +836,6 @@ func (m *Manager) enqueueLocked(j *Job, cells []int) {
 	for _, it := range items {
 		m.pushLocked(it)
 	}
-}
-
-// oneStream returns cells as one batch when they all consume one stream.
-func oneStream(j *Job, cells []int) (batchItem, bool) {
-	it := batchItem{job: j, cells: cells}
-	sk := j.cells[cells[0]].Config().Stream()
-	for _, i := range cells {
-		cfg := j.cells[i].Config()
-		if cfg.Stream() != sk {
-			return batchItem{}, false
-		}
-		it.cost += EstimateCost(cfg)
-	}
-	return it, true
 }
 
 // pushLocked queues one batch behind every earlier one of equal cost.
