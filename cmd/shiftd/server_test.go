@@ -121,6 +121,7 @@ func TestRunValidation(t *testing.T) {
 		"cores too high":         {"workload": "Web Search", "design": "SHIFT", "cores": 17},
 		"cores negative":         {"workload": "Web Search", "design": "SHIFT", "cores": -1},
 		"negative hist":          {"workload": "Web Search", "design": "SHIFT", "hist_entries": -8},
+		"huge hist":              {"workload": "Web Search", "design": "SHIFT", "hist_entries": 1 << 40},
 		"elim_prob out of range": {"workload": "Web Search", "design": "SHIFT", "elim_prob": 1.5},
 		"negative warmup":        {"workload": "Web Search", "design": "SHIFT", "warmup_records": -1},
 		"negative measure":       {"workload": "Web Search", "design": "SHIFT", "measure_records": -1},

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"shift/internal/stats"
+	"shift/internal/validate"
 )
 
 // Figure6 reproduces the paper's Figure 6: percentage of instruction
@@ -38,6 +39,11 @@ func RunFigure6(o Options, sizes []int) (*Figure6, error) {
 	}
 	if len(sizes) == 0 {
 		sizes = DefaultFigure6Sizes()
+	}
+	for _, s := range sizes {
+		if fe := (validate.Cell{CoresZeroInherits: true, HistEntries: s}).Check(); fe != nil {
+			return nil, fmt.Errorf("shift: Figure 6 size: %w", fe)
+		}
 	}
 	// Grid: per (aggregate size, workload), a SHIFT cell with the full
 	// aggregate capacity and a PIF cell with the aggregate divided

@@ -334,7 +334,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // tag-extension pointer where configured, and one dirty bit per set; the
 // listed one (links, full tag and state word per way, four 16-byte index
 // slots per way) must not cost more than it did. The simulator's own
-// structures: an LLCBank is its 8-byte stack word per way, 12 with the
+// structures: an LLCBank is its 4-byte stack word per way, 8 with the
 // pointers, and a dirty bit per set; a PrefetchBuffer four index slots of
 // an 8-byte key and a 2-byte line per line, the line's key and two 2-byte
 // links — 52 bytes, at most 56.
@@ -354,8 +354,8 @@ func TestHostBytesPerModelledLine(t *testing.T) {
 		{"Cache llcbank", plain, func(c Config) { alloc(c) }, 12},
 		{"Cache llcbank+pointers", recycleConfigs()["llcbank"], func(c Config) { alloc(c) }, 16},
 		{"Cache pbuf", recycleConfigs()["pbuf"], func(c Config) { alloc(c) }, 12 + 8 + 8 + 4*16},
-		{"LLCBank", bank, func(c Config) { NewLLCBank(c) }, 8},
-		{"LLCBank+pointers", bankPointers, func(c Config) { NewLLCBank(c) }, 12},
+		{"LLCBank", bank, func(c Config) { NewLLCBank(c) }, 4},
+		{"LLCBank+pointers", bankPointers, func(c Config) { NewLLCBank(c) }, 8},
 		{"PrefetchBuffer", Config{SizeBytes: 126 * 64, Assoc: 126, BlockBytes: 64}, func(c Config) { NewPrefetchBuffer(c.Assoc) }, 56},
 	} {
 		var before, after runtime.MemStats

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"shift/internal/freelist"
@@ -14,12 +15,14 @@ import (
 // holding an index pointer into the history buffer.
 //
 // Recency is positional, as in history.IndexTable: each set is a stack
-// of block+1 words in MRU→LRU order with llcPinned on top of a pinned
-// line, and the empty ways (zero) trail the valid ones. A hit moves its
-// line to the front, a fill goes in front and drops the first empty way
-// or else the deepest unpinned line; a set whose lines are all pinned is
-// bypassed. No stamp, no clock, no flag bits: 8 host bytes per modelled
-// line, 12 with the pointers, which move with their lines.
+// of tag+1 words in MRU→LRU order with llcPinned on top of a pinned
+// line, and the empty ways (zero) trail the valid ones. A tag is the
+// block without its set-index bits, which the set implies, so a word is
+// 32 bits and a 16-way set is one 64-byte host cache line. A hit moves
+// its line to the front, a fill goes in front and drops the first empty
+// way or else the deepest unpinned line; a set whose lines are all
+// pinned is bypassed. No stamp, no clock: 4 host bytes per modelled
+// line, 8 with the pointers, which move with their lines.
 //
 // That is exactly the stamp-LRU of Reference: with nothing invalidated
 // the empty ways of a set are its last ones, the first empty way is a
@@ -33,14 +36,16 @@ type LLCBank struct {
 	// without pointers share their free lists (see NewLLCBank).
 	geom Config
 	// lines holds each set's stack, sets × ways, set-major.
-	lines []uint64
+	lines []uint32
 	// ptrs holds each way's tag-extension pointer, nil unless built with
 	// TagPointers; it is ptrBuf, which a bank keeps once it has one. A
 	// fill writes NoPointer, so the pointer of an empty way is never read.
 	ptrs, ptrBuf []uint32
 	ways         int
-	shift        uint
-	mask         uint64
+	// A block's set is its bits [shift, tagShift); its tag is the bits
+	// above tagShift moved down to shift, under the low bits (lo).
+	shift, tagShift uint
+	mask, lo        uint64
 	// dirty holds one bit per set, set when an empty set takes its first
 	// line, so a reset rewrites just those sets.
 	dirty []uint64
@@ -48,9 +53,13 @@ type LLCBank struct {
 	pinLo, pinHi trace.BlockAddr
 }
 
-// llcPinned marks a pinned line's word. Block addresses are 34 bits, so
-// it never collides with block+1.
-const llcPinned = uint64(1) << 63
+// llcPinned marks a pinned line's word. A bank has at least llcMinSets
+// sets, so tag+1 fits in 31 bits and never reaches it.
+const llcPinned = uint32(1) << 31
+
+// llcMinSets is the fewest sets an LLCBank takes: with fewer, a tag of a
+// trace.BlockAddrBits-bit block plus one would reach llcPinned.
+const llcMinSets = 1 << (trace.BlockAddrBits - 30)
 
 // llcKey is a free list of banks: a geometry, and whether its banks hold
 // a pointer array.
@@ -62,6 +71,18 @@ type llcKey struct {
 // freeLLCBanks holds released banks.
 var freeLLCBanks freelist.Keyed[llcKey, LLCBank]
 
+// ValidateLLCBank reports the first problem with c as the geometry of an
+// LLCBank, or nil: what Validate reports, or fewer than llcMinSets sets.
+func (c Config) ValidateLLCBank() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Sets() < llcMinSets {
+		return fmt.Errorf("cache: LLC bank of %d sets, fewer than %d", c.Sets(), llcMinSets)
+	}
+	return nil
+}
+
 // NewLLCBank builds an empty bank of geometry cfg, with the pointer array
 // when cfg.TagPointers is set, on the tables of a released bank of the
 // same geometry when one is held. A released bank of the other kind will
@@ -72,7 +93,7 @@ var freeLLCBanks freelist.Keyed[llcKey, LLCBank]
 // first to a builder that wants it, so banks with pointers do not spread
 // through a sweep whose Systems live side by side.
 func NewLLCBank(cfg Config) (*LLCBank, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.ValidateLLCBank(); err != nil {
 		return nil, err
 	}
 	geom := cfg
@@ -86,8 +107,9 @@ func NewLLCBank(cfg Config) (*LLCBank, error) {
 	} else {
 		sets := cfg.Sets()
 		c = &LLCBank{
-			geom: geom, lines: make([]uint64, sets*cfg.Assoc), ways: cfg.Assoc,
-			shift: cfg.IndexShift, mask: uint64(sets - 1), dirty: make([]uint64, (sets+63)/64),
+			geom: geom, lines: make([]uint32, sets*cfg.Assoc), ways: cfg.Assoc,
+			shift: cfg.IndexShift, tagShift: cfg.IndexShift + uint(bits.Len(uint(sets-1))),
+			mask: uint64(sets - 1), lo: 1<<cfg.IndexShift - 1, dirty: make([]uint64, (sets+63)/64),
 		}
 	}
 	c.ptrs = nil
@@ -121,12 +143,18 @@ func (c *LLCBank) reset() {
 // when it is filled or re-inserted.
 func (c *LLCBank) PinRange(lo, hi trace.BlockAddr) { c.pinLo, c.pinHi = lo, hi }
 
+// key is b's stack word without the pin: its tag plus one. The shift
+// counts are masked to tell the compiler they stay under 64.
+func (c *LLCBank) key(b trace.BlockAddr) uint32 {
+	return uint32(uint64(b)>>(c.tagShift&63)<<(c.shift&63)|uint64(b)&c.lo) + 1
+}
+
 // word is b's stack word as a fill or an Insert writes it.
-func (c *LLCBank) word(b trace.BlockAddr) uint64 {
+func (c *LLCBank) word(b trace.BlockAddr) uint32 {
 	if b >= c.pinLo && b < c.pinHi {
-		return uint64(b) + 1 | llcPinned
+		return c.key(b) | llcPinned
 	}
-	return uint64(b) + 1
+	return c.key(b)
 }
 
 // setBase returns the position of the first way of b's set.
@@ -137,7 +165,7 @@ func (c *LLCBank) setBase(b trace.BlockAddr) int {
 // find returns where b's set starts and the way of it that holds b, or
 // -1.
 func (c *LLCBank) find(b trace.BlockAddr) (base, way int) {
-	key, base := uint64(b)+1, c.setBase(b)
+	key, base := c.key(b), c.setBase(b)
 	for w, v := range c.lines[base : base+c.ways] {
 		if v&^llcPinned == key {
 			return base, w
@@ -164,7 +192,7 @@ func (c *LLCBank) Insert(b trace.BlockAddr) { c.access(b, true) }
 // the pass settles on — b's own, the empty one, or the victim — drops out
 // and the lines in front of it move down one, making room at the front.
 func (c *LLCBank) access(b trace.BlockAddr, repin bool) (hit bool) {
-	key, base := uint64(b)+1, c.setBase(b)
+	key, base := c.key(b), c.setBase(b)
 	set := c.lines[base : base+c.ways]
 	w := 0
 	for ; w < len(set); w++ {
@@ -204,7 +232,7 @@ func (c *LLCBank) pointerAt(li int) uint32 {
 
 // toFront drops way w of set (which starts at base), moves the ways in
 // front of it down one and writes v, with pointer ptr, at the front.
-func (c *LLCBank) toFront(set []uint64, base, w int, v uint64, ptr uint32) {
+func (c *LLCBank) toFront(set []uint32, base, w int, v, ptr uint32) {
 	if w > 0 {
 		copy(set[1:w+1], set[:w])
 	}
@@ -262,15 +290,17 @@ func (c *LLCBank) PinnedCount() int {
 	return n
 }
 
-// SetLRUOrder returns the blocks of set si ordered MRU→LRU. It allocates
-// and is meant for tests and debugging.
+// SetLRUOrder returns the blocks of set si ordered MRU→LRU, each put
+// back together from its tag and si. It allocates and is meant for tests
+// and debugging.
 func (c *LLCBank) SetLRUOrder(si int) []trace.BlockAddr {
 	var out []trace.BlockAddr
 	for _, v := range c.lines[si*c.ways : (si+1)*c.ways] {
 		if v == 0 {
 			break
 		}
-		out = append(out, trace.BlockAddr(v&^llcPinned-1))
+		t := uint64(v&^llcPinned - 1)
+		out = append(out, trace.BlockAddr(t>>c.shift<<c.tagShift|uint64(si)<<c.shift|t&c.lo))
 	}
 	return out
 }
@@ -283,7 +313,7 @@ func (c *LLCBank) Fingerprint() uint64 {
 	h := uint64(14695981039346656037)
 	for li, v := range c.lines {
 		if v != 0 {
-			h = (h ^ fpMix(uint64(li)^fpMix(v^fpMix(uint64(c.pointerAt(li)))))) * prime
+			h = (h ^ fpMix(uint64(li)^fpMix(uint64(v)^fpMix(uint64(c.pointerAt(li)))))) * prime
 		}
 	}
 	return h

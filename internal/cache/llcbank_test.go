@@ -96,10 +96,10 @@ func (d *llcDiff) check(t testing.TB) {
 	}
 }
 
-// randomLLCGeometry draws a valid geometry of 1 to 1024 sets and 1 to 32
-// ways, with or without pointers.
+// randomLLCGeometry draws a valid geometry of 16 (llcMinSets) to 1024
+// sets and 1 to 32 ways, with or without pointers.
 func randomLLCGeometry(rng *trace.RNG) Config {
-	assoc, sets := 1+rng.Intn(32), 1<<rng.Intn(11)
+	assoc, sets := 1+rng.Intn(32), llcMinSets<<rng.Intn(7)
 	return Config{SizeBytes: sets * assoc * 64, Assoc: assoc, BlockBytes: 64,
 		IndexShift: uint(rng.Intn(5)), TagPointers: rng.Bool(0.5)}
 }
@@ -148,18 +148,65 @@ func pinSomeLLC(rng *trace.RNG, d *llcDiff, space addrSpace) {
 // TestLLCBankFullyPinnedSetBypasses: a set whose every line is pinned
 // takes no fill, and a hit in it keeps every pin.
 func TestLLCBankFullyPinnedSetBypasses(t *testing.T) {
-	cfg := Config{SizeBytes: 4 * 64, Assoc: 4, BlockBytes: 64, TagPointers: true}
+	cfg := Config{SizeBytes: llcMinSets * 4 * 64, Assoc: 4, BlockBytes: 64, TagPointers: true}
 	d := newLLCDiff(t, cfg)
-	d.pin(0, 4)
-	for b := trace.BlockAddr(0); b < 4; b++ {
-		d.op(t, 0, b, 0)
+	// The blocks stride by the set count, so all of them land in set 0.
+	const stride = llcMinSets
+	d.pin(0, 4*stride)
+	for i := 0; i < 4; i++ {
+		d.op(t, 0, trace.BlockAddr(i*stride), 0)
 	}
-	for b := trace.BlockAddr(0); b < 12; b++ {
-		d.op(t, int(b), b, uint32(b))
+	for i := 0; i < 12; i++ {
+		d.op(t, i, trace.BlockAddr(i*stride), uint32(i))
 	}
 	d.check(t)
 	if got := d.c.SetLRUOrder(0); len(got) != 4 || d.c.PinnedCount() != 4 {
 		t.Fatalf("a fully pinned set holds %v, %d pinned", got, d.c.PinnedCount())
+	}
+}
+
+// TestLLCBankRejectsTinyGeometry: a bank of fewer than llcMinSets sets
+// could not hold a 34-bit block's tag in its 31-bit word, so NewLLCBank
+// refuses it; llcMinSets sets it takes.
+func TestLLCBankRejectsTinyGeometry(t *testing.T) {
+	for sets := 1; sets <= llcMinSets; sets *= 2 {
+		for _, pointers := range []bool{false, true} {
+			cfg := Config{SizeBytes: sets * 16 * 64, Assoc: 16, BlockBytes: 64, IndexShift: 4, TagPointers: pointers}
+			c, err := NewLLCBank(cfg)
+			if sets < llcMinSets && err == nil {
+				t.Errorf("NewLLCBank took a bank of %d sets", sets)
+			}
+			if sets == llcMinSets {
+				if err != nil {
+					t.Fatalf("NewLLCBank refused a bank of %d sets: %v", sets, err)
+				}
+				c.Release()
+			}
+		}
+	}
+}
+
+// TestLLCBankTopBlocks: at the smallest geometry the tags are widest, and
+// the blocks just under trace.MaxBlockAddr give the largest of them, the
+// one that sits right under the pin bit. SetLRUOrder must give each block
+// back exactly from its tag and set, pinned or not.
+func TestLLCBankTopBlocks(t *testing.T) {
+	for _, pointers := range []bool{false, true} {
+		cfg := Config{SizeBytes: llcMinSets * 16 * 64, Assoc: 16, BlockBytes: 64, IndexShift: 4, TagPointers: pointers}
+		d := newLLCDiff(t, cfg)
+		d.pin(trace.MaxBlockAddr-7, trace.MaxBlockAddr+1)
+		for k := 0; k < 3*cfg.Sets()*cfg.Assoc; k++ {
+			b := trace.MaxBlockAddr - trace.BlockAddr(k)
+			d.op(t, 0, b, 0)
+			if got := d.c.SetLRUOrder(int(uint64(b)>>cfg.IndexShift) & (cfg.Sets() - 1)); got[0] != b {
+				t.Fatalf("block %#x filled, its set's MRU line reads %#x", b, got[0])
+			}
+		}
+		d.check(t)
+		if got := d.c.PinnedCount(); got != 8 {
+			t.Errorf("%d lines pinned, want the 8 of the top range", got)
+		}
+		d.c.Release()
 	}
 }
 
@@ -198,21 +245,28 @@ func TestLLCBankRecycled(t *testing.T) {
 	}
 }
 
-// FuzzLLCBank is the differential over fuzzed geometries, pin ranges and
-// operation sequences: three bytes of data are an operation and a block
-// of a 64 K-block space.
+// FuzzLLCBank is the differential over fuzzed geometries (16 to 1024
+// sets), pin ranges and operation sequences: three bytes of data are an
+// operation and the low 16 bits of a block, and the operation's top bit
+// puts the fuzzed high part above them, so blocks use all 34 bits.
 func FuzzLLCBank(f *testing.F) {
-	f.Add(uint8(16), uint8(3), uint8(4), true, uint16(3), uint8(9), []byte{0, 0, 3, 1, 0, 3, 3, 0, 3, 4, 0, 3, 0, 1, 3})
-	f.Add(uint8(1), uint8(0), uint8(0), false, uint16(0), uint8(0), []byte{0, 0, 1, 0, 0, 2, 2, 0, 1})
-	f.Fuzz(func(t *testing.T, assoc, setBits, shift uint8, pointers bool, pinLo uint16, pinLen uint8, data []byte) {
+	f.Add(uint8(16), uint8(3), uint8(4), true, uint32(0), uint16(3), uint8(9), []byte{0, 0, 3, 1, 0, 3, 3, 0, 3, 4, 0, 3, 0, 1, 3})
+	f.Add(uint8(1), uint8(0), uint8(0), false, uint32(0), uint16(0), uint8(0), []byte{0, 0, 1, 0, 0, 2, 2, 0, 1})
+	f.Add(uint8(16), uint8(0), uint8(4), true, ^uint32(0), uint16(0xfff0), uint8(16), []byte{128, 255, 255, 0, 255, 255, 129, 255, 240, 131, 255, 255, 132, 255, 255})
+	f.Fuzz(func(t *testing.T, assoc, setBits, shift uint8, pointers bool, high uint32, pinLo uint16, pinLen uint8, data []byte) {
 		cfg := Config{Assoc: int(assoc%32) + 1, BlockBytes: 64, IndexShift: uint(shift % 5), TagPointers: pointers}
-		cfg.SizeBytes = cfg.Assoc * 64 << (setBits % 11)
+		cfg.SizeBytes = cfg.Assoc * 64 * llcMinSets << (setBits % 7)
 		d := newLLCDiff(t, cfg)
+		hi := trace.BlockAddr(high) << 16 & trace.MaxBlockAddr
 		if pinLen != 0 {
-			d.pin(trace.BlockAddr(pinLo), trace.BlockAddr(pinLo)+trace.BlockAddr(pinLen))
+			lo := hi | trace.BlockAddr(pinLo)
+			d.pin(lo, lo+trace.BlockAddr(pinLen))
 		}
 		for i := 0; i+2 < len(data); i += 3 {
 			b := trace.BlockAddr(data[i+1])<<8 | trace.BlockAddr(data[i+2])
+			if data[i]&0x80 != 0 {
+				b |= hi
+			}
 			d.op(t, int(data[i]), b, uint32(i))
 		}
 		d.check(t)
@@ -246,6 +300,9 @@ func llcStream(b *testing.B) []trace.BlockAddr {
 
 // BenchmarkLLCBank is the per-access cost of the sixteen Table I LLC
 // banks on a real L1-I miss stream, beside the Cache they replaced.
+// LLCBank drives one System's banks, whose tags fit a 2 MB host L2;
+// LLCBank6 drives six, one per member of a G12 batch, taking turns on
+// the same stream, which do not.
 func BenchmarkLLCBank(b *testing.B) {
 	misses := llcStream(b)
 	cfg := Config{SizeBytes: 512 << 10, Assoc: 16, BlockBytes: 64, IndexShift: 4}
@@ -257,6 +314,18 @@ func BenchmarkLLCBank(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			blk := misses[i%len(misses)]
 			banks[blk&15].LookupInsert(blk)
+		}
+	})
+	b.Run("LLCBank6", func(b *testing.B) {
+		var banks [6][16]*LLCBank
+		for m := range banks {
+			for i := range banks[m] {
+				banks[m][i], _ = NewLLCBank(cfg)
+			}
+		}
+		for i := 0; i < b.N; i++ {
+			blk := misses[i/len(banks)%len(misses)]
+			banks[i%len(banks)][blk&15].LookupInsert(blk)
 		}
 	})
 	b.Run("Cache", func(b *testing.B) {

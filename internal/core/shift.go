@@ -131,6 +131,11 @@ func (c Config) Validate() error {
 	if c.IndexEntries > 0 && (c.IndexAssoc <= 0 || c.IndexEntries%c.IndexAssoc != 0) {
 		return fmt.Errorf("core: bad index table %d/%d", c.IndexEntries, c.IndexAssoc)
 	}
+	// The history's blocks go through the LLC, whose tags hold
+	// trace.BlockAddrBits-bit blocks.
+	if lo, hi := c.HBRange(); hi < lo || hi > trace.MaxBlockAddr+1 {
+		return fmt.Errorf("core: history range [%#x, %#x) ends above block %#x", lo, hi, trace.MaxBlockAddr)
+	}
 	return c.SAB.Validate()
 }
 

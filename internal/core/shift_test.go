@@ -67,11 +67,18 @@ func TestConfigValidate(t *testing.T) {
 		{Variant: Dedicated, HistEntries: 8, SAB: history.SABConfig{}},
 		{Variant: Dedicated, HistEntries: 8, IndexEntries: -1, SAB: history.DefaultSABConfig()},
 		{Variant: Dedicated, HistEntries: 8, IndexEntries: 7, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
+		// Two history blocks from the last block address on.
+		{Variant: Virtualized, HistEntries: 24, HBBase: trace.MaxBlockAddr, SAB: history.DefaultSABConfig()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// One history block at the last block address fits.
+	top := Config{Variant: Virtualized, HistEntries: 8, HBBase: trace.MaxBlockAddr, SAB: history.DefaultSABConfig()}
+	if err := top.Validate(); err != nil {
+		t.Errorf("a history in the last block address refused: %v", err)
 	}
 }
 

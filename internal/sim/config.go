@@ -207,7 +207,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: L1I: %w", err)
 	}
 	bank := cache.Config{SizeBytes: c.LLCBankBytes, Assoc: c.LLCAssoc, BlockBytes: 64}
-	if err := bank.Validate(); err != nil {
+	if err := bank.ValidateLLCBank(); err != nil {
 		return fmt.Errorf("sim: LLC bank: %w", err)
 	}
 	if c.L1MSHRs <= 0 {

@@ -54,6 +54,7 @@ func TestConfigValidate(t *testing.T) {
 		{"too many cores", func(c *Config) { c.Cores = 99 }},
 		{"bad L1I", func(c *Config) { c.L1I.Assoc = 0 }},
 		{"bad LLC", func(c *Config) { c.LLCBankBytes = 1000 }},
+		{"LLC bank of 8 sets", func(c *Config) { c.LLCBankBytes = 8 << 10 }},
 		{"no MSHRs", func(c *Config) { c.L1MSHRs = 0 }},
 		{"negative latency", func(c *Config) { c.MemCycles = -1 }},
 		{"bad elim", func(c *Config) { c.ElimProb = 1.5 }},

@@ -35,6 +35,7 @@ func TestCellCheck(t *testing.T) {
 		{"cores high", func(c *Cell) { c.Cores = 17 }, "cores"},
 		{"cores negative inherit", func(c *Cell) { c.Cores = -1; c.CoresZeroInherits = true }, "cores"},
 		{"hist entries", func(c *Cell) { c.HistEntries = -1 }, "hist_entries"},
+		{"hist entries huge", func(c *Cell) { c.HistEntries = MaxHistEntries + 1 }, "hist_entries"},
 		{"elim low", func(c *Cell) { c.ElimProb = -0.1 }, "elim_prob"},
 		{"elim high", func(c *Cell) { c.ElimProb = 1.1 }, "elim_prob"},
 		{"warmup", func(c *Cell) { c.WarmupRecords = -1 }, "warmup_records"},

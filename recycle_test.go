@@ -231,7 +231,7 @@ func TestResultsIndependentOfRecycling(t *testing.T) {
 	}
 }
 
-// hostBytes returns what the storage cfg models costs the host: 8 B a
+// hostBytes returns what the storage cfg models costs the host: 4 B a
 // line of LLC (its stack word) and 4 more for virtualized SHIFT (the
 // tag-extension pointer), 12 B a line of L1-I (tag, recency stamp), 8 B a
 // history record and 16 B an index entry (internal/cache's
@@ -246,7 +246,7 @@ func hostBytes(t *testing.T, cfg Config) uint64 {
 	sc := rs.Config
 	tables := func(histEntries, indexEntries int) int { return histEntries*8 + indexEntries*16 }
 	llcLines := sc.Mesh.Tiles() * (sc.LLCBankBytes / trace.BlockBytes)
-	n := llcLines*8 + sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
+	n := llcLines*4 + sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
 	switch p := sc.Prefetcher; p.Kind {
 	case sim.KindPIF:
 		n += sc.Cores * tables(p.PIF.HistEntries, p.PIF.IndexEntries)
@@ -314,8 +314,8 @@ func TestSystemFootprint(t *testing.T) {
 // pointers, which it adds to the banks handed on) and at most a quarter
 // of a megabyte for everything else (the log, prefetch buffers and MSHRs;
 // the five followers' L1-I replicas are one set of tables handed on, and
-// the lead keeps no second copy of its tags). It allocates 4.09 MB, 0.49
-// MB under the 4.58 MB limit. Members kept alive side by side allocate a
+// the lead keeps no second copy of its tags). It allocates 3.56 MB, 0.49
+// MB under the 4.06 MB limit. Members kept alive side by side allocate a
 // hierarchy each — six LLCs for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
 	if !syncPoolKeepsPuts() {

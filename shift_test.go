@@ -1,8 +1,11 @@
 package shift
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"shift/internal/validate"
 )
 
 // tinyOptions keeps root-package tests fast: one small workload, 8 cores,
@@ -179,6 +182,11 @@ func TestFigure6(t *testing.T) {
 	}
 	if !strings.Contains(fig.String(), "Figure 6") {
 		t.Error("String output")
+	}
+	// A size above the shared bound is refused before anything is built.
+	var fe *validate.FieldError
+	if _, err := RunFigure6(tinyOptions(), []int{2048, 1 << 40}); !errors.As(err, &fe) || fe.Field != "hist_entries" {
+		t.Errorf("a 2^40-record history: error %v, want a hist_entries field error", err)
 	}
 }
 
