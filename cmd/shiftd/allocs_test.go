@@ -27,15 +27,10 @@ func TestReplayedJobAllocs(t *testing.T) {
 		t.Skip("race detector: allocation counts are not the production ones")
 	}
 	const (
-		runs        = 200
 		allocBudget = 80
 		byteBudget  = 10 << 10
 	)
-	rs := shift.NewResultCache()
-	engine := shift.NewEngine(1, rs)
-	jm := jobs.New(jobs.Config{Workers: 1, Rate: 1e9, Burst: 1e9, RunBatch: engine.RunKeyed})
-	t.Cleanup(jm.Close)
-	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
+	srv, jm := newAllocServer()
 	h := srv.handler()
 
 	var cells []map[string]any
@@ -51,18 +46,11 @@ func TestReplayedJobAllocs(t *testing.T) {
 	// advance and cost the measured loop nothing.
 	next := 0
 	var streams []string
-	for k := 1; k <= 3*(runs+1)+1; k++ {
+	for k := 1; k <= 3*(allocRuns+1)+1; k++ {
 		streams = append(streams, fmt.Sprintf("/v1/jobs/j-%06d/stream", k))
 	}
-	// recorder has room for any of the replies, so its growth is not
-	// counted either.
-	recorder := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		rec.Body = bytes.NewBuffer(make([]byte, 0, 16<<10))
-		return rec
-	}
 	replay := func(h http.Handler, wait bool) {
-		sub := recorder()
+		sub := allocRecorder()
 		h.ServeHTTP(sub, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
 		id := streams[next][len("/v1/jobs/") : len(streams[next])-len("/stream")]
 		if wait {
@@ -81,7 +69,7 @@ func TestReplayedJobAllocs(t *testing.T) {
 				<-changed
 			}
 		}
-		stream := recorder()
+		stream := allocRecorder()
 		h.ServeHTTP(stream, httptest.NewRequest(http.MethodGet, streams[next], nil))
 		if wait && stream.Code != http.StatusOK {
 			t.Fatalf("stream = %d", stream.Code)
@@ -90,26 +78,128 @@ func TestReplayedJobAllocs(t *testing.T) {
 	}
 	replay(h, true) // the cold job: simulates and seeds the store
 
-	measure := func(h http.Handler, wait bool) (allocs, bytes float64) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		replay(h, wait)
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			replay(h, wait)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	allocs, size := measure(h, true)
-	harnessAllocs, harnessBytes := measure(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), false)
-	allocs, size = allocs-harnessAllocs, size-harnessBytes
+	allocs, size, harnessAllocs, harnessBytes := allocsPerCall(h, replay)
 	t.Logf("a replayed six-cell job: %.0f allocations, %.0f B (harness %.0f, %.0f B subtracted)",
 		allocs, size, harnessAllocs, harnessBytes)
 	if allocs > allocBudget || size > byteBudget {
 		t.Errorf("a replayed six-cell job makes %.0f allocations of %.0f B, budget %d and %d B",
 			allocs, size, allocBudget, byteBudget)
+	}
+}
+
+// TestReplayedRunAllocs is the allocation budget of a replayed POST
+// /v1/run, the synchronous path: a one-cell job submitted, waited for and
+// rendered from its snapshot, its cell a store hit. The harness is
+// subtracted as in TestReplayedJobAllocs; it measures ≈ 46 allocations
+// and 6.1 KB.
+func TestReplayedRunAllocs(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("race detector: allocation counts are not the production ones")
+	}
+	const (
+		allocBudget = 51
+		byteBudget  = 6700
+	)
+	srv, _ := newAllocServer()
+	h := srv.handler()
+	body := []byte(`{"workload": "OLTP Oracle", "design": "SHIFT", "cores": 4, "warmup_records": 500, "measure_records": 500, "seed": 7}`)
+	run := func(h http.Handler, check bool) {
+		rec := allocRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if check && rec.Code != http.StatusOK {
+			t.Fatalf("run = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	run(h, true) // the cold call: simulates and seeds the store
+
+	allocs, size, harnessAllocs, harnessBytes := allocsPerCall(h, run)
+	t.Logf("a replayed /v1/run: %.0f allocations, %.0f B (harness %.0f, %.0f B subtracted)",
+		allocs, size, harnessAllocs, harnessBytes)
+	if allocs > allocBudget || size > byteBudget {
+		t.Errorf("a replayed /v1/run makes %.0f allocations of %.0f B, budget %d and %d B",
+			allocs, size, allocBudget, byteBudget)
+	}
+}
+
+// allocRuns is how many calls allocsPerCall averages over.
+const allocRuns = 200
+
+// newAllocServer returns a server as main wires it, on one engine slot and
+// one job worker, admission lifted so the measured loops are never
+// refused, and its job manager.
+func newAllocServer() (*server, *jobs.Manager) {
+	rs := shift.NewResultCache()
+	engine := shift.NewEngine(1, rs)
+	jm := jobs.New(jobs.Config{Workers: 1, Rate: 1e9, Burst: 1e9, RunBatch: engine.RunKeyed})
+	return newServer(engine, rs, testOpts(), jm, 1<<20), jm
+}
+
+// allocRecorder returns a recorder with room for any of the replies, so
+// its growth is not counted.
+func allocRecorder() *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	rec.Body = bytes.NewBuffer(make([]byte, 0, 16<<10))
+	return rec
+}
+
+// allocsPerCall returns the allocations and bytes of one call(h, true),
+// averaged over allocRuns calls on one processor, less the harness's:
+// what call(noop, false) allocates on a handler that does nothing.
+func allocsPerCall(h http.Handler, call func(h http.Handler, real bool)) (allocs, bytes, harnessAllocs, harnessBytes float64) {
+	measure := func(h http.Handler, real bool) (allocs, bytes float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		call(h, real)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < allocRuns; i++ {
+			call(h, real)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / allocRuns, float64(after.TotalAlloc-before.TotalAlloc) / allocRuns
+	}
+	allocs, bytes = measure(h, true)
+	harnessAllocs, harnessBytes = measure(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), false)
+	return allocs - harnessAllocs, bytes - harnessBytes, harnessAllocs, harnessBytes
+}
+
+// TestDecodeBodyBytesBounded: the cells decodeBody makes room for before
+// decoding are capped, so a body cannot buy a large slice with a small
+// one's bytes. The body is one valid cell repeating its "design" key to
+// the 1 MiB limit, which sized its slice at 87 378 cells (15.4 MB
+// allocated) when the count was uncapped.
+func TestDecodeBodyBytesBounded(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("race detector: a dropped body buffer is regrown and counted")
+	}
+	const maxBody = 1 << 20
+	var body bytes.Buffer
+	body.WriteString(`{"cells": [{"workload": "Web Search"`)
+	for body.Len()+len(`,"design":""`)+len(`}]}`) <= maxBody {
+		body.WriteString(`,"design":""`)
+	}
+	body.WriteString(`}]}`)
+	srv := &server{base: testOpts(), maxBody: maxBody}
+	decode := func() {
+		var req gridRequest
+		rec := allocRecorder()
+		if !srv.decodeBody(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body.Bytes())), &req) || len(req.Cells) != 1 {
+			t.Fatalf("decoding a valid body = %d %s, %d cells", rec.Code, rec.Body, len(req.Cells))
+		}
+	}
+	decode() // grows the recycled body buffer to the body's size
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	size := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("a %d-byte body of one cell and %d \"design\" keys: %.0f B allocated", body.Len(),
+		bytes.Count(body.Bytes(), []byte(`"design"`)), size)
+	if size > 1<<20 {
+		t.Errorf("decoding it allocates %.0f B, want < 1 MB", size)
 	}
 }
 

@@ -270,9 +270,9 @@ func TestReplayedJobsShareResults(t *testing.T) {
 }
 
 // newBlockedServer stands up a server whose job runner blocks until
-// released, for deterministic queue/cancel tests. The engine still
-// serves the synchronous endpoints.
-func newBlockedServer(t *testing.T, cfg jobs.Config) (*httptest.Server, chan string, chan struct{}) {
+// released, for deterministic queue/cancel tests. The runner serves the
+// synchronous endpoints too, as every cell is a job.
+func newBlockedServer(t *testing.T, cfg jobs.Config) (*httptest.Server, chan string, chan struct{}, *jobs.Manager) {
 	t.Helper()
 	started := make(chan string, 64)
 	release := make(chan struct{}, 64)
@@ -288,7 +288,7 @@ func newBlockedServer(t *testing.T, cfg jobs.Config) (*httptest.Server, chan str
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return ts, started, release
+	return ts, started, release, jm
 }
 
 // awaitStarted waits for the blocked runner to pick up a cell.
@@ -306,7 +306,7 @@ func awaitStarted(t *testing.T, started chan string) string {
 // TestJobCancel: DELETE drops queued cells immediately while the
 // running cell finishes and publishes its result.
 func TestJobCancel(t *testing.T) {
-	ts, started, release := newBlockedServer(t, jobs.Config{Workers: 1})
+	ts, started, release, _ := newBlockedServer(t, jobs.Config{Workers: 1})
 	// Ascending cost: the single worker picks cell 0 first.
 	sub := submitJob(t, ts.URL, []map[string]any{
 		{"workload": "Web Search", "design": "Baseline", "measure_records": 1000},
@@ -350,7 +350,7 @@ func TestJobCancel(t *testing.T) {
 // TestJobStreamLive: a stream opened while the job runs delivers each
 // cell event as it lands and terminates with the end event.
 func TestJobStreamLive(t *testing.T) {
-	ts, started, release := newBlockedServer(t, jobs.Config{Workers: 1})
+	ts, started, release, _ := newBlockedServer(t, jobs.Config{Workers: 1})
 	sub := submitJob(t, ts.URL, []map[string]any{
 		{"workload": "Web Search", "design": "Baseline"},
 	})
@@ -516,19 +516,26 @@ func TestJobAdmission429(t *testing.T) {
 }
 
 // TestJobQueueFull503: submissions past the queued-cell bound answer
-// 503 with Retry-After.
+// 503 with Retry-After, and cost the refused client no admission tokens:
+// once the queue frees, its bucket admits a job of its whole burst.
 func TestJobQueueFull503(t *testing.T) {
-	ts, started, release := newBlockedServer(t, jobs.Config{Workers: 1, MaxQueue: 1, Burst: 64})
+	ts, started, release, _ := newBlockedServer(t, jobs.Config{Workers: 1, MaxQueue: 2, Rate: 1e-3, Burst: 2})
 	one := []map[string]any{{"workload": "Web Search", "design": "Baseline"}}
-	if code, _ := postJob(t, ts.URL, one, ""); code != http.StatusAccepted {
+	two := []map[string]any{
+		{"workload": "Web Search", "design": "NextLine"},
+		{"workload": "Web Search", "design": "SHIFT"},
+	}
+	if code, _ := postJob(t, ts.URL, one, "first"); code != http.StatusAccepted {
 		t.Fatalf("first submit = %d, want 202", code)
 	}
 	awaitStarted(t, started) // the cell left the queue and occupies the worker
-	if code, _ := postJob(t, ts.URL, one, ""); code != http.StatusAccepted {
+	if code, _ := postJob(t, ts.URL, two, "second"); code != http.StatusAccepted {
 		t.Fatalf("second submit = %d, want 202 (fills the queue)", code)
 	}
 	body, _ := json.Marshal(map[string]any{"cells": one})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
+	req.Header.Set("X-Client-ID", "refused")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +545,13 @@ func TestJobQueueFull503(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	release <- struct{}{}
-	release <- struct{}{}
+	awaitStarted(t, started) // the second job left the queue
+	if code, _ := postJob(t, ts.URL, two, "refused"); code != http.StatusAccepted {
+		t.Fatalf("the refused client's full burst once the queue freed = %d, want 202", code)
+	}
+	for i := 0; i < 4; i++ {
+		release <- struct{}{}
+	}
 }
 
 // TestJobNotFound: status, stream, and cancel of an unknown id 404.

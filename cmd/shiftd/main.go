@@ -17,8 +17,8 @@
 // Endpoints (all under /v1; see the README for request/response
 // samples):
 //
-//	POST   /v1/run              run one simulation cell (JSON config in, result out)
-//	POST   /v1/grid             run a list of cells; results come back in cell order
+//	POST   /v1/run              run one cell and wait for it (JSON config in, result out)
+//	POST   /v1/grid             run a list of cells and wait; results come back in cell order
 //	POST   /v1/jobs             submit a cell list asynchronously (202 + job id)
 //	GET    /v1/jobs/{id}        job status with partial results as cells land
 //	GET    /v1/jobs/{id}/stream NDJSON: one event per completed cell, periodic
@@ -52,16 +52,17 @@
 // so a figure requested twice — or a cell shared by two figures — is
 // simulated once. With -cache-dir that holds across restarts too.
 //
-// Asynchronous jobs go through per-client token-bucket admission
-// (-job-rate/-job-burst; one token per cell; rejections answer 429 with
-// Retry-After) into a bounded shortest-job-first queue (-job-queue,
-// -job-workers) that prefers cheap sampled cells over exact ones. The
-// queue schedules batches: a job's cells that consume one record stream
-// (the designs of one workload) are one queue entry, occupy one worker
-// and generate their stream once, while the bound, the tokens and every
-// outcome stay per cell. Job cells execute on the same engine as
-// synchronous requests, so a drained job's results are bit-identical to
-// /v1/grid for the same cells.
+// Every cell comes in one way, as a job: /v1/run and /v1/grid submit one
+// exactly as /v1/jobs does and wait for it to finish. Jobs go through
+// per-client token-bucket admission (-job-rate/-job-burst; one token per
+// cell; rejections answer 429 with Retry-After, and cost no tokens) into
+// a bounded shortest-job-first queue (-job-queue, -job-workers) that
+// prefers cheap sampled cells over exact ones. The queue schedules
+// batches: a job's cells that consume one record stream (the designs of
+// one workload) are one queue entry, occupy one worker and generate
+// their stream once, while the bound, the tokens and every outcome stay
+// per cell. A drained job's results are therefore what /v1/grid answers
+// for the same cells, byte for byte.
 //
 // The service degrades instead of failing: disk-store corruption is
 // quarantined and self-heals on the next store, IO failures retry with
@@ -80,13 +81,14 @@
 // is discarded and counted, while interior corruption refuses to start.
 // /v1/stats and /v1/metrics expose journal and recovery counters.
 //
-// Shutdown is graceful: on SIGINT/SIGTERM new job submissions get a
-// clean 503 + Retry-After while running cells finish and journal within
-// -grace; the queue is checkpointed (with -state-dir it re-admits on
-// the next boot), then the listener closes and remaining in-flight
-// requests get the rest of -grace to finish. A request abandoned by its
-// client stops waiting immediately, but its simulation runs to
-// completion and seeds the store — retries hit instead of recomputing.
+// Shutdown is graceful: on SIGINT/SIGTERM new submissions — and
+// /v1/run and /v1/grid calls whose jobs are not finished — get a clean
+// 503 + Retry-After while running cells finish and journal within
+// -grace; the queue is checkpointed (with -state-dir it re-admits on the
+// next boot), then the listener closes and remaining in-flight requests
+// get the rest of -grace to finish. A request abandoned by its client
+// stops waiting immediately, but its job runs to completion and seeds
+// the store — retries hit instead of recomputing.
 package main
 
 import (

@@ -275,8 +275,10 @@ func TestRecoverySkipsStoredCells(t *testing.T) {
 
 // TestDrainRefusesSubmissionsCleanly covers the shutdown window at the
 // HTTP layer: while the manager drains, /v1/jobs answers a clean 503
-// with an integer Retry-After (not a connection reset), /v1/readyz
-// reports "draining", and after a restart over the checkpointed journal
+// with an integer Retry-After (not a connection reset), so does a
+// /v1/grid whose job was queued when the drain began (instead of hanging
+// until the grace runs out), /v1/readyz reports "draining", and after a
+// restart over the checkpointed journal
 // the service passes through "recovering" back to "ready" with the
 // queued work finished.
 func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
@@ -305,6 +307,22 @@ func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
 	case <-started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("first cell never started")
+	}
+	// A synchronous grid whose job is queued behind them.
+	gridDone := make(chan *http.Response, 1)
+	go func() {
+		body, _ := json.Marshal(map[string]any{"cells": []map[string]any{
+			{"workload": "Web Search", "design": "NextLine", "measure_records": 1000},
+		}})
+		resp, err := (&http.Client{Timeout: 10 * time.Second}).Post(ts1.URL+"/v1/grid", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("grid during drain failed at transport level: %v", err)
+			resp = nil
+		}
+		gridDone <- resp
+	}()
+	for getStats(t, ts1.URL).JobsAdmitted != 2 {
+		time.Sleep(time.Millisecond)
 	}
 
 	// SIGTERM: main drains the manager while the listener stays open.
@@ -339,6 +357,15 @@ func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
 	if !getStats(t, ts1.URL).Draining {
 		t.Error("stats do not report draining")
 	}
+	// The drain leaves the grid's cell queued: its caller is answered the
+	// same clean refusal instead of waiting out the grace.
+	if resp := <-gridDone; resp != nil {
+		resp.Body.Close()
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); resp.StatusCode != http.StatusServiceUnavailable || err != nil || ra < 1 {
+			t.Fatalf("grid queued when the drain began = %d (Retry-After %q), want 503 with Retry-After",
+				resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
 
 	// The running cell finishes; the drain completes with the queued
 	// cell checkpointed, and the process exits.
@@ -354,9 +381,10 @@ func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
 	ts1.Close()
 	jm1.Close()
 
-	// Restart: the queued cell is re-admitted; while it re-runs the
-	// service reports "recovering" at 200 — routable, catching up — and
-	// settles back to "ready".
+	// Restart: the queued cells — the job's and the grid's, journaled like
+	// any job — are re-admitted; while they re-run the service reports
+	// "recovering" at 200 — routable, catching up — and settles back to
+	// "ready".
 	engine2 := shift.NewEngine(0, rs)
 	gate := make(chan struct{})
 	jm2, _ := openDurable(t, dir, rs, jobs.Config{
@@ -370,8 +398,8 @@ func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
 	ts2 := serveDurable(engine2, rs, jm2)
 	t.Cleanup(ts2.Close)
 
-	if code, doc := getReadyz(t, ts2.URL); code != http.StatusOK || doc.Status != "recovering" || doc.Recovering != 1 {
-		t.Fatalf("readyz during recovery = %d %+v, want 200 recovering/1", code, doc)
+	if code, doc := getReadyz(t, ts2.URL); code != http.StatusOK || doc.Status != "recovering" || doc.Recovering != 2 {
+		t.Fatalf("readyz during recovery = %d %+v, want 200 recovering/2", code, doc)
 	}
 	close(gate)
 	awaitJobState(t, ts2.URL, sub.ID, "done")
@@ -385,8 +413,8 @@ func TestDrainRefusesSubmissionsCleanly(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if r := getStats(t, ts2.URL).Recovery; r == nil || r.CellsRestored != 1 || r.CellsRequeued != 1 {
-		t.Errorf("recovery after drained restart = %+v, want 1 restored / 1 requeued", r)
+	if r := getStats(t, ts2.URL).Recovery; r == nil || r.CellsRestored != 1 || r.CellsRequeued != 2 {
+		t.Errorf("recovery after drained restart = %+v, want 1 restored / 2 requeued", r)
 	}
 }
 

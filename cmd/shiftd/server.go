@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -23,11 +24,11 @@ import (
 	"shift/internal/validate"
 )
 
-// server wires the HTTP API to one shared engine and result store. All
-// endpoints funnel their cells into the same engine, so concurrent
-// requests — whether single cells, grids, whole figures, or async job
-// cells — share simulations through the engine's in-flight
-// deduplication and the store.
+// server wires the HTTP API to one shared engine and result store. Every
+// cell a client sends — a single run, a grid, or an async job — is a job
+// of the job manager, which runs it on the engine; figures run their
+// drivers on the same engine. So concurrent requests share simulations
+// through the engine's in-flight deduplication and the store.
 type server struct {
 	engine   *shift.Engine
 	store    shift.ResultStore
@@ -77,8 +78,8 @@ func newServer(engine *shift.Engine, rs shift.ResultStore, base shift.Options, j
 // ServeMux patterns (a POST to a GET route answers 405).
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/grid", s.handleGrid)
+	mux.HandleFunc("POST /v1/run", s.handleSync(true))
+	mux.HandleFunc("POST /v1/grid", s.handleSync(false))
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
@@ -106,12 +107,6 @@ func (s *server) handler() http.Handler {
 	})
 }
 
-// knownWorkload reports whether a request's workload name is runnable:
-// a Table I catalog name or a spec ID registered earlier in this
-// process — so request validation rejects unknown names with a 400
-// instead of letting them fail deep in the engine as a 500.
-func knownWorkload(name string) bool { return shift.KnownWorkload(name) }
-
 // decodeBody decodes the request body as JSON into dst under the
 // server's body-size limit, writing the error response itself (400 on
 // malformed JSON, 413 when the body exceeds the limit) and reporting
@@ -122,10 +117,10 @@ func knownWorkload(name string) bool { return shift.KnownWorkload(name) }
 // is still incomplete when it comes. The body is read into a recycled
 // buffer first and, in the common case of a body that is one well-formed
 // value, json.Unmarshal decodes it, which costs no decoder and no buffer
-// of its own; a grid's cells slice is sized from the body up front. Any
-// other body (trailing data, a body over the limit) is replayed through a
-// json.Decoder, since Unmarshal's answer for it differs from the
-// decoder's.
+// of its own; a grid's cells slice is sized from the body up front, up to
+// presizedCells. Any other body (trailing data, a body over the limit) is
+// replayed through a json.Decoder, since Unmarshal's answer for it
+// differs from the decoder's.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	buf := bodyBuffers.Get().(*bytes.Buffer)
@@ -141,8 +136,9 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 			// Every cell names its design, so the count is the cell count
 			// or above it. Sizing the slice once spares a six-cell job three
 			// reflective regrowths, ≈ 1.7 KB: without it the job overruns
-			// TestReplayedJobAllocs' 10 KB budget.
-			req.Cells = make([]cellSpec, 0, bytes.Count(body, []byte(`"design"`)))
+			// TestReplayedJobAllocs' 10 KB budget. The count is the client's
+			// to inflate, so it is capped.
+			req.Cells = make([]cellSpec, 0, min(bytes.Count(body, []byte(`"design"`)), presizedCells))
 		}
 		err = json.Unmarshal(body, dst)
 	}
@@ -166,6 +162,11 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 	}
 	return true
 }
+
+// presizedCells caps the cells decodeBody makes room for before decoding,
+// the default -job-burst: a body repeating "design" could otherwise ask
+// for a slice of any size (176 B a cell) in one cell's worth of bytes.
+const presizedCells = 64
 
 // bodyBuffers recycles the buffers decodeBody reads bodies into.
 var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -246,75 +247,30 @@ type cellSpec struct {
 	SampleConfidence float64 `json:"sample_confidence,omitempty"`
 }
 
-// validate rejects field values the engine would only fail on deep
-// inside a simulation, naming the offending wire field — so clients
-// get a 400 up front instead of a misleading 500. The range rules are
-// the shared constraint table of internal/validate; this wrapper only
-// renders field names in the wire convention (quoted JSON names) and
-// adds the workload/design/spec resolution rules.
-func (c cellSpec) validate() error {
+// config resolves the wire cell against the server's base options and
+// validates the resolved values once, naming the offending wire field —
+// so clients get a 400 up front instead of a misleading 500 deep inside a
+// simulation. The range rules are the shared constraint table of
+// internal/validate (field names rendered in the wire convention, quoted
+// JSON names); the workload, design and spec resolution rules are the
+// wire's own.
+func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	if c.Workload == "" && len(c.Spec) == 0 {
-		return errors.New("missing \"workload\" (or inline \"spec\")")
+		return shift.Config{}, errors.New("missing \"workload\" (or inline \"spec\")")
 	}
 	if c.Workload != "" && len(c.Spec) > 0 {
-		return errors.New("\"workload\" and \"spec\" are mutually exclusive")
+		return shift.Config{}, errors.New("\"workload\" and \"spec\" are mutually exclusive")
 	}
-	if c.Workload != "" && !knownWorkload(c.Workload) {
-		return fmt.Errorf("unknown \"workload\" %q (valid: %s)",
+	if c.Workload != "" && !shift.KnownWorkload(c.Workload) {
+		return shift.Config{}, fmt.Errorf("unknown \"workload\" %q (valid: %s)",
 			c.Workload, strings.Join(shift.Workloads(), ", "))
 	}
 	if c.Design == "" {
-		return errors.New("missing \"design\"")
-	}
-	cell := validate.Cell{
-		Cores:             c.Cores,
-		CoresZeroInherits: true,
-		HistEntries:       c.HistEntries,
-		ElimProb:          c.ElimProb,
-		WarmupRecords:     c.WarmupRecords,
-		MeasureRecords:    c.MeasureRecords,
-		SamplePeriod:      c.SamplePeriod,
-		SampleInterval:    c.SampleInterval,
-		SampleWarmup:      c.SampleWarmup,
-		SampleConfidence:  c.SampleConfidence,
-	}
-	if fe := cell.Check(); fe != nil {
-		return fmt.Errorf("%q %s", fe.Field, fe.Msg)
-	}
-	return nil
-}
-
-// config resolves the wire cell against the server's base options.
-func (c cellSpec) config(base shift.Options) (shift.Config, error) {
-	if err := c.validate(); err != nil {
-		return shift.Config{}, err
-	}
-	workloadID := c.Workload
-	if len(c.Spec) > 0 {
-		// Compile and register the inline spec; the cell then runs its
-		// content-addressed ID like any workload name. Identical spec
-		// content registers once, so repeated submissions memoize and
-		// batch against each other.
-		id, err := shift.LoadSpecRestricted(c.Spec)
-		if err != nil {
-			return shift.Config{}, fmt.Errorf("\"spec\": %w", err)
-		}
-		workloadID = id
-	}
-	d, err := shift.ParseDesign(c.Design)
-	if err != nil {
-		return shift.Config{}, fmt.Errorf("\"design\": %w", err)
-	}
-	ct := base.CoreType
-	if c.CoreType != "" {
-		if ct, err = shift.ParseCoreType(c.CoreType); err != nil {
-			return shift.Config{}, fmt.Errorf("\"core_type\": %w", err)
-		}
+		return shift.Config{}, errors.New("missing \"design\"")
 	}
 	cfg := shift.Config{
-		Workload:        workloadID,
-		Design:          d,
-		CoreType:        ct,
+		Workload:        c.Workload,
+		CoreType:        base.CoreType,
 		Cores:           base.Cores,
 		HistEntries:     c.HistEntries,
 		PredictionOnly:  c.PredictionOnly,
@@ -323,6 +279,12 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 		WarmupRecords:   base.WarmupRecords,
 		MeasureRecords:  base.MeasureRecords,
 		Seed:            base.Seed,
+		Sampling: shift.Sampling{
+			Period:          c.SamplePeriod,
+			IntervalRecords: c.SampleInterval,
+			WarmupFraction:  c.SampleWarmup,
+			Confidence:      c.SampleConfidence,
+		},
 	}
 	if c.Cores != 0 {
 		cfg.Cores = c.Cores
@@ -336,22 +298,43 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	if c.Seed != nil {
 		cfg.Seed = *c.Seed
 	}
-	cfg.Sampling = shift.Sampling{
-		Period:          c.SamplePeriod,
-		IntervalRecords: c.SampleInterval,
-		WarmupFraction:  c.SampleWarmup,
-		Confidence:      c.SampleConfidence,
+	cell := validate.Cell{
+		Cores:            cfg.Cores,
+		HistEntries:      cfg.HistEntries,
+		ElimProb:         cfg.ElimProb,
+		WarmupRecords:    cfg.WarmupRecords,
+		MeasureRecords:   cfg.MeasureRecords,
+		SamplePeriod:     cfg.Sampling.Period,
+		SampleInterval:   cfg.Sampling.IntervalRecords,
+		SampleWarmup:     cfg.Sampling.WarmupFraction,
+		SampleConfidence: cfg.Sampling.Confidence,
 	}
-	// Cross-field rules that need the base-resolved values: a mix spec
-	// pins the core count, and the sampling chunk (period x interval)
-	// must fit at least twice in the resolved measurement window — the
-	// engine needs two measured intervals for a standard error, and
-	// catching these here turns mid-simulation failures into 400s.
-	if n := shift.WorkloadCores(workloadID); n != 0 && n != cfg.Cores {
-		return shift.Config{}, fmt.Errorf("\"cores\" workload is a %d-core mix, configured for %d cores", n, cfg.Cores)
-	}
-	if fe := validate.SampledWindow(cfg.Sampling.Period, cfg.Sampling.IntervalRecords, cfg.MeasureRecords); fe != nil {
+	if fe := cell.Check(); fe != nil {
 		return shift.Config{}, fmt.Errorf("%q %s", fe.Field, fe.Msg)
+	}
+	if len(c.Spec) > 0 {
+		// Compile and register the inline spec; the cell then runs its
+		// content-addressed ID like any workload name. Identical spec
+		// content registers once, so repeated submissions memoize and
+		// batch against each other.
+		id, err := shift.LoadSpecRestricted(c.Spec)
+		if err != nil {
+			return shift.Config{}, fmt.Errorf("\"spec\": %w", err)
+		}
+		cfg.Workload = id
+	}
+	var err error
+	if cfg.Design, err = shift.ParseDesign(c.Design); err != nil {
+		return shift.Config{}, fmt.Errorf("\"design\": %w", err)
+	}
+	if c.CoreType != "" {
+		if cfg.CoreType, err = shift.ParseCoreType(c.CoreType); err != nil {
+			return shift.Config{}, fmt.Errorf("\"core_type\": %w", err)
+		}
+	}
+	// A mix spec pins the core count.
+	if n := shift.WorkloadCores(cfg.Workload); n != 0 && n != cfg.Cores {
+		return shift.Config{}, fmt.Errorf("\"cores\" workload is a %d-core mix, configured for %d cores", n, cfg.Cores)
 	}
 	return cfg, nil
 }
@@ -366,27 +349,6 @@ type runResponse struct {
 	Result shift.RunResult `json:"result"`
 }
 
-// handleRun serves POST /v1/run: one cell in, one result out.
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var spec cellSpec
-	if !s.decodeBody(w, r, &spec) {
-		return
-	}
-	cfg, err := spec.config(s.base)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := await(r.Context(), func() (shift.RunResult, error) {
-		return s.engine.RunOne(cfg)
-	})
-	if err != nil {
-		writeRunError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, runResponse{Key: cfg.Key(), Result: res})
-}
-
 // gridRequest is the POST /v1/grid and POST /v1/jobs body.
 type gridRequest struct {
 	// Cells is the experiment grid; duplicates are simulated once.
@@ -394,10 +356,10 @@ type gridRequest struct {
 }
 
 // gridResponse is the POST /v1/grid reply: one entry per requested
-// cell, in request order (the engine's deterministic cell-keyed
-// merge — never completion order).
+// cell, in request order (the job's cell-keyed fan-in — never
+// completion order).
 type gridResponse struct {
-	Results []gridCellResult `json:"results"`
+	Results []*gridCellResult `json:"results"`
 }
 
 // gridCellResult pairs one requested cell with its result.
@@ -425,38 +387,76 @@ func (s *server) cellsFromSpecs(specs []cellSpec) ([]shift.Cell, error) {
 	return cells, nil
 }
 
-// handleGrid serves POST /v1/grid: a cell list in, results in cell
-// order out.
-func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	var req gridRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+// handleSync returns the handler of POST /v1/run (one cell in, one
+// result out; run set) or POST /v1/grid (a cell list in, results in cell
+// order out), a run being a grid of one. Either call is a job: submitted
+// as POST /v1/jobs submits one, then waited for. A job that fails answers
+// 500 with its lowest-index failed cell's error, and one cancelled 503.
+// A request that ends first — its client gone or its deadline passed —
+// leaves the job running, so its results still seed the store.
+func (s *server) handleSync(run bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req gridRequest
+		if run {
+			req.Cells = make([]cellSpec, 1)
+			if !s.decodeBody(w, r, &req.Cells[0]) {
+				return
+			}
+		} else if !s.decodeBody(w, r, &req) {
+			return
+		}
+		j, ok := s.submit(w, r, req.Cells)
+		if !ok {
+			return
+		}
+		switch err := s.wait(r.Context(), j); {
+		case errors.Is(err, jobs.ErrDraining):
+			s.writeDraining(w)
+			return
+		case err != nil:
+			writeRunError(w, r, err)
+			return
+		}
+		st := j.Snapshot()
+		switch st.State {
+		case jobs.StateFailed:
+			for _, msg := range st.CellErrs {
+				if msg != "" {
+					writeError(w, http.StatusInternalServerError, errors.New(msg))
+					return
+				}
+			}
+		case jobs.StateCancelled:
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job %s was cancelled", st.ID))
+			return
+		}
+		results := jobStatus(st).Results
+		if run {
+			writeJSON(w, http.StatusOK, runResponse{Key: results[0].Key, Result: results[0].Result})
+			return
+		}
+		writeJSON(w, http.StatusOK, gridResponse{Results: results})
 	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty \"cells\""))
-		return
-	}
-	cells, err := s.cellsFromSpecs(req.Cells)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	results, err := await(r.Context(), func() ([]shift.RunResult, error) {
-		return s.engine.RunAll(cells)
-	})
-	if err != nil {
-		writeRunError(w, r, err)
-		return
-	}
-	resp := gridResponse{Results: make([]gridCellResult, len(cells))}
-	for i := range cells {
-		resp.Results[i] = gridCellResult{
-			Label:  cells[i].Label,
-			Key:    cells[i].Config.Key(),
-			Result: results[i],
+}
+
+// wait blocks until j is terminal. It returns the context's error when
+// the request ends first, and jobs.ErrDraining when a drain begins first:
+// the drain leaves queued cells queued, so the job may not finish in this
+// process.
+func (s *server) wait(ctx context.Context, j *jobs.Job) error {
+	for {
+		_, terminal, changed := j.EventsSince(math.MaxInt)
+		if terminal {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-s.jobs.Draining():
+			return jobs.ErrDraining
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // jobSubmitResponse is the POST /v1/jobs reply (202 Accepted).
@@ -473,71 +473,71 @@ type jobSubmitResponse struct {
 }
 
 // handleJobSubmit serves POST /v1/jobs: the same body as /v1/grid, but
-// instead of blocking it answers 202 with a job id after token-bucket
-// admission (429 + Retry-After when the client's bucket is dry, 503 +
-// Retry-After when the queue is full). One admission token is charged
-// per cell.
+// instead of waiting for the results it answers 202 with a job id.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req gridRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty \"cells\""))
-		return
-	}
-	cells, err := s.cellsFromSpecs(req.Cells)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Refuse before charging the admission bucket when shutdown has
-	// begun: the rejection is free to retry elsewhere.
-	if s.jobs.Draining() {
-		s.writeDraining(w)
-		return
-	}
-	d := s.jobs.Admit(clientKey(r), len(cells))
-	if d.Never {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("job of %d cells exceeds the admission burst capacity (see -job-burst)", len(cells)))
-		return
-	}
-	if !d.OK {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(d.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("admission bucket empty; retry in %s", d.RetryAfter))
-		return
-	}
-	j, err := s.jobs.SubmitFrom(clientKey(r), cells)
-	if errors.Is(err, jobs.ErrDraining) {
-		// The drain began between the check above and the submit; the
-		// answer is the same clean 503.
-		s.writeDraining(w)
-		return
-	}
-	if errors.Is(err, jobs.ErrQueueFull) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	j, ok := s.submit(w, r, req.Cells)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, jobSubmitResponse{
 		ID:        j.ID(),
 		State:     string(jobs.StateQueued),
-		Cells:     len(cells),
+		Cells:     len(req.Cells),
 		StatusURL: "/v1/jobs/" + j.ID(),
 		StreamURL: "/v1/jobs/" + j.ID() + "/stream",
 	})
 }
 
-// writeDraining answers a submission during graceful shutdown: a clean
-// 503 with an integer Retry-After covering the drain grace, so clients
-// and proxies see an orderly refusal — never a connection reset — and
-// know when a restarted or replacement process can take the retry.
+// submit resolves a decoded cell list and submits it as a job of the
+// request's client, the one way in for cells: the manager charges the
+// client's token bucket one token per cell, bounds the queue, refuses
+// during a drain and journals the job. It writes any refusal itself — 400
+// for a cell that does not resolve or a job over the burst capacity, 429
+// + Retry-After when the client's bucket is dry, 503 + Retry-After when
+// the queue is full or shutdown has begun — and reports whether the job
+// was accepted.
+func (s *server) submit(w http.ResponseWriter, r *http.Request, specs []cellSpec) (*jobs.Job, bool) {
+	if len(specs) == 0 {
+		writeError(w, http.StatusBadRequest, errors.New("empty \"cells\""))
+		return nil, false
+	}
+	cells, err := s.cellsFromSpecs(specs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	j, err := s.jobs.SubmitFrom(clientKey(r), cells)
+	var ae *jobs.AdmissionError
+	switch {
+	case err == nil:
+		return j, true
+	case errors.As(err, &ae) && ae.Never:
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("job of %d cells exceeds the admission burst capacity (see -job-burst)", len(cells)))
+	case ae != nil:
+		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(ae.RetryAfter)))
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("admission bucket empty; retry in %s", ae.RetryAfter))
+	case errors.Is(err, jobs.ErrDraining):
+		s.writeDraining(w)
+	case errors.Is(err, jobs.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
+	return nil, false
+}
+
+// writeDraining answers a submission during graceful shutdown, and a
+// synchronous call whose job the drain left unfinished: a clean 503 with
+// an integer Retry-After covering the drain grace, so clients and proxies
+// see an orderly refusal — never a connection reset — and know when a
+// restarted or replacement process can take the retry.
 func (s *server) writeDraining(w http.ResponseWriter) {
 	retry := s.drainRetryAfter
 	if retry < 1 {
@@ -562,9 +562,8 @@ func retrySeconds(d time.Duration) int {
 // jobStatusResponse is the GET /v1/jobs/{id} (and DELETE) reply:
 // lifecycle state plus partial results as they land. Results is
 // index-aligned with the submitted cells; entries are null until their
-// cell completes, and once the state is "done" the array is
-// bit-identical to the synchronous POST /v1/grid "results" for the
-// same cells.
+// cell completes, and once the state is "done" the array is what the
+// synchronous POST /v1/grid answers as "results" for the same cells.
 type jobStatusResponse struct {
 	// ID is the job identifier.
 	ID string `json:"id"`
@@ -771,7 +770,9 @@ func writeStreamEvent(w io.Writer, enc *json.Encoder, line *[]byte, ev jobs.Even
 // separated), cores, seed, warmup, measure, sample (a sampling period;
 // the figure is then regenerated in sampled mode, trading exactness
 // for speed), sample_interval, sample_warm, and sample_confidence
-// override the server's base options per request.
+// override the server's base options per request. The drivers validate
+// their options before they run a cell, so a *validate.FieldError is the
+// client's: a 400 naming the query parameter at fault.
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	opts, err := s.optionsFromQuery(r.URL.Query())
 	if err != nil {
@@ -782,11 +783,15 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	out, err := await(r.Context(), func() (string, error) {
 		return shift.RunExperiment(name, opts)
 	})
-	if err != nil {
-		if errors.Is(err, shift.ErrUnknownExperiment) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
+	var fe *validate.FieldError
+	switch {
+	case errors.Is(err, shift.ErrUnknownExperiment):
+		writeError(w, http.StatusNotFound, err)
+		return
+	case errors.As(err, &fe):
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %s", queryField(fe.Field), fe.Msg))
+		return
+	case err != nil:
 		writeRunError(w, r, err)
 		return
 	}
@@ -794,10 +799,9 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, out)
 }
 
-// optionsFromQuery applies per-request query overrides to the base
-// options, validates them (unknown workloads, out-of-range cores, and
-// malformed sampling policies are client errors, not simulation
-// failures), and routes the work through the shared engine.
+// optionsFromQuery parses the per-request query overrides onto the base
+// options and routes the work through the shared engine. A value that
+// does not parse is refused here; the drivers judge the rest.
 func (s *server) optionsFromQuery(q url.Values) (shift.Options, error) {
 	o := s.base
 	if v := q.Get("quick"); v != "" {
@@ -855,9 +859,6 @@ func (s *server) optionsFromQuery(q url.Values) (shift.Options, error) {
 		}
 		o.Cores = n
 	}
-	if err := validateOptions(o); err != nil {
-		return o, err
-	}
 	// All figure cells run on the shared engine: one store, one
 	// in-flight table, across every concurrent request.
 	o.Engine = s.engine
@@ -879,38 +880,6 @@ func queryField(field string) string {
 		return q
 	}
 	return field
-}
-
-// validateOptions rejects query-override combinations the experiment
-// drivers would only fail on mid-run, naming the offending query
-// parameter. The range rules are the shared constraint table of
-// internal/validate; only the field-name spelling is endpoint-local.
-func validateOptions(o shift.Options) error {
-	for _, w := range o.Workloads {
-		if !knownWorkload(w) {
-			return fmt.Errorf("workloads: unknown workload %q (valid: %s)",
-				w, strings.Join(shift.Workloads(), ", "))
-		}
-		if n := shift.WorkloadCores(w); n != 0 && n != o.Cores {
-			return fmt.Errorf("cores: workload %q is a %d-core mix, configured for %d cores", w, n, o.Cores)
-		}
-	}
-	cell := validate.Cell{
-		Cores:            o.Cores,
-		WarmupRecords:    o.WarmupRecords,
-		MeasureRecords:   o.MeasureRecords,
-		SamplePeriod:     o.Sampling.Period,
-		SampleInterval:   o.Sampling.IntervalRecords,
-		SampleWarmup:     o.Sampling.WarmupFraction,
-		SampleConfidence: o.Sampling.Confidence,
-	}
-	if fe := cell.Check(); fe != nil {
-		return fmt.Errorf("%s: %s", queryField(fe.Field), fe.Msg)
-	}
-	if fe := validate.SampledWindow(o.Sampling.Period, o.Sampling.IntervalRecords, o.MeasureRecords); fe != nil {
-		return fmt.Errorf("%s: %s", queryField(fe.Field), fe.Msg)
-	}
-	return nil
 }
 
 // handleHealthz serves GET /v1/healthz.
@@ -987,14 +956,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, s.snapshot().exposition())
 }
 
-// await runs fn on its own goroutine and waits for its result or for
-// the request context to end, whichever comes first. An abandoned
-// request stops occupying its handler immediately, but the simulation
-// is not cancelled: it runs to completion on the engine and seeds the
-// store, so a retry of the same request hits instead of recomputing.
-func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
+// await runs fn — a figure driver — on its own goroutine and waits for
+// its result or for the request context to end, whichever comes first.
+// An abandoned request stops occupying its handler immediately, but the
+// simulation is not cancelled: it runs to completion on the engine and
+// seeds the store, so a retry of the same request hits instead of
+// recomputing.
+func await(ctx context.Context, fn func() (string, error)) (string, error) {
 	type outcome struct {
-		v   T
+		v   string
 		err error
 	}
 	ch := make(chan outcome, 1)
@@ -1004,8 +974,7 @@ func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
 	}()
 	select {
 	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
+		return "", ctx.Err()
 	case o := <-ch:
 		return o.v, o.err
 	}

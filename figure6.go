@@ -41,7 +41,7 @@ func RunFigure6(o Options, sizes []int) (*Figure6, error) {
 		sizes = DefaultFigure6Sizes()
 	}
 	for _, s := range sizes {
-		if fe := (validate.Cell{CoresZeroInherits: true, HistEntries: s}).Check(); fe != nil {
+		if fe := (validate.Cell{Cores: o.Cores, HistEntries: s}).Check(); fe != nil {
 			return nil, fmt.Errorf("shift: Figure 6 size: %w", fe)
 		}
 	}

@@ -53,8 +53,8 @@ func NewBuckets(rate, burst float64, now func() time.Time) *Buckets {
 
 // Decision is the outcome of one admission check.
 type Decision struct {
-	// OK reports whether the request was admitted (the tokens have been
-	// debited).
+	// OK reports whether the request was admitted (by Take: the tokens
+	// have been debited).
 	OK bool
 	// RetryAfter is the wait after which a retry of the same request
 	// would be admitted, rounded up to whole seconds (only meaningful
@@ -69,6 +69,17 @@ type Decision struct {
 // decision. On admission the tokens are debited; on rejection the
 // bucket is untouched and RetryAfter says when to come back.
 func (b *Buckets) Take(client string, cost float64) Decision {
+	return b.decide(client, cost, true)
+}
+
+// Check reports the decision Take would make now, debiting nothing.
+func (b *Buckets) Check(client string, cost float64) Decision {
+	return b.decide(client, cost, false)
+}
+
+// decide refills client's bucket and decides on cost tokens, debiting
+// them on admission when debit is set.
+func (b *Buckets) decide(client string, cost float64, debit bool) Decision {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cost > b.burst {
@@ -89,7 +100,9 @@ func (b *Buckets) Take(client string, cost float64) Decision {
 	}
 	bk.last = now
 	if bk.tokens >= cost {
-		bk.tokens -= cost
+		if debit {
+			bk.tokens -= cost
+		}
 		return Decision{OK: true}
 	}
 	secs := math.Ceil((cost - bk.tokens) / b.rate)

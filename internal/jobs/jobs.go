@@ -1,10 +1,11 @@
-// Package jobs is the asynchronous job subsystem behind shiftd's
-// /v1/jobs API: a job registry, per-client token-bucket admission
-// control, and a bounded shortest-job-first batch scheduler.
+// Package jobs is the job subsystem every shiftd cell goes through — the
+// /v1/jobs API, and /v1/run and /v1/grid, which submit a job and wait for
+// it: a job registry, per-client token-bucket admission control, and a
+// bounded shortest-job-first batch scheduler.
 //
-// A job is an ordered list of simulation cells (the same shape as a
-// synchronous /v1/grid request). The queue schedules the engine's unit,
-// the batch: a submitted job's cells are partitioned by the record
+// A job is an ordered list of simulation cells (the shape of a /v1/grid
+// request; a /v1/run is a job of one). The queue schedules the engine's
+// unit, the batch: a submitted job's cells are partitioned by the record
 // stream they consume (shift.Config.Stream — the six designs of one
 // workload are one batch) and each part is one schedulable unit in a
 // single process-wide priority queue ordered by estimated cost (the sum
@@ -14,17 +15,15 @@
 // pops a batch and executes its cells together through the
 // caller-supplied run function (shiftd passes Engine.RunKeyed, so job
 // cells share the engine's store, in-flight deduplication, and
-// concurrency bound with every synchronous request, and a batch
-// generates its stream once). Admission, the queue bound and the queue
-// depth still count cells, and every cell still has its own outcome: its
-// own journal record, its own event, its own retry.
+// concurrency bound with every figure's cells, and a batch generates its
+// stream once). Admission, the queue bound and the queue depth still
+// count cells, and every cell still has its own outcome: its own journal
+// record, its own event, its own retry.
 //
 // Completion fan-in is cell-keyed, never completion-ordered: each
 // result lands in its cell's slot, so a drained job's result list is
-// deterministically ordered like the request — and, because the
-// simulator is a pure function of its config and both paths run the
-// same engine, bit-identical to the synchronous /v1/grid reply for the
-// same cells.
+// deterministically ordered like the request — the order in which
+// /v1/grid answers.
 //
 // Cancellation drops queued cells (lazily reaped from the queue) while
 // running cells finish and publish their results — the engine seeds
@@ -133,8 +132,8 @@ const (
 	cellDropped
 )
 
-// Job is one submitted asynchronous job. All exported methods are safe
-// for concurrent use.
+// Job is one submitted job. All exported methods are safe for concurrent
+// use.
 //
 // A terminal job keeps only what its status and events read, flat: the
 // labels packed in one string, an index per finished cell into the
@@ -564,6 +563,20 @@ var ErrClosed = errors.New("jobs: manager closed")
 // the process restarts.
 var ErrDraining = errors.New("jobs: draining")
 
+// AdmissionError is SubmitFrom's refusal by the client's token bucket,
+// which it left as it was. Never reports a job of more cells than the
+// bucket holds at all (Config.Burst), which no wait admits; otherwise
+// RetryAfter says when a retry would be.
+type AdmissionError struct{ Decision }
+
+// Error implements error.
+func (e *AdmissionError) Error() string {
+	if e.Never {
+		return "jobs: job exceeds the admission burst capacity"
+	}
+	return fmt.Sprintf("jobs: admission bucket empty; retry in %s", e.RetryAfter)
+}
+
 // Config parameterizes a Manager.
 type Config struct {
 	// Workers is the number of scheduler goroutines executing batches
@@ -585,8 +598,8 @@ type Config struct {
 	// returns each cell's result or error, index-aligned (required). Each
 	// cell comes with the key the manager computed at submission; RunBatch
 	// reads the slice only until it returns. shiftd passes
-	// Engine.RunKeyed, so job cells share the engine with synchronous
-	// requests and are hashed once.
+	// Engine.RunKeyed, so job cells share the engine with figures and are
+	// hashed once.
 	RunBatch func([]shift.KeyedConfig) ([]shift.RunResult, []error)
 	// Run is the per-cell form of RunBatch, read only when RunBatch is
 	// nil: Open wraps it into a RunBatch that runs a batch's cells one
@@ -637,7 +650,8 @@ type Manager struct {
 	retainedCells int // cells of the jobs in jobs
 	closed        bool
 	draining      bool
-	running       int // cells currently executing in workers
+	drainStarted  chan struct{} // closed when draining turns true
+	running       int           // cells currently executing in workers
 
 	// shared holds every finished cell's result once per key.
 	shared sharedTable
@@ -717,10 +731,11 @@ func Open(cfg Config) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		cfg:     cfg,
-		buckets: NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
-		jobs:    make(map[string]*Job),
-		shared:  sharedTable{byKey: make(map[string]*sharedResult)},
+		cfg:          cfg,
+		buckets:      NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
+		jobs:         make(map[string]*Job),
+		drainStarted: make(chan struct{}),
+		shared:       sharedTable{byKey: make(map[string]*sharedResult)},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Journal != nil {
@@ -734,32 +749,23 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Admit runs the token-bucket admission check for a job of cells cells
-// from the given client, debiting the bucket on admission and counting
-// rejections. Call it before Submit.
-func (m *Manager) Admit(client string, cells int) Decision {
-	d := m.buckets.Take(client, float64(cells))
-	if !d.OK {
-		m.mu.Lock()
-		m.rejected++
-		m.mu.Unlock()
-	}
-	return d
-}
-
 // Submit registers a new job and enqueues its cells, like SubmitFrom
-// with an empty client key.
+// with an empty client key: an in-process caller, whom no bucket meters.
 func (m *Manager) Submit(cells []shift.Cell) (*Job, error) {
 	return m.SubmitFrom("", cells)
 }
 
 // SubmitFrom registers a new job from the given admission-control
-// client and enqueues its cells. It returns ErrQueueFull when the
-// queued-cell bound would be exceeded (the rejection is counted),
-// ErrDraining during graceful shutdown, and ErrClosed after Close.
-// With a journal configured the submission is journaled — durably —
-// before it is acknowledged; a journal write failure rejects the
-// submission rather than admitting a job that a restart would forget.
+// client and enqueues its cells, charging the client's token bucket one
+// token per cell (none for the empty client, Submit's). It returns
+// ErrDraining during graceful shutdown, ErrQueueFull when the queued-cell
+// bound would be exceeded, an *AdmissionError when the client's bucket
+// cannot pay for the job (each of these rejections is counted), and
+// ErrClosed after Close. With a journal configured the submission is
+// journaled — durably — before it is acknowledged; a journal write
+// failure rejects the submission rather than admitting a job that a
+// restart would forget. The bucket is charged last, so a refused
+// submission costs the client nothing.
 func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 	if len(cells) == 0 {
 		return nil, errors.New("jobs: empty job")
@@ -778,6 +784,13 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		m.rejected++
 		return nil, ErrQueueFull
 	}
+	metered, cost := client != "", float64(len(cells))
+	if metered {
+		if d := m.buckets.Check(client, cost); !d.OK {
+			m.rejected++
+			return nil, &AdmissionError{d}
+		}
+	}
 	m.nextID++
 	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client, &m.shared)
 	if m.cfg.Journal != nil {
@@ -788,6 +801,9 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 			m.journalErrs.Add(1)
 			return nil, fmt.Errorf("jobs: journal submit: %w", err)
 		}
+	}
+	if metered {
+		m.buckets.Take(client, cost)
 	}
 	m.jobs[j.id] = j
 	m.retainedCells += len(cells)
@@ -919,6 +935,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
+		close(m.drainStarted)
 		m.cond.Broadcast()
 	}
 	stop := context.AfterFunc(ctx, func() {
@@ -938,12 +955,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether graceful shutdown has begun.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
+// Draining returns a channel closed when graceful shutdown begins, so a
+// caller waiting for a job can stop waiting for cells the drain leaves
+// queued.
+func (m *Manager) Draining() <-chan struct{} { return m.drainStarted }
 
 // Checkpoint compacts the journal down to a snapshot of the current
 // job registry (one record per job). No-op without a journal.
@@ -1217,8 +1232,8 @@ type Stats struct {
 	Batches, BatchCells int64
 	// Admitted counts jobs accepted into the queue.
 	Admitted int64
-	// Rejected counts submissions refused by admission control or the
-	// queue bound.
+	// Rejected counts submissions refused by admission control, the
+	// queue bound or a drain.
 	Rejected int64
 	// Cancelled counts jobs whose cancellation took effect.
 	Cancelled int64

@@ -345,24 +345,43 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestAdmitCountsRejections: SubmitFrom charges the client's bucket a
+// token per cell and refuses, counting each refusal, a job larger than
+// the burst (never admitted) and one the bucket cannot pay for now (with
+// a Retry-After). A refusal charges nothing: a client refused by the
+// queue bound still has its whole burst once the queue frees.
 func TestAdmitCountsRejections(t *testing.T) {
-	m := New(Config{Workers: 1, Rate: 1, Burst: 2, Run: func(shift.Config) (shift.RunResult, error) {
-		return shift.RunResult{}, nil
-	}})
+	now := time.Unix(1000, 0)
+	r := newBlockingRunner()
+	m := New(Config{Workers: 1, MaxQueue: 3, Rate: 1, Burst: 2, Run: r.run, Now: func() time.Time { return now }})
 	defer m.Close()
-	if d := m.Admit("c1", 2); !d.OK {
-		t.Fatalf("first admit = %+v, want OK", d)
+	two := []shift.Cell{testCell("a", 1000), testCell("b", 2000)}
+	three := append(two, testCell("c", 3000))
+	var ae *AdmissionError
+	if _, err := m.SubmitFrom("c1", three); !errors.As(err, &ae) || !ae.Never {
+		t.Fatalf("oversized submit = %v, want an AdmissionError that never admits", err)
 	}
-	d := m.Admit("c1", 1)
-	if d.OK || d.Never || d.RetryAfter < time.Second {
-		t.Fatalf("drained admit = %+v, want rejection with Retry-After >= 1s", d)
+	if _, err := m.SubmitFrom("c1", two); err != nil {
+		t.Fatalf("first submit = %v, want admitted", err)
 	}
-	if d := m.Admit("c1", 3); !d.Never {
-		t.Fatalf("oversized admit = %+v, want Never", d)
+	r.awaitStart(t) // one cell runs, one stays queued
+	if _, err := m.SubmitFrom("c1", two[:1]); !errors.As(err, &ae) || ae.Never || ae.RetryAfter < time.Second {
+		t.Fatalf("drained submit = %v, want an AdmissionError with Retry-After >= 1s", err)
 	}
-	if s := m.Stats(); s.Rejected != 2 {
-		t.Fatalf("Rejected = %d, want 2", s.Rejected)
+	if _, err := m.SubmitFrom("c2", three); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit over the queue bound = %v, want ErrQueueFull", err)
 	}
+	r.release <- struct{}{}
+	r.release <- struct{}{}
+	waitFor(t, func() bool { s := m.Stats(); return s.QueueDepth == 0 && s.Running == 0 })
+	if _, err := m.SubmitFrom("c2", two); err != nil {
+		t.Fatalf("the refused client's full burst after the queue freed = %v, want admitted", err)
+	}
+	if s := m.Stats(); s.Admitted != 2 || s.Rejected != 3 {
+		t.Fatalf("Admitted = %d, Rejected = %d, want 2 and 3", s.Admitted, s.Rejected)
+	}
+	r.release <- struct{}{}
+	r.release <- struct{}{}
 }
 
 func TestLatencyStats(t *testing.T) {

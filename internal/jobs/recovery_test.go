@@ -323,7 +323,7 @@ func TestDrain(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- m.Drain(context.Background()) }()
-	waitFor(t, func() bool { return m.Draining() })
+	waitFor(t, func() bool { return m.Stats().Draining })
 
 	if _, err := m.Submit([]shift.Cell{testCell("mix", 1)}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit during drain = %v, want ErrDraining", err)

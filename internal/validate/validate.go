@@ -1,11 +1,11 @@
 // Package validate centralizes the request-range rules shared by every
-// front end of the simulator: the CLI option normalization (shift.Options),
-// the shiftd wire-cell and figure-query validation, and the workload spec
-// layer (internal/spec). Each front end previously spelled these checks
-// out by hand, which let the three drift; they now share one table of
-// constraints and differ only in how they render the offending field's
-// name (wire cells quote JSON field names, figure queries use query
-// parameter names).
+// front end of the simulator: the option normalization (shift.Options)
+// behind the CLI and shiftd's figure queries, shiftd's wire cells, and the
+// workload spec layer (internal/spec). Each front end previously spelled
+// these checks out by hand, which let the three drift; they now share one
+// table of constraints and differ only in how they render the offending
+// field's name (wire cells quote JSON field names, figure queries use
+// query parameter names).
 package validate
 
 import "fmt"
@@ -35,18 +35,14 @@ func Fieldf(field, format string, args ...any) *FieldError {
 // for tables it cannot allocate.
 const MaxHistEntries = 1 << 20
 
-// Cell bundles the range-checked knobs shared by every front end. Field
-// names follow the wire (JSON) spelling of shiftd's cellSpec, which is
-// also the spelling the spec layer and the table-driven rejection test
-// use.
+// Cell bundles the range-checked knobs shared by every front end, as
+// resolved values: a front end that lets a field inherit a default fills
+// it in before checking. Field names follow the wire (JSON) spelling of
+// shiftd's cellSpec, which is also the spelling the spec layer and the
+// table-driven rejection test use.
 type Cell struct {
-	// Cores is the CMP size. Zero is accepted when CoresZeroInherits is
-	// set (wire cells inherit the server's base); otherwise it is
-	// range-checked like any other value.
+	// Cores is the CMP size.
 	Cores int
-	// CoresZeroInherits marks Cores==0 as "inherit the default" rather
-	// than a value to range-check.
-	CoresZeroInherits bool
 	// HistEntries is the history-capacity override (0 = design default).
 	HistEntries int
 	// ElimProb is the Figure 1 miss-elimination probability.
@@ -65,11 +61,13 @@ type Cell struct {
 }
 
 // Check returns the first violated constraint as a *FieldError, or nil.
-// It is pure range validation: cross-field rules that depend on
-// resolved defaults (the sampled-window fit) live in SampledWindow so
-// callers can apply them after base-option inheritance.
+// Besides the ranges, a sampling policy's chunk (period x interval, the
+// interval 500 records when 0) must fit at least twice in the
+// measurement window — the simulator needs two measured intervals for a
+// standard error — which is why the values must be resolved ones. A
+// period <= 1 is exact simulation and always fits.
 func (c Cell) Check() *FieldError {
-	if (c.Cores != 0 || !c.CoresZeroInherits) && (c.Cores < 1 || c.Cores > 16) {
+	if c.Cores < 1 || c.Cores > 16 {
 		return Fieldf("cores", "must be in [1,16], got %d", c.Cores)
 	}
 	if c.HistEntries < 0 || c.HistEntries > MaxHistEntries {
@@ -98,25 +96,17 @@ func (c Cell) Check() *FieldError {
 	default:
 		return Fieldf("sample_confidence", "must be one of 0.90, 0.95, 0.99, got %g", c.SampleConfidence)
 	}
-	return nil
-}
-
-// SampledWindow rejects a sampling policy whose chunk (period x
-// interval) does not fit at least twice in the measurement window — the
-// simulator needs two measured intervals for a standard error. period
-// <= 1 is exact simulation and always fits. The result names
-// "sample_period"; callers rendering query parameters map the name.
-func SampledWindow(period, interval, measure int64) *FieldError {
-	if period <= 1 {
+	if c.SamplePeriod <= 1 {
 		return nil
 	}
+	interval := c.SampleInterval
 	if interval == 0 {
 		interval = 500
 	}
-	if chunk := period * interval; measure < 2*chunk {
+	if chunk := c.SamplePeriod * interval; c.MeasureRecords < 2*chunk {
 		return Fieldf("sample_period",
 			"measurement window %d fits fewer than two sampling chunks (chunk is %d records: period %d x interval %d)",
-			measure, chunk, period, interval)
+			c.MeasureRecords, chunk, c.SamplePeriod, interval)
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ func TestCellCheck(t *testing.T) {
 	}{
 		{"cores low", func(c *Cell) { c.Cores = 0 }, "cores"},
 		{"cores high", func(c *Cell) { c.Cores = 17 }, "cores"},
-		{"cores negative inherit", func(c *Cell) { c.Cores = -1; c.CoresZeroInherits = true }, "cores"},
+		{"cores negative", func(c *Cell) { c.Cores = -1 }, "cores"},
 		{"hist entries", func(c *Cell) { c.HistEntries = -1 }, "hist_entries"},
 		{"hist entries huge", func(c *Cell) { c.HistEntries = MaxHistEntries + 1 }, "hist_entries"},
 		{"elim low", func(c *Cell) { c.ElimProb = -0.1 }, "elim_prob"},
@@ -45,6 +45,7 @@ func TestCellCheck(t *testing.T) {
 		{"sample warmup low", func(c *Cell) { c.SampleWarmup = -0.1 }, "sample_warmup"},
 		{"sample warmup high", func(c *Cell) { c.SampleWarmup = 1 }, "sample_warmup"},
 		{"sample confidence", func(c *Cell) { c.SampleConfidence = 0.8 }, "sample_confidence"},
+		{"sampled window", func(c *Cell) { c.MeasureRecords = 999 }, "sample_period"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,10 +69,6 @@ func TestCellCheckAccepts(t *testing.T) {
 	if fe := ok().Check(); fe != nil {
 		t.Errorf("valid cell rejected: %v", fe)
 	}
-	// The zero value is a valid "all defaults" wire cell.
-	if fe := (Cell{CoresZeroInherits: true}).Check(); fe != nil {
-		t.Errorf("zero wire cell rejected: %v", fe)
-	}
 	// Every accepted confidence level.
 	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
 		c := ok()
@@ -82,20 +79,25 @@ func TestCellCheckAccepts(t *testing.T) {
 	}
 }
 
+// TestSampledWindow pins Check's cross-field rule: a sampling chunk
+// (period x interval) must fit twice in the measurement window.
 func TestSampledWindow(t *testing.T) {
+	window := func(period, interval, measure int64) *FieldError {
+		return Cell{Cores: 1, SamplePeriod: period, SampleInterval: interval, MeasureRecords: measure}.Check()
+	}
 	// Exact simulation always fits.
-	if fe := SampledWindow(0, 0, 10); fe != nil {
+	if fe := window(0, 0, 10); fe != nil {
 		t.Errorf("period 0 rejected: %v", fe)
 	}
-	if fe := SampledWindow(1, 1000, 1); fe != nil {
+	if fe := window(1, 1000, 1); fe != nil {
 		t.Errorf("period 1 rejected: %v", fe)
 	}
 	// Two chunks fit exactly.
-	if fe := SampledWindow(10, 50, 1000); fe != nil {
+	if fe := window(10, 50, 1000); fe != nil {
 		t.Errorf("exact fit rejected: %v", fe)
 	}
 	// One record short of two chunks.
-	fe := SampledWindow(10, 50, 999)
+	fe := window(10, 50, 999)
 	if fe == nil {
 		t.Fatal("undersized window accepted")
 	}
@@ -103,10 +105,10 @@ func TestSampledWindow(t *testing.T) {
 		t.Errorf("field = %q, want sample_period", fe.Field)
 	}
 	// The 500-record default interval applies when interval is 0.
-	if fe := SampledWindow(10, 0, 9999); fe == nil {
+	if fe := window(10, 0, 9999); fe == nil {
 		t.Error("undersized window with default interval accepted")
 	}
-	if fe := SampledWindow(10, 0, 10000); fe != nil {
+	if fe := window(10, 0, 10000); fe != nil {
 		t.Errorf("fitting window with default interval rejected: %v", fe)
 	}
 }

@@ -2,11 +2,11 @@ package shift
 
 import (
 	"fmt"
+	"strings"
 
 	"shift/internal/core"
 	"shift/internal/sim"
 	"shift/internal/validate"
-	"shift/internal/workload"
 )
 
 // Options parameterizes the per-figure experiment drivers.
@@ -65,7 +65,10 @@ func QuickOptions() Options {
 	return o
 }
 
-// normalize validates and fills defaults.
+// normalize validates and fills defaults. Every refusal is a
+// *validate.FieldError (wrapped), so a front end can name the option at
+// fault: shiftd answers 400 for one, since every driver normalizes
+// before it runs a cell.
 func (o Options) normalize() (Options, error) {
 	if o.Cores == 0 {
 		o.Cores = 16
@@ -78,12 +81,12 @@ func (o Options) normalize() (Options, error) {
 	}
 	for _, w := range o.Workloads {
 		if !KnownWorkload(w) {
-			if _, err := workload.ByName(w); err != nil {
-				return o, err
-			}
+			return o, fmt.Errorf("shift: %w", validate.Fieldf("workloads",
+				"unknown workload %q (valid: %s)", w, strings.Join(Workloads(), ", ")))
 		}
 		if n := WorkloadCores(w); n != 0 && n != o.Cores {
-			return o, fmt.Errorf("shift: workload %q is a %d-core mix, Options.Cores is %d", w, n, o.Cores)
+			return o, fmt.Errorf("shift: %w", validate.Fieldf("cores",
+				"workload %q is a %d-core mix, configured for %d cores", w, n, o.Cores))
 		}
 	}
 	if len(o.Workloads) == 0 {
@@ -99,9 +102,6 @@ func (o Options) normalize() (Options, error) {
 		SampleConfidence: o.Sampling.Confidence,
 	}
 	if err := cell.Check(); err != nil {
-		return o, fmt.Errorf("shift: %w", err)
-	}
-	if err := validate.SampledWindow(o.Sampling.Period, o.Sampling.IntervalRecords, o.MeasureRecords); err != nil {
 		return o, fmt.Errorf("shift: %w", err)
 	}
 	return o, nil
