@@ -90,8 +90,8 @@ func TestReplayedJobAllocs(t *testing.T) {
 // TestReplayedRunAllocs is the allocation budget of a replayed POST
 // /v1/run, the synchronous path: a one-cell job submitted, waited for and
 // rendered from its snapshot, its cell a store hit. The harness is
-// subtracted as in TestReplayedJobAllocs; it measures ≈ 46 allocations
-// and 6.1 KB.
+// subtracted as in TestReplayedJobAllocs; it measures ≈ 49 allocations
+// and 6.4 KB.
 func TestReplayedRunAllocs(t *testing.T) {
 	if !syncPoolKeepsPuts() {
 		t.Skip("race detector: allocation counts are not the production ones")
@@ -118,6 +118,45 @@ func TestReplayedRunAllocs(t *testing.T) {
 	if allocs > allocBudget || size > byteBudget {
 		t.Errorf("a replayed /v1/run makes %.0f allocations of %.0f B, budget %d and %d B",
 			allocs, size, allocBudget, byteBudget)
+	}
+}
+
+// TestReplayedRunsHeapBytesBounded: a POST /v1/run job leaves the job
+// registry when it is answered, so 100,000 replayed calls leave the live
+// heap within 1 MB of where it stood after the first thousand. When every
+// such job stayed in the registry they grew it by 47.5 MB.
+func TestReplayedRunsHeapBytesBounded(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("race detector: heap readings are not the production ones")
+	}
+	const warm, calls = 1000, 100000
+	srv, jm := newAllocServer()
+	h := srv.handler()
+	body := []byte(`{"workload": "OLTP Oracle", "design": "SHIFT", "cores": 4, "warmup_records": 500, "measure_records": 500, "seed": 7}`)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("run = %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(warm) // the cold call, then a full latency ring
+	before := heap()
+	run(calls)
+	after := heap()
+	st := jm.Stats()
+	t.Logf("%d replayed /v1/run calls: heap %d B -> %d B; %d jobs retained, %d evicted", calls, before, after, st.Retained, st.Evicted)
+	if after > before+1<<20 {
+		t.Errorf("%d replayed /v1/run calls grew the live heap by %d B, limit 1 MB", calls, after-before)
 	}
 }
 

@@ -159,7 +159,8 @@ var rows = []row{
 	{path: "cells_panicked", series: "shiftd_cells_panicked_total", kind: counter, help: "Simulation panics recovered into per-cell errors.", get: func(sn *snapshot) any { return sn.engine.Panicked }},
 	{path: "cells_timed_out", series: "shiftd_cells_timed_out_total", kind: counter, help: "Cells abandoned by the watchdog with a timeout error (-cell-timeout).", get: func(sn *snapshot) any { return sn.engine.TimedOut }},
 	{path: "job_cells_retried", series: "shiftd_job_cells_retried_total", kind: counter, help: "Transiently-failed job cells re-enqueued by the retry policy (-job-retries).", get: func(sn *snapshot) any { return sn.jobs.Retried }},
-	{path: "jobs_retained", series: "shiftd_jobs_retained", kind: gauge, help: "Jobs held by the job registry (jobs are never evicted).", get: func(sn *snapshot) any { return sn.jobs.Retained }},
+	{path: "jobs_retained", series: "shiftd_jobs_retained", kind: gauge, help: "Jobs held by the job registry: queued and running jobs, and finished ones until 8192 later-finishing cells have finished.", get: func(sn *snapshot) any { return sn.jobs.Retained }},
+	{path: "jobs_evicted", series: "shiftd_jobs_evicted_total", kind: counter, help: "Finished jobs that left the job registry: a /v1/run or /v1/grid job when it finished, a /v1/jobs job once 8192 later-finishing cells had finished.", get: func(sn *snapshot) any { return sn.jobs.Evicted }},
 	{path: "job_cells_retained", series: "shiftd_job_cells_retained", kind: gauge, help: "Cells of the jobs held by the job registry.", get: func(sn *snapshot) any { return sn.jobs.RetainedCells }},
 	{path: "job_shared_results", series: "shiftd_job_shared_results", kind: gauge, help: "Distinct results the registry's finished cells point at (job_cells_retained over this is the dedup ratio).", get: func(sn *snapshot) any { return sn.jobs.SharedResults }},
 

@@ -79,7 +79,7 @@ func fullSnapshot() *snapshot {
 		},
 		jobs: jobs.Stats{
 			QueueDepth: i(), Batches: next(), BatchCells: next(), Admitted: next(), Rejected: next(), Cancelled: next(),
-			Retried: next(), Draining: true, Recovering: i(), JournalErrors: next(),
+			Retried: next(), Evicted: next(), Draining: true, Recovering: i(), JournalErrors: next(),
 			Retained: i(), RetainedCells: i(), SharedResults: i(), LatencyCount: next(),
 			LatencySum: 7.25, LatencyP50: 0.25, LatencyP90: 0.5, LatencyP99: 0.75,
 		},

@@ -405,7 +405,7 @@ func (s *server) handleSync(run bool) http.HandlerFunc {
 		} else if !s.decodeBody(w, r, &req) {
 			return
 		}
-		j, ok := s.submit(w, r, req.Cells)
+		j, ok := s.submit(w, r, req.Cells, true)
 		if !ok {
 			return
 		}
@@ -479,7 +479,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	j, ok := s.submit(w, r, req.Cells)
+	j, ok := s.submit(w, r, req.Cells, false)
 	if !ok {
 		return
 	}
@@ -499,8 +499,9 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // for a cell that does not resolve or a job over the burst capacity, 429
 // + Retry-After when the client's bucket is dry, 503 + Retry-After when
 // the queue is full or shutdown has begun — and reports whether the job
-// was accepted.
-func (s *server) submit(w http.ResponseWriter, r *http.Request, specs []cellSpec) (*jobs.Job, bool) {
+// was accepted. A sync job, whose caller waits for it and answers no ID,
+// leaves the job registry when it is terminal.
+func (s *server) submit(w http.ResponseWriter, r *http.Request, specs []cellSpec, sync bool) (*jobs.Job, bool) {
 	if len(specs) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty \"cells\""))
 		return nil, false
@@ -510,7 +511,12 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request, specs []cellSpec
 		writeError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
-	j, err := s.jobs.SubmitFrom(clientKey(r), cells)
+	var j *jobs.Job
+	if sync {
+		j, err = s.jobs.SubmitSyncFrom(clientKey(r), cells)
+	} else {
+		j, err = s.jobs.SubmitFrom(clientKey(r), cells)
+	}
 	var ae *jobs.AdmissionError
 	switch {
 	case err == nil:

@@ -146,8 +146,9 @@ func TestSyncCellRetriesWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestSyncCallsAreJobs: a /v1/run and a /v1/grid are admitted, counted
-// and retained like any job.
+// TestSyncCallsAreJobs: a /v1/run and a /v1/grid are admitted and
+// counted like any job, and leave the registry once finished: their IDs
+// were never handed out, and answer 404.
 func TestSyncCallsAreJobs(t *testing.T) {
 	ts, srv := newTestServer(t)
 	if code := postJSON(t, ts.URL+"/v1/run", map[string]any{"workload": "Web Search", "design": "Baseline"}, nil); code != http.StatusOK {
@@ -163,7 +164,17 @@ func TestSyncCallsAreJobs(t *testing.T) {
 	if st := getStats(t, ts.URL); st.JobsAdmitted != 2 {
 		t.Errorf("jobs_admitted = %d, want 2", st.JobsAdmitted)
 	}
-	if st := srv.jobs.Stats(); st.Retained != 2 || st.RetainedCells != 3 {
-		t.Errorf("registry holds %d jobs of %d cells, want 2 of 3", st.Retained, st.RetainedCells)
+	if st := srv.jobs.Stats(); st.Retained != 0 || st.RetainedCells != 0 || st.Evicted != 2 {
+		t.Errorf("registry holds %d jobs of %d cells, %d evicted; want none held, 2 evicted", st.Retained, st.RetainedCells, st.Evicted)
+	}
+	for _, id := range []string{"j-000001", "j-000002"} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET job %s = %d, want 404", id, resp.StatusCode)
+		}
 	}
 }

@@ -28,15 +28,24 @@
 // Cancellation drops queued cells (lazily reaped from the queue) while
 // running cells finish and publish their results — the engine seeds
 // the result store either way, so cancelled work is never wasted.
+//
+// The registry is bounded by one rule with no knob: a finished job stays
+// readable until retainedCells cells of jobs that finished after it have
+// finished too, and then leaves (oldest-finished first); a job whose
+// submitter waits for it (SubmitSyncFrom) leaves the moment it is
+// terminal. IDs are never reused, so an ID that has left answers "not
+// found" for good.
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,7 +150,8 @@ const (
 // states and the completion order. cells and attempts are needed only
 // while a cell can still run, and maybeFinalize drops them. The fields
 // that hold pointers come first: the collector scans an object only up to
-// its last pointer, and the registry keeps every finished job.
+// its last pointer, and a finished job stays in the registry for up to
+// retainedCells later cells.
 type Job struct {
 	id     string
 	client string
@@ -155,7 +165,9 @@ type Job struct {
 	// cell under mu, so the job cannot finalize and drop them under either
 	// reader.
 	cells []shift.KeyedConfig
-	// shared is the manager's result table, into which res indexes.
+	// shared is the manager's result table, into which res indexes, or —
+	// once the job has left the registry — a table of its own holding its
+	// finished cells' entries (see detach). Written and read under mu.
 	shared *sharedTable
 	// wire is the journaled form of the cells (canonical Config JSON
 	// plus spec documents), kept so compaction snapshots and the
@@ -198,6 +210,12 @@ type Job struct {
 	mu         sync.Mutex
 
 	cancelled bool
+	// sync marks a job whose submitter waits for it and is never handed
+	// its ID (SubmitSyncFrom): it leaves the registry when terminal.
+	sync bool
+	// retired is set, under the manager's mu, when the terminal job has
+	// gone on the manager's finished queue (or left the registry).
+	retired bool
 	// recovered marks a job rebuilt from the journal; its finalization
 	// decrements the manager's recovering count and is excluded from
 	// the latency percentiles (a latency spanning a process restart
@@ -550,6 +568,32 @@ func (j *Job) cancel(now time.Time) (droppedQueued int, tookEffect, finished boo
 	return droppedQueued, true, finished, latency
 }
 
+// detach gives the job, which is leaving the registry, a table of its
+// own holding the entries of its finished cells, and drops their
+// references in the manager's table, whose slots may then be reused. A
+// follower that still holds the job reads it to the end from its own
+// table. Called with the manager's mu held.
+func (j *Job) detach() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.completed == 0 {
+		return // res indexes nothing
+	}
+	t := j.shared
+	own := &sharedTable{list: make([]*sharedResult, 0, j.completed)}
+	t.mu.Lock()
+	for i, cs := range j.cellState {
+		if cs == cellDone {
+			s := t.list[j.res[i]]
+			j.res[i] = uint32(len(own.list))
+			own.list = append(own.list, s)
+			t.releaseLocked(s)
+		}
+	}
+	t.mu.Unlock()
+	j.shared = own
+}
+
 // ErrQueueFull is returned by Submit when admitting the job would push
 // the queue past its bound; the caller should back off and retry.
 var ErrQueueFull = errors.New("jobs: queue full")
@@ -647,7 +691,11 @@ type Manager struct {
 	seq           int64
 	nextID        int64
 	jobs          map[string]*Job
-	retainedCells int // cells of the jobs in jobs
+	registryCells int // cells of the jobs in jobs
+	// finished holds the terminal jobs of jobs not submitted by a waiting
+	// caller, oldest-finished first, and finishedCells their cells.
+	finished      []*Job
+	finishedCells int
 	closed        bool
 	draining      bool
 	drainStarted  chan struct{} // closed when draining turns true
@@ -666,6 +714,7 @@ type Manager struct {
 	rejected    int64
 	cancelled   int64
 	retried     int64
+	evicted     int64
 	batches     int64 // batches workers have started
 	batchCells  int64 // cells in them
 	journalErrs atomic.Int64
@@ -681,6 +730,14 @@ type Manager struct {
 
 // latencyRing bounds the latency samples kept for percentiles.
 const latencyRing = 1024
+
+// retainedCells is the retention bound: a finished job leaves the
+// registry once this many cells of jobs that finished after it have
+// finished. At shiftd's replayed-job rate (≈ 16k cells/s on two CPUs)
+// that keeps a finished job readable for about half a second, and an
+// idle service keeps its last 8,192 finished cells for good. shiftd's
+// jobs_retained help text and the README's polling contract quote it.
+const retainedCells = 1 << 13
 
 // New returns a running manager with cfg.Workers scheduler goroutines.
 // Call Close to stop them. It panics if the journal replay fails; a
@@ -755,6 +812,15 @@ func (m *Manager) Submit(cells []shift.Cell) (*Job, error) {
 	return m.SubmitFrom("", cells)
 }
 
+// SubmitSyncFrom is SubmitFrom for a caller that waits for the job and
+// never hands its ID on (shiftd's /v1/run and /v1/grid): the job is
+// admitted, queued and journaled like any other, but leaves the registry
+// the moment it is terminal, and so does its recovered form. The caller
+// reads it through the returned Job.
+func (m *Manager) SubmitSyncFrom(client string, cells []shift.Cell) (*Job, error) {
+	return m.submit(client, cells, true)
+}
+
 // SubmitFrom registers a new job from the given admission-control
 // client and enqueues its cells, charging the client's token bucket one
 // token per cell (none for the empty client, Submit's). It returns
@@ -765,8 +831,14 @@ func (m *Manager) Submit(cells []shift.Cell) (*Job, error) {
 // journaled — durably — before it is acknowledged; a journal write
 // failure rejects the submission rather than admitting a job that a
 // restart would forget. The bucket is charged last, so a refused
-// submission costs the client nothing.
+// submission costs the client nothing. The job stays readable after it
+// finishes until retainedCells later-finishing cells have finished.
 func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
+	return m.submit(client, cells, false)
+}
+
+// submit is SubmitFrom, and SubmitSyncFrom when sync is set.
+func (m *Manager) submit(client string, cells []shift.Cell, sync bool) (*Job, error) {
 	if len(cells) == 0 {
 		return nil, errors.New("jobs: empty job")
 	}
@@ -792,10 +864,11 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		}
 	}
 	m.nextID++
-	j := newJob(fmt.Sprintf("j-%06d", m.nextID), cells, now, client, &m.shared)
+	j := newJob(jobID(m.nextID), cells, now, client, &m.shared)
+	j.sync = sync
 	if m.cfg.Journal != nil {
 		j.wire = entryCells(cells)
-		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire}
+		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire, Sync: sync}
 		if err := m.cfg.Journal.Append(e); err != nil {
 			m.nextID--
 			m.journalErrs.Add(1)
@@ -806,7 +879,7 @@ func (m *Manager) SubmitFrom(client string, cells []shift.Cell) (*Job, error) {
 		m.buckets.Take(client, cost)
 	}
 	m.jobs[j.id] = j
-	m.retainedCells += len(cells)
+	m.registryCells += len(cells)
 	all := make([]int, len(cells))
 	for i := range all {
 		all[i] = i
@@ -862,7 +935,17 @@ func (m *Manager) pushLocked(it batchItem) {
 	m.heap.push(it)
 }
 
-// Get returns the job with the given id.
+// jobID formats the n-th job ID.
+func jobID(n int64) string { return fmt.Sprintf("j-%06d", n) }
+
+// idNum returns the number of job ID id, 0 for an ID of no number.
+func idNum(id string) int64 {
+	n, _ := strconv.ParseInt(strings.TrimPrefix(id, "j-"), 10, 64)
+	return n
+}
+
+// Get returns the job with the given id: false for an ID never issued,
+// and for a job that has left the registry.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -872,8 +955,8 @@ func (m *Manager) Get(id string) (*Job, bool) {
 
 // Cancel requests cancellation of the job with the given id: queued
 // cells are dropped, running cells finish and publish their results.
-// It reports whether the id exists; cancelling a terminal job is a
-// no-op.
+// It reports whether the id is in the registry; cancelling a terminal
+// job is a no-op.
 func (m *Manager) Cancel(id string) (*Job, bool) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -961,7 +1044,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 func (m *Manager) Draining() <-chan struct{} { return m.drainStarted }
 
 // Checkpoint compacts the journal down to a snapshot of the current
-// job registry (one record per job). No-op without a journal.
+// job registry (one record per job, and one for the highest ID issued
+// when its job has left). No-op without a journal.
 func (m *Manager) Checkpoint() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -989,8 +1073,9 @@ func (m *Manager) checkpointLocked() {
 
 // maybeCompactLocked compacts once the journal has accumulated enough
 // history that a snapshot would shrink it substantially: at least 64
-// records and at least 8× the live job count (a snapshot is one record
-// per job). Called with mu held.
+// records and at least 8× the registry's job count (a snapshot is one
+// record per job), which the retention bound keeps bounded. Called with
+// mu held.
 func (m *Manager) maybeCompactLocked() {
 	if m.cfg.Journal == nil {
 		return
@@ -1001,18 +1086,34 @@ func (m *Manager) maybeCompactLocked() {
 }
 
 // snapshotEntriesLocked folds the registry into one OpSnap entry per
-// job, ID-sorted for a deterministic snapshot. Called with mu held.
+// job: the finished queue in finish order, then the rest in ID order, so
+// a replay retains what the registry retains and requeues in submission
+// order. When the highest ID issued has left the registry, an OpLastID
+// entry leads, so a replay never issues it again. Called with mu held.
 func (m *Manager) snapshotEntriesLocked() []Entry {
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
+	entries := make([]Entry, 0, len(m.jobs)+1)
+	if last := jobID(m.nextID); m.nextID > 0 && m.jobs[last] == nil {
+		entries = append(entries, Entry{Op: OpLastID, Job: last})
 	}
-	sort.Strings(ids)
-	entries := make([]Entry, 0, len(ids))
-	for _, id := range ids {
-		entries = append(entries, m.jobs[id].snapEntry())
+	for _, j := range m.finished {
+		entries = append(entries, j.snapEntry())
+	}
+	rest := make([]*Job, 0, len(m.jobs)-len(m.finished))
+	for _, j := range m.jobs {
+		if !j.retired {
+			rest = append(rest, j)
+		}
+	}
+	sortByID(rest)
+	for _, j := range rest {
+		entries = append(entries, j.snapEntry())
 	}
 	return entries
+}
+
+// sortByID sorts jobs by the number of their IDs, the submission order.
+func sortByID(jobs []*Job) {
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(idNum(a.id), idNum(b.id)) })
 }
 
 // snapEntry folds the job's journaled history into one OpSnap record.
@@ -1022,7 +1123,7 @@ func (j *Job) snapEntry() Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e := Entry{Op: OpSnap, Job: j.id, Client: j.client, Created: wallTime(j.created),
-		Cells: j.wire, Cancelled: j.cancelled}
+		Cells: j.wire, Cancelled: j.cancelled, Sync: j.sync}
 	if j.state.Terminal() {
 		e.State = j.state
 	}
@@ -1064,15 +1165,47 @@ func (m *Manager) journalEnd(j *Job) {
 // jobFinishedLocked records a job reaching a terminal state: recovered
 // jobs decrement the recovering count and are excluded from the
 // latency percentiles (their latency would measure the outage, not the
-// scheduler); fresh jobs record their latency. Called with mu held.
+// scheduler); fresh jobs record their latency. Then it retires the job.
+// Called with mu held.
 func (m *Manager) jobFinishedLocked(j *Job, lat float64) {
 	if j.recovered {
 		if m.recoveredPending > 0 {
 			m.recoveredPending--
 		}
+	} else {
+		m.recordLatencyLocked(lat)
+	}
+	m.retireLocked(j)
+}
+
+// retireLocked applies the retention bound to j, which just turned
+// terminal: a sync job leaves the registry at once; any other joins the
+// finished queue, from whose head every job leaves that retainedCells
+// cells of later-finishing jobs have followed. Called with mu held.
+func (m *Manager) retireLocked(j *Job) {
+	j.retired = true
+	if j.sync {
+		m.evictLocked(j)
 		return
 	}
-	m.recordLatencyLocked(lat)
+	m.finished = append(m.finished, j)
+	m.finishedCells += len(j.cellState)
+	for m.finishedCells-len(m.finished[0].cellState) >= retainedCells {
+		old := m.finished[0]
+		m.finished[0] = nil
+		m.finished = m.finished[1:]
+		m.finishedCells -= len(old.cellState)
+		m.evictLocked(old)
+	}
+}
+
+// evictLocked removes terminal job j from the registry. Called with mu
+// held.
+func (m *Manager) evictLocked(j *Job) {
+	delete(m.jobs, j.id)
+	m.registryCells -= len(j.cellState)
+	m.evicted++
+	j.detach()
 }
 
 // worker pops the cheapest batch and executes its runnable cells
@@ -1240,6 +1373,10 @@ type Stats struct {
 	// Retried counts cell re-enqueues by the transient-retry policy
 	// (one per consumed attempt, across all jobs).
 	Retried int64
+	// Evicted counts terminal jobs that have left the registry: a sync
+	// job when it turned terminal, any other once retainedCells cells of
+	// later-finishing jobs had finished.
+	Evicted int64
 	// Running is the number of cells currently executing in workers.
 	Running int
 	// Draining reports that graceful shutdown has begun.
@@ -1251,7 +1388,8 @@ type Stats struct {
 	// cells re-run on the next recovery; the jobs still completed).
 	JournalErrors int64
 	// Retained is the number of jobs the registry holds, RetainedCells
-	// their cells, and SharedResults the distinct results those cells
+	// their cells (the finished among them fewer than retainedCells plus
+	// one job's), and SharedResults the distinct results those cells
 	// point at, so RetainedCells/SharedResults is the registry's
 	// deduplication ratio.
 	Retained, RetainedCells, SharedResults int
@@ -1280,12 +1418,13 @@ func (m *Manager) Stats() Stats {
 		Rejected:      m.rejected,
 		Cancelled:     m.cancelled,
 		Retried:       m.retried,
+		Evicted:       m.evicted,
 		Running:       m.running,
 		Draining:      m.draining,
 		Recovering:    m.recoveredPending,
 		JournalErrors: m.journalErrs.Load(),
 		Retained:      len(m.jobs),
-		RetainedCells: m.retainedCells,
+		RetainedCells: m.registryCells,
 		LatencyCount:  m.latCount,
 		LatencySum:    m.latSum,
 	}

@@ -21,7 +21,7 @@ import (
 // Entry op codes. A job's journaled life is one opSubmit, zero or more
 // opCell entries in completion order, at most one opCancel, and one
 // opEnd; opSnap folds that whole history into a single record during
-// compaction.
+// compaction, and opLastID keeps the ID of a job no snapshot holds.
 const (
 	// OpSubmit records an admitted job: id, client, creation time, and
 	// every cell as its canonical Config JSON (plus the canonical spec
@@ -42,6 +42,9 @@ const (
 	// cancellation flag, and terminal state in one record. Replay
 	// expands it to the primitive ops.
 	OpSnap = "snap"
+	// OpLastID records the highest job ID issued when its job has left
+	// the registry, so a replay issues no ID at or below it again.
+	OpLastID = "last-id"
 )
 
 // EntryCell is one cell of an OpSubmit/OpSnap entry: the label plus
@@ -70,9 +73,11 @@ type CellOp struct {
 // Entry is one journal record. Which fields are meaningful depends on
 // Op; unused fields stay zero and are omitted from the JSON.
 type Entry struct {
-	// Op is the record type (OpSubmit, OpCell, OpCancel, OpEnd, OpSnap).
+	// Op is the record type (OpSubmit, OpCell, OpCancel, OpEnd, OpSnap,
+	// OpLastID).
 	Op string `json:"op"`
-	// Job is the job ID the record belongs to.
+	// Job is the job ID the record belongs to (OpLastID: the ID it
+	// records).
 	Job string `json:"job"`
 	// Client is the admission-control client key (OpSubmit/OpSnap).
 	Client string `json:"client,omitempty"`
@@ -86,6 +91,9 @@ type Entry struct {
 	Err string `json:"err,omitempty"`
 	// Cancelled marks a job whose cancellation took effect (OpSnap).
 	Cancelled bool `json:"cancelled,omitempty"`
+	// Sync marks a job whose submitter waited for it (OpSubmit/OpSnap;
+	// see Manager.SubmitSyncFrom): replay drops it once it is terminal.
+	Sync bool `json:"sync,omitempty"`
 	// State is the job's terminal state (OpEnd; OpSnap when terminal).
 	State State `json:"state,omitempty"`
 	// Ops is the completion history in completion order (OpSnap).

@@ -1,9 +1,10 @@
 package jobs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"shift"
 )
@@ -40,7 +41,9 @@ type RecoveryStats struct {
 // (duplicate submit or cell entries are no-ops) and order-tolerant:
 // terminal states are recomputed from the cell entries, so OpEnd
 // records are advisory and a crash between a cell entry and its end
-// entry loses nothing.
+// entry loses nothing. A job's finish order is that of the last record
+// it had once settled (cancelled, or every cell resolved), so the
+// retention bound drops the jobs the previous process had dropped.
 func (m *Manager) recover() error {
 	entries, err := m.cfg.Journal.Replay()
 	if err != nil {
@@ -49,21 +52,25 @@ func (m *Manager) recover() error {
 	js := m.cfg.Journal.Stats()
 	m.recovery.TailRecords = js.TailRecords
 	m.recovery.TailBytes = js.TailBytes
-	for _, e := range entries {
+	settled := make(map[*Job]int)
+	for k, e := range entries {
 		if e.Op == OpSnap {
 			// A compacted job expands to its primitive ops.
-			m.applyEntry(Entry{Op: OpSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells})
+			m.applyEntry(Entry{Op: OpSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells, Sync: e.Sync})
 			for _, op := range e.Ops {
 				m.applyEntry(Entry{Op: OpCell, Job: e.Job, Cell: op.Cell, Err: op.Err})
 			}
 			if e.Cancelled {
 				m.applyEntry(Entry{Op: OpCancel, Job: e.Job})
 			}
-			continue
+		} else {
+			m.applyEntry(e)
 		}
-		m.applyEntry(e)
+		if j := m.jobs[e.Job]; j != nil && (j.cancelled || j.completed+j.failed == len(j.cellState)) {
+			settled[j] = k
+		}
 	}
-	m.finishRecovery()
+	m.finishRecovery(settled)
 	return nil
 }
 
@@ -87,14 +94,10 @@ func (m *Manager) applyEntry(e Entry) {
 			cells[i] = shift.Cell{Label: ec.Label, Config: ec.Config}
 		}
 		j := newJob(e.Job, cells, e.Created, e.Client, &m.shared)
-		j.wire, j.recovered = e.Cells, true
+		j.wire, j.recovered, j.sync = e.Cells, true, e.Sync
 		m.jobs[e.Job] = j
-		m.retainedCells += len(cells)
-		// New IDs must never collide with journaled ones.
-		var n int64
-		if _, err := fmt.Sscanf(e.Job, "j-%d", &n); err == nil && n > m.nextID {
-			m.nextID = n
-		}
+		m.registryCells += len(cells)
+		m.noteID(e.Job)
 	case OpCell:
 		j, ok := m.jobs[e.Job]
 		if !ok || e.Cell < 0 || e.Cell >= len(j.cellState) {
@@ -129,22 +132,25 @@ func (m *Manager) applyEntry(e Entry) {
 		}
 	case OpEnd:
 		// Advisory: the terminal state is recomputed from the cell ops.
+	case OpLastID:
+		m.noteID(e.Job)
 	}
 }
 
-// finishRecovery settles every replayed job — dropping queued cells of
-// cancelled jobs, finalizing jobs whose cells all resolved, and
-// re-enqueuing the rest — in ID order so the recovered queue's
-// tie-break sequence is deterministic.
-func (m *Manager) finishRecovery() {
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+// noteID makes sure no new ID is at or below journaled ID id.
+func (m *Manager) noteID(id string) {
+	m.nextID = max(m.nextID, idNum(id))
+}
+
+// finishRecovery settles every replayed job: it drops the queued cells
+// of cancelled jobs, finalizes the jobs whose cells all resolved and
+// retires them in finish order (settled holds each one's position in the
+// journal), and re-enqueues the rest in ID order — submission order — so
+// the recovered queue's tie-break sequence is the original one.
+func (m *Manager) finishRecovery(settled map[*Job]int) {
 	now := m.cfg.Now()
-	for _, id := range ids {
-		j := m.jobs[id]
+	var terminal, pending []*Job
+	for _, j := range m.jobs {
 		if j.cancelled {
 			for i, cs := range j.cellState {
 				if cs == cellQueued {
@@ -155,9 +161,18 @@ func (m *Manager) finishRecovery() {
 		}
 		if finished, _ := j.maybeFinalize(now); finished {
 			j.broadcast() // nobody follows it yet; it drops its channel
-			m.recovery.JobsTerminal++
-			continue
+			terminal = append(terminal, j)
+		} else {
+			pending = append(pending, j)
 		}
+	}
+	slices.SortFunc(terminal, func(a, b *Job) int { return cmp.Compare(settled[a], settled[b]) })
+	for _, j := range terminal {
+		m.recovery.JobsTerminal++
+		m.retireLocked(j)
+	}
+	sortByID(pending)
+	for _, j := range pending {
 		if j.completed+j.failed > 0 {
 			j.state = StateRunning
 			j.started = j.created

@@ -642,6 +642,9 @@ func retainedPerCell(t *testing.T, cell func(i, c int) shift.Cell) uint64 {
 		waitTerminal(t, j)
 	}
 	perCell := (heap() - before) / (jobCount * cellsPerJob)
+	if st := m.Stats(); st.Evicted != 0 {
+		t.Fatalf("%d jobs evicted: the measured jobs must all be retained", st.Evicted)
+	}
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(submitted)
 	return perCell
@@ -868,18 +871,20 @@ func TestCompactionAfterTerminalKeepsCells(t *testing.T) {
 }
 
 // TestFinishedJobScanBytes is the collector's view of the job registry:
-// shiftd never evicts a job, and every GC cycle rescans what the finished
-// ones hold. 4,096 replays of one six-design job, each with label strings
-// of its own as from separate request bodies, may each leave at most
-// 900 B live and 400 B for the collector to scan (runtime/metrics
-// /gc/heap/live:bytes and /gc/scan/heap:bytes; ≈ 655 and 350 B). Labels
-// packed into one string, indices into the shared results instead of
-// pointers, timestamps without a *time.Location and one closed channel
-// for every finished job brought them from 1,020 and 685 B.
+// a finished job stays in it for retainedCells later cells, and every GC
+// cycle rescans what the finished ones hold. As many replays of one
+// six-design job as the bound retains (1,364 after the first), each with
+// label strings of its own as from separate request bodies, may each
+// leave at most 900 B live and 400 B for the collector to scan
+// (runtime/metrics /gc/heap/live:bytes and /gc/scan/heap:bytes; ≈ 655
+// and 350 B). Labels packed into one string, indices into the shared
+// results instead of pointers, timestamps without a *time.Location and
+// one closed channel for every finished job brought them from 1,020 and
+// 685 B.
 func TestFinishedJobScanBytes(t *testing.T) {
-	const jobCount = 4096
 	designs := []shift.Design{shift.DesignBaseline, shift.DesignNextLine, shift.DesignPIF2K,
 		shift.DesignPIF32K, shift.DesignZeroLatSHIFT, shift.DesignSHIFT}
+	jobCount := retainedCells/len(designs) - 1
 	read := func() (live, scan uint64) {
 		settleHeap()
 		samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/scan/heap:bytes"}}
@@ -916,7 +921,10 @@ func TestFinishedJobScanBytes(t *testing.T) {
 		replay()
 	}
 	liveAfter, scanAfter := read()
-	live, scan := (liveAfter-liveBefore)/jobCount, (scanAfter-scanBefore)/jobCount
+	live, scan := (liveAfter-liveBefore)/uint64(jobCount), (scanAfter-scanBefore)/uint64(jobCount)
+	if st := m.Stats(); st.Evicted != 0 {
+		t.Fatalf("%d jobs evicted: the measured jobs must all be retained", st.Evicted)
+	}
 	t.Logf("a finished replayed six-cell job: %d B live, %d B scannable", live, scan)
 	if live > 900 || scan > 400 {
 		t.Errorf("a finished replayed six-cell job keeps %d B live and %d B scannable, limits 900 and 400 B", live, scan)

@@ -21,34 +21,38 @@ type sharedResult struct {
 	// it.
 	encoded atomic.Pointer[[]byte]
 	r       shift.RunResult
-	// idx is the entry's position in the table's list.
+	// idx is the entry's slot in the table's list.
 	idx uint32
+	// refs counts the finished cells of registry jobs that point at the
+	// entry. Guarded by the table's lock.
+	refs uint32
 }
 
 // sharedTable maps a content address to the result every finished cell
 // with that key points at, so a replayed cell holds an index instead of
-// its own copy of the result and key. Entries are never removed: each is
-// referenced by a retained job, and jobs are never removed either. A
-// future job eviction must make this table weak, or it keeps every
-// evicted job's results alive. It is a plain map because go.mod's Go
-// version has neither unique nor weak. mu is a leaf: nothing else is
-// locked while it is held.
+// its own copy of the result and key. An entry is reference-counted by
+// the finished cells of the jobs in the registry: when the last of them
+// leaves, the entry leaves the map and its slot goes on a free stack for
+// the next fresh entry. So an index a registry job holds is always its
+// own entry's. It is a plain map because go.mod's Go version has neither
+// unique nor weak. mu is a leaf: nothing else is locked while it is held.
 type sharedTable struct {
 	mu    sync.Mutex
 	byKey map[string]*sharedResult
-	// list holds every entry, at its idx: append-only, so an index a job
-	// holds stays valid, and so does an element of any earlier copy of
-	// the slice header.
+	// list holds every entry at its idx, nil at a free slot.
 	list []*sharedResult
+	// free is the stack of free slots in list.
+	free []uint32
 }
 
-// shareLocked returns the entry for a result r under key: the table's
-// entry when its result is bit for bit r's, else a fresh one — entered
-// in the map if the key has none yet. An entry's result is compared with
-// == and its floats by their bits: == equates 0 and -0, and never holds
-// for a NaN, so such results are not shared, and a finished cell's bytes
-// never change whatever results later arrive under its key. A reused
-// entry gains its encoding the first time. Called with mu held.
+// shareLocked returns the entry for a result r under key, with one more
+// reference: the table's entry when its result is bit for bit r's, else
+// a fresh one — entered in the map if the key has none yet. An entry's
+// result is compared with == and its floats by their bits: == equates 0
+// and -0, and never holds for a NaN, so such results are not shared, and
+// a finished cell's bytes never change whatever results later arrive
+// under its key. A reused entry gains its encoding the first time.
+// Called with mu held.
 func (t *sharedTable) shareLocked(key string, r *shift.RunResult) *sharedResult {
 	s, ok := t.byKey[key]
 	if ok && sameBits(&s.r, r) {
@@ -56,14 +60,34 @@ func (t *sharedTable) shareLocked(key string, r *shift.RunResult) *sharedResult 
 			b, _ := json.Marshal(&s.r) // nil if encoding/json rejects it
 			s.encoded.Store(&b)
 		}
+		s.refs++
 		return s
 	}
-	fresh := &sharedResult{key: key, r: *r, idx: uint32(len(t.list))}
-	t.list = append(t.list, fresh)
+	fresh := &sharedResult{key: key, r: *r, refs: 1}
+	if n := len(t.free); n > 0 {
+		fresh.idx, t.free = t.free[n-1], t.free[:n-1]
+		t.list[fresh.idx] = fresh
+	} else {
+		fresh.idx = uint32(len(t.list))
+		t.list = append(t.list, fresh)
+	}
 	if !ok {
 		t.byKey[key] = fresh
 	}
 	return fresh
+}
+
+// releaseLocked drops one reference to s and, at the last, frees its
+// slot and its key. Called with mu held.
+func (t *sharedTable) releaseLocked(s *sharedResult) {
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	t.list[s.idx] = nil
+	t.free = append(t.free, s.idx)
+	if t.byKey[s.key] == s {
+		delete(t.byKey, s.key)
+	}
 }
 
 // share is shareLocked for one result.
@@ -73,7 +97,8 @@ func (t *sharedTable) share(key string, r shift.RunResult) *sharedResult {
 	return t.shareLocked(key, &r)
 }
 
-// entries returns the table's entries: any index a job holds is in range.
+// entries returns the table's entries: any index a registry job holds is
+// in range and its own entry's.
 func (t *sharedTable) entries() []*sharedResult {
 	t.mu.Lock()
 	defer t.mu.Unlock()
