@@ -166,16 +166,6 @@ func (m *Mesh) Account(cls MsgClass, hops int) {
 	m.hops[cls] += int64(hops)
 }
 
-// AccountN records n messages of one class carrying `hops` hops in
-// aggregate. Both counters are plain integer sums, so one AccountN is
-// bit-identical to n Account calls — the batched runner uses it to
-// replay the lead member's design-independent data traffic into the
-// followers without re-drawing it.
-func (m *Mesh) AccountN(cls MsgClass, n, hops int64) {
-	m.traffic[cls] += n
-	m.hops[cls] += hops
-}
-
 // Traffic returns the message count for a class.
 func (m *Mesh) Traffic(cls MsgClass) int64 { return m.traffic[cls] }
 

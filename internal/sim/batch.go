@@ -5,7 +5,9 @@ import (
 	"slices"
 
 	"shift/internal/cache"
+	"shift/internal/freelist"
 	"shift/internal/history"
+	"shift/internal/noc"
 	"shift/internal/trace"
 )
 
@@ -96,15 +98,13 @@ func unpackRegion(w uint64) (history.Region, int) {
 //
 // words holds the block's records in the order the lead stepped them
 // (round-robin over the cores in detailed rounds, core after core in a
-// functional piece) and data each detailed record's data-traffic
-// aggregate (message count << 32 | hop sum) at the same index — a
-// functional stretch's slots hold its region list, if any (see builders).
-// Followers step in the lead's order, so both arrays are written once and
-// read once per follower, front to back.
+// functional piece). Followers step in the lead's order, so it is written
+// once and read once per follower, front to back.
 //
 // marks holds the block's interval marks: at every Begin/EndInterval the
-// lead appends its shared-facet counters, one coreMark per core, and a
-// follower reaching the same boundary takes the facets it replays from
+// lead appends its shared-facet counters, one coreMark per core, and its
+// background data-traffic totals, one trafficMark per mark, to traffic;
+// a follower reaching the same boundary takes the facets it replays from
 // there (see System.shareMark).
 //
 // probes holds the block's LLC probe lists, one per core per functional
@@ -115,20 +115,20 @@ func unpackRegion(w uint64) (history.Region, int) {
 // the lead decides it once, and a follower with nothing else to do in a
 // stretch walks the list instead of the words (see System.consume).
 //
-// builders and regions carry the compaction of each core's stream into
-// spatial region records, for the members whose Warmer compacts (see
+// builders, regions and data carry the compaction of each core's stream
+// into spatial region records, for the members whose Warmer compacts (see
 // prefetch.RecordWarmer). builders[c] is a history.Builder at
 // history.DefaultRegionSpan that the lead advances on every record of core
 // c it steps, detailed or functional. For every core's functional stretch
 // it writes one word per record the stretch completes (see packRegion)
-// into data, from the stretch's first slot — functional stepping models no
-// data traffic, and n records complete at most n regions, so they always
-// fit there — and appends the stretch's regionList to regions, in the
-// probe lists' order. A member whose builder stands where the log's stood
-// at a stretch's start applies the stretch's records instead of compacting
-// its words again (see System.consume). Both are nil unless the schedule
-// has a functional piece and some follower compacts at that span (see
-// newBatch).
+// into data, from the slot of the stretch's first word — n records
+// complete at most n regions, so they always fit there — and appends the
+// stretch's regionList to regions, in the probe lists' order. A member
+// whose builder stands where the log's stood at a stretch's start applies
+// the stretch's records instead of compacting its words again (see
+// System.consume). builders and regions are nil unless the schedule has a
+// functional piece and some follower compacts at that span, and only such
+// a batch allocates data (see newBatch).
 //
 // mirrors are the lead's instruction caches — the log's, so that they
 // outlive a lead that is gone after one block: what a shared-L1 follower
@@ -136,11 +136,16 @@ func unpackRegion(w uint64) (history.Region, int) {
 // a functional stretch. They are nil when a log word cannot name their
 // ways. cfg is the lead's configuration, against which a follower decides
 // what it replays.
+//
+// A batch takes its log off a free list of logs of its word count and a
+// successful walk hands it back, as System.release does the member's
+// tables; a batch that fails leaves its log to the collector.
 type leadLog struct {
 	words    []uint64
-	data     []uint64
 	marks    []coreMark
+	traffic  []trafficMark
 	probes   []uint16
+	data     []uint64
 	builders []history.Builder
 	regions  []regionList
 	mirrors  []*cache.ICache
@@ -187,16 +192,24 @@ type coreMark struct {
 	bpPred, bpMiss int64
 }
 
+// trafficMark is the mesh-wide entry of an interval mark: the lead's
+// background data-traffic totals (noc.DemandData messages and hops) at the
+// boundary, which a follower that would draw the lead's traffic reports
+// instead of drawing it.
+type trafficMark struct{ msgs, hops int64 }
+
 // shareMark is the batch side of a counter snapshot. The lead appends the
 // snapshot's shared-facet counters to the log as the block's next interval
 // mark; a follower takes the next mark and overwrites, for each facet it
-// replays, the counters it has no structure to read from.
+// replays, the counters it has no structure to read from — or, for the
+// data traffic, never accounted.
 func (s *System) shareMark(m *measurement) {
 	lg, n := s.log, s.cfg.Cores
 	if s.lead {
 		for i := 0; i < n; i++ {
 			lg.marks = append(lg.marks, coreMark{m.l1[i], m.bpPred[i], m.bpMiss[i]})
 		}
+		lg.traffic = append(lg.traffic, trafficMark{m.traffic[noc.DemandData], m.hops[noc.DemandData]})
 		return
 	}
 	for i, k := range lg.marks[s.markPos : s.markPos+n] {
@@ -206,6 +219,10 @@ func (s *System) shareMark(m *measurement) {
 		if s.replayBP {
 			m.bpPred[i], m.bpMiss[i] = k.bpPred, k.bpMiss
 		}
+	}
+	if s.replayData {
+		k := lg.traffic[s.markPos/n]
+		m.traffic[noc.DemandData], m.hops[noc.DemandData] = k.msgs, k.hops
 	}
 	s.markPos += n
 }
@@ -308,12 +325,11 @@ func newBatch(specs []RunSpec) (*batch, error) {
 			longest = max(longest, blockRounds(blk))
 		}
 		cfg := specs[0].systemConfig()
-		n := int(longest) * cfg.Cores
-		// Room for a probe per four records: a stretch that warms the LLC
-		// on every L1-I miss of a stream that mostly misses outgrows it,
-		// once, by append.
-		b.log = &leadLog{words: make([]uint64, n), data: make([]uint64, n), probes: make([]uint16, 0, n/4), cfg: cfg}
+		b.log = newLeadLog(cfg, int(longest)*cfg.Cores)
 		if k := regionLists(specs, b.blocks); k > 0 {
+			if len(b.log.data) != len(b.log.words) {
+				b.log.data = make([]uint64, len(b.log.words))
+			}
 			b.log.builders = make([]history.Builder, cfg.Cores)
 			for c := range b.log.builders {
 				b.log.builders[c] = *history.MustNewBuilder(history.DefaultRegionSpan)
@@ -334,6 +350,37 @@ func newBatch(specs []RunSpec) (*batch, error) {
 		}
 	}
 	return b, nil
+}
+
+// freeLogs recycles lead logs between batches, one free list per word
+// count (see freelist).
+var freeLogs freelist.Keyed[int, leadLog]
+
+// newLeadLog returns a log of n words for a batch led by cfg: one handed
+// back by an earlier batch of that word count, or a new one.
+func newLeadLog(cfg Config, n int) *leadLog {
+	lg := freeLogs.Get(n)
+	if lg == nil {
+		// Room for a probe per four records: a stretch that warms the LLC
+		// on every L1-I miss of a stream that mostly misses outgrows it,
+		// once, by append.
+		lg = &leadLog{words: make([]uint64, n), probes: make([]uint16, 0, n/4)}
+	}
+	lg.cfg = cfg
+	return lg
+}
+
+// release hands the log's instruction caches back to their free list and
+// the log to freeLogs, keeping the arrays a log of its word count reuses
+// — words, marks, probes and, once a batch needed it, data — and dropping
+// the rest. Only a successful walk calls it; the log is unusable
+// afterwards.
+func (lg *leadLog) release() {
+	for _, l1 := range lg.mirrors {
+		l1.Release()
+	}
+	*lg = leadLog{words: lg.words, marks: lg.marks[:0], traffic: lg.traffic[:0], probes: lg.probes[:0], data: lg.data}
+	freeLogs.Put(len(lg.words), lg)
 }
 
 // regionLists is how many region lists a core's stretches take in the
@@ -507,9 +554,8 @@ func (b *batch) walk(warm, meas int64) error {
 		}
 	}
 	if b.log != nil {
-		for _, l1 := range b.log.mirrors {
-			l1.Release()
-		}
+		b.log.release()
+		b.log = nil
 	}
 	return nil
 }
@@ -523,7 +569,8 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	sys := b.systems[m]
 	sys.logPos, sys.markPos, sys.probePos, sys.regionPos = 0, 0, 0, 0
 	if sys.lead {
-		b.log.marks, b.log.probes, b.log.regions = b.log.marks[:0], b.log.probes[:0], b.log.regions[:0]
+		lg := b.log
+		lg.marks, lg.traffic, lg.probes, lg.regions = lg.marks[:0], lg.traffic[:0], lg.probes[:0], lg.regions[:0]
 	}
 	var ran int64
 	for _, p := range blk {

@@ -10,6 +10,7 @@ import (
 	"shift/internal/cache"
 	"shift/internal/core"
 	"shift/internal/history"
+	"shift/internal/noc"
 	"shift/internal/pif"
 	"shift/internal/tifs"
 	"shift/internal/trace"
@@ -705,10 +706,11 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 // from the inputs come back as packed, and region lists of any lengths, up
 // to a full stretch's with a record per access, written back to back into
 // their stretches' data slots come back intact. An interval mark carries
-// whatever counters the lead read, for any number of cores: followers of
-// every facet combination, taking the block's marks in order, get exactly
-// the lead's counters for the facets they replay and keep their own for
-// the rest.
+// whatever counters the lead read, for any number of cores, and its data
+// traffic pair once: followers of every facet combination, taking the
+// block's marks in order, get exactly the lead's counters for the facets
+// they replay — the data class's messages and hops for the data traffic —
+// and keep their own for the rest.
 func FuzzLeadLog(f *testing.F) {
 	f.Add(uint64(0), int64(0), int64(0), uint8(1))
 	f.Add(^uint64(0), int64(-1), int64(1)<<62, uint8(16))
@@ -818,22 +820,29 @@ func FuzzLeadLog(f *testing.F) {
 				marks[k].l1[i] = cache.Stats{Hits: v, Misses: v ^ b, Inserts: -v, Evictions: b, PrefetchDiscards: v + b}
 				marks[k].bpPred[i], marks[k].bpMiss[i] = v-b, b-v
 			}
+			for c := range marks[k].traffic {
+				marks[k].traffic[c], marks[k].hops[c] = a^int64(k*noc.NumClasses+c), b-int64(k)*a+int64(c)
+			}
 			lead.shareMark(&marks[k])
 		}
-		if len(lg.marks) != 2*n {
-			t.Fatalf("%d cores, two marks: the log holds %d entries", n, len(lg.marks))
+		if len(lg.marks) != 2*n || len(lg.traffic) != 2 {
+			t.Fatalf("%d cores, two marks: the log holds %d core entries and %d traffic pairs", n, len(lg.marks), len(lg.traffic))
 		}
-		for facets := 0; facets < 4; facets++ {
-			fol := &System{cfg: Config{Cores: n}, log: lg, replayL1: facets&1 != 0, replayBP: facets&2 != 0}
+		for facets := 0; facets < 8; facets++ {
+			fol := &System{cfg: Config{Cores: n}, log: lg, replayL1: facets&1 != 0, replayBP: facets&2 != 0, replayData: facets&4 != 0}
 			for k := range marks {
 				own := newMeasurement(n)
 				for i := 0; i < n; i++ {
 					own.l1[i].Hits, own.bpPred[i], own.bpMiss[i] = 1, 2, 3
 				}
+				for c := range own.traffic {
+					own.traffic[c], own.hops[c] = int64(4+c), int64(5+c)
+				}
 				want := newMeasurement(n)
 				copy(want.l1, own.l1)
 				copy(want.bpPred, own.bpPred)
 				copy(want.bpMiss, own.bpMiss)
+				want.traffic, want.hops = own.traffic, own.hops
 				if fol.replayL1 {
 					copy(want.l1, marks[k].l1)
 				}
@@ -841,13 +850,17 @@ func FuzzLeadLog(f *testing.F) {
 					copy(want.bpPred, marks[k].bpPred)
 					copy(want.bpMiss, marks[k].bpMiss)
 				}
+				if fol.replayData {
+					want.traffic[noc.DemandData] = marks[k].traffic[noc.DemandData]
+					want.hops[noc.DemandData] = marks[k].hops[noc.DemandData]
+				}
 				fol.shareMark(&own)
 				if !reflect.DeepEqual(own, want) {
-					t.Fatalf("facets %02b, mark %d: follower took %+v, want %+v", facets, k, own, want)
+					t.Fatalf("facets %03b, mark %d: follower took %+v, want %+v", facets, k, own, want)
 				}
 			}
 			if fol.markPos != len(lg.marks) {
-				t.Fatalf("facets %02b: cursor at %d of %d", facets, fol.markPos, len(lg.marks))
+				t.Fatalf("facets %03b: cursor at %d of %d", facets, fol.markPos, len(lg.marks))
 			}
 		}
 	})

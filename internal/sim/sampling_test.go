@@ -11,6 +11,7 @@ import (
 	"shift/internal/cache"
 	"shift/internal/core"
 	"shift/internal/history"
+	"shift/internal/noc"
 	"shift/internal/pif"
 	"shift/internal/prefetch"
 	"shift/internal/tifs"
@@ -463,6 +464,46 @@ func TestRunBatchSampledMatchesRun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkBatchMatchesRun(t, tc.specs) })
 	}
+	// The data-traffic facet: followers that would draw the lead's data
+	// traffic draw none and report the lead's totals from the interval
+	// marks, while one of another seed and one that eliminates misses
+	// draw their own; every member's traffic and hops, the data class's
+	// included, are its run's alone.
+	t.Run("data-traffic", func(t *testing.T) {
+		specs := windowed(batchDesigns()[:7], 20000, 30000, testSampling())
+		specs[1].Config.Seed = 42
+		specs[2].Config.ElimProb = 0.5
+		for m, sys := range enterAll(t, specs).systems[1:] {
+			if want := m+1 > 2; sys.replayData != want {
+				t.Fatalf("follower %d replays the data traffic: %v, want %v", m+1, sys.replayData, want)
+			}
+		}
+		batched, err := RunBatch(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range specs {
+			solo, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			intervals := 0
+			if solo.Sampled != nil {
+				intervals = solo.Sampled.Intervals
+			}
+			if intervals < 3 || solo.Traffic[noc.DemandData] == 0 {
+				t.Fatalf("member %d alone: %d intervals, %d data messages: the test needs several intervals of data traffic",
+					i, intervals, solo.Traffic[noc.DemandData])
+			}
+			if got := batched[i]; got.Traffic != solo.Traffic || got.Hops != solo.Hops {
+				t.Errorf("member %d (seed %d, elim %g): traffic %v hops %v batched, %v %v alone",
+					i, spec.Config.Seed, spec.Config.ElimProb, got.Traffic, got.Hops, solo.Traffic, solo.Hops)
+			}
+			if !reflect.DeepEqual(batched[i], solo) {
+				t.Errorf("member %d: batched result differs from Run", i)
+			}
+		}
+	})
 }
 
 // TestRunBatchSampledMixedPredictors is the shared-L1 fast path's

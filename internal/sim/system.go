@@ -79,8 +79,9 @@ type System struct {
 	//
 	//   - replayBP: the branch outcome, when its predictor configuration
 	//     equals the lead's. It builds no predictor (bp is nil).
-	//   - replayData: the data-traffic aggregate, when it would draw the
-	//     lead's sequence.
+	//   - replayData: the background data traffic, when it would draw the
+	//     lead's sequence. It draws and accounts none: its snapshots take
+	//     the lead's totals from the interval marks.
 	//   - replayL1: the L1-I outcome, when its instruction-cache geometry
 	//     equals the lead's. All it keeps of an instruction cache are the
 	//     tags its prefetch filter reads (l1i are replicas; see
@@ -90,8 +91,9 @@ type System struct {
 	//     outcome it shares the lead's choice of functional LLC probes (the
 	//     log's probe lists).
 	//
-	// The counters of a predictor or an L1-I it does not have reach a
-	// follower's results as interval marks (see shareMark); the log is all
+	// The counters of a predictor or an L1-I it does not have, and the
+	// data traffic it does not draw, reach a follower's results as
+	// interval marks (see shareMark); the log is all
 	// it knows of the lead. A facet whose condition fails is stepped by the
 	// follower itself, on structures of its own, off the same log. Detailed
 	// and functional stepping use the log alike: a follower steps the
@@ -471,10 +473,10 @@ func (s *System) llcFetch(cls noc.MsgClass, coreID int, blk trace.BlockAddr) int
 
 // Step advances core coreID by one trace record. It reports false when
 // the core's trace is exhausted. A RunBatch follower takes the record —
-// and whichever of the branch outcome, the L1-I outcome and the data
-// traffic it shares with the lead — from the lead log instead of a stream
-// and structures of its own (see the System.log field doc); the lead
-// publishes them as it goes.
+// and whichever of the branch outcome and the L1-I outcome it shares with
+// the lead — from the lead log instead of a stream and structures of its
+// own, and skips the data traffic it shares (see the System.log field
+// doc); the lead publishes the log as it goes.
 func (s *System) Step(coreID int) (bool, error) {
 	if s.done[coreID] {
 		return false, nil
@@ -599,30 +601,20 @@ func (s *System) Step(coreID int) (bool, error) {
 	// shifting the RNG stream and breaking bit-identical output. dataStep
 	// caches that exact expression per retire count.
 	// With equal seeds and data rates and no miss elimination the
-	// accumulator and the draws are functions of the record stream alone,
-	// so a follower replays the lead's (message count, hop sum) instead —
-	// integer sums, bit-identical accounting.
-	if s.replayData {
-		if d := lg.data[s.logPos]; d != 0 {
-			s.mesh.AccountN(noc.DemandData, int64(d>>32), int64(d&0xFFFFFFFF))
-		}
-	} else {
+	// accumulator and the draws are functions of the record stream alone:
+	// a follower that would draw the lead's sequence draws nothing, and
+	// reports the lead's totals at each interval mark instead — integer
+	// counts, bit-identical accounting (see shareMark).
+	if !s.replayData {
 		if int(rec.Instrs) < len(s.dataStep) {
 			s.dataAcc[coreID] += s.dataStep[rec.Instrs]
 		} else {
 			s.dataAcc[coreID] += float64(rec.Instrs) * s.cfg.DataMPKI / 1000
 		}
-		var msgs, hopSum int64
 		for s.dataAcc[coreID] >= 1 {
 			s.dataAcc[coreID]--
 			bank := h.rng.Intn(len(s.llc))
-			hops := s.mesh.Hops(s.tileOf(coreID), bank)
-			s.mesh.Account(noc.DemandData, 2*hops)
-			msgs++
-			hopSum += int64(2 * hops)
-		}
-		if s.lead {
-			lg.data[s.logPos] = uint64(msgs)<<32 | uint64(hopSum)
+			s.mesh.Account(noc.DemandData, 2*s.mesh.Hops(s.tileOf(coreID), bank))
 		}
 	}
 	s.logPos++

@@ -17,15 +17,24 @@ import (
 // derivations below are the format's reference, and every key must equal
 // theirs byte for byte.
 
+// unsignedZero returns v, or +0 for -0: the keys render a float zero
+// unsigned, since -0 == 0.
+func unsignedZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
+}
+
 // keyReference is Config.Key's identity rendered by fmt.
 func keyReference(c Config) string {
 	id := fmt.Sprintf("v1|%q|%d|%d|%d|%d|%t|%t|%g|%d|%d|%d",
 		c.Workload, c.Design, c.CoreType, c.Cores, c.HistEntries,
-		c.PredictionOnly, c.CommonalityMode, c.ElimProb,
+		c.PredictionOnly, c.CommonalityMode, unsignedZero(c.ElimProb),
 		c.WarmupRecords, c.MeasureRecords, c.Seed)
 	if p := c.Sampling.internal().Normalized(); p.Enabled() {
 		id += fmt.Sprintf("|sampled|%d|%d|%g|%g",
-			p.Period, p.IntervalRecords, p.WarmupFraction, p.Confidence)
+			p.Period, p.IntervalRecords, unsignedZero(p.WarmupFraction), unsignedZero(p.Confidence))
 	}
 	h := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(h[:16])
@@ -37,7 +46,7 @@ func streamKeyReference(c Config) string {
 	id := fmt.Sprintf("s1|%q|%d|%d|%d", s.workload, s.cores, s.warm, s.meas)
 	if p := s.sampling; p.Enabled() {
 		id += fmt.Sprintf("|sampled|%d|%d|%g",
-			p.Period, p.IntervalRecords, p.WarmupFraction)
+			p.Period, p.IntervalRecords, unsignedZero(p.WarmupFraction))
 	}
 	h := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(h[:16])
@@ -127,7 +136,9 @@ func TestConfigKeyMatchesFormat(t *testing.T) {
 }
 
 // FuzzConfigKey is TestConfigKeyMatchesFormat's property over fuzzed
-// fields.
+// fields, plus the content address's own: Configs that are == share their
+// keys — here a copy with every float zero's sign flipped, which is == to
+// the original (unless a field is NaN, which makes neither == anything).
 func FuzzConfigKey(f *testing.F) {
 	f.Add("OLTP Oracle", 5, 1, 16, 0, false, false, 0.0, int64(60000), int64(60000), int64(1), int64(0), int64(0), 0.0, 0.0)
 	f.Add("\xff\"\\", -1, 7, 0, -3, true, true, math.NaN(), int64(-1), int64(0), int64(math.MaxInt64), int64(5), int64(0), math.Inf(-1), 1e21)
@@ -145,6 +156,20 @@ func FuzzConfigKey(f *testing.F) {
 		}
 		if got, want := c.StreamKey(), streamKeyReference(c); got != want {
 			t.Fatalf("StreamKey(%#v) = %s, fmt reference %s", c, got, want)
+		}
+		flip := func(v float64) float64 {
+			if v == 0 {
+				return -v
+			}
+			return v
+		}
+		twin := c
+		twin.ElimProb = flip(c.ElimProb)
+		twin.Sampling.WarmupFraction = flip(c.Sampling.WarmupFraction)
+		twin.Sampling.Confidence = flip(c.Sampling.Confidence)
+		if twin == c && (twin.Key() != c.Key() || twin.StreamKey() != c.StreamKey()) {
+			t.Fatalf("%#v and its == twin %#v have keys %s / %s and %s / %s",
+				c, twin, c.Key(), c.StreamKey(), twin.Key(), twin.StreamKey())
 		}
 	})
 }

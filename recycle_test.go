@@ -314,9 +314,11 @@ func TestSystemFootprint(t *testing.T) {
 // pointers, which it adds to the banks handed on) and at most a quarter
 // of a megabyte for everything else (the log, prefetch buffers and MSHRs;
 // the five followers' L1-I replicas are one set of tables handed on, and
-// the lead keeps no second copy of its tags). It allocates 3.56 MB, 0.49
-// MB under the 4.06 MB limit. Members kept alive side by side allocate a
-// hierarchy each — six LLCs for one, twice this limit.
+// the lead keeps no second copy of its tags). It allocates ≈ 3.53 MB
+// (3,528,704 B, a 32 KB log of record words among it), 0.53 MB under the
+// 4.06 MB limit.
+// Members kept alive side by side allocate a hierarchy each — six LLCs
+// for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
 	if !syncPoolKeepsPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector): a dropped table is allocated again")
@@ -345,6 +347,43 @@ func TestOneBlockBatchFootprint(t *testing.T) {
 	t.Logf("%d B allocated; one hierarchy is %d B, the six members' modelled storage %d B", got, hierarchy, sum)
 	if got > limit {
 		t.Errorf("a one-block batch of %d allocates %d B, limit %d B: its members were alive together", len(cfgs), got, limit)
+	}
+}
+
+// TestBatchSteadyStateBytes is the footprint gate of the lead log: in
+// steady state a batch of the six G12 designs over one 16-core workload,
+// several lockstep blocks long, exact or sampled, builds its members and
+// its log on what the batch before handed back, and allocates at most
+// 1 MB. A log allocated anew per batch is 1 MB of record words alone at
+// this shape, and every member's tables are more.
+func TestBatchSteadyStateBytes(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector): steady-state bytes are not meaningful")
+	}
+	for _, sampling := range []Sampling{{}, {Period: 4, IntervalRecords: 500}} {
+		var cfgs []Config
+		for _, d := range g12Designs {
+			cfg := DefaultRunConfig("OLTP Oracle", d)
+			cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = 16, 10000, 10000
+			cfg.Sampling = sampling
+			cfgs = append(cfgs, cfg)
+		}
+		run := func() {
+			if _, err := RunBatch(cfgs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the free lists with this shape
+		const batches = 4
+		per := allocatedBy(func() {
+			for i := 0; i < batches; i++ {
+				run()
+			}
+		}) / batches
+		t.Logf("sampling %+v: %d B a batch", sampling, per)
+		if limit := uint64(1 << 20); per > limit {
+			t.Errorf("sampling %+v: a steady-state batch of %d allocates %d B, limit %d B", sampling, len(cfgs), per, limit)
+		}
 	}
 }
 

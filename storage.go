@@ -37,9 +37,10 @@ import (
 //
 // The hashed identity is the bytes fmt.Sprintf would render for
 // "v1|%q|%d|%d|%d|%d|%t|%t|%g|%d|%d|%d" over the fields below (plus
-// "|sampled|%d|%d|%g|%g" for a sampled policy), built with strconv's
-// appenders instead: the key is on every cell's path, and
-// TestConfigKeyMatchesFormat pins the two renderings byte for byte.
+// "|sampled|%d|%d|%g|%g" for a sampled policy), a float zero always
+// unsigned, built with strconv's appenders instead: the key is on every
+// cell's path, and TestConfigKeyMatchesFormat pins the two renderings byte
+// for byte.
 func (c Config) Key() string {
 	var buf [160]byte
 	b := append(buf[:0], "v1|"...)
@@ -68,9 +69,13 @@ func appendInts(b []byte, vs ...int64) []byte {
 }
 
 // appendFloats appends "|%g" for each v (strconv's shortest 'g' form is
-// fmt's %g, NaN, ±Inf and -0 included).
+// fmt's %g, NaN and ±Inf included), with -0 rendered as 0: the two compare
+// equal, so Configs that are == must share a key.
 func appendFloats(b []byte, vs ...float64) []byte {
 	for _, v := range vs {
+		if v == 0 {
+			v = 0
+		}
 		b = strconv.AppendFloat(append(b, '|'), v, 'g', -1, 64)
 	}
 	return b
