@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"shift/internal/retry"
 	"shift/internal/store"
 )
 
@@ -430,7 +431,7 @@ func TestEnginePanicContainment(t *testing.T) {
 	if pe.Value != "chaos: injected panic" || len(pe.Stack) == 0 {
 		t.Errorf("PanicError = {Value: %q, Stack: %d bytes}, want value and stack", pe.Value, len(pe.Stack))
 	}
-	if IsTransient(err) {
+	if retry.Transient(err) {
 		t.Error("panics are deterministic and must not classify as transient")
 	}
 	if _, ok := cache.Lookup(cfgGood.Key()); !ok {
@@ -546,7 +547,7 @@ func TestEngineWatchdogTimesOutStuckCell(t *testing.T) {
 	if te.Timeout != 100*time.Millisecond || te.Cells != 1 {
 		t.Errorf("TimeoutError = %+v", te)
 	}
-	if !IsTransient(err) {
+	if !retry.Transient(err) {
 		t.Error("watchdog timeouts must classify as transient (retryable)")
 	}
 	if !strings.Contains(err.Error(), "watchdog") {

@@ -39,8 +39,8 @@
 // -coordinator with join-only membership) shards every sweep across the
 // workers by stream-key affinity (rendezvous hashing), probes their
 // health (-cluster-heartbeat), re-routes batches off failed workers
-// with jittered backoff (-batch-retries), hedges stragglers
-// (-hedge-after), and degrades to in-process execution when
+// under internal/retry's jittered backoff (-batch-retries), hedges
+// stragglers (-hedge-after), and degrades to in-process execution when
 // no worker is routable — results stay byte-identical to a single
 // host throughout. Point every node's -store-url at one shared blob
 // store (any peer's /v1/blobs) and the cluster converges on one
@@ -110,6 +110,7 @@ import (
 	"shift"
 	"shift/internal/cluster"
 	"shift/internal/jobs"
+	"shift/internal/retry"
 	"shift/internal/store"
 	"shift/internal/wal"
 )
@@ -183,13 +184,12 @@ func main() {
 	engine := shift.NewEngine(*parallel, rs)
 	engine.SetCellTimeout(*cellTmo)
 	jcfg := jobs.Config{
-		Workers:   *jobWorkers,
-		MaxQueue:  *jobQueue,
-		Rate:      *jobRate,
-		Burst:     *jobBurst,
-		RunBatch:  engine.RunKeyed,
-		Retries:   *jobRetries,
-		Transient: shift.IsTransient,
+		Workers:  *jobWorkers,
+		MaxQueue: *jobQueue,
+		Rate:     *jobRate,
+		Burst:    *jobBurst,
+		RunBatch: engine.RunKeyed,
+		Retries:  *jobRetries,
 	}
 	if *stateDir != "" {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
@@ -343,9 +343,10 @@ func openMembership(path string) (persist func(addr string), members []string, e
 }
 
 // announceJoin posts this worker's reachable base URL to the
-// coordinator's join endpoint, retrying briefly so a worker started a
-// moment before its coordinator still registers. Failures are logged,
-// not fatal: a coordinator can also list the worker in -peers.
+// coordinator's join endpoint, retrying any failure briefly (5 tries,
+// waits drawn from (0,1], (0,2], (0,4] and (0,8] seconds) so a worker
+// started a moment before its coordinator still registers. Failures are
+// logged, not fatal: a coordinator can also list the worker in -peers.
 func announceJoin(joinURL, advertise, addr string) {
 	if advertise == "" {
 		// Best-effort default for single-host clusters; multi-host
@@ -359,22 +360,20 @@ func announceJoin(joinURL, advertise, addr string) {
 	body, _ := json.Marshal(map[string]string{"addr": advertise})
 	target := strings.TrimRight(joinURL, "/") + "/v1/cluster/join"
 	client := &http.Client{Timeout: 5 * time.Second}
-	var lastErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * time.Second)
-		}
+	err := retry.Policy{Base: time.Second}.Do(5, func(int) error {
 		resp, err := client.Post(target, "application/json", bytes.NewReader(body))
 		if err != nil {
-			lastErr = err
-			continue
+			return err
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			log.Printf("shiftd: joined cluster at %s as %s", joinURL, advertise)
-			return
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %s", resp.Status)
 		}
-		lastErr = fmt.Errorf("status %s", resp.Status)
+		return nil
+	}, func(error) bool { return true })
+	if err != nil {
+		log.Printf("shiftd: joining cluster at %s failed: %v", joinURL, err)
+		return
 	}
-	log.Printf("shiftd: joining cluster at %s failed: %v", joinURL, lastErr)
+	log.Printf("shiftd: joined cluster at %s as %s", joinURL, advertise)
 }

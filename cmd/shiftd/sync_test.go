@@ -112,8 +112,7 @@ func TestSyncCellRetriesWatchdogTimeout(t *testing.T) {
 	engine := shift.NewEngine(0, rs)
 	var attempts atomic.Int32
 	jm := jobs.New(jobs.Config{
-		Retries:   1,
-		Transient: shift.IsTransient,
+		Retries: 1,
 		RunBatch: func(ks []shift.KeyedConfig) ([]shift.RunResult, []error) {
 			if attempts.Add(1) == 1 {
 				errs := make([]error, len(ks))

@@ -1,7 +1,6 @@
 package shift
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -35,7 +34,7 @@ func (e *PanicError) Error() string {
 // cell (or batch) that exceeded the engine's cell timeout: the stuck
 // simulation is abandoned to finish in the background, its worker slot
 // is freed, and the cell fails with this error instead of wedging the
-// grid. Timeouts are transient (IsTransient): a cell stuck behind a
+// grid. Timeouts are transient (Transient): a cell stuck behind a
 // load spike can succeed on retry.
 type TimeoutError struct {
 	// Timeout is the budget the cell exceeded.
@@ -53,16 +52,10 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("simulation watchdog: cell exceeded %s", e.Timeout)
 }
 
-// IsTransient reports whether a cell error is worth retrying: the
-// failure came from infrastructure pressure (a watchdog timeout) rather
-// than from the simulation itself (validation errors and panics are
-// deterministic — retrying reproduces them). shiftd's job scheduler
-// uses this to requeue transiently-failed job cells a bounded number
-// of times.
-func IsTransient(err error) bool {
-	var te *TimeoutError
-	return errors.As(err, &te)
-}
+// Transient marks a timeout as worth retrying (internal/retry reads it):
+// the failure came from infrastructure pressure, not from the
+// simulation, whose validation errors and panics retrying reproduces.
+func (e *TimeoutError) Transient() bool { return true }
 
 // SetCellTimeout arms the per-cell watchdog: a cell taking longer than
 // d fails with a TimeoutError (a batch of K cells gets K*d). The

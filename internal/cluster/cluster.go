@@ -7,10 +7,10 @@
 // stream-key affinity via rendezvous hashing by default), worker health
 // is tracked up/suspect/down from dispatch outcomes and periodic
 // heartbeat probes, transport failures re-route the batch to the next
-// worker in the failover order with jittered backoff, stragglers are
-// hedged to a second worker, and when no worker is reachable the
-// coordinator degrades to in-process execution — a cluster of zero
-// healthy workers behaves exactly like single-host shiftd.
+// worker in the failover order under internal/retry's jittered backoff,
+// stragglers are hedged to a second worker, and when no worker is
+// reachable the coordinator degrades to in-process execution — a cluster
+// of zero healthy workers behaves exactly like single-host shiftd.
 //
 // Determinism is inherited, not engineered: the simulator is a pure
 // function of its Config, configs travel the wire as exact JSON (all
@@ -28,7 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"shift"
+	"shift/internal/retry"
 )
 
 // State is a worker's health as seen by the coordinator.
@@ -164,16 +165,13 @@ type Config struct {
 	// re-routed to before degrading to in-process execution (0 =
 	// default: every remaining worker; negative = none).
 	Retries int
-	// RetryDelay is the base of the jittered backoff between re-routes
-	// (0 = default 25ms; full jitter, doubling per attempt).
+	// RetryDelay is the retry.Policy Base between re-routes: re-route k
+	// waits up to RetryDelay<<k (0 = default 25ms).
 	RetryDelay time.Duration
 	// HedgeAfter is how long a dispatch may run before a speculative
 	// duplicate is sent to the next worker in the failover order
 	// (0 disables hedging).
 	HedgeAfter time.Duration
-	// Seed seeds the backoff jitter for reproducible schedules
-	// (0 = a fixed default seed).
-	Seed int64
 }
 
 // Coordinator routes shared-stream batches to a cluster of workers
@@ -188,7 +186,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	members []*Member
-	rng     *rand.Rand
 
 	routed    atomic.Int64
 	rerouted  atomic.Int64
@@ -219,9 +216,8 @@ func New(cfg Config) *Coordinator {
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 25 * time.Millisecond
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	if cfg.Retries == 0 {
+		cfg.Retries = math.MaxInt - 1 // every worker: errNoWorker ends exec's loop
 	}
 	client := cfg.Client
 	if client == nil {
@@ -231,7 +227,6 @@ func New(cfg Config) *Coordinator {
 		cfg:    cfg,
 		router: router,
 		client: client,
-		rng:    rand.New(rand.NewSource(seed)),
 		done:   make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
@@ -447,56 +442,49 @@ func (c *Coordinator) ExecBatch(cfgs []shift.Config) ([]shift.RunResult, error) 
 	return rs, err
 }
 
-// jitter returns a full-jitter backoff delay for the k-th re-route:
-// uniform in [0, RetryDelay·2^k), from the seeded source.
-func (c *Coordinator) jitter(k int) time.Duration {
-	max := c.cfg.RetryDelay << uint(k)
-	if max <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Duration(c.rng.Int63n(int64(max)))
-}
+// errNoWorker ends a batch's re-routes when no untried worker is
+// routable. It is not transient, so the retry loop stops at once.
+var errNoWorker = errors.New("cluster: no untried worker")
 
 // exec routes one batch: order the routable workers for the batch's
 // stream key, dispatch to the first (hedging to the second when the
 // first straggles), re-route transport failures down the failover
-// order with jittered backoff, and degrade to in-process execution
-// when no worker remains. Definitive worker answers (results or
-// BatchError) return immediately — re-routing a deterministic
-// simulation failure would just reproduce it.
+// order under one retry.Policy, and degrade to in-process execution
+// when no untried worker (hedges count as tried) or re-route remains.
+// Definitive worker answers (results or BatchError) return immediately —
+// re-routing a deterministic simulation failure would just reproduce it.
 func (c *Coordinator) exec(cfgs []shift.Config) ([]shift.RunResult, error) {
 	streamKey := cfgs[0].StreamKey()
 	tried := make(map[string]bool)
-	retries := c.cfg.Retries
-	for attempt := 0; ; attempt++ {
-		order := c.pickOrder(streamKey, tried)
-		if len(order) == 0 || (retries > 0 && attempt > retries) || retries < 0 && attempt > 0 {
-			break
+	order := c.pickOrder(streamKey, tried)
+	var rs []shift.RunResult
+	err := retry.Policy{Base: c.cfg.RetryDelay}.Do(max(c.cfg.Retries, 0)+1, func(attempt int) error {
+		if len(order) == 0 {
+			return errNoWorker // only at attempt 0: later ones are checked below
 		}
 		if attempt > 0 {
 			c.rerouted.Add(1)
-			if d := c.jitter(attempt - 1); d > 0 {
-				time.Sleep(d)
-			}
 		}
-		target := order[0]
-		tried[target.addr] = true
 		var hedge *Member
 		if len(order) > 1 {
 			hedge = order[1]
 		}
-		rs, err := c.dispatch(target, hedge, cfgs)
-		if err == nil {
-			c.routed.Add(1)
-			return rs, nil
+		var err error
+		if rs, err = c.dispatch(order[0], hedge, cfgs, tried); retry.Transient(err) {
+			// Transport failure: the next untried worker, if any, takes
+			// the batch after the backoff.
+			if order = c.pickOrder(streamKey, tried); len(order) == 0 {
+				return errNoWorker
+			}
 		}
-		var be *BatchError
-		if errors.As(err, &be) {
-			return nil, be
-		}
-		// Transport failure: fall through to the next worker.
+		return err
+	}, retry.Transient)
+	switch {
+	case err == nil:
+		c.routed.Add(1)
+		return rs, nil
+	case errors.As(err, new(*BatchError)):
+		return nil, err
 	}
 	// Graceful degradation: no worker reachable — run in-process, which
 	// is trivially byte-identical to the single-host engine.
@@ -532,18 +520,22 @@ type dispatchReply struct {
 }
 
 // dispatch posts the batch to target, speculatively duplicating it to
-// hedge if target has not answered within HedgeAfter. The first
-// definitive answer wins; duplicate completions are harmless because
-// results are content-addressed and identical. Health bookkeeping
-// happens per worker: whichever answered well is marked up, whichever
-// failed is marked failed.
-func (c *Coordinator) dispatch(target, hedge *Member, cfgs []shift.Config) ([]shift.RunResult, error) {
+// hedge if target has not answered within HedgeAfter, and marks each
+// worker it posts to in tried. The first definitive answer wins;
+// duplicate completions are harmless because results are
+// content-addressed and identical. Health bookkeeping happens per
+// worker: whichever answered well is marked up, whichever failed is
+// marked failed.
+func (c *Coordinator) dispatch(target, hedge *Member, cfgs []shift.Config, tried map[string]bool) ([]shift.RunResult, error) {
 	ch := make(chan dispatchReply, 2)
 	post := func(m *Member) {
-		rs, err := c.post(m, cfgs)
-		ch <- dispatchReply{m: m, rs: rs, err: err}
+		tried[m.addr] = true
+		go func() {
+			rs, err := c.post(m, cfgs)
+			ch <- dispatchReply{m: m, rs: rs, err: err}
+		}()
 	}
-	go post(target)
+	post(target)
 	outstanding := 1
 	var hedgeTimer *time.Timer
 	var hedgeC <-chan time.Time
@@ -559,7 +551,7 @@ func (c *Coordinator) dispatch(target, hedge *Member, cfgs []shift.Config) ([]sh
 			hedgeC = nil
 			c.hedged.Add(1)
 			outstanding++
-			go post(hedge)
+			post(hedge)
 		case r := <-ch:
 			outstanding--
 			if r.err == nil {

@@ -88,7 +88,6 @@ func TestGoldenFigure7CrossWorker(t *testing.T) {
 			coord, eng := newCoordinatorEngine(t, Config{
 				Peers:  []string{srv1.URL, srv2.URL},
 				Router: route.router,
-				Seed:   42,
 			})
 			fig, err := shift.RunFigure7(tinyOptions(eng))
 			if err != nil {
@@ -204,7 +203,6 @@ func TestClusterChaosKillAndPartition(t *testing.T) {
 				Peers:      []string{srvs[0].URL, srvs[1].URL, srvs[2].URL},
 				Client:     &http.Client{Transport: chaos},
 				RetryDelay: time.Millisecond,
-				Seed:       seed,
 			})
 			fig, err := shift.RunFigure7(quadOptions(eng))
 			if err != nil {
@@ -245,7 +243,6 @@ func TestClusterRerouteMidSweep(t *testing.T) {
 		Router:     &RoundRobinRouter{}, // guarantees srv1 is picked for some batch
 		Client:     &http.Client{Transport: chaos},
 		RetryDelay: time.Millisecond,
-		Seed:       7,
 	})
 	fig, err := shift.RunFigure7(quadOptions(eng))
 	if err != nil {
@@ -278,7 +275,6 @@ func TestClusterStallHedges(t *testing.T) {
 		HedgeAfter:   20 * time.Millisecond,
 		BatchTimeout: 10 * time.Second,
 		RetryDelay:   time.Millisecond,
-		Seed:         7,
 	})
 	res, err := eng.RunOne(tinyConfig(shift.DesignSHIFT))
 	if err != nil {
@@ -293,6 +289,49 @@ func TestClusterStallHedges(t *testing.T) {
 	}
 	if st := coord.Stats(); st.BatchesHedged == 0 {
 		t.Fatalf("stalled primary was never hedged: %+v", st)
+	}
+}
+
+// TestFailedHedgeIsNotRetried: when a straggling primary and its hedge
+// both fail, neither is dispatched again — both count as tried — and
+// the batch falls back in-process instead of paying another dispatch.
+func TestFailedHedgeIsNotRetried(t *testing.T) {
+	var mu sync.Mutex
+	posts := map[string]int{}
+	failing := func(name string, delay time.Duration) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			posts[name]++
+			mu.Unlock()
+			time.Sleep(delay)
+			http.Error(rw, "failing", http.StatusInternalServerError)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	primary, hedge := failing("primary", 100*time.Millisecond), failing("hedge", 0)
+	coord := New(Config{
+		Peers:      []string{primary.URL, hedge.URL},
+		Router:     preferRouter{prefix: primary.URL},
+		HedgeAfter: 20 * time.Millisecond,
+		RetryDelay: time.Millisecond,
+	})
+	defer coord.Close()
+	cfg := tinyConfig(shift.DesignBaseline)
+	rs, err := coord.ExecBatch([]shift.Config{cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := shift.Run(cfg); rs[0] != want {
+		t.Fatal("fallback result differs from local Run")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if posts["primary"] != 1 || posts["hedge"] != 1 {
+		t.Fatalf("POSTs: primary %d, hedge %d; want one each", posts["primary"], posts["hedge"])
+	}
+	if st := coord.Stats(); st.BatchesHedged != 1 || st.CellsFallback != 1 {
+		t.Fatalf("stats %+v, want one hedge and one cell fallen back", st)
 	}
 }
 
@@ -327,7 +366,6 @@ func TestAllWorkersDownFallsBack(t *testing.T) {
 		Peers:      []string{srv.URL, "127.0.0.1:1"},
 		Client:     &http.Client{Transport: chaos},
 		RetryDelay: time.Millisecond,
-		Seed:       7,
 	})
 	fig, err := shift.RunFigure7(tinyOptions(eng))
 	if err != nil {
@@ -405,7 +443,7 @@ func TestClusterErrorParity(t *testing.T) {
 	}
 
 	srv, _, _ := newTestWorker(t)
-	_, eng := newCoordinatorEngine(t, Config{Peers: []string{srv.URL}, Seed: 7})
+	_, eng := newCoordinatorEngine(t, Config{Peers: []string{srv.URL}})
 	_, gotErr := eng.RunAll(cells)
 	if gotErr == nil {
 		t.Fatal("clustered RunAll succeeded on a bad cell")
@@ -421,7 +459,7 @@ func TestClusterErrorParity(t *testing.T) {
 // re-route and the worker still healthy.
 func TestBatchErrorClassification(t *testing.T) {
 	srv, w, _ := newTestWorker(t)
-	coord := New(Config{Peers: []string{srv.URL}, Seed: 7})
+	coord := New(Config{Peers: []string{srv.URL}})
 	defer coord.Close()
 
 	bad := tinyConfig(shift.Design(99))

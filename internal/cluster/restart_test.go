@@ -55,7 +55,6 @@ func TestClusterPersistsAcrossWorkerRestarts(t *testing.T) {
 		Router:     &RoundRobinRouter{},
 		Client:     &http.Client{Transport: chaos},
 		RetryDelay: time.Millisecond,
-		Seed:       7,
 	})
 	fig1, err := shift.RunFigure7(quadOptions(eng1))
 	if err != nil {
@@ -75,7 +74,7 @@ func TestClusterPersistsAcrossWorkerRestarts(t *testing.T) {
 	// Generation 2: a brand-new worker against the same store, a
 	// brand-new coordinator and engine. Same bytes, zero simulations.
 	srv3, eng3 := newRemoteStoreWorker(t, blobSrv.URL)
-	_, eng2 := newCoordinatorEngine(t, Config{Peers: []string{srv3.URL}, Seed: 8})
+	_, eng2 := newCoordinatorEngine(t, Config{Peers: []string{srv3.URL}})
 	fig2, err := shift.RunFigure7(quadOptions(eng2))
 	if err != nil {
 		t.Fatal(err)

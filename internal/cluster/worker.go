@@ -146,5 +146,10 @@ func (e *BatchError) Error() string {
 
 // errDispatch marks transport-level dispatch failures (unreachable
 // worker, timeout, bad status, undecodable reply) — the re-routable
-// class, as opposed to a BatchError.
-var errDispatch = errors.New("cluster: dispatch failed")
+// class, transient to retry.Transient, as opposed to a BatchError.
+var errDispatch error = dispatchError{}
+
+type dispatchError struct{}
+
+func (dispatchError) Error() string   { return "cluster: dispatch failed" }
+func (dispatchError) Transient() bool { return true }

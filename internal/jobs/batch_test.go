@@ -267,7 +267,7 @@ func TestTransientRetryRequeuesOneCell(t *testing.T) {
 		}
 		return nil
 	}
-	m := New(Config{Workers: 1, RunBatch: r.run, Retries: 2, Transient: shift.IsTransient})
+	m := New(Config{Workers: 1, RunBatch: r.run, Retries: 2})
 	defer m.Close()
 	var cells []shift.Cell
 	for seed := int64(1); seed <= 6; seed++ {

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"shift"
+	"shift/internal/retry"
 )
 
 // State is a job lifecycle state.
@@ -195,8 +196,8 @@ type Job struct {
 	// order[p]'s, and the end event follows the last of them once the
 	// job is terminal.
 	order []int32
-	// changed is closed on the next change; a terminal job's is
-	// closedChan.
+	// changed is closed on the next change; an ended job's (see
+	// endedLocked) is closedChan.
 	changed chan struct{}
 
 	// journaling orders the job's cell completions against journal
@@ -213,6 +214,8 @@ type Job struct {
 	// sync marks a job whose submitter waits for it and is never handed
 	// its ID (SubmitSyncFrom): it leaves the registry when terminal.
 	sync bool
+	// left is set when the job leaves the registry (detach).
+	left bool
 	// retired is set, under the manager's mu, when the terminal job has
 	// gone on the manager's finished queue (or left the registry).
 	retired bool
@@ -375,13 +378,13 @@ func (j *Job) Snapshot() Status {
 }
 
 // EventsSince returns the events at or after absolute index n, whether
-// the job has reached a terminal state, and a channel closed on the
+// the job has ended (see endedLocked), and a channel closed on the
 // next change — so a streaming consumer can replay the log from the
 // beginning and then follow it live without polling.
 //
 // No event is stored: a finished cell's result is already in its slot,
 // so event p is built from cell order[p] when asked for, and the end
-// event is position len(order) of a terminal job. A finished cell's
+// event is position len(order) of an ended job. A finished cell's
 // slot never changes again, so every subscriber, however late or slow,
 // sees the same events at the same positions: one per finished cell in
 // completion order, then exactly one end event, each delivered exactly
@@ -396,7 +399,7 @@ func (j *Job) AppendEventsSince(dst []Event, n int) (evs []Event, terminal bool,
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n = max(n, 0)
-	terminal = j.state.Terminal()
+	terminal = j.endedLocked()
 	cells := max(len(j.order)-n, 0)
 	end := terminal && n <= len(j.order)
 	if cells == 0 && !end {
@@ -447,15 +450,26 @@ func (j *Job) finishCellLocked(i int, s *sharedResult, err error) {
 	j.order = append(j.order, int32(i))
 }
 
-// broadcast wakes every EventsSince follower. A terminal job changes no
-// more, so it points at closedChan rather than holding a channel of its
-// own. Called with mu held.
+// broadcast wakes every EventsSince follower, unless the job has ended
+// or is a terminal sync job, whose followers wait for detach. An ended
+// job points at closedChan rather than holding a channel of its own.
+// Called with mu held.
 func (j *Job) broadcast() {
+	if j.changed == closedChan || j.state.Terminal() && !j.endedLocked() {
+		return
+	}
 	close(j.changed)
 	j.changed = closedChan
-	if !j.state.Terminal() {
+	if !j.endedLocked() {
 		j.changed = make(chan struct{})
 	}
+}
+
+// endedLocked reports whether the job's end event is published: once it
+// is terminal, and a sync job once it has also left the registry, so its
+// waiter, woken by the end, never finds it there. Called with mu held.
+func (j *Job) endedLocked() bool {
+	return j.state.Terminal() && (j.left || !j.sync)
 }
 
 // startCells transitions the still-runnable cells of a popped batch to
@@ -572,10 +586,12 @@ func (j *Job) cancel(now time.Time) (droppedQueued int, tookEffect, finished boo
 // own holding the entries of its finished cells, and drops their
 // references in the manager's table, whose slots may then be reused. A
 // follower that still holds the job reads it to the end from its own
-// table. Called with the manager's mu held.
+// table, and a sync job ends here. Called with the manager's mu held.
 func (j *Job) detach() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.left = true
+	defer j.broadcast()
 	if j.completed == 0 {
 		return // res indexes nothing
 	}
@@ -652,15 +668,10 @@ type Config struct {
 	// not touch.
 	Run func(shift.Config) (shift.RunResult, error)
 	// Retries is the number of extra attempts granted to a cell whose
-	// run fails with an error Transient classifies as retryable: the
+	// run fails with a retry.Transient error, a watchdog timeout: the
 	// cell is re-enqueued alone, as a batch of one, instead of failing
 	// the job. 0 disables retry.
 	Retries int
-	// Transient classifies a cell error as retryable (shiftd passes
-	// shift.IsTransient, so watchdog timeouts retry but deterministic
-	// failures — validation errors, panics — fail immediately). nil
-	// disables retry.
-	Transient func(error) bool
 	// Journal optionally makes accepted jobs durable: submissions,
 	// per-cell completions, cancellations, and finalizations are
 	// journaled, and Open replays the journal into a recovered job
@@ -1241,7 +1252,7 @@ func (m *Manager) worker() {
 		// published together.
 		settled := 0
 		for k, i := range cells {
-			if errs[k] != nil && m.retryable(errs[k]) && m.requeue(j, i) {
+			if errs[k] != nil && m.cfg.Retries > 0 && retry.Transient(errs[k]) && m.requeue(j, i) {
 				continue
 			}
 			cells[settled], rs[settled], errs[settled] = i, rs[k], errs[k]
@@ -1298,12 +1309,6 @@ func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs 
 		m.journalAppend(e)
 	}
 	return j.completeCells(cells, shared, errs, m.cfg.Now())
-}
-
-// retryable reports whether the retry policy is on and classifies err
-// as transient.
-func (m *Manager) retryable(err error) bool {
-	return m.cfg.Retries > 0 && m.cfg.Transient != nil && m.cfg.Transient(err)
 }
 
 // requeue puts a transiently-failed running cell back on the queue, as

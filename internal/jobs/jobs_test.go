@@ -469,10 +469,9 @@ func TestTransientRetryRecoversCell(t *testing.T) {
 	transient := &shift.TimeoutError{Timeout: time.Millisecond, Cells: 1}
 	r := newFlakyRunner(transient, map[string]int{"flaky": 2})
 	m := New(Config{
-		Workers:   2,
-		Run:       r.run,
-		Retries:   3,
-		Transient: shift.IsTransient,
+		Workers: 2,
+		Run:     r.run,
+		Retries: 3,
 	})
 	defer m.Close()
 
@@ -497,10 +496,9 @@ func TestTransientRetryExhaustsAttempts(t *testing.T) {
 	transient := &shift.TimeoutError{Timeout: time.Millisecond, Cells: 1}
 	r := newFlakyRunner(transient, map[string]int{"doomed": 100})
 	m := New(Config{
-		Workers:   1,
-		Run:       r.run,
-		Retries:   2,
-		Transient: shift.IsTransient,
+		Workers: 1,
+		Run:     r.run,
+		Retries: 2,
 	})
 	defer m.Close()
 
@@ -527,10 +525,9 @@ func TestTransientRetryExhaustsAttempts(t *testing.T) {
 func TestDeterministicErrorsAreNotRetried(t *testing.T) {
 	r := newFlakyRunner(errors.New("bad config"), map[string]int{"broken": 100})
 	m := New(Config{
-		Workers:   1,
-		Run:       r.run,
-		Retries:   5,
-		Transient: shift.IsTransient,
+		Workers: 1,
+		Run:     r.run,
+		Retries: 5,
 	})
 	defer m.Close()
 
@@ -553,8 +550,13 @@ func TestDeterministicErrorsAreNotRetried(t *testing.T) {
 func TestCancelledJobIsNotRequeued(t *testing.T) {
 	b := newBlockingRunner()
 	b.fail = map[string]bool{"w": true}
-	transient := func(error) bool { return true }
-	m := New(Config{Workers: 1, Run: b.run, Retries: 5, Transient: transient})
+	run := func(cfg shift.Config) (shift.RunResult, error) {
+		if _, err := b.run(cfg); err != nil {
+			return shift.RunResult{}, &shift.TimeoutError{Timeout: time.Millisecond, Cells: 1}
+		}
+		return shift.RunResult{}, nil
+	}
+	m := New(Config{Workers: 1, Run: run, Retries: 5})
 	defer m.Close()
 
 	j, err := m.Submit([]shift.Cell{testCell("w", 10)})

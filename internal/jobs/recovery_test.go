@@ -499,7 +499,7 @@ func TestEventsRebuiltEqualLive(t *testing.T) {
 			r := newFlakyRunner(&shift.TimeoutError{Timeout: time.Millisecond, Cells: 1},
 				map[string]int{"a": 2, "bad": 100})
 			gate := make(chan struct{})
-			m := New(Config{Workers: 2, Retries: 3, Transient: shift.IsTransient,
+			m := New(Config{Workers: 2, Retries: 3,
 				Run: func(cfg shift.Config) (shift.RunResult, error) {
 					<-gate
 					return r.run(cfg)

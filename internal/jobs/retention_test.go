@@ -345,6 +345,26 @@ func TestSyncJobsLeaveAtTerminal(t *testing.T) {
 	}
 }
 
+// TestSyncJobGoneOnceTerminal: a sync job leaves the registry no later
+// than its terminal state is published, so the submitter it wakes never
+// finds it there.
+func TestSyncJobGoneOnceTerminal(t *testing.T) {
+	m := New(Config{Workers: 2, Run: func(c shift.Config) (shift.RunResult, error) {
+		return shift.RunResult{MPKI: float64(c.MeasureRecords)}, nil
+	}})
+	defer m.Close()
+	for i := 0; i < 5000; i++ {
+		j, err := m.SubmitSyncFrom("", []shift.Cell{testCell("a", int64(i+1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		if _, ok := m.Get(j.ID()); ok {
+			t.Fatalf("sync job %s is terminal but still in the registry", j.ID())
+		}
+	}
+}
+
 // TestJournalRecordsBounded: 20,000 jobs through a journal leave it
 // about eight records per retained job at most, since a compaction snaps
 // only the registry, which the retention bound keeps bounded.

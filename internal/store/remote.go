@@ -28,9 +28,9 @@ import (
 // Remote is a Blobs client over HTTP: Get/Put/Len map to GET/PUT on a
 // peer's blob routes (see NewBlobHandler for the wire protocol). Every
 // transport or server failure is reported as an error — transient by
-// Retry's classification, so the usual stack retries network hiccups
-// with backoff and a persistent outage trips the tiered store's
-// breaker into memory-only operation.
+// Retry's classification (transientIO), so the usual stack retries
+// network hiccups under internal/retry's backoff and a persistent outage
+// trips the tiered store's breaker into memory-only operation.
 //
 // Remote is safe for concurrent use.
 type Remote struct {

@@ -81,7 +81,7 @@ func TestRemoteCountsErrors(t *testing.T) {
 // as silently wrong results.
 func TestRemoteEndToEndCRC(t *testing.T) {
 	remote, mem := newBlobServer(t)
-	stack := WithIntegrity(WithRetry(remote, RetryPolicy{}))
+	stack := WithIntegrity(WithRetry(remote, nil))
 	key := "c0ffee4242"
 	payload := []byte(`{"ipc":2.5}`)
 

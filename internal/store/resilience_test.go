@@ -116,16 +116,34 @@ func TestIntegrityDetectsCorruptionAndQuarantines(t *testing.T) {
 	}
 }
 
+// waitRecorder counts the backoff waits a Retry asks for instead of
+// sleeping them; each wait precedes one retry.
+type waitRecorder struct {
+	mu    sync.Mutex
+	waits []time.Duration
+}
+
+func (w *waitRecorder) sleep(d time.Duration) {
+	w.mu.Lock()
+	w.waits = append(w.waits, d)
+	w.mu.Unlock()
+}
+
+// retries returns the number of waits recorded so far.
+func (w *waitRecorder) retries() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.waits)
+}
+
 // TestRetryRecoversTransientErrors: scripted one-shot failures must be
 // retried (with backoff sleeps recorded, not slept) and succeed within
 // the attempt budget.
 func TestRetryRecoversTransientErrors(t *testing.T) {
-	var slept []time.Duration
-	var mu sync.Mutex
+	var rec waitRecorder
 	mem := NewMem()
 	f := NewFault(mem, FaultPlan{})
-	r := WithRetry(f, RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, Seed: 7,
-		Sleep: func(d time.Duration) { mu.Lock(); slept = append(slept, d); mu.Unlock() }})
+	r := WithRetry(f, rec.sleep)
 
 	f.FailNextPuts(2)
 	if err := r.Put("k", []byte("v")); err != nil {
@@ -136,17 +154,14 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 	if err != nil || !ok || string(got) != "v" {
 		t.Fatalf("get should recover: %q %v %v", got, ok, err)
 	}
-	if r.Retries() != 3 {
-		t.Fatalf("retries: got %d want 3", r.Retries())
+	if rec.retries() != 3 {
+		t.Fatalf("backoff sleeps: got %d want 3", rec.retries())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(slept) != 3 {
-		t.Fatalf("backoff sleeps: got %d want 3", len(slept))
-	}
-	for i, d := range slept {
-		if d <= 0 || d > 4*time.Millisecond {
-			t.Fatalf("sleep %d out of jitter bounds: %v", i, d)
+	// The put waited before its first and second retry, the get before
+	// its first.
+	for i, max := range []time.Duration{time.Millisecond, 2 * time.Millisecond, time.Millisecond} {
+		if d := rec.waits[i]; d <= 0 || d > max {
+			t.Fatalf("sleep %d out of jitter bounds (0, %v]: %v", i, max, d)
 		}
 	}
 }
@@ -155,50 +170,52 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 // attempt budget surfaces the last error; ENOSPC, corruption and a
 // context error (a client timeout is deliberate) are never retried.
 func TestRetryGivesUpAndSkipsNonTransient(t *testing.T) {
+	var rec waitRecorder
 	mem := NewMem()
 	f := NewFault(mem, FaultPlan{})
-	r := WithRetry(f, RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}})
+	r := WithRetry(f, rec.sleep)
 
 	f.FailNextPuts(100)
 	if err := r.Put("k", []byte("v")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected error after exhausting retries, got %v", err)
 	}
-	if r.Retries() != 2 {
-		t.Fatalf("retries: got %d want 2", r.Retries())
+	if rec.retries() != 2 {
+		t.Fatalf("retries: got %d want 2", rec.retries())
 	}
 	f.FailNextPuts(0)
 
 	// ENOSPC must fail fast: no further retries recorded.
 	f.SetPlan(FaultPlan{ENOSPCRate: 1})
-	before := r.Retries()
+	before := rec.retries()
 	if err := r.Put("k", []byte("v")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("want ENOSPC, got %v", err)
 	}
-	if r.Retries() != before {
+	if rec.retries() != before {
 		t.Fatal("ENOSPC was retried; it must fail fast")
 	}
 
 	// Corruption must fail fast through a Retry(Integrity(...)) stack.
 	f.SetPlan(FaultPlan{})
-	ri := WithRetry(WithIntegrity(mem), RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}})
+	ri := WithRetry(WithIntegrity(mem), rec.sleep)
 	if err := ri.Put("c", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	raw, _, _ := mem.Get("c")
 	raw[0] ^= 0xff
 	mem.Put("c", raw)
-	before = ri.Retries()
+	before = rec.retries()
 	if _, _, err := ri.Get("c"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
-	if ri.Retries() != before {
+	if rec.retries() != before {
 		t.Fatal("corruption was retried; it must fail fast")
 	}
 
 	for _, cerr := range []error{context.Canceled, context.DeadlineExceeded} {
-		rc := WithRetry(failingBlobs{cerr}, RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}})
-		if _, _, err := rc.Get("deadbeef"); !errors.Is(err, cerr) || rc.Retries() != 0 {
-			t.Fatalf("context error: got %v after %d retries, want it unretried", err, rc.Retries())
+		before = rec.retries()
+		rc := WithRetry(failingBlobs{cerr}, rec.sleep)
+		if _, _, err := rc.Get("deadbeef"); !errors.Is(err, cerr) || rec.retries() != before {
+			t.Fatalf("context error: got %v after %d retries, want it unretried", err, rec.retries()-before)
 		}
 	}
 }

@@ -84,11 +84,12 @@ type HealthReporter interface {
 
 // BlobStore is the persistent ResultStore: one JSON-encoded RunResult
 // per Config.Key on a blob tier, read and written through one
-// resilience stack — jittered retry of transient IO below CRC-32C
-// integrity footers. On a directory (<dir>/<key[:2]>/<key>.json) writes
-// are atomic (temp file + rename), so any number of processes may share
-// it: concurrent writers of one cell write identical bytes, and readers
-// never observe a torn blob.
+// resilience stack — retry of transient IO (three tries under
+// internal/retry's jittered backoff) below CRC-32C integrity footers. On
+// a directory (<dir>/<key[:2]>/<key>.json) writes are atomic (temp file
+// + rename), so any number of processes may share it: concurrent
+// writers of one cell write identical bytes, and readers never observe a
+// torn blob.
 //
 // Every blob is verified on read; one that fails verification — or
 // whose payload no longer decodes — is moved to the tier's quarantine
@@ -179,7 +180,7 @@ func NewTieredStoreOver(base store.Blobs) *BlobStore {
 // every 5s).
 func newBlobStore(base store.Blobs, tiered bool) *BlobStore {
 	s := &BlobStore{
-		blobs: store.WithIntegrity(store.WithRetry(base, store.RetryPolicy{})),
+		blobs: store.WithIntegrity(store.WithRetry(base, nil)),
 		base:  base,
 	}
 	s.disk, _ = base.(*store.Disk)
