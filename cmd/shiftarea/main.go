@@ -1,12 +1,13 @@
-// Command shiftarea prints the analytical storage, area, and
-// performance-density budgets behind the paper's cost arguments
-// (Sections 2.3, 4.2, 5.1, 5.6, 6.2) without running any simulation.
+// Command shiftarea prints the analytical storage and area budgets behind
+// the paper's cost arguments (Sections 4.2, 5.1, 5.6, 6.2) without
+// running any simulation. Measured performance density is `shiftsim
+// -experiment pd`; FIDELITY.md sets both against the paper's values.
 //
 // Usage:
 //
 //	shiftarea                 # storage/area report
-//	shiftarea -cores 64       # scale the aggregate analysis
 //	shiftarea -virtpif        # Section 6.2 virtualized-PIF cost only
+//	shiftarea -virtpif -cores 64
 package main
 
 import (
@@ -15,35 +16,22 @@ import (
 
 	"shift"
 	"shift/internal/area"
-	"shift/internal/cpu"
 )
 
 func main() {
 	var (
-		cores   = flag.Int("cores", 16, "cores for aggregate cost analysis")
+		cores   = flag.Int("cores", 16, "cores for the virtualized-PIF cost")
 		virtpif = flag.Bool("virtpif", false, "print only the Section 6.2 virtualized per-core PIF cost")
 	)
 	flag.Parse()
 
+	r := shift.RunStorageReport()
 	if *virtpif {
 		b := area.VirtualizedPIFLLCBytes(32768, *cores)
 		fmt.Printf("Virtualized per-core PIF (32K records, %d cores): %.2f MB of LLC capacity\n",
 			*cores, float64(b)/(1024*1024))
-		fmt.Println("(grows linearly with cores; SHIFT's shared history stays at 171KB)")
+		fmt.Printf("(grows linearly with cores; SHIFT's shared history stays at %.0fKB)\n", r.SHIFTHistoryKB)
 		return
 	}
-
-	fmt.Println(shift.RunStorageReport())
-
-	fmt.Println("Hypothetical PD if a prefetcher delivered the paper's speedups:")
-	for _, tc := range []struct {
-		t  cpu.CoreType
-		sp float64
-	}{{cpu.FatOoO, 1.23}, {cpu.LeanOoO, 1.21}, {cpu.LeanIO, 1.17}} {
-		pif := area.Evaluate("PIF_32K", tc.t, area.PIFAreaPerCoreMM2(32768, 8192), tc.sp)
-		sh := area.Evaluate("SHIFT", tc.t,
-			area.SHIFTTotalAreaMM2(16*512*1024)/float64(*cores), tc.sp*0.98)
-		fmt.Printf("  %-8s  %s\n", tc.t, pif)
-		fmt.Printf("            %s\n", sh)
-	}
+	fmt.Println(r)
 }

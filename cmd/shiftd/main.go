@@ -121,7 +121,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "persist results under this directory (tiered memory-over-disk store); empty = in-memory only")
 		stateDir   = flag.String("state-dir", "", "persist service state (job journal, cluster membership) under this directory; accepted jobs then survive restarts and crashes")
 		parallel   = flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-		quick      = flag.Bool("quick", false, "reduced default experiment scale (~6x faster; per-request overrides still apply)")
+		quick      = flag.Bool("quick", false, "reduced default experiment scale: 25k+25k records per core instead of 60k+60k (per-request overrides still apply)")
 		grace      = flag.Duration("grace", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		jobRate    = flag.Float64("job-rate", 1, "admission refill rate per client, tokens/second (one cell costs one token)")
 		jobBurst   = flag.Float64("job-burst", 64, "admission bucket capacity per client; jobs with more cells are never admitted")

@@ -46,7 +46,7 @@ func main() {
 		warmup     = flag.Int64("warmup", 0, "warmup records per core (0 = scale default)")
 		measure    = flag.Int64("measure", 0, "measured records per core (0 = scale default)")
 		seed       = flag.Int64("seed", 1, "simulator seed")
-		quick      = flag.Bool("quick", false, "reduced scale (~6x faster)")
+		quick      = flag.Bool("quick", false, "reduced scale: 25k+25k records per core instead of 60k+60k")
 		sizes      = flag.String("sizes", "", "comma-separated aggregate history sizes for fig6")
 		coreType   = flag.String("core", "lean-ooo", "core type: fat-ooo, lean-ooo, lean-io")
 		parallel   = flag.Int("parallel", 0, "experiment-engine workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")

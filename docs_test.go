@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -146,16 +147,41 @@ func checkFieldsDocumented(t *testing.T, fset *token.FileSet, sp *ast.TypeSpec) 
 	}
 }
 
+// TestPaperTextOnlyInFidelity keeps paperRows the only copy of the
+// paper's values: a string literal containing "paper" in any other root
+// non-test file is a value cited by hand, which nothing checks.
+func TestPaperTextOnlyInFidelity(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "fidelity.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(s, "paper") {
+						t.Errorf("%s: string %s cites the paper outside fidelity.go; add a row to paperRows", fset.Position(lit.Pos()), lit.Value)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // markdownLink matches [text](target); targets are checked unless they
 // are absolute URLs or intra-page anchors.
 var markdownLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
 // TestMarkdownLinks fails for every relative link in the user-facing
-// markdown (README, ARCHITECTURE, examples) whose target does not
-// exist.
+// markdown (README, ARCHITECTURE, FIDELITY, examples) whose target does
+// not exist.
 func TestMarkdownLinks(t *testing.T) {
 	var docs []string
-	for _, top := range []string{"README.md", "ARCHITECTURE.md"} {
+	for _, top := range []string{"README.md", "ARCHITECTURE.md", "FIDELITY.md"} {
 		if _, err := os.Stat(top); err != nil {
 			t.Errorf("missing %s", top)
 			continue
@@ -302,10 +328,11 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 			checked++
 		}
 	}
-	// Exact on purpose: the workflow names five footprint and three docs
-	// gates, so a format drift that hides one from the parse above fails
-	// here; a step added by name raises the count with it.
-	if checked != 8 {
-		t.Errorf("checked %d -run alternatives, want the workflow's 8 (five footprint gates, three docs gates) — has its format changed?", checked)
+	// Exact on purpose: the workflow's no-race step names five footprint
+	// gates and TestFidelity, and its docs step three gates, so a format
+	// drift that hides one from the parse above fails here; a step added
+	// by name raises the count with it.
+	if checked != 9 {
+		t.Errorf("checked %d -run alternatives, want the workflow's 9 (five footprint gates and TestFidelity, three docs gates) — has its format changed?", checked)
 	}
 }

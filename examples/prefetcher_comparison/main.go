@@ -48,6 +48,5 @@ func main() {
 			d, res.Throughput/base.Throughput, covered, discards,
 			res.Traffic.PrefetchFill, histStr)
 	}
-	fmt.Println("\n(paper's ordering: NextLine < PIF_2K < SHIFT <= ZeroLat-SHIFT <= PIF_32K,")
-	fmt.Println(" with SHIFT retaining >90% of PIF_32K's benefit at ~14x less storage)")
+	fmt.Println("\n(FIDELITY.md sets the full-scale reproduction against the paper's values)")
 }

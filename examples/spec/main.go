@@ -14,22 +14,25 @@ package main
 
 import (
 	"bytes"
+	_ "embed"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"time"
 
 	"shift"
 )
 
+//go:embed burst.json
+var doc []byte // the spec document, embedded so the example runs from any directory
+
 func main() {
 	// Compile and register the spec document. The returned ID embeds a
 	// hash of the normalized content: equal documents give equal IDs.
-	id, err := shift.LoadSpecFile("examples/spec/burst.json")
+	id, err := shift.LoadSpec(doc)
 	if err != nil {
 		var fe *shift.FieldError
 		if errors.As(err, &fe) {
@@ -52,10 +55,6 @@ func main() {
 
 	// The same sweep through shiftd's async job API, submitted as inline
 	// spec cells. Requires a server at :8080 started with -quick.
-	doc, err := os.ReadFile("examples/spec/burst.json")
-	if err != nil {
-		log.Fatal(err)
-	}
 	if err := viaJobAPI(doc); err != nil {
 		fmt.Printf("service half skipped: %v\n", err)
 	}

@@ -11,8 +11,8 @@ import (
 // fraction of instruction cache misses eliminated, per workload, with the
 // geometric mean. Each miss is probabilistically converted into a hit
 // without exposing its latency (the paper's methodology); 100% equals a
-// perfect instruction cache. The paper reports a linear trend reaching
-// 31% mean speedup at 100%.
+// perfect instruction cache. The paper reports a linear trend; its value
+// at 100% is row fig1.perfect of paperRows (fidelity.go).
 type Figure1 struct {
 	// Fractions are the x-axis points in percent (0..100).
 	Fractions []int
@@ -80,7 +80,7 @@ func RunFigure1(o Options) (*Figure1, error) {
 }
 
 // PerfectGeoMean returns the geometric-mean speedup at 100% elimination
-// (the paper's 1.31 headline).
+// (the paper's headline).
 func (f *Figure1) PerfectGeoMean() float64 {
 	if len(f.GeoMean) == 0 {
 		return 0
@@ -110,6 +110,6 @@ func (f *Figure1) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 1: Speedup vs fraction of I-cache misses eliminated\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "Perfect-I geo-mean speedup: %.3f (paper: ~1.31)\n", f.PerfectGeoMean())
+	fmt.Fprintf(&b, "Perfect-I geo-mean speedup: %.3f %s\n", f.PerfectGeoMean(), paperNote("%s", "fig1.perfect"))
 	return b.String()
 }

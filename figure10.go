@@ -20,8 +20,7 @@ func ConsolidationWorkloads() []string {
 
 // Figure10 reproduces the paper's Figure 10: speedups under workload
 // consolidation, with one shared history (and one generator core) per
-// workload for SHIFT. The paper reports SHIFT at 22% mean speedup (95%
-// of PIF_32K's absolute performance), ZeroLat at 25%.
+// workload for SHIFT (the paper's values: rows fig10.* of paperRows).
 type Figure10 struct {
 	// Speedup[workload][design] is the per-workload-group speedup
 	// (throughput of that group's cores over the baseline run).
@@ -112,7 +111,7 @@ func RunFigure10(o Options) (*Figure10, error) {
 }
 
 // SHIFTvsPIF32KAbsolute returns SHIFT's absolute performance as a
-// fraction of PIF_32K's under consolidation (the paper's 95%).
+// fraction of PIF_32K's under consolidation.
 func (f *Figure10) SHIFTvsPIF32KAbsolute() float64 {
 	pif := f.Geo[DesignPIF32K.String()]
 	if pif <= 0 {
@@ -143,7 +142,7 @@ func (f *Figure10) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 10: Speedup under workload consolidation (per-workload histories)\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "SHIFT delivers %.0f%% of PIF_32K's absolute performance (paper: 95%%)\n",
-		f.SHIFTvsPIF32KAbsolute()*100)
+	fmt.Fprintf(&b, "SHIFT delivers %.0f%% of PIF_32K's absolute performance %s\n",
+		f.SHIFTvsPIF32KAbsolute()*100, paperNote("%s", "fig10.shift_vs_pif32k"))
 	return b.String()
 }

@@ -10,8 +10,8 @@ import (
 // Figure3 reproduces the paper's Figure 3: the fraction of all
 // instruction-cache accesses (application + OS) that fall within temporal
 // streams recorded by a single history generator core and replayed by the
-// other cores. The paper reports more than 90% (up to 96%) on average
-// across 16 cores.
+// other cores, on average across 16 cores (the paper's values: rows
+// fig3.* of paperRows).
 type Figure3 struct {
 	// Commonality[workload] is the percentage of accesses inside common
 	// temporal streams.
@@ -64,6 +64,6 @@ func (f *Figure3) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 3: Instruction cache accesses within common temporal streams\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "Mean: %.1f%% (paper: >90%%, up to 96%%)\n", f.Mean())
+	fmt.Fprintf(&b, "Mean: %.1f%% %s\n", f.Mean(), paperNote("%s, %s", "fig3.mean", "fig3.max"))
 	return b.String()
 }

@@ -21,9 +21,8 @@ type CoverageRow struct {
 
 // Figure7 reproduces the paper's Figure 7: covered/uncovered/
 // overpredicted instruction misses for PIF_2K, PIF_32K, and SHIFT on each
-// workload, normalized to the baseline system's misses. The paper
-// reports, on average: SHIFT 81% covered / 16% overpredicted; PIF_32K
-// 92% / 13%; PIF_2K 53% / 20%.
+// workload, normalized to the baseline system's misses (the paper's
+// averages: rows fig7.* of paperRows).
 type Figure7 struct {
 	// Rows holds one entry per (workload, design), in Workloads-major
 	// order.
@@ -117,6 +116,6 @@ func (f *Figure7) String() string {
 		f.MeanCovered(DesignSHIFT), f.MeanOverpredicted(DesignSHIFT),
 		f.MeanCovered(DesignPIF32K), f.MeanOverpredicted(DesignPIF32K),
 		f.MeanCovered(DesignPIF2K), f.MeanOverpredicted(DesignPIF2K))
-	b.WriteString("(paper: SHIFT 81%+16%, PIF_32K 92%+13%, PIF_2K 53%+20%)\n")
+	b.WriteString(paperNote("SHIFT %s+%s, PIF_32K %s+%s, PIF_2K %s+%s", "fig7.shift.covered", "fig7.shift.over", "fig7.pif32k.covered", "fig7.pif32k.over", "fig7.pif2k.covered", "fig7.pif2k.over") + "\n")
 	return b.String()
 }

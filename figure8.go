@@ -9,8 +9,8 @@ import (
 
 // Figure8 reproduces the paper's Figure 8: speedup of NextLine, PIF_2K,
 // PIF_32K, ZeroLat-SHIFT, and SHIFT over the no-prefetch baseline on each
-// workload, on the Lean-OoO CMP. The paper reports on average: NextLine
-// 9%, PIF_2K ~10%, PIF_32K 21%, ZeroLat-SHIFT 20%, SHIFT 19% (up to 42%).
+// workload, on the Lean-OoO CMP (the paper's averages: rows fig8.* of
+// paperRows).
 type Figure8 struct {
 	// Speedup[workload][design] is the speedup over baseline.
 	Speedup map[string]map[string]float64
@@ -84,8 +84,7 @@ func runSpeedupComparison(o Options, designs []Design) (*Figure8, error) {
 }
 
 // SHIFTRetainsPIFBenefit returns SHIFT's geometric-mean speedup benefit
-// as a fraction of PIF_32K's (the paper's "over 90% of the performance
-// benefit" claim).
+// as a fraction of PIF_32K's (the paper's headline claim).
 func (f *Figure8) SHIFTRetainsPIFBenefit() float64 {
 	pif := f.Geo[DesignPIF32K.String()] - 1
 	sh := f.Geo[DesignSHIFT.String()] - 1
@@ -95,8 +94,7 @@ func (f *Figure8) SHIFTRetainsPIFBenefit() float64 {
 	return sh / pif
 }
 
-// MaxSHIFTSpeedup returns the best per-workload SHIFT speedup (the
-// paper's "up to 42%").
+// MaxSHIFTSpeedup returns the best per-workload SHIFT speedup.
 func (f *Figure8) MaxSHIFTSpeedup() float64 {
 	best := 0.0
 	for _, w := range f.Workloads {
@@ -129,7 +127,7 @@ func (f *Figure8) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 8: Performance comparison (speedup over no-prefetch baseline)\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "SHIFT retains %.0f%% of PIF_32K's benefit (paper: >90%%); max SHIFT speedup %.2fx (paper: up to 1.42x)\n",
-		f.SHIFTRetainsPIFBenefit()*100, f.MaxSHIFTSpeedup())
+	fmt.Fprintf(&b, "SHIFT retains %.0f%% of PIF_32K's benefit %s; max SHIFT speedup %.2fx %s\n",
+		f.SHIFTRetainsPIFBenefit()*100, paperNote("%s", "fig8.retained"), f.MaxSHIFTSpeedup(), paperNote("%s", "fig8.max"))
 	return b.String()
 }

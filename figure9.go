@@ -16,7 +16,7 @@ type TrafficRow struct {
 	// LogRead/LogWrite are history-buffer reads and writes; Discard is
 	// traffic for prefetched blocks discarded before use. IndexUpdate is
 	// reported separately because it touches only the LLC tag array
-	// (the paper reports it in the text: ~2.5%).
+	// (the paper reports it in the text).
 	LogRead, LogWrite, Discard, IndexUpdate float64
 }
 
@@ -25,10 +25,9 @@ type TrafficRow struct {
 func (r TrafficRow) Total() float64 { return r.LogRead + r.LogWrite + r.Discard }
 
 // Figure9 reproduces the paper's Figure 9: virtualized SHIFT's extra LLC
-// traffic normalized to baseline demand traffic. The paper reports ~6%
-// from history reads+writes and ~7% from discards on average, with web
-// frontend the worst case (~26% total), and index updates at 2.5%
-// (tag array only).
+// traffic normalized to baseline demand traffic: history reads+writes
+// and discards on average, and the worst workload (the paper's values:
+// rows fig9.* of paperRows).
 type Figure9 struct {
 	// Rows holds one entry per workload, in Workloads order.
 	Rows []TrafficRow
@@ -109,7 +108,7 @@ func (f *Figure9) String() string {
 	b.WriteString("Figure 9: SHIFT LLC traffic overhead (% of baseline demand traffic)\n")
 	b.WriteString(t.String())
 	worstName, worstVal := f.WorstTotal()
-	fmt.Fprintf(&b, "Mean: log %.1f%% + discard %.1f%%; worst %s %.1f%% (paper: ~6%%+7%%, worst web frontend ~26%%)\n",
-		f.MeanLogTraffic(), f.MeanDiscard(), worstName, worstVal)
+	fmt.Fprintf(&b, "Mean: log %.1f%% + discard %.1f%%; worst %s %.1f%% %s\n",
+		f.MeanLogTraffic(), f.MeanDiscard(), worstName, worstVal, paperNote("%s+%s, worst %s %s", "fig9.log", "fig9.discard", "fig9.worst", "fig9.worst_total"))
 	return b.String()
 }

@@ -83,6 +83,6 @@ func (g *GeneratorStudy) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section 6.1: choice of history generator core (%s)\n", g.Workload)
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "Speedup spread across choices: %.1f%% (paper: \"no sensitivity\")\n", g.Spread*100)
+	fmt.Fprintf(&b, "Speedup spread across choices: %.1f%% %s\n", g.Spread*100, paperNote("%s", "sec6.1.spread"))
 	return b.String()
 }

@@ -56,8 +56,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// QuickOptions returns a reduced scale for smoke tests and benchmarks
-// (~6x faster; shapes hold, absolute numbers are noisier).
+// QuickOptions returns a reduced scale for smoke tests and benchmarks:
+// 25k+25k records per core against the default's 60k+60k (shapes hold,
+// absolute numbers are noisier).
 func QuickOptions() Options {
 	o := DefaultOptions()
 	o.WarmupRecords = 25000

@@ -26,8 +26,8 @@ type PDPoint struct {
 // PerfDensity reproduces the paper's Figure 2 and the Section 5.6
 // analysis: performance density of PIF_2K, PIF_32K, and SHIFT across the
 // Fat-OoO, Lean-OoO, and Lean-IO core designs. The paper's headline:
-// SHIFT improves PD over PIF_32K by 2% (Fat-OoO), 16% (Lean-OoO), and
-// 59% (Lean-IO), and PIF actively loses PD on the Lean-IO core.
+// SHIFT's PD gain over PIF_32K grows as the core gets leaner, and PIF
+// actively loses PD on the Lean-IO core (rows pd.* of paperRows).
 type PerfDensity struct {
 	// Points holds one entry per (core type, design), core-type-major.
 	Points []PDPoint
@@ -136,9 +136,9 @@ func (p *PerfDensity) String() string {
 	var b strings.Builder
 	b.WriteString("Section 5.6: Performance-density comparison\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "SHIFT PD gain over PIF_32K: Fat-OoO %+.0f%%, Lean-OoO %+.0f%%, Lean-IO %+.0f%% (paper: +2%%, +16%%, +59%%)\n",
+	fmt.Fprintf(&b, "SHIFT PD gain over PIF_32K: Fat-OoO %+.0f%%, Lean-OoO %+.0f%%, Lean-IO %+.0f%% %s\n",
 		p.SHIFTPDGainOver(DesignPIF32K, FatOoO)*100,
 		p.SHIFTPDGainOver(DesignPIF32K, LeanOoO)*100,
-		p.SHIFTPDGainOver(DesignPIF32K, LeanIO)*100)
+		p.SHIFTPDGainOver(DesignPIF32K, LeanIO)*100, paperNote("%s, %s, %s", "pd.fat", "pd.lean", "pd.io"))
 	return b.String()
 }

@@ -16,14 +16,14 @@ type PowerRow struct {
 	// activity in the LLC and NoC, in milliwatts.
 	ExtraMW float64
 	// PerLeanIOCorePct expresses the overhead relative to a Lean-IO
-	// core's power budget (the paper's "<2% per Lean-IO core").
+	// core's power budget.
 	PerLeanIOCorePct float64
 }
 
 // PowerStudy reproduces the paper's Section 5.7: SHIFT's power overhead
 // from (1) history buffer reads/writes and (2) index reads/writes in the
-// LLC, estimated with the CACTI-calibrated energy model. The paper
-// reports less than 150mW total on the 16-core CMP.
+// LLC, estimated with the CACTI-calibrated energy model, against the
+// paper's budget for the 16-core CMP (row power.max of paperRows).
 type PowerStudy struct {
 	// Rows holds one entry per workload.
 	Rows []PowerRow
@@ -78,8 +78,8 @@ func RunPowerStudy(o Options) (*PowerStudy, error) {
 }
 
 // UnderPaperBudget reports whether every workload stays under the paper's
-// 150mW budget.
-func (p *PowerStudy) UnderPaperBudget() bool { return p.MaxMW < 150 }
+// power budget.
+func (p *PowerStudy) UnderPaperBudget() bool { return p.MaxMW < paper("power.max").value }
 
 // String renders the power table.
 func (p *PowerStudy) String() string {
@@ -90,6 +90,6 @@ func (p *PowerStudy) String() string {
 	var b strings.Builder
 	b.WriteString("Section 5.7: SHIFT power overhead (history + index activity in LLC and NoC)\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "Worst case %.1f mW; under the paper's 150mW budget: %v\n", p.MaxMW, p.UnderPaperBudget())
+	fmt.Fprintf(&b, "Worst case %.1f mW; under %s budget: %v\n", p.MaxMW, papers("power.max"), p.UnderPaperBudget())
 	return b.String()
 }

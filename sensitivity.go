@@ -100,6 +100,6 @@ func (s *Sensitivity) String() string {
 		v, sp := s.Best(param)
 		fmt.Fprintf(&b, "best %s: %d (%.3fx)\n", param, v, sp)
 	}
-	b.WriteString("(paper: span 8, lookahead 5, capacity 12, 4 streams are the tuned values)\n")
+	b.WriteString(paperNote("span %s, lookahead %s, capacity %s, %s streams are the tuned values", "sec4.1.span", "sec4.1.lookahead", "sec4.1.capacity", "sec4.1.streams") + "\n")
 	return b.String()
 }

@@ -7,8 +7,8 @@
 // simulator (cores, L1-I caches, banked NUCA LLC, 2D mesh), the
 // prefetcher design points of the paper's evaluation (next-line, PIF_2K,
 // PIF_32K, ZeroLat-SHIFT, virtualized SHIFT), and one experiment driver
-// per figure and table of the paper. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// per figure and table of the paper. See ARCHITECTURE.md for the system
+// inventory and FIDELITY.md for paper-vs-measured results.
 //
 // Quick start:
 //

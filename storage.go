@@ -217,30 +217,29 @@ func (c *ResultCache) Stats() (hits, misses int64) {
 }
 
 // StorageReport reproduces the storage-cost arithmetic of Sections 4.2,
-// 5.1, 5.6, and 6.2 — the numbers behind the paper's "14x less storage
-// cost" headline. It is purely analytical (no simulation).
+// 5.1, 5.6, and 6.2 — the numbers behind the paper's storage-cost
+// headline. It is purely analytical (no simulation).
 type StorageReport struct {
-	// PIF32KPerCoreKB is PIF's per-core history+index storage (213KB).
+	// PIF32KPerCoreKB is PIF's per-core history+index storage.
 	PIF32KPerCoreKB float64
-	// PIF32KPerCoreMM2 is its area (0.9mm²).
+	// PIF32KPerCoreMM2 is its area.
 	PIF32KPerCoreMM2 float64
-	// PIF32KAggregateMM2 is the 16-core total (14.4mm²).
+	// PIF32KAggregateMM2 is the 16-core total.
 	PIF32KAggregateMM2 float64
 	// PIF2KPerCoreKB is the equal-cost design's per-core storage.
 	PIF2KPerCoreKB float64
-	// SHIFTHistoryKB is the LLC capacity the shared history occupies
-	// (171KB; 2,731 lines).
+	// SHIFTHistoryKB is the LLC capacity the shared history occupies.
 	SHIFTHistoryKB float64
 	// SHIFTHistoryLines is that capacity in 64-byte LLC lines.
 	SHIFTHistoryLines int
-	// SHIFTIndexKB is the LLC tag-array extension (240KB).
+	// SHIFTIndexKB is the LLC tag-array extension.
 	SHIFTIndexKB float64
-	// SHIFTTotalMM2 is SHIFT's total area cost (0.96mm²).
+	// SHIFTTotalMM2 is SHIFT's total area cost.
 	SHIFTTotalMM2 float64
-	// AreaRatio is PIF32KAggregateMM2 / SHIFTTotalMM2 (~14x).
+	// AreaRatio is PIF32KAggregateMM2 / SHIFTTotalMM2.
 	AreaRatio float64
 	// VirtualizedPIFMB is the LLC capacity a virtualized per-core PIF
-	// would need (Section 6.2: 2.7MB, growing linearly with cores).
+	// would need (Section 6.2; it grows linearly with cores).
 	VirtualizedPIFMB float64
 	// Cores is the CMP size used for aggregates.
 	Cores int
@@ -272,15 +271,15 @@ func RunStorageReport() *StorageReport {
 // String renders the storage table.
 func (r *StorageReport) String() string {
 	t := stats.NewTable("Quantity", "Value", "Paper")
-	t.AddRow("PIF_32K per-core storage", fmt.Sprintf("%.0f KB", r.PIF32KPerCoreKB), "213 KB")
-	t.AddRow("PIF_32K per-core area", fmt.Sprintf("%.2f mm^2", r.PIF32KPerCoreMM2), "0.9 mm^2")
-	t.AddRow(fmt.Sprintf("PIF_32K aggregate (%d cores)", r.Cores), fmt.Sprintf("%.1f mm^2", r.PIF32KAggregateMM2), "14.4 mm^2")
-	t.AddRow("PIF_2K per-core storage", fmt.Sprintf("%.1f KB", r.PIF2KPerCoreKB), "~13 KB")
-	t.AddRow("SHIFT history in LLC", fmt.Sprintf("%.0f KB (%d lines)", r.SHIFTHistoryKB, r.SHIFTHistoryLines), "171 KB (2,731 lines)")
-	t.AddRow("SHIFT index in LLC tags", fmt.Sprintf("%.0f KB", r.SHIFTIndexKB), "240 KB")
-	t.AddRow("SHIFT total area", fmt.Sprintf("%.2f mm^2", r.SHIFTTotalMM2), "0.96 mm^2")
-	t.AddRow("PIF_32K/SHIFT area ratio", fmt.Sprintf("%.1fx", r.AreaRatio), "~14x")
-	t.AddRow("Virtualized per-core PIF (Sec 6.2)", fmt.Sprintf("%.1f MB of LLC", r.VirtualizedPIFMB), "2.7 MB")
+	t.AddRow("PIF_32K per-core storage", fmt.Sprintf("%.0f KB", r.PIF32KPerCoreKB), paper("storage.pif32k_kb").text)
+	t.AddRow("PIF_32K per-core area", fmt.Sprintf("%.2f mm^2", r.PIF32KPerCoreMM2), paper("storage.pif32k_mm2").text)
+	t.AddRow(fmt.Sprintf("PIF_32K aggregate (%d cores)", r.Cores), fmt.Sprintf("%.1f mm^2", r.PIF32KAggregateMM2), paper("storage.pif32k_total_mm2").text)
+	t.AddRow("PIF_2K per-core storage", fmt.Sprintf("%.1f KB", r.PIF2KPerCoreKB), paper("storage.pif2k_kb").text)
+	t.AddRow("SHIFT history in LLC", fmt.Sprintf("%.0f KB (%d lines)", r.SHIFTHistoryKB, r.SHIFTHistoryLines), paper("storage.shift_history_kb").text+" ("+paper("storage.shift_history_lines").text+")")
+	t.AddRow("SHIFT index in LLC tags", fmt.Sprintf("%.0f KB", r.SHIFTIndexKB), paper("storage.shift_index_kb").text)
+	t.AddRow("SHIFT total area", fmt.Sprintf("%.2f mm^2", r.SHIFTTotalMM2), paper("storage.shift_mm2").text)
+	t.AddRow("PIF_32K/SHIFT area ratio", fmt.Sprintf("%.1fx", r.AreaRatio), paper("storage.area_ratio").text)
+	t.AddRow("Virtualized per-core PIF (Sec 6.2)", fmt.Sprintf("%.1f MB of LLC", r.VirtualizedPIFMB), paper("storage.virtualized_pif_mb").text)
 	var b strings.Builder
 	b.WriteString("Storage and area budget (Sections 4.2, 5.1, 5.6, 6.2)\n")
 	b.WriteString(t.String())

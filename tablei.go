@@ -33,7 +33,7 @@ func TableI() string {
 		sc.L1I.SizeBytes/1024, sc.L1I.Assoc))
 	sys.AddRow("L2 NUCA cache", fmt.Sprintf("%dKB/core, %d-way, %d banks, %d-cycle hit, 64 MSHRs",
 		sc.LLCBankBytes/1024, sc.LLCAssoc, sc.Mesh.Tiles(), sc.L2HitCycles))
-	sys.AddRow("Main memory", fmt.Sprintf("%d-cycle access (45ns @ 2GHz)", sc.MemCycles))
+	sys.AddRow("Main memory", fmt.Sprintf("%d-cycle access (%gns @ 2GHz)", sc.MemCycles, float64(sc.MemCycles)/2))
 	b.WriteString("Table I (system): reproduced configuration\n")
 	b.WriteString(sys.String())
 
