@@ -153,15 +153,23 @@ func TestChaosDiskCorruptionQuarantineAndSelfHeal(t *testing.T) {
 		t.Errorf("corrupt blob still in the main tree: %v", err)
 	}
 
-	// Self-heal: the next Store recreates the key, and the result reads
-	// back exactly.
-	ds.Store(key, r)
+	// Self-heal: an engine over the damaged store pays one recomputation
+	// for the lost cell, never a wrong number, and its Store recreates
+	// the key, which reads back exactly.
+	e := NewEngine(1, ds)
+	if got, err := e.RunOne(cfg); err != nil || !reflect.DeepEqual(got, r) {
+		t.Fatalf("recomputed cell = (%+v, %v), want the original result", got, err)
+	}
+	if sim := e.Stats().Simulated; sim != 1 {
+		t.Errorf("engine over the damaged store simulated %d cells, want 1", sim)
+	}
 	got, ok := ds.Lookup(key)
 	if !ok || !reflect.DeepEqual(got, r) {
 		t.Fatalf("self-healed lookup = (%+v, %t), want original result", got, ok)
 	}
 
-	// A fresh handle on the same directory sees the preserved quarantine.
+	// A fresh handle on the same directory sees the preserved quarantine
+	// and serves the healed key without simulating.
 	ds2, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +179,13 @@ func TestChaosDiskCorruptionQuarantineAndSelfHeal(t *testing.T) {
 	}
 	if got := ds2.Len(); got != 1 {
 		t.Errorf("reopened Len() = %d, want 1 (quarantine excluded)", got)
+	}
+	e2 := NewEngine(1, ds2)
+	if _, err := e2.RunOne(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if sim := e2.Stats().Simulated; sim != 0 {
+		t.Errorf("engine over the healed store simulated %d cells, want 0", sim)
 	}
 }
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"shift/internal/trace"
@@ -74,8 +75,11 @@ func main() {
 		n := int64(0)
 		for {
 			rec, err := reader.Next()
-			if err != nil {
+			if err == io.EOF {
 				break
+			}
+			if err != nil {
+				fail(err)
 			}
 			if err := enc.Write(rec); err != nil {
 				fail(err)

@@ -42,6 +42,23 @@ func TestTracegenRoundTrip(t *testing.T) {
 		}
 	}
 
+	// A trace cut mid-record is an error for -out as for -stats, never
+	// a silently shorter copy.
+	whole, err := os.ReadFile(trc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.trc")
+	if err := os.WriteFile(cut, whole[:len(whole)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-stats"}, {"-out", filepath.Join(dir, "copy.trc")}} {
+		out, err := exec.Command(bin, append([]string{"-in", cut}, args...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "unexpected EOF") {
+			t.Errorf("tracegen -in cut.trc %v: err %v, output %q; want exit 1 with unexpected EOF", args, err, out)
+		}
+	}
+
 	out, err = exec.Command(bin, "-list").CombinedOutput()
 	if err != nil {
 		t.Fatalf("list: %v\n%s", err, out)

@@ -242,6 +242,24 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 }
 
+// TestEveryExampleTested fails for every directory under examples/
+// with a main.go and no main_test.go: an example's README claims are
+// asserted by a test next to it, or the example goes.
+func TestEveryExampleTested(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mains) == 0 {
+		t.Fatal("no examples found")
+	}
+	for _, m := range mains {
+		if _, err := os.Stat(filepath.Join(filepath.Dir(m), "main_test.go")); err != nil {
+			t.Errorf("%s has no main_test.go: run the example in a test and assert its README's claims", filepath.Dir(m))
+		}
+	}
+}
+
 // testFuncs returns the names of the Test functions in dir's _test.go
 // files.
 func testFuncs(t *testing.T, dir string) []string {

@@ -7,24 +7,34 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"shift"
 )
 
 func main() {
-	opts := shift.DefaultOptions()
-	fig, err := shift.RunFigure10(opts)
-	if err != nil {
+	if err := run(os.Stdout, shift.DefaultOptions()); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(fig)
+}
 
-	fmt.Println("Per-workload detail (SHIFT vs dedicated-storage ZeroLat-SHIFT):")
-	for _, w := range fig.Workloads {
-		sh := fig.Speedup[w][shift.DesignSHIFT.String()]
-		zl := fig.Speedup[w][shift.DesignZeroLatSHIFT.String()]
-		fmt.Printf("  %-16s SHIFT %.3fx  ZeroLat %.3fx  (virtualization cost %.1f%%)\n",
-			w, sh, zl, (zl/sh-1)*100)
+// run regenerates Figure 10 at o's scale and prints it to w, followed
+// by SHIFT against ZeroLat-SHIFT for each consolidated workload.
+func run(w io.Writer, o shift.Options) error {
+	fig, err := shift.RunFigure10(o)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(w, fig)
+
+	fmt.Fprintln(w, "Per-workload detail (SHIFT vs dedicated-storage ZeroLat-SHIFT):")
+	for _, wl := range fig.Workloads {
+		sh := fig.Speedup[wl][shift.DesignSHIFT.String()]
+		zl := fig.Speedup[wl][shift.DesignZeroLatSHIFT.String()]
+		fmt.Fprintf(w, "  %-16s SHIFT %.3fx  ZeroLat %.3fx  (virtualization cost %.1f%%)\n",
+			wl, sh, zl, (zl/sh-1)*100)
+	}
+	return nil
 }

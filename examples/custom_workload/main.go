@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"shift/internal/core"
 	"shift/internal/sim"
@@ -18,6 +20,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 40000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps the instruction footprint of one synthetic workload and
+// prints, per footprint, its trace statistics and the baseline's and
+// SHIFT's results over records warmup and records measured per core.
+func run(w io.Writer, records int64) error {
 	for _, footprintKB := range []int{256, 768, 1536, 3072} {
 		p := workload.Params{
 			Name: fmt.Sprintf("custom-%dKB", footprintKB), Seed: 42,
@@ -29,36 +40,38 @@ func main() {
 			TrapRate: 0.003, SchedProb: 0.25,
 			LoopWeight: 0.4,
 		}
-		w, err := workload.New(p)
+		wl, err := workload.New(p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 150000), 0)
+		st, err := trace.Measure(trace.Limit(wl.NewCoreReader(0), 150000), 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
-		run := func(pf sim.PrefetcherSpec) sim.Result {
+		var res [2]sim.Result
+		for i, pf := range []sim.PrefetcherSpec{
+			{Kind: sim.KindNone},
+			{Kind: sim.KindSHIFT, SHIFT: core.DefaultConfig()},
+		} {
 			cfg := sim.DefaultConfig()
 			cfg.Prefetcher = pf
-			res, err := sim.Run(sim.RunSpec{
+			if res[i], err = sim.Run(sim.RunSpec{
 				Config: cfg, Workload: p,
-				WarmupRecords: 40000, MeasureRecords: 40000,
-			})
-			if err != nil {
-				log.Fatal(err)
+				WarmupRecords: records, MeasureRecords: records,
+			}); err != nil {
+				return err
 			}
-			return res
 		}
-		base := run(sim.PrefetcherSpec{Kind: sim.KindNone})
-		sh := run(sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: core.DefaultConfig()})
+		base, sh := res[0], res[1]
 
 		covered := float64(base.Fetch.Misses-sh.Fetch.Misses) / float64(base.Fetch.Misses) * 100
-		fmt.Printf("footprint %4dKB: touched %4.0fKB, seq %4.1f%%, baseline MPKI %5.1f, "+
+		fmt.Fprintf(w, "footprint %4dKB: touched %4.0fKB, seq %4.1f%%, baseline MPKI %5.1f, "+
 			"SHIFT covers %5.1f%% -> speedup %.3fx\n",
 			footprintKB, float64(st.FootprintBytes())/1024, st.SeqFraction()*100,
 			base.MPKI, covered, sh.Throughput/base.Throughput)
 	}
-	fmt.Println("\nLarger instruction working sets miss more and gain more from SHIFT —")
-	fmt.Println("the paper's motivation for targeting server software stacks.")
+	fmt.Fprintln(w, "\nLarger instruction working sets miss more and gain more from SHIFT —")
+	fmt.Fprintln(w, "the paper's motivation for targeting server software stacks.")
+	return nil
 }

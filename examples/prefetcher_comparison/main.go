@@ -7,7 +7,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"shift"
 )
@@ -21,21 +23,29 @@ func main() {
 	if *quick {
 		cfg.WarmupRecords, cfg.MeasureRecords = 20000, 20000
 	}
-	base, err := shift.Run(cfg)
-	if err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	fmt.Printf("%-14s %8s %10s %10s %12s %12s\n",
+// run simulates cfg (its Design ignored) once without prefetching and
+// once per Figure 8 design, and prints one table row per run to w.
+func run(w io.Writer, cfg shift.Config) error {
+	cfg.Design = shift.DesignBaseline
+	base, err := shift.Run(cfg)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "%-14s %8s %10s %10s %12s %12s\n",
 		"Design", "Speedup", "Covered%", "Discards%", "PrefetchTraf", "HistTraf")
-	fmt.Printf("%-14s %8.3f %10s %10s %12d %12s\n", "Baseline", 1.0, "-", "-",
+	fmt.Fprintf(w, "%-14s %8.3f %10s %10s %12d %12s\n", "Baseline", 1.0, "-", "-",
 		int64(0), "-")
 	for _, d := range shift.FigureDesigns() {
-		c := cfg
-		c.Design = d
-		res, err := shift.Run(c)
+		cfg.Design = d
+		res, err := shift.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		covered := float64(base.Misses-res.Misses) / float64(base.Misses) * 100
 		discards := float64(res.Discards) / float64(base.Misses) * 100
@@ -44,9 +54,10 @@ func main() {
 		if hist > 0 {
 			histStr = fmt.Sprint(hist)
 		}
-		fmt.Printf("%-14s %8.3f %10.1f %10.1f %12d %12s\n",
+		fmt.Fprintf(w, "%-14s %8.3f %10.1f %10.1f %12d %12s\n",
 			d, res.Throughput/base.Throughput, covered, discards,
 			res.Traffic.PrefetchFill, histStr)
 	}
-	fmt.Println("\n(FIDELITY.md sets the full-scale reproduction against the paper's values)")
+	fmt.Fprintln(w, "\n(FIDELITY.md sets the full-scale reproduction against the paper's values)")
+	return nil
 }

@@ -6,34 +6,43 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"shift"
 )
 
 func main() {
-	const workloadName = "OLTP Oracle"
-
-	baseCfg := shift.DefaultRunConfig(workloadName, shift.DesignBaseline)
-	base, err := shift.Run(baseCfg)
-	if err != nil {
+	if err := run(os.Stdout, shift.DefaultRunConfig("OLTP Oracle", shift.DesignBaseline)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s on 16 Lean-OoO cores (no prefetching):\n", workloadName)
-	fmt.Printf("  L1-I MPKI:            %.1f\n", base.MPKI)
-	fmt.Printf("  fetch-stall fraction: %.0f%% of cycles\n", base.FetchStallFraction*100)
-	fmt.Printf("  throughput:           %.2f aggregate IPC\n\n", base.Throughput)
+}
 
-	shiftCfg := shift.DefaultRunConfig(workloadName, shift.DesignSHIFT)
-	res, err := shift.Run(shiftCfg)
+// run simulates cfg without prefetching and with SHIFT (cfg.Design is
+// ignored) and prints the headline numbers of both to w.
+func run(w io.Writer, cfg shift.Config) error {
+	cfg.Design = shift.DesignBaseline
+	base, err := shift.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	fmt.Fprintf(w, "%s on %d %s cores (no prefetching):\n", cfg.Workload, cfg.Cores, cfg.CoreType)
+	fmt.Fprintf(w, "  L1-I MPKI:            %.1f\n", base.MPKI)
+	fmt.Fprintf(w, "  fetch-stall fraction: %.0f%% of cycles\n", base.FetchStallFraction*100)
+	fmt.Fprintf(w, "  throughput:           %.2f aggregate IPC\n\n", base.Throughput)
+
+	cfg.Design = shift.DesignSHIFT
+	res, err := shift.Run(cfg)
+	if err != nil {
+		return err
 	}
 	covered := float64(base.Misses-res.Misses) / float64(base.Misses) * 100
-	fmt.Printf("with SHIFT (shared history embedded in the LLC):\n")
-	fmt.Printf("  misses eliminated:    %.0f%%\n", covered)
-	fmt.Printf("  history records:      %d written by the generator core\n", res.HistRecordsWritten)
-	fmt.Printf("  LLC history traffic:  %d reads, %d writes\n",
+	fmt.Fprintf(w, "with SHIFT (shared history embedded in the LLC):\n")
+	fmt.Fprintf(w, "  misses eliminated:    %.0f%%\n", covered)
+	fmt.Fprintf(w, "  history records:      %d written by the generator core\n", res.HistRecordsWritten)
+	fmt.Fprintf(w, "  LLC history traffic:  %d reads, %d writes\n",
 		res.Traffic.HistRead, res.Traffic.HistWrite)
-	fmt.Printf("  speedup:              %.2fx\n", res.Throughput/base.Throughput)
+	fmt.Fprintf(w, "  speedup:              %.2fx\n", res.Throughput/base.Throughput)
+	return nil
 }

@@ -67,6 +67,8 @@ func TestClusterPersistsAcrossWorkerRestarts(t *testing.T) {
 		// Fallback cells would be stored only in the coordinator's local
 		// cache, weakening the restart assertion below.
 		t.Fatalf("generation 1 fell back in-process (%d cells); expected the survivor to absorb re-routes", st.CellsFallback)
+	} else if st.BatchesRerouted == 0 || st.DispatchErrors == 0 {
+		t.Fatalf("the killed worker caused %d re-routes and %d dispatch errors; want both", st.BatchesRerouted, st.DispatchErrors)
 	}
 	srv1.Close()
 	srv2.Close()

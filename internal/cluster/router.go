@@ -3,7 +3,6 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
-	"sync/atomic"
 )
 
 // Router orders the candidate workers for dispatching one batch: the
@@ -49,31 +48,5 @@ func (r *AffinityRouter) Pick(streamKey string, candidates []*Member) []*Member 
 		}
 		return out[i].Addr() < out[j].Addr()
 	})
-	return out
-}
-
-// RoundRobinRouter ignores the stream key and deals batches out in
-// rotation. Simple and perfectly balanced, but stream-key locality is
-// lost: the same workload's batches land on different workers across
-// sweeps, so worker-side memoization and trace-stream reuse suffer.
-// Useful as a baseline, and where a demo or test must reach every
-// worker.
-type RoundRobinRouter struct {
-	next atomic.Uint64
-}
-
-// Pick rotates the candidate order by an advancing counter.
-func (r *RoundRobinRouter) Pick(_ string, candidates []*Member) []*Member {
-	if len(candidates) == 0 {
-		return nil
-	}
-	// Sort by address first so rotation is over a stable ring, not over
-	// whatever order membership happened to arrive in.
-	ring := append([]*Member(nil), candidates...)
-	sort.Slice(ring, func(i, j int) bool { return ring[i].Addr() < ring[j].Addr() })
-	k := int(r.next.Add(1)-1) % len(ring)
-	out := make([]*Member, 0, len(ring))
-	out = append(out, ring[k:]...)
-	out = append(out, ring[:k]...)
 	return out
 }

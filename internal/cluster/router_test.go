@@ -2,8 +2,35 @@ package cluster
 
 import (
 	"reflect"
+	"sort"
+	"sync/atomic"
 	"testing"
 )
+
+// RoundRobinRouter ignores the stream key and deals batches out in
+// rotation. Simple and perfectly balanced, but stream-key locality is
+// lost: the same workload's batches land on different workers across
+// sweeps, so worker-side memoization and trace-stream reuse suffer.
+// Tests use it where every worker must get work.
+type RoundRobinRouter struct {
+	next atomic.Uint64
+}
+
+// Pick rotates the candidate order by an advancing counter.
+func (r *RoundRobinRouter) Pick(_ string, candidates []*Member) []*Member {
+	if len(candidates) == 0 {
+		return nil
+	}
+	// Sort by address first so rotation is over a stable ring, not over
+	// whatever order membership happened to arrive in.
+	ring := append([]*Member(nil), candidates...)
+	sort.Slice(ring, func(i, j int) bool { return ring[i].Addr() < ring[j].Addr() })
+	k := int(r.next.Add(1)-1) % len(ring)
+	out := make([]*Member, 0, len(ring))
+	out = append(out, ring[k:]...)
+	out = append(out, ring[:k]...)
+	return out
+}
 
 func members(addrs ...string) []*Member {
 	out := make([]*Member, len(addrs))

@@ -312,8 +312,11 @@ func TestEnginePersistsAcrossRestarts(t *testing.T) {
 	if warmStats.Simulated != 0 {
 		t.Errorf("warm run simulated %d cells, want 0 (all served from disk)", warmStats.Simulated)
 	}
-	if warmStats.StoreHits == 0 {
-		t.Error("warm run recorded no store hits")
+	if warmStats.StoreHits == 0 || warmStats.StoreMisses != 0 {
+		t.Errorf("warm run: %d store hits, %d misses; want hits and no misses", warmStats.StoreHits, warmStats.StoreMisses)
+	}
+	if warmStats.StoreCells != int(coldStats.Simulated) {
+		t.Errorf("reopened store holds %d cells, want the %d the cold run simulated", warmStats.StoreCells, coldStats.Simulated)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("disk-served rerun differs from the original:\nfirst:  %+v\nsecond: %+v", first, second)
