@@ -186,9 +186,10 @@ func main() {
 
 // runOne dispatches one experiment by name through the shared registry
 // (shift.RunExperiment — the same dispatch cmd/shiftd serves), keeping
-// only the -sizes override for Figure 6 local to the CLI.
+// only the -sizes override for Figure 6 (by name or its bare number,
+// as RunExperiment matches them) local to the CLI.
 func runOne(name string, opts shift.Options, fig6Sizes []int) (string, error) {
-	if len(fig6Sizes) > 0 && strings.EqualFold(name, "fig6") {
+	if len(fig6Sizes) > 0 && (strings.EqualFold(name, "fig6") || name == "6") {
 		f, err := shift.RunFigure6(opts, fig6Sizes)
 		if err != nil {
 			return "", err

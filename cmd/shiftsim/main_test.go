@@ -41,13 +41,23 @@ func TestRunOneDispatch(t *testing.T) {
 	}
 }
 
+// TestRunOneFig6Sizes: -sizes reaches Figure 6 by its name and by its
+// bare number, and replaces the default sweep.
 func TestRunOneFig6Sizes(t *testing.T) {
-	out, err := runOne("fig6", tinyOpts(), []int{1024, 4096})
+	sizes := []int{1024, 4096}
+	fig, err := shift.RunFigure6(tinyOpts(), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "1K") || !strings.Contains(out, "4K") {
-		t.Errorf("fig6 output missing custom sizes:\n%s", out)
+	want := fig.String()
+	for _, name := range []string{"fig6", "6"} {
+		out, err := runOne(name, tinyOpts(), sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want {
+			t.Errorf("%s with sizes %v rendered\n%s\nwant\n%s", name, sizes, out, want)
+		}
 	}
 }
 

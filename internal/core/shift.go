@@ -11,7 +11,8 @@
 //   - Dedicated: the history buffer and index table are dedicated SRAM
 //     reachable in zero cycles. This is the paper's "ZeroLat-SHIFT"
 //     comparison point (Section 5.3), which isolates SHIFT's prediction
-//     quality from its LLC-residency costs.
+//     quality from its LLC-residency costs. With one reader it is also
+//     PIF's private history (see package pif).
 //
 //   - Virtualized: the history buffer lives in the LLC at a reserved,
 //     non-evictable physical range starting at HBBase, written through a

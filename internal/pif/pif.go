@@ -7,6 +7,14 @@
 // index table from trigger addresses to history positions, and a stream
 // address buffer file that replays streams and issues prefetches.
 //
+// That is SHIFT's replay engine over a history nobody shares: a PIF is
+// core.SharedHistory's dedicated (zero-latency) variant with the core as
+// its only reader and its generator, sized by PIF's history and index
+// geometry. The paper builds SHIFT out of PIF's history and stream
+// address buffers (Section 4); here PIF is built back out of SHIFT's,
+// so who shares the history is a parameter, not a second
+// implementation.
+//
 // Two design points from the paper are provided:
 //
 //   - PIF_32K: 32K-record history + 8K-entry index per core (the original
@@ -18,9 +26,9 @@ package pif
 import (
 	"fmt"
 
+	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/prefetch"
-	"shift/internal/trace"
 )
 
 // Config sizes one core's PIF.
@@ -86,18 +94,12 @@ func (c Config) Name() string {
 	return fmt.Sprintf("PIF_%d", c.HistEntries)
 }
 
-// PIF is one core's prefetcher instance.
+// PIF is one core's prefetcher: SHIFT's replay logic over a private,
+// dedicated history that only this core records and reads.
 type PIF struct {
-	cfg     Config
-	builder *history.Builder
-	buf     *history.Buffer
-	index   *history.IndexTable
-	sab     *history.SAB
-
-	stats prefetch.Stats
-	out   []prefetch.Request
-	tmp   []history.Region
-	blks  []trace.BlockAddr
+	*core.Replayer
+	sh   *core.SharedHistory
+	name string
 }
 
 // New builds a per-core PIF.
@@ -105,20 +107,18 @@ func New(cfg Config) (*PIF, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &PIF{cfg: cfg}
-	p.builder = history.MustNewBuilder(cfg.SAB.Span)
-	p.buf = history.MustNewBuffer(cfg.HistEntries)
-	p.index = history.MustNewIndexTable(cfg.IndexEntries, cfg.IndexAssoc)
-	p.sab = history.MustNewSAB(cfg.SAB)
-	return p, nil
-}
-
-// Release hands the history and index storage back for the next New of
-// the same sizes (see history.Buffer.Release). The caller must not use
-// p again.
-func (p *PIF) Release() {
-	p.buf.Release()
-	p.index.Release()
+	sh, err := core.NewSharedHistory(core.Config{
+		Variant:       core.Dedicated,
+		HistEntries:   cfg.HistEntries,
+		GeneratorCore: 0,
+		SAB:           cfg.SAB,
+		IndexEntries:  cfg.IndexEntries,
+		IndexAssoc:    cfg.IndexAssoc,
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &PIF{Replayer: sh.CorePrefetcher(0), sh: sh, name: cfg.Name()}, nil
 }
 
 // MustNew panics on config errors.
@@ -131,113 +131,17 @@ func MustNew(cfg Config) *PIF {
 }
 
 // Name implements prefetch.Prefetcher.
-func (p *PIF) Name() string { return p.cfg.Name() }
+func (p *PIF) Name() string { return p.name }
 
-// PrefetchStats implements prefetch.StatsReporter.
-func (p *PIF) PrefetchStats() prefetch.Stats { return p.stats }
-
-// OnAccess implements prefetch.Prefetcher: replay (advance or allocate a
-// stream) and record (append to the private history).
-func (p *PIF) OnAccess(a prefetch.Access) []prefetch.Request {
-	p.out = p.out[:0]
-	p.stats.Accesses++
-	if !a.Hit {
-		p.stats.Misses++
-	}
-
-	// Replay: advance the covering stream, if any.
-	si, needed, covered := p.sab.Advance(a.Block)
-	if covered {
-		p.stats.CoveredAccesses++
-		if !a.Hit {
-			p.stats.CoveredMisses++
-		}
-		if needed > 0 {
-			p.readAhead(si, needed)
-		}
-		p.emitWindow(si, a.Block)
-	} else if !a.Hit {
-		// New stream: look up the most recent occurrence of the missed
-		// block as a trigger.
-		if pos, ok := p.index.Lookup(a.Block); ok && p.buf.Valid(pos) {
-			si := p.sab.Alloc()
-			p.stats.StreamAllocs++
-			recs, next := p.buf.ReadSeq(p.tmp[:0], pos, p.cfg.SAB.Lookahead)
-			p.tmp = recs // retain the grown backing array across calls
-			p.sab.FillRegions(si, recs, next)
-			p.emitWindow(si, a.Block)
-		}
-	}
-
-	// Record: PIF records every core's own access stream.
-	if rec, done := p.builder.Add(a.Block); done {
-		p.WarmRecord(rec)
-	}
-	return p.out
-}
-
-// WarmNeeds implements prefetch.Warmer: PIF compacts every access.
-func (p *PIF) WarmNeeds() prefetch.WarmNeed { return prefetch.WarmRecords }
-
-// WarmAccess implements prefetch.Warmer: during functional warming only
-// the recording side of OnAccess runs — the core keeps compacting its
-// access stream into history records and index updates, while replay
-// state (the SAB file) and prefetch issue are skipped. PIF records the
-// full access stream, which is a property of the program alone, so the
-// warmed history is identical to what detailed stepping would build.
-func (p *PIF) WarmAccess(blk trace.BlockAddr, _ bool) {
-	if rec, done := p.builder.Add(blk); done {
-		p.WarmRecord(rec)
-	}
-}
-
-// WarmBuilder implements prefetch.RecordWarmer.
-func (p *PIF) WarmBuilder() *history.Builder { return p.builder }
-
-// WarmRecord implements prefetch.RecordWarmer: the record joins the
-// private history and its trigger's index entry points at it.
-func (p *PIF) WarmRecord(rec history.Region) {
-	pos := p.buf.Append(rec)
-	p.index.Update(rec.Trigger, pos)
-	p.stats.RecordsWritten++
-	p.stats.IndexUpdates++
-}
+// Release hands the history and index storage back for the next New of
+// the same sizes (see history.Buffer.Release). The caller must not use
+// p again.
+func (p *PIF) Release() { p.sh.Release() }
 
 // History exposes the private history buffer (read-only use: the
 // functional-vs-detailed warm-state differential tests compare history
 // contents across stepping modes).
-func (p *PIF) History() *history.Buffer { return p.buf }
-
-// readAhead tops stream si up with `needed` records.
-func (p *PIF) readAhead(si, needed int) {
-	pos := p.sab.NextPos(si)
-	if !p.buf.Valid(pos) {
-		return
-	}
-	recs, next := p.buf.ReadSeq(p.tmp[:0], pos, needed)
-	p.tmp = recs
-	if len(recs) == 0 {
-		return
-	}
-	p.sab.FillRegions(si, recs, next)
-}
-
-// emitWindow issues prefetches for the stream's un-issued records inside
-// the lookahead window, skipping the block being fetched right now.
-func (p *PIF) emitWindow(si int, current trace.BlockAddr) {
-	p.blks = p.sab.TakePrefetchBlocks(si, current, p.blks[:0])
-	for _, b := range p.blks {
-		p.out = append(p.out, prefetch.Request{Block: b})
-	}
-}
-
-// StorageBits returns the per-core history storage cost in bits
-// (Section 5.1's math: 41-bit records, 49-bit index entries at span 8).
-func (c Config) StorageBits() int64 {
-	recordBits := int64(history.BitsPerRecord(c.SAB.Span))
-	indexBits := int64(trace.BlockAddrBits + 15) // tag + history pointer
-	return int64(c.HistEntries)*recordBits + int64(c.IndexEntries)*indexBits
-}
+func (p *PIF) History() *history.Buffer { return p.sh.History() }
 
 var (
 	_ prefetch.Prefetcher    = (*PIF)(nil)

@@ -39,13 +39,6 @@ func TestPaperDesignPoints(t *testing.T) {
 	if c2.HistEntries != 2048 || c2.IndexEntries != 512 {
 		t.Errorf("PIF_2K = %+v", c2)
 	}
-	// Section 5.1 storage math: 32K*41 bits = 164KB history;
-	// 8K*49 bits = 49KB index; total ~213KB.
-	bits := c32.StorageBits()
-	kb := float64(bits) / 8 / 1024
-	if kb < 205 || kb < 0 || kb > 220 {
-		t.Errorf("PIF_32K storage = %.1f KB, want ~213KB", kb)
-	}
 }
 
 func TestWithHistEntries(t *testing.T) {

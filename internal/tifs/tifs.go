@@ -202,14 +202,6 @@ func (t *TIFS) emitWindow(si int, current trace.BlockAddr) {
 	}
 }
 
-// StorageBits returns the per-core storage cost in bits: single 34-bit
-// miss addresses plus the index (34-bit tag + pointer).
-func (c Config) StorageBits() int64 {
-	ptrBits := int64(15)
-	return int64(c.HistEntries)*int64(trace.BlockAddrBits) +
-		int64(c.IndexEntries)*(int64(trace.BlockAddrBits)+ptrBits)
-}
-
 var (
 	_ prefetch.Prefetcher    = (*TIFS)(nil)
 	_ prefetch.StatsReporter = (*TIFS)(nil)

@@ -108,17 +108,6 @@ func TestPlainHitsInvisible(t *testing.T) {
 	}
 }
 
-func TestStorageCheaperThanPIF(t *testing.T) {
-	// At equal record counts, TIFS records (34 bits) are cheaper than
-	// PIF's region records (41 bits) — but each covers only one block.
-	c := DefaultConfig()
-	bits := c.StorageBits()
-	kb := float64(bits) / 8 / 1024
-	if kb < 180 || kb > 200 {
-		t.Errorf("TIFS storage = %.1f KB, want ~184KB", kb)
-	}
-}
-
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
