@@ -28,26 +28,30 @@ func TestHotPathAllocs(t *testing.T) {
 		cache.Store(c.Key(), RunResult{Workload: c.Workload, Design: d.String()})
 		cfgs = append(cfgs, c)
 	}
-	// The all-hit grid of six, counted with Go 1.24: the keyed configs, a
-	// key per cell, and the result and error slices. With a label per cell,
-	// a key slice and a first-index map it made 17; with fmt keys and
-	// key-indexed result maps, 59.
+	// The all-hit grid of six keyed and run as a cluster worker does,
+	// counted with Go 1.24: the keyed configs, a key per cell, and the
+	// result and error slices. With a label per cell, a key slice and a
+	// first-index map it made 17; with fmt keys and key-indexed result
+	// maps, 59.
 	const budget = 9
-	n := testing.AllocsPerRun(100, func() {
-		if _, errs := e.RunEach(cfgs); errs[0] != nil {
+	keyAndRun := func() []KeyedConfig {
+		ks := make([]KeyedConfig, len(cfgs))
+		for i, c := range cfgs {
+			ks[i] = KeyConfig(c)
+		}
+		if _, errs := e.RunKeyed(ks); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
-	})
-	t.Logf("RunEach over %d all-hit cells: %.0f allocations", len(cfgs), n)
+		return ks
+	}
+	n := testing.AllocsPerRun(100, func() { keyAndRun() })
+	t.Logf("KeyConfig and RunKeyed over %d all-hit cells: %.0f allocations", len(cfgs), n)
 	if n > budget {
-		t.Errorf("RunEach over %d all-hit cells makes %.0f allocations, budget %d", len(cfgs), n, budget)
+		t.Errorf("KeyConfig and RunKeyed over %d all-hit cells make %.0f allocations, budget %d", len(cfgs), n, budget)
 	}
 	// Keyed by the caller (shiftd's job registry), the grid hashes nothing
 	// and allocates its result and error slices alone.
-	ks := make([]KeyedConfig, len(cfgs))
-	for i, c := range cfgs {
-		ks[i] = KeyConfig(c)
-	}
+	ks := keyAndRun()
 	if n := testing.AllocsPerRun(100, func() { e.RunKeyed(ks) }); n > 2 {
 		t.Errorf("RunKeyed over %d all-hit cells makes %.0f allocations, want 2", len(ks), n)
 	}

@@ -335,11 +335,11 @@ func TestTieredBreakerRecoversHalfOpen(t *testing.T) {
 	ts := newBlobStore(fault, true)
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	ts.breaker = store.NewBreaker(store.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Minute, Now: clock})
+	ts.breaker = store.NewBreaker(store.BreakerConfig{Now: clock})
 
 	ts.Store("k", RunResult{MPKI: 1})
 	fault.SetPlan(store.FaultPlan{GetErrorRate: 1})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 8; i++ { // the breaker's threshold
 		ts.Lookup("absent")
 	}
 	if got := ts.breaker.State(); got != store.BreakerOpen {
@@ -376,7 +376,7 @@ func TestTieredLenNeverVotesHealthy(t *testing.T) {
 	fault := store.NewFault(store.NewMem(), store.FaultPlan{})
 	ts := newBlobStore(fault, true)
 	now := time.Unix(0, 0)
-	ts.breaker = store.NewBreaker(store.BreakerConfig{Cooldown: time.Minute, Now: func() time.Time { return now }})
+	ts.breaker = store.NewBreaker(store.BreakerConfig{Now: func() time.Time { return now }})
 	ts.Store("k", RunResult{MPKI: 1})
 	fault.SetPlan(store.FaultPlan{GetErrorRate: 1, PutErrorRate: 1})
 
@@ -408,13 +408,15 @@ func TestTieredLenNeverVotesHealthy(t *testing.T) {
 		t.Errorf("breaker = %q with %d trips after a failing half-open store, want open with %d", got, ts.breaker.Trips(), trips+1)
 	}
 
-	// A count that fails is still evidence against the tier.
-	ts.breaker = store.NewBreaker(store.BreakerConfig{Window: 4, Threshold: 2})
-	fault.FailNextLens(6)
-	ts.Len()
-	ts.Len()
+	// A count that fails is still evidence against the tier: eight
+	// failed counts (of three tries each) trip a fresh breaker.
+	ts.breaker = store.NewBreaker(store.BreakerConfig{})
+	fault.FailNextLens(3 * 8)
+	for i := 0; i < 8; i++ {
+		ts.Len()
+	}
 	if got := ts.breaker.State(); got != store.BreakerOpen {
-		t.Errorf("breaker = %q after two failed counts, want open", got)
+		t.Errorf("breaker = %q after eight failed counts, want open", got)
 	}
 }
 

@@ -400,23 +400,14 @@ func (e *Engine) RunAll(cells []Cell) ([]RunResult, error) {
 	return out, nil
 }
 
-// RunEach is RunAll for a caller that wants every cell's outcome, not
-// the grid's: out[i] is cfgs[i]'s result or errs[i] its error, so one
-// failing cell costs the others nothing. An error is labelled
-// "workload/design".
-func (e *Engine) RunEach(cfgs []Config) ([]RunResult, []error) {
-	ks := make([]KeyedConfig, len(cfgs))
-	for i, cfg := range cfgs {
-		ks[i] = KeyConfig(cfg)
-	}
-	return e.runCells(ks, nil)
-}
-
-// RunKeyed is RunEach for configs whose keys the caller already holds, so
-// no cell is hashed again. shiftd's job scheduler runs a job's
-// stream-sharing cells through it as one grid — one store lookup a cell,
-// one batch for those that must be simulated — and journals and
-// publishes each cell on its own. It reads ks only until it returns.
+// RunKeyed is RunAll for a caller that wants every cell's outcome, not
+// the grid's, and holds the cells' keys already, so no cell is hashed
+// again: out[i] is ks[i]'s result or errs[i] its error, so one failing
+// cell costs the others nothing. An error is labelled "workload/design".
+// shiftd's job scheduler runs a job's stream-sharing cells through it as
+// one grid — one store lookup a cell, one batch for those that must be
+// simulated — and journals and publishes each cell on its own; a cluster
+// worker answers a batch with it. It reads ks only until it returns.
 func (e *Engine) RunKeyed(ks []KeyedConfig) ([]RunResult, []error) {
 	return e.runCells(ks, nil)
 }

@@ -219,13 +219,13 @@ func TestFigure7ParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestRunEachPerCellOutcomes: RunEach is RunAll with every cell's own
+// TestRunKeyedPerCellOutcomes: RunKeyed is RunAll with every cell's own
 // outcome. A grid of one workload's six designs — the shape of a job's
 // batch — with one design repeated, one member whose configuration is
 // invalid and one whose simulation panics costs exactly those two cells:
 // every other cell returns Run's result, the duplicate its twin's, and the
 // store is consulted once per distinct cell.
-func TestRunEachPerCellOutcomes(t *testing.T) {
+func TestRunKeyedPerCellOutcomes(t *testing.T) {
 	o := engineTestOptions()
 	var cfgs []Config
 	for _, d := range g12Designs {
@@ -243,7 +243,11 @@ func TestRunEachPerCellOutcomes(t *testing.T) {
 		}
 		return RunBatch(batch)
 	}
-	rs, errs := e.RunEach(cfgs)
+	ks := make([]KeyedConfig, len(cfgs))
+	for i, cfg := range cfgs {
+		ks[i] = KeyConfig(cfg)
+	}
+	rs, errs := e.RunKeyed(ks)
 	if len(rs) != len(cfgs) || len(errs) != len(cfgs) {
 		t.Fatalf("%d results, %d errors for %d cells", len(rs), len(errs), len(cfgs))
 	}
@@ -278,7 +282,7 @@ func TestRunEachPerCellOutcomes(t *testing.T) {
 	// Everything that succeeded is stored: the same grid again simulates
 	// only the two failing cells.
 	before := e.Stats().Simulated
-	if _, errs := e.RunEach(cfgs); errs[panics] == nil || errs[invalid] == nil {
+	if _, errs := e.RunKeyed(ks); errs[panics] == nil || errs[invalid] == nil {
 		t.Error("the failing cells succeeded on the second pass")
 	}
 	if hits, _ := cache.Stats(); hits != int64(len(cfgs)-3) {

@@ -31,6 +31,8 @@ type Figure10 struct {
 	Workloads []string
 	// Designs is the inner grid axis, in rendering order.
 	Designs []Design
+	// CoresEach is how many cores run each consolidated workload.
+	CoresEach int
 }
 
 // RunFigure10 regenerates Figure 10. Cores are split evenly across the
@@ -68,6 +70,7 @@ func RunFigure10(o Options) (*Figure10, error) {
 		Geo:       make(map[string]float64),
 		Workloads: names,
 		Designs:   designs,
+		CoresEach: per,
 	}
 	for _, n := range names {
 		fig.Speedup[n] = make(map[string]float64)
@@ -122,7 +125,11 @@ func (f *Figure10) SHIFTvsPIF32KAbsolute() float64 {
 
 // String renders the consolidation speedup table.
 func (f *Figure10) String() string {
-	header := []string{"Workload (4 cores each)"}
+	each := fmt.Sprintf("Workload (%d cores each)", f.CoresEach)
+	if f.CoresEach == 1 {
+		each = "Workload (1 core each)"
+	}
+	header := []string{each}
 	for _, d := range f.Designs {
 		header = append(header, d.String())
 	}

@@ -44,9 +44,9 @@ import (
 type State int
 
 // Worker health states. A worker starts Up (optimistically routable),
-// turns Suspect after SuspectAfter consecutive failures (deprioritized
+// turns Suspect after suspectAfter consecutive failures (deprioritized
 // but still routable when nothing healthier exists), and Down after
-// DownAfter (not routed to, but still probed — a recovered worker
+// downAfter (not routed to, but still probed — a recovered worker
 // rejoins automatically on its next successful heartbeat or dispatch).
 const (
 	// Up marks a worker answering dispatches and probes.
@@ -55,6 +55,15 @@ const (
 	Suspect
 	// Down marks a worker past the failure threshold.
 	Down
+)
+
+// The health state machine's thresholds, in consecutive failures, and
+// the retry.Policy Base between re-routes (re-route k waits up to
+// retryDelay<<k).
+const (
+	suspectAfter = 1
+	downAfter    = 3
+	retryDelay   = 25 * time.Millisecond
 )
 
 // String names the state for logs, stats, and readiness reports.
@@ -153,21 +162,12 @@ type Config struct {
 	// background prober; Probe can still be called manually — tests
 	// drive health deterministically this way).
 	HeartbeatEvery time.Duration
-	// SuspectAfter is the consecutive-failure count that turns a worker
-	// Suspect (0 = default 1).
-	SuspectAfter int
-	// DownAfter is the consecutive-failure count that turns a worker
-	// Down (0 = default 3).
-	DownAfter int
 	// BatchTimeout bounds one dispatch attempt (0 = default 2m).
 	BatchTimeout time.Duration
 	// Retries is how many additional workers a failed batch is
 	// re-routed to before degrading to in-process execution (0 =
 	// default: every remaining worker; negative = none).
 	Retries int
-	// RetryDelay is the retry.Policy Base between re-routes: re-route k
-	// waits up to RetryDelay<<k (0 = default 25ms).
-	RetryDelay time.Duration
 	// HedgeAfter is how long a dispatch may run before a speculative
 	// duplicate is sent to the next worker in the failover order
 	// (0 disables hedging).
@@ -204,17 +204,8 @@ func New(cfg Config) *Coordinator {
 	if router == nil {
 		router = &AffinityRouter{}
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
-	}
 	if cfg.BatchTimeout <= 0 {
 		cfg.BatchTimeout = 2 * time.Minute
-	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 25 * time.Millisecond
 	}
 	if cfg.Retries == 0 {
 		cfg.Retries = math.MaxInt - 1 // every worker: errNoWorker ends exec's loop
@@ -326,8 +317,8 @@ func (c *Coordinator) markUp(m *Member) {
 }
 
 // markFailed records a failed dispatch or probe and advances the
-// health state machine: SuspectAfter consecutive failures turn the
-// worker Suspect, DownAfter turn it Down.
+// health state machine: suspectAfter consecutive failures turn the
+// worker Suspect, downAfter turn it Down.
 func (c *Coordinator) markFailed(m *Member, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -336,9 +327,9 @@ func (c *Coordinator) markFailed(m *Member, err error) {
 		m.lastErr = err.Error()
 	}
 	switch {
-	case m.fails >= c.cfg.DownAfter:
+	case m.fails >= downAfter:
 		m.state = Down
-	case m.fails >= c.cfg.SuspectAfter:
+	case m.fails >= suspectAfter:
 		m.state = Suspect
 	}
 }
@@ -458,7 +449,7 @@ func (c *Coordinator) exec(cfgs []shift.Config) ([]shift.RunResult, error) {
 	tried := make(map[string]bool)
 	order := c.pickOrder(streamKey, tried)
 	var rs []shift.RunResult
-	err := retry.Policy{Base: c.cfg.RetryDelay}.Do(max(c.cfg.Retries, 0)+1, func(attempt int) error {
+	err := retry.Policy{Base: retryDelay}.Do(max(c.cfg.Retries, 0)+1, func(attempt int) error {
 		if len(order) == 0 {
 			return errNoWorker // only at attempt 0: later ones are checked below
 		}

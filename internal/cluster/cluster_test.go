@@ -200,9 +200,8 @@ func TestClusterChaosKillAndPartition(t *testing.T) {
 			chaos.set(t, srvs[victims[1]].URL, &chaosRule{partitioned: true, killAfter: -1})
 
 			coord, eng := newCoordinatorEngine(t, Config{
-				Peers:      []string{srvs[0].URL, srvs[1].URL, srvs[2].URL},
-				Client:     &http.Client{Transport: chaos},
-				RetryDelay: time.Millisecond,
+				Peers:  []string{srvs[0].URL, srvs[1].URL, srvs[2].URL},
+				Client: &http.Client{Transport: chaos},
 			})
 			fig, err := shift.RunFigure7(quadOptions(eng))
 			if err != nil {
@@ -239,10 +238,9 @@ func TestClusterRerouteMidSweep(t *testing.T) {
 	chaos := newChaosTransport()
 	chaos.set(t, srv1.URL, &chaosRule{killAfter: 1})
 	coord, eng := newCoordinatorEngine(t, Config{
-		Peers:      []string{srv1.URL, srv2.URL},
-		Router:     &RoundRobinRouter{}, // guarantees srv1 is picked for some batch
-		Client:     &http.Client{Transport: chaos},
-		RetryDelay: time.Millisecond,
+		Peers:  []string{srv1.URL, srv2.URL},
+		Router: &RoundRobinRouter{}, // guarantees srv1 is picked for some batch
+		Client: &http.Client{Transport: chaos},
 	})
 	fig, err := shift.RunFigure7(quadOptions(eng))
 	if err != nil {
@@ -274,7 +272,6 @@ func TestClusterStallHedges(t *testing.T) {
 		Client:       &http.Client{Transport: chaos},
 		HedgeAfter:   20 * time.Millisecond,
 		BatchTimeout: 10 * time.Second,
-		RetryDelay:   time.Millisecond,
 	})
 	res, err := eng.RunOne(tinyConfig(shift.DesignSHIFT))
 	if err != nil {
@@ -314,7 +311,6 @@ func TestFailedHedgeIsNotRetried(t *testing.T) {
 		Peers:      []string{primary.URL, hedge.URL},
 		Router:     preferRouter{prefix: primary.URL},
 		HedgeAfter: 20 * time.Millisecond,
-		RetryDelay: time.Millisecond,
 	})
 	defer coord.Close()
 	cfg := tinyConfig(shift.DesignBaseline)
@@ -363,9 +359,8 @@ func TestAllWorkersDownFallsBack(t *testing.T) {
 	srv, _, _ := newTestWorker(t)
 	chaos.set(t, srv.URL, &chaosRule{partitioned: true, killAfter: -1})
 	coord, eng := newCoordinatorEngine(t, Config{
-		Peers:      []string{srv.URL, "127.0.0.1:1"},
-		Client:     &http.Client{Transport: chaos},
-		RetryDelay: time.Millisecond,
+		Peers:  []string{srv.URL, "127.0.0.1:1"},
+		Client: &http.Client{Transport: chaos},
 	})
 	fig, err := shift.RunFigure7(tinyOptions(eng))
 	if err != nil {
@@ -394,7 +389,7 @@ func TestProbeHealthStateMachine(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	coord := New(Config{Peers: []string{srv.URL}, SuspectAfter: 1, DownAfter: 3})
+	coord := New(Config{Peers: []string{srv.URL}})
 	defer coord.Close()
 
 	state := func() string { return coord.Members()[0].State }

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"shift"
 	"shift/internal/store"
@@ -51,10 +50,9 @@ func TestClusterPersistsAcrossWorkerRestarts(t *testing.T) {
 	chaos := newChaosTransport()
 	chaos.set(t, srv1.URL, &chaosRule{killAfter: 1})
 	coord1, eng1 := newCoordinatorEngine(t, Config{
-		Peers:      []string{srv1.URL, srv2.URL},
-		Router:     &RoundRobinRouter{},
-		Client:     &http.Client{Transport: chaos},
-		RetryDelay: time.Millisecond,
+		Peers:  []string{srv1.URL, srv2.URL},
+		Router: &RoundRobinRouter{},
+		Client: &http.Client{Transport: chaos},
 	})
 	fig1, err := shift.RunFigure7(quadOptions(eng1))
 	if err != nil {

@@ -87,10 +87,14 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	w.batches.Add(1)
 	w.cells.Add(int64(len(req.Cells)))
 
-	results, errs := w.engine.RunEach(req.Cells)
-	resp := BatchResponse{Results: make([]BatchResult, len(req.Cells))}
+	ks := make([]shift.KeyedConfig, len(req.Cells))
 	for i, cfg := range req.Cells {
-		resp.Results[i].Key = cfg.Key()
+		ks[i] = shift.KeyConfig(cfg)
+	}
+	results, errs := w.engine.RunKeyed(ks)
+	resp := BatchResponse{Results: make([]BatchResult, len(ks))}
+	for i, k := range ks {
+		resp.Results[i].Key = k.Key()
 		if errs[i] != nil {
 			// Unwrap drops the engine's "cell <label>: " annotation —
 			// whichever caller's label it carries — so the raw simulation

@@ -9,7 +9,8 @@ import (
 // Replayer is the per-core SHIFT logic: a stream address buffer file plus
 // the "simple logic to read instruction streams from the shared history
 // buffer and issue prefetch requests" (Section 4). It implements
-// prefetch.Prefetcher.
+// prefetch.Prefetcher. Over a Private history it is also PIF's and
+// TIFS's replay engine.
 type Replayer struct {
 	sh     *SharedHistory
 	coreID int
@@ -31,6 +32,38 @@ func (sh *SharedHistory) CorePrefetcher(coreID int) *Replayer {
 	}
 }
 
+// Private is one core's replay engine over a history nobody shares: the
+// Dedicated variant with core 0 as its generator and its only reader,
+// and an index of explicit geometry. PIF records the core's access stream
+// into it, TIFS its miss stream.
+type Private struct{ Replayer }
+
+// NewPrivate builds a private history of histEntries records, indexed by
+// an indexEntries-entry, indexAssoc-way table, replayed through sab.
+func NewPrivate(histEntries, indexEntries, indexAssoc int, sab history.SABConfig) (Private, error) {
+	sh, err := NewSharedHistory(Config{
+		Variant:      Dedicated,
+		HistEntries:  histEntries,
+		SAB:          sab,
+		IndexEntries: indexEntries,
+		IndexAssoc:   indexAssoc,
+	}, nil)
+	if err != nil {
+		return Private{}, err
+	}
+	return Private{Replayer{sh: sh, coreID: 0, sab: history.MustNewSAB(sab)}}, nil
+}
+
+// Release hands the history and index storage back for the next
+// NewPrivate of the same sizes (see SharedHistory.Release). The caller
+// must not use p again.
+func (p *Private) Release() { p.sh.Release() }
+
+// History exposes the private history buffer (read-only use: the
+// functional-vs-detailed warm-state differential tests compare history
+// contents across stepping modes).
+func (p *Private) History() *history.Buffer { return p.sh.History() }
+
 // Name implements prefetch.Prefetcher.
 func (r *Replayer) Name() string { return r.sh.cfg.Variant.String() }
 
@@ -41,15 +74,29 @@ func (r *Replayer) PrefetchStats() prefetch.Stats { return r.stats }
 // history (the role may rotate; see SharedHistory.SetGenerator).
 func (r *Replayer) IsGenerator() bool { return r.coreID == r.sh.generator }
 
-// OnAccess implements prefetch.Prefetcher.
+// OnAccess implements prefetch.Prefetcher: Replay, then record the
+// access (WarmAccess).
 func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
+	out := r.Replay(a)
+	r.WarmAccess(a.Block, a.Hit)
+	return out
+}
+
+// Replay is the reading side of OnAccess: it advances the stream covering
+// a.Block, reading ahead as the stream drains, or on a miss (any uncovered
+// access under AllocOnAccess) starts a stream from the block's most recent
+// occurrence in the history, and returns the window's prefetches. It
+// records nothing, so a design that records something other than the
+// access stream (TIFS's miss stream) replays through it and records
+// itself.
+func (r *Replayer) Replay(a prefetch.Access) []prefetch.Request {
 	r.out = r.out[:0]
 	r.stats.Accesses++
 	if !a.Hit {
 		r.stats.Misses++
 	}
 
-	// Replay: advance the covering stream.
+	// Advance the covering stream.
 	si, needed, covered := r.sab.Advance(a.Block)
 	if covered {
 		r.stats.CoveredAccesses++
@@ -68,9 +115,6 @@ func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
 			r.allocate(pos, a.Block)
 		}
 	}
-
-	// Record: only the history generator core writes the shared history.
-	r.WarmAccess(a.Block, a.Hit)
 	return r.out
 }
 

@@ -12,7 +12,8 @@
 //     reachable in zero cycles. This is the paper's "ZeroLat-SHIFT"
 //     comparison point (Section 5.3), which isolates SHIFT's prediction
 //     quality from its LLC-residency costs. With one reader it is also
-//     PIF's private history (see package pif).
+//     the private history PIF and TIFS replay (Private; packages pif
+//     and tifs), which differ only in what they record.
 //
 //   - Virtualized: the history buffer lives in the LLC at a reserved,
 //     non-evictable physical range starting at HBBase, written through a

@@ -7,13 +7,13 @@
 // index table from trigger addresses to history positions, and a stream
 // address buffer file that replays streams and issues prefetches.
 //
-// That is SHIFT's replay engine over a history nobody shares: a PIF is
-// core.SharedHistory's dedicated (zero-latency) variant with the core as
-// its only reader and its generator, sized by PIF's history and index
-// geometry. The paper builds SHIFT out of PIF's history and stream
-// address buffers (Section 4); here PIF is built back out of SHIFT's,
-// so who shares the history is a parameter, not a second
-// implementation.
+// That is SHIFT's replay engine over a history nobody shares: a PIF is a
+// core.Private (the dedicated, zero-latency variant with the core as its
+// only reader and its generator), sized by PIF's history and index
+// geometry, that records the core's access stream. The paper builds
+// SHIFT out of PIF's history and stream address buffers (Section 4);
+// here PIF is built back out of SHIFT's, so who shares the history is a
+// parameter, not a second implementation.
 //
 // Two design points from the paper are provided:
 //
@@ -97,8 +97,7 @@ func (c Config) Name() string {
 // PIF is one core's prefetcher: SHIFT's replay logic over a private,
 // dedicated history that only this core records and reads.
 type PIF struct {
-	*core.Replayer
-	sh   *core.SharedHistory
+	core.Private
 	name string
 }
 
@@ -107,18 +106,11 @@ func New(cfg Config) (*PIF, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sh, err := core.NewSharedHistory(core.Config{
-		Variant:       core.Dedicated,
-		HistEntries:   cfg.HistEntries,
-		GeneratorCore: 0,
-		SAB:           cfg.SAB,
-		IndexEntries:  cfg.IndexEntries,
-		IndexAssoc:    cfg.IndexAssoc,
-	}, nil)
+	h, err := core.NewPrivate(cfg.HistEntries, cfg.IndexEntries, cfg.IndexAssoc, cfg.SAB)
 	if err != nil {
 		return nil, err
 	}
-	return &PIF{Replayer: sh.CorePrefetcher(0), sh: sh, name: cfg.Name()}, nil
+	return &PIF{Private: h, name: cfg.Name()}, nil
 }
 
 // MustNew panics on config errors.
@@ -132,16 +124,6 @@ func MustNew(cfg Config) *PIF {
 
 // Name implements prefetch.Prefetcher.
 func (p *PIF) Name() string { return p.name }
-
-// Release hands the history and index storage back for the next New of
-// the same sizes (see history.Buffer.Release). The caller must not use
-// p again.
-func (p *PIF) Release() { p.sh.Release() }
-
-// History exposes the private history buffer (read-only use: the
-// functional-vs-detailed warm-state differential tests compare history
-// contents across stepping modes).
-func (p *PIF) History() *history.Buffer { return p.sh.History() }
 
 var (
 	_ prefetch.Prefetcher    = (*PIF)(nil)

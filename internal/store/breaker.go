@@ -17,19 +17,17 @@ const (
 	BreakerHalfOpen = "half-open"
 )
 
-// BreakerConfig parameterizes a Breaker. The zero value selects the
-// defaults noted on each field.
+// A breaker trips when breakerThreshold of the breakerWindow most recent
+// operations failed (a sustained 50% error rate), and stays open for
+// breakerCooldown before it lets a half-open recovery probe through.
+const (
+	breakerWindow    = 16
+	breakerThreshold = 8
+	breakerCooldown  = 5 * time.Second
+)
+
+// BreakerConfig parameterizes a Breaker.
 type BreakerConfig struct {
-	// Window is the number of most-recent operations considered when
-	// deciding to trip (0 = 16).
-	Window int
-	// Threshold is the number of failed operations within the window
-	// that trips the breaker (0 = 8; with the default window, a
-	// sustained 50% error rate).
-	Threshold int
-	// Cooldown is how long the breaker stays open before allowing a
-	// half-open recovery probe (0 = 5s).
-	Cooldown time.Duration
 	// Now supplies the clock (nil = time.Now; tests inject a fake).
 	Now func() time.Time
 }
@@ -48,9 +46,8 @@ type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
 	state    string
-	ring     []bool // outcome window; true = failure
+	ring     [breakerWindow]bool // outcome window; true = failure
 	pos      int
-	filled   int
 	failures int
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
@@ -60,19 +57,10 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Window <= 0 {
-		cfg.Window = 16
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 8
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Breaker{cfg: cfg, state: BreakerClosed, ring: make([]bool, cfg.Window)}
+	return &Breaker{cfg: cfg, state: BreakerClosed}
 }
 
 // Allow reports whether the protected operation may run now. While
@@ -89,7 +77,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.cfg.Now().Sub(b.openedAt) < breakerCooldown {
 			b.rejected++
 			return false
 		}
@@ -125,10 +113,7 @@ func (b *Breaker) Record(failed bool) {
 			b.failures++
 		}
 		b.pos = (b.pos + 1) % len(b.ring)
-		if b.filled < len(b.ring) {
-			b.filled++
-		}
-		if b.failures >= b.cfg.Threshold {
+		if b.failures >= breakerThreshold {
 			b.trip()
 		}
 	case BreakerHalfOpen:
@@ -159,7 +144,7 @@ func (b *Breaker) reset() {
 	for i := range b.ring {
 		b.ring[i] = false
 	}
-	b.pos, b.filled, b.failures = 0, 0, 0
+	b.pos, b.failures = 0, 0
 }
 
 // State returns the current state: BreakerClosed, BreakerOpen, or

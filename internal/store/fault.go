@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // ErrInjected marks a failure synthesized by a Fault store, so chaos
@@ -37,15 +36,11 @@ type FaultPlan struct {
 	// ENOSPCRate is the probability a Put fails with syscall.ENOSPC —
 	// a full disk, which Retry must not retry.
 	ENOSPCRate float64
-	// Latency is added to every operation via Sleep when nonzero.
-	Latency time.Duration
-	// Sleep performs the latency wait (nil = time.Sleep).
-	Sleep func(time.Duration)
 }
 
 // Fault wraps a Blobs with deterministic, seedable fault injection:
-// transient IO errors, bit-rot and torn reads, ENOSPC writes, and added
-// latency, each at a configured rate — the failure model the chaos
+// transient IO errors, bit-rot and torn reads and ENOSPC writes, each at
+// a configured rate — the failure model the chaos
 // suite drives every resilience layer with. Faults are drawn per
 // operation from the plan's seeded source, so a test's fault schedule
 // is a pure function of (seed, operation sequence). SetPlan swaps the
@@ -80,9 +75,6 @@ func NewFault(inner Blobs, plan FaultPlan) *Fault {
 func (f *Fault) SetPlan(plan FaultPlan) {
 	if plan.Seed == 0 {
 		plan.Seed = 1
-	}
-	if plan.Sleep == nil {
-		plan.Sleep = time.Sleep
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -151,9 +143,6 @@ func scripted(ctr *atomic.Int64) bool {
 // corrupt/torn reads.
 func (f *Fault) Get(key string) ([]byte, bool, error) {
 	p, plan := f.roll()
-	if plan.Latency > 0 {
-		plan.Sleep(plan.Latency)
-	}
 	if scripted(&f.failGets) || p < plan.GetErrorRate {
 		f.injected.Add(1)
 		return nil, false, fmt.Errorf("%w: get %q", ErrInjected, key)
@@ -178,9 +167,6 @@ func (f *Fault) Get(key string) ([]byte, bool, error) {
 // Put stores blob under key, subject to injected errors and ENOSPC.
 func (f *Fault) Put(key string, blob []byte) error {
 	p, plan := f.roll()
-	if plan.Latency > 0 {
-		plan.Sleep(plan.Latency)
-	}
 	if scripted(&f.failPuts) || p < plan.PutErrorRate {
 		f.injected.Add(1)
 		return fmt.Errorf("%w: put %q", ErrInjected, key)

@@ -232,23 +232,22 @@ func (f failingBlobs) Len() (int, error)                { return 0, f.err }
 // a failed probe re-opens, a successful probe closes.
 func TestBreakerTripOpenHalfOpenRecover(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(BreakerConfig{Window: 8, Threshold: 4, Cooldown: 5 * time.Second,
-		Now: func() time.Time { return now }})
+	b := NewBreaker(BreakerConfig{Now: func() time.Time { return now }})
 
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state %s", b.State())
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		if !b.Allow() {
 			t.Fatal("closed breaker must allow")
 		}
 		b.Record(true)
 	}
 	if b.State() != BreakerClosed {
-		t.Fatal("3 failures below threshold must not trip")
+		t.Fatal("failures below threshold must not trip")
 	}
 	b.Allow()
-	b.Record(true) // 4th failure: trip
+	b.Record(true) // threshold-th failure: trip
 	if b.State() != BreakerOpen || b.Trips() != 1 {
 		t.Fatalf("state %s trips %d, want open/1", b.State(), b.Trips())
 	}
@@ -259,7 +258,7 @@ func TestBreakerTripOpenHalfOpenRecover(t *testing.T) {
 		t.Fatalf("rejected: got %d want 1", b.Rejected())
 	}
 
-	now = now.Add(6 * time.Second)
+	now = now.Add(breakerCooldown + time.Second)
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker must admit a half-open probe")
 	}
@@ -274,7 +273,7 @@ func TestBreakerTripOpenHalfOpenRecover(t *testing.T) {
 		t.Fatalf("state %s trips %d, want open/2", b.State(), b.Trips())
 	}
 
-	now = now.Add(6 * time.Second)
+	now = now.Add(breakerCooldown + time.Second)
 	if !b.Allow() {
 		t.Fatal("second probe must be admitted")
 	}
@@ -293,19 +292,23 @@ func TestBreakerTripOpenHalfOpenRecover(t *testing.T) {
 // TestBreakerSlidingWindowEvicts: failures older than the window must
 // stop counting toward the threshold.
 func TestBreakerSlidingWindowEvicts(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Window: 4, Threshold: 3})
-	outcomes := []bool{true, true, false, false, false, true} // last 4: f,f,f,t → 1 failure... then add 2 more true
-	for _, failed := range outcomes {
-		b.Allow()
-		b.Record(failed)
+	b := NewBreaker(BreakerConfig{})
+	record := func(failed bool, n int) {
+		for ; n > 0; n-- {
+			b.Allow()
+			b.Record(failed)
+		}
 	}
+	// Threshold-1 failures, pushed out of the window by a window of
+	// successes, then threshold-1 failures again: never threshold in one
+	// window.
+	record(true, breakerThreshold-1)
+	record(false, breakerWindow)
+	record(true, breakerThreshold-1)
 	if b.State() != BreakerClosed {
 		t.Fatal("evicted failures must not trip")
 	}
-	b.Allow()
-	b.Record(true)
-	b.Allow()
-	b.Record(true) // window now t,f,t,t? → 3 failures: trip
+	record(true, 1)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %s, want open once window holds threshold failures", b.State())
 	}

@@ -9,6 +9,12 @@
 // miss, the most recent occurrence of that miss address is located and
 // the misses that followed it are prefetched.
 //
+// Like PIF, a TIFS is SHIFT's replay engine over a private history
+// (core.Private) and differs from PIF only in its recording policy:
+// plain hits are counted and never replayed; a miss, or the first use of
+// a prefetched block, is replayed and then written at once as one
+// single-block record; functional warming records the L1-I misses.
+//
 // The paper's Section 2.2 explains why PIF superseded it: miss streams
 // depend on cache content, which changes over time (and changes under
 // prefetching itself), while access streams are a property of the
@@ -21,6 +27,7 @@ package tifs
 import (
 	"fmt"
 
+	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/prefetch"
 	"shift/internal/trace"
@@ -56,17 +63,13 @@ func (c Config) Validate() error {
 	return c.SAB.Validate()
 }
 
-// TIFS is one core's prefetcher instance.
+// TIFS is one core's prefetcher: SHIFT's replay engine over a private
+// history of single-block miss records. It keeps only its recording
+// policy; the replayer is a field, not embedded, so TIFS is a
+// prefetch.Warmer of misses and never a prefetch.RecordWarmer.
 type TIFS struct {
-	cfg   Config
-	buf   *history.Buffer
-	index *history.IndexTable
-	sab   *history.SAB
-
-	stats prefetch.Stats
-	out   []prefetch.Request
-	tmp   []history.Region
-	blks  []trace.BlockAddr
+	h    core.Private
+	hits int64 // plain hits: counted, never replayed or recorded
 }
 
 // New builds a per-core TIFS.
@@ -74,21 +77,17 @@ func New(cfg Config) (*TIFS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &TIFS{
-		cfg:   cfg,
-		buf:   history.MustNewBuffer(cfg.HistEntries),
-		index: history.MustNewIndexTable(cfg.IndexEntries, cfg.IndexAssoc),
-		sab:   history.MustNewSAB(cfg.SAB),
-	}, nil
+	h, err := core.NewPrivate(cfg.HistEntries, cfg.IndexEntries, cfg.IndexAssoc, cfg.SAB)
+	if err != nil {
+		return nil, err
+	}
+	return &TIFS{h: h}, nil
 }
 
 // Release hands the history and index storage back for the next New of
 // the same sizes (see history.Buffer.Release). The caller must not use
 // t again.
-func (t *TIFS) Release() {
-	t.buf.Release()
-	t.index.Release()
-}
+func (t *TIFS) Release() { t.h.Release() }
 
 // MustNew panics on config errors.
 func MustNew(cfg Config) *TIFS {
@@ -103,54 +102,25 @@ func MustNew(cfg Config) *TIFS {
 func (t *TIFS) Name() string { return "TIFS" }
 
 // PrefetchStats implements prefetch.StatsReporter.
-func (t *TIFS) PrefetchStats() prefetch.Stats { return t.stats }
+func (t *TIFS) PrefetchStats() prefetch.Stats {
+	s := t.h.PrefetchStats()
+	s.Accesses += t.hits
+	return s
+}
 
-// OnAccess implements prefetch.Prefetcher. Only misses are recorded and
-// only misses start or advance streams — the defining property of
-// miss-stream prefetching.
+// OnAccess implements prefetch.Prefetcher. Plain hits are invisible to a
+// miss-stream prefetcher. A miss, or the first use of a prefetched block
+// (which would have been a miss without the prefetcher), belongs to the
+// miss stream: it is replayed (only a miss starts a stream), then
+// recorded as one single-block record.
 func (t *TIFS) OnAccess(a prefetch.Access) []prefetch.Request {
-	t.out = t.out[:0]
-	t.stats.Accesses++
 	if a.Hit && !a.WasPrefetch {
-		// Plain hits are invisible to a miss-stream prefetcher.
+		t.hits++
 		return nil
 	}
-	// A miss, or the first use of a prefetched block (which would have
-	// been a miss without the prefetcher): both belong to the miss
-	// stream.
-	if !a.Hit {
-		t.stats.Misses++
-	}
-
-	si, needed, covered := t.sab.Advance(a.Block)
-	if covered {
-		t.stats.CoveredAccesses++
-		if !a.Hit {
-			t.stats.CoveredMisses++
-		}
-		if needed > 0 {
-			t.readAhead(si, needed)
-		}
-		t.emitWindow(si, a.Block)
-	} else if !a.Hit {
-		if pos, ok := t.index.Lookup(a.Block); ok && t.buf.Valid(pos) {
-			si := t.sab.Alloc()
-			t.stats.StreamAllocs++
-			recs, next := t.buf.ReadSeq(t.tmp[:0], pos, t.cfg.SAB.Lookahead)
-			t.tmp = recs // retain the grown backing array across calls
-			t.sab.FillRegions(si, recs, next)
-			t.emitWindow(si, a.Block)
-		}
-	}
-
-	// Record the miss stream: one single-block record per miss.
-	if !a.Hit || a.WasPrefetch {
-		pos := t.buf.Append(history.Region{Trigger: a.Block})
-		t.index.Update(a.Block, pos)
-		t.stats.RecordsWritten++
-		t.stats.IndexUpdates++
-	}
-	return t.out
+	out := t.h.Replay(a)
+	t.h.WarmRecord(history.Region{Trigger: a.Block})
+	return out
 }
 
 // WarmNeeds implements prefetch.Warmer: TIFS records the miss stream.
@@ -164,43 +134,15 @@ func (t *TIFS) WarmNeeds() prefetch.WarmNeed { return prefetch.WarmMisses }
 // prefetches perturb coverage, e.g. in prediction mode — the
 // access-vs-miss-stream fragility the paper's Section 2.2 describes).
 func (t *TIFS) WarmAccess(blk trace.BlockAddr, l1Hit bool) {
-	if l1Hit {
-		return
+	if !l1Hit {
+		t.h.WarmRecord(history.Region{Trigger: blk})
 	}
-	pos := t.buf.Append(history.Region{Trigger: blk})
-	t.index.Update(blk, pos)
-	t.stats.RecordsWritten++
-	t.stats.IndexUpdates++
 }
 
 // History exposes the private miss-history buffer (read-only use: the
 // functional-vs-detailed warm-state differential tests compare history
 // contents across stepping modes).
-func (t *TIFS) History() *history.Buffer { return t.buf }
-
-// readAhead tops stream si up with `needed` records.
-func (t *TIFS) readAhead(si, needed int) {
-	pos := t.sab.NextPos(si)
-	if !t.buf.Valid(pos) {
-		return
-	}
-	recs, next := t.buf.ReadSeq(t.tmp[:0], pos, needed)
-	t.tmp = recs
-	if len(recs) == 0 {
-		return
-	}
-	t.sab.FillRegions(si, recs, next)
-}
-
-// emitWindow issues prefetches for un-issued records in the lookahead
-// window. TIFS records are single miss addresses (empty vectors), so
-// the fused block emission yields exactly the triggers.
-func (t *TIFS) emitWindow(si int, current trace.BlockAddr) {
-	t.blks = t.sab.TakePrefetchBlocks(si, current, t.blks[:0])
-	for _, b := range t.blks {
-		t.out = append(t.out, prefetch.Request{Block: b})
-	}
-}
+func (t *TIFS) History() *history.Buffer { return t.h.History() }
 
 var (
 	_ prefetch.Prefetcher    = (*TIFS)(nil)

@@ -116,3 +116,16 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	MustNew(Config{})
 }
+
+// TestNotARecordWarmer: functional warming hands a RecordWarmer the
+// access stream's region records, which are not TIFS's history; TIFS
+// must be warmed through WarmAccess with the L1-I outcome.
+func TestNotARecordWarmer(t *testing.T) {
+	var p prefetch.Prefetcher = MustNew(testCfg())
+	if _, ok := p.(prefetch.RecordWarmer); ok {
+		t.Error("TIFS is a prefetch.RecordWarmer")
+	}
+	if w, ok := p.(prefetch.Warmer); !ok || w.WarmNeeds() != prefetch.WarmMisses {
+		t.Error("TIFS is not a prefetch.Warmer of the misses")
+	}
+}

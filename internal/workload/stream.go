@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-
-	"shift/internal/trace"
-)
+import "shift/internal/trace"
 
 // streamChunk is the record-production granularity of a CoreStream: the
 // producer runs the stack-machine executor for this many records in one
@@ -33,24 +29,8 @@ const streamChunk = 1024
 // views must be advanced from a single goroutine, exactly how the
 // batch runner drives its systems.
 type CoreStream struct {
-	src *CoreReader
-	// gen is the generic record source when the stream wraps something
-	// other than the synthetic generator (a phased or replay Source);
-	// exactly one of src and gen is set. Keeping the concrete generator
-	// in its own field devirtualizes the production hot path for the
-	// common case.
-	gen   trace.Reader
+	src   *CoreReader
 	views []StreamView
-
-	// supply is the total record count a bounded source (trace.Supplier)
-	// can produce, or -1 for unbounded sources. Views report it through
-	// their own Supply method so the simulator's up-front window check
-	// sees through the fan-out.
-	supply int64
-	// pad is the record used to fill a chunk past a bounded source's
-	// end. Chunks are fixed-size, so the tail of the final chunk is
-	// padded; a run validated against supply never consumes pad records.
-	pad trace.Record
 
 	// chunks is the live window; chunks[0] holds records starting at
 	// absolute index base. Every chunk is exactly streamChunk records
@@ -85,41 +65,11 @@ func unpackRecord(w uint64) trace.Record {
 // bit-for-bit, including RNG-driven control-flow decisions — because
 // the views share one such reader.
 func (w *Workload) NewCoreStream(core, consumers int) *CoreStream {
-	cs := &CoreStream{src: w.NewCoreReader(core), supply: -1}
-	cs.init(consumers)
-	return cs
-}
-
-// NewStream returns a chunked single-producer replay of an arbitrary
-// record source for `consumers` lockstep consumers — the fan-out path
-// for Source-backed batches (phase sequences, trace replay). The record
-// sequence seen by every view is identical to reading src directly.
-// When src is bounded (trace.Supplier), the views are bounded too: they
-// report the source's remaining supply through their own Supply method,
-// and production past the source's end pads with the last real record
-// (padding is only ever produced, never consumed, in a run that passed
-// the supply check).
-func NewStream(src trace.Reader, consumers int) *CoreStream {
-	cs := &CoreStream{supply: -1}
-	if cr, ok := src.(*CoreReader); ok {
-		cs.src = cr
-	} else {
-		cs.gen = src
-		cs.pad = trace.Record{Block: AppBaseBlock, Instrs: 1, Kind: trace.KindSeq}
-		if s, ok := src.(trace.Supplier); ok {
-			cs.supply = s.Supply()
-		}
-	}
-	cs.init(consumers)
-	return cs
-}
-
-// init allocates the consumer views.
-func (cs *CoreStream) init(consumers int) {
-	cs.views = make([]StreamView, consumers)
+	cs := &CoreStream{src: w.NewCoreReader(core), views: make([]StreamView, consumers)}
 	for i := range cs.views {
 		cs.views[i].cs = cs
 	}
+	return cs
 }
 
 // View returns consumer i's reader over the shared stream.
@@ -150,24 +100,9 @@ func (cs *CoreStream) produce() {
 	} else {
 		buf = make([]uint64, streamChunk)
 	}
-	if cs.src != nil {
-		for i := range buf {
-			rec, _ := cs.src.Next() // CoreReader.Next never fails
-			buf[i] = packRecord(rec)
-		}
-	} else {
-		for i := range buf {
-			rec, err := cs.gen.Next()
-			if err != nil {
-				// Bounded source exhausted mid-chunk: pad the fixed-size
-				// chunk with the last real record. A simulation window
-				// validated against the views' Supply never reads pads.
-				rec = cs.pad
-			} else {
-				cs.pad = rec
-			}
-			buf[i] = packRecord(rec)
-		}
+	for i := range buf {
+		rec, _ := cs.src.Next() // CoreReader.Next never fails
+		buf[i] = packRecord(rec)
 	}
 	cs.chunks = append(cs.chunks, buf)
 	cs.produced += streamChunk
@@ -212,40 +147,4 @@ func (v *StreamView) nextSlow() (trace.Record, error) {
 	return unpackRecord(w), nil
 }
 
-// Skip advances the view past n records without decoding them. The
-// skipped records must already have been produced (the sampled batch
-// runner only skips followers across stretches the lead has consumed);
-// the cached-chunk fast path self-invalidates because the position
-// leaves the cached bounds. Skipping keeps the view's recycling
-// bookkeeping exact: chunks the skip passes become reclaimable exactly
-// as if the records had been read.
-func (v *StreamView) Skip(n int64) {
-	v.pos += n
-	for v.pos > v.cs.produced {
-		v.cs.produce()
-	}
-}
-
-// Records returns the number of records this view has consumed.
-func (v *StreamView) Records() int64 { return v.pos }
-
-// Supply implements trace.Supplier: the records the view can still
-// deterministically produce. Views over the unbounded synthetic
-// generators report an effectively infinite supply; views over a
-// bounded source (trace replay) report the recording's remainder, so
-// the simulator's up-front window check rejects undersized recordings
-// in batched runs exactly as it does standalone.
-func (v *StreamView) Supply() int64 {
-	if v.cs.supply < 0 {
-		return math.MaxInt64
-	}
-	if left := v.cs.supply - v.pos; left > 0 {
-		return left
-	}
-	return 0
-}
-
-var (
-	_ trace.Reader   = (*StreamView)(nil)
-	_ trace.Supplier = (*StreamView)(nil)
-)
+var _ trace.Reader = (*StreamView)(nil)

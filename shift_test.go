@@ -267,6 +267,9 @@ func TestFigure10(t *testing.T) {
 	if !strings.Contains(fig.String(), "Figure 10") {
 		t.Error("String output")
 	}
+	if o.Cores != 8 || !strings.Contains(fig.String(), "Workload (2 cores each)") {
+		t.Errorf("%d-core Figure 10 header does not say 2 cores each:\n%s", o.Cores, fig)
+	}
 }
 
 // TestFigure10RejectsTooFewCores: Figure 10 splits the cores evenly over
