@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -344,6 +345,52 @@ func TestJobCancel(t *testing.T) {
 	}
 	if final.CancelRequested {
 		t.Error("terminal status still advertises cancel_requested")
+	}
+}
+
+// cancelRefusingJournal is a journal that refuses every cancellation.
+type cancelRefusingJournal struct{ jobs.Journal }
+
+func (j cancelRefusingJournal) Append(e jobs.Entry) error {
+	if e.Op == jobs.OpCancel {
+		return errors.New("disk full")
+	}
+	return j.Journal.Append(e)
+}
+
+// TestJobCancelJournalRefused: a cancellation the journal refuses would
+// not survive a restart, so DELETE answers 503 and the job runs on.
+func TestJobCancelJournalRefused(t *testing.T) {
+	jn, err := jobs.OpenWAL(filepath.Join(t.TempDir(), "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, started, release, _ := newBlockedServer(t, jobs.Config{Workers: 1, Journal: cancelRefusingJournal{jn}})
+	sub := submitJob(t, ts.URL, []map[string]any{
+		{"workload": "Web Search", "design": "Baseline", "measure_records": 1000},
+		{"workload": "Web Search", "design": "SHIFT", "measure_records": 2000},
+	})
+	awaitStarted(t, started)
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+sub.StatusURL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("cancel refused by the journal answered %d, want 503", resp.StatusCode)
+	}
+	if st := getJobStatus(t, ts.URL, sub.ID); st.CancelRequested || st.Dropped != 0 || st.State == "cancelled" {
+		t.Fatalf("status after the refused cancel = %+v, want the job running", st)
+	}
+	release <- struct{}{}
+	release <- struct{}{}
+	if final := awaitJobState(t, ts.URL, sub.ID, "done"); final.Completed != 2 {
+		t.Fatalf("final status = %+v, want both cells completed", final)
 	}
 }
 

@@ -643,14 +643,18 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // handleJobCancel serves DELETE /v1/jobs/{id}: queued cells are
 // dropped, running cells finish and publish their results (the engine
 // seeds the store either way). Cancelling a finished job is a no-op;
-// the reply is the job's status after the cancellation request.
+// the reply is the job's status after the cancellation request. When the
+// journal refuses the cancellation the job runs on, and the reply is 503.
 func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Cancel(r.PathValue("id"))
-	if !ok {
+	j, err := s.jobs.Cancel(r.PathValue("id"))
+	switch {
+	case errors.Is(err, jobs.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
+	case err != nil:
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeJSON(w, http.StatusOK, jobStatus(j.Snapshot()))
 	}
-	writeJSON(w, http.StatusOK, jobStatus(j.Snapshot()))
 }
 
 // jobStreamEvent is one NDJSON line of GET /v1/jobs/{id}/stream: a

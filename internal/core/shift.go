@@ -185,6 +185,7 @@ type SharedHistory struct {
 	histWrites     int64
 	indexUpdates   int64
 	indexDropped   int64 // updates dropped because the trigger left the LLC
+	indexForeign   int64 // pointers rejected because another history set them
 }
 
 // NewSharedHistory builds the shared history. backend is required for the
@@ -306,9 +307,18 @@ func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr) (uint64, bool) 
 		if !ok {
 			return 0, false
 		}
+		// The LLC holds one pointer per block for every history (Section
+		// 4.3), so the pointer may be another history's write position.
+		// The record it points at says whose it is: in this history, the
+		// record a pointer was set for has the block as its trigger.
 		pos := uint64(ptr)
-		if !sh.buf.Valid(pos) {
+		r, ok := sh.buf.Read(pos)
+		if !ok {
 			return 0, false // pointer refers to overwritten history
+		}
+		if r.Trigger != blk {
+			sh.indexForeign++
+			return 0, false
 		}
 		return pos, true
 	}
@@ -321,7 +331,10 @@ type SharedStats struct {
 	HistWrites     int64
 	IndexUpdates   int64
 	IndexDropped   int64
-	WritePos       uint64
+	// IndexForeign counts replay lookups that found a pointer another
+	// history set (virtualized only) and so missed.
+	IndexForeign int64
+	WritePos     uint64
 }
 
 // History exposes the shared history buffer (read-only use: the
@@ -336,6 +349,7 @@ func (sh *SharedHistory) Stats() SharedStats {
 		HistWrites:     sh.histWrites,
 		IndexUpdates:   sh.indexUpdates,
 		IndexDropped:   sh.indexDropped,
+		IndexForeign:   sh.indexForeign,
 		WritePos:       sh.buf.WritePos(),
 	}
 }

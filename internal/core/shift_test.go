@@ -369,6 +369,40 @@ func TestGroupIsolation(t *testing.T) {
 	}
 }
 
+// TestForeignPointerRejected: virtualized groups share the LLC's one
+// pointer per block, so group B can find a pointer group A set. It is a
+// position in A's history, and B must not replay its own history from it.
+func TestForeignPointerRejected(t *testing.T) {
+	llc := newFakeLLC()
+	shs, err := NewGroups(testCfg(Virtualized), []Group{
+		{Name: "A", Cores: []int{0, 1}},
+		{Name: "B", Cores: []int{2, 3}},
+	}, llc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both histories record as many regions, so A's pointer is a valid
+	// position in B's history too.
+	feed(shs[0].CorePrefetcher(0), []trace.BlockAddr{100, 101, 500, 501, 900, 7000, 7001})
+	feed(shs[1].CorePrefetcher(2), []trace.BlockAddr{3000, 3001, 3500, 3501, 3900, 8000, 8001})
+	if _, ok := llc.pointers[100]; !ok {
+		t.Fatal("no index pointer recorded for A's trigger 100")
+	}
+	if reqs := shs[1].CorePrefetcher(3).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
+		t.Errorf("group B replayed its own history from A's pointer: %v", reqs)
+	}
+	if got := shs[1].Stats().IndexForeign; got != 1 {
+		t.Errorf("B's IndexForeign = %d, want 1", got)
+	}
+	// A's own lookup of the block still replays.
+	if reqs := shs[0].CorePrefetcher(1).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) == 0 {
+		t.Error("group A no longer replays from its own pointer")
+	}
+	if got := shs[0].Stats().IndexForeign; got != 0 {
+		t.Errorf("A's IndexForeign = %d, want 0", got)
+	}
+}
+
 func TestMustNewSharedHistoryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -234,8 +234,8 @@ func TestCancelBetweenBatches(t *testing.T) {
 	if got := r.awaitStart(t); !reflect.DeepEqual(got, []member{{"a", 1}, {"a", 2}}) {
 		t.Fatalf("first batch = %v, want the two cells of a", got)
 	}
-	if _, ok := m.Cancel(j.ID()); !ok {
-		t.Fatal("cancel failed")
+	if _, err := m.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
 	}
 	if st := j.Snapshot(); st.Dropped != 4 || st.State.Terminal() {
 		t.Fatalf("after cancel: %+v, want 4 dropped and the running batch outstanding", st)

@@ -122,10 +122,3 @@ func (b *Buckets) sweep() {
 		}
 	}
 }
-
-// Clients returns the number of tracked client buckets.
-func (b *Buckets) Clients() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.m)
-}

@@ -58,8 +58,8 @@ func TestBucketsAreIndependent(t *testing.T) {
 	if d := b.Take("b", 5); !d.OK {
 		t.Fatal("client b should be unaffected by client a")
 	}
-	if b.Clients() != 2 {
-		t.Fatalf("Clients() = %d, want 2", b.Clients())
+	if clients(b) != 2 {
+		t.Fatalf("Clients() = %d, want 2", clients(b))
 	}
 }
 
@@ -69,8 +69,8 @@ func TestBucketSweep(t *testing.T) {
 	for i := 0; i < maxClients; i++ {
 		b.Take(fmt.Sprintf("c%d", i), 1)
 	}
-	if b.Clients() != maxClients {
-		t.Fatalf("Clients() = %d, want %d", b.Clients(), maxClients)
+	if clients(b) != maxClients {
+		t.Fatalf("Clients() = %d, want %d", clients(b), maxClients)
 	}
 	// After every bucket refills to capacity, the next new client sweeps
 	// them all: full buckets are indistinguishable from fresh ones.
@@ -78,8 +78,8 @@ func TestBucketSweep(t *testing.T) {
 	if d := b.Take("fresh", 1); !d.OK {
 		t.Fatal("fresh client should be admitted")
 	}
-	if b.Clients() != 1 {
-		t.Fatalf("Clients() after sweep = %d, want 1", b.Clients())
+	if clients(b) != 1 {
+		t.Fatalf("Clients() after sweep = %d, want 1", clients(b))
 	}
 }
 
@@ -88,4 +88,11 @@ func TestBucketClamps(t *testing.T) {
 	if d := b.Take("a", 1); !d.OK {
 		t.Fatalf("clamped bucket take = %+v, want OK (rate and burst clamp to 1)", d)
 	}
+}
+
+// clients returns the number of client buckets b tracks.
+func clients(b *Buckets) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.m)
 }

@@ -149,7 +149,7 @@ const (
 // labels packed in one string, an index per finished cell into the
 // manager's shared results, the keys of the cells without one, the cell
 // states and the completion order. cells and attempts are needed only
-// while a cell can still run, and maybeFinalize drops them. The fields
+// while a cell can still run, and settleLocked drops them. The fields
 // that hold pointers come first: the collector scans an object only up to
 // its last pointer, and a finished job stays in the registry for up to
 // retainedCells later cells.
@@ -200,13 +200,12 @@ type Job struct {
 	// endedLocked) is closedChan.
 	changed chan struct{}
 
-	// journaling orders the job's cell completions against journal
-	// compaction: a worker holds it from the OpCell appends of the cells a
-	// batch settles to the completion that makes them visible to a
-	// snapshot, and a compaction holds every job's from its snapshot to the
-	// rewrite. So a snapshot never misses a cell whose record the rewrite
-	// then drops.
-	// Taken before mu, and after Manager.mu.
+	// journaling orders the job's journaled changes — cell completions
+	// and a cancel — among themselves and against compaction: each is
+	// appended and applied under it, and a compaction holds every job's
+	// from its snapshot to the rewrite, so the journal's order is the
+	// order they took effect in and a snapshot never misses a record the
+	// rewrite drops. Taken before mu, and after Manager.mu.
 	journaling sync.Mutex
 	mu         sync.Mutex
 
@@ -432,16 +431,16 @@ func (j *Job) cellEventLocked(i int, entries []*sharedResult) Event {
 }
 
 // finishCellLocked records cell i's outcome — its shared result s, or
-// err — in its slot and in the completion order, which publishes its
-// event. Called with mu held.
-func (j *Job) finishCellLocked(i int, s *sharedResult, err error) {
-	if err != nil {
+// the failure message msg — in its slot and in the completion order,
+// which publishes its event. Called with mu held.
+func (j *Job) finishCellLocked(i int, s *sharedResult, msg string) {
+	if msg != "" {
 		j.cellState[i] = cellFailed
 		j.failed++
 		if j.cellErrs == nil {
 			j.cellErrs = make([]string, len(j.cellState))
 		}
-		j.cellErrs[i] = err.Error()
+		j.cellErrs[i] = msg
 	} else {
 		j.cellState[i] = cellDone
 		j.completed++
@@ -510,32 +509,26 @@ func (j *Job) batchCells(cells []int) []shift.KeyedConfig {
 	return j.cells[first : first+n : first+n]
 }
 
-// completeCells records the outcome of each of cells (shared and errs
-// are index-aligned with it), which publishes their events — one wake-up
-// for the followers, however many cells a batch settles — and finalizes
-// the job if they were the last outstanding. It returns whether the job
-// just reached a terminal state and, if so, its submit-to-finish latency
-// in seconds.
-func (j *Job) completeCells(cells []int, shared []*sharedResult, errs []error, now time.Time) (finished bool, latency float64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.running -= len(cells)
-	for k, i := range cells {
-		j.finishCellLocked(i, shared[k], errs[k])
+// settleLocked drops the queued cells of a cancelled job and, once no
+// cell is queued or running, moves the job to its terminal state and drops
+// the state only a runnable cell reads, keeping the keys of the cells that
+// did not finish. It returns how many cells it dropped and whether it
+// finalized the job. Called with mu held.
+func (j *Job) settleLocked(now time.Time) (dropped int, finished bool) {
+	if j.state.Terminal() {
+		return 0, false
 	}
-	finished, latency = j.maybeFinalize(now)
-	j.broadcast()
-	return finished, latency
-}
-
-// maybeFinalize moves the job to its terminal state once no cell is
-// queued or running, and drops the state only a runnable cell reads,
-// keeping the keys of the cells that did not finish. Called with mu held;
-// returns whether it finalized and the job latency in seconds.
-func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
-	if j.state.Terminal() || j.running > 0 ||
-		j.completed+j.failed+j.dropped < len(j.cellState) {
-		return false, 0
+	if j.cancelled {
+		for i, cs := range j.cellState {
+			if cs == cellQueued {
+				j.cellState[i] = cellDropped
+				dropped++
+			}
+		}
+		j.dropped += dropped
+	}
+	if j.running > 0 || j.completed+j.failed+j.dropped < len(j.cellState) {
+		return dropped, false
 	}
 	switch {
 	case j.cancelled:
@@ -555,31 +548,7 @@ func (j *Job) maybeFinalize(now time.Time) (bool, float64) {
 		}
 	}
 	j.cells, j.attempts = nil, nil
-	return true, float64(j.finished-j.created) / 1e9
-}
-
-// cancel requests cancellation: queued cells are dropped immediately,
-// running cells keep going. It returns how many queued cells it
-// dropped, whether the request took effect (the job was not already
-// terminal), whether the job finalized right away (nothing was
-// running), and the job latency if it did.
-func (j *Job) cancel(now time.Time) (droppedQueued int, tookEffect, finished bool, latency float64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() || j.cancelled {
-		return 0, false, false, 0
-	}
-	j.cancelled = true
-	for i, cs := range j.cellState {
-		if cs == cellQueued {
-			j.cellState[i] = cellDropped
-			j.dropped++
-			droppedQueued++
-		}
-	}
-	finished, latency = j.maybeFinalize(now)
-	j.broadcast()
-	return droppedQueued, true, finished, latency
+	return dropped, true
 }
 
 // detach gives the job, which is leaving the registry, a table of its
@@ -616,6 +585,10 @@ var ErrQueueFull = errors.New("jobs: queue full")
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: manager closed")
+
+// ErrNotFound is returned by Cancel for an ID not in the registry: never
+// issued, or its job has left.
+var ErrNotFound = errors.New("jobs: no such job")
 
 // ErrDraining is returned by Submit while the manager is draining:
 // shutdown has begun, running cells are finishing, and no new work is
@@ -875,22 +848,18 @@ func (m *Manager) submit(client string, cells []shift.Cell, sync bool) (*Job, er
 		}
 	}
 	m.nextID++
-	j := newJob(jobID(m.nextID), cells, now, client, &m.shared)
-	j.sync = sync
+	e := Entry{Op: OpSubmit, Job: jobID(m.nextID), Client: client, Created: now, Sync: sync}
 	if m.cfg.Journal != nil {
-		j.wire = entryCells(cells)
-		e := Entry{Op: OpSubmit, Job: j.id, Client: client, Created: now, Cells: j.wire, Sync: sync}
-		if err := m.cfg.Journal.Append(e); err != nil {
+		e.Cells = entryCells(cells)
+		if err := m.journalAppend(e); err != nil {
 			m.nextID--
-			m.journalErrs.Add(1)
 			return nil, fmt.Errorf("jobs: journal submit: %w", err)
 		}
 	}
 	if metered {
 		m.buckets.Take(client, cost)
 	}
-	m.jobs[j.id] = j
-	m.registryCells += len(cells)
+	j, _, _ := m.apply(nil, e, &live{cells: cells, now: now})
 	all := make([]int, len(cells))
 	for i := range all {
 		all[i] = i
@@ -965,45 +934,57 @@ func (m *Manager) Get(id string) (*Job, bool) {
 }
 
 // Cancel requests cancellation of the job with the given id: queued
-// cells are dropped, running cells finish and publish their results.
-// It reports whether the id is in the registry; cancelling a terminal
-// job is a no-op.
-func (m *Manager) Cancel(id string) (*Job, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	dropped, tookEffect, finished, lat := j.cancel(m.cfg.Now())
-	if tookEffect {
-		m.journalAppend(Entry{Op: OpCancel, Job: id})
-	}
-	if finished {
-		m.journalEnd(j)
-	}
+// cells are dropped, running cells finish and publish their results. It
+// returns ErrNotFound for an ID not in the registry; cancelling a job
+// that is terminal or already cancelled changes nothing. With a journal
+// the cancellation is journaled before it takes effect, so no follower
+// sees one that a restart would undo: when the append fails, Cancel
+// returns the error and the job runs on.
+//
+// The check, the append and the change all happen under the job's
+// journaling lock, so a cancel racing the job's last completion reaches
+// the journal in the order it took effect in, and replay reads it as the
+// live job had it.
+func (m *Manager) Cancel(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	j.journaling.Lock()
+	defer j.journaling.Unlock()
+	j.mu.Lock()
+	idle := j.state.Terminal() || j.cancelled
+	j.mu.Unlock()
+	if idle {
+		return j, nil
+	}
+	e := Entry{Op: OpCancel, Job: id}
+	if err := m.journalAppend(e); err != nil {
+		return j, fmt.Errorf("jobs: journal cancel: %w", err)
+	}
+	j.mu.Lock()
+	_, dropped, finished := m.apply(j, e, &live{now: m.cfg.Now()})
+	j.broadcast()
+	j.mu.Unlock()
 	if !m.closed {
 		m.queued -= dropped
 	}
-	if tookEffect {
-		m.cancelled++
-	}
+	m.cancelled++
 	if finished {
-		m.jobFinishedLocked(j, lat)
+		m.journalAppend(Entry{Op: OpEnd, Job: id, State: StateCancelled})
+		m.jobFinishedLocked(j)
 	}
-	return j, true
+	return j, nil
 }
 
 // Close stops the scheduler: queued cells are discarded and workers
 // exit; cells already running finish (and publish) in the background.
-// Jobs with discarded cells never reach a terminal state in this
-// process — but with a journal their submissions persist, so a restart
-// recovers and finishes them. For a clean shutdown call Drain first.
-// The journal, if any, is closed; a cell still running when Close
-// returns fails its completion append (counted, never fatal) and is
-// simply re-run on recovery.
+// With a journal the discarded cells' jobs persist, and a restart
+// finishes them; for a clean shutdown call Drain first. The journal is
+// closed, so a cell still running fails its completion append (counted)
+// and re-runs on recovery.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -1054,19 +1035,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 // queued.
 func (m *Manager) Draining() <-chan struct{} { return m.drainStarted }
 
-// Checkpoint compacts the journal down to a snapshot of the current
-// job registry (one record per job, and one for the highest ID issued
-// when its job has left). No-op without a journal.
-func (m *Manager) Checkpoint() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.checkpointLocked()
-}
-
-// checkpointLocked compacts the journal. Called with mu held, which
-// keeps submissions out; every job's journaling lock, held from the
-// snapshot to the rewrite, keeps cell completions out (see
-// Job.journaling), so the rewrite drops no record the snapshot lacks.
+// checkpointLocked compacts the journal down to a snapshot of the
+// registry. Called with mu held, which keeps submissions and cancels out;
+// every job's journaling lock, held from the snapshot to the rewrite,
+// keeps cell completions out, so the rewrite drops no record it lacks.
 func (m *Manager) checkpointLocked() {
 	if m.cfg.Journal == nil {
 		return
@@ -1138,53 +1110,39 @@ func (j *Job) snapEntry() Entry {
 	if j.state.Terminal() {
 		e.State = j.state
 	}
-	for i, cs := range j.cellState {
-		switch cs {
-		case cellDone:
-			e.Ops = append(e.Ops, CellOp{Cell: i})
-		case cellFailed:
-			e.Ops = append(e.Ops, CellOp{Cell: i, Err: j.cellErrs[i]})
+	for _, i := range j.order {
+		op := CellOp{Cell: int(i)}
+		if j.cellState[i] == cellFailed {
+			op.Err = j.cellErrs[i]
 		}
+		e.Ops = append(e.Ops, op)
 	}
 	return e
 }
 
-// journalAppend appends one entry, counting (never propagating) the
-// failure: the job still completes in memory, and recovery re-runs
-// whatever the journal missed.
-func (m *Manager) journalAppend(e Entry) {
+// journalAppend durably appends one entry, counting a failure. Without a
+// journal it does nothing.
+func (m *Manager) journalAppend(e Entry) error {
 	if m.cfg.Journal == nil {
-		return
+		return nil
 	}
-	if err := m.cfg.Journal.Append(e); err != nil {
+	err := m.cfg.Journal.Append(e)
+	if err != nil {
 		m.journalErrs.Add(1)
 	}
-}
-
-// journalEnd journals a job's terminal state. Must not be called with
-// mu held.
-func (m *Manager) journalEnd(j *Job) {
-	if m.cfg.Journal == nil {
-		return
-	}
-	j.mu.Lock()
-	st := j.state
-	j.mu.Unlock()
-	m.journalAppend(Entry{Op: OpEnd, Job: j.id, State: st})
+	return err
 }
 
 // jobFinishedLocked records a job reaching a terminal state: recovered
 // jobs decrement the recovering count and are excluded from the
 // latency percentiles (their latency would measure the outage, not the
-// scheduler); fresh jobs record their latency. Then it retires the job.
-// Called with mu held.
-func (m *Manager) jobFinishedLocked(j *Job, lat float64) {
+// scheduler); fresh jobs record their submit-to-finish latency. Then it
+// retires the job. Called with mu held, by the goroutine that finalized j.
+func (m *Manager) jobFinishedLocked(j *Job) {
 	if j.recovered {
-		if m.recoveredPending > 0 {
-			m.recoveredPending--
-		}
+		m.recoveredPending--
 	} else {
-		m.recordLatencyLocked(lat)
+		m.recordLatencyLocked(float64(j.finished-j.created) / 1e9)
 	}
 	m.retireLocked(j)
 }
@@ -1258,18 +1216,15 @@ func (m *Manager) worker() {
 			cells[settled], rs[settled], errs[settled] = i, rs[k], errs[k]
 			settled++
 		}
-		finished, lat := false, 0.0
+		finished := false
 		if settled > 0 {
 			shared = slices.Grow(shared[:0], settled)[:settled]
-			finished, lat = m.completeCells(j, cells[:settled], rs, errs, shared)
-		}
-		if finished {
-			m.journalEnd(j)
+			finished = m.completeCells(j, cells[:settled], rs, errs, shared)
 		}
 		m.mu.Lock()
 		m.running -= settled
 		if finished {
-			m.jobFinishedLocked(j, lat)
+			m.jobFinishedLocked(j)
 		}
 		m.maybeCompactLocked()
 		if m.running == 0 {
@@ -1279,16 +1234,15 @@ func (m *Manager) worker() {
 	}
 }
 
-// completeCells journals the outcome of each of cells — rs and errs are
-// index-aligned with it — and then publishes them, each successful cell
-// pointing at its shared result (shared is scratch of the same length).
-// Journal first: once a follower has seen a completion event, a restart
-// must not forget it. The results themselves are already in the store
-// (the engine seeded them during the run), so the journal carries only
-// the index and error. Both happen under the job's journaling lock, so a
-// compaction sees a cell either before its record is appended or after
-// it is complete, never in between. Must not be called with mu held.
-func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error, shared []*sharedResult) (finished bool, latency float64) {
+// completeCells journals the outcome of each of cells (rs and errs are
+// index-aligned with it; the results are in the store already), applies
+// them with one wake-up for the followers, each success pointing at its
+// shared result (shared is scratch of the same length), and journals the
+// end of a job that finalized, which it reports. It holds the job's
+// journaling lock throughout and must not be called with mu held. A
+// completion is the one change applied even when its append fails
+// (counted): a restart re-runs the cell, which reproduces its bytes.
+func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error, shared []*sharedResult) (finished bool) {
 	// A running cell's config is read without the job's lock (see
 	// Job.cells).
 	m.shared.mu.Lock()
@@ -1301,14 +1255,34 @@ func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs 
 	m.shared.mu.Unlock()
 	j.journaling.Lock()
 	defer j.journaling.Unlock()
-	for k, i := range cells {
-		e := Entry{Op: OpCell, Job: j.id, Cell: i}
-		if errs[k] != nil {
-			e.Err = errs[k].Error()
+	if m.cfg.Journal != nil {
+		for k, i := range cells {
+			m.journalAppend(cellEntry(j.id, i, errs[k]))
 		}
-		m.journalAppend(e)
 	}
-	return j.completeCells(cells, shared, errs, m.cfg.Now())
+	now := m.cfg.Now()
+	j.mu.Lock()
+	for k, i := range cells {
+		_, _, done := m.apply(j, cellEntry(j.id, i, errs[k]), &live{result: shared[k], now: now})
+		finished = finished || done
+	}
+	j.broadcast()
+	state := j.state
+	j.mu.Unlock()
+	if finished {
+		m.journalAppend(Entry{Op: OpEnd, Job: j.id, State: state})
+	}
+	return finished
+}
+
+// cellEntry is the OpCell record of job id's cell i with outcome err,
+// which gets a message if it has none: the record reads none as success.
+func cellEntry(id string, i int, err error) Entry {
+	e := Entry{Op: OpCell, Job: id, Cell: i}
+	if err != nil {
+		e.Err = cmp.Or(err.Error(), "jobs: cell failed")
+	}
+	return e
 }
 
 // requeue puts a transiently-failed running cell back on the queue, as
@@ -1389,8 +1363,9 @@ type Stats struct {
 	// Recovering is the number of recovered jobs that have not reached
 	// a terminal state since restart.
 	Recovering int
-	// JournalErrors counts journal writes that failed (the affected
-	// cells re-run on the next recovery; the jobs still completed).
+	// JournalErrors counts journal writes that failed: a refused
+	// submission or cancellation, which did not take effect, or a cell
+	// completion, which did, and whose cell re-runs on the next recovery.
 	JournalErrors int64
 	// Retained is the number of jobs the registry holds, RetainedCells
 	// their cells (the finished among them fewer than retainedCells plus

@@ -243,17 +243,17 @@ func TestCancelDropsQueuedFinishesRunning(t *testing.T) {
 		t.Fatalf("started %q, want running", got)
 	}
 
-	got, ok := m.Cancel(j.ID())
-	if !ok || got != j {
-		t.Fatal("Cancel did not find the job")
+	got, err := m.Cancel(j.ID())
+	if err != nil || got != j {
+		t.Fatalf("Cancel = %v, %v; want the job", got, err)
 	}
 	st := j.Snapshot()
 	if !st.CancelRequested || st.Dropped != 2 || st.State.Terminal() {
 		t.Fatalf("post-cancel snapshot = %+v, want 2 dropped, not yet terminal", st)
 	}
 	// Cancelling again is a no-op.
-	if _, ok := m.Cancel(j.ID()); !ok {
-		t.Fatal("second Cancel did not find the job")
+	if _, err := m.Cancel(j.ID()); err != nil {
+		t.Fatalf("second Cancel: %v", err)
 	}
 	if s := m.Stats(); s.Cancelled != 1 {
 		t.Fatalf("Cancelled = %d, want 1 (second cancel is a no-op)", s.Cancelled)
@@ -295,8 +295,8 @@ func TestCancelQueuedJobFinalizesImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Cancel(j.ID()); !ok {
-		t.Fatal("Cancel did not find the job")
+	if _, err := m.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
 	}
 	st := j.Snapshot()
 	if st.State != StateCancelled || st.Dropped != 2 {
@@ -564,8 +564,8 @@ func TestCancelledJobIsNotRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.awaitStart(t)
-	if _, ok := m.Cancel(j.ID()); !ok {
-		t.Fatal("cancel failed")
+	if _, err := m.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
 	}
 	b.release <- struct{}{}
 	waitTerminal(t, j)

@@ -129,9 +129,7 @@ type Journal interface {
 	// Append durably adds one entry.
 	Append(Entry) error
 	// Compact atomically replaces the journal with the snapshot
-	// entries. Entries appended concurrently with the snapshot's
-	// assembly may be dropped; replay is idempotent and re-executes the
-	// affected cells, so the cost is recomputation, never lost jobs.
+	// entries; the manager appends nothing while it runs.
 	Compact([]Entry) error
 	// Stats reports the journal's current footprint.
 	Stats() JournalStats
@@ -220,4 +218,18 @@ func entryCells(cells []shift.Cell) []EntryCell {
 		}
 	}
 	return ecs
+}
+
+// replayCells is the inverse of entryCells. Registering a spec twice is
+// a no-op, and a document that no longer compiles leaves its "spec:" ID
+// dangling, so the cell fails loudly at run time.
+func replayCells(ecs []EntryCell) []shift.Cell {
+	cells := make([]shift.Cell, len(ecs))
+	for i, ec := range ecs {
+		if len(ec.Spec) > 0 {
+			shift.LoadSpec(ec.Spec)
+		}
+		cells[i] = shift.Cell{Label: ec.Label, Config: ec.Config}
+	}
+	return cells
 }

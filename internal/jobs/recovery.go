@@ -2,16 +2,15 @@ package jobs
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"shift"
 )
 
-// This file is journal replay: Open calls recover before any worker
-// goroutine exists, so everything here runs single-threaded and
-// touches Job fields without locking.
+// This file is apply, the one mutator of job state, and journal replay
+// through it, which Open runs before any worker exists, without locking.
 
 // RecoveryStats counts what the journal replay at Open reconstructed,
 // surfaced through shiftd's /v1/stats and /v1/metrics.
@@ -37,13 +36,13 @@ type RecoveryStats struct {
 	TailBytes int64
 }
 
-// recover replays the journal into the registry. Replay is idempotent
-// (duplicate submit or cell entries are no-ops) and order-tolerant:
-// terminal states are recomputed from the cell entries, so OpEnd
-// records are advisory and a crash between a cell entry and its end
-// entry loses nothing. A job's finish order is that of the last record
-// it had once settled (cancelled, or every cell resolved), so the
-// retention bound drops the jobs the previous process had dropped.
+// recover replays the journal into the registry, every record through
+// apply as it went live (an OpSnap as the records it folds). Terminal
+// states are recomputed from the cell records, so OpEnd records are
+// advisory and a crash between a cell record and its end record loses
+// nothing. A job's finish order is that of the last record it had once
+// settled (cancelled, or every cell resolved), so the retention bound
+// drops the jobs the previous process had dropped.
 func (m *Manager) recover() error {
 	entries, err := m.cfg.Journal.Replay()
 	if err != nil {
@@ -54,112 +53,128 @@ func (m *Manager) recover() error {
 	m.recovery.TailBytes = js.TailBytes
 	settled := make(map[*Job]int)
 	for k, e := range entries {
+		j := m.jobs[e.Job]
 		if e.Op == OpSnap {
-			// A compacted job expands to its primitive ops.
-			m.applyEntry(Entry{Op: OpSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells, Sync: e.Sync})
+			j, _, _ = m.apply(j, Entry{Op: OpSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells, Sync: e.Sync}, nil)
 			for _, op := range e.Ops {
-				m.applyEntry(Entry{Op: OpCell, Job: e.Job, Cell: op.Cell, Err: op.Err})
+				m.apply(j, Entry{Op: OpCell, Job: e.Job, Cell: op.Cell, Err: op.Err}, nil)
 			}
 			if e.Cancelled {
-				m.applyEntry(Entry{Op: OpCancel, Job: e.Job})
+				m.apply(j, Entry{Op: OpCancel, Job: e.Job}, nil)
 			}
 		} else {
-			m.applyEntry(e)
+			j, _, _ = m.apply(j, e, nil)
 		}
-		if j := m.jobs[e.Job]; j != nil && (j.cancelled || j.completed+j.failed == len(j.cellState)) {
+		if j != nil && (j.cancelled || j.completed+j.failed == len(j.cellState)) {
 			settled[j] = k
 		}
+	}
+	// Settle only now: a cell that was running when its job's cancel was
+	// journaled looks queued until its own record, which may follow the
+	// cancel.
+	now := m.cfg.Now()
+	for _, j := range m.jobs {
+		j.settleLocked(now)
 	}
 	m.finishRecovery(settled)
 	return nil
 }
 
-// applyEntry folds one journal record into the registry.
-func (m *Manager) applyEntry(e Entry) {
+// live is what a live path hands apply beyond its record, where replay
+// has only the record: the submitted cells (OpSubmit), the finished
+// cell's shared result, nil for a failure (OpCell), and the time of the
+// change.
+type live struct {
+	cells  []shift.Cell
+	result *sharedResult
+	now    time.Time
+}
+
+// apply folds record e into the registry: the one place a submission, a
+// cell outcome or a cancellation changes job state. j is the job e names,
+// nil for a new one; apply returns it (for OpSubmit, the job it made). A
+// live path calls it with lv once the record is durable (completeCells
+// has the one exception); replay calls it with lv nil, once per record. A
+// duplicate record changes nothing. A live change also settles the job
+// and returns how many queued cells that dropped and whether it finalized
+// the job; replay settles after the last record (see recover). apply wakes
+// no follower. The caller holds the manager's mu for OpSubmit, j.mu for
+// OpCell and OpCancel; replay holds neither.
+func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finished bool) {
 	switch e.Op {
 	case OpSubmit:
-		if _, ok := m.jobs[e.Job]; ok {
-			return
+		if j != nil {
+			return j, 0, false
 		}
-		cells := make([]shift.Cell, len(e.Cells))
-		for i, ec := range e.Cells {
-			if len(ec.Spec) > 0 {
-				// Re-register the spec-compiled workload so the config's
-				// "spec:" ID resolves in this process. Registration is
-				// content-addressed, so replaying it twice is a no-op; a
-				// document that no longer compiles leaves the ID dangling
-				// and the cell fails loudly at run time.
-				shift.LoadSpec(ec.Spec)
-			}
-			cells[i] = shift.Cell{Label: ec.Label, Config: ec.Config}
+		var cells []shift.Cell
+		if lv != nil {
+			cells = lv.cells
+		} else {
+			cells = replayCells(e.Cells)
 		}
-		j := newJob(e.Job, cells, e.Created, e.Client, &m.shared)
-		j.wire, j.recovered, j.sync = e.Cells, true, e.Sync
+		j = newJob(e.Job, cells, e.Created, e.Client, &m.shared)
+		j.wire, j.sync, j.recovered = e.Cells, e.Sync, lv == nil
 		m.jobs[e.Job] = j
 		m.registryCells += len(cells)
-		m.noteID(e.Job)
+		m.nextID = max(m.nextID, idNum(e.Job)) // no new ID collides with it
+		return j, 0, false
 	case OpCell:
-		j, ok := m.jobs[e.Job]
-		if !ok || e.Cell < 0 || e.Cell >= len(j.cellState) {
-			return
+		i := e.Cell
+		if j == nil || i < 0 || i >= len(j.cellState) || j.cellState[i] >= cellDone {
+			return j, 0, false // no such cell, or it has its outcome
 		}
-		if j.cellState[e.Cell] == cellDone || j.cellState[e.Cell] == cellFailed {
-			return // duplicate entry; replay is idempotent
-		}
-		if e.Err != "" {
-			// The failure was deterministic (transient errors are retried,
-			// not journaled as terminal): replay it rather than re-run it.
-			j.finishCellLocked(e.Cell, nil, errors.New(e.Err))
-			return
-		}
-		// A completed cell's result lives content-addressed in the
-		// store; a hit restores it without re-simulation, shared like a
-		// live cell's, and a miss leaves the cell queued — deterministic
-		// simulation makes the re-run bit-identical.
-		if m.cfg.Lookup != nil {
-			key := j.cells[e.Cell].Key()
-			if r, ok := m.cfg.Lookup(key); ok {
-				j.finishCellLocked(e.Cell, m.shared.share(key, r), nil)
-				m.recovery.CellsRestored++
-				return
+		var s *sharedResult
+		switch {
+		case e.Err != "":
+			// A deterministic failure (transient ones are retried, not
+			// journaled) replays rather than re-runs.
+		case lv != nil:
+			s = lv.result
+		default:
+			// A store hit restores the result, shared like a live cell's;
+			// a miss leaves the cell queued, and the re-run reproduces it.
+			key := j.cells[i].Key()
+			r, ok := shift.RunResult{}, false
+			if m.cfg.Lookup != nil {
+				r, ok = m.cfg.Lookup(key)
 			}
+			if !ok {
+				return j, 0, false
+			}
+			s = m.shared.share(key, r)
+			m.recovery.CellsRestored++
 		}
-		// Store miss: the cell stays cellQueued and finishRecovery
-		// re-enqueues it.
+		if j.cellState[i] == cellRunning {
+			j.running--
+		}
+		j.finishCellLocked(i, s, e.Err)
 	case OpCancel:
-		if j, ok := m.jobs[e.Job]; ok {
-			j.cancelled = true
+		if j == nil {
+			return nil, 0, false
 		}
-	case OpEnd:
-		// Advisory: the terminal state is recomputed from the cell ops.
+		j.cancelled = true
 	case OpLastID:
-		m.noteID(e.Job)
+		m.nextID = max(m.nextID, idNum(e.Job))
+		return j, 0, false
+	default:
+		// OpEnd is advisory: the cell records decide the terminal state.
+		return j, 0, false
 	}
+	if lv == nil {
+		return j, 0, false
+	}
+	dropped, finished = j.settleLocked(lv.now)
+	return j, dropped, finished
 }
 
-// noteID makes sure no new ID is at or below journaled ID id.
-func (m *Manager) noteID(id string) {
-	m.nextID = max(m.nextID, idNum(id))
-}
-
-// finishRecovery settles every replayed job: it drops the queued cells
-// of cancelled jobs, finalizes the jobs whose cells all resolved and
-// retires them in finish order (settled holds each one's position in the
-// journal), and re-enqueues the rest in ID order — submission order — so
-// the recovered queue's tie-break sequence is the original one.
+// finishRecovery retires the replayed jobs that are terminal in finish
+// order (settled holds each one's position in the journal), and
+// re-enqueues the rest in ID order — submission order — so the recovered
+// queue's tie-break sequence is the original one.
 func (m *Manager) finishRecovery(settled map[*Job]int) {
-	now := m.cfg.Now()
 	var terminal, pending []*Job
 	for _, j := range m.jobs {
-		if j.cancelled {
-			for i, cs := range j.cellState {
-				if cs == cellQueued {
-					j.cellState[i] = cellDropped
-					j.dropped++
-				}
-			}
-		}
-		if finished, _ := j.maybeFinalize(now); finished {
+		if j.state.Terminal() {
 			j.broadcast() // nobody follows it yet; it drops its channel
 			terminal = append(terminal, j)
 		} else {

@@ -275,8 +275,8 @@ func TestRecoveryCancelledJobDropsQueuedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mgr.Cancel(j.ID()); !ok {
-		t.Fatal("cancel failed")
+	if _, err := mgr.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
 	}
 	waitTerminal(t, j)
 	mgr.Close()
@@ -843,7 +843,7 @@ func TestCompactionAfterTerminalKeepsCells(t *testing.T) {
 	// A job's end record is appended after its end event and before its
 	// latency is counted: wait for every one, so the snapshot is all.
 	waitFor(t, func() bool { return m1.Stats().LatencyCount == int64(len(before)) })
-	m1.Checkpoint()
+	checkpoint(m1)
 	if st, _ := m1.JournalStats(); st.Compactions != 1 || st.Records != len(before) {
 		t.Fatalf("journal after the checkpoint = %+v, want one record per job", st)
 	}

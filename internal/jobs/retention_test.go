@@ -55,6 +55,14 @@ func (jn *memJournal) reopen() *memJournal {
 	return &memJournal{replayed: slices.Clone(jn.entries), entries: slices.Clone(jn.entries)}
 }
 
+// checkpoint compacts m's journal down to a snapshot of its registry, as
+// a completed drain does.
+func checkpoint(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.checkpointLocked()
+}
+
 // ops returns the op and job of every record the journal holds.
 func (jn *memJournal) ops() []string {
 	jn.mu.Lock()
@@ -124,7 +132,7 @@ func TestRecoveryRequeuesInIDOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	m.Checkpoint()
+	checkpoint(m)
 	want := []string{"snap j-200000", "snap j-999999", "snap j-1000000"}
 	if got := jn.ops(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot of the recovered queue = %q, want %q", got, want)
@@ -228,7 +236,7 @@ func TestEvictedIDsAreNeverReused(t *testing.T) {
 		t.Fatalf("retained %d jobs, want j-000009 and not j-000010, which finished before it", len(retained))
 	}
 	asItStood := jn.reopen()
-	m1.Checkpoint()
+	checkpoint(m1)
 	compacted := jn.reopen()
 	m1.Close()
 	never := &memJournal{replayed: jn.history}
@@ -259,8 +267,8 @@ func TestEvictedIDsAreNeverReused(t *testing.T) {
 						t.Errorf("job %s after the restart differs from before it", id)
 					}
 				}
-				if _, ok := m2.Cancel(id); ok != kept {
-					t.Errorf("cancelling job %s found it: %v, want %v", id, ok, kept)
+				if _, err := m2.Cancel(id); (err == nil) != kept {
+					t.Errorf("cancelling job %s: %v, want found %v", id, err, kept)
 				}
 			}
 			if got := m2.Stats(); got.Retained != len(retained) {
@@ -321,7 +329,7 @@ func TestSyncJobsLeaveAtTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.Checkpoint() // its cell blocks in the runner: snapped unresolved
+	checkpoint(m1) // its cell blocks in the runner: snapped unresolved
 	m1.Close()
 	reopened := jn.reopen()
 	gate <- struct{}{} // the closed manager's worker finishes, unjournaled
@@ -481,7 +489,7 @@ func TestEvictionRacesReaders(t *testing.T) {
 	go func() { // a canceller
 		defer wg.Done()
 		for {
-			if _, ok := m.Cancel(id); !ok {
+			if _, err := m.Cancel(id); err != nil {
 				return
 			}
 			runtime.Gosched()

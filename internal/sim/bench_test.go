@@ -6,6 +6,7 @@ import (
 
 	"shift/internal/core"
 	"shift/internal/pif"
+	"shift/internal/tifs"
 	"shift/internal/workload"
 )
 
@@ -26,6 +27,7 @@ func BenchmarkDetailedStep(b *testing.B) {
 		{Kind: KindPIF, PIF: pif.Config32K()},
 		{Kind: KindSHIFT, SHIFT: zeroLat},
 		{Kind: KindSHIFT, SHIFT: virtualized},
+		{Kind: KindTIFS, TIFS: tifs.DefaultConfig()},
 	} {
 		b.Run(d.Name(), func(b *testing.B) {
 			p, err := workload.ByName("OLTP Oracle")

@@ -386,3 +386,34 @@ func TestNewRejectsReaderMismatch(t *testing.T) {
 		t.Error("nil readers accepted")
 	}
 }
+
+// TestSameWorkloadGroupsOverpredictNoMore: SHIFT with two groups running
+// the same workload keeps two histories in one LLC, which holds one index
+// pointer per block for both. A group must not replay its history from the
+// other's pointer, so splitting the CMP into two same-workload groups may
+// lose coverage to the contention for that pointer, but does not add
+// overpredictions.
+func TestSameWorkloadGroupsOverpredictNoMore(t *testing.T) {
+	p, err := workload.ByName("OLTP Oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: core.DefaultConfig()}
+	one := RunSpec{Config: cfg, Workload: p, WarmupRecords: 20000, MeasureRecords: 30000}
+	two := one
+	two.Groups = []core.Group{{Name: "A", Cores: []int{0, 1}}, {Name: "B", Cores: []int{2, 3}}}
+	two.GroupWorkloads = []workload.Params{p, p}
+	over := func(spec RunSpec) float64 {
+		r, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(r.Fetch.Discards) / float64(r.Fetch.Misses+r.Fetch.PBHits)
+	}
+	o1, o2 := over(one), over(two)
+	t.Logf("overpredictions per L1-I miss: one group %.3f, two groups %.3f", o1, o2)
+	if o2 > o1 {
+		t.Errorf("two same-workload groups overpredict %.3f per L1-I miss, one group %.3f", o2, o1)
+	}
+}
