@@ -52,7 +52,7 @@ func run(w io.Writer, records int64) error {
 		var res [2]sim.Result
 		for i, pf := range []sim.PrefetcherSpec{
 			{Kind: sim.KindNone},
-			{Kind: sim.KindSHIFT, SHIFT: core.DefaultConfig()},
+			{Kind: sim.KindHistory, History: core.DefaultConfig()},
 		} {
 			cfg := sim.DefaultConfig()
 			cfg.Prefetcher = pf

@@ -12,7 +12,6 @@ import (
 	"shift/internal/area"
 	"shift/internal/core"
 	"shift/internal/history"
-	"shift/internal/pif"
 	"shift/internal/sim"
 )
 
@@ -84,10 +83,10 @@ var measures = map[string]func(r *fidelityRun) float64{
 	"sizing.record_bits":       func(*fidelityRun) float64 { return float64(history.BitsPerRecord(core.DefaultConfig().SAB.Span)) },
 	"sizing.records_per_block": func(*fidelityRun) float64 { return float64(core.DefaultConfig().RecordsPerBlock()) },
 	"sizing.pif_history_kb": func(*fidelityRun) float64 {
-		return float64(area.PIFStorageBytes(pif.Config32K().HistEntries, 0)) / 1024
+		return float64(area.PIFStorageBytes(core.PIFConfig(core.PIF32K).HistEntries, 0)) / 1024
 	},
 	"sizing.pif_index_kb": func(*fidelityRun) float64 {
-		return float64(area.PIFStorageBytes(0, pif.Config32K().IndexEntries)) / 1024
+		return float64(area.PIFStorageBytes(0, core.PIFConfig(core.PIF32K).IndexEntries)) / 1024
 	},
 	"storage.pif32k_kb":           func(r *fidelityRun) float64 { return r.storage.PIF32KPerCoreKB },
 	"storage.pif32k_mm2":          func(r *fidelityRun) float64 { return r.storage.PIF32KPerCoreMM2 },

@@ -12,11 +12,11 @@ import (
 // TestZeroLatPerCoreGroupsArePIF pins the cross-design identity behind
 // the paper's 2×2 of private/shared and dedicated/virtualized history:
 // ZeroLat-SHIFT with one consolidation group per core (each core the
-// generator of a private, dedicated history) sized like a PIF design
-// point is that PIF, core for core, exact and sampled. PIF reaches the
-// replay engine through the prefetcher interface, SHIFT through the
-// simulator's devirtualized path and the group machinery; any drift
-// between them, or in the index geometry, breaks the identity.
+// generator of a private, dedicated history, over per-group record
+// streams) sized like a PIF design point is that PIF — a history of PIF's
+// geometry in per-core scope — core for core, exact and sampled. Any
+// drift between per-core scope and one group per core, in the index
+// geometry or in the consolidation runner's streams, breaks the identity.
 func TestZeroLatPerCoreGroupsArePIF(t *testing.T) {
 	const cores = 4
 	groups := make([]core.Group, cores)
@@ -44,13 +44,13 @@ func TestZeroLatPerCoreGroupsArePIF(t *testing.T) {
 					t.Fatal(err)
 				}
 				pifSpec.Workload = wp
-				pc := pifSpec.Config.Prefetcher.PIF
+				pc := pifSpec.Config.Prefetcher.History
 
 				zl, err := o.runSpec(DesignZeroLatSHIFT)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc := &zl.Config.Prefetcher.SHIFT
+				sc := &zl.Config.Prefetcher.History
 				sc.HistEntries, sc.IndexEntries, sc.IndexAssoc = pc.HistEntries, pc.IndexEntries, pc.IndexAssoc
 				zl.Groups, zl.GroupWorkloads = groups, make([]workload.Params, cores)
 				for c := range zl.GroupWorkloads {

@@ -55,15 +55,3 @@ func NewGroups(base Config, groups []Group, backend LLCBackend) ([]*SharedHistor
 	}
 	return shs, nil
 }
-
-// GroupFor returns the index of the group containing core, or -1.
-func GroupFor(groups []Group, core int) int {
-	for i, g := range groups {
-		for _, c := range g.Cores {
-			if c == core {
-				return i
-			}
-		}
-	}
-	return -1
-}

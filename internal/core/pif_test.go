@@ -1,4 +1,4 @@
-package pif
+package core
 
 import (
 	"testing"
@@ -8,44 +8,25 @@ import (
 	"shift/internal/trace"
 )
 
-func TestConfigValidate(t *testing.T) {
-	for _, c := range []Config{Config32K(), Config2K()} {
-		if err := c.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", c.Name(), err)
-		}
-	}
-	bad := []Config{
-		{HistEntries: 0, IndexEntries: 8, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 0, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 9, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 8, IndexAssoc: 4},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestPaperDesignPoints(t *testing.T) {
-	c32 := Config32K()
-	if c32.HistEntries != 32768 || c32.IndexEntries != 8192 {
+	c32 := PIFConfig(PIF32K)
+	if c32.HistEntries != 32768 || c32.IndexEntries != 8192 || c32.IndexAssoc != 4 {
 		t.Errorf("PIF_32K = %+v", c32)
 	}
-	if c32.Name() != "PIF_32K" {
-		t.Errorf("Name = %q", c32.Name())
-	}
-	c2 := Config2K()
-	if c2.HistEntries != 2048 || c2.IndexEntries != 512 {
+	c2 := PIFConfig(PIF2K)
+	if c2.HistEntries != 2048 || c2.IndexEntries != 512 || c2.IndexAssoc != 4 {
 		t.Errorf("PIF_2K = %+v", c2)
+	}
+	if c32.Variant != Dedicated || c32.RecordMisses {
+		t.Errorf("PIF is not a dedicated history of the access stream: %+v", c32)
 	}
 }
 
-func TestWithHistEntries(t *testing.T) {
+func TestPIFConfigRescales(t *testing.T) {
 	for _, n := range []int{1024, 2048, 65536} {
-		c := WithHistEntries(n)
+		c := PIFConfig(n)
 		if err := c.Validate(); err != nil {
-			t.Errorf("WithHistEntries(%d) invalid: %v", n, err)
+			t.Errorf("PIFConfig(%d) invalid: %v", n, err)
 		}
 		if c.HistEntries != n {
 			t.Errorf("HistEntries = %d", c.HistEntries)
@@ -53,16 +34,47 @@ func TestWithHistEntries(t *testing.T) {
 	}
 }
 
-func testConfig() Config {
-	c := Config32K()
+func TestPIFConfigValidate(t *testing.T) {
+	for _, n := range []int{PIF32K, PIF2K} {
+		if err := PIFConfig(n).Validate(); err != nil {
+			t.Errorf("%s invalid: %v", PIFLabel(n), err)
+		}
+	}
+	noHistory, badIndex, noSAB := PIFConfig(PIF32K), PIFConfig(PIF32K), PIFConfig(PIF32K)
+	noHistory.HistEntries = 0
+	badIndex.IndexEntries = 9
+	noSAB.SAB = history.SABConfig{}
+	for name, c := range map[string]Config{"no history": noHistory, "index 9/4": badIndex, "no SAB": noSAB} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("bad PIF config (%s) accepted", name)
+		}
+	}
+}
+
+func TestPIFMustNewPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNewSharedHistory should panic on a PIF without history")
+		}
+	}()
+	c := PIFConfig(PIF32K)
+	c.HistEntries = 0
+	MustNewSharedHistory(c, nil)
+}
+
+func testPIFConfig() Config {
+	c := PIFConfig(PIF32K)
 	c.HistEntries = 256
 	c.IndexEntries = 64
-	c.Label = "PIF_test"
 	return c
 }
 
+// newPIF is one core's PIF: the replay engine over a history of cfg that
+// the core alone records and replays.
+func newPIF(cfg Config) *Replayer { return replayer(MustNewSharedHistory(cfg, nil), 0) }
+
 // runStream feeds a block sequence as misses and returns all requests.
-func runStream(p *PIF, blocks []trace.BlockAddr, hit bool) []prefetch.Request {
+func runStream(p *Replayer, blocks []trace.BlockAddr, hit bool) []prefetch.Request {
 	var all []prefetch.Request
 	for _, b := range blocks {
 		reqs := p.OnAccess(prefetch.Access{Block: b, Hit: hit})
@@ -72,7 +84,7 @@ func runStream(p *PIF, blocks []trace.BlockAddr, hit bool) []prefetch.Request {
 }
 
 func TestRecordThenReplay(t *testing.T) {
-	p := MustNew(testConfig())
+	p := newPIF(testPIFConfig())
 	// A recurring temporal stream with discontinuities: the second
 	// traversal should be predicted from history.
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 902, 903, 2000, 2001}
@@ -99,8 +111,8 @@ func TestRecordThenReplay(t *testing.T) {
 	}
 }
 
-func TestCoverageOnReplay(t *testing.T) {
-	p := MustNew(testConfig())
+func TestPIFCoverageOnReplay(t *testing.T) {
+	p := newPIF(testPIFConfig())
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 902, 903, 2000, 2001}
 	// Record the stream a few times so the index is warm.
 	for i := 0; i < 3; i++ {
@@ -117,7 +129,7 @@ func TestCoverageOnReplay(t *testing.T) {
 }
 
 func TestNoReplayWithoutHistory(t *testing.T) {
-	p := MustNew(testConfig())
+	p := newPIF(testPIFConfig())
 	reqs := p.OnAccess(prefetch.Access{Block: 42, Hit: false})
 	if len(reqs) != 0 {
 		t.Errorf("cold prefetcher issued %v", reqs)
@@ -125,7 +137,7 @@ func TestNoReplayWithoutHistory(t *testing.T) {
 }
 
 func TestHitsDoNotAllocateStreams(t *testing.T) {
-	p := MustNew(testConfig())
+	p := newPIF(testPIFConfig())
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501}
 	runStream(p, stream, false)
 	before := p.PrefetchStats().StreamAllocs
@@ -138,10 +150,10 @@ func TestHitsDoNotAllocateStreams(t *testing.T) {
 func TestHistoryCapacityLimitsReplay(t *testing.T) {
 	// A tiny history cannot retain a long loop; coverage should be far
 	// lower than with a big history. This is the Figure 6 effect.
-	small := testConfig()
+	small := testPIFConfig()
 	small.HistEntries = 16
 	small.IndexEntries = 16
-	big := testConfig()
+	big := testPIFConfig()
 	big.HistEntries = 4096
 	big.IndexEntries = 1024
 
@@ -152,7 +164,7 @@ func TestHistoryCapacityLimitsReplay(t *testing.T) {
 		loop = append(loop, base, base+1)
 	}
 	coverage := func(cfg Config) float64 {
-		p := MustNew(cfg)
+		p := newPIF(cfg)
 		for pass := 0; pass < 4; pass++ {
 			runStream(p, loop, false)
 		}
@@ -165,10 +177,10 @@ func TestHistoryCapacityLimitsReplay(t *testing.T) {
 }
 
 func TestStaleIndexPointerIgnored(t *testing.T) {
-	cfg := testConfig()
+	cfg := testPIFConfig()
 	cfg.HistEntries = 8 // tiny: wraps fast
 	cfg.IndexEntries = 64
-	p := MustNew(cfg)
+	p := newPIF(cfg)
 	runStream(p, []trace.BlockAddr{100, 200, 300, 400}, false)
 	// Overwrite history with unrelated streams; index entry for 100 is
 	// now stale.
@@ -182,13 +194,4 @@ func TestStaleIndexPointerIgnored(t *testing.T) {
 	if got := p.PrefetchStats().StreamAllocs; got != allocsBefore {
 		t.Errorf("stale pointer allocated a stream")
 	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew should panic")
-		}
-	}()
-	MustNew(Config{})
 }

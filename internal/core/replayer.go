@@ -9,8 +9,8 @@ import (
 // Replayer is the per-core SHIFT logic: a stream address buffer file plus
 // the "simple logic to read instruction streams from the shared history
 // buffer and issue prefetch requests" (Section 4). It implements
-// prefetch.Prefetcher. Over a Private history it is also PIF's and
-// TIFS's replay engine.
+// prefetch.Prefetcher. Over a history of one core it is also PIF's
+// replay engine, and under a missRecorder TIFS's.
 type Replayer struct {
 	sh     *SharedHistory
 	coreID int
@@ -22,47 +22,16 @@ type Replayer struct {
 	blks  []trace.BlockAddr
 }
 
-// CorePrefetcher creates the per-core replay logic for coreID. The
-// instance records into the shared history if coreID is the generator.
-func (sh *SharedHistory) CorePrefetcher(coreID int) *Replayer {
-	return &Replayer{
-		sh:     sh,
-		coreID: coreID,
-		sab:    history.MustNewSAB(sh.cfg.SAB),
+// CorePrefetcher creates the per-core replay logic for coreID: a
+// *Replayer, which records into the history if coreID is the generator,
+// or, under RecordMisses, a missRecorder around one.
+func (sh *SharedHistory) CorePrefetcher(coreID int) prefetch.Prefetcher {
+	r := Replayer{sh: sh, coreID: coreID, sab: history.MustNewSAB(sh.cfg.SAB)}
+	if sh.cfg.RecordMisses {
+		return &missRecorder{r: r}
 	}
+	return &r
 }
-
-// Private is one core's replay engine over a history nobody shares: the
-// Dedicated variant with core 0 as its generator and its only reader,
-// and an index of explicit geometry. PIF records the core's access stream
-// into it, TIFS its miss stream.
-type Private struct{ Replayer }
-
-// NewPrivate builds a private history of histEntries records, indexed by
-// an indexEntries-entry, indexAssoc-way table, replayed through sab.
-func NewPrivate(histEntries, indexEntries, indexAssoc int, sab history.SABConfig) (Private, error) {
-	sh, err := NewSharedHistory(Config{
-		Variant:      Dedicated,
-		HistEntries:  histEntries,
-		SAB:          sab,
-		IndexEntries: indexEntries,
-		IndexAssoc:   indexAssoc,
-	}, nil)
-	if err != nil {
-		return Private{}, err
-	}
-	return Private{Replayer{sh: sh, coreID: 0, sab: history.MustNewSAB(sab)}}, nil
-}
-
-// Release hands the history and index storage back for the next
-// NewPrivate of the same sizes (see SharedHistory.Release). The caller
-// must not use p again.
-func (p *Private) Release() { p.sh.Release() }
-
-// History exposes the private history buffer (read-only use: the
-// functional-vs-detailed warm-state differential tests compare history
-// contents across stepping modes).
-func (p *Private) History() *history.Buffer { return p.sh.History() }
 
 // Name implements prefetch.Prefetcher.
 func (r *Replayer) Name() string { return r.sh.cfg.Variant.String() }
@@ -87,8 +56,8 @@ func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
 // access under AllocOnAccess) starts a stream from the block's most recent
 // occurrence in the history, and returns the window's prefetches. It
 // records nothing, so a design that records something other than the
-// access stream (TIFS's miss stream) replays through it and records
-// itself.
+// access stream (TIFS's miss stream; see missRecorder) replays through it
+// and records itself.
 func (r *Replayer) Replay(a prefetch.Access) []prefetch.Request {
 	r.out = r.out[:0]
 	r.stats.Accesses++
@@ -235,4 +204,69 @@ var (
 	_ prefetch.Prefetcher    = (*Replayer)(nil)
 	_ prefetch.StatsReporter = (*Replayer)(nil)
 	_ prefetch.RecordWarmer  = (*Replayer)(nil)
+)
+
+// missRecorder is TIFS's recording policy over the replay engine: the
+// history holds the generator's L1-I miss stream, one single-block record
+// a miss, and a miss replays the misses that followed its most recent
+// occurrence. Plain hits are counted and never replayed or recorded; a
+// miss, or the first use of a prefetched block (a miss but for the
+// prefetcher), is replayed, then recorded. The replayer is a field, not
+// embedded, so a missRecorder is a prefetch.Warmer of the misses and never
+// a prefetch.RecordWarmer: the access stream's region records are not its
+// history.
+//
+// The paper's Section 2.2 explains why PIF superseded TIFS: miss streams
+// depend on cache content, which changes over time (and under prefetching
+// itself), while access streams are a property of the program alone.
+type missRecorder struct {
+	r    Replayer
+	hits int64 // plain hits: counted, never replayed or recorded
+}
+
+// Name implements prefetch.Prefetcher.
+func (m *missRecorder) Name() string { return "TIFS" }
+
+// PrefetchStats implements prefetch.StatsReporter.
+func (m *missRecorder) PrefetchStats() prefetch.Stats {
+	s := m.r.stats
+	s.Accesses += m.hits
+	return s
+}
+
+// OnAccess implements prefetch.Prefetcher: a plain hit is counted, any
+// other access replayed and recorded as a miss.
+func (m *missRecorder) OnAccess(a prefetch.Access) []prefetch.Request {
+	if a.Hit && !a.WasPrefetch {
+		m.hits++
+		return nil
+	}
+	out := m.r.Replay(a)
+	m.WarmAccess(a.Block, false)
+	return out
+}
+
+// WarmNeeds implements prefetch.Warmer: the generator records the misses.
+func (m *missRecorder) WarmNeeds() prefetch.WarmNeed {
+	if m.r.IsGenerator() {
+		return prefetch.WarmMisses
+	}
+	return prefetch.WarmNone
+}
+
+// WarmAccess implements prefetch.Warmer: the generator writes an L1-I
+// miss as one single-block record. Functional warming models the L1-I but
+// not the prefetch buffer, so the warmed history follows the raw L1 miss
+// stream — what detailed stepping records exactly when no prefetch
+// perturbs coverage, as in prediction mode.
+func (m *missRecorder) WarmAccess(blk trace.BlockAddr, l1Hit bool) {
+	if !l1Hit && m.r.IsGenerator() {
+		m.r.WarmRecord(history.Region{Trigger: blk})
+	}
+}
+
+var (
+	_ prefetch.Prefetcher    = (*missRecorder)(nil)
+	_ prefetch.StatsReporter = (*missRecorder)(nil)
+	_ prefetch.Warmer        = (*missRecorder)(nil)
 )

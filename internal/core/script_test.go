@@ -1,4 +1,4 @@
-package tifs
+package core
 
 import (
 	"flag"
@@ -23,10 +23,11 @@ var update = flag.Bool("update", false, "rewrite testdata/script.golden with cur
 // (WarmAccess) between detailed ones. The small history and index wrap
 // and evict along the way.
 func TestScriptGolden(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := TIFSConfig()
 	cfg.HistEntries = 96
 	cfg.IndexEntries = 32
-	p := MustNew(cfg)
+	sh := MustNewSharedHistory(cfg, nil)
+	p := sh.CorePrefetcher(0).(*missRecorder)
 
 	rng := rand.New(rand.NewPCG(45, 2008))
 	segs := make([][]trace.BlockAddr, 14)
@@ -92,7 +93,7 @@ func TestScriptGolden(t *testing.T) {
 		}
 	}
 	fmt.Fprintf(&sb, "stats %+v\n", p.PrefetchStats())
-	h := p.History()
+	h := sh.History()
 	fmt.Fprintf(&sb, "history writepos=%d len=%d\n", h.WritePos(), h.Len())
 	for pos := h.WritePos() - uint64(h.Len()); pos < h.WritePos(); pos++ {
 		r, ok := h.Read(pos)

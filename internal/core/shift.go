@@ -11,9 +11,8 @@
 //   - Dedicated: the history buffer and index table are dedicated SRAM
 //     reachable in zero cycles. This is the paper's "ZeroLat-SHIFT"
 //     comparison point (Section 5.3), which isolates SHIFT's prediction
-//     quality from its LLC-residency costs. With one reader it is also
-//     the private history PIF and TIFS replay (Private; packages pif
-//     and tifs), which differ only in what they record.
+//     quality from its LLC-residency costs. With one core per history it
+//     is also PIF (PIFConfig) and, recording misses, TIFS (TIFSConfig).
 //
 //   - Virtualized: the history buffer lives in the LLC at a reserved,
 //     non-evictable physical range starting at HBBase, written through a
@@ -103,6 +102,10 @@ type Config struct {
 	// effective capacity is the whole LLC tag array, so the dedicated
 	// stand-in is not artificially capacity-limited).
 	IndexEntries, IndexAssoc int
+	// RecordMisses makes the generator record its L1-I miss stream, one
+	// single-block record a miss, instead of compacting its access
+	// stream into spatial regions: TIFS's policy (see missRecorder).
+	RecordMisses bool
 }
 
 // DefaultConfig is the paper's SHIFT design point.
@@ -114,6 +117,47 @@ func DefaultConfig() Config {
 		SAB:           history.DefaultSABConfig(),
 		HBBase:        HBBaseBlock,
 	}
+}
+
+// PIF32K and PIF2K are the history sizes, in records a core, of the
+// paper's two PIF design points (Section 5.1): the original design
+// (~213KB a core, for 90% miss coverage), and the size whose 16 cores
+// together store as much as SHIFT's LLC tag extension.
+const (
+	PIF32K = 32768
+	PIF2K  = 2048
+)
+
+// PIFConfig is the history of Proactive Instruction Fetch (Ferdman et
+// al., MICRO 2011) at n records: dedicated storage, indexed by a 4-way
+// table of n/4 entries (at least one per stream), that its core alone
+// records and replays — 8K index entries at PIF32K, 512 at PIF2K. The
+// paper builds SHIFT out of PIF's history and stream address buffers
+// (Section 4); here PIF is SHIFT's replay engine over a history of one
+// core. Figure 6 rescales it.
+func PIFConfig(n int) Config {
+	c := DefaultConfig()
+	c.Variant = Dedicated
+	c.HistEntries = n
+	c.IndexAssoc = 4
+	c.IndexEntries = max(n/4, c.SAB.Streams)
+	c.IndexEntries += (c.IndexAssoc - c.IndexEntries%c.IndexAssoc) % c.IndexAssoc
+	return c
+}
+
+// PIFLabel is the figure label of PIF's history of n records where no
+// design point names it (Figure 6's rescaled sizes): PIF_<n>.
+func PIFLabel(n int) string { return fmt.Sprintf("PIF_%d", n) }
+
+// TIFSConfig is the history of Temporal Instruction Fetch Streaming
+// (Ferdman et al., MICRO 2008), the miss-stream predecessor of PIF: PIF's
+// 32K-record geometry, recording misses. It is not part of the paper's
+// evaluated set; it measures the access-vs-miss-stream choice of Section
+// 2.2.
+func TIFSConfig() Config {
+	c := PIFConfig(PIF32K)
+	c.RecordMisses = true
+	return c
 }
 
 // Validate reports the first problem with c, or nil.

@@ -120,6 +120,12 @@ func TestVirtualizedRequiresBackend(t *testing.T) {
 	}
 }
 
+// replayer is core coreID's replay logic over sh, which records its
+// access stream.
+func replayer(sh *SharedHistory, coreID int) *Replayer {
+	return sh.CorePrefetcher(coreID).(*Replayer)
+}
+
 // feed drives a block stream through a replayer as misses.
 func feed(r *Replayer, blocks []trace.BlockAddr) []prefetch.Request {
 	var all []prefetch.Request
@@ -131,8 +137,8 @@ func feed(r *Replayer, blocks []trace.BlockAddr) []prefetch.Request {
 
 func TestSharedHistoryCrossCoreReplay(t *testing.T) {
 	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
-	gen := sh.CorePrefetcher(0)   // generator
-	other := sh.CorePrefetcher(5) // pure consumer
+	gen := replayer(sh, 0)   // generator
+	other := replayer(sh, 5) // pure consumer
 
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 2000}
 	feed(gen, stream)
@@ -160,12 +166,12 @@ func TestSharedHistoryCrossCoreReplay(t *testing.T) {
 
 func TestOnlyGeneratorRecords(t *testing.T) {
 	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
-	other := sh.CorePrefetcher(3)
+	other := replayer(sh, 3)
 	feed(other, []trace.BlockAddr{100, 101, 5000, 5001, 9000})
 	if sh.Stats().RecordsWritten != 0 {
 		t.Errorf("non-generator core wrote %d records", sh.Stats().RecordsWritten)
 	}
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 	feed(gen, []trace.BlockAddr{100, 101, 5000, 5001, 9000})
 	if sh.Stats().RecordsWritten == 0 {
 		t.Error("generator core wrote no records")
@@ -179,7 +185,7 @@ func TestVirtualizedRecordingTraffic(t *testing.T) {
 	llc := newFakeLLC()
 	cfg := testCfg(Virtualized)
 	sh := MustNewSharedHistory(cfg, llc)
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 
 	// Feed enough discontinuous blocks to close >24 regions (2+ CBB
 	// flushes at 12 records/block).
@@ -206,8 +212,8 @@ func TestVirtualizedReplayLatencyAndPointer(t *testing.T) {
 	llc := newFakeLLC()
 	cfg := testCfg(Virtualized)
 	sh := MustNewSharedHistory(cfg, llc)
-	gen := sh.CorePrefetcher(0)
-	other := sh.CorePrefetcher(7)
+	gen := replayer(sh, 0)
+	other := replayer(sh, 7)
 
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 2000}
 	feed(gen, stream)
@@ -241,13 +247,13 @@ func TestVirtualizedPointerLostWhenNotResident(t *testing.T) {
 	llc := newFakeLLC()
 	llc.resident = map[trace.BlockAddr]bool{} // nothing resident
 	sh := MustNewSharedHistory(testCfg(Virtualized), llc)
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 	feed(gen, []trace.BlockAddr{100, 101, 500, 501, 900})
 	st := sh.Stats()
 	if st.IndexDropped != st.IndexUpdates || st.IndexDropped == 0 {
 		t.Errorf("dropped=%d updates=%d; all updates should drop", st.IndexDropped, st.IndexUpdates)
 	}
-	other := sh.CorePrefetcher(1)
+	other := replayer(sh, 1)
 	if reqs := other.OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
 		t.Error("replay started without a resident pointer")
 	}
@@ -258,7 +264,7 @@ func TestStalePointerRejected(t *testing.T) {
 	cfg := testCfg(Virtualized)
 	cfg.HistEntries = 24 // wraps after 24 records
 	sh := MustNewSharedHistory(cfg, llc)
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 	feed(gen, []trace.BlockAddr{100, 101, 500})
 	// Overwrite the whole history.
 	var churn []trace.BlockAddr
@@ -266,7 +272,7 @@ func TestStalePointerRejected(t *testing.T) {
 		churn = append(churn, trace.BlockAddr(10000+i*100))
 	}
 	feed(gen, churn)
-	other := sh.CorePrefetcher(1)
+	other := replayer(sh, 1)
 	if reqs := other.OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
 		t.Error("stale pointer replayed overwritten history")
 	}
@@ -276,11 +282,11 @@ func TestAllocOnAccessMode(t *testing.T) {
 	cfg := testCfg(Dedicated)
 	cfg.AllocOnAccess = true
 	sh := MustNewSharedHistory(cfg, nil)
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 	stream := []trace.BlockAddr{100, 101, 500, 501, 900}
 	feed(gen, stream)
 	feed(gen, []trace.BlockAddr{7000, 7001})
-	other := sh.CorePrefetcher(2)
+	other := replayer(sh, 2)
 	// A *hit* (not a miss) should still start replay in commonality mode.
 	other.OnAccess(prefetch.Access{Block: 100, Hit: true})
 	if other.PrefetchStats().StreamAllocs != 1 {
@@ -290,12 +296,12 @@ func TestAllocOnAccessMode(t *testing.T) {
 
 func TestAdvanceCountsCoverage(t *testing.T) {
 	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
-	gen := sh.CorePrefetcher(0)
+	gen := replayer(sh, 0)
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 2000}
 	for i := 0; i < 3; i++ {
 		feed(gen, stream)
 	}
-	other := sh.CorePrefetcher(4)
+	other := replayer(sh, 4)
 	feed(other, stream) // first pass allocates on the head miss
 	st := other.PrefetchStats()
 	if st.CoveredMisses < int64(len(stream))-3 {
@@ -328,9 +334,6 @@ func TestGroups(t *testing.T) {
 	if hi0 > lo1 && hi1 > lo0 {
 		t.Errorf("HB ranges overlap: [%v,%v) and [%v,%v)", lo0, hi0, lo1, hi1)
 	}
-	if GroupFor(groups, 5) != 1 || GroupFor(groups, 0) != 0 || GroupFor(groups, 99) != -1 {
-		t.Error("GroupFor wrong")
-	}
 }
 
 func TestGroupsValidation(t *testing.T) {
@@ -358,12 +361,12 @@ func TestGroupIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genA := shs[0].CorePrefetcher(0)
+	genA := replayer(shs[0], 0)
 	stream := []trace.BlockAddr{100, 101, 500, 501, 900}
 	feed(genA, stream)
 	feed(genA, []trace.BlockAddr{7000, 7001})
 
-	coreB := shs[1].CorePrefetcher(2)
+	coreB := replayer(shs[1], 2)
 	if reqs := coreB.OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
 		t.Error("group B replayed group A's history")
 	}
@@ -383,19 +386,19 @@ func TestForeignPointerRejected(t *testing.T) {
 	}
 	// Both histories record as many regions, so A's pointer is a valid
 	// position in B's history too.
-	feed(shs[0].CorePrefetcher(0), []trace.BlockAddr{100, 101, 500, 501, 900, 7000, 7001})
-	feed(shs[1].CorePrefetcher(2), []trace.BlockAddr{3000, 3001, 3500, 3501, 3900, 8000, 8001})
+	feed(replayer(shs[0], 0), []trace.BlockAddr{100, 101, 500, 501, 900, 7000, 7001})
+	feed(replayer(shs[1], 2), []trace.BlockAddr{3000, 3001, 3500, 3501, 3900, 8000, 8001})
 	if _, ok := llc.pointers[100]; !ok {
 		t.Fatal("no index pointer recorded for A's trigger 100")
 	}
-	if reqs := shs[1].CorePrefetcher(3).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
+	if reqs := replayer(shs[1], 3).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) != 0 {
 		t.Errorf("group B replayed its own history from A's pointer: %v", reqs)
 	}
 	if got := shs[1].Stats().IndexForeign; got != 1 {
 		t.Errorf("B's IndexForeign = %d, want 1", got)
 	}
 	// A's own lookup of the block still replays.
-	if reqs := shs[0].CorePrefetcher(1).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) == 0 {
+	if reqs := replayer(shs[0], 1).OnAccess(prefetch.Access{Block: 100, Hit: false}); len(reqs) == 0 {
 		t.Error("group A no longer replays from its own pointer")
 	}
 	if got := shs[0].Stats().IndexForeign; got != 0 {

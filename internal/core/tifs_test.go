@@ -1,4 +1,4 @@
-package tifs
+package core
 
 import (
 	"testing"
@@ -8,32 +8,47 @@ import (
 	"shift/internal/trace"
 )
 
-func testCfg() Config {
-	c := DefaultConfig()
+func testTIFSConfig() Config {
+	c := TIFSConfig()
 	c.HistEntries = 256
 	c.IndexEntries = 64
 	return c
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default invalid: %v", err)
+// newTIFS is one core's TIFS: the replay engine under the misses
+// recorder, over a history of cfg that the core alone records and replays.
+func newTIFS(cfg Config) *missRecorder {
+	return MustNewSharedHistory(cfg, nil).CorePrefetcher(0).(*missRecorder)
+}
+
+func TestTIFSConfigValidate(t *testing.T) {
+	if err := TIFSConfig().Validate(); err != nil {
+		t.Fatalf("TIFS invalid: %v", err)
 	}
-	bad := []Config{
-		{HistEntries: 0, IndexEntries: 8, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 0, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 9, IndexAssoc: 4, SAB: history.DefaultSABConfig()},
-		{HistEntries: 8, IndexEntries: 8, IndexAssoc: 4},
-	}
-	for i, c := range bad {
+	noHistory, badIndex, noSAB := TIFSConfig(), TIFSConfig(), TIFSConfig()
+	noHistory.HistEntries = 0
+	badIndex.IndexEntries = 9
+	noSAB.SAB = history.SABConfig{}
+	for name, c := range map[string]Config{"no history": noHistory, "index 9/4": badIndex, "no SAB": noSAB} {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad TIFS config (%s) accepted", name)
 		}
 	}
 }
 
+func TestTIFSMustNewPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNewSharedHistory should panic on a TIFS with a bad index table")
+		}
+	}()
+	c := TIFSConfig()
+	c.IndexEntries = 9
+	MustNewSharedHistory(c, nil)
+}
+
 // missStream drives blocks through as misses.
-func missStream(p *TIFS, blocks []trace.BlockAddr) []prefetch.Request {
+func missStream(p *missRecorder, blocks []trace.BlockAddr) []prefetch.Request {
 	var all []prefetch.Request
 	for _, b := range blocks {
 		all = append(all, p.OnAccess(prefetch.Access{Block: b, Hit: false})...)
@@ -42,7 +57,7 @@ func missStream(p *TIFS, blocks []trace.BlockAddr) []prefetch.Request {
 }
 
 func TestRecordsOnlyMisses(t *testing.T) {
-	p := MustNew(testCfg())
+	p := newTIFS(testTIFSConfig())
 	p.OnAccess(prefetch.Access{Block: 1, Hit: true})
 	p.OnAccess(prefetch.Access{Block: 2, Hit: true})
 	if p.PrefetchStats().RecordsWritten != 0 {
@@ -60,7 +75,7 @@ func TestRecordsOnlyMisses(t *testing.T) {
 }
 
 func TestReplayMissStream(t *testing.T) {
-	p := MustNew(testCfg())
+	p := newTIFS(testTIFSConfig())
 	stream := []trace.BlockAddr{100, 205, 311, 450, 520}
 	missStream(p, stream)
 	missStream(p, []trace.BlockAddr{9000}) // push the stream into history
@@ -80,8 +95,8 @@ func TestReplayMissStream(t *testing.T) {
 	}
 }
 
-func TestCoverageOnReplay(t *testing.T) {
-	p := MustNew(testCfg())
+func TestTIFSCoverageOnReplay(t *testing.T) {
+	p := newTIFS(testTIFSConfig())
 	stream := []trace.BlockAddr{100, 205, 311, 450, 520}
 	for i := 0; i < 3; i++ {
 		missStream(p, stream)
@@ -95,7 +110,7 @@ func TestCoverageOnReplay(t *testing.T) {
 }
 
 func TestPlainHitsInvisible(t *testing.T) {
-	p := MustNew(testCfg())
+	p := newTIFS(testTIFSConfig())
 	stream := []trace.BlockAddr{10, 20, 30}
 	missStream(p, stream)
 	allocs := p.PrefetchStats().StreamAllocs
@@ -108,20 +123,11 @@ func TestPlainHitsInvisible(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew should panic")
-		}
-	}()
-	MustNew(Config{})
-}
-
 // TestNotARecordWarmer: functional warming hands a RecordWarmer the
 // access stream's region records, which are not TIFS's history; TIFS
 // must be warmed through WarmAccess with the L1-I outcome.
 func TestNotARecordWarmer(t *testing.T) {
-	var p prefetch.Prefetcher = MustNew(testCfg())
+	var p prefetch.Prefetcher = newTIFS(testTIFSConfig())
 	if _, ok := p.(prefetch.RecordWarmer); ok {
 		t.Error("TIFS is a prefetch.RecordWarmer")
 	}

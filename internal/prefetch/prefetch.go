@@ -4,8 +4,8 @@
 // next-line prefetcher ("a common design choice in today's processors",
 // Section 2.2).
 //
-// The state-of-the-art comparison prefetcher (PIF) lives in internal/pif;
-// the paper's contribution (SHIFT) lives in internal/core.
+// The history prefetchers — the paper's contribution (SHIFT) and the
+// comparison points it is built from (PIF, TIFS) — live in internal/core.
 package prefetch
 
 import (

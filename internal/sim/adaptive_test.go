@@ -42,7 +42,7 @@ func TestAdaptiveGeneratorRecovers(t *testing.T) {
 		sh := smallSHIFT(core.Dedicated)
 		sh.GeneratorCore = 0
 		cfg.Prefetcher = PrefetcherSpec{
-			Kind: KindSHIFT, SHIFT: sh,
+			Kind: KindHistory, History: sh,
 			AdaptiveGenerator: adaptive, AdaptWindow: 4096,
 		}
 		wm, err := workload.New(main)
@@ -83,7 +83,7 @@ func TestAdaptiveGeneratorRecovers(t *testing.T) {
 			covered += res.PerCore[i].Fetch.PBHits
 			misses += res.PerCore[i].Fetch.PBHits + res.PerCore[i].Fetch.Misses
 		}
-		return float64(covered) / float64(misses), sys.SharedHistories()[0].Rotations()
+		return float64(covered) / float64(misses), sys.shared[0].Rotations()
 	}
 
 	stuckCov, stuckRot := coverage(false)
@@ -106,7 +106,7 @@ func TestAdaptiveGeneratorRecovers(t *testing.T) {
 func TestAdaptiveQuietWhenHealthy(t *testing.T) {
 	cfg := testConfig()
 	cfg.Prefetcher = PrefetcherSpec{
-		Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated),
+		Kind: KindHistory, History: smallSHIFT(core.Dedicated),
 		AdaptiveGenerator: true, AdaptWindow: 4096,
 	}
 	res, err := Run(RunSpec{

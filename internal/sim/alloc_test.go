@@ -3,9 +3,6 @@ package sim
 import (
 	"testing"
 
-	"shift/internal/core"
-	"shift/internal/pif"
-	"shift/internal/tifs"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -76,27 +73,33 @@ func testZeroAllocs(t *testing.T, spec PrefetcherSpec) {
 	}
 }
 
-// TestStepZeroAllocSteadyStateSHIFT covers the paper's contribution
-// design point (virtualized SHIFT, shared history in the LLC).
+// testZeroAllocsOf runs testZeroAllocs over the design table's designs
+// that pick selects.
+func testZeroAllocsOf(t *testing.T, pick func(PrefetcherSpec) bool) {
+	for _, spec := range designSpecs() {
+		if pick(spec) {
+			testZeroAllocs(t, spec)
+		}
+	}
+}
+
+// TestStepZeroAllocSteadyStateSHIFT covers the paper's contribution,
+// shared histories: virtualized SHIFT (in the LLC) and ZeroLat-SHIFT.
 func TestStepZeroAllocSteadyStateSHIFT(t *testing.T) {
-	shift := core.DefaultConfig()
-	shift.HistEntries = 8192
-	testZeroAllocs(t, PrefetcherSpec{Kind: KindSHIFT, SHIFT: shift})
+	testZeroAllocsOf(t, func(p PrefetcherSpec) bool { return p.Kind == KindHistory && !p.PerCore })
 }
 
 // TestStepZeroAllocSteadyStatePIF covers the per-core state-of-the-art
-// comparison point.
+// comparison points, PIF_2K and PIF_32K.
 func TestStepZeroAllocSteadyStatePIF(t *testing.T) {
-	testZeroAllocs(t, PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()})
+	testZeroAllocsOf(t, func(p PrefetcherSpec) bool { return p.PerCore && !p.History.RecordMisses })
 }
 
-// TestStepZeroAllocSteadyStateBaselines covers the remaining
-// Prefetcher implementations (no prefetch, next-line, TIFS) — the
-// contract holds for all five, not just the headline designs.
+// TestStepZeroAllocSteadyStateBaselines covers the remaining designs (no
+// prefetch, next-line, TIFS) — the contract holds for all seven, not just
+// the headline designs.
 func TestStepZeroAllocSteadyStateBaselines(t *testing.T) {
-	testZeroAllocs(t, PrefetcherSpec{Kind: KindNone})
-	testZeroAllocs(t, PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 2})
-	testZeroAllocs(t, PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()})
+	testZeroAllocsOf(t, func(p PrefetcherSpec) bool { return p.Kind != KindHistory || p.History.RecordMisses })
 }
 
 // TestStepZeroAllocSteadyStateBatch extends the contract to a RunBatch:

@@ -11,36 +11,31 @@ import (
 	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/noc"
-	"shift/internal/pif"
-	"shift/internal/tifs"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
 
-// batchDesigns returns one spec per design point over the shared test
-// stream, with deliberate variety in the design-independent degrees of
-// freedom a batch must tolerate: seeds, modes, and ElimProb.
+// batchDesigns returns one spec per design point of the design table
+// (smallDesignSpecs) over the shared test stream, then two with
+// deliberate variety in the design-independent degrees of freedom a batch
+// must tolerate: seeds, modes, and ElimProb.
 func batchDesigns() []RunSpec {
 	mk := func(mut func(*Config)) RunSpec {
 		cfg := testConfig()
 		mut(&cfg)
 		return testSpec(cfg)
 	}
-	specs := []RunSpec{
-		mk(func(c *Config) {}),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()} }),
+	var specs []RunSpec
+	for _, d := range smallDesignSpecs() {
+		specs = append(specs, mk(func(c *Config) { c.Prefetcher = d }))
+	}
+	return append(specs,
 		mk(func(c *Config) { c.Seed = 42; c.ElimProb = 0.5 }),
 		mk(func(c *Config) {
 			c.Mode = ModePrediction
-			c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+			c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 		}),
-	}
-	return specs
+	)
 }
 
 // checkBatchMatchesRun runs specs as one batch and one by one, and
@@ -278,7 +273,7 @@ func TestRunBatchMixedPredictors(t *testing.T) {
 	b := testConfig()
 	b.BranchPredictorEntries = 4096
 	c := testConfig()
-	c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}
+	c.Prefetcher = designSpecs()[dPIF2K]
 	c.BranchPredictorEntries = 0 // no branch modelling at all
 	checkBatchMatchesRun(t, []RunSpec{testSpec(a), testSpec(b), testSpec(c)})
 }
@@ -306,8 +301,10 @@ func TestRunBatchGroups(t *testing.T) {
 	}
 	specs := []RunSpec{
 		mk(func(c *Config) {}),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)} }),
-		mk(func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()} }),
+		mk(func(c *Config) {
+			c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
+		}),
+		mk(func(c *Config) { c.Prefetcher = designSpecs()[dPIF2K] }),
 	}
 	checkBatchMatchesRun(t, specs)
 }
@@ -537,7 +534,7 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 func TestBatchFollowerSharing(t *testing.T) {
 	base := testSpec(testConfig())
 	same := base
-	same.Config.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	same.Config.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	l1 := base
 	l1.Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
 	bp := base

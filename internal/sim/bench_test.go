@@ -4,9 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"shift/internal/core"
-	"shift/internal/pif"
-	"shift/internal/tifs"
 	"shift/internal/workload"
 )
 
@@ -17,18 +14,7 @@ import (
 // after three blocks of warm-up, continuing the stream from iteration to
 // iteration. Run it with -cpu 1.
 func BenchmarkDetailedStep(b *testing.B) {
-	virtualized := core.DefaultConfig()
-	zeroLat := virtualized
-	zeroLat.Variant = core.Dedicated
-	for _, d := range []PrefetcherSpec{
-		{Kind: KindNone},
-		{Kind: KindNextLine, NextLineDegree: 1},
-		{Kind: KindPIF, PIF: pif.Config2K()},
-		{Kind: KindPIF, PIF: pif.Config32K()},
-		{Kind: KindSHIFT, SHIFT: zeroLat},
-		{Kind: KindSHIFT, SHIFT: virtualized},
-		{Kind: KindTIFS, TIFS: tifs.DefaultConfig()},
-	} {
+	for _, d := range designSpecs() {
 		b.Run(d.Name(), func(b *testing.B) {
 			p, err := workload.ByName("OLTP Oracle")
 			if err != nil {
@@ -126,15 +112,12 @@ func benchFunctional(b *testing.B, follower PrefetcherSpec, member int) {
 // leads of the sweep_sampled grid are: it also advances the log's region
 // builders and writes the region lists.
 func BenchmarkFunctionalLead(b *testing.B) {
-	benchFunctional(b, PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()}, 0)
+	benchFunctional(b, designSpecs()[dPIF32K], 0)
 }
 
 func BenchmarkFunctionalFollower(b *testing.B) {
-	for _, d := range []PrefetcherSpec{
-		{Kind: KindNextLine, NextLineDegree: 1},
-		{Kind: KindPIF, PIF: pif.Config32K()},
-		{Kind: KindSHIFT, SHIFT: core.DefaultConfig()},
-	} {
+	all := designSpecs()
+	for _, d := range []PrefetcherSpec{all[dNextLine], all[dPIF32K], all[dSHIFT]} {
 		b.Run(d.Name(), func(b *testing.B) { benchFunctional(b, d, 1) })
 	}
 }

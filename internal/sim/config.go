@@ -23,8 +23,6 @@ import (
 	"shift/internal/core"
 	"shift/internal/cpu"
 	"shift/internal/noc"
-	"shift/internal/pif"
-	"shift/internal/tifs"
 )
 
 // Mode selects the simulation methodology.
@@ -57,13 +55,11 @@ const (
 	KindNone PrefetcherKind = iota
 	// KindNextLine is the next-line prefetcher of Section 2.2.
 	KindNextLine
-	// KindPIF is per-core Proactive Instruction Fetch.
-	KindPIF
-	// KindSHIFT is the shared-history prefetcher (both variants).
-	KindSHIFT
-	// KindTIFS is the miss-stream predecessor of PIF (extension; not in
-	// the paper's evaluated set).
-	KindTIFS
+	// KindHistory is a history prefetcher: SHIFT's replay engine over
+	// histories of History's geometry and storage, one shared by all
+	// cores (SHIFT, ZeroLat-SHIFT), one per Groups entry (Section 4.3) or
+	// one per core (PerCore: PIF, and TIFS when History records misses).
+	KindHistory
 )
 
 // PrefetcherSpec fully describes the prefetcher configuration of a run.
@@ -72,12 +68,13 @@ type PrefetcherSpec struct {
 	Kind PrefetcherKind
 	// NextLineDegree configures KindNextLine (default 1).
 	NextLineDegree int
-	// PIF configures KindPIF (per-core instances share nothing).
-	PIF pif.Config
-	// TIFS configures KindTIFS.
-	TIFS tifs.Config
-	// SHIFT configures KindSHIFT.
-	SHIFT core.Config
+	// History configures KindHistory: each history's storage, geometry
+	// and recording policy (see core.Config; core.PIFConfig and
+	// core.TIFSConfig give the per-core designs').
+	History core.Config
+	// PerCore gives every core a history of its own, which it alone
+	// records and replays, instead of one history for all cores.
+	PerCore bool
 	// Groups optionally consolidates the CMP into multiple workloads,
 	// one shared history each (Section 4.3). Empty means a single
 	// homogeneous workload across all cores.
@@ -88,23 +85,29 @@ type PrefetcherSpec struct {
 	// lockstep rounds (default 8192).
 	AdaptiveGenerator bool
 	AdaptWindow       int64
+	// Label overrides the reported name (see Name).
+	Label string
 }
 
-// Name returns the design-point label used in figures.
+// Name returns the design-point label used in figures: Label if set,
+// else TIFS for per-core miss histories, core.PIFLabel for other
+// per-core histories, and the storage variant's name for a shared one.
 func (p PrefetcherSpec) Name() string {
-	switch p.Kind {
-	case KindNone:
+	switch {
+	case p.Label != "":
+		return p.Label
+	case p.Kind == KindNone:
 		return "Baseline"
-	case KindNextLine:
+	case p.Kind == KindNextLine:
 		return "NextLine"
-	case KindPIF:
-		return p.PIF.Name()
-	case KindTIFS:
-		return "TIFS"
-	case KindSHIFT:
-		return p.SHIFT.Variant.String()
-	default:
+	case p.Kind != KindHistory:
 		return fmt.Sprintf("PrefetcherKind(%d)", int(p.Kind))
+	case p.PerCore && p.History.RecordMisses:
+		return "TIFS"
+	case p.PerCore:
+		return core.PIFLabel(p.History.HistEntries)
+	default:
+		return p.History.Variant.String()
 	}
 }
 
@@ -112,13 +115,10 @@ func (p PrefetcherSpec) Name() string {
 // stream into spatial region records (see prefetch.RecordWarmer), 0 for a
 // design that compacts none.
 func (p PrefetcherSpec) regionSpan() int {
-	switch p.Kind {
-	case KindPIF:
-		return p.PIF.SAB.Span
-	case KindSHIFT:
-		return p.SHIFT.SAB.Span
+	if p.Kind != KindHistory || p.History.RecordMisses {
+		return 0
 	}
-	return 0
+	return p.History.SAB.Span
 }
 
 // Config describes one simulated system (Table I defaults via
@@ -228,22 +228,15 @@ func (c Config) Validate() error {
 	if !c.CoreType.Valid() {
 		return fmt.Errorf("sim: invalid core type %d", c.CoreType)
 	}
-	switch c.Prefetcher.Kind {
+	switch p := c.Prefetcher; p.Kind {
 	case KindNone, KindNextLine:
-	case KindPIF:
-		if err := c.Prefetcher.PIF.Validate(); err != nil {
-			return err
+	case KindHistory:
+		if p.PerCore && len(p.Groups) > 0 {
+			return fmt.Errorf("sim: PerCore histories cannot be combined with Groups")
 		}
-	case KindSHIFT:
-		if err := c.Prefetcher.SHIFT.Validate(); err != nil {
-			return err
-		}
-	case KindTIFS:
-		if err := c.Prefetcher.TIFS.Validate(); err != nil {
-			return err
-		}
+		return p.History.Validate()
 	default:
-		return fmt.Errorf("sim: unknown prefetcher kind %d", c.Prefetcher.Kind)
+		return fmt.Errorf("sim: unknown prefetcher kind %d", p.Kind)
 	}
 	return nil
 }

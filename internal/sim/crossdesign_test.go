@@ -3,9 +3,7 @@ package sim
 import (
 	"testing"
 
-	"shift/internal/core"
 	"shift/internal/noc"
-	"shift/internal/pif"
 	"shift/internal/workload"
 )
 
@@ -81,12 +79,12 @@ func checkCounters(t *testing.T, label string, res Result) {
 }
 
 // TestCrossDesignInvariants sweeps every workload in the catalog across
-// the four history-based design points and checks the orderings the
-// paper's evaluation rests on: dedicated zero-latency history storage
-// never covers fewer baseline misses than the virtualized (in-LLC)
-// history, and a 32K-record PIF never covers fewer than the 2K-record
-// equal-cost PIF. Coverage is measured as the fraction of baseline
-// misses eliminated, the Figure 7 metric.
+// the design table (smallDesignSpecs), checks every run's counters, and
+// checks the orderings the paper's evaluation rests on: dedicated
+// zero-latency history storage never covers fewer baseline misses than
+// the virtualized (in-LLC) history, and a 32K-record PIF never covers
+// fewer than the 2K-record equal-cost PIF. Coverage is measured as the
+// fraction of baseline misses eliminated, the Figure 7 metric.
 func TestCrossDesignInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog sweep is not short")
@@ -95,36 +93,23 @@ func TestCrossDesignInvariants(t *testing.T) {
 		wp := wp
 		t.Run(wp.Name, func(t *testing.T) {
 			t.Parallel()
-			base := runCatalog(t, wp, nil)
-			checkCounters(t, wp.Name+"/baseline", base)
+			var res []Result
+			for _, d := range smallDesignSpecs() {
+				r := runCatalog(t, wp, func(c *Config) { c.Prefetcher = d })
+				checkCounters(t, wp.Name+"/"+d.Name(), r)
+				res = append(res, r)
+			}
+			base := res[dBaseline]
 			if base.Fetch.Misses == 0 {
 				t.Fatalf("%s: baseline saw no misses", wp.Name)
 			}
-			coverage := func(res Result) float64 {
-				return 1 - float64(res.Fetch.Misses)/float64(base.Fetch.Misses)
+			coverage := func(d int) float64 {
+				return 1 - float64(res[d].Fetch.Misses)/float64(base.Fetch.Misses)
 			}
-
-			zero := runCatalog(t, wp, func(c *Config) {
-				c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)}
-			})
-			virt := runCatalog(t, wp, func(c *Config) {
-				c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
-			})
-			pif32 := runCatalog(t, wp, func(c *Config) {
-				c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()}
-			})
-			pif2 := runCatalog(t, wp, func(c *Config) {
-				c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}
-			})
-			checkCounters(t, wp.Name+"/zerolat", zero)
-			checkCounters(t, wp.Name+"/virtualized", virt)
-			checkCounters(t, wp.Name+"/pif32k", pif32)
-			checkCounters(t, wp.Name+"/pif2k", pif2)
-
-			if cz, cv := coverage(zero), coverage(virt); cz < cv {
+			if cz, cv := coverage(dZeroLat), coverage(dSHIFT); cz < cv {
 				t.Errorf("ZeroLat coverage %.3f < virtualized %.3f", cz, cv)
 			}
-			if c32, c2 := coverage(pif32), coverage(pif2); c32 < c2 {
+			if c32, c2 := coverage(dPIF32K), coverage(dPIF2K); c32 < c2 {
 				t.Errorf("PIF_32K coverage %.3f < PIF_2K %.3f", c32, c2)
 			}
 		})

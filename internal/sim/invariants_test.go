@@ -27,7 +27,7 @@ func runFor(t *testing.T, mut func(*Config)) Result {
 // demand miss produced demand traffic, cycle counts decompose.
 func TestAccountingInvariants(t *testing.T) {
 	res := runFor(t, func(c *Config) {
-		c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+		c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	})
 	f := res.Fetch
 	if f.Accesses != res.Records {
@@ -65,7 +65,7 @@ func TestAccountingInvariants(t *testing.T) {
 // one index update per record, one history write per 12 records.
 func TestHistoryTrafficProportions(t *testing.T) {
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	spec := testSpec(cfg)
 	spec.WarmupRecords = 0 // count from a cold start so totals align
 	res, err := Run(spec)
@@ -94,7 +94,7 @@ func TestGeneratorCoreChoiceInsensitive(t *testing.T) {
 		res := runFor(t, func(c *Config) {
 			sh := smallSHIFT(core.Dedicated)
 			sh.GeneratorCore = gen
-			c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: sh}
+			c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: sh}
 		})
 		return res.Throughput / base.Throughput
 	}

@@ -84,7 +84,7 @@ func (r RunSpec) Validate() error {
 // histories align with the traces.
 func (r RunSpec) systemConfig() Config {
 	cfg := r.Config
-	if len(r.Groups) > 0 && cfg.Prefetcher.Kind == KindSHIFT {
+	if len(r.Groups) > 0 && cfg.Prefetcher.Kind == KindHistory && !cfg.Prefetcher.PerCore {
 		cfg.Prefetcher.Groups = r.Groups
 	}
 	return cfg

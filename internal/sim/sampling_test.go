@@ -12,9 +12,7 @@ import (
 	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/noc"
-	"shift/internal/pif"
 	"shift/internal/prefetch"
-	"shift/internal/tifs"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -117,7 +115,7 @@ func TestRunSpecRejectsUnsampleableWindow(t *testing.T) {
 // metrics close to the exact run's.
 func TestRunSampledReportsErrorBounds(t *testing.T) {
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	spec := testSpec(cfg)
 	spec.Sampling = testSampling()
 
@@ -175,7 +173,7 @@ func TestRunSampledReportsErrorBounds(t *testing.T) {
 // identical spec, identical Result, bit for bit.
 func TestRunSampledDeterministic(t *testing.T) {
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}
+	cfg.Prefetcher = designSpecs()[dPIF2K]
 	spec := testSpec(cfg)
 	spec.Sampling = testSampling()
 	a, err := Run(spec)
@@ -234,14 +232,6 @@ func warmSystems(t *testing.T, cfg Config, rounds int64) (detailed, functional *
 // so its history row runs in prediction mode where the two coincide
 // (the access-vs-miss-stream fragility of the paper's Section 2.2).
 func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
-	type historyOf func(s *System) *history.Buffer
-	shiftHist := func(s *System) *history.Buffer {
-		hs := s.SharedHistories()
-		if len(hs) != 1 {
-			t.Fatalf("%d shared histories", len(hs))
-		}
-		return hs[0].History()
-	}
 	// live is everything a buffer lets a reader see: the write pointer
 	// and the records still valid behind it. Storage past the write
 	// pointer is whatever a recycled buffer's last owner left there.
@@ -250,36 +240,14 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 		recs, _ := b.ReadSeq(nil, end-uint64(b.Len()), b.Len())
 		return end, recs
 	}
-	cases := []struct {
-		name    string
-		mut     func(*Config)
-		history historyOf
-	}{
-		{"baseline", func(c *Config) {}, nil},
-		{"nextline", func(c *Config) {
-			c.Prefetcher = PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}
-		}, nil},
-		{"pif2k", func(c *Config) {
-			c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}
-		}, func(s *System) *history.Buffer { return s.pf[1].(*pif.PIF).History() }},
-		{"pif32k", func(c *Config) {
-			c.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()}
-		}, func(s *System) *history.Buffer { return s.pf[1].(*pif.PIF).History() }},
-		{"zerolat-shift", func(c *Config) {
-			c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)}
-		}, shiftHist},
-		{"shift", func(c *Config) {
-			c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
-		}, shiftHist},
-		{"tifs-prediction", func(c *Config) {
-			c.Mode = ModePrediction
-			c.Prefetcher = PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()}
-		}, func(s *System) *history.Buffer { return s.pf[1].(*tifs.TIFS).History() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, spec := range smallDesignSpecs() {
+		name, mode := testName(spec), ModePrefetch
+		if spec.History.RecordMisses {
+			name, mode = name+"-prediction", ModePrediction
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
-			tc.mut(&cfg)
+			cfg.Prefetcher, cfg.Mode = spec, mode
 			det, fun := warmSystems(t, cfg, 20000)
 			for i := 0; i < cfg.Cores; i++ {
 				if det.l1i[i].Fingerprint() != fun.l1i[i].Fingerprint() {
@@ -293,9 +261,10 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 					t.Errorf("core %d: branch predictor state diverged", i)
 				}
 			}
-			if tc.history != nil {
-				dEnd, dRecs := live(tc.history(det))
-				fEnd, fRecs := live(tc.history(fun))
+			// Core 1's history: its own, or the one it shares.
+			if len(det.shared) > 0 {
+				dEnd, dRecs := live(det.shared[det.groupOf[1]].History())
+				fEnd, fRecs := live(fun.shared[fun.groupOf[1]].History())
 				if dEnd != fEnd || !reflect.DeepEqual(dRecs, fRecs) {
 					t.Error("history contents diverged between detailed and functional stepping")
 				}
@@ -323,7 +292,7 @@ func consumePathDesigns() []RunSpec {
 	specs := []RunSpec{all[2], all[0], all[5], all[6], all[3], all[1], all[2], all[0], all[3], all[5]}
 	specs[6].Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
 	specs[7].Config.BranchPredictorEntries = 4096
-	specs[8].Config.Prefetcher.PIF.SAB.Span = 16
+	specs[8].Config.Prefetcher.History.SAB.Span = 16
 	specs[9].Config.Prefetcher.AdaptiveGenerator = true
 	specs[9].Config.Prefetcher.AdaptWindow = 250
 	return specs
@@ -516,7 +485,7 @@ func TestRunBatchSampledMixedPredictors(t *testing.T) {
 	b := testConfig()
 	b.BranchPredictorEntries = 4096
 	c := testConfig()
-	c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	c.BranchPredictorEntries = 0
 	specs := []RunSpec{testSpec(a), testSpec(b), testSpec(c)}
 	for i := range specs {
@@ -831,20 +800,20 @@ func TestWarmNeedsDeclared(t *testing.T) {
 		return sys, out
 	}
 	all := func(n prefetch.WarmNeed) []prefetch.WarmNeed { return []prefetch.WarmNeed{n, n, n, n} }
-	for _, tc := range []struct {
-		spec PrefetcherSpec
-		want []prefetch.WarmNeed
-	}{
-		{PrefetcherSpec{Kind: KindNone}, all(prefetch.WarmNone)},
-		{PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}, all(prefetch.WarmNone)},
-		{PrefetcherSpec{Kind: KindPIF, PIF: pif.Config2K()}, all(prefetch.WarmRecords)},
-		{PrefetcherSpec{Kind: KindTIFS, TIFS: tifs.DefaultConfig()}, all(prefetch.WarmMisses)},
-		{PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)},
-			[]prefetch.WarmNeed{prefetch.WarmRecords, prefetch.WarmNone, prefetch.WarmNone, prefetch.WarmNone}},
-	} {
-		sys, got := needs(tc.spec)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: cores need %v, want %v", tc.spec.Name(), got, tc.want)
+	generator := []prefetch.WarmNeed{prefetch.WarmRecords, prefetch.WarmNone, prefetch.WarmNone, prefetch.WarmNone}
+	want := map[string][]prefetch.WarmNeed{
+		"Baseline":      all(prefetch.WarmNone),
+		"NextLine":      all(prefetch.WarmNone),
+		"PIF_2K":        all(prefetch.WarmRecords),
+		"PIF_32K":       all(prefetch.WarmRecords),
+		"ZeroLat-SHIFT": generator,
+		"SHIFT":         generator,
+		"TIFS":          all(prefetch.WarmMisses),
+	}
+	for _, spec := range smallDesignSpecs() {
+		sys, got := needs(spec)
+		if !reflect.DeepEqual(got, want[spec.Name()]) {
+			t.Errorf("%s: cores need %v, want %v", spec.Name(), got, want[spec.Name()])
 		}
 		if len(sys.shared) == 1 {
 			sys.shared[0].SetGenerator(2)
@@ -854,7 +823,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 					want = prefetch.WarmRecords
 				}
 				if _, _, need, _ := sys.consumeWork(c, history.Builder{}); need != want {
-					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", tc.spec.Name(), c, need, want)
+					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", spec.Name(), c, need, want)
 				}
 			}
 		}

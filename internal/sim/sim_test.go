@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"shift/internal/core"
 	"shift/internal/noc"
-	"shift/internal/pif"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -60,8 +60,12 @@ func TestConfigValidate(t *testing.T) {
 		{"bad elim", func(c *Config) { c.ElimProb = 1.5 }},
 		{"bad data rate", func(c *Config) { c.DataMPKI = -1 }},
 		{"bad pf kind", func(c *Config) { c.Prefetcher.Kind = PrefetcherKind(9) }},
-		{"bad pif", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindPIF} }},
-		{"bad shift", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindSHIFT} }},
+		{"bad history", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindHistory} }},
+		{"bad per-core history", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindHistory, PerCore: true} }},
+		{"per-core groups", func(c *Config) {
+			c.Prefetcher = designSpecs()[dPIF2K]
+			c.Prefetcher.Groups = []core.Group{{Name: "all", Cores: []int{0}}}
+		}},
 	}
 	for _, m := range mutations {
 		c := DefaultConfig()
@@ -79,13 +83,13 @@ func TestSpecNames(t *testing.T) {
 	if (PrefetcherSpec{Kind: KindNextLine}).Name() != "NextLine" {
 		t.Error("nextline name")
 	}
-	s := PrefetcherSpec{Kind: KindPIF, PIF: pif.Config32K()}
-	if s.Name() != "PIF_32K" {
-		t.Error("pif name")
+	for i, want := range []string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT", "TIFS"} {
+		if got := designSpecs()[i].Name(); got != want {
+			t.Errorf("design %d named %q, want %q", i, got, want)
+		}
 	}
-	sh := PrefetcherSpec{Kind: KindSHIFT, SHIFT: core.DefaultConfig()}
-	if sh.Name() != "SHIFT" {
-		t.Error("shift name")
+	if n := (PrefetcherSpec{Kind: KindHistory, History: core.PIFConfig(4096), PerCore: true}).Name(); n != "PIF_4096" {
+		t.Errorf("rescaled PIF named %q", n)
 	}
 	if ModePrediction.String() != "prediction" || ModePrefetch.String() != "prefetch" {
 		t.Error("mode names")
@@ -184,14 +188,6 @@ func TestNextLineImproves(t *testing.T) {
 	}
 }
 
-func smallPIF() pif.Config {
-	c := pif.Config32K()
-	c.HistEntries = 4096
-	c.IndexEntries = 1024
-	c.Label = "PIF_small"
-	return c
-}
-
 func TestPIFImprovesOverNextLine(t *testing.T) {
 	cfg := testConfig()
 	cfg.Prefetcher = PrefetcherSpec{Kind: KindNextLine}
@@ -200,7 +196,7 @@ func TestPIFImprovesOverNextLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindPIF, PIF: smallPIF()}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: core.PIFConfig(4096), PerCore: true}
 	pf, err := Run(testSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +207,50 @@ func TestPIFImprovesOverNextLine(t *testing.T) {
 	if pf.Fetch.Misses >= nl.Fetch.Misses {
 		t.Errorf("PIF misses %d >= next-line %d", pf.Fetch.Misses, nl.Fetch.Misses)
 	}
+}
+
+// The design table: every design point, in the root package's Design
+// order, at the geometry internal/core gives it (the root cannot be
+// imported here). The per-design tests and benchmarks walk it.
+const (
+	dBaseline = iota
+	dNextLine
+	dPIF2K
+	dPIF32K
+	dZeroLat
+	dSHIFT
+	dTIFS
+)
+
+func designSpecs() []PrefetcherSpec {
+	zeroLat := core.DefaultConfig()
+	zeroLat.Variant = core.Dedicated
+	return []PrefetcherSpec{
+		dBaseline: {Kind: KindNone},
+		dNextLine: {Kind: KindNextLine, NextLineDegree: 1},
+		dPIF2K:    {Kind: KindHistory, History: core.PIFConfig(core.PIF2K), PerCore: true, Label: "PIF_2K"},
+		dPIF32K:   {Kind: KindHistory, History: core.PIFConfig(core.PIF32K), PerCore: true, Label: "PIF_32K"},
+		dZeroLat:  {Kind: KindHistory, History: zeroLat},
+		dSHIFT:    {Kind: KindHistory, History: core.DefaultConfig()},
+		dTIFS:     {Kind: KindHistory, History: core.TIFSConfig(), PerCore: true},
+	}
+}
+
+// smallDesignSpecs is designSpecs with the shared histories shrunk to
+// 4096 records (smallSHIFT), so that a test window fills them.
+func smallDesignSpecs() []PrefetcherSpec {
+	specs := designSpecs()
+	for i := range specs {
+		if specs[i].Kind == KindHistory && !specs[i].PerCore {
+			specs[i].History.HistEntries = 4096
+		}
+	}
+	return specs
+}
+
+// testName is spec's name as a subtest name: lower case, no underscores.
+func testName(spec PrefetcherSpec) string {
+	return strings.ToLower(strings.ReplaceAll(spec.Name(), "_", ""))
 }
 
 func smallSHIFT(v core.Variant) core.Config {
@@ -226,7 +266,7 @@ func TestSHIFTDedicatedWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Dedicated)}
 	sh, err := Run(testSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +281,7 @@ func TestSHIFTDedicatedWorks(t *testing.T) {
 
 func TestSHIFTVirtualizedTrafficAndPinning(t *testing.T) {
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	spec := testSpec(cfg)
 
 	w, err := workload.New(spec.Workload)
@@ -276,23 +316,23 @@ func TestSHIFTVirtualizedTrafficAndPinning(t *testing.T) {
 	if got := sys.LLCPinnedLines(); got > maxPinned {
 		t.Errorf("pinned lines %d exceed history size %d", got, maxPinned)
 	}
-	if len(sys.SharedHistories()) != 1 {
+	if len(sys.shared) != 1 {
 		t.Error("expected one shared history")
 	}
-	if sys.SharedHistories()[0].Stats().RecordsWritten == 0 {
+	if sys.shared[0].Stats().RecordsWritten == 0 {
 		t.Error("generator wrote no records")
 	}
 }
 
 func TestSHIFTVirtualizedSlowerThanDedicated(t *testing.T) {
 	cfgD := testConfig()
-	cfgD.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)}
+	cfgD.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Dedicated)}
 	ded, err := Run(testSpec(cfgD))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgV := testConfig()
-	cfgV.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	cfgV.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	vir, err := Run(testSpec(cfgV))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +351,7 @@ func TestPredictionModeDoesNotPerturb(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Mode = ModePrediction
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Dedicated)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Dedicated)}
 	pred, err := Run(testSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +369,7 @@ func TestPredictionModeDoesNotPerturb(t *testing.T) {
 
 func TestConsolidationRun(t *testing.T) {
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: smallSHIFT(core.Virtualized)}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
 	wlA := testWorkload()
 	wlB := testWorkload()
 	wlB.Name = "sim-test-B"
@@ -399,7 +439,7 @@ func TestSameWorkloadGroupsOverpredictNoMore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindSHIFT, SHIFT: core.DefaultConfig()}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: core.DefaultConfig()}
 	one := RunSpec{Config: cfg, Workload: p, WarmupRecords: 20000, MeasureRecords: 30000}
 	two := one
 	two.Groups = []core.Group{{Name: "A", Cores: []int{0, 1}}, {Name: "B", Cores: []int{2, 3}}}

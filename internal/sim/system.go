@@ -10,9 +10,7 @@ import (
 	"shift/internal/core"
 	"shift/internal/cpu"
 	"shift/internal/noc"
-	"shift/internal/pif"
 	"shift/internal/prefetch"
-	"shift/internal/tifs"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -44,8 +42,8 @@ type System struct {
 	llc     []*cache.LLCBank
 	mesh    *noc.Mesh
 	pf      []prefetch.Prefetcher
-	shared  []*core.SharedHistory
-	groupOf []int // core -> shared history index (SHIFT only)
+	shared  []*core.SharedHistory // KindHistory: one per group (per core for PerCore)
+	groupOf []int                 // core -> its history's index in shared
 	rng     []*trace.RNG
 
 	dataAcc []float64
@@ -147,8 +145,9 @@ type coreHot struct {
 	mshr *cache.MSHRs
 	rng  *trace.RNG
 	pf   prefetch.Prefetcher
-	// rep devirtualizes OnAccess for the SHIFT replayer, the design
-	// point that dominates every figure's grid (nil otherwise).
+	// rep devirtualizes OnAccess for the replayer of an access-stream
+	// history (SHIFT's and PIF's, the design points that dominate every
+	// figure's grid; nil otherwise).
 	rep   *core.Replayer
 	fetch *FetchStats
 	// warm is the design's functional-warming hook (nil when the design
@@ -281,7 +280,7 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 		shift++
 	}
 	// Only virtualized SHIFT keeps index pointers in the LLC's tags.
-	pointers := cfg.Prefetcher.Kind == KindSHIFT && cfg.Prefetcher.SHIFT.Variant == core.Virtualized
+	pointers := cfg.Prefetcher.Kind == KindHistory && cfg.Prefetcher.History.Variant == core.Virtualized
 	s.llc = make([]*cache.LLCBank, banks)
 	for b := 0; b < banks; b++ {
 		bank, err := cache.NewLLCBank(cache.Config{
@@ -351,11 +350,6 @@ func (s *System) release() {
 	for _, h := range s.bp {
 		h.Release()
 	}
-	for _, p := range s.pf {
-		if r, ok := p.(interface{ Release() }); ok {
-			r.Release()
-		}
-	}
 	for _, sh := range s.shared {
 		sh.Release()
 	}
@@ -377,25 +371,9 @@ func (s *System) buildPrefetchers() error {
 		for i := range s.pf {
 			s.pf[i] = prefetch.NewNextLine(spec.NextLineDegree)
 		}
-	case KindPIF:
-		for i := range s.pf {
-			p, err := pif.New(spec.PIF)
-			if err != nil {
-				return err
-			}
-			s.pf[i] = p
-		}
-	case KindTIFS:
-		for i := range s.pf {
-			p, err := tifs.New(spec.TIFS)
-			if err != nil {
-				return err
-			}
-			s.pf[i] = p
-		}
-	case KindSHIFT:
+	case KindHistory:
 		var backend core.LLCBackend
-		if spec.SHIFT.Variant == core.Virtualized {
+		if spec.History.Variant == core.Virtualized {
 			backend = (*llcBackend)(s)
 		}
 		groups := spec.Groups
@@ -405,9 +383,14 @@ func (s *System) buildPrefetchers() error {
 				all[i] = i
 			}
 			groups = []core.Group{{Name: "all", Cores: all}}
+			if spec.PerCore {
+				groups = make([]core.Group, n)
+				for i := range groups {
+					groups[i] = core.Group{Name: "per-core", Cores: all[i : i+1]}
+				}
+			}
 		}
-		base := spec.SHIFT
-		shs, err := core.NewGroups(base, groups, backend)
+		shs, err := core.NewGroups(spec.History, groups, backend)
 		if err != nil {
 			return err
 		}
@@ -417,7 +400,7 @@ func (s *System) buildPrefetchers() error {
 		// allocates consecutive ranges, so the union is contiguous.
 		lo, _ := shs[0].Config().HBRange()
 		_, hi := shs[len(shs)-1].Config().HBRange()
-		if spec.SHIFT.Variant == core.Virtualized {
+		if spec.History.Variant == core.Virtualized {
 			for _, bank := range s.llc {
 				bank.PinRange(lo, hi)
 			}
@@ -704,9 +687,6 @@ func (s *System) runRound() (bool, error) {
 	}
 	return true, nil
 }
-
-// SharedHistories returns SHIFT's shared histories (nil otherwise).
-func (s *System) SharedHistories() []*core.SharedHistory { return s.shared }
 
 // LLCPinnedLines returns the total pinned (history) lines across banks.
 func (s *System) LLCPinnedLines() int {

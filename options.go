@@ -139,7 +139,7 @@ func (o Options) shiftVariants(workloadName string, base RunResult, muts []func(
 		if err != nil {
 			return nil, nil, err
 		}
-		mut(&rs.Config.Prefetcher.SHIFT)
+		mut(&rs.Config.Prefetcher.History)
 		if err := resolveWorkloadInto(workloadName, &rs); err != nil {
 			return nil, nil, err
 		}

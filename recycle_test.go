@@ -247,14 +247,14 @@ func hostBytes(t *testing.T, cfg Config) uint64 {
 	tables := func(histEntries, indexEntries int) int { return histEntries*8 + indexEntries*16 }
 	llcLines := sc.Mesh.Tiles() * (sc.LLCBankBytes / trace.BlockBytes)
 	n := llcLines*4 + sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
-	switch p := sc.Prefetcher; p.Kind {
-	case sim.KindPIF:
-		n += sc.Cores * tables(p.PIF.HistEntries, p.PIF.IndexEntries)
-	case sim.KindSHIFT:
-		if p.SHIFT.Variant == core.Virtualized {
-			n += llcLines*4 + tables(p.SHIFT.HistEntries, 0) // the index is the LLC's pointers
-		} else {
-			n += tables(p.SHIFT.HistEntries, p.SHIFT.HistEntries)
+	if p := sc.Prefetcher; p.Kind == sim.KindHistory {
+		switch h := p.History; {
+		case h.Variant == core.Virtualized:
+			n += llcLines*4 + tables(h.HistEntries, 0) // the index is the LLC's pointers
+		case p.PerCore:
+			n += sc.Cores * tables(h.HistEntries, h.IndexEntries)
+		default:
+			n += tables(h.HistEntries, h.HistEntries)
 		}
 	}
 	return uint64(n)
@@ -283,7 +283,7 @@ func TestEmptyFreeListsEmpties(t *testing.T) {
 // storage it models at the host bytes per line, record and entry that
 // hostBytes prices, plus at most 400 KB for everything else (sixteen
 // cores' predictors, prefetch buffers, MSHRs and stream chunks: 346 KB
-// for Baseline, 373 KB for PIF_32K). A duplicate array anywhere in the
+// for Baseline, 375 KB for PIF_32K). A duplicate array anywhere in the
 // hierarchy breaks it.
 func TestSystemFootprint(t *testing.T) {
 	for _, d := range g12Designs {

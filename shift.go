@@ -101,9 +101,7 @@ import (
 	"shift/internal/core"
 	"shift/internal/cpu"
 	"shift/internal/noc"
-	"shift/internal/pif"
 	"shift/internal/sim"
-	"shift/internal/tifs"
 	"shift/internal/workload"
 )
 
@@ -175,7 +173,9 @@ type design struct {
 }
 
 // designs is the design table, one row per Design. A new design point is
-// a constant above and a row here; internal/sim keeps the per-kind code.
+// a constant above and a row here; a new history design is a core.Config
+// and the two bits of sim.PrefetcherSpec, and needs no code in
+// internal/sim.
 var designs = [...]design{
 	DesignBaseline: {name: "Baseline", spec: func(int, bool) sim.PrefetcherSpec {
 		return sim.PrefetcherSpec{Kind: sim.KindNone}
@@ -183,32 +183,35 @@ var designs = [...]design{
 	DesignNextLine: {name: "NextLine", spec: func(int, bool) sim.PrefetcherSpec {
 		return sim.PrefetcherSpec{Kind: sim.KindNextLine, NextLineDegree: 1}
 	}},
-	DesignPIF2K:        pifDesign("PIF_2K", pif.Config2K()),
-	DesignPIF32K:       pifDesign("PIF_32K", pif.Config32K()),
+	DesignPIF2K:        pifDesign("PIF_2K", core.PIF2K),
+	DesignPIF32K:       pifDesign("PIF_32K", core.PIF32K),
 	DesignZeroLatSHIFT: shiftDesign("ZeroLat-SHIFT", core.Dedicated),
 	DesignSHIFT:        shiftDesign("SHIFT", core.Virtualized),
 	DesignTIFS: {name: "TIFS", spec: func(histEntries int, _ bool) sim.PrefetcherSpec {
-		tc := tifs.DefaultConfig()
+		tc := core.TIFSConfig()
 		if histEntries > 0 {
 			tc.HistEntries = histEntries
 		}
-		return sim.PrefetcherSpec{Kind: sim.KindTIFS, TIFS: tc}
+		return sim.PrefetcherSpec{Kind: sim.KindHistory, History: tc, PerCore: true}
 	}},
 }
 
-// pifDesign is a per-core PIF row: pc unless the history capacity is
-// overridden, which rescales the 32K design.
-func pifDesign(name string, pc pif.Config) design {
+// pifDesign is a per-core PIF row of the given history records, labelled
+// name unless the history capacity is overridden, which rescales the
+// design (and labels it PIF_<records>).
+func pifDesign(name string, records int) design {
 	return design{
 		name: name,
 		spec: func(histEntries int, _ bool) sim.PrefetcherSpec {
-			c := pc
 			if histEntries > 0 {
-				c = pif.WithHistEntries(histEntries)
+				return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(histEntries), PerCore: true}
 			}
-			return sim.PrefetcherSpec{Kind: sim.KindPIF, PIF: c}
+			return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(records), PerCore: true, Label: name}
 		},
-		areaMM2: func(int) float64 { return area.PIFAreaPerCoreMM2(pc.HistEntries, pc.IndexEntries) },
+		areaMM2: func(int) float64 {
+			c := core.PIFConfig(records)
+			return area.PIFAreaPerCoreMM2(c.HistEntries, c.IndexEntries)
+		},
 	}
 }
 
@@ -225,7 +228,7 @@ func shiftDesign(name string, v core.Variant) design {
 				sc.HistEntries = histEntries
 			}
 			sc.AllocOnAccess = commonality
-			return sim.PrefetcherSpec{Kind: sim.KindSHIFT, SHIFT: sc}
+			return sim.PrefetcherSpec{Kind: sim.KindHistory, History: sc}
 		},
 		areaMM2: func(cores int) float64 { return area.SHIFTTotalAreaMM2(llcBytesTotal) / float64(cores) },
 	}

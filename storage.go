@@ -10,7 +10,6 @@ import (
 
 	"shift/internal/area"
 	"shift/internal/core"
-	"shift/internal/pif"
 	"shift/internal/sim"
 	"shift/internal/stats"
 )
@@ -249,7 +248,7 @@ type StorageReport struct {
 func RunStorageReport() *StorageReport {
 	const cores = 16
 	shiftCfg := core.DefaultConfig()
-	pif32, pif2 := pif.Config32K(), pif.Config2K()
+	pif32, pif2 := core.PIFConfig(core.PIF32K), core.PIFConfig(core.PIF2K)
 	r := &StorageReport{
 		PIF32KPerCoreKB:   float64(area.PIFStorageBytes(pif32.HistEntries, pif32.IndexEntries)) / 1024,
 		PIF32KPerCoreMM2:  DesignPIF32K.areaPerCore(cores),
