@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -143,6 +145,44 @@ func TestRunValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// refuseRuns is an executor that fails the test if any cell reaches it.
+type refuseRuns struct{ t *testing.T }
+
+func (r refuseRuns) ExecBatch(cfgs []shift.Config) ([]shift.RunResult, error) {
+	r.t.Errorf("%d cells of %d + %d records reached the engine", len(cfgs), cfgs[0].WarmupRecords, cfgs[0].MeasureRecords)
+	return nil, errors.New("test: refused")
+}
+
+// TestRunRefusesHugeWindow: a history numbers its records in 30 bits, so
+// a cell whose window is 2^30 records a core is a 400 naming the field,
+// through /v1/run and /v1/jobs, before any of it runs.
+func TestRunRefusesHugeWindow(t *testing.T) {
+	ts, srv := newTestServer(t)
+	srv.engine.SetExecutor(refuseRuns{t})
+	for _, window := range []map[string]any{
+		{"measure_records": 1 << 30},
+		{"warmup_records": 1 << 29, "measure_records": 1 << 29},
+	} {
+		cell := map[string]any{"workload": "Web Search", "design": "SHIFT", "cores": 1}
+		maps.Copy(cell, window)
+		for path, body := range map[string]any{"/v1/run": cell, "/v1/jobs": map[string]any{"cells": []any{cell}}} {
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"measure_records\"`) {
+				t.Errorf("%s %v: status %d %s, want 400 naming measure_records", path, window, resp.StatusCode, msg)
+			}
+		}
 	}
 }
 

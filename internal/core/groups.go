@@ -22,7 +22,8 @@ type Group struct {
 // buffer base address").
 //
 // The backend is shared: the histories live side by side in the same LLC.
-func NewGroups(base Config, groups []Group, backend LLCBackend) ([]*SharedHistory, error) {
+// writes bounds the records each history appends, as for NewSharedHistory.
+func NewGroups(base Config, groups []Group, writes int, backend LLCBackend) ([]*SharedHistory, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: no workload groups")
 	}
@@ -45,7 +46,7 @@ func NewGroups(base Config, groups []Group, backend LLCBackend) ([]*SharedHistor
 		cfg := base
 		cfg.GeneratorCore = g.Cores[0]
 		cfg.HBBase = hb
-		sh, err := NewSharedHistory(cfg, backend)
+		sh, err := NewSharedHistory(cfg, writes, backend)
 		if err != nil {
 			return nil, fmt.Errorf("core: group %q: %w", g.Name, err)
 		}

@@ -59,7 +59,7 @@ func TestPIFMustNewPanics(t *testing.T) {
 	}()
 	c := PIFConfig(PIF32K)
 	c.HistEntries = 0
-	MustNewSharedHistory(c, nil)
+	MustNewSharedHistory(c, 0, nil)
 }
 
 func testPIFConfig() Config {
@@ -71,7 +71,7 @@ func testPIFConfig() Config {
 
 // newPIF is one core's PIF: the replay engine over a history of cfg that
 // the core alone records and replays.
-func newPIF(cfg Config) *Replayer { return replayer(MustNewSharedHistory(cfg, nil), 0) }
+func newPIF(cfg Config) *Replayer { return replayer(MustNewSharedHistory(cfg, 0, nil), 0) }
 
 // runStream feeds a block sequence as misses and returns all requests.
 func runStream(p *Replayer, blocks []trace.BlockAddr, hit bool) []prefetch.Request {

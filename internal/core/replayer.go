@@ -33,9 +33,6 @@ func (sh *SharedHistory) CorePrefetcher(coreID int) prefetch.Prefetcher {
 	return &r
 }
 
-// Name implements prefetch.Prefetcher.
-func (r *Replayer) Name() string { return r.sh.cfg.Variant.String() }
-
 // PrefetchStats implements prefetch.StatsReporter.
 func (r *Replayer) PrefetchStats() prefetch.Stats { return r.stats }
 
@@ -223,9 +220,6 @@ type missRecorder struct {
 	r    Replayer
 	hits int64 // plain hits: counted, never replayed or recorded
 }
-
-// Name implements prefetch.Prefetcher.
-func (m *missRecorder) Name() string { return "TIFS" }
 
 // PrefetchStats implements prefetch.StatsReporter.
 func (m *missRecorder) PrefetchStats() prefetch.Stats {

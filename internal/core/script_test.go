@@ -26,7 +26,7 @@ func TestScriptGolden(t *testing.T) {
 	cfg := TIFSConfig()
 	cfg.HistEntries = 96
 	cfg.IndexEntries = 32
-	sh := MustNewSharedHistory(cfg, nil)
+	sh := MustNewSharedHistory(cfg, 0, nil)
 	p := sh.CorePrefetcher(0).(*missRecorder)
 
 	rng := rand.New(rand.NewPCG(45, 2008))

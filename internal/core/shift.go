@@ -232,9 +232,11 @@ type SharedHistory struct {
 	indexForeign   int64 // pointers rejected because another history set them
 }
 
-// NewSharedHistory builds the shared history. backend is required for the
-// Virtualized variant and ignored for Dedicated.
-func NewSharedHistory(cfg Config, backend LLCBackend) (*SharedHistory, error) {
+// NewSharedHistory builds the shared history for a run of at most writes
+// rounds (0: unbounded), which sizes the buffer's host storage (see
+// history.NewBuffer). backend is required for the Virtualized variant and
+// ignored for Dedicated.
+func NewSharedHistory(cfg Config, writes int, backend LLCBackend) (*SharedHistory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -242,7 +244,11 @@ func NewSharedHistory(cfg Config, backend LLCBackend) (*SharedHistory, error) {
 		return nil, fmt.Errorf("core: virtualized SHIFT requires an LLC backend")
 	}
 	sh := &SharedHistory{cfg: cfg, backend: backend, generator: cfg.GeneratorCore}
-	sh.buf = history.MustNewBuffer(cfg.HistEntries)
+	buf, err := history.NewBuffer(cfg.HistEntries, writes)
+	if err != nil {
+		return nil, err
+	}
+	sh.buf = buf
 	sh.builder = history.MustNewBuilder(cfg.SAB.Span)
 	if cfg.Variant == Dedicated {
 		entries, assoc := cfg.IndexEntries, cfg.IndexAssoc
@@ -269,8 +275,8 @@ func (sh *SharedHistory) Release() {
 }
 
 // MustNewSharedHistory panics on config errors.
-func MustNewSharedHistory(cfg Config, backend LLCBackend) *SharedHistory {
-	sh, err := NewSharedHistory(cfg, backend)
+func MustNewSharedHistory(cfg Config, writes int, backend LLCBackend) *SharedHistory {
+	sh, err := NewSharedHistory(cfg, writes, backend)
 	if err != nil {
 		panic(err)
 	}
@@ -322,6 +328,7 @@ func (sh *SharedHistory) append(coreID int, rec history.Region) {
 		// Index update request to the LLC for the trigger address,
 		// carrying the current write pointer (recording step 2). The
 		// update is dropped if the trigger block is not LLC-resident.
+		// Positions stay below history.MaxWrites, so 32 bits hold one.
 		sh.indexUpdates++
 		if !sh.backend.UpdatePointer(coreID, rec.Trigger, uint32(pos)) {
 			sh.indexDropped++

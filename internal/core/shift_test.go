@@ -112,10 +112,10 @@ func TestVariantString(t *testing.T) {
 }
 
 func TestVirtualizedRequiresBackend(t *testing.T) {
-	if _, err := NewSharedHistory(testCfg(Virtualized), nil); err == nil {
+	if _, err := NewSharedHistory(testCfg(Virtualized), 0, nil); err == nil {
 		t.Error("virtualized SHIFT without backend accepted")
 	}
-	if _, err := NewSharedHistory(testCfg(Dedicated), nil); err != nil {
+	if _, err := NewSharedHistory(testCfg(Dedicated), 0, nil); err != nil {
 		t.Errorf("dedicated SHIFT rejected: %v", err)
 	}
 }
@@ -136,7 +136,7 @@ func feed(r *Replayer, blocks []trace.BlockAddr) []prefetch.Request {
 }
 
 func TestSharedHistoryCrossCoreReplay(t *testing.T) {
-	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
+	sh := MustNewSharedHistory(testCfg(Dedicated), 0, nil)
 	gen := replayer(sh, 0)   // generator
 	other := replayer(sh, 5) // pure consumer
 
@@ -165,7 +165,7 @@ func TestSharedHistoryCrossCoreReplay(t *testing.T) {
 }
 
 func TestOnlyGeneratorRecords(t *testing.T) {
-	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
+	sh := MustNewSharedHistory(testCfg(Dedicated), 0, nil)
 	other := replayer(sh, 3)
 	feed(other, []trace.BlockAddr{100, 101, 5000, 5001, 9000})
 	if sh.Stats().RecordsWritten != 0 {
@@ -184,7 +184,7 @@ func TestOnlyGeneratorRecords(t *testing.T) {
 func TestVirtualizedRecordingTraffic(t *testing.T) {
 	llc := newFakeLLC()
 	cfg := testCfg(Virtualized)
-	sh := MustNewSharedHistory(cfg, llc)
+	sh := MustNewSharedHistory(cfg, 0, llc)
 	gen := replayer(sh, 0)
 
 	// Feed enough discontinuous blocks to close >24 regions (2+ CBB
@@ -211,7 +211,7 @@ func TestVirtualizedRecordingTraffic(t *testing.T) {
 func TestVirtualizedReplayLatencyAndPointer(t *testing.T) {
 	llc := newFakeLLC()
 	cfg := testCfg(Virtualized)
-	sh := MustNewSharedHistory(cfg, llc)
+	sh := MustNewSharedHistory(cfg, 0, llc)
 	gen := replayer(sh, 0)
 	other := replayer(sh, 7)
 
@@ -246,7 +246,7 @@ func TestVirtualizedReplayLatencyAndPointer(t *testing.T) {
 func TestVirtualizedPointerLostWhenNotResident(t *testing.T) {
 	llc := newFakeLLC()
 	llc.resident = map[trace.BlockAddr]bool{} // nothing resident
-	sh := MustNewSharedHistory(testCfg(Virtualized), llc)
+	sh := MustNewSharedHistory(testCfg(Virtualized), 0, llc)
 	gen := replayer(sh, 0)
 	feed(gen, []trace.BlockAddr{100, 101, 500, 501, 900})
 	st := sh.Stats()
@@ -263,7 +263,7 @@ func TestStalePointerRejected(t *testing.T) {
 	llc := newFakeLLC()
 	cfg := testCfg(Virtualized)
 	cfg.HistEntries = 24 // wraps after 24 records
-	sh := MustNewSharedHistory(cfg, llc)
+	sh := MustNewSharedHistory(cfg, 0, llc)
 	gen := replayer(sh, 0)
 	feed(gen, []trace.BlockAddr{100, 101, 500})
 	// Overwrite the whole history.
@@ -281,7 +281,7 @@ func TestStalePointerRejected(t *testing.T) {
 func TestAllocOnAccessMode(t *testing.T) {
 	cfg := testCfg(Dedicated)
 	cfg.AllocOnAccess = true
-	sh := MustNewSharedHistory(cfg, nil)
+	sh := MustNewSharedHistory(cfg, 0, nil)
 	gen := replayer(sh, 0)
 	stream := []trace.BlockAddr{100, 101, 500, 501, 900}
 	feed(gen, stream)
@@ -295,7 +295,7 @@ func TestAllocOnAccessMode(t *testing.T) {
 }
 
 func TestAdvanceCountsCoverage(t *testing.T) {
-	sh := MustNewSharedHistory(testCfg(Dedicated), nil)
+	sh := MustNewSharedHistory(testCfg(Dedicated), 0, nil)
 	gen := replayer(sh, 0)
 	stream := []trace.BlockAddr{100, 101, 102, 500, 501, 900, 901, 2000}
 	for i := 0; i < 3; i++ {
@@ -318,7 +318,7 @@ func TestGroups(t *testing.T) {
 		{Name: "A", Cores: []int{0, 1, 2, 3}},
 		{Name: "B", Cores: []int{4, 5, 6, 7}},
 	}
-	shs, err := NewGroups(base, groups, nil)
+	shs, err := NewGroups(base, groups, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +338,14 @@ func TestGroups(t *testing.T) {
 
 func TestGroupsValidation(t *testing.T) {
 	base := testCfg(Dedicated)
-	if _, err := NewGroups(base, nil, nil); err == nil {
+	if _, err := NewGroups(base, nil, 0, nil); err == nil {
 		t.Error("empty groups accepted")
 	}
-	if _, err := NewGroups(base, []Group{{Name: "A"}}, nil); err == nil {
+	if _, err := NewGroups(base, []Group{{Name: "A"}}, 0, nil); err == nil {
 		t.Error("group without cores accepted")
 	}
 	dup := []Group{{Name: "A", Cores: []int{1}}, {Name: "B", Cores: []int{1}}}
-	if _, err := NewGroups(base, dup, nil); err == nil {
+	if _, err := NewGroups(base, dup, 0, nil); err == nil {
 		t.Error("duplicate core accepted")
 	}
 }
@@ -357,7 +357,7 @@ func TestGroupIsolation(t *testing.T) {
 	shs, err := NewGroups(base, []Group{
 		{Name: "A", Cores: []int{0, 1}},
 		{Name: "B", Cores: []int{2, 3}},
-	}, nil)
+	}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestForeignPointerRejected(t *testing.T) {
 	shs, err := NewGroups(testCfg(Virtualized), []Group{
 		{Name: "A", Cores: []int{0, 1}},
 		{Name: "B", Cores: []int{2, 3}},
-	}, llc)
+	}, 0, llc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,5 +412,5 @@ func TestMustNewSharedHistoryPanics(t *testing.T) {
 			t.Error("MustNewSharedHistory should panic")
 		}
 	}()
-	MustNewSharedHistory(Config{}, nil)
+	MustNewSharedHistory(Config{}, 0, nil)
 }

@@ -18,7 +18,7 @@ func testTIFSConfig() Config {
 // newTIFS is one core's TIFS: the replay engine under the misses
 // recorder, over a history of cfg that the core alone records and replays.
 func newTIFS(cfg Config) *missRecorder {
-	return MustNewSharedHistory(cfg, nil).CorePrefetcher(0).(*missRecorder)
+	return MustNewSharedHistory(cfg, 0, nil).CorePrefetcher(0).(*missRecorder)
 }
 
 func TestTIFSConfigValidate(t *testing.T) {
@@ -44,7 +44,7 @@ func TestTIFSMustNewPanics(t *testing.T) {
 	}()
 	c := TIFSConfig()
 	c.IndexEntries = 9
-	MustNewSharedHistory(c, nil)
+	MustNewSharedHistory(c, 0, nil)
 }
 
 // missStream drives blocks through as misses.

@@ -17,12 +17,23 @@ import (
 // replaying unrelated records.
 //
 // A record is held the way the paper stores it, as one word: the trigger
-// block address above the bit vector (34 + 15 bits at MaxRegionSpan), so
-// a 32K-record history is 256 KB of host memory.
+// block address above the bit vector (34 + 15 bits at MaxRegionSpan). The
+// ring is sized by what a run writes, not by what it models: a buffer
+// built for a window of W records allocates min(capacity, W) words, so a
+// 32K-record history costs 256 KB of host memory only in a run that
+// writes 32K records or more, and a 500 + 500-record cell 8 KB.
 type Buffer struct {
-	records []uint64
-	next    uint64 // absolute position of the next write
+	records  []uint64 // min(capacity, window) words, by position modulo capacity
+	capacity uint64   // modelled record capacity
+	next     uint64   // absolute position of the next write
 }
+
+// MaxWrites is the most records a Buffer takes: every position is below
+// it, so an IndexTable entry holds position + 1 in posBits bits and a
+// virtualized history's LLC tag pointer fits 32. A history appends at most
+// one record a round, so a run's window of records per core is bounded by
+// it too (sim.RunSpec.Validate).
+const MaxWrites = 1<<posBits - 1
 
 // vecBits is the width of the vector field of a packed record: all of
 // Region.Vec, so packing loses nothing of a record whose trigger is a
@@ -35,50 +46,64 @@ func unpack(w uint64) Region {
 	return Region{Trigger: trace.BlockAddr(w >> vecBits), Vec: uint16(w)}
 }
 
-// freeBuffers holds released buffers by capacity; see Buffer.Release.
+// freeBuffers holds released buffers by allocated length; see
+// Buffer.Release.
 var freeBuffers freelist.Keyed[int, Buffer]
 
 // NewBuffer returns an empty history buffer with the given record
-// capacity, reusing the storage of a released buffer of that capacity
-// when one is held. Rewinding the write pointer is the whole reset:
-// Valid already hides every record at or past it.
-func NewBuffer(capacity int) (*Buffer, error) {
+// capacity for a run that appends at most writes records (0: no bound,
+// so the whole capacity). It allocates min(capacity, writes) words, or
+// reuses the storage of a released buffer of that length. Rewinding the
+// write pointer is the whole reset: Valid already hides every record at
+// or past it.
+func NewBuffer(capacity, writes int) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("history: buffer capacity %d <= 0", capacity)
 	}
-	b := freeBuffers.Get(capacity)
-	if b == nil {
-		b = &Buffer{records: make([]uint64, capacity)}
+	if writes < 0 {
+		return nil, fmt.Errorf("history: buffer writes %d < 0", writes)
 	}
-	b.next = 0
+	n := capacity
+	if writes > 0 {
+		n = min(n, writes)
+	}
+	b := freeBuffers.Get(n)
+	if b == nil {
+		b = &Buffer{records: make([]uint64, n)}
+	}
+	b.capacity, b.next = uint64(capacity), 0
 	return b, nil
 }
 
 // Release hands b's storage back for a later NewBuffer of the same
-// capacity. The caller must hold the only reference to b and must not
-// use it again.
+// allocated length. The caller must hold the only reference to b and must
+// not use it again.
 func (b *Buffer) Release() { freeBuffers.Put(len(b.records), b) }
 
 // MustNewBuffer panics on config errors.
-func MustNewBuffer(capacity int) *Buffer {
-	b, err := NewBuffer(capacity)
+func MustNewBuffer(capacity, writes int) *Buffer {
+	b, err := NewBuffer(capacity, writes)
 	if err != nil {
 		panic(err)
 	}
 	return b
 }
 
-// Cap returns the record capacity.
-func (b *Buffer) Cap() int { return len(b.records) }
+// Cap returns the modelled record capacity.
+func (b *Buffer) Cap() int { return int(b.capacity) }
 
 // WritePos returns the absolute position the next Append will write to
 // (the paper's write pointer).
 func (b *Buffer) WritePos() uint64 { return b.next }
 
-// Append stores r and returns its absolute position.
+// Append stores r and returns its absolute position. It panics at
+// MaxWrites records, and past the window the buffer was built for.
 func (b *Buffer) Append(r Region) uint64 {
 	pos := b.next
-	b.records[pos%uint64(len(b.records))] = pack(r)
+	if pos >= MaxWrites {
+		panic("history: a buffer takes at most MaxWrites records")
+	}
+	b.records[pos%b.capacity] = pack(r)
 	b.next++
 	return pos
 }
@@ -89,7 +114,7 @@ func (b *Buffer) Valid(pos uint64) bool {
 	if pos >= b.next {
 		return false
 	}
-	return b.next-pos <= uint64(len(b.records))
+	return b.next-pos <= b.capacity
 }
 
 // Read returns the record at absolute position pos.
@@ -97,7 +122,7 @@ func (b *Buffer) Read(pos uint64) (Region, bool) {
 	if !b.Valid(pos) {
 		return Region{}, false
 	}
-	return unpack(b.records[pos%uint64(len(b.records))]), true
+	return unpack(b.records[pos%b.capacity]), true
 }
 
 // ReadSeq appends up to n consecutive records starting at pos to dst,
@@ -116,9 +141,4 @@ func (b *Buffer) ReadSeq(dst []Region, pos uint64, n int) ([]Region, uint64) {
 }
 
 // Len returns the number of live records (saturates at capacity).
-func (b *Buffer) Len() int {
-	if b.next < uint64(len(b.records)) {
-		return int(b.next)
-	}
-	return len(b.records)
-}
+func (b *Buffer) Len() int { return int(min(b.next, b.capacity)) }

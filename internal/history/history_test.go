@@ -158,7 +158,7 @@ func TestBuilderSpanValidation(t *testing.T) {
 }
 
 func TestBufferAppendRead(t *testing.T) {
-	b := MustNewBuffer(4)
+	b := MustNewBuffer(4, 0)
 	if b.Len() != 0 || b.WritePos() != 0 {
 		t.Fatal("new buffer not empty")
 	}
@@ -176,7 +176,7 @@ func TestBufferAppendRead(t *testing.T) {
 }
 
 func TestBufferWrapInvalidation(t *testing.T) {
-	b := MustNewBuffer(4)
+	b := MustNewBuffer(4, 0)
 	positions := make([]uint64, 6)
 	for i := 0; i < 6; i++ {
 		positions[i] = b.Append(Region{Trigger: trace.BlockAddr(i)})
@@ -199,7 +199,7 @@ func TestBufferWrapInvalidation(t *testing.T) {
 }
 
 func TestBufferReadSeq(t *testing.T) {
-	b := MustNewBuffer(8)
+	b := MustNewBuffer(8, 0)
 	for i := 0; i < 5; i++ {
 		b.Append(Region{Trigger: trace.BlockAddr(i)})
 	}
@@ -221,7 +221,7 @@ func TestBufferReadSeq(t *testing.T) {
 // exactly as it was appended.
 func TestBufferRoundTrip(t *testing.T) {
 	triggers := []trace.BlockAddr{0, 1, 0x2AAAAAAAA, 0x155555555, trace.MaxBlockAddr - MaxRegionSpan, trace.MaxBlockAddr}
-	b := MustNewBuffer(1 << 16)
+	b := MustNewBuffer(1<<16, 0)
 	want := make([]Region, 0, b.Cap())
 	for vec := 0; vec < b.Cap(); vec++ {
 		r := Region{Trigger: triggers[vec%len(triggers)], Vec: uint16(vec)}
@@ -243,7 +243,7 @@ func TestBufferRoundTrip(t *testing.T) {
 
 func TestBufferValidityProperty(t *testing.T) {
 	f := func(appends uint16, probe uint16) bool {
-		b := MustNewBuffer(16)
+		b := MustNewBuffer(16, 0)
 		n := uint64(appends % 200)
 		for i := uint64(0); i < n; i++ {
 			b.Append(Region{})
@@ -257,16 +257,56 @@ func TestBufferValidityProperty(t *testing.T) {
 	}
 }
 
+// TestBufferRunSizedMatchesFull: a buffer built for a window of W records
+// answers Valid, Read, Len and Cap like one of its whole capacity over
+// its window, for windows below, at and above the capacity, and refuses
+// a record past a window below the capacity.
+func TestBufferRunSizedMatchesFull(t *testing.T) {
+	const capacity = 16
+	for _, writes := range []int{1, 5, 16, 40} {
+		run, full := MustNewBuffer(capacity, writes), MustNewBuffer(capacity, 0)
+		for i := range writes {
+			r := Region{Trigger: trace.BlockAddr(i + 1), Vec: uint16(i)}
+			if p, q := run.Append(r), full.Append(r); p != q {
+				t.Fatalf("window %d: Append %d at %d, full buffer at %d", writes, i, p, q)
+			}
+			if run.Len() != full.Len() || run.Cap() != full.Cap() {
+				t.Fatalf("window %d, %d appended: Len/Cap %d/%d, full buffer %d/%d", writes, i+1, run.Len(), run.Cap(), full.Len(), full.Cap())
+			}
+			for pos := uint64(0); pos <= uint64(i)+1; pos++ {
+				g, gok := run.Read(pos)
+				w, wok := full.Read(pos)
+				if g != w || gok != wok {
+					t.Fatalf("window %d, %d appended: Read(%d) = %v, %v; full buffer %v, %v", writes, i+1, pos, g, gok, w, wok)
+				}
+			}
+		}
+		if writes < capacity {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("window %d: a record past the window was taken", writes)
+					}
+				}()
+				run.Append(Region{})
+			}()
+		}
+	}
+}
+
 func TestBufferRejectsBadCap(t *testing.T) {
-	if _, err := NewBuffer(0); err == nil {
+	if _, err := NewBuffer(0, 0); err == nil {
 		t.Error("zero capacity accepted")
+	}
+	if _, err := NewBuffer(4, -1); err == nil {
+		t.Error("negative window accepted")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("MustNewBuffer should panic")
 		}
 	}()
-	MustNewBuffer(-1)
+	MustNewBuffer(-1, 0)
 }
 
 func TestIndexTableBasic(t *testing.T) {

@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shift/internal/freelist"
 	"shift/internal/trace"
@@ -17,37 +18,33 @@ import (
 // 512-entry index tables) behave like the hardware they model.
 //
 // Recency is positional: a set's live entries are its first ones, in
-// MRU→LRU order, so a touch moves the entry to the front, the victim is
-// always the last way, and an entry is two words — a 4-way set is one
-// 64-byte host cache line.
+// MRU→LRU order, so a touch moves the entry to the front and the victim
+// is always the last way. An entry is one word — the trigger's bits above
+// the set index over posBits bits of position + 1, 0 meaning empty — so
+// an 8-way set is one 64-byte host cache line and every geometry fits,
+// one set included (34 + 30 bits).
 type IndexTable struct {
 	assoc int
-	tab   []idxEntry // nsets * assoc, set-major
+	tab   []uint64 // nsets * assoc, set-major
 	nsets uint64
-	// epoch is the table's current life: an entry is live only while the
-	// epoch in its key matches, so emptying the table for its next owner
-	// is one increment instead of a walk over every set.
-	epoch uint64
-	// setMask accelerates the set index when the set count is a power
-	// of two (all paper design points): trigger&setMask ≡ trigger%sets,
-	// sparing an integer division on the simulator's hot path. Zero
-	// when the set count is not a power of two.
-	setMask uint64
+	// setBits is log2(nsets) when the set count is a power of two (all
+	// paper design points), so the set index and tag are a mask and a
+	// shift, sparing an integer division on the simulator's hot path;
+	// -1 otherwise.
+	setBits int
+	// dirty holds one bit per set, set when an Update writes the set, so
+	// emptying the table for its next owner clears just those sets.
+	dirty []uint64
 
 	lookups int64
 	hits    int64
 }
 
-// idxEntry is one way: key is the trigger block address above the epoch
-// it was written in (one compare decides tag match and liveness), pos
-// the history position.
-type idxEntry struct {
-	key uint64
-	pos uint64
-}
+// posBits is the width of an entry's position field, which holds
+// position + 1: positions run below MaxWrites.
+const posBits = 30
 
-// epochBits is what a key has left below a block address.
-const epochBits = 64 - trace.BlockAddrBits
+const posMask = 1<<posBits - 1
 
 // tableShape is the geometry released tables are kept by.
 type tableShape struct{ entries, assoc int }
@@ -68,19 +65,26 @@ func NewIndexTable(entries, assoc int) (*IndexTable, error) {
 	t := freeTables.Get(tableShape{entries, assoc})
 	if t == nil {
 		nsets := entries / assoc
-		t = &IndexTable{assoc: assoc, nsets: uint64(nsets), tab: make([]idxEntry, entries)}
+		t = &IndexTable{assoc: assoc, nsets: uint64(nsets), tab: make([]uint64, entries),
+			setBits: -1, dirty: make([]uint64, (nsets+63)/64)}
 		if nsets&(nsets-1) == 0 {
-			t.setMask = uint64(nsets - 1)
+			t.setBits = bits.TrailingZeros(uint(nsets))
 		}
 	}
-	// Zeroed entries carry epoch 0, so the first life starts at 1 — and
-	// so does the one after the epoch field is used up.
-	if t.epoch++; t.epoch == 1<<epochBits {
-		clear(t.tab)
-		t.epoch = 1
+	t.reset()
+	return t, nil
+}
+
+// reset empties the sets written since the last reset.
+func (t *IndexTable) reset() {
+	for wi, w := range t.dirty {
+		for ; w != 0; w &= w - 1 {
+			base := (wi<<6 | bits.TrailingZeros64(w)) * t.assoc
+			clear(t.tab[base : base+t.assoc])
+		}
+		t.dirty[wi] = 0
 	}
 	t.lookups, t.hits = 0, 0
-	return t, nil
 }
 
 // Release hands t's storage back for a later NewIndexTable of the same
@@ -100,19 +104,35 @@ func MustNewIndexTable(entries, assoc int) *IndexTable {
 // Cap returns the total entry capacity.
 func (t *IndexTable) Cap() int { return len(t.tab) }
 
-// set returns trigger's set and the key a live entry for it carries.
-func (t *IndexTable) set(trigger trace.BlockAddr) ([]idxEntry, uint64) {
-	si := uint64(trigger) & t.setMask
-	if t.setMask == 0 && t.nsets > 1 {
-		si = uint64(trigger) % t.nsets
+// set returns trigger's set index and tag: the set index's bits taken
+// off the trigger.
+func (t *IndexTable) set(trigger trace.BlockAddr) (si, tag uint64) {
+	if t.setBits >= 0 {
+		return uint64(trigger) & (t.nsets - 1), uint64(trigger) >> t.setBits
 	}
+	return uint64(trigger) % t.nsets, uint64(trigger) / t.nsets
+}
+
+// ways returns set si's ways.
+func (t *IndexTable) ways(si uint64) []uint64 {
 	base := int(si) * t.assoc
-	return t.tab[base : base+t.assoc], uint64(trigger)<<epochBits | t.epoch
+	return t.tab[base : base+t.assoc]
+}
+
+// find returns the way of set holding tag, or -1. An empty way is 0,
+// which no live entry is (its position field is at least 1).
+func find(set []uint64, tag uint64) int {
+	for i, e := range set {
+		if e>>posBits == tag && e != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // touch makes e the MRU entry of set, moving the i entries ahead of way
 // i one way back; whatever way i held is overwritten.
-func touch(set []idxEntry, i int, e idxEntry) {
+func touch(set []uint64, i int, e uint64) {
 	for ; i > 0; i-- {
 		set[i] = set[i-1]
 	}
@@ -122,37 +142,36 @@ func touch(set []idxEntry, i int, e idxEntry) {
 // Lookup returns the stored history position for trigger.
 func (t *IndexTable) Lookup(trigger trace.BlockAddr) (pos uint64, ok bool) {
 	t.lookups++
-	set, key := t.set(trigger)
-	for i := range set {
-		if set[i].key == key {
-			t.hits++
-			pos = set[i].pos
-			touch(set, i, set[i])
-			return pos, true
-		}
+	si, tag := t.set(trigger)
+	set := t.ways(si)
+	i := find(set, tag)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	t.hits++
+	e := set[i]
+	touch(set, i, e)
+	return e&posMask - 1, true
 }
 
 // Update points trigger at pos, allocating (and possibly evicting LRU)
-// as needed.
+// as needed. pos must be below MaxWrites.
 func (t *IndexTable) Update(trigger trace.BlockAddr, pos uint64) {
-	set, key := t.set(trigger)
-	way := len(set) - 1 // a miss overwrites the last way: dead, or the LRU
-	for i := range set {
-		if set[i].key == key {
-			way = i
-			break
-		}
+	si, tag := t.set(trigger)
+	set := t.ways(si)
+	way := find(set, tag)
+	if way < 0 {
+		way = len(set) - 1 // a miss overwrites the last way: empty, or the LRU
 	}
-	touch(set, way, idxEntry{key: key, pos: pos})
+	touch(set, way, tag<<posBits|(pos+1))
+	t.dirty[si>>6] |= 1 << (si & 63)
 }
 
 // Len returns the number of valid entries.
 func (t *IndexTable) Len() int {
 	n := 0
 	for _, e := range t.tab {
-		if e.key&(1<<epochBits-1) == t.epoch {
+		if e != 0 {
 			n++
 		}
 	}

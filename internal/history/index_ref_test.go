@@ -34,7 +34,7 @@ func newStampTable(entries, assoc int) *stampTable {
 	return t
 }
 
-// reset empties the table the way a Release → NewIndexTable does.
+// reset empties the table, as a Release → NewIndexTable does.
 func (t *stampTable) reset() {
 	t.epoch++
 	t.clock, t.lookups, t.hits = 0, 0, 0
@@ -100,11 +100,10 @@ func (t *stampTable) HitRate() float64 {
 
 // TestIndexTableMatchesStampLRU drives the positional-LRU table and the
 // stamp-LRU one with the same random Lookup/Update sequences — direct
-// mapped, 4-way, 8-way over a set count that is not a power of two —
-// and, every so often, a hand-back and re-take (the epoch bump that
-// empties a recycled table), starting just past the wrap of the epoch
-// field. Every lookup result, Len and HitRate must agree: where an entry
-// sits in its set is the only freedom.
+// mapped, 4-way, 8-way over a set count that is not a power of two, and
+// one set — and, every so often, a hand-back and re-take (the dirty-set
+// reset that empties a recycled table). Every lookup result, Len and
+// HitRate must agree: where an entry sits in its set is the only freedom.
 func TestIndexTableMatchesStampLRU(t *testing.T) {
 	for _, shape := range []struct{ entries, assoc int }{{64, 1}, {64, 4}, {96, 8}, {4, 4}} {
 		rng := trace.NewRNG(int64(shape.entries*31 + shape.assoc))
@@ -115,19 +114,28 @@ func TestIndexTableMatchesStampLRU(t *testing.T) {
 		for i := range triggers {
 			triggers[i] = trace.BlockAddr(rng.Uint64()) & trace.MaxBlockAddr
 		}
-		// Leave entries behind in epoch 1 and stand two lives short of the
-		// end of the epoch field: the second hand-back wraps it, and the
-		// table must come back empty, not with epoch 1's entries revived.
-		clear(opt.tab)
-		opt.epoch = 1
+		// Fill every set, at the largest position an entry holds, and hand
+		// the table back: it must come back empty, not with these entries
+		// revived.
 		for _, trig := range triggers {
-			opt.Update(trig, ^uint64(0))
+			opt.Update(trig, MaxWrites-1)
 		}
-		opt.epoch = 1<<epochBits - 2
-		for i := 0; i < 2; i++ {
-			opt.Release()
-			opt = MustNewIndexTable(shape.entries, shape.assoc)
+		if pos, ok := opt.Lookup(triggers[len(triggers)-1]); !ok || pos != MaxWrites-1 {
+			t.Fatalf("%v: Lookup after Update(%d) = (%d,%v)", shape, MaxWrites-1, pos, ok)
 		}
+		opt.Release()
+		if again := MustNewIndexTable(shape.entries, shape.assoc); again == opt {
+			if n := again.Len(); n != 0 {
+				t.Fatalf("%v: recycled table holds %d entries", shape, n)
+			}
+			for _, trig := range triggers {
+				if pos, ok := again.Lookup(trig); ok {
+					t.Fatalf("%v: recycled table finds %v at %d", shape, trig, pos)
+				}
+			}
+			again.Release()
+		}
+		opt = MustNewIndexTable(shape.entries, shape.assoc)
 		recycled := false
 		for op := 0; op < 40000; op++ {
 			trig := triggers[rng.Intn(len(triggers))]
@@ -145,7 +153,7 @@ func TestIndexTableMatchesStampLRU(t *testing.T) {
 					t.Fatalf("%v op %d: Lookup(%v) = (%d,%v), stamp-LRU reference (%d,%v)", shape, op, trig, gp, gok, wp, wok)
 				}
 			default:
-				pos := rng.Uint64()
+				pos := rng.Uint64() % MaxWrites
 				opt.Update(trig, pos)
 				ref.Update(trig, pos)
 			}
@@ -155,7 +163,7 @@ func TestIndexTableMatchesStampLRU(t *testing.T) {
 			}
 		}
 		if !recycled {
-			t.Errorf("%v: NewIndexTable never returned the released table: the epoch bump is not exercised", shape)
+			t.Errorf("%v: NewIndexTable never returned the released table: the dirty-set reset is not exercised", shape)
 		}
 	}
 }

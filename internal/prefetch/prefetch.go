@@ -9,8 +9,6 @@
 package prefetch
 
 import (
-	"fmt"
-
 	"shift/internal/history"
 	"shift/internal/trace"
 )
@@ -43,8 +41,6 @@ type Access struct {
 // One instance serves one core; implementations may share state across
 // instances (SHIFT's shared history).
 type Prefetcher interface {
-	// Name identifies the design point ("NextLine", "PIF_32K", "SHIFT"...).
-	Name() string
 	// OnAccess observes a retire-order demand access and returns the
 	// prefetches to issue. The returned slice is only valid until the
 	// next call.
@@ -191,9 +187,6 @@ type Null struct{}
 // NewNull returns the baseline (no prefetching) design.
 func NewNull() *Null { return &Null{} }
 
-// Name implements Prefetcher.
-func (*Null) Name() string { return "Baseline" }
-
 // OnAccess implements Prefetcher.
 func (*Null) OnAccess(Access) []Request { return nil }
 
@@ -212,14 +205,6 @@ func NewNextLine(degree int) *NextLine {
 		degree = 1
 	}
 	return &NextLine{degree: degree}
-}
-
-// Name implements Prefetcher.
-func (n *NextLine) Name() string {
-	if n.degree == 1 {
-		return "NextLine"
-	}
-	return fmt.Sprintf("NextLine%d", n.degree)
 }
 
 // OnAccess implements Prefetcher.

@@ -8,9 +8,6 @@ import (
 
 func TestNullPrefetcher(t *testing.T) {
 	p := NewNull()
-	if p.Name() != "Baseline" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if reqs := p.OnAccess(Access{Block: 5}); reqs != nil {
 		t.Errorf("Null issued requests: %v", reqs)
 	}
@@ -34,9 +31,6 @@ func TestNextLineDegree(t *testing.T) {
 		if r.Block != trace.BlockAddr(101+i) {
 			t.Errorf("req %d = %v", i, r.Block)
 		}
-	}
-	if p.Name() != "NextLine4" {
-		t.Errorf("Name = %q", p.Name())
 	}
 }
 
@@ -63,9 +57,6 @@ func TestNextLineAddressSpaceEdge(t *testing.T) {
 
 func TestNextLineDefaultDegree(t *testing.T) {
 	p := NewNextLine(0)
-	if p.Name() != "NextLine" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if reqs := p.OnAccess(Access{Block: 1, Hit: false}); len(reqs) != 1 {
 		t.Errorf("default degree issued %d", len(reqs))
 	}

@@ -123,7 +123,7 @@ func TestAdaptiveQuietWhenHealthy(t *testing.T) {
 
 // TestSetGeneratorIdempotent checks the handover API directly.
 func TestSetGeneratorIdempotent(t *testing.T) {
-	sh := core.MustNewSharedHistory(smallSHIFT(core.Dedicated), nil)
+	sh := core.MustNewSharedHistory(smallSHIFT(core.Dedicated), 0, nil)
 	if sh.Generator() != 0 {
 		t.Fatalf("initial generator = %d", sh.Generator())
 	}

@@ -459,7 +459,8 @@ func (b *batch) enter(m int) error {
 				return err
 			}
 		}
-		sys, err := build(b.specs[m].systemConfig(), readers, b.log)
+		spec := &b.specs[m]
+		sys, err := build(spec.systemConfig(), readers, b.log, int(spec.WarmupRecords+spec.MeasureRecords))
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,9 @@ func BenchmarkDetailedStep(b *testing.B) {
 			}
 			cfg := DefaultConfig()
 			cfg.Prefetcher = d
-			bt, err := newBatch([]RunSpec{{Config: cfg, Workload: p, WarmupRecords: batchBlockRounds, MeasureRecords: batchBlockRounds}})
+			// The window is what the benchmark steps, three warm-up blocks
+			// and b.N timed ones: a history holds only its window's records.
+			bt, err := newBatch([]RunSpec{{Config: cfg, Workload: p, WarmupRecords: 3 * batchBlockRounds, MeasureRecords: int64(b.N) * batchBlockRounds}})
 			if err != nil {
 				b.Fatal(err)
 			}

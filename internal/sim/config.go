@@ -82,7 +82,8 @@ type PrefetcherSpec struct {
 	// AdaptiveGenerator enables the Section 6.1 sampling mechanism that
 	// monitors miss coverage and rotates the history generator core on
 	// long-lasting degradation. AdaptWindow is the sampling window in
-	// lockstep rounds (default 8192).
+	// lockstep rounds (default 8192). A PerCore spec cannot take it: a
+	// history of one core has no other generator.
 	AdaptiveGenerator bool
 	AdaptWindow       int64
 	// Label overrides the reported name (see Name).
@@ -233,6 +234,11 @@ func (c Config) Validate() error {
 	case KindHistory:
 		if p.PerCore && len(p.Groups) > 0 {
 			return fmt.Errorf("sim: PerCore histories cannot be combined with Groups")
+		}
+		// A per-core history's one core is its generator for good: there
+		// is no other core to rotate the role to.
+		if p.PerCore && p.AdaptiveGenerator {
+			return fmt.Errorf("sim: PerCore histories cannot be combined with AdaptiveGenerator")
 		}
 		return p.History.Validate()
 	default:

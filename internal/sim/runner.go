@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shift/internal/core"
+	"shift/internal/history"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -29,7 +30,9 @@ type RunSpec struct {
 	// and standalone runs draw fresh readers from it and must observe
 	// identical records.
 	Source workload.Source
-	// WarmupRecords and MeasureRecords are per-core record counts.
+	// WarmupRecords and MeasureRecords are per-core record counts. Their
+	// sum, the window, is at most history.MaxWrites (2^30 - 1): a history
+	// appends at most one record a round and numbers each by position.
 	WarmupRecords  int64
 	MeasureRecords int64
 	// Sampling optionally enables SMARTS-style interval sampling with
@@ -48,6 +51,11 @@ func (r RunSpec) Validate() error {
 	}
 	if r.WarmupRecords < 0 {
 		return fmt.Errorf("sim: WarmupRecords %d < 0", r.WarmupRecords)
+	}
+	// Each field is bounded before the sum is taken, so it cannot overflow.
+	if r.WarmupRecords > history.MaxWrites || r.MeasureRecords > history.MaxWrites ||
+		r.WarmupRecords+r.MeasureRecords > history.MaxWrites {
+		return fmt.Errorf("sim: window of %d + %d records exceeds %d", r.WarmupRecords, r.MeasureRecords, history.MaxWrites)
 	}
 	if err := r.Sampling.Validate(); err != nil {
 		return err

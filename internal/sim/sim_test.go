@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,6 +66,10 @@ func TestConfigValidate(t *testing.T) {
 		{"per-core groups", func(c *Config) {
 			c.Prefetcher = designSpecs()[dPIF2K]
 			c.Prefetcher.Groups = []core.Group{{Name: "all", Cores: []int{0}}}
+		}},
+		{"per-core adaptive generator", func(c *Config) {
+			c.Prefetcher = designSpecs()[dPIF32K]
+			c.Prefetcher.AdaptiveGenerator = true
 		}},
 	}
 	for _, m := range mutations {
@@ -412,6 +417,21 @@ func TestRunSpecValidation(t *testing.T) {
 	bad.Workload.Name = ""
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid workload accepted")
+	}
+	// A history numbers its records in 30 bits: a window of 2^30 records
+	// a core is refused, however it is split, and fields whose sum
+	// overflows are refused too.
+	for _, w := range [][2]int64{{0, 1 << 30}, {1 << 29, 1 << 29}, {1<<30 - 1, 1}, {1 << 62, 1 << 62}, {1, math.MaxInt64}} {
+		bad = ok
+		bad.WarmupRecords, bad.MeasureRecords = w[0], w[1]
+		if err := bad.Validate(); err == nil {
+			t.Errorf("window of %d + %d records accepted", w[0], w[1])
+		}
+	}
+	bad = ok
+	bad.WarmupRecords, bad.MeasureRecords = 1<<29, 1<<29-1
+	if err := bad.Validate(); err != nil {
+		t.Errorf("window of 2^30 - 1 records refused: %v", err)
 	}
 	bad = ok
 	bad.Groups = []core.Group{{Name: "A", Cores: []int{0}}}

@@ -187,7 +187,7 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	if len(readers) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d readers for %d cores", len(readers), cfg.Cores)
 	}
-	return build(cfg, readers, nil)
+	return build(cfg, readers, nil, 0)
 }
 
 // build constructs a System: standalone (lg nil), the lead of a RunBatch
@@ -195,8 +195,10 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 // follower decides here, from its configuration and the lead's alone,
 // which facets of the lead's work it replays (see the System.log field
 // doc), and builds no predictor it would not step and of an instruction
-// cache it would not step the tags alone.
-func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
+// cache it would not step the tags alone. writes is the run's window in
+// records per core, which bounds what each history appends (one record a
+// round at most) and so sizes its host storage; 0 leaves it unbounded.
+func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System, error) {
 	n := cfg.Cores
 	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && readers != nil}
 	s.fastReaders = make([]*workload.CoreReader, n)
@@ -292,7 +294,7 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog) (*System, error) {
 		}
 		s.llc[b] = bank
 	}
-	if err := s.buildPrefetchers(); err != nil {
+	if err := s.buildPrefetchers(writes); err != nil {
 		return nil, err
 	}
 	s.buildHot()
@@ -356,8 +358,9 @@ func (s *System) release() {
 	*s = System{}
 }
 
-// buildPrefetchers instantiates the configured design point.
-func (s *System) buildPrefetchers() error {
+// buildPrefetchers instantiates the configured design point, its histories
+// sized for writes records (see build).
+func (s *System) buildPrefetchers(writes int) error {
 	n := s.cfg.Cores
 	s.pf = make([]prefetch.Prefetcher, n)
 	s.groupOf = make([]int, n)
@@ -390,7 +393,7 @@ func (s *System) buildPrefetchers() error {
 				}
 			}
 		}
-		shs, err := core.NewGroups(spec.History, groups, backend)
+		shs, err := core.NewGroups(spec.History, groups, writes, backend)
 		if err != nil {
 			return err
 		}

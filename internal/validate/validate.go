@@ -8,7 +8,11 @@
 // query parameter names).
 package validate
 
-import "fmt"
+import (
+	"fmt"
+
+	"shift/internal/history"
+)
 
 // FieldError is a validation failure naming the offending field. Field
 // is the canonical (JSON wire) name — "cores", "sample_warmup", ... —
@@ -81,6 +85,16 @@ func (c Cell) Check() *FieldError {
 	}
 	if c.MeasureRecords < 0 {
 		return Fieldf("measure_records", "must be >= 0, got %d", c.MeasureRecords)
+	}
+	// The window is bounded because a history appends at most one record
+	// a round and numbers each in 30 bits. Each field is bounded before
+	// the sum is taken, so it cannot overflow.
+	if c.WarmupRecords > history.MaxWrites {
+		return Fieldf("warmup_records", "must be at most %d, got %d", history.MaxWrites, c.WarmupRecords)
+	}
+	if c.MeasureRecords > history.MaxWrites || c.WarmupRecords+c.MeasureRecords > history.MaxWrites {
+		return Fieldf("measure_records", "warmup_records + measure_records must be at most %d, got %d + %d",
+			history.MaxWrites, c.WarmupRecords, c.MeasureRecords)
 	}
 	if c.SamplePeriod < 0 {
 		return Fieldf("sample_period", "must be >= 0, got %d", c.SamplePeriod)

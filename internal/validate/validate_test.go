@@ -40,6 +40,10 @@ func TestCellCheck(t *testing.T) {
 		{"elim high", func(c *Cell) { c.ElimProb = 1.1 }, "elim_prob"},
 		{"warmup", func(c *Cell) { c.WarmupRecords = -1 }, "warmup_records"},
 		{"measure", func(c *Cell) { c.MeasureRecords = -1 }, "measure_records"},
+		{"warmup huge", func(c *Cell) { c.WarmupRecords = 1 << 30 }, "warmup_records"},
+		{"measure huge", func(c *Cell) { c.MeasureRecords = 1 << 30 }, "measure_records"},
+		{"window huge", func(c *Cell) { c.WarmupRecords, c.MeasureRecords = 1<<29, 1<<29 }, "measure_records"},
+		{"window overflows", func(c *Cell) { c.WarmupRecords, c.MeasureRecords = 1<<62, 1<<62 }, "warmup_records"},
 		{"sample period", func(c *Cell) { c.SamplePeriod = -1 }, "sample_period"},
 		{"sample interval", func(c *Cell) { c.SampleInterval = -1 }, "sample_interval"},
 		{"sample warmup low", func(c *Cell) { c.SampleWarmup = -0.1 }, "sample_warmup"},
@@ -68,6 +72,12 @@ func TestCellCheck(t *testing.T) {
 func TestCellCheckAccepts(t *testing.T) {
 	if fe := ok().Check(); fe != nil {
 		t.Errorf("valid cell rejected: %v", fe)
+	}
+	// The largest window.
+	c := ok()
+	c.WarmupRecords, c.MeasureRecords = 1<<29, 1<<29-1
+	if fe := c.Check(); fe != nil {
+		t.Errorf("window of 2^30 - 1 records rejected: %v", fe)
 	}
 	// Every accepted confidence level.
 	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {

@@ -121,7 +121,7 @@ func (r *CoreReader) Next() (trace.Record, error) {
 	p := &r.w.params // by pointer: Params is too fat to copy per record
 	top := &r.stack[len(r.stack)-1]
 	f := r.fn(top.fi)
-	blk := f.entry + trace.BlockAddr(top.pos)
+	blk := trace.BlockAddr(f.entry + top.pos)
 	inOS := top.fi < 0
 
 	// Decide how this visit terminates. Precedence: trap interrupts
@@ -129,8 +129,8 @@ func (r *CoreReader) Next() (trace.Record, error) {
 	// then end-of-function return; else sequential fall-through.
 	// The static block metadata is consulted once per visit.
 	siteIdx, skip := int16(-1), int8(0)
-	if int(top.pos) < len(f.meta) {
-		m := f.meta[top.pos]
+	if !inOS && top.pos < f.blocks {
+		m := r.w.meta[f.meta+top.pos]
 		siteIdx, skip = m.site, m.skip
 	}
 	var kind trace.Kind
@@ -156,11 +156,11 @@ func (r *CoreReader) Next() (trace.Record, error) {
 		}
 		kind = trace.KindCall
 		top.pos++
-		r.push(int32(callee))
+		r.push(callee)
 	case !inOS && skip > 0:
 		kind = trace.KindBranch
 		top.pos += int32(skip) // static always-taken branch
-	case top.pos >= int32(f.blocks)-1:
+	case top.pos >= f.blocks-1:
 		kind = trace.KindReturn
 		r.pop()
 	default:
@@ -174,7 +174,7 @@ func (r *CoreReader) Next() (trace.Record, error) {
 	// nearly always live, so the test is inlined and the loop called only
 	// when there is a frame to pop.
 	if n := len(r.stack); n > 0 {
-		if t := r.stack[n-1]; t.pos >= int32(r.fn(t.fi).blocks) {
+		if t := r.stack[n-1]; t.pos >= r.fn(t.fi).blocks {
 			r.trimDeadFrames()
 		}
 	}
@@ -191,7 +191,7 @@ func (r *CoreReader) Next() (trace.Record, error) {
 func (r *CoreReader) trimDeadFrames() {
 	for len(r.stack) > 0 {
 		top := &r.stack[len(r.stack)-1]
-		if top.pos < int32(r.fn(top.fi).blocks) {
+		if top.pos < r.fn(top.fi).blocks {
 			return
 		}
 		r.pop()

@@ -40,8 +40,8 @@ func TestStaticSkipsAreStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	skips := 0
-	for fi := range w.funcs {
-		for b, m := range w.funcs[fi].meta {
+	for fi, f := range w.funcs {
+		for b, m := range w.meta[f.meta : f.meta+f.blocks] {
 			if m.skip == 0 {
 				continue
 			}
@@ -49,7 +49,7 @@ func TestStaticSkipsAreStable(t *testing.T) {
 			if m.skip < 2 || m.skip > 3 {
 				t.Errorf("func %d pos %d: skip %d out of [2,3]", fi, b, m.skip)
 			}
-			if b+int(m.skip) >= w.funcs[fi].blocks {
+			if b+int(m.skip) >= int(f.blocks) {
 				t.Errorf("func %d pos %d: skip %d exits the function", fi, b, m.skip)
 			}
 			if m.site != -1 {
@@ -167,10 +167,10 @@ func TestRequestZipfSkewsMix(t *testing.T) {
 	hotVisits, coldVisits := 0, 0
 	for i := 0; i < 200000; i++ {
 		rec, _ := r.Next()
-		if rec.Block == hot.entry {
+		if rec.Block == trace.BlockAddr(hot.entry) {
 			hotVisits++
 		}
-		if rec.Block == cold.entry {
+		if rec.Block == trace.BlockAddr(cold.entry) {
 			coldVisits++
 		}
 	}

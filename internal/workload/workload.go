@@ -41,6 +41,11 @@ const (
 	OSBaseBlock trace.BlockAddr = 0x8000000
 )
 
+// MaxFootprintBytes bounds each code region, application and OS: the
+// span between the two bases, so application code ends below the OS's,
+// and every block address and block count of a workload fits 31 bits.
+const MaxFootprintBytes = int(OSBaseBlock-AppBaseBlock) * trace.BlockBytes
+
 // Params describes one synthetic workload. The seven presets in Catalog()
 // model the Table I applications; custom workloads may be built directly.
 type Params struct {
@@ -110,8 +115,12 @@ func (p Params) Validate() error {
 		return errors.New("workload: empty Name")
 	case p.FootprintBytes < 16*trace.BlockBytes:
 		return fmt.Errorf("workload %s: FootprintBytes %d too small", p.Name, p.FootprintBytes)
+	case p.FootprintBytes > MaxFootprintBytes:
+		return fmt.Errorf("workload %s: FootprintBytes %d above %d", p.Name, p.FootprintBytes, MaxFootprintBytes)
 	case p.OSFootprintBytes < 4*trace.BlockBytes:
 		return fmt.Errorf("workload %s: OSFootprintBytes %d too small", p.Name, p.OSFootprintBytes)
+	case p.OSFootprintBytes > MaxFootprintBytes:
+		return fmt.Errorf("workload %s: OSFootprintBytes %d above %d", p.Name, p.OSFootprintBytes, MaxFootprintBytes)
 	case p.RequestTypes < 1:
 		return fmt.Errorf("workload %s: RequestTypes %d < 1", p.Name, p.RequestTypes)
 	case p.FuncBlocksMean < 1:
@@ -142,14 +151,15 @@ func (p Params) Validate() error {
 // callee; under variation it calls one of alts instead. A biased site
 // always calls the alt selected by the executing core's identity.
 type callSite struct {
-	callee int
-	alts   [2]int
+	callee int32
+	alts   [2]int32
 	biased bool
 }
 
-// blockMeta is the per-block static control-flow metadata of a function,
-// packed so the reader's per-record lookups of the call site and branch
-// skip touch one array (and usually one cache line) instead of two.
+// blockMeta is the per-block static control-flow metadata of an
+// application function, packed so the reader's per-record lookups of the
+// call site and branch skip touch one array (and usually one cache line)
+// instead of two.
 type blockMeta struct {
 	// site is the index into w.sites of the call site at this block,
 	// or -1.
@@ -160,13 +170,16 @@ type blockMeta struct {
 }
 
 // function is a contiguous run of blocks with call sites and static taken
-// branches at fixed positions.
+// branches at fixed positions. Its fields are 32 bits wide: Validate keeps
+// every block address and block count of a workload below 2^31.
 type function struct {
-	entry  trace.BlockAddr
-	blocks int
-	// meta maps block offset -> static metadata. Lookups are on the hot
-	// path, so it is a dense slice with sentinels packed at build time.
-	meta []blockMeta
+	// entry is the block address of the function's first block.
+	entry int32
+	// blocks is the function's length in blocks.
+	blocks int32
+	// meta is where the function's block metadata starts in
+	// Workload.meta (application functions only).
+	meta int32
 }
 
 // Workload is an immutable synthetic program plus its parameters. It is
@@ -176,6 +189,10 @@ type Workload struct {
 
 	funcs []function
 	sites []callSite
+	// meta holds the static metadata of every application block, one
+	// function after another (see function.meta). Lookups are on the hot
+	// path, so it is dense, with sentinels packed at build time.
+	meta []blockMeta
 
 	// osFuncs are trap-handler functions in the OS region; handlers[i]
 	// is the function sequence run by trap handler i.
@@ -225,7 +242,7 @@ func (w *Workload) NumFunctions() int { return len(w.funcs) }
 func (w *Workload) AppBlocks() int {
 	n := 0
 	for _, f := range w.funcs {
-		n += f.blocks
+		n += int(f.blocks)
 	}
 	return n
 }
@@ -234,7 +251,7 @@ func (w *Workload) AppBlocks() int {
 func (w *Workload) OSBlocks() int {
 	n := 0
 	for _, f := range w.osFuncs {
-		n += f.blocks
+		n += int(f.blocks)
 	}
 	return n
 }
@@ -250,7 +267,7 @@ func (w *Workload) buildAppCode(rng *trace.RNG, appBlocks int) {
 		if size > remaining {
 			size = remaining
 		}
-		w.funcs = append(w.funcs, function{entry: next, blocks: size})
+		w.funcs = append(w.funcs, function{entry: int32(next), blocks: int32(size)})
 		next += trace.BlockAddr(size)
 		remaining -= size
 	}
@@ -266,7 +283,7 @@ func (w *Workload) buildOSCode(rng *trace.RNG, osBlocks int) {
 		if size > remaining {
 			size = remaining
 		}
-		w.osFuncs = append(w.osFuncs, function{entry: next, blocks: size})
+		w.osFuncs = append(w.osFuncs, function{entry: int32(next), blocks: int32(size)})
 		next += trace.BlockAddr(size)
 		remaining -= size
 	}
@@ -341,15 +358,19 @@ func (w *Workload) wireCallGraph(rng *trace.RNG) {
 		return lo + off
 	}
 
+	w.meta = make([]blockMeta, w.AppBlocks())
+	off := 0
 	for fi := range w.funcs {
 		f := &w.funcs[fi]
-		f.meta = make([]blockMeta, f.blocks)
-		for b := 0; b < f.blocks; b++ {
-			f.meta[b].site = -1
+		f.meta = int32(off)
+		meta := w.meta[off : off+int(f.blocks)]
+		off += len(meta)
+		for b := range meta {
+			meta[b].site = -1
 			// Static taken branch: skip 1-2 blocks (advance 2-3), only
 			// when the target stays inside the function.
-			if b < f.blocks-3 && rng.Bool(p.SkipProb) {
-				f.meta[b].skip = int8(2 + rng.Intn(2))
+			if b < len(meta)-3 && rng.Bool(p.SkipProb) {
+				meta[b].skip = int8(2 + rng.Intn(2))
 				continue // a taken branch ends the block; no call here
 			}
 			if !rng.Bool(p.CallSiteDensity) {
@@ -359,19 +380,19 @@ func (w *Workload) wireCallGraph(rng *trace.RNG) {
 			if callee < 0 {
 				continue
 			}
-			cs := callSite{callee: callee, biased: rng.Bool(p.CoreBias)}
+			cs := callSite{callee: int32(callee), biased: rng.Bool(p.CoreBias)}
 			for a := range cs.alts {
 				alt := pickCallee(fi)
 				if alt < 0 {
 					alt = callee
 				}
-				cs.alts[a] = alt
+				cs.alts[a] = int32(alt)
 			}
 			if len(w.sites) >= 1<<15-1 {
 				continue // site table full; extremely large footprints only
 			}
 			w.sites = append(w.sites, cs)
-			f.meta[b].site = int16(len(w.sites) - 1)
+			meta[b].site = int16(len(w.sites) - 1)
 		}
 	}
 }

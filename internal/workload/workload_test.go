@@ -32,6 +32,8 @@ func TestParamsValidate(t *testing.T) {
 		{"empty name", func(p *Params) { p.Name = "" }},
 		{"tiny footprint", func(p *Params) { p.FootprintBytes = 10 }},
 		{"tiny OS", func(p *Params) { p.OSFootprintBytes = 10 }},
+		{"footprint past the OS base", func(p *Params) { p.FootprintBytes = MaxFootprintBytes + 1 }},
+		{"OS footprint past the bound", func(p *Params) { p.OSFootprintBytes = MaxFootprintBytes + 1 }},
 		{"no request types", func(p *Params) { p.RequestTypes = 0 }},
 		{"zero func size", func(p *Params) { p.FuncBlocksMean = 0 }},
 		{"zero depth", func(p *Params) { p.CallDepth = 0 }},

@@ -231,12 +231,14 @@ func TestResultsIndependentOfRecycling(t *testing.T) {
 	}
 }
 
-// hostBytes returns what the storage cfg models costs the host: 4 B a
-// line of LLC (its stack word) and 4 more for virtualized SHIFT (the
-// tag-extension pointer), 12 B a line of L1-I (tag, recency stamp), 8 B a
-// history record and 16 B an index entry (internal/cache's
-// TestHostBytesPerModelledLine and TestICacheHostBytes; history.Buffer
-// and IndexTable).
+// hostBytes returns what the storage cfg models costs the host in its
+// run: 4 B a line of LLC (its stack word) and 4 more for virtualized
+// SHIFT (the tag-extension pointer), 12 B a line of L1-I (tag, recency
+// stamp), 8 B a history record the run can write (a history appends at
+// most one a round, so at most the window's records of its capacity) and
+// 8 B an index entry (internal/cache's TestHostBytesPerModelledLine and
+// TestICacheHostBytes; internal/history's TestBufferHostBytes and
+// TestIndexTableHostBytes).
 func hostBytes(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	rs, err := cfg.spec()
@@ -244,7 +246,8 @@ func hostBytes(t *testing.T, cfg Config) uint64 {
 		t.Fatal(err)
 	}
 	sc := rs.Config
-	tables := func(histEntries, indexEntries int) int { return histEntries*8 + indexEntries*16 }
+	window := int(rs.WarmupRecords + rs.MeasureRecords)
+	tables := func(histEntries, indexEntries int) int { return min(histEntries, window)*8 + indexEntries*8 }
 	llcLines := sc.Mesh.Tiles() * (sc.LLCBankBytes / trace.BlockBytes)
 	n := llcLines*4 + sc.Cores*(sc.L1I.SizeBytes/sc.L1I.BlockBytes)*12
 	if p := sc.Prefetcher; p.Kind == sim.KindHistory {
@@ -282,8 +285,8 @@ func TestEmptyFreeListsEmpties(t *testing.T) {
 // emptied free lists a 16-core cell of each G12 design allocates the
 // storage it models at the host bytes per line, record and entry that
 // hostBytes prices, plus at most 400 KB for everything else (sixteen
-// cores' predictors, prefetch buffers, MSHRs and stream chunks: 346 KB
-// for Baseline, 375 KB for PIF_32K). A duplicate array anywhere in the
+// cores' predictors, prefetch buffers, MSHRs and stream chunks: 345 KB
+// for Baseline, 378 KB for PIF_32K). A duplicate array anywhere in the
 // hierarchy breaks it.
 func TestSystemFootprint(t *testing.T) {
 	for _, d := range g12Designs {
@@ -309,14 +312,16 @@ func TestSystemFootprint(t *testing.T) {
 // service (a workload's six designs over 500 + 500 records on 4 cores):
 // the members run one after another, each on the tables the one before
 // handed back, so on emptied free lists the whole batch allocates the
-// cache hierarchy once, each design's own history and index tables (a
-// table is recycled only into a table of its size; SHIFT's are its LLC
-// pointers, which it adds to the banks handed on) and at most a quarter
-// of a megabyte for everything else (the log, prefetch buffers and MSHRs;
-// the five followers' L1-I replicas are one set of tables handed on, and
-// the lead keeps no second copy of its tags). It allocates ≈ 3.53 MB
-// (3,528,704 B, a 32 KB log of record words among it), 0.53 MB under the
-// 4.06 MB limit.
+// cache hierarchy once, each design's own history and index tables (an
+// index table is recycled only into one of its shape, a history buffer
+// into one of its allocated length — here every history's is the
+// 1,000-record window, so later members take earlier ones'; SHIFT's index
+// is its LLC pointers, which it adds to the banks handed on) and at most a
+// quarter of a megabyte for everything else (the log, prefetch buffers
+// and MSHRs; the five followers' L1-I replicas are one set of tables
+// handed on, and the lead keeps no second copy of its tags). It allocates
+// ≈ 1.90 MB (1,904,984 B, a 32 KB log of record words among it), 51 KB
+// under the 1.96 MB limit.
 // Members kept alive side by side allocate a hierarchy each — six LLCs
 // for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
