@@ -1,8 +1,9 @@
 // Package noc models the on-chip interconnect of the simulated CMP: the
-// 4x4 2D mesh with 3 cycles/hop of Table I. It provides latency estimates
-// for core↔LLC-bank round trips and per-message-class traffic accounting,
-// which feeds both the Figure 9 LLC-traffic study and the Section 5.7
-// power analysis.
+// 4x4 2D mesh with 3 cycles/hop of Table I. It provides hop distances
+// for core↔LLC-bank round trips (the simulator's latency is hops times
+// HopCycles each way) and per-message-class traffic accounting, which
+// feeds both the Figure 9 LLC-traffic study and the Section 5.7 power
+// analysis.
 //
 // The paper notes that LLC bandwidth is ample (utilization well under 10%),
 // so the mesh is modelled contention-free: latency is hop count times
@@ -125,9 +126,6 @@ func MustNew(cfg Config) *Mesh {
 	return m
 }
 
-// Config returns the mesh geometry.
-func (m *Mesh) Config() Config { return m.cfg }
-
 // coord returns the (x, y) position of tile t.
 func (m *Mesh) coord(t int) (x, y int) { return t % m.cfg.Width, t / m.cfg.Width }
 
@@ -135,12 +133,6 @@ func (m *Mesh) coord(t int) (x, y int) { return t % m.cfg.Width, t / m.cfg.Width
 func (m *Mesh) Hops(a, b int) int {
 	return int(m.hopTable[a*m.tiles+b])
 }
-
-// Latency returns the one-way latency in cycles between tiles a and b.
-func (m *Mesh) Latency(a, b int) int64 { return int64(m.Hops(a, b) * m.cfg.HopCycles) }
-
-// RoundTrip returns the request+response latency between tiles a and b.
-func (m *Mesh) RoundTrip(a, b int) int64 { return 2 * m.Latency(a, b) }
 
 // BankForBlock statically interleaves block addresses across LLC banks
 // (one bank per tile, as in the paper's tiled design).
@@ -151,16 +143,9 @@ func (m *Mesh) BankForBlock(b trace.BlockAddr) int {
 	return int(uint64(b) % uint64(m.tiles))
 }
 
-// Send accounts one message of class cls travelling from tile a to tile b
-// and returns its latency.
-func (m *Mesh) Send(cls MsgClass, a, b int) int64 {
-	m.traffic[cls]++
-	m.hops[cls] += int64(m.Hops(a, b))
-	return m.Latency(a, b)
-}
-
-// Account records a message without computing a route (used for events
-// whose endpoints are implicit, e.g. discard detection inside a bank).
+// Account records one message of class cls that travels hops hops; the
+// caller routes it (see Hops), or passes 0 for an event whose endpoints
+// are implicit, e.g. discard detection inside a bank.
 func (m *Mesh) Account(cls MsgClass, hops int) {
 	m.traffic[cls]++
 	m.hops[cls] += int64(hops)
@@ -169,43 +154,8 @@ func (m *Mesh) Account(cls MsgClass, hops int) {
 // Traffic returns the message count for a class.
 func (m *Mesh) Traffic(cls MsgClass) int64 { return m.traffic[cls] }
 
-// TotalTraffic sums messages over the given classes (all if none given).
-func (m *Mesh) TotalTraffic(classes ...MsgClass) int64 {
-	if len(classes) == 0 {
-		var sum int64
-		for _, v := range m.traffic {
-			sum += v
-		}
-		return sum
-	}
-	var sum int64
-	for _, c := range classes {
-		sum += m.traffic[c]
-	}
-	return sum
-}
-
 // HopCount returns the accumulated hop count for a class (energy proxy).
 func (m *Mesh) HopCount(cls MsgClass) int64 { return m.hops[cls] }
-
-// ResetTraffic zeroes the counters (e.g. after warmup).
-func (m *Mesh) ResetTraffic() {
-	m.traffic = [NumClasses]int64{}
-	m.hops = [NumClasses]int64{}
-}
-
-// AvgHops returns the mean hops per message over all classes, or 0.
-func (m *Mesh) AvgHops() float64 {
-	var msgs, hops int64
-	for i := range m.traffic {
-		msgs += m.traffic[i]
-		hops += m.hops[i]
-	}
-	if msgs == 0 {
-		return 0
-	}
-	return float64(hops) / float64(msgs)
-}
 
 func abs(v int) int {
 	if v < 0 {

@@ -46,16 +46,6 @@ func TestHops(t *testing.T) {
 	}
 }
 
-func TestLatencyAndRoundTrip(t *testing.T) {
-	m := MustNew(DefaultConfig())
-	if got := m.Latency(0, 15); got != 18 { // 6 hops * 3 cycles
-		t.Errorf("Latency = %d, want 18", got)
-	}
-	if got := m.RoundTrip(0, 15); got != 36 {
-		t.Errorf("RoundTrip = %d, want 36", got)
-	}
-}
-
 func TestTriangleInequalityProperty(t *testing.T) {
 	m := MustNew(DefaultConfig())
 	f := func(a, b, c uint8) bool {
@@ -84,28 +74,15 @@ func TestBankForBlockCoversAllBanks(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	m := MustNew(DefaultConfig())
-	m.Send(DemandInstr, 0, 15)
-	m.Send(DemandInstr, 0, 1)
-	m.Send(HistRead, 2, 3)
+	m.Account(DemandInstr, 2*m.Hops(0, 15))
+	m.Account(DemandInstr, 2*m.Hops(0, 1))
+	m.Account(HistRead, 2*m.Hops(2, 3))
 	m.Account(Discard, 0)
-	if m.Traffic(DemandInstr) != 2 || m.Traffic(HistRead) != 1 || m.Traffic(Discard) != 1 {
-		t.Errorf("traffic: %d %d %d", m.Traffic(DemandInstr), m.Traffic(HistRead), m.Traffic(Discard))
+	if m.Traffic(DemandInstr) != 2 || m.Traffic(HistRead) != 1 || m.Traffic(Discard) != 1 || m.Traffic(PrefetchFill) != 0 {
+		t.Errorf("traffic: %d %d %d %d", m.Traffic(DemandInstr), m.Traffic(HistRead), m.Traffic(Discard), m.Traffic(PrefetchFill))
 	}
-	if m.TotalTraffic() != 4 {
-		t.Errorf("TotalTraffic = %d, want 4", m.TotalTraffic())
-	}
-	if m.TotalTraffic(DemandInstr, HistRead) != 3 {
-		t.Errorf("class subset total = %d, want 3", m.TotalTraffic(DemandInstr, HistRead))
-	}
-	if m.HopCount(DemandInstr) != 7 {
-		t.Errorf("HopCount = %d, want 7", m.HopCount(DemandInstr))
-	}
-	if m.AvgHops() <= 0 {
-		t.Error("AvgHops should be positive")
-	}
-	m.ResetTraffic()
-	if m.TotalTraffic() != 0 || m.AvgHops() != 0 {
-		t.Error("ResetTraffic did not zero counters")
+	if m.HopCount(DemandInstr) != 14 || m.HopCount(HistRead) != 2 || m.HopCount(Discard) != 0 {
+		t.Errorf("hops: %d %d %d", m.HopCount(DemandInstr), m.HopCount(HistRead), m.HopCount(Discard))
 	}
 }
 

@@ -25,6 +25,25 @@ func (s *switchReader) Next() (trace.Record, error) {
 	return s.b.Next()
 }
 
+// deviatingSource runs main on every core, except that the generator,
+// core 0, switches to alien after 15K records.
+type deviatingSource struct{ main, alien workload.Params }
+
+func (d deviatingSource) NewCoreReader(c int) (trace.Reader, error) {
+	wm, err := workload.Cached(d.main)
+	if err != nil {
+		return nil, err
+	}
+	if c != 0 {
+		return wm.NewCoreReader(c), nil
+	}
+	wa, err := workload.Cached(d.alien)
+	if err != nil {
+		return nil, err
+	}
+	return &switchReader{a: wm.NewCoreReader(0), b: wa.NewCoreReader(0), after: 15000}, nil
+}
+
 // TestAdaptiveGeneratorRecovers models a generator core that starts
 // healthy and then permanently deviates to unrelated code: the shared
 // history it records becomes useless to the other cores. With the
@@ -37,7 +56,7 @@ func TestAdaptiveGeneratorRecovers(t *testing.T) {
 	alien.Name = "alien"
 	alien.Seed = 909 // different code layout entirely
 
-	build := func(adaptive bool) (*System, error) {
+	coverage := func(adaptive bool) (float64, int64) {
 		cfg := testConfig()
 		sh := smallSHIFT(core.Dedicated)
 		sh.GeneratorCore = 0
@@ -45,37 +64,13 @@ func TestAdaptiveGeneratorRecovers(t *testing.T) {
 			Kind: KindHistory, History: sh,
 			AdaptiveGenerator: adaptive, AdaptWindow: 4096,
 		}
-		wm, err := workload.New(main)
-		if err != nil {
-			return nil, err
-		}
-		wa, err := workload.New(alien)
-		if err != nil {
-			return nil, err
-		}
-		readers := make([]trace.Reader, cfg.Cores)
-		// The generator deviates after 15K records.
-		readers[0] = &switchReader{a: wm.NewCoreReader(0), b: wa.NewCoreReader(0), after: 15000}
-		for i := 1; i < cfg.Cores; i++ {
-			readers[i] = wm.NewCoreReader(i)
-		}
-		return New(cfg, readers)
-	}
-
-	coverage := func(adaptive bool) (float64, int64) {
-		sys, err := build(adaptive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Healthy phase + deviation + time for detection and re-warm.
-		if err := sys.Run(40000); err != nil {
-			t.Fatal(err)
-		}
-		sys.MarkMeasurement()
-		if err := sys.Run(30000); err != nil {
-			t.Fatal(err)
-		}
-		res := sys.Results()
+		// Healthy phase + deviation + time for detection and re-warm, then
+		// the measured window.
+		spec := RunSpec{Config: cfg, Source: deviatingSource{main, alien}, WarmupRecords: 40000, MeasureRecords: 30000}
+		b := enterAll(t, []RunSpec{spec})
+		lockstep(t, b, b.blocks, nil)
+		sys := b.systems[0]
+		res := sys.result(spec.Sampling)
 		// Coverage among the healthy cores only (1..N-1): prefetch-buffer
 		// hits over would-be misses.
 		var covered, misses int64

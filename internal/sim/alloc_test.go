@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"shift/internal/trace"
-	"shift/internal/workload"
-)
+import "testing"
 
 // The zero-allocation contract: in steady state, System.Step performs no
 // heap allocations for the paper's evaluated design points. Warmup may
@@ -23,24 +18,13 @@ func buildSteadySystem(t *testing.T, spec PrefetcherSpec) *System {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Prefetcher = spec
-	w, err := workload.New(testWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]trace.Reader, cfg.Cores)
-	for i := range readers {
-		readers[i] = w.NewCoreReader(i)
-	}
-	sys, err := New(cfg, readers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The window holds the warmup below and the rounds measureStepAllocs
+	// steps after it.
+	b := enterAll(t, []RunSpec{{Config: cfg, Workload: testWorkload(), WarmupRecords: 30000, MeasureRecords: 10000}})
 	// Warmup: populate caches, histories, stream buffers, and grow every
 	// reusable buffer to its steady-state capacity.
-	if err := sys.Run(30000); err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	lockstep(t, b, cutBlocks([]segment{{rounds: 30000}}), nil)
+	return b.systems[0]
 }
 
 // measureStepAllocs returns allocations per Step over `rounds` lockstep

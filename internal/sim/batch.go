@@ -279,14 +279,12 @@ func blockRounds(blk []piece) int64 {
 	return n
 }
 
-// batch is the unit of execution: the members that consume one record
-// stream — the lead (member 0) and the followers that read its log, none
-// for a single run — and the blocks all of them walk. systems[m] is member
-// m's System while it is alive: walk builds it from specs[m] when the
-// member enters its first block and, after its last, extracts out[m] and
-// hands its tables back. A caller-built System (RunSampled) walks as a
-// batch without specs: it is in place from the start and stays the
-// caller's.
+// batch is the unit of execution, and the one owner of every System: the
+// members that consume one record stream — the lead (member 0) and the
+// followers that read its log, none for a single run — and the blocks all
+// of them walk. systems[m] is member m's System while it is alive: walk
+// builds it from specs[m] when the member enters its first block and,
+// after its last, extracts out[m] and hands its tables back.
 type batch struct {
 	specs   []RunSpec
 	out     []Result
@@ -297,7 +295,7 @@ type batch struct {
 
 // newBatch validates the specs and lays out the schedule; walk builds the
 // members. Followers are what the lead log exists for, so a batch of one
-// has none: its one member is the System New would return.
+// has none: its one member is a standalone System.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
@@ -441,45 +439,37 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.walk(specs[0].WarmupRecords, specs[0].MeasureRecords); err != nil {
+	if err := b.walk(); err != nil {
 		return nil, err
 	}
 	return b.out, nil
 }
 
-// enter readies member m for its first block: a member of a RunBatch is
-// built here — the lead over the record streams, opened once, a follower
-// over the log alone.
+// enter builds member m for its first block: the lead over the record
+// streams, opened once, a follower over the log alone.
 func (b *batch) enter(m int) error {
-	if b.specs != nil {
-		var readers []trace.Reader
-		if m == 0 {
-			var err error
-			if readers, err = b.specs[0].openReaders(); err != nil {
-				return err
-			}
-		}
-		spec := &b.specs[m]
-		sys, err := build(spec.systemConfig(), readers, b.log, int(spec.WarmupRecords+spec.MeasureRecords))
-		if err != nil {
+	var readers []trace.Reader
+	if m == 0 {
+		var err error
+		if readers, err = b.specs[0].openReaders(); err != nil {
 			return err
 		}
-		b.systems[m] = sys
 	}
-	sys := b.systems[m]
-	sys.sampleAgg, sys.mpkiSamples, sys.tputSamples = measurement{}, nil, nil
+	spec := &b.specs[m]
+	sys, err := build(spec.systemConfig(), readers, b.log, int(spec.WarmupRecords+spec.MeasureRecords))
+	if err != nil {
+		return err
+	}
+	b.systems[m] = sys
 	return nil
 }
 
-// leave retires member m after its last block: the member of a RunBatch
-// has succeeded, so its result is extracted — under its own policy, for
-// members may differ in the reporting confidence level, which never
-// touches the schedule — and its tables are handed back (see
-// System.release) for the next member, or the next batch, to build on.
+// leave retires member m after its last block: the member has succeeded,
+// so its result is extracted — under its own policy, for members may
+// differ in the reporting confidence level, which never touches the
+// schedule — and its tables are handed back (see System.release) for the
+// next member, or the next batch, to build on.
 func (b *batch) leave(m int) {
-	if b.specs == nil {
-		return
-	}
 	sys := b.systems[m]
 	b.out[m] = sys.result(b.specs[m].Sampling)
 	sys.release()
@@ -487,22 +477,14 @@ func (b *batch) leave(m int) {
 }
 
 // walk is the one execution path: it takes the batch's members through
-// the schedule over a window of warm+meas records per core — exact or
-// sampled, one member or many, built here or by a caller — block by block
-// and, within a block, member by member, and verifies that the streams
-// supplied the whole window. Every member walks the identical
-// deterministic schedule (validated equal by checkStreamCompatible), so
-// each member's result is bit-identical to its standalone run.
-func (b *batch) walk(warm, meas int64) error {
-	// Whatever the outcome, a caller-built System is left stepping in
-	// detail.
-	defer func() {
-		for _, sys := range b.systems {
-			if sys != nil {
-				sys.applySegment(segment{})
-			}
-		}
-	}()
+// the schedule over the window of specs[0] — exact or sampled, one member
+// or many — block by block and, within a block, member by member, and
+// verifies that the streams supplied the whole window. Every member walks
+// the identical deterministic schedule (validated equal by
+// checkStreamCompatible), so each member's result is bit-identical to its
+// standalone run.
+func (b *batch) walk() error {
+	warm, meas := b.specs[0].WarmupRecords, b.specs[0].MeasureRecords
 	members := len(b.systems)
 	bases := make([][]int64, members)
 	var done int64

@@ -310,9 +310,8 @@ func TestRunBatchGroups(t *testing.T) {
 }
 
 // TestRunBatchSingleAndEmpty covers the degenerate batch sizes: none, and
-// the batch of one — the member a batch of two would lead, and the System
-// a caller builds with New and walks with RunMeasured/RunSampled, must
-// all report the same Result, and an invalid single spec its own error.
+// the batch of one — it and the members of a batch of two must report the
+// same Result, and an invalid single spec its own error.
 func TestRunBatchSingleAndEmpty(t *testing.T) {
 	if rs, err := RunBatch(nil); err != nil || rs != nil {
 		t.Fatalf("empty batch: %v, %v", rs, err)
@@ -328,26 +327,11 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		readers, err := spec.openReaders()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := New(spec.Config, readers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		own, err := sys.RunSampled(spec.WarmupRecords, spec.MeasureRecords, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if (rs[0].Sampled != nil) != p.Enabled() {
 			t.Errorf("sampling %+v: SampleStats attached = %v", p, rs[0].Sampled != nil)
 		}
 		if !reflect.DeepEqual(rs[0], two[0]) || !reflect.DeepEqual(rs[0], two[1]) {
 			t.Errorf("sampling %+v: single-spec batch differs from the members of a batch of two", p)
-		}
-		if !reflect.DeepEqual(rs[0], own) {
-			t.Errorf("sampling %+v: single-spec batch differs from a caller-built System's walk", p)
 		}
 	}
 	invalid := testSpec(testConfig())
@@ -359,10 +343,10 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 }
 
 // TestBatchOfOneBuildsNoLog: the lead log exists for followers to read. A
-// batch of one has none, so it is the System New returns — its
+// batch of one has none, so its System is a standalone one — its
 // instruction caches its own — and a Run allocates no more than building
-// and walking that System by hand does, where a log of one lockstep block
-// would add 16 B a record-step.
+// that System and stepping it block by block by hand does, where a log of
+// one lockstep block would add 16 B a record-step.
 func TestBatchOfOneBuildsNoLog(t *testing.T) {
 	spec := testSpec(testConfig())
 	spec.WarmupRecords, spec.MeasureRecords = batchBlockRounds, batchBlockRounds
@@ -381,12 +365,15 @@ func TestBatchOfOneBuildsNoLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := New(spec.Config, readers)
+		sys, err := build(spec.Config, readers, nil, int(spec.WarmupRecords+spec.MeasureRecords))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.RunMeasured(spec.WarmupRecords, spec.MeasureRecords); err != nil {
-			t.Fatal(err)
+		own := batch{systems: []*System{sys}}
+		for _, blk := range b.blocks {
+			if ran, err := own.runBlock(0, blk); err != nil || ran != blockRounds(blk) {
+				t.Fatalf("ran %d of %d rounds, err %v", ran, blockRounds(blk), err)
+			}
 		}
 		sys.release()
 	}
@@ -586,6 +573,11 @@ func TestBatchWideL1NotShared(t *testing.T) {
 	}
 }
 
+// opaqueReader hides any Supplier implementation of the wrapped reader.
+type opaqueReader struct{ r trace.Reader }
+
+func (o *opaqueReader) Next() (trace.Record, error) { return o.r.Next() }
+
 // opaqueSource hides the Supplier side of a bounded source's readers, so
 // a short recording is found by running dry, not by the up-front check.
 type opaqueSource struct{ src workload.Source }
@@ -602,12 +594,17 @@ func (drySource) NewCoreReader(int) (trace.Reader, error) {
 	return &opaqueReader{r: trace.NewSliceReader(nil)}, nil
 }
 
-// TestRunBatchStreamShortMatchesRun: a bounded Source that runs dry in
-// the middle of a lockstep block — every core or a single one, in the
-// warmup or the measured window, exact or sampled — fails a batch with
-// the very StreamShortError its members' standalone runs report.
+// TestRunBatchStreamShortMatchesRun: a bounded Source that declares too
+// short a supply, or runs dry in the middle of a lockstep block — every
+// core or a single one, in the warmup or the measured window, exact or
+// sampled — fails a batch with the very StreamShortError its members'
+// standalone runs report. (A declared supply of exactly the window runs:
+// TestRunBatchMatchesRunAcrossStreams's "replay" streams.)
 func TestRunBatchStreamShortMatchesRun(t *testing.T) {
-	source := func(lens ...int) workload.Source {
+	// recorded replays the first lens[i] records of core i's stream (of
+	// core 0's on every core, given one length). A replay declares its
+	// supply, so a short one fails up front; source hides the declaration.
+	recorded := func(lens ...int) workload.Source {
 		recs := make([][]trace.Record, len(lens))
 		for i, n := range lens {
 			recs[i] = testRecording(t, i, n)
@@ -616,8 +613,9 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return opaqueSource{replay}
+		return replay
 	}
+	source := func(lens ...int) workload.Source { return opaqueSource{recorded(lens...)} }
 	for _, tc := range []struct {
 		name    string
 		src     workload.Source
@@ -625,10 +623,15 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 		warm    int64
 		// want is the error: counts are per phase (records into the
 		// phase, of the phase's length), except for the one-core case —
-		// found by checkConsumed once the other cores finished — whose
-		// counts are the core's, over the whole window.
+		// found by checkConsumed once the other cores finished — and a
+		// declared supply, whose counts are the core's, over the whole
+		// window.
 		want StreamShortError
 	}{
+		// A declared supply short of the window fails before a record is
+		// stepped, naming the first short core.
+		{"validate", recorded(8000), false, 10000, StreamShortError{"validate", 0, 25000, 8000}},
+		{"sampled-validate", recorded(9000), true, 10000, StreamShortError{"validate", 0, 25000, 9000}},
 		{"measure", source(12000), false, 10000, StreamShortError{"measure", -1, 15000, 2000}},
 		{"warmup", source(3000), false, 10000, StreamShortError{"warmup", -1, 10000, 3000}},
 		{"one-core", source(50000, 50000, 12000, 50000), false, 10000, StreamShortError{"measure", 2, 25000, 12000}},

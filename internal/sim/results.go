@@ -26,14 +26,6 @@ type FetchStats struct {
 	Discards int64
 }
 
-// MissRatio returns effective misses per access.
-func (f FetchStats) MissRatio() float64 {
-	if f.Accesses == 0 {
-		return 0
-	}
-	return float64(f.Misses) / float64(f.Accesses)
-}
-
 func subFetch(a, b FetchStats) FetchStats {
 	return FetchStats{
 		Accesses:   a.Accesses - b.Accesses,
@@ -239,27 +231,12 @@ func subPf(a, b prefetch.Stats) prefetch.Stats {
 	}
 }
 
-// MarkMeasurement snapshots all counters; Results reports deltas from
-// this point (warmup exclusion, as in the paper's SimFlex methodology).
-// It is how a hand-stepped System (New, Run, MarkMeasurement, Run,
-// Results) opens its one measured interval; a schedule's intervals open
-// the same way (BeginInterval).
-func (s *System) MarkMeasurement() { s.intervalStart = s.snapshot() }
-
-// sinceMark is the counter delta of the open interval: since the last
-// MarkMeasurement, or since construction when there was none.
+// sinceMark is the counter delta of the open interval, since its
+// BeginInterval.
 func (s *System) sinceMark() measurement {
 	d := s.snapshot()
-	if s.intervalStart.cycles != nil {
-		d.sub(&s.intervalStart)
-	}
+	d.sub(&s.intervalStart)
 	return d
-}
-
-// Results computes the measurement-window deltas since MarkMeasurement.
-func (s *System) Results() Result {
-	d := s.sinceMark()
-	return s.resultFromDelta(&d)
 }
 
 // resultFromDelta summarizes one window delta (an exact run's whole
@@ -324,12 +301,6 @@ func addCache(a, b cache.Stats) cache.Stats {
 		PrefetchInserted: a.PrefetchInserted + b.PrefetchInserted,
 		PrefetchDiscards: a.PrefetchDiscards + b.PrefetchDiscards,
 	}
-}
-
-// DemandTraffic returns the demand LLC traffic (instruction + data), the
-// baseline-normalization denominator of Figure 9.
-func (r Result) DemandTraffic() int64 {
-	return r.Traffic[noc.DemandInstr] + r.Traffic[noc.DemandData]
 }
 
 // AccessCoverage and MissCoverage expose the prediction-mode coverages.

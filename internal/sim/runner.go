@@ -187,33 +187,3 @@ func (s *System) checkConsumed(base []int64, need int64) error {
 	}
 	return nil
 }
-
-// RunMeasured executes the exact methodology on an already-constructed
-// system: RunSampled under the disabled policy, whose schedule is the
-// detailed warmup and the whole measure window as its one interval.
-func (s *System) RunMeasured(warmup, measure int64) (Result, error) {
-	return s.RunSampled(warmup, measure, Sampling{})
-}
-
-// RunSampled walks, on an already-constructed system, the deterministic
-// schedule p lays out over the warmup+measure window (see
-// Sampling.segments) — the walk every Run and RunBatch member takes.
-// Unlike Run it works with custom trace readers; a stream that cannot
-// supply the full window fails with a *StreamShortError instead of
-// silently measuring fewer records.
-func (s *System) RunSampled(warmup, measure int64, p Sampling) (Result, error) {
-	if measure <= 0 {
-		return Result{}, fmt.Errorf("sim: MeasureRecords %d <= 0", measure)
-	}
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if p.Enabled() && p.Intervals(measure) < 2 {
-		return Result{}, fmt.Errorf("sim: MeasureRecords %d fits fewer than two sampling intervals", measure)
-	}
-	b := batch{systems: []*System{s}, blocks: cutBlocks(p.segments(warmup, measure))}
-	if err := b.walk(warmup, measure); err != nil {
-		return Result{}, err
-	}
-	return s.result(p), nil
-}

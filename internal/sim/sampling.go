@@ -337,8 +337,10 @@ func (s *System) applySegment(seg segment) {
 }
 
 // BeginInterval opens a measured interval of the schedule at the current
-// counters; EndInterval turns the delta into one per-interval sample.
-func (s *System) BeginInterval() { s.MarkMeasurement() }
+// counters, excluding everything before it (the warmup, in the paper's
+// SimFlex methodology); EndInterval turns the delta into one per-interval
+// sample.
+func (s *System) BeginInterval() { s.intervalStart = s.snapshot() }
 
 // EndInterval closes the interval opened by BeginInterval: the counter
 // delta joins the run's aggregate measurement and contributes one

@@ -194,31 +194,12 @@ func TestRunSampledDeterministic(t *testing.T) {
 // the functional path for the same rounds.
 func warmSystems(t *testing.T, cfg Config, rounds int64) (detailed, functional *System) {
 	t.Helper()
-	build := func() *System {
-		w, err := workload.Cached(testWorkload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		readers := make([]trace.Reader, cfg.Cores)
-		for i := range readers {
-			readers[i] = w.NewCoreReader(i)
-		}
-		sys, err := New(cfg, readers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
+	step := func(functional bool) *System {
+		b := enterAll(t, []RunSpec{{Config: cfg, Workload: testWorkload(), MeasureRecords: rounds}})
+		lockstep(t, b, cutBlocks([]segment{{rounds: rounds, functional: functional}}), nil)
+		return b.systems[0]
 	}
-	detailed = build()
-	if err := detailed.Run(rounds); err != nil {
-		t.Fatal(err)
-	}
-	functional = build()
-	functional.applySegment(segment{functional: true})
-	if err := functional.Run(rounds); err != nil {
-		t.Fatal(err)
-	}
-	return detailed, functional
+	return step(false), step(true)
 }
 
 // TestFunctionalWarmStateMatchesDetailed is the warmed-structure
@@ -538,38 +519,44 @@ func TestRunBatchRejectsMixedSampling(t *testing.T) {
 	}
 }
 
+// singleDrySource streams the live workload on every core but one,
+// whose stream runs dry after n records without declaring its supply.
+type singleDrySource struct {
+	w    *workload.Workload
+	core int
+	n    int64
+}
+
+func (s singleDrySource) NewCoreReader(c int) (trace.Reader, error) {
+	if c == s.core {
+		return &opaqueReader{r: trace.Limit(s.w.NewCoreReader(c), s.n)}, nil
+	}
+	return s.w.NewCoreReader(c), nil
+}
+
 // TestRunMeasuredSingleDryCore: a single core's stream running dry must
 // surface as a typed error even while the other cores keep the lockstep
-// round loop alive.
+// round loop alive, from a standalone run and a batch alike.
 func TestRunMeasuredSingleDryCore(t *testing.T) {
-	cfg := testConfig()
 	w, err := workload.Cached(testWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	readers := make([]trace.Reader, cfg.Cores)
-	for i := range readers {
-		if i == 2 {
-			recs, err := trace.Collect(trace.Limit(w.NewCoreReader(i), 8000), 8000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			readers[i] = &opaqueReader{r: trace.NewSliceReader(recs)}
-		} else {
-			readers[i] = w.NewCoreReader(i)
-		}
-	}
-	sys, err := New(cfg, readers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunMeasured(5000, 10000)
-	var short *StreamShortError
-	if !errors.As(err, &short) {
+	spec := testSpec(testConfig())
+	spec.Source = singleDrySource{w: w, core: 2, n: 8000}
+	spec.WarmupRecords, spec.MeasureRecords = 5000, 10000
+	var solo, batched *StreamShortError
+	if _, err := Run(spec); !errors.As(err, &solo) {
 		t.Fatalf("single dry core: got %v, want StreamShortError", err)
 	}
-	if short.Core != 2 || short.Have != 8000 {
-		t.Fatalf("unexpected error detail: %+v", short)
+	if solo.Core != 2 || solo.Have != 8000 {
+		t.Fatalf("unexpected error detail: %+v", solo)
+	}
+	if _, err := RunBatch([]RunSpec{spec, spec}); !errors.As(err, &batched) {
+		t.Fatalf("batched single dry core: got %v, want StreamShortError", err)
+	}
+	if *batched != *solo {
+		t.Fatalf("batched %+v, standalone %+v", *batched, *solo)
 	}
 }
 
@@ -585,119 +572,6 @@ func TestRunSpecRejectsSingleInterval(t *testing.T) {
 	spec.MeasureRecords = 10000 // two intervals
 	if _, err := Run(spec); err != nil {
 		t.Fatalf("two-interval window rejected: %v", err)
-	}
-}
-
-// shortReaders builds per-core readers that can supply only n records.
-func shortReaders(t *testing.T, cfg Config, n int64, declare bool) []trace.Reader {
-	t.Helper()
-	w, err := workload.Cached(testWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]trace.Reader, cfg.Cores)
-	for i := range readers {
-		if declare {
-			readers[i] = trace.Limit(w.NewCoreReader(i), n)
-		} else {
-			// Collect then replay without implementing trace.Supplier's
-			// declaration... SliceReader implements Supplier too, so wrap
-			// it in an opaque reader to exercise the runtime detection.
-			recs, err := trace.Collect(trace.Limit(w.NewCoreReader(i), n), int(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			readers[i] = &opaqueReader{r: trace.NewSliceReader(recs)}
-		}
-	}
-	return readers
-}
-
-// opaqueReader hides any Supplier implementation of the wrapped reader.
-type opaqueReader struct{ r trace.Reader }
-
-func (o *opaqueReader) Next() (trace.Record, error) { return o.r.Next() }
-
-// TestRunMeasuredStreamShort locks the supply validation: a stream that
-// declares too small a supply fails up front, and one that silently
-// runs dry fails with the typed runtime error instead of short-
-// measuring.
-func TestRunMeasuredStreamShort(t *testing.T) {
-	cfg := testConfig()
-	const warm, measure = 5000, 10000
-
-	// Upfront: the reader declares its supply via trace.Supplier.
-	sys, err := New(cfg, shortReaders(t, cfg, 8000, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunMeasured(warm, measure)
-	var short *StreamShortError
-	if !errors.As(err, &short) {
-		t.Fatalf("declared-short stream: got %v, want StreamShortError", err)
-	}
-	if short.Phase != "validate" || short.Need != warm+measure || short.Have != 8000 {
-		t.Fatalf("unexpected error detail: %+v", short)
-	}
-
-	// Runtime: an opaque reader runs dry mid-measure.
-	sys, err = New(cfg, shortReaders(t, cfg, 8000, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunMeasured(warm, measure)
-	short = nil
-	if !errors.As(err, &short) {
-		t.Fatalf("opaque short stream: got %v, want StreamShortError", err)
-	}
-	if short.Phase != "measure" || short.Have != 8000-warm {
-		t.Fatalf("unexpected runtime error detail: %+v", short)
-	}
-
-	// Dry during warmup.
-	sys, err = New(cfg, shortReaders(t, cfg, 3000, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunMeasured(warm, measure)
-	short = nil
-	if !errors.As(err, &short) || short.Phase != "warmup" {
-		t.Fatalf("warmup-short stream: got %v (%+v)", err, short)
-	}
-
-	// A sufficient declared supply passes.
-	sys, err = New(cfg, shortReaders(t, cfg, warm+measure, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RunMeasured(warm, measure); err != nil {
-		t.Fatalf("sufficient stream rejected: %v", err)
-	}
-}
-
-// TestRunSampledStreamShort: the sampled runner applies the same
-// supply contract.
-func TestRunSampledStreamShort(t *testing.T) {
-	cfg := testConfig()
-	p := testSampling()
-	sys, err := New(cfg, shortReaders(t, cfg, 9000, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunSampled(5000, 10000, p)
-	var short *StreamShortError
-	if !errors.As(err, &short) || short.Phase != "validate" {
-		t.Fatalf("got %v, want upfront StreamShortError", err)
-	}
-
-	sys, err = New(cfg, shortReaders(t, cfg, 9000, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.RunSampled(5000, 10000, p)
-	short = nil
-	if !errors.As(err, &short) || short.Phase != "measure" {
-		t.Fatalf("got %v (%+v), want runtime StreamShortError in measure", err, short)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"shift/internal/core"
 	"shift/internal/noc"
-	"shift/internal/trace"
 	"shift/internal/workload"
 )
 
@@ -132,9 +131,6 @@ func TestBaselineRun(t *testing.T) {
 	}
 	if res.Traffic[noc.DemandInstr] == 0 || res.Traffic[noc.DemandData] == 0 {
 		t.Error("demand traffic not accounted")
-	}
-	if res.DemandTraffic() != res.Traffic[noc.DemandInstr]+res.Traffic[noc.DemandData] {
-		t.Error("DemandTraffic mismatch")
 	}
 }
 
@@ -287,24 +283,12 @@ func TestSHIFTDedicatedWorks(t *testing.T) {
 func TestSHIFTVirtualizedTrafficAndPinning(t *testing.T) {
 	cfg := testConfig()
 	cfg.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
-	spec := testSpec(cfg)
-
-	w, err := workload.New(spec.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]trace.Reader, cfg.Cores)
-	for i := range readers {
-		readers[i] = w.NewCoreReader(i)
-	}
-	sys, err := New(cfg, readers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(50000); err != nil {
-		t.Fatal(err)
-	}
-	res := sys.Results()
+	// The whole run is measured.
+	spec := RunSpec{Config: cfg, Workload: testWorkload(), MeasureRecords: 50000}
+	b := enterAll(t, []RunSpec{spec})
+	lockstep(t, b, b.blocks, nil)
+	sys := b.systems[0]
+	res := sys.result(spec.Sampling)
 	if res.Traffic[noc.HistRead] == 0 {
 		t.Error("no LogRead traffic")
 	}
@@ -437,13 +421,6 @@ func TestRunSpecValidation(t *testing.T) {
 	bad.Groups = []core.Group{{Name: "A", Cores: []int{0}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("groups without workloads accepted")
-	}
-}
-
-func TestNewRejectsReaderMismatch(t *testing.T) {
-	cfg := testConfig()
-	if _, err := New(cfg, nil); err == nil {
-		t.Error("nil readers accepted")
 	}
 }
 

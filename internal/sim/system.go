@@ -119,7 +119,7 @@ type System struct {
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
 	// LLC-warming stride; intervalStart is the snapshot the open interval
-	// is measured from (nil slices — all zero — until the first mark);
+	// is measured from (see BeginInterval);
 	// sampleAgg sums the closed intervals' deltas and the per-interval
 	// metric samples feed result; llcWarmCnt[core] counts functional L1
 	// misses for the strided LLC warming, on the member that decides the
@@ -178,26 +178,15 @@ func (s *System) buildHot() {
 	}
 }
 
-// New builds a system over per-core trace readers (len must equal
-// cfg.Cores).
-func New(cfg Config, readers []trace.Reader) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(readers) != cfg.Cores {
-		return nil, fmt.Errorf("sim: %d readers for %d cores", len(readers), cfg.Cores)
-	}
-	return build(cfg, readers, nil, 0)
-}
-
-// build constructs a System: standalone (lg nil), the lead of a RunBatch
-// (lg and readers set) or one of its followers (lg set, no readers). A
-// follower decides here, from its configuration and the lead's alone,
-// which facets of the lead's work it replays (see the System.log field
-// doc), and builds no predictor it would not step and of an instruction
-// cache it would not step the tags alone. writes is the run's window in
-// records per core, which bounds what each history appends (one record a
-// round at most) and so sizes its host storage; 0 leaves it unbounded.
+// build constructs the System of a batch member (see batch.enter):
+// standalone (lg nil), the lead of a RunBatch (lg and readers set) or one
+// of its followers (lg set, no readers). A follower decides here, from its
+// configuration and the lead's alone, which facets of the lead's work it
+// replays (see the System.log field doc), and builds no predictor it would
+// not step and of an instruction cache it would not step the tags alone.
+// writes is the run's window in records per core, which bounds what each
+// history appends (one record a round at most) and so sizes its host
+// storage.
 func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System, error) {
 	n := cfg.Cores
 	s := &System{cfg: cfg, readers: readers, log: lg, lead: lg != nil && readers != nil}
@@ -330,13 +319,12 @@ func dataStepTable(mpki float64) []float64 {
 
 // release hands the System's big tables — caches, predictors, histories
 // and index tables — back to their packages' free lists, from which the
-// next New of the same geometry takes them and resets only what this
-// System wrote. Only Run and RunBatch call it, on Systems they built
-// and that never escaped, on the success path after the results are
-// extracted: a System that returned an error or panicked mid-step (and
-// may still be stepping, when the engine's watchdog abandoned it) is
-// left to the collector, and a System a caller built with New is the
-// caller's for good. The System is unusable afterwards.
+// next build of the same geometry takes them and resets only what this
+// System wrote. Only batch.leave calls it, on the success path after the
+// member's result is extracted: a System that returned an error or
+// panicked mid-step (and may still be stepping, when the engine's
+// watchdog abandoned it) is left to the collector. The System is unusable
+// afterwards.
 func (s *System) release() {
 	if !s.logOwnsL1() {
 		for _, c := range s.l1i {
@@ -632,24 +620,12 @@ func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 	}
 }
 
-// Run advances every core by up to `records` records in lockstep
-// (round-robin, one record per core per round), preserving the recency
-// relationships a real concurrent system would have between the history
-// generator and the replaying cores. It steps a hand-built System as a
-// batch of one, in the pieces every schedule runs in.
-func (s *System) Run(records int64) error {
-	b := batch{systems: []*System{s}}
-	for _, blk := range cutBlocks([]segment{{rounds: records, functional: s.functional, llcMask: s.llcMask}}) {
-		if ran, err := b.runBlock(0, blk); err != nil || ran < blockRounds(blk) {
-			return err
-		}
-	}
-	return nil
-}
-
 // runRounds advances one piece of the schedule, up to n rounds, returning
-// the number completed (fewer only when every core's trace is exhausted). On
-// the functional fast-forward path the rounds run core-major instead (see
+// the number completed (fewer only when every core's trace is exhausted). A
+// detailed round steps every core by one record in turn, preserving the
+// recency relationships a real concurrent system would have between the
+// history generator and the replaying cores. On the functional
+// fast-forward path the rounds run core-major instead (see
 // runRoundsFunctional).
 func (s *System) runRounds(n int64) (int64, error) {
 	if s.functional {

@@ -1,14 +1,13 @@
 // Package stats provides the statistics helpers used by the experiment
 // drivers: geometric means (the paper reports geo-mean speedups),
-// mean/confidence intervals (the paper's SimFlex-style 95% confidence
-// reporting), and fixed-width ASCII tables and bar charts for emitting
-// paper-figure-shaped output from the CLIs and benchmarks.
+// arithmetic means and extrema, and fixed-width ASCII tables and bar
+// charts for emitting paper-figure-shaped output from the CLIs. A sampled
+// run's confidence intervals are the simulator's own (sim.Result.Sampled).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -40,30 +39,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (0 if fewer than 2 values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation (the paper: "average error of less than 5%
-// at the 95% confidence level").
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Min and Max return extrema (0 if empty).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -90,29 +65,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0<=p<=100) using linear
-// interpolation; 0 if empty.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Table renders fixed-width ASCII tables.
@@ -162,18 +114,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.header, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -35,14 +35,8 @@ func TestMeanStdDevCI(t *testing.T) {
 	if !almostEq(Mean(xs), 5) {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if sd := StdDev(xs); math.Abs(sd-2.138) > 0.01 {
-		t.Errorf("StdDev = %v", sd)
-	}
-	if ci := CI95(xs); ci <= 0 {
-		t.Errorf("CI95 = %v", ci)
-	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 || CI95([]float64{1}) != 0 {
-		t.Error("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Error("empty Mean should be 0")
 	}
 }
 
@@ -53,27 +47,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty extrema should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEq(got, c.want) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// Must not mutate the input.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 {
-		t.Error("Percentile mutated its input")
 	}
 }
 
@@ -108,10 +81,6 @@ func TestTable(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
-	}
-	csv := tab.CSV()
-	if !strings.HasPrefix(csv, "Workload,Speedup\n") {
-		t.Errorf("CSV header wrong: %q", csv)
 	}
 }
 
