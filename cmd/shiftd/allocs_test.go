@@ -160,6 +160,76 @@ func TestReplayedRunsHeapBytesBounded(t *testing.T) {
 	}
 }
 
+// TestColdCellHeapBytes: a finished cold /v1/jobs cell — a cell shiftd
+// never saw, stored by the engine and retained by the job registry —
+// grows the live heap of a server wired as main wires its default
+// in-memory store by at most 640 B. The registry shares the store's
+// entry: when it held a second copy of every result, a cell cost ≈ 840 B.
+func TestColdCellHeapBytes(t *testing.T) {
+	if !syncPoolKeepsPuts() {
+		t.Skip("race detector: heap readings are not the production ones")
+	}
+	const warm, measured, limit = 8, 96, 640
+	designs := [...]string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT"}
+	srv, jm := newAllocServer()
+	h := srv.handler()
+	// Job k's cells are the six designs of a window no other job has.
+	submit := func(k int) {
+		cells := make([]map[string]any, len(designs))
+		for d, design := range designs {
+			cells[d] = map[string]any{"workload": "OLTP Oracle", "design": design, "cores": 4,
+				"warmup_records": 500, "measure_records": 500 + k, "seed": 7}
+		}
+		body, err := json.Marshal(map[string]any{"cells": cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var resp jobSubmitResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusAccepted {
+			t.Fatalf("submit = %d (%v)", rec.Code, err)
+		}
+		j, ok := jm.Get(resp.ID)
+		if !ok {
+			t.Fatalf("job %s not registered", resp.ID)
+		}
+		for {
+			_, terminal, changed := j.EventsSince(math.MaxInt)
+			if terminal {
+				break
+			}
+			<-changed
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for k := 0; k < warm; k++ {
+		submit(k) // the workload's graph, the free lists and the first table growths
+	}
+	before := heap()
+	for k := warm; k < warm+measured; k++ {
+		submit(k)
+	}
+	after := heap()
+	n := measured * len(designs)
+	perCell := (int64(after) - int64(before)) / int64(n)
+	st := jm.Stats()
+	t.Logf("%d cold cells: heap %d B -> %d B, %d B a cell; %d cells retained, %d stored",
+		n, before, after, perCell, st.RetainedCells, srv.store.Len())
+	if st.RetainedCells != (warm+measured)*len(designs) {
+		t.Fatalf("%d cells retained, want every cell: %d", st.RetainedCells, (warm+measured)*len(designs))
+	}
+	if perCell > limit {
+		t.Errorf("a finished cold cell grows the live heap by %d B, limit %d B", perCell, limit)
+	}
+}
+
 // allocRuns is how many calls allocsPerCall averages over.
 const allocRuns = 200
 
@@ -169,7 +239,7 @@ const allocRuns = 200
 func newAllocServer() (*server, *jobs.Manager) {
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(1, rs)
-	jm := jobs.New(jobs.Config{Workers: 1, Rate: 1e9, Burst: 1e9, RunBatch: engine.RunKeyed})
+	jm := jobs.New(jobs.Config{Workers: 1, Rate: 1e9, Burst: 1e9, RunBatch: engine.RunKeyed, Results: rs})
 	return newServer(engine, rs, testOpts(), jm, 1<<20), jm
 }
 

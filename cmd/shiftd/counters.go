@@ -162,7 +162,7 @@ var rows = []row{
 	{path: "jobs_retained", series: "shiftd_jobs_retained", kind: gauge, help: "Jobs held by the job registry: queued and running jobs, and finished ones until 8192 later-finishing cells have finished.", get: func(sn *snapshot) any { return sn.jobs.Retained }},
 	{path: "jobs_evicted", series: "shiftd_jobs_evicted_total", kind: counter, help: "Finished jobs that left the job registry: a /v1/run or /v1/grid job when it finished, a /v1/jobs job once 8192 later-finishing cells had finished.", get: func(sn *snapshot) any { return sn.jobs.Evicted }},
 	{path: "job_cells_retained", series: "shiftd_job_cells_retained", kind: gauge, help: "Cells of the jobs held by the job registry.", get: func(sn *snapshot) any { return sn.jobs.RetainedCells }},
-	{path: "job_shared_results", series: "shiftd_job_shared_results", kind: gauge, help: "Distinct results the registry's finished cells point at (job_cells_retained over this is the dedup ratio).", get: func(sn *snapshot) any { return sn.jobs.SharedResults }},
+	{path: "job_shared_results", series: "shiftd_job_shared_results", kind: gauge, help: "Keys the registry's finished cells point at in the in-memory result table they share with the result store, one result each (job_cells_retained over this is the dedup ratio).", get: func(sn *snapshot) any { return sn.jobs.SharedResults }},
 
 	// The Go collector's work, which the job registry's pointers add to.
 	{path: "gc_cycles", series: "go_gc_cycles_total", kind: counter, help: "Garbage collection cycles completed since process start.", get: func(sn *snapshot) any { return sn.gc.cycles }},

@@ -155,8 +155,9 @@ func main() {
 	}
 	var (
 		rs       shift.ResultStore
+		results  = shift.NewResultCache()
 		tiered   *shift.BlobStore
-		storeDsc string
+		storeDsc = "in-memory"
 	)
 	switch {
 	case *cacheDir != "":
@@ -165,21 +166,21 @@ func main() {
 			log.Fatalf("shiftd: %v", err)
 		}
 		tiered = t
-		rs = t
 		storeDsc = fmt.Sprintf("tiered memory-over-disk at %s (%d cells)", *cacheDir, t.Len())
 	case *storeURL != "":
 		tiered = shift.NewTieredRemoteStore(*storeURL, nil)
-		rs = tiered
 		storeDsc = fmt.Sprintf("tiered memory-over-remote at %s", *storeURL)
 	case *worker:
 		// A worker without persistent storage still keeps a raw footered
 		// blob tier, so it has bytes to serve to cluster peers.
 		tiered = shift.NewTieredStoreOver(store.NewMem())
-		rs = tiered
 		storeDsc = "tiered memory-over-memory (blob tier exported)"
-	default:
-		rs = shift.NewResultCache()
-		storeDsc = "in-memory"
+	}
+	// The job registry shares the store's in-memory result table, so a
+	// finished cell the engine stored is held once.
+	rs = results
+	if tiered != nil {
+		rs, results = tiered, tiered.Memory()
 	}
 	engine := shift.NewEngine(*parallel, rs)
 	engine.SetCellTimeout(*cellTmo)
@@ -190,6 +191,7 @@ func main() {
 		Burst:    *jobBurst,
 		RunBatch: engine.RunKeyed,
 		Retries:  *jobRetries,
+		Results:  results,
 	}
 	if *stateDir != "" {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {

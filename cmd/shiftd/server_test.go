@@ -34,7 +34,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *server) {
 	t.Helper()
 	rs := shift.NewResultCache()
 	engine := shift.NewEngine(0, rs)
-	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed})
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed, Results: rs})
 	t.Cleanup(jm.Close)
 	srv := newServer(engine, rs, testOpts(), jm, 1<<20)
 	ts := httptest.NewServer(srv.handler())

@@ -9,12 +9,9 @@ import "shift/internal/trace"
 //
 // Capacity mirrors Table I (32 MSHRs for the L1s, 64 for L2 banks); when
 // full, the oldest completed entry is retired first, and if none has
-// completed, the new request must wait for the earliest completion
-// (modelled by returning that cycle as the earliest issue time). The
-// simulator does not use that cycle: sim's issuePrefetch times a fill
-// from its issue cycle and discards what Allocate returns, so a full
-// file delays no prefetch there — a known modelling gap, kept because
-// closing it would move every figure (ARCHITECTURE.md, "Cache layout").
+// completed, the new request must wait for the earliest completion: its
+// fill is timed from that cycle, the one Allocate returns as the
+// earliest issue time.
 //
 // The file is a dense ring of in-flight entries (two parallel arrays,
 // swap-remove compaction) with a cached minimum completion cycle:
@@ -100,10 +97,11 @@ func (m *MSHRs) Lookup(b trace.BlockAddr) (ready int64, ok bool) {
 	return m.ready[i], true
 }
 
-// Allocate records a fill for b completing at ready. If b is already in
-// flight the earlier completion wins. It returns the cycle at which the
-// request could actually be accepted (== now unless the file was full of
-// still-pending entries).
+// Allocate records a fill for b issued at now and completing at ready.
+// If b is already in flight the earlier completion wins. It returns the
+// cycle at which the request could actually be accepted (== now unless
+// the file was full of still-pending entries); a request accepted later
+// completes that much later.
 func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) int64 {
 	if i := m.find(b); i >= 0 {
 		if ready < m.ready[i] {
@@ -117,6 +115,7 @@ func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) int64 {
 	accepted := now
 	if m.n >= m.cap {
 		accepted = m.reclaim(now)
+		ready += accepted - now
 	}
 	m.blocks[m.n] = b
 	m.ready[m.n] = ready
@@ -145,15 +144,8 @@ func (m *MSHRs) reclaim(now int64) int64 {
 	return accepted
 }
 
-// Complete removes b's entry once the fill has been consumed.
-func (m *MSHRs) Complete(b trace.BlockAddr) {
-	if i := m.find(b); i >= 0 {
-		m.removeAt(i)
-	}
-}
-
-// Take is Lookup followed by Complete in a single probe: it returns the
-// ready cycle of an in-flight fill for b and retires the entry.
+// Take returns the ready cycle of an in-flight fill for b and retires
+// the entry, in a single probe.
 func (m *MSHRs) Take(b trace.BlockAddr) (ready int64, ok bool) {
 	i := m.find(b)
 	if i < 0 {
@@ -188,9 +180,3 @@ func (m *MSHRs) Expire(now int64) {
 	}
 	m.minReady = min
 }
-
-// InFlight returns the number of live entries.
-func (m *MSHRs) InFlight() int { return m.n }
-
-// Cap returns the configured capacity.
-func (m *MSHRs) Cap() int { return m.cap }

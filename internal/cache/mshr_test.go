@@ -63,6 +63,27 @@ func TestMSHRFullStalls(t *testing.T) {
 	}
 }
 
+// TestMSHRFullDelaysFill: a prefetch that finds a tiny file full of
+// fills still in flight waits for the earliest of them to complete, and
+// its own fill is timed from then, not from its issue cycle.
+func TestMSHRFullDelaysFill(t *testing.T) {
+	m := NewMSHRs(2)
+	m.Allocate(1, 0, 40)
+	m.Allocate(2, 0, 60)
+	if acc := m.Allocate(3, 10, 10+90); acc != 40 {
+		t.Fatalf("accepted at %d, want 40", acc)
+	}
+	if ready, _ := m.Lookup(3); ready != 40+90 {
+		t.Errorf("the delayed fill completes at %d, want %d (accepted at 40, 90 cycles of latency)", ready, 40+90)
+	}
+	// A request the file accepts at once keeps its own timing.
+	m.Expire(200)
+	m.Allocate(4, 200, 230)
+	if ready, _ := m.Lookup(4); ready != 230 {
+		t.Errorf("an undelayed fill completes at %d, want 230", ready)
+	}
+}
+
 func TestMSHRExpire(t *testing.T) {
 	m := NewMSHRs(8)
 	m.Allocate(1, 0, 10)
@@ -199,3 +220,19 @@ func TestMSHRExpireKeepsMinimum(t *testing.T) {
 		}
 	}
 }
+
+// Complete, InFlight and Cap serve only these tests: the simulator retires
+// an entry with Take and never reads the file's size.
+
+// Complete removes b's entry once the fill has been consumed.
+func (m *MSHRs) Complete(b trace.BlockAddr) {
+	if i := m.find(b); i >= 0 {
+		m.removeAt(i)
+	}
+}
+
+// InFlight returns the number of live entries.
+func (m *MSHRs) InFlight() int { return m.n }
+
+// Cap returns the configured capacity.
+func (m *MSHRs) Cap() int { return m.cap }

@@ -114,22 +114,13 @@ type Event struct {
 	State State
 
 	// shared is the entry Result points into.
-	shared *sharedResult
+	shared *shift.SharedResult
 }
 
-// ResultJSON returns Result's encoding/json bytes when the manager holds
-// them, nil otherwise. A result is encoded once, when a second cell
-// reuses it (a replay), so a result only one cell produced has none. The
-// bytes must not be modified.
-func (ev Event) ResultJSON() []byte {
-	if ev.shared == nil {
-		return nil
-	}
-	if b := ev.shared.encoded.Load(); b != nil {
-		return *b
-	}
-	return nil
-}
+// ResultJSON returns Result's encoding/json bytes when the manager's
+// result table holds them, nil otherwise (see shift.SharedResult.JSON).
+// The bytes must not be modified.
+func (ev Event) ResultJSON() []byte { return ev.shared.JSON() }
 
 // cell execution states (per cell, guarded by Job.mu).
 type cellState uint8
@@ -146,8 +137,8 @@ const (
 // use.
 //
 // A terminal job keeps only what its status and events read, flat: the
-// labels packed in one string, an index per finished cell into the
-// manager's shared results, the keys of the cells without one, the cell
+// labels packed in one string, a slot per finished cell in the
+// manager's result table, the keys of the cells without one, the cell
 // states and the completion order. cells and attempts are needed only
 // while a cell can still run, and settleLocked drops them. The fields
 // that hold pointers come first: the collector scans an object only up to
@@ -166,10 +157,10 @@ type Job struct {
 	// cell under mu, so the job cannot finalize and drop them under either
 	// reader.
 	cells []shift.KeyedConfig
-	// shared is the manager's result table, into which res indexes, or —
-	// once the job has left the registry — a table of its own holding its
-	// finished cells' entries (see detach). Written and read under mu.
-	shared *sharedTable
+	// slots resolves what res indexes: the manager's result table, or —
+	// once the job has left the registry — its finished cells' entries
+	// (see detach). Written and read under mu.
+	slots slotTable
 	// wire is the journaled form of the cells (canonical Config JSON
 	// plus spec documents), kept so compaction snapshots and the
 	// original submit entry encode identically.
@@ -178,11 +169,11 @@ type Job struct {
 	// mu guards the fields from state on.
 	state     State
 	cellState []cellState
-	// res[i] is finished cell i's entry in shared; it means nothing for a
+	// res[i] is finished cell i's slot in slots; it means nothing for a
 	// cell that is not done.
 	res []uint32
 	// keys holds, once the job is terminal, the keys of the cells with no
-	// entry in shared — failed or dropped ones — and is nil when every
+	// entry in slots — failed or dropped ones — and is nil when every
 	// cell finished: a finished cell's key is its entry's.
 	keys []string
 	// cellErrs holds failed cells' messages, allocated at the first
@@ -240,16 +231,26 @@ var closedChan = func() chan struct{} {
 	return c
 }()
 
+// slotTable resolves the slots of a job's finished cells.
+type slotTable interface{ Slots() []*shift.SharedResult }
+
+// ownSlots is the slot table of a job that has left the registry: the
+// entries of its finished cells.
+type ownSlots []*shift.SharedResult
+
+// Slots returns the entries.
+func (o ownSlots) Slots() []*shift.SharedResult { return o }
+
 // newJob returns a queued job over a copy of cells, each keyed once,
-// whose finished cells will point into shared.
-func newJob(id string, cells []shift.Cell, created time.Time, client string, shared *sharedTable) *Job {
+// whose finished cells will point into results.
+func newJob(id string, cells []shift.Cell, created time.Time, client string, results *shift.ResultCache) *Job {
 	n := len(cells)
 	j := &Job{
 		id:        id,
 		client:    client,
 		labelEnds: make([]uint32, n),
 		cells:     make([]shift.KeyedConfig, n),
-		shared:    shared,
+		slots:     results,
 		state:     StateQueued,
 		cellState: make([]cellState, n),
 		res:       make([]uint32, n),
@@ -284,12 +285,12 @@ func (j *Job) label(i int) string {
 	return j.labels[start:j.labelEnds[i]]
 }
 
-// keyLocked returns cell i's content address; entries is the shared
-// table's list when cell i is done. Called with mu held.
-func (j *Job) keyLocked(i int, entries []*sharedResult) string {
+// keyLocked returns cell i's content address; entries is the job's
+// slots when cell i is done. Called with mu held.
+func (j *Job) keyLocked(i int, entries []*shift.SharedResult) string {
 	switch {
 	case j.cellState[i] == cellDone:
-		return entries[j.res[i]].key
+		return entries[j.res[i]].Key()
 	case j.cells != nil:
 		return j.cells[i].Key()
 	default:
@@ -363,14 +364,14 @@ func (j *Job) Snapshot() Status {
 		CellErrs:        make([]string, n),
 	}
 	copy(st.CellErrs, j.cellErrs)
-	var entries []*sharedResult
+	var entries []*shift.SharedResult
 	if j.completed > 0 {
-		entries = j.shared.entries()
+		entries = j.slots.Slots()
 	}
 	for i, cs := range j.cellState {
 		st.Labels[i], st.Keys[i] = j.label(i), j.keyLocked(i, entries)
 		if st.Done[i] = cs == cellDone; st.Done[i] {
-			st.Results[i] = entries[j.res[i]].r
+			st.Results[i] = *entries[j.res[i]].Result()
 		}
 	}
 	return st
@@ -406,7 +407,7 @@ func (j *Job) AppendEventsSince(dst []Event, n int) (evs []Event, terminal bool,
 	}
 	evs = slices.Grow(dst, cells+1)
 	if cells > 0 {
-		entries := j.shared.entries()
+		entries := j.slots.Slots()
 		for _, idx := range j.order[n:] {
 			evs = append(evs, j.cellEventLocked(int(idx), entries))
 		}
@@ -418,22 +419,22 @@ func (j *Job) AppendEventsSince(dst []Event, n int) (evs []Event, terminal bool,
 }
 
 // cellEventLocked builds finished cell i's event from its slot; entries
-// is the shared table's list. Called with mu held.
-func (j *Job) cellEventLocked(i int, entries []*sharedResult) Event {
+// is the job's slots. Called with mu held.
+func (j *Job) cellEventLocked(i int, entries []*shift.SharedResult) Event {
 	ev := Event{Type: EventCell, Index: i, Label: j.label(i)}
 	if j.cellState[i] == cellFailed {
 		ev.Key, ev.Err = j.keyLocked(i, entries), j.cellErrs[i]
 		return ev
 	}
 	s := entries[j.res[i]]
-	ev.Key, ev.Result, ev.shared = s.key, &s.r, s
+	ev.Key, ev.Result, ev.shared = s.Key(), s.Result(), s
 	return ev
 }
 
 // finishCellLocked records cell i's outcome — its shared result s, or
 // the failure message msg — in its slot and in the completion order,
 // which publishes its event. Called with mu held.
-func (j *Job) finishCellLocked(i int, s *sharedResult, msg string) {
+func (j *Job) finishCellLocked(i int, s *shift.SharedResult, msg string) {
 	if msg != "" {
 		j.cellState[i] = cellFailed
 		j.failed++
@@ -444,7 +445,7 @@ func (j *Job) finishCellLocked(i int, s *sharedResult, msg string) {
 	} else {
 		j.cellState[i] = cellDone
 		j.completed++
-		j.res[i] = s.idx
+		j.res[i] = s.Slot()
 	}
 	j.order = append(j.order, int32(i))
 }
@@ -551,12 +552,13 @@ func (j *Job) settleLocked(now time.Time) (dropped int, finished bool) {
 	return dropped, true
 }
 
-// detach gives the job, which is leaving the registry, a table of its
-// own holding the entries of its finished cells, and drops their
-// references in the manager's table, whose slots may then be reused. A
-// follower that still holds the job reads it to the end from its own
-// table, and a sync job ends here. Called with the manager's mu held.
-func (j *Job) detach() {
+// detach gives the job, which is leaving the registry, slots of its own
+// holding the entries of its finished cells, and releases their
+// references in results, the manager's table, whose slots may then be
+// reused. A follower that still holds the job reads it to the end from
+// its own slots, and a sync job ends here. Called with the manager's mu
+// held.
+func (j *Job) detach(results *shift.ResultCache) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.left = true
@@ -564,19 +566,19 @@ func (j *Job) detach() {
 	if j.completed == 0 {
 		return // res indexes nothing
 	}
-	t := j.shared
-	own := &sharedTable{list: make([]*sharedResult, 0, j.completed)}
-	t.mu.Lock()
+	// Every slot res holds is referenced until the job's last cell on it
+	// releases it, so the list read here stays valid for them.
+	entries := results.Slots()
+	own := make(ownSlots, 0, j.completed)
 	for i, cs := range j.cellState {
 		if cs == cellDone {
-			s := t.list[j.res[i]]
-			j.res[i] = uint32(len(own.list))
-			own.list = append(own.list, s)
-			t.releaseLocked(s)
+			s := entries[j.res[i]]
+			j.res[i] = uint32(len(own))
+			own = append(own, s)
+			results.Release(s)
 		}
 	}
-	t.mu.Unlock()
-	j.shared = own
+	j.slots = own
 }
 
 // ErrQueueFull is returned by Submit when admitting the job would push
@@ -651,6 +653,11 @@ type Config struct {
 	// registry (see OpenWAL). nil — the default — keeps the manager
 	// purely in-memory, byte-for-byte the pre-durability behavior.
 	Journal Journal
+	// Results is the in-memory result table the registry's finished cells
+	// share by reference (nil = a private one). shiftd passes its store's
+	// — the ResultCache itself, or a tiered BlobStore's Memory — so a
+	// finished cell the engine stored is held once.
+	Results *shift.ResultCache
 	// Lookup resolves a content-address against the result store
 	// during recovery (shiftd passes the store's Lookup): a journaled
 	// completed cell whose result is still stored is restored without
@@ -684,9 +691,6 @@ type Manager struct {
 	draining      bool
 	drainStarted  chan struct{} // closed when draining turns true
 	running       int           // cells currently executing in workers
-
-	// shared holds every finished cell's result once per key.
-	shared sharedTable
 
 	// recoveredPending counts recovered non-terminal jobs that have not
 	// reached a terminal state since restart; shiftd reports the
@@ -758,6 +762,9 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Results == nil {
+		cfg.Results = shift.NewResultCache()
+	}
 	if cfg.RunBatch == nil {
 		if cfg.Run == nil {
 			panic("jobs: Config.RunBatch is required")
@@ -776,7 +783,6 @@ func Open(cfg Config) (*Manager, error) {
 		buckets:      NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
 		jobs:         make(map[string]*Job),
 		drainStarted: make(chan struct{}),
-		shared:       sharedTable{byKey: make(map[string]*sharedResult)},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Journal != nil {
@@ -1174,7 +1180,7 @@ func (m *Manager) evictLocked(j *Job) {
 	delete(m.jobs, j.id)
 	m.registryCells -= len(j.cellState)
 	m.evicted++
-	j.detach()
+	j.detach(m.cfg.Results)
 }
 
 // worker pops the cheapest batch and executes its runnable cells
@@ -1182,7 +1188,7 @@ func (m *Manager) evictLocked(j *Job) {
 // popping — the heap is preserved for the journal checkpoint — and
 // running cells finish normally.
 func (m *Manager) worker() {
-	var shared []*sharedResult // completeCells' scratch, reused batch to batch
+	var shared []*shift.SharedResult // completeCells' scratch, reused batch to batch
 	for {
 		m.mu.Lock()
 		for (len(m.heap) == 0 || m.draining) && !m.closed {
@@ -1242,17 +1248,15 @@ func (m *Manager) worker() {
 // journaling lock throughout and must not be called with mu held. A
 // completion is the one change applied even when its append fails
 // (counted): a restart re-runs the cell, which reproduces its bytes.
-func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error, shared []*sharedResult) (finished bool) {
+func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs []error, shared []*shift.SharedResult) (finished bool) {
 	// A running cell's config is read without the job's lock (see
 	// Job.cells).
-	m.shared.mu.Lock()
 	for k, i := range cells {
 		shared[k] = nil
 		if errs[k] == nil {
-			shared[k] = m.shared.shareLocked(j.cells[i].Key(), &rs[k])
+			shared[k] = m.cfg.Results.Share(j.cells[i].Key(), &rs[k])
 		}
 	}
-	m.shared.mu.Unlock()
 	j.journaling.Lock()
 	defer j.journaling.Unlock()
 	if m.cfg.Journal != nil {
@@ -1410,7 +1414,7 @@ func (m *Manager) Stats() Stats {
 	}
 	sorted := append([]float64(nil), m.latencies...)
 	m.mu.Unlock()
-	s.SharedResults = m.shared.len()
+	s.SharedResults = m.cfg.Results.Shared()
 	sort.Float64s(sorted)
 	s.LatencyP50 = percentile(sorted, 0.50)
 	s.LatencyP90 = percentile(sorted, 0.90)

@@ -677,6 +677,46 @@ func TestUnequalResultsAreNotShared(t *testing.T) {
 	if got := m.Stats().SharedResults; got != 2 {
 		t.Errorf("SharedResults = %d, want 2 (the first result of each key)", got)
 	}
+
+	// Through a table that is also the engine's store, which stores each
+	// result before the job shares it: a NaN stored under a key is a result
+	// apart from the cell's NaN, and later stores under the keys change no
+	// finished cell.
+	table := shift.NewResultCache()
+	ms := New(Config{Workers: 1, Results: table, Run: func(cfg shift.Config) (shift.RunResult, error) {
+		r := shift.RunResult{MPKI: float64(cfg.MeasureRecords)}
+		if cfg.Workload == "nan" {
+			r.MPKI = math.NaN()
+		}
+		table.Store(cfg.Key(), r)
+		return r, nil
+	}})
+	defer ms.Close()
+	drift, nan := testCell("drift", 1), testCell("nan", 2)
+	j, err := ms.Submit([]shift.Cell{drift, nan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cellEvents(waitTerminal(t, j))
+	wire, _ := json.Marshal([]shift.RunResult{*before[0].Result, *before[1].Result})
+	if r, _ := table.Lookup(drift.Config.Key()); r != *before[0].Result {
+		t.Errorf("the store holds %+v, the cell %+v", r, *before[0].Result)
+	}
+	if n, shared := table.Len(), ms.Stats().SharedResults; n != 2 || shared != 2 {
+		t.Errorf("the table stores %d results and shares %d keys, want 2 and 2", n, shared)
+	}
+	table.Store(drift.Config.Key(), shift.RunResult{MPKI: 7})
+	table.Store(nan.Config.Key(), shift.RunResult{MPKI: 8})
+	if r, _ := table.Lookup(drift.Config.Key()); r.MPKI != 7 {
+		t.Errorf("the store holds %v after a later Store of 7", r.MPKI)
+	}
+	if r, _ := table.Lookup(nan.Config.Key()); r.MPKI != 8 {
+		t.Errorf("the store holds %v after a later Store of 8", r.MPKI)
+	}
+	after := cellEvents(waitTerminal(t, j))
+	if got, _ := json.Marshal([]shift.RunResult{*after[0].Result, *after[1].Result}); !bytes.Equal(got, wire) {
+		t.Errorf("a later Store changed the finished cells' bytes:\n%s\nwant\n%s", got, wire)
+	}
 }
 
 // cellEvents returns a job's cell events indexed by cell.
@@ -741,6 +781,56 @@ func TestSharedResultsCompareBits(t *testing.T) {
 		t.Error("a result holding -0 shares the entry of 0")
 	}
 
+	// Through a table that is also the engine's store: a -0 stored under a
+	// key whose entry holds 0 is an entry of its own, the cells that shared
+	// the 0 keep its bytes and its encoding, and so does the -0 cell when
+	// 0 is stored again.
+	table := shift.NewResultCache()
+	var runs atomic.Int64
+	ms := New(Config{Workers: 1, Results: table, Run: func(cfg shift.Config) (shift.RunResult, error) {
+		r := shift.RunResult{}
+		if runs.Add(1) > 2 {
+			r.MPKI = math.Copysign(0, -1)
+		}
+		table.Store(cfg.Key(), r)
+		return r, nil
+	}})
+	defer ms.Close()
+	cell := testCell("zero", 0)
+	var js []*Job
+	for k := 0; k < 3; k++ {
+		j, err := ms.Submit([]shift.Cell{cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		js = append(js, j)
+	}
+	table.Store(cell.Config.Key(), shift.RunResult{})
+	var got []Event
+	for _, j := range js {
+		got = append(got, cellEvents(waitTerminal(t, j))[0])
+	}
+	if got[0].Result != got[1].Result || got[2].Result == got[0].Result {
+		t.Error("the two runs of 0 do not share one entry apart from the -0 run's")
+	}
+	for k, ev := range got {
+		sign := 1.0
+		if k == 2 {
+			sign = -1
+		}
+		want, _ := json.Marshal(shift.RunResult{MPKI: math.Copysign(0, sign)})
+		if b, _ := json.Marshal(ev.Result); !bytes.Equal(b, want) {
+			t.Errorf("job %d: the cell's result encodes %s after later stores, want %s", k, b, want)
+		}
+		if ev.ResultJSON() != nil && !bytes.Equal(ev.ResultJSON(), want) {
+			t.Errorf("job %d: the cell's cached encoding is %s, want %s", k, ev.ResultJSON(), want)
+		}
+	}
+	if got[0].ResultJSON() == nil {
+		t.Error("the result two cells share holds no encoding")
+	}
+
 	var fields func(typ reflect.Type, index []int)
 	fields = func(typ reflect.Type, index []int) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -752,7 +842,8 @@ func TestSharedResultsCompareBits(t *testing.T) {
 			case reflect.Float32, reflect.Float64:
 				var zero, negZero shift.RunResult
 				reflect.ValueOf(&negZero).Elem().FieldByIndex(idx).SetFloat(math.Copysign(0, -1))
-				if sameBits(&zero, &negZero) {
+				table := shift.NewResultCache()
+				if table.Share("k", &zero) == table.Share("k", &negZero) {
 					t.Errorf("RunResult.%s: -0 and 0 count as the same result", f.Name)
 				}
 			}

@@ -86,7 +86,7 @@ func (m *Manager) recover() error {
 // change.
 type live struct {
 	cells  []shift.Cell
-	result *sharedResult
+	result *shift.SharedResult
 	now    time.Time
 }
 
@@ -112,7 +112,7 @@ func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finishe
 		} else {
 			cells = replayCells(e.Cells)
 		}
-		j = newJob(e.Job, cells, e.Created, e.Client, &m.shared)
+		j = newJob(e.Job, cells, e.Created, e.Client, m.cfg.Results)
 		j.wire, j.sync, j.recovered = e.Cells, e.Sync, lv == nil
 		m.jobs[e.Job] = j
 		m.registryCells += len(cells)
@@ -123,7 +123,7 @@ func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finishe
 		if j == nil || i < 0 || i >= len(j.cellState) || j.cellState[i] >= cellDone {
 			return j, 0, false // no such cell, or it has its outcome
 		}
-		var s *sharedResult
+		var s *shift.SharedResult
 		switch {
 		case e.Err != "":
 			// A deterministic failure (transient ones are retried, not
@@ -141,7 +141,7 @@ func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finishe
 			if !ok {
 				return j, 0, false
 			}
-			s = m.shared.share(key, r)
+			s = m.cfg.Results.Share(key, &r)
 			m.recovery.CellsRestored++
 		}
 		if j.cellState[i] == cellRunning {

@@ -513,7 +513,7 @@ func TestEvictionRacesReaders(t *testing.T) {
 	}
 	// Freed slots are reused: the table never held more entries than the
 	// registry's cells and two flood jobs.
-	if n, limit := len(m.shared.entries()), retainedCells+2*512+3; n > limit {
+	if n, limit := len(m.cfg.Results.Slots()), retainedCells+2*512+3; n > limit {
 		t.Errorf("the shared table has %d slots, limit %d", n, limit)
 	}
 	if len(live) == 0 || live[len(live)-1].Type != EventEnd {

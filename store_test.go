@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -443,5 +444,40 @@ func TestEngineSingleFlightError(t *testing.T) {
 	}
 	if e.Stats().Inflight != 0 {
 		t.Error("in-flight entries leaked after failures")
+	}
+}
+
+// TestResultCacheBytes: a stored result costs a ResultCache at most 391 B
+// of live heap — its key, its result and its map slot: 373 B when the
+// cache was a plain map and the job registry kept results of its own —
+// also after a registry reference to each has come and gone, so a
+// long-lived shiftd whose registry has moved on holds no more than the
+// store alone.
+func TestResultCacheBytes(t *testing.T) {
+	const n, limit = 2048, 391
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	c := NewResultCache()
+	for i := 0; i < n; i++ {
+		cfg := Config{Workload: "OLTP Oracle", Design: DesignSHIFT, Cores: 4, WarmupRecords: 500, MeasureRecords: int64(500 + i)}
+		r := RunResult{Design: "SHIFT", Workload: "OLTP Oracle", MPKI: float64(i)}
+		key := cfg.Key()
+		c.Store(key, r)
+		c.Release(c.Share(key, &r))
+	}
+	after := heap()
+	if c.Len() != n || c.Shared() != 0 {
+		t.Fatalf("the cache stores %d results and shares %d keys, want %d and 0", c.Len(), c.Shared(), n)
+	}
+	perResult := (int64(after) - int64(before)) / n
+	t.Logf("a stored result retains %d B", perResult)
+	if perResult > limit {
+		t.Errorf("a stored result retains %d B, limit %d B", perResult, limit)
 	}
 }
