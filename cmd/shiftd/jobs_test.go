@@ -352,7 +352,7 @@ func TestJobCancel(t *testing.T) {
 type cancelRefusingJournal struct{ jobs.Journal }
 
 func (j cancelRefusingJournal) Append(e jobs.Entry) error {
-	if e.Op == jobs.OpCancel {
+	if e.Op == "cancel" { // the journal's cancel op
 		return errors.New("disk full")
 	}
 	return j.Journal.Append(e)

@@ -7,7 +7,8 @@
 //
 //	shiftd                                  # in-memory store on :8080
 //	shiftd -addr :9000 -cache-dir ~/.shiftcache   # results survive restarts
-//	shiftd -state-dir /var/lib/shiftd       # accepted jobs survive restarts too
+//	shiftd -cache-dir ~/.shiftcache -state-dir /var/lib/shiftd   # accepted jobs survive restarts too
+//	    # (the journal restores finished cells from the store: without -cache-dir they re-run)
 //	shiftd -quick -parallel 8               # reduced default scale, 8 workers
 //	shiftd -job-rate 4 -job-burst 256       # looser admission for trusted clients
 //	shiftd -worker -addr :8081              # cluster worker: serves batches + blobs
@@ -199,7 +200,7 @@ func main() {
 		}
 		journal, err := jobs.OpenWAL(filepath.Join(*stateDir, "jobs.wal"))
 		if err != nil {
-			// A corrupt journal interior fails loudly (wal.ErrCorrupt):
+			// A corrupt journal interior fails loudly (a wal corruption error):
 			// replaying past it could silently drop accepted jobs. The
 			// operator keeps the evidence and decides; a torn tail — the
 			// one record in flight when the last process died — is

@@ -347,10 +347,10 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 		}
 	}
 	// Exact on purpose: the workflow's no-race step names five footprint
-	// gates and TestFidelity, and its docs step three gates, so a format
+	// gates and TestFidelity, and its docs step four gates, so a format
 	// drift that hides one from the parse above fails here; a step added
 	// by name raises the count with it.
-	if checked != 9 {
-		t.Errorf("checked %d -run alternatives, want the workflow's 9 (five footprint gates and TestFidelity, three docs gates) — has its format changed?", checked)
+	if checked != 10 {
+		t.Errorf("checked %d -run alternatives, want the workflow's 10 (five footprint gates and TestFidelity, four docs gates) — has its format changed?", checked)
 	}
 }

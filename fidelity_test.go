@@ -76,12 +76,14 @@ func bestOf(r *fidelityRun, param string) float64 {
 
 // measures reproduces each row of paperRows, by id.
 var measures = map[string]func(r *fidelityRun) float64{
-	"tableI.cores":             func(*fidelityRun) float64 { return float64(sim.DefaultConfig().Cores) },
-	"tableI.l1i":               func(*fidelityRun) float64 { return float64(sim.DefaultConfig().L1I.SizeBytes) / 1024 },
-	"tableI.llc":               func(*fidelityRun) float64 { return float64(sim.DefaultConfig().LLCBankBytes) / 1024 },
-	"tableI.mem":               func(*fidelityRun) float64 { return float64(sim.DefaultConfig().MemCycles) / 2 }, // at 2GHz
-	"sizing.record_bits":       func(*fidelityRun) float64 { return float64(history.BitsPerRecord(core.DefaultConfig().SAB.Span)) },
-	"sizing.records_per_block": func(*fidelityRun) float64 { return float64(core.DefaultConfig().RecordsPerBlock()) },
+	"tableI.cores":       func(*fidelityRun) float64 { return float64(sim.DefaultConfig().Cores) },
+	"tableI.l1i":         func(*fidelityRun) float64 { return float64(sim.DefaultConfig().L1I.SizeBytes) / 1024 },
+	"tableI.llc":         func(*fidelityRun) float64 { return float64(sim.DefaultConfig().LLCBankBytes) / 1024 },
+	"tableI.mem":         func(*fidelityRun) float64 { return float64(sim.DefaultConfig().MemCycles) / 2 }, // at 2GHz
+	"sizing.record_bits": func(*fidelityRun) float64 { return float64(history.BitsPerRecord(core.DefaultConfig().SAB.Span)) },
+	"sizing.records_per_block": func(*fidelityRun) float64 {
+		return float64(history.RecordsPerCacheBlock(core.DefaultConfig().SAB.Span))
+	},
 	"sizing.pif_history_kb": func(*fidelityRun) float64 {
 		return float64(area.PIFStorageBytes(core.PIFConfig(core.PIF32K).HistEntries, 0)) / 1024
 	},

@@ -24,26 +24,26 @@ import (
 
 // SRAM densities at 40nm, calibrated to the paper's anchors.
 const (
-	// DataSRAMMM2PerKB reproduces "213KB ... occupies 0.9mm2": 0.9/213.
-	DataSRAMMM2PerKB = 0.9 / 213.0
-	// TagSRAMMM2PerKB reproduces SHIFT's "0.96mm2 in total" for the
+	// dataSRAMMM2PerKB reproduces "213KB ... occupies 0.9mm2": 0.9/213.
+	dataSRAMMM2PerKB = 0.9 / 213.0
+	// tagSRAMMM2PerKB reproduces SHIFT's "0.96mm2 in total" for the
 	// 240KB index embedded in the LLC tag array: 0.96/240.
-	TagSRAMMM2PerKB = 0.96 / 240.0
+	tagSRAMMM2PerKB = 0.96 / 240.0
 )
 
-// DataSRAMAreaMM2 returns the area of a data SRAM of the given size.
-func DataSRAMAreaMM2(bytes int64) float64 {
-	return float64(bytes) / 1024 * DataSRAMMM2PerKB
+// dataSRAMAreaMM2 returns the area of a data SRAM of the given size.
+func dataSRAMAreaMM2(bytes int64) float64 {
+	return float64(bytes) / 1024 * dataSRAMMM2PerKB
 }
 
-// TagSRAMAreaMM2 returns the area of a tag SRAM of the given size.
-func TagSRAMAreaMM2(bytes int64) float64 {
-	return float64(bytes) / 1024 * TagSRAMMM2PerKB
+// tagSRAMAreaMM2 returns the area of a tag SRAM of the given size.
+func tagSRAMAreaMM2(bytes int64) float64 {
+	return float64(bytes) / 1024 * tagSRAMMM2PerKB
 }
 
-// CoreAreaMM2 returns the core+L1 area at 40nm (Section 2.3: Xeon 25mm²,
+// coreAreaMM2 returns the core+L1 area at 40nm (Section 2.3: Xeon 25mm²,
 // Cortex-A15 4.5mm², Cortex-A8 1.3mm²).
-func CoreAreaMM2(t cpu.CoreType) float64 { return cpu.ParamsFor(t).AreaMM2 }
+func coreAreaMM2(t cpu.CoreType) float64 { return cpu.ParamsFor(t).AreaMM2 }
 
 // PIFStorageBytes returns the per-core PIF storage (history + index) for
 // the given record/entry counts at the paper's record geometry
@@ -56,7 +56,7 @@ func PIFStorageBytes(histEntries, indexEntries int) int64 {
 
 // PIFAreaPerCoreMM2 returns the per-core PIF area (0.9mm² at 32K/8K).
 func PIFAreaPerCoreMM2(histEntries, indexEntries int) float64 {
-	return DataSRAMAreaMM2(PIFStorageBytes(histEntries, indexEntries))
+	return dataSRAMAreaMM2(PIFStorageBytes(histEntries, indexEntries))
 }
 
 // SHIFTIndexBytes returns the LLC tag-array extension cost: one 15-bit
@@ -72,7 +72,7 @@ func SHIFTIndexBytes(llcBytes int64) int64 {
 // lines ("the only source of meaningful area overhead in SHIFT is due to
 // the index table appended to the LLC tag array").
 func SHIFTTotalAreaMM2(llcBytes int64) float64 {
-	return TagSRAMAreaMM2(SHIFTIndexBytes(llcBytes))
+	return tagSRAMAreaMM2(SHIFTIndexBytes(llcBytes))
 }
 
 // VirtualizedPIFLLCBytes returns the LLC capacity a virtualized *per-core*
@@ -108,7 +108,7 @@ func (d DesignPoint) PD() float64 {
 // Evaluate builds a design point for a prefetcher of the given per-core
 // area cost achieving the given speedup on the given core type.
 func Evaluate(name string, t cpu.CoreType, prefetcherAreaPerCore, speedup float64) DesignPoint {
-	coreArea := CoreAreaMM2(t)
+	coreArea := coreAreaMM2(t)
 	return DesignPoint{
 		Name:    name,
 		RelPerf: speedup,

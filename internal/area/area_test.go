@@ -62,7 +62,7 @@ func TestVirtualizedPIFLLCBytes(t *testing.T) {
 }
 
 func TestCoreAreas(t *testing.T) {
-	if CoreAreaMM2(cpu.FatOoO) != 25.0 || CoreAreaMM2(cpu.LeanOoO) != 4.5 || CoreAreaMM2(cpu.LeanIO) != 1.3 {
+	if coreAreaMM2(cpu.FatOoO) != 25.0 || coreAreaMM2(cpu.LeanOoO) != 4.5 || coreAreaMM2(cpu.LeanIO) != 1.3 {
 		t.Error("core areas do not match Section 2.3")
 	}
 }
@@ -118,10 +118,10 @@ func TestPowerModel(t *testing.T) {
 }
 
 func TestSRAMAreaLinear(t *testing.T) {
-	if DataSRAMAreaMM2(2048) != 2*DataSRAMAreaMM2(1024) {
+	if dataSRAMAreaMM2(2048) != 2*dataSRAMAreaMM2(1024) {
 		t.Error("data SRAM area not linear")
 	}
-	if TagSRAMAreaMM2(0) != 0 {
+	if tagSRAMAreaMM2(0) != 0 {
 		t.Error("zero bytes should be zero area")
 	}
 }

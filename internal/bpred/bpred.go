@@ -1,12 +1,12 @@
-// Package bpred implements the branch predictors of the simulated fetch
-// unit: a 16K-entry gShare, a 16K-entry bimodal, and the hybrid chooser
-// combining them (Table I: "Hybrid branch predictor (16K gShare & 16K
-// bimodal)").
+// Package bpred implements the branch predictor of the simulated fetch
+// unit, Hybrid (Table I: "Hybrid branch predictor (16K gShare & 16K
+// bimodal)"). Its 16K-entry gShare, 16K-entry bimodal and the chooser
+// between them are components of Hybrid, not predictors of their own.
 //
 // In this reproduction the predictor's role is to set the frontend's
 // branch-misprediction bubble rate in the timing model (the paper records
 // prefetcher history at *retire* order precisely so that wrong-path
-// fetches never pollute it; see PIF). The predictors are nonetheless
+// fetches never pollute it; see PIF). The predictor is nonetheless
 // implemented fully so the frontend model is driven by measured, not
 // assumed, accuracy.
 package bpred
@@ -36,74 +36,20 @@ func (c counter2) update(taken bool) counter2 {
 	return c
 }
 
-// Predictor is the common interface of the direction predictors.
-type Predictor interface {
-	// Predict returns the predicted direction for a branch at pc.
-	Predict(pc trace.Addr) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc trace.Addr, taken bool)
-	// Name identifies the predictor in reports.
-	Name() string
-}
-
-// Bimodal is a classic PC-indexed table of 2-bit counters.
-type Bimodal struct {
-	table []counter2
-	mask  uint64
-}
-
-// NewBimodal builds a bimodal predictor with `entries` counters
-// (power of two).
-func NewBimodal(entries int) (*Bimodal, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("bpred: bimodal entries %d not a positive power of two", entries)
-	}
-	b := &Bimodal{table: make([]counter2, entries), mask: uint64(entries - 1)}
-	for i := range b.table {
-		b.table[i] = 1 // weakly not-taken
-	}
-	return b, nil
-}
-
-func (b *Bimodal) index(pc trace.Addr) uint64 { return (uint64(pc) >> 2) & b.mask }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc trace.Addr) bool { return b.table[b.index(pc)].taken() }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc trace.Addr, taken bool) {
-	i := b.index(pc)
-	b.table[i] = b.table[i].update(taken)
-}
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// GShare XORs a global history register into the PC index. Counters are
-// packed 32 per word (2 bits each), quartering the table's cache
+// gshareTable is Hybrid's gShare component: it XORs a global history
+// register into the PC index. Counters are packed 32 per word (2 bits each), quartering the table's cache
 // footprint with identical predictions.
-type GShare struct {
+type gshareTable struct {
 	bits    []uint64
 	mask    uint64
 	history uint64
 	histLen uint
 }
 
-// NewGShare builds a gshare predictor with `entries` counters and a
-// history length of log2(entries) bits.
-func NewGShare(entries int) (*GShare, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("bpred: gshare entries %d not a positive power of two", entries)
-	}
-	g := allocGShare(entries)
-	g.reset()
-	return g, nil
-}
-
 // allocGShare sizes the tables for `entries` counters (a power of two);
 // reset gives them their untrained content.
-func allocGShare(entries int) *GShare {
-	g := &GShare{bits: make([]uint64, (entries+31)/32), mask: uint64(entries - 1)}
+func allocGShare(entries int) *gshareTable {
+	g := &gshareTable{bits: make([]uint64, (entries+31)/32), mask: uint64(entries - 1)}
 	for n := entries; n > 1; n >>= 1 {
 		g.histLen++
 	}
@@ -111,41 +57,38 @@ func allocGShare(entries int) *GShare {
 }
 
 // reset returns the predictor to its untrained state.
-func (g *GShare) reset() {
+func (g *gshareTable) reset() {
 	for i := range g.bits {
 		g.bits[i] = 0x5555555555555555 // every counter 1: weakly not-taken
 	}
 	g.history = 0
 }
 
-func (g *GShare) index(pc trace.Addr) uint64 {
+func (g *gshareTable) index(pc trace.Addr) uint64 {
 	return ((uint64(pc) >> 2) ^ g.history) & g.mask
 }
 
 // counter returns the 2-bit counter at index i.
-func (g *GShare) counter(i uint64) counter2 {
+func (g *gshareTable) counter(i uint64) counter2 {
 	return counter2(g.bits[i>>5] >> ((i & 31) * 2) & 3)
 }
 
 // setCounter stores the 2-bit counter at index i.
-func (g *GShare) setCounter(i uint64, c counter2) {
+func (g *gshareTable) setCounter(i uint64, c counter2) {
 	shift := (i & 31) * 2
 	g.bits[i>>5] = g.bits[i>>5]&^(3<<shift) | uint64(c)<<shift
 }
 
-// Predict implements Predictor.
-func (g *GShare) Predict(pc trace.Addr) bool { return g.counter(g.index(pc)).taken() }
-
 // predictAt returns the prediction and the index it used, for callers
 // that train the same entry immediately (Hybrid.PredictUpdate).
-func (g *GShare) predictAt(pc trace.Addr) (taken bool, i uint64) {
+func (g *gshareTable) predictAt(pc trace.Addr) (taken bool, i uint64) {
 	i = g.index(pc)
 	return g.counter(i).taken(), i
 }
 
 // updateAt trains the counter at index i and shifts the resolved
 // direction into the global history register.
-func (g *GShare) updateAt(i uint64, taken bool) {
+func (g *gshareTable) updateAt(i uint64, taken bool) {
 	g.setCounter(i, g.counter(i).update(taken))
 	g.history <<= 1
 	if taken {
@@ -153,15 +96,6 @@ func (g *GShare) updateAt(i uint64, taken bool) {
 	}
 	g.history &= (1 << g.histLen) - 1
 }
-
-// Update implements Predictor. It also shifts the resolved direction into
-// the global history register.
-func (g *GShare) Update(pc trace.Addr, taken bool) {
-	g.updateAt(g.index(pc), taken)
-}
-
-// Name implements Predictor.
-func (g *GShare) Name() string { return "gshare" }
 
 // Hybrid combines bimodal and gshare with a chooser table of 2-bit
 // counters (the Table I fetch-unit predictor).
@@ -178,7 +112,7 @@ func (g *GShare) Name() string { return "gshare" }
 // 12KB, small enough that sixteen cores' predictors stay resident in the
 // host cache.
 type Hybrid struct {
-	gshare *GShare
+	gshare *gshareTable
 	// bc packs 16 bimodal+chooser nibbles per word.
 	bc   []uint64
 	mask uint64
@@ -243,25 +177,10 @@ func (h *Hybrid) setNibble(i uint64, bim, ch counter2) {
 	h.bc[i>>4] = word | (uint64(ch)<<2|uint64(bim))<<shift
 }
 
-// Predict implements Predictor.
-func (h *Hybrid) Predict(pc trace.Addr) bool {
-	bim, ch := h.nibble(h.index(pc))
-	if ch.taken() {
-		return h.gshare.Predict(pc)
-	}
-	return bim.taken()
-}
-
-// Update implements Predictor, training both components and the chooser,
-// and maintaining accuracy statistics.
-func (h *Hybrid) Update(pc trace.Addr, taken bool) {
-	h.PredictUpdate(pc, taken)
-}
-
-// PredictUpdate is Predict followed by Update in a single pass: the
-// component predictions and table indices are computed once instead of
-// twice. It returns the (pre-update) prediction and is behaviorally
-// identical to calling Predict then Update.
+// PredictUpdate predicts the branch at pc, then trains both components
+// and the chooser with the resolved direction, in a single pass: the
+// component predictions and table indices are computed once. It returns
+// the (pre-update) prediction.
 func (h *Hybrid) PredictUpdate(pc trace.Addr, taken bool) (predicted bool) {
 	i := h.index(pc)
 	bim, ch := h.nibble(i)
@@ -288,26 +207,8 @@ func (h *Hybrid) PredictUpdate(pc trace.Addr, taken bool) (predicted bool) {
 	return chosen
 }
 
-// Name implements Predictor.
-func (h *Hybrid) Name() string { return "hybrid" }
-
-// Accuracy returns the fraction of correct predictions so far (1.0 if no
-// predictions were made).
-func (h *Hybrid) Accuracy() float64 {
-	if h.predictions == 0 {
-		return 1
-	}
-	return 1 - float64(h.mispredicts)/float64(h.predictions)
-}
-
 // Mispredicts returns the misprediction count.
 func (h *Hybrid) Mispredicts() int64 { return h.mispredicts }
 
 // Predictions returns the prediction count.
 func (h *Hybrid) Predictions() int64 { return h.predictions }
-
-var (
-	_ Predictor = (*Bimodal)(nil)
-	_ Predictor = (*GShare)(nil)
-	_ Predictor = (*Hybrid)(nil)
-)

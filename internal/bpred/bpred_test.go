@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"fmt"
 	"testing"
 
 	"shift/internal/trace"
@@ -29,62 +30,105 @@ func TestCounter2Saturates(t *testing.T) {
 
 func TestNewRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{0, -4, 3, 1000} {
-		if _, err := NewBimodal(n); err == nil {
-			t.Errorf("NewBimodal(%d) accepted", n)
-		}
-		if _, err := NewGShare(n); err == nil {
-			t.Errorf("NewGShare(%d) accepted", n)
-		}
 		if _, err := NewHybrid(n); err == nil {
 			t.Errorf("NewHybrid(%d) accepted", n)
 		}
 	}
 }
 
-func TestBimodalLearnsBias(t *testing.T) {
-	b, err := NewBimodal(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := trace.Addr(0x1000)
-	for i := 0; i < 10; i++ {
-		b.Update(pc, true)
-	}
-	if !b.Predict(pc) {
-		t.Error("bimodal failed to learn always-taken")
-	}
-	for i := 0; i < 10; i++ {
-		b.Update(pc, false)
-	}
-	if b.Predict(pc) {
-		t.Error("bimodal failed to learn always-not-taken")
-	}
+// hybridReference is Hybrid's naive twin: the separate-byte-table
+// formulation Hybrid's packed layout must be identical to. The bimodal,
+// the gshare (with its global history register) and the chooser each
+// keep one byte per 2-bit counter.
+type hybridReference struct {
+	bimodal, gshare, chooser []counter2
+	// mask selects an index; the history register keeps as many bits.
+	mask, history uint64
+
+	predictions, mispredicts int64
 }
 
-func TestGShareLearnsPattern(t *testing.T) {
-	g, err := NewGShare(4096)
-	if err != nil {
-		t.Fatal(err)
+func newHybridReference(entries int) *hybridReference {
+	r := &hybridReference{
+		bimodal: make([]counter2, entries), gshare: make([]counter2, entries), chooser: make([]counter2, entries),
+		mask: uint64(entries - 1),
 	}
-	pc := trace.Addr(0x2000)
-	// Alternating pattern T,N,T,N is history-predictable; a bimodal
-	// cannot beat 50% on it but gshare can approach 100% after warmup.
-	pattern := []bool{true, false}
-	// Train.
-	for i := 0; i < 2000; i++ {
-		g.Update(pc, pattern[i%2])
+	for i := range r.bimodal {
+		r.bimodal[i], r.gshare[i], r.chooser[i] = 1, 1, 2 // weakly not-taken; weakly prefer gshare
 	}
-	correct := 0
-	for i := 0; i < 200; i++ {
-		want := pattern[i%2]
-		if g.Predict(pc) == want {
-			correct++
+	return r
+}
+
+// predictUpdate predicts the branch at pc from the component the chooser
+// prefers, then trains the chooser toward the right component when they
+// disagree, both components, and the history.
+func (r *hybridReference) predictUpdate(pc trace.Addr, taken bool) bool {
+	i := (uint64(pc) >> 2) & r.mask
+	gi := ((uint64(pc) >> 2) ^ r.history) & r.mask
+	bp, gp := r.bimodal[i].taken(), r.gshare[gi].taken()
+	chosen := bp
+	if r.chooser[i].taken() {
+		chosen = gp
+	}
+	r.predictions++
+	if chosen != taken {
+		r.mispredicts++
+	}
+	if bp != gp {
+		r.chooser[i] = r.chooser[i].update(gp == taken)
+	}
+	r.bimodal[i] = r.bimodal[i].update(taken)
+	r.gshare[gi] = r.gshare[gi].update(taken)
+	r.history <<= 1
+	if taken {
+		r.history |= 1
+	}
+	r.history &= r.mask
+	return chosen
+}
+
+// TestHybridMatchesReference drives Hybrid and its naive twin with seeded
+// random branch streams — a few hundred branch sites, each biased, some
+// alternating — and requires every prediction and both counts to match,
+// at the smallest size, a mid size and Table I's 16K entries, and on a
+// predictor reused through Release → NewHybrid.
+func TestHybridMatchesReference(t *testing.T) {
+	run := func(name string, h *Hybrid, entries int, seed int64) {
+		t.Helper()
+		ref := newHybridReference(entries)
+		rng := trace.NewRNG(seed)
+		const sites = 300
+		bias := make([]float64, sites)
+		for s := range bias {
+			bias[s] = float64(rng.Intn(11)) / 10
 		}
-		g.Update(pc, want)
+		last := make([]bool, sites)
+		for n := 0; n < 50000; n++ {
+			s := rng.Intn(sites)
+			pc := trace.Addr(0x400000 + 4*s*37)
+			taken := rng.Bool(bias[s])
+			if s%7 == 0 { // an alternating site: history-predictable only
+				taken = !last[s]
+			}
+			last[s] = taken
+			if got, want := h.PredictUpdate(pc, taken), ref.predictUpdate(pc, taken); got != want {
+				t.Fatalf("%s: branch %d (pc %#x, taken %v): predicted %v, reference %v", name, n, pc, taken, got, want)
+			}
+		}
+		if h.Predictions() != ref.predictions || h.Mispredicts() != ref.mispredicts {
+			t.Errorf("%s: predictions/mispredicts %d/%d, reference %d/%d",
+				name, h.Predictions(), h.Mispredicts(), ref.predictions, ref.mispredicts)
+		}
 	}
-	if correct < 190 {
-		t.Errorf("gshare learned alternating pattern at only %d/200", correct)
+	for i, entries := range []int{16, 4096, 16384} {
+		run(fmt.Sprintf("fresh %d", entries), MustNewHybrid(entries), entries, int64(11+i))
 	}
+	// A released predictor's tables come back trained; NewHybrid must
+	// return them to the untrained state.
+	h := MustNewHybrid(4096)
+	run("before release", h, 4096, 21)
+	h.Release()
+	run("reused", MustNewHybrid(4096), 4096, 22)
 }
 
 func TestHybridBeatsWorstComponent(t *testing.T) {
@@ -103,13 +147,13 @@ func TestHybridBeatsWorstComponent(t *testing.T) {
 			altState = !altState
 			pc, taken = alt, altState
 		}
+		predicted := h.PredictUpdate(pc, taken)
 		if i > 4000 {
 			total++
-			if h.Predict(pc) == taken {
+			if predicted == taken {
 				correct++
 			}
 		}
-		h.Update(pc, taken)
 	}
 	// The random interleaving pollutes gshare's global history, so the
 	// alternating branch is only partially predictable; 0.8 is well above
@@ -118,27 +162,8 @@ func TestHybridBeatsWorstComponent(t *testing.T) {
 	if acc < 0.8 {
 		t.Errorf("hybrid accuracy %.3f < 0.8", acc)
 	}
-	if h.Accuracy() <= 0.5 {
-		t.Errorf("running Accuracy = %v", h.Accuracy())
-	}
-	if h.Predictions() == 0 || h.Mispredicts() < 0 {
-		t.Error("stats not maintained")
-	}
-}
-
-func TestHybridAccuracyEmptyIsOne(t *testing.T) {
-	h := MustNewHybrid(16)
-	if h.Accuracy() != 1 {
-		t.Errorf("Accuracy with no predictions = %v, want 1", h.Accuracy())
-	}
-}
-
-func TestNames(t *testing.T) {
-	b, _ := NewBimodal(16)
-	g, _ := NewGShare(16)
-	h := MustNewHybrid(16)
-	if b.Name() != "bimodal" || g.Name() != "gshare" || h.Name() != "hybrid" {
-		t.Error("wrong predictor names")
+	if h.Predictions() != 20000 || h.Mispredicts() <= 0 || h.Mispredicts() >= 10000 {
+		t.Errorf("predictions/mispredicts %d/%d after 20000 branches", h.Predictions(), h.Mispredicts())
 	}
 }
 

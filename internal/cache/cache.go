@@ -21,11 +21,13 @@
 // Cache is the general set-associative LRU cache the three replaced
 // (prefetched/referenced/pinned flags, tag pointers, invalidation,
 // statistics and victims, state copies). The simulator no longer builds
-// one; it stays for the repository benchmark's cache rows until those
-// time the structures above. Reference is the naive linear-scan
-// specification: differential tests drive Cache, ICache, LLCBank and
-// PrefetchBuffer against it with randomized operation sequences and
-// require identical observable behavior.
+// one; it stays for the repository benchmark's cache rows (New,
+// LookupInsert, CopyStateFrom) until those time the structures above,
+// and the rest of its operations live with its tests. Reference
+// (reference_test.go) is the naive linear-scan specification:
+// differential tests drive Cache, ICache, LLCBank and PrefetchBuffer
+// against it with randomized operation sequences and require identical
+// observable behavior.
 //
 // # Cache's layout
 //
@@ -52,8 +54,8 @@ import (
 	"shift/internal/trace"
 )
 
-// NoPointer is the tag-extension value meaning "no index pointer".
-const NoPointer uint32 = 0xFFFFFFFF
+// noPointer is the tag-extension value meaning "no index pointer".
+const noPointer uint32 = 0xFFFFFFFF
 
 // indexMinAssoc is the associativity at which the block→line hash index
 // (and the recency/free lists) pay for themselves. Below it a linear
@@ -114,8 +116,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Sets returns the number of sets implied by the config.
-func (c Config) Sets() int { return c.SizeBytes / (c.Assoc * c.BlockBytes) }
+// sets returns the number of sets implied by the config.
+func (c Config) sets() int { return c.SizeBytes / (c.Assoc * c.BlockBytes) }
 
 // line links one way of a listed cache into its set's recency list
 // while valid (prev = toward MRU, next = toward LRU); while invalid,
@@ -231,15 +233,10 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Release hands c's tables back for a later New of the same geometry.
-// The caller must hold the only reference to c and must not use it
-// again. Releasing is optional: an unreleased cache is simply collected.
-func (c *Cache) Release() { freeCaches.Put(c.cfg, c) }
-
 // alloc sizes a cache's tables, zeroed and with every set marked dirty
 // so that the reset New applies next writes the empty state everywhere.
 func alloc(cfg Config) *Cache {
-	nsets := cfg.Sets()
+	nsets := cfg.sets()
 	nlines := nsets * cfg.Assoc
 	c := &Cache{
 		cfg:     cfg,
@@ -355,21 +352,6 @@ func (c *Cache) clearWay(li int32) {
 	c.vlru[li] = 0
 }
 
-// MustNew is New that panics on config errors; for tests and fixed configs.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // setIndex maps a block address to its set.
 func (c *Cache) setIndex(b trace.BlockAddr) uint64 {
 	return (uint64(b) >> c.cfg.IndexShift) & c.setMask
@@ -438,22 +420,6 @@ func (c *Cache) idxDelete(key uint64) {
 			i = j
 		}
 	}
-}
-
-// find returns the line index holding b, or noLine. The probe helpers
-// below (scan, idxFind, promote) are written to stay within the
-// compiler's inlining budget so the hot operations pay no call overhead
-// for the lookup itself; find is the wrapper for the colder entry
-// points.
-func (c *Cache) find(b trace.BlockAddr) int32 {
-	if c.idx != nil {
-		return c.idxFind(uint64(b))
-	}
-	li := c.scan(b)
-	if li != noLine {
-		li = c.mtfAdjust(li)
-	}
-	return li
 }
 
 // compressTag drops b's set-index bits (implied by way position).
@@ -549,53 +515,9 @@ func (c *Cache) listPushFront(si uint64, li int32) {
 	}
 }
 
-// PinRange marks [lo, hi) as non-evictable. Blocks in the range are pinned
-// when inserted. Only one range is supported (one history buffer per LLC
-// bank); consolidation uses multiple caches' worth of ranges via PinRanges
-// in the controller layer.
-func (c *Cache) PinRange(lo, hi trace.BlockAddr) {
-	c.pinLo, c.pinHi, c.pinEnabled = lo, hi, true
-}
-
 // inPinRange reports whether b falls in the pinned range.
 func (c *Cache) inPinRange(b trace.BlockAddr) bool {
 	return c.pinEnabled && b >= c.pinLo && b < c.pinHi
-}
-
-// Contains reports whether b is present, without touching LRU or stats.
-func (c *Cache) Contains(b trace.BlockAddr) bool {
-	if c.idx != nil {
-		return c.idxFind(uint64(b)) != noLine
-	}
-	li := c.scan(b)
-	if li != noLine {
-		c.mtfAdjust(li)
-		return true
-	}
-	return false
-}
-
-// Lookup performs a demand access to b. It returns hit=true if present,
-// and wasPrefetch=true if the line was filled by a prefetch and this is
-// its first demand reference (a covered miss in Figure 7's terms).
-func (c *Cache) Lookup(b trace.BlockAddr) (hit, wasPrefetch bool) {
-	var li int32
-	if c.idx != nil {
-		li = c.idxFind(uint64(b))
-	} else {
-		// Inlined probe: scan and mtfAdjust stay within the compiler's
-		// inlining budget, so the common case costs no function calls.
-		if li = c.scan(b); li != noLine {
-			li = c.mtfAdjust(li)
-		}
-	}
-	if li == noLine {
-		c.stats.Misses++
-		return false, false
-	}
-	c.stats.Hits++
-	wasPrefetch = c.demandTouch(c.setIndex(b), li)
-	return true, wasPrefetch
 }
 
 // demandTouch applies a demand hit to li: bump recency, set referenced,
@@ -616,35 +538,6 @@ func (c *Cache) demandTouch(si uint64, li int32) (wasPrefetch bool) {
 	return wasPrefetch
 }
 
-// Extract performs a demand access to b that also removes the line on a
-// hit — the prefetch-buffer drain path, where a buffered block moves into
-// the L1-I on its first demand use. Statistics are identical to Lookup
-// followed by Invalidate.
-func (c *Cache) Extract(b trace.BlockAddr) (hit, wasPrefetch bool) {
-	var li int32
-	if c.idx != nil {
-		li = c.idxFind(uint64(b))
-	} else {
-		// Inlined probe: scan and mtfAdjust stay within the compiler's
-		// inlining budget, so the common case costs no function calls.
-		if li = c.scan(b); li != noLine {
-			li = c.mtfAdjust(li)
-		}
-	}
-	if li == noLine {
-		c.stats.Misses++
-		return false, false
-	}
-	c.lruClock++ // Lookup would have stamped the line before removal
-	c.stats.Hits++
-	if c.vlru[li]&vlruPrefetched != 0 {
-		c.stats.PrefetchHits++
-		wasPrefetch = true
-	}
-	c.remove(c.setIndex(b), li)
-	return true, wasPrefetch
-}
-
 // Evicted describes a line displaced by an insert.
 type Evicted struct {
 	Block trace.BlockAddr
@@ -652,49 +545,6 @@ type Evicted struct {
 	// demand-referenced (an overprediction/discard).
 	PrefetchUnused bool
 	Pointer        uint32
-}
-
-// Insert fills b. prefetch marks the line as prefetcher-installed.
-// It returns the displaced line, if any.
-//
-// Inserting a block that is already present refreshes its recency and
-// returns no eviction. A demand re-fill (prefetch=false) of a resident
-// prefetched line additionally clears the prefetched bit — the demand
-// fill supersedes the speculative one, so the line must not later count
-// as a prefetch hit or discard — and both re-fill flavors re-apply the
-// pin check, so a line inserted before PinRange was configured becomes
-// pinned on its next fill inside the range.
-func (c *Cache) Insert(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool) {
-	var li int32
-	if c.idx != nil {
-		li = c.idxFind(uint64(b))
-	} else {
-		// Inlined probe: scan and mtfAdjust stay within the compiler's
-		// inlining budget, so the common case costs no function calls.
-		if li = c.scan(b); li != noLine {
-			li = c.mtfAdjust(li)
-		}
-	}
-	c.lruClock++
-	if li != noLine {
-		si := c.setIndex(b)
-		fl := c.vlru[li] & vlruFlags
-		if !prefetch {
-			fl &^= vlruPrefetched
-		}
-		if c.inPinRange(b) {
-			fl |= vlruPinned
-		} else {
-			fl &^= vlruPinned
-		}
-		c.vlru[li] = c.lruClock<<vlruStampShift | fl
-		if c.listed && c.head[si] != li {
-			c.listDetach(si, li)
-			c.listPushFront(si, li)
-		}
-		return Evicted{}, false
-	}
-	return c.fill(b, prefetch)
 }
 
 // LookupInsert performs a demand access to b and, on a miss, fills b in
@@ -765,7 +615,7 @@ func (c *Cache) fill(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool
 	c.dirty[si>>6] |= 1 << (si & 63)
 	c.vlru[li] = c.lruClock<<vlruStampShift | fl
 	if c.ptrs != nil {
-		c.ptrs[li] = NoPointer
+		c.ptrs[li] = noPointer
 	}
 	if c.listed {
 		c.tags[li] = uint64(b)
@@ -787,7 +637,7 @@ func (c *Cache) evict(si uint64, li int32) (ev Evicted, evicted bool) {
 	ev = Evicted{
 		Block:          c.blockAt(si, li),
 		PrefetchUnused: v&vlruPrefetched != 0 && v&vlruReferenced == 0,
-		Pointer:        NoPointer,
+		Pointer:        noPointer,
 	}
 	if c.ptrs != nil {
 		ev.Pointer = c.ptrs[li]
@@ -822,247 +672,6 @@ func (c *Cache) scanVictim(si uint64) int32 {
 	return best
 }
 
-// remove invalidates line li of set si: clear the metadata and, in a
-// listed cache, detach the line from the index and the recency list and
-// push the way onto the free list.
-func (c *Cache) remove(si uint64, li int32) {
-	if !c.listed {
-		c.clearWay(li)
-		return
-	}
-	c.idxDelete(c.tags[li])
-	c.tags[li] = invalidTag
-	c.vlru[li] = 0
-	c.listDetach(si, li)
-	c.lines[li] = line{prev: noLine, next: c.free[si]}
-	c.free[si] = li
-}
-
-// Invalidate removes b if present, returning whether it was present.
-func (c *Cache) Invalidate(b trace.BlockAddr) bool {
-	li := c.find(b)
-	if li == noLine {
-		return false
-	}
-	c.remove(c.setIndex(b), li)
-	return true
-}
-
-// SetPointer writes the tag-extension index pointer of b if b is present.
-// It returns false if b is absent (the paper: the index update is dropped
-// when the trigger block is not LLC-resident).
-func (c *Cache) SetPointer(b trace.BlockAddr, ptr uint32) bool {
-	if c.ptrs == nil {
-		return false
-	}
-	li := c.find(b)
-	if li == noLine {
-		return false
-	}
-	c.ptrs[li] = ptr
-	return true
-}
-
-// Pointer reads the tag-extension index pointer of b. ok is false if b is
-// absent or has no pointer set.
-func (c *Cache) Pointer(b trace.BlockAddr) (ptr uint32, ok bool) {
-	if c.ptrs == nil {
-		return NoPointer, false
-	}
-	li := c.find(b)
-	if li == noLine || c.ptrs[li] == NoPointer {
-		return NoPointer, false
-	}
-	return c.ptrs[li], true
-}
-
-// PinnedCount returns the number of currently pinned, valid lines.
-func (c *Cache) PinnedCount() int {
-	n := 0
-	for _, v := range c.vlru {
-		if v != 0 && v&vlruPinned != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// ValidCount returns the number of valid lines.
-func (c *Cache) ValidCount() int {
-	n := 0
-	for _, v := range c.vlru {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// SetLRUOrder returns the valid blocks of set si ordered MRU→LRU. It
-// allocates and is meant for tests and debugging, not the hot path.
-func (c *Cache) SetLRUOrder(si int) []trace.BlockAddr {
-	var out []trace.BlockAddr
-	if c.listed {
-		for li := c.head[si]; li != noLine; li = c.lines[li].next {
-			out = append(out, trace.BlockAddr(c.tags[li]))
-		}
-		return out
-	}
-	// Unlisted: order by descending packed stamp (whole-word comparison
-	// is stamp order; stamps are unique).
-	base := int32(si) * c.assoc
-	taken := make([]bool, c.assoc)
-	for {
-		best, bestW := uint64(0), int32(noLine)
-		for w := int32(0); w < c.assoc; w++ {
-			li := base + w
-			if v := c.vlru[li]; v != 0 && !taken[w] && (bestW == noLine || v > best) {
-				best, bestW = v, w
-			}
-		}
-		if bestW == noLine {
-			return out
-		}
-		taken[bestW] = true
-		out = append(out, c.blockAt(uint64(si), base+bestW))
-	}
-}
-
-// CheckLRUInvariant verifies internal consistency: each set's recency
-// list covers exactly its valid lines in strictly decreasing stamp order,
-// free lists cover exactly the invalid ways, pinned bits appear only
-// inside the pin range, and the hash index (when present) maps exactly
-// the valid tags. It is used by property tests.
-func (c *Cache) CheckLRUInvariant() error {
-	nsets := int(c.setMask) + 1
-	for si := 0; si < nsets; si++ {
-		base := int32(si) * c.assoc
-		valid := 0
-		seenStamp := make(map[uint64]bool, c.assoc)
-		for li := base; li < base+c.assoc; li++ {
-			v := c.vlru[li]
-			tagged := c.listed && c.tags[li] != invalidTag || !c.listed && c.scanTags[li] != invalidTag32
-			if (v != 0) != tagged {
-				return fmt.Errorf("cache: set %d line %d tag/valid mismatch", si, li-base)
-			}
-			if v == 0 {
-				continue
-			}
-			b := c.blockAt(uint64(si), li)
-			if c.setIndex(b) != uint64(si) || !c.listed && c.compressTag(b) != c.scanTags[li] {
-				return fmt.Errorf("cache: set %d line %d holds block %d of another set", si, li-base, b)
-			}
-			valid++
-			stamp := v >> vlruStampShift
-			if stamp == 0 || seenStamp[stamp] {
-				return fmt.Errorf("cache: set %d has zero or duplicate LRU stamp %d", si, stamp)
-			}
-			seenStamp[stamp] = true
-			if v&vlruPinned != 0 && !c.inPinRange(b) {
-				return fmt.Errorf("cache: set %d line %d pinned outside pin range", si, li-base)
-			}
-		}
-		if !c.listed {
-			continue
-		}
-		// Walk the recency list: strictly decreasing stamps, all valid.
-		seen := 0
-		var prevStamp uint64
-		for li := c.head[si]; li != noLine; li = c.lines[li].next {
-			v := c.vlru[li]
-			if v == 0 {
-				return fmt.Errorf("cache: set %d recency list holds invalid line", si)
-			}
-			if stamp := v >> vlruStampShift; seen > 0 && stamp >= prevStamp {
-				return fmt.Errorf("cache: set %d recency list out of order (%d >= %d)", si, stamp, prevStamp)
-			} else {
-				prevStamp = stamp
-			}
-			seen++
-			if seen > int(c.assoc) {
-				return fmt.Errorf("cache: set %d recency list cycles", si)
-			}
-		}
-		if seen != valid {
-			return fmt.Errorf("cache: set %d recency list covers %d of %d valid lines", si, seen, valid)
-		}
-		// Walk the free list: all invalid.
-		freeN := 0
-		for li := c.free[si]; li != noLine; li = c.lines[li].next {
-			if c.vlru[li] != 0 {
-				return fmt.Errorf("cache: set %d free list holds valid line", si)
-			}
-			freeN++
-			if freeN > int(c.assoc) {
-				return fmt.Errorf("cache: set %d free list cycles", si)
-			}
-		}
-		if freeN != int(c.assoc)-valid {
-			return fmt.Errorf("cache: set %d free list covers %d of %d invalid ways", si, freeN, int(c.assoc)-valid)
-		}
-	}
-	if c.idx != nil {
-		indexed := 0
-		for i := range c.idx {
-			li := c.idx[i].li
-			if li == noLine {
-				continue
-			}
-			indexed++
-			if c.vlru[li] == 0 || c.tags[li] != c.idx[i].key {
-				return fmt.Errorf("cache: index slot %d stale (line %d)", i, li)
-			}
-		}
-		if indexed != c.ValidCount() {
-			return fmt.Errorf("cache: index holds %d entries for %d valid lines", indexed, c.ValidCount())
-		}
-	}
-	return nil
-}
-
-// fpMix is the splitmix64 finalizer, used to decorrelate Fingerprint's
-// per-line field combinations.
-func fpMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Fingerprint returns a canonical hash of the cache's semantic content:
-// every valid line's block address, flag bits, recency stamp, and index
-// pointer, plus the replacement clock. Lines combine commutatively
-// within their set, so the physically unobservable way permutation
-// (move-to-front transposition; see promote) does not affect the value:
-// two caches with equal fingerprints respond identically to any
-// subsequent operation sequence. Used by the sampled-execution
-// differential tests to prove functional and detailed stepping leave
-// identical instruction-cache state.
-func (c *Cache) Fingerprint() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	nsets := int(c.setMask) + 1
-	for si := 0; si < nsets; si++ {
-		base := si * int(c.assoc)
-		var setH uint64
-		for w := 0; w < int(c.assoc); w++ {
-			li := base + w
-			if c.vlru[li] == 0 {
-				continue
-			}
-			ptr := NoPointer
-			if c.ptrs != nil {
-				ptr = c.ptrs[li]
-			}
-			setH += fpMix(uint64(c.blockAt(uint64(si), int32(li))) ^ fpMix(c.vlru[li]^fpMix(uint64(ptr))))
-		}
-		h = (h ^ setH) * prime
-	}
-	return (h ^ c.lruClock) * prime
-}
-
 // CopyStateFrom makes c an exact replica of src, which must share c's
 // configuration (same geometry and layout). The sampled batch runner
 // uses it to catch followers' instruction caches up after a functional
@@ -1092,4 +701,15 @@ func (c *Cache) CopyStateFrom(src *Cache) {
 	c.lruClock = src.lruClock
 	c.stats = src.stats
 	c.pinLo, c.pinHi, c.pinEnabled = src.pinLo, src.pinHi, src.pinEnabled
+}
+
+// fpMix is the splitmix64 finalizer, used to decorrelate Fingerprint's
+// per-line field combinations.
+func fpMix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -35,15 +36,15 @@ func TestTableIGeometries(t *testing.T) {
 	if err := l1i.Validate(); err != nil {
 		t.Errorf("L1-I config invalid: %v", err)
 	}
-	if l1i.Sets() != 256 {
-		t.Errorf("L1-I sets = %d, want 256", l1i.Sets())
+	if l1i.sets() != 256 {
+		t.Errorf("L1-I sets = %d, want 256", l1i.sets())
 	}
 	llcBank := Config{SizeBytes: 512 * 1024, Assoc: 16, BlockBytes: 64, TagPointers: true}
 	if err := llcBank.Validate(); err != nil {
 		t.Errorf("LLC bank config invalid: %v", err)
 	}
-	if llcBank.Sets() != 512 {
-		t.Errorf("LLC bank sets = %d, want 512", llcBank.Sets())
+	if llcBank.sets() != 512 {
+		t.Errorf("LLC bank sets = %d, want 512", llcBank.sets())
 	}
 }
 
@@ -371,13 +372,397 @@ func TestHostBytesPerModelledLine(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			got = min(got, after.TotalAlloc-before.TotalAlloc)
 		}
-		lines := tc.cfg.Sets() * tc.cfg.Assoc
+		lines := tc.cfg.sets() * tc.cfg.Assoc
 		// 512: the struct and the smallest arrays, each rounded up to its
 		// allocation size class.
-		limit := uint64(lines*tc.perLine + tc.cfg.Sets()/8 + 512)
+		limit := uint64(lines*tc.perLine + tc.cfg.sets()/8 + 512)
 		t.Logf("%s: %d lines, %d B, %.2f B/line", tc.name, lines, got, float64(got)/float64(lines))
 		if got > limit {
 			t.Errorf("%s: %d lines allocate %d B, limit %d (%d B/line)", tc.name, lines, got, limit, tc.perLine)
 		}
 	}
+}
+
+// The operations below are Cache's test-only surface: the differential
+// and property tests drive Cache through them against Reference.
+// Outside tests Cache is built by New and driven by LookupInsert and
+// CopyStateFrom alone.
+
+// MustNew is New that panics on config errors; for tests and fixed configs.
+func MustNew(cfg Config) *Cache {
+	c, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Release hands c's tables back for a later New of the same geometry.
+// The caller must hold the only reference to c and must not use it
+// again. Releasing is optional: an unreleased cache is simply collected.
+func (c *Cache) Release() { freeCaches.Put(c.cfg, c) }
+
+// Stats returns a copy of the event counters.
+func (c *Cache) Stats() Stats { return c.stats }
+
+// PinRange marks [lo, hi) as non-evictable. Blocks in the range are pinned
+// when inserted. Only one range is supported (one history buffer per LLC
+// bank); consolidation uses multiple caches' worth of ranges via PinRanges
+// in the controller layer.
+func (c *Cache) PinRange(lo, hi trace.BlockAddr) {
+	c.pinLo, c.pinHi, c.pinEnabled = lo, hi, true
+}
+
+// Contains reports whether b is present, without touching LRU or stats.
+func (c *Cache) Contains(b trace.BlockAddr) bool {
+	if c.idx != nil {
+		return c.idxFind(uint64(b)) != noLine
+	}
+	li := c.scan(b)
+	if li != noLine {
+		c.mtfAdjust(li)
+		return true
+	}
+	return false
+}
+
+// Lookup performs a demand access to b. It returns hit=true if present,
+// and wasPrefetch=true if the line was filled by a prefetch and this is
+// its first demand reference (a covered miss in Figure 7's terms).
+func (c *Cache) Lookup(b trace.BlockAddr) (hit, wasPrefetch bool) {
+	var li int32
+	if c.idx != nil {
+		li = c.idxFind(uint64(b))
+	} else {
+		// Inlined probe: scan and mtfAdjust stay within the compiler's
+		// inlining budget, so the common case costs no function calls.
+		if li = c.scan(b); li != noLine {
+			li = c.mtfAdjust(li)
+		}
+	}
+	if li == noLine {
+		c.stats.Misses++
+		return false, false
+	}
+	c.stats.Hits++
+	wasPrefetch = c.demandTouch(c.setIndex(b), li)
+	return true, wasPrefetch
+}
+
+// Extract performs a demand access to b that also removes the line on a
+// hit — the prefetch-buffer drain path, where a buffered block moves into
+// the L1-I on its first demand use. Statistics are identical to Lookup
+// followed by Invalidate.
+func (c *Cache) Extract(b trace.BlockAddr) (hit, wasPrefetch bool) {
+	var li int32
+	if c.idx != nil {
+		li = c.idxFind(uint64(b))
+	} else {
+		// Inlined probe: scan and mtfAdjust stay within the compiler's
+		// inlining budget, so the common case costs no function calls.
+		if li = c.scan(b); li != noLine {
+			li = c.mtfAdjust(li)
+		}
+	}
+	if li == noLine {
+		c.stats.Misses++
+		return false, false
+	}
+	c.lruClock++ // Lookup would have stamped the line before removal
+	c.stats.Hits++
+	if c.vlru[li]&vlruPrefetched != 0 {
+		c.stats.PrefetchHits++
+		wasPrefetch = true
+	}
+	c.remove(c.setIndex(b), li)
+	return true, wasPrefetch
+}
+
+// Insert fills b. prefetch marks the line as prefetcher-installed.
+// It returns the displaced line, if any.
+//
+// Inserting a block that is already present refreshes its recency and
+// returns no eviction. A demand re-fill (prefetch=false) of a resident
+// prefetched line additionally clears the prefetched bit — the demand
+// fill supersedes the speculative one, so the line must not later count
+// as a prefetch hit or discard — and both re-fill flavors re-apply the
+// pin check, so a line inserted before PinRange was configured becomes
+// pinned on its next fill inside the range.
+func (c *Cache) Insert(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool) {
+	var li int32
+	if c.idx != nil {
+		li = c.idxFind(uint64(b))
+	} else {
+		// Inlined probe: scan and mtfAdjust stay within the compiler's
+		// inlining budget, so the common case costs no function calls.
+		if li = c.scan(b); li != noLine {
+			li = c.mtfAdjust(li)
+		}
+	}
+	c.lruClock++
+	if li != noLine {
+		si := c.setIndex(b)
+		fl := c.vlru[li] & vlruFlags
+		if !prefetch {
+			fl &^= vlruPrefetched
+		}
+		if c.inPinRange(b) {
+			fl |= vlruPinned
+		} else {
+			fl &^= vlruPinned
+		}
+		c.vlru[li] = c.lruClock<<vlruStampShift | fl
+		if c.listed && c.head[si] != li {
+			c.listDetach(si, li)
+			c.listPushFront(si, li)
+		}
+		return Evicted{}, false
+	}
+	return c.fill(b, prefetch)
+}
+
+// Invalidate removes b if present, returning whether it was present.
+func (c *Cache) Invalidate(b trace.BlockAddr) bool {
+	li := c.find(b)
+	if li == noLine {
+		return false
+	}
+	c.remove(c.setIndex(b), li)
+	return true
+}
+
+// SetPointer writes the tag-extension index pointer of b if b is present.
+// It returns false if b is absent (the paper: the index update is dropped
+// when the trigger block is not LLC-resident).
+func (c *Cache) SetPointer(b trace.BlockAddr, ptr uint32) bool {
+	if c.ptrs == nil {
+		return false
+	}
+	li := c.find(b)
+	if li == noLine {
+		return false
+	}
+	c.ptrs[li] = ptr
+	return true
+}
+
+// Pointer reads the tag-extension index pointer of b. ok is false if b is
+// absent or has no pointer set.
+func (c *Cache) Pointer(b trace.BlockAddr) (ptr uint32, ok bool) {
+	if c.ptrs == nil {
+		return noPointer, false
+	}
+	li := c.find(b)
+	if li == noLine || c.ptrs[li] == noPointer {
+		return noPointer, false
+	}
+	return c.ptrs[li], true
+}
+
+// PinnedCount returns the number of currently pinned, valid lines.
+func (c *Cache) PinnedCount() int {
+	n := 0
+	for _, v := range c.vlru {
+		if v != 0 && v&vlruPinned != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// ValidCount returns the number of valid lines.
+func (c *Cache) ValidCount() int {
+	n := 0
+	for _, v := range c.vlru {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// SetLRUOrder returns the valid blocks of set si ordered MRU→LRU. It
+// allocates and is meant for tests and debugging, not the hot path.
+func (c *Cache) SetLRUOrder(si int) []trace.BlockAddr {
+	var out []trace.BlockAddr
+	if c.listed {
+		for li := c.head[si]; li != noLine; li = c.lines[li].next {
+			out = append(out, trace.BlockAddr(c.tags[li]))
+		}
+		return out
+	}
+	// Unlisted: order by descending packed stamp (whole-word comparison
+	// is stamp order; stamps are unique).
+	base := int32(si) * c.assoc
+	taken := make([]bool, c.assoc)
+	for {
+		best, bestW := uint64(0), int32(noLine)
+		for w := int32(0); w < c.assoc; w++ {
+			li := base + w
+			if v := c.vlru[li]; v != 0 && !taken[w] && (bestW == noLine || v > best) {
+				best, bestW = v, w
+			}
+		}
+		if bestW == noLine {
+			return out
+		}
+		taken[bestW] = true
+		out = append(out, c.blockAt(uint64(si), base+bestW))
+	}
+}
+
+// CheckLRUInvariant verifies internal consistency: each set's recency
+// list covers exactly its valid lines in strictly decreasing stamp order,
+// free lists cover exactly the invalid ways, pinned bits appear only
+// inside the pin range, and the hash index (when present) maps exactly
+// the valid tags. It is used by property tests.
+func (c *Cache) CheckLRUInvariant() error {
+	nsets := int(c.setMask) + 1
+	for si := 0; si < nsets; si++ {
+		base := int32(si) * c.assoc
+		valid := 0
+		seenStamp := make(map[uint64]bool, c.assoc)
+		for li := base; li < base+c.assoc; li++ {
+			v := c.vlru[li]
+			tagged := c.listed && c.tags[li] != invalidTag || !c.listed && c.scanTags[li] != invalidTag32
+			if (v != 0) != tagged {
+				return fmt.Errorf("cache: set %d line %d tag/valid mismatch", si, li-base)
+			}
+			if v == 0 {
+				continue
+			}
+			b := c.blockAt(uint64(si), li)
+			if c.setIndex(b) != uint64(si) || !c.listed && c.compressTag(b) != c.scanTags[li] {
+				return fmt.Errorf("cache: set %d line %d holds block %d of another set", si, li-base, b)
+			}
+			valid++
+			stamp := v >> vlruStampShift
+			if stamp == 0 || seenStamp[stamp] {
+				return fmt.Errorf("cache: set %d has zero or duplicate LRU stamp %d", si, stamp)
+			}
+			seenStamp[stamp] = true
+			if v&vlruPinned != 0 && !c.inPinRange(b) {
+				return fmt.Errorf("cache: set %d line %d pinned outside pin range", si, li-base)
+			}
+		}
+		if !c.listed {
+			continue
+		}
+		// Walk the recency list: strictly decreasing stamps, all valid.
+		seen := 0
+		var prevStamp uint64
+		for li := c.head[si]; li != noLine; li = c.lines[li].next {
+			v := c.vlru[li]
+			if v == 0 {
+				return fmt.Errorf("cache: set %d recency list holds invalid line", si)
+			}
+			if stamp := v >> vlruStampShift; seen > 0 && stamp >= prevStamp {
+				return fmt.Errorf("cache: set %d recency list out of order (%d >= %d)", si, stamp, prevStamp)
+			} else {
+				prevStamp = stamp
+			}
+			seen++
+			if seen > int(c.assoc) {
+				return fmt.Errorf("cache: set %d recency list cycles", si)
+			}
+		}
+		if seen != valid {
+			return fmt.Errorf("cache: set %d recency list covers %d of %d valid lines", si, seen, valid)
+		}
+		// Walk the free list: all invalid.
+		freeN := 0
+		for li := c.free[si]; li != noLine; li = c.lines[li].next {
+			if c.vlru[li] != 0 {
+				return fmt.Errorf("cache: set %d free list holds valid line", si)
+			}
+			freeN++
+			if freeN > int(c.assoc) {
+				return fmt.Errorf("cache: set %d free list cycles", si)
+			}
+		}
+		if freeN != int(c.assoc)-valid {
+			return fmt.Errorf("cache: set %d free list covers %d of %d invalid ways", si, freeN, int(c.assoc)-valid)
+		}
+	}
+	if c.idx != nil {
+		indexed := 0
+		for i := range c.idx {
+			li := c.idx[i].li
+			if li == noLine {
+				continue
+			}
+			indexed++
+			if c.vlru[li] == 0 || c.tags[li] != c.idx[i].key {
+				return fmt.Errorf("cache: index slot %d stale (line %d)", i, li)
+			}
+		}
+		if indexed != c.ValidCount() {
+			return fmt.Errorf("cache: index holds %d entries for %d valid lines", indexed, c.ValidCount())
+		}
+	}
+	return nil
+}
+
+// Fingerprint returns a canonical hash of the cache's semantic content:
+// every valid line's block address, flag bits, recency stamp, and index
+// pointer, plus the replacement clock. Lines combine commutatively
+// within their set, so the physically unobservable way permutation
+// (move-to-front transposition; see promote) does not affect the value:
+// two caches with equal fingerprints respond identically to any
+// subsequent operation sequence. Used by the sampled-execution
+// differential tests to prove functional and detailed stepping leave
+// identical instruction-cache state.
+func (c *Cache) Fingerprint() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	nsets := int(c.setMask) + 1
+	for si := 0; si < nsets; si++ {
+		base := si * int(c.assoc)
+		var setH uint64
+		for w := 0; w < int(c.assoc); w++ {
+			li := base + w
+			if c.vlru[li] == 0 {
+				continue
+			}
+			ptr := noPointer
+			if c.ptrs != nil {
+				ptr = c.ptrs[li]
+			}
+			setH += fpMix(uint64(c.blockAt(uint64(si), int32(li))) ^ fpMix(c.vlru[li]^fpMix(uint64(ptr))))
+		}
+		h = (h ^ setH) * prime
+	}
+	return (h ^ c.lruClock) * prime
+}
+
+// remove invalidates line li of set si: clear the metadata and, in a
+// listed cache, detach the line from the index and the recency list and
+// push the way onto the free list.
+func (c *Cache) remove(si uint64, li int32) {
+	if !c.listed {
+		c.clearWay(li)
+		return
+	}
+	c.idxDelete(c.tags[li])
+	c.tags[li] = invalidTag
+	c.vlru[li] = 0
+	c.listDetach(si, li)
+	c.lines[li] = line{prev: noLine, next: c.free[si]}
+	c.free[si] = li
+}
+
+// find returns the line index holding b, or noLine. The probe helpers
+// below (scan, idxFind, promote) are written to stay within the
+// compiler's inlining budget so the hot operations pay no call overhead
+// for the lookup itself; find is the wrapper for the colder entry
+// points.
+func (c *Cache) find(b trace.BlockAddr) int32 {
+	if c.idx != nil {
+		return c.idxFind(uint64(b))
+	}
+	li := c.scan(b)
+	if li != noLine {
+		li = c.mtfAdjust(li)
+	}
+	return li
 }

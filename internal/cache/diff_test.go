@@ -51,13 +51,13 @@ func denseSpace(blocks int) addrSpace {
 // over both extremes of the bits below the set index. A pinned range
 // reaches at most the same high part in the next set.
 func wideSpace(cfg Config, rng *trace.RNG) addrSpace {
-	tagShift := cfg.IndexShift + uint(bits.Len(uint(cfg.Sets()-1)))
+	tagShift := cfg.IndexShift + uint(bits.Len(uint(cfg.sets()-1)))
 	maxHi := uint64(trace.MaxBlockAddr) >> tagShift
 	his := []uint64{maxHi}
 	for len(his) < 3*cfg.Assoc/2 {
 		his = append(his, rng.Uint64()&maxHi)
 	}
-	sets := []uint64{0, 1 % uint64(cfg.Sets()), uint64(cfg.Sets() / 2), uint64(cfg.Sets() - 1)}
+	sets := []uint64{0, 1 % uint64(cfg.sets()), uint64(cfg.sets() / 2), uint64(cfg.sets() - 1)}
 	return addrSpace{func(rng *trace.RNG) trace.BlockAddr {
 		lo := uint64(rng.Intn(2)) * (1<<cfg.IndexShift - 1)
 		return trace.BlockAddr(his[rng.Intn(len(his))]<<tagShift | sets[rng.Intn(len(sets))]<<cfg.IndexShift | lo)
@@ -141,7 +141,7 @@ func diffState(t *testing.T, cfg Config, opt *Cache, ref *Reference) {
 	if op, rp := opt.PinnedCount(), ref.PinnedCount(); op != rp {
 		t.Fatalf("PinnedCount: %d vs reference %d", op, rp)
 	}
-	for si := 0; si < cfg.Sets(); si++ {
+	for si := 0; si < cfg.sets(); si++ {
 		oorder, rorder := opt.SetLRUOrder(si), ref.SetLRUOrder(si)
 		if len(oorder) == 0 && len(rorder) == 0 {
 			continue
@@ -164,7 +164,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				rng := trace.NewRNG(seed)
 				// Half the seeds draw dense addresses, half wide ones; half
 				// of each exercise the pin range.
-				draw := denseSpace(cfg.Sets() * cfg.Assoc * 3)
+				draw := denseSpace(cfg.sets() * cfg.Assoc * 3)
 				if seed > 4 {
 					draw = wideSpace(cfg, rng)
 				}
@@ -293,7 +293,7 @@ func TestDifferentialAcrossRecycling(t *testing.T) {
 			rng := trace.NewRNG(2013)
 			released := map[*Cache]bool{}
 			recycled := 0
-			lines := cfg.Sets() * cfg.Assoc
+			lines := cfg.sets() * cfg.Assoc
 			for round := 0; round < 12; round++ {
 				opt, side := MustNew(cfg), MustNew(cfg)
 				ref, sideRef := MustNewReference(cfg), MustNewReference(cfg)

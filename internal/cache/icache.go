@@ -65,8 +65,8 @@ func newICache(cfg Config, replica bool) (*ICache, error) {
 	}
 	c := freeICaches.Get(icacheKey{cfg, replica})
 	if c == nil {
-		lines := cfg.Sets() * cfg.Assoc
-		c = &ICache{cfg: cfg, tags: make([]uint64, lines), ways: cfg.Assoc, shift: cfg.IndexShift, mask: uint64(cfg.Sets() - 1)}
+		lines := cfg.sets() * cfg.Assoc
+		c = &ICache{cfg: cfg, tags: make([]uint64, lines), ways: cfg.Assoc, shift: cfg.IndexShift, mask: uint64(cfg.sets() - 1)}
 		if !replica {
 			c.stamps = make([]uint32, lines)
 		}

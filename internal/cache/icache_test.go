@@ -73,7 +73,7 @@ func (d *icacheDiff) check(t testing.TB) {
 		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
 		return bs
 	}
-	for si := 0; si < d.cfg.Sets(); si++ {
+	for si := 0; si < d.cfg.sets(); si++ {
 		want := sorted(d.ref.SetLRUOrder(si))
 		if got := sorted(d.c.SetBlocks(si)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v set %d after %d accesses: holds %v, reference %v", d.cfg, si, d.accesses, got, want)
@@ -110,7 +110,7 @@ func TestICacheMatchesReference(t *testing.T) {
 		geometries = append(geometries, randomGeometry(rng))
 	}
 	for _, cfg := range geometries {
-		lines := cfg.Sets() * cfg.Assoc
+		lines := cfg.sets() * cfg.Assoc
 		streams := map[string]func(i int) trace.BlockAddr{
 			"real":  func(i int) trace.BlockAddr { return real[i].Block },
 			"dense": func(int) trace.BlockAddr { return denseSpace(lines * 3).draw(rng) },
@@ -151,7 +151,7 @@ func TestICacheClockWraps(t *testing.T) {
 		{SizeBytes: 4 * 7 * 64, Assoc: 7, BlockBytes: 64},
 	} {
 		d := newICacheDiff(t, cfg)
-		draw := denseSpace(cfg.Sets() * cfg.Assoc * 2).draw
+		draw := denseSpace(cfg.sets() * cfg.Assoc * 2).draw
 		for i := 0; i < 5000; i++ {
 			d.access(t, draw(rng))
 		}
@@ -223,7 +223,7 @@ func TestICacheHostBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := cfg.Sets() * cfg.Assoc
+		lines := cfg.sets() * cfg.Assoc
 		got, limit := after.TotalAlloc-before.TotalAlloc, uint64(lines*tc.perLine+256)
 		t.Logf("%s: %d lines, %d B, %.2f B/line", tc.name, lines, got, float64(got)/float64(lines))
 		if got > limit {

@@ -39,7 +39,7 @@ type LLCBank struct {
 	lines []uint32
 	// ptrs holds each way's tag-extension pointer, nil unless built with
 	// TagPointers; it is ptrBuf, which a bank keeps once it has one. A
-	// fill writes NoPointer, so the pointer of an empty way is never read.
+	// fill writes noPointer, so the pointer of an empty way is never read.
 	ptrs, ptrBuf []uint32
 	ways         int
 	// A block's set is its bits [shift, tagShift); its tag is the bits
@@ -77,8 +77,8 @@ func (c Config) ValidateLLCBank() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Sets() < llcMinSets {
-		return fmt.Errorf("cache: LLC bank of %d sets, fewer than %d", c.Sets(), llcMinSets)
+	if c.sets() < llcMinSets {
+		return fmt.Errorf("cache: LLC bank of %d sets, fewer than %d", c.sets(), llcMinSets)
 	}
 	return nil
 }
@@ -105,7 +105,7 @@ func NewLLCBank(cfg Config) (*LLCBank, error) {
 	if c != nil {
 		c.reset()
 	} else {
-		sets := cfg.Sets()
+		sets := cfg.sets()
 		c = &LLCBank{
 			geom: geom, lines: make([]uint32, sets*cfg.Assoc), ways: cfg.Assoc,
 			shift: cfg.IndexShift, tagShift: cfg.IndexShift + uint(bits.Len(uint(sets-1))),
@@ -209,7 +209,7 @@ func (c *LLCBank) access(b trace.BlockAddr, repin bool) (hit bool) {
 				si := base / c.ways
 				c.dirty[si>>6] |= 1 << (si & 63)
 			}
-			c.toFront(set, base, w, c.word(b), NoPointer)
+			c.toFront(set, base, w, c.word(b), noPointer)
 			return false
 		}
 	}
@@ -217,15 +217,15 @@ func (c *LLCBank) access(b trace.BlockAddr, repin bool) (hit bool) {
 	for w--; w >= 0 && set[w]&llcPinned != 0; w-- {
 	}
 	if w >= 0 {
-		c.toFront(set, base, w, c.word(b), NoPointer)
+		c.toFront(set, base, w, c.word(b), noPointer)
 	}
 	return false
 }
 
-// pointerAt returns way li's pointer, or NoPointer without the array.
+// pointerAt returns way li's pointer, or noPointer without the array.
 func (c *LLCBank) pointerAt(li int) uint32 {
 	if c.ptrs == nil {
-		return NoPointer
+		return noPointer
 	}
 	return c.ptrs[li]
 }
@@ -270,11 +270,11 @@ func (c *LLCBank) SetPointer(b trace.BlockAddr, ptr uint32) bool {
 // absent or has no pointer set, or the bank has no pointers.
 func (c *LLCBank) Pointer(b trace.BlockAddr) (ptr uint32, ok bool) {
 	if c.ptrs == nil {
-		return NoPointer, false
+		return noPointer, false
 	}
 	base, w := c.find(b)
-	if w < 0 || c.ptrs[base+w] == NoPointer {
-		return NoPointer, false
+	if w < 0 || c.ptrs[base+w] == noPointer {
+		return noPointer, false
 	}
 	return c.ptrs[base+w], true
 }
@@ -288,21 +288,6 @@ func (c *LLCBank) PinnedCount() int {
 		}
 	}
 	return n
-}
-
-// SetLRUOrder returns the blocks of set si ordered MRU→LRU, each put
-// back together from its tag and si. It allocates and is meant for tests
-// and debugging.
-func (c *LLCBank) SetLRUOrder(si int) []trace.BlockAddr {
-	var out []trace.BlockAddr
-	for _, v := range c.lines[si*c.ways : (si+1)*c.ways] {
-		if v == 0 {
-			break
-		}
-		t := uint64(v&^llcPinned - 1)
-		out = append(out, trace.BlockAddr(t>>c.shift<<c.tagShift|uint64(si)<<c.shift|t&c.lo))
-	}
-	return out
 }
 
 // Fingerprint returns a hash of the bank's content: every set's stack,

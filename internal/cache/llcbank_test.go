@@ -66,7 +66,7 @@ func (d *llcDiff) op(t testing.TB, kind int, b trace.BlockAddr, ptr uint32) {
 			t.Fatalf("%+v op %d: Pointer(%#x) (%d,%v), reference (%d,%v)", d.cfg, d.ops, b, gp, gok, wp, wok)
 		}
 	}
-	d.checkSet(t, int(uint64(b)>>d.cfg.IndexShift)&(d.cfg.Sets()-1))
+	d.checkSet(t, int(uint64(b)>>d.cfg.IndexShift)&(d.cfg.sets()-1))
 }
 
 // checkSet compares set si's order and its blocks' pointers.
@@ -88,7 +88,7 @@ func (d *llcDiff) checkSet(t testing.TB, si int) {
 // check compares every set and the pinned count.
 func (d *llcDiff) check(t testing.TB) {
 	t.Helper()
-	for si := 0; si < d.cfg.Sets(); si++ {
+	for si := 0; si < d.cfg.sets(); si++ {
 		d.checkSet(t, si)
 	}
 	if got, want := d.c.PinnedCount(), d.ref.PinnedCount(); got != want {
@@ -114,7 +114,7 @@ func TestLLCBankMatchesReference(t *testing.T) {
 		geometries = append(geometries, randomLLCGeometry(rng))
 	}
 	for gi, cfg := range geometries {
-		lines := cfg.Sets() * cfg.Assoc
+		lines := cfg.sets() * cfg.Assoc
 		for si, space := range []addrSpace{denseSpace(lines * 3), denseSpace(cfg.Assoc * 8), wideSpace(cfg, rng)} {
 			d := newLLCDiff(t, cfg)
 			// Half the runs pin a range from the start, as virtualized SHIFT
@@ -195,10 +195,10 @@ func TestLLCBankTopBlocks(t *testing.T) {
 		cfg := Config{SizeBytes: llcMinSets * 16 * 64, Assoc: 16, BlockBytes: 64, IndexShift: 4, TagPointers: pointers}
 		d := newLLCDiff(t, cfg)
 		d.pin(trace.MaxBlockAddr-7, trace.MaxBlockAddr+1)
-		for k := 0; k < 3*cfg.Sets()*cfg.Assoc; k++ {
+		for k := 0; k < 3*cfg.sets()*cfg.Assoc; k++ {
 			b := trace.MaxBlockAddr - trace.BlockAddr(k)
 			d.op(t, 0, b, 0)
-			if got := d.c.SetLRUOrder(int(uint64(b)>>cfg.IndexShift) & (cfg.Sets() - 1)); got[0] != b {
+			if got := d.c.SetLRUOrder(int(uint64(b)>>cfg.IndexShift) & (cfg.sets() - 1)); got[0] != b {
 				t.Fatalf("block %#x filled, its set's MRU line reads %#x", b, got[0])
 			}
 		}
@@ -230,7 +230,7 @@ func TestLLCBankRecycled(t *testing.T) {
 		if d.c.Fingerprint() != empty || d.c.PinnedCount() != 0 || (d.c.ptrs != nil) != cfg.TagPointers {
 			t.Fatalf("round %d: NewLLCBank returned a bank that differs from a fresh one", round)
 		}
-		space := denseSpace([]int{cfg.Sets() * cfg.Assoc * 3, cfg.Assoc * 8, 200}[round%3])
+		space := denseSpace([]int{cfg.sets() * cfg.Assoc * 3, cfg.Assoc * 8, 200}[round%3])
 		if round%2 == 0 {
 			pinSomeLLC(rng, d, space)
 		}
@@ -340,4 +340,22 @@ func BenchmarkLLCBank(b *testing.B) {
 			banks[blk&15].LookupInsert(blk, false)
 		}
 	})
+}
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// SetLRUOrder returns the blocks of set si ordered MRU→LRU, each put
+// back together from its tag and si. It allocates and is meant for tests
+// and debugging.
+func (c *LLCBank) SetLRUOrder(si int) []trace.BlockAddr {
+	var out []trace.BlockAddr
+	for _, v := range c.lines[si*c.ways : (si+1)*c.ways] {
+		if v == 0 {
+			break
+		}
+		t := uint64(v&^llcPinned - 1)
+		out = append(out, trace.BlockAddr(t>>c.shift<<c.tagShift|uint64(si)<<c.shift|t&c.lo))
+	}
+	return out
 }

@@ -181,13 +181,3 @@ func (p *PrefetchBuffer) dropSlot(i int) {
 	}
 	p.slotKeys[hole] = 0
 }
-
-// Blocks returns the buffered blocks newest first — the MRU→LRU order of
-// a Reference driven alike. It allocates and is meant for tests.
-func (p *PrefetchBuffer) Blocks() []trace.BlockAddr {
-	var out []trace.BlockAddr
-	for li := p.tail; li >= 0; li = p.links[li].prev {
-		out = append(out, trace.BlockAddr(p.keys[li]-1))
-	}
-	return out
-}

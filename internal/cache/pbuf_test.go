@@ -8,7 +8,7 @@ import (
 )
 
 // The PrefetchBuffer differential: a buffer and a fully-associative
-// Reference of as many ways, driven the way System.Step and
+// Reference of as many ways, driven the way System.step and
 // issuePrefetch drive the buffer — a demand Extract, and a Contains that
 // a prefetch's Insert follows when it missed — must make the same hits,
 // drop the same blocks, and count every drop as an unused prefetch.
@@ -32,7 +32,7 @@ func newPbufDiff(t testing.TB, entries int) *pbufDiff {
 	return &pbufDiff{entries: entries, p: p, ref: ref}
 }
 
-// demand is Step's side: a demand access that drains a buffered block.
+// demand is step's side: a demand access that drains a buffered block.
 func (d *pbufDiff) demand(t testing.TB, b trace.BlockAddr) {
 	t.Helper()
 	d.ops++
@@ -198,4 +198,17 @@ func BenchmarkPrefetchBuffer(b *testing.B) {
 			}
 		}
 	})
+}
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// Blocks returns the buffered blocks newest first — the MRU→LRU order of
+// a Reference driven alike. It allocates and is meant for tests.
+func (p *PrefetchBuffer) Blocks() []trace.BlockAddr {
+	var out []trace.BlockAddr
+	for li := p.tail; li >= 0; li = p.links[li].prev {
+		out = append(out, trace.BlockAddr(p.keys[li]-1))
+	}
+	return out
 }

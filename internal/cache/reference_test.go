@@ -38,14 +38,14 @@ func NewReference(cfg Config) (*Reference, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := cfg.Sets()
+	nsets := cfg.sets()
 	c := &Reference{cfg: cfg, setMask: uint64(nsets - 1)}
 	c.sets = make([][]refLine, nsets)
 	backing := make([]refLine, nsets*cfg.Assoc)
 	for i := range c.sets {
 		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
 		for w := range c.sets[i] {
-			c.sets[i][w].pointer = NoPointer
+			c.sets[i][w].pointer = noPointer
 		}
 	}
 	return c, nil
@@ -152,7 +152,7 @@ func (c *Reference) Insert(b trace.BlockAddr, prefetch bool) (ev Evicted, evicte
 		lru:        c.lruClock,
 		prefetched: prefetch,
 		pinned:     c.inPinRange(b),
-		pointer:    NoPointer,
+		pointer:    noPointer,
 	}
 	c.stats.Inserts++
 	if prefetch {
@@ -194,7 +194,7 @@ func (c *Reference) Invalidate(b trace.BlockAddr) bool {
 	if w < 0 {
 		return false
 	}
-	set[w] = refLine{pointer: NoPointer}
+	set[w] = refLine{pointer: noPointer}
 	return true
 }
 
@@ -214,11 +214,11 @@ func (c *Reference) SetPointer(b trace.BlockAddr, ptr uint32) bool {
 // Pointer reads the tag-extension index pointer of b.
 func (c *Reference) Pointer(b trace.BlockAddr) (ptr uint32, ok bool) {
 	if !c.cfg.TagPointers {
-		return NoPointer, false
+		return noPointer, false
 	}
 	set, w := c.findWay(b)
-	if w < 0 || set[w].pointer == NoPointer {
-		return NoPointer, false
+	if w < 0 || set[w].pointer == noPointer {
+		return noPointer, false
 	}
 	return set[w].pointer, true
 }

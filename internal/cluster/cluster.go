@@ -40,8 +40,8 @@ import (
 	"shift/internal/retry"
 )
 
-// State is a worker's health as seen by the coordinator.
-type State int
+// memberState is a worker's health as seen by the coordinator.
+type memberState int
 
 // Worker health states. A worker starts Up (optimistically routable),
 // turns Suspect after suspectAfter consecutive failures (deprioritized
@@ -49,12 +49,12 @@ type State int
 // downAfter (not routed to, but still probed — a recovered worker
 // rejoins automatically on its next successful heartbeat or dispatch).
 const (
-	// Up marks a worker answering dispatches and probes.
-	Up State = iota
-	// Suspect marks a worker with recent consecutive failures.
-	Suspect
-	// Down marks a worker past the failure threshold.
-	Down
+	// memberUp marks a worker answering dispatches and probes.
+	memberUp memberState = iota
+	// memberSuspect marks a worker with recent consecutive failures.
+	memberSuspect
+	// memberDown marks a worker past the failure threshold.
+	memberDown
 )
 
 // The health state machine's thresholds, in consecutive failures, and
@@ -67,13 +67,13 @@ const (
 )
 
 // String names the state for logs, stats, and readiness reports.
-func (s State) String() string {
+func (s memberState) String() string {
 	switch s {
-	case Up:
+	case memberUp:
 		return "up"
-	case Suspect:
+	case memberSuspect:
 		return "suspect"
-	case Down:
+	case memberDown:
 		return "down"
 	}
 	return fmt.Sprintf("state(%d)", int(s))
@@ -85,14 +85,11 @@ type Member struct {
 	inflight atomic.Int64
 
 	mu       sync.Mutex
-	state    State
+	state    memberState
 	fails    int
 	lastErr  string
 	lastSeen time.Time
 }
-
-// Addr returns the worker's normalized base URL.
-func (m *Member) Addr() string { return m.addr }
 
 // state snapshot under the member lock.
 func (m *Member) snapshot() MemberStatus {
@@ -266,7 +263,7 @@ func (c *Coordinator) Join(addr string) bool {
 			return false
 		}
 	}
-	c.members = append(c.members, &Member{addr: addr, state: Up})
+	c.members = append(c.members, &Member{addr: addr, state: memberUp})
 	return true
 }
 
@@ -310,7 +307,7 @@ func (c *Coordinator) Stats() Stats {
 func (c *Coordinator) markUp(m *Member) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.state = Up
+	m.state = memberUp
 	m.fails = 0
 	m.lastErr = ""
 	m.lastSeen = time.Now()
@@ -328,9 +325,9 @@ func (c *Coordinator) markFailed(m *Member, err error) {
 	}
 	switch {
 	case m.fails >= downAfter:
-		m.state = Down
+		m.state = memberDown
 	case m.fails >= suspectAfter:
-		m.state = Suspect
+		m.state = memberSuspect
 	}
 }
 
@@ -347,9 +344,9 @@ func (c *Coordinator) routable() []*Member {
 		st := m.state
 		m.mu.Unlock()
 		switch st {
-		case Up:
+		case memberUp:
 			up = append(up, m)
-		case Suspect:
+		case memberSuspect:
 			suspect = append(suspect, m)
 		}
 	}

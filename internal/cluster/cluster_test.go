@@ -103,7 +103,7 @@ func TestGoldenFigure7CrossWorker(t *testing.T) {
 			if st.CellsFallback != 0 {
 				t.Fatalf("%d cells fell back in-process with healthy workers", st.CellsFallback)
 			}
-			if w1.Cells()+w2.Cells() == 0 {
+			if w1.cells.Load()+w2.cells.Load() == 0 {
 				t.Fatal("workers executed no cells")
 			}
 			if route.router != nil && (w1.Batches() == 0 || w2.Batches() == 0) {
@@ -341,7 +341,7 @@ func (r preferRouter) Pick(_ string, candidates []*Member) []*Member {
 	out := make([]*Member, 0, len(candidates))
 	var rest []*Member
 	for _, m := range candidates {
-		if strings.HasPrefix(m.Addr(), r.prefix) {
+		if strings.HasPrefix(m.addr, r.prefix) {
 			out = append(out, m)
 		} else {
 			rest = append(rest, m)

@@ -42,11 +42,11 @@ func (*AffinityRouter) score(streamKey, addr string) uint64 {
 func (r *AffinityRouter) Pick(streamKey string, candidates []*Member) []*Member {
 	out := append([]*Member(nil), candidates...)
 	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := r.score(streamKey, out[i].Addr()), r.score(streamKey, out[j].Addr())
+		si, sj := r.score(streamKey, out[i].addr), r.score(streamKey, out[j].addr)
 		if si != sj {
 			return si > sj
 		}
-		return out[i].Addr() < out[j].Addr()
+		return out[i].addr < out[j].addr
 	})
 	return out
 }

@@ -24,7 +24,7 @@ func (r *RoundRobinRouter) Pick(_ string, candidates []*Member) []*Member {
 	// Sort by address first so rotation is over a stable ring, not over
 	// whatever order membership happened to arrive in.
 	ring := append([]*Member(nil), candidates...)
-	sort.Slice(ring, func(i, j int) bool { return ring[i].Addr() < ring[j].Addr() })
+	sort.Slice(ring, func(i, j int) bool { return ring[i].addr < ring[j].addr })
 	k := int(r.next.Add(1)-1) % len(ring)
 	out := make([]*Member, 0, len(ring))
 	out = append(out, ring[k:]...)
@@ -35,7 +35,7 @@ func (r *RoundRobinRouter) Pick(_ string, candidates []*Member) []*Member {
 func members(addrs ...string) []*Member {
 	out := make([]*Member, len(addrs))
 	for i, a := range addrs {
-		out[i] = &Member{addr: a, state: Up}
+		out[i] = &Member{addr: a, state: memberUp}
 	}
 	return out
 }

@@ -72,9 +72,6 @@ func NewWorker(engine *shift.Engine) *Worker {
 // Batches returns the number of batch requests served.
 func (w *Worker) Batches() int64 { return w.batches.Load() }
 
-// Cells returns the number of cells received across all batches.
-func (w *Worker) Cells() int64 { return w.cells.Load() }
-
 // HandleBatch serves POST /v1/batch: decode the batch, execute it on
 // the local engine, answer per-cell. The engine reports every cell's own
 // result or error (a failing batch is isolated member by member), so one

@@ -125,8 +125,8 @@ func TestWorkerHandleBatch(t *testing.T) {
 			t.Fatalf("cell %d result differs from local Run", i)
 		}
 	}
-	if w.Batches() != 1 || w.Cells() != 2 {
-		t.Fatalf("counters: %d batches / %d cells, want 1 / 2", w.Batches(), w.Cells())
+	if w.Batches() != 1 || w.cells.Load() != 2 {
+		t.Fatalf("counters: %d batches / %d cells, want 1 / 2", w.Batches(), w.cells.Load())
 	}
 }
 

@@ -22,7 +22,7 @@ type Group struct {
 // buffer base address").
 //
 // The backend is shared: the histories live side by side in the same LLC.
-// writes bounds the records each history appends, as for NewSharedHistory.
+// writes bounds the records each history appends, as for newSharedHistory.
 func NewGroups(base Config, groups []Group, writes int, backend LLCBackend) ([]*SharedHistory, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: no workload groups")
@@ -31,7 +31,7 @@ func NewGroups(base Config, groups []Group, writes int, backend LLCBackend) ([]*
 	shs := make([]*SharedHistory, len(groups))
 	hb := base.HBBase
 	if hb == 0 {
-		hb = HBBaseBlock
+		hb = hbBaseBlock
 	}
 	for i, g := range groups {
 		if len(g.Cores) == 0 {
@@ -46,7 +46,7 @@ func NewGroups(base Config, groups []Group, writes int, backend LLCBackend) ([]*
 		cfg := base
 		cfg.GeneratorCore = g.Cores[0]
 		cfg.HBBase = hb
-		sh, err := NewSharedHistory(cfg, writes, backend)
+		sh, err := newSharedHistory(cfg, writes, backend)
 		if err != nil {
 			return nil, fmt.Errorf("core: group %q: %w", g.Name, err)
 		}

@@ -36,26 +36,26 @@ func (sh *SharedHistory) CorePrefetcher(coreID int) prefetch.Prefetcher {
 // PrefetchStats implements prefetch.StatsReporter.
 func (r *Replayer) PrefetchStats() prefetch.Stats { return r.stats }
 
-// IsGenerator reports whether this core currently records the shared
+// isGenerator reports whether this core currently records the shared
 // history (the role may rotate; see SharedHistory.SetGenerator).
-func (r *Replayer) IsGenerator() bool { return r.coreID == r.sh.generator }
+func (r *Replayer) isGenerator() bool { return r.coreID == r.sh.generator }
 
 // OnAccess implements prefetch.Prefetcher: Replay, then record the
 // access (WarmAccess).
 func (r *Replayer) OnAccess(a prefetch.Access) []prefetch.Request {
-	out := r.Replay(a)
+	out := r.replay(a)
 	r.WarmAccess(a.Block, a.Hit)
 	return out
 }
 
-// Replay is the reading side of OnAccess: it advances the stream covering
+// replay is the reading side of OnAccess: it advances the stream covering
 // a.Block, reading ahead as the stream drains, or on a miss (any uncovered
 // access under AllocOnAccess) starts a stream from the block's most recent
 // occurrence in the history, and returns the window's prefetches. It
 // records nothing, so a design that records something other than the
 // access stream (TIFS's miss stream; see missRecorder) replays through it
 // and records itself.
-func (r *Replayer) Replay(a prefetch.Access) []prefetch.Request {
+func (r *Replayer) replay(a prefetch.Access) []prefetch.Request {
 	r.out = r.out[:0]
 	r.stats.Accesses++
 	if !a.Hit {
@@ -88,7 +88,7 @@ func (r *Replayer) Replay(a prefetch.Access) []prefetch.Request {
 // full access stream into the shared history, every other core keeps
 // nothing that functional stepping warms.
 func (r *Replayer) WarmNeeds() prefetch.WarmNeed {
-	if r.IsGenerator() {
+	if r.isGenerator() {
 		return prefetch.WarmRecords
 	}
 	return prefetch.WarmNone
@@ -101,7 +101,7 @@ func (r *Replayer) WarmNeeds() prefetch.WarmNeed {
 // prefetch issue are skipped. Non-generator cores do nothing: SHIFT's
 // only slow-warming per-workload state is the shared history itself.
 func (r *Replayer) WarmAccess(blk trace.BlockAddr, _ bool) {
-	if !r.IsGenerator() {
+	if !r.isGenerator() {
 		return
 	}
 	if rec, done := r.sh.builder.Add(blk); done {
@@ -163,7 +163,7 @@ func (r *Replayer) fill(si int, pos uint64, want int) int64 {
 		// prefetches (Section 4.2 replay steps 2-4). All records of a
 		// fetched block enter the stream queue; prefetch issue is still
 		// paced by the SAB's lookahead window.
-		rpb := uint64(r.sh.cfg.RecordsPerBlock())
+		rpb := uint64(r.sh.cfg.recordsPerBlock())
 		var delay int64
 		got := 0
 		for reads := 0; got < want && reads < 2; reads++ {
@@ -235,14 +235,14 @@ func (m *missRecorder) OnAccess(a prefetch.Access) []prefetch.Request {
 		m.hits++
 		return nil
 	}
-	out := m.r.Replay(a)
+	out := m.r.replay(a)
 	m.WarmAccess(a.Block, false)
 	return out
 }
 
 // WarmNeeds implements prefetch.Warmer: the generator records the misses.
 func (m *missRecorder) WarmNeeds() prefetch.WarmNeed {
-	if m.r.IsGenerator() {
+	if m.r.isGenerator() {
 		return prefetch.WarmMisses
 	}
 	return prefetch.WarmNone
@@ -254,7 +254,7 @@ func (m *missRecorder) WarmNeeds() prefetch.WarmNeed {
 // stream — what detailed stepping records exactly when no prefetch
 // perturbs coverage, as in prediction mode.
 func (m *missRecorder) WarmAccess(blk trace.BlockAddr, l1Hit bool) {
-	if !l1Hit && m.r.IsGenerator() {
+	if !l1Hit && m.r.isGenerator() {
 		m.r.WarmRecord(history.Region{Trigger: blk})
 	}
 }

@@ -54,11 +54,11 @@ func (v Variant) String() string {
 	}
 }
 
-// HBBaseBlock is the default base block address of the reserved history
+// hbBaseBlock is the default base block address of the reserved history
 // range (paper: "reserves a small portion of the physical address space
 // that is hidden from the operating system"). It sits far above both code
 // regions.
-const HBBaseBlock trace.BlockAddr = 0xC000000
+const hbBaseBlock trace.BlockAddr = 0xC000000
 
 // LLCBackend is what virtualized SHIFT needs from the LLC and
 // interconnect. The simulator implements it; unit tests use fakes.
@@ -115,7 +115,7 @@ func DefaultConfig() Config {
 		HistEntries:   32768,
 		GeneratorCore: 0,
 		SAB:           history.DefaultSABConfig(),
-		HBBase:        HBBaseBlock,
+		HBBase:        hbBaseBlock,
 	}
 }
 
@@ -185,14 +185,14 @@ func (c Config) Validate() error {
 	return c.SAB.Validate()
 }
 
-// RecordsPerBlock returns how many region records share one history cache
+// recordsPerBlock returns how many region records share one history cache
 // block (12 at the paper's span of 8).
-func (c Config) RecordsPerBlock() int { return history.RecordsPerCacheBlock(c.SAB.Span) }
+func (c Config) recordsPerBlock() int { return history.RecordsPerCacheBlock(c.SAB.Span) }
 
 // HistoryBlocks returns the number of LLC blocks the virtualized history
 // occupies (2,731 at the paper's design point).
 func (c Config) HistoryBlocks() int {
-	rpb := c.RecordsPerBlock()
+	rpb := c.recordsPerBlock()
 	return (c.HistEntries + rpb - 1) / rpb
 }
 
@@ -232,11 +232,11 @@ type SharedHistory struct {
 	indexForeign   int64 // pointers rejected because another history set them
 }
 
-// NewSharedHistory builds the shared history for a run of at most writes
+// newSharedHistory builds the shared history for a run of at most writes
 // rounds (0: unbounded), which sizes the buffer's host storage (see
 // history.NewBuffer). backend is required for the Virtualized variant and
 // ignored for Dedicated.
-func NewSharedHistory(cfg Config, writes int, backend LLCBackend) (*SharedHistory, error) {
+func newSharedHistory(cfg Config, writes int, backend LLCBackend) (*SharedHistory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -264,7 +264,7 @@ func NewSharedHistory(cfg Config, writes int, backend LLCBackend) (*SharedHistor
 }
 
 // Release hands the history (and, for the dedicated variant, index)
-// storage back for the next NewSharedHistory of the same sizes (see
+// storage back for the next newSharedHistory of the same sizes (see
 // history.Buffer.Release). The caller must not use sh, or any Replayer
 // made from it, again.
 func (sh *SharedHistory) Release() {
@@ -272,15 +272,6 @@ func (sh *SharedHistory) Release() {
 	if sh.index != nil {
 		sh.index.Release()
 	}
-}
-
-// MustNewSharedHistory panics on config errors.
-func MustNewSharedHistory(cfg Config, writes int, backend LLCBackend) *SharedHistory {
-	sh, err := NewSharedHistory(cfg, writes, backend)
-	if err != nil {
-		panic(err)
-	}
-	return sh
 }
 
 // Config returns the configuration.
@@ -311,7 +302,7 @@ func (sh *SharedHistory) Rotations() int64 { return sh.rotations }
 // block (write pointer + HBBase, Section 4.2 recording step 3).
 func (sh *SharedHistory) hbBlockFor(pos uint64) trace.BlockAddr {
 	slot := pos % uint64(sh.cfg.HistEntries)
-	return sh.cfg.HBBase + trace.BlockAddr(slot/uint64(sh.cfg.RecordsPerBlock()))
+	return sh.cfg.HBBase + trace.BlockAddr(slot/uint64(sh.cfg.recordsPerBlock()))
 }
 
 // append writes one completed region record of the generator core to the
@@ -336,7 +327,7 @@ func (sh *SharedHistory) append(coreID int, rec history.Region) {
 		// Accumulate into the CBB; flush a full block to the LLC
 		// (recording steps 1, 3, 4).
 		sh.cbbCount++
-		if sh.cbbCount >= sh.cfg.RecordsPerBlock() {
+		if sh.cbbCount >= sh.cfg.recordsPerBlock() {
 			sh.backend.WriteHistoryBlock(coreID, sh.hbBlockFor(pos))
 			sh.histWrites++
 			sh.cbbCount = 0

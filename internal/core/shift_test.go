@@ -86,8 +86,8 @@ func TestPaperSizing(t *testing.T) {
 	c := DefaultConfig()
 	// Section 4.2: 12 records per 64B block; 32K records need 2,731
 	// cache lines = ~171KB of LLC capacity.
-	if c.RecordsPerBlock() != 12 {
-		t.Errorf("RecordsPerBlock = %d, want 12", c.RecordsPerBlock())
+	if c.recordsPerBlock() != 12 {
+		t.Errorf("RecordsPerBlock = %d, want 12", c.recordsPerBlock())
 	}
 	if c.HistoryBlocks() != 2731 {
 		t.Errorf("HistoryBlocks = %d, want 2731", c.HistoryBlocks())
@@ -112,10 +112,10 @@ func TestVariantString(t *testing.T) {
 }
 
 func TestVirtualizedRequiresBackend(t *testing.T) {
-	if _, err := NewSharedHistory(testCfg(Virtualized), 0, nil); err == nil {
+	if _, err := newSharedHistory(testCfg(Virtualized), 0, nil); err == nil {
 		t.Error("virtualized SHIFT without backend accepted")
 	}
-	if _, err := NewSharedHistory(testCfg(Dedicated), 0, nil); err != nil {
+	if _, err := newSharedHistory(testCfg(Dedicated), 0, nil); err != nil {
 		t.Errorf("dedicated SHIFT rejected: %v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestOnlyGeneratorRecords(t *testing.T) {
 	if sh.Stats().RecordsWritten == 0 {
 		t.Error("generator core wrote no records")
 	}
-	if !gen.IsGenerator() || other.IsGenerator() {
+	if !gen.isGenerator() || other.isGenerator() {
 		t.Error("IsGenerator wrong")
 	}
 }
@@ -202,7 +202,7 @@ func TestVirtualizedRecordingTraffic(t *testing.T) {
 	if llc.updates != int(st.IndexUpdates) || llc.updates == 0 {
 		t.Errorf("index updates: llc=%d stats=%d", llc.updates, st.IndexUpdates)
 	}
-	wantFlushes := int(st.RecordsWritten) / cfg.RecordsPerBlock()
+	wantFlushes := int(st.RecordsWritten) / cfg.recordsPerBlock()
 	if llc.writes != wantFlushes {
 		t.Errorf("CBB flushes = %d, want %d", llc.writes, wantFlushes)
 	}
@@ -413,4 +413,16 @@ func TestMustNewSharedHistoryPanics(t *testing.T) {
 		}
 	}()
 	MustNewSharedHistory(Config{}, 0, nil)
+}
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// MustNewSharedHistory panics on config errors.
+func MustNewSharedHistory(cfg Config, writes int, backend LLCBackend) *SharedHistory {
+	sh, err := newSharedHistory(cfg, writes, backend)
+	if err != nil {
+		panic(err)
+	}
+	return sh
 }

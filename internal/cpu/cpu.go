@@ -44,10 +44,6 @@ func (t CoreType) String() string {
 // Valid reports whether t is a defined core type.
 func (t CoreType) Valid() bool { return t >= 0 && t < coreTypeCount }
 
-// AllCoreTypes returns the three core types in paper order
-// (Fat-OoO, Lean-OoO, Lean-IO as listed in Table I).
-func AllCoreTypes() []CoreType { return []CoreType{FatOoO, LeanOoO, LeanIO} }
-
 // Params are the microarchitectural and model parameters of a core type.
 type Params struct {
 	// Width is dispatch/retirement width (Table I).
@@ -107,9 +103,6 @@ func NewClock(t CoreType) *Clock {
 	return &Clock{p: p, baseFP: int64(p.BaseCPI * (1 << fpShift))}
 }
 
-// Params returns the core parameters driving this clock.
-func (c *Clock) Params() Params { return c.p }
-
 // Retire accounts n retired instructions of backend work.
 func (c *Clock) Retire(n int) {
 	c.instrs += int64(n)
@@ -139,26 +132,8 @@ func (c *Clock) Now() int64 { return c.cyclesFP >> fpShift }
 // Instructions returns retired instructions.
 func (c *Clock) Instructions() int64 { return c.instrs }
 
-// IPC returns instructions per cycle so far (0 when no cycles).
-func (c *Clock) IPC() float64 {
-	if c.Now() == 0 {
-		return 0
-	}
-	return float64(c.instrs) / float64(c.Now())
-}
-
 // FetchStallCycles returns total exposed fetch-stall cycles.
 func (c *Clock) FetchStallCycles() int64 { return c.fetchStall }
 
 // BranchStallCycles returns total mispredict bubble cycles.
 func (c *Clock) BranchStallCycles() int64 { return c.branchStall }
-
-// FetchStallFraction returns the share of all cycles spent in exposed
-// fetch stalls (the paper's "frontend stalls ... account for up to 40% of
-// execution time" metric).
-func (c *Clock) FetchStallFraction() float64 {
-	if c.Now() == 0 {
-		return 0
-	}
-	return float64(c.fetchStall) / float64(c.Now())
-}

@@ -12,9 +12,6 @@ func TestCoreTypeNames(t *testing.T) {
 	if !LeanOoO.Valid() || CoreType(9).Valid() {
 		t.Error("Valid wrong")
 	}
-	if len(AllCoreTypes()) != 3 {
-		t.Error("AllCoreTypes should list 3 designs")
-	}
 }
 
 func TestTableIParams(t *testing.T) {
@@ -62,8 +59,7 @@ func TestClockRetire(t *testing.T) {
 	if got := c.Now(); got < 1098 || got > 1101 {
 		t.Errorf("Now = %d, want ~1100", got)
 	}
-	ipc := c.IPC()
-	if ipc < 0.89 || ipc > 0.92 {
+	if ipc := float64(c.Instructions()) / float64(c.Now()); ipc < 0.89 || ipc > 0.92 {
 		t.Errorf("IPC = %v, want ~1/1.1", ipc)
 	}
 }
@@ -108,18 +104,21 @@ func TestClockMispredict(t *testing.T) {
 	}
 }
 
+// TestFetchStallFraction checks the accounting internal/sim's results read:
+// exposed fetch-stall cycles are a share of all cycles (Now), beside the
+// retired instructions.
 func TestFetchStallFraction(t *testing.T) {
 	c := NewClock(LeanIO)
-	if c.FetchStallFraction() != 0 {
-		t.Error("empty clock stall fraction should be 0")
+	if c.Now() != 0 || c.FetchStallCycles() != 0 || c.Instructions() != 0 {
+		t.Error("a new clock has counted cycles")
 	}
 	c.Retire(1000) // ~1100 cycles
 	c.FetchStall(1100)
-	f := c.FetchStallFraction()
-	if f < 0.45 || f > 0.55 {
-		t.Errorf("stall fraction = %v, want ~0.5", f)
+	if c.FetchStallCycles() != 1100 {
+		t.Errorf("FetchStallCycles = %d, want 1100", c.FetchStallCycles())
 	}
-	if c.IPC() <= 0 {
-		t.Error("IPC should be positive")
+	f := float64(c.FetchStallCycles()) / float64(c.Now())
+	if f < 0.45 || f > 0.55 {
+		t.Errorf("stall share = %v, want ~0.5", f)
 	}
 }

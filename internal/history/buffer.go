@@ -32,7 +32,7 @@ type Buffer struct {
 // it, so an IndexTable entry holds position + 1 in posBits bits and a
 // virtualized history's LLC tag pointer fits 32. A history appends at most
 // one record a round, so a run's window of records per core is bounded by
-// it too (sim.RunSpec.Validate).
+// it too (sim.RunSpec.validate).
 const MaxWrites = 1<<posBits - 1
 
 // vecBits is the width of the vector field of a packed record: all of
@@ -79,18 +79,6 @@ func NewBuffer(capacity, writes int) (*Buffer, error) {
 // allocated length. The caller must hold the only reference to b and must
 // not use it again.
 func (b *Buffer) Release() { freeBuffers.Put(len(b.records), b) }
-
-// MustNewBuffer panics on config errors.
-func MustNewBuffer(capacity, writes int) *Buffer {
-	b, err := NewBuffer(capacity, writes)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Cap returns the modelled record capacity.
-func (b *Buffer) Cap() int { return int(b.capacity) }
 
 // WritePos returns the absolute position the next Append will write to
 // (the paper's write pointer).

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -140,13 +141,13 @@ func TestBuilderReset(t *testing.T) {
 }
 
 func TestBuilderSpanValidation(t *testing.T) {
-	if _, err := NewBuilder(1); err == nil {
+	if _, err := newBuilder(1); err == nil {
 		t.Error("span 1 accepted")
 	}
-	if _, err := NewBuilder(17); err == nil {
+	if _, err := newBuilder(17); err == nil {
 		t.Error("span 17 accepted")
 	}
-	if b, err := NewBuilder(0); err != nil || b.Span() != DefaultRegionSpan {
+	if b, err := newBuilder(0); err != nil || b.span != DefaultRegionSpan {
 		t.Errorf("span 0 should default to %d", DefaultRegionSpan)
 	}
 	defer func() {
@@ -222,16 +223,16 @@ func TestBufferReadSeq(t *testing.T) {
 func TestBufferRoundTrip(t *testing.T) {
 	triggers := []trace.BlockAddr{0, 1, 0x2AAAAAAAA, 0x155555555, trace.MaxBlockAddr - MaxRegionSpan, trace.MaxBlockAddr}
 	b := MustNewBuffer(1<<16, 0)
-	want := make([]Region, 0, b.Cap())
-	for vec := 0; vec < b.Cap(); vec++ {
+	want := make([]Region, 0, int(b.capacity))
+	for vec := 0; vec < int(b.capacity); vec++ {
 		r := Region{Trigger: triggers[vec%len(triggers)], Vec: uint16(vec)}
 		want = append(want, r)
 		if got, ok := b.Read(b.Append(r)); !ok || got != r {
 			t.Fatalf("Read after Append(%v) = %v, %v", r, got, ok)
 		}
 	}
-	got, next := b.ReadSeq(nil, 0, b.Cap()+1)
-	if next != uint64(b.Cap()) || len(got) != len(want) {
+	got, next := b.ReadSeq(nil, 0, int(b.capacity)+1)
+	if next != b.capacity || len(got) != len(want) {
 		t.Fatalf("ReadSeq returned %d records up to %d, want %d", len(got), next, len(want))
 	}
 	for i := range want {
@@ -258,7 +259,7 @@ func TestBufferValidityProperty(t *testing.T) {
 }
 
 // TestBufferRunSizedMatchesFull: a buffer built for a window of W records
-// answers Valid, Read, Len and Cap like one of its whole capacity over
+// answers Valid, Read, Len and capacity like one of its whole capacity over
 // its window, for windows below, at and above the capacity, and refuses
 // a record past a window below the capacity.
 func TestBufferRunSizedMatchesFull(t *testing.T) {
@@ -270,8 +271,8 @@ func TestBufferRunSizedMatchesFull(t *testing.T) {
 			if p, q := run.Append(r), full.Append(r); p != q {
 				t.Fatalf("window %d: Append %d at %d, full buffer at %d", writes, i, p, q)
 			}
-			if run.Len() != full.Len() || run.Cap() != full.Cap() {
-				t.Fatalf("window %d, %d appended: Len/Cap %d/%d, full buffer %d/%d", writes, i+1, run.Len(), run.Cap(), full.Len(), full.Cap())
+			if run.Len() != full.Len() || run.capacity != full.capacity {
+				t.Fatalf("window %d, %d appended: Len/Cap %d/%d, full buffer %d/%d", writes, i+1, run.Len(), run.capacity, full.Len(), full.capacity)
 			}
 			for pos := uint64(0); pos <= uint64(i)+1; pos++ {
 				g, gok := run.Read(pos)
@@ -311,8 +312,8 @@ func TestBufferRejectsBadCap(t *testing.T) {
 
 func TestIndexTableBasic(t *testing.T) {
 	it := MustNewIndexTable(8, 4)
-	if it.Cap() != 8 {
-		t.Fatalf("Cap = %d", it.Cap())
+	if len(it.tab) != 8 {
+		t.Fatalf("Cap = %d", len(it.tab))
 	}
 	if _, ok := it.Lookup(5); ok {
 		t.Fatal("hit in empty table")
@@ -367,10 +368,10 @@ func TestIndexTableLRUTouchOnLookup(t *testing.T) {
 }
 
 func TestIndexTableValidation(t *testing.T) {
-	if _, err := NewIndexTable(0, 1); err == nil {
+	if _, err := newIndexTable(0, 1); err == nil {
 		t.Error("zero entries accepted")
 	}
-	if _, err := NewIndexTable(8, 3); err == nil {
+	if _, err := newIndexTable(8, 3); err == nil {
 		t.Error("non-dividing assoc accepted")
 	}
 	defer func() {
@@ -395,4 +396,66 @@ func TestIndexTableCapProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// MustNewBuffer panics on config errors.
+func MustNewBuffer(capacity, writes int) *Buffer {
+	b, err := NewBuffer(capacity, writes)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// Flush completes and returns the in-progress region, if any.
+func (b *Builder) Flush() (Region, bool) {
+	if !b.open {
+		return Region{}, false
+	}
+	b.open = false
+	return b.cur, true
+}
+
+// Contains reports whether the record covers block b under the given span.
+func (r Region) Contains(b trace.BlockAddr, span int) bool {
+	if b == r.Trigger {
+		return true
+	}
+	if b < r.Trigger {
+		return false
+	}
+	off := uint64(b - r.Trigger)
+	if off >= uint64(span) {
+		return false
+	}
+	return r.Vec&(1<<(off-1)) != 0
+}
+
+// Blocks appends the covered block addresses (trigger first, then the set
+// vector offsets in ascending order) to dst and returns it. The vector is
+// walked set-bit by set-bit, so the cost scales with the blocks actually
+// covered rather than the span.
+func (r Region) Blocks(dst []trace.BlockAddr, span int) []trace.BlockAddr {
+	dst = append(dst, r.Trigger)
+	vec := uint32(r.Vec) & (1<<(span-1) - 1)
+	for vec != 0 {
+		off := bits.TrailingZeros32(vec)
+		dst = append(dst, r.Trigger+trace.BlockAddr(off+1))
+		vec &= vec - 1
+	}
+	return dst
+}
+
+// Count returns the number of blocks the record covers (trigger included).
+func (r Region) Count(span int) int {
+	n := 1
+	for off := 1; off < span; off++ {
+		if r.Vec&(1<<(off-1)) != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -52,10 +52,10 @@ type tableShape struct{ entries, assoc int }
 // freeTables holds released tables by shape; see IndexTable.Release.
 var freeTables freelist.Keyed[tableShape, IndexTable]
 
-// NewIndexTable returns an empty table with `entries` total entries and
+// newIndexTable returns an empty table with `entries` total entries and
 // the given associativity, reusing the storage of a released table of
 // that shape when one is held.
-func NewIndexTable(entries, assoc int) (*IndexTable, error) {
+func newIndexTable(entries, assoc int) (*IndexTable, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("history: index entries %d <= 0", entries)
 	}
@@ -94,15 +94,12 @@ func (t *IndexTable) Release() { freeTables.Put(tableShape{len(t.tab), t.assoc},
 
 // MustNewIndexTable panics on config errors.
 func MustNewIndexTable(entries, assoc int) *IndexTable {
-	t, err := NewIndexTable(entries, assoc)
+	t, err := newIndexTable(entries, assoc)
 	if err != nil {
 		panic(err)
 	}
 	return t
 }
-
-// Cap returns the total entry capacity.
-func (t *IndexTable) Cap() int { return len(t.tab) }
 
 // set returns trigger's set index and tag: the set index's bits taken
 // off the trigger.
@@ -165,23 +162,4 @@ func (t *IndexTable) Update(trigger trace.BlockAddr, pos uint64) {
 	}
 	touch(set, way, tag<<posBits|(pos+1))
 	t.dirty[si>>6] |= 1 << (si & 63)
-}
-
-// Len returns the number of valid entries.
-func (t *IndexTable) Len() int {
-	n := 0
-	for _, e := range t.tab {
-		if e != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// HitRate returns the fraction of lookups that hit (1.0 if none yet).
-func (t *IndexTable) HitRate() float64 {
-	if t.lookups == 0 {
-		return 1
-	}
-	return float64(t.hits) / float64(t.lookups)
 }

@@ -167,3 +167,25 @@ func TestIndexTableMatchesStampLRU(t *testing.T) {
 		}
 	}
 }
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// Len returns the number of valid entries.
+func (t *IndexTable) Len() int {
+	n := 0
+	for _, e := range t.tab {
+		if e != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// HitRate returns the fraction of lookups that hit (1.0 if none yet).
+func (t *IndexTable) HitRate() float64 {
+	if t.lookups == 0 {
+		return 1
+	}
+	return float64(t.hits) / float64(t.lookups)
+}

@@ -14,7 +14,6 @@ package history
 
 import (
 	"fmt"
-	"math/bits"
 
 	"shift/internal/trace"
 )
@@ -37,47 +36,6 @@ const MaxRegionSpan = 16
 type Region struct {
 	Trigger trace.BlockAddr
 	Vec     uint16
-}
-
-// Contains reports whether the record covers block b under the given span.
-func (r Region) Contains(b trace.BlockAddr, span int) bool {
-	if b == r.Trigger {
-		return true
-	}
-	if b < r.Trigger {
-		return false
-	}
-	off := uint64(b - r.Trigger)
-	if off >= uint64(span) {
-		return false
-	}
-	return r.Vec&(1<<(off-1)) != 0
-}
-
-// Blocks appends the covered block addresses (trigger first, then the set
-// vector offsets in ascending order) to dst and returns it. The vector is
-// walked set-bit by set-bit, so the cost scales with the blocks actually
-// covered rather than the span.
-func (r Region) Blocks(dst []trace.BlockAddr, span int) []trace.BlockAddr {
-	dst = append(dst, r.Trigger)
-	vec := uint32(r.Vec) & (1<<(span-1) - 1)
-	for vec != 0 {
-		off := bits.TrailingZeros32(vec)
-		dst = append(dst, r.Trigger+trace.BlockAddr(off+1))
-		vec &= vec - 1
-	}
-	return dst
-}
-
-// Count returns the number of blocks the record covers (trigger included).
-func (r Region) Count(span int) int {
-	n := 1
-	for off := 1; off < span; off++ {
-		if r.Vec&(1<<(off-1)) != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String formats the record compactly.
@@ -109,8 +67,8 @@ type Builder struct {
 	open bool
 }
 
-// NewBuilder creates a Builder with the given span (DefaultRegionSpan if 0).
-func NewBuilder(span int) (*Builder, error) {
+// newBuilder creates a Builder with the given span (DefaultRegionSpan if 0).
+func newBuilder(span int) (*Builder, error) {
 	if span == 0 {
 		span = DefaultRegionSpan
 	}
@@ -122,15 +80,12 @@ func NewBuilder(span int) (*Builder, error) {
 
 // MustNewBuilder panics on config errors.
 func MustNewBuilder(span int) *Builder {
-	b, err := NewBuilder(span)
+	b, err := newBuilder(span)
 	if err != nil {
 		panic(err)
 	}
 	return b
 }
-
-// Span returns the region span.
-func (b *Builder) Span() int { return b.span }
 
 // Add consumes one retired block access. If the access closes the current
 // region, the completed record is returned with done=true.
@@ -152,15 +107,6 @@ func (b *Builder) Add(blk trace.BlockAddr) (completed Region, done bool) {
 	completed = b.cur
 	b.cur = Region{Trigger: blk}
 	return completed, true
-}
-
-// Flush completes and returns the in-progress region, if any.
-func (b *Builder) Flush() (Region, bool) {
-	if !b.open {
-		return Region{}, false
-	}
-	b.open = false
-	return b.cur, true
 }
 
 // Reset drops the in-progress region: the next access is a trigger.

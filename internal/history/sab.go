@@ -88,8 +88,8 @@ type SAB struct {
 	evictions int64
 }
 
-// NewSAB builds a stream address buffer file.
-func NewSAB(cfg SABConfig) (*SAB, error) {
+// newSAB builds a stream address buffer file.
+func newSAB(cfg SABConfig) (*SAB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,21 +105,11 @@ func NewSAB(cfg SABConfig) (*SAB, error) {
 
 // MustNewSAB panics on config errors.
 func MustNewSAB(cfg SABConfig) *SAB {
-	s, err := NewSAB(cfg)
+	s, err := newSAB(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// Config returns the SAB configuration.
-func (s *SAB) Config() SABConfig { return s.cfg }
-
-// Covers reports whether blk falls inside any queued region of any live
-// stream, without modifying state.
-func (s *SAB) Covers(blk trace.BlockAddr) bool {
-	_, _, ok := s.find(blk)
-	return ok
 }
 
 // find locates the first (stream, region) covering blk.
@@ -284,53 +274,3 @@ func (s *SAB) TakePrefetchBlocks(si int, skip trace.BlockAddr, dst []trace.Block
 
 // NextPos returns the history position stream si continues reading from.
 func (s *SAB) NextPos(si int) uint64 { return s.streams[si].nextPos }
-
-// StreamLen returns the queued record count of stream si.
-func (s *SAB) StreamLen(si int) int { return len(s.streams[si].trig) }
-
-// LiveStreams returns the number of live streams.
-func (s *SAB) LiveStreams() int {
-	n := 0
-	for i := range s.streams {
-		if s.streams[i].live {
-			n++
-		}
-	}
-	return n
-}
-
-// Stats returns (allocations, advances, stream evictions).
-func (s *SAB) Stats() (allocs, advances, evictions int64) {
-	return s.allocs, s.advances, s.evictions
-}
-
-// CheckInvariants verifies stream bounds and filters; used by property
-// tests.
-func (s *SAB) CheckInvariants() error {
-	if len(s.streams) != s.cfg.Streams {
-		return fmt.Errorf("history: stream count %d != %d", len(s.streams), s.cfg.Streams)
-	}
-	for i := range s.streams {
-		st := &s.streams[i]
-		if len(st.trig) != len(st.cov) {
-			return fmt.Errorf("history: stream %d trigger/coverage length mismatch", i)
-		}
-		if n := len(st.trig); n > s.cfg.Capacity {
-			return fmt.Errorf("history: stream %d holds %d > capacity %d", i, n, s.cfg.Capacity)
-		}
-		if !st.live && len(st.trig) > 0 {
-			return fmt.Errorf("history: dead stream %d holds records", i)
-		}
-		var filter uint64
-		for ri, t := range st.trig {
-			if st.cov[ri]&1 == 0 {
-				return fmt.Errorf("history: stream %d region %d missing trigger coverage bit", i, ri)
-			}
-			filter |= residues(t, st.cov[ri])
-		}
-		if st.filter != filter {
-			return fmt.Errorf("history: stream %d filter %#x, its records cover %#x", i, st.filter, filter)
-		}
-	}
-	return nil
-}

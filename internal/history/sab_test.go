@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -163,7 +164,7 @@ func TestSABInvariantsProperty(t *testing.T) {
 }
 
 func TestSABRejectsBadConfig(t *testing.T) {
-	if _, err := NewSAB(SABConfig{}); err == nil {
+	if _, err := newSAB(SABConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
 	defer func() {
@@ -394,4 +395,64 @@ func FuzzSAB(f *testing.F) {
 	f.Add([]byte{3, 11, 6, 4, 0, 1, 2, 0, 3, 10, 0, 2, 0, 12, 0, 0, 0, 10, 3, 0, 10})
 	f.Add([]byte{7, 15, 14, 17, 1, 1, 1, 2, 1, 5, 250, 0, 255, 255, 252, 1, 0, 4, 255, 3, 1, 255})
 	f.Fuzz(func(t *testing.T, data []byte) { checkSABOps(t, data) })
+}
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// Covers reports whether blk falls inside any queued region of any live
+// stream, without modifying state.
+func (s *SAB) Covers(blk trace.BlockAddr) bool {
+	_, _, ok := s.find(blk)
+	return ok
+}
+
+// StreamLen returns the queued record count of stream si.
+func (s *SAB) StreamLen(si int) int { return len(s.streams[si].trig) }
+
+// LiveStreams returns the number of live streams.
+func (s *SAB) LiveStreams() int {
+	n := 0
+	for i := range s.streams {
+		if s.streams[i].live {
+			n++
+		}
+	}
+	return n
+}
+
+// Stats returns (allocations, advances, stream evictions).
+func (s *SAB) Stats() (allocs, advances, evictions int64) {
+	return s.allocs, s.advances, s.evictions
+}
+
+// CheckInvariants verifies stream bounds and filters; used by property
+// tests.
+func (s *SAB) CheckInvariants() error {
+	if len(s.streams) != s.cfg.Streams {
+		return fmt.Errorf("history: stream count %d != %d", len(s.streams), s.cfg.Streams)
+	}
+	for i := range s.streams {
+		st := &s.streams[i]
+		if len(st.trig) != len(st.cov) {
+			return fmt.Errorf("history: stream %d trigger/coverage length mismatch", i)
+		}
+		if n := len(st.trig); n > s.cfg.Capacity {
+			return fmt.Errorf("history: stream %d holds %d > capacity %d", i, n, s.cfg.Capacity)
+		}
+		if !st.live && len(st.trig) > 0 {
+			return fmt.Errorf("history: dead stream %d holds records", i)
+		}
+		var filter uint64
+		for ri, t := range st.trig {
+			if st.cov[ri]&1 == 0 {
+				return fmt.Errorf("history: stream %d region %d missing trigger coverage bit", i, ri)
+			}
+			filter |= residues(t, st.cov[ri])
+		}
+		if st.filter != filter {
+			return fmt.Errorf("history: stream %d filter %#x, its records cover %#x", i, st.filter, filter)
+		}
+	}
+	return nil
 }

@@ -41,7 +41,7 @@ func TestCancelJournalRefusedKeepsJobRunning(t *testing.T) {
 		b.run(cfg)
 		return storingRunner(store, nil)(cfg)
 	}
-	m, err := Open(Config{Workers: 1, Journal: refusingJournal{jn, OpCancel}, Lookup: store.Lookup, Run: run})
+	m, err := Open(Config{Workers: 1, Journal: refusingJournal{jn, opCancel}, Lookup: store.Lookup, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,20 +468,20 @@ func fuzzEntries(data []byte) []Entry {
 		}
 		switch op % 8 {
 		case 0:
-			e.Op, e.Cells = OpSubmit, cells
+			e.Op, e.Cells = opSubmit, cells
 		case 1:
-			e.Op = OpCell
+			e.Op = opCell
 		case 2:
-			e.Op, e.Err = OpCell, "boom"
+			e.Op, e.Err = opCell, "boom"
 		case 3:
-			e.Op = OpCancel
+			e.Op = opCancel
 		case 4:
-			e.Op, e.State = OpEnd, StateDone
+			e.Op, e.State = opEnd, StateDone
 		case 5:
-			e.Op, e.Cells = OpSnap, cells
+			e.Op, e.Cells = opSnap, cells
 			e.Ops = []CellOp{{Cell: cell}, {Cell: cell + 1, Err: "boom"}, {Cell: cell}}
 		case 6:
-			e.Op = OpLastID
+			e.Op = opLastID
 		default:
 			e.Op = "bogus"
 		}

@@ -311,9 +311,9 @@ func TestRecoveryRepartitionsHalfFinishedBatch(t *testing.T) {
 	// failed for good.
 	jn := openJournal(t, path)
 	for _, e := range []Entry{
-		{Op: OpSubmit, Job: "j-000001", Created: time.Now(), Cells: entryCells(cells)},
-		{Op: OpCell, Job: "j-000001", Cell: 0},
-		{Op: OpCell, Job: "j-000001", Cell: 2, Err: "boom"},
+		{Op: opSubmit, Job: "j-000001", Created: time.Now(), Cells: entryCells(cells)},
+		{Op: opCell, Job: "j-000001", Cell: 0},
+		{Op: opCell, Job: "j-000001", Cell: 2, Err: "boom"},
 	} {
 		if err := jn.Append(e); err != nil {
 			t.Fatal(err)

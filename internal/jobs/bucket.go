@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// maxClients bounds the bucket map: when a Take would grow it past
+// maxClients bounds the bucket map: when a take would grow it past
 // this, full (fully-refilled, i.e. idle) buckets are swept first. A
 // full bucket is behaviorally identical to a fresh one, so sweeping
 // never changes an admission decision.
@@ -28,17 +28,17 @@ type Buckets struct {
 	m     map[string]*bucket
 }
 
-// bucket is one client's token state: the balance as of the last Take.
+// bucket is one client's token state: the balance as of the last take.
 type bucket struct {
 	tokens float64
 	last   time.Time
 }
 
-// NewBuckets returns a bucket set refilling at rate tokens/second with
+// newBuckets returns a bucket set refilling at rate tokens/second with
 // capacity burst per client. Non-positive rate or burst are clamped to
 // 1. The now function supplies the clock (nil = time.Now; tests inject
 // a fake).
-func NewBuckets(rate, burst float64, now func() time.Time) *Buckets {
+func newBuckets(rate, burst float64, now func() time.Time) *Buckets {
 	if rate <= 0 {
 		rate = 1
 	}
@@ -53,7 +53,7 @@ func NewBuckets(rate, burst float64, now func() time.Time) *Buckets {
 
 // Decision is the outcome of one admission check.
 type Decision struct {
-	// OK reports whether the request was admitted (by Take: the tokens
+	// OK reports whether the request was admitted (by take: the tokens
 	// have been debited).
 	OK bool
 	// RetryAfter is the wait after which a retry of the same request
@@ -65,15 +65,15 @@ type Decision struct {
 	Never bool
 }
 
-// Take requests cost tokens from client's bucket and reports the
+// take requests cost tokens from client's bucket and reports the
 // decision. On admission the tokens are debited; on rejection the
 // bucket is untouched and RetryAfter says when to come back.
-func (b *Buckets) Take(client string, cost float64) Decision {
+func (b *Buckets) take(client string, cost float64) Decision {
 	return b.decide(client, cost, true)
 }
 
-// Check reports the decision Take would make now, debiting nothing.
-func (b *Buckets) Check(client string, cost float64) Decision {
+// check reports the decision take would make now, debiting nothing.
+func (b *Buckets) check(client string, cost float64) Decision {
 	return b.decide(client, cost, false)
 }
 

@@ -10,7 +10,7 @@ import "shift"
 // policies, never the sampled-before-exact preference.
 const functionalCostFraction = 0.1
 
-// EstimateCost returns the estimated execution cost of one cell in
+// estimateCost returns the estimated execution cost of one cell in
 // detailed-record-equivalents: the number of (core × record) steps the
 // simulator will take, with functionally fast-forwarded records
 // weighted at functionalCostFraction. The scheduler uses it for
@@ -18,7 +18,7 @@ const functionalCostFraction = 0.1
 // window is mostly fast-forwarded) are preferred over exact
 // confirmations of the same window. It is a heuristic for ordering
 // only — it never affects results.
-func EstimateCost(cfg shift.Config) float64 {
+func estimateCost(cfg shift.Config) float64 {
 	cores := cfg.Cores
 	if cores == 0 {
 		cores = 16

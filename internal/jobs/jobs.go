@@ -9,7 +9,7 @@
 // stream they consume (shift.Config.Stream — the six designs of one
 // workload are one batch) and each part is one schedulable unit in a
 // single process-wide priority queue ordered by estimated cost (the sum
-// of its cells' EstimateCost), so cheap sampled probes overtake
+// of its cells' estimateCost), so cheap sampled probes overtake
 // expensive exact confirmations regardless of arrival order — the
 // SJF-style batch formation of BLIS-like inference schedulers. A worker
 // pops a batch and executes its cells together through the
@@ -585,8 +585,8 @@ func (j *Job) detach(results *shift.ResultCache) {
 // the queue past its bound; the caller should back off and retry.
 var ErrQueueFull = errors.New("jobs: queue full")
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("jobs: manager closed")
+// errClosed is returned by Submit after Close.
+var errClosed = errors.New("jobs: manager closed")
 
 // ErrNotFound is returned by Cancel for an ID not in the registry: never
 // issued, or its job has left.
@@ -780,7 +780,7 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:          cfg,
-		buckets:      NewBuckets(cfg.Rate, cfg.Burst, cfg.Now),
+		buckets:      newBuckets(cfg.Rate, cfg.Burst, cfg.Now),
 		jobs:         make(map[string]*Job),
 		drainStarted: make(chan struct{}),
 	}
@@ -817,7 +817,7 @@ func (m *Manager) SubmitSyncFrom(client string, cells []shift.Cell) (*Job, error
 // ErrDraining during graceful shutdown, ErrQueueFull when the queued-cell
 // bound would be exceeded, an *AdmissionError when the client's bucket
 // cannot pay for the job (each of these rejections is counted), and
-// ErrClosed after Close. With a journal configured the submission is
+// errClosed after Close. With a journal configured the submission is
 // journaled — durably — before it is acknowledged; a journal write
 // failure rejects the submission rather than admitting a job that a
 // restart would forget. The bucket is charged last, so a refused
@@ -836,7 +836,7 @@ func (m *Manager) submit(client string, cells []shift.Cell, sync bool) (*Job, er
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if m.draining {
 		m.rejected++
@@ -848,13 +848,13 @@ func (m *Manager) submit(client string, cells []shift.Cell, sync bool) (*Job, er
 	}
 	metered, cost := client != "", float64(len(cells))
 	if metered {
-		if d := m.buckets.Check(client, cost); !d.OK {
+		if d := m.buckets.check(client, cost); !d.OK {
 			m.rejected++
 			return nil, &AdmissionError{d}
 		}
 	}
 	m.nextID++
-	e := Entry{Op: OpSubmit, Job: jobID(m.nextID), Client: client, Created: now, Sync: sync}
+	e := Entry{Op: opSubmit, Job: jobID(m.nextID), Client: client, Created: now, Sync: sync}
 	if m.cfg.Journal != nil {
 		e.Cells = entryCells(cells)
 		if err := m.journalAppend(e); err != nil {
@@ -863,7 +863,7 @@ func (m *Manager) submit(client string, cells []shift.Cell, sync bool) (*Job, er
 		}
 	}
 	if metered {
-		m.buckets.Take(client, cost)
+		m.buckets.take(client, cost)
 	}
 	j, _, _ := m.apply(nil, e, &live{cells: cells, now: now})
 	all := make([]int, len(cells))
@@ -906,7 +906,7 @@ func (m *Manager) enqueueLocked(j *Job, cells []int) {
 			}
 		}
 		items[bi].cells = append(items[bi].cells, i)
-		items[bi].cost += EstimateCost(cfg)
+		items[bi].cost += estimateCost(cfg)
 	}
 	for _, it := range items {
 		m.pushLocked(it)
@@ -966,7 +966,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	if idle {
 		return j, nil
 	}
-	e := Entry{Op: OpCancel, Job: id}
+	e := Entry{Op: opCancel, Job: id}
 	if err := m.journalAppend(e); err != nil {
 		return j, fmt.Errorf("jobs: journal cancel: %w", err)
 	}
@@ -979,7 +979,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	}
 	m.cancelled++
 	if finished {
-		m.journalAppend(Entry{Op: OpEnd, Job: id, State: StateCancelled})
+		m.journalAppend(Entry{Op: opEnd, Job: id, State: StateCancelled})
 		m.jobFinishedLocked(j)
 	}
 	return j, nil
@@ -1074,15 +1074,15 @@ func (m *Manager) maybeCompactLocked() {
 	}
 }
 
-// snapshotEntriesLocked folds the registry into one OpSnap entry per
+// snapshotEntriesLocked folds the registry into one opSnap entry per
 // job: the finished queue in finish order, then the rest in ID order, so
 // a replay retains what the registry retains and requeues in submission
-// order. When the highest ID issued has left the registry, an OpLastID
+// order. When the highest ID issued has left the registry, an opLastID
 // entry leads, so a replay never issues it again. Called with mu held.
 func (m *Manager) snapshotEntriesLocked() []Entry {
 	entries := make([]Entry, 0, len(m.jobs)+1)
 	if last := jobID(m.nextID); m.nextID > 0 && m.jobs[last] == nil {
-		entries = append(entries, Entry{Op: OpLastID, Job: last})
+		entries = append(entries, Entry{Op: opLastID, Job: last})
 	}
 	for _, j := range m.finished {
 		entries = append(entries, j.snapEntry())
@@ -1105,13 +1105,13 @@ func sortByID(jobs []*Job) {
 	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(idNum(a.id), idNum(b.id)) })
 }
 
-// snapEntry folds the job's journaled history into one OpSnap record.
+// snapEntry folds the job's journaled history into one opSnap record.
 // Every job of a journaled manager has its wire cells: Submit and
 // recovery set them.
 func (j *Job) snapEntry() Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := Entry{Op: OpSnap, Job: j.id, Client: j.client, Created: wallTime(j.created),
+	e := Entry{Op: opSnap, Job: j.id, Client: j.client, Created: wallTime(j.created),
 		Cells: j.wire, Cancelled: j.cancelled, Sync: j.sync}
 	if j.state.Terminal() {
 		e.State = j.state
@@ -1274,15 +1274,15 @@ func (m *Manager) completeCells(j *Job, cells []int, rs []shift.RunResult, errs 
 	state := j.state
 	j.mu.Unlock()
 	if finished {
-		m.journalAppend(Entry{Op: OpEnd, Job: j.id, State: state})
+		m.journalAppend(Entry{Op: opEnd, Job: j.id, State: state})
 	}
 	return finished
 }
 
-// cellEntry is the OpCell record of job id's cell i with outcome err,
+// cellEntry is the opCell record of job id's cell i with outcome err,
 // which gets a message if it has none: the record reads none as success.
 func cellEntry(id string, i int, err error) Entry {
-	e := Entry{Op: OpCell, Job: id, Cell: i}
+	e := Entry{Op: opCell, Job: id, Cell: i}
 	if err != nil {
 		e.Err = cmp.Or(err.Error(), "jobs: cell failed")
 	}

@@ -337,8 +337,8 @@ func TestSubmitAfterClose(t *testing.T) {
 		return shift.RunResult{}, nil
 	}})
 	m.Close()
-	if _, err := m.Submit([]shift.Cell{testCell("a", 1)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after close = %v, want ErrClosed", err)
+	if _, err := m.Submit([]shift.Cell{testCell("a", 1)}); !errors.Is(err, errClosed) {
+		t.Fatalf("submit after close = %v, want errClosed", err)
 	}
 	if _, err := m.Submit(nil); err == nil {
 		t.Fatal("empty submit succeeded, want error")
@@ -426,7 +426,7 @@ func TestEstimateCostPrefersSampled(t *testing.T) {
 	exact := shift.Config{Cores: 4, WarmupRecords: 60000, MeasureRecords: 60000}
 	sampled := exact
 	sampled.Sampling = shift.Sampling{Period: 10}
-	ce, cs := EstimateCost(exact), EstimateCost(sampled)
+	ce, cs := estimateCost(exact), estimateCost(sampled)
 	if cs >= ce {
 		t.Fatalf("sampled cost %g >= exact cost %g; SJF would not prefer probes", cs, ce)
 	}

@@ -23,31 +23,31 @@ import (
 // opEnd; opSnap folds that whole history into a single record during
 // compaction, and opLastID keeps the ID of a job no snapshot holds.
 const (
-	// OpSubmit records an admitted job: id, client, creation time, and
+	// opSubmit records an admitted job: id, client, creation time, and
 	// every cell as its canonical Config JSON (plus the canonical spec
 	// document for spec-compiled workloads, so replay can re-register
 	// the spec in a fresh process).
-	OpSubmit = "submit"
-	// OpCell records one cell's terminal outcome: its index and, for a
+	opSubmit = "submit"
+	// opCell records one cell's terminal outcome: its index and, for a
 	// failure, the error message. Success carries no result — the
 	// result lives in the store under the cell's content address.
-	OpCell = "cell"
-	// OpCancel records a cancellation that took effect.
-	OpCancel = "cancel"
-	// OpEnd records a job reaching a terminal state. Replay derives the
+	opCell = "cell"
+	// opCancel records a cancellation that took effect.
+	opCancel = "cancel"
+	// opEnd records a job reaching a terminal state. Replay derives the
 	// state from the cell ops (the entry is advisory), so a crash
-	// between the last OpCell and its OpEnd loses nothing.
-	OpEnd = "end"
-	// OpSnap is a compacted job: submission, completion history,
+	// between the last opCell and its opEnd loses nothing.
+	opEnd = "end"
+	// opSnap is a compacted job: submission, completion history,
 	// cancellation flag, and terminal state in one record. Replay
 	// expands it to the primitive ops.
-	OpSnap = "snap"
-	// OpLastID records the highest job ID issued when its job has left
+	opSnap = "snap"
+	// opLastID records the highest job ID issued when its job has left
 	// the registry, so a replay issues no ID at or below it again.
-	OpLastID = "last-id"
+	opLastID = "last-id"
 )
 
-// EntryCell is one cell of an OpSubmit/OpSnap entry: the label plus
+// EntryCell is one cell of an opSubmit/opSnap entry: the label plus
 // the full Config in its exact JSON encoding, which round-trips keys
 // bit-identically (the cluster wire codec contract), so a replayed
 // cell resolves the same content address it was submitted under.
@@ -62,7 +62,7 @@ type EntryCell struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
-// CellOp is one completed cell inside an OpSnap entry.
+// CellOp is one completed cell inside an opSnap entry.
 type CellOp struct {
 	// Cell is the cell's index in the submitted job.
 	Cell int `json:"cell"`
@@ -73,30 +73,30 @@ type CellOp struct {
 // Entry is one journal record. Which fields are meaningful depends on
 // Op; unused fields stay zero and are omitted from the JSON.
 type Entry struct {
-	// Op is the record type (OpSubmit, OpCell, OpCancel, OpEnd, OpSnap,
-	// OpLastID).
+	// Op is the record type (opSubmit, opCell, opCancel, opEnd, opSnap,
+	// opLastID).
 	Op string `json:"op"`
-	// Job is the job ID the record belongs to (OpLastID: the ID it
+	// Job is the job ID the record belongs to (opLastID: the ID it
 	// records).
 	Job string `json:"job"`
-	// Client is the admission-control client key (OpSubmit/OpSnap).
+	// Client is the admission-control client key (opSubmit/opSnap).
 	Client string `json:"client,omitempty"`
-	// Created is the job's creation time (OpSubmit/OpSnap).
+	// Created is the job's creation time (opSubmit/opSnap).
 	Created time.Time `json:"created,omitempty"`
-	// Cells is the submitted cell list (OpSubmit/OpSnap).
+	// Cells is the submitted cell list (opSubmit/opSnap).
 	Cells []EntryCell `json:"cells,omitempty"`
-	// Cell is the completed cell's index (OpCell).
+	// Cell is the completed cell's index (opCell).
 	Cell int `json:"cell,omitempty"`
-	// Err is the completed cell's failure message (OpCell).
+	// Err is the completed cell's failure message (opCell).
 	Err string `json:"err,omitempty"`
-	// Cancelled marks a job whose cancellation took effect (OpSnap).
+	// Cancelled marks a job whose cancellation took effect (opSnap).
 	Cancelled bool `json:"cancelled,omitempty"`
-	// Sync marks a job whose submitter waited for it (OpSubmit/OpSnap;
+	// Sync marks a job whose submitter waited for it (opSubmit/opSnap;
 	// see Manager.SubmitSyncFrom): replay drops it once it is terminal.
 	Sync bool `json:"sync,omitempty"`
-	// State is the job's terminal state (OpEnd; OpSnap when terminal).
+	// State is the job's terminal state (opEnd; opSnap when terminal).
 	State State `json:"state,omitempty"`
-	// Ops is the completion history in completion order (OpSnap).
+	// Ops is the completion history in completion order (opSnap).
 	Ops []CellOp `json:"ops,omitempty"`
 }
 
@@ -147,7 +147,7 @@ type walJournal struct {
 // OpenWAL opens (creating if absent) the write-ahead journal at path
 // and decodes its records. A torn tail — the append in flight when the
 // previous process died — is discarded and reported through Stats; a
-// corrupt interior record fails loudly here (wrapping wal.ErrCorrupt)
+// corrupt interior record fails loudly here (a wal corruption error)
 // rather than silently dropping journaled jobs.
 func OpenWAL(path string) (Journal, error) {
 	log, recs, _, err := wal.Open(path)

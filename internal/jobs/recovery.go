@@ -37,8 +37,8 @@ type RecoveryStats struct {
 }
 
 // recover replays the journal into the registry, every record through
-// apply as it went live (an OpSnap as the records it folds). Terminal
-// states are recomputed from the cell records, so OpEnd records are
+// apply as it went live (an opSnap as the records it folds). Terminal
+// states are recomputed from the cell records, so opEnd records are
 // advisory and a crash between a cell record and its end record loses
 // nothing. A job's finish order is that of the last record it had once
 // settled (cancelled, or every cell resolved), so the retention bound
@@ -54,13 +54,13 @@ func (m *Manager) recover() error {
 	settled := make(map[*Job]int)
 	for k, e := range entries {
 		j := m.jobs[e.Job]
-		if e.Op == OpSnap {
-			j, _, _ = m.apply(j, Entry{Op: OpSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells, Sync: e.Sync}, nil)
+		if e.Op == opSnap {
+			j, _, _ = m.apply(j, Entry{Op: opSubmit, Job: e.Job, Client: e.Client, Created: e.Created, Cells: e.Cells, Sync: e.Sync}, nil)
 			for _, op := range e.Ops {
-				m.apply(j, Entry{Op: OpCell, Job: e.Job, Cell: op.Cell, Err: op.Err}, nil)
+				m.apply(j, Entry{Op: opCell, Job: e.Job, Cell: op.Cell, Err: op.Err}, nil)
 			}
 			if e.Cancelled {
-				m.apply(j, Entry{Op: OpCancel, Job: e.Job}, nil)
+				m.apply(j, Entry{Op: opCancel, Job: e.Job}, nil)
 			}
 		} else {
 			j, _, _ = m.apply(j, e, nil)
@@ -81,8 +81,8 @@ func (m *Manager) recover() error {
 }
 
 // live is what a live path hands apply beyond its record, where replay
-// has only the record: the submitted cells (OpSubmit), the finished
-// cell's shared result, nil for a failure (OpCell), and the time of the
+// has only the record: the submitted cells (opSubmit), the finished
+// cell's shared result, nil for a failure (opCell), and the time of the
 // change.
 type live struct {
 	cells  []shift.Cell
@@ -92,17 +92,17 @@ type live struct {
 
 // apply folds record e into the registry: the one place a submission, a
 // cell outcome or a cancellation changes job state. j is the job e names,
-// nil for a new one; apply returns it (for OpSubmit, the job it made). A
+// nil for a new one; apply returns it (for opSubmit, the job it made). A
 // live path calls it with lv once the record is durable (completeCells
 // has the one exception); replay calls it with lv nil, once per record. A
 // duplicate record changes nothing. A live change also settles the job
 // and returns how many queued cells that dropped and whether it finalized
 // the job; replay settles after the last record (see recover). apply wakes
-// no follower. The caller holds the manager's mu for OpSubmit, j.mu for
-// OpCell and OpCancel; replay holds neither.
+// no follower. The caller holds the manager's mu for opSubmit, j.mu for
+// opCell and opCancel; replay holds neither.
 func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finished bool) {
 	switch e.Op {
-	case OpSubmit:
+	case opSubmit:
 		if j != nil {
 			return j, 0, false
 		}
@@ -118,7 +118,7 @@ func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finishe
 		m.registryCells += len(cells)
 		m.nextID = max(m.nextID, idNum(e.Job)) // no new ID collides with it
 		return j, 0, false
-	case OpCell:
+	case opCell:
 		i := e.Cell
 		if j == nil || i < 0 || i >= len(j.cellState) || j.cellState[i] >= cellDone {
 			return j, 0, false // no such cell, or it has its outcome
@@ -148,16 +148,16 @@ func (m *Manager) apply(j *Job, e Entry, lv *live) (_ *Job, dropped int, finishe
 			j.running--
 		}
 		j.finishCellLocked(i, s, e.Err)
-	case OpCancel:
+	case opCancel:
 		if j == nil {
 			return nil, 0, false
 		}
 		j.cancelled = true
-	case OpLastID:
+	case opLastID:
 		m.nextID = max(m.nextID, idNum(e.Job))
 		return j, 0, false
 	default:
-		// OpEnd is advisory: the cell records decide the terminal state.
+		// opEnd is advisory: the cell records decide the terminal state.
 		return j, 0, false
 	}
 	if lv == nil {

@@ -116,7 +116,7 @@ func TestRecoveryRequeuesInIDOrder(t *testing.T) {
 	jn := &memJournal{}
 	for _, id := range ids {
 		c := testCell(id, 10) // equal costs: only the tie-break orders them
-		jn.replayed = append(jn.replayed, Entry{Op: OpSubmit, Job: id, Cells: []EntryCell{{Label: c.Label, Config: c.Config}}})
+		jn.replayed = append(jn.replayed, Entry{Op: opSubmit, Job: id, Cells: []EntryCell{{Label: c.Label, Config: c.Config}}})
 	}
 	gate := make(chan struct{})
 	var mu sync.Mutex

@@ -29,11 +29,11 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
-// Delay returns the wait before retry k (0-based): uniform in
+// delay returns the wait before retry k (0-based): uniform in
 // (0, Base<<k], held at the largest Duration once the shift overflows.
 // It draws from math/rand/v2's runtime-seeded source, so callers that
 // fail together, in one process or many, do not retry in lockstep.
-func (p Policy) Delay(k int) time.Duration {
+func (p Policy) delay(k int) time.Duration {
 	max := time.Duration(math.MaxInt64)
 	if p.Base <= max>>uint(k) {
 		max = p.Base << uint(k)
@@ -43,7 +43,7 @@ func (p Policy) Delay(k int) time.Duration {
 
 // Do runs op, passing the 0-based attempt, until it succeeds, fails
 // with an error transient rejects, or has run attempts times, waiting
-// Delay(k) before retry k; it returns op's last error.
+// delay(k) before retry k; it returns op's last error.
 func (p Policy) Do(attempts int, op func(attempt int) error, transient func(error) bool) error {
 	sleep := p.Sleep
 	if sleep == nil {
@@ -52,7 +52,7 @@ func (p Policy) Do(attempts int, op func(attempt int) error, transient func(erro
 	var err error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			sleep(p.Delay(a - 1))
+			sleep(p.delay(a - 1))
 		}
 		if err = op(a); err == nil || !transient(err) {
 			return err

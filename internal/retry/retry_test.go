@@ -26,13 +26,13 @@ func TestDelayStaysInItsRange(t *testing.T) {
 	for k := 0; k <= 8; k++ {
 		max := time.Millisecond << k
 		for i := 0; i < 1000; i++ {
-			if d := p.Delay(k); d <= 0 || d > max {
+			if d := p.delay(k); d <= 0 || d > max {
 				t.Fatalf("Delay(%d) = %v, want in (0, %v]", k, d, max)
 			}
 		}
 	}
 	for _, k := range []int{63, 70} {
-		if d := p.Delay(k); d <= 0 {
+		if d := p.delay(k); d <= 0 {
 			t.Fatalf("Delay(%d) = %v, want > 0", k, d)
 		}
 	}

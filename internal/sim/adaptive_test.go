@@ -118,7 +118,11 @@ func TestAdaptiveQuietWhenHealthy(t *testing.T) {
 
 // TestSetGeneratorIdempotent checks the handover API directly.
 func TestSetGeneratorIdempotent(t *testing.T) {
-	sh := core.MustNewSharedHistory(smallSHIFT(core.Dedicated), 0, nil)
+	shs, err := core.NewGroups(smallSHIFT(core.Dedicated), []core.Group{{Name: "all", Cores: []int{0, 5}}}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shs[0]
 	if sh.Generator() != 0 {
 		t.Fatalf("initial generator = %d", sh.Generator())
 	}

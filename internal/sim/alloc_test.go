@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// The zero-allocation contract: in steady state, System.Step performs no
+// The zero-allocation contract: in steady state, System.step performs no
 // heap allocations for the paper's evaluated design points. Warmup may
 // grow reusable buffers (stream queues, request slices, reader stacks);
 // after it, the per-record hot path — trace generation, branch
@@ -37,7 +37,7 @@ func measureStepAllocs(t *testing.T, sys *System, rounds int) float64 {
 	per := testing.AllocsPerRun(1, func() {
 		for r := 0; r < rounds; r++ {
 			for c := 0; c < sys.cfg.Cores; c++ {
-				if _, err := sys.Step(c); err != nil {
+				if _, err := sys.step(c); err != nil {
 					t.Fatal(err)
 				}
 			}

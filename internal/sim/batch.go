@@ -101,7 +101,7 @@ func unpackRegion(w uint64) (history.Region, int) {
 // functional piece). Followers step in the lead's order, so it is written
 // once and read once per follower, front to back.
 //
-// marks holds the block's interval marks: at every Begin/EndInterval the
+// marks holds the block's interval marks: at every beginInterval/endInterval the
 // lead appends its shared-facet counters, one coreMark per core, and its
 // background data-traffic totals, one trafficMark per mark, to traffic;
 // a follower reaching the same boundary takes the facets it replays from
@@ -298,7 +298,7 @@ type batch struct {
 // has none: its one member is a standalone System.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
+		if err := specs[i].validate(); err != nil {
 			// A batch of one is a Run: there is no other member to tell the
 			// failing one from, and the caller wants the member's own error.
 			if len(specs) > 1 {
@@ -559,7 +559,7 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	for _, p := range blk {
 		sys.applySegment(p.segment)
 		if p.begin {
-			sys.BeginInterval()
+			sys.beginInterval()
 		}
 		n, err := sys.runRounds(p.rounds)
 		if err != nil {
@@ -572,7 +572,7 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 			return ran, nil
 		}
 		if p.end {
-			sys.EndInterval()
+			sys.endInterval()
 		}
 	}
 	if m > 0 && sys.replayL1 && blk[len(blk)-1].functional {

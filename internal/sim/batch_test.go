@@ -337,7 +337,7 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 	invalid := testSpec(testConfig())
 	invalid.MeasureRecords = 0
 	_, err := RunBatch([]RunSpec{invalid})
-	if want := invalid.Validate(); err == nil || err.Error() != want.Error() {
+	if want := invalid.validate(); err == nil || err.Error() != want.Error() {
 		t.Errorf("invalid single spec: error %v, want its own %v", err, want)
 	}
 }
@@ -479,7 +479,8 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 			}
 			b := enterAll(t, specs)
 			lead := b.systems[0]
-			sets := lead.cfg.L1I.Sets()
+			l1 := lead.cfg.L1I
+			sets := l1.SizeBytes / (l1.Assoc * l1.BlockBytes)
 			blocks := 0
 			lockstep(t, b, b.blocks, func() {
 				blocks++
@@ -674,9 +675,9 @@ func TestRunBatchStreamShortMatchesRun(t *testing.T) {
 // a 34-bit block, a 16-bit retire count, every trace.Kind, the first and
 // last L1-I way — with both flag bits in every combination.
 func TestLeadLogWordRoundTrip(t *testing.T) {
-	for _, blk := range []trace.BlockAddr{0, 1, workload.AppBaseBlock, trace.MaxBlockAddr} {
+	for _, blk := range []trace.BlockAddr{0, 1, 0x4000000 /* an application block */, trace.MaxBlockAddr} {
 		for _, instrs := range []uint16{1, 2, 0x8000, 0xFFFF} {
-			for kind := trace.KindSeq; kind.Valid(); kind++ {
+			for kind := trace.KindSeq; kind <= trace.KindTrap; kind++ {
 				for _, way := range []int{0, 1, logMaxWays - 1} {
 					for flags := 0; flags < 4; flags++ {
 						rec := trace.Record{Block: blk, Instrs: instrs, Kind: kind}
@@ -714,7 +715,7 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 func FuzzLeadLog(f *testing.F) {
 	f.Add(uint64(0), int64(0), int64(0), uint8(1))
 	f.Add(^uint64(0), int64(-1), int64(1)<<62, uint8(16))
-	f.Add(packLog(trace.Record{Block: workload.AppBaseBlock, Instrs: 7, Kind: trace.KindCall}, true, false, 3), int64(12345), int64(678), uint8(4))
+	f.Add(packLog(trace.Record{Block: 0x4000000, Instrs: 7, Kind: trace.KindCall}, true, false, 3), int64(12345), int64(678), uint8(4))
 	f.Fuzz(func(t *testing.T, w uint64, a, b int64, cores uint8) {
 		rec := unpackLog(w)
 		if rec.Block > trace.MaxBlockAddr || logWay(w) >= logMaxWays {

@@ -193,8 +193,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first problem with c, or nil.
-func (c Config) Validate() error {
+// validate reports the first problem with c, or nil.
+func (c Config) validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("sim: Cores %d <= 0", c.Cores)
 	}

@@ -105,7 +105,7 @@ func TestGeneratorCoreChoiceInsensitive(t *testing.T) {
 	}
 }
 
-// TestWarmupExclusion checks that BeginInterval actually excludes
+// TestWarmupExclusion checks that beginInterval actually excludes
 // warmup activity: a run with warmup must report fewer records than one
 // measuring everything.
 func TestWarmupExclusion(t *testing.T) {

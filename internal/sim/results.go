@@ -232,7 +232,7 @@ func subPf(a, b prefetch.Stats) prefetch.Stats {
 }
 
 // sinceMark is the counter delta of the open interval, since its
-// BeginInterval.
+// beginInterval.
 func (s *System) sinceMark() measurement {
 	d := s.snapshot()
 	d.sub(&s.intervalStart)

@@ -41,9 +41,9 @@ type RunSpec struct {
 	Sampling Sampling
 }
 
-// Validate reports the first problem with r, or nil.
-func (r RunSpec) Validate() error {
-	if err := r.Config.Validate(); err != nil {
+// validate reports the first problem with r, or nil.
+func (r RunSpec) validate() error {
+	if err := r.Config.validate(); err != nil {
 		return err
 	}
 	if r.MeasureRecords <= 0 {
@@ -57,13 +57,13 @@ func (r RunSpec) Validate() error {
 		r.WarmupRecords+r.MeasureRecords > history.MaxWrites {
 		return fmt.Errorf("sim: window of %d + %d records exceeds %d", r.WarmupRecords, r.MeasureRecords, history.MaxWrites)
 	}
-	if err := r.Sampling.Validate(); err != nil {
+	if err := r.Sampling.validate(); err != nil {
 		return err
 	}
 	// At least two measured intervals must fit: a single interval has
 	// no dispersion to estimate, so its "error bounds" would read as
 	// zero — false confidence for the least-trustworthy configuration.
-	if p := r.Sampling.withDefaults(); p.Enabled() && p.Intervals(r.MeasureRecords) < 2 {
+	if p := r.Sampling.withDefaults(); p.Enabled() && p.intervals(r.MeasureRecords) < 2 {
 		return fmt.Errorf("sim: MeasureRecords %d fits fewer than two sampling intervals (chunk is %d records: period %d x interval %d)",
 			r.MeasureRecords, p.chunkRounds(), p.Period, p.IntervalRecords)
 	}

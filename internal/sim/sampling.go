@@ -153,9 +153,9 @@ func (p Sampling) withDefaults() Sampling {
 	return p
 }
 
-// Validate reports the first problem with p, or nil. A disabled policy
+// validate reports the first problem with p, or nil. A disabled policy
 // is always valid.
-func (p Sampling) Validate() error {
+func (p Sampling) validate() error {
 	if p.Period < 0 {
 		return fmt.Errorf("sim: sampling Period %d < 0", p.Period)
 	}
@@ -198,9 +198,9 @@ func (p Sampling) warmupRounds() int64 {
 	return int64(p.WarmupFraction * float64(p.IntervalRecords))
 }
 
-// Intervals returns how many measured intervals fit into a measurement
+// intervals returns how many measured intervals fit into a measurement
 // window of `measure` records per core.
-func (p Sampling) Intervals(measure int64) int64 {
+func (p Sampling) intervals(measure int64) int64 {
 	p = p.withDefaults()
 	if !p.Enabled() || p.chunkRounds() <= 0 {
 		return 0
@@ -214,7 +214,7 @@ type segment struct {
 	rounds int64
 	// functional selects the fast-forward stepping path.
 	functional bool
-	// measured marks a detailed interval bracketed by Begin/EndInterval.
+	// measured marks a detailed interval bracketed by beginInterval/endInterval.
 	measured bool
 	// llcMask is the functional LLC-warming stride minus one (stride is
 	// a power of two): 0 warms on every L1 miss, llcFarStride-1 on
@@ -336,16 +336,16 @@ func (s *System) applySegment(seg segment) {
 	s.llcMask = seg.llcMask
 }
 
-// BeginInterval opens a measured interval of the schedule at the current
+// beginInterval opens a measured interval of the schedule at the current
 // counters, excluding everything before it (the warmup, in the paper's
-// SimFlex methodology); EndInterval turns the delta into one per-interval
+// SimFlex methodology); endInterval turns the delta into one per-interval
 // sample.
-func (s *System) BeginInterval() { s.intervalStart = s.snapshot() }
+func (s *System) beginInterval() { s.intervalStart = s.snapshot() }
 
-// EndInterval closes the interval opened by BeginInterval: the counter
+// endInterval closes the interval opened by beginInterval: the counter
 // delta joins the run's aggregate measurement and contributes one
 // sample per tracked metric.
-func (s *System) EndInterval() {
+func (s *System) endInterval() {
 	d := s.sinceMark()
 	if s.sampleAgg.cycles == nil {
 		s.sampleAgg = d
@@ -440,7 +440,7 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 // demand probe of the L1-I the detailed path performs — L1-I content is a
 // pure function of the record stream (prefetches fill a separate buffer),
 // so functional and detailed stepping leave bit-identical instruction
-// caches — and packs record and outcome into the next word, as Step does
+// caches — and packs record and outcome into the next word, as step does
 // for a lead. It appends to probes the offsets of the misses that warm
 // the LLC (see consume) and returns the words written, fewer than
 // len(words) only when the core's trace is exhausted, and the list. A lead

@@ -31,7 +31,7 @@ func TestSamplingValidate(t *testing.T) {
 		{Period: 10, IntervalRecords: 100, WarmupFraction: 0.5, Confidence: 0.99},
 	}
 	for i, p := range good {
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Errorf("good policy %d rejected: %v", i, err)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSamplingValidate(t *testing.T) {
 		{Period: 4, Confidence: 0.5},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("bad policy %d accepted", i)
 		}
 	}
@@ -73,7 +73,7 @@ func TestSamplingSegments(t *testing.T) {
 	if intervals != 2 || measuredRounds != 200 {
 		t.Fatalf("got %d intervals over %d rounds, want 2 over 200", intervals, measuredRounds)
 	}
-	if got := p.Intervals(850); got != 2 {
+	if got := p.intervals(850); got != 2 {
 		t.Fatalf("Intervals(850) = %d, want 2", got)
 	}
 	if segs[0].rounds != 1275 || !segs[0].functional || segs[0].llcMask != 0 {
@@ -127,7 +127,7 @@ func TestRunSampledReportsErrorBounds(t *testing.T) {
 	if st == nil {
 		t.Fatal("sampled run returned no SampleStats")
 	}
-	wantIntervals := int(spec.Sampling.Intervals(spec.MeasureRecords))
+	wantIntervals := int(spec.Sampling.intervals(spec.MeasureRecords))
 	if st.Intervals != wantIntervals {
 		t.Fatalf("got %d intervals, want %d", st.Intervals, wantIntervals)
 	}

@@ -43,7 +43,7 @@ func testSpec(cfg Config) RunSpec {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	mutations := []struct {
@@ -74,7 +74,7 @@ func TestConfigValidate(t *testing.T) {
 	for _, m := range mutations {
 		c := DefaultConfig()
 		m.mut(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("%s: accepted", m.name)
 		}
 	}
@@ -298,11 +298,11 @@ func TestSHIFTVirtualizedTrafficAndPinning(t *testing.T) {
 	if res.Traffic[noc.IndexUpdate] == 0 {
 		t.Error("no index-update traffic")
 	}
-	if sys.LLCPinnedLines() == 0 {
+	if llcPinnedLines(sys) == 0 {
 		t.Error("no pinned history lines in the LLC")
 	}
 	maxPinned := smallSHIFT(core.Virtualized).HistoryBlocks()
-	if got := sys.LLCPinnedLines(); got > maxPinned {
+	if got := llcPinnedLines(sys); got > maxPinned {
 		t.Errorf("pinned lines %d exceed history size %d", got, maxPinned)
 	}
 	if len(sys.shared) != 1 {
@@ -384,22 +384,22 @@ func TestConsolidationRun(t *testing.T) {
 
 func TestRunSpecValidation(t *testing.T) {
 	ok := testSpec(testConfig())
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := ok
 	bad.MeasureRecords = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("zero measure accepted")
 	}
 	bad = ok
 	bad.WarmupRecords = -1
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("negative warmup accepted")
 	}
 	bad = ok
 	bad.Workload.Name = ""
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("invalid workload accepted")
 	}
 	// A history numbers its records in 30 bits: a window of 2^30 records
@@ -408,18 +408,18 @@ func TestRunSpecValidation(t *testing.T) {
 	for _, w := range [][2]int64{{0, 1 << 30}, {1 << 29, 1 << 29}, {1<<30 - 1, 1}, {1 << 62, 1 << 62}, {1, math.MaxInt64}} {
 		bad = ok
 		bad.WarmupRecords, bad.MeasureRecords = w[0], w[1]
-		if err := bad.Validate(); err == nil {
+		if err := bad.validate(); err == nil {
 			t.Errorf("window of %d + %d records accepted", w[0], w[1])
 		}
 	}
 	bad = ok
 	bad.WarmupRecords, bad.MeasureRecords = 1<<29, 1<<29-1
-	if err := bad.Validate(); err != nil {
+	if err := bad.validate(); err != nil {
 		t.Errorf("window of 2^30 - 1 records refused: %v", err)
 	}
 	bad = ok
 	bad.Groups = []core.Group{{Name: "A", Cores: []int{0}}}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("groups without workloads accepted")
 	}
 }
@@ -453,4 +453,14 @@ func TestSameWorkloadGroupsOverpredictNoMore(t *testing.T) {
 	if o2 > o1 {
 		t.Errorf("two same-workload groups overpredict %.3f per L1-I miss, one group %.3f", o2, o1)
 	}
+}
+
+// llcPinnedLines returns the total pinned (history) lines across s's LLC
+// banks.
+func llcPinnedLines(s *System) int {
+	n := 0
+	for _, b := range s.llc {
+		n += b.PinnedCount()
+	}
+	return n
 }

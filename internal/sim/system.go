@@ -119,7 +119,7 @@ type System struct {
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
 	// LLC-warming stride; intervalStart is the snapshot the open interval
-	// is measured from (see BeginInterval);
+	// is measured from (see beginInterval);
 	// sampleAgg sums the closed intervals' deltas and the per-interval
 	// metric samples feed result; llcWarmCnt[core] counts functional L1
 	// misses for the strided LLC warming, on the member that decides the
@@ -133,7 +133,7 @@ type System struct {
 	llcWarmCnt    []uint32
 }
 
-// coreHot aliases the per-core objects Step touches on every record, so
+// coreHot aliases the per-core objects step touches on every record, so
 // the hot loop performs one slice index instead of ten. The canonical
 // owners remain the System slices above (the pointers alias, never
 // duplicate, their state).
@@ -445,13 +445,13 @@ func (s *System) llcFetch(cls noc.MsgClass, coreID int, blk trace.BlockAddr) int
 	return lat
 }
 
-// Step advances core coreID by one trace record. It reports false when
+// step advances core coreID by one trace record. It reports false when
 // the core's trace is exhausted. A RunBatch follower takes the record —
 // and whichever of the branch outcome and the L1-I outcome it shares with
 // the lead — from the lead log instead of a stream and structures of its
 // own, and skips the data traffic it shares (see the System.log field
 // doc); the lead publishes the log as it goes.
-func (s *System) Step(coreID int) (bool, error) {
+func (s *System) step(coreID int) (bool, error) {
 	if s.done[coreID] {
 		return false, nil
 	}
@@ -648,7 +648,7 @@ func (s *System) runRounds(n int64) (int64, error) {
 func (s *System) runRound() (bool, error) {
 	active := false
 	for c := 0; c < s.cfg.Cores; c++ {
-		ok, err := s.Step(c)
+		ok, err := s.step(c)
 		if err != nil {
 			return false, err
 		}
@@ -662,15 +662,6 @@ func (s *System) runRound() (bool, error) {
 		s.checkAdaptive()
 	}
 	return true, nil
-}
-
-// LLCPinnedLines returns the total pinned (history) lines across banks.
-func (s *System) LLCPinnedLines() int {
-	n := 0
-	for _, b := range s.llc {
-		n += b.PinnedCount()
-	}
-	return n
 }
 
 // llcBackend adapts System to core.LLCBackend for virtualized SHIFT.

@@ -24,21 +24,21 @@ const (
 	maxTraceRecords = 16 << 20
 )
 
-// IDPrefix marks spec-compiled workload identifiers. A compiled spec's
+// idPrefix marks spec-compiled workload identifiers. A compiled spec's
 // ID ("spec:<name>@<hash16>") is used wherever a catalog workload name
 // is — Config.Workload, Config.Key, StreamKey — so spec-driven cells
 // flow through memoization, batching, and sampling unchanged, while the
 // embedded content hash keeps them distinct from catalog cells and from
 // any other spec.
-const IDPrefix = "spec:"
+const idPrefix = "spec:"
 
 // IsID reports whether name identifies a compiled spec rather than a
 // catalog workload.
 func IsID(name string) bool {
-	return len(name) > len(IDPrefix) && name[:len(IDPrefix)] == IDPrefix
+	return len(name) > len(idPrefix) && name[:len(idPrefix)] == idPrefix
 }
 
-// Opener opens a trace recording by path. Compile uses os.Open when nil;
+// Opener opens a trace recording by path. Load uses os.Open when nil;
 // tests and fuzzing inject an Opener to keep compilation hermetic, and
 // front ends use one to resolve paths relative to the spec document.
 type Opener func(path string) (io.ReadCloser, error)
@@ -78,20 +78,20 @@ type Compiled struct {
 
 // Load parses, normalizes, and compiles a spec document in one step.
 func Load(data []byte, open Opener) (*Compiled, error) {
-	s, err := Parse(data)
+	s, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
-	return s.Compile(open)
+	return s.compile(open)
 }
 
-// Compile validates and normalizes a copy of s (the receiver is left
+// compile validates and normalizes a copy of s (the receiver is left
 // untouched), resolves every workload, loads and decodes trace
 // recordings through open (os.Open when nil), and returns the compiled
 // form. The ID is derived from the normalized document — plus, for
 // replay specs, the recording bytes — so equal content compiles to
 // equal IDs and any change to parameters or trace files changes the ID.
-func (s *Spec) Compile(open Opener) (*Compiled, error) {
+func (s *Spec) compile(open Opener) (*Compiled, error) {
 	raw, err := json.Marshal(s)
 	if err != nil {
 		return nil, validate.Fieldf("spec", "encoding: %v", err)
@@ -100,7 +100,7 @@ func (s *Spec) Compile(open Opener) (*Compiled, error) {
 	if err := json.Unmarshal(raw, &c.spec); err != nil {
 		return nil, validate.Fieldf("spec", "encoding: %v", err)
 	}
-	if err := c.spec.Normalize(); err != nil {
+	if err := c.spec.normalize(); err != nil {
 		return nil, err
 	}
 	c.canonical, err = json.Marshal(&c.spec)
@@ -149,7 +149,7 @@ func (s *Spec) Compile(open Opener) (*Compiled, error) {
 	}
 
 	sum := h.Sum(nil)
-	c.id = IDPrefix + ns.Name + "@" + hex.EncodeToString(sum)[:16]
+	c.id = idPrefix + ns.Name + "@" + hex.EncodeToString(sum)[:16]
 	return c, nil
 }
 

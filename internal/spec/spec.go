@@ -21,9 +21,9 @@
 //     the existing Config.Key/StreamKey machinery with no special
 //     cases.
 //
-// Parse accepts a document, Normalize resolves it to a fully-explicit
-// fixed point (catalog bases and scaling folded into concrete fields),
-// and Compile turns it into a registered, runnable form.
+// Load parses a document, normalizes it to a fully-explicit fixed point
+// (catalog bases and scaling folded into concrete fields) and compiles
+// it into a runnable form.
 package spec
 
 import (
@@ -170,11 +170,11 @@ type TraceSpec struct {
 	Paths []string `json:"paths,omitempty"`
 }
 
-// Parse decodes a spec document: strict JSON whose root is an object.
+// parse decodes a spec document: strict JSON whose root is an object.
 // Any other root, unknown fields and type mismatches are rejected with
-// field-named errors. Parse does not validate ranges — call Normalize
-// (or Compile, which normalizes) next.
-func Parse(data []byte) (*Spec, error) {
+// field-named errors. parse does not validate ranges — call normalize
+// (or compile, which normalizes) next.
+func parse(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 || trimmed[0] != '{' {
 		return nil, validate.Fieldf("json", "a spec is a JSON object")
@@ -213,14 +213,14 @@ func jsonFieldError(err error) *validate.FieldError {
 	return validate.Fieldf("json", "%s", msg)
 }
 
-// Normalize validates s and rewrites it into its fully-explicit
+// normalize validates s and rewrites it into its fully-explicit
 // canonical form: the default seed made explicit, catalog bases and
 // scale factors folded into concrete workload fields, client names
-// filled in, Path folded into Paths. Normalize is a fixed point —
+// filled in, Path folded into Paths. normalize is a fixed point —
 // normalizing an already-normalized spec changes nothing — which makes
 // the canonical JSON form (and therefore the compiled ID) stable under
 // marshal/parse round trips.
-func (s *Spec) Normalize() error {
+func (s *Spec) normalize() error {
 	if err := checkName("name", s.Name); err != nil {
 		return err
 	}
@@ -413,7 +413,7 @@ func resolveWorkload(ws *WorkloadSpec, name string, seed int64, field string) (w
 
 // checkParams applies the spec-level bounds to resolved parameters.
 // The ranges guarantee that building the workload's block graph
-// succeeds, so Compile-validated specs never fail lazily at run time.
+// succeeds, so compiled specs never fail lazily at run time.
 func checkParams(p workload.Params, field string) error {
 	type rng struct {
 		name string

@@ -53,7 +53,7 @@ func TestParseRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.doc))
+			_, err := parse([]byte(tc.doc))
 			if err == nil {
 				t.Fatalf("accepted:\n%s", tc.doc)
 			}
@@ -106,11 +106,11 @@ func TestNormalizeRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Parse([]byte(tc.doc))
+			s, err := parse([]byte(tc.doc))
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			err = s.Normalize()
+			err = s.normalize()
 			if err == nil {
 				t.Fatalf("accepted:\n%s", tc.doc)
 			}
@@ -132,22 +132,22 @@ func TestNormalizeFixedPoint(t *testing.T) {
 		`{"name": "d", "trace": {"path": "t.trace"}}`,
 	}
 	for _, doc := range docs {
-		s, err := Parse([]byte(doc))
+		s, err := parse([]byte(doc))
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", doc, err)
 		}
-		if err := s.Normalize(); err != nil {
+		if err := s.normalize(); err != nil {
 			t.Fatalf("Normalize(%q): %v", doc, err)
 		}
 		first, err := marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Parse(first)
+		s2, err := parse(first)
 		if err != nil {
 			t.Fatalf("re-Parse(%q): %v", first, err)
 		}
-		if err := s2.Normalize(); err != nil {
+		if err := s2.normalize(); err != nil {
 			t.Fatalf("re-Normalize(%q): %v", first, err)
 		}
 		second, err := marshal(s2)
@@ -329,11 +329,11 @@ func TestTraceRejections(t *testing.T) {
 }
 
 func TestCompileLeavesReceiverUntouched(t *testing.T) {
-	s, err := Parse([]byte(`{"name": "x", "workload": {"base": "Web Search"}}`))
+	s, err := parse([]byte(`{"name": "x", "workload": {"base": "Web Search"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compile(nil); err != nil {
+	if _, err := s.compile(nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Seed != 0 || s.Workload.Base != "Web Search" || s.Workload.FootprintBytes != nil {

@@ -170,10 +170,3 @@ func (b *Breaker) Trips() int64 {
 	defer b.mu.Unlock()
 	return b.trips
 }
-
-// Rejected returns the number of operations Allow refused while open.
-func (b *Breaker) Rejected() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rejected
-}

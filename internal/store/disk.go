@@ -72,9 +72,6 @@ func OpenDisk(dir string) (*Disk, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Disk) Dir() string { return s.dir }
-
 // path maps a key to its blob file, validating the key so a malformed
 // one can never escape the store directory.
 func (s *Disk) path(key string) (string, error) {

@@ -9,9 +9,9 @@ import (
 	"syscall"
 )
 
-// ErrInjected marks a failure synthesized by a Fault store, so chaos
+// errInjected marks a failure synthesized by a Fault store, so chaos
 // tests can distinguish injected faults from real ones.
-var ErrInjected = errors.New("store: injected fault")
+var errInjected = errors.New("store: injected fault")
 
 // FaultPlan parameterizes a Fault store: per-operation probabilities of
 // each failure mode, drawn from a seeded deterministic source. All
@@ -21,10 +21,10 @@ type FaultPlan struct {
 	// sequence reproduce the same faults (0 = 1).
 	Seed int64
 	// GetErrorRate is the probability a Get fails with a transient IO
-	// error (ErrInjected).
+	// error (errInjected).
 	GetErrorRate float64
 	// PutErrorRate is the probability a Put fails with a transient IO
-	// error (ErrInjected).
+	// error (errInjected).
 	PutErrorRate float64
 	// CorruptRate is the probability a successful Get returns the blob
 	// with flipped bytes — a bit-rot read.
@@ -82,14 +82,6 @@ func (f *Fault) SetPlan(plan FaultPlan) {
 	f.rng = rand.New(rand.NewSource(plan.Seed))
 }
 
-// FailNextGets forces the next n Gets to fail with a transient
-// injected error, ahead of the probabilistic plan.
-func (f *Fault) FailNextGets(n int64) { f.failGets.Store(n) }
-
-// FailNextPuts forces the next n Puts to fail with a transient
-// injected error, ahead of the probabilistic plan.
-func (f *Fault) FailNextPuts(n int64) { f.failPuts.Store(n) }
-
 // FailNextLens forces the next n Lens to fail with a transient
 // injected error, ahead of the probabilistic plan.
 func (f *Fault) FailNextLens(n int64) { f.failLens.Store(n) }
@@ -145,7 +137,7 @@ func (f *Fault) Get(key string) ([]byte, bool, error) {
 	p, plan := f.roll()
 	if scripted(&f.failGets) || p < plan.GetErrorRate {
 		f.injected.Add(1)
-		return nil, false, fmt.Errorf("%w: get %q", ErrInjected, key)
+		return nil, false, fmt.Errorf("%w: get %q", errInjected, key)
 	}
 	blob, ok, err := f.inner.Get(key)
 	f.ops.Add(1)
@@ -169,7 +161,7 @@ func (f *Fault) Put(key string, blob []byte) error {
 	p, plan := f.roll()
 	if scripted(&f.failPuts) || p < plan.PutErrorRate {
 		f.injected.Add(1)
-		return fmt.Errorf("%w: put %q", ErrInjected, key)
+		return fmt.Errorf("%w: put %q", errInjected, key)
 	}
 	if p < plan.PutErrorRate+plan.ENOSPCRate {
 		f.injected.Add(1)
@@ -184,7 +176,7 @@ func (f *Fault) Put(key string, blob []byte) error {
 func (f *Fault) Len() (int, error) {
 	if scripted(&f.failLens) {
 		f.injected.Add(1)
-		return 0, fmt.Errorf("%w: len", ErrInjected)
+		return 0, fmt.Errorf("%w: len", errInjected)
 	}
 	n, err := f.inner.Len()
 	f.ops.Add(1)

@@ -63,10 +63,3 @@ func (s *Mem) Quarantine(key string) error {
 	delete(s.m, key)
 	return nil
 }
-
-// QuarantineLen returns the number of quarantined blobs.
-func (s *Mem) QuarantineLen() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return int64(len(s.quar))
-}

@@ -176,7 +176,7 @@ func TestRetryGivesUpAndSkipsNonTransient(t *testing.T) {
 	r := WithRetry(f, rec.sleep)
 
 	f.FailNextPuts(100)
-	if err := r.Put("k", []byte("v")); !errors.Is(err, ErrInjected) {
+	if err := r.Put("k", []byte("v")); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error after exhausting retries, got %v", err)
 	}
 	if rec.retries() != 2 {
@@ -450,7 +450,7 @@ func TestFaultScriptedFailuresAreExact(t *testing.T) {
 		t.Fatalf("scripted put failures: got %d want 3", failed)
 	}
 	f.FailNextLens(1)
-	if _, err := f.Len(); !errors.Is(err, ErrInjected) {
+	if _, err := f.Len(); !errors.Is(err, errInjected) {
 		t.Fatalf("want injected len error, got %v", err)
 	}
 	if _, err := f.Len(); err != nil {
@@ -475,3 +475,28 @@ func TestIntegrityFooterNeverCollidesWithJSON(t *testing.T) {
 		t.Fatalf("tricky payload round trip: %q %v %v", got, ok, err)
 	}
 }
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// QuarantineLen returns the number of quarantined blobs.
+func (s *Mem) QuarantineLen() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return int64(len(s.quar))
+}
+
+// Rejected returns the number of operations Allow refused while open.
+func (b *Breaker) Rejected() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rejected
+}
+
+// FailNextGets forces the next n Gets to fail with a transient
+// injected error, ahead of the probabilistic plan.
+func (f *Fault) FailNextGets(n int64) { f.failGets.Store(n) }
+
+// FailNextPuts forces the next n Puts to fail with a transient
+// injected error, ahead of the probabilistic plan.
+func (f *Fault) FailNextPuts(n int64) { f.failPuts.Store(n) }

@@ -159,7 +159,7 @@ func TestDiskBlobMode(t *testing.T) {
 	if err := s.Put("deadbeef", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(s.Dir(), "de", "deadbeef"+blobExt))
+	fi, err := os.Stat(filepath.Join(s.dir, "de", "deadbeef"+blobExt))
 	if err != nil {
 		t.Fatal(err)
 	}

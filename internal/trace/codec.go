@@ -23,10 +23,10 @@ const (
 )
 
 var (
-	// ErrBadMagic indicates the stream does not begin with a trace header.
-	ErrBadMagic = errors.New("trace: bad magic (not a SHIFT trace)")
-	// ErrBadVersion indicates an unsupported codec version.
-	ErrBadVersion = errors.New("trace: unsupported trace version")
+	// errBadMagic indicates the stream does not begin with a trace header.
+	errBadMagic = errors.New("trace: bad magic (not a SHIFT trace)")
+	// errBadVersion indicates an unsupported codec version.
+	errBadVersion = errors.New("trace: unsupported trace version")
 )
 
 // zigzag encodes a signed delta as an unsigned varint-friendly value.
@@ -37,10 +37,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Encoder writes records in the binary trace format.
 type Encoder struct {
-	w     *bufio.Writer
-	prev  BlockAddr
-	count int64
-	buf   [3 * binary.MaxVarintLen64]byte
+	w    *bufio.Writer
+	prev BlockAddr
+	buf  [3 * binary.MaxVarintLen64]byte
 }
 
 // NewEncoder writes a trace header to w and returns an Encoder.
@@ -55,7 +54,7 @@ func NewEncoder(w io.Writer) (*Encoder, error) {
 	return &Encoder{w: bw}, nil
 }
 
-// Write implements Writer.
+// Write appends one record.
 func (e *Encoder) Write(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -68,12 +67,8 @@ func (e *Encoder) Write(r Record) error {
 		return err
 	}
 	e.prev = r.Block
-	e.count++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (e *Encoder) Count() int64 { return e.count }
 
 // Flush flushes buffered output. It must be called before the underlying
 // writer is closed.
@@ -93,14 +88,14 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
 	if string(magic[:]) != codecMagic {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading version: %w", err)
 	}
 	if ver != codecVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return nil, fmt.Errorf("%w: %d", errBadVersion, ver)
 	}
 	return &Decoder{r: br}, nil
 }

@@ -54,16 +54,16 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1). The scale factor is the
+// uniform returns a uniform float64 in [0, 1). The scale factor is the
 // exact reciprocal of 2^53 — for powers of two, multiplying is
 // bit-identical to dividing and avoids a hardware divide on the per-
 // record trace-generation path.
-func (r *RNG) Float64() float64 {
+func (r *RNG) uniform() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
 // Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+func (r *RNG) Bool(p float64) bool { return r.uniform() < p }
 
 // Zipf draws from a truncated Zipf-like distribution over [0, n) with skew
 // s in (0, ~2]. It uses a simple inverse-CDF over precomputed weights for
@@ -94,7 +94,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 
 // Next draws the next Zipf-distributed rank.
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+	u := z.rng.uniform()
 	// Binary search for the first cdf >= u.
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {

@@ -21,13 +21,13 @@ import (
 const (
 	// BlockBytes is the size of an instruction cache block.
 	BlockBytes = 64
-	// BlockShift is log2(BlockBytes).
-	BlockShift = 6
-	// AddrBits is the width of a physical byte address.
-	AddrBits = 40
+	// blockShift is log2(BlockBytes).
+	blockShift = 6
+	// addrBits is the width of a physical byte address.
+	addrBits = 40
 	// BlockAddrBits is the width of a physical block address (40-6=34 bits,
 	// matching the 34-bit trigger addresses in the paper's storage math).
-	BlockAddrBits = AddrBits - BlockShift
+	BlockAddrBits = addrBits - blockShift
 	// MaxBlockAddr is the largest representable block address.
 	MaxBlockAddr BlockAddr = (1 << BlockAddrBits) - 1
 )
@@ -38,14 +38,11 @@ type Addr uint64
 // BlockAddr is a physical address at cache-block granularity (Addr >> 6).
 type BlockAddr uint64
 
-// Block converts a byte address to its block address.
-func (a Addr) Block() BlockAddr { return BlockAddr(a >> BlockShift) }
-
 // Addr returns the byte address of the first byte in the block.
-func (b BlockAddr) Addr() Addr { return Addr(b << BlockShift) }
+func (b BlockAddr) Addr() Addr { return Addr(b << blockShift) }
 
 // String formats the block address in hex at byte granularity.
-func (b BlockAddr) String() string { return fmt.Sprintf("0x%x", uint64(b)<<BlockShift) }
+func (b BlockAddr) String() string { return fmt.Sprintf("0x%x", uint64(b)<<blockShift) }
 
 // Kind describes the control-flow event that terminated a block visit.
 // It lets consumers distinguish sequential fall-through (which a next-line
@@ -79,8 +76,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Valid reports whether k is one of the defined kinds.
-func (k Kind) Valid() bool { return k < kindCount }
+// valid reports whether k is one of the defined kinds.
+func (k Kind) valid() bool { return k < kindCount }
 
 // Record is one retire-order visit to an instruction cache block.
 type Record struct {
@@ -102,7 +99,7 @@ func (r Record) Validate() error {
 	if r.Instrs == 0 {
 		return errors.New("trace: record with zero retired instructions")
 	}
-	if !r.Kind.Valid() {
+	if !r.Kind.valid() {
 		return fmt.Errorf("trace: invalid kind %d", r.Kind)
 	}
 	return nil
@@ -113,11 +110,6 @@ func (r Record) Validate() error {
 type Reader interface {
 	// Next returns the next record, or io.EOF when the trace is exhausted.
 	Next() (Record, error)
-}
-
-// Writer consumes trace records.
-type Writer interface {
-	Write(Record) error
 }
 
 // SliceReader adapts an in-memory record slice to the Reader interface.
@@ -139,14 +131,8 @@ func (s *SliceReader) Next() (Record, error) {
 	return r, nil
 }
 
-// Reset rewinds the reader to the beginning of the slice.
-func (s *SliceReader) Reset() { s.pos = 0 }
-
 // Supply implements Supplier: the records remaining before EOF.
 func (s *SliceReader) Supply() int64 { return int64(len(s.recs) - s.pos) }
-
-// Len returns the total number of records in the underlying slice.
-func (s *SliceReader) Len() int { return len(s.recs) }
 
 // Collect drains r into a slice, up to max records (max<=0 means unlimited).
 func Collect(r Reader, max int) ([]Record, error) {

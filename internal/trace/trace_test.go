@@ -16,11 +16,13 @@ func TestAddrBlockRoundTrip(t *testing.T) {
 		{64, 1},
 		{65, 1},
 		{0x12345678, 0x48d159},
-		{(1 << AddrBits) - 1, MaxBlockAddr},
+		{(1 << addrBits) - 1, MaxBlockAddr},
 	}
 	for _, c := range cases {
-		if got := c.addr.Block(); got != c.blk {
-			t.Errorf("Addr(%#x).Block() = %#x, want %#x", uint64(c.addr), uint64(got), uint64(c.blk))
+		// c.blk is the block holding c.addr: its first byte is at or
+		// below c.addr, the next block's above it.
+		if first, next := c.blk.Addr(), (c.blk + 1).Addr(); c.addr < first || c.addr >= next {
+			t.Errorf("Addr(%#x) lies outside block %#x = [%#x, %#x)", uint64(c.addr), uint64(c.blk), uint64(first), uint64(next))
 		}
 	}
 }
@@ -49,11 +51,11 @@ func TestKindString(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), s)
 		}
-		if !k.Valid() {
+		if !k.valid() {
 			t.Errorf("Kind(%d) should be valid", k)
 		}
 	}
-	if Kind(200).Valid() {
+	if Kind(200).valid() {
 		t.Error("Kind(200) should be invalid")
 	}
 	if Kind(200).String() == "" {
@@ -84,8 +86,8 @@ func TestSliceReader(t *testing.T) {
 		{Block: 2, Instrs: 8, Kind: KindCall},
 	}
 	r := NewSliceReader(recs)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	if r.Supply() != 2 {
+		t.Fatalf("Supply = %d, want 2", r.Supply())
 	}
 	for i := range recs {
 		got, err := r.Next()
@@ -99,9 +101,8 @@ func TestSliceReader(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("after end: err = %v, want io.EOF", err)
 	}
-	r.Reset()
-	if got, err := r.Next(); err != nil || got != recs[0] {
-		t.Errorf("after Reset: got %+v, %v", got, err)
+	if r.Supply() != 0 {
+		t.Errorf("Supply = %d after the end, want 0", r.Supply())
 	}
 }
 
@@ -179,7 +180,7 @@ func TestRNGDeterminism(t *testing.T) {
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 10000; i++ {
-		f := r.Float64()
+		f := r.uniform()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}

@@ -34,10 +34,10 @@ func Fieldf(field, format string, args ...any) *FieldError {
 	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// MaxHistEntries bounds a history-capacity override: twice Figure 6's
+// maxHistEntries bounds a history-capacity override: twice Figure 6's
 // largest point (512 K records). A larger one would only ask the host
 // for tables it cannot allocate.
-const MaxHistEntries = 1 << 20
+const maxHistEntries = 1 << 20
 
 // Cell bundles the range-checked knobs shared by every front end, as
 // resolved values: a front end that lets a field inherit a default fills
@@ -74,8 +74,8 @@ func (c Cell) Check() *FieldError {
 	if c.Cores < 1 || c.Cores > 16 {
 		return Fieldf("cores", "must be in [1,16], got %d", c.Cores)
 	}
-	if c.HistEntries < 0 || c.HistEntries > MaxHistEntries {
-		return Fieldf("hist_entries", "must be in [0,%d], got %d", MaxHistEntries, c.HistEntries)
+	if c.HistEntries < 0 || c.HistEntries > maxHistEntries {
+		return Fieldf("hist_entries", "must be in [0,%d], got %d", maxHistEntries, c.HistEntries)
 	}
 	if c.ElimProb < 0 || c.ElimProb > 1 {
 		return Fieldf("elim_prob", "must be in [0,1], got %g", c.ElimProb)

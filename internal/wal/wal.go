@@ -19,7 +19,7 @@
 // was being written when the process died. A record that fails its CRC
 // with further data behind it can never be a torn append (appends are
 // sequential), so it is interior corruption — bit rot or an outside
-// writer — and Open fails loudly with ErrCorrupt rather than silently
+// writer — and Open fails loudly with errCorrupt rather than silently
 // dropping journaled state.
 //
 // Rotation/compaction: Rewrite atomically replaces the log's contents
@@ -41,12 +41,12 @@ import (
 	"shift/internal/store"
 )
 
-// ErrCorrupt marks a log whose interior failed verification: a record
+// errCorrupt marks a log whose interior failed verification: a record
 // that is not the torn tail of a crashed append has a mismatching
 // CRC-32C footer or an impossible frame. Replaying past it could
 // silently drop journaled state, so Open refuses to open the log;
 // the operator keeps the evidence and decides.
-var ErrCorrupt = errors.New("wal: corrupt record")
+var errCorrupt = errors.New("wal: corrupt record")
 
 // maxRecord bounds a single record's payload (16 MiB). Appends beyond
 // it are refused, so a length prefix above it on disk can only be
@@ -84,7 +84,7 @@ type Log struct {
 // Open opens (creating if absent) the log at path, replays every
 // intact record into recs, truncates away a torn tail (reported in
 // tail), and positions the log for appending. Interior corruption
-// fails with an error wrapping ErrCorrupt and the byte offset of the
+// fails with an error wrapping errCorrupt and the byte offset of the
 // offending record; nothing is modified in that case.
 func Open(path string) (l *Log, recs [][]byte, tail Tail, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -129,7 +129,7 @@ func scan(data []byte) (recs [][]byte, good int64, err error) {
 		}
 		n := int(binary.BigEndian.Uint32(data[off:]))
 		if n == 0 || n > maxRecord {
-			return nil, 0, fmt.Errorf("%w: impossible record length %d at offset %d", ErrCorrupt, n, off)
+			return nil, 0, fmt.Errorf("%w: impossible record length %d at offset %d", errCorrupt, n, off)
 		}
 		if len(data)-off < n+frameOverhead {
 			return recs, int64(off), nil // torn payload or footer
@@ -140,7 +140,7 @@ func scan(data []byte) (recs [][]byte, good int64, err error) {
 			if off+n+frameOverhead == len(data) {
 				return recs, int64(off), nil // damaged final record: tail
 			}
-			return nil, 0, fmt.Errorf("%w: crc mismatch at offset %d", ErrCorrupt, off)
+			return nil, 0, fmt.Errorf("%w: crc mismatch at offset %d", errCorrupt, off)
 		}
 		recs = append(recs, append([]byte(nil), payload...))
 		off += n + frameOverhead
@@ -275,9 +275,6 @@ func (l *Log) Compactions() int64 {
 	defer l.mu.Unlock()
 	return l.compactions
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close syncs and closes the log file. Further appends fail.
 func (l *Log) Close() error {

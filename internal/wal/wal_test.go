@@ -125,7 +125,7 @@ func TestWALInteriorCorruptionFailsLoudly(t *testing.T) {
 		data[5] ^= 0x01 // first byte of record 0's payload
 		os.WriteFile(path, data, 0o644)
 		_, _, _, err := Open(path)
-		if !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, errCorrupt) {
 			t.Fatalf("Open = %v, want ErrCorrupt", err)
 		}
 		// Nothing was modified: the evidence is preserved.
@@ -140,7 +140,7 @@ func TestWALInteriorCorruptionFailsLoudly(t *testing.T) {
 		data, _ := os.ReadFile(path)
 		binary.BigEndian.PutUint32(data, uint32(maxRecord+1))
 		os.WriteFile(path, data, 0o644)
-		if _, _, _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := Open(path); !errors.Is(err, errCorrupt) {
 			t.Fatalf("Open = %v, want ErrCorrupt", err)
 		}
 	})
@@ -150,7 +150,7 @@ func TestWALInteriorCorruptionFailsLoudly(t *testing.T) {
 		data, _ := os.ReadFile(path)
 		binary.BigEndian.PutUint32(data, 0)
 		os.WriteFile(path, data, 0o644)
-		if _, _, _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := Open(path); !errors.Is(err, errCorrupt) {
 			t.Fatalf("Open = %v, want ErrCorrupt", err)
 		}
 	})

@@ -44,9 +44,6 @@ func (w *Workload) NewCoreReader(core int) *CoreReader {
 	return r
 }
 
-// Records returns the number of records generated so far.
-func (r *CoreReader) Records() int64 { return r.records }
-
 func (r *CoreReader) fn(fi int32) *function {
 	if fi < 0 {
 		return &r.w.osFuncs[^fi]

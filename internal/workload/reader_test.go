@@ -98,7 +98,7 @@ func TestTrapNeverNests(t *testing.T) {
 	inOS := false
 	for i := 0; i < 50000; i++ {
 		rec, _ := r.Next()
-		isOS := rec.Block >= OSBaseBlock
+		isOS := rec.Block >= osBaseBlock
 		if isOS && rec.Kind == trace.KindTrap && inOS {
 			t.Fatal("trap taken inside a trap handler")
 		}

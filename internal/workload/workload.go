@@ -35,16 +35,16 @@ import (
 // disjoint regions of the 40-bit physical space, far apart so spatial
 // regions never straddle them.
 const (
-	// AppBaseBlock is the first application code block (byte 0x1_0000_0000).
-	AppBaseBlock trace.BlockAddr = 0x4000000
-	// OSBaseBlock is the first OS/trap-handler code block (byte 0x2_0000_0000).
-	OSBaseBlock trace.BlockAddr = 0x8000000
+	// appBaseBlock is the first application code block (byte 0x1_0000_0000).
+	appBaseBlock trace.BlockAddr = 0x4000000
+	// osBaseBlock is the first OS/trap-handler code block (byte 0x2_0000_0000).
+	osBaseBlock trace.BlockAddr = 0x8000000
 )
 
-// MaxFootprintBytes bounds each code region, application and OS: the
+// maxFootprintBytes bounds each code region, application and OS: the
 // span between the two bases, so application code ends below the OS's,
 // and every block address and block count of a workload fits 31 bits.
-const MaxFootprintBytes = int(OSBaseBlock-AppBaseBlock) * trace.BlockBytes
+const maxFootprintBytes = int(osBaseBlock-appBaseBlock) * trace.BlockBytes
 
 // Params describes one synthetic workload. The seven presets in Catalog()
 // model the Table I applications; custom workloads may be built directly.
@@ -115,12 +115,12 @@ func (p Params) Validate() error {
 		return errors.New("workload: empty Name")
 	case p.FootprintBytes < 16*trace.BlockBytes:
 		return fmt.Errorf("workload %s: FootprintBytes %d too small", p.Name, p.FootprintBytes)
-	case p.FootprintBytes > MaxFootprintBytes:
-		return fmt.Errorf("workload %s: FootprintBytes %d above %d", p.Name, p.FootprintBytes, MaxFootprintBytes)
+	case p.FootprintBytes > maxFootprintBytes:
+		return fmt.Errorf("workload %s: FootprintBytes %d above %d", p.Name, p.FootprintBytes, maxFootprintBytes)
 	case p.OSFootprintBytes < 4*trace.BlockBytes:
 		return fmt.Errorf("workload %s: OSFootprintBytes %d too small", p.Name, p.OSFootprintBytes)
-	case p.OSFootprintBytes > MaxFootprintBytes:
-		return fmt.Errorf("workload %s: OSFootprintBytes %d above %d", p.Name, p.OSFootprintBytes, MaxFootprintBytes)
+	case p.OSFootprintBytes > maxFootprintBytes:
+		return fmt.Errorf("workload %s: OSFootprintBytes %d above %d", p.Name, p.OSFootprintBytes, maxFootprintBytes)
 	case p.RequestTypes < 1:
 		return fmt.Errorf("workload %s: RequestTypes %d < 1", p.Name, p.RequestTypes)
 	case p.FuncBlocksMean < 1:
@@ -232,11 +232,8 @@ func New(p Params) (*Workload, error) {
 	return w, nil
 }
 
-// Params returns the workload's parameters.
-func (w *Workload) Params() Params { return w.params }
-
-// AppBlocks returns the number of application code blocks.
-func (w *Workload) AppBlocks() int {
+// appBlocks returns the number of application code blocks.
+func (w *Workload) appBlocks() int {
 	n := 0
 	for _, f := range w.funcs {
 		n += int(f.blocks)
@@ -265,16 +262,16 @@ func layOut(rng *trace.RNG, base trace.BlockAddr, blocks, span int) []function {
 }
 
 // buildAppCode lays out application functions contiguously from
-// AppBaseBlock until the footprint is consumed, each uniform on [1,
+// appBaseBlock until the footprint is consumed, each uniform on [1,
 // 2*mean-1] blocks, mean = FuncBlocksMean.
 func (w *Workload) buildAppCode(rng *trace.RNG, appBlocks int) {
-	w.funcs = layOut(rng, AppBaseBlock, appBlocks, 2*w.params.FuncBlocksMean-1)
+	w.funcs = layOut(rng, appBaseBlock, appBlocks, 2*w.params.FuncBlocksMean-1)
 }
 
 // buildOSCode lays out trap handlers and the scheduler path in the OS
 // region. Handlers are short (1-3 functions); the scheduler is longer.
 func (w *Workload) buildOSCode(rng *trace.RNG, osBlocks int) {
-	w.osFuncs = layOut(rng, OSBaseBlock, osBlocks, 5) // OS handler helpers are small
+	w.osFuncs = layOut(rng, osBaseBlock, osBlocks, 5) // OS handler helpers are small
 	nos := len(w.osFuncs)
 	// A few distinct trap handlers, each a fixed short sequence of OS funcs.
 	handlerCount := 4
@@ -349,7 +346,7 @@ func (w *Workload) wireCallGraph(rng *trace.RNG) {
 	// The blocks' control flow is drawn twice from one RNG state: the first
 	// pass counts the call sites, so the second fills a table of their
 	// exact size.
-	w.meta = make([]blockMeta, w.AppBlocks())
+	w.meta = make([]blockMeta, w.appBlocks())
 	start, sites := *rng, 0
 	for pass := range 2 {
 		if pass == 1 {

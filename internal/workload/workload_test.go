@@ -33,8 +33,8 @@ func TestParamsValidate(t *testing.T) {
 		{"empty name", func(p *Params) { p.Name = "" }},
 		{"tiny footprint", func(p *Params) { p.FootprintBytes = 10 }},
 		{"tiny OS", func(p *Params) { p.OSFootprintBytes = 10 }},
-		{"footprint past the OS base", func(p *Params) { p.FootprintBytes = MaxFootprintBytes + 1 }},
-		{"OS footprint past the bound", func(p *Params) { p.OSFootprintBytes = MaxFootprintBytes + 1 }},
+		{"footprint past the OS base", func(p *Params) { p.FootprintBytes = maxFootprintBytes + 1 }},
+		{"OS footprint past the bound", func(p *Params) { p.OSFootprintBytes = maxFootprintBytes + 1 }},
 		{"no request types", func(p *Params) { p.RequestTypes = 0 }},
 		{"zero func size", func(p *Params) { p.FuncBlocksMean = 0 }},
 		{"zero depth", func(p *Params) { p.CallDepth = 0 }},
@@ -64,7 +64,7 @@ func TestNewBuildsProgram(t *testing.T) {
 		t.Errorf("too few functions: %d", w.NumFunctions())
 	}
 	wantApp := smallParams().FootprintBytes / trace.BlockBytes
-	if got := w.AppBlocks(); got != wantApp {
+	if got := w.appBlocks(); got != wantApp {
 		t.Errorf("AppBlocks = %d, want %d", got, wantApp)
 	}
 	wantOS := smallParams().OSFootprintBytes / trace.BlockBytes
@@ -150,8 +150,8 @@ func TestReaderAddressesInRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appLo, appHi := AppBaseBlock, AppBaseBlock+trace.BlockAddr(w.AppBlocks())
-	osLo, osHi := OSBaseBlock, OSBaseBlock+trace.BlockAddr(w.OSBlocks())
+	appLo, appHi := appBaseBlock, appBaseBlock+trace.BlockAddr(w.appBlocks())
+	osLo, osHi := osBaseBlock, osBaseBlock+trace.BlockAddr(w.OSBlocks())
 	r := w.NewCoreReader(0)
 	osSeen := false
 	for i := 0; i < 100000; i++ {
@@ -204,7 +204,7 @@ func TestReaderTouchesMostOfFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := float64(st.UniqueBlocks) / float64(w.AppBlocks())
+	frac := float64(st.UniqueBlocks) / float64(w.appBlocks())
 	if frac < 0.5 {
 		t.Errorf("only %.0f%% of footprint touched in 400k records", frac*100)
 	}
@@ -342,3 +342,9 @@ func (w *Workload) OSBlocks() int {
 	}
 	return n
 }
+
+// Test-only operations: only this package's tests call these, so they
+// live in a test file rather than in the product.
+
+// Records returns the number of records generated so far.
+func (r *CoreReader) Records() int64 { return r.records }
