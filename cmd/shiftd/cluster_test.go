@@ -107,8 +107,8 @@ func TestCoordinatorShardsGridAcrossWorker(t *testing.T) {
 		t.Fatal("clustered grid differs from in-process grid")
 	}
 
-	if n := workerSrv.worker.Batches(); n == 0 {
-		t.Error("worker executed no batches; grid was not routed")
+	if n := workerSrv.engine.Stats().Simulated; n == 0 {
+		t.Error("worker simulated no cells; grid was not routed")
 	}
 	resp, err := http.Get(coordTS.URL + "/v1/cluster")
 	if err != nil {

@@ -22,9 +22,9 @@ import (
 // RunBatch followers keep of the instruction cache their lead steps —
 // membership, for their prefetch filter.
 //
-// Hit/miss sequence, Stats and resident sets equal those of a Cache (and
-// of Reference) of the same geometry driven with LookupInsert(b, false);
-// a differential test holds it to that.
+// Hit/miss sequence, evictions and resident sets equal those of a Cache
+// (and of Reference) of the same geometry driven with LookupInsert(b,
+// false); a differential test holds it to that.
 type ICache struct {
 	cfg Config
 	// tags holds block+1 per way, sets × ways, zero for an empty way.
@@ -36,8 +36,6 @@ type ICache struct {
 	shift  uint
 	mask   uint64
 	clock  uint32
-
-	hits, misses, evictions int64
 }
 
 // icacheKey tells the free lists of full caches and replicas apart.
@@ -55,8 +53,8 @@ var freeICaches freelist.Keyed[icacheKey, ICache]
 func NewICache(cfg Config) (*ICache, error) { return newICache(cfg, false) }
 
 // NewICacheReplica builds an empty replica: the tags of an ICache of
-// geometry cfg and nothing else. It answers Contains, takes Put and
-// CopyTagsFrom, and counts nothing; LookupInsert is not for it.
+// geometry cfg and nothing else. It answers Contains and takes Put and
+// CopyTagsFrom; LookupInsert is not for it.
 func NewICacheReplica(cfg Config) (*ICache, error) { return newICache(cfg, true) }
 
 func newICache(cfg Config, replica bool) (*ICache, error) {
@@ -76,7 +74,7 @@ func newICache(cfg Config, replica bool) (*ICache, error) {
 	// tracking what was written.
 	clear(c.tags)
 	clear(c.stamps)
-	c.clock, c.hits, c.misses, c.evictions = 0, 0, 0, 0
+	c.clock = 0
 	return c, nil
 }
 
@@ -87,12 +85,6 @@ func (c *ICache) Release() { freeICaches.Put(icacheKey{c.cfg, c.stamps == nil}, 
 
 // Replica reports whether c holds tags only.
 func (c *ICache) Replica() bool { return c.stamps == nil }
-
-// Stats returns the event counters, as a Cache would have counted the
-// same accesses. A replica counts nothing.
-func (c *ICache) Stats() Stats {
-	return Stats{Hits: c.hits, Misses: c.misses, Inserts: c.misses, Evictions: c.evictions}
-}
 
 // setBase returns the position of the first way of b's set.
 func (c *ICache) setBase(b trace.BlockAddr) int {
@@ -132,15 +124,7 @@ func (c *ICache) LookupInsert(b trace.BlockAddr) (hit bool, way int) {
 		way = held
 	}
 	tags[way], stamps[way] = key, c.clock
-	if hit {
-		c.hits++
-		return true, way
-	}
-	c.misses++
-	if least != 0 {
-		c.evictions++
-	}
-	return false, way
+	return hit, way
 }
 
 // renumber makes room on the clock once in 2^32 accesses: each set's
@@ -163,8 +147,7 @@ func (c *ICache) renumber() {
 	c.clock = uint32(c.ways)
 }
 
-// Contains reports whether b is present, without touching recency or
-// counters.
+// Contains reports whether b is present, without touching recency.
 func (c *ICache) Contains(b trace.BlockAddr) bool {
 	key, base := uint64(b)+1, c.setBase(b)
 	for _, t := range c.tags[base : base+c.ways] {

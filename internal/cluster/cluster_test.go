@@ -83,8 +83,8 @@ func TestGoldenFigure7CrossWorker(t *testing.T) {
 		router Router
 	}{{"affinity", nil}, {"round-robin", &RoundRobinRouter{}}} {
 		t.Run(route.name, func(t *testing.T) {
-			srv1, w1, _ := newTestWorker(t)
-			srv2, w2, _ := newTestWorker(t)
+			srv1, w1, e1 := newTestWorker(t)
+			srv2, w2, e2 := newTestWorker(t)
 			coord, eng := newCoordinatorEngine(t, Config{
 				Peers:  []string{srv1.URL, srv2.URL},
 				Router: route.router,
@@ -103,11 +103,11 @@ func TestGoldenFigure7CrossWorker(t *testing.T) {
 			if st.CellsFallback != 0 {
 				t.Fatalf("%d cells fell back in-process with healthy workers", st.CellsFallback)
 			}
-			if w1.cells.Load()+w2.cells.Load() == 0 {
+			if e1.Stats().Simulated+e2.Stats().Simulated == 0 {
 				t.Fatal("workers executed no cells")
 			}
-			if route.router != nil && (w1.Batches() == 0 || w2.Batches() == 0) {
-				t.Fatalf("round-robin left a worker idle: %d / %d batches", w1.Batches(), w2.Batches())
+			if route.router != nil && (w1.Load() == 0 || w2.Load() == 0) {
+				t.Fatalf("round-robin left a worker idle: %d / %d batches", w1.Load(), w2.Load())
 			}
 		})
 	}
@@ -453,7 +453,7 @@ func TestClusterErrorParity(t *testing.T) {
 // from ExecBatch (and, for a batch of one, as the raw error), with no
 // re-route and the worker still healthy.
 func TestBatchErrorClassification(t *testing.T) {
-	srv, w, _ := newTestWorker(t)
+	srv, batches, _ := newTestWorker(t)
 	coord := New(Config{Peers: []string{srv.URL}})
 	defer coord.Close()
 
@@ -477,7 +477,7 @@ func TestBatchErrorClassification(t *testing.T) {
 	if st.WorkersUp != 1 {
 		t.Fatalf("worker marked unhealthy by a simulation failure: %+v", st)
 	}
-	if w.Batches() < 2 {
-		t.Fatalf("worker served %d batches, want >= 2", w.Batches())
+	if n := batches.Load(); n < 2 {
+		t.Fatalf("worker served %d batches, want >= 2", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 
 	"shift"
 )
@@ -59,18 +58,13 @@ type BatchResult struct {
 // by the surrounding process (shiftd mounts /v1/blobs and /v1/healthz
 // alongside).
 type Worker struct {
-	engine  *shift.Engine
-	batches atomic.Int64
-	cells   atomic.Int64
+	engine *shift.Engine
 }
 
 // NewWorker returns a worker executing batches on engine.
 func NewWorker(engine *shift.Engine) *Worker {
 	return &Worker{engine: engine}
 }
-
-// Batches returns the number of batch requests served.
-func (w *Worker) Batches() int64 { return w.batches.Load() }
 
 // HandleBatch serves POST /v1/batch: decode the batch, execute it on
 // the local engine, answer per-cell. The engine reports every cell's own
@@ -81,8 +75,6 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	w.batches.Add(1)
-	w.cells.Add(int64(len(req.Cells)))
 
 	ks := make([]shift.KeyedConfig, len(req.Cells))
 	for i, cfg := range req.Cells {

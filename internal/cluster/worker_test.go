@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"shift"
@@ -23,19 +24,25 @@ func tinyConfig(d shift.Design) shift.Config {
 }
 
 // newTestWorker starts an httptest worker serving /v1/batch and
-// /v1/healthz on a fresh engine with an in-memory result store.
-func newTestWorker(t *testing.T) (*httptest.Server, *Worker, *shift.Engine) {
+// /v1/healthz on a fresh engine with an in-memory result store. batches
+// counts the batch requests it has been sent; the engine's Simulated
+// count is the cells it ran.
+func newTestWorker(t *testing.T) (srv *httptest.Server, batches *atomic.Int64, eng *shift.Engine) {
 	t.Helper()
-	eng := shift.NewEngine(2, shift.NewResultCache())
+	eng = shift.NewEngine(2, shift.NewResultCache())
 	w := NewWorker(eng)
+	batches = new(atomic.Int64)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/batch", w.HandleBatch)
+	mux.HandleFunc("POST /v1/batch", func(rw http.ResponseWriter, r *http.Request) {
+		batches.Add(1)
+		w.HandleBatch(rw, r)
+	})
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.WriteHeader(http.StatusOK)
 	})
-	srv := httptest.NewServer(mux)
+	srv = httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return srv, w, eng
+	return srv, batches, eng
 }
 
 // postBatch posts cfgs to the worker and decodes the reply.
@@ -98,7 +105,7 @@ func TestConfigResultWireRoundTrip(t *testing.T) {
 }
 
 func TestWorkerHandleBatch(t *testing.T) {
-	srv, w, _ := newTestWorker(t)
+	srv, batches, eng := newTestWorker(t)
 	cfgs := []shift.Config{
 		tinyConfig(shift.DesignBaseline),
 		tinyConfig(shift.DesignSHIFT),
@@ -125,8 +132,8 @@ func TestWorkerHandleBatch(t *testing.T) {
 			t.Fatalf("cell %d result differs from local Run", i)
 		}
 	}
-	if w.Batches() != 1 || w.cells.Load() != 2 {
-		t.Fatalf("counters: %d batches / %d cells, want 1 / 2", w.Batches(), w.cells.Load())
+	if n, cells := batches.Load(), eng.Stats().Simulated; n != 1 || cells != 2 {
+		t.Fatalf("counters: %d batches / %d cells, want 1 / 2", n, cells)
 	}
 }
 

@@ -119,14 +119,12 @@ func (r *Replayer) WarmBuilder() *history.Builder { return r.sh.builder }
 func (r *Replayer) WarmRecord(rec history.Region) {
 	r.sh.append(r.coreID, rec)
 	r.stats.RecordsWritten++
-	r.stats.IndexUpdates++
 }
 
 // allocate claims a stream, performs the initial history read, and emits
 // the first prefetch window.
 func (r *Replayer) allocate(pos uint64, current trace.BlockAddr) {
 	si := r.sab.Alloc()
-	r.stats.StreamAllocs++
 	delay := r.fill(si, pos, r.sh.cfg.SAB.Lookahead)
 	r.emitWindow(si, current, delay)
 }
@@ -178,7 +176,6 @@ func (r *Replayer) fill(si int, pos uint64, want int) int64 {
 				break
 			}
 			delay += r.sh.backend.ReadHistoryBlock(r.coreID, r.sh.hbBlockFor(pos))
-			r.stats.HistoryReads++
 			r.sab.FillRegions(si, recs, next)
 			got += len(recs)
 			pos = next

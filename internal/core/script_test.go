@@ -94,8 +94,9 @@ func TestScriptGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&sb, "stats %+v\n", p.PrefetchStats())
 	h := sh.History()
-	fmt.Fprintf(&sb, "history writepos=%d len=%d\n", h.WritePos(), h.Len())
-	for pos := h.WritePos() - uint64(h.Len()); pos < h.WritePos(); pos++ {
+	live := min(h.WritePos(), uint64(sh.Config().HistEntries))
+	fmt.Fprintf(&sb, "history writepos=%d len=%d\n", h.WritePos(), live)
+	for pos := h.WritePos() - live; pos < h.WritePos(); pos++ {
 		r, ok := h.Read(pos)
 		fmt.Fprintf(&sb, "%d %v %v\n", pos, r, ok)
 	}

@@ -68,9 +68,8 @@ type LLCBackend interface {
 	// ok is false when the block is not LLC-resident or has no pointer.
 	PointerFor(core int, blk trace.BlockAddr) (ptr uint32, ok bool)
 	// UpdatePointer sets blk's pointer in the LLC tag array, if blk is
-	// resident (recording step 2). It accounts index-update traffic and
-	// reports whether the update landed.
-	UpdatePointer(core int, blk trace.BlockAddr, ptr uint32) bool
+	// resident (recording step 2), and accounts index-update traffic.
+	UpdatePointer(core int, blk trace.BlockAddr, ptr uint32)
 	// ReadHistoryBlock accounts a history-buffer block read by core and
 	// returns the round-trip latency in cycles (replay steps 2-3).
 	ReadHistoryBlock(core int, hbBlock trace.BlockAddr) int64
@@ -223,13 +222,6 @@ type SharedHistory struct {
 	rotations int64
 
 	cbbCount int // records accumulated in the cache-block buffer
-
-	// Shared-side statistics.
-	recordsWritten int64
-	histWrites     int64
-	indexUpdates   int64
-	indexDropped   int64 // updates dropped because the trigger left the LLC
-	indexForeign   int64 // pointers rejected because another history set them
 }
 
 // newSharedHistory builds the shared history for a run of at most writes
@@ -310,26 +302,20 @@ func (sh *SharedHistory) hbBlockFor(pos uint64) trace.BlockAddr {
 // cache block's worth has accumulated, the CBB flush.
 func (sh *SharedHistory) append(coreID int, rec history.Region) {
 	pos := sh.buf.Append(rec)
-	sh.recordsWritten++
 	switch sh.cfg.Variant {
 	case Dedicated:
 		sh.index.Update(rec.Trigger, pos)
-		sh.indexUpdates++
 	case Virtualized:
 		// Index update request to the LLC for the trigger address,
 		// carrying the current write pointer (recording step 2). The
 		// update is dropped if the trigger block is not LLC-resident.
 		// Positions stay below history.MaxWrites, so 32 bits hold one.
-		sh.indexUpdates++
-		if !sh.backend.UpdatePointer(coreID, rec.Trigger, uint32(pos)) {
-			sh.indexDropped++
-		}
+		sh.backend.UpdatePointer(coreID, rec.Trigger, uint32(pos))
 		// Accumulate into the CBB; flush a full block to the LLC
 		// (recording steps 1, 3, 4).
 		sh.cbbCount++
 		if sh.cbbCount >= sh.cfg.recordsPerBlock() {
 			sh.backend.WriteHistoryBlock(coreID, sh.hbBlockFor(pos))
-			sh.histWrites++
 			sh.cbbCount = 0
 		}
 	}
@@ -359,7 +345,6 @@ func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr) (uint64, bool) 
 			return 0, false // pointer refers to overwritten history
 		}
 		if r.Trigger != blk {
-			sh.indexForeign++
 			return 0, false
 		}
 		return pos, true
@@ -367,31 +352,7 @@ func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr) (uint64, bool) 
 	return 0, false
 }
 
-// SharedStats reports generator-side counters.
-type SharedStats struct {
-	RecordsWritten int64
-	HistWrites     int64
-	IndexUpdates   int64
-	IndexDropped   int64
-	// IndexForeign counts replay lookups that found a pointer another
-	// history set (virtualized only) and so missed.
-	IndexForeign int64
-	WritePos     uint64
-}
-
 // History exposes the shared history buffer (read-only use: the
 // functional-vs-detailed warm-state differential tests compare history
 // contents across stepping modes).
 func (sh *SharedHistory) History() *history.Buffer { return sh.buf }
-
-// Stats returns the shared-side counters.
-func (sh *SharedHistory) Stats() SharedStats {
-	return SharedStats{
-		RecordsWritten: sh.recordsWritten,
-		HistWrites:     sh.histWrites,
-		IndexUpdates:   sh.indexUpdates,
-		IndexDropped:   sh.indexDropped,
-		IndexForeign:   sh.indexForeign,
-		WritePos:       sh.buf.WritePos(),
-	}
-}

@@ -113,13 +113,9 @@ func TestPlainHitsInvisible(t *testing.T) {
 	p := newTIFS(testTIFSConfig())
 	stream := []trace.BlockAddr{10, 20, 30}
 	missStream(p, stream)
-	allocs := p.PrefetchStats().StreamAllocs
-	// Hits must not start streams.
-	for _, b := range stream {
-		p.OnAccess(prefetch.Access{Block: b, Hit: true})
-	}
-	if p.PrefetchStats().StreamAllocs != allocs {
-		t.Error("hits allocated streams")
+	// Hits must not start streams: they emit no prefetch window.
+	if n := windows(p, stream, true); n != 0 {
+		t.Errorf("hits emitted %d prefetch windows", n)
 	}
 }
 

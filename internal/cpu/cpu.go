@@ -92,9 +92,8 @@ type Clock struct {
 	cyclesFP int64
 	instrs   int64
 
-	baseFP      int64 // precomputed BaseCPI in fixed point
-	fetchStall  int64 // whole cycles of exposed fetch stall
-	branchStall int64 // whole cycles of mispredict bubbles
+	baseFP     int64 // precomputed BaseCPI in fixed point
+	fetchStall int64 // whole cycles of exposed fetch stall
 }
 
 // NewClock builds a cycle accumulator for core type t.
@@ -123,7 +122,6 @@ func (c *Clock) FetchStall(cycles int64) {
 // Mispredict accounts one branch misprediction bubble.
 func (c *Clock) Mispredict() {
 	c.cyclesFP += int64(c.p.MispredictPenalty) << fpShift
-	c.branchStall += int64(c.p.MispredictPenalty)
 }
 
 // Now returns the current cycle (whole cycles).
@@ -134,6 +132,3 @@ func (c *Clock) Instructions() int64 { return c.instrs }
 
 // FetchStallCycles returns total exposed fetch-stall cycles.
 func (c *Clock) FetchStallCycles() int64 { return c.fetchStall }
-
-// BranchStallCycles returns total mispredict bubble cycles.
-func (c *Clock) BranchStallCycles() int64 { return c.branchStall }

@@ -98,9 +98,11 @@ func TestClockFetchStallExposure(t *testing.T) {
 
 func TestClockMispredict(t *testing.T) {
 	c := NewClock(LeanOoO)
+	c.Retire(10)
+	before := c.Now()
 	c.Mispredict()
-	if c.BranchStallCycles() != int64(ParamsFor(LeanOoO).MispredictPenalty) {
-		t.Errorf("branch stall = %d", c.BranchStallCycles())
+	if got, want := c.Now()-before, int64(ParamsFor(LeanOoO).MispredictPenalty); got != want {
+		t.Errorf("a mispredict advanced the clock by %d cycles, want the penalty %d", got, want)
 	}
 }
 

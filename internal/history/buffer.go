@@ -127,6 +127,3 @@ func (b *Buffer) ReadSeq(dst []Region, pos uint64, n int) ([]Region, uint64) {
 	}
 	return dst, pos
 }
-
-// Len returns the number of live records (saturates at capacity).
-func (b *Buffer) Len() int { return int(min(b.next, b.capacity)) }

@@ -35,9 +35,6 @@ type IndexTable struct {
 	// dirty holds one bit per set, set when an Update writes the set, so
 	// emptying the table for its next owner clears just those sets.
 	dirty []uint64
-
-	lookups int64
-	hits    int64
 }
 
 // posBits is the width of an entry's position field, which holds
@@ -84,7 +81,6 @@ func (t *IndexTable) reset() {
 		}
 		t.dirty[wi] = 0
 	}
-	t.lookups, t.hits = 0, 0
 }
 
 // Release hands t's storage back for a later NewIndexTable of the same
@@ -138,14 +134,12 @@ func touch(set []uint64, i int, e uint64) {
 
 // Lookup returns the stored history position for trigger.
 func (t *IndexTable) Lookup(trigger trace.BlockAddr) (pos uint64, ok bool) {
-	t.lookups++
 	si, tag := t.set(trigger)
 	set := t.ways(si)
 	i := find(set, tag)
 	if i < 0 {
 		return 0, false
 	}
-	t.hits++
 	e := set[i]
 	touch(set, i, e)
 	return e&posMask - 1, true

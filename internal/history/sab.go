@@ -82,10 +82,6 @@ type SAB struct {
 	cfg     SABConfig
 	streams []stream
 	clock   uint64
-
-	allocs    int64
-	advances  int64
-	evictions int64
 }
 
 // newSAB builds a stream address buffer file.
@@ -174,7 +170,6 @@ func (s *SAB) Advance(blk trace.BlockAddr) (si, needed int, ok bool) {
 	}
 	s.clock++
 	st.lastUse = s.clock
-	s.advances++
 	needed = s.cfg.Lookahead - len(st.trig)
 	if max := s.cfg.Capacity - len(st.trig); needed > max {
 		needed = max
@@ -199,9 +194,6 @@ func (s *SAB) Alloc() int {
 			victim, victimUse = i, s.streams[i].lastUse
 		}
 	}
-	if s.streams[victim].live {
-		s.evictions++
-	}
 	s.clock++
 	// Reset in place, keeping the queue backing arrays so steady-state
 	// stream turnover does not allocate.
@@ -213,7 +205,6 @@ func (s *SAB) Alloc() int {
 	st.nextPos = 0
 	st.lastUse = s.clock
 	st.live = true
-	s.allocs++
 	return victim
 }
 

@@ -113,14 +113,16 @@ func TestSABLRUStreamReplacement(t *testing.T) {
 		s.FillRegions(sis[i], []Region{{Trigger: trace.BlockAddr(100 * (i + 1))}}, 0)
 	}
 	// Touch stream 0 so stream 1 is LRU.
-	s.Advance(100)
+	if _, _, ok := s.Advance(100); !ok {
+		t.Fatal("stream 0 does not cover its own trigger")
+	}
 	victim := s.Alloc()
 	if victim != sis[1] {
 		t.Errorf("Alloc evicted stream %d, want LRU stream %d", victim, sis[1])
 	}
-	_, advances, evictions := func() (int64, int64, int64) { return s.Stats() }()
-	if advances != 1 || evictions != 1 {
-		t.Errorf("advances=%d evictions=%d", advances, evictions)
+	// The victim comes back empty; the touched stream keeps its record.
+	if s.Covers(200) || !s.Covers(100) {
+		t.Errorf("after the eviction: covers 200 %v, 100 %v; want false, true", s.Covers(200), s.Covers(100))
 	}
 }
 
@@ -183,8 +185,6 @@ type sabReference struct {
 	cfg     SABConfig
 	streams []refStream
 	clock   uint64
-
-	allocs, advances, evictions int64
 }
 
 type refStream struct {
@@ -223,7 +223,6 @@ func (r *sabReference) Advance(blk trace.BlockAddr) (si, needed int, ok bool) {
 	st.pfIdx = max(st.pfIdx-ri, 0)
 	r.clock++
 	st.lastUse = r.clock
-	r.advances++
 	n := len(st.queue)
 	return si, max(min(r.cfg.Lookahead-n, r.cfg.Capacity-n), 0), true
 }
@@ -243,11 +242,9 @@ func (r *sabReference) Alloc() int {
 				victim = i
 			}
 		}
-		r.evictions++
 	}
 	r.clock++
 	r.streams[victim] = refStream{lastUse: r.clock, live: true}
-	r.allocs++
 	return victim
 }
 
@@ -353,11 +350,6 @@ func checkSABOps(t *testing.T, data []byte) (covered int) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("%+v op %d: %v", cfg, op, err)
 		}
-		allocs, advances, evictions := s.Stats()
-		if allocs != ref.allocs || advances != ref.advances || evictions != ref.evictions {
-			t.Fatalf("%+v op %d: stats (%d, %d, %d), reference (%d, %d, %d)", cfg, op,
-				allocs, advances, evictions, ref.allocs, ref.advances, ref.evictions)
-		}
 	}
 	live := 0
 	for _, st := range ref.streams {
@@ -419,11 +411,6 @@ func (s *SAB) LiveStreams() int {
 		}
 	}
 	return n
-}
-
-// Stats returns (allocations, advances, stream evictions).
-func (s *SAB) Stats() (allocs, advances, evictions int64) {
-	return s.allocs, s.advances, s.evictions
 }
 
 // CheckInvariants verifies stream bounds and filters; used by property

@@ -318,12 +318,15 @@ func liveEqualsReplayed(t *testing.T, seed int64) {
 			for _, c := range pending {
 				n += len(c.ks)
 			}
-			st := m.Stats()
-			if st.Running == n && (st.QueueDepth == 0 || len(pending) == workers || st.Draining) {
+			m.mu.Lock()
+			running, queued, draining := m.running, m.queued, m.draining
+			m.mu.Unlock()
+			if running == n && (queued == 0 || len(pending) == workers || draining) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("manager never settled: %+v with %d calls held", st, len(pending))
+				t.Fatalf("manager never settled: %d cells running, %d queued, draining %v, with %d calls held",
+					running, queued, draining, len(pending))
 			}
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -251,8 +251,8 @@ func TestCancelBetweenBatches(t *testing.T) {
 	if calls := r.recorded(); len(calls) != 1 {
 		t.Fatalf("RunBatch calls %v, want only the batch that was running", calls)
 	}
-	if s := m.Stats(); s.QueueDepth != 0 || s.Running != 0 {
-		t.Fatalf("QueueDepth %d, Running %d after the cancelled job drained; want 0, 0", s.QueueDepth, s.Running)
+	if queued, running := queuedRunning(m); queued != 0 || running != 0 {
+		t.Fatalf("%d cells queued, %d running after the cancelled job drained; want 0, 0", queued, running)
 	}
 }
 

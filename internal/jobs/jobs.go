@@ -1360,8 +1360,6 @@ type Stats struct {
 	// job when it turned terminal, any other once retainedCells cells of
 	// later-finishing jobs had finished.
 	Evicted int64
-	// Running is the number of cells currently executing in workers.
-	Running int
 	// Draining reports that graceful shutdown has begun.
 	Draining bool
 	// Recovering is the number of recovered jobs that have not reached
@@ -1403,7 +1401,6 @@ func (m *Manager) Stats() Stats {
 		Cancelled:     m.cancelled,
 		Retried:       m.retried,
 		Evicted:       m.evicted,
-		Running:       m.running,
 		Draining:      m.draining,
 		Recovering:    m.recoveredPending,
 		JournalErrors: m.journalErrs.Load(),

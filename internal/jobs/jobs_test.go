@@ -373,7 +373,7 @@ func TestAdmitCountsRejections(t *testing.T) {
 	}
 	r.release <- struct{}{}
 	r.release <- struct{}{}
-	waitFor(t, func() bool { s := m.Stats(); return s.QueueDepth == 0 && s.Running == 0 })
+	waitFor(t, func() bool { queued, running := queuedRunning(m); return queued == 0 && running == 0 })
 	if _, err := m.SubmitFrom("c2", two); err != nil {
 		t.Fatalf("the refused client's full burst after the queue freed = %v, want admitted", err)
 	}
@@ -850,4 +850,12 @@ func TestSharedResultsCompareBits(t *testing.T) {
 		}
 	}
 	fields(reflect.TypeOf(shift.RunResult{}), nil)
+}
+
+// queuedRunning returns the cells waiting in the queue and the cells
+// executing in workers, read together under the manager's lock.
+func queuedRunning(m *Manager) (queued, running int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.queued, m.running
 }

@@ -26,8 +26,6 @@ type Request struct {
 
 // Access describes one demand L1-I access, in retire order.
 type Access struct {
-	// Now is the core-local cycle of the access.
-	Now int64
 	// Block is the instruction block address.
 	Block trace.BlockAddr
 	// Hit is the L1-I outcome.
@@ -68,13 +66,6 @@ type Stats struct {
 	// CoveredMisses counts misses that fell inside an active stream (the
 	// prediction-mode coverage of Figure 6).
 	CoveredMisses int64
-	// StreamAllocs counts new stream activations.
-	StreamAllocs int64
-	// HistoryReads and HistoryWrites count history-buffer block
-	// transfers (virtualized SHIFT's LogRead/LogWrite traffic).
-	HistoryReads, HistoryWrites int64
-	// IndexUpdates counts index-pointer updates.
-	IndexUpdates int64
 	// RecordsWritten counts spatial region records appended to history.
 	RecordsWritten int64
 }
@@ -101,10 +92,6 @@ func (s *Stats) Add(other Stats) {
 	s.Misses += other.Misses
 	s.CoveredAccesses += other.CoveredAccesses
 	s.CoveredMisses += other.CoveredMisses
-	s.StreamAllocs += other.StreamAllocs
-	s.HistoryReads += other.HistoryReads
-	s.HistoryWrites += other.HistoryWrites
-	s.IndexUpdates += other.IndexUpdates
 	s.RecordsWritten += other.RecordsWritten
 }
 

@@ -185,12 +185,9 @@ type regionList struct {
 }
 
 // coreMark is one core's entry of an interval mark: the counters of the
-// structures a follower may not own — the L1-I and the branch predictor —
-// as the lead read them at the boundary.
-type coreMark struct {
-	l1             cache.Stats
-	bpPred, bpMiss int64
-}
+// branch predictor, which a follower may not own, as the lead read them
+// at the boundary.
+type coreMark struct{ bpPred, bpMiss int64 }
 
 // trafficMark is the mesh-wide entry of an interval mark: the lead's
 // background data-traffic totals (noc.DemandData messages and hops) at the
@@ -207,16 +204,13 @@ func (s *System) shareMark(m *measurement) {
 	lg, n := s.log, s.cfg.Cores
 	if s.lead {
 		for i := 0; i < n; i++ {
-			lg.marks = append(lg.marks, coreMark{m.l1[i], m.bpPred[i], m.bpMiss[i]})
+			lg.marks = append(lg.marks, coreMark{m.bpPred[i], m.bpMiss[i]})
 		}
 		lg.traffic = append(lg.traffic, trafficMark{m.traffic[noc.DemandData], m.hops[noc.DemandData]})
 		return
 	}
-	for i, k := range lg.marks[s.markPos : s.markPos+n] {
-		if s.replayL1 {
-			m.l1[i] = k.l1
-		}
-		if s.replayBP {
+	if s.replayBP {
+		for i, k := range lg.marks[s.markPos : s.markPos+n] {
 			m.bpPred[i], m.bpMiss[i] = k.bpPred, k.bpMiss
 		}
 	}

@@ -818,7 +818,6 @@ func FuzzLeadLog(f *testing.F) {
 		for k := range marks {
 			for i := 0; i < n; i++ {
 				v := a + int64(k)*b + int64(i)
-				marks[k].l1[i] = cache.Stats{Hits: v, Misses: v ^ b, Inserts: -v, Evictions: b, PrefetchDiscards: v + b}
 				marks[k].bpPred[i], marks[k].bpMiss[i] = v-b, b-v
 			}
 			for c := range marks[k].traffic {
@@ -834,19 +833,15 @@ func FuzzLeadLog(f *testing.F) {
 			for k := range marks {
 				own := newMeasurement(n)
 				for i := 0; i < n; i++ {
-					own.l1[i].Hits, own.bpPred[i], own.bpMiss[i] = 1, 2, 3
+					own.bpPred[i], own.bpMiss[i] = 2, 3
 				}
 				for c := range own.traffic {
 					own.traffic[c], own.hops[c] = int64(4+c), int64(5+c)
 				}
 				want := newMeasurement(n)
-				copy(want.l1, own.l1)
 				copy(want.bpPred, own.bpPred)
 				copy(want.bpMiss, own.bpMiss)
 				want.traffic, want.hops = own.traffic, own.hops
-				if fol.replayL1 {
-					copy(want.l1, marks[k].l1)
-				}
 				if fol.replayBP {
 					copy(want.bpPred, marks[k].bpPred)
 					copy(want.bpMiss, marks[k].bpMiss)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"shift/internal/cache"
 	"shift/internal/noc"
 	"shift/internal/prefetch"
 )
@@ -48,34 +47,30 @@ func addFetch(a, b FetchStats) FetchStats {
 
 // measurement is a raw counter snapshot used to subtract warmup activity.
 type measurement struct {
-	cycles      []int64
-	instrs      []int64
-	fetchStall  []int64
-	branchStall []int64
-	records     []int64
-	l1          []cache.Stats
-	fetch       []FetchStats
-	traffic     [noc.NumClasses]int64
-	hops        [noc.NumClasses]int64
-	pf          []prefetch.Stats
-	bpPred      []int64
-	bpMiss      []int64
+	cycles     []int64
+	instrs     []int64
+	fetchStall []int64
+	records    []int64
+	fetch      []FetchStats
+	traffic    [noc.NumClasses]int64
+	hops       [noc.NumClasses]int64
+	pf         []prefetch.Stats
+	bpPred     []int64
+	bpMiss     []int64
 }
 
 // newMeasurement returns a zeroed measurement with all per-core slices
 // allocated.
 func newMeasurement(n int) measurement {
 	return measurement{
-		cycles:      make([]int64, n),
-		instrs:      make([]int64, n),
-		fetchStall:  make([]int64, n),
-		branchStall: make([]int64, n),
-		records:     make([]int64, n),
-		l1:          make([]cache.Stats, n),
-		fetch:       make([]FetchStats, n),
-		pf:          make([]prefetch.Stats, n),
-		bpPred:      make([]int64, n),
-		bpMiss:      make([]int64, n),
+		cycles:     make([]int64, n),
+		instrs:     make([]int64, n),
+		fetchStall: make([]int64, n),
+		records:    make([]int64, n),
+		fetch:      make([]FetchStats, n),
+		pf:         make([]prefetch.Stats, n),
+		bpPred:     make([]int64, n),
+		bpMiss:     make([]int64, n),
 	}
 }
 
@@ -86,9 +81,7 @@ func (m *measurement) sub(b *measurement) {
 		m.cycles[i] -= b.cycles[i]
 		m.instrs[i] -= b.instrs[i]
 		m.fetchStall[i] -= b.fetchStall[i]
-		m.branchStall[i] -= b.branchStall[i]
 		m.records[i] -= b.records[i]
-		m.l1[i] = subCache(m.l1[i], b.l1[i])
 		m.fetch[i] = subFetch(m.fetch[i], b.fetch[i])
 		m.pf[i] = subPf(m.pf[i], b.pf[i])
 		m.bpPred[i] -= b.bpPred[i]
@@ -107,9 +100,7 @@ func (m *measurement) add(d *measurement) {
 		m.cycles[i] += d.cycles[i]
 		m.instrs[i] += d.instrs[i]
 		m.fetchStall[i] += d.fetchStall[i]
-		m.branchStall[i] += d.branchStall[i]
 		m.records[i] += d.records[i]
-		m.l1[i] = addCache(m.l1[i], d.l1[i])
 		m.fetch[i] = addFetch(m.fetch[i], d.fetch[i])
 		m.pf[i].Add(d.pf[i])
 		m.bpPred[i] += d.bpPred[i]
@@ -128,9 +119,7 @@ func (s *System) snapshot() measurement {
 		m.cycles[i] = s.clocks[i].Now()
 		m.instrs[i] = s.clocks[i].Instructions()
 		m.fetchStall[i] = s.clocks[i].FetchStallCycles()
-		m.branchStall[i] = s.clocks[i].BranchStallCycles()
 		m.records[i] = s.records[i]
-		m.l1[i] = s.l1i[i].Stats()
 		m.fetch[i] = s.fetch[i]
 		if sr, ok := s.pf[i].(prefetch.StatsReporter); ok {
 			m.pf[i] = sr.PrefetchStats()
@@ -156,19 +145,16 @@ type CoreResult struct {
 	Instructions int64
 	Records      int64
 	FetchStall   int64
-	BranchStall  int64
 	IPC          float64
-	L1I          cache.Stats
 	Fetch        FetchStats
 	Pf           prefetch.Stats
 }
 
 // Result summarizes the measurement window of one run.
 type Result struct {
-	Label    string
-	PerCore  []CoreResult
-	Cores    int
-	CoreType string
+	Label   string
+	PerCore []CoreResult
+	Cores   int
 
 	// Instructions and Records are totals across cores.
 	Instructions int64
@@ -183,8 +169,6 @@ type Result struct {
 	// BranchAccuracy is the hybrid predictor's accuracy.
 	BranchAccuracy float64
 
-	// L1I aggregates the raw instruction-cache counters across cores.
-	L1I cache.Stats
 	// Fetch aggregates the effective demand-fetch outcomes (L1-I plus
 	// prefetch buffer) across cores; the paper's coverage numbers are
 	// computed from these.
@@ -205,28 +189,12 @@ type Result struct {
 	Sampled *SampleStats
 }
 
-func subCache(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Hits:             a.Hits - b.Hits,
-		Misses:           a.Misses - b.Misses,
-		PrefetchHits:     a.PrefetchHits - b.PrefetchHits,
-		Inserts:          a.Inserts - b.Inserts,
-		Evictions:        a.Evictions - b.Evictions,
-		PrefetchInserted: a.PrefetchInserted - b.PrefetchInserted,
-		PrefetchDiscards: a.PrefetchDiscards - b.PrefetchDiscards,
-	}
-}
-
 func subPf(a, b prefetch.Stats) prefetch.Stats {
 	return prefetch.Stats{
 		Accesses:        a.Accesses - b.Accesses,
 		Misses:          a.Misses - b.Misses,
 		CoveredAccesses: a.CoveredAccesses - b.CoveredAccesses,
 		CoveredMisses:   a.CoveredMisses - b.CoveredMisses,
-		StreamAllocs:    a.StreamAllocs - b.StreamAllocs,
-		HistoryReads:    a.HistoryReads - b.HistoryReads,
-		HistoryWrites:   a.HistoryWrites - b.HistoryWrites,
-		IndexUpdates:    a.IndexUpdates - b.IndexUpdates,
 		RecordsWritten:  a.RecordsWritten - b.RecordsWritten,
 	}
 }
@@ -245,10 +213,9 @@ func (s *System) sinceMark() measurement {
 func (s *System) resultFromDelta(d *measurement) Result {
 	n := s.cfg.Cores
 	res := Result{
-		Label:    s.cfg.Prefetcher.Name(),
-		Cores:    n,
-		CoreType: s.cfg.CoreType.String(),
-		PerCore:  make([]CoreResult, n),
+		Label:   s.cfg.Prefetcher.Name(),
+		Cores:   n,
+		PerCore: make([]CoreResult, n),
 	}
 	var stallFracSum float64
 	var bpPred, bpMiss int64
@@ -258,8 +225,6 @@ func (s *System) resultFromDelta(d *measurement) Result {
 			Instructions: d.instrs[i],
 			Records:      d.records[i],
 			FetchStall:   d.fetchStall[i],
-			BranchStall:  d.branchStall[i],
-			L1I:          d.l1[i],
 			Fetch:        d.fetch[i],
 			Pf:           d.pf[i],
 		}
@@ -271,7 +236,6 @@ func (s *System) resultFromDelta(d *measurement) Result {
 		res.Instructions += cr.Instructions
 		res.Records += cr.Records
 		res.Throughput += cr.IPC
-		res.L1I = addCache(res.L1I, cr.L1I)
 		res.Fetch = addFetch(res.Fetch, cr.Fetch)
 		res.Pf.Add(cr.Pf)
 		bpPred += d.bpPred[i]
@@ -289,18 +253,6 @@ func (s *System) resultFromDelta(d *measurement) Result {
 	res.Traffic = d.traffic
 	res.Hops = d.hops
 	return res
-}
-
-func addCache(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Hits:             a.Hits + b.Hits,
-		Misses:           a.Misses + b.Misses,
-		PrefetchHits:     a.PrefetchHits + b.PrefetchHits,
-		Inserts:          a.Inserts + b.Inserts,
-		Evictions:        a.Evictions + b.Evictions,
-		PrefetchInserted: a.PrefetchInserted + b.PrefetchInserted,
-		PrefetchDiscards: a.PrefetchDiscards + b.PrefetchDiscards,
-	}
 }
 
 // AccessCoverage and MissCoverage expose the prediction-mode coverages.

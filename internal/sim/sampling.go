@@ -282,10 +282,6 @@ func (p Sampling) segments(warmup, measure int64) []segment {
 // MetricEstimate reports the per-interval dispersion of one metric of a
 // sampled run.
 type MetricEstimate struct {
-	// Mean is the mean of the per-interval samples. It can differ
-	// slightly from the headline (ratio-of-sums) point estimate in the
-	// Result, which aggregates raw counters across intervals.
-	Mean float64
 	// StdErr is the standard error of the mean across intervals.
 	StdErr float64
 	// CIHalfWidth is the half width of the confidence interval at the
@@ -296,7 +292,7 @@ type MetricEstimate struct {
 // estimate summarizes samples at normal quantile z.
 func estimate(samples []float64, z float64) MetricEstimate {
 	n := len(samples)
-	if n == 0 {
+	if n < 2 {
 		return MetricEstimate{}
 	}
 	var sum float64
@@ -304,17 +300,13 @@ func estimate(samples []float64, z float64) MetricEstimate {
 		sum += v
 	}
 	mean := sum / float64(n)
-	est := MetricEstimate{Mean: mean}
-	if n > 1 {
-		var ss float64
-		for _, v := range samples {
-			d := v - mean
-			ss += d * d
-		}
-		est.StdErr = math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
-		est.CIHalfWidth = z * est.StdErr
+	var ss float64
+	for _, v := range samples {
+		d := v - mean
+		ss += d * d
 	}
-	return est
+	se := math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
+	return MetricEstimate{StdErr: se, CIHalfWidth: z * se}
 }
 
 // SampleStats is the error-bound report of a sampled run, attached to

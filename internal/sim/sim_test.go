@@ -308,7 +308,7 @@ func TestSHIFTVirtualizedTrafficAndPinning(t *testing.T) {
 	if len(sys.shared) != 1 {
 		t.Error("expected one shared history")
 	}
-	if sys.shared[0].Stats().RecordsWritten == 0 {
+	if sys.shared[0].History().WritePos() == 0 {
 		t.Error("generator wrote no records")
 	}
 }

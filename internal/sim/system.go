@@ -554,7 +554,7 @@ func (s *System) step(coreID int) (bool, error) {
 	// Prefetcher hook (retire order == access order in this frontend).
 	// The SHIFT replayer is called directly when present; other designs
 	// go through the interface.
-	acc := prefetch.Access{Now: now, Block: blk, Hit: hit, WasPrefetch: wasPf}
+	acc := prefetch.Access{Block: blk, Hit: hit, WasPrefetch: wasPf}
 	var reqs []prefetch.Request
 	if h.rep != nil {
 		reqs = h.rep.OnAccess(acc)
@@ -679,10 +679,10 @@ func (b *llcBackend) PointerFor(coreID int, blk trace.BlockAddr) (uint32, bool) 
 
 // UpdatePointer implements core.LLCBackend: an index-update message to
 // the bank's tag array.
-func (b *llcBackend) UpdatePointer(coreID int, blk trace.BlockAddr, ptr uint32) bool {
+func (b *llcBackend) UpdatePointer(coreID int, blk trace.BlockAddr, ptr uint32) {
 	s := b.sys()
 	bank, _ := s.transact(noc.IndexUpdate, coreID, blk)
-	return s.llc[bank].SetPointer(blk, ptr)
+	s.llc[bank].SetPointer(blk, ptr)
 }
 
 // ReadHistoryBlock implements core.LLCBackend: a history-block read

@@ -52,7 +52,6 @@ type Breaker struct {
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
 	trips    int64
-	rejected int64
 }
 
 // NewBreaker returns a closed breaker.
@@ -64,7 +63,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // Allow reports whether the protected operation may run now. While
-// open it returns false (and counts the rejection) until the cooldown
+// open it returns false until the cooldown
 // elapses, then moves to half-open and admits exactly one probe; every
 // admitted operation's outcome must be reported via Record.
 func (b *Breaker) Allow() bool {
@@ -78,7 +77,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	case BreakerOpen:
 		if b.cfg.Now().Sub(b.openedAt) < breakerCooldown {
-			b.rejected++
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -86,7 +84,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	default: // half-open: one probe at a time
 		if b.probing {
-			b.rejected++
 			return false
 		}
 		b.probing = true

@@ -254,9 +254,6 @@ func TestBreakerTripOpenHalfOpenRecover(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker must reject before cooldown")
 	}
-	if b.Rejected() != 1 {
-		t.Fatalf("rejected: got %d want 1", b.Rejected())
-	}
 
 	now = now.Add(breakerCooldown + time.Second)
 	if !b.Allow() {
@@ -484,13 +481,6 @@ func (s *Mem) QuarantineLen() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return int64(len(s.quar))
-}
-
-// Rejected returns the number of operations Allow refused while open.
-func (b *Breaker) Rejected() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rejected
 }
 
 // FailNextGets forces the next n Gets to fail with a transient

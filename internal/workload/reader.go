@@ -29,8 +29,6 @@ type CoreReader struct {
 	pendingSegs []int
 	// osDepth counts OS frames on the stack, so traps never nest.
 	osDepth int
-	// records counts emitted records.
-	records int64
 }
 
 // NewCoreReader returns the instruction stream of core `core`. Streams for
@@ -176,9 +174,7 @@ func (r *CoreReader) Next() (trace.Record, error) {
 		}
 	}
 
-	rec := trace.Record{Block: blk, Instrs: r.instrs(kind), Kind: kind}
-	r.records++
-	return rec, nil
+	return trace.Record{Block: blk, Instrs: r.instrs(kind), Kind: kind}, nil
 }
 
 // trimDeadFrames pops frames whose position ran past the function end

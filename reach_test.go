@@ -9,7 +9,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,12 +82,10 @@ var reachExceptions = []reachException{
 	{"cache.LLCBank.Fingerprint", "internal/sim's sampling tests compare functional and detailed LLC state with it"},
 	{"cache.LLCBank.PinnedCount", "internal/sim's tests count the history lines virtualized SHIFT pins in the LLC"},
 	{"cluster.Coordinator.Probe", "cmd/shiftd's cluster tests probe on demand instead of waiting for the prober"},
-	{"cluster.Worker.Batches", "cmd/shiftd's cluster tests count the batches a worker served"},
 	{"core.SharedHistory.History", "internal/sim's sampling tests compare history contents through it"},
 	{"core.SharedHistory.Rotations", "internal/sim's adaptive-generator tests count generator handovers"},
-	{"core.SharedHistory.Stats", "internal/sim's tests read the shared history's counters"},
 	{"history.BitsPerRecord", "FIDELITY.md's sizing.record_bits row measures it (fidelity_test.go)"},
-	{"history.Buffer.Len", "internal/core's and internal/sim's tests read how many records a history holds"},
+	{"history.Buffer.WritePos", "internal/core's script golden and internal/sim's sampling tests read the write pointer"},
 	{"sim.PrefetcherSpec.Name", "the root package's tests hold each design's figure label to its name"},
 	{"trace.Record.Validate", "internal/workload's tests hold generated records to the codec's validity rule"},
 }
@@ -215,6 +215,7 @@ func loadModule(t *testing.T, root string) []*reachPkg {
 		}
 		p := &reachPkg{path: path, files: files[path], info: &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
 		}}
 		// Sort by file name so positions and errors read the same each run.
@@ -414,4 +415,171 @@ func satisfiesUsedInterface(named *types.Named, m *types.Func, ifaces []*types.I
 		}
 	}
 	return false
+}
+
+// cacheOnly is the reason for the fields only cache.Cache writes: the
+// product steps ICache and LLCBank, and only benchmark/ runs Cache, whose
+// counters and eviction reports its callers never read. ROADMAP item 3
+// deletes Cache, and the rows go with it.
+const cacheOnly = "only cache.Cache writes it, and only benchmark/ runs Cache (ROADMAP item 3)"
+
+// writeOnlyExceptions is every struct field of internal/* that non-test
+// code writes and never reads, kept on purpose. Like reachExceptions, a
+// row whose field is gone, read or json-tagged fails the gate.
+var writeOnlyExceptions = []reachException{
+	{"cache.Evicted.Block", cacheOnly},
+	{"cache.Evicted.Pointer", cacheOnly},
+	{"cache.Stats.Evictions", cacheOnly},
+	{"cache.Stats.Hits", cacheOnly},
+	{"cache.Stats.Inserts", cacheOnly},
+	{"cache.Stats.Misses", cacheOnly},
+	{"cache.Stats.PrefetchDiscards", cacheOnly},
+	{"cache.Stats.PrefetchHits", cacheOnly},
+	{"cache.Stats.PrefetchInserted", cacheOnly},
+}
+
+// TestNoWriteOnlyFields fails for every struct field of internal/* that
+// the module's non-test files write but never read and
+// writeOnlyExceptions does not name, and for every stale row of
+// writeOnlyExceptions. Such a field is work the product does for no
+// reader — a counter bumped on a hot path that only a test looks at —
+// so it goes, and what the test checked is checked through behaviour.
+func TestNoWriteOnlyFields(t *testing.T) {
+	pkgs := loadModule(t, ".")
+	for _, f := range writeOnlyFindings(pkgs, writeOnlyExceptions) {
+		t.Error(f)
+	}
+}
+
+// TestWriteOnlyFindings runs the field gate over the fixture module: a
+// counter only ever incremented and a field set only as a composite-
+// literal key are findings; a field read once and a json-tagged wire
+// field are not; and exception rows naming a read, a tagged and a
+// deleted field are stale.
+func TestWriteOnlyFindings(t *testing.T) {
+	pkgs := loadModule(t, filepath.Join("testdata", "reach"))
+	symbols := func(exceptions []reachException) string {
+		var got []string
+		for _, f := range writeOnlyFindings(pkgs, exceptions) {
+			got = append(got, f.symbol)
+		}
+		return strings.Join(got, " ")
+	}
+	if got, want := symbols(nil), "lib.Counter.hits lib.Counter.set"; got != want {
+		t.Errorf("no exceptions: findings %q, want %q", got, want)
+	}
+	got := symbols([]reachException{
+		{"lib.Counter.hits", "kept on purpose"},
+		{"lib.Counter.Wire", "its field is json-tagged"},
+		{"lib.Counter.seen", "its field is read"},
+		{"lib.Gone.x", "its field was deleted"},
+	})
+	if want := "lib.Counter.Wire lib.Counter.seen lib.Counter.set lib.Gone.x"; got != want {
+		t.Errorf("exceptions: findings %q, want %q", got, want)
+	}
+}
+
+// writeOnlyFindings is the field gate's core. A field is written where
+// it is an assignment target (x.f = v, x.f += v), an x.f++ or x.f--, or
+// a composite literal's key (T{f: v}); every other use names it as a
+// value and is a read. A field written through a larger target
+// (x.f[i] = v, x.f.g = v) counts as read, so the gate reports only what
+// it is sure of. A field with a json tag is read by the encoder. It
+// reports every field of a named struct type of internal/* that is
+// written and not read, and every exception that names no such field.
+func writeOnlyFindings(pkgs []*reachPkg, exceptions []reachException) []reachFinding {
+	written := map[*types.Var]bool{}
+	read := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		writes := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				writes[sel.Sel] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if writes[id] {
+					written[v.Origin()] = true
+				} else {
+					read[v.Origin()] = true
+				}
+			}
+		}
+	}
+
+	writeOnly := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.Contains(p.path+"/", "/internal/") {
+			continue
+		}
+		var fields func(owner string, st *ast.StructType)
+		fields = func(owner string, st *ast.StructType) {
+			for _, fd := range st.Fields.List {
+				tagged := false
+				if fd.Tag != nil {
+					tag, _ := strconv.Unquote(fd.Tag.Value)
+					name, ok := reflect.StructTag(tag).Lookup("json")
+					tagged = ok && name != "-"
+				}
+				for _, id := range fd.Names {
+					symbol := owner + "." + id.Name
+					if inner, ok := fd.Type.(*ast.StructType); ok {
+						fields(symbol, inner)
+					}
+					v, _ := p.info.Defs[id].(*types.Var)
+					if v != nil && written[v] && !read[v] && !tagged {
+						writeOnly[symbol] = true
+					}
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						fields(p.types.Name()+"."+ts.Name.Name, st)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	excepted := map[string]bool{}
+	for _, e := range exceptions {
+		excepted[e.symbol] = true
+	}
+	var findings []reachFinding
+	for symbol := range writeOnly {
+		if !excepted[symbol] {
+			findings = append(findings, reachFinding{symbol,
+				"non-test code writes it and nothing reads it: delete it, or give it a row saying why it stays"})
+		}
+	}
+	for _, e := range exceptions {
+		if !writeOnly[e.symbol] {
+			findings = append(findings, reachFinding{e.symbol, fmt.Sprintf(
+				"stale exception (%s): the field is gone, read or json-tagged; drop the row", e.reason)})
+		}
+	}
+	sort.Slice(findings, func(i, j int) bool { return findings[i].symbol < findings[j].symbol })
+	return findings
 }

@@ -7,5 +7,7 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Used(), lib.Square{Side: 2})
+	c := lib.NewCounter()
+	c.Hit()
+	fmt.Println(lib.Used(), lib.Square{Side: 2}, c.Seen())
 }
