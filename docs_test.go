@@ -347,10 +347,10 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 		}
 	}
 	// Exact on purpose: the workflow's no-race step names five footprint
-	// gates and TestFidelity, and its docs step five gates, so a format
+	// gates and TestFidelity, and its docs step six gates, so a format
 	// drift that hides one from the parse above fails here; a step added
 	// by name raises the count with it.
-	if checked != 11 {
-		t.Errorf("checked %d -run alternatives, want the workflow's 11 (five footprint gates and TestFidelity, five docs gates) — has its format changed?", checked)
+	if checked != 12 {
+		t.Errorf("checked %d -run alternatives, want the workflow's 12 (five footprint gates and TestFidelity, six docs gates) — has its format changed?", checked)
 	}
 }

@@ -48,9 +48,7 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 
-	"shift/internal/freelist"
 	"shift/internal/trace"
 )
 
@@ -201,11 +199,6 @@ type Cache struct {
 	idxMask  uint64
 	idxShift uint
 
-	// dirty holds one bit per set, set by fill — the only operation that
-	// makes an empty set non-empty — so reset rewrites just those sets
-	// and probes, hits and refreshes pay nothing for it.
-	dirty []uint64
-
 	lruClock   uint64
 	stats      Stats
 	pinLo      trace.BlockAddr
@@ -213,28 +206,16 @@ type Cache struct {
 	pinEnabled bool
 }
 
-// freeCaches holds released caches by geometry; see Release.
-var freeCaches freelist.Keyed[Config, Cache]
-
-// New builds an empty cache, reusing the tables of a released cache of
-// the same geometry when one is held (see Release). Either way the
-// result is a fresh cache: reset restores exactly what the previous
-// owner wrote, and a first construction is a reset of zeroed memory
-// with every set marked as written.
+// New builds an empty cache.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := freeCaches.Get(cfg)
-	if c == nil {
-		c = alloc(cfg)
-	}
-	c.reset()
-	return c, nil
+	return alloc(cfg), nil
 }
 
-// alloc sizes a cache's tables, zeroed and with every set marked dirty
-// so that the reset New applies next writes the empty state everywhere.
+// alloc sizes a cache's tables and writes the empty state into them:
+// every way invalid and, in a listed cache, on its set's free list.
 func alloc(cfg Config) *Cache {
 	nsets := cfg.sets()
 	nlines := nsets * cfg.Assoc
@@ -244,10 +225,6 @@ func alloc(cfg Config) *Cache {
 		assoc:   int32(cfg.Assoc),
 		listed:  cfg.Assoc >= indexMinAssoc,
 		vlru:    make([]uint64, nlines),
-		dirty:   make([]uint64, (nsets+63)/64),
-	}
-	for si := 0; si < nsets; si++ {
-		c.dirty[si>>6] |= 1 << (si & 63)
 	}
 	setBits := uint(0)
 	for 1<<setBits < nsets {
@@ -268,6 +245,9 @@ func alloc(cfg Config) *Cache {
 	if !c.listed {
 		c.wayMask = c.assoc - 1
 		c.scanTags = make([]uint32, nlines)
+		for li := range c.scanTags {
+			c.scanTags[li] = invalidTag32
+		}
 		return c
 	}
 	c.lines = make([]line, nlines)
@@ -289,67 +269,19 @@ func alloc(cfg Config) *Cache {
 		shift--
 	}
 	c.idxShift = shift
-	return c
-}
-
-// reset returns c to the empty state by rewriting only the sets marked
-// dirty — those filled since the last reset, or all of them on freshly
-// allocated memory — so its cost follows what the previous owner
-// touched rather than the capacity modelled.
-func (c *Cache) reset() {
-	touched := false
-	for wi, w := range c.dirty {
-		if w == 0 {
-			continue
-		}
-		touched = true
-		c.dirty[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			c.resetSet(wi<<6 | bits.TrailingZeros64(w))
-		}
+	for i := range c.idx {
+		c.idx[i] = idxSlot{li: noLine}
 	}
-	if touched {
-		// Only listed caches carry an index, and in practice they are
-		// the single-set prefetch buffers: clearing the whole table
-		// costs about what rewriting the one dirty set does.
-		for i := range c.idx {
-			c.idx[i] = idxSlot{li: noLine}
-		}
-	}
-	c.lruClock = 0
-	c.stats = Stats{}
-	c.pinLo, c.pinHi, c.pinEnabled = 0, 0, false
-}
-
-// resetSet empties set si. An unlisted set rewrites only the ways whose
-// tag is not the invalid marker: valid lines, and on freshly allocated
-// memory every way (a zero tag). Invalid ways of a used set already
-// hold the empty state (remove writes it, promote only permutes ways).
-// A listed set is rewritten whole, because its free chain threads every
-// way in order.
-func (c *Cache) resetSet(si int) {
-	base := int32(si) * c.assoc
-	if !c.listed {
+	for si := range c.free {
+		base := int32(si) * c.assoc
 		for li := base; li < base+c.assoc; li++ {
-			if c.scanTags[li] != invalidTag32 {
-				c.clearWay(li)
-			}
+			c.tags[li] = invalidTag
+			c.lines[li] = line{prev: noLine, next: li + 1}
 		}
-		return
+		c.lines[base+c.assoc-1].next = noLine
+		c.head[si], c.tail[si], c.free[si] = noLine, noLine, base
 	}
-	for li := base; li < base+c.assoc; li++ {
-		c.tags[li] = invalidTag
-		c.vlru[li] = 0
-		c.lines[li] = line{prev: noLine, next: li + 1}
-	}
-	c.lines[base+c.assoc-1].next = noLine
-	c.head[si], c.tail[si], c.free[si] = noLine, noLine, base
-}
-
-// clearWay writes the empty state of an unlisted cache's way.
-func (c *Cache) clearWay(li int32) {
-	c.scanTags[li] = invalidTag32
-	c.vlru[li] = 0
+	return c
 }
 
 // setIndex maps a block address to its set.
@@ -612,7 +544,6 @@ func (c *Cache) fill(b trace.BlockAddr, prefetch bool) (ev Evicted, evicted bool
 	if c.inPinRange(b) {
 		fl |= vlruPinned
 	}
-	c.dirty[si>>6] |= 1 << (si & 63)
 	c.vlru[li] = c.lruClock<<vlruStampShift | fl
 	if c.ptrs != nil {
 		c.ptrs[li] = noPointer
@@ -693,11 +624,6 @@ func (c *Cache) CopyStateFrom(src *Cache) {
 	copy(c.tail, src.tail)
 	copy(c.free, src.free)
 	copy(c.idx, src.idx)
-	// c's own dirty sets stay marked: a set src holds empty is merely
-	// reset again.
-	for i, w := range src.dirty {
-		c.dirty[i] |= w
-	}
 	c.lruClock = src.lruClock
 	c.stats = src.stats
 	c.pinLo, c.pinHi, c.pinEnabled = src.pinLo, src.pinHi, src.pinEnabled

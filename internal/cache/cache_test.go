@@ -332,7 +332,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // for the banks, which they do not read, and 126 entries for the buffer,
 // whose index is sized as for 128). An unlisted Cache is a
 // 4-byte compressed tag and an 8-byte state word per way, plus 4 for the
-// tag-extension pointer where configured, and one dirty bit per set; the
+// tag-extension pointer where configured; the
 // listed one (links, full tag and state word per way, four 16-byte index
 // slots per way) must not cost more than it did. The simulator's own
 // structures: an LLCBank is its 4-byte stack word per way, 8 with the
@@ -341,7 +341,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // links — 52 bytes, at most 56. Each reading is the least of three
 // constructions.
 func TestHostBytesPerModelledLine(t *testing.T) {
-	plain := recycleConfigs()["llcbank"]
+	plain := tableIConfigs()["llcbank"]
 	plain.TagPointers = false
 	bank := Config{SizeBytes: 1 << 20, Assoc: 16, BlockBytes: 128, IndexShift: 4}
 	bankPointers := bank
@@ -352,10 +352,10 @@ func TestHostBytesPerModelledLine(t *testing.T) {
 		build   func(Config)
 		perLine int
 	}{
-		{"Cache l1i", recycleConfigs()["l1i"], func(c Config) { alloc(c) }, 12},
+		{"Cache l1i", tableIConfigs()["l1i"], func(c Config) { alloc(c) }, 12},
 		{"Cache llcbank", plain, func(c Config) { alloc(c) }, 12},
-		{"Cache llcbank+pointers", recycleConfigs()["llcbank"], func(c Config) { alloc(c) }, 16},
-		{"Cache pbuf", recycleConfigs()["pbuf"], func(c Config) { alloc(c) }, 12 + 8 + 8 + 4*16},
+		{"Cache llcbank+pointers", tableIConfigs()["llcbank"], func(c Config) { alloc(c) }, 16},
+		{"Cache pbuf", tableIConfigs()["pbuf"], func(c Config) { alloc(c) }, 12 + 8 + 8 + 4*16},
 		{"LLCBank", bank, func(c Config) { NewLLCBank(c) }, 4},
 		{"LLCBank+pointers", bankPointers, func(c Config) { NewLLCBank(c) }, 8},
 		{"PrefetchBuffer", Config{SizeBytes: 126 * 64, Assoc: 126, BlockBytes: 64}, func(c Config) { NewPrefetchBuffer(c.Assoc) }, 56},
@@ -396,11 +396,6 @@ func MustNew(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Release hands c's tables back for a later New of the same geometry.
-// The caller must hold the only reference to c and must not use it
-// again. Releasing is optional: an unreleased cache is simply collected.
-func (c *Cache) Release() { freeCaches.Put(c.cfg, c) }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -740,7 +735,8 @@ func (c *Cache) Fingerprint() uint64 {
 // push the way onto the free list.
 func (c *Cache) remove(si uint64, li int32) {
 	if !c.listed {
-		c.clearWay(li)
+		c.scanTags[li] = invalidTag32
+		c.vlru[li] = 0
 		return
 	}
 	c.idxDelete(c.tags[li])

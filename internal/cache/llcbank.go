@@ -250,20 +250,17 @@ func (c *LLCBank) Contains(b trace.BlockAddr) bool {
 	return w >= 0
 }
 
-// SetPointer writes the tag-extension pointer of b if b is present. It
-// returns false if b is absent (the paper: the index update is dropped
-// when the trigger block is not LLC-resident) or the bank has no
+// SetPointer writes the tag-extension pointer of b if b is present. The
+// update is dropped if b is absent (the paper: the index update is
+// dropped when the trigger block is not LLC-resident) or the bank has no
 // pointers.
-func (c *LLCBank) SetPointer(b trace.BlockAddr, ptr uint32) bool {
+func (c *LLCBank) SetPointer(b trace.BlockAddr, ptr uint32) {
 	if c.ptrs == nil {
-		return false
+		return
 	}
-	base, w := c.find(b)
-	if w < 0 {
-		return false
+	if base, w := c.find(b); w >= 0 {
+		c.ptrs[base+w] = ptr
 	}
-	c.ptrs[base+w] = ptr
-	return true
 }
 
 // Pointer reads the tag-extension pointer of b. ok is false if b is

@@ -56,9 +56,9 @@ func (d *llcDiff) op(t testing.TB, kind int, b trace.BlockAddr, ptr uint32) {
 			t.Fatalf("%+v op %d: Contains(%#x) %v, reference %v", d.cfg, d.ops, b, got, want)
 		}
 	case 3:
-		if got, want := d.c.SetPointer(b, ptr), d.ref.SetPointer(b, ptr); got != want {
-			t.Fatalf("%+v op %d: SetPointer(%#x) %v, reference %v", d.cfg, d.ops, b, got, want)
-		}
+		// checkSet below compares the pointer each block holds after.
+		d.c.SetPointer(b, ptr)
+		d.ref.SetPointer(b, ptr)
 	case 4:
 		gp, gok := d.c.Pointer(b)
 		wp, wok := d.ref.Pointer(b)

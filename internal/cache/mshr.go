@@ -88,21 +88,14 @@ func (m *MSHRs) removeAt(i int) {
 	}
 }
 
-// Lookup returns the ready cycle of an in-flight fill for b, if any.
-func (m *MSHRs) Lookup(b trace.BlockAddr) (ready int64, ok bool) {
-	i := m.find(b)
-	if i < 0 {
-		return 0, false
-	}
-	return m.ready[i], true
-}
+// Contains reports whether a fill for b is in flight.
+func (m *MSHRs) Contains(b trace.BlockAddr) bool { return m.find(b) >= 0 }
 
 // Allocate records a fill for b issued at now and completing at ready.
-// If b is already in flight the earlier completion wins. It returns the
-// cycle at which the request could actually be accepted (== now unless
-// the file was full of still-pending entries); a request accepted later
-// completes that much later.
-func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) int64 {
+// If b is already in flight the earlier completion wins. A request that
+// finds the file full of still-pending entries is accepted only when the
+// earliest of them completes, and completes that much later.
+func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) {
 	if i := m.find(b); i >= 0 {
 		if ready < m.ready[i] {
 			m.ready[i] = ready
@@ -110,12 +103,10 @@ func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) int64 {
 				m.minReady = ready
 			}
 		}
-		return now
+		return
 	}
-	accepted := now
 	if m.n >= m.cap {
-		accepted = m.reclaim(now)
-		ready += accepted - now
+		ready += m.reclaim(now) - now
 	}
 	m.blocks[m.n] = b
 	m.ready[m.n] = ready
@@ -123,7 +114,6 @@ func (m *MSHRs) Allocate(b trace.BlockAddr, now, ready int64) int64 {
 	if ready < m.minReady {
 		m.minReady = ready
 	}
-	return accepted
 }
 
 // reclaim retires the earliest-completing entry (ties: lowest slot, a

@@ -12,17 +12,15 @@ func TestMSHRBasic(t *testing.T) {
 	if m.Cap() != 4 {
 		t.Fatalf("Cap = %d", m.Cap())
 	}
-	if _, ok := m.Lookup(1); ok {
+	if m.Contains(1) {
 		t.Fatal("lookup in empty MSHRs hit")
 	}
-	if acc := m.Allocate(1, 100, 120); acc != 100 {
-		t.Fatalf("accepted at %d, want 100", acc)
-	}
-	if r, ok := m.Lookup(1); !ok || r != 120 {
-		t.Fatalf("Lookup = %d, %v", r, ok)
+	m.Allocate(1, 100, 120)
+	if r, ok := m.readyOf(1); !ok || r != 120 {
+		t.Fatalf("ready = %d, %v; want 120 (accepted at once)", r, ok)
 	}
 	m.Complete(1)
-	if _, ok := m.Lookup(1); ok {
+	if m.Contains(1) {
 		t.Fatal("entry survived Complete")
 	}
 }
@@ -31,11 +29,11 @@ func TestMSHRDuplicateKeepsEarlier(t *testing.T) {
 	m := NewMSHRs(4)
 	m.Allocate(1, 0, 50)
 	m.Allocate(1, 0, 80) // later completion must not extend
-	if r, _ := m.Lookup(1); r != 50 {
+	if r, _ := m.readyOf(1); r != 50 {
 		t.Errorf("ready = %d, want 50", r)
 	}
 	m.Allocate(1, 0, 30) // earlier completion wins
-	if r, _ := m.Lookup(1); r != 30 {
+	if r, _ := m.readyOf(1); r != 30 {
 		t.Errorf("ready = %d, want 30", r)
 	}
 }
@@ -45,8 +43,9 @@ func TestMSHRFullWithCompleted(t *testing.T) {
 	m.Allocate(1, 0, 5)
 	m.Allocate(2, 0, 500)
 	// At now=10, entry 1 has completed; allocation should proceed at 10.
-	if acc := m.Allocate(3, 10, 100); acc != 10 {
-		t.Errorf("accepted at %d, want 10", acc)
+	m.Allocate(3, 10, 100)
+	if r, _ := m.readyOf(3); r != 100 {
+		t.Errorf("ready at %d, want 100 (accepted at 10)", r)
 	}
 	if m.InFlight() != 2 {
 		t.Errorf("InFlight = %d, want 2", m.InFlight())
@@ -58,8 +57,9 @@ func TestMSHRFullStalls(t *testing.T) {
 	m.Allocate(1, 0, 40)
 	m.Allocate(2, 0, 60)
 	// Nothing completed at now=10: must wait until the earliest (40).
-	if acc := m.Allocate(3, 10, 100); acc != 40 {
-		t.Errorf("accepted at %d, want 40", acc)
+	m.Allocate(3, 10, 100)
+	if r, _ := m.readyOf(3); r != 130 {
+		t.Errorf("ready at %d, want 130 (accepted at 40)", r)
 	}
 }
 
@@ -70,16 +70,14 @@ func TestMSHRFullDelaysFill(t *testing.T) {
 	m := NewMSHRs(2)
 	m.Allocate(1, 0, 40)
 	m.Allocate(2, 0, 60)
-	if acc := m.Allocate(3, 10, 10+90); acc != 40 {
-		t.Fatalf("accepted at %d, want 40", acc)
-	}
-	if ready, _ := m.Lookup(3); ready != 40+90 {
+	m.Allocate(3, 10, 10+90)
+	if ready, _ := m.readyOf(3); ready != 40+90 {
 		t.Errorf("the delayed fill completes at %d, want %d (accepted at 40, 90 cycles of latency)", ready, 40+90)
 	}
 	// A request the file accepts at once keeps its own timing.
 	m.Expire(200)
 	m.Allocate(4, 200, 230)
-	if ready, _ := m.Lookup(4); ready != 230 {
+	if ready, _ := m.readyOf(4); ready != 230 {
 		t.Errorf("an undelayed fill completes at %d, want 230", ready)
 	}
 }
@@ -93,7 +91,7 @@ func TestMSHRExpire(t *testing.T) {
 	if m.InFlight() != 1 {
 		t.Errorf("InFlight = %d, want 1", m.InFlight())
 	}
-	if _, ok := m.Lookup(3); !ok {
+	if !m.Contains(3) {
 		t.Error("unexpired entry dropped")
 	}
 }
@@ -112,7 +110,7 @@ func TestMSHRTake(t *testing.T) {
 	if r, ok := m.Take(7); !ok || r != 30 {
 		t.Fatalf("Take(7) = %d,%v; want 30,true", r, ok)
 	}
-	if _, ok := m.Lookup(7); ok {
+	if m.Contains(7) {
 		t.Fatal("entry survived Take")
 	}
 	if _, ok := m.Take(7); ok {
@@ -121,9 +119,9 @@ func TestMSHRTake(t *testing.T) {
 }
 
 // mshrTrace replays a seeded operation mix and returns the surviving
-// (block, ready) set plus the sequence of accepted cycles — everything
-// observable about the file.
-func mshrTrace(seed int64) (entries map[trace.BlockAddr]int64, accepted []int64) {
+// (block, ready) set plus the ready cycle each allocation left its block
+// with — everything observable about the file.
+func mshrTrace(seed int64) (entries map[trace.BlockAddr]int64, readies []int64) {
 	rng := trace.NewRNG(seed)
 	m := NewMSHRs(8)
 	now := int64(0)
@@ -135,7 +133,9 @@ func mshrTrace(seed int64) (entries map[trace.BlockAddr]int64, accepted []int64)
 			// Ties on the ready cycle are common by construction: ready
 			// is drawn from a tiny window, so reclaim's victim choice is
 			// exercised on equal completion cycles.
-			accepted = append(accepted, m.Allocate(b, now, now+int64(rng.Intn(4))))
+			m.Allocate(b, now, now+int64(rng.Intn(4)))
+			r, _ := m.readyOf(b)
+			readies = append(readies, r)
 		case 2:
 			m.Complete(b)
 		case 3:
@@ -144,15 +144,15 @@ func mshrTrace(seed int64) (entries map[trace.BlockAddr]int64, accepted []int64)
 	}
 	entries = make(map[trace.BlockAddr]int64)
 	for b := trace.BlockAddr(0); b < 32; b++ {
-		if r, ok := m.Lookup(b); ok {
+		if r, ok := m.readyOf(b); ok {
 			entries[b] = r
 		}
 	}
-	return entries, accepted
+	return entries, readies
 }
 
 // TestMSHRDeterministicVictims runs two identically-seeded operation
-// sequences and requires identical surviving entries and accepted
+// sequences and requires identical surviving entries and ready
 // cycles. The map-backed implementation this replaced picked reclaim
 // victims in Go's randomized map iteration order, so ties on the ready
 // cycle retired a different entry from run to run; the dense ring makes
@@ -165,7 +165,7 @@ func TestMSHRDeterministicVictims(t *testing.T) {
 			t.Fatalf("seed %d: surviving entries diverged:\n%v\n%v", seed, e1, e2)
 		}
 		if !reflect.DeepEqual(a1, a2) {
-			t.Fatalf("seed %d: accepted cycles diverged", seed)
+			t.Fatalf("seed %d: ready cycles diverged", seed)
 		}
 	}
 }
@@ -180,13 +180,14 @@ func TestMSHRReclaimPrefersCompleted(t *testing.T) {
 	m.Allocate(3, 0, 500)
 	// At now=10, entries 1 and 2 have completed; the earliest (1) is
 	// retired and the request proceeds immediately.
-	if acc := m.Allocate(4, 10, 100); acc != 10 {
-		t.Fatalf("accepted at %d, want 10", acc)
+	m.Allocate(4, 10, 100)
+	if r, _ := m.readyOf(4); r != 100 {
+		t.Fatalf("ready at %d, want 100 (accepted at 10)", r)
 	}
-	if _, ok := m.Lookup(1); ok {
+	if m.Contains(1) {
 		t.Fatal("earliest completed entry not retired")
 	}
-	if _, ok := m.Lookup(2); !ok {
+	if !m.Contains(2) {
 		t.Fatal("later completed entry wrongly retired")
 	}
 }
@@ -221,8 +222,18 @@ func TestMSHRExpireKeepsMinimum(t *testing.T) {
 	}
 }
 
-// Complete, InFlight and Cap serve only these tests: the simulator retires
-// an entry with Take and never reads the file's size.
+// readyOf, Complete, InFlight and Cap serve only these tests: the
+// simulator asks only whether a fill is in flight, retires an entry with
+// Take and never reads the file's size.
+
+// readyOf returns the ready cycle of an in-flight fill for b, if any.
+func (m *MSHRs) readyOf(b trace.BlockAddr) (ready int64, ok bool) {
+	i := m.find(b)
+	if i < 0 {
+		return 0, false
+	}
+	return m.ready[i], true
+}
 
 // Complete removes b's entry once the fill has been consumed.
 func (m *MSHRs) Complete(b trace.BlockAddr) {

@@ -74,8 +74,9 @@ type LLCBackend interface {
 	// returns the round-trip latency in cycles (replay steps 2-3).
 	ReadHistoryBlock(core int, hbBlock trace.BlockAddr) int64
 	// WriteHistoryBlock accounts a CBB flush into the LLC (recording
-	// step 4) and returns its latency.
-	WriteHistoryBlock(core int, hbBlock trace.BlockAddr) int64
+	// step 4). The flush is off every core's critical path, so its
+	// latency is never charged.
+	WriteHistoryBlock(core int, hbBlock trace.BlockAddr)
 }
 
 // Config parameterizes one shared history and its per-core replay logic.

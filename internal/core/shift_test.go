@@ -52,9 +52,8 @@ func (f *fakeLLC) ReadHistoryBlock(core int, hb trace.BlockAddr) int64 {
 	return f.latency
 }
 
-func (f *fakeLLC) WriteHistoryBlock(core int, hb trace.BlockAddr) int64 {
+func (f *fakeLLC) WriteHistoryBlock(core int, hb trace.BlockAddr) {
 	f.writes++
-	return f.latency
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -65,14 +65,14 @@ type Decision struct {
 	Never bool
 }
 
-// take requests cost tokens from client's bucket and reports the
-// decision. On admission the tokens are debited; on rejection the
-// bucket is untouched and RetryAfter says when to come back.
-func (b *Buckets) take(client string, cost float64) Decision {
-	return b.decide(client, cost, true)
+// take debits cost tokens from client's bucket if it holds them; the
+// caller has already had check admit the request.
+func (b *Buckets) take(client string, cost float64) {
+	b.decide(client, cost, true)
 }
 
-// check reports the decision take would make now, debiting nothing.
+// check decides on cost tokens from client's bucket, debiting nothing:
+// on rejection RetryAfter says when to come back.
 func (b *Buckets) check(client string, cost float64) Decision {
 	return b.decide(client, cost, false)
 }

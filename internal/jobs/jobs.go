@@ -990,7 +990,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 // With a journal the discarded cells' jobs persist, and a restart
 // finishes them; for a clean shutdown call Drain first. The journal is
 // closed, so a cell still running fails its completion append (counted)
-// and re-runs on recovery.
+// and re-runs on recovery; a close that fails is counted too.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -998,8 +998,8 @@ func (m *Manager) Close() {
 	m.queued = 0
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	if m.cfg.Journal != nil {
-		m.cfg.Journal.Close()
+	if m.cfg.Journal != nil && m.cfg.Journal.Close() != nil {
+		m.journalErrs.Add(1)
 	}
 }
 
@@ -1366,8 +1366,9 @@ type Stats struct {
 	// a terminal state since restart.
 	Recovering int
 	// JournalErrors counts journal writes that failed: a refused
-	// submission or cancellation, which did not take effect, or a cell
-	// completion, which did, and whose cell re-runs on the next recovery.
+	// submission or cancellation, which did not take effect, a cell
+	// completion, which did, and whose cell re-runs on the next recovery,
+	// or the close at shutdown, whose last writes may not have landed.
 	JournalErrors int64
 	// Retained is the number of jobs the registry holds, RetainedCells
 	// their cells (the finished among them fewer than retainedCells plus

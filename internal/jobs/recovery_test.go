@@ -733,6 +733,30 @@ func TestSubmitJournalFailureRejects(t *testing.T) {
 	}
 }
 
+// unclosableJournal is an in-memory journal whose Close fails, as the
+// final sync of a failing disk would.
+type unclosableJournal struct{ *memJournal }
+
+func (unclosableJournal) Close() error { return errors.New("sync: input/output error") }
+
+// TestCloseJournalFailureCounted: a journal that fails to close at
+// shutdown is counted in JournalErrors like any other failed journal
+// write, not dropped.
+func TestCloseJournalFailureCounted(t *testing.T) {
+	m, err := Open(Config{Workers: 1, Journal: unclosableJournal{&memJournal{}},
+		Run: storingRunner(newMemStore(), nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().JournalErrors; got != 0 {
+		t.Fatalf("JournalErrors = %d before Close, want 0", got)
+	}
+	m.Close()
+	if got := m.Stats().JournalErrors; got != 1 {
+		t.Fatalf("JournalErrors = %d after a failed journal close, want 1", got)
+	}
+}
+
 // brokenJournal fails every append.
 type brokenJournal struct{}
 

@@ -603,7 +603,7 @@ func (s *System) issuePrefetch(coreID int, h *coreHot, r prefetch.Request) {
 	if h.l1i.Contains(blk) || h.pb.Contains(blk) {
 		return
 	}
-	if _, ok := h.mshr.Lookup(blk); ok {
+	if h.mshr.Contains(blk) {
 		return
 	}
 	issue := h.clk.Now() + r.Delay
@@ -699,11 +699,10 @@ func (b *llcBackend) ReadHistoryBlock(coreID int, hbBlock trace.BlockAddr) int64
 }
 
 // WriteHistoryBlock implements core.LLCBackend: a CBB flush ("LogWrite").
-func (b *llcBackend) WriteHistoryBlock(coreID int, hbBlock trace.BlockAddr) int64 {
+func (b *llcBackend) WriteHistoryBlock(coreID int, hbBlock trace.BlockAddr) {
 	s := b.sys()
-	bank, lat := s.transact(noc.HistWrite, coreID, hbBlock)
+	bank, _ := s.transact(noc.HistWrite, coreID, hbBlock)
 	s.llc[bank].Insert(hbBlock)
-	return lat
 }
 
 var _ core.LLCBackend = (*llcBackend)(nil)

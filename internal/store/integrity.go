@@ -75,40 +75,42 @@ func appendFooter(blob []byte) []byte {
 }
 
 // verifyFooter splits blob into payload and footer and checks the CRC.
-// A blob without a footer marker is legacy: returned whole, reported
-// unverified, and never an error.
-func verifyFooter(blob []byte) (payload []byte, verified bool, err error) {
+// A blob without a footer marker is legacy: returned whole, and never
+// an error.
+func verifyFooter(blob []byte) (payload []byte, err error) {
 	i := bytes.LastIndex(blob, []byte(footerMarker))
 	if i < 0 {
-		return blob, false, nil
+		return blob, nil
 	}
 	rest := blob[i+len(footerMarker):]
 	if len(rest) != 9 || rest[8] != '\n' {
-		return nil, false, fmt.Errorf("%w: malformed footer", ErrCorrupt)
+		return nil, fmt.Errorf("%w: malformed footer", ErrCorrupt)
 	}
 	sum, perr := strconv.ParseUint(string(rest[:8]), 16, 32)
 	if perr != nil {
-		return nil, false, fmt.Errorf("%w: malformed footer", ErrCorrupt)
+		return nil, fmt.Errorf("%w: malformed footer", ErrCorrupt)
 	}
 	payload = blob[:i]
 	if got := crc32.Checksum(payload, castagnoli); uint64(got) != sum {
-		return nil, false, fmt.Errorf("%w: crc32c %08x, footer says %08x", ErrCorrupt, got, sum)
+		return nil, fmt.Errorf("%w: crc32c %08x, footer says %08x", ErrCorrupt, got, sum)
 	}
-	return payload, true, nil
+	return payload, nil
 }
 
 // Get returns the verified payload stored under key. A blob whose
 // footer fails verification is quarantined and reported as
-// (nil, false, ErrCorrupt); a legacy blob without a footer is returned
-// unverified.
+// (nil, false, ErrCorrupt) — or, if the quarantine move fails, as that
+// move's error; a legacy blob without a footer is returned unverified.
 func (s *Integrity) Get(key string) ([]byte, bool, error) {
 	blob, ok, err := s.inner.Get(key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	payload, _, err := verifyFooter(blob)
+	payload, err := verifyFooter(blob)
 	if err != nil {
-		s.Quarantine(key)
+		if qerr := s.Quarantine(key); qerr != nil {
+			err = qerr
+		}
 		return nil, false, err
 	}
 	return payload, true, nil
@@ -123,15 +125,17 @@ func (s *Integrity) Put(key string, blob []byte) error {
 func (s *Integrity) Len() (int, error) { return s.inner.Len() }
 
 // Quarantine isolates the blob under key on the inner store (when it
-// supports quarantining) and counts the event. The root BlobStore calls
-// this for corruption the footer cannot see — a blob whose bytes verify
-// but whose JSON payload no longer decodes (legacy blobs carry no
-// footer).
+// supports quarantining) and counts the event; a move that fails is
+// returned and not counted. The root BlobStore calls this for
+// corruption the footer cannot see — a blob whose bytes verify but
+// whose JSON payload no longer decodes (legacy blobs carry no footer).
 func (s *Integrity) Quarantine(key string) error {
-	s.quarantined.Add(1)
 	if q, ok := s.inner.(Quarantiner); ok {
-		return q.Quarantine(key)
+		if err := q.Quarantine(key); err != nil {
+			return fmt.Errorf("store: quarantining %s: %w", key, err)
+		}
 	}
+	s.quarantined.Add(1)
 	return nil
 }
 

@@ -116,6 +116,39 @@ func TestIntegrityDetectsCorruptionAndQuarantines(t *testing.T) {
 	}
 }
 
+// stuckQuarantine is an in-memory store whose quarantine move always
+// fails, as a rename into a full or read-only quarantine directory would.
+type stuckQuarantine struct{ *Mem }
+
+var errStuck = errors.New("rename: read-only file system")
+
+func (stuckQuarantine) Quarantine(string) error { return errStuck }
+
+// TestIntegrityCountsOnlyMovedBlobs: a corrupt blob whose quarantine
+// move fails is not counted as quarantined, and the read reports the
+// move's error, so the caller counts a store error instead.
+func TestIntegrityCountsOnlyMovedBlobs(t *testing.T) {
+	mem := NewMem()
+	s := WithIntegrity(stuckQuarantine{mem})
+	if err := s.Put("k", []byte(`{"throughput":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	raw, _, _ := mem.Get("k")
+	raw[0] ^= 0xff
+	if err := mem.Put("k", raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get("k"); ok || !errors.Is(err, errStuck) {
+		t.Fatalf("corrupt get with a stuck quarantine: ok=%v err=%v, want a miss with the move's error", ok, err)
+	}
+	if err := s.Quarantine("k"); !errors.Is(err, errStuck) {
+		t.Fatalf("Quarantine = %v, want the move's error", err)
+	}
+	if got := s.Quarantined(); got != 0 {
+		t.Fatalf("quarantined: got %d, want 0 (no move succeeded)", got)
+	}
+}
+
 // waitRecorder counts the backoff waits a Retry asks for instead of
 // sleeping them; each wait precedes one retry.
 type waitRecorder struct {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -298,7 +299,7 @@ func reachFindings(pkgs []*reachPkg, exceptions []reachException) []reachFinding
 	// other than its own uses it.
 	usedOutside := map[types.Object]bool{}
 	usedInside := map[types.Object]bool{}
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	ifaces := libraryInterfaces(pkgs)
 	seenType := map[types.Type]bool{}
 	for _, p := range pkgs {
 		for _, obj := range p.info.Uses {
@@ -318,18 +319,6 @@ func reachFindings(pkgs []*reachPkg, exceptions []reachException) []reachFinding
 			seenType[tv.Type] = true
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 				ifaces = append(ifaces, it)
-			}
-		}
-	}
-	for _, p := range pkgs {
-		for _, imp := range p.types.Imports() {
-			for _, si := range stdInterfaces {
-				if imp.Path() != si[0] {
-					continue
-				}
-				if obj := imp.Scope().Lookup(si[1]); obj != nil {
-					ifaces = append(ifaces, obj.Type().Underlying().(*types.Interface))
-				}
 			}
 		}
 	}
@@ -397,6 +386,23 @@ func reachFindings(pkgs []*reachPkg, exceptions []reachException) []reachFinding
 	return findings
 }
 
+// libraryInterfaces returns error and each of stdInterfaces that one of
+// pkgs imports the package of: the interfaces through which the standard
+// library calls the module's methods.
+func libraryInterfaces(pkgs []*reachPkg) []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, p := range pkgs {
+		for _, imp := range p.types.Imports() {
+			for _, si := range stdInterfaces {
+				if obj := imp.Scope().Lookup(si[1]); imp.Path() == si[0] && obj != nil {
+					ifaces = append(ifaces, obj.Type().Underlying().(*types.Interface))
+				}
+			}
+		}
+	}
+	return ifaces
+}
+
 // satisfiesUsedInterface reports whether named or its pointer
 // implements one of ifaces whose method set includes m. A generic type
 // is not checked (Implements leaves it unspecified): its methods count
@@ -436,6 +442,8 @@ var writeOnlyExceptions = []reachException{
 	{"cache.Stats.PrefetchDiscards", cacheOnly},
 	{"cache.Stats.PrefetchHits", cacheOnly},
 	{"cache.Stats.PrefetchInserted", cacheOnly},
+
+	{"sim.FetchStats.LatePBHits", "only its own interval accumulators read it; ROADMAP item 2's simulator probe is to report it per interval"},
 }
 
 // TestNoWriteOnlyFields fails for every struct field of internal/* that
@@ -452,10 +460,10 @@ func TestNoWriteOnlyFields(t *testing.T) {
 }
 
 // TestWriteOnlyFindings runs the field gate over the fixture module: a
-// counter only ever incremented and a field set only as a composite-
-// literal key are findings; a field read once and a json-tagged wire
-// field are not; and exception rows naming a read, a tagged and a
-// deleted field are stale.
+// counter only ever incremented, a field set only as a composite-
+// literal key and a counter read only by its own accumulators are
+// findings; a field read once and a json-tagged wire field are not; and
+// exception rows naming a read, a tagged and a deleted field are stale.
 func TestWriteOnlyFindings(t *testing.T) {
 	pkgs := loadModule(t, filepath.Join("testdata", "reach"))
 	symbols := func(exceptions []reachException) string {
@@ -465,7 +473,7 @@ func TestWriteOnlyFindings(t *testing.T) {
 		}
 		return strings.Join(got, " ")
 	}
-	if got, want := symbols(nil), "lib.Counter.hits lib.Counter.set"; got != want {
+	if got, want := symbols(nil), "lib.Counter.hits lib.Counter.late lib.Counter.set"; got != want {
 		t.Errorf("no exceptions: findings %q, want %q", got, want)
 	}
 	got := symbols([]reachException{
@@ -474,7 +482,7 @@ func TestWriteOnlyFindings(t *testing.T) {
 		{"lib.Counter.seen", "its field is read"},
 		{"lib.Gone.x", "its field was deleted"},
 	})
-	if want := "lib.Counter.Wire lib.Counter.seen lib.Counter.set lib.Gone.x"; got != want {
+	if want := "lib.Counter.Wire lib.Counter.late lib.Counter.seen lib.Counter.set lib.Gone.x"; got != want {
 		t.Errorf("exceptions: findings %q, want %q", got, want)
 	}
 }
@@ -482,7 +490,10 @@ func TestWriteOnlyFindings(t *testing.T) {
 // writeOnlyFindings is the field gate's core. A field is written where
 // it is an assignment target (x.f = v, x.f += v), an x.f++ or x.f--, or
 // a composite literal's key (T{f: v}); every other use names it as a
-// value and is a read. A field written through a larger target
+// value and is a read, except a self-feeding one: a use of f inside the
+// value written to f, joined to it only by + and - (x.f += y.f,
+// T{f: a.f - b.f}), is an accumulator carrying the count along, not a
+// reader of it. A field written through a larger target
 // (x.f[i] = v, x.f.g = v) counts as read, so the gate reports only what
 // it is sure of. A field with a json tag is read by the encoder. It
 // reports every field of a named struct type of internal/* that is
@@ -492,29 +503,59 @@ func writeOnlyFindings(pkgs []*reachPkg, exceptions []reachException) []reachFin
 	read := map[*types.Var]bool{}
 	for _, p := range pkgs {
 		writes := map[*ast.Ident]bool{}
-		target := func(e ast.Expr) {
-			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				writes[sel.Sel] = true
+		selfFed := map[*ast.Ident]bool{}
+		// feeds marks each use of field in value that reaches the value
+		// only through + and -: a read that flows back into the field.
+		feeds := func(field *ast.Ident, value ast.Expr) {
+			obj := p.info.Uses[field]
+			var walk func(e ast.Expr)
+			walk = func(e ast.Expr) {
+				switch e := ast.Unparen(e).(type) {
+				case *ast.BinaryExpr:
+					if e.Op == token.ADD || e.Op == token.SUB {
+						walk(e.X)
+						walk(e.Y)
+					}
+				case *ast.SelectorExpr:
+					if obj != nil && p.info.Uses[e.Sel] == obj {
+						selfFed[e.Sel] = true
+					}
+				}
 			}
+			walk(value)
 		}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						target(lhs)
+					for i, lhs := range n.Lhs {
+						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						writes[sel.Sel] = true
+						accumulates := n.Tok == token.ASSIGN || n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN
+						if accumulates && len(n.Rhs) == len(n.Lhs) {
+							feeds(sel.Sel, n.Rhs[i])
+						}
 					}
 				case *ast.IncDecStmt:
-					target(n.X)
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						writes[sel.Sel] = true
+					}
 				case *ast.KeyValueExpr:
 					if id, ok := n.Key.(*ast.Ident); ok {
 						writes[id] = true
+						feeds(id, n.Value)
 					}
 				}
 				return true
 			})
 		}
 		for id, obj := range p.info.Uses {
+			if selfFed[id] {
+				continue
+			}
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
 				if writes[id] {
 					written[v.Origin()] = true
@@ -578,6 +619,214 @@ func writeOnlyFindings(pkgs []*reachPkg, exceptions []reachException) []reachFin
 		if !writeOnly[e.symbol] {
 			findings = append(findings, reachFinding{e.symbol, fmt.Sprintf(
 				"stale exception (%s): the field is gone, read or json-tagged; drop the row", e.reason)})
+		}
+	}
+	sort.Slice(findings, func(i, j int) bool { return findings[i].symbol < findings[j].symbol })
+	return findings
+}
+
+// discardedExceptions is every result of a module func or method that
+// every non-test call site discards, kept on purpose. A row names the
+// result as the gate reports it ("wal.Open result 2", counting from 0);
+// a row whose result is gone or read fails the gate.
+var discardedExceptions = []reachException{
+	{"jobs.Job.EventsSince result 0", "benchmark/ follows a job's events through it (ROADMAP item 3)"},
+	{"wal.Open result 2", "benchmark/ opens logs with the four-result form (ROADMAP item 3); product callers read the tail through Log.TailDiscarded"},
+}
+
+// TestNoDiscardedResults fails for every result of a module func or
+// method, interface methods included, that every non-test call site
+// discards and discardedExceptions does not name, and for every stale
+// row. A result nobody reads is work the callee does for no one — or an
+// error nobody handles — so it is deleted, or handled where it is an
+// error.
+func TestNoDiscardedResults(t *testing.T) {
+	pkgs := loadModule(t, ".")
+	for _, f := range discardedFindings(pkgs, discardedExceptions) {
+		t.Error(f)
+	}
+}
+
+// TestDiscardedFindings runs the result gate over the fixture module: a
+// result called only as a statement, a second result only ever assigned
+// to _, and an interface method whose every caller drops its error are
+// findings; a result read once, an interface method one caller reads
+// and a function also used as a value are not; and exception rows
+// naming a read, a deleted and a value-used func's result are stale.
+func TestDiscardedFindings(t *testing.T) {
+	pkgs := loadModule(t, filepath.Join("testdata", "reach"))
+	symbols := func(exceptions []reachException) string {
+		var got []string
+		for _, f := range discardedFindings(pkgs, exceptions) {
+			got = append(got, f.symbol)
+		}
+		return strings.Join(got, ", ")
+	}
+	if got, want := symbols(nil), "lib.Discarded result 0, lib.Pair result 1, lib.Sink.Flush result 0"; got != want {
+		t.Errorf("no exceptions: findings %q, want %q", got, want)
+	}
+	got := symbols([]reachException{
+		{"lib.Discarded result 0", "kept on purpose"},
+		{"lib.Pair result 0", "its result is read"},
+		{"lib.Callback result 0", "its func is used as a value"},
+		{"lib.Gone result 0", "its func was deleted"},
+	})
+	if want := "lib.Callback result 0, lib.Gone result 0, lib.Pair result 0, lib.Pair result 1, lib.Sink.Flush result 0"; got != want {
+		t.Errorf("exceptions: findings %q, want %q", got, want)
+	}
+}
+
+// discardedFindings is the result gate's core. A call used as a
+// statement, also under go or defer, discards all its results; an
+// assignment or var declaration discards those it gives to _; every
+// other call reads them all. It reports each result of a module func or
+// method that some non-test call site names and none reads, a method
+// judged by its direct calls and an interface method by the calls made
+// through the interface. A func also used as a value is skipped (who
+// calls it is out of sight), as is a method that satisfies error or one
+// of stdInterfaces (the standard library calls it). Every exception that
+// names no such result is reported too.
+func discardedFindings(pkgs []*reachPkg, exceptions []reachException) []reachFinding {
+	module := map[*types.Package]bool{}
+	for _, p := range pkgs {
+		module[p.types] = true
+	}
+	ifaces := libraryInterfaces(pkgs)
+
+	type usage struct {
+		calls   int
+		read    []bool // per result: some call site reads it
+		asValue bool
+	}
+	uses := map[*types.Func]*usage{}
+	all := func(int) bool { return true }
+	for _, p := range pkgs {
+		callOf := map[*ast.Ident]*ast.CallExpr{}       // a callee's name → its call
+		discards := map[*ast.CallExpr]func(int) bool{} // results a call drops
+		assign := func(lhs, rhs []ast.Expr) {
+			blank := func(e ast.Expr) bool {
+				id, ok := e.(*ast.Ident)
+				return ok && id.Name == "_"
+			}
+			if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok && len(rhs) == 1 {
+				discards[call] = func(i int) bool { return i < len(lhs) && blank(lhs[i]) }
+				return
+			}
+			for i, r := range rhs {
+				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && i < len(lhs) && blank(lhs[i]) {
+					discards[call] = all
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					fun := ast.Unparen(n.Fun)
+					switch x := fun.(type) {
+					case *ast.IndexExpr:
+						fun = x.X
+					case *ast.IndexListExpr:
+						fun = x.X
+					}
+					switch x := fun.(type) {
+					case *ast.Ident:
+						callOf[x] = n
+					case *ast.SelectorExpr:
+						callOf[x.Sel] = n
+					}
+				case *ast.ExprStmt:
+					if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+						discards[call] = all
+					}
+				case *ast.GoStmt:
+					discards[n.Call] = all
+				case *ast.DeferStmt:
+					discards[n.Call] = all
+				case *ast.AssignStmt:
+					assign(n.Lhs, n.Rhs)
+				case *ast.ValueSpec:
+					if len(n.Values) > 0 {
+						lhs := make([]ast.Expr, len(n.Names))
+						for i, id := range n.Names {
+							lhs[i] = id
+						}
+						assign(lhs, n.Values)
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || !module[fn.Pkg()] {
+				continue
+			}
+			fn = fn.Origin()
+			u := uses[fn]
+			if u == nil {
+				u = &usage{read: make([]bool, fn.Type().(*types.Signature).Results().Len())}
+				uses[fn] = u
+			}
+			call := callOf[id]
+			if call == nil {
+				u.asValue = true
+				continue
+			}
+			u.calls++
+			drops := discards[call]
+			for i := range u.read {
+				if drops == nil || !drops(i) {
+					u.read[i] = true
+				}
+			}
+		}
+	}
+
+	discarded := map[string]string{} // symbol → why
+	for fn, u := range uses {
+		if u.calls == 0 || u.asValue {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		name := path.Base(fn.Pkg().Path()) + "."
+		if recv := sig.Recv(); recv != nil {
+			t := recv.Type()
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				if !types.IsInterface(named) && satisfiesUsedInterface(named, fn, ifaces) {
+					continue
+				}
+				name += named.Obj().Name() + "."
+			}
+		}
+		name += fn.Name()
+		for i, read := range u.read {
+			if !read {
+				qual := func(p *types.Package) string { return p.Name() }
+				discarded[fmt.Sprintf("%s result %d", name, i)] = fmt.Sprintf(
+					"all %d non-test call sites discard this %s: delete the result, handle it, or give it a row saying why it stays",
+					u.calls, types.TypeString(sig.Results().At(i).Type(), qual))
+			}
+		}
+	}
+
+	excepted := map[string]bool{}
+	for _, e := range exceptions {
+		excepted[e.symbol] = true
+	}
+	var findings []reachFinding
+	for symbol, why := range discarded {
+		if !excepted[symbol] {
+			findings = append(findings, reachFinding{symbol, why})
+		}
+	}
+	for _, e := range exceptions {
+		if _, ok := discarded[e.symbol]; !ok {
+			findings = append(findings, reachFinding{e.symbol, fmt.Sprintf(
+				"stale exception (%s): the result is gone, read, or its func is used as a value; drop the row", e.reason)})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool { return findings[i].symbol < findings[j].symbol })

@@ -259,9 +259,12 @@ func (s *BlobStore) lookupBlob(key string) (RunResult, bool) {
 		// The bytes passed (or predate) the CRC but the payload no
 		// longer decodes — a torn or corrupt legacy blob. Quarantine it
 		// so the corruption is observed once and the key self-heals,
-		// instead of being re-missed forever.
-		s.blobs.Quarantine(key)
+		// instead of being re-missed forever; a failed move is the
+		// tier's error.
 		r, ok, err = RunResult{}, false, store.ErrCorrupt
+		if qerr := s.blobs.Quarantine(key); qerr != nil {
+			err = qerr
+		}
 	}
 	s.record(err)
 	if ok {

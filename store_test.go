@@ -3,6 +3,7 @@ package shift
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -201,6 +202,37 @@ func TestBlobStoreContract(t *testing.T) {
 		if h := s.Health(); tiered && (h.BreakerState != store.BreakerOpen || h.MemOnlyOps == 0) {
 			t.Errorf("tiered store over a failing tier: %+v, want the breaker open and lookups absorbed", h)
 		}
+	}
+}
+
+// stuckQuarantine is an in-memory blob tier whose quarantine move
+// always fails.
+type stuckQuarantine struct{ *store.Mem }
+
+func (stuckQuarantine) Quarantine(string) error {
+	return errors.New("rename: read-only file system")
+}
+
+// TestBlobLookupFailedQuarantine: a corrupt blob — one failing its CRC,
+// one whose payload verifies but no longer decodes — whose quarantine
+// move fails is a miss and a store error each, and no blob counts as
+// quarantined.
+func TestBlobLookupFailedQuarantine(t *testing.T) {
+	mem := store.NewMem()
+	if err := store.WithIntegrity(mem).Put("undecodable", []byte("not json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put("bad-crc", []byte("{}\n#crc32c:00000000\n")); err != nil {
+		t.Fatal(err)
+	}
+	s := newBlobStore(stuckQuarantine{mem}, false)
+	for _, key := range []string{"undecodable", "bad-crc"} {
+		if _, ok := s.Lookup(key); ok {
+			t.Fatalf("%s: corrupt blob read as a hit", key)
+		}
+	}
+	if h := s.Health(); h.Errors != 2 || h.Quarantined != 0 {
+		t.Fatalf("health %+v, want 2 errors and nothing quarantined", h)
 	}
 }
 

@@ -27,6 +27,7 @@ type Counter struct {
 	hits int // only ever incremented: a finding
 	seen int // written, and read once by Seen
 	set  int // set only as a composite-literal key: a finding
+	late int // read only to be added back into itself: a finding
 	// Wire is written and only the JSON encoder reads it.
 	Wire int `json:"wire"`
 }
@@ -43,3 +44,42 @@ func (c *Counter) Hit() {
 
 // Seen reads seen.
 func (c *Counter) Seen() int { return c.seen }
+
+// Merge adds o's late count into c's: a read of late that flows only
+// back into late.
+func (c *Counter) Merge(o Counter) { c.late += o.late }
+
+// Sum returns the two counters' late counts added into a new Counter.
+func (c Counter) Sum(o Counter) Counter { return Counter{late: c.late + o.late} }
+
+// Bump counts a late event nothing reads.
+func (c *Counter) Bump() { c.late++ }
+
+// Discarded's one caller calls it as a statement: a finding.
+func Discarded() int { return 3 }
+
+// Pair's first result is read once and its second never: the second is
+// a finding.
+func Pair() (int, bool) { return 4, true }
+
+// Callback is used as a value, so the gate cannot see all its callers:
+// never a finding.
+func Callback() int { return 5 }
+
+// Sink is an interface main holds a value of: its methods are judged by
+// the calls made through it.
+type Sink interface {
+	// Put's error is read by one caller and dropped by another.
+	Put(v int) error
+	// Flush's error every caller drops: a finding.
+	Flush() error
+}
+
+// Log is the one Sink.
+type Log struct{}
+
+// Put implements Sink.
+func (*Log) Put(v int) error { return nil }
+
+// Flush implements Sink.
+func (*Log) Flush() error { return nil }
