@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -55,5 +56,34 @@ func TestGoldenOutput(t *testing.T) {
 					name, path, got, want)
 			}
 		})
+	}
+}
+
+// TestTimelineGolden locks shiftsim -timeline's NDJSON for a small
+// fixed-seed exact run: every design on one workload at 4 cores, 6,000
+// records of warmup and 2,000 measured, reported in four intervals of
+// 500. Regenerate with: go test ./cmd/shiftsim -run TestTimelineGolden
+// -update
+func TestTimelineGolden(t *testing.T) {
+	o := goldenOpts()
+	o.MeasureRecords = 2000
+	o.Engine = shift.NewEngine(4, nil) // the timeline must not depend on the pool size
+	var got bytes.Buffer
+	if err := shift.WriteTimeline(&got, o); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "timeline.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("timeline drifted from golden file %s:\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
 	}
 }

@@ -15,6 +15,7 @@
 //	shiftsim -experiment fig7 -sample 10      # interval sampling, 1-in-10 detailed
 //	shiftsim -experiment all -cache-dir ~/.shiftcache   # persist cells across runs
 //	shiftsim -experiment fig8 -cpuprofile cpu.out -memprofile mem.out
+//	shiftsim -timeline -workloads "Web Search" -cores 4   # per-interval NDJSON
 //
 // Experiments: tableI, fig1, fig2, fig3, fig6, fig7, fig8, fig9, fig10,
 // pd, power, storage, sensitivity, generator, all.
@@ -22,6 +23,10 @@
 // The -cpuprofile and -memprofile flags write pprof profiles covering the
 // experiment runs (inspect with `go tool pprof`); see the README's
 // "Performance" section for the profiling workflow.
+//
+// -timeline runs no experiment: it writes the simulator timeline of every
+// design point on each selected workload to standard output, one NDJSON
+// line per measured interval (see shift.WriteTimeline).
 package main
 
 import (
@@ -59,6 +64,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print an engine summary (simulated/batched/stream-generations-avoided cells) after the runs")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the runs) to this file")
+		timeline   = flag.Bool("timeline", false, "instead of an experiment, write every design's per-interval timeline on the selected workloads as NDJSON (an exact run reports every 500 records a core)")
 	)
 	flag.Parse()
 
@@ -161,6 +167,13 @@ func main() {
 	// shared between figures are deduplicated and the -v summary covers
 	// the whole run.
 	opts.Engine = shift.NewEngine(*parallel, store)
+
+	if *timeline {
+		if err := shift.WriteTimeline(os.Stdout, opts); err != nil {
+			fail(err)
+		}
+		return
+	}
 
 	for _, name := range names {
 		start := time.Now()

@@ -77,7 +77,7 @@ func (r *Replayer) replay(a prefetch.Access) []prefetch.Request {
 	} else if !a.Hit || r.sh.cfg.AllocOnAccess {
 		// Start a new stream from the most recent occurrence of this
 		// block as a trigger in the *shared* history.
-		if pos, ok := r.sh.lookup(r.coreID, a.Block); ok {
+		if pos, ok := r.sh.lookup(r.coreID, a.Block, &r.stats); ok {
 			r.allocate(pos, a.Block)
 		}
 	}

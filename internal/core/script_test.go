@@ -92,7 +92,16 @@ func TestScriptGolden(t *testing.T) {
 			sb.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&sb, "stats %+v\n", p.PrefetchStats())
+	// The golden pins the design's statistics; the index counters beside
+	// them, which a simulator probe reads, are checked against them here:
+	// every miss no stream covers looks the index up.
+	st := p.PrefetchStats()
+	fmt.Fprintf(&sb, "stats {Accesses:%d Misses:%d CoveredAccesses:%d CoveredMisses:%d RecordsWritten:%d}\n",
+		st.Accesses, st.Misses, st.CoveredAccesses, st.CoveredMisses, st.RecordsWritten)
+	if st.IndexLookups != st.Misses-st.CoveredMisses || st.IndexHits == 0 || st.IndexHits > st.IndexLookups || st.ForeignPointers != 0 {
+		t.Errorf("%d uncovered misses, %d index lookups, %d hits, %d foreign pointers",
+			st.Misses-st.CoveredMisses, st.IndexLookups, st.IndexHits, st.ForeignPointers)
+	}
 	h := sh.History()
 	live := min(h.WritePos(), uint64(sh.Config().HistEntries))
 	fmt.Fprintf(&sb, "history writepos=%d len=%d\n", h.WritePos(), live)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"shift/internal/history"
+	"shift/internal/prefetch"
 	"shift/internal/trace"
 )
 
@@ -322,14 +323,18 @@ func (sh *SharedHistory) append(coreID int, rec history.Region) {
 	}
 }
 
-// lookup finds the history position to replay from for a missed block.
-func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr) (uint64, bool) {
+// lookup finds the history position to replay from for a missed block,
+// counting into st the lookup, whether it hit and whether it met another
+// history's pointer.
+func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr, st *prefetch.Stats) (uint64, bool) {
+	st.IndexLookups++
 	switch sh.cfg.Variant {
 	case Dedicated:
 		pos, ok := sh.index.Lookup(blk)
 		if !ok || !sh.buf.Valid(pos) {
 			return 0, false
 		}
+		st.IndexHits++
 		return pos, true
 	case Virtualized:
 		ptr, ok := sh.backend.PointerFor(coreID, blk)
@@ -346,8 +351,10 @@ func (sh *SharedHistory) lookup(coreID int, blk trace.BlockAddr) (uint64, bool) 
 			return 0, false // pointer refers to overwritten history
 		}
 		if r.Trigger != blk {
+			st.ForeignPointers++
 			return 0, false
 		}
+		st.IndexHits++
 		return pos, true
 	}
 	return 0, false

@@ -68,6 +68,15 @@ type Stats struct {
 	CoveredMisses int64
 	// RecordsWritten counts spatial region records appended to history.
 	RecordsWritten int64
+	// IndexLookups counts the history-index lookups that try to start a
+	// stream, IndexHits those that found a position to replay from, and
+	// ForeignPointers the lookups of a virtualized index that met a
+	// pointer another history had set. They are read per interval through
+	// a simulator probe (sim.RunSpec.Probe), not from a Result's JSON,
+	// whose bytes they leave as they are.
+	IndexLookups    int64 `json:"-"`
+	IndexHits       int64 `json:"-"`
+	ForeignPointers int64 `json:"-"`
 }
 
 // AccessCoverage returns CoveredAccesses/Accesses (0 if no accesses).
@@ -93,6 +102,9 @@ func (s *Stats) Add(other Stats) {
 	s.CoveredAccesses += other.CoveredAccesses
 	s.CoveredMisses += other.CoveredMisses
 	s.RecordsWritten += other.RecordsWritten
+	s.IndexLookups += other.IndexLookups
+	s.IndexHits += other.IndexHits
+	s.ForeignPointers += other.ForeignPointers
 }
 
 // StatsReporter is implemented by prefetchers that expose Stats.

@@ -23,7 +23,7 @@ func buildSteadySystem(t *testing.T, spec PrefetcherSpec) *System {
 	b := enterAll(t, []RunSpec{{Config: cfg, Workload: testWorkload(), WarmupRecords: 30000, MeasureRecords: 10000}})
 	// Warmup: populate caches, histories, stream buffers, and grow every
 	// reusable buffer to its steady-state capacity.
-	lockstep(t, b, cutBlocks([]segment{{rounds: 30000}}), nil)
+	lockstep(t, b, cutBlocks([]segment{{rounds: 30000}}, 0), nil)
 	return b.systems[0]
 }
 
@@ -101,8 +101,8 @@ func TestStepZeroAllocSteadyStateBatch(t *testing.T) {
 		}
 		const rounds = 2000
 		for _, functional := range []bool{false, true} {
-			lockstep(t, b, cutBlocks([]segment{{rounds: 30000, functional: functional}}), nil)
-			block := cutBlocks([]segment{{rounds: rounds, functional: functional}})
+			lockstep(t, b, cutBlocks([]segment{{rounds: 30000, functional: functional}}, 0), nil)
+			block := cutBlocks([]segment{{rounds: rounds, functional: functional}}, 0)
 			per := testing.AllocsPerRun(1, func() { lockstep(t, b, block, nil) })
 			if per != 0 {
 				t.Errorf("sampling %+v, functional=%v: %.6f allocs/record in a steady-state batch block, want 0",

@@ -67,10 +67,24 @@ func unpackLog(w uint64) trace.Record {
 	}
 }
 
+// Probe-entry layout, low to high: the 34-bit block address of an L1-I
+// miss that warms the LLC and the offset of the miss in its functional
+// stretch (a stretch is at most batchBlockRounds records).
+
+// packProbe packs the probe of block blk, missed at offset at of its
+// stretch.
+func packProbe(blk trace.BlockAddr, at int) uint64 {
+	return uint64(blk) | uint64(at)<<trace.BlockAddrBits
+}
+
+// unpackProbe recovers the block and the offset of a probe entry.
+func unpackProbe(w uint64) (trace.BlockAddr, int) {
+	return trace.BlockAddr(w & uint64(trace.MaxBlockAddr)), int(w >> trace.BlockAddrBits)
+}
+
 // Region-word layout, low to high: a completed region record's 34-bit
 // trigger and 15-bit vector, and the 13-bit offset in its functional
-// stretch of the access that completed it (a stretch is at most
-// batchBlockRounds records).
+// stretch of the access that completed it.
 const (
 	regionVecShift = trace.BlockAddrBits
 	regionAtShift  = regionVecShift + history.MaxRegionSpan - 1
@@ -96,10 +110,19 @@ func unpackRegion(w uint64) (history.Region, int) {
 // System, which in a schedule of one block is gone before the first
 // follower is built.
 //
-// words holds the block's records in the order the lead stepped them
-// (round-robin over the cores in detailed rounds, core after core in a
-// functional piece). Followers step in the lead's order, so it is written
-// once and read once per follower, front to back.
+// What it holds of a block depends on the kind of piece:
+//
+//   - A detailed piece's records are words, in the order the lead stepped
+//     them (round-robin over the cores). Followers step in the lead's
+//     order, so they are written once and read once per follower, front
+//     to back.
+//   - A functional piece publishes, per core in stepping order, what a
+//     follower reads of it: a probe list and, when the log carries them, a
+//     region list. Its records go into words too (core after core) only
+//     when stretches is set — when some follower walks them (see
+//     walksStretches); otherwise the lead writes them into a buffer of its
+//     own, as a standalone System does, and the log is sized by the
+//     block's detailed rounds alone.
 //
 // marks holds the block's interval marks: at every beginInterval/endInterval the
 // lead appends its shared-facet counters, one coreMark per core, and its
@@ -108,27 +131,26 @@ func unpackRegion(w uint64) (history.Region, int) {
 // there (see System.shareMark).
 //
 // probes holds the block's LLC probe lists, one per core per functional
-// piece in stepping order: a count, then that many offsets into the core's
-// stretch of words — the L1-I misses at which functional stepping warms
-// the LLC (every one near a detailed interval, every llcFarStride-th far
-// from it). Which misses those are follows from the L1-I outcome alone, so
-// the lead decides it once, and a follower with nothing else to do in a
-// stretch walks the list instead of the words (see System.consume).
+// piece in stepping order: a count, then that many entries, each an L1-I
+// miss at which functional stepping warms the LLC (every one near a
+// detailed interval, every llcFarStride-th far from it) with its offset in
+// the core's stretch (see packProbe). Which misses those are follows from
+// the L1-I outcome alone, so the lead decides it once, and a follower with
+// nothing else to do in a stretch walks the list instead of the records
+// (see System.consume).
 //
 // builders, regions and data carry the compaction of each core's stream
 // into spatial region records, for the members whose Warmer compacts (see
 // prefetch.RecordWarmer). builders[c] is a history.Builder at
 // history.DefaultRegionSpan that the lead advances on every record of core
 // c it steps, detailed or functional. For every core's functional stretch
-// it writes one word per record the stretch completes (see packRegion)
-// into data, from the slot of the stretch's first word — n records
-// complete at most n regions, so they always fit there — and appends the
-// stretch's regionList to regions, in the probe lists' order. A member
-// whose builder stands where the log's stood at a stretch's start applies
-// the stretch's records instead of compacting its words again (see
-// System.consume). builders and regions are nil unless the schedule has a
-// functional piece and some follower compacts at that span, and only such
-// a batch allocates data (see newBatch).
+// it appends one word per record the stretch completes (see packRegion)
+// to data and the stretch's regionList to regions, in the probe lists'
+// order. A member whose builder stands where the log's stood at a
+// stretch's start applies the stretch's records instead of compacting its
+// words again (see System.consume). builders and regions are nil unless
+// the schedule has a functional piece and some follower compacts at that
+// span (see newBatch).
 //
 // mirrors are the lead's instruction caches — the log's, so that they
 // outlive a lead that is gone after one block: what a shared-L1 follower
@@ -141,15 +163,16 @@ func unpackRegion(w uint64) (history.Region, int) {
 // successful walk hands it back, as System.release does the member's
 // tables; a batch that fails leaves its log to the collector.
 type leadLog struct {
-	words    []uint64
-	marks    []coreMark
-	traffic  []trafficMark
-	probes   []uint16
-	data     []uint64
-	builders []history.Builder
-	regions  []regionList
-	mirrors  []*cache.ICache
-	cfg      Config
+	words     []uint64
+	marks     []coreMark
+	traffic   []trafficMark
+	probes    []uint64
+	data      []uint64
+	builders  []history.Builder
+	regions   []regionList
+	mirrors   []*cache.ICache
+	stretches bool
+	cfg       Config
 }
 
 // openProbes starts a probe list; the lead appends the offsets to
@@ -161,22 +184,22 @@ func (lg *leadLog) openProbes() (at int) {
 
 // closeProbes writes the count of the list opened at index at and returns
 // the list.
-func (lg *leadLog) closeProbes(at int) []uint16 {
+func (lg *leadLog) closeProbes(at int) []uint64 {
 	list := lg.probes[at+1:]
-	lg.probes[at] = uint16(len(list))
+	lg.probes[at] = uint64(len(list))
 	return list
 }
 
 // probesAt returns the list that starts at index at and the index of the
 // one behind it.
-func (lg *leadLog) probesAt(at int) (list []uint16, next int) {
+func (lg *leadLog) probesAt(at int) (list []uint64, next int) {
 	next = at + 1 + int(lg.probes[at])
 	return lg.probes[at+1 : next], next
 }
 
 // regionList is one core's region list of a functional stretch: the log
 // builder's state before and after the stretch, and the records it
-// completed in between, in the stretch's data slots. The zero list — a
+// completed in between, a run of data. The zero list — a
 // System without region lists — has a start state no member's builder is
 // in.
 type regionList struct {
@@ -241,15 +264,25 @@ type piece struct {
 // follower does not track the L1-I through functional pieces and takes the
 // tags of the lead's, as they stand when the lead's block is done, before
 // it steps in detail again (see batch.runBlock).
-func cutBlocks(segs []segment) [][]piece {
+//
+// report, when positive, cuts each measured segment into pieces of that
+// many rounds instead, each an interval of its own: the reporting
+// intervals of an exact run with a probe attached (see RunSpec.Probe). An
+// exact run's results do not depend on where its pieces are cut; a sampled
+// run's do, so its measured intervals are never cut.
+func cutBlocks(segs []segment, report int64) [][]piece {
 	var blocks [][]piece
 	var open []piece
 	var rounds int64
 	for _, seg := range segs {
-		for off := int64(0); off < seg.rounds; off += batchBlockRounds {
-			p := piece{segment: seg, begin: seg.measured && off == 0}
-			p.rounds = min(seg.rounds-off, batchBlockRounds)
-			p.end = seg.measured && off+p.rounds == seg.rounds
+		step, each := int64(batchBlockRounds), seg.measured && report > 0
+		if each {
+			step = report
+		}
+		for off := int64(0); off < seg.rounds; off += step {
+			p := piece{segment: seg, begin: seg.measured && (off == 0 || each)}
+			p.rounds = min(seg.rounds-off, step)
+			p.end = seg.measured && (off+p.rounds == seg.rounds || each)
 			if n := len(open); n > 0 && (rounds+p.rounds > batchBlockRounds || open[n-1].functional && !p.functional) {
 				blocks = append(blocks, open)
 				open, rounds = nil, 0
@@ -304,24 +337,39 @@ func newBatch(specs []RunSpec) (*batch, error) {
 	if err := checkStreamCompatible(specs); err != nil {
 		return nil, err
 	}
+	policy := specs[0].Sampling
+	var report int64
+	if !policy.Enabled() && slices.ContainsFunc(specs, func(s RunSpec) bool { return s.Probe != nil }) {
+		report = defaultIntervalRecords
+	}
 	b := &batch{
 		specs:   specs,
 		out:     make([]Result, len(specs)),
 		systems: make([]*System, len(specs)),
-		blocks:  cutBlocks(specs[0].Sampling.segments(specs[0].WarmupRecords, specs[0].MeasureRecords)),
+		blocks:  cutBlocks(policy.segments(specs[0].WarmupRecords, specs[0].MeasureRecords), report),
 	}
 	if len(specs) > 1 {
-		// The log holds one lockstep block.
-		var longest int64
-		for _, blk := range b.blocks {
-			longest = max(longest, blockRounds(blk))
-		}
 		cfg := specs[0].systemConfig()
-		b.log = newLeadLog(cfg, int(longest)*cfg.Cores)
-		if k := regionLists(specs, b.blocks); k > 0 {
-			if len(b.log.data) != len(b.log.words) {
-				b.log.data = make([]uint64, len(b.log.words))
+		stretches := slices.ContainsFunc(specs[1:], func(s RunSpec) bool { return walksStretches(s.systemConfig(), cfg) })
+		// The log holds one lockstep block: its records, or only those of
+		// its detailed pieces when no follower walks a functional stretch.
+		var words, functional int64
+		for _, blk := range b.blocks {
+			var n, f int64
+			for _, p := range blk {
+				if p.functional {
+					f += p.rounds
+				}
+				if stretches || !p.functional {
+					n += p.rounds
+				}
 			}
+			words, functional = max(words, n), max(functional, f)
+		}
+		k := regionLists(specs, b.blocks)
+		b.log = newLeadLog(cfg, int(words)*cfg.Cores, int(functional)*cfg.Cores, k > 0)
+		b.log.stretches = stretches
+		if k > 0 {
 			b.log.builders = make([]history.Builder, cfg.Cores)
 			for c := range b.log.builders {
 				b.log.builders[c] = *history.MustNewBuilder(history.DefaultRegionSpan)
@@ -331,7 +379,7 @@ func newBatch(specs []RunSpec) (*batch, error) {
 		// A log word has room for logMaxWays L1-I ways; the instruction
 		// caches of a wider lead are its own and its followers step caches
 		// of theirs.
-		if cfg.L1I.Assoc <= logMaxWays {
+		if namesWays(cfg) {
 			b.log.mirrors = make([]*cache.ICache, cfg.Cores)
 			for c := range b.log.mirrors {
 				var err error
@@ -344,19 +392,57 @@ func newBatch(specs []RunSpec) (*batch, error) {
 	return b, nil
 }
 
+// namesWays reports whether a log word can name the ways of the L1-I of a
+// lead of configuration lc, which its followers then share (see
+// leadLog.mirrors).
+func namesWays(lc Config) bool { return lc.L1I.Assoc <= logMaxWays }
+
+// replays decides which facets of the work of a lead of configuration lc a
+// follower of configuration cfg replays (see the System.log field doc).
+func replays(cfg, lc Config) (bp, data, l1 bool) {
+	bp = cfg.BranchPredictorEntries > 0 && cfg.BranchPredictorEntries == lc.BranchPredictorEntries
+	// The data-side draws are the lead's only with its seeds, rate and
+	// mesh, and with no miss elimination on either side (ElimProb
+	// consumes the same RNG, which would shift the draw sequence).
+	data = cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed &&
+		cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
+	l1 = namesWays(lc) && cfg.L1I == lc.L1I
+	return bp, data, l1
+}
+
+// walksStretches reports whether a follower of configuration cfg under a
+// lead of configuration lc walks the records of a functional stretch
+// rather than the lists beside them (see System.consume): it advances a
+// predictor or an instruction cache of its own, or its design's Warmer
+// asks for accesses the region lists do not serve — TIFS's misses, a
+// region span other than the log builders', or the generator of an
+// adaptive history, whose builder restarts when the role rotates. Which
+// facets a follower replays, and its design, are fixed when it is built,
+// so this is decided once per batch from the specs.
+func walksStretches(cfg, lc Config) bool {
+	bp, _, l1 := replays(cfg, lc)
+	p := cfg.Prefetcher
+	return cfg.BranchPredictorEntries > 0 && !bp || !l1 ||
+		p.Kind == KindHistory && (p.regionSpan() != history.DefaultRegionSpan || p.AdaptiveGenerator)
+}
+
 // freeLogs recycles lead logs between batches, one free list per word
 // count (see freelist).
 var freeLogs freelist.Keyed[int, leadLog]
 
-// newLeadLog returns a log of n words for a batch led by cfg: one handed
-// back by an earlier batch of that word count, or a new one.
-func newLeadLog(cfg Config, n int) *leadLog {
+// newLeadLog returns a log of n words for a batch led by cfg whose blocks
+// step up to f records functionally: one handed back by an earlier batch
+// of that word count, or a new one. A new one has room for a probe, and,
+// when it carries region lists, a region record, every other functional
+// record — a whole stretch of misses and completed regions would
+// outgrow them, once, by append.
+func newLeadLog(cfg Config, n, f int, regions bool) *leadLog {
 	lg := freeLogs.Get(n)
 	if lg == nil {
-		// Room for a probe per four records: a stretch that warms the LLC
-		// on every L1-I miss of a stream that mostly misses outgrows it,
-		// once, by append.
-		lg = &leadLog{words: make([]uint64, n), probes: make([]uint16, 0, n/4)}
+		lg = &leadLog{words: make([]uint64, n), probes: make([]uint64, 0, f/2)}
+		if regions {
+			lg.data = make([]uint64, 0, f/2)
+		}
 	}
 	lg.cfg = cfg
 	return lg
@@ -364,14 +450,13 @@ func newLeadLog(cfg Config, n int) *leadLog {
 
 // release hands the log's instruction caches back to their free list and
 // the log to freeLogs, keeping the arrays a log of its word count reuses
-// — words, marks, probes and, once a batch needed it, data — and dropping
-// the rest. Only a successful walk calls it; the log is unusable
-// afterwards.
+// — words, marks, probes and region data — and dropping the rest. Only a
+// successful walk calls it; the log is unusable afterwards.
 func (lg *leadLog) release() {
 	for _, l1 := range lg.mirrors {
 		l1.Release()
 	}
-	*lg = leadLog{words: lg.words, marks: lg.marks[:0], traffic: lg.traffic[:0], probes: lg.probes[:0], data: lg.data}
+	*lg = leadLog{words: lg.words, marks: lg.marks[:0], traffic: lg.traffic[:0], probes: lg.probes[:0], data: lg.data[:0]}
 	freeLogs.Put(len(lg.words), lg)
 }
 
@@ -454,6 +539,7 @@ func (b *batch) enter(m int) error {
 	if err != nil {
 		return err
 	}
+	sys.probe = spec.Probe
 	b.systems[m] = sys
 	return nil
 }
@@ -547,7 +633,7 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	sys.logPos, sys.markPos, sys.probePos, sys.regionPos = 0, 0, 0, 0
 	if sys.lead {
 		lg := b.log
-		lg.marks, lg.traffic, lg.probes, lg.regions = lg.marks[:0], lg.traffic[:0], lg.probes[:0], lg.regions[:0]
+		lg.marks, lg.traffic, lg.probes, lg.data, lg.regions = lg.marks[:0], lg.traffic[:0], lg.probes[:0], lg.data[:0], lg.regions[:0]
 	}
 	var ran int64
 	for _, p := range blk {

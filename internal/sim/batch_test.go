@@ -124,9 +124,11 @@ func windowed(specs []RunSpec, warm, meas int64, p Sampling) []RunSpec {
 }
 
 // TestCutBlocks pins the block rule: pieces are a segment cut at
-// batchBlockRounds, whatever the blocks; a block takes pieces across
-// segment boundaries up to batchBlockRounds rounds, and none steps in
-// detail after a functional piece.
+// batchBlockRounds — a measured one, when a probe asks for reporting
+// intervals, at the interval length, each piece an interval of its own —
+// whatever the blocks; a block takes pieces across segment boundaries up
+// to batchBlockRounds rounds, and none steps in detail after a functional
+// piece.
 func TestCutBlocks(t *testing.T) {
 	shape := func(blocks [][]piece) [][]int64 {
 		var out [][]int64
@@ -140,29 +142,39 @@ func TestCutBlocks(t *testing.T) {
 		return out
 	}
 	const B = batchBlockRounds
+	sixteen500 := make([]int64, 16)
+	for i := range sixteen500 {
+		sixteen500[i] = 500
+	}
 	for _, tc := range []struct {
 		name       string
 		p          Sampling
 		warm, meas int64
+		report     int64
 		want       [][]int64
 	}{
-		{"one-block", Sampling{}, 500, 500, [][]int64{{500, 500}}},
-		{"no-warmup", Sampling{}, 0, 500, [][]int64{{500}}},
-		{"exact", Sampling{}, B + 10, 2*B + 20, [][]int64{{B}, {10}, {B}, {B}, {20}}},
-		{"exact-tail-joins", Sampling{}, B + 10, 20, [][]int64{{B}, {10, 20}}},
+		{"one-block", Sampling{}, 500, 500, 0, [][]int64{{500, 500}}},
+		{"no-warmup", Sampling{}, 0, 500, 0, [][]int64{{500}}},
+		{"exact", Sampling{}, B + 10, 2*B + 20, 0, [][]int64{{B}, {10}, {B}, {B}, {20}}},
+		{"exact-tail-joins", Sampling{}, B + 10, 20, 0, [][]int64{{B}, {10, 20}}},
+		// Reporting intervals cut the measured segment only, and a block
+		// takes as many as fit.
+		{"exact-reported", Sampling{}, 700, 1200, 500, [][]int64{{700, 500, 500, 200}}},
+		{"exact-reported-blocks", Sampling{}, 0, 2 * B, 500, [][]int64{sixteen500, sixteen500, {2*B - 32*500}}},
 		// Period 3 × 1000: head = 700 + gap 1750, then warm 250, interval
 		// 1000, gap 1750, ... ; the detailed pair and the gap behind it
 		// share a block, which ends where the next detailed warmup begins.
-		{"sampled", Sampling{Period: 3, IntervalRecords: 1000}, 700, 9000,
+		{"sampled", Sampling{Period: 3, IntervalRecords: 1000}, 700, 9000, 0,
 			[][]int64{{2450}, {250, 1000, 1750}, {250, 1000, 1750}, {250, 1000}}},
 	} {
 		segs := tc.p.segments(tc.warm, tc.meas)
-		blocks := cutBlocks(segs)
+		blocks := cutBlocks(segs, tc.report)
 		if got := shape(blocks); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: blocks %v, want %v", tc.name, got, tc.want)
 		}
-		// The pieces, in order, are each segment cut at B; Begin and End
-		// bracket exactly the measured segments.
+		// The pieces, in order, are each segment cut at B, or at the
+		// reporting interval; Begin and End bracket exactly the measured
+		// segments, or each reporting interval.
 		var pieces []piece
 		for _, blk := range blocks {
 			if n := blockRounds(blk); n > B {
@@ -177,10 +189,14 @@ func TestCutBlocks(t *testing.T) {
 		}
 		i := 0
 		for _, seg := range segs {
-			for off := int64(0); off < seg.rounds; off += B {
-				want := piece{segment: seg, begin: seg.measured && off == 0}
-				want.rounds = min(seg.rounds-off, B)
-				want.end = seg.measured && off+want.rounds == seg.rounds
+			step, each := int64(B), seg.measured && tc.report > 0
+			if each {
+				step = tc.report
+			}
+			for off := int64(0); off < seg.rounds; off += step {
+				want := piece{segment: seg, begin: seg.measured && (off == 0 || each)}
+				want.rounds = min(seg.rounds-off, step)
+				want.end = seg.measured && (off+want.rounds == seg.rounds || each)
 				if i >= len(pieces) || pieces[i] != want {
 					t.Fatalf("%s: piece %d differs from its segment's cut", tc.name, i)
 				}
@@ -398,6 +414,51 @@ func TestBatchOfOneBuildsNoLog(t *testing.T) {
 	}
 	if hand, got := least(byHand), least(run); got > hand+logBytes/4 {
 		t.Errorf("a Run allocates %d B, the same System built by hand %d B (a lead log would be %d B)", got, hand, logBytes)
+	}
+}
+
+// TestSampledLeadLogFootprint is the footprint gate of a sampled batch's
+// lead log: a 16-core batch of the six designs whose followers read the
+// functional stretches' lists alone, under the policy of the benchmark's
+// sampled sweep (one 500-record interval in 40, warmup fraction 0.3),
+// holds no more words than its longest block's detailed rounds × cores —
+// 650 × 16, not the 8,192 × 16 of a log that keeps every functional
+// record — and the batch runs within it.
+func TestSampledLeadLogFootprint(t *testing.T) {
+	p, err := workload.ByName("OLTP Oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []RunSpec
+	for _, d := range designSpecs()[:dTIFS] {
+		cfg := DefaultConfig()
+		cfg.Prefetcher = d
+		specs = append(specs, RunSpec{Config: cfg, Workload: p, WarmupRecords: 20000, MeasureRecords: 40000,
+			Sampling: Sampling{Period: 40, IntervalRecords: 500, WarmupFraction: 0.3}})
+	}
+	b, err := newBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detailed int64
+	for _, blk := range b.blocks {
+		var n int64
+		for _, p := range blk {
+			if !p.functional {
+				n += p.rounds
+			}
+		}
+		detailed = max(detailed, n)
+	}
+	cores := specs[0].Config.Cores
+	if detailed != 650 || cores != 16 {
+		t.Fatalf("longest block steps %d rounds in detail on %d cores, want 650 on 16: the gate is not at its shape", detailed, cores)
+	}
+	if got, limit := len(b.log.words), int(detailed)*cores; got > limit {
+		t.Errorf("the lead log holds %d words, limit %d: it keeps functional records no follower reads", got, limit)
+	}
+	if err := b.walk(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -700,13 +761,15 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 // FuzzLeadLog covers the four record formats of the lead log. A record
 // word uses all 64 bits, so every word is a record and what the lead
 // decided about it: unpacking and repacking is the identity and every
-// field comes back in range. Probe lists of any lengths — empty, a
-// whole stretch long — written back to back come back one by one, each
-// with its own offsets, and the cursor ends where the writer did. Region
-// words at the limits of every field — trigger, vector, offset — and drawn
-// from the inputs come back as packed, and region lists of any lengths, up
-// to a full stretch's with a record per access, written back to back into
-// their stretches' data slots come back intact. An interval mark carries
+// field comes back in range. Probe entries at the limits of their block
+// and offset and drawn from the inputs come back as packed, and probe
+// lists of any lengths — empty, a whole stretch long — written back to
+// back come back one by one, each with its own blocks at its own offsets,
+// and the cursor ends where the writer did. Region words at the limits of
+// every field — trigger, vector, offset — and drawn from the inputs come
+// back as packed, and region lists of any lengths, up to a full stretch's
+// with a record per access, appended back to back to the log's data come
+// back intact. An interval mark carries
 // whatever counters the lead read, for any number of cores, and its data
 // traffic pair once: followers of every facet combination, taking the
 // block's marks in order, get exactly the lead's counters for the facets
@@ -728,10 +791,22 @@ func FuzzLeadLog(f *testing.F) {
 		n := int(cores%16) + 1
 		lg := &leadLog{}
 
-		// One list per core, as a functional piece leaves them: lengths and
-		// offsets drawn from the inputs, the last a full stretch's.
+		for _, blk := range []trace.BlockAddr{0, trace.MaxBlockAddr, rec.Block} {
+			for _, at := range []int{0, batchBlockRounds - 1, int(uint64(a) % batchBlockRounds)} {
+				if gblk, gat := unpackProbe(packProbe(blk, at)); gblk != blk || gat != at {
+					t.Fatalf("probe of %#x at %d came back %#x at %d", blk, at, gblk, gat)
+				}
+			}
+		}
+		// One list per core, as a functional piece leaves them: lengths,
+		// blocks and offsets drawn from the inputs, the last a full
+		// stretch's.
+		type probe struct {
+			blk trace.BlockAddr
+			at  int
+		}
 		rng := trace.NewRNG(a ^ b)
-		lists := make([][]uint16, n)
+		lists := make([][]probe, n)
 		for c := range lists {
 			k := rng.Intn(64) * rng.Intn(3)
 			if c == n-1 {
@@ -739,19 +814,24 @@ func FuzzLeadLog(f *testing.F) {
 			}
 			at := lg.openProbes()
 			for i := 0; i < k; i++ {
-				off := uint16(rng.Intn(batchBlockRounds))
-				lists[c] = append(lists[c], off)
-				lg.probes = append(lg.probes, off)
+				p := probe{trace.MaxBlockAddr - trace.BlockAddr(rng.Intn(1<<20)), rng.Intn(batchBlockRounds)}
+				lists[c] = append(lists[c], p)
+				lg.probes = append(lg.probes, packProbe(p.blk, p.at))
 			}
-			if got := lg.closeProbes(at); !slices.Equal(got, lists[c]) {
-				t.Fatalf("core %d: the writer closed a list of %d offsets as one of %d", c, len(lists[c]), len(got))
+			if got := lg.closeProbes(at); len(got) != len(lists[c]) {
+				t.Fatalf("core %d: the writer closed a list of %d probes as one of %d", c, len(lists[c]), len(got))
 			}
 		}
 		pos := 0
 		for c, want := range lists {
-			var got []uint16
-			if got, pos = lg.probesAt(pos); !slices.Equal(got, want) {
-				t.Fatalf("core %d: a list of %d offsets came back as %d: %v, want %v", c, len(want), len(got), got, want)
+			var list []uint64
+			list, pos = lg.probesAt(pos)
+			got := make([]probe, len(list))
+			for i, w := range list {
+				got[i].blk, got[i].at = unpackProbe(w)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("core %d: a list of %d probes came back as %d: %v, want %v", c, len(want), len(got), got, want)
 			}
 		}
 		if pos != len(lg.probes) {
@@ -773,10 +853,9 @@ func FuzzLeadLog(f *testing.F) {
 		// One list per core, each over a builder of its own span stepped
 		// through blocks drawn from the inputs, the last a full stretch's
 		// with a record completed on every access, written as produce
-		// writes them: the records into the stretch's data slots, back to
-		// back with the next stretch's. Each comes back intact, after all
-		// are written.
-		lg.data = make([]uint64, 0, n*64+batchBlockRounds)
+		// writes them: the records appended to the log's data, back to back
+		// with the next stretch's, which may move the array. Each comes back
+		// intact, after all are written.
 		wants := make([][]uint64, n)
 		for c := range wants {
 			bld := history.MustNewBuilder(2 + rng.Intn(history.MaxRegionSpan-1))
@@ -788,19 +867,17 @@ func FuzzLeadLog(f *testing.F) {
 			if c == n-1 {
 				stretch = batchBlockRounds
 			}
-			first := len(lg.data)
-			lg.data = lg.data[:first+stretch]
-			list := regionList{start: *bld, recs: lg.data[first : first : first+stretch]}
+			first, start := len(lg.data), *bld
 			for at := 0; at < stretch; at++ {
 				blk := base + trace.BlockAddr(rng.Intn(64))
 				if c == n-1 {
 					blk = trace.BlockAddr(at * history.MaxRegionSpan)
 				}
 				if r, done := bld.Add(blk); done {
-					list.recs = append(list.recs, packRegion(r, at))
+					lg.data = append(lg.data, packRegion(r, at))
 				}
 			}
-			list.end = *bld
+			list := regionList{start: start, end: *bld, recs: lg.data[first:]}
 			lg.regions = append(lg.regions, list)
 			wants[c] = slices.Clone(list.recs)
 		}

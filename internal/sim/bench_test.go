@@ -31,7 +31,7 @@ func BenchmarkDetailedStep(b *testing.B) {
 			if err := bt.enter(0); err != nil {
 				b.Fatal(err)
 			}
-			blk := cutBlocks([]segment{{rounds: batchBlockRounds}})[0]
+			blk := cutBlocks([]segment{{rounds: batchBlockRounds}}, 0)[0]
 			step := func() {
 				if ran, err := bt.runBlock(0, blk); err != nil || ran != batchBlockRounds {
 					b.Fatalf("ran %d of %d rounds, err %v", ran, batchBlockRounds, err)
@@ -85,7 +85,7 @@ func benchFunctional(b *testing.B, follower PrefetcherSpec, member int) {
 		}
 	}
 	const gapRounds = 40*500 - 500 - 150
-	gap := cutBlocks(appendFunctional(nil, gapRounds))
+	gap := cutBlocks(appendFunctional(nil, gapRounds), 0)
 	var timed time.Duration
 	walk := func() {
 		for _, blk := range gap {

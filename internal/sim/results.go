@@ -196,6 +196,9 @@ func subPf(a, b prefetch.Stats) prefetch.Stats {
 		CoveredAccesses: a.CoveredAccesses - b.CoveredAccesses,
 		CoveredMisses:   a.CoveredMisses - b.CoveredMisses,
 		RecordsWritten:  a.RecordsWritten - b.RecordsWritten,
+		IndexLookups:    a.IndexLookups - b.IndexLookups,
+		IndexHits:       a.IndexHits - b.IndexHits,
+		ForeignPointers: a.ForeignPointers - b.ForeignPointers,
 	}
 }
 

@@ -39,6 +39,14 @@ type RunSpec struct {
 	// functional warming between detailed intervals (see Sampling). The
 	// zero value keeps the exact methodology, which is the default.
 	Sampling Sampling
+	// Probe, when set, is called at the end of every measured interval of
+	// the run, in order, with the interval's number (from 0) and its
+	// counters summarized as a Result (Sampled nil). A sampled run reports
+	// its measured intervals; an exact run cuts its measurement window into
+	// reporting intervals of defaultIntervalRecords rounds (the last may be
+	// shorter), which leaves its results as they are. A probe sees the run
+	// and never steers it; nil costs nothing.
+	Probe func(interval int, r Result)
 }
 
 // validate reports the first problem with r, or nil.

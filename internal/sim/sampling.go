@@ -38,9 +38,10 @@ import (
 //     function of the record stream — prefetches fill a separate
 //     buffer, never the L1-I — so functional and detailed stepping
 //     leave bit-identical instruction caches);
-//   - each record and its L1-I outcome become a log word, and the misses
-//     that warm the LLC (a pure function of the L1-I outcome and the
-//     zone, see llcFarStride) a probe list;
+//   - each record and its L1-I outcome become a word — in the lead log
+//     when a follower walks them, in the producer's own buffer otherwise —
+//     and the misses that warm the LLC (a pure function of the L1-I
+//     outcome and the zone, see llcFarStride) a probe list;
 //   - on the lead of a batch with members that compact, the records are
 //     compacted into spatial region records (a pure function of the
 //     record stream and the builder's state), a region list.
@@ -335,8 +336,8 @@ func (s *System) applySegment(seg segment) {
 func (s *System) beginInterval() { s.intervalStart = s.snapshot() }
 
 // endInterval closes the interval opened by beginInterval: the counter
-// delta joins the run's aggregate measurement and contributes one
-// sample per tracked metric.
+// delta joins the run's aggregate measurement, contributes one sample per
+// tracked metric and, with a probe attached, is reported to it.
 func (s *System) endInterval() {
 	d := s.sinceMark()
 	if s.sampleAgg.cycles == nil {
@@ -359,6 +360,9 @@ func (s *System) endInterval() {
 	}
 	s.mpkiSamples = append(s.mpkiSamples, mpki)
 	s.tputSamples = append(s.tputSamples, tput)
+	if s.probe != nil {
+		s.probe(len(s.mpkiSamples)-1, s.resultFromDelta(&d))
+	}
 }
 
 // result aggregates the schedule's measured intervals into a Result —
@@ -380,49 +384,71 @@ func (s *System) result(p Sampling) Result {
 }
 
 // warmCore runs up to n functional steps of core coreID back to back, in
-// two stages with the piece's stretch of log words between them. The
-// member that reads the stream — a standalone System or the lead of a
-// RunBatch — produces the stretch: it does, once, everything that is a
-// function of the record stream alone. Every member then consumes it:
-// the LLC warming and history generation that are its own. A follower
-// consumes what the lead produced. It returns the number of records
-// stepped (fewer than n only when the core's trace is exhausted).
+// two stages with the piece's stretch of words between them. The member
+// that reads the stream — a standalone System or the lead of a RunBatch —
+// produces the stretch: it does, once, everything that is a function of
+// the record stream alone. Every member then consumes it: the LLC warming
+// and history generation that are its own. A follower consumes what the
+// lead published: the words, when the log keeps them, and the lists. It
+// returns the number of records stepped (fewer than n only when the core's
+// trace is exhausted).
 func (s *System) warmCore(coreID int, n int64) (int64, error) {
 	if s.done[coreID] {
 		return 0, nil
 	}
 	var (
 		words   []uint64
-		probes  []uint16
+		probes  []uint64
 		regions regionList
 		err     error
 	)
 	switch lg := s.log; {
 	case lg == nil:
-		if int64(len(s.own.words)) < n {
-			s.own.words = make([]uint64, n)
-		}
-		words, s.own.probes, err = s.produce(coreID, s.own.words[:n], s.own.probes[:0])
+		words, s.own.probes, err = s.produce(coreID, s.stretchWords(n), s.own.probes[:0])
 		probes = s.own.probes
 	case s.lead:
 		at := lg.openProbes()
-		words, lg.probes, err = s.produce(coreID, lg.words[s.logPos:s.logPos+int(n)], lg.probes)
+		words, lg.probes, err = s.produce(coreID, s.stretchWords(n), lg.probes)
 		probes = lg.closeProbes(at)
 	default:
-		words = lg.words[s.logPos : s.logPos+int(n)]
+		if lg.stretches {
+			words = lg.words[s.logPos : s.logPos+int(n)]
+		}
 		probes, s.probePos = lg.probesAt(s.probePos)
 	}
 	if err != nil {
 		return 0, err
 	}
+	// A follower without the words steps the whole piece: the lead did,
+	// or its followers would not be stepped (see batch.walk).
+	if words != nil {
+		n = int64(len(words))
+	}
 	if lg := s.log; lg != nil && lg.builders != nil {
 		regions = lg.regions[s.regionPos]
 		s.regionPos++
 	}
-	s.consume(coreID, words, probes, regions)
-	s.records[coreID] += int64(len(words))
-	s.logPos += len(words)
-	return int64(len(words)), nil
+	if err := s.consume(coreID, words, probes, regions); err != nil {
+		return 0, err
+	}
+	s.records[coreID] += n
+	if lg := s.log; lg != nil && lg.stretches {
+		s.logPos += int(n)
+	}
+	return n, nil
+}
+
+// stretchWords is where the member that reads the stream writes a
+// functional stretch of n records: the lead log, when a follower walks
+// stretches, or a buffer of its own.
+func (s *System) stretchWords(n int64) []uint64 {
+	if lg := s.log; lg != nil && lg.stretches {
+		return lg.words[s.logPos : s.logPos+int(n)]
+	}
+	if int64(len(s.own.words)) < n {
+		s.own.words = make([]uint64, n)
+	}
+	return s.own.words[:n]
 }
 
 // produce is the stream-pure stage of a functional stretch of core coreID:
@@ -433,12 +459,12 @@ func (s *System) warmCore(coreID int, n int64) (int64, error) {
 // pure function of the record stream (prefetches fill a separate buffer),
 // so functional and detailed stepping leave bit-identical instruction
 // caches — and packs record and outcome into the next word, as step does
-// for a lead. It appends to probes the offsets of the misses that warm
-// the LLC (see consume) and returns the words written, fewer than
-// len(words) only when the core's trace is exhausted, and the list. A lead
-// whose log carries region lists also advances the log's builder over
-// every record and writes the stretch's region list (see leadLog.builders).
-func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64, []uint16, error) {
+// for a lead. It appends to probes the misses that warm the LLC (see
+// consume) and returns the words written, fewer than len(words) only when
+// the core's trace is exhausted, and the list. A lead whose log carries
+// region lists also advances the log's builder over every record and
+// writes the stretch's region list (see leadLog.builders).
+func (s *System) produce(coreID int, words []uint64, probes []uint64) ([]uint64, []uint64, error) {
 	h := &s.hot[coreID]
 	var (
 		bp      = h.bp
@@ -448,11 +474,13 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 		mask    = s.llcMask
 		lg      = s.log
 		bld     *history.Builder
-		list    regionList
+		start   history.Builder
+		data    []uint64
+		first   int
 	)
 	if lg != nil && lg.builders != nil {
 		bld = &lg.builders[coreID]
-		list = regionList{start: *bld, recs: lg.data[s.logPos : s.logPos : s.logPos+len(words)]}
+		start, data, first = *bld, lg.data, len(lg.data)
 	}
 	for i := range words {
 		var rec trace.Record
@@ -477,28 +505,28 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 		words[i] = packLog(rec, false, hit, way)
 		if !hit {
 			if warmCnt++; warmCnt&mask == 0 {
-				probes = append(probes, uint16(i))
+				probes = append(probes, packProbe(rec.Block, i))
 			}
 		}
 		if bld != nil {
 			if r, done := bld.Add(rec.Block); done {
-				list.recs = append(list.recs, packRegion(r, i))
+				data = append(data, packRegion(r, i))
 			}
 		}
 	}
 	s.llcWarmCnt[coreID] = warmCnt
 	if bld != nil {
-		list.end = *bld
-		lg.regions = append(lg.regions, list)
+		lg.data = data
+		lg.regions = append(lg.regions, regionList{start: start, end: *bld, recs: data[first:]})
 	}
 	return words, probes, nil
 }
 
 // consume is the member's own stage of a functional stretch of core
 // coreID: words are the stretch's records with the producer's L1-I
-// outcome, probes the offsets of the misses that warm the LLC and regions
-// the stretch compacted by the log's builder (the zero list on a System
-// without one).
+// outcome — nil on a follower whose log does not keep them — probes the
+// misses that warm the LLC and regions the stretch compacted by the log's
+// builder (the zero list on a System without one).
 //
 // LLC warming keeps the banks demand-warm, without any latency or traffic
 // modelling: bank contents — and, for virtualized SHIFT, the index
@@ -519,9 +547,9 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 //
 // A core with nothing but the probes to apply — no Warmer that needs
 // anything and, on a follower, no predictor or instruction cache of its
-// own — walks the probe list and never looks at the other words. So does
-// a core whose one other task is compaction, when its builder is in the
-// state the log's was in at the stretch's start — the whole precondition:
+// own — walks the probe list and never looks at the words. So does a core
+// whose one other task is compaction, when its builder is in the state
+// the log's was in at the stretch's start — the whole precondition:
 // compaction is a function of the builder's state and the accesses, so
 // the stretch's region records are exactly what its own builder would
 // complete. It applies them, merged with the probes by offset, and takes
@@ -531,17 +559,21 @@ func (s *System) produce(coreID int, words []uint64, probes []uint16) ([]uint64,
 // and its own builder's records fall in their place, so a bank sees its
 // core's probes and history writes in one order either way. A follower
 // that steps an instruction cache of its own decides its own misses, and
-// with them its own probes.
-func (s *System) consume(coreID int, words []uint64, probes []uint16, regions regionList) {
+// with them its own probes. The log keeps the words whenever a follower
+// may walk them (see walksStretches); a follower that finds none to walk
+// fails.
+func (s *System) consume(coreID int, words []uint64, probes []uint64, regions regionList) error {
 	bp, l1, need, rw := s.consumeWork(coreID, regions.start)
 	switch {
 	case rw != nil:
-		s.consumeListed(words, probes, regions.recs, rw)
+		s.consumeListed(probes, regions.recs, rw)
 		*rw.WarmBuilder() = regions.end
-		return
+		return nil
 	case bp == nil && l1 == nil && need == prefetch.WarmNone:
-		s.consumeListed(words, probes, nil, nil)
-		return
+		s.consumeListed(probes, nil, nil)
+		return nil
+	case words == nil:
+		return fmt.Errorf("sim: batch member %s walks a functional stretch of core %d its lead log does not keep", s.cfg.Prefetcher.Name(), coreID)
 	}
 	var (
 		warm    = s.hot[coreID].warm
@@ -561,37 +593,49 @@ func (s *System) consume(coreID int, words []uint64, probes []uint16, regions re
 				warmCnt++
 				probe = warmCnt&mask == 0
 			}
-		} else if next < len(probes) && int(probes[next]) == i {
-			probe = true
-			next++
+		} else if next < len(probes) {
+			if _, at := unpackProbe(probes[next]); at == i {
+				probe = true
+				next++
+			}
 		}
 		if probe {
-			s.llc[s.mesh.BankForBlock(rec.Block)].LookupInsert(rec.Block)
+			s.warmLLC(rec.Block)
 		}
 		if need != prefetch.WarmNone && (every || !hit) {
 			warm.WarmAccess(rec.Block, hit)
 		}
 	}
 	s.llcWarmCnt[coreID] = warmCnt
+	return nil
 }
 
 // consumeListed applies a stretch's LLC probes and, through rw, its region
 // records, in one order by offset: at an offset that has both, the probe
 // first, as the words walk orders them.
-func (s *System) consumeListed(words []uint64, probes []uint16, recs []uint64, rw prefetch.RecordWarmer) {
+func (s *System) consumeListed(probes []uint64, recs []uint64, rw prefetch.RecordWarmer) {
 	next := 0
 	for _, w := range recs {
 		r, at := unpackRegion(w)
-		for ; next < len(probes) && int(probes[next]) <= at; next++ {
-			blk := logBlock(words[probes[next]])
-			s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
+		for ; next < len(probes); next++ {
+			blk, pat := unpackProbe(probes[next])
+			if pat > at {
+				break
+			}
+			s.warmLLC(blk)
 		}
 		rw.WarmRecord(r)
 	}
-	for _, at := range probes[next:] {
-		blk := logBlock(words[at])
-		s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
+	for _, p := range probes[next:] {
+		blk, _ := unpackProbe(p)
+		s.warmLLC(blk)
 	}
+}
+
+// warmLLC is one functional LLC probe: the demand lookup/insert of blk on
+// its bank.
+func (s *System) warmLLC(blk trace.BlockAddr) {
+	s.llc[s.mesh.BankForBlock(blk)].LookupInsert(blk)
 }
 
 // consumeWork is what consume owes a stretch of core coreID beyond its

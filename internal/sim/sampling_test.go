@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"shift/internal/cache"
@@ -196,7 +197,7 @@ func warmSystems(t *testing.T, cfg Config, rounds int64) (detailed, functional *
 	t.Helper()
 	step := func(functional bool) *System {
 		b := enterAll(t, []RunSpec{{Config: cfg, Workload: testWorkload(), MeasureRecords: rounds}})
-		lockstep(t, b, cutBlocks([]segment{{rounds: rounds, functional: functional}}), nil)
+		lockstep(t, b, cutBlocks([]segment{{rounds: rounds, functional: functional}}, 0), nil)
 		return b.systems[0]
 	}
 	return step(false), step(true)
@@ -360,10 +361,14 @@ func TestConsumePathsCovered(t *testing.T) {
 // the same design run alone. The new generator's builder restarts, so it
 // walks that stretch's words instead of applying the log's region list —
 // before the rotation, and once its builder is back in the log builder's
-// state, it applies the lists — and the two runs stay bit-identical.
+// state, it applies the lists — and the two runs stay bit-identical. Only
+// an adaptive generator rotates, so only its lead log keeps the words: the
+// member is adaptive, over a window its own monitor never ends.
 func TestRotatedGeneratorWalksWords(t *testing.T) {
 	all := batchDesigns()
 	specs := windowed([]RunSpec{all[0], all[5]}, 20000, 30000, testSampling())
+	specs[1].Config.Prefetcher.AdaptiveGenerator = true
+	specs[1].Config.Prefetcher.AdaptWindow = 1 << 40
 	batched, solo := enterAll(t, specs), enterAll(t, specs[1:])
 	if !batched.blocks[1][0].functional {
 		t.Fatal("the schedule's second block does not open with a functional piece")
@@ -450,6 +455,52 @@ func TestRunBatchSampledMatchesRun(t *testing.T) {
 			if !reflect.DeepEqual(batched[i], solo) {
 				t.Errorf("member %d: batched result differs from Run", i)
 			}
+		}
+	})
+}
+
+// TestSampledLeadLogShapes covers both shapes of a sampled batch's lead
+// log. In a batch of Baseline, NextLine, PIF_2K, PIF_32K, ZeroLat-SHIFT and
+// SHIFT no follower walks a functional stretch's records — each replays
+// the lead's predictor and L1-I and applies the probe and region lists —
+// so the log keeps no functional words; adding TIFS (it records the
+// misses) or a follower with a predictor of its own makes it keep them.
+// Either way every member equals its standalone Run. A follower that
+// would walk words the log does not keep — a generator rotated by hand,
+// which no non-adaptive design does — fails instead of reading past them.
+func TestSampledLeadLogShapes(t *testing.T) {
+	six := windowed(batchDesigns()[:6], 20000, 30000, testSampling())
+	ownBP := append(append([]RunSpec(nil), six...), six[0])
+	ownBP[6].Config.BranchPredictorEntries = 4096
+	for _, tc := range []struct {
+		name      string
+		specs     []RunSpec
+		stretches bool
+	}{
+		{"six-designs", six, false},
+		{"with-tifs", windowed(batchDesigns()[:7], 20000, 30000, testSampling()), true},
+		{"with-own-predictor", ownBP, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := enterAll(t, tc.specs)
+			if b.log.stretches != tc.stretches {
+				t.Fatalf("the log keeps functional words: %v, want %v", b.log.stretches, tc.stretches)
+			}
+			checkBatchMatchesRun(t, tc.specs)
+		})
+	}
+	t.Run("rotated-by-hand", func(t *testing.T) {
+		b := enterAll(t, windowed([]RunSpec{six[0], six[5]}, 20000, 30000, testSampling()))
+		if b.log.stretches || !b.blocks[1][0].functional {
+			t.Fatal("the batch keeps functional words, or its second block opens in detail: the check proves nothing")
+		}
+		lockstep(t, b, b.blocks[:1], nil)
+		b.systems[1].shared[0].SetGenerator(2)
+		if _, err := b.runBlock(0, b.blocks[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.runBlock(1, b.blocks[1]); err == nil || !strings.Contains(err.Error(), "does not keep") {
+			t.Fatalf("a follower walking words the log does not keep: err %v", err)
 		}
 	})
 }

@@ -96,9 +96,11 @@ type System struct {
 	// follower itself, on structures of its own, off the same log. Detailed
 	// and functional stepping use the log alike: a follower steps the
 	// (core, round) order the lead did, so logPos — the next record's slot
-	// — markPos — the next interval mark's — and probePos and regionPos —
-	// the next probe and region lists' — simply count up through a lockstep
-	// block, and the batch runner rewinds them at the next.
+	// (functional records take slots only when the log keeps them; see
+	// leadLog) — markPos — the next interval mark's — and probePos and
+	// regionPos — the next probe and region lists' — simply count up
+	// through a lockstep block, and the batch runner rewinds them at the
+	// next.
 	log        *leadLog
 	lead       bool
 	replayBP   bool
@@ -108,13 +110,17 @@ type System struct {
 	markPos    int
 	probePos   int
 	regionPos  int
-	// own is where a System without a log keeps a functional stretch
-	// between producing and consuming it (see warmCore): one piece of
-	// words and its probe list, built at the first functional piece.
+	// own is where a System that reads its streams keeps a functional
+	// stretch the log does not (see warmCore): one piece of words and, on a
+	// System without a log, its probe list, built at the first functional
+	// piece.
 	own struct {
 		words  []uint64
-		probes []uint16
+		probes []uint64
 	}
+
+	// probe is the run's RunSpec.Probe, which endInterval calls.
+	probe func(int, Result)
 
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
@@ -205,14 +211,7 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System
 	s.fetch = make([]FetchStats, n)
 	s.llcWarmCnt = make([]uint32, n)
 	if lg != nil && !s.lead {
-		lc := &lg.cfg
-		s.replayBP = cfg.BranchPredictorEntries > 0 && cfg.BranchPredictorEntries == lc.BranchPredictorEntries
-		// The data-side draws are the lead's only with its seeds, rate and
-		// mesh, and with no miss elimination on either side (ElimProb
-		// consumes the same RNG, which would shift the draw sequence).
-		s.replayData = cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed &&
-			cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
-		s.replayL1 = lg.mirrors != nil && cfg.L1I == lc.L1I
+		s.replayBP, s.replayData, s.replayL1 = replays(cfg, lg.cfg)
 	}
 	if cfg.BranchPredictorEntries > 0 && !s.replayBP {
 		s.bp = make([]*bpred.Hybrid, n)

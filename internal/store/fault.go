@@ -183,11 +183,12 @@ func (f *Fault) Len() (int, error) {
 	return n, err
 }
 
-// Quarantine forwards to the inner store's Quarantiner, if any —
-// quarantining is part of the recovery path under test, never faulted.
+// Quarantine forwards to the inner store's Quarantiner — quarantining is
+// part of the recovery path under test, never faulted — or reports
+// errNotQuarantined when the inner store has none.
 func (f *Fault) Quarantine(key string) error {
 	if q, ok := f.inner.(Quarantiner); ok {
 		return q.Quarantine(key)
 	}
-	return nil
+	return errNotQuarantined
 }

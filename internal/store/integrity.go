@@ -47,6 +47,11 @@ type Quarantiner interface {
 	Quarantine(key string) error
 }
 
+// errNotQuarantined is what a forwarding wrapper's Quarantine returns
+// when the store beneath it cannot quarantine (a remote blob tier, say):
+// nothing moved, which is not a failure but must not be counted as a move.
+var errNotQuarantined = errors.New("store: the inner store cannot quarantine")
+
 // Integrity wraps a Blobs with checksummed writes and verified reads:
 // Put appends a CRC-32C footer to every blob, Get verifies and strips
 // it, and a blob that fails verification is quarantined on the inner
@@ -125,15 +130,21 @@ func (s *Integrity) Put(key string, blob []byte) error {
 func (s *Integrity) Len() (int, error) { return s.inner.Len() }
 
 // Quarantine isolates the blob under key on the inner store (when it
-// supports quarantining) and counts the event; a move that fails is
-// returned and not counted. The root BlobStore calls this for
-// corruption the footer cannot see — a blob whose bytes verify but
-// whose JSON payload no longer decodes (legacy blobs carry no footer).
+// supports quarantining) and counts the move; a move that fails is
+// returned and not counted, and a store beneath that cannot quarantine
+// moves nothing, counts nothing and is no error. The root BlobStore calls
+// this for corruption the footer cannot see — a blob whose bytes verify
+// but whose JSON payload no longer decodes (legacy blobs carry no footer).
 func (s *Integrity) Quarantine(key string) error {
-	if q, ok := s.inner.(Quarantiner); ok {
-		if err := q.Quarantine(key); err != nil {
-			return fmt.Errorf("store: quarantining %s: %w", key, err)
-		}
+	q, ok := s.inner.(Quarantiner)
+	if !ok {
+		return nil
+	}
+	switch err := q.Quarantine(key); {
+	case errors.Is(err, errNotQuarantined):
+		return nil
+	case err != nil:
+		return fmt.Errorf("store: quarantining %s: %w", key, err)
 	}
 	s.quarantined.Add(1)
 	return nil

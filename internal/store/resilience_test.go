@@ -149,6 +149,56 @@ func TestIntegrityCountsOnlyMovedBlobs(t *testing.T) {
 	}
 }
 
+// plainBlobs is a Blobs that cannot quarantine, as a remote blob tier
+// cannot.
+type plainBlobs struct{ m *Mem }
+
+func (p plainBlobs) Get(key string) ([]byte, bool, error) { return p.m.Get(key) }
+func (p plainBlobs) Put(key string, b []byte) error       { return p.m.Put(key, b) }
+func (p plainBlobs) Len() (int, error)                    { return p.m.Len() }
+
+// TestIntegrityCountsNoMoveBeneathWrappers: a forwarding wrapper over a
+// store that cannot quarantine moves nothing, so a corrupt blob read
+// three times through Integrity over Retry counts no quarantine, stays
+// where it is, and reads as ErrCorrupt every time — and Quarantine
+// itself is no error.
+func TestIntegrityCountsNoMoveBeneathWrappers(t *testing.T) {
+	plain := plainBlobs{NewMem()}
+	if _, ok := any(plain).(Quarantiner); ok {
+		t.Fatal("the plain store quarantines: the test proves nothing")
+	}
+	for name, inner := range map[string]Blobs{
+		"retry": WithRetry(plain, func(time.Duration) {}),
+		"fault": NewFault(plain, FaultPlan{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := WithIntegrity(inner)
+			if err := s.Put("k", []byte(`{"throughput":1}`)); err != nil {
+				t.Fatal(err)
+			}
+			raw, _, _ := plain.Get("k")
+			raw[0] ^= 0xff
+			if err := plain.Put("k", raw); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, ok, err := s.Get("k"); ok || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("corrupt read %d: ok=%v err=%v, want a miss with ErrCorrupt", i, ok, err)
+				}
+			}
+			if err := s.Quarantine("k"); err != nil {
+				t.Fatalf("Quarantine beneath a store that cannot: %v, want nil", err)
+			}
+			if got := s.Quarantined(); got != 0 {
+				t.Fatalf("quarantined: got %d, want 0 (nothing can move)", got)
+			}
+			if _, ok, _ := plain.Get("k"); !ok {
+				t.Fatal("the corrupt blob left a store that cannot quarantine")
+			}
+		})
+	}
+}
+
 // waitRecorder counts the backoff waits a Retry asks for instead of
 // sleeping them; each wait precedes one retry.
 type waitRecorder struct {

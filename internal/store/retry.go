@@ -76,10 +76,11 @@ func (s *Retry) Len() (n int, err error) {
 	return n, err
 }
 
-// Quarantine forwards to the inner store's Quarantiner, if any.
+// Quarantine forwards to the inner store's Quarantiner, or reports
+// errNotQuarantined when the inner store has none.
 func (s *Retry) Quarantine(key string) error {
 	if q, ok := s.inner.(Quarantiner); ok {
 		return q.Quarantine(key)
 	}
-	return nil
+	return errNotQuarantined
 }

@@ -442,8 +442,6 @@ var writeOnlyExceptions = []reachException{
 	{"cache.Stats.PrefetchDiscards", cacheOnly},
 	{"cache.Stats.PrefetchHits", cacheOnly},
 	{"cache.Stats.PrefetchInserted", cacheOnly},
-
-	{"sim.FetchStats.LatePBHits", "only its own interval accumulators read it; ROADMAP item 2's simulator probe is to report it per interval"},
 }
 
 // TestNoWriteOnlyFields fails for every struct field of internal/* that
