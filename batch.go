@@ -46,6 +46,7 @@ func RunBatch(cfgs []Config) ([]RunResult, error) {
 	out := make([]RunResult, len(rs))
 	for i := range rs {
 		out[i] = fromSim(rs[i], cfgs[i].Workload)
+		out[i].Groups = groupRows(specs[i].Groups, rs[i])
 	}
 	return out, nil
 }

@@ -281,7 +281,7 @@ func BenchmarkPerfDensity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(pd.SHIFTPDGainOver(DesignPIF32K, LeanIO), "pd-gain-leanio")
+		b.ReportMetric(pd.SHIFTPDGain(LeanIO), "pd-gain-leanio")
 	}
 }
 

@@ -97,7 +97,7 @@ func main() {
 	}
 
 	if *stats {
-		st, err := trace.Measure(reader, 0)
+		st, err := trace.Measure(reader)
 		if err != nil {
 			fail(err)
 		}

@@ -227,29 +227,24 @@ func (e *Engine) count(n int, sampled bool) {
 	}
 }
 
-// runSpec runs one cell a Config cannot express in a worker slot of its
-// own, under exec's containment. The cell counts toward Inflight while
-// it holds the slot and as one simulated cell once it is done.
-func (e *Engine) runSpec(rs sim.RunSpec) (sim.Result, error) {
-	e.sem <- struct{}{}
-	e.specsRunning.Add(1)
-	defer func() {
-		e.specsRunning.Add(-1)
-		<-e.sem
-	}()
-	defer e.count(1, rs.Sampling.Enabled())
-	return contain(e, 1, func() (sim.Result, error) { return sim.Run(rs) })
-}
-
-// runSpecs runs cells a Config cannot express (core groups, SHIFT knobs
-// below the design table), each through runSpec on the engine's pool.
-// Spec cells have no content address, so they are neither stored nor
+// runSpecs runs cells a Config cannot express (SHIFT knobs below the
+// design table, probed runs) on the engine's pool, each in a worker slot
+// of its own under exec's containment: it counts toward Inflight while
+// it holds the slot and as one simulated cell once it is done. Spec
+// cells have no content address, so they are neither stored nor
 // deduplicated. It returns the results in spec order, or the error of
 // the lowest-index failing spec.
 func (e *Engine) runSpecs(specs []sim.RunSpec) ([]sim.Result, error) {
 	out, errs := make([]sim.Result, len(specs)), make([]error, len(specs))
 	e.each(len(specs), func(i int) {
-		out[i], errs[i] = e.runSpec(specs[i])
+		e.sem <- struct{}{}
+		e.specsRunning.Add(1)
+		defer func() {
+			e.specsRunning.Add(-1)
+			<-e.sem
+		}()
+		defer e.count(1, specs[i].Sampling.Enabled())
+		out[i], errs[i] = contain(e, 1, func() (sim.Result, error) { return sim.Run(specs[i]) })
 	})
 	for _, err := range errs {
 		if err != nil {

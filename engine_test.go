@@ -321,7 +321,7 @@ func TestEngineBoundsEverySimulation(t *testing.T) {
 		gate()
 		return make([]RunResult, len(cfgs)), nil
 	}
-	rs, err := o.runSpec(DesignSHIFT)
+	rs, err := o.config("Web Search", DesignSHIFT).spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestEngineBoundsEverySimulation(t *testing.T) {
 // although it has no key in the in-flight table.
 func TestInflightCountsSpecCells(t *testing.T) {
 	e := NewEngine(1, nil)
-	rs, err := engineTestOptions().runSpec(DesignSHIFT)
+	rs, err := engineTestOptions().config("Web Search", DesignSHIFT).spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestInflightCountsSpecCells(t *testing.T) {
 func TestRunSpecsContainsPanics(t *testing.T) {
 	o := engineTestOptions()
 	e := NewEngine(1, nil)
-	panics, err := o.runSpec(DesignBaseline)
+	panics, err := o.config("Web Search", DesignBaseline).spec()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func run(w io.Writer, records int64) error {
 		if err != nil {
 			return err
 		}
-		st, err := trace.Measure(trace.Limit(wl.NewCoreReader(0), 150000), 0)
+		st, err := trace.Measure(trace.Limit(wl.NewCoreReader(0), 150000))
 		if err != nil {
 			return err
 		}

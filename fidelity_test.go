@@ -138,11 +138,11 @@ var measures = map[string]func(r *fidelityRun) float64{
 	"fig10.shift":           func(r *fidelityRun) float64 { return r.fig10.Geo[DesignSHIFT.String()] },
 	"fig10.zerolat":         func(r *fidelityRun) float64 { return r.fig10.Geo[DesignZeroLatSHIFT.String()] },
 	"fig10.shift_vs_pif32k": func(r *fidelityRun) float64 { return r.fig10.SHIFTvsPIF32KAbsolute() * 100 },
-	"pd.fat":                func(r *fidelityRun) float64 { return r.pd.SHIFTPDGainOver(DesignPIF32K, FatOoO) * 100 },
-	"pd.lean":               func(r *fidelityRun) float64 { return r.pd.SHIFTPDGainOver(DesignPIF32K, LeanOoO) * 100 },
-	"pd.io":                 func(r *fidelityRun) float64 { return r.pd.SHIFTPDGainOver(DesignPIF32K, LeanIO) * 100 },
+	"pd.fat":                func(r *fidelityRun) float64 { return r.pd.SHIFTPDGain(FatOoO) * 100 },
+	"pd.lean":               func(r *fidelityRun) float64 { return r.pd.SHIFTPDGain(LeanOoO) * 100 },
+	"pd.io":                 func(r *fidelityRun) float64 { return r.pd.SHIFTPDGain(LeanIO) * 100 },
 	"pd.order": func(r *fidelityRun) float64 {
-		g := func(ct CoreType) float64 { return r.pd.SHIFTPDGainOver(DesignPIF32K, ct) }
+		g := func(ct CoreType) float64 { return r.pd.SHIFTPDGain(ct) }
 		return b2f(g(FatOoO) < g(LeanOoO) && g(LeanOoO) < g(LeanIO))
 	},
 	"pd.pif32k_io": func(r *fidelityRun) float64 { return r.pd.Point(LeanIO, DesignPIF32K).PD },

@@ -1,12 +1,11 @@
 package shift
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
-	"shift/internal/core"
-	"shift/internal/sim"
-	"shift/internal/stats"
+	"shift/internal/spec"
 	"shift/internal/workload"
 )
 
@@ -22,22 +21,18 @@ func ConsolidationWorkloads() []string {
 // consolidation, with one shared history (and one generator core) per
 // workload for SHIFT (the paper's values: rows fig10.* of paperRows).
 type Figure10 struct {
-	// Speedup[workload][design] is the per-workload-group speedup
-	// (throughput of that group's cores over the baseline run).
-	Speedup map[string]map[string]float64
-	// Geo[design] is the geometric mean across groups.
-	Geo map[string]float64
-	// Workloads is the outer grid axis, in rendering order.
-	Workloads []string
-	// Designs is the inner grid axis, in rendering order.
-	Designs []Design
+	// Figure8 is the speedup grid, a row per consolidated workload: the
+	// throughput of that workload's cores over the baseline run's.
+	Figure8
 	// CoresEach is how many cores run each consolidated workload.
 	CoresEach int
 }
 
 // RunFigure10 regenerates Figure 10. Cores are split evenly across the
 // four consolidated workloads, so Options.Cores must be a multiple of
-// four.
+// four. The consolidated CMP is a mix spec of the catalog workloads, so
+// the baseline and every design are ordinary cells of one workload: they
+// run as one stream-sharing batch and are stored like any other cells.
 func RunFigure10(o Options) (*Figure10, error) {
 	o, err := o.normalize()
 	if err != nil {
@@ -49,68 +44,56 @@ func RunFigure10(o Options) (*Figure10, error) {
 			len(names), len(names), o.Cores)
 	}
 	per := o.Cores / len(names)
-	groups := make([]core.Group, len(names))
-	groupWl := make([]workload.Params, len(names))
-	for i, n := range names {
-		cores := make([]int, per)
-		for j := range cores {
-			cores[j] = i*per + j
-		}
-		groups[i] = core.Group{Name: n, Cores: cores}
-		wp, err := workload.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		groupWl[i] = wp
-	}
-
-	designs := FigureDesigns()
-	fig := &Figure10{
-		Speedup:   make(map[string]map[string]float64),
-		Geo:       make(map[string]float64),
-		Workloads: names,
-		Designs:   designs,
-		CoresEach: per,
-	}
-	for _, n := range names {
-		fig.Speedup[n] = make(map[string]float64)
-	}
-
-	// Consolidated runs are not expressible as a public Config (they
-	// carry core groups), so they run as specs on the engine: one cell
-	// per design point, baseline first.
-	points := append([]Design{DesignBaseline}, designs...)
-	specs := make([]sim.RunSpec, len(points))
-	for i, d := range points {
-		rs, err := o.runSpec(d)
-		if err != nil {
-			return nil, err
-		}
-		rs.Groups, rs.GroupWorkloads = groups, groupWl
-		specs[i] = rs
-	}
-	results, err := o.engine().runSpecs(specs)
+	mix, err := consolidationSpec(names, per)
 	if err != nil {
 		return nil, err
 	}
-	// groupThroughput is the sum of one group's cores' IPC in result i.
-	groupThroughput := func(i, g int) float64 {
-		var thr float64
-		for _, c := range groups[g].Cores {
-			thr += results[i].PerCore[c].IPC
-		}
-		return thr
+
+	designs := FigureDesigns()
+	points := append([]Design{DesignBaseline}, designs...)
+	cells := make([]Cell, len(points))
+	for i, d := range points {
+		cells[i] = cell(o.config(mix, d))
 	}
-	for di, d := range designs {
-		var sp []float64
-		for gi, n := range names {
-			v := groupThroughput(1+di, gi) / groupThroughput(0, gi)
-			fig.Speedup[n][d.String()] = v
-			sp = append(sp, v)
-		}
-		fig.Geo[d.String()] = stats.GeoMean(sp)
+	results, err := o.engine().RunAll(cells)
+	if err != nil {
+		return nil, err
 	}
-	return fig, nil
+	// Each cell's group rows, checked against the spec's clients, make
+	// Figure 8's grid with a row per group.
+	grid := make([]RunResult, len(names)*len(points))
+	for i, r := range results {
+		ok := r.Groups != nil && len(*r.Groups) == len(names)
+		for gi := 0; ok && gi < len(names); gi++ {
+			ok = (*r.Groups)[gi].Name == names[gi]
+		}
+		if !ok {
+			return nil, fmt.Errorf("shift: Figure 10 cell %s does not have one group row for each of %q", cells[i].Label, names)
+		}
+		for gi, g := range *r.Groups {
+			grid[gi*len(points)+i].Throughput = g.Throughput
+		}
+	}
+	return &Figure10{Figure8: *speedupFromResults(names, designs, grid), CoresEach: per}, nil
+}
+
+// consolidationSpec loads the mix spec of Figure 10's consolidated CMP
+// and returns its workload ID: a client per catalog workload, named and
+// seeded as the catalog entry, on per cores each.
+func consolidationSpec(names []string, per int) (string, error) {
+	s := spec.Spec{Name: "Figure 10 consolidation"}
+	for _, n := range names {
+		wp, err := workload.ByName(n)
+		if err != nil {
+			return "", err
+		}
+		s.Mix = append(s.Mix, spec.ClientSpec{Name: n, Cores: per, Workload: spec.WorkloadSpec{Base: n, Seed: &wp.Seed}})
+	}
+	doc, err := json.Marshal(s)
+	if err != nil {
+		return "", err
+	}
+	return LoadSpec(doc)
 }
 
 // SHIFTvsPIF32KAbsolute returns SHIFT's absolute performance as a
@@ -129,26 +112,9 @@ func (f *Figure10) String() string {
 	if f.CoresEach == 1 {
 		each = "Workload (1 core each)"
 	}
-	header := []string{each}
-	for _, d := range f.Designs {
-		header = append(header, d.String())
-	}
-	t := stats.NewTable(header...)
-	for _, w := range f.Workloads {
-		row := []string{w}
-		for _, d := range f.Designs {
-			row = append(row, fmt.Sprintf("%.3f", f.Speedup[w][d.String()]))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"Geo. Mean"}
-	for _, d := range f.Designs {
-		row = append(row, fmt.Sprintf("%.3f", f.Geo[d.String()]))
-	}
-	t.AddRow(row...)
 	var b strings.Builder
 	b.WriteString("Figure 10: Speedup under workload consolidation (per-workload histories)\n")
-	b.WriteString(t.String())
+	b.WriteString(f.table(each))
 	fmt.Fprintf(&b, "SHIFT delivers %.0f%% of PIF_32K's absolute performance %s\n",
 		f.SHIFTvsPIF32KAbsolute()*100, paperNote("%s", "fig10.shift_vs_pif32k"))
 	return b.String()

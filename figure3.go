@@ -59,7 +59,7 @@ func (f *Figure3) String() string {
 	t := stats.NewTable("Workload", "Common stream accesses (%)", "")
 	for _, w := range f.Workloads {
 		v := f.Commonality[w]
-		t.AddRow(w, fmt.Sprintf("%.1f", v), stats.Bar(v, 100, 40))
+		t.AddRow(w, fmt.Sprintf("%.1f", v), stats.Bar(v))
 	}
 	var b strings.Builder
 	b.WriteString("Figure 3: Instruction cache accesses within common temporal streams\n")

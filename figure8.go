@@ -42,17 +42,17 @@ func speedupCells(o Options, designs []Design) []Cell {
 }
 
 // speedupFromResults assembles a Figure8 from a speedupCells grid's
-// results (in cell order).
-func speedupFromResults(o Options, designs []Design, results []RunResult) *Figure8 {
+// results (in cell order) over workloads.
+func speedupFromResults(workloads []string, designs []Design, results []RunResult) *Figure8 {
 	fig := &Figure8{
 		Speedup:   make(map[string]map[string]float64),
 		Geo:       make(map[string]float64),
-		Workloads: displayNames(o.Workloads),
+		Workloads: displayNames(workloads),
 		Designs:   designs,
 	}
 	logs := make(map[string][]float64)
 	stride := 1 + len(designs)
-	for wi, w := range o.Workloads {
+	for wi, w := range workloads {
 		base := results[wi*stride]
 		name := WorkloadDisplayName(w)
 		fig.Speedup[name] = make(map[string]float64)
@@ -80,7 +80,7 @@ func runSpeedupComparison(o Options, designs []Design) (*Figure8, error) {
 	if err != nil {
 		return nil, err
 	}
-	return speedupFromResults(o, designs, results), nil
+	return speedupFromResults(o.Workloads, designs, results), nil
 }
 
 // SHIFTRetainsPIFBenefit returns SHIFT's geometric-mean speedup benefit
@@ -107,27 +107,33 @@ func (f *Figure8) MaxSHIFTSpeedup() float64 {
 
 // String renders the speedup table.
 func (f *Figure8) String() string {
-	header := []string{"Workload"}
+	var b strings.Builder
+	b.WriteString("Figure 8: Performance comparison (speedup over no-prefetch baseline)\n")
+	b.WriteString(f.table("Workload"))
+	fmt.Fprintf(&b, "SHIFT retains %.0f%% of PIF_32K's benefit %s; max SHIFT speedup %.2fx %s\n",
+		f.SHIFTRetainsPIFBenefit()*100, paperNote("%s", "fig8.retained"), f.MaxSHIFTSpeedup(), paperNote("%s", "fig8.max"))
+	return b.String()
+}
+
+// table renders the speedup grid (Figures 8 and 10): a row of speedups
+// per workload, a column per design, and a closing geometric-mean row.
+// first heads the workload column.
+func (f *Figure8) table(first string) string {
+	header := []string{first}
 	for _, d := range f.Designs {
 		header = append(header, d.String())
 	}
 	t := stats.NewTable(header...)
-	for _, w := range f.Workloads {
-		row := []string{w}
+	row := func(label string, v map[string]float64) {
+		cells := []string{label}
 		for _, d := range f.Designs {
-			row = append(row, fmt.Sprintf("%.3f", f.Speedup[w][d.String()]))
+			cells = append(cells, fmt.Sprintf("%.3f", v[d.String()]))
 		}
-		t.AddRow(row...)
+		t.AddRow(cells...)
 	}
-	row := []string{"Geo. Mean"}
-	for _, d := range f.Designs {
-		row = append(row, fmt.Sprintf("%.3f", f.Geo[d.String()]))
+	for _, w := range f.Workloads {
+		row(w, f.Speedup[w])
 	}
-	t.AddRow(row...)
-	var b strings.Builder
-	b.WriteString("Figure 8: Performance comparison (speedup over no-prefetch baseline)\n")
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "SHIFT retains %.0f%% of PIF_32K's benefit %s; max SHIFT speedup %.2fx %s\n",
-		f.SHIFTRetainsPIFBenefit()*100, paperNote("%s", "fig8.retained"), f.MaxSHIFTSpeedup(), paperNote("%s", "fig8.max"))
-	return b.String()
+	row("Geo. Mean", f.Geo)
+	return t.String()
 }

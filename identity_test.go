@@ -39,14 +39,14 @@ func TestZeroLatPerCoreGroupsArePIF(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, d := range pifs {
-				pifSpec, err := o.runSpec(d)
+				pifSpec, err := o.config(name, d).spec()
 				if err != nil {
 					t.Fatal(err)
 				}
 				pifSpec.Workload = wp
 				pc := pifSpec.Config.Prefetcher.History
 
-				zl, err := o.runSpec(DesignZeroLatSHIFT)
+				zl, err := o.config(name, DesignZeroLatSHIFT).spec()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -59,31 +59,35 @@ func PIFAreaPerCoreMM2(histEntries, indexEntries int) float64 {
 	return dataSRAMAreaMM2(PIFStorageBytes(histEntries, indexEntries))
 }
 
+// TableICores is the core count of Table I's CMP, the one the paper
+// quotes its storage and area costs for. Its LLC is 512KB a core.
+const TableICores = 16
+
 // SHIFTIndexBytes returns the LLC tag-array extension cost: one 15-bit
-// pointer per LLC line (240KB for an 8MB LLC; Section 4.2 "Hardware
-// cost").
-func SHIFTIndexBytes(llcBytes int64) int64 {
-	lines := llcBytes / trace.BlockBytes
+// pointer per line of Table I's LLC (240KB for its 8MB; Section 4.2
+// "Hardware cost").
+func SHIFTIndexBytes() int64 {
+	lines := int64(TableICores * 512 * 1024 / trace.BlockBytes)
 	return lines * 15 / 8
 }
 
-// SHIFTTotalAreaMM2 returns SHIFT's total CMP-wide area cost: the tag
-// extension only, since history records live inside existing LLC data
-// lines ("the only source of meaningful area overhead in SHIFT is due to
-// the index table appended to the LLC tag array").
-func SHIFTTotalAreaMM2(llcBytes int64) float64 {
-	return tagSRAMAreaMM2(SHIFTIndexBytes(llcBytes))
+// SHIFTTotalAreaMM2 returns SHIFT's total CMP-wide area cost on Table I's
+// CMP: the tag extension only, since history records live inside
+// existing LLC data lines ("the only source of meaningful area overhead
+// in SHIFT is due to the index table appended to the LLC tag array").
+func SHIFTTotalAreaMM2() float64 {
+	return tagSRAMAreaMM2(SHIFTIndexBytes())
 }
 
 // VirtualizedPIFLLCBytes returns the LLC capacity a virtualized *per-core*
-// PIF would consume (Section 6.2: "2.7MB of LLC capacity ... grows
-// linearly with the number of cores"): per-core history records packed
-// into cache lines, times cores.
-func VirtualizedPIFLLCBytes(histEntries, cores int) int64 {
+// PIF would consume on Table I's CMP (Section 6.2: "2.7MB of LLC capacity
+// ... grows linearly with the number of cores"): per-core history records
+// packed into cache lines, times TableICores.
+func VirtualizedPIFLLCBytes(histEntries int) int64 {
 	const recordBits = 41
 	recordsPerLine := int64(trace.BlockBytes * 8 / recordBits) // 12
 	lines := (int64(histEntries) + recordsPerLine - 1) / recordsPerLine
-	return lines * trace.BlockBytes * int64(cores)
+	return lines * trace.BlockBytes * TableICores
 }
 
 // DesignPoint is one point of the Figure 2 / Section 5.6 PD analysis.

@@ -24,12 +24,12 @@ func TestPIFStorageMatchesPaper(t *testing.T) {
 
 func TestSHIFTIndexMatchesPaper(t *testing.T) {
 	// Section 4.2: 8MB LLC, 15-bit pointer per tag => 240KB.
-	b := SHIFTIndexBytes(8 * 1024 * 1024)
+	b := SHIFTIndexBytes()
 	kb := float64(b) / 1024
 	if kb != 240 {
 		t.Errorf("SHIFT index = %vKB, want 240KB", kb)
 	}
-	a := SHIFTTotalAreaMM2(8 * 1024 * 1024)
+	a := SHIFTTotalAreaMM2()
 	if math.Abs(a-0.96) > 0.01 {
 		t.Errorf("SHIFT area = %.3f mm², want ~0.96 (Section 5.6)", a)
 	}
@@ -41,7 +41,7 @@ func TestAggregatePIFvsSHIFT(t *testing.T) {
 	if math.Abs(agg-14.4) > 0.3 {
 		t.Errorf("aggregate PIF area = %.2f, want ~14.4", agg)
 	}
-	ratio := agg / SHIFTTotalAreaMM2(8*1024*1024)
+	ratio := agg / SHIFTTotalAreaMM2()
 	// The abstract's "14x less storage cost".
 	if ratio < 13 || ratio > 16 {
 		t.Errorf("area ratio = %.1fx, want ~14-15x", ratio)
@@ -50,14 +50,10 @@ func TestAggregatePIFvsSHIFT(t *testing.T) {
 
 func TestVirtualizedPIFLLCBytes(t *testing.T) {
 	// Section 6.2: virtualizing PIF's per-core histories needs ~2.7MB.
-	b := VirtualizedPIFLLCBytes(32768, 16)
+	b := VirtualizedPIFLLCBytes(32768)
 	mb := float64(b) / (1024 * 1024)
 	if mb < 2.5 || mb > 2.9 {
 		t.Errorf("virtualized PIF = %.2fMB, want ~2.7MB", mb)
-	}
-	// Linear growth in cores.
-	if VirtualizedPIFLLCBytes(32768, 32) != 2*b {
-		t.Error("virtualized PIF cost should grow linearly with cores")
 	}
 }
 

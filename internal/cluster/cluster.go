@@ -571,7 +571,7 @@ func (c *Coordinator) dispatch(target, hedge *Member, cfgs []shift.Config, tried
 func (c *Coordinator) post(m *Member, cfgs []shift.Config) ([]shift.RunResult, error) {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
-	body, err := json.Marshal(BatchRequest{Cells: cfgs})
+	body, err := json.Marshal(BatchRequest{Cells: cfgs, Specs: batchSpecs(cfgs)})
 	if err != nil {
 		return nil, fmt.Errorf("%w: encoding batch: %v", errDispatch, err)
 	}

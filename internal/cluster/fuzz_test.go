@@ -43,8 +43,9 @@ func (r repeatReader) Read(p []byte) (int, error) {
 // POST /v1/batch (decodeBatch; nothing is simulated) and holds it to the
 // boundary's contract: no panic; no more than 16 MiB, plus the one byte
 // that proves the overflow, read from the wire however long the body; a
-// body that does not decode to a batch of at least one cell answers 400
-// with an error line; one that does is answered by nothing yet. A body is
+// body that does not decode to a batch of at least one cell whose spec
+// documents each compile to their ID answers 400 with an error line; one
+// that does is answered by nothing yet. A body is
 // the input's first half, then pad bytes of 'a', then its second half —
 // with big set, pad puts the body within 4 KiB of the limit on either
 // side, so a valid prefix that runs long (one giant string field) meets
@@ -57,6 +58,8 @@ func FuzzBatchRequest(f *testing.F) {
 	}{
 		{`{"cells": [{"Workload": "OLTP Oracle", "Design": 5, "Cores": 4, "WarmupRecords": 500, "MeasureRecords": 500, "Seed": 1}]}`, 0, false},
 		{`{"cells": [{"Workload": "Web Search"}, {"Workload": "Web Search", "Design": 1, "Sampling": {"Period": 5}}]}`, 0, false},
+		{`{"cells": [{"Workload": "spec:s@1"}], "specs": {"spec:s@1": {"name": "s", "workload": {"base": "Web Search"}}}}`, 0, false},
+		{`{"cells": [{"Workload": "OLTP Oracle"}], "specs": {"x": {"name": "t", "trace": {"path": "/etc/passwd"}}}}`, 0, false},
 		{`{"cells": []}`, 0, false},
 		{`{}`, 0, false},
 		{`{"cells": [{"Workload": ""}]}`, 2048, true},

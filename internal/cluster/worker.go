@@ -30,6 +30,24 @@ type BatchRequest struct {
 	// request normally share a StreamKey (that is the routing unit),
 	// but the worker does not require it — the engine re-partitions.
 	Cells []shift.Config `json:"cells"`
+	// Specs maps each spec workload ID the cells name to its canonical
+	// document (shift.SpecCanonical): only the coordinator's process has
+	// compiled it, so the worker registers it from here.
+	Specs map[string]json.RawMessage `json:"specs,omitempty"`
+}
+
+// batchSpecs returns the canonical document of every registered spec
+// workload cfgs name, keyed by ID. An ID this process has not registered
+// travels without its document, and the worker reports it as it would
+// any unknown workload.
+func batchSpecs(cfgs []shift.Config) map[string]json.RawMessage {
+	specs := make(map[string]json.RawMessage)
+	for _, cfg := range cfgs {
+		if doc, err := shift.SpecCanonical(cfg.Workload); err == nil {
+			specs[cfg.Workload] = doc
+		}
+	}
+	return specs
 }
 
 // BatchResponse is the wire form of a POST /v1/batch reply: one entry
@@ -107,9 +125,11 @@ const maxBatchBody = 16 << 20
 
 // decodeBatch is HandleBatch's side of the trust boundary: it reads at
 // most maxBatchBody bytes of r's body (and the one that proves a longer
-// body too long) and decodes a non-empty batch from them. A body that
-// does not decode, or holds no cell, is answered here — 400 with an error
-// line — and ok is false.
+// body too long), decodes a non-empty batch and registers its spec
+// documents as shiftd does an inline spec cell's (no trace replay). A
+// body that does not decode, holds no cell, or has a document that does
+// not compile to its ID is answered here — 400 with an error line — and
+// ok is false.
 func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBatchBody)).Decode(&req); err != nil {
 		http.Error(rw, fmt.Sprintf("decoding batch: %v", err), http.StatusBadRequest)
@@ -118,6 +138,16 @@ func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok 
 	if len(req.Cells) == 0 {
 		http.Error(rw, "empty batch", http.StatusBadRequest)
 		return req, false
+	}
+	for id, doc := range req.Specs {
+		got, err := shift.LoadSpecRestricted(doc)
+		if err == nil && got != id {
+			err = fmt.Errorf("the document compiles to %q", got)
+		}
+		if err != nil {
+			http.Error(rw, fmt.Sprintf("spec %q: %v", id, err), http.StatusBadRequest)
+			return req, false
+		}
 	}
 	return req, true
 }

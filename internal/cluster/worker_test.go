@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"shift"
+	"shift/internal/spec"
 )
 
 // tinyConfig is a fast fully-specified cell for wire-level tests.
@@ -177,5 +178,89 @@ func TestWorkerErrorParity(t *testing.T) {
 	}
 	if strings.HasPrefix(got, "cell ") {
 		t.Fatalf("wire error still carries the engine prefix: %q", got)
+	}
+}
+
+// TestWorkerRegistersBatchSpecs: a cell whose workload is a spec ID runs
+// on a worker whose registry has never seen the spec, because the batch
+// carries the spec's canonical document; a document that compiles to
+// another ID is refused with a 400. The spec is compiled here and never
+// registered, as it would be in a coordinator's process only.
+func TestWorkerRegistersBatchSpecs(t *testing.T) {
+	compiled, err := spec.Load([]byte(`{"name": "carried by the batch", "workload": {"base": "Web Search", "scale": 0.5}}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := compiled.ID()
+	if shift.KnownWorkload(id) {
+		t.Fatalf("%s is registered before the batch carries it", id)
+	}
+	cfg := tinyConfig(shift.DesignSHIFT)
+	cfg.Workload = id
+	srv, _, _ := newTestWorker(t)
+	post := func(docs map[string]json.RawMessage) (*http.Response, []byte) {
+		t.Helper()
+		// The body is built by hand so that it spells the wire format.
+		body, err := json.Marshal(map[string]any{"cells": []shift.Config{cfg}, "specs": docs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf.Bytes()
+	}
+
+	other, err := spec.Load([]byte(`{"name": "carried by the batch", "workload": {"base": "Web Search", "scale": 0.25}}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := post(map[string]json.RawMessage{id: other.Canonical()}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a document of another ID: status %d (%s), want 400", resp.StatusCode, body)
+	}
+
+	resp, body := post(map[string]json.RawMessage{id: compiled.Canonical()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 || br.Results[0].Error != "" || br.Results[0].Result == nil {
+		t.Fatalf("the spec cell did not run: %s", body)
+	}
+	if r := br.Results[0]; r.Key != cfg.Key() || r.Result.Workload != "carried by the batch" {
+		t.Fatalf("the spec cell ran as key %s, workload %q; want %s, %q", r.Key, r.Result.Workload, cfg.Key(), "carried by the batch")
+	}
+}
+
+// TestBatchSpecsCarryRegisteredDocuments: the coordinator's side puts
+// the canonical document of every registered spec its cells name into
+// the batch, once per ID, and nothing for catalog workloads.
+func TestBatchSpecsCarryRegisteredDocuments(t *testing.T) {
+	id, err := shift.LoadSpec([]byte(`{"name": "coordinator spec", "workload": {"base": "OLTP Oracle"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := tinyConfig(shift.DesignBaseline)
+	if got := batchSpecs([]shift.Config{cat}); len(got) != 0 {
+		t.Fatalf("a catalog batch carries specs %v", got)
+	}
+	a, b := cat, tinyConfig(shift.DesignSHIFT)
+	a.Workload, b.Workload = id, id
+	doc, err := shift.SpecCanonical(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := batchSpecs([]shift.Config{cat, a, b})
+	if len(got) != 1 || !bytes.Equal(got[id], doc) {
+		t.Fatalf("batch specs %v, want only %s's canonical document", got, id)
 	}
 }

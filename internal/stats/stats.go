@@ -118,13 +118,14 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Bar renders a horizontal ASCII bar of value v scaled so that maxV fills
-// width characters.
-func Bar(v, maxV float64, width int) string {
-	if maxV <= 0 || v < 0 || width <= 0 {
+// Bar renders a percentage as a horizontal ASCII bar: 100 fills 40
+// characters, and a value outside [0,100] is clamped.
+func Bar(pct float64) string {
+	const width = 40
+	if pct < 0 {
 		return ""
 	}
-	n := int(v/maxV*float64(width) + 0.5)
+	n := int(pct/100*width + 0.5)
 	if n > width {
 		n = width
 	}

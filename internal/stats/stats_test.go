@@ -85,13 +85,13 @@ func TestTable(t *testing.T) {
 }
 
 func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "#####" {
-		t.Errorf("Bar = %q", got)
+	if got := Bar(50); got != strings.Repeat("#", 20) {
+		t.Errorf("Bar(50) = %q", got)
 	}
-	if got := Bar(20, 10, 10); got != "##########" {
+	if got := Bar(200); got != strings.Repeat("#", 40) {
 		t.Errorf("over-max Bar = %q", got)
 	}
-	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" || Bar(1, 10, 0) != "" {
-		t.Error("degenerate bars should be empty")
+	if Bar(1) != "" || Bar(-1) != "" {
+		t.Error("a bar under half a character should be empty")
 	}
 }

@@ -211,11 +211,12 @@ func (s Stats) SeqFraction() float64 {
 	return float64(s.KindCounts[KindSeq]) / float64(s.Records)
 }
 
-// Measure drains r (up to max records; max<=0 unlimited) and returns stats.
-func Measure(r Reader, max int64) (Stats, error) {
+// Measure drains r and returns its stats (bound r with Limit to measure
+// a prefix).
+func Measure(r Reader) (Stats, error) {
 	var st Stats
 	seen := make(map[BlockAddr]struct{})
-	for max <= 0 || st.Records < max {
+	for {
 		rec, err := r.Next()
 		if err == io.EOF {
 			break

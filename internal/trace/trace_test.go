@@ -131,7 +131,7 @@ func TestMeasure(t *testing.T) {
 		{Block: 2, Instrs: 8, Kind: KindCall},
 		{Block: 1, Instrs: 4, Kind: KindSeq},
 	}
-	st, err := Measure(NewSliceReader(recs), 0)
+	st, err := Measure(NewSliceReader(recs))
 	if err != nil {
 		t.Fatal(err)
 	}

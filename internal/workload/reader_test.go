@@ -116,7 +116,7 @@ func TestSkipRaisesDiscontinuity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 100000), 0)
+		st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 100000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestLoopWeightRaisesInstrs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 50000), 0)
+		st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 50000))
 		if err != nil {
 			t.Fatal(err)
 		}

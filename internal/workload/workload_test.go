@@ -172,7 +172,7 @@ func TestReaderKindMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 200000), 0)
+	st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 200000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestReaderTouchesMostOfFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 400000), 0)
+	st, err := trace.Measure(trace.Limit(w.NewCoreReader(0), 400000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,27 +122,17 @@ func (o Options) config(workloadName string, d Design) Config {
 	}
 }
 
-// runSpec is the sim.RunSpec of design d under these options, with no
-// workload: the skeleton of the cells a public Config cannot express.
-// The caller sets the workload and whatever its study varies.
-func (o Options) runSpec(d Design) (sim.RunSpec, error) {
-	return o.config("", d).skeleton()
-}
-
 // shiftVariants runs SHIFT on workloadName once per mutation of its
 // configuration, all on the options' engine, and returns each variant's
 // speedup and miss coverage over base.
 func (o Options) shiftVariants(workloadName string, base RunResult, muts []func(*core.Config)) (speedup, covered []float64, err error) {
 	specs := make([]sim.RunSpec, len(muts))
 	for i, mut := range muts {
-		rs, err := o.runSpec(DesignSHIFT)
+		rs, err := o.config(workloadName, DesignSHIFT).spec()
 		if err != nil {
 			return nil, nil, err
 		}
 		mut(&rs.Config.Prefetcher.History)
-		if err := resolveWorkloadInto(workloadName, &rs); err != nil {
-			return nil, nil, err
-		}
 		specs[i] = rs
 	}
 	results, err := o.engine().runSpecs(specs)

@@ -33,9 +33,6 @@ type PerfDensity struct {
 	Points []PDPoint
 }
 
-// llcBytesTotal is the Table I LLC: 512KB per core x 16.
-const llcBytesTotal = 16 * 512 * 1024
-
 // RunPerfDensity regenerates the PD study: for each core type it measures
 // the geometric-mean speedup of each design over the no-prefetch baseline
 // and combines it with the analytical area model. The speedup grids of
@@ -49,11 +46,9 @@ func RunPerfDensity(o Options) (*PerfDensity, error) {
 	designs := []Design{DesignPIF2K, DesignPIF32K, DesignSHIFT}
 	coreTypes := AllCoreTypes()
 	var cells []Cell
-	perType := make([]Options, len(coreTypes))
-	for i, ct := range coreTypes {
+	for _, ct := range coreTypes {
 		oc := o
 		oc.CoreType = ct
-		perType[i] = oc
 		cells = append(cells, speedupCells(oc, designs)...)
 	}
 	results, err := o.engine().RunAll(cells)
@@ -64,7 +59,7 @@ func RunPerfDensity(o Options) (*PerfDensity, error) {
 	pd := &PerfDensity{}
 	stride := len(o.Workloads) * (1 + len(designs))
 	for i, ct := range coreTypes {
-		fig := speedupFromResults(perType[i], designs, results[i*stride:(i+1)*stride])
+		fig := speedupFromResults(o.Workloads, designs, results[i*stride:(i+1)*stride])
 		for _, d := range designs {
 			pref := d.areaPerCore(o.Cores)
 			dp := area.Evaluate(d.String(), ct.internal(), pref, fig.Geo[d.String()])
@@ -91,15 +86,14 @@ func (p *PerfDensity) Point(ct CoreType, d Design) *PDPoint {
 	return nil
 }
 
-// SHIFTPDGainOver returns SHIFT's PD improvement over the given design on
-// the given core type (e.g. 0.59 for 59%).
-func (p *PerfDensity) SHIFTPDGainOver(d Design, ct CoreType) float64 {
-	sh := p.Point(ct, DesignSHIFT)
-	other := p.Point(ct, d)
-	if sh == nil || other == nil || other.PD == 0 {
+// SHIFTPDGain returns SHIFT's PD improvement over PIF_32K on the given
+// core type (e.g. 0.59 for 59%).
+func (p *PerfDensity) SHIFTPDGain(ct CoreType) float64 {
+	sh, pif := p.Point(ct, DesignSHIFT), p.Point(ct, DesignPIF32K)
+	if sh == nil || pif == nil || pif.PD == 0 {
 		return 0
 	}
-	return sh.PD/other.PD - 1
+	return sh.PD/pif.PD - 1
 }
 
 // Figure2 renders the PIF_32K rows of the study — the paper's Figure 2
@@ -137,8 +131,8 @@ func (p *PerfDensity) String() string {
 	b.WriteString("Section 5.6: Performance-density comparison\n")
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "SHIFT PD gain over PIF_32K: Fat-OoO %+.0f%%, Lean-OoO %+.0f%%, Lean-IO %+.0f%% %s\n",
-		p.SHIFTPDGainOver(DesignPIF32K, FatOoO)*100,
-		p.SHIFTPDGainOver(DesignPIF32K, LeanOoO)*100,
-		p.SHIFTPDGainOver(DesignPIF32K, LeanIO)*100, paperNote("%s, %s, %s", "pd.fat", "pd.lean", "pd.io"))
+		p.SHIFTPDGain(FatOoO)*100,
+		p.SHIFTPDGain(LeanOoO)*100,
+		p.SHIFTPDGain(LeanIO)*100, paperNote("%s, %s, %s", "pd.fat", "pd.lean", "pd.io"))
 	return b.String()
 }

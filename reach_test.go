@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -96,7 +97,7 @@ var reachExceptions = []reachException{
 // and reachExceptions does not name, and for every row of
 // reachExceptions that names no such symbol.
 func TestProductReachable(t *testing.T) {
-	pkgs := loadModule(t, ".")
+	pkgs := productPackages(t)
 	for _, f := range reachFindings(pkgs, reachExceptions) {
 		t.Error(f)
 	}
@@ -145,15 +146,42 @@ type reachFinding struct {
 
 func (f reachFinding) String() string { return f.symbol + ": " + f.why }
 
-// loadModule parses and type-checks every non-test package of the
+// The product's packages, loaded once for the three gates that read them
+// (read only: the gates share them).
+var (
+	productOnce sync.Once
+	productPkgs []*reachPkg
+	productErr  error
+)
+
+// productPackages returns this module's type-checked non-test packages.
+func productPackages(t *testing.T) []*reachPkg {
+	t.Helper()
+	productOnce.Do(func() { productPkgs, productErr = parseModule(".") })
+	if productErr != nil {
+		t.Fatal(productErr)
+	}
+	return productPkgs
+}
+
+// loadModule is parseModule for a fixture module, failing t on an error.
+func loadModule(t *testing.T, root string) []*reachPkg {
+	t.Helper()
+	pkgs, err := parseModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// parseModule parses and type-checks every non-test package of the
 // module rooted at root (the standard library from source). Directories
 // named testdata, or starting with "." or "_", and nested modules
 // (benchmark/) are not part of it.
-func loadModule(t *testing.T, root string) []*reachPkg {
-	t.Helper()
+func parseModule(root string) ([]*reachPkg, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var modPath string
 	for _, line := range strings.Split(string(mod), "\n") {
@@ -162,7 +190,7 @@ func loadModule(t *testing.T, root string) []*reachPkg {
 		}
 	}
 	if modPath == "" {
-		t.Fatalf("%s/go.mod names no module", root)
+		return nil, fmt.Errorf("%s/go.mod names no module", root)
 	}
 
 	fset := token.NewFileSet()
@@ -202,7 +230,7 @@ func loadModule(t *testing.T, root string) []*reachPkg {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
 	// Packages are checked on first import, so each is checked after
@@ -252,11 +280,11 @@ func loadModule(t *testing.T, root string) []*reachPkg {
 	for _, path := range paths {
 		p, err := check(path)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
+			return nil, fmt.Errorf("type-checking %s: %v", path, err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -451,7 +479,7 @@ var writeOnlyExceptions = []reachException{
 // reader — a counter bumped on a hot path that only a test looks at —
 // so it goes, and what the test checked is checked through behaviour.
 func TestNoWriteOnlyFields(t *testing.T) {
-	pkgs := loadModule(t, ".")
+	pkgs := productPackages(t)
 	for _, f := range writeOnlyFindings(pkgs, writeOnlyExceptions) {
 		t.Error(f)
 	}
@@ -639,7 +667,7 @@ var discardedExceptions = []reachException{
 // error nobody handles — so it is deleted, or handled where it is an
 // error.
 func TestNoDiscardedResults(t *testing.T) {
-	pkgs := loadModule(t, ".")
+	pkgs := productPackages(t)
 	for _, f := range discardedFindings(pkgs, discardedExceptions) {
 		t.Error(f)
 	}

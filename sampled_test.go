@@ -55,7 +55,7 @@ func TestSampledAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIntervals := 100000 / int(so.Sampling.Period*so.Sampling.IntervalRecords)
+	wantIntervals := int32(100000 / (so.Sampling.Period * so.Sampling.IntervalRecords))
 	for i, d := range designs {
 		e, s := exact[i], sampled[i]
 		if e.Sampled || !s.Sampled {
@@ -242,7 +242,9 @@ func TestSampledOptionsValidation(t *testing.T) {
 // neither). Each study, and Figure 10, runs on an engine of its own,
 // which must count every one of its simulations: the baseline and four
 // generator choices, the baseline and fourteen sweep points, Figure 10's
-// six consolidated runs.
+// six consolidated runs. Figure 10's six are cells of one mix workload,
+// so they run as one batch, and a second run over a store simulates
+// none of them.
 func TestStudiesMatchFigure8(t *testing.T) {
 	def := history.DefaultSABConfig()
 	defaults := map[string]int{
@@ -295,14 +297,29 @@ func TestStudiesMatchFigure8(t *testing.T) {
 		if _, err := RunFigure10(on("Figure 10")); err != nil {
 			t.Fatal(err)
 		}
-		for what, cells := range map[string]int64{"generator study": 5, "sensitivity sweep": 15, "Figure 10": 6} {
+		for what, want := range map[string]struct{ cells, batched int64 }{
+			"generator study":   {5, 0},
+			"sensitivity sweep": {15, 0},
+			"Figure 10":         {6, 6},
+		} {
 			wantSampled := int64(0)
 			if sampling.Enabled() {
-				wantSampled = cells
+				wantSampled = want.cells
 			}
-			if st := engines[what].Stats(); st.Simulated != cells || st.SampledCells != wantSampled {
-				t.Errorf("sampling %+v: %s counted %d cells (%d sampled) on its engine, want %d (%d)",
-					sampling, what, st.Simulated, st.SampledCells, cells, wantSampled)
+			if st := engines[what].Stats(); st.Simulated != want.cells || st.SampledCells != wantSampled || st.Batched != want.batched {
+				t.Errorf("sampling %+v: %s counted %d cells (%d sampled, %d batched) on its engine, want %d (%d, %d)",
+					sampling, what, st.Simulated, st.SampledCells, st.Batched, want.cells, wantSampled, want.batched)
+			}
+		}
+
+		stored := o
+		stored.Engine = NewEngine(1, NewResultCache())
+		for run := 1; run <= 2; run++ {
+			if _, err := RunFigure10(stored); err != nil {
+				t.Fatal(err)
+			}
+			if st := stored.Engine.Stats(); st.Simulated != 6 {
+				t.Errorf("sampling %+v: Figure 10 run %d over a store: %d cells simulated in all, want 6", sampling, run, st.Simulated)
 			}
 		}
 	}

@@ -230,7 +230,7 @@ func shiftDesign(name string, v core.Variant) design {
 			sc.AllocOnAccess = commonality
 			return sim.PrefetcherSpec{Kind: sim.KindHistory, History: sc}
 		},
-		areaMM2: func(cores int) float64 { return area.SHIFTTotalAreaMM2(llcBytesTotal) / float64(cores) },
+		areaMM2: func(cores int) float64 { return area.SHIFTTotalAreaMM2() / float64(cores) },
 	}
 }
 
@@ -354,18 +354,6 @@ func DefaultRunConfig(workloadName string, d Design) Config {
 // "spec:" IDs — to a registered compiled spec, whose single/mix/source
 // form maps onto the run spec's Workload/Groups/Source.
 func (c Config) spec() (sim.RunSpec, error) {
-	rs, err := c.skeleton()
-	if err != nil {
-		return sim.RunSpec{}, err
-	}
-	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
-		return sim.RunSpec{}, err
-	}
-	return rs, nil
-}
-
-// skeleton is spec without the workload.
-func (c Config) skeleton() (sim.RunSpec, error) {
 	sc := sim.DefaultConfig()
 	sc.CoreType = c.CoreType.internal()
 	if c.Cores > 0 {
@@ -387,12 +375,16 @@ func (c Config) skeleton() (sim.RunSpec, error) {
 	if meas == 0 {
 		meas = 60000
 	}
-	return sim.RunSpec{
+	rs := sim.RunSpec{
 		Config:         sc,
 		WarmupRecords:  warm,
 		MeasureRecords: meas,
 		Sampling:       c.Sampling.internal(),
-	}, nil
+	}
+	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
+		return sim.RunSpec{}, err
+	}
+	return rs, nil
 }
 
 // TrafficCounts breaks LLC/NoC traffic down by message class
@@ -456,7 +448,7 @@ type RunResult struct {
 	// intervals only and the error-bound fields below are populated.
 	Sampled bool
 	// SampledIntervals is the number of measured detailed intervals.
-	SampledIntervals int
+	SampledIntervals int32
 	// SampleConfidence is the confidence level of the CI fields
 	// (0.90, 0.95, or 0.99).
 	SampleConfidence float64
@@ -466,6 +458,36 @@ type RunResult struct {
 	// ThroughputStdErr and ThroughputCI are the same bounds for
 	// Throughput.
 	ThroughputStdErr, ThroughputCI float64
+
+	// Groups holds a consolidated (mix) run's rows, one per core group in
+	// group order; nil (absent from the JSON) for a homogeneous run. It is
+	// a pointer, and SampledIntervals an int32, so that a homogeneous
+	// result takes no more heap than before the field.
+	Groups *[]GroupResult `json:",omitempty"`
+}
+
+// GroupResult is one core group's row of a consolidated run.
+type GroupResult struct {
+	// Name is the group's name: its mix client's name.
+	Name string
+	// Throughput is the sum of the group's cores' IPC.
+	Throughput float64
+}
+
+// groupRows sums r's per-core IPC over each group's cores, in core
+// order; nil when the run has no groups.
+func groupRows(groups []core.Group, r sim.Result) *[]GroupResult {
+	if len(groups) == 0 {
+		return nil
+	}
+	rows := make([]GroupResult, len(groups))
+	for i, g := range groups {
+		rows[i].Name = g.Name
+		for _, c := range g.Cores {
+			rows[i].Throughput += r.PerCore[c].IPC
+		}
+	}
+	return &rows
 }
 
 func fromSim(r sim.Result, workloadName string) RunResult {
@@ -496,7 +518,7 @@ func fromSim(r sim.Result, workloadName string) RunResult {
 	}
 	if st := r.Sampled; st != nil {
 		out.Sampled = true
-		out.SampledIntervals = st.Intervals
+		out.SampledIntervals = int32(st.Intervals)
 		out.SampleConfidence = st.Confidence
 		out.MPKIStdErr = st.MPKI.StdErr
 		out.MPKICI = st.MPKI.CIHalfWidth

@@ -37,13 +37,7 @@ type StreamShortError = sim.StreamShortError
 // Trace recordings referenced by relative paths resolve against the
 // current directory; use LoadSpecFile to resolve them against the
 // document's own directory.
-func LoadSpec(data []byte) (string, error) {
-	c, err := spec.Load(data, nil)
-	if err != nil {
-		return "", err
-	}
-	return spec.Register(c).ID(), nil
-}
+func LoadSpec(data []byte) (string, error) { return register(spec.Load(data, nil)) }
 
 // LoadSpecFile reads, compiles, and registers the spec document at
 // path. Relative trace-recording paths resolve against the document's
@@ -60,11 +54,7 @@ func LoadSpecFile(path string) (string, error) {
 		}
 		return os.Open(p)
 	}
-	c, err := spec.Load(data, open)
-	if err != nil {
-		return "", err
-	}
-	return spec.Register(c).ID(), nil
+	return register(spec.Load(data, open))
 }
 
 // LoadSpecRestricted compiles and registers a spec document like
@@ -72,9 +62,13 @@ func LoadSpecFile(path string) (string, error) {
 // input (shiftd's inline "spec" cells), where honoring a spec's trace
 // paths would let a remote client read server-local files.
 func LoadSpecRestricted(data []byte) (string, error) {
-	c, err := spec.Load(data, func(string) (io.ReadCloser, error) {
+	return register(spec.Load(data, func(string) (io.ReadCloser, error) {
 		return nil, errors.New("trace replay is not available here (submit trace specs via shiftsim -spec)")
-	})
+	}))
+}
+
+// register publishes a compiled spec and returns its ID.
+func register(c *spec.Compiled, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}

@@ -386,21 +386,20 @@ type StorageReport struct {
 
 // RunStorageReport computes the storage report for a 16-core Table I CMP.
 func RunStorageReport() *StorageReport {
-	const cores = 16
 	shiftCfg := core.DefaultConfig()
 	pif32, pif2 := core.PIFConfig(core.PIF32K), core.PIFConfig(core.PIF2K)
 	r := &StorageReport{
 		PIF32KPerCoreKB:   float64(area.PIFStorageBytes(pif32.HistEntries, pif32.IndexEntries)) / 1024,
-		PIF32KPerCoreMM2:  DesignPIF32K.areaPerCore(cores),
+		PIF32KPerCoreMM2:  DesignPIF32K.areaPerCore(area.TableICores),
 		PIF2KPerCoreKB:    float64(area.PIFStorageBytes(pif2.HistEntries, pif2.IndexEntries)) / 1024,
 		SHIFTHistoryKB:    float64(shiftCfg.HistoryFootprintBytes()) / 1024,
 		SHIFTHistoryLines: shiftCfg.HistoryBlocks(),
-		SHIFTIndexKB:      float64(area.SHIFTIndexBytes(llcBytesTotal)) / 1024,
-		SHIFTTotalMM2:     area.SHIFTTotalAreaMM2(llcBytesTotal),
-		VirtualizedPIFMB:  float64(area.VirtualizedPIFLLCBytes(pif32.HistEntries, cores)) / (1024 * 1024),
-		Cores:             cores,
+		SHIFTIndexKB:      float64(area.SHIFTIndexBytes()) / 1024,
+		SHIFTTotalMM2:     area.SHIFTTotalAreaMM2(),
+		VirtualizedPIFMB:  float64(area.VirtualizedPIFLLCBytes(pif32.HistEntries)) / (1024 * 1024),
+		Cores:             area.TableICores,
 	}
-	r.PIF32KAggregateMM2 = r.PIF32KPerCoreMM2 * cores
+	r.PIF32KAggregateMM2 = r.PIF32KPerCoreMM2 * area.TableICores
 	if r.SHIFTTotalMM2 > 0 {
 		r.AreaRatio = r.PIF32KAggregateMM2 / r.SHIFTTotalMM2
 	}

@@ -82,11 +82,8 @@ func WriteTimeline(w io.Writer, o Options) error {
 	lines := make([][]timelineLine, len(o.Workloads)*len(designs))
 	for _, name := range o.Workloads {
 		for d := range designs {
-			rs, err := o.runSpec(Design(d))
+			rs, err := o.config(name, Design(d)).spec()
 			if err != nil {
-				return err
-			}
-			if err := resolveWorkloadInto(name, &rs); err != nil {
 				return err
 			}
 			i := len(specs)
