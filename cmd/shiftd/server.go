@@ -21,7 +21,6 @@ import (
 	"shift"
 	"shift/internal/cluster"
 	"shift/internal/jobs"
-	"shift/internal/validate"
 )
 
 // server wires the HTTP API to one shared engine and result store. Every
@@ -248,22 +247,17 @@ type cellSpec struct {
 }
 
 // config resolves the wire cell against the server's base options and
-// validates the resolved values once, naming the offending wire field —
-// so clients get a 400 up front instead of a misleading 500 deep inside a
-// simulation. The range rules are the shared constraint table of
-// internal/validate (field names rendered in the wire convention, quoted
-// JSON names); the workload, design and spec resolution rules are the
-// wire's own.
+// checks the result with shift.Config.Validate, the simulator's own rules,
+// naming the offending wire field — so clients get a 400 up front instead
+// of a misleading 500 deep inside a simulation. The names a cell carries
+// (design, core type, an inline spec) are resolved here; the workload,
+// the ranges and a mix's core count are Validate's.
 func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	if c.Workload == "" && len(c.Spec) == 0 {
 		return shift.Config{}, errors.New("missing \"workload\" (or inline \"spec\")")
 	}
 	if c.Workload != "" && len(c.Spec) > 0 {
 		return shift.Config{}, errors.New("\"workload\" and \"spec\" are mutually exclusive")
-	}
-	if c.Workload != "" && !shift.KnownWorkload(c.Workload) {
-		return shift.Config{}, fmt.Errorf("unknown \"workload\" %q (valid: %s)",
-			c.Workload, strings.Join(shift.Workloads(), ", "))
 	}
 	if c.Design == "" {
 		return shift.Config{}, errors.New("missing \"design\"")
@@ -298,20 +292,6 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	if c.Seed != nil {
 		cfg.Seed = *c.Seed
 	}
-	cell := validate.Cell{
-		Cores:            cfg.Cores,
-		HistEntries:      cfg.HistEntries,
-		ElimProb:         cfg.ElimProb,
-		WarmupRecords:    cfg.WarmupRecords,
-		MeasureRecords:   cfg.MeasureRecords,
-		SamplePeriod:     cfg.Sampling.Period,
-		SampleInterval:   cfg.Sampling.IntervalRecords,
-		SampleWarmup:     cfg.Sampling.WarmupFraction,
-		SampleConfidence: cfg.Sampling.Confidence,
-	}
-	if fe := cell.Check(); fe != nil {
-		return shift.Config{}, fmt.Errorf("%q %s", fe.Field, fe.Msg)
-	}
 	if len(c.Spec) > 0 {
 		// Compile and register the inline spec; the cell then runs its
 		// content-addressed ID like any workload name. Identical spec
@@ -332,9 +312,12 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 			return shift.Config{}, fmt.Errorf("\"core_type\": %w", err)
 		}
 	}
-	// A mix spec pins the core count.
-	if n := shift.WorkloadCores(cfg.Workload); n != 0 && n != cfg.Cores {
-		return shift.Config{}, fmt.Errorf("\"cores\" workload is a %d-core mix, configured for %d cores", n, cfg.Cores)
+	if err := cfg.Validate(); err != nil {
+		var fe *shift.FieldError
+		if errors.As(err, &fe) {
+			err = fmt.Errorf("%q %s", fe.Field, fe.Msg)
+		}
+		return shift.Config{}, err
 	}
 	return cfg, nil
 }
@@ -781,7 +764,7 @@ func writeStreamEvent(w io.Writer, enc *json.Encoder, line *[]byte, ev jobs.Even
 // the figure is then regenerated in sampled mode, trading exactness
 // for speed), sample_interval, sample_warm, and sample_confidence
 // override the server's base options per request. The drivers validate
-// their options before they run a cell, so a *validate.FieldError is the
+// their options before they run a cell, so a *shift.FieldError is the
 // client's: a 400 naming the query parameter at fault.
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	opts, err := s.optionsFromQuery(r.URL.Query())
@@ -793,7 +776,7 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	out, err := await(r.Context(), func() (string, error) {
 		return shift.RunExperiment(name, opts)
 	})
-	var fe *validate.FieldError
+	var fe *shift.FieldError
 	switch {
 	case errors.Is(err, shift.ErrUnknownExperiment):
 		writeError(w, http.StatusNotFound, err)
@@ -875,9 +858,11 @@ func (s *server) optionsFromQuery(q url.Values) (shift.Options, error) {
 	return o, nil
 }
 
-// queryName maps the shared validator's canonical (JSON wire) field
-// names to the figure endpoint's query-parameter spelling.
+// queryName maps the canonical (JSON wire) field names of
+// shift.Config.Validate's refusals to the figure endpoint's
+// query-parameter spelling.
 var queryName = map[string]string{
+	"workload":        "workloads",
 	"warmup_records":  "warmup",
 	"measure_records": "measure",
 	"sample_period":   "sample",

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
+
+	"shift"
 )
 
 // searchSpec is an inline spec reproducing the catalog "Web Search"
@@ -145,18 +149,25 @@ func TestJobInlineSpecMatchesGrid(t *testing.T) {
 	}
 }
 
-// TestFigureQuerySpecWorkload proves a registered spec is rejected by
-// name on figure queries unless it was loaded in this process — the
-// wire API never implicitly resolves spec IDs a client merely guesses —
-// and that core-pinning is enforced on the workloads query parameter.
+// TestFigureQueryValidatesWorkloads proves the workloads query parameter
+// is held to a cell's workload rules, each refusal a 400 naming the query
+// parameter: a spec ID is refused unless it was loaded in this process —
+// the wire API never implicitly resolves spec IDs a client merely guesses
+// — and a mix spec pins the core count.
 func TestFigureQueryValidatesWorkloads(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/figures/fig7?workloads=spec:ghost@0000000000000000")
+	body := getBody(t, ts.URL+"/v1/figures/fig7?workloads=spec:ghost@0000000000000000", http.StatusBadRequest)
+	if !strings.Contains(body, "workloads: ") {
+		t.Errorf("unregistered spec ID on figure query: %s, want an error naming workloads", body)
+	}
+	id, err := shift.LoadSpec([]byte(`{"name": "pinned", "mix": [
+		{"name": "oltp", "cores": 2, "workload": {"base": "OLTP DB2"}},
+		{"name": "search", "cores": 2, "workload": {"base": "Web Search"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unregistered spec ID on figure query: status %d, want 400", resp.StatusCode)
+	body = getBody(t, ts.URL+"/v1/figures/fig7?workloads="+url.QueryEscape(id)+"&cores=8", http.StatusBadRequest)
+	if !strings.Contains(body, "cores: ") || !strings.Contains(body, "4-core mix") {
+		t.Errorf("4-core mix on an 8-core figure query: %s, want an error naming cores", body)
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 		experiment = flag.String("experiment", "fig8", "experiment to run (tableI, fig1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, pd, power, storage, sensitivity, generator, all)")
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all seven)")
 		specFiles  = flag.String("spec", "", "comma-separated workload spec files (JSON); each compiled spec is appended to the workload set")
-		cores      = flag.Int("cores", 16, "number of cores (1-16)")
+		cores      = flag.Int("cores", shift.DefaultOptions().Cores, "number of cores (1-16)")
 		warmup     = flag.Int64("warmup", 0, "warmup records per core (0 = scale default)")
 		measure    = flag.Int64("measure", 0, "measured records per core (0 = scale default)")
 		seed       = flag.Int64("seed", 1, "simulator seed")

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"shift/internal/stats"
-	"shift/internal/validate"
 )
 
 // Figure6 reproduces the paper's Figure 6: percentage of instruction
@@ -40,30 +39,23 @@ func RunFigure6(o Options, sizes []int) (*Figure6, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultFigure6Sizes()
 	}
-	for _, s := range sizes {
-		if fe := (validate.Cell{Cores: o.Cores, HistEntries: s}).Check(); fe != nil {
-			return nil, fmt.Errorf("shift: Figure 6 size: %w", fe)
-		}
-	}
 	// Grid: per (aggregate size, workload), a SHIFT cell with the full
 	// aggregate capacity and a PIF cell with the aggregate divided
-	// across private per-core histories.
+	// across private per-core histories. Every cell is checked before
+	// any runs, so a size out of range costs no simulation.
 	var cells []Cell
 	for _, aggregate := range sizes {
+		perCore := max(aggregate/o.Cores, 16)
 		for _, w := range o.Workloads {
-			cfg := o.config(w, DesignZeroLatSHIFT)
-			cfg.PredictionOnly = true
-			cfg.HistEntries = aggregate
-			cells = append(cells, cell(cfg, "agg="+fmtSize(aggregate)))
-
-			perCore := aggregate / o.Cores
-			if perCore < 16 {
-				perCore = 16
+			shared, perCorePIF := o.config(w, DesignZeroLatSHIFT), o.config(w, DesignPIF32K)
+			shared.HistEntries, perCorePIF.HistEntries = aggregate, perCore
+			for _, cfg := range []Config{shared, perCorePIF} {
+				cfg.PredictionOnly = true
+				if err := cfg.Validate(); err != nil {
+					return nil, fmt.Errorf("shift: Figure 6 size %d: %w", aggregate, err)
+				}
+				cells = append(cells, cell(cfg, "agg="+fmtSize(aggregate)))
 			}
-			cfg = o.config(w, DesignPIF32K)
-			cfg.PredictionOnly = true
-			cfg.HistEntries = perCore
-			cells = append(cells, cell(cfg, "agg="+fmtSize(aggregate)))
 		}
 	}
 	results, err := o.engine().RunAll(cells)

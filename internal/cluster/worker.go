@@ -84,33 +84,44 @@ func NewWorker(engine *shift.Engine) *Worker {
 	return &Worker{engine: engine}
 }
 
-// HandleBatch serves POST /v1/batch: decode the batch, execute it on
-// the local engine, answer per-cell. The engine reports every cell's own
-// result or error (a failing batch is isolated member by member), so one
-// bad cell costs its neighbors nothing.
+// HandleBatch serves POST /v1/batch: decode the batch, check each cell
+// with shift.Config.Validate, execute the cells that pass on the local
+// engine, answer per-cell. A refused cell is answered with the error a
+// local Run of it reports and is never simulated, so a peer cannot make
+// the worker run — or allocate tables for — a cell shiftd's wire would
+// refuse. The engine reports every other cell's own result or error (a
+// failing batch is isolated member by member), so one bad cell costs its
+// neighbors nothing.
 func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	req, ok := decodeBatch(rw, r)
 	if !ok {
 		return
 	}
 
-	ks := make([]shift.KeyedConfig, len(req.Cells))
+	resp := BatchResponse{Results: make([]BatchResult, len(req.Cells))}
+	ks := make([]shift.KeyedConfig, 0, len(req.Cells))
+	at := make([]int, 0, len(req.Cells)) // ks[j] is cell at[j]
 	for i, cfg := range req.Cells {
-		ks[i] = shift.KeyConfig(cfg)
+		k := shift.KeyConfig(cfg)
+		resp.Results[i].Key = k.Key()
+		if err := cfg.Validate(); err != nil {
+			resp.Results[i].Error = err.Error()
+			continue
+		}
+		ks = append(ks, k)
+		at = append(at, i)
 	}
 	results, errs := w.engine.RunKeyed(ks)
-	resp := BatchResponse{Results: make([]BatchResult, len(ks))}
-	for i, k := range ks {
-		resp.Results[i].Key = k.Key()
-		if errs[i] != nil {
+	for j, i := range at {
+		if errs[j] != nil {
 			// Unwrap drops the engine's "cell <label>: " annotation —
 			// whichever caller's label it carries — so the raw simulation
 			// error travels the wire and the coordinator's engine attaches
 			// its own label exactly once.
-			resp.Results[i].Error = errors.Unwrap(errs[i]).Error()
+			resp.Results[i].Error = errors.Unwrap(errs[j]).Error()
 			continue
 		}
-		resp.Results[i].Result = &results[i]
+		resp.Results[i].Result = &results[j]
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(rw).Encode(resp); err != nil {

@@ -181,6 +181,35 @@ func TestWorkerErrorParity(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesOutOfRangeCells: a peer's cell that shiftd's wire
+// would refuse — a negative core count or history, a history above 2^20
+// records — comes back as a per-cell error naming the field, and the
+// worker simulates none of them.
+func TestWorkerRefusesOutOfRangeCells(t *testing.T) {
+	srv, _, eng := newTestWorker(t)
+	cores, hist, huge := tinyConfig(shift.DesignSHIFT), tinyConfig(shift.DesignSHIFT), tinyConfig(shift.DesignPIF2K)
+	cores.Cores = -3
+	hist.HistEntries = -8
+	huge.Cores, huge.HistEntries = 1, 1<<21
+	cfgs := []shift.Config{cores, hist, huge}
+	br, code := postBatch(t, srv.URL, cfgs)
+	if code != http.StatusOK || len(br.Results) != len(cfgs) {
+		t.Fatalf("status %d, %d results", code, len(br.Results))
+	}
+	for i, field := range []string{"cores", "hist_entries", "hist_entries"} {
+		r := br.Results[i]
+		if r.Result != nil || !strings.HasPrefix(r.Error, field+": ") {
+			t.Errorf("cell %d: result %+v, error %q; want an error naming %s", i, r.Result, r.Error, field)
+		}
+		if r.Key != cfgs[i].Key() {
+			t.Errorf("cell %d key %s, want %s", i, r.Key, cfgs[i].Key())
+		}
+	}
+	if st := eng.Stats(); st.Simulated != 0 || st.StoreCells != 0 {
+		t.Errorf("the worker simulated %d cells and stored %d", st.Simulated, st.StoreCells)
+	}
+}
+
 // TestWorkerRegistersBatchSpecs: a cell whose workload is a spec ID runs
 // on a worker whose registry has never seen the spec, because the batch
 // carries the spec's canonical document; a document that compiles to

@@ -19,38 +19,21 @@ const functionalCostFraction = 0.1
 // confirmations of the same window. It is a heuristic for ordering
 // only — it never affects results.
 func estimateCost(cfg shift.Config) float64 {
-	cores := cfg.Cores
-	if cores == 0 {
-		cores = 16
-	}
-	warm := float64(cfg.WarmupRecords)
-	if warm == 0 {
-		warm = 60000
-	}
-	meas := float64(cfg.MeasureRecords)
-	if meas == 0 {
-		meas = 60000
-	}
+	cfg = cfg.Resolved()
+	warm, meas := float64(cfg.WarmupRecords), float64(cfg.MeasureRecords)
 	cost := warm + meas
 	if p := cfg.Sampling; p.Enabled() {
 		interval := float64(p.IntervalRecords)
-		if interval == 0 {
-			interval = 500
-		}
-		wf := p.WarmupFraction
-		if wf == 0 {
-			wf = 0.25
-		}
 		// One chunk = Period×interval records, of which interval×(1+wf)
 		// run detailed (measured interval + detailed warmup prefix) and
 		// the rest fast-forward functionally. The spec warmup is fully
 		// functional in sampled mode.
-		detailed := interval * (1 + wf) / (float64(p.Period) * interval)
+		detailed := interval * (1 + p.WarmupFraction) / (float64(p.Period) * interval)
 		if detailed > 1 {
 			detailed = 1
 		}
 		cost = warm*functionalCostFraction +
 			meas*(detailed+(1-detailed)*functionalCostFraction)
 	}
-	return cost * float64(cores)
+	return cost * float64(cfg.Cores)
 }

@@ -325,7 +325,7 @@ type batch struct {
 // has none: its one member is a standalone System.
 func newBatch(specs []RunSpec) (*batch, error) {
 	for i := range specs {
-		if err := specs[i].validate(); err != nil {
+		if err := specs[i].Validate(); err != nil {
 			// A batch of one is a Run: there is no other member to tell the
 			// failing one from, and the caller wants the member's own error.
 			if len(specs) > 1 {

@@ -353,7 +353,7 @@ func TestRunBatchSingleAndEmpty(t *testing.T) {
 	invalid := testSpec(testConfig())
 	invalid.MeasureRecords = 0
 	_, err := RunBatch([]RunSpec{invalid})
-	if want := invalid.validate(); err == nil || err.Error() != want.Error() {
+	if want := invalid.Validate(); err == nil || err.Error() != want.Error() {
 		t.Errorf("invalid single spec: error %v, want its own %v", err, want)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"shift/internal/core"
 	"shift/internal/cpu"
 	"shift/internal/noc"
+	"shift/internal/validate"
 )
 
 // Mode selects the simulation methodology.
@@ -193,16 +194,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// validate reports the first problem with c, or nil.
+// validate reports the first problem with c, or nil. A field a caller
+// sets (Cores, ElimProb) is refused with a *validate.FieldError under its
+// wire name; the rest are the system's own geometry and refused plainly.
 func (c Config) validate() error {
-	if c.Cores <= 0 {
-		return fmt.Errorf("sim: Cores %d <= 0", c.Cores)
-	}
 	if err := c.Mesh.Validate(); err != nil {
 		return err
 	}
-	if c.Cores > c.Mesh.Tiles() {
-		return fmt.Errorf("sim: %d cores exceed %d mesh tiles", c.Cores, c.Mesh.Tiles())
+	if c.Cores < 1 || c.Cores > c.Mesh.Tiles() {
+		return validate.Fieldf("cores", "must be in [1,%d], got %d", c.Mesh.Tiles(), c.Cores)
 	}
 	if err := c.L1I.Validate(); err != nil {
 		return fmt.Errorf("sim: L1I: %w", err)
@@ -220,8 +220,8 @@ func (c Config) validate() error {
 	if c.L2HitCycles < 0 || c.MemCycles < 0 {
 		return fmt.Errorf("sim: negative latency")
 	}
-	if c.ElimProb < 0 || c.ElimProb > 1 {
-		return fmt.Errorf("sim: ElimProb %v out of [0,1]", c.ElimProb)
+	if !(c.ElimProb >= 0 && c.ElimProb <= 1) {
+		return validate.Fieldf("elim_prob", "must be in [0,1], got %g", c.ElimProb)
 	}
 	if c.DataMPKI < 0 {
 		return fmt.Errorf("sim: DataMPKI %v < 0", c.DataMPKI)

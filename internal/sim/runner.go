@@ -6,6 +6,7 @@ import (
 	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/trace"
+	"shift/internal/validate"
 	"shift/internal/workload"
 )
 
@@ -49,21 +50,31 @@ type RunSpec struct {
 	Probe func(interval int, r Result)
 }
 
-// validate reports the first problem with r, or nil.
-func (r RunSpec) validate() error {
+// Validate reports the first problem with r, or nil. It is the
+// simulator's constraint table: a field a caller sets — the core count,
+// the miss-elimination probability, the window and the sampling policy —
+// is refused with a *validate.FieldError under its wire name
+// ("measure_records", "sample_period", ...); the system's own geometry
+// and the workload's parameters are refused plainly.
+func (r RunSpec) Validate() error {
 	if err := r.Config.validate(); err != nil {
 		return err
 	}
-	if r.MeasureRecords <= 0 {
-		return fmt.Errorf("sim: MeasureRecords %d <= 0", r.MeasureRecords)
-	}
 	if r.WarmupRecords < 0 {
-		return fmt.Errorf("sim: WarmupRecords %d < 0", r.WarmupRecords)
+		return validate.Fieldf("warmup_records", "must be >= 0, got %d", r.WarmupRecords)
 	}
-	// Each field is bounded before the sum is taken, so it cannot overflow.
-	if r.WarmupRecords > history.MaxWrites || r.MeasureRecords > history.MaxWrites ||
-		r.WarmupRecords+r.MeasureRecords > history.MaxWrites {
-		return fmt.Errorf("sim: window of %d + %d records exceeds %d", r.WarmupRecords, r.MeasureRecords, history.MaxWrites)
+	if r.MeasureRecords <= 0 {
+		return validate.Fieldf("measure_records", "must be > 0, got %d", r.MeasureRecords)
+	}
+	// The window is bounded because a history appends at most one record
+	// a round and numbers each in 30 bits. Each field is bounded before
+	// the sum is taken, so it cannot overflow.
+	if r.WarmupRecords > history.MaxWrites {
+		return validate.Fieldf("warmup_records", "must be at most %d, got %d", history.MaxWrites, r.WarmupRecords)
+	}
+	if r.MeasureRecords > history.MaxWrites || r.WarmupRecords+r.MeasureRecords > history.MaxWrites {
+		return validate.Fieldf("measure_records", "warmup_records + measure_records must be at most %d, got %d + %d",
+			history.MaxWrites, r.WarmupRecords, r.MeasureRecords)
 	}
 	if err := r.Sampling.validate(); err != nil {
 		return err
@@ -72,7 +83,8 @@ func (r RunSpec) validate() error {
 	// no dispersion to estimate, so its "error bounds" would read as
 	// zero — false confidence for the least-trustworthy configuration.
 	if p := r.Sampling.withDefaults(); p.Enabled() && p.intervals(r.MeasureRecords) < 2 {
-		return fmt.Errorf("sim: MeasureRecords %d fits fewer than two sampling intervals (chunk is %d records: period %d x interval %d)",
+		return validate.Fieldf("sample_period",
+			"measurement window %d fits fewer than two sampling chunks (chunk is %d records: period %d x interval %d)",
 			r.MeasureRecords, p.chunkRounds(), p.Period, p.IntervalRecords)
 	}
 	if r.Source != nil {

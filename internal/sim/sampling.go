@@ -10,6 +10,7 @@ import (
 	"shift/internal/history"
 	"shift/internal/prefetch"
 	"shift/internal/trace"
+	"shift/internal/validate"
 )
 
 // This file implements SMARTS-style interval sampling: instead of
@@ -154,25 +155,23 @@ func (p Sampling) withDefaults() Sampling {
 	return p
 }
 
-// validate reports the first problem with p, or nil. A disabled policy
-// is always valid.
+// validate reports the first problem with p as a *validate.FieldError
+// under the field's wire name, or nil. Every field is checked whatever
+// the period, so a policy that does not sample is still a well-formed one.
 func (p Sampling) validate() error {
 	if p.Period < 0 {
-		return fmt.Errorf("sim: sampling Period %d < 0", p.Period)
-	}
-	if !p.Enabled() {
-		return nil
+		return validate.Fieldf("sample_period", "must be >= 0, got %d", p.Period)
 	}
 	if p.IntervalRecords < 0 {
-		return fmt.Errorf("sim: sampling IntervalRecords %d < 0", p.IntervalRecords)
+		return validate.Fieldf("sample_interval", "must be >= 0, got %d", p.IntervalRecords)
 	}
-	if p.WarmupFraction < 0 || p.WarmupFraction >= 1 {
-		return fmt.Errorf("sim: sampling WarmupFraction %v out of [0,1)", p.WarmupFraction)
+	if !(p.WarmupFraction >= 0 && p.WarmupFraction < 1) {
+		return validate.Fieldf("sample_warmup", "must be in [0,1), got %g", p.WarmupFraction)
 	}
 	switch p.Confidence {
 	case 0, 0.90, 0.95, 0.99:
 	default:
-		return fmt.Errorf("sim: sampling Confidence %v (want 0.90, 0.95, or 0.99)", p.Confidence)
+		return validate.Fieldf("sample_confidence", "must be one of 0.90, 0.95, 0.99, got %g", p.Confidence)
 	}
 	return nil
 }

@@ -384,22 +384,22 @@ func TestConsolidationRun(t *testing.T) {
 
 func TestRunSpecValidation(t *testing.T) {
 	ok := testSpec(testConfig())
-	if err := ok.validate(); err != nil {
+	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := ok
 	bad.MeasureRecords = 0
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("zero measure accepted")
 	}
 	bad = ok
 	bad.WarmupRecords = -1
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("negative warmup accepted")
 	}
 	bad = ok
 	bad.Workload.Name = ""
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("invalid workload accepted")
 	}
 	// A history numbers its records in 30 bits: a window of 2^30 records
@@ -408,18 +408,18 @@ func TestRunSpecValidation(t *testing.T) {
 	for _, w := range [][2]int64{{0, 1 << 30}, {1 << 29, 1 << 29}, {1<<30 - 1, 1}, {1 << 62, 1 << 62}, {1, math.MaxInt64}} {
 		bad = ok
 		bad.WarmupRecords, bad.MeasureRecords = w[0], w[1]
-		if err := bad.validate(); err == nil {
+		if err := bad.Validate(); err == nil {
 			t.Errorf("window of %d + %d records accepted", w[0], w[1])
 		}
 	}
 	bad = ok
 	bad.WarmupRecords, bad.MeasureRecords = 1<<29, 1<<29-1
-	if err := bad.validate(); err != nil {
+	if err := bad.Validate(); err != nil {
 		t.Errorf("window of 2^30 - 1 records refused: %v", err)
 	}
 	bad = ok
 	bad.Groups = []core.Group{{Name: "A", Cores: []int{0}}}
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("groups without workloads accepted")
 	}
 }

@@ -2,11 +2,9 @@ package shift
 
 import (
 	"fmt"
-	"strings"
 
 	"shift/internal/core"
 	"shift/internal/sim"
-	"shift/internal/validate"
 )
 
 // Options parameterizes the per-figure experiment drivers.
@@ -45,14 +43,15 @@ type Options struct {
 }
 
 // DefaultOptions returns the reference experiment scale (a full figure
-// regenerates in roughly one to three minutes).
+// regenerates in roughly one to three minutes): DefaultRunConfig's.
 func DefaultOptions() Options {
+	c := DefaultRunConfig("", DesignBaseline)
 	return Options{
-		Cores:          16,
-		CoreType:       LeanOoO,
-		WarmupRecords:  60000,
-		MeasureRecords: 60000,
-		Seed:           1,
+		Cores:          c.Cores,
+		CoreType:       c.CoreType,
+		WarmupRecords:  c.WarmupRecords,
+		MeasureRecords: c.MeasureRecords,
+		Seed:           c.Seed,
 	}
 }
 
@@ -66,45 +65,22 @@ func QuickOptions() Options {
 	return o
 }
 
-// normalize validates and fills defaults. Every refusal is a
-// *validate.FieldError (wrapped), so a front end can name the option at
-// fault: shiftd answers 400 for one, since every driver normalizes
-// before it runs a cell.
+// normalize fills defaults and checks every workload's cell with
+// Config.Validate, so a refusal is the one a cell of the options would
+// get: a *FieldError (wrapped), which lets a front end name the option at
+// fault. shiftd answers 400 for one, since every driver normalizes before
+// it runs a cell.
 func (o Options) normalize() (Options, error) {
-	if o.Cores == 0 {
-		o.Cores = 16
-	}
-	if o.WarmupRecords == 0 {
-		o.WarmupRecords = 60000
-	}
-	if o.MeasureRecords == 0 {
-		o.MeasureRecords = 60000
-	}
-	for _, w := range o.Workloads {
-		if !KnownWorkload(w) {
-			return o, fmt.Errorf("shift: %w", validate.Fieldf("workloads",
-				"unknown workload %q (valid: %s)", w, strings.Join(Workloads(), ", ")))
-		}
-		if n := WorkloadCores(w); n != 0 && n != o.Cores {
-			return o, fmt.Errorf("shift: %w", validate.Fieldf("cores",
-				"workload %q is a %d-core mix, configured for %d cores", w, n, o.Cores))
-		}
-	}
 	if len(o.Workloads) == 0 {
 		o.Workloads = Workloads()
 	}
-	cell := validate.Cell{
-		Cores:            o.Cores,
-		WarmupRecords:    o.WarmupRecords,
-		MeasureRecords:   o.MeasureRecords,
-		SamplePeriod:     o.Sampling.Period,
-		SampleInterval:   o.Sampling.IntervalRecords,
-		SampleWarmup:     o.Sampling.WarmupFraction,
-		SampleConfidence: o.Sampling.Confidence,
+	for _, w := range o.Workloads {
+		if err := o.config(w, DesignBaseline).Validate(); err != nil {
+			return o, fmt.Errorf("shift: %w", err)
+		}
 	}
-	if err := cell.Check(); err != nil {
-		return o, fmt.Errorf("shift: %w", err)
-	}
+	r := o.config("", DesignBaseline).Resolved()
+	o.Cores, o.WarmupRecords, o.MeasureRecords = r.Cores, r.WarmupRecords, r.MeasureRecords
 	return o, nil
 }
 

@@ -102,6 +102,7 @@ import (
 	"shift/internal/cpu"
 	"shift/internal/noc"
 	"shift/internal/sim"
+	"shift/internal/validate"
 	"shift/internal/workload"
 )
 
@@ -267,11 +268,11 @@ type Config struct {
 	Design Design
 	// CoreType selects the core microarchitecture (default Lean-OoO).
 	CoreType CoreType
-	// Cores is the core count (default 16; must not exceed the 4x4 mesh).
+	// Cores is the core count (0 = default 16; at most the 4x4 mesh's 16).
 	Cores int
 	// HistEntries overrides the history-record capacity (0 = design
-	// default: 32K for PIF_32K/SHIFT, 2K for PIF_2K). Used by the
-	// Figure 6 sweep.
+	// default: 32K for PIF_32K/SHIFT, 2K for PIF_2K; at most 2^20). Used
+	// by the Figure 6 sweep.
 	HistEntries int
 	// PredictionOnly runs the Section 5.2 trace-based methodology: no
 	// prefetches are issued and coverage is tracked in the stream
@@ -326,60 +327,84 @@ type Sampling struct {
 func (p Sampling) Enabled() bool { return p.Period > 1 }
 
 // internal converts to the simulator's policy type.
-func (p Sampling) internal() sim.Sampling {
-	return sim.Sampling{
-		Period:          p.Period,
-		IntervalRecords: p.IntervalRecords,
-		WarmupFraction:  p.WarmupFraction,
-		Confidence:      p.Confidence,
-	}
-}
+func (p Sampling) internal() sim.Sampling { return sim.Sampling(p) }
 
 // DefaultRunConfig returns a 16-core Lean-OoO Table I configuration for
-// the given workload and design.
+// the given workload and design: Config's defaults, spelled out.
 func DefaultRunConfig(workloadName string, d Design) Config {
-	return Config{
-		Workload:       workloadName,
-		Design:         d,
-		CoreType:       LeanOoO,
-		Cores:          16,
-		WarmupRecords:  60000,
-		MeasureRecords: 60000,
-		Seed:           1,
-	}
+	return Config{Workload: workloadName, Design: d, CoreType: LeanOoO, Seed: 1}.Resolved()
 }
 
-// spec translates the public Config into an internal sim.RunSpec. The
-// Workload field resolves either to a Table I catalog workload or — for
-// "spec:" IDs — to a registered compiled spec, whose single/mix/source
-// form maps onto the run spec's Workload/Groups/Source.
+// Resolved returns c with each field whose zero value stands for a
+// default set to that default: 16 cores (the Table I CMP), a window of
+// 60,000 + 60,000 records a core, and, for a sampled cell, the policy's
+// default interval, warmup fraction and confidence (a policy that does
+// not sample becomes the zero policy). It resolves and does not check
+// (Validate does). A cell's Key hashes its fields as written, so c and
+// c.Resolved() run the same simulation under different keys.
+func (c Config) Resolved() Config {
+	if c.Cores == 0 {
+		c.Cores = sim.DefaultConfig().Cores
+	}
+	if c.WarmupRecords == 0 {
+		c.WarmupRecords = 60000
+	}
+	if c.MeasureRecords == 0 {
+		c.MeasureRecords = 60000
+	}
+	c.Sampling = Sampling(c.Sampling.internal().Normalized())
+	return c
+}
+
+// maxHistEntries bounds a history-capacity override: twice Figure 6's
+// largest point (512 K records). PIF's index table is allocated up front
+// at a quarter of it, so a larger one would only ask the host for tables
+// it cannot allocate.
+const maxHistEntries = 1 << 20
+
+// Validate reports whether c is a simulation this package runs: nil, or
+// the error Run(c) would fail with before simulating anything. A refused
+// field is a *FieldError under its wire name ("cores", "hist_entries",
+// "workload", "sample_period", ...). It is the one check every front end
+// calls — Options, shiftd's cells and figure queries, a cluster worker —
+// and the one RunBatch applies, so no path runs a cell it refuses.
+func (c Config) Validate() error {
+	rs, err := c.spec()
+	if err != nil {
+		return err
+	}
+	return rs.Validate()
+}
+
+// spec translates the public Config into an internal sim.RunSpec,
+// refusing a history capacity out of range (the simulator checks the
+// rest). The Workload field resolves either to a Table I catalog workload
+// or — for "spec:" IDs — to a registered compiled spec, whose
+// single/mix/source form maps onto the run spec's Workload/Groups/Source.
 func (c Config) spec() (sim.RunSpec, error) {
+	if c.Design < 0 || int(c.Design) >= len(designs) {
+		return sim.RunSpec{}, fmt.Errorf("shift: unknown design %d", c.Design)
+	}
+	if c.HistEntries < 0 || c.HistEntries > maxHistEntries {
+		return sim.RunSpec{}, validate.Fieldf("hist_entries", "must be in [0,%d], got %d", maxHistEntries, c.HistEntries)
+	}
+	r := c.Resolved()
 	sc := sim.DefaultConfig()
 	sc.CoreType = c.CoreType.internal()
-	if c.Cores > 0 {
-		sc.Cores = c.Cores
-	}
+	sc.Cores = r.Cores
 	sc.Seed = c.Seed
 	sc.ElimProb = c.ElimProb
 	if c.PredictionOnly || c.CommonalityMode {
 		sc.Mode = sim.ModePrediction
 	}
-	if c.Design < 0 || int(c.Design) >= len(designs) {
-		return sim.RunSpec{}, fmt.Errorf("shift: unknown design %d", c.Design)
-	}
 	sc.Prefetcher = designs[c.Design].spec(c.HistEntries, c.CommonalityMode)
-	warm, meas := c.WarmupRecords, c.MeasureRecords
-	if warm == 0 {
-		warm = 60000
-	}
-	if meas == 0 {
-		meas = 60000
-	}
 	rs := sim.RunSpec{
 		Config:         sc,
-		WarmupRecords:  warm,
-		MeasureRecords: meas,
-		Sampling:       c.Sampling.internal(),
+		WarmupRecords:  r.WarmupRecords,
+		MeasureRecords: r.MeasureRecords,
+		// The policy as written, not resolved: the simulator checks its
+		// fields whatever the period.
+		Sampling: c.Sampling.internal(),
 	}
 	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
 		return sim.RunSpec{}, err

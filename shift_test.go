@@ -87,6 +87,28 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRangeConfig: a negative core count or history
+// capacity is refused, not read as "the default", and so is a history
+// above 2^20 records, each with a FieldError naming the field.
+func TestRunRefusesOutOfRangeConfig(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Config)
+		field  string
+	}{
+		{func(c *Config) { c.Cores = -3 }, "cores"},
+		{func(c *Config) { c.HistEntries = -8 }, "hist_entries"},
+		{func(c *Config) { c.HistEntries = 1 << 21 }, "hist_entries"},
+	} {
+		cfg := tinyConfig(DesignPIF2K)
+		tc.mutate(&cfg)
+		var fe *validate.FieldError
+		if r, err := Run(cfg); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("Run(Cores %d, HistEntries %d) = %s on %d cores, %v; want a %s field error",
+				cfg.Cores, cfg.HistEntries, r.Design, r.Cores, err, tc.field)
+		}
+	}
+}
+
 func TestOptionsNormalize(t *testing.T) {
 	o, err := Options{}.normalize()
 	if err != nil {

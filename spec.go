@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"shift/internal/core"
 	"shift/internal/sim"
@@ -132,17 +133,18 @@ func displayNames(names []string) []string {
 // resolveWorkloadInto fills rs's workload form from a workload
 // identifier: catalog names become a homogeneous Params, registered
 // spec IDs resolve to whatever the spec compiled to (Params, groups, or
-// a shared record Source).
+// a shared record Source). An identifier that names neither is a
+// "workload" FieldError.
 func resolveWorkloadInto(name string, rs *sim.RunSpec) error {
 	if comp, ok := spec.Lookup(name); ok {
 		return specWorkload(comp, rs)
 	}
 	if spec.IsID(name) {
-		return fmt.Errorf("shift: spec %q is not registered in this process (load it with LoadSpec first)", name)
+		return validate.Fieldf("workload", "spec %q is not registered in this process (load it with LoadSpec first)", name)
 	}
 	wp, err := workload.ByName(name)
 	if err != nil {
-		return err
+		return validate.Fieldf("workload", "unknown workload %q (valid: %s)", name, strings.Join(Workloads(), ", "))
 	}
 	rs.Workload = wp
 	return nil
@@ -150,7 +152,8 @@ func resolveWorkloadInto(name string, rs *sim.RunSpec) error {
 
 // specWorkload resolves a registered spec into the run spec's workload
 // form: a homogeneous Params, consolidated groups (mix), or a shared
-// record Source (phases, trace replay).
+// record Source (phases, trace replay). A mix pins the core count to its
+// clients' total; any other is a "cores" FieldError.
 func specWorkload(c *spec.Compiled, rs *sim.RunSpec) error {
 	if p, ok := c.Single(); ok {
 		rs.Workload = p
@@ -158,7 +161,7 @@ func specWorkload(c *spec.Compiled, rs *sim.RunSpec) error {
 	}
 	if clients, ok := c.Clients(); ok {
 		if n := c.PinnedCores(); n != rs.Config.Cores {
-			return fmt.Errorf("shift: spec %q is a %d-core mix, configured for %d cores", c.Name(), n, rs.Config.Cores)
+			return validate.Fieldf("cores", "spec %q is a %d-core mix, configured for %d cores", c.Name(), n, rs.Config.Cores)
 		}
 		next := 0
 		for _, cl := range clients {

@@ -119,16 +119,8 @@ type StreamID struct {
 // Stream returns the identity of the record stream and schedule c
 // consumes (see StreamID).
 func (c Config) Stream() StreamID {
-	id := StreamID{c.Workload, c.Cores, c.WarmupRecords, c.MeasureRecords, c.Sampling.internal().Normalized()}
-	if id.cores == 0 {
-		id.cores = 16
-	}
-	if id.warm == 0 {
-		id.warm = 60000
-	}
-	if id.meas == 0 {
-		id.meas = 60000
-	}
+	r := c.Resolved()
+	id := StreamID{r.Workload, r.Cores, r.WarmupRecords, r.MeasureRecords, r.Sampling.internal()}
 	id.sampling.Confidence = 0
 	return id
 }
