@@ -1,21 +1,25 @@
 package shift
 
-import "testing"
+import (
+	"testing"
+
+	"shift/internal/race"
+)
 
 // TestHotPathAllocs is the allocation budget of a replayed cell: every
-// cell a shiftd job serves from the store validates its workload name,
+// cell a shiftd job serves from the store is checked by Config.Validate,
 // computes its key once and passes through Engine.RunKeyed, so an
 // allocation on any of the three is paid per cell, in GC time as much as
 // in the allocation itself.
 func TestHotPathAllocs(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: allocation counts are not the production ones")
-	}
-	if n := testing.AllocsPerRun(100, func() { KnownWorkload("OLTP Oracle") }); n != 0 {
-		t.Errorf("KnownWorkload makes %.0f allocations, want 0", n)
 	}
 	cfg := DefaultRunConfig("OLTP Oracle", DesignSHIFT)
 	cfg.Sampling.Period = 5
+	if n := testing.AllocsPerRun(100, func() { _ = cfg.Validate() }); n > 1 {
+		t.Errorf("Config.Validate on a catalog cell makes %.0f allocations, want at most 1", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { _ = cfg.Key() }); n > 2 {
 		t.Errorf("Config.Key makes %.0f allocations, want at most 2", n)
 	}

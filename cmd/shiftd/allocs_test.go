@@ -8,11 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
 
 	"shift"
 	"shift/internal/jobs"
+	"shift/internal/race"
 )
 
 // TestReplayedJobAllocs is the allocation budget of a replayed job through
@@ -23,7 +23,7 @@ import (
 // engine allocate for the job (125 allocations and 17.2 KB before results
 // were encoded once per shared entry and the submit path was trimmed).
 func TestReplayedJobAllocs(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: allocation counts are not the production ones")
 	}
 	const (
@@ -93,7 +93,7 @@ func TestReplayedJobAllocs(t *testing.T) {
 // subtracted as in TestReplayedJobAllocs; it measures ≈ 49 allocations
 // and 6.4 KB.
 func TestReplayedRunAllocs(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: allocation counts are not the production ones")
 	}
 	const (
@@ -126,7 +126,7 @@ func TestReplayedRunAllocs(t *testing.T) {
 // heap within 1 MB of where it stood after the first thousand. When every
 // such job stayed in the registry they grew it by 47.5 MB.
 func TestReplayedRunsHeapBytesBounded(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: heap readings are not the production ones")
 	}
 	const warm, calls = 1000, 100000
@@ -166,7 +166,7 @@ func TestReplayedRunsHeapBytesBounded(t *testing.T) {
 // in-memory store by at most 640 B. The registry shares the store's
 // entry: when it held a second copy of every result, a cell cost ≈ 840 B.
 func TestColdCellHeapBytes(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: heap readings are not the production ones")
 	}
 	const warm, measured, limit = 8, 96, 640
@@ -278,7 +278,7 @@ func allocsPerCall(h http.Handler, call func(h http.Handler, real bool)) (allocs
 // the 1 MiB limit, which sized its slice at 87 378 cells (15.4 MB
 // allocated) when the count was uncapped.
 func TestDecodeBodyBytesBounded(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: a dropped body buffer is regrown and counted")
 	}
 	const maxBody = 1 << 20
@@ -310,19 +310,4 @@ func TestDecodeBodyBytesBounded(t *testing.T) {
 	if size > 1<<20 {
 		t.Errorf("decoding it allocates %.0f B, want < 1 MB", size)
 	}
-}
-
-// syncPoolKeepsPuts reports whether a sync.Pool returns what was just put
-// in it, which the race detector makes it refuse at random: allocation
-// counts taken under it are not the production ones.
-func syncPoolKeepsPuts() bool {
-	var p sync.Pool
-	dropped := 0
-	for i := 0; i < 64; i++ {
-		p.Put(new(int))
-		if p.Get() == nil {
-			dropped++
-		}
-	}
-	return dropped <= 2
 }

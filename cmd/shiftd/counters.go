@@ -9,6 +9,7 @@ import (
 
 	"shift"
 	"shift/internal/cluster"
+	"shift/internal/freelist"
 	"shift/internal/jobs"
 	"shift/internal/store"
 )
@@ -28,7 +29,8 @@ type snapshot struct {
 	cluster  cluster.Stats
 	workers  []cluster.MemberStatus
 	gc       gcStats
-	blocks   block // the optional blocks this process has
+	tables   []freelist.Count // the simulator's free lists, by table kind
+	blocks   block            // the optional blocks this process has
 }
 
 // gcStats is what the Go runtime reports of the collector's work: the
@@ -102,7 +104,18 @@ func (s *server) snapshot() *snapshot {
 		sn.cluster = s.cluster.Stats()
 	}
 	sn.gc = readGC()
+	sn.tables = freelist.Counts()
 	return sn
+}
+
+// table returns kind's free-list count, zero when the snapshot has none.
+func (sn *snapshot) table(kind string) freelist.Count {
+	for _, c := range sn.tables {
+		if c.Kind == kind {
+			return c
+		}
+	}
+	return freelist.Count{}
 }
 
 // The series kinds (Prometheus TYPEs), and the one family so far with
@@ -129,7 +142,7 @@ type row struct {
 	get                              func(*snapshot) any
 }
 
-var rows = []row{
+var rows = append([]row{
 	{path: "uptime_seconds", series: "shiftd_uptime_seconds", kind: gauge, help: "Seconds since process start.", get: func(sn *snapshot) any { return sn.uptime }},
 	{path: "requests", series: "shiftd_requests_total", kind: counter, help: "HTTP requests served (all endpoints).", get: func(sn *snapshot) any { return sn.requests }},
 
@@ -202,6 +215,25 @@ var rows = []row{
 	{path: "cluster.batches_hedged", series: "shiftd_cluster_batches_hedged_total", kind: counter, in: clusterBlock, help: "Speculative duplicate dispatches to stragglers' backups.", get: func(sn *snapshot) any { return sn.cluster.BatchesHedged }},
 	{path: "cluster.fallback_cells", series: "shiftd_cluster_fallback_cells_total", kind: counter, in: clusterBlock, help: "Cells degraded to in-process execution.", get: func(sn *snapshot) any { return sn.cluster.CellsFallback }},
 	{path: "cluster.dispatch_errors", series: "shiftd_cluster_dispatch_errors_total", kind: counter, in: clusterBlock, help: "Transport-level batch dispatch failures.", get: func(sn *snapshot) any { return sn.cluster.DispatchErrors }},
+}, tableRows()...)
+
+// tableRows are the simulator's free lists, two rows a table kind (LLC
+// banks, L1-Is, prefetch buffers, history buffers, index tables,
+// predictors, lead logs): the tables built on new memory, and those
+// taken off a list a finished cell handed them back to.
+func tableRows() []row {
+	var rs []row
+	for _, c := range freelist.Counts() {
+		kind := c.Kind
+		rs = append(rs,
+			row{path: "tables_fresh." + kind, series: "shiftd_tables_" + kind + "_fresh_total", kind: counter,
+				help: "Simulator tables of kind " + kind + " built on new memory: the first time a shape runs, and again after an idle trim or once recent batches stopped using its geometry.",
+				get:  func(sn *snapshot) any { return sn.table(kind).Fresh }},
+			row{path: "tables_reused." + kind, series: "shiftd_tables_" + kind + "_reused_total", kind: counter,
+				help: "Simulator tables of kind " + kind + " taken off the free list a finished cell handed them back to.",
+				get:  func(sn *snapshot) any { return sn.table(kind).Reused }})
+	}
+	return rs
 }
 
 // statsDoc renders the GET /v1/stats document.

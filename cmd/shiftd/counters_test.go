@@ -14,6 +14,7 @@ import (
 
 	"shift"
 	"shift/internal/cluster"
+	"shift/internal/freelist"
 	"shift/internal/jobs"
 	"shift/internal/store"
 )
@@ -70,6 +71,10 @@ func fullSnapshot() *snapshot {
 	n := int64(0)
 	next := func() int64 { n++; return n }
 	i := func() int { return int(next()) }
+	tables := freelist.Counts()
+	for k := range tables {
+		tables[k].Fresh, tables[k].Reused = next(), next()
+	}
 	return &snapshot{
 		uptime:   12.5,
 		requests: next(),
@@ -94,6 +99,7 @@ func fullSnapshot() *snapshot {
 			BatchesHedged: next(), CellsFallback: next(), DispatchErrors: next(),
 		},
 		gc:     gcStats{cycles: next(), liveBytes: next(), scanBytes: next()},
+		tables: tables,
 		blocks: journalBlock | healthBlock | remoteBlock | clusterBlock,
 	}
 }

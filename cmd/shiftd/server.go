@@ -292,17 +292,6 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 	if c.Seed != nil {
 		cfg.Seed = *c.Seed
 	}
-	if len(c.Spec) > 0 {
-		// Compile and register the inline spec; the cell then runs its
-		// content-addressed ID like any workload name. Identical spec
-		// content registers once, so repeated submissions memoize and
-		// batch against each other.
-		id, err := shift.LoadSpecRestricted(c.Spec)
-		if err != nil {
-			return shift.Config{}, fmt.Errorf("\"spec\": %w", err)
-		}
-		cfg.Workload = id
-	}
 	var err error
 	if cfg.Design, err = shift.ParseDesign(c.Design); err != nil {
 		return shift.Config{}, fmt.Errorf("\"design\": %w", err)
@@ -312,7 +301,17 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 			return shift.Config{}, fmt.Errorf("\"core_type\": %w", err)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	if len(c.Spec) > 0 {
+		// The inline spec becomes the cell's workload: its
+		// content-addressed ID, like any workload name, registered only
+		// when the cell is accepted. Identical spec content registers
+		// once, so repeated submissions memoize and batch against each
+		// other.
+		cfg, err = shift.LoadSpecCell(c.Spec, cfg)
+	} else {
+		err = cfg.Validate()
+	}
+	if err != nil {
 		var fe *shift.FieldError
 		if errors.As(err, &fe) {
 			err = fmt.Errorf("%q %s", fe.Field, fe.Msg)

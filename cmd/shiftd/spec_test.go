@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"shift"
+	"shift/internal/spec"
 )
 
 // searchSpec is an inline spec reproducing the catalog "Web Search"
@@ -91,6 +92,36 @@ func TestRunInlineSpecValidation(t *testing.T) {
 	} {
 		if code := postJSON(t, ts.URL+"/v1/run", body, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+}
+
+// TestRefusedSpecCellRegistersNothing: an inline-spec cell that is
+// refused — its core count out of range, or its design unknown — leaves
+// the process's spec registry as it found it, so a client cannot grow
+// the registry with documents it is refused for. Each case's document is
+// its own, and its ID stays unknown after the 400.
+func TestRefusedSpecCellRegistersNothing(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for name, cell := range map[string]map[string]any{
+		"cores out of range": {"design": "SHIFT", "cores": 99},
+		"unknown design":     {"design": "bogus"},
+	} {
+		doc := map[string]any{"name": "refused: " + name, "workload": map[string]any{"base": "Web Search"}}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := spec.Load(data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell["spec"] = doc
+		if code := postJSON(t, ts.URL+"/v1/run", cell, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		if _, err := shift.SpecCanonical(compiled.ID()); err == nil {
+			t.Errorf("%s: the refused cell registered its spec %s", name, compiled.ID())
 		}
 	}
 }

@@ -436,6 +436,13 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 			out[i] = r
 			continue
 		}
+		// A cell the simulator would refuse is refused here, before it
+		// claims a flight or joins a batch: it is neither simulated nor
+		// counted, and its batch keeps the shared stream.
+		if err := ks[i].cfg.Validate(); err != nil {
+			errs[i] = fmt.Errorf("cell %s: %w", labelOf(ks, cells, i), err)
+			continue
+		}
 		c, owner := e.flight.Claim(k)
 		if owner {
 			owned = append(owned, i)

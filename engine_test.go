@@ -280,7 +280,8 @@ func TestRunKeyedPerCellOutcomes(t *testing.T) {
 	}
 
 	// Everything that succeeded is stored: the same grid again simulates
-	// only the two failing cells.
+	// only the panicking cell. The invalid one is refused before it is
+	// simulated, on either pass.
 	before := e.Stats().Simulated
 	if _, errs := e.RunKeyed(ks); errs[panics] == nil || errs[invalid] == nil {
 		t.Error("the failing cells succeeded on the second pass")
@@ -288,8 +289,38 @@ func TestRunKeyedPerCellOutcomes(t *testing.T) {
 	if hits, _ := cache.Stats(); hits != int64(len(cfgs)-3) {
 		t.Errorf("second pass: %d store hits, want %d", hits, len(cfgs)-3)
 	}
-	if got := e.Stats().Simulated - before; got != 2 {
-		t.Errorf("second pass simulated %d cells, want the 2 failing ones", got)
+	if got := e.Stats().Simulated - before; got != 1 {
+		t.Errorf("second pass simulated %d cells, want the panicking one", got)
+	}
+}
+
+// TestRefusedCellKeepsItsBatch: a cell the simulator refuses is refused
+// before it joins a batch, so the valid cells on its stream still share
+// one: Baseline and SHIFT on Web Search beside a SHIFT cell whose
+// elim_prob is out of range run as one batch of two, and only the bad
+// cell fails, with the simulator's field error. When the refusal came
+// from inside the batch, every member was re-run alone (3 simulated, 0
+// batched, 0 streams shared).
+func TestRefusedCellKeepsItsBatch(t *testing.T) {
+	o := engineTestOptions()
+	bad := o.config("Web Search", DesignSHIFT)
+	bad.ElimProb = 2
+	cfgs := []Config{o.config("Web Search", DesignBaseline), o.config("Web Search", DesignSHIFT), bad}
+	ks := make([]KeyedConfig, len(cfgs))
+	for i, cfg := range cfgs {
+		ks[i] = KeyConfig(cfg)
+	}
+	e := NewEngine(1, nil)
+	_, errs := e.RunKeyed(ks)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("the valid cells failed: %v, %v", errs[0], errs[1])
+	}
+	var fe *FieldError
+	if !errors.As(errs[2], &fe) || fe.Field != "elim_prob" {
+		t.Errorf("the refused cell's error is %v, want the elim_prob FieldError", errs[2])
+	}
+	if st := e.Stats(); st.Simulated != 2 || st.Batched != 2 || st.StreamsShared != 1 {
+		t.Errorf("%d simulated, %d batched, %d streams shared; want 2, 2 and 1", st.Simulated, st.Batched, st.StreamsShared)
 	}
 }
 

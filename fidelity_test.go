@@ -12,6 +12,7 @@ import (
 	"shift/internal/area"
 	"shift/internal/core"
 	"shift/internal/history"
+	"shift/internal/race"
 	"shift/internal/sim"
 )
 
@@ -273,7 +274,7 @@ func TestFidelity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short: the full-scale run takes over a minute")
 	}
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: the full-scale run would take several minutes")
 	}
 	o := DefaultOptions()

@@ -123,7 +123,7 @@ type Hybrid struct {
 
 // freeHybrids holds released predictors by entry count; see
 // Hybrid.Release.
-var freeHybrids freelist.Keyed[int, Hybrid]
+var freeHybrids = freelist.New[int, Hybrid]("predictor")
 
 // NewHybrid builds the Table I predictor: 16K gshare, 16K bimodal, 16K
 // chooser when entries=16384. It reuses the tables of a released

@@ -45,7 +45,7 @@ type icacheKey struct {
 }
 
 // freeICaches holds released instruction caches by geometry and kind.
-var freeICaches freelist.Keyed[icacheKey, ICache]
+var freeICaches = freelist.New[icacheKey, ICache]("l1i")
 
 // NewICache builds an empty instruction cache of geometry cfg (its
 // TagPointers flag means nothing here), on the tables of a released one

@@ -69,7 +69,7 @@ type llcKey struct {
 }
 
 // freeLLCBanks holds released banks.
-var freeLLCBanks freelist.Keyed[llcKey, LLCBank]
+var freeLLCBanks = freelist.New[llcKey, LLCBank]("llc_bank")
 
 // ValidateLLCBank reports the first problem with c as the geometry of an
 // LLCBank, or nil: what Validate reports, or fewer than llcMinSets sets.
@@ -98,10 +98,7 @@ func NewLLCBank(cfg Config) (*LLCBank, error) {
 	}
 	geom := cfg
 	geom.TagPointers = false
-	c := freeLLCBanks.Get(llcKey{geom, cfg.TagPointers})
-	if c == nil {
-		c = freeLLCBanks.Get(llcKey{geom, !cfg.TagPointers})
-	}
+	c := freeLLCBanks.Get(llcKey{geom, cfg.TagPointers}, llcKey{geom, !cfg.TagPointers})
 	if c != nil {
 		c.reset()
 	} else {

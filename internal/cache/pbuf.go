@@ -50,7 +50,7 @@ type PrefetchBuffer struct {
 type pbLink struct{ prev, next int16 }
 
 // freePrefetchBuffers holds released buffers by entry count.
-var freePrefetchBuffers freelist.Keyed[int, PrefetchBuffer]
+var freePrefetchBuffers = freelist.New[int, PrefetchBuffer]("prefetch_buffer")
 
 // NewPrefetchBuffer builds an empty buffer of entries lines, on the tables
 // of a released buffer of the same size when one is held.

@@ -221,7 +221,7 @@ func TestWorkerRegistersBatchSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := compiled.ID()
-	if shift.KnownWorkload(id) {
+	if _, ok := spec.Lookup(id); ok {
 		t.Fatalf("%s is registered before the batch carries it", id)
 	}
 	cfg := tinyConfig(shift.DesignSHIFT)

@@ -46,16 +46,17 @@ func unpack(w uint64) Region {
 	return Region{Trigger: trace.BlockAddr(w >> vecBits), Vec: uint16(w)}
 }
 
-// freeBuffers holds released buffers by allocated length; see
-// Buffer.Release.
-var freeBuffers freelist.Keyed[int, Buffer]
+// freeBuffers holds released buffers by size class of allocated length;
+// see Buffer.Release.
+var freeBuffers = freelist.New[int, Buffer]("history_buffer")
 
 // NewBuffer returns an empty history buffer with the given record
 // capacity for a run that appends at most writes records (0: no bound,
 // so the whole capacity). It allocates min(capacity, writes) words, or
-// reuses the storage of a released buffer of that length. Rewinding the
-// write pointer is the whole reset: Valid already hides every record at
-// or past it.
+// reuses the storage of a released buffer of that size class and at
+// least that length: a position below the window indexes the same word
+// either way. Rewinding the write pointer is the whole reset: Valid
+// already hides every record at or past it.
 func NewBuffer(capacity, writes int) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("history: buffer capacity %d <= 0", capacity)
@@ -67,7 +68,7 @@ func NewBuffer(capacity, writes int) (*Buffer, error) {
 	if writes > 0 {
 		n = min(n, writes)
 	}
-	b := freeBuffers.Get(n)
+	b := freeBuffers.GetFit(freelist.SizeClass(n), func(b *Buffer) bool { return len(b.records) >= n })
 	if b == nil {
 		b = &Buffer{records: make([]uint64, n)}
 	}
@@ -75,10 +76,9 @@ func NewBuffer(capacity, writes int) (*Buffer, error) {
 	return b, nil
 }
 
-// Release hands b's storage back for a later NewBuffer of the same
-// allocated length. The caller must hold the only reference to b and must
-// not use it again.
-func (b *Buffer) Release() { freeBuffers.Put(len(b.records), b) }
+// Release hands b's storage back for a later NewBuffer of its size class.
+// The caller must hold the only reference to b and must not use it again.
+func (b *Buffer) Release() { freeBuffers.Put(freelist.SizeClass(len(b.records)), b) }
 
 // WritePos returns the absolute position the next Append will write to
 // (the paper's write pointer).

@@ -6,13 +6,16 @@ import (
 	"testing"
 
 	"shift/internal/core"
+	"shift/internal/freelist"
 	"shift/internal/sim"
 	"shift/internal/workload"
 )
 
 // historyBytes returns the bytes allocated so far by the history buffers
-// (history.NewBuffer and the Buffer methods), from the memory profile.
+// (history.NewBuffer and the Buffer methods), from the memory profile,
+// and empties the free lists.
 func historyBytes() int64 {
+	freelist.Trim()
 	// A profile is published two collections after its allocations.
 	for range 3 {
 		runtime.GC()
@@ -62,7 +65,7 @@ func TestCellHistoryBytes(t *testing.T) {
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := historyBytes() // also empties the free lists (two collections)
+	before := historyBytes() // also empties the free lists
 	if _, err := sim.Run(spec); err != nil {
 		t.Fatal(err)
 	}

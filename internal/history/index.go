@@ -47,7 +47,7 @@ const posMask = 1<<posBits - 1
 type tableShape struct{ entries, assoc int }
 
 // freeTables holds released tables by shape; see IndexTable.Release.
-var freeTables freelist.Keyed[tableShape, IndexTable]
+var freeTables = freelist.New[tableShape, IndexTable]("index_table")
 
 // newIndexTable returns an empty table with `entries` total entries and
 // the given associativity, reusing the storage of a released table of

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"shift"
+	"shift/internal/race"
 )
 
 // memJournal is an in-memory Journal. reopen returns a journal over what
@@ -406,7 +407,7 @@ func TestJournalRecordsBounded(t *testing.T) {
 // finished cells plus one job's, and the live heap after 20,000 jobs
 // within 1 MB of the heap after 10,000.
 func TestRetainedJobsHeapBytesBounded(t *testing.T) {
-	if !syncPoolKeepsPuts() {
+	if race.Enabled {
 		t.Skip("race detector: heap readings are not the production ones")
 	}
 	const half = 10000
@@ -529,19 +530,4 @@ func TestEvictionRacesReaders(t *testing.T) {
 	if got, _, _ := target.EventsSince(0); !reflect.DeepEqual(got, live) {
 		t.Errorf("the evicted job's log\n%+v\ndiffers from the one its follower read\n%+v", got, live)
 	}
-}
-
-// syncPoolKeepsPuts reports whether a sync.Pool returns what was just put
-// in it, which the race detector makes it refuse at random: heap readings
-// taken under it are not the production ones.
-func syncPoolKeepsPuts() bool {
-	var p sync.Pool
-	dropped := 0
-	for i := 0; i < 64; i++ {
-		p.Put(new(int))
-		if p.Get() == nil {
-			dropped++
-		}
-	}
-	return dropped <= 2
 }

@@ -426,18 +426,18 @@ func walksStretches(cfg, lc Config) bool {
 		p.Kind == KindHistory && (p.regionSpan() != history.DefaultRegionSpan || p.AdaptiveGenerator)
 }
 
-// freeLogs recycles lead logs between batches, one free list per word
-// count (see freelist).
-var freeLogs freelist.Keyed[int, leadLog]
+// freeLogs recycles lead logs between batches, one free list per size
+// class of word count (see freelist).
+var freeLogs = freelist.New[int, leadLog]("lead_log")
 
-// newLeadLog returns a log of n words for a batch led by cfg whose blocks
-// step up to f records functionally: one handed back by an earlier batch
-// of that word count, or a new one. A new one has room for a probe, and,
-// when it carries region lists, a region record, every other functional
-// record — a whole stretch of misses and completed regions would
-// outgrow them, once, by append.
+// newLeadLog returns a log of at least n words for a batch led by cfg
+// whose blocks step up to f records functionally: one handed back by an
+// earlier batch of that size class, if it has n words, or a new one. A
+// new one has room for a probe, and, when it carries region lists, a
+// region record, every other functional record — a whole stretch of
+// misses and completed regions would outgrow them, once, by append.
 func newLeadLog(cfg Config, n, f int, regions bool) *leadLog {
-	lg := freeLogs.Get(n)
+	lg := freeLogs.GetFit(freelist.SizeClass(n), func(lg *leadLog) bool { return len(lg.words) >= n })
 	if lg == nil {
 		lg = &leadLog{words: make([]uint64, n), probes: make([]uint64, 0, f/2)}
 		if regions {
@@ -457,7 +457,7 @@ func (lg *leadLog) release() {
 		l1.Release()
 	}
 	*lg = leadLog{words: lg.words, marks: lg.marks[:0], traffic: lg.traffic[:0], probes: lg.probes[:0], data: lg.data[:0]}
-	freeLogs.Put(len(lg.words), lg)
+	freeLogs.Put(freelist.SizeClass(len(lg.words)), lg)
 }
 
 // regionLists is how many region lists a core's stretches take in the
@@ -514,6 +514,9 @@ func RunBatch(specs []RunSpec) ([]Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
+	// The free lists are not trimmed under a running batch.
+	freelist.Begin()
+	defer freelist.End()
 	b, err := newBatch(specs)
 	if err != nil {
 		return nil, err

@@ -398,8 +398,8 @@ func TestBatchOfOneBuildsNoLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Least of three: under the race detector sync.Pool drops Puts at
-	// random, and a dropped table is allocated again.
+	// Least of three: TotalAlloc is process-wide, so whatever else
+	// allocates meanwhile can only add to a reading.
 	least := func(f func()) uint64 {
 		f() // fill the free lists with this shape
 		best := ^uint64(0)

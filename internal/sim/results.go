@@ -112,18 +112,25 @@ func (m *measurement) add(d *measurement) {
 	}
 }
 
-func (s *System) snapshot() measurement {
+// snapshot reads the System's counters into m, on m's per-core slices
+// once it has them: a sampled run takes two snapshots an interval, and
+// allocating each anew made them a third of a sampled sweep's garbage.
+func (s *System) snapshot(m *measurement) {
 	n := s.cfg.Cores
-	m := newMeasurement(n)
+	if len(m.cycles) != n {
+		*m = newMeasurement(n)
+	}
 	for i := 0; i < n; i++ {
 		m.cycles[i] = s.clocks[i].Now()
 		m.instrs[i] = s.clocks[i].Instructions()
 		m.fetchStall[i] = s.clocks[i].FetchStallCycles()
 		m.records[i] = s.records[i]
 		m.fetch[i] = s.fetch[i]
+		m.pf[i] = prefetch.Stats{}
 		if sr, ok := s.pf[i].(prefetch.StatsReporter); ok {
 			m.pf[i] = sr.PrefetchStats()
 		}
+		m.bpPred[i], m.bpMiss[i] = 0, 0
 		if s.bp != nil {
 			m.bpPred[i] = s.bp[i].Predictions()
 			m.bpMiss[i] = s.bp[i].Mispredicts()
@@ -134,9 +141,8 @@ func (s *System) snapshot() measurement {
 		m.hops[c] = s.mesh.HopCount(noc.MsgClass(c))
 	}
 	if s.log != nil {
-		s.shareMark(&m)
+		s.shareMark(m)
 	}
-	return m
 }
 
 // CoreResult is one core's measurement-window summary.
@@ -203,9 +209,10 @@ func subPf(a, b prefetch.Stats) prefetch.Stats {
 }
 
 // sinceMark is the counter delta of the open interval, since its
-// beginInterval.
-func (s *System) sinceMark() measurement {
-	d := s.snapshot()
+// beginInterval, in s.intervalEnd: valid until the next sinceMark.
+func (s *System) sinceMark() *measurement {
+	d := &s.intervalEnd
+	s.snapshot(d)
 	d.sub(&s.intervalStart)
 	return d
 }

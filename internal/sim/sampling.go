@@ -332,7 +332,7 @@ func (s *System) applySegment(seg segment) {
 // counters, excluding everything before it (the warmup, in the paper's
 // SimFlex methodology); endInterval turns the delta into one per-interval
 // sample.
-func (s *System) beginInterval() { s.intervalStart = s.snapshot() }
+func (s *System) beginInterval() { s.snapshot(&s.intervalStart) }
 
 // endInterval closes the interval opened by beginInterval: the counter
 // delta joins the run's aggregate measurement, contributes one sample per
@@ -340,10 +340,9 @@ func (s *System) beginInterval() { s.intervalStart = s.snapshot() }
 func (s *System) endInterval() {
 	d := s.sinceMark()
 	if s.sampleAgg.cycles == nil {
-		s.sampleAgg = d
-	} else {
-		s.sampleAgg.add(&d)
+		s.sampleAgg = newMeasurement(len(d.cycles))
 	}
+	s.sampleAgg.add(d)
 	var instrs, misses int64
 	var tput float64
 	for i := range d.instrs {
@@ -360,7 +359,7 @@ func (s *System) endInterval() {
 	s.mpkiSamples = append(s.mpkiSamples, mpki)
 	s.tputSamples = append(s.tputSamples, tput)
 	if s.probe != nil {
-		s.probe(len(s.mpkiSamples)-1, s.resultFromDelta(&d))
+		s.probe(len(s.mpkiSamples)-1, s.resultFromDelta(d))
 	}
 }
 

@@ -125,7 +125,8 @@ type System struct {
 	// Schedule state (see Sampling.segments and batch.walk): functional
 	// selects the fast-forward stepping path in runRounds and llcMask its
 	// LLC-warming stride; intervalStart is the snapshot the open interval
-	// is measured from (see beginInterval);
+	// is measured from (see beginInterval), intervalEnd the one it is
+	// closed at and then its delta (see sinceMark);
 	// sampleAgg sums the closed intervals' deltas and the per-interval
 	// metric samples feed result; llcWarmCnt[core] counts functional L1
 	// misses for the strided LLC warming, on the member that decides the
@@ -133,6 +134,7 @@ type System struct {
 	functional    bool
 	llcMask       uint32
 	intervalStart measurement
+	intervalEnd   measurement
 	sampleAgg     measurement
 	mpkiSamples   []float64
 	tputSamples   []float64

@@ -3,6 +3,7 @@ package shift
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -86,8 +87,10 @@ var reachExceptions = []reachException{
 	{"cluster.Coordinator.Probe", "cmd/shiftd's cluster tests probe on demand instead of waiting for the prober"},
 	{"core.SharedHistory.History", "internal/sim's sampling tests compare history contents through it"},
 	{"core.SharedHistory.Rotations", "internal/sim's adaptive-generator tests count generator handovers"},
+	{"freelist.Trim", "the root package's tests empty the free lists through it (emptyFreeLists); the package's idle timer is its product caller"},
 	{"history.BitsPerRecord", "FIDELITY.md's sizing.record_bits row measures it (fidelity_test.go)"},
 	{"history.Buffer.WritePos", "internal/core's script golden and internal/sim's sampling tests read the write pointer"},
+	{"race.Enabled", "tests of three packages skip their allocation and heap gates under the race detector, and a _test.go file cannot be imported by another package's tests"},
 	{"sim.PrefetcherSpec.Name", "the root package's tests hold each design's figure label to its name"},
 	{"trace.Record.Validate", "internal/workload's tests hold generated records to the codec's validity rule"},
 }
@@ -208,8 +211,10 @@ func parseModule(root string) ([]*reachPkg, error) {
 				return filepath.SkipDir
 			}
 		}
+		// The files a plain go build compiles: build constraints hold.
 		parsed, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
+			ok, err := build.Default.MatchFile(dir, fi.Name())
+			return err == nil && ok && !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
 		if err != nil {
 			return err

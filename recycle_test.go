@@ -3,13 +3,14 @@ package shift
 import (
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"shift/internal/core"
+	"shift/internal/freelist"
 	"shift/internal/sim"
 	"shift/internal/trace"
 	"shift/internal/workload"
@@ -325,9 +326,6 @@ func TestSystemFootprint(t *testing.T) {
 // Members kept alive side by side allocate a hierarchy each — six LLCs
 // for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
-	if !syncPoolKeepsPuts() {
-		t.Skip("sync.Pool is dropping Puts (race detector): a dropped table is allocated again")
-	}
 	var cfgs []Config
 	for _, d := range g12Designs {
 		cfg := DefaultRunConfig("OLTP Oracle", d)
@@ -368,9 +366,6 @@ func TestOneBlockBatchFootprint(t *testing.T) {
 // 1 MB. A log allocated anew per batch is 1 MB of record words alone at
 // this shape, and every member's tables are more.
 func TestBatchSteadyStateBytes(t *testing.T) {
-	if !syncPoolKeepsPuts() {
-		t.Skip("sync.Pool is dropping Puts (race detector): steady-state bytes are not meaningful")
-	}
 	for _, sampling := range []Sampling{{}, {Period: 4, IntervalRecords: 500}} {
 		var cfgs []Config
 		for _, d := range g12Designs {
@@ -398,29 +393,12 @@ func TestBatchSteadyStateBytes(t *testing.T) {
 	}
 }
 
-// syncPoolKeepsPuts reports whether sync.Pool returns what was just put:
-// under the race detector it drops a quarter of all Puts on purpose.
-func syncPoolKeepsPuts() bool {
-	var p sync.Pool
-	dropped := 0
-	for i := 0; i < 64; i++ {
-		p.Put(new(int))
-		if p.Get() == nil {
-			dropped++
-		}
-	}
-	return dropped <= 2
-}
-
 // TestCellFixedBytesBounded keeps an O(capacity) make from creeping back
 // onto the per-cell path: in steady state a 1 + 1-record cell of any
 // G12 design allocates at most 1/8 of what the cheapest design
 // (Baseline) allocated before Systems were recycled — 4.3 MB at 4
 // cores, 4.8 MB at 16 (PIF_32K: 7.6 and 17.9 MB).
 func TestCellFixedBytesBounded(t *testing.T) {
-	if !syncPoolKeepsPuts() {
-		t.Skip("sync.Pool is dropping Puts (race detector): steady-state bytes are not meaningful")
-	}
 	for cores, parentBytes := range map[int]uint64{4: 4_300_000, 16: 4_800_000} {
 		for _, d := range g12Designs {
 			cfg := cellFixedConfig(d, cores)
@@ -440,5 +418,131 @@ func TestCellFixedBytesBounded(t *testing.T) {
 				t.Errorf("%s, %d cores: a steady-state 1 + 1-record cell allocates %d B, limit %d B", d, cores, per, limit)
 			}
 		}
+	}
+}
+
+// sampledGrid is the benchmark's sampled sweep at a shorter window: two
+// workloads, each a batch of the six G12 designs on 16 cores, sampled.
+func sampledGrid() []Cell {
+	var cells []Cell
+	for _, w := range []string{"OLTP Oracle", "Web Search"} {
+		for _, d := range g12Designs {
+			cfg := DefaultRunConfig(w, d)
+			cfg.Cores, cfg.WarmupRecords, cfg.MeasureRecords = 16, 2000, 10000
+			cfg.Sampling = Sampling{Period: 5, IntervalRecords: 500, WarmupFraction: 0.3}
+			cells = append(cells, cell(cfg))
+		}
+	}
+	return cells
+}
+
+// batchTables is what one batch of sampledGrid takes from each kind's
+// free lists: 16 LLC banks, L1-Is and prefetch buffers per design, a
+// predictor per core, the history buffers and index tables of the five
+// prefetching designs (PIF_2K and PIF_32K one a core, ZeroLat-SHIFT's
+// shared one, SHIFT's history, whose index is its LLC's pointers) and
+// the lead log.
+var batchTables = map[string]int64{
+	"llc_bank": 96, "l1i": 96, "prefetch_buffer": 96,
+	"history_buffer": 34, "index_table": 33, "predictor": 16, "lead_log": 1,
+}
+
+// tableCounts returns the free lists' counts by kind.
+func tableCounts() map[string]freelist.Count {
+	m := make(map[string]freelist.Count)
+	for _, c := range freelist.Counts() {
+		m[c.Kind] = c
+	}
+	return m
+}
+
+// TestRecycledRepetitionBytes: recycling is the program's decision, not
+// the collector's. A sampled grid of the benchmark's shape, run five
+// times on a new engine each time (as the benchmark does), builds its
+// tables in the first repetition only — one batch's worth per engine
+// slot — and takes every table of every later one off the free lists,
+// whatever the collector did in between. On the benchmark's one-slot
+// engine, at GOMAXPROCS 1 and 2, the bytes a repetition allocates repeat
+// within 0.5 % from the second repetition on. (On two slots the two
+// batches' lead logs trade workloads as the batches happen to finish,
+// and a log's lists grow by append the first time it serves the
+// workload that fills them more, so only the counts are compared.) With
+// sync.Pool lists a repetition rebuilt all of a batch's tables (≈ 14 MB)
+// whenever two collections fell between it and the one before.
+func TestRecycledRepetitionBytes(t *testing.T) {
+	// Held as a running batch, so that the idle trim cannot empty the
+	// lists between repetitions on a slow host.
+	freelist.Begin()
+	defer freelist.End()
+	cells := sampledGrid()
+	for _, run := range []struct{ procs, slots int }{{1, 1}, {2, 1}, {2, 2}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.procs))
+			emptyFreeLists()
+			var steady uint64
+			for rep := 0; rep < 5; rep++ {
+				before := tableCounts()
+				bytes := allocatedBy(func() {
+					if _, err := NewEngine(run.slots, nil).RunAll(cells); err != nil {
+						t.Fatal(err)
+					}
+				})
+				after := tableCounts()
+				for kind, n := range batchTables {
+					fresh, reused := after[kind].Fresh-before[kind].Fresh, after[kind].Reused-before[kind].Reused
+					want := int64(0)
+					if rep == 0 {
+						want = int64(run.slots) * n
+					}
+					if fresh != want || fresh+reused != 2*n {
+						t.Errorf("%+v, repetition %d: %s %d fresh and %d reused, want %d fresh of %d", run, rep, kind, fresh, reused, want, 2*n)
+					}
+				}
+				t.Logf("%+v, repetition %d: %d B allocated", run, rep, bytes)
+				switch {
+				case run.slots > 1:
+				case rep == 1:
+					steady = bytes
+				case rep > 1 && math.Abs(float64(bytes)-float64(steady)) > 0.005*float64(steady):
+					t.Errorf("%+v, repetition %d: %d B allocated, repetition 1 %d B: more than 0.5 %% apart", run, rep, bytes, steady)
+				}
+			}
+		}()
+	}
+}
+
+// TestTrimmedHeapBytes: the free lists keep a finished batch's tables
+// — the whole point — and Trim gives them back. A 16-core batch of the
+// six designs leaves ≈ 9 MB on the lists; after Trim the live heap is
+// within 256 KB of where it stood before the batch.
+func TestTrimmedHeapBytes(t *testing.T) {
+	cells := sampledGrid()[:len(g12Designs)]
+	run := func() {
+		if _, err := NewEngine(1, nil).RunAll(cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// Held as a running batch, so that only Trim empties the lists.
+	freelist.Begin()
+	defer freelist.End()
+	run() // the workload's graph, which outlives the batch
+	emptyFreeLists()
+	before := heap()
+	run()
+	kept := heap()
+	emptyFreeLists()
+	after := heap()
+	t.Logf("live heap %d B before the batch, %d B with its tables on the lists, %d B after Trim", before, kept, after)
+	if kept-before < 8<<20 {
+		t.Errorf("the lists keep %d B of a finished 16-core batch, want its tables (over 8 MB)", kept-before)
+	}
+	if after-before > 256<<10 {
+		t.Errorf("after Trim the live heap is %d B over its size before the batch, limit 256 KB", after-before)
 	}
 }

@@ -102,6 +102,7 @@ import (
 	"shift/internal/cpu"
 	"shift/internal/noc"
 	"shift/internal/sim"
+	"shift/internal/spec"
 	"shift/internal/validate"
 	"shift/internal/workload"
 )
@@ -381,7 +382,11 @@ func (c Config) Validate() error {
 // rest). The Workload field resolves either to a Table I catalog workload
 // or — for "spec:" IDs — to a registered compiled spec, whose
 // single/mix/source form maps onto the run spec's Workload/Groups/Source.
-func (c Config) spec() (sim.RunSpec, error) {
+func (c Config) spec() (sim.RunSpec, error) { return c.specOf(nil) }
+
+// specOf is spec with the workload resolved to comp, registered or not,
+// when comp is not nil.
+func (c Config) specOf(comp *spec.Compiled) (sim.RunSpec, error) {
 	if c.Design < 0 || int(c.Design) >= len(designs) {
 		return sim.RunSpec{}, fmt.Errorf("shift: unknown design %d", c.Design)
 	}
@@ -406,7 +411,13 @@ func (c Config) spec() (sim.RunSpec, error) {
 		// fields whatever the period.
 		Sampling: c.Sampling.internal(),
 	}
-	if err := resolveWorkloadInto(c.Workload, &rs); err != nil {
+	var err error
+	if comp != nil {
+		err = specWorkload(comp, &rs)
+	} else {
+		err = resolveWorkloadInto(c.Workload, &rs)
+	}
+	if err != nil {
 		return sim.RunSpec{}, err
 	}
 	return rs, nil

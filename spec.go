@@ -62,10 +62,34 @@ func LoadSpecFile(path string) (string, error) {
 // LoadSpec but refuses trace-replay specs. It exists for untrusted wire
 // input (shiftd's inline "spec" cells), where honoring a spec's trace
 // paths would let a remote client read server-local files.
-func LoadSpecRestricted(data []byte) (string, error) {
-	return register(spec.Load(data, func(string) (io.ReadCloser, error) {
-		return nil, errors.New("trace replay is not available here (submit trace specs via shiftsim -spec)")
-	}))
+func LoadSpecRestricted(data []byte) (string, error) { return register(spec.Load(data, noTraces)) }
+
+// noTraces is the wire's Opener: it opens no trace recording.
+func noTraces(string) (io.ReadCloser, error) {
+	return nil, errors.New("trace replay is not available here (submit trace specs via shiftsim -spec)")
+}
+
+// LoadSpecCell compiles a wire spec document as cfg's workload, refusing
+// trace-replay specs as LoadSpecRestricted does, and checks cfg against
+// it by Config.Validate's rules. The spec is registered only when both
+// pass, so a refused cell leaves the process's spec registry as it found
+// it. It returns cfg with Workload set to the spec's ID. A document that
+// does not compile is a "spec" FieldError.
+func LoadSpecCell(data []byte, cfg Config) (Config, error) {
+	comp, err := spec.Load(data, noTraces)
+	if err != nil {
+		return Config{}, validate.Fieldf("spec", "%v", err)
+	}
+	cfg.Workload = comp.ID()
+	rs, err := cfg.specOf(comp)
+	if err == nil {
+		err = rs.Validate()
+	}
+	if err != nil {
+		return Config{}, err
+	}
+	spec.Register(comp)
+	return cfg, nil
 }
 
 // register publishes a compiled spec and returns its ID.
@@ -87,28 +111,6 @@ func SpecCanonical(id string) ([]byte, error) {
 		return nil, fmt.Errorf("unknown spec %q", id)
 	}
 	return c.Canonical(), nil
-}
-
-// KnownWorkload reports whether name resolves to a runnable workload in
-// this process: a Table I catalog name, or the ID of a spec previously
-// registered with LoadSpec/LoadSpecFile.
-func KnownWorkload(name string) bool {
-	if spec.IsID(name) {
-		_, ok := spec.Lookup(name)
-		return ok
-	}
-	_, err := workload.ByName(name)
-	return err == nil
-}
-
-// WorkloadCores returns the core count a workload pins a configuration
-// to — the client-core total of a mix spec — or 0 when the workload
-// runs at any CMP size.
-func WorkloadCores(name string) int {
-	if c, ok := spec.Lookup(name); ok {
-		return c.PinnedCores()
-	}
-	return 0
 }
 
 // WorkloadDisplayName returns the label results and figure rows render

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"shift/internal/sim"
+	"shift/internal/spec"
 	"shift/internal/trace"
 	"shift/internal/workload"
 )
@@ -323,8 +324,8 @@ func TestLoadSpecRestricted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restricted loader rejected a generated spec: %v", err)
 	}
-	if !KnownWorkload(id) {
-		t.Errorf("compiled spec %s not known", id)
+	if _, err := SpecCanonical(id); err != nil {
+		t.Errorf("compiled spec %s not registered: %v", id, err)
 	}
 }
 
@@ -337,8 +338,8 @@ func TestSpecMixPinsCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := WorkloadCores(id); got != 4 {
-		t.Fatalf("WorkloadCores = %d, want 4", got)
+	if c, _ := spec.Lookup(id); c.PinnedCores() != 4 {
+		t.Fatalf("the mix pins %d cores, want 4", c.PinnedCores())
 	}
 
 	cfg := equivConfig(id, DesignBaseline) // 4 cores: matches
