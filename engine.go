@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shift/internal/freelist"
 	"shift/internal/sim"
 	"shift/internal/store"
 )
@@ -426,6 +427,7 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 	var owned []int
 	var ownedCalls []*store.Call[RunResult]
 	var waits []waiter
+	hits := 0
 	for i := range ks {
 		k := ks[i].key
 		if _, ok := first[k]; ok {
@@ -434,6 +436,7 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 		first[k] = i
 		if r, ok := e.lookup(k); ok {
 			out[i] = r
+			hits++
 			continue
 		}
 		// A cell the simulator would refuse is refused here, before it
@@ -451,6 +454,14 @@ func (e *Engine) runCells(ks []KeyedConfig, cells []Cell) ([]RunResult, []error)
 			waits = append(waits, waiter{i, c})
 			e.deduped.Add(1)
 		}
+	}
+
+	// A call answered wholly from the store simulates nothing: tables
+	// kept on the free lists for the next simulation are held for
+	// nothing while the demand is replays, so they go back to the
+	// collector, and the next cold cell builds anew, as a first one does.
+	if hits > 0 && len(owned) == 0 && len(waits) == 0 {
+		freelist.TrimUnlessRunning()
 	}
 
 	// Partition the owned cells into stream-sharing batches and

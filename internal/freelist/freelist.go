@@ -21,13 +21,18 @@
 //     any size up to their own (history buffers, lead logs: GetFit) keys
 //     its lists by size class, so a client sweeping windows does not
 //     spread it over geometries either.
-//   - A list no simulation has used among the last batches begun (four
-//     times as many as have ever run at once; see Begin) is dropped when
-//     a batch ends: what is kept is what the batches running now, and
-//     the ones just before them, use.
-//   - Trim empties every list. The package calls it once no batch has
-//     run and no list has been touched for a whole idle period, so an
-//     idle or store-hit-only service gives the memory back.
+//   - A list none of the last keepBatches batches begun has used is
+//     dropped when a batch ends: what is kept is what the batches running
+//     now, and the ones just before them, use. A service's jobs whose
+//     windows grew into the next size class leave the smaller class
+//     behind; this drops it.
+//   - Trim empties every list. TrimUnlessRunning does so unless a batch
+//     runs: the engine calls it when it answers a request wholly from
+//     its store, since a process whose demand stored results meet holds
+//     tables for nothing. The package calls it too, once no batch has
+//     run and no list has been touched for a whole idle period of
+//     seconds, so a process that has stopped simulating altogether
+//     gives the memory back.
 package freelist
 
 import (
@@ -42,17 +47,18 @@ import (
 // again and again; a service client may submit arbitrarily many.
 const maxGeometries = 8
 
-// keepRounds is how many rounds of batches (as many as have run at once)
-// a list may go unused before it is dropped: a sweep uses its
-// geometries every round, a service whose clients moved on does not.
-const keepRounds = 4
+// keepBatches is how many batches may begin without using a list before
+// it is dropped. A sweep uses its lists every round of batches — the
+// benchmark's grids run two a round — and a service whose clients moved
+// on to other windows does not.
+const keepBatches = 8
 
 // idle is how long no batch may run and no list be touched before the
-// lists are trimmed: long against the gap between two batches of a sweep
-// (tens of milliseconds) or of a busy service, short against the time a
-// service that has stopped simulating — serving stored results, say —
-// would hold a batch's tables, which the collector's heap goal doubles.
-const idle = 150 * time.Millisecond
+// lists are trimmed: long against any gap between the batches of a
+// process that is simulating (tens of milliseconds in a sweep, the
+// round trip of a job in a service), short against the time an idle
+// process would otherwise hold a batch's tables.
+const idle = 5 * time.Second
 
 // Keyed is one table kind's free lists of *V, one per geometry key. Make
 // it with New; it is safe for concurrent callers.
@@ -68,7 +74,7 @@ type Keyed[K comparable, V any] struct {
 }
 
 // list is one geometry's stack of tables, the number of its last use and
-// the number of the last batch begun before it (see Begin).
+// how many batches had begun at it (see Begin).
 type list[V any] struct {
 	held      []*V
 	lastUse   uint64
@@ -181,7 +187,8 @@ func (f *Keyed[K, V]) dropLeastRecent() {
 	delete(f.lists, oldest)
 }
 
-// dropBefore drops the lists last used before batch began.
+// dropBefore drops the lists last used before batch (counted from 1)
+// began.
 func (f *Keyed[K, V]) dropBefore(batch uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -243,22 +250,22 @@ func Trim() {
 	}
 }
 
-// Begin marks a batch of simulations — a user of the lists — as
-// running, and End as finished. The lists are not trimmed while one
-// runs, however long it goes without taking or handing back a table, and
-// the batches begun number the lists' uses: when a batch ends, every
-// list no batch used among the last keepRounds·R begun is dropped, R the
-// most batches that have run at once.
-func Begin() {
-	i := &idleness
-	i.begun.Add(1)
-	n := i.running.Add(1)
-	for {
-		most := i.most.Load()
-		if n <= most || i.most.CompareAndSwap(most, n) {
-			return
-		}
+// TrimUnlessRunning is Trim unless a batch Begin marked is running, whose
+// members would hand back to and take from the lists.
+func TrimUnlessRunning() {
+	if idleness.running.Load() == 0 {
+		Trim()
 	}
+}
+
+// Begin marks a batch of simulations — a user of the lists — as
+// running, and End as finished. While one runs, only Trim empties the
+// lists, however long it goes without taking or handing back a table;
+// when one ends, every list none of the last keepBatches batches begun
+// has used is dropped.
+func Begin() {
+	idleness.begun.Add(1)
+	idleness.running.Add(1)
 }
 
 // End marks a batch Begin marked as finished.
@@ -266,12 +273,11 @@ func End() {
 	i := &idleness
 	i.running.Add(-1)
 	i.touches.Add(1)
-	begun, keep := i.begun.Load(), uint64(keepRounds*i.most.Load())
-	if begun > keep {
+	if begun := i.begun.Load(); begun >= keepBatches {
 		families.Lock()
 		defer families.Unlock()
 		for _, f := range families.all {
-			f.dropBefore(begun - keep)
+			f.dropBefore(begun - keepBatches + 1)
 		}
 	}
 }
@@ -287,7 +293,6 @@ type idler struct {
 	touches atomic.Uint64
 	running atomic.Int64
 	begun   atomic.Uint64 // batches begun
-	most    atomic.Int64  // the most batches ever running at once
 	armed   atomic.Bool
 	mu      sync.Mutex
 	seen    uint64 // touches at the last tick; mu guards it

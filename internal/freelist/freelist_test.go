@@ -117,9 +117,8 @@ func TestGetFit(t *testing.T) {
 	}
 }
 
-// TestUnusedListsDropped: a list no batch has used among the last
-// keepRounds rounds is dropped when a batch ends; the list every batch
-// uses stays.
+// TestUnusedListsDropped: a list none of the last keepBatches batches has
+// used is dropped when a batch ends; the list every batch uses stays.
 func TestUnusedListsDropped(t *testing.T) {
 	f := New[int, table]("unused")
 	batch := func(key int) {
@@ -128,21 +127,22 @@ func TestUnusedListsDropped(t *testing.T) {
 		End()
 	}
 	batch(1)
-	for b := 1; b <= keepRounds*int(idleness.most.Load())+1; b++ {
+	for b := 1; b <= keepBatches; b++ {
 		if _, ok := f.lists[1]; !ok {
 			t.Fatalf("geometry 1 dropped %d batches after its last use", b-1)
 		}
 		batch(2)
 	}
 	if _, ok := f.lists[1]; ok {
-		t.Error("geometry 1 is still held after rounds of batches that did not use it")
+		t.Error("geometry 1 is still held after batches that did not use it")
 	}
 	if _, ok := f.lists[2]; !ok {
 		t.Error("the geometry every batch uses was dropped")
 	}
 }
 
-// TestTrim: Trim empties every kind's lists.
+// TestTrim: Trim empties every kind's lists, and TrimUnlessRunning does
+// so only while no batch runs.
 func TestTrim(t *testing.T) {
 	f := New[int, table]("trim")
 	g := New[string, table]("trim other")
@@ -151,6 +151,19 @@ func TestTrim(t *testing.T) {
 	Trim()
 	if f.Get(1) != nil || g.Get("a") != nil {
 		t.Error("a table survived Trim")
+	}
+	f.Put(1, f.take(1))
+	Begin()
+	TrimUnlessRunning()
+	if v := f.Get(1); v == nil {
+		t.Error("TrimUnlessRunning trimmed under a running batch")
+	} else {
+		f.Put(1, v)
+	}
+	End()
+	TrimUnlessRunning()
+	if f.Get(1) != nil {
+		t.Error("a table survived TrimUnlessRunning with no batch running")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"shift/internal/cache"
 	"shift/internal/core"
+	"shift/internal/freelist"
 	"shift/internal/history"
 	"shift/internal/noc"
 	"shift/internal/trace"
@@ -436,6 +437,7 @@ func TestSampledLeadLogFootprint(t *testing.T) {
 		specs = append(specs, RunSpec{Config: cfg, Workload: p, WarmupRecords: 20000, MeasureRecords: 40000,
 			Sampling: Sampling{Period: 40, IntervalRecords: 500, WarmupFraction: 0.3}})
 	}
+	freelist.Trim() // the log is then built for this batch, not taken at a larger size
 	b, err := newBatch(specs)
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ var reachExceptions = []reachException{
 	{"cluster.Coordinator.Probe", "cmd/shiftd's cluster tests probe on demand instead of waiting for the prober"},
 	{"core.SharedHistory.History", "internal/sim's sampling tests compare history contents through it"},
 	{"core.SharedHistory.Rotations", "internal/sim's adaptive-generator tests count generator handovers"},
-	{"freelist.Trim", "the root package's tests empty the free lists through it (emptyFreeLists); the package's idle timer is its product caller"},
+	{"freelist.Trim", "the root package's tests empty the free lists through it (emptyFreeLists); its product callers are in its own package: the idle timer and TrimUnlessRunning"},
 	{"history.BitsPerRecord", "FIDELITY.md's sizing.record_bits row measures it (fidelity_test.go)"},
 	{"history.Buffer.WritePos", "internal/core's script golden and internal/sim's sampling tests read the write pointer"},
 	{"race.Enabled", "tests of three packages skip their allocation and heap gates under the race detector, and a _test.go file cannot be imported by another package's tests"},

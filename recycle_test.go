@@ -326,6 +326,7 @@ func TestSystemFootprint(t *testing.T) {
 // Members kept alive side by side allocate a hierarchy each — six LLCs
 // for one, twice this limit.
 func TestOneBlockBatchFootprint(t *testing.T) {
+	holdFreeLists(t)
 	var cfgs []Config
 	for _, d := range g12Designs {
 		cfg := DefaultRunConfig("OLTP Oracle", d)
@@ -366,6 +367,7 @@ func TestOneBlockBatchFootprint(t *testing.T) {
 // 1 MB. A log allocated anew per batch is 1 MB of record words alone at
 // this shape, and every member's tables are more.
 func TestBatchSteadyStateBytes(t *testing.T) {
+	holdFreeLists(t)
 	for _, sampling := range []Sampling{{}, {Period: 4, IntervalRecords: 500}} {
 		var cfgs []Config
 		for _, d := range g12Designs {
@@ -399,6 +401,7 @@ func TestBatchSteadyStateBytes(t *testing.T) {
 // (Baseline) allocated before Systems were recycled — 4.3 MB at 4
 // cores, 4.8 MB at 16 (PIF_32K: 7.6 and 17.9 MB).
 func TestCellFixedBytesBounded(t *testing.T) {
+	holdFreeLists(t)
 	for cores, parentBytes := range map[int]uint64{4: 4_300_000, 16: 4_800_000} {
 		for _, d := range g12Designs {
 			cfg := cellFixedConfig(d, cores)
@@ -470,10 +473,7 @@ func tableCounts() map[string]freelist.Count {
 // sync.Pool lists a repetition rebuilt all of a batch's tables (≈ 14 MB)
 // whenever two collections fell between it and the one before.
 func TestRecycledRepetitionBytes(t *testing.T) {
-	// Held as a running batch, so that the idle trim cannot empty the
-	// lists between repetitions on a slow host.
-	freelist.Begin()
-	defer freelist.End()
+	holdFreeLists(t)
 	cells := sampledGrid()
 	for _, run := range []struct{ procs, slots int }{{1, 1}, {2, 1}, {2, 2}} {
 		func() {
@@ -528,9 +528,7 @@ func TestTrimmedHeapBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	// Held as a running batch, so that only Trim empties the lists.
-	freelist.Begin()
-	defer freelist.End()
+	holdFreeLists(t)
 	run() // the workload's graph, which outlives the batch
 	emptyFreeLists()
 	before := heap()
@@ -544,5 +542,37 @@ func TestTrimmedHeapBytes(t *testing.T) {
 	}
 	if after-before > 256<<10 {
 		t.Errorf("after Trim the live heap is %d B over its size before the batch, limit 256 KB", after-before)
+	}
+}
+
+// TestStoreAnsweredCallTrims: a call the engine answers wholly from its
+// store gives the free lists' tables back — a service replaying stored
+// results holds no batch's tables — and a call that simulates keeps
+// them for the next.
+func TestStoreAnsweredCallTrims(t *testing.T) {
+	cfg := cellFixedConfig(DesignBaseline, 4)
+	e := NewEngine(1, NewResultCache())
+	runAll := func() {
+		if _, err := e.RunAll([]Cell{cell(cfg)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// built is how many LLC banks a cell run outside the engine builds.
+	built := func() int64 {
+		before := tableCounts()["llc_bank"].Fresh
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return tableCounts()["llc_bank"].Fresh - before
+	}
+	emptyFreeLists()
+	all := built()
+	runAll() // simulated and stored
+	if n := built(); n != 0 {
+		t.Errorf("after a call that simulated, a cell built %d LLC banks, want every one reused", n)
+	}
+	runAll() // answered from the store
+	if n := built(); n != all || all == 0 {
+		t.Errorf("after a call answered from the store, a cell built %d LLC banks, want all %d anew", n, all)
 	}
 }
