@@ -201,9 +201,9 @@ func TestIdleTicks(t *testing.T) {
 	}
 }
 
-// TestConcurrentOwners: goroutines taking, using and handing back tables
-// of a few geometries while another trims never find a table that
-// another goroutine owns.
+// TestConcurrentOwners: goroutines running batches that take, use and
+// hand back tables of a few geometries, while another trims, never find a
+// table that another goroutine owns.
 func TestConcurrentOwners(t *testing.T) {
 	f := New[int, table]("concurrent")
 	const workers, rounds = 4, 2000
@@ -218,6 +218,7 @@ func TestConcurrentOwners(t *testing.T) {
 				return
 			default:
 				Trim()
+				TrimUnlessRunning()
 			}
 		}
 	}()
@@ -226,19 +227,24 @@ func TestConcurrentOwners(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				key := i % 3
+			// batch takes, uses and hands back one table of key's geometry.
+			batch := func(key int) bool {
+				Begin()
+				defer End()
 				v := f.take(key, (key+1)%3)
 				if !v.owner.CompareAndSwap(0, w) {
 					t.Errorf("worker %d took a table worker %d owns", w, v.owner.Load())
-					return
+					return false
 				}
 				v.id++ // the owner's write, which -race checks
 				if !v.owner.CompareAndSwap(w, 0) {
 					t.Errorf("worker %d's table was taken while it owned it", w)
-					return
+					return false
 				}
 				f.Put(key, v)
+				return true
+			}
+			for i := 0; i < rounds && batch(i%3); i++ {
 			}
 		}()
 	}
