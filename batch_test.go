@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"shift/internal/sim"
 )
 
 // TestStreamKey pins the stream partition: designs, seeds, modes, and
@@ -234,5 +236,66 @@ func TestEngineBatchErrorDeterminism(t *testing.T) {
 		if !strings.Contains(errs[0], want) {
 			t.Errorf("%s: error does not reference the lowest failing cell (%s): %s", name, want, errs[0])
 		}
+	}
+}
+
+// TestBatchesAreOneSystem guards sim.RunBatch's one-system rule from the
+// engine's side: every Config the engine can receive — each design and
+// core type, exact and sampled, under each per-cell option, over a catalog
+// workload and a mix spec — becomes a sim.Config equal to
+// sim.DefaultConfig() outside the fields a batch may vary and the core
+// count, which the stream fixes. Configs of one Stream therefore always
+// form a batch sim.RunBatch takes. A batch whose second member runs
+// another branch predictor is refused, and the error names the field.
+func TestBatchesAreOneSystem(t *testing.T) {
+	mixID, err := LoadSpec([]byte(`{"name": "one-system-mix", "mix": [
+		{"name": "oltp", "cores": 2, "workload": {"base": "OLTP DB2"}},
+		{"name": "search", "cores": 2, "workload": {"base": "Web Search", "scale": 0.5}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := sim.DefaultConfig()
+	options := map[string]func(*Config){
+		"prediction-only": func(c *Config) { c.PredictionOnly = true },
+		"commonality":     func(c *Config) { c.CommonalityMode = true },
+		"elim":            func(c *Config) { c.ElimProb = 0.5 },
+		"hist-4096":       func(c *Config) { c.HistEntries = 4096 },
+	}
+	checked := 0
+	for _, wl := range []string{"Web Search", mixID} {
+		for d := range designs {
+			for _, ct := range AllCoreTypes() {
+				for _, p := range []Sampling{{}, {Period: 4}} {
+					for name, opt := range options {
+						cfg := DefaultRunConfig(wl, Design(d))
+						cfg.CoreType, cfg.Cores, cfg.Sampling = ct, 4, p
+						opt(&cfg)
+						rs, err := cfg.spec()
+						if err != nil {
+							t.Fatalf("%s %v %v %+v %s: %v", wl, Design(d), ct, p, name, err)
+						}
+						sc := rs.Config
+						sc.CoreType, sc.Mode, sc.ElimProb, sc.Seed, sc.Prefetcher, sc.Cores = def.CoreType, def.Mode, def.ElimProb, def.Seed, def.Prefetcher, def.Cores
+						if !reflect.DeepEqual(sc, def) {
+							t.Errorf("%s %v %v %+v %s: system %+v, want the default %+v", wl, Design(d), ct, p, name, sc, def)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if want := 2 * len(designs) * len(AllCoreTypes()) * 2 * len(options); checked != want {
+		t.Fatalf("checked %d configs, want %d", checked, want)
+	}
+
+	lead, err := DefaultRunConfig("Web Search", DesignSHIFT).spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := lead
+	other.Config.BranchPredictorEntries = 4096
+	if _, err := sim.RunBatch([]sim.RunSpec{lead, other}); err == nil || !strings.Contains(err.Error(), "BranchPredictorEntries") {
+		t.Errorf("a batch of two predictors: error %v, want one naming BranchPredictorEntries", err)
 	}
 }

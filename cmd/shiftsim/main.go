@@ -17,8 +17,7 @@
 //	shiftsim -experiment fig8 -cpuprofile cpu.out -memprofile mem.out
 //	shiftsim -timeline -workloads "Web Search" -cores 4   # per-interval NDJSON
 //
-// Experiments: tableI, fig1, fig2, fig3, fig6, fig7, fig8, fig9, fig10,
-// pd, power, storage, sensitivity, generator, all.
+// `shiftsim -help` lists the experiments (shift.Experiments, and all).
 //
 // The -cpuprofile and -memprofile flags write pprof profiles covering the
 // experiment runs (inspect with `go tool pprof`); see the README's
@@ -44,7 +43,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "fig8", "experiment to run (tableI, fig1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, pd, power, storage, sensitivity, generator, all)")
+		experiment = flag.String("experiment", "fig8", "experiment to run ("+strings.Join(append(shift.Experiments(), "all"), ", ")+")")
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all seven)")
 		specFiles  = flag.String("spec", "", "comma-separated workload spec files (JSON); each compiled spec is appended to the workload set")
 		cores      = flag.Int("cores", shift.DefaultOptions().Cores, "number of cores (1-16)")

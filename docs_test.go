@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -352,5 +353,26 @@ func TestWorkflowRunPatternsMatchTests(t *testing.T) {
 	// by name raises the count with it.
 	if checked != 12 {
 		t.Errorf("checked %d -run alternatives, want the workflow's 12 (five footprint gates and TestFidelity, six docs gates) — has its format changed?", checked)
+	}
+}
+
+// TestReadmeListsExperiments holds README's list of experiments to the
+// registry: every name of Experiments, in order, and all.
+func TestReadmeListsExperiments(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(readme), "\nExperiments: ")
+	if !ok {
+		t.Fatal("README has no Experiments: line")
+	}
+	list, _, _ = strings.Cut(list, ".\n")
+	var names []string
+	for _, f := range strings.Split(list, ",") {
+		names = append(names, strings.Trim(strings.TrimSpace(f), "`"))
+	}
+	if want := append(Experiments(), "all"); !slices.Equal(names, want) {
+		t.Errorf("README lists experiments %v, want %v", names, want)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"shift/internal/trace"
 )
 
-// MaxPrefetchBufferEntries is the largest prefetch buffer: its links are
+// maxPrefetchBufferEntries is the largest prefetch buffer: its links are
 // int16.
-const MaxPrefetchBufferEntries = math.MaxInt16
+const maxPrefetchBufferEntries = math.MaxInt16
 
 // PrefetchBuffer is a core's fully-associative prefetch buffer:
 // prefetched blocks wait in it and leave on their first demand use. A
@@ -55,8 +55,8 @@ var freePrefetchBuffers = freelist.New[int, PrefetchBuffer]("prefetch_buffer")
 // NewPrefetchBuffer builds an empty buffer of entries lines, on the tables
 // of a released buffer of the same size when one is held.
 func NewPrefetchBuffer(entries int) (*PrefetchBuffer, error) {
-	if entries <= 0 || entries > MaxPrefetchBufferEntries {
-		return nil, fmt.Errorf("cache: prefetch buffer of %d entries (want 1 to %d)", entries, MaxPrefetchBufferEntries)
+	if entries <= 0 || entries > maxPrefetchBufferEntries {
+		return nil, fmt.Errorf("cache: prefetch buffer of %d entries (want 1 to %d)", entries, maxPrefetchBufferEntries)
 	}
 	p := freePrefetchBuffers.Get(entries)
 	if p == nil {

@@ -141,7 +141,7 @@ func TestPrefetchBufferRecycled(t *testing.T) {
 }
 
 func TestNewPrefetchBufferRejectsBadSize(t *testing.T) {
-	for _, n := range []int{0, -1, MaxPrefetchBufferEntries + 1} {
+	for _, n := range []int{0, -1, maxPrefetchBufferEntries + 1} {
 		if _, err := NewPrefetchBuffer(n); err == nil {
 			t.Errorf("a buffer of %d entries was accepted", n)
 		}

@@ -32,7 +32,8 @@ type BatchRequest struct {
 	Cells []shift.Config `json:"cells"`
 	// Specs maps each spec workload ID the cells name to its canonical
 	// document (shift.SpecCanonical): only the coordinator's process has
-	// compiled it, so the worker registers it from here.
+	// compiled it, so the worker registers it from here, for a cell that
+	// passes validation.
 	Specs map[string]json.RawMessage `json:"specs,omitempty"`
 }
 
@@ -85,7 +86,8 @@ func NewWorker(engine *shift.Engine) *Worker {
 }
 
 // HandleBatch serves POST /v1/batch: decode the batch, check each cell
-// with shift.Config.Validate, execute the cells that pass on the local
+// with shift.Config.Validate (shift.LoadSpecCell for a cell whose spec
+// the batch carries), execute the cells that pass on the local
 // engine, answer per-cell. A refused cell is answered with the error a
 // local Run of it reports and is never simulated, so a peer cannot make
 // the worker run — or allocate tables for — a cell shiftd's wire would
@@ -104,7 +106,15 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 	for i, cfg := range req.Cells {
 		k := shift.KeyConfig(cfg)
 		resp.Results[i].Key = k.Key()
-		if err := cfg.Validate(); err != nil {
+		var err error
+		if doc, ok := req.Specs[cfg.Workload]; ok {
+			// The batch carries the cell's spec: it is registered only
+			// for a cell that passes, as shiftd's inline spec cells are.
+			_, err = shift.LoadSpecCell(doc, cfg)
+		} else {
+			err = cfg.Validate()
+		}
+		if err != nil {
 			resp.Results[i].Error = err.Error()
 			continue
 		}
@@ -136,11 +146,12 @@ const maxBatchBody = 16 << 20
 
 // decodeBatch is HandleBatch's side of the trust boundary: it reads at
 // most maxBatchBody bytes of r's body (and the one that proves a longer
-// body too long), decodes a non-empty batch and registers its spec
-// documents as shiftd does an inline spec cell's (no trace replay). A
-// body that does not decode, holds no cell, or has a document that does
-// not compile to its ID is answered here — 400 with an error line — and
-// ok is false.
+// body too long), decodes a non-empty batch and compiles its spec
+// documents as shiftd does an inline spec cell's (no trace replay),
+// registering none: HandleBatch registers a document for a cell that
+// passes. A body that does not decode, holds no cell, or has a document
+// that does not compile to its ID is answered here — 400 with an error
+// line — and ok is false.
 func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBatchBody)).Decode(&req); err != nil {
 		http.Error(rw, fmt.Sprintf("decoding batch: %v", err), http.StatusBadRequest)
@@ -151,7 +162,7 @@ func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok 
 		return req, false
 	}
 	for id, doc := range req.Specs {
-		got, err := shift.LoadSpecRestricted(doc)
+		got, err := shift.WireSpecID(doc)
 		if err == nil && got != id {
 			err = fmt.Errorf("the document compiles to %q", got)
 		}

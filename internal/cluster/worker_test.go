@@ -270,6 +270,43 @@ func TestWorkerRegistersBatchSpecs(t *testing.T) {
 	}
 }
 
+// TestWorkerRegistersOnlyAcceptedSpecs: a batch's spec document is
+// registered for a cell that passes validation and for no other. A cell of
+// 99 cores is answered with the cores error, and its spec stays unknown to
+// the worker's process, whose registry never evicts.
+func TestWorkerRegistersOnlyAcceptedSpecs(t *testing.T) {
+	compiled, err := spec.Load([]byte(`{"name": "refused with its cell", "workload": {"base": "OLTP DB2", "scale": 0.5}}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := compiled.ID()
+	cfg := tinyConfig(shift.DesignSHIFT)
+	cfg.Workload, cfg.Cores = id, 99
+	body, err := json.Marshal(BatchRequest{Cells: []shift.Config{cfg}, Specs: map[string]json.RawMessage{id: compiled.Canonical()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, eng := newTestWorker(t)
+	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(br.Results) != 1 || br.Results[0].Result != nil || !strings.HasPrefix(br.Results[0].Error, "cores: ") {
+		t.Fatalf("status %d, results %+v; want 200 and the cell's cores error", resp.StatusCode, br.Results)
+	}
+	if doc, err := shift.SpecCanonical(id); err == nil {
+		t.Fatalf("the refused cell's spec is registered: %s", doc)
+	}
+	if st := eng.Stats(); st.Simulated != 0 {
+		t.Errorf("the worker simulated %d cells", st.Simulated)
+	}
+}
+
 // TestBatchSpecsCarryRegisteredDocuments: the coordinator's side puts
 // the canonical document of every registered spec its cells name into
 // the batch, once per ID, and nothing for catalog workloads.

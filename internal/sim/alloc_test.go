@@ -87,8 +87,8 @@ func TestStepZeroAllocSteadyStateBaselines(t *testing.T) {
 }
 
 // TestStepZeroAllocSteadyStateBatch extends the contract to a RunBatch:
-// a lockstep block — the lead publishing its log, then one shared-L1
-// follower per prefetcher implementation replaying it — allocates
+// a lockstep block — the lead publishing its log, then one follower per
+// prefetcher implementation replaying it — allocates
 // nothing, in detailed and in functional stepping; nor does one of a
 // sampled batch, whose lead also compacts the stream into the region
 // lists its PIF and SHIFT followers apply.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"shift/internal/cache"
@@ -20,11 +21,11 @@ import (
 const batchBlockRounds = 8192
 
 // Lead-log word layout, low to high: the L1-I hit bit, the mispredict bit
-// (meaningful only to a follower that shares the lead's predictor, and
-// only in detailed stepping), the 3-bit trace.Kind, the 16-bit retire
-// count, the 34-bit block address and, on an L1-I miss, the way of the
-// lead's instruction cache the block went into (see cache.ICache) in the 9
-// bits that remain.
+// (meaningful only in detailed stepping), the 3-bit trace.Kind, the 16-bit
+// retire count, the 34-bit block address and, on an L1-I miss, the way of
+// the lead's instruction cache the block went into (see cache.ICache) in
+// the 9 bits that remain — room for every way of an L1-I Config.validate
+// accepts.
 const (
 	logHit         uint64 = 1 << 0
 	logMispredict  uint64 = 1 << 1
@@ -35,9 +36,7 @@ const (
 	logMaxWays            = 1 << (64 - logWayShift)
 )
 
-// packLog packs one record and what the lead decided about it. A way past
-// logMaxWays loses its high bits: no follower reads the ways of so wide an
-// L1-I (see newBatch).
+// packLog packs one record and what the lead decided about it.
 func packLog(rec trace.Record, mispredict, l1Hit bool, way int) uint64 {
 	w := uint64(way)<<logWayShift | uint64(rec.Block)<<logBlockShift |
 		uint64(rec.Instrs)<<logInstrsShift | uint64(rec.Kind)<<logKindShift
@@ -153,11 +152,10 @@ func unpackRegion(w uint64) (history.Region, int) {
 // span (see newBatch).
 //
 // mirrors are the lead's instruction caches — the log's, so that they
-// outlive a lead that is gone after one block: what a shared-L1 follower
-// mirrors miss by miss in detailed stepping and copies the tags of after
-// a functional stretch. They are nil when a log word cannot name their
-// ways. cfg is the lead's configuration, against which a follower decides
-// what it replays.
+// outlive a lead that is gone after one block: what a follower mirrors
+// miss by miss in detailed stepping and copies the tags of after a
+// functional stretch. cfg is the lead's configuration, against which a
+// follower decides whether it replays the data traffic.
 //
 // A batch takes its log off a free list of logs of its word count and a
 // successful walk hands it back, as System.release does the member's
@@ -208,7 +206,7 @@ type regionList struct {
 }
 
 // coreMark is one core's entry of an interval mark: the counters of the
-// branch predictor, which a follower may not own, as the lead read them
+// branch predictor, which a follower does not own, as the lead read them
 // at the boundary.
 type coreMark struct{ bpPred, bpMiss int64 }
 
@@ -220,9 +218,9 @@ type trafficMark struct{ msgs, hops int64 }
 
 // shareMark is the batch side of a counter snapshot. The lead appends the
 // snapshot's shared-facet counters to the log as the block's next interval
-// mark; a follower takes the next mark and overwrites, for each facet it
-// replays, the counters it has no structure to read from — or, for the
-// data traffic, never accounted.
+// mark; a follower takes the next mark and overwrites the predictor
+// counters it has no structure to read from and, when it replays the data
+// traffic, the data totals it never accounted.
 func (s *System) shareMark(m *measurement) {
 	lg, n := s.log, s.cfg.Cores
 	if s.lead {
@@ -232,10 +230,8 @@ func (s *System) shareMark(m *measurement) {
 		lg.traffic = append(lg.traffic, trafficMark{m.traffic[noc.DemandData], m.hops[noc.DemandData]})
 		return
 	}
-	if s.replayBP {
-		for i, k := range lg.marks[s.markPos : s.markPos+n] {
-			m.bpPred[i], m.bpMiss[i] = k.bpPred, k.bpMiss
-		}
+	for i, k := range lg.marks[s.markPos : s.markPos+n] {
+		m.bpPred[i], m.bpMiss[i] = k.bpPred, k.bpMiss
 	}
 	if s.replayData {
 		k := lg.traffic[s.markPos/n]
@@ -350,7 +346,7 @@ func newBatch(specs []RunSpec) (*batch, error) {
 	}
 	if len(specs) > 1 {
 		cfg := specs[0].systemConfig()
-		stretches := slices.ContainsFunc(specs[1:], func(s RunSpec) bool { return walksStretches(s.systemConfig(), cfg) })
+		stretches := slices.ContainsFunc(specs[1:], func(s RunSpec) bool { return walksStretches(s.Config.Prefetcher) })
 		// The log holds one lockstep block: its records, or only those of
 		// its detailed pieces when no follower walks a functional stretch.
 		var words, functional int64
@@ -376,54 +372,35 @@ func newBatch(specs []RunSpec) (*batch, error) {
 			}
 			b.log.regions = make([]regionList, 0, k*cfg.Cores)
 		}
-		// A log word has room for logMaxWays L1-I ways; the instruction
-		// caches of a wider lead are its own and its followers step caches
-		// of theirs.
-		if namesWays(cfg) {
-			b.log.mirrors = make([]*cache.ICache, cfg.Cores)
-			for c := range b.log.mirrors {
-				var err error
-				if b.log.mirrors[c], err = cache.NewICache(cfg.L1I); err != nil {
-					return nil, err
-				}
+		b.log.mirrors = make([]*cache.ICache, cfg.Cores)
+		for c := range b.log.mirrors {
+			var err error
+			if b.log.mirrors[c], err = cache.NewICache(cfg.L1I); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return b, nil
 }
 
-// namesWays reports whether a log word can name the ways of the L1-I of a
-// lead of configuration lc, which its followers then share (see
-// leadLog.mirrors).
-func namesWays(lc Config) bool { return lc.L1I.Assoc <= logMaxWays }
-
-// replays decides which facets of the work of a lead of configuration lc a
-// follower of configuration cfg replays (see the System.log field doc).
-func replays(cfg, lc Config) (bp, data, l1 bool) {
-	bp = cfg.BranchPredictorEntries > 0 && cfg.BranchPredictorEntries == lc.BranchPredictorEntries
-	// The data-side draws are the lead's only with its seeds, rate and
-	// mesh, and with no miss elimination on either side (ElimProb
-	// consumes the same RNG, which would shift the draw sequence).
-	data = cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed &&
-		cfg.DataMPKI == lc.DataMPKI && cfg.Mesh == lc.Mesh
-	l1 = namesWays(lc) && cfg.L1I == lc.L1I
-	return bp, data, l1
+// replaysData reports whether a follower of configuration cfg replays the
+// background data traffic of a lead of configuration lc (see the
+// System.log field doc): the draws are the lead's only with its seeds and
+// with no miss elimination on either side (ElimProb consumes the same
+// RNG, which would shift the draw sequence).
+func replaysData(cfg, lc Config) bool {
+	return cfg.ElimProb == 0 && lc.ElimProb == 0 && cfg.Seed == lc.Seed
 }
 
-// walksStretches reports whether a follower of configuration cfg under a
-// lead of configuration lc walks the records of a functional stretch
-// rather than the lists beside them (see System.consume): it advances a
-// predictor or an instruction cache of its own, or its design's Warmer
-// asks for accesses the region lists do not serve — TIFS's misses, a
-// region span other than the log builders', or the generator of an
-// adaptive history, whose builder restarts when the role rotates. Which
-// facets a follower replays, and its design, are fixed when it is built,
-// so this is decided once per batch from the specs.
-func walksStretches(cfg, lc Config) bool {
-	bp, _, l1 := replays(cfg, lc)
-	p := cfg.Prefetcher
-	return cfg.BranchPredictorEntries > 0 && !bp || !l1 ||
-		p.Kind == KindHistory && (p.regionSpan() != history.DefaultRegionSpan || p.AdaptiveGenerator)
+// walksStretches reports whether a follower of design p walks the records
+// of a functional stretch rather than the lists beside them (see
+// System.consume): its Warmer asks for accesses the region lists do not
+// serve — TIFS's misses, a region span other than the log builders', or
+// the generator of an adaptive history, whose builder restarts when the
+// role rotates. A follower's design is fixed when it is built, so this is
+// decided once per batch from the specs.
+func walksStretches(p PrefetcherSpec) bool {
+	return p.Kind == KindHistory && (p.regionSpan() != history.DefaultRegionSpan || p.AdaptiveGenerator)
 }
 
 // freeLogs recycles lead logs between batches, one free list per size
@@ -484,11 +461,12 @@ func regionLists(specs []RunSpec, blocks [][]piece) int {
 	return most
 }
 
-// RunBatch executes several specs that consume the same trace stream in
-// a single pass: every spec must agree on the workload(s), the core
-// count, the warmup/measure window, and the sampling policy, while the
-// system configuration (design point, seed, mode, history sizes, core
-// type...) is free to vary. Only the first member — the lead — opens and
+// RunBatch executes several specs that consume the same trace stream on
+// the same system in a single pass: every spec must agree on the
+// workload(s), the warmup/measure window, the sampling policy and every
+// field of Config but the per-cell ones — the design point (with its
+// history sizes), core type, mode, miss elimination and seed, which are
+// free to vary. Only the first member — the lead — opens and
 // decodes the per-core record streams; it steps them exactly as a
 // standalone Run would and publishes what it read and decided into the
 // lead log, and every other member steps off that log in block-lockstep,
@@ -497,10 +475,10 @@ func regionLists(specs []RunSpec, blocks [][]piece) int {
 // through Run, record for record.
 //
 // Beyond the decoding, a follower replays whatever else is a pure
-// function of the common record stream and configured as on the lead:
-// the branch predictor's outcomes, the background data traffic and the
-// L1-I's hits and victims (see the System.log field doc); it reports the
-// lead's statistics for what it shares.
+// function of the common record stream: the branch predictor's outcomes,
+// the L1-I's hits and victims and, with the lead's seed and no miss
+// elimination, the background data traffic (see the System.log field
+// doc); it reports the lead's statistics for what it shares.
 //
 // A member's System lives from its first block to its last. A window that
 // fits one block therefore runs member after member, each built on the
@@ -658,7 +636,7 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 			sys.endInterval()
 		}
 	}
-	if m > 0 && sys.replayL1 && blk[len(blk)-1].functional {
+	if m > 0 && blk[len(blk)-1].functional {
 		// A follower does not apply a functional piece's misses to its
 		// L1-I replicas one by one (see System.consume); the lead's caches
 		// stand at the end of this very block.
@@ -669,16 +647,35 @@ func (b *batch) runBlock(m int, blk []piece) (int64, error) {
 	return ran, nil
 }
 
+// perCell are the fields of Config in which the members of a batch may
+// differ: every other field describes the one system they share.
+var perCell = map[string]bool{"CoreType": true, "Mode": true, "ElimProb": true, "Seed": true, "Prefetcher": true}
+
+// systemField names the first field of Config outside perCell in which a
+// and b differ, or returns "".
+func systemField(a, b Config) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		if name := va.Type().Field(i).Name; !perCell[name] && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return name
+		}
+	}
+	return ""
+}
+
 // checkStreamCompatible verifies that every spec consumes the same
-// record stream as specs[0]: equal workload parameter sets (or group
-// layouts), core counts, and warmup/measure windows.
+// record stream as specs[0] on the same system: equal workload parameter
+// sets (or group layouts), warmup/measure windows and system fields of
+// Config.
 func checkStreamCompatible(specs []RunSpec) error {
 	ref := &specs[0]
 	for i := 1; i < len(specs); i++ {
 		s := &specs[i]
-		switch {
+		switch f := systemField(s.Config, ref.Config); {
 		case s.Config.Cores != ref.Config.Cores:
 			return fmt.Errorf("sim: batch spec %d: %d cores, spec 0 has %d", i, s.Config.Cores, ref.Config.Cores)
+		case f != "":
+			return fmt.Errorf("sim: batch spec %d: %s differs from spec 0's: a batch runs one system", i, f)
 		case s.WarmupRecords != ref.WarmupRecords || s.MeasureRecords != ref.MeasureRecords:
 			return fmt.Errorf("sim: batch spec %d: window %d+%d records, spec 0 has %d+%d",
 				i, s.WarmupRecords, s.MeasureRecords, ref.WarmupRecords, ref.MeasureRecords)

@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"shift/internal/cache"
 	"shift/internal/core"
+	"shift/internal/cpu"
 	"shift/internal/freelist"
 	"shift/internal/history"
 	"shift/internal/noc"
@@ -62,9 +64,17 @@ func checkBatchMatchesRun(t *testing.T, specs []RunSpec) {
 	}
 }
 
-// unequalL1Designs is a batch whose second member runs a smaller L1-I
-// than the lead — it must keep and step an instruction cache of its own
-// — while the third shares the lead's.
+// checkBatchRefused requires RunBatch to refuse specs with an error that
+// names field.
+func checkBatchRefused(t *testing.T, specs []RunSpec, field string) {
+	t.Helper()
+	if _, err := RunBatch(specs); err == nil || !strings.Contains(err.Error(), field) {
+		t.Errorf("batch: error %v, want one naming %s", err, field)
+	}
+}
+
+// unequalL1Designs is a batch whose second and fourth members run
+// another L1-I than the lead.
 func unequalL1Designs() []RunSpec {
 	specs := batchDesigns()
 	specs = []RunSpec{specs[0], specs[5], specs[3], specs[6]}
@@ -73,45 +83,50 @@ func unequalL1Designs() []RunSpec {
 	return specs
 }
 
-// wideL1Designs is a batch whose members all run the same fully
-// associative L1-I of more ways than a log word can name, which none of
-// them can therefore share.
+// wideL1Designs is a batch whose members all run the widest L1-I a log
+// word can name: fully associative, of logMaxWays ways.
 func wideL1Designs() []RunSpec {
 	specs := batchDesigns()[3:6]
 	for i := range specs {
-		specs[i].Config.L1I = cache.Config{SizeBytes: 2 * logMaxWays * 64, Assoc: 2 * logMaxWays, BlockBytes: 64}
+		specs[i].Config.L1I = cache.Config{SizeBytes: logMaxWays * 64, Assoc: logMaxWays, BlockBytes: 64}
 	}
 	return specs
 }
 
 // TestRunBatchMatchesRun is the batched ≡ unbatched differential: every
 // design point (plus seed/mode/elim variants) simulated in one batched
-// pass must be bit-identical to its standalone Run. The "uniform" batch
-// (designs only — equal seeds, no elimination) has every follower replay
-// everything the lead decides (records, branch outcomes, data traffic,
-// L1-I outcomes); the "mixed" batch adds members that must draw their
-// own data traffic, and "unequal-l1" and "wide-l1" members that must step
-// their own instruction cache.
+// pass must be bit-identical to its standalone Run. Every follower replays
+// the lead's records, branch outcomes and L1-I outcomes; the "uniform"
+// batch (designs only — equal seeds, no elimination) has every follower
+// replay the data traffic too, the "mixed" batch adds members that must
+// draw their own, and "wide-l1" members whose log words name every way of
+// the widest L1-I a batch takes. A batch of unequal L1-Is is refused.
 func TestRunBatchMatchesRun(t *testing.T) {
 	all := batchDesigns()
 	for _, tc := range []struct {
-		name  string
-		specs []RunSpec
+		name    string
+		specs   []RunSpec
+		refused string // the field the batch is refused for, if any
 	}{
-		{"uniform", all[:7]},
-		{"mixed", all},
-		{"unequal-l1", unequalL1Designs()},
-		{"wide-l1", wideL1Designs()},
+		{"uniform", all[:7], ""},
+		{"mixed", all, ""},
+		{"unequal-l1", unequalL1Designs(), "L1I"},
+		{"wide-l1", wideL1Designs(), ""},
 		// A 500 + 500 window is one lockstep block: the members run one
 		// after another, each on the tables the one before handed back.
-		{"one-block", windowed(all, 500, 500, Sampling{})},
-		{"one-block-unequal-l1", windowed(unequalL1Designs(), 500, 500, Sampling{})},
+		{"one-block", windowed(all, 500, 500, Sampling{}), ""},
 		// Blocks that span segments: a detailed warmup, its measured
 		// interval and the functional gap behind them share a block, and
 		// the last block is a whole chunk.
-		{"sampled-spanning", windowed(all, 700, 9000, Sampling{Period: 3, IntervalRecords: 1000})},
+		{"sampled-spanning", windowed(all, 700, 9000, Sampling{Period: 3, IntervalRecords: 1000}), ""},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkBatchMatchesRun(t, tc.specs) })
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.refused != "" {
+				checkBatchRefused(t, tc.specs, tc.refused)
+				return
+			}
+			checkBatchMatchesRun(t, tc.specs)
+		})
 	}
 }
 
@@ -282,17 +297,20 @@ func TestRunBatchMatchesRunAcrossStreams(t *testing.T) {
 	}
 }
 
-// TestRunBatchMixedPredictors checks the no-shared-bp fallback: members
-// with different branch-predictor sizes still batch (the stream is the
-// same) and still match their standalone runs exactly.
+// TestRunBatchMixedPredictors: members with another branch-predictor size
+// than the lead's, or no branch modelling at all, are refused — every
+// follower replays the lead's predictor — and each still runs alone.
 func TestRunBatchMixedPredictors(t *testing.T) {
 	a := testConfig()
-	b := testConfig()
-	b.BranchPredictorEntries = 4096
-	c := testConfig()
-	c.Prefetcher = designSpecs()[dPIF2K]
-	c.BranchPredictorEntries = 0 // no branch modelling at all
-	checkBatchMatchesRun(t, []RunSpec{testSpec(a), testSpec(b), testSpec(c)})
+	for _, entries := range []int{4096, 0} {
+		b := testConfig()
+		b.Prefetcher = designSpecs()[dPIF2K]
+		b.BranchPredictorEntries = entries
+		checkBatchRefused(t, []RunSpec{testSpec(a), testSpec(b)}, "BranchPredictorEntries")
+		if _, err := Run(testSpec(b)); err != nil {
+			t.Errorf("%d predictor entries alone: %v", entries, err)
+		}
+	}
 }
 
 // TestRunBatchGroups runs a consolidated (multi-group) batch and
@@ -465,7 +483,8 @@ func TestSampledLeadLogFootprint(t *testing.T) {
 }
 
 // TestRunBatchRejectsMismatchedStreams asserts incompatible specs are
-// refused with the offending index named.
+// refused with the offending index named, and a member of another system
+// with the field it differs in named too.
 func TestRunBatchRejectsMismatchedStreams(t *testing.T) {
 	base := testSpec(testConfig())
 	muts := []func(*RunSpec){
@@ -478,9 +497,27 @@ func TestRunBatchRejectsMismatchedStreams(t *testing.T) {
 	for i, mut := range muts {
 		bad := base
 		mut(&bad)
-		if _, err := RunBatch([]RunSpec{base, bad}); err == nil {
-			t.Errorf("mutation %d: mismatched batch accepted", i)
+		if _, err := RunBatch([]RunSpec{base, bad}); err == nil || !strings.Contains(err.Error(), "batch spec 1") {
+			t.Errorf("mutation %d: mismatched batch: error %v", i, err)
 		}
+	}
+	for field, mut := range map[string]func(*Config){
+		"L1I":                    func(c *Config) { c.L1I.SizeBytes *= 2 },
+		"LLCBankBytes":           func(c *Config) { c.LLCBankBytes *= 2 },
+		"LLCAssoc":               func(c *Config) { c.LLCAssoc *= 2 },
+		"Mesh":                   func(c *Config) { c.Mesh.HopCycles++ },
+		"BranchPredictorEntries": func(c *Config) { c.BranchPredictorEntries *= 2 },
+	} {
+		bad := base
+		mut(&bad.Config)
+		checkBatchRefused(t, []RunSpec{base, bad}, "batch spec 1: "+field+" ")
+	}
+	// The per-cell fields are free to vary.
+	free := base
+	free.Config.CoreType, free.Config.Mode, free.Config.ElimProb, free.Config.Seed = cpu.LeanIO, ModePrediction, 0.5, 9
+	free.Config.Prefetcher = designSpecs()[dSHIFT]
+	if f := systemField(free.Config, base.Config); f != "" {
+		t.Errorf("a member of another design, core type, mode, miss elimination and seed differs in system field %s", f)
 	}
 	invalid := base
 	invalid.MeasureRecords = 0
@@ -523,7 +560,7 @@ func lockstep(t *testing.T, b *batch, blocks [][]piece, check func()) {
 }
 
 // TestFollowerMirrorTracksLeadL1: at every lockstep block boundary, in
-// detailed and functional stepping alike, each shared-L1 follower's
+// detailed and functional stepping alike, each follower's
 // replicas hold exactly the blocks of the lead's instruction caches, set
 // by set and way by way — which is what lets a follower's prefetch filter
 // answer as the lead's cache would.
@@ -577,64 +614,57 @@ func TestFollowerMirrorTracksLeadL1(t *testing.T) {
 	}
 }
 
-// TestBatchFollowerSharing pins what a follower builds: with the lead's
-// configuration it has no stream, no predictor at all and of an
-// instruction cache the tags alone — it aliases nothing of the lead's —
-// and each facet whose configuration differs from the lead's is its own
-// again, without disturbing the others.
+// TestBatchFollowerSharing pins what a follower builds: it has no stream,
+// no predictor at all and of an instruction cache the tags alone — it
+// aliases nothing of the lead's — and it draws its own data traffic
+// exactly when its seed or miss elimination differs from the lead's.
 func TestBatchFollowerSharing(t *testing.T) {
 	base := testSpec(testConfig())
 	same := base
 	same.Config.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
-	l1 := base
-	l1.Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
-	bp := base
-	bp.Config.BranchPredictorEntries = 4096
 	seed := base
 	seed.Config.Seed = 42
-	b := enterAll(t, []RunSpec{base, same, l1, bp, seed})
+	elim := base
+	elim.Config.ElimProb = 0.5
+	b := enterAll(t, []RunSpec{base, same, seed, elim})
 	lead := b.systems[0]
-	if !lead.lead || lead.readers == nil || lead.replayL1 || lead.l1i[0].Replica() || lead.bp == nil {
-		t.Fatal("lead does not read its own streams and step its own L1-I and predictor")
+	if !lead.lead || lead.readers == nil || lead.l1i[0] != b.log.mirrors[0] || lead.l1i[0].Replica() || lead.bp == nil {
+		t.Fatal("lead does not read its own streams and step the log's L1-Is and its own predictor")
 	}
-	for m, want := range []struct{ l1, bp, data bool }{
-		{true, true, true},
-		{false, true, true},
-		{true, false, true},
-		{true, true, false},
-	} {
+	for m, data := range []bool{true, false, false} {
 		f := b.systems[m+1]
 		if f.readers != nil {
 			t.Errorf("follower %d holds readers of its own", m+1)
 		}
-		if f.l1i[0].Replica() != want.l1 || (f.bp == nil) != want.bp {
-			t.Errorf("follower %d: keeps L1-I tags only %v, no predictor %v, want %v %v", m+1, f.l1i[0].Replica(), f.bp == nil, want.l1, want.bp)
+		if f.bp != nil {
+			t.Errorf("follower %d builds a predictor", m+1)
 		}
 		for c := range lead.l1i {
-			if f.l1i[c] == lead.l1i[c] || f.bp != nil && f.bp[c] == lead.bp[c] || f.hot[c].l1i != f.l1i[c] || f.hot[c].bp == lead.bp[c] {
+			if f.l1i[c] == lead.l1i[c] || f.hot[c].l1i != f.l1i[c] || f.hot[c].bp != nil {
 				t.Errorf("follower %d core %d aliases a structure of the lead's", m+1, c)
 			}
-			if f.l1i[c].Replica() != want.l1 {
-				t.Errorf("follower %d core %d: L1-I tags only = %v, want %v", m+1, c, f.l1i[c].Replica(), want.l1)
+			if !f.l1i[c].Replica() {
+				t.Errorf("follower %d core %d keeps more of an L1-I than its tags", m+1, c)
 			}
 		}
-		if f.replayL1 != want.l1 || f.replayBP != want.bp || f.replayData != want.data {
-			t.Errorf("follower %d: replays L1 %v predictor %v data %v, want %v %v %v",
-				m+1, f.replayL1, f.replayBP, f.replayData, want.l1, want.bp, want.data)
+		if f.replayData != data {
+			t.Errorf("follower %d: replays the data traffic %v, want %v", m+1, f.replayData, data)
 		}
 	}
 }
 
 // TestBatchWideL1NotShared: an L1-I of more ways than a log word can name
-// is stepped by every member for itself, equal geometry or not.
+// is refused, alone and in a batch, so every batch's followers share the
+// lead's; the widest accepted one is TestRunBatchMatchesRun's "wide-l1".
 func TestBatchWideL1NotShared(t *testing.T) {
-	b := enterAll(t, wideL1Designs())
-	lead := b.systems[0]
-	for m, sys := range b.systems {
-		if sys.replayL1 || b.log.mirrors != nil || sys.l1i[0].Replica() || m > 0 && sys.l1i[0] == lead.l1i[0] {
-			t.Errorf("member %d shares a %d-way L1-I", m, sys.cfg.L1I.Assoc)
-		}
+	specs := wideL1Designs()
+	for i := range specs {
+		specs[i].Config.L1I = cache.Config{SizeBytes: 2 * logMaxWays * 64, Assoc: 2 * logMaxWays, BlockBytes: 64}
 	}
+	if _, err := Run(specs[0]); err == nil || !strings.Contains(err.Error(), "L1I") {
+		t.Errorf("a %d-way L1-I alone: error %v, want one naming L1I", specs[0].Config.L1I.Assoc, err)
+	}
+	checkBatchRefused(t, specs, "L1I")
 }
 
 // opaqueReader hides any Supplier implementation of the wrapped reader.
@@ -773,10 +803,10 @@ func TestLeadLogWordRoundTrip(t *testing.T) {
 // with a record per access, appended back to back to the log's data come
 // back intact. An interval mark carries
 // whatever counters the lead read, for any number of cores, and its data
-// traffic pair once: followers of every facet combination, taking the
-// block's marks in order, get exactly the lead's counters for the facets
-// they replay — the data class's messages and hops for the data traffic —
-// and keep their own for the rest.
+// traffic pair once: followers, taking the block's marks in order, get
+// exactly the lead's predictor counters and, when they replay the data
+// traffic, the data class's messages and hops, and keep their own for the
+// rest.
 func FuzzLeadLog(f *testing.F) {
 	f.Add(uint64(0), int64(0), int64(0), uint8(1))
 	f.Add(^uint64(0), int64(-1), int64(1)<<62, uint8(16))
@@ -907,8 +937,8 @@ func FuzzLeadLog(f *testing.F) {
 		if len(lg.marks) != 2*n || len(lg.traffic) != 2 {
 			t.Fatalf("%d cores, two marks: the log holds %d core entries and %d traffic pairs", n, len(lg.marks), len(lg.traffic))
 		}
-		for facets := 0; facets < 8; facets++ {
-			fol := &System{cfg: Config{Cores: n}, log: lg, replayL1: facets&1 != 0, replayBP: facets&2 != 0, replayData: facets&4 != 0}
+		for _, data := range []bool{false, true} {
+			fol := &System{cfg: Config{Cores: n}, log: lg, replayData: data}
 			for k := range marks {
 				own := newMeasurement(n)
 				for i := 0; i < n; i++ {
@@ -918,24 +948,20 @@ func FuzzLeadLog(f *testing.F) {
 					own.traffic[c], own.hops[c] = int64(4+c), int64(5+c)
 				}
 				want := newMeasurement(n)
-				copy(want.bpPred, own.bpPred)
-				copy(want.bpMiss, own.bpMiss)
+				copy(want.bpPred, marks[k].bpPred)
+				copy(want.bpMiss, marks[k].bpMiss)
 				want.traffic, want.hops = own.traffic, own.hops
-				if fol.replayBP {
-					copy(want.bpPred, marks[k].bpPred)
-					copy(want.bpMiss, marks[k].bpMiss)
-				}
 				if fol.replayData {
 					want.traffic[noc.DemandData] = marks[k].traffic[noc.DemandData]
 					want.hops[noc.DemandData] = marks[k].hops[noc.DemandData]
 				}
 				fol.shareMark(&own)
 				if !reflect.DeepEqual(own, want) {
-					t.Fatalf("facets %03b, mark %d: follower took %+v, want %+v", facets, k, own, want)
+					t.Fatalf("data %v, mark %d: follower took %+v, want %+v", data, k, own, want)
 				}
 			}
 			if fol.markPos != len(lg.marks) {
-				t.Fatalf("facets %03b: cursor at %d of %d", facets, fol.markPos, len(lg.marks))
+				t.Fatalf("data %v: cursor at %d of %d", data, fol.markPos, len(lg.marks))
 			}
 		}
 	})

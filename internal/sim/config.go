@@ -123,37 +123,49 @@ func (p PrefetcherSpec) regionSpan() int {
 	return p.History.SAB.Span
 }
 
+// The Table I values no configuration varies: every System is built with
+// them.
+const (
+	// L2HitCycles is the LLC bank hit latency (Table I: 5).
+	L2HitCycles int64 = 5
+	// MemCycles is main memory latency in cycles (Table I: 45ns at 2GHz).
+	MemCycles int64 = 90
+	// l1MSHRs is the per-core L1 MSHR count (Table I lists 32 for L1-D;
+	// the same file is used for the fetch path here).
+	l1MSHRs = 32
+	// prefetchBufferEntries sizes the per-core prefetch buffer that holds
+	// prefetched blocks until first demand use. It covers the in-flight
+	// window of the stream prefetchers (4 streams x ~5 regions x ~3.5
+	// blocks).
+	prefetchBufferEntries = 128
+	// dataMPKI is the background data-side LLC traffic rate in accesses
+	// per kilo-instruction, used to normalize Figure 9 against total
+	// baseline LLC traffic (a documented substitution for the paper's full
+	// data-path simulation).
+	dataMPKI float64 = 12
+)
+
 // Config describes one simulated system (Table I defaults via
-// DefaultConfig).
+// DefaultConfig). The members of a RunBatch share one system: they may
+// differ in CoreType, Prefetcher, Mode, ElimProb and Seed alone (see
+// checkStreamCompatible).
 type Config struct {
 	// Cores is the core count (16 in the paper).
 	Cores int
 	// CoreType selects the core microarchitecture.
 	CoreType cpu.CoreType
-	// L1I is the per-core instruction cache geometry.
+	// L1I is the per-core instruction cache geometry, of at most
+	// logMaxWays ways.
 	L1I cache.Config
-	// L1MSHRs is the per-core L1 MSHR count (Table I lists 32 for L1-D;
-	// the same file is used for the fetch path here).
-	L1MSHRs int
 	// LLCBankBytes and LLCAssoc size each of the 16 NUCA banks
 	// (512KB per core, 16-way).
 	LLCBankBytes int
 	LLCAssoc     int
 	// Mesh is the interconnect geometry.
 	Mesh noc.Config
-	// L2HitCycles is the LLC bank hit latency (Table I: 5).
-	L2HitCycles int64
-	// MemCycles is main memory latency in cycles (Table I: 45ns at
-	// 2GHz = 90).
-	MemCycles int64
 	// BranchPredictorEntries sizes the hybrid predictor (Table I: 16K).
 	// Zero disables branch modelling.
 	BranchPredictorEntries int
-	// PrefetchBufferEntries sizes the per-core prefetch buffer that
-	// holds prefetched blocks until first demand use. It must cover the
-	// in-flight window of the stream prefetchers (4 streams x ~5 regions
-	// x ~3.5 blocks); default 128.
-	PrefetchBufferEntries int
 	// Prefetcher is the design point under test.
 	Prefetcher PrefetcherSpec
 	// Mode selects prefetch vs prediction-only simulation.
@@ -162,11 +174,6 @@ type Config struct {
 	// probability without exposing its latency (the Figure 1
 	// methodology). Zero disables.
 	ElimProb float64
-	// DataMPKI is the background data-side LLC traffic rate in accesses
-	// per kilo-instruction, used to normalize Figure 9 against total
-	// baseline LLC traffic (a documented substitution for the paper's
-	// full data-path simulation).
-	DataMPKI float64
 	// Seed drives the simulator's internal randomness (miss elimination
 	// sampling, data-traffic bank spreading).
 	Seed int64
@@ -179,17 +186,12 @@ func DefaultConfig() Config {
 		Cores:    16,
 		CoreType: cpu.LeanOoO,
 		L1I:      cache.Config{SizeBytes: 32 * 1024, Assoc: 2, BlockBytes: 64},
-		L1MSHRs:  32,
 		// 512KB per core, 16 banks, 16-way.
 		LLCBankBytes:           512 * 1024,
 		LLCAssoc:               16,
 		Mesh:                   noc.DefaultConfig(),
-		L2HitCycles:            5,
-		MemCycles:              90,
 		BranchPredictorEntries: 16384,
-		PrefetchBufferEntries:  128,
 		Prefetcher:             PrefetcherSpec{Kind: KindNone},
-		DataMPKI:               12,
 		Seed:                   1,
 	}
 }
@@ -207,24 +209,16 @@ func (c Config) validate() error {
 	if err := c.L1I.Validate(); err != nil {
 		return fmt.Errorf("sim: L1I: %w", err)
 	}
+	// A lead-log word names the way of an L1-I miss in logWayShift's bits.
+	if c.L1I.Assoc > logMaxWays {
+		return fmt.Errorf("sim: L1I: %d ways, at most %d", c.L1I.Assoc, logMaxWays)
+	}
 	bank := cache.Config{SizeBytes: c.LLCBankBytes, Assoc: c.LLCAssoc, BlockBytes: 64}
 	if err := bank.ValidateLLCBank(); err != nil {
 		return fmt.Errorf("sim: LLC bank: %w", err)
 	}
-	if c.L1MSHRs <= 0 {
-		return fmt.Errorf("sim: L1MSHRs %d <= 0", c.L1MSHRs)
-	}
-	if c.PrefetchBufferEntries < 0 || c.PrefetchBufferEntries > cache.MaxPrefetchBufferEntries {
-		return fmt.Errorf("sim: PrefetchBufferEntries %d out of [0,%d]", c.PrefetchBufferEntries, cache.MaxPrefetchBufferEntries)
-	}
-	if c.L2HitCycles < 0 || c.MemCycles < 0 {
-		return fmt.Errorf("sim: negative latency")
-	}
 	if !(c.ElimProb >= 0 && c.ElimProb <= 1) {
 		return validate.Fieldf("elim_prob", "must be in [0,1], got %g", c.ElimProb)
-	}
-	if c.DataMPKI < 0 {
-		return fmt.Errorf("sim: DataMPKI %v < 0", c.DataMPKI)
 	}
 	if !c.CoreType.Valid() {
 		return fmt.Errorf("sim: invalid core type %d", c.CoreType)

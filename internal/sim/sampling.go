@@ -5,8 +5,6 @@ import (
 	"io"
 	"math"
 
-	"shift/internal/bpred"
-	"shift/internal/cache"
 	"shift/internal/history"
 	"shift/internal/prefetch"
 	"shift/internal/trace"
@@ -544,8 +542,8 @@ func (s *System) produce(coreID int, words []uint64, probes []uint64) ([]uint64,
 // rotates, and that happens in detailed rounds only (see runRound).
 //
 // A core with nothing but the probes to apply — no Warmer that needs
-// anything and, on a follower, no predictor or instruction cache of its
-// own — walks the probe list and never looks at the words. So does a core
+// anything — walks the probe list and never looks at the words. So does a
+// core
 // whose one other task is compaction, when its builder is in the state
 // the log's was in at the stretch's start — the whole precondition:
 // compaction is a function of the builder's state and the accesses, so
@@ -555,56 +553,39 @@ func (s *System) produce(coreID int, words []uint64, probes []uint64) ([]uint64,
 // a SHIFT generator whose role rotated (SetGenerator resets the builder),
 // a System without region lists — walks the words, in which the probes
 // and its own builder's records fall in their place, so a bank sees its
-// core's probes and history writes in one order either way. A follower
-// that steps an instruction cache of its own decides its own misses, and
-// with them its own probes. The log keeps the words whenever a follower
-// may walk them (see walksStretches); a follower that finds none to walk
-// fails.
+// core's probes and history writes in one order either way. The log keeps
+// the words whenever a follower may walk them (see walksStretches); a
+// follower that finds none to walk fails.
 func (s *System) consume(coreID int, words []uint64, probes []uint64, regions regionList) error {
-	bp, l1, need, rw := s.consumeWork(coreID, regions.start)
+	need, rw := s.consumeWork(coreID, regions.start)
 	switch {
 	case rw != nil:
 		s.consumeListed(probes, regions.recs, rw)
 		*rw.WarmBuilder() = regions.end
 		return nil
-	case bp == nil && l1 == nil && need == prefetch.WarmNone:
+	case need == prefetch.WarmNone:
 		s.consumeListed(probes, nil, nil)
 		return nil
 	case words == nil:
 		return fmt.Errorf("sim: batch member %s walks a functional stretch of core %d its lead log does not keep", s.cfg.Prefetcher.Name(), coreID)
 	}
 	var (
-		warm    = s.hot[coreID].warm
-		every   = need == prefetch.WarmRecords
-		warmCnt = s.llcWarmCnt[coreID]
-		mask    = s.llcMask
-		next    = 0 // the next of probes
+		warm  = s.hot[coreID].warm
+		every = need == prefetch.WarmRecords
+		next  = 0 // the next of probes
 	)
 	for i, w := range words {
-		rec := unpackLog(w)
-		if bp != nil {
-			bp.PredictUpdate(rec.Block.Addr(), rec.Kind != trace.KindSeq)
-		}
-		hit, probe := w&logHit != 0, false
-		if l1 != nil {
-			if hit, _ = l1.LookupInsert(rec.Block); !hit {
-				warmCnt++
-				probe = warmCnt&mask == 0
-			}
-		} else if next < len(probes) {
+		blk, hit := logBlock(w), w&logHit != 0
+		if next < len(probes) {
 			if _, at := unpackProbe(probes[next]); at == i {
-				probe = true
+				s.warmLLC(blk)
 				next++
 			}
 		}
-		if probe {
-			s.warmLLC(rec.Block)
-		}
-		if need != prefetch.WarmNone && (every || !hit) {
-			warm.WarmAccess(rec.Block, hit)
+		if every || !hit {
+			warm.WarmAccess(blk, hit)
 		}
 	}
-	s.llcWarmCnt[coreID] = warmCnt
 	return nil
 }
 
@@ -637,26 +618,19 @@ func (s *System) warmLLC(blk trace.BlockAddr) {
 }
 
 // consumeWork is what consume owes a stretch of core coreID beyond its
-// probes: the predictor and the instruction cache to advance — a
-// follower's own; the producer's are done — and the accesses the design's
-// Warmer asks for. rw is that Warmer when the core owes nothing but
-// compaction and its builder equals start, the log builder's state at the
-// stretch's start: the stretch's region records are then the core's own.
-func (s *System) consumeWork(coreID int, start history.Builder) (bp *bpred.Hybrid, l1 *cache.ICache, need prefetch.WarmNeed, rw prefetch.RecordWarmer) {
+// probes: the accesses the design's Warmer asks for. rw is that Warmer
+// when the core owes nothing but compaction and its builder equals start,
+// the log builder's state at the stretch's start: the stretch's region
+// records are then the core's own.
+func (s *System) consumeWork(coreID int, start history.Builder) (need prefetch.WarmNeed, rw prefetch.RecordWarmer) {
 	h := &s.hot[coreID]
-	if s.log != nil && !s.lead {
-		bp = h.bp
-		if !s.replayL1 {
-			l1 = h.l1i
-		}
-	}
 	if h.warm != nil {
 		need = h.warm.WarmNeeds()
 	}
-	if bp == nil && l1 == nil && need == prefetch.WarmRecords && h.rec != nil && *h.rec.WarmBuilder() == start {
+	if need == prefetch.WarmRecords && h.rec != nil && *h.rec.WarmBuilder() == start {
 		rw = h.rec
 	}
-	return bp, l1, need, rw
+	return need, rw
 }
 
 // runRoundsFunctional advances one piece of up to n rounds on the

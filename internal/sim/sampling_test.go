@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"shift/internal/cache"
 	"shift/internal/core"
 	"shift/internal/history"
 	"shift/internal/noc"
@@ -258,35 +257,27 @@ func TestFunctionalWarmStateMatchesDetailed(t *testing.T) {
 // publishes), a Baseline and a NextLine follower (probe lists only),
 // virtualized SHIFT (the generator core applies the region lists, the
 // other cores walk the probe lists), TIFS (walks the words for the
-// misses), PIF (applies the region lists), a follower with a smaller L1-I
-// (steps it, and decides its own probes, off the words), one with a
-// predictor of its own (walks the words to advance it), a PIF that
-// compacts at span 16 (walks the words: the log compacts at span 8) and an
-// adaptive SHIFT whose generator rotates within the schedule: the new
+// misses), PIF (applies the region lists), a PIF that compacts at span 16
+// (walks the words: the log compacts at span 8) and an adaptive SHIFT
+// whose generator rotates within the schedule: the new
 // generator's builder restarts, and it walks the words until the builder
 // is back in the log builder's state — which the two reach at the first
 // access that closes both their regions, often before the next functional
 // stretch (TestRotatedGeneratorWalksWords rotates right before one).
 func consumePathDesigns() []RunSpec {
 	all := batchDesigns()
-	specs := []RunSpec{all[2], all[0], all[5], all[6], all[3], all[1], all[2], all[0], all[3], all[5]}
-	specs[6].Config.L1I = cache.Config{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}
-	specs[7].Config.BranchPredictorEntries = 4096
-	specs[8].Config.Prefetcher.History.SAB.Span = 16
-	specs[9].Config.Prefetcher.AdaptiveGenerator = true
-	specs[9].Config.Prefetcher.AdaptWindow = 250
+	specs := []RunSpec{all[2], all[0], all[5], all[6], all[3], all[1], all[3], all[5]}
+	specs[6].Config.Prefetcher.History.SAB.Span = 16
+	specs[7].Config.Prefetcher.AdaptiveGenerator = true
+	specs[7].Config.Prefetcher.AdaptWindow = 250
 	return specs
 }
 
 // consumePath names the way core c of sys consumes a functional stretch
 // whose log builder starts in state start.
 func consumePath(sys *System, c int, start history.Builder) string {
-	bp, l1, need, rw := sys.consumeWork(c, start)
+	need, rw := sys.consumeWork(c, start)
 	switch {
-	case l1 != nil:
-		return "own-l1"
-	case bp != nil:
-		return "own-bp"
 	case rw != nil:
 		return "regions"
 	case need == prefetch.WarmRecords:
@@ -331,7 +322,7 @@ func TestConsumePathsCovered(t *testing.T) {
 			}
 		}
 	})
-	for _, path := range []string{"lead-regions", "list", "regions", "misses", "records", "own-l1", "own-bp"} {
+	for _, path := range []string{"lead-regions", "list", "regions", "misses", "records"} {
 		if !seen[path] {
 			t.Errorf("no core of any member consumes by path %q", path)
 		}
@@ -347,11 +338,11 @@ func TestConsumePathsCovered(t *testing.T) {
 		t.Errorf("SHIFT's cores consume by %v, want %v (the generator applies the lists)", got, want)
 	}
 	// The span-16 PIF never can.
-	if got := paths[8]["records"]; got != all {
+	if got := paths[6]["records"]; got != all {
 		t.Errorf("the span-16 PIF's cores walk the words at %d of %d core-boundaries", got, all)
 	}
 	// The differentials over this batch see a rotation.
-	if b.systems[9].shared[0].Rotations() == 0 {
+	if b.systems[7].shared[0].Rotations() == 0 {
 		t.Error("the adaptive SHIFT's generator never rotated")
 	}
 }
@@ -407,15 +398,22 @@ func TestRunBatchSampledMatchesRun(t *testing.T) {
 		t.Fatalf("a %d-round head is not all near zone", segs[0].rounds)
 	}
 	for _, tc := range []struct {
-		name  string
-		specs []RunSpec
+		name    string
+		specs   []RunSpec
+		refused string // the field the batch is refused for, if any
 	}{
-		{"mixed", windowed(batchDesigns(), 20000, 30000, testSampling())},
-		{"unequal-l1", windowed(unequalL1Designs(), 20000, 30000, testSampling())},
-		{"consume-paths", windowed(consumePathDesigns(), 20000, 30000, testSampling())},
-		{"consume-paths-near-only", windowed(consumePathDesigns(), 700, 9000, nearOnly)},
+		{"mixed", windowed(batchDesigns(), 20000, 30000, testSampling()), ""},
+		{"unequal-l1", windowed(unequalL1Designs(), 20000, 30000, testSampling()), "L1I"},
+		{"consume-paths", windowed(consumePathDesigns(), 20000, 30000, testSampling()), ""},
+		{"consume-paths-near-only", windowed(consumePathDesigns(), 700, 9000, nearOnly), ""},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkBatchMatchesRun(t, tc.specs) })
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.refused != "" {
+				checkBatchRefused(t, tc.specs, tc.refused)
+				return
+			}
+			checkBatchMatchesRun(t, tc.specs)
+		})
 	}
 	// The data-traffic facet: followers that would draw the lead's data
 	// traffic draw none and report the lead's totals from the interval
@@ -464,10 +462,11 @@ func TestRunBatchSampledMatchesRun(t *testing.T) {
 // SHIFT no follower walks a functional stretch's records — each replays
 // the lead's predictor and L1-I and applies the probe and region lists —
 // so the log keeps no functional words; adding TIFS (it records the
-// misses) or a follower with a predictor of its own makes it keep them.
-// Either way every member equals its standalone Run. A follower that
-// would walk words the log does not keep — a generator rotated by hand,
-// which no non-adaptive design does — fails instead of reading past them.
+// misses) makes it keep them. Either way every member equals its
+// standalone Run. A follower with a predictor of its own, which would walk
+// them too, is refused. A follower that would walk words the log does not
+// keep — a generator rotated by hand, which no non-adaptive design does —
+// fails instead of reading past them.
 func TestSampledLeadLogShapes(t *testing.T) {
 	six := windowed(batchDesigns()[:6], 20000, 30000, testSampling())
 	ownBP := append(append([]RunSpec(nil), six...), six[0])
@@ -479,7 +478,6 @@ func TestSampledLeadLogShapes(t *testing.T) {
 	}{
 		{"six-designs", six, false},
 		{"with-tifs", windowed(batchDesigns()[:7], 20000, 30000, testSampling()), true},
-		{"with-own-predictor", ownBP, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := enterAll(t, tc.specs)
@@ -489,6 +487,7 @@ func TestSampledLeadLogShapes(t *testing.T) {
 			checkBatchMatchesRun(t, tc.specs)
 		})
 	}
+	t.Run("with-own-predictor", func(t *testing.T) { checkBatchRefused(t, ownBP, "BranchPredictorEntries") })
 	t.Run("rotated-by-hand", func(t *testing.T) {
 		b := enterAll(t, windowed([]RunSpec{six[0], six[5]}, 20000, 30000, testSampling()))
 		if b.log.stretches || !b.blocks[1][0].functional {
@@ -505,23 +504,25 @@ func TestSampledLeadLogShapes(t *testing.T) {
 	})
 }
 
-// TestRunBatchSampledMixedPredictors is the shared-L1 fast path's
-// predictor regression: followers that evaluate their own branch
-// predictor (the batch could not share predictors) must keep it
-// evolving through functional gaps — the miss-only replay shortcut
-// once froze it, silently skewing mispredict accounting.
+// TestRunBatchSampledMixedPredictors: a sampled batch, too, refuses a
+// member whose predictor differs from the lead's — no follower steps a
+// predictor of its own through a functional gap — while each such member
+// runs alone.
 func TestRunBatchSampledMixedPredictors(t *testing.T) {
 	a := testConfig()
-	b := testConfig()
-	b.BranchPredictorEntries = 4096
-	c := testConfig()
-	c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
-	c.BranchPredictorEntries = 0
-	specs := []RunSpec{testSpec(a), testSpec(b), testSpec(c)}
-	for i := range specs {
-		specs[i].Sampling = testSampling()
+	for _, entries := range []int{4096, 0} {
+		b := testConfig()
+		b.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
+		b.BranchPredictorEntries = entries
+		specs := []RunSpec{testSpec(a), testSpec(b)}
+		for i := range specs {
+			specs[i].Sampling = testSampling()
+		}
+		checkBatchRefused(t, specs, "BranchPredictorEntries")
+		if _, err := Run(specs[1]); err != nil {
+			t.Errorf("%d predictor entries alone: %v", entries, err)
+		}
 	}
-	checkBatchMatchesRun(t, specs)
 }
 
 // TestRunBatchRejectsMixedSampling: cells with different sampling
@@ -720,7 +721,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 		sys := buildSteadySystem(t, spec)
 		out := make([]prefetch.WarmNeed, len(sys.hot))
 		for c := range out {
-			_, _, out[c], _ = sys.consumeWork(c, history.Builder{})
+			out[c], _ = sys.consumeWork(c, history.Builder{})
 		}
 		return sys, out
 	}
@@ -747,7 +748,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 				if c == 2 {
 					want = prefetch.WarmRecords
 				}
-				if _, _, need, _ := sys.consumeWork(c, history.Builder{}); need != want {
+				if need, _ := sys.consumeWork(c, history.Builder{}); need != want {
 					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", spec.Name(), c, need, want)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"shift/internal/cache"
 	"shift/internal/core"
 	"shift/internal/noc"
 	"shift/internal/workload"
@@ -55,10 +56,10 @@ func TestConfigValidate(t *testing.T) {
 		{"bad L1I", func(c *Config) { c.L1I.Assoc = 0 }},
 		{"bad LLC", func(c *Config) { c.LLCBankBytes = 1000 }},
 		{"LLC bank of 8 sets", func(c *Config) { c.LLCBankBytes = 8 << 10 }},
-		{"no MSHRs", func(c *Config) { c.L1MSHRs = 0 }},
-		{"negative latency", func(c *Config) { c.MemCycles = -1 }},
+		{"L1I wider than a log word names", func(c *Config) {
+			c.L1I = cache.Config{SizeBytes: 2 * logMaxWays * 64, Assoc: 2 * logMaxWays, BlockBytes: 64}
+		}},
 		{"bad elim", func(c *Config) { c.ElimProb = 1.5 }},
-		{"bad data rate", func(c *Config) { c.DataMPKI = -1 }},
 		{"bad pf kind", func(c *Config) { c.Prefetcher.Kind = PrefetcherKind(9) }},
 		{"bad history", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindHistory} }},
 		{"bad per-core history", func(c *Config) { c.Prefetcher = PrefetcherSpec{Kind: KindHistory, PerCore: true} }},

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"shift/internal/bpred"
 	"shift/internal/cache"
@@ -47,16 +46,10 @@ type System struct {
 	rng     []*trace.RNG
 
 	dataAcc []float64
-	// dataStep[n] caches float64(n) * DataMPKI / 1000 for small retire
-	// counts, sparing the per-record floating divide. Entries are
-	// computed with exactly the expression they replace, so accumulation
-	// is bit-identical. The table is read-only and shared by every
-	// System of the same DataMPKI (see dataStepTable).
-	dataStep []float64
-	records  []int64
-	fetch    []FetchStats
-	adapt    []adaptState
-	rounds   int64
+	records []int64
+	fetch   []FetchStats
+	adapt   []adaptState
+	rounds  int64
 
 	// hot gathers each core's per-record state behind a single bounds
 	// check; see coreHot.
@@ -68,44 +61,41 @@ type System struct {
 	adaptive   bool
 	adaptEvery int64
 
-	// RunBatch membership (all zero on a standalone System). Every member
-	// consumes the identical record stream, so whatever is a pure function
+	// RunBatch membership (all zero on a standalone System). The members of
+	// a batch consume the identical record stream on one system — they
+	// differ in the design, core type, mode, miss elimination and seed
+	// alone (see checkStreamCompatible) — so whatever is a pure function
 	// of that stream is computed once: the lead member (lead) steps its
-	// readers and publishes each record into log; a follower reads the log
-	// instead of a stream and replays, per facet, what the lead already
-	// decided:
+	// readers, its predictor and the log's instruction caches and publishes
+	// each record into log; a follower reads the log instead of a stream
+	// and replays what the lead decided:
 	//
-	//   - replayBP: the branch outcome, when its predictor configuration
-	//     equals the lead's. It builds no predictor (bp is nil).
-	//   - replayData: the background data traffic, when it would draw the
-	//     lead's sequence. It draws and accounts none: its snapshots take
-	//     the lead's totals from the interval marks.
-	//   - replayL1: the L1-I outcome, when its instruction-cache geometry
-	//     equals the lead's. All it keeps of an instruction cache are the
+	//   - the branch outcome. It builds no predictor (bp is nil).
+	//   - the L1-I outcome. All it keeps of an instruction cache are the
 	//     tags its prefetch filter reads (l1i are replicas; see
 	//     cache.ICache): in detailed stepping each miss word names the way
 	//     the block went into, and after a functional stretch it copies the
 	//     tags of the lead's caches, which are the log's. With the L1-I
 	//     outcome it shares the lead's choice of functional LLC probes (the
 	//     log's probe lists).
+	//   - replayData: the background data traffic, when it would draw the
+	//     lead's sequence (equal seeds, no miss elimination). It draws and
+	//     accounts none: its snapshots take the lead's totals from the
+	//     interval marks. Otherwise it draws its own.
 	//
-	// The counters of a predictor or an L1-I it does not have, and the
+	// The counters of the predictor and L1-I it does not have, and the
 	// data traffic it does not draw, reach a follower's results as
-	// interval marks (see shareMark); the log is all
-	// it knows of the lead. A facet whose condition fails is stepped by the
-	// follower itself, on structures of its own, off the same log. Detailed
-	// and functional stepping use the log alike: a follower steps the
-	// (core, round) order the lead did, so logPos — the next record's slot
-	// (functional records take slots only when the log keeps them; see
+	// interval marks (see shareMark); the log is all it knows of the lead.
+	// Detailed and functional stepping use the log alike: a follower steps
+	// the (core, round) order the lead did, so logPos — the next record's
+	// slot (functional records take slots only when the log keeps them; see
 	// leadLog) — markPos — the next interval mark's — and probePos and
 	// regionPos — the next probe and region lists' — simply count up
 	// through a lockstep block, and the batch runner rewinds them at the
 	// next.
 	log        *leadLog
 	lead       bool
-	replayBP   bool
 	replayData bool
-	replayL1   bool
 	logPos     int
 	markPos    int
 	probePos   int
@@ -129,8 +119,8 @@ type System struct {
 	// closed at and then its delta (see sinceMark);
 	// sampleAgg sums the closed intervals' deltas and the per-interval
 	// metric samples feed result; llcWarmCnt[core] counts functional L1
-	// misses for the strided LLC warming, on the member that decides the
-	// L1-I outcome.
+	// misses for the strided LLC warming, on the member that reads the
+	// stream.
 	functional    bool
 	llcMask       uint32
 	intervalStart measurement
@@ -188,11 +178,10 @@ func (s *System) buildHot() {
 
 // build constructs the System of a batch member (see batch.enter):
 // standalone (lg nil), the lead of a RunBatch (lg and readers set) or one
-// of its followers (lg set, no readers). A follower decides here, from its
-// configuration and the lead's alone, which facets of the lead's work it
-// replays (see the System.log field doc), and builds no predictor it would
-// not step and of an instruction cache it would not step the tags alone.
-// writes is the run's window in records per core, which bounds what each
+// of its followers (lg set, no readers). A follower builds no predictor
+// and of an instruction cache the tags alone, and decides here, from its
+// configuration and the lead's, whether it replays the data traffic (see
+// the System.log field doc). writes is the run's window in records per core, which bounds what each
 // history appends (one record a round at most) and so sizes its host
 // storage.
 func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System, error) {
@@ -202,7 +191,6 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System
 	for i, r := range readers {
 		s.fastReaders[i], _ = r.(*workload.CoreReader)
 	}
-	s.dataStep = dataStepTable(cfg.DataMPKI)
 	s.done = make([]bool, n)
 	s.clocks = make([]*cpu.Clock, n)
 	s.pb = make([]*cache.PrefetchBuffer, n)
@@ -212,17 +200,18 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System
 	s.records = make([]int64, n)
 	s.fetch = make([]FetchStats, n)
 	s.llcWarmCnt = make([]uint32, n)
-	if lg != nil && !s.lead {
-		s.replayBP, s.replayData, s.replayL1 = replays(cfg, lg.cfg)
+	follower := lg != nil && !s.lead
+	if follower {
+		s.replayData = replaysData(cfg, lg.cfg)
 	}
-	if cfg.BranchPredictorEntries > 0 && !s.replayBP {
+	if cfg.BranchPredictorEntries > 0 && !follower {
 		s.bp = make([]*bpred.Hybrid, n)
 	}
 	newL1 := cache.NewICache
-	if s.replayL1 {
+	if follower {
 		newL1 = cache.NewICacheReplica
 	}
-	if s.logOwnsL1() {
+	if s.lead {
 		s.l1i = lg.mirrors
 	} else {
 		s.l1i = make([]*cache.ICache, n)
@@ -240,16 +229,12 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System
 		// and move into the L1-I on first demand use, so mispredicted
 		// prefetches never pollute the instruction cache (the
 		// stream-prefetcher design PIF and SHIFT assume).
-		pbEntries := cfg.PrefetchBufferEntries
-		if pbEntries == 0 {
-			pbEntries = 128
-		}
-		pbuf, err := cache.NewPrefetchBuffer(pbEntries)
+		pbuf, err := cache.NewPrefetchBuffer(prefetchBufferEntries)
 		if err != nil {
 			return nil, err
 		}
 		s.pb[i] = pbuf
-		s.l1mshr[i] = cache.NewMSHRs(cfg.L1MSHRs)
+		s.l1mshr[i] = cache.NewMSHRs(l1MSHRs)
 		s.rng[i] = trace.NewRNG(cfg.Seed*7919 + int64(i))
 		if s.bp != nil {
 			h, err := bpred.NewHybrid(cfg.BranchPredictorEntries)
@@ -296,27 +281,16 @@ func build(cfg Config, readers []trace.Reader, lg *leadLog, writes int) (*System
 	return s, nil
 }
 
-// logOwnsL1 reports whether the instruction caches s steps are the log's:
-// those of a lead whose ways a log word can name (see leadLog.mirrors).
-// Any other System builds, and releases, its own.
-func (s *System) logOwnsL1() bool { return s.lead && s.log.mirrors != nil }
-
-// dataStepTables memoises dataStepTable per DataMPKI (a Table I constant
-// in every public configuration).
-var dataStepTables sync.Map // float64 → []float64
-
-// dataStepTable returns the read-only System.dataStep table for mpki.
-func dataStepTable(mpki float64) []float64 {
-	if t, ok := dataStepTables.Load(mpki); ok {
-		return t.([]float64)
-	}
-	t := make([]float64, 4096)
+// dataStep[n] caches float64(n) * dataMPKI / 1000 for small retire
+// counts, sparing the per-record floating divide. Entries are computed
+// with exactly the expression they replace, so accumulation is
+// bit-identical. The table is read-only.
+var dataStep = func() (t [4096]float64) {
 	for i := range t {
-		t[i] = float64(i) * mpki / 1000
+		t[i] = float64(i) * dataMPKI / 1000
 	}
-	shared, _ := dataStepTables.LoadOrStore(mpki, t)
-	return shared.([]float64)
-}
+	return t
+}()
 
 // release hands the System's big tables — caches, predictors, histories
 // and index tables — back to their packages' free lists, from which the
@@ -327,7 +301,8 @@ func dataStepTable(mpki float64) []float64 {
 // watchdog abandoned it) is left to the collector. The System is unusable
 // afterwards.
 func (s *System) release() {
-	if !s.logOwnsL1() {
+	// A lead's instruction caches are the log's, which releases them.
+	if !s.lead {
 		for _, c := range s.l1i {
 			c.Release()
 		}
@@ -430,7 +405,7 @@ func (s *System) transact(cls noc.MsgClass, coreID int, blk trace.BlockAddr) (ba
 	t := s.tileOf(coreID)
 	hops := s.mesh.Hops(t, bank)
 	s.mesh.Account(cls, 2*hops)
-	lat = s.cfg.L2HitCycles + int64(2*hops*s.cfg.Mesh.HopCycles)
+	lat = L2HitCycles + int64(2*hops*s.cfg.Mesh.HopCycles)
 	return bank, lat
 }
 
@@ -441,17 +416,16 @@ func (s *System) transact(cls noc.MsgClass, coreID int, blk trace.BlockAddr) (ba
 func (s *System) llcFetch(cls noc.MsgClass, coreID int, blk trace.BlockAddr) int64 {
 	bank, lat := s.transact(cls, coreID, blk)
 	if !s.llc[bank].LookupInsert(blk) {
-		lat += s.cfg.MemCycles
+		lat += MemCycles
 	}
 	return lat
 }
 
 // step advances core coreID by one trace record. It reports false when
-// the core's trace is exhausted. A RunBatch follower takes the record —
-// and whichever of the branch outcome and the L1-I outcome it shares with
-// the lead — from the lead log instead of a stream and structures of its
-// own, and skips the data traffic it shares (see the System.log field
-// doc); the lead publishes the log as it goes.
+// the core's trace is exhausted. A RunBatch follower takes the record, its
+// branch outcome and its L1-I outcome from the lead log instead of a
+// stream and structures of its own, and skips the data traffic it shares
+// (see the System.log field doc); the lead publishes the log as it goes.
 func (s *System) step(coreID int) (bool, error) {
 	if s.done[coreID] {
 		return false, nil
@@ -487,7 +461,7 @@ func (s *System) step(coreID int) (bool, error) {
 	// state are functions of the record stream alone, so the outcome a
 	// follower replays is exactly what a local evaluation would return.
 	var mis bool
-	if s.replayBP {
+	if follower {
 		mis = w&logMispredict != 0
 	} else if h.bp != nil {
 		taken := rec.Kind != trace.KindSeq
@@ -506,10 +480,10 @@ func (s *System) step(coreID int) (bool, error) {
 	// before the prefetch-buffer/LLC legs below is equivalent (the L1 is
 	// not touched again until the next record). The L1-I's content is a
 	// function of the record stream alone (prefetches fill a separate
-	// buffer), so a shared-L1 follower replays the lead's hit bit and
-	// applies the miss to its replica, in the way the lead's cache took it.
+	// buffer), so a follower replays the lead's hit bit and applies the
+	// miss to its replica, in the way the lead's cache took it.
 	var hit bool
-	if s.replayL1 {
+	if follower {
 		if hit = w&logHit != 0; !hit {
 			h.l1i.Put(blk, logWay(w))
 		}
@@ -575,16 +549,16 @@ func (s *System) step(coreID int) (bool, error) {
 	// with it the exact record at which the accumulator crosses 1.0,
 	// shifting the RNG stream and breaking bit-identical output. dataStep
 	// caches that exact expression per retire count.
-	// With equal seeds and data rates and no miss elimination the
+	// With equal seeds and no miss elimination the
 	// accumulator and the draws are functions of the record stream alone:
 	// a follower that would draw the lead's sequence draws nothing, and
 	// reports the lead's totals at each interval mark instead — integer
 	// counts, bit-identical accounting (see shareMark).
 	if !s.replayData {
-		if int(rec.Instrs) < len(s.dataStep) {
-			s.dataAcc[coreID] += s.dataStep[rec.Instrs]
+		if int(rec.Instrs) < len(dataStep) {
+			s.dataAcc[coreID] += dataStep[rec.Instrs]
 		} else {
-			s.dataAcc[coreID] += float64(rec.Instrs) * s.cfg.DataMPKI / 1000
+			s.dataAcc[coreID] += float64(rec.Instrs) * dataMPKI / 1000
 		}
 		for s.dataAcc[coreID] >= 1 {
 			s.dataAcc[coreID]--

@@ -58,11 +58,17 @@ func LoadSpecFile(path string) (string, error) {
 	return register(spec.Load(data, open))
 }
 
-// LoadSpecRestricted compiles and registers a spec document like
-// LoadSpec but refuses trace-replay specs. It exists for untrusted wire
-// input (shiftd's inline "spec" cells), where honoring a spec's trace
-// paths would let a remote client read server-local files.
-func LoadSpecRestricted(data []byte) (string, error) { return register(spec.Load(data, noTraces)) }
+// WireSpecID compiles a spec document from untrusted wire input and
+// returns the ID it compiles to, registering nothing. Like LoadSpecCell it
+// refuses trace-replay specs: honoring a spec's trace paths would let a
+// remote client read server-local files.
+func WireSpecID(data []byte) (string, error) {
+	comp, err := spec.Load(data, noTraces)
+	if err != nil {
+		return "", err
+	}
+	return comp.ID(), nil
+}
 
 // noTraces is the wire's Opener: it opens no trace recording.
 func noTraces(string) (io.ReadCloser, error) {
@@ -70,7 +76,7 @@ func noTraces(string) (io.ReadCloser, error) {
 }
 
 // LoadSpecCell compiles a wire spec document as cfg's workload, refusing
-// trace-replay specs as LoadSpecRestricted does, and checks cfg against
+// trace-replay specs as WireSpecID does, and checks cfg against
 // it by Config.Validate's rules. The spec is registered only when both
 // pass, so a refused cell leaves the process's spec registry as it found
 // it. It returns cfg with Workload set to the spec's ID. A document that

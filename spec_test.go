@@ -313,19 +313,24 @@ func TestSpecTraceReplayShortStream(t *testing.T) {
 	check(err, "batched")
 }
 
-// TestLoadSpecRestricted proves the wire-facing loader refuses
-// trace-replay specs (shiftd must not read server-local files on behalf
-// of remote clients) while accepting generated-workload specs.
-func TestLoadSpecRestricted(t *testing.T) {
-	if _, err := LoadSpecRestricted([]byte(`{"name": "sneaky", "trace": {"path": "/etc/hostname"}}`)); err == nil {
-		t.Error("restricted loader accepted a trace-replay spec")
+// TestWireSpecID proves the wire-facing compilers refuse trace-replay
+// specs (shiftd must not read server-local files on behalf of remote
+// clients) while accepting generated-workload specs, and that WireSpecID
+// registers nothing.
+func TestWireSpecID(t *testing.T) {
+	sneaky := []byte(`{"name": "sneaky", "trace": {"path": "/etc/hostname"}}`)
+	if _, err := WireSpecID(sneaky); err == nil {
+		t.Error("WireSpecID accepted a trace-replay spec")
 	}
-	id, err := LoadSpecRestricted([]byte(`{"name": "plain", "workload": {"base": "Web Search"}}`))
+	if _, err := LoadSpecCell(sneaky, DefaultRunConfig("", DesignSHIFT)); err == nil {
+		t.Error("LoadSpecCell accepted a trace-replay spec")
+	}
+	id, err := WireSpecID([]byte(`{"name": "plain, unregistered", "workload": {"base": "Web Search"}}`))
 	if err != nil {
-		t.Fatalf("restricted loader rejected a generated spec: %v", err)
+		t.Fatalf("WireSpecID rejected a generated spec: %v", err)
 	}
-	if _, err := SpecCanonical(id); err != nil {
-		t.Errorf("compiled spec %s not registered: %v", id, err)
+	if doc, err := SpecCanonical(id); err == nil {
+		t.Errorf("WireSpecID registered %s: %s", id, doc)
 	}
 }
 

@@ -32,8 +32,8 @@ func TableI() string {
 	sys.AddRow("I-fetch unit", fmt.Sprintf("%dKB %d-way L1-I, 64B blocks; hybrid bpred (16K gShare + 16K bimodal)",
 		sc.L1I.SizeBytes/1024, sc.L1I.Assoc))
 	sys.AddRow("L2 NUCA cache", fmt.Sprintf("%dKB/core, %d-way, %d banks, %d-cycle hit, 64 MSHRs",
-		sc.LLCBankBytes/1024, sc.LLCAssoc, sc.Mesh.Tiles(), sc.L2HitCycles))
-	sys.AddRow("Main memory", fmt.Sprintf("%d-cycle access (%gns @ 2GHz)", sc.MemCycles, float64(sc.MemCycles)/2))
+		sc.LLCBankBytes/1024, sc.LLCAssoc, sc.Mesh.Tiles(), sim.L2HitCycles))
+	sys.AddRow("Main memory", fmt.Sprintf("%d-cycle access (%gns @ 2GHz)", sim.MemCycles, float64(sim.MemCycles)/2))
 	b.WriteString("Table I (system): reproduced configuration\n")
 	b.WriteString(sys.String())
 
