@@ -163,7 +163,7 @@ var rows = append([]row{
 	{path: "store_cells", series: "shiftd_store_cells", kind: gauge, help: "Results currently stored.", get: func(sn *snapshot) any { return sn.engine.StoreCells }},
 	{path: "simulated", series: "shiftd_cells_simulated_total", kind: counter, help: "Cells actually simulated.", get: func(sn *snapshot) any { return sn.engine.Simulated }},
 	{path: "deduped", series: "shiftd_cells_deduped_total", kind: counter, help: "Cells served by a concurrent in-flight simulation.", get: func(sn *snapshot) any { return sn.engine.Deduped }},
-	{path: "inflight", series: "shiftd_cells_inflight", kind: gauge, help: "Simulations running right now.", get: func(sn *snapshot) any { return sn.engine.Inflight }},
+	{path: "inflight", series: "shiftd_cells_inflight", kind: gauge, help: "Worker slots busy right now: a batch of cells on one stream holds one.", get: func(sn *snapshot) any { return sn.engine.Inflight }},
 	{path: "batched", series: "shiftd_cells_batched_total", kind: counter, help: "Cells executed through the shared-stream batch path.", get: func(sn *snapshot) any { return sn.engine.Batched }},
 	{path: "streams_shared", series: "shiftd_streams_shared_total", kind: counter, help: "Trace-stream generations avoided by batching (K-1 per batch of K cells).", get: func(sn *snapshot) any { return sn.engine.StreamsShared }},
 	{path: "job_batches", series: "shiftd_job_batches_total", kind: counter, help: "Batches (a job's cells sharing one record stream) started by job workers.", get: func(sn *snapshot) any { return sn.jobs.Batches }},

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"shift"
 	"shift/internal/cluster"
@@ -210,4 +211,67 @@ func TestMetricsCarryResilienceCounters(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// gatedExec is an Executor whose every batch waits for release before it
+// runs in process; started receives each batch's size as it begins.
+type gatedExec struct {
+	started chan int
+	release chan struct{}
+}
+
+func (g gatedExec) ExecBatch(cfgs []shift.Config) ([]shift.RunResult, error) {
+	g.started <- len(cfgs)
+	<-g.release
+	return shift.RunBatch(cfgs)
+}
+
+// TestReadyzCountsSlotsNotCells: a batch of six designs on one stream is
+// one simulation, so on a two-slot engine it holds one slot of two, and
+// the service stays ready while other job cells queue behind it.
+func TestReadyzCountsSlotsNotCells(t *testing.T) {
+	rs := shift.NewResultCache()
+	engine := shift.NewEngine(2, rs)
+	gate := gatedExec{started: make(chan int, 4), release: make(chan struct{})}
+	engine.SetExecutor(gate)
+	jm := jobs.New(jobs.Config{RunBatch: engine.RunKeyed, Results: rs, Workers: 1})
+	t.Cleanup(jm.Close)
+	ts := httptest.NewServer(newServer(engine, rs, testOpts(), jm, 1<<20).handler())
+	t.Cleanup(ts.Close)
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(gate.release)
+		}
+	})
+
+	cell := func(w, d string) map[string]any {
+		return map[string]any{"workload": w, "design": d, "warmup_records": 500, "measure_records": 500}
+	}
+	var six []map[string]any
+	for _, d := range []string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT"} {
+		six = append(six, cell("Web Search", d))
+	}
+	first := submitJob(t, ts.URL, six)
+	select {
+	case n := <-gate.started:
+		if n != len(six) {
+			t.Fatalf("the first batch holds %d cells, want %d", n, len(six))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the six-design batch never started")
+	}
+	queued := submitJob(t, ts.URL, []map[string]any{cell("OLTP Oracle", "SHIFT")})
+
+	if es, depth := engine.Stats(), jm.Stats().QueueDepth; es.Inflight != 1 || es.Capacity != 2 || depth != 1 {
+		t.Errorf("%d/%d slots busy, %d job cells queued; want 1/2, 1", es.Inflight, es.Capacity, depth)
+	}
+	if code, body := getReadyz(t, ts.URL); code != http.StatusOK || body.Status != "ready" {
+		t.Errorf("readyz = %d %+v with one slot of two busy, want 200 ready", code, body)
+	}
+
+	close(gate.release)
+	released = true
+	awaitJobState(t, ts.URL, first.ID, "done")
+	awaitJobState(t, ts.URL, queued.ID, "done")
 }

@@ -307,7 +307,10 @@ func (c cellSpec) config(base shift.Options) (shift.Config, error) {
 		// when the cell is accepted. Identical spec content registers
 		// once, so repeated submissions memoize and batch against each
 		// other.
-		cfg, err = shift.LoadSpecCell(c.Spec, cfg)
+		var ws shift.WireSpec
+		if ws, err = shift.CompileWireSpec(c.Spec); err == nil {
+			cfg, err = ws.Cell(cfg)
+		}
 	} else {
 		err = cfg.Validate()
 	}

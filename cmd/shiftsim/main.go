@@ -10,7 +10,6 @@
 //	shiftsim -experiment fig7 -workloads "Web Search" -spec a.json,b.json
 //	shiftsim -experiment fig6 -sizes 1024,8192,32768
 //	shiftsim -experiment all -parallel 8      # 8 engine workers (same output)
-//	shiftsim -experiment fig8 -cache=false    # disable cell memoization
 //	shiftsim -experiment fig7 -v              # engine summary (batched cells etc.)
 //	shiftsim -experiment fig7 -sample 10      # interval sampling, 1-in-10 detailed
 //	shiftsim -experiment all -cache-dir ~/.shiftcache   # persist cells across runs
@@ -54,7 +53,6 @@ func main() {
 		sizes      = flag.String("sizes", "", "comma-separated aggregate history sizes for fig6")
 		coreType   = flag.String("core", "lean-ooo", "core type: fat-ooo, lean-ooo, lean-io")
 		parallel   = flag.Int("parallel", 0, "experiment-engine workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		useCache   = flag.Bool("cache", true, "memoize per-cell results across experiments (shared baselines are simulated once)")
 		cacheDir   = flag.String("cache-dir", "", "persist per-cell results under this directory (tiered memory-over-disk store; a repeated sweep across process restarts simulates nothing)")
 		sample     = flag.Int64("sample", 0, "sampling period: simulate 1 interval in N in detail and fast-forward the rest with functional warming (0 or 1 = exact, the default; sampled results carry error bounds and are approximations)")
 		sampleIntv = flag.Int64("sample-interval", 0, "measured interval length in records per core for -sample (0 = default 500)")
@@ -112,16 +110,15 @@ func main() {
 		WarmupFraction:  *sampleWarm,
 		Confidence:      *sampleConf,
 	}
-	var store shift.ResultStore
-	switch {
-	case *cacheDir != "":
+	// Cells are always memoized: experiments that share cells (most
+	// figures re-run the same per-workload baselines) simulate each once.
+	var store shift.ResultStore = shift.NewResultCache()
+	if *cacheDir != "" {
 		st, err := shift.NewTieredStore(*cacheDir)
 		if err != nil {
 			fail(err)
 		}
 		store = st
-	case *useCache:
-		store = shift.NewResultCache()
 	}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
@@ -183,11 +180,9 @@ func main() {
 		fmt.Println(out)
 		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	if store != nil {
-		if hits, misses := store.Stats(); hits+misses > 0 {
-			fmt.Printf("[cell cache: %d hits, %d misses, %d cells stored]\n",
-				hits, misses, store.Len())
-		}
+	if hits, misses := store.Stats(); hits+misses > 0 {
+		fmt.Printf("[cell cache: %d hits, %d misses, %d cells stored]\n",
+			hits, misses, store.Len())
 	}
 	if *verbose {
 		es := opts.Engine.Stats()

@@ -79,9 +79,6 @@ type Engine struct {
 	flight    store.Flight[RunResult]
 	simulated atomic.Int64
 	deduped   atomic.Int64
-	// specsRunning counts runSpecs cells holding a worker slot: they have
-	// no content address, so flight never sees them, but Inflight must.
-	specsRunning atomic.Int64
 
 	// batched counts cells executed in batches of two or more;
 	// streamsShared counts the trace-stream generations those batches
@@ -230,8 +227,8 @@ func (e *Engine) count(n int, sampled bool) {
 
 // runSpecs runs cells a Config cannot express (SHIFT knobs below the
 // design table, probed runs) on the engine's pool, each in a worker slot
-// of its own under exec's containment: it counts toward Inflight while
-// it holds the slot and as one simulated cell once it is done. Spec
+// of its own under exec's containment: its slot counts toward Inflight,
+// and it counts as one simulated cell once it is done. Spec
 // cells have no content address, so they are neither stored nor
 // deduplicated. It returns the results in spec order, or the error of
 // the lowest-index failing spec.
@@ -239,11 +236,7 @@ func (e *Engine) runSpecs(specs []sim.RunSpec) ([]sim.Result, error) {
 	out, errs := make([]sim.Result, len(specs)), make([]error, len(specs))
 	e.each(len(specs), func(i int) {
 		e.sem <- struct{}{}
-		e.specsRunning.Add(1)
-		defer func() {
-			e.specsRunning.Add(-1)
-			<-e.sem
-		}()
+		defer func() { <-e.sem }()
 		defer e.count(1, specs[i].Sampling.Enabled())
 		out[i], errs[i] = contain(e, 1, func() (sim.Result, error) { return sim.Run(specs[i]) })
 	})
@@ -289,9 +282,9 @@ type EngineStats struct {
 	// Deduped counts cells served by waiting on a concurrent in-flight
 	// simulation instead of re-running it.
 	Deduped int64
-	// Inflight is the number of cells being simulated right now: the
-	// Config cells claimed in the in-flight table and the spec cells
-	// (runSpecs) holding a worker slot.
+	// Inflight is the number of simulations running right now: the
+	// worker slots busy. A batch is one simulation, however many cells it
+	// carries.
 	Inflight int
 	// Batched counts cells executed in batches of two or more cells
 	// on one stream (a cell alone on its stream runs as a batch of
@@ -323,7 +316,7 @@ type EngineStats struct {
 // Load returns EngineStats' Inflight and Capacity alone — the two read
 // without asking the attached store, whose backend may be stalled.
 func (e *Engine) Load() (inflight, capacity int) {
-	return e.flight.Len() + int(e.specsRunning.Load()), cap(e.sem)
+	return len(e.sem), cap(e.sem)
 }
 
 // Stats returns a snapshot of the engine's counters, the attached

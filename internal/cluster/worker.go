@@ -86,12 +86,12 @@ func NewWorker(engine *shift.Engine) *Worker {
 }
 
 // HandleBatch serves POST /v1/batch: decode the batch, check each cell
-// with shift.Config.Validate (shift.LoadSpecCell for a cell whose spec
-// the batch carries), execute the cells that pass on the local
-// engine, answer per-cell. A refused cell is answered with the error a
-// local Run of it reports and is never simulated, so a peer cannot make
-// the worker run — or allocate tables for — a cell shiftd's wire would
-// refuse. The engine reports every other cell's own result or error (a
+// with shift.Config.Validate (shift.WireSpec.Cell against the batch's
+// compiled document, for a cell whose spec the batch carries), execute
+// the cells that pass on the local engine, answer per-cell. A refused
+// cell is answered with the error a local Run of it reports and is never
+// simulated, so a peer cannot make the worker run — or allocate tables
+// for — a cell shiftd's wire would refuse. The engine reports every other cell's own result or error (a
 // failing batch is isolated member by member), so one bad cell costs its
 // neighbors nothing.
 func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
@@ -107,10 +107,10 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 		k := shift.KeyConfig(cfg)
 		resp.Results[i].Key = k.Key()
 		var err error
-		if doc, ok := req.Specs[cfg.Workload]; ok {
+		if ws, ok := req.specs[cfg.Workload]; ok {
 			// The batch carries the cell's spec: it is registered only
 			// for a cell that passes, as shiftd's inline spec cells are.
-			_, err = shift.LoadSpecCell(doc, cfg)
+			_, err = ws.Cell(cfg)
 		} else {
 			err = cfg.Validate()
 		}
@@ -144,15 +144,22 @@ func (w *Worker) HandleBatch(rw http.ResponseWriter, r *http.Request) {
 // maxBatchBody bounds the bytes HandleBatch reads of a request body.
 const maxBatchBody = 16 << 20
 
+// decodedBatch is a POST /v1/batch request with each of its spec
+// documents compiled once, keyed by ID.
+type decodedBatch struct {
+	BatchRequest
+	specs map[string]shift.WireSpec
+}
+
 // decodeBatch is HandleBatch's side of the trust boundary: it reads at
 // most maxBatchBody bytes of r's body (and the one that proves a longer
-// body too long), decodes a non-empty batch and compiles its spec
-// documents as shiftd does an inline spec cell's (no trace replay),
+// body too long), decodes a non-empty batch and compiles each of its spec
+// documents once, as shiftd does an inline spec cell's (no trace replay),
 // registering none: HandleBatch registers a document for a cell that
 // passes. A body that does not decode, holds no cell, or has a document
 // that does not compile to its ID is answered here — 400 with an error
 // line — and ok is false.
-func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
+func decodeBatch(rw http.ResponseWriter, r *http.Request) (req decodedBatch, ok bool) {
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBatchBody)).Decode(&req); err != nil {
 		http.Error(rw, fmt.Sprintf("decoding batch: %v", err), http.StatusBadRequest)
 		return req, false
@@ -161,15 +168,17 @@ func decodeBatch(rw http.ResponseWriter, r *http.Request) (req BatchRequest, ok 
 		http.Error(rw, "empty batch", http.StatusBadRequest)
 		return req, false
 	}
+	req.specs = make(map[string]shift.WireSpec, len(req.Specs))
 	for id, doc := range req.Specs {
-		got, err := shift.WireSpecID(doc)
-		if err == nil && got != id {
-			err = fmt.Errorf("the document compiles to %q", got)
+		ws, err := shift.CompileWireSpec(doc)
+		if err == nil && ws.ID() != id {
+			err = fmt.Errorf("the document compiles to %q", ws.ID())
 		}
 		if err != nil {
-			http.Error(rw, fmt.Sprintf("spec %q: %v", id, err), http.StatusBadRequest)
+			http.Error(rw, fmt.Sprintf("specs[%q]: %v", id, err), http.StatusBadRequest)
 			return req, false
 		}
+		req.specs[id] = ws
 	}
 	return req, true
 }

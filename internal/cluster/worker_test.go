@@ -183,20 +183,22 @@ func TestWorkerErrorParity(t *testing.T) {
 
 // TestWorkerRefusesOutOfRangeCells: a peer's cell that shiftd's wire
 // would refuse — a negative core count or history, a history above 2^20
-// records — comes back as a per-cell error naming the field, and the
-// worker simulates none of them.
+// records, a core type that names no core — comes back as a per-cell error
+// naming the field, and the worker simulates none of them.
 func TestWorkerRefusesOutOfRangeCells(t *testing.T) {
 	srv, _, eng := newTestWorker(t)
 	cores, hist, huge := tinyConfig(shift.DesignSHIFT), tinyConfig(shift.DesignSHIFT), tinyConfig(shift.DesignPIF2K)
 	cores.Cores = -3
 	hist.HistEntries = -8
 	huge.Cores, huge.HistEntries = 1, 1<<21
-	cfgs := []shift.Config{cores, hist, huge}
+	coreHigh, coreLow := tinyConfig(shift.DesignBaseline), tinyConfig(shift.DesignBaseline)
+	coreHigh.CoreType, coreLow.CoreType = 7, -1
+	cfgs := []shift.Config{cores, hist, huge, coreHigh, coreLow}
 	br, code := postBatch(t, srv.URL, cfgs)
 	if code != http.StatusOK || len(br.Results) != len(cfgs) {
 		t.Fatalf("status %d, %d results", code, len(br.Results))
 	}
-	for i, field := range []string{"cores", "hist_entries", "hist_entries"} {
+	for i, field := range []string{"cores", "hist_entries", "hist_entries", "core_type", "core_type"} {
 		r := br.Results[i]
 		if r.Result != nil || !strings.HasPrefix(r.Error, field+": ") {
 			t.Errorf("cell %d: result %+v, error %q; want an error naming %s", i, r.Result, r.Error, field)

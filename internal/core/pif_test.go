@@ -37,7 +37,7 @@ func TestPIFConfigRescales(t *testing.T) {
 func TestPIFConfigValidate(t *testing.T) {
 	for _, n := range []int{PIF32K, PIF2K} {
 		if err := PIFConfig(n).Validate(); err != nil {
-			t.Errorf("%s invalid: %v", PIFLabel(n), err)
+			t.Errorf("PIF_%d invalid: %v", n, err)
 		}
 	}
 	noHistory, badIndex, noSAB := PIFConfig(PIF32K), PIFConfig(PIF32K), PIFConfig(PIF32K)

@@ -146,10 +146,6 @@ func PIFConfig(n int) Config {
 	return c
 }
 
-// PIFLabel is the figure label of PIF's history of n records where no
-// design point names it (Figure 6's rescaled sizes): PIF_<n>.
-func PIFLabel(n int) string { return fmt.Sprintf("PIF_%d", n) }
-
 // TIFSConfig is the history of Temporal Instruction Fetch Streaming
 // (Ferdman et al., MICRO 2008), the miss-stream predecessor of PIF: PIF's
 // 32K-record geometry, recording misses. It is not part of the paper's

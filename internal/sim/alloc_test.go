@@ -53,7 +53,7 @@ func testZeroAllocs(t *testing.T, spec PrefetcherSpec) {
 	// residual growth (e.g. a stream queue that first overflows here)
 	// does not count against the steady-state figure.
 	if got := measureStepAllocs(t, sys, 2000); got != 0 {
-		t.Fatalf("%s: %.6f allocs/record in steady-state Step, want 0", spec.Name(), got)
+		t.Fatalf("%s: %.6f allocs/record in steady-state Step, want 0", spec.Label, got)
 	}
 }
 

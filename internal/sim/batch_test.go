@@ -33,10 +33,10 @@ func batchDesigns() []RunSpec {
 		specs = append(specs, mk(func(c *Config) { c.Prefetcher = d }))
 	}
 	return append(specs,
-		mk(func(c *Config) { c.Seed = 42; c.ElimProb = 0.5 }),
+		mk(func(c *Config) { c.Seed = 42; c.ElimProb = 0.5; c.Prefetcher.Label = "Baseline" }),
 		mk(func(c *Config) {
 			c.Mode = ModePrediction
-			c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized)}
+			c.Prefetcher = PrefetcherSpec{Kind: KindHistory, History: smallSHIFT(core.Virtualized), Label: "SHIFT"}
 		}),
 	)
 }
@@ -59,7 +59,7 @@ func checkBatchMatchesRun(t *testing.T, specs []RunSpec) {
 			t.Fatalf("spec %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(batched[i], solo) {
-			t.Errorf("spec %d (%s): batched result differs from Run", i, spec.Config.Prefetcher.Name())
+			t.Errorf("spec %d (%s): batched result differs from Run", i, spec.Config.Prefetcher.Label)
 		}
 	}
 }

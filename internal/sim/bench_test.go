@@ -15,7 +15,7 @@ import (
 // iteration. Run it with -cpu 1.
 func BenchmarkDetailedStep(b *testing.B) {
 	for _, d := range designSpecs() {
-		b.Run(d.Name(), func(b *testing.B) {
+		b.Run(d.Label, func(b *testing.B) {
 			p, err := workload.ByName("OLTP Oracle")
 			if err != nil {
 				b.Fatal(err)
@@ -120,6 +120,6 @@ func BenchmarkFunctionalLead(b *testing.B) {
 func BenchmarkFunctionalFollower(b *testing.B) {
 	all := designSpecs()
 	for _, d := range []PrefetcherSpec{all[dNextLine], all[dPIF32K], all[dSHIFT]} {
-		b.Run(d.Name(), func(b *testing.B) { benchFunctional(b, d, 1) })
+		b.Run(d.Label, func(b *testing.B) { benchFunctional(b, d, 1) })
 	}
 }

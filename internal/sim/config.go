@@ -67,8 +67,6 @@ const (
 type PrefetcherSpec struct {
 	// Kind selects the design.
 	Kind PrefetcherKind
-	// NextLineDegree configures KindNextLine (default 1).
-	NextLineDegree int
 	// History configures KindHistory: each history's storage, geometry
 	// and recording policy (see core.Config; core.PIFConfig and
 	// core.TIFSConfig give the per-core designs').
@@ -87,30 +85,9 @@ type PrefetcherSpec struct {
 	// history of one core has no other generator.
 	AdaptiveGenerator bool
 	AdaptWindow       int64
-	// Label overrides the reported name (see Name).
+	// Label is the design point's name in figures: every Result of the
+	// spec carries it (Result.Label).
 	Label string
-}
-
-// Name returns the design-point label used in figures: Label if set,
-// else TIFS for per-core miss histories, core.PIFLabel for other
-// per-core histories, and the storage variant's name for a shared one.
-func (p PrefetcherSpec) Name() string {
-	switch {
-	case p.Label != "":
-		return p.Label
-	case p.Kind == KindNone:
-		return "Baseline"
-	case p.Kind == KindNextLine:
-		return "NextLine"
-	case p.Kind != KindHistory:
-		return fmt.Sprintf("PrefetcherKind(%d)", int(p.Kind))
-	case p.PerCore && p.History.RecordMisses:
-		return "TIFS"
-	case p.PerCore:
-		return core.PIFLabel(p.History.HistEntries)
-	default:
-		return p.History.Variant.String()
-	}
 }
 
 // regionSpan is the span at which the design's Warmer compacts the access
@@ -197,8 +174,9 @@ func DefaultConfig() Config {
 }
 
 // validate reports the first problem with c, or nil. A field a caller
-// sets (Cores, ElimProb) is refused with a *validate.FieldError under its
-// wire name; the rest are the system's own geometry and refused plainly.
+// sets (Cores, CoreType, ElimProb) is refused with a *validate.FieldError
+// under its wire name; the rest are the system's own geometry and refused
+// plainly.
 func (c Config) validate() error {
 	if err := c.Mesh.Validate(); err != nil {
 		return err
@@ -221,7 +199,8 @@ func (c Config) validate() error {
 		return validate.Fieldf("elim_prob", "must be in [0,1], got %g", c.ElimProb)
 	}
 	if !c.CoreType.Valid() {
-		return fmt.Errorf("sim: invalid core type %d", c.CoreType)
+		return validate.Fieldf("core_type", "must be %d (%s), %d (%s) or %d (%s), got %d",
+			cpu.LeanOoO, cpu.LeanOoO, cpu.FatOoO, cpu.FatOoO, cpu.LeanIO, cpu.LeanIO, int(c.CoreType))
 	}
 	switch p := c.Prefetcher; p.Kind {
 	case KindNone, KindNextLine:

@@ -96,7 +96,7 @@ func TestCrossDesignInvariants(t *testing.T) {
 			var res []Result
 			for _, d := range smallDesignSpecs() {
 				r := runCatalog(t, wp, func(c *Config) { c.Prefetcher = d })
-				checkCounters(t, wp.Name+"/"+d.Name(), r)
+				checkCounters(t, wp.Name+"/"+d.Label, r)
 				res = append(res, r)
 			}
 			base := res[dBaseline]

@@ -51,7 +51,7 @@ func TestProbeSeesWithoutSteering(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, plain[m]) {
-					t.Errorf("%s with a probe differs from its run without", specs[m].Config.Prefetcher.Name())
+					t.Errorf("%s with a probe differs from its run without", specs[m].Config.Prefetcher.Label)
 				}
 				// The probe rides on one member of the batch; every member's
 				// result stands.
@@ -65,14 +65,14 @@ func TestProbeSeesWithoutSteering(t *testing.T) {
 					t.Errorf("a batch with a probe on member %d differs from the batch without", m)
 				}
 				if !reflect.DeepEqual(member, solo) {
-					t.Errorf("%s: the probe saw other intervals batched than alone", specs[m].Config.Prefetcher.Name())
+					t.Errorf("%s: the probe saw other intervals batched than alone", specs[m].Config.Prefetcher.Label)
 				}
 				want := tc.intervals
 				if want < 0 {
 					want = plain[m].Sampled.Intervals
 				}
 				if len(solo) != want {
-					t.Fatalf("%s: %d reports, want %d", specs[m].Config.Prefetcher.Name(), len(solo), want)
+					t.Fatalf("%s: %d reports, want %d", specs[m].Config.Prefetcher.Label, len(solo), want)
 				}
 				var sum Result
 				for _, r := range solo {
@@ -91,7 +91,7 @@ func TestProbeSeesWithoutSteering(t *testing.T) {
 				whole := plain[m]
 				if sum.Records != whole.Records || sum.Instructions != whole.Instructions || sum.Fetch != whole.Fetch ||
 					sum.Pf != whole.Pf || sum.Traffic != whole.Traffic || sum.Hops != whole.Hops {
-					t.Errorf("%s: the reports add up to %+v, the run reports %+v", specs[m].Config.Prefetcher.Name(), sum, whole)
+					t.Errorf("%s: the reports add up to %+v, the run reports %+v", specs[m].Config.Prefetcher.Label, sum, whole)
 				}
 			}
 		})
@@ -110,7 +110,7 @@ func TestProbeCountsIndexLookups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res[spec.Config.Prefetcher.Name()] = r
+		res[spec.Config.Prefetcher.Label] = r
 	}
 	for name, r := range res {
 		pf := r.Pf

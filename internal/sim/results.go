@@ -223,7 +223,7 @@ func (s *System) sinceMark() *measurement {
 func (s *System) resultFromDelta(d *measurement) Result {
 	n := s.cfg.Cores
 	res := Result{
-		Label:   s.cfg.Prefetcher.Name(),
+		Label:   s.cfg.Prefetcher.Label,
 		Cores:   n,
 		PerCore: make([]CoreResult, n),
 	}

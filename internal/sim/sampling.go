@@ -567,7 +567,7 @@ func (s *System) consume(coreID int, words []uint64, probes []uint64, regions re
 		s.consumeListed(probes, nil, nil)
 		return nil
 	case words == nil:
-		return fmt.Errorf("sim: batch member %s walks a functional stretch of core %d its lead log does not keep", s.cfg.Prefetcher.Name(), coreID)
+		return fmt.Errorf("sim: batch member %s walks a functional stretch of core %d its lead log does not keep", s.cfg.Prefetcher.Label, coreID)
 	}
 	var (
 		warm  = s.hot[coreID].warm

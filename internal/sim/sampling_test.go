@@ -656,10 +656,10 @@ func TestLLCStateSharedOnlyUntilDetailed(t *testing.T) {
 			switch {
 			case !detailed && differ != 0:
 				t.Errorf("block %d, before any detailed segment: %d LLC banks of %s differ from the lead's",
-					block, differ, specs[m+1].Config.Prefetcher.Name())
+					block, differ, specs[m+1].Config.Prefetcher.Label)
 			case detailed && differ == 0:
 				t.Errorf("block %d, after a detailed segment: every LLC bank of %s equals the lead's",
-					block, specs[m+1].Config.Prefetcher.Name())
+					block, specs[m+1].Config.Prefetcher.Label)
 			case detailed:
 				diverged++
 			default:
@@ -707,7 +707,7 @@ func TestSampledResultsPinned(t *testing.T) {
 		h := fnv.New64a()
 		h.Write(buf)
 		if got := h.Sum64(); got != sampledResultDigests[i] {
-			t.Errorf("member %d (%s): sampled result digest %#016x, pinned %#016x", i, specs[i].Config.Prefetcher.Name(), got, sampledResultDigests[i])
+			t.Errorf("member %d (%s): sampled result digest %#016x, pinned %#016x", i, specs[i].Config.Prefetcher.Label, got, sampledResultDigests[i])
 		}
 	}
 }
@@ -738,8 +738,8 @@ func TestWarmNeedsDeclared(t *testing.T) {
 	}
 	for _, spec := range smallDesignSpecs() {
 		sys, got := needs(spec)
-		if !reflect.DeepEqual(got, want[spec.Name()]) {
-			t.Errorf("%s: cores need %v, want %v", spec.Name(), got, want[spec.Name()])
+		if !reflect.DeepEqual(got, want[spec.Label]) {
+			t.Errorf("%s: cores need %v, want %v", spec.Label, got, want[spec.Label])
 		}
 		if len(sys.shared) == 1 {
 			sys.shared[0].SetGenerator(2)
@@ -749,7 +749,7 @@ func TestWarmNeedsDeclared(t *testing.T) {
 					want = prefetch.WarmRecords
 				}
 				if need, _ := sys.consumeWork(c, history.Builder{}); need != want {
-					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", spec.Name(), c, need, want)
+					t.Errorf("%s, generator moved to core 2: core %d needs %v, want %v", spec.Label, c, need, want)
 				}
 			}
 		}

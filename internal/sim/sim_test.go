@@ -82,25 +82,15 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSpecNames(t *testing.T) {
-	if (PrefetcherSpec{Kind: KindNone}).Name() != "Baseline" {
-		t.Error("baseline name")
-	}
-	if (PrefetcherSpec{Kind: KindNextLine}).Name() != "NextLine" {
-		t.Error("nextline name")
-	}
-	for i, want := range []string{"Baseline", "NextLine", "PIF_2K", "PIF_32K", "ZeroLat-SHIFT", "SHIFT", "TIFS"} {
-		if got := designSpecs()[i].Name(); got != want {
-			t.Errorf("design %d named %q, want %q", i, got, want)
+	seen := map[string]bool{}
+	for i, spec := range designSpecs() {
+		if spec.Label == "" || seen[spec.Label] {
+			t.Errorf("design %d labelled %q: want a label of its own", i, spec.Label)
 		}
-	}
-	if n := (PrefetcherSpec{Kind: KindHistory, History: core.PIFConfig(4096), PerCore: true}).Name(); n != "PIF_4096" {
-		t.Errorf("rescaled PIF named %q", n)
+		seen[spec.Label] = true
 	}
 	if ModePrediction.String() != "prediction" || ModePrefetch.String() != "prefetch" {
 		t.Error("mode names")
-	}
-	if n := (PrefetcherSpec{Kind: PrefetcherKind(9)}).Name(); n != "PrefetcherKind(9)" {
-		t.Errorf("unknown kind named %q", n)
 	}
 }
 
@@ -174,7 +164,7 @@ func TestNextLineImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Prefetcher = PrefetcherSpec{Kind: KindNextLine, NextLineDegree: 1}
+	cfg.Prefetcher = PrefetcherSpec{Kind: KindNextLine}
 	nl, err := Run(testSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -228,13 +218,13 @@ func designSpecs() []PrefetcherSpec {
 	zeroLat := core.DefaultConfig()
 	zeroLat.Variant = core.Dedicated
 	return []PrefetcherSpec{
-		dBaseline: {Kind: KindNone},
-		dNextLine: {Kind: KindNextLine, NextLineDegree: 1},
+		dBaseline: {Kind: KindNone, Label: "Baseline"},
+		dNextLine: {Kind: KindNextLine, Label: "NextLine"},
 		dPIF2K:    {Kind: KindHistory, History: core.PIFConfig(core.PIF2K), PerCore: true, Label: "PIF_2K"},
 		dPIF32K:   {Kind: KindHistory, History: core.PIFConfig(core.PIF32K), PerCore: true, Label: "PIF_32K"},
-		dZeroLat:  {Kind: KindHistory, History: zeroLat},
-		dSHIFT:    {Kind: KindHistory, History: core.DefaultConfig()},
-		dTIFS:     {Kind: KindHistory, History: core.TIFSConfig(), PerCore: true},
+		dZeroLat:  {Kind: KindHistory, History: zeroLat, Label: "ZeroLat-SHIFT"},
+		dSHIFT:    {Kind: KindHistory, History: core.DefaultConfig(), Label: "SHIFT"},
+		dTIFS:     {Kind: KindHistory, History: core.TIFSConfig(), PerCore: true, Label: "TIFS"},
 	}
 }
 
@@ -252,7 +242,7 @@ func smallDesignSpecs() []PrefetcherSpec {
 
 // testName is spec's name as a subtest name: lower case, no underscores.
 func testName(spec PrefetcherSpec) string {
-	return strings.ToLower(strings.ReplaceAll(spec.Name(), "_", ""))
+	return strings.ToLower(strings.ReplaceAll(spec.Label, "_", ""))
 }
 
 func smallSHIFT(v core.Variant) core.Config {

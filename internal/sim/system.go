@@ -336,7 +336,7 @@ func (s *System) buildPrefetchers(writes int) error {
 		}
 	case KindNextLine:
 		for i := range s.pf {
-			s.pf[i] = prefetch.NewNextLine(spec.NextLineDegree)
+			s.pf[i] = prefetch.NewNextLine(1)
 		}
 	case KindHistory:
 		var backend core.LLCBackend

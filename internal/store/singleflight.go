@@ -61,10 +61,3 @@ func (f *Flight[V]) Resolve(key string, c *Call[V], val V, err error) {
 	f.mu.Unlock()
 	close(c.done)
 }
-
-// Len returns the number of keys currently in flight.
-func (f *Flight[V]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.m)
-}

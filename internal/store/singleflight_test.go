@@ -50,8 +50,8 @@ func TestFlightSharesOneComputation(t *testing.T) {
 			t.Errorf("claimant %d saw %d, want 42", i, v)
 		}
 	}
-	if f.Len() != 0 {
-		t.Errorf("Len = %d after all resolutions, want 0", f.Len())
+	if inFlight(&f) != 0 {
+		t.Errorf("Len = %d after all resolutions, want 0", inFlight(&f))
 	}
 }
 
@@ -94,8 +94,8 @@ func TestFlightPropagatesErrors(t *testing.T) {
 	if _, err := waiter.Wait(); !errors.Is(err, want) {
 		t.Errorf("waiter error = %v, want %v", err, want)
 	}
-	if f.Len() != 0 {
-		t.Errorf("Len = %d, want 0", f.Len())
+	if inFlight(&f) != 0 {
+		t.Errorf("Len = %d, want 0", inFlight(&f))
 	}
 }
 
@@ -108,8 +108,8 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 	if !ownerA || !ownerB {
 		t.Fatal("distinct keys must both be owned")
 	}
-	if f.Len() != 2 {
-		t.Errorf("Len = %d, want 2", f.Len())
+	if inFlight(&f) != 2 {
+		t.Errorf("Len = %d, want 2", inFlight(&f))
 	}
 	f.Resolve("a", a, 1, nil)
 	f.Resolve("b", b, 2, nil)
@@ -119,4 +119,11 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 	if vb, _ := b.Wait(); vb != 2 {
 		t.Errorf("b = %d", vb)
 	}
+}
+
+// inFlight is the number of f's keys in flight.
+func inFlight[V any](f *Flight[V]) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.m)
 }

@@ -63,6 +63,8 @@ func TestCellCheck(t *testing.T) {
 		{"cores low", func(c *shift.Config) { c.Cores = -1 }, "cores"},
 		{"cores high", func(c *shift.Config) { c.Cores = 17 }, "cores"},
 		{"cores negative", func(c *shift.Config) { c.Cores = -3 }, "cores"},
+		{"core type high", func(c *shift.Config) { c.CoreType = 7 }, "core_type"},
+		{"core type negative", func(c *shift.Config) { c.CoreType = -1 }, "core_type"},
 		{"hist entries", func(c *shift.Config) { c.HistEntries = -1 }, "hist_entries"},
 		{"hist entries huge", func(c *shift.Config) { c.HistEntries = 1<<20 + 1 }, "hist_entries"},
 		{"elim low", func(c *shift.Config) { c.ElimProb = -0.1 }, "elim_prob"},

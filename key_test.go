@@ -32,7 +32,7 @@ func keyReference(c Config) string {
 		c.Workload, c.Design, c.CoreType, c.Cores, c.HistEntries,
 		c.PredictionOnly, c.CommonalityMode, unsignedZero(c.ElimProb),
 		c.WarmupRecords, c.MeasureRecords, c.Seed)
-	if p := c.Sampling.internal().Normalized(); p.Enabled() {
+	if p := c.Sampling.Normalized(); p.Enabled() {
 		id += fmt.Sprintf("|sampled|%d|%d|%g|%g",
 			p.Period, p.IntervalRecords, unsignedZero(p.WarmupFraction), unsignedZero(p.Confidence))
 	}

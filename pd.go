@@ -62,7 +62,7 @@ func RunPerfDensity(o Options) (*PerfDensity, error) {
 		fig := speedupFromResults(o.Workloads, designs, results[i*stride:(i+1)*stride])
 		for _, d := range designs {
 			pref := d.areaPerCore(o.Cores)
-			dp := area.Evaluate(d.String(), ct.internal(), pref, fig.Geo[d.String()])
+			dp := area.Evaluate(d.String(), ct, pref, fig.Geo[d.String()])
 			pd.Points = append(pd.Points, PDPoint{
 				CoreType:          ct.String(),
 				Design:            d.String(),

@@ -91,7 +91,6 @@ var reachExceptions = []reachException{
 	{"history.BitsPerRecord", "FIDELITY.md's sizing.record_bits row measures it (fidelity_test.go)"},
 	{"history.Buffer.WritePos", "internal/core's script golden and internal/sim's sampling tests read the write pointer"},
 	{"race.Enabled", "tests of three packages skip their allocation and heap gates under the race detector, and a _test.go file cannot be imported by another package's tests"},
-	{"sim.PrefetcherSpec.Name", "the root package's tests hold each design's figure label to its name"},
 	{"trace.Record.Validate", "internal/workload's tests hold generated records to the codec's validity rule"},
 }
 

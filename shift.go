@@ -69,7 +69,8 @@
 //	e := shift.NewEngine(4, shift.NewResultCache())
 //	results, err := e.RunAll(cells) // results[i] belongs to cells[i]
 //
-// cmd/shiftsim exposes the engine as -parallel and -cache flags.
+// cmd/shiftsim runs every experiment on one engine over a ResultCache,
+// with its -parallel bound.
 //
 // # Result stores and serving
 //
@@ -107,32 +108,20 @@ import (
 	"shift/internal/workload"
 )
 
-// CoreType selects a core microarchitecture (Table I / Section 2.3).
-type CoreType int
+// CoreType selects a core microarchitecture (Table I / Section 2.3). It
+// is the simulator's own type: Validate refuses a value that names no
+// core under the "core_type" field.
+type CoreType = cpu.CoreType
 
 const (
 	// LeanOoO is the ARM Cortex-A15-class core used for the paper's main
 	// results.
-	LeanOoO CoreType = iota
+	LeanOoO = cpu.LeanOoO
 	// FatOoO is the Xeon-class core.
-	FatOoO
+	FatOoO = cpu.FatOoO
 	// LeanIO is the ARM Cortex-A8-class in-order core.
-	LeanIO
+	LeanIO = cpu.LeanIO
 )
-
-// String names the core type as in the paper.
-func (t CoreType) String() string { return t.internal().String() }
-
-func (t CoreType) internal() cpu.CoreType {
-	switch t {
-	case FatOoO:
-		return cpu.FatOoO
-	case LeanIO:
-		return cpu.LeanIO
-	default:
-		return cpu.LeanOoO
-	}
-}
 
 // AllCoreTypes returns the three evaluated core designs.
 func AllCoreTypes() []CoreType { return []CoreType{FatOoO, LeanOoO, LeanIO} }
@@ -163,11 +152,13 @@ const (
 
 // design is everything the package knows about one design point.
 type design struct {
-	// name is the figure-legend name (Design.String, ParseDesign).
+	// name is the figure-legend name (Design.String, ParseDesign), and the
+	// label of every spec the row builds that does not label itself.
 	name string
 	// spec builds the simulated prefetcher: histEntries > 0 overrides the
 	// history capacity (Figure 6), commonality starts replay on any
-	// uncovered access (the Section 3 study).
+	// uncovered access (the Section 3 study). A spec whose override makes
+	// it another design point sets its own Label.
 	spec func(histEntries int, commonality bool) sim.PrefetcherSpec
 	// areaMM2 is the per-core area of the design's dedicated storage on a
 	// CMP of the given size (nil: none).
@@ -183,7 +174,7 @@ var designs = [...]design{
 		return sim.PrefetcherSpec{Kind: sim.KindNone}
 	}},
 	DesignNextLine: {name: "NextLine", spec: func(int, bool) sim.PrefetcherSpec {
-		return sim.PrefetcherSpec{Kind: sim.KindNextLine, NextLineDegree: 1}
+		return sim.PrefetcherSpec{Kind: sim.KindNextLine}
 	}},
 	DesignPIF2K:        pifDesign("PIF_2K", core.PIF2K),
 	DesignPIF32K:       pifDesign("PIF_32K", core.PIF32K),
@@ -198,17 +189,18 @@ var designs = [...]design{
 	}},
 }
 
-// pifDesign is a per-core PIF row of the given history records, labelled
-// name unless the history capacity is overridden, which rescales the
-// design (and labels it PIF_<records>).
+// pifDesign is a per-core PIF row of the given history records. An
+// overridden history capacity rescales the design, labelled
+// PIF_<records>.
 func pifDesign(name string, records int) design {
 	return design{
 		name: name,
 		spec: func(histEntries int, _ bool) sim.PrefetcherSpec {
 			if histEntries > 0 {
-				return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(histEntries), PerCore: true}
+				return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(histEntries), PerCore: true,
+					Label: fmt.Sprintf("PIF_%d", histEntries)}
 			}
-			return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(records), PerCore: true, Label: name}
+			return sim.PrefetcherSpec{Kind: sim.KindHistory, History: core.PIFConfig(records), PerCore: true}
 		},
 		areaMM2: func(int) float64 {
 			c := core.PIFConfig(records)
@@ -305,30 +297,9 @@ type Config struct {
 // standard error and confidence interval computed from the
 // per-interval samples. Exact simulation remains the default; sampled
 // results are approximations with quantified error, never byte-
-// comparable to exact ones.
-type Sampling struct {
-	// Period is the sampling period in intervals: one interval of every
-	// Period is simulated in detail and measured. 0 or 1 disables
-	// sampling (exact simulation).
-	Period int64
-	// IntervalRecords is the measured interval length in records per
-	// core (default 500).
-	IntervalRecords int64
-	// WarmupFraction is the fraction of IntervalRecords re-simulated in
-	// detail — but excluded from measurement — immediately before each
-	// measured interval, re-warming the timing structures functional
-	// fast-forwarding froze (default 0.25; must stay below 1).
-	WarmupFraction float64
-	// Confidence selects the confidence level of the reported error
-	// bounds: 0.90, 0.95 (default), or 0.99.
-	Confidence float64
-}
-
-// Enabled reports whether the policy actually samples (Period >= 2).
-func (p Sampling) Enabled() bool { return p.Period > 1 }
-
-// internal converts to the simulator's policy type.
-func (p Sampling) internal() sim.Sampling { return sim.Sampling(p) }
+// comparable to exact ones. It is the simulator's own policy type; see
+// its fields for the defaults a zero field stands for.
+type Sampling = sim.Sampling
 
 // DefaultRunConfig returns a 16-core Lean-OoO Table I configuration for
 // the given workload and design: Config's defaults, spelled out.
@@ -353,7 +324,7 @@ func (c Config) Resolved() Config {
 	if c.MeasureRecords == 0 {
 		c.MeasureRecords = 60000
 	}
-	c.Sampling = Sampling(c.Sampling.internal().Normalized())
+	c.Sampling = c.Sampling.Normalized()
 	return c
 }
 
@@ -395,21 +366,25 @@ func (c Config) specOf(comp *spec.Compiled) (sim.RunSpec, error) {
 	}
 	r := c.Resolved()
 	sc := sim.DefaultConfig()
-	sc.CoreType = c.CoreType.internal()
+	sc.CoreType = c.CoreType
 	sc.Cores = r.Cores
 	sc.Seed = c.Seed
 	sc.ElimProb = c.ElimProb
 	if c.PredictionOnly || c.CommonalityMode {
 		sc.Mode = sim.ModePrediction
 	}
-	sc.Prefetcher = designs[c.Design].spec(c.HistEntries, c.CommonalityMode)
+	row := designs[c.Design]
+	sc.Prefetcher = row.spec(c.HistEntries, c.CommonalityMode)
+	if sc.Prefetcher.Label == "" {
+		sc.Prefetcher.Label = row.name
+	}
 	rs := sim.RunSpec{
 		Config:         sc,
 		WarmupRecords:  r.WarmupRecords,
 		MeasureRecords: r.MeasureRecords,
 		// The policy as written, not resolved: the simulator checks its
 		// fields whatever the period.
-		Sampling: c.Sampling.internal(),
+		Sampling: c.Sampling,
 	}
 	var err error
 	if comp != nil {

@@ -52,9 +52,8 @@ func TestDesignAndCoreTypeNames(t *testing.T) {
 		err.Error() != "shift: unknown design 99" {
 		t.Errorf("unknown design spec error: %v", err)
 	}
-	// Every row of the design table: its name parses back (any case), the
-	// simulator labels its runs with it (RunResult.Design), and exactly
-	// the designs with dedicated storage carry an area.
+	// Every row of the design table: its name parses back (any case), and
+	// exactly the designs with dedicated storage carry an area.
 	withArea := map[Design]bool{DesignPIF2K: true, DesignPIF32K: true, DesignZeroLatSHIFT: true, DesignSHIFT: true}
 	for i := range designs {
 		d := Design(i)
@@ -63,12 +62,15 @@ func TestDesignAndCoreTypeNames(t *testing.T) {
 				t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, d)
 			}
 		}
-		if got := designs[i].spec(0, false).Name(); got != d.String() {
-			t.Errorf("%v: simulator labels it %q", d, got)
-		}
 		if got := d.areaPerCore(16); (got != 0) != withArea[d] {
 			t.Errorf("%v: area %v mm^2, want non-zero %v", d, got, withArea[d])
 		}
+	}
+	// A PIF row whose history is rescaled is another design point, and
+	// labels itself by its records (Figure 6).
+	if rs, err := (Config{Workload: "Web Search", Design: DesignPIF2K, HistEntries: 4096}).spec(); err != nil ||
+		rs.Config.Prefetcher.Label != "PIF_4096" {
+		t.Errorf("rescaled PIF labelled %q (%v), want PIF_4096", rs.Config.Prefetcher.Label, err)
 	}
 	if LeanOoO.String() != "Lean-OoO" || FatOoO.String() != "Fat-OoO" || LeanIO.String() != "Lean-IO" {
 		t.Error("core type names")

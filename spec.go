@@ -58,16 +58,21 @@ func LoadSpecFile(path string) (string, error) {
 	return register(spec.Load(data, open))
 }
 
-// WireSpecID compiles a spec document from untrusted wire input and
-// returns the ID it compiles to, registering nothing. Like LoadSpecCell it
-// refuses trace-replay specs: honoring a spec's trace paths would let a
-// remote client read server-local files.
-func WireSpecID(data []byte) (string, error) {
+// WireSpec is a spec document compiled from untrusted wire input and not
+// registered: a request that carries a document compiles it once
+// (CompileWireSpec) and checks each of its cells against it (Cell).
+type WireSpec struct{ comp *spec.Compiled }
+
+// CompileWireSpec compiles a spec document from untrusted wire input,
+// registering nothing. It refuses trace-replay specs: honoring a spec's
+// trace paths would let a remote client read server-local files. A
+// document that does not compile is a "spec" FieldError.
+func CompileWireSpec(data []byte) (WireSpec, error) {
 	comp, err := spec.Load(data, noTraces)
 	if err != nil {
-		return "", err
+		return WireSpec{}, validate.Fieldf("spec", "%v", err)
 	}
-	return comp.ID(), nil
+	return WireSpec{comp}, nil
 }
 
 // noTraces is the wire's Opener: it opens no trace recording.
@@ -75,26 +80,23 @@ func noTraces(string) (io.ReadCloser, error) {
 	return nil, errors.New("trace replay is not available here (submit trace specs via shiftsim -spec)")
 }
 
-// LoadSpecCell compiles a wire spec document as cfg's workload, refusing
-// trace-replay specs as WireSpecID does, and checks cfg against
-// it by Config.Validate's rules. The spec is registered only when both
-// pass, so a refused cell leaves the process's spec registry as it found
-// it. It returns cfg with Workload set to the spec's ID. A document that
-// does not compile is a "spec" FieldError.
-func LoadSpecCell(data []byte, cfg Config) (Config, error) {
-	comp, err := spec.Load(data, noTraces)
-	if err != nil {
-		return Config{}, validate.Fieldf("spec", "%v", err)
-	}
-	cfg.Workload = comp.ID()
-	rs, err := cfg.specOf(comp)
+// ID returns the workload ID the document compiles to.
+func (w WireSpec) ID() string { return w.comp.ID() }
+
+// Cell checks cfg, with w as its workload, by Config.Validate's rules,
+// and registers w only when it passes, so a refused cell leaves the
+// process's spec registry as it found it. It returns cfg with Workload
+// set to w's ID.
+func (w WireSpec) Cell(cfg Config) (Config, error) {
+	cfg.Workload = w.comp.ID()
+	rs, err := cfg.specOf(w.comp)
 	if err == nil {
 		err = rs.Validate()
 	}
 	if err != nil {
 		return Config{}, err
 	}
-	spec.Register(comp)
+	spec.Register(w.comp)
 	return cfg, nil
 }
 

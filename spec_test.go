@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"shift/internal/sim"
 	"shift/internal/spec"
@@ -313,24 +314,42 @@ func TestSpecTraceReplayShortStream(t *testing.T) {
 	check(err, "batched")
 }
 
-// TestWireSpecID proves the wire-facing compilers refuse trace-replay
+// TestCompileWireSpec proves the wire-facing compiler refuses trace-replay
 // specs (shiftd must not read server-local files on behalf of remote
-// clients) while accepting generated-workload specs, and that WireSpecID
-// registers nothing.
-func TestWireSpecID(t *testing.T) {
+// clients) while accepting generated-workload specs, that compiling
+// registers nothing, and that Cell registers the document only for a cell
+// that passes.
+func TestCompileWireSpec(t *testing.T) {
 	sneaky := []byte(`{"name": "sneaky", "trace": {"path": "/etc/hostname"}}`)
-	if _, err := WireSpecID(sneaky); err == nil {
-		t.Error("WireSpecID accepted a trace-replay spec")
+	var fe *FieldError
+	if _, err := CompileWireSpec(sneaky); !errors.As(err, &fe) || fe.Field != "spec" {
+		t.Errorf("CompileWireSpec of a trace-replay spec: %v, want a spec FieldError", err)
 	}
-	if _, err := LoadSpecCell(sneaky, DefaultRunConfig("", DesignSHIFT)); err == nil {
-		t.Error("LoadSpecCell accepted a trace-replay spec")
-	}
-	id, err := WireSpecID([]byte(`{"name": "plain, unregistered", "workload": {"base": "Web Search"}}`))
+	// The registry never evicts: a name of its own keeps a repeated run
+	// (go test -count) from finding the document already registered.
+	doc := fmt.Sprintf(`{"name": "wire cell %d", "workload": {"base": "Web Search"}}`, time.Now().UnixNano())
+	ws, err := CompileWireSpec([]byte(doc))
 	if err != nil {
-		t.Fatalf("WireSpecID rejected a generated spec: %v", err)
+		t.Fatalf("CompileWireSpec rejected a generated spec: %v", err)
+	}
+	id := ws.ID()
+	if doc, err := SpecCanonical(id); err == nil {
+		t.Errorf("CompileWireSpec registered %s: %s", id, doc)
+	}
+	refused := DefaultRunConfig("", DesignSHIFT)
+	refused.Cores = 99
+	if _, err := ws.Cell(refused); !errors.As(err, &fe) || fe.Field != "cores" {
+		t.Errorf("Cell of 99 cores: %v, want a cores FieldError", err)
 	}
 	if doc, err := SpecCanonical(id); err == nil {
-		t.Errorf("WireSpecID registered %s: %s", id, doc)
+		t.Errorf("a refused cell registered %s: %s", id, doc)
+	}
+	cfg, err := ws.Cell(DefaultRunConfig("", DesignSHIFT))
+	if err != nil || cfg.Workload != id {
+		t.Fatalf("Cell = %q, %v; want workload %s", cfg.Workload, err, id)
+	}
+	if _, err := SpecCanonical(id); err != nil {
+		t.Errorf("an accepted cell left %s unregistered: %v", id, err)
 	}
 }
 

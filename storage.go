@@ -54,7 +54,7 @@ func (c Config) Key() string {
 	b = strconv.AppendBool(b, c.CommonalityMode)
 	b = appendFloats(b, c.ElimProb)
 	b = appendInts(b, c.WarmupRecords, c.MeasureRecords, c.Seed)
-	if p := c.Sampling.internal().Normalized(); p.Enabled() {
+	if p := c.Sampling.Normalized(); p.Enabled() {
 		b = append(b, "|sampled"...)
 		b = appendInts(b, p.Period, p.IntervalRecords)
 		b = appendFloats(b, p.WarmupFraction, p.Confidence)
@@ -120,7 +120,7 @@ type StreamID struct {
 // consumes (see StreamID).
 func (c Config) Stream() StreamID {
 	r := c.Resolved()
-	id := StreamID{r.Workload, r.Cores, r.WarmupRecords, r.MeasureRecords, r.Sampling.internal()}
+	id := StreamID{r.Workload, r.Cores, r.WarmupRecords, r.MeasureRecords, r.Sampling}
 	id.sampling.Confidence = 0
 	return id
 }

@@ -19,7 +19,7 @@ func TableI() string {
 	sys := stats.NewTable("Component", "Configuration")
 	sys.AddRow("Processing nodes", fmt.Sprintf("%d cores, 2GHz, 4x4 mesh (%d cycles/hop)",
 		sc.Cores, sc.Mesh.HopCycles))
-	for _, ct := range []cpu.CoreType{cpu.FatOoO, cpu.LeanOoO, cpu.LeanIO} {
+	for _, ct := range AllCoreTypes() {
 		p := cpu.ParamsFor(ct)
 		desc := fmt.Sprintf("%d-wide", p.Width)
 		if p.ROB > 0 {
